@@ -104,19 +104,18 @@ integrity:
 	$(GO) test -run 'TestIntegrity' -v ./internal/oracle/
 	$(GO) test -race -run 'TestE19' -v ./internal/exp/
 
-# The GC-lean gate: arena-kernel parity with the eager path (bit-exact
-# masks/batches including late-materialized dictionaries), per-kernel
-# allocs/op budgets (a kernel that starts allocating again fails the
-# build), arena lifetime safety under the race detector (query results
-# must survive arena recycling; serve cursors copy out), and the E20
-# experiment smoke: alloc/GC reduction, mixed-traffic QPS, variance
-# cells. Full-scale snapshots are regenerated with
-#
-#	go run ./cmd/benchlake -json e15 e20
-#
-# and committed as BENCH_E15.json / BENCH_E20.json; a later plain
-# `benchlake e20` fails if any variance cell regresses beyond the
-# noise band recorded in the committed baseline.
+# The arena-lifetime + alloc-budget gate: pooled kernels agree with
+# their heap-allocating form (bit-exact masks/batches including
+# late-materialized dictionaries), per-kernel allocs/op budgets (a
+# kernel that starts allocating again fails the build), arena lifetime
+# safety under the race detector (query results, LIMIT prefixes
+# included, must survive arena recycling; serve cursors copy out), and
+# the E20 experiment smoke: the star join's heap allocs/bytes/GC per
+# query under committed budgets, mixed-traffic QPS, variance cells.
+# BENCH_E15.json / BENCH_E20.json are the committed full-scale
+# snapshots (they also record the removed row-at-a-time and eager-heap
+# arms); a plain `benchlake e20` fails if any variance cell regresses
+# beyond the noise band recorded in BENCH_E20.json.
 gclean:
 	$(GO) test -run 'TestGCLean' ./internal/vector/
 	$(GO) test -race -run 'TestGCLean|TestArena' ./internal/engine/
@@ -141,11 +140,16 @@ systables:
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# Tiny-scale end-to-end run of the CPU-bound experiments (vectorized
-# reader + execution kernels), emitting BENCH_E2.json / BENCH_E15.json
-# for trend tracking. Timing thresholds are NOT enforced here — this
-# only guards that the measured paths run end to end.
+# Default-scale end-to-end run of the CPU-bound experiments (E2's
+# vectorized reader at 60k rows, E15's execution kernels at 400k). No
+# -json: this only guards that the measured paths run end to end; it
+# enforces no timing threshold and must not overwrite the committed
+# BENCH_*.json.
 bench-smoke:
-	$(GO) run ./cmd/benchlake -json e2 e15
+	$(GO) run ./cmd/benchlake e2 e15
 
+# The closing step fails if a gate modified a committed baseline or
+# left a new one untracked.
 ci: vet build test race obs chaos fuzz crash txn serve integrity gclean systables bench-smoke
+	@test -z "$$(git status --porcelain -- 'BENCH_*.json')" || \
+		{ echo "BENCH_*.json modified or left untracked:"; git status --porcelain -- 'BENCH_*.json'; exit 1; }

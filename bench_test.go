@@ -255,16 +255,16 @@ func BenchmarkE13Availability(b *testing.B) {
 }
 
 // BenchmarkE15VectorizedExec: typed hash kernels + morsel-driven
-// join/aggregation vs the row-at-a-time baseline, morsel-worker
-// scaling, and the generation-keyed scan cache's cold/warm effect
-// (DESIGN.md experiment E15). Real CPU time.
+// join/aggregation, morsel-worker scaling, and the generation-keyed
+// scan cache's cold/warm effect (DESIGN.md experiment E15). Real CPU
+// time.
 func BenchmarkE15VectorizedExec(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := exp.RunE15(400000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.Speedup, "kernel_speedup_x")
+		b.ReportMetric(float64(res.VectorizedTime.Microseconds()), "vectorized_us")
 		for _, r := range res.Scaling {
 			if r.Workers == 4 {
 				b.ReportMetric(r.Speedup, "scaling_w4_x")
@@ -291,8 +291,8 @@ func BenchmarkE14Recovery(b *testing.B) {
 	}
 }
 
-// BenchmarkE16Observability: trace-span attribution of the E15
-// speedup — per-stage join/aggregate gains and the scan cache's
+// BenchmarkE16Observability: trace-span attribution of the E15 star
+// join — per-stage join/aggregate wall time and the scan cache's
 // sim-I/O delta, all read off the observability layer (DESIGN.md
 // experiment E16).
 func BenchmarkE16Observability(b *testing.B) {
@@ -302,11 +302,8 @@ func BenchmarkE16Observability(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, st := range res.Stages {
-			if st.Name == "join" {
-				b.ReportMetric(st.Speedup, "join_stage_x")
-			}
-			if st.Name == "aggregate" {
-				b.ReportMetric(st.Speedup, "aggregate_stage_x")
+			if st.Name == "join" || st.Name == "aggregate" {
+				b.ReportMetric(float64(st.Wall.Microseconds()), st.Name+"_stage_us")
 			}
 		}
 		b.ReportMetric(float64(res.ColdScanSim.Milliseconds()), "cold_scan_sim_ms")

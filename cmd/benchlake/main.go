@@ -483,15 +483,14 @@ func runE15(_ *obsSetup) (any, error) {
 		return nil, err
 	}
 	header("E15 | vectorized parallel execution: typed kernels, morsels, scan cache (real CPU time)")
-	fmt.Printf("fact=%d dim=%d  row-at-a-time=%v  vectorized=%v  speedup=%.2fx\n",
-		res.FactRows, res.DimRows, res.LegacyTime, res.VectorizedTime, res.Speedup)
+	fmt.Printf("fact=%d dim=%d  vectorized=%v\n", res.FactRows, res.DimRows, res.VectorizedTime)
 	fmt.Printf("%-8s %14s %10s\n", "workers", "time", "vs 1")
 	for _, r := range res.Scaling {
 		fmt.Printf("%-8d %14s %9.2fx\n", r.Workers, r.Time, r.Speedup)
 	}
-	fmt.Printf("scan cache: cold=%v warm=%v (sim %v -> %v)  hits=%d misses=%d\n",
+	fmt.Printf("scan cache: cold=%v warm=%v (sim %v -> %v)  hits=%d misses=%d warm-GETs=%d\n",
 		res.CacheColdTime, res.CacheWarmTime, res.CacheColdSim, res.CacheWarmSim,
-		res.CacheHits, res.CacheMisses)
+		res.CacheHits, res.CacheMisses, res.CacheWarmGets)
 	return res, nil
 }
 
@@ -500,12 +499,11 @@ func runE16(_ *obsSetup) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	header("E16 | observability: trace-span attribution of the E15 speedup")
-	fmt.Printf("fact=%d  legacy=%v  vectorized=%v  overall=%.2fx\n",
-		res.FactRows, res.LegacyTotal, res.VectorizedTotal, res.Speedup)
-	fmt.Printf("%-10s %14s %14s %10s\n", "stage", "legacy", "vectorized", "speedup")
+	header("E16 | observability: trace-span attribution of the E15 star join")
+	fmt.Printf("fact=%d  stages total=%v\n", res.FactRows, res.StagesTotal)
+	fmt.Printf("%-10s %14s\n", "stage", "wall")
 	for _, st := range res.Stages {
-		fmt.Printf("%-10s %14s %14s %9.2fx\n", st.Name, st.Legacy, st.Vectorized, st.Speedup)
+		fmt.Printf("%-10s %14s\n", st.Name, st.Wall)
 	}
 	fmt.Printf("scan cache sim-I/O: cold=%v (%d GETs) warm=%v (%d GETs)  hits=%d misses=%d\n",
 		res.ColdScanSim, res.ColdGets, res.WarmScanSim, res.WarmGets, res.CacheHits, res.CacheMisses)
@@ -577,14 +575,11 @@ func runE20(_ *obsSetup) (any, error) {
 		return nil, err
 	}
 	header("E20 | GC-lean execution: per-query arenas, late materialization, perf trajectory")
-	fmt.Printf("star join (fact=%d dim=%d), steady state, %s wall per arm:\n", res.FactRows, res.DimRows, res.Lean.Time+res.Eager.Time)
-	fmt.Printf("%-8s %14s %16s %8s %12s\n", "arm", "allocs/op", "bytes/op", "GC/op", "GC-pause/op")
-	fmt.Printf("%-8s %14.0f %16.0f %8.2f %10.0fus\n", "eager", res.Eager.AllocsPerOp, res.Eager.BytesPerOp, res.Eager.GCPerOp, res.Eager.GCPauseUsPerOp)
-	fmt.Printf("%-8s %14.0f %16.0f %8.2f %10.0fus\n", "lean", res.Lean.AllocsPerOp, res.Lean.BytesPerOp, res.Lean.GCPerOp, res.Lean.GCPauseUsPerOp)
-	fmt.Printf("reduction: allocs %.1fx  bytes %.0fx\n", res.AllocReduction, res.BytesReduction)
-	fmt.Printf("mixed serve traffic (%d stmts, star join every %d): eager=%.0f qps  lean=%.0f qps  ratio=%.2fx\n",
-		res.PointQueries, res.MixEvery, res.EagerQPS, res.LeanQPS, res.QPSRatio)
-	fmt.Printf("point-lookup p99 in the mix: eager=%.0fus  lean=%.0fus\n", res.EagerP99Us, res.LeanP99Us)
+	fmt.Printf("star join (fact=%d dim=%d), steady state, %s wall:\n", res.FactRows, res.DimRows, res.Lean.Time)
+	fmt.Printf("%14s %16s %8s %12s\n", "allocs/op", "bytes/op", "GC/op", "GC-pause/op")
+	fmt.Printf("%14.0f %16.0f %8.2f %10.0fus\n", res.Lean.AllocsPerOp, res.Lean.BytesPerOp, res.Lean.GCPerOp, res.Lean.GCPauseUsPerOp)
+	fmt.Printf("mixed serve traffic (%d stmts, star join every %d): %.0f qps  point-lookup p99 %.0fus\n",
+		res.PointQueries, res.MixEvery, res.LeanQPS, res.LeanP99Us)
 	fmt.Printf("%-36s %8s %12s %12s\n", "variance cell", "samples", "mean", "stddev")
 	for _, c := range res.Cells {
 		fmt.Printf("%-36s %8d %10.0fus %10.0fus\n", c.Name, c.Samples, c.MeanUs, c.StddevUs)

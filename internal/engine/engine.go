@@ -88,7 +88,10 @@ type Mutator interface {
 	CreateTableAs(ctx *QueryContext, table string, orReplace bool, rows *vector.Batch) error
 }
 
-// Options tunes engine behaviour for experiments.
+// Options configures the engine. DefaultOptions is what production
+// runs; the acceleration switches (metadata cache, DPP, prune
+// granularity, scan cache) are also the axes of the oracle's
+// differential matrix.
 type Options struct {
 	// UseMetadataCache enables §3.3 acceleration for tables that have
 	// it configured (E1's on/off switch).
@@ -106,14 +109,10 @@ type Options struct {
 	MorselWorkers int
 	// EnableScanCache turns on the generation-keyed decoded-file cache:
 	// repeated scans of an unchanged object skip both the GET and the
-	// decode. Off by default — experiments opt in.
+	// decode. Off by default; a deployment that wants it opts in.
 	EnableScanCache bool
 	// ScanCacheBytes is the cache's decoded-byte budget (0 = default).
 	ScanCacheBytes int64
-	// RowAtATimeExec forces the historical row-at-a-time join and
-	// aggregation paths; kept as the baseline for the E15 speedup
-	// comparison and as the reference arm of differential tests.
-	RowAtATimeExec bool
 	// SkipQuarantined lets scans skip integrity-quarantined files with
 	// a warning event ("integrity.warnings") instead of failing the
 	// query with a typed error — an explicit opt-in for
@@ -121,14 +120,6 @@ type Options struct {
 	// is worse than down, and silently narrowing results must be a
 	// conscious choice.
 	SkipQuarantined bool
-	// GCLean runs the vectorized path with a recycled per-query arena
-	// and dictionary late materialization: kernel scratch and outputs
-	// are carved from pooled slabs instead of the heap, and string
-	// columns stay dictionary codes through filter/join/group/order,
-	// decoding only at result emission. Results are bit-identical to
-	// the eager heap path (the oracle matrix runs with it on); it is
-	// the baseline-off arm of E20. Ignored under RowAtATimeExec.
-	GCLean bool
 	// ArenaRetainBytes caps how much slab capacity one recycled arena
 	// may keep between queries (0 = arena.DefaultRetainBytes). Size it
 	// to the workload's per-query peak: a query whose working set
@@ -143,7 +134,6 @@ func DefaultOptions() Options {
 		UseMetadataCache: true,
 		EnableDPP:        true,
 		PruneGranularity: bigmeta.PruneFiles,
-		GCLean:           true,
 	}
 }
 
@@ -210,15 +200,15 @@ type Engine struct {
 	// nil unless Options.EnableScanCache is set.
 	scanCache *scanCache
 
-	// arenas recycles per-query execution arenas when Options.GCLean is
-	// set; stats are mirrored into the registry after every query.
+	// arenas recycles per-query execution arenas; stats are mirrored
+	// into the registry after every query.
 	arenas *arena.Pool
 
-	// stmts caches parsed statements by SQL text when Options.GCLean is
-	// set. Parsed ASTs are immutable once built — the executor never
-	// writes into a statement node — so a repeated statement (the
-	// prepared-statement and dashboard pattern) skips the lexer and
-	// parser entirely and allocates nothing.
+	// stmts caches parsed statements by SQL text. Parsed ASTs are
+	// immutable once built — the executor never writes into a
+	// statement node — so a repeated statement (the prepared-statement
+	// and dashboard pattern) skips the lexer and parser entirely and
+	// allocates nothing.
 	stmtMu sync.Mutex
 	stmts  map[string]sqlparse.Statement
 }
@@ -362,10 +352,10 @@ type QueryContext struct {
 	SkipJobRecord bool
 
 	// mem is the query's memory policy: the arena every kernel draws
-	// scratch and outputs from, plus the late-materialization flag.
-	// Execute installs it for the statement's duration and resets it
-	// before releasing the arena, so a context reused across statements
-	// (txn sessions) never carries a recycled allocator.
+	// scratch and outputs from. Execute installs it for the statement's
+	// duration and resets it before releasing the arena, so a context
+	// reused across statements (txn sessions) never carries a recycled
+	// allocator.
 	mem vector.Mem
 }
 
@@ -412,14 +402,10 @@ func (e *Engine) Query(ctx *QueryContext, sql string) (*Result, error) {
 }
 
 // Parse returns the statement for one SQL text, serving repeats from
-// the GC-lean statement cache (hit reports whether it did). Callers
-// must treat the returned AST as immutable — it may be shared with
-// concurrent queries.
+// the statement cache (hit reports whether it did). Callers must treat
+// the returned AST as immutable — it may be shared with concurrent
+// queries.
 func (e *Engine) Parse(sql string) (stmt sqlparse.Statement, hit bool, err error) {
-	if !e.Opts.GCLean {
-		stmt, err = sqlparse.Parse(sql)
-		return stmt, false, err
-	}
 	e.stmtMu.Lock()
 	stmt, hit = e.stmts[sql]
 	e.stmtMu.Unlock()
@@ -522,22 +508,20 @@ func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Resul
 			ctx.Trace.Finish()
 		}
 	}()
-	if e.Opts.GCLean && !e.Opts.RowAtATimeExec && ctx.mem.Al == nil && e.arenas != nil {
-		ar := e.arenas.Get()
-		ctx.mem = vector.Mem{Al: ar, LateMat: true}
-		// Runs before the span-ending defer above (LIFO), so the arena
-		// footprint lands on the execute span for EXPLAIN ANALYZE.
-		defer func() {
-			if exec != nil {
-				exec.SetInt("arena_bytes", ar.Bytes())
-			}
-			ctx.mem = vector.Mem{}
-			ar.Release()
-			st := e.arenas.Stats()
-			e.ec.arenaBytes.Set(st.BytesRetained)
-			e.ec.arenaRecycled.Set(st.Recycled)
-		}()
-	}
+	ar := e.arenas.Get()
+	ctx.mem = vector.Mem{Al: ar}
+	// Runs before the span-ending defer above (LIFO), so the arena
+	// footprint lands on the execute span for EXPLAIN ANALYZE.
+	defer func() {
+		if exec != nil {
+			exec.SetInt("arena_bytes", ar.Bytes())
+		}
+		ctx.mem = vector.Mem{}
+		ar.Release()
+		st := e.arenas.Stats()
+		e.ec.arenaBytes.Set(st.BytesRetained)
+		e.ec.arenaRecycled.Set(st.Recycled)
+	}()
 	if ctx.Budget == nil {
 		ctx.Budget = resilience.NewBudget(e.Clock, QueryRetryBudget, resilience.Seed64(ctx.QueryID))
 	}

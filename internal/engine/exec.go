@@ -57,9 +57,7 @@ func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vecto
 		if ctx.Span != nil {
 			asp = ctx.Span.Child("aggregate")
 			asp.SetInt("in_rows", int64(joined.N))
-			if !e.Opts.RowAtATimeExec {
-				asp.SetInt("workers", int64(e.execWorkers()))
-			}
+			asp.SetInt("workers", int64(e.execWorkers()))
 		}
 		out, err = e.execAggregate(ctx, sel, joined)
 		if asp != nil && err == nil {
@@ -315,12 +313,7 @@ func (e *Engine) hashJoin(ctx *QueryContext, left, right *vector.Batch, j sqlpar
 		sp := ctx.Span.Child("join")
 		sp.SetInt("left_rows", int64(left.N))
 		sp.SetInt("right_rows", int64(right.N))
-		if e.Opts.RowAtATimeExec {
-			sp.SetStr("exec", "row-at-a-time")
-		} else {
-			sp.SetStr("exec", "vectorized")
-			sp.SetInt("workers", int64(e.execWorkers()))
-		}
+		sp.SetInt("workers", int64(e.execWorkers()))
 		defer func() {
 			if out != nil {
 				sp.SetInt("rows", int64(out.N))
@@ -351,10 +344,6 @@ func (e *Engine) hashJoin(ctx *QueryContext, left, right *vector.Batch, j sqlpar
 		}
 		leftKeys = append(leftKeys, li)
 		rightKeys = append(rightKeys, ri)
-	}
-
-	if e.Opts.RowAtATimeExec {
-		return e.hashJoinLegacy(left, right, leftKeys, rightKeys, j.Kind)
 	}
 
 	kind := vector.InnerJoin
@@ -500,17 +489,13 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 		}
 	}
 
-	if e.Opts.RowAtATimeExec {
-		return e.execAggregateLegacy(ctx, sel, in, keyCols, findArg)
-	}
-
 	workers := e.execWorkers()
 	grouping := vector.GroupKeysWith(ctx.mem, keyCols, in.N, workers)
 
 	// Classify select items into aggregate specs (deduplicated; AVG
 	// decomposes into SUM + COUNT) and group-key references. Errors are
-	// deferred exactly like the row-at-a-time path: with zero groups no
-	// item is ever evaluated, so nothing can fail.
+	// deferred to match the oracle's row-at-a-time semantics: with zero
+	// groups no item is ever evaluated, so nothing can fail.
 	groupExprIndex := groupKeyIndex(sel)
 	type itemPlan struct {
 		specA  int // primary spec (-1 = group key reference)

@@ -433,9 +433,14 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 		}
 	}
 
-	out, err := e.mergeScan(ctx, t, results)
+	// One sized pass drawing from the query arena; dictionary columns
+	// stay encoded.
+	out, err := vector.ConcatBatchesWith(ctx.mem, results)
 	if err != nil {
 		return nil, err
+	}
+	if out == nil {
+		out = vector.EmptyBatch(t.Schema)
 	}
 	ctx.Stats.FilesScanned += int64(len(files))
 	for _, f := range files {
@@ -537,40 +542,6 @@ func (e *Engine) readColdFiles(ctx *QueryContext, store *objstore.Store, cred ob
 		}
 	}
 	return drainErrs(errs)
-}
-
-// mergeScan concatenates per-file results into the scan output. Under
-// GC-lean the merge is a single sized pass drawing from the query
-// arena (and keeps dictionary columns encoded); the legacy path keeps
-// the original pairwise AppendBatch fold, so Options.GCLean gates the
-// whole memory-discipline change and the perf harness can A/B the two
-// within one binary.
-func (e *Engine) mergeScan(ctx *QueryContext, t catalog.Table, results []*vector.Batch) (*vector.Batch, error) {
-	if ctx.mem.Al != nil {
-		out, err := vector.ConcatBatchesWith(ctx.mem, results)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = vector.EmptyBatch(t.Schema)
-		}
-		return out, nil
-	}
-	var out *vector.Batch
-	var err error
-	for _, b := range results {
-		if b == nil {
-			continue
-		}
-		out, err = vector.AppendBatch(out, b)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if out == nil {
-		out = vector.EmptyBatch(t.Schema)
-	}
-	return out, nil
 }
 
 // decodeFile decodes complete file bytes through the vectorized

@@ -24,27 +24,25 @@ type E15ScaleRow struct {
 }
 
 // E15Result reports real measured execution time of a star join +
-// GROUP BY over the row-at-a-time baseline and the typed-kernel path,
-// plus morsel-scaling and scan-cache effect. All arms must produce
-// bit-identical results; RunE15 fails otherwise.
+// GROUP BY through the typed-kernel executor, plus morsel-scaling and
+// scan-cache effect. Every configuration must produce bit-identical
+// results; RunE15 fails otherwise.
 type E15Result struct {
 	FactRows int
 	DimRows  int
-	// LegacyTime vs VectorizedTime is the tentpole comparison: string-
-	// keyed row-at-a-time join/aggregation vs typed hash kernels at the
-	// default worker count.
-	LegacyTime     time.Duration
+	// VectorizedTime is the query at the default worker count.
 	VectorizedTime time.Duration
-	Speedup        float64
 	Scaling        []E15ScaleRow
 	// Cold vs warm runs on a scan-cache-enabled engine. Real time shows
-	// the skipped decode; simulated time shows the skipped GETs.
+	// the skipped decode; simulated time and the GET count show the
+	// skipped object-store reads.
 	CacheColdTime time.Duration
 	CacheWarmTime time.Duration
 	CacheColdSim  time.Duration
 	CacheWarmSim  time.Duration
 	CacheHits     int64
 	CacheMisses   int64
+	CacheWarmGets int64
 }
 
 // e15Query is the measured workload: an equi-join of the fact table
@@ -96,56 +94,44 @@ func RunE15(factRows int) (E15Result, error) {
 			return nil
 		}
 		if got != reference {
-			return fmt.Errorf("e15 %s: result diverges from reference arm", id)
+			return fmt.Errorf("e15 %s: result diverges from the first configuration's", id)
 		}
 		return nil
 	}
 	// measure reports the best of three timed runs after one warm-up;
-	// single-shot real-time numbers are too noisy to rank arms by.
-	measure := func(opts engine.Options, id string) (*engine.Result, time.Duration, error) {
+	// single-shot real-time numbers are too noisy to report.
+	measure := func(opts engine.Options, id string) (time.Duration, error) {
 		eng := mkEngine(opts)
 		if _, _, err := run(eng, id+"-warm"); err != nil { // warm-up
-			return nil, 0, err
+			return 0, err
 		}
 		var best *engine.Result
 		var bestT time.Duration
 		for i := 0; i < 3; i++ {
 			res, t, err := run(eng, fmt.Sprintf("%s-%d", id, i))
 			if err != nil {
-				return nil, 0, err
+				return 0, err
 			}
 			if best == nil || t < bestT {
 				best, bestT = res, t
 			}
 		}
-		return best, bestT, check(best, id)
+		return bestT, check(best, id)
 	}
 
 	out := E15Result{FactRows: factRows, DimRows: dimRows}
 	base := engine.DefaultOptions()
 
-	legacyOpts := base
-	legacyOpts.RowAtATimeExec = true
-	res, t, err := measure(legacyOpts, "e15-legacy")
-	if err != nil {
+	if out.VectorizedTime, err = measure(base, "e15-vectorized"); err != nil {
 		return E15Result{}, err
-	}
-	_ = res
-	out.LegacyTime = t
-
-	if res, t, err = measure(base, "e15-vectorized"); err != nil {
-		return E15Result{}, err
-	}
-	out.VectorizedTime = t
-	if out.VectorizedTime > 0 {
-		out.Speedup = float64(out.LegacyTime) / float64(out.VectorizedTime)
 	}
 
 	var oneWorker time.Duration
 	for _, w := range []int{1, 2, 4, 8} {
 		opts := base
 		opts.MorselWorkers = w
-		if _, t, err = measure(opts, fmt.Sprintf("e15-w%d", w)); err != nil {
+		t, err := measure(opts, fmt.Sprintf("e15-w%d", w))
+		if err != nil {
 			return E15Result{}, err
 		}
 		row := E15ScaleRow{Workers: w, Time: t}
@@ -170,10 +156,12 @@ func RunE15(factRows int) (E15Result, error) {
 	if err := check(cold, "e15-cache-cold"); err != nil {
 		return E15Result{}, err
 	}
+	gets := env.Store.Obs().Get("objstore.get.count")
 	warm, warmT, err := run(cacheEng, "e15-cache-warm")
 	if err != nil {
 		return E15Result{}, err
 	}
+	out.CacheWarmGets = env.Store.Obs().Get("objstore.get.count") - gets
 	if err := check(warm, "e15-cache-warm"); err != nil {
 		return E15Result{}, err
 	}
@@ -253,7 +241,7 @@ func loadE15(env *Env, factRows, dimRows, factFiles int) error {
 }
 
 // renderE15 serializes a result batch with type tags for bit-exact
-// cross-arm comparison (floats through %v keep full round-trip form).
+// cross-configuration comparison (floats through %v keep full round-trip form).
 func renderE15(b *vector.Batch) string {
 	var sb strings.Builder
 	for r := 0; r < b.N; r++ {

@@ -9,31 +9,27 @@ import (
 	"biglake/internal/obs"
 )
 
-// --- E16: observability — attributing E15's vectorized speedup with
-// trace spans, and the scan cache's sim-I/O savings with the metrics
-// registry ---
+// --- E16: observability — attributing the E15 star join's wall time
+// to operator stages with trace spans, and the scan cache's sim-I/O
+// savings with the metrics registry ---
 
-// E16Stage is one executor stage's wall time under both arms.
+// E16Stage is one executor stage's wall time.
 type E16Stage struct {
-	Name       string
-	Legacy     time.Duration
-	Vectorized time.Duration
-	Speedup    float64 // legacy/vectorized; 0 when vectorized is ~0
+	Name string
+	Wall time.Duration
 }
 
-// E16Result attributes where E15's end-to-end speedup comes from. The
-// stage table is read straight off the per-operator trace spans, so it
-// is the EXPLAIN ANALYZE view of the same two runs; the cache section
-// pairs per-scan-span simulated I/O with the registry's GET counter.
+// E16Result attributes where the E15 query's time goes. The stage
+// table is read straight off the per-operator trace spans, so it is
+// the EXPLAIN ANALYZE view of the same run; the cache section pairs
+// per-scan-span simulated I/O with the registry's GET counter.
 type E16Result struct {
 	FactRows int
 
-	// Wall-time attribution of legacy vs vectorized execution, by
-	// operator stage (scan/join/aggregate/order_by).
-	LegacyTotal     time.Duration
-	VectorizedTotal time.Duration
-	Speedup         float64
-	Stages          []E16Stage
+	// Wall-time attribution by operator stage
+	// (scan/join/aggregate/order_by).
+	StagesTotal time.Duration
+	Stages      []E16Stage
 
 	// Scan-cache effect: cold (miss) vs warm (hit) run on one engine.
 	// ScanSim is the summed simulated time of the scan spans; Gets is
@@ -80,8 +76,8 @@ func scanSim(t *obs.Trace) time.Duration {
 }
 
 // RunE16 re-runs the E15 star join with tracing enabled and explains
-// the speedup: which operator stages got faster under the typed-kernel
-// path, and how much simulated I/O the scan cache removes.
+// it: which operator stages the wall time goes to, and how much
+// simulated I/O the scan cache removes.
 func RunE16(factRows int) (E16Result, error) {
 	const dimRows = 1024
 	const factFiles = 8
@@ -128,35 +124,20 @@ func RunE16(factRows int) (E16Result, error) {
 	out := E16Result{FactRows: factRows}
 	base := engine.DefaultOptions()
 
-	legacyOpts := base
-	legacyOpts.RowAtATimeExec = true
-	legEng, legTr := mkEngine(legacyOpts)
-	legTrace, err := traced(legEng, legTr, "e16-legacy", true)
-	if err != nil {
-		return E16Result{}, err
-	}
 	vecEng, vecTr := mkEngine(base)
 	vecTrace, err := traced(vecEng, vecTr, "e16-vectorized", true)
 	if err != nil {
 		return E16Result{}, err
 	}
 
-	legStages, vecStages := stageWall(legTrace), stageWall(vecTrace)
+	vecStages := stageWall(vecTrace)
 	for _, name := range e16StageNames {
-		l, v := legStages[name], vecStages[name]
-		if l == 0 && v == 0 {
+		v := vecStages[name]
+		if v == 0 {
 			continue
 		}
-		row := E16Stage{Name: name, Legacy: l, Vectorized: v}
-		if v > 0 {
-			row.Speedup = float64(l) / float64(v)
-		}
-		out.Stages = append(out.Stages, row)
-		out.LegacyTotal += l
-		out.VectorizedTotal += v
-	}
-	if out.VectorizedTotal > 0 {
-		out.Speedup = float64(out.LegacyTotal) / float64(out.VectorizedTotal)
+		out.Stages = append(out.Stages, E16Stage{Name: name, Wall: v})
+		out.StagesTotal += v
 	}
 
 	// Scan-cache attribution: cold then warm on one cache-enabled

@@ -2,17 +2,16 @@ package exp
 
 // E20: GC-lean execution. Three measurements on one star-schema world:
 //
-//  1. Allocation profile of the E15 star join: the same query on the
-//     same warmed engine with the per-query arena off (eager heap
-//     allocation) and on. Reported as allocs/op and bytes/op from
-//     runtime.MemStats deltas; both arms must return identical rows.
+//  1. Allocation profile of the E15 star join on a warmed engine:
+//     allocs/op, bytes/op and GC cycles/op from runtime.MemStats
+//     deltas — what the per-query arena leaves on the heap.
 //  2. High-QPS mixed traffic through the serve session layer
-//     (parse -> prepare -> admit -> cursor), eager vs lean: a stream
-//     of point lookups with an analytic star join every MixEvery
-//     statements. This is the shape where per-query garbage turns
-//     into stalls — the big query's allocations trigger GC that the
-//     small queries then pay for, so the arm reports point-lookup p99
-//     next to aggregate QPS.
+//     (parse -> prepare -> admit -> cursor): a stream of point lookups
+//     with an analytic star join every MixEvery statements. This is
+//     the shape where per-query garbage turns into stalls — a big
+//     query's allocations trigger GC that the small queries then pay
+//     for, so the measurement reports point-lookup p99 next to
+//     aggregate QPS.
 //  3. A variance-aware perf trajectory: the star join timed across
 //     {scan cache warm/cold} x {workers} x {chaos on/off} cells with
 //     mean and stddev per cell, committed as BENCH_E20.json so the
@@ -39,7 +38,8 @@ type E20Config struct {
 	FactRows  int
 	DimRows   int
 	FactFiles int
-	// AllocRuns is the measured iteration count per allocation arm.
+	// AllocRuns is the measured iteration count of the allocation
+	// profile.
 	AllocRuns int
 	// PointWarmup/PointQueries shape the serve throughput arm;
 	// every MixEvery-th statement is the analytic star join instead of
@@ -56,7 +56,7 @@ type E20Config struct {
 	// ArenaRetainBytes sizes the engine's per-arena retention cap to
 	// the workload (engine.Options.ArenaRetainBytes): the star join's
 	// per-query peak must fit or the pool trims the arena after every
-	// query and the lean arm re-makes slabs it should have recycled.
+	// query and the next one re-makes slabs it should have recycled.
 	ArenaRetainBytes int64
 }
 
@@ -80,7 +80,7 @@ func DefaultE20Config(scale int) E20Config {
 	}
 }
 
-// E20AllocArm is one side of the allocation comparison. GCPerOp and
+// E20AllocArm is the star join's heap profile per query. GCPerOp and
 // GCPauseUsPerOp are the collector's own verdict: how many GC cycles
 // (and microseconds of stop-the-world pause) each query provokes.
 type E20AllocArm struct {
@@ -119,26 +119,20 @@ func (r E20Regression) String() string {
 		r.Cell, r.BaseUs, r.CurUs, r.BandUs, r.ExcessUs)
 }
 
-// E20Result is the committed benchmark snapshot.
+// E20Result is the committed benchmark snapshot. The Lean* names are
+// the keys BENCH_E20.json records these measurements under.
 type E20Result struct {
 	FactRows int
 	DimRows  int
 
-	Eager E20AllocArm // GCLean off
-	Lean  E20AllocArm // GCLean on
-	// AllocReduction / BytesReduction are eager divided by lean.
-	AllocReduction float64
-	BytesReduction float64
+	Lean E20AllocArm
 
 	PointQueries int
 	MixEvery     int
-	EagerQPS     float64
 	LeanQPS      float64
-	QPSRatio     float64 // lean / eager
 	// Point-lookup p99 latency within the mixed stream, microseconds:
 	// the tail a small query pays for the big queries' garbage.
-	EagerP99Us float64
-	LeanP99Us  float64
+	LeanP99Us float64
 
 	Cells []E20Cell
 }
@@ -167,61 +161,39 @@ func RunE20Config(cfg E20Config) (E20Result, error) {
 		return eng
 	}
 
-	// --- Arm 1: allocation profile of the star join ---
-	var reference string
-	measureAllocs := func(lean bool, id string) (E20AllocArm, error) {
-		opts := engine.DefaultOptions()
-		opts.GCLean = lean
-		opts.EnableScanCache = true
-		opts.ArenaRetainBytes = cfg.ArenaRetainBytes
-		eng := mkEngine(opts)
-		// Warm the scan cache and the arena pool so the measurement is
-		// the steady-state execution path, not first-touch decode.
-		for i := 0; i < 2; i++ {
-			res, err := eng.Query(engine.NewContext(Admin, fmt.Sprintf("%s-warm-%d", id, i)), e15Query)
-			if err != nil {
-				return E20AllocArm{}, fmt.Errorf("e20 %s warmup: %w", id, err)
-			}
-			got := renderE15(res.Batch)
-			if reference == "" {
-				reference = got
-			} else if got != reference {
-				return E20AllocArm{}, fmt.Errorf("e20 %s: result diverges between arms", id)
-			}
+	opts := engine.DefaultOptions()
+	opts.EnableScanCache = true
+	opts.ArenaRetainBytes = cfg.ArenaRetainBytes
+
+	// --- Measurement 1: allocation profile of the star join ---
+	eng := mkEngine(opts)
+	// Warm the scan cache and the arena pool so the measurement is the
+	// steady-state execution path, not first-touch decode.
+	for i := 0; i < 2; i++ {
+		if _, err := eng.Query(engine.NewContext(Admin, fmt.Sprintf("e20-lean-warm-%d", i)), e15Query); err != nil {
+			return E20Result{}, fmt.Errorf("e20 alloc warmup: %w", err)
 		}
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		for i := 0; i < cfg.AllocRuns; i++ {
-			if _, err := eng.Query(engine.NewContext(Admin, fmt.Sprintf("%s-%d", id, i)), e15Query); err != nil {
-				return E20AllocArm{}, fmt.Errorf("e20 %s: %w", id, err)
-			}
+	}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	for i := 0; i < cfg.AllocRuns; i++ {
+		if _, err := eng.Query(engine.NewContext(Admin, fmt.Sprintf("e20-lean-%d", i)), e15Query); err != nil {
+			return E20Result{}, fmt.Errorf("e20 alloc: %w", err)
 		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		return E20AllocArm{
-			AllocsPerOp:    float64(m1.Mallocs-m0.Mallocs) / float64(cfg.AllocRuns),
-			BytesPerOp:     float64(m1.TotalAlloc-m0.TotalAlloc) / float64(cfg.AllocRuns),
-			GCPerOp:        float64(m1.NumGC-m0.NumGC) / float64(cfg.AllocRuns),
-			GCPauseUsPerOp: float64(m1.PauseTotalNs-m0.PauseTotalNs) / 1e3 / float64(cfg.AllocRuns),
-			Time:           elapsed,
-		}, nil
 	}
-	if out.Eager, err = measureAllocs(false, "e20-eager"); err != nil {
-		return E20Result{}, err
-	}
-	if out.Lean, err = measureAllocs(true, "e20-lean"); err != nil {
-		return E20Result{}, err
-	}
-	if out.Lean.AllocsPerOp > 0 {
-		out.AllocReduction = out.Eager.AllocsPerOp / out.Lean.AllocsPerOp
-	}
-	if out.Lean.BytesPerOp > 0 {
-		out.BytesReduction = out.Eager.BytesPerOp / out.Lean.BytesPerOp
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	out.Lean = E20AllocArm{
+		AllocsPerOp:    float64(m1.Mallocs-m0.Mallocs) / float64(cfg.AllocRuns),
+		BytesPerOp:     float64(m1.TotalAlloc-m0.TotalAlloc) / float64(cfg.AllocRuns),
+		GCPerOp:        float64(m1.NumGC-m0.NumGC) / float64(cfg.AllocRuns),
+		GCPauseUsPerOp: float64(m1.PauseTotalNs-m0.PauseTotalNs) / 1e3 / float64(cfg.AllocRuns),
+		Time:           elapsed,
 	}
 
-	// --- Arm 2: point-lookup throughput through serve ---
+	// --- Measurement 2: point-lookup throughput through serve ---
 	j, err := wal.Open(env.Store, env.Cred, "bench", "e20wal/")
 	if err != nil {
 		return E20Result{}, err
@@ -230,11 +202,8 @@ func RunE20Config(cfg E20Config) (E20Result, error) {
 	mgr := blmt.New(env.Cat, env.Auth, env.Log, env.Clock, env.Engine.Stores)
 	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "bench", "conn"
 	mgr.Journal = j
-	measureQPS := func(lean bool, id string) (qps, p99 float64, err error) {
-		opts := engine.DefaultOptions()
-		opts.GCLean = lean
-		opts.EnableScanCache = true
-		opts.ArenaRetainBytes = cfg.ArenaRetainBytes
+	measureQPS := func() (qps, p99 float64, err error) {
+		const id = "e20-point-lean"
 		eng := mkEngine(opts)
 		eng.SetMutator(mgr)
 		srv := serve.New(eng, txn.NewManager(eng, j), serve.Config{})
@@ -302,17 +271,11 @@ func RunE20Config(cfg E20Config) (E20Result, error) {
 		}
 		return float64(cfg.PointQueries) / elapsed.Seconds(), percentile(lookupUs, 0.99), nil
 	}
-	if out.EagerQPS, out.EagerP99Us, err = measureQPS(false, "e20-point-eager"); err != nil {
+	if out.LeanQPS, out.LeanP99Us, err = measureQPS(); err != nil {
 		return E20Result{}, err
-	}
-	if out.LeanQPS, out.LeanP99Us, err = measureQPS(true, "e20-point-lean"); err != nil {
-		return E20Result{}, err
-	}
-	if out.EagerQPS > 0 {
-		out.QPSRatio = out.LeanQPS / out.EagerQPS
 	}
 
-	// --- Arm 3: variance cells for the perf trajectory ---
+	// --- Measurement 3: variance cells for the perf trajectory ---
 	chaosProf := objstore.FaultProfile{
 		Seed: cfg.Seed, Rate: 0.002, StreakLen: 2,
 		SlowdownRate: 0.01, Slowdown: 5 * time.Millisecond,
@@ -320,7 +283,7 @@ func RunE20Config(cfg E20Config) (E20Result, error) {
 	for _, warm := range []bool{true, false} {
 		for _, workers := range cfg.Workers {
 			for _, chaos := range []bool{false, true} {
-				cell, err := runE20Cell(cfg, env, mkEngine, warm, workers, chaos, chaosProf)
+				cell, err := runE20Cell(cfg, env, mkEngine, opts, warm, workers, chaos, chaosProf)
 				if err != nil {
 					return E20Result{}, err
 				}
@@ -336,10 +299,7 @@ func RunE20Config(cfg E20Config) (E20Result, error) {
 // a discarded first run); cold cells get a fresh engine per sample so
 // every run decodes from the store.
 func runE20Cell(cfg E20Config, env *Env, mkEngine func(engine.Options) *engine.Engine,
-	warm bool, workers int, chaos bool, prof objstore.FaultProfile) (E20Cell, error) {
-	opts := engine.DefaultOptions()
-	opts.EnableScanCache = true
-	opts.ArenaRetainBytes = cfg.ArenaRetainBytes
+	opts engine.Options, warm bool, workers int, chaos bool, prof objstore.FaultProfile) (E20Cell, error) {
 	opts.MorselWorkers = workers
 	cell := E20Cell{
 		Name:    fmt.Sprintf("cache=%s/workers=%d/chaos=%s", onOff20(warm, "warm", "cold"), workers, onOff20(chaos, "on", "off")),

@@ -285,21 +285,16 @@ func TestE13AvailabilityShape(t *testing.T) {
 }
 
 func TestE15VectorizedExecShape(t *testing.T) {
+	// RunE15 itself fails unless the default run, every row of the
+	// worker sweep and the cold and warm cache runs return bit-identical
+	// results; what is left to assert is that each configuration ran and
+	// that the warm run was served entirely from the scan cache.
 	res, err := RunE15(200000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunE15 itself verifies every arm returns bit-identical results;
-	// here we assert the performance shape. Real-time speedups are
-	// noisy at test scale (and compressed under -race, which taxes the
-	// kernels' tight loops hardest), so thresholds are conservative;
-	// BenchmarkE15 reports the headline numbers at full scale.
-	want := 1.3
-	if raceEnabled {
-		want = 0.7
-	}
-	if res.Speedup < want {
-		t.Fatalf("kernel speedup = %.2fx, want >= %.1fx", res.Speedup, want)
+	if res.VectorizedTime <= 0 {
+		t.Fatalf("vectorized time = %v", res.VectorizedTime)
 	}
 	if len(res.Scaling) != 4 {
 		t.Fatalf("scaling rows = %d", len(res.Scaling))
@@ -314,6 +309,9 @@ func TestE15VectorizedExecShape(t *testing.T) {
 	}
 	if res.CacheMisses == 0 {
 		t.Fatal("cold run produced no scan-cache misses")
+	}
+	if res.CacheWarmGets != 0 {
+		t.Fatalf("warm run issued %d GETs, want 0", res.CacheWarmGets)
 	}
 	// Cache hits skip the GETs, which must show in simulated I/O time.
 	if res.CacheWarmSim >= res.CacheColdSim {
@@ -546,25 +544,41 @@ func e20TestConfig() E20Config {
 	}
 }
 
+// Heap budgets for one warmed star join at e20TestConfig scale, in the
+// style of vector's gclean_budget_test.go: the measured steady state
+// plus ~10% for runtime jitter, NOT a target to grow into. What is left
+// on the heap is planning and output descriptors, and it grows with the
+// morsel worker count (per-worker table headers), so the constants are
+// set at the 8-worker cap: measured 164 allocs / 17.5 KB at one worker,
+// 212 / 21.2 KB at two, 327 / 36.3 KB at eight. Anything per-row coming
+// back costs thousands of allocations and megabytes at 30,000 rows. A
+// warmed run provokes no collection; the GC budget tolerates one stray
+// background cycle across the four measured runs.
+const (
+	budgetE20AllocsPerOp = 360
+	budgetE20BytesPerOp  = 40000
+	budgetE20GCPerOp     = 0.25
+)
+
 func TestE20(t *testing.T) {
 	res, err := RunE20Config(e20TestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The acceptance claim is >=5x allocs/op on the benchmark shape;
-	// the shrunk smoke run keeps a margin below that but must still
-	// show the arena drastically off the hot path.
-	if res.AllocReduction < 3 {
-		t.Fatalf("allocs/op reduction = %.2fx (eager %.0f, lean %.0f), want >= 3x",
-			res.AllocReduction, res.Eager.AllocsPerOp, res.Lean.AllocsPerOp)
+	t.Logf("star join heap profile: %.0f allocs/op, %.0f bytes/op, %.2f GC/op",
+		res.Lean.AllocsPerOp, res.Lean.BytesPerOp, res.Lean.GCPerOp)
+	if res.Lean.AllocsPerOp > budgetE20AllocsPerOp {
+		t.Errorf("star join: %.0f allocs/op, budget %d — a hot-path heap allocation crept back in",
+			res.Lean.AllocsPerOp, budgetE20AllocsPerOp)
 	}
-	if res.BytesReduction < 3 {
-		t.Fatalf("bytes/op reduction = %.2fx, want >= 3x", res.BytesReduction)
+	if res.Lean.BytesPerOp > budgetE20BytesPerOp {
+		t.Errorf("star join: %.0f heap bytes/op, budget %d", res.Lean.BytesPerOp, budgetE20BytesPerOp)
 	}
-	// Wall-clock QPS on a tiny workload is too noisy to rank arms in a
-	// unit test; just require both arms ran.
-	if res.EagerQPS <= 0 || res.LeanQPS <= 0 {
-		t.Fatalf("point-lookup arm did not run: eager=%f lean=%f", res.EagerQPS, res.LeanQPS)
+	if res.Lean.GCPerOp > budgetE20GCPerOp {
+		t.Errorf("star join: %.2f GC cycles/op, budget %.2f", res.Lean.GCPerOp, budgetE20GCPerOp)
+	}
+	if res.LeanQPS <= 0 || res.LeanP99Us <= 0 {
+		t.Fatalf("serve mix did not run: qps=%f p99=%f", res.LeanQPS, res.LeanP99Us)
 	}
 	wantCells := 2 * len(e20TestConfig().Workers) * 2
 	if len(res.Cells) != wantCells {

@@ -216,13 +216,11 @@ func (cw *crashWorld) wire() {
 	srv.RestoreStreams(cw.restored)
 	cw.srv = srv
 
-	eng := engine.New(w.cat, w.auth, cw.meta, w.log, w.clock, w.stores, engine.Options{
-		UseMetadataCache: true, EnableDPP: true, PruneGranularity: bigmeta.PruneFiles,
-		// Scan-cache on: crash/recovery sweeps double as validation that
-		// generation-keyed reuse never resurrects pre-crash file contents.
-		EnableScanCache: true,
-		GCLean:          true,
-	})
+	opts := engine.DefaultOptions()
+	// Scan-cache on: crash/recovery sweeps double as validation that
+	// generation-keyed reuse never resurrects pre-crash file contents.
+	opts.EnableScanCache = true
+	eng := engine.New(w.cat, w.auth, cw.meta, w.log, w.clock, w.stores, opts)
 	eng.ManagedCred = w.cred
 	eng.SetMutator(mgr)
 	cw.eng = eng

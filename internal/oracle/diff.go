@@ -231,15 +231,12 @@ func (h *harness) serveRun(eng *engine.Engine, qid, sql string) (*Resultset, err
 // engineFor builds a fresh engine (and metadata cache) for one cell.
 func (h *harness) engineFor(cfg Config) *engine.Engine {
 	meta := bigmeta.NewCache(h.w.clock, nil)
-	eng := engine.New(h.w.cat, h.w.auth, meta, h.w.log, h.w.clock, h.w.stores, engine.Options{
-		UseMetadataCache: cfg.Cache,
-		EnableDPP:        cfg.DPP,
-		PruneGranularity: cfg.Granularity,
-		EnableScanCache:  cfg.ScanCache,
-		// GC-lean on: every differential query also cross-checks the
-		// arena + late-materialization path against the oracle.
-		GCLean: true,
-	})
+	opts := engine.DefaultOptions()
+	opts.UseMetadataCache = cfg.Cache
+	opts.EnableDPP = cfg.DPP
+	opts.PruneGranularity = cfg.Granularity
+	opts.EnableScanCache = cfg.ScanCache
+	eng := engine.New(h.w.cat, h.w.auth, meta, h.w.log, h.w.clock, h.w.stores, opts)
 	eng.ManagedCred = h.w.cred
 	eng.SetMutator(h.w.mgr)
 	eng.Tracer = h.tracer

@@ -99,14 +99,10 @@ func sumPrefix(snap obs.Snapshot, prefix string) int64 {
 // integrityEngine builds a cell engine wired to the sweep's registry.
 func (h *harness) integrityEngine(cell IntegrityCell, reg *obs.Registry, skipQuarantined bool) *engine.Engine {
 	meta := bigmeta.NewCache(h.w.clock, nil)
-	eng := engine.New(h.w.cat, h.w.auth, meta, h.w.log, h.w.clock, h.w.stores, engine.Options{
-		UseMetadataCache: true,
-		EnableDPP:        true,
-		PruneGranularity: bigmeta.PruneFiles,
-		EnableScanCache:  cell.ScanCache,
-		SkipQuarantined:  skipQuarantined,
-		GCLean:           true,
-	})
+	opts := engine.DefaultOptions()
+	opts.EnableScanCache = cell.ScanCache
+	opts.SkipQuarantined = skipQuarantined
+	eng := engine.New(h.w.cat, h.w.auth, meta, h.w.log, h.w.clock, h.w.stores, opts)
 	eng.ManagedCred = h.w.cred
 	eng.SetMutator(h.w.mgr)
 	eng.UseObs(reg)

@@ -216,10 +216,7 @@ func (tw *txnWorld) wire() {
 	w.log.Crash = tw.cp
 
 	meta := bigmeta.NewCache(w.clock, nil)
-	eng := engine.New(w.cat, w.auth, meta, w.log, w.clock, w.stores, engine.Options{
-		UseMetadataCache: true, EnableDPP: true, PruneGranularity: bigmeta.PruneFiles,
-		GCLean: true,
-	})
+	eng := engine.New(w.cat, w.auth, meta, w.log, w.clock, w.stores, engine.DefaultOptions())
 	eng.ManagedCred = w.cred
 	mgr := blmt.New(w.cat, w.auth, w.log, w.clock, w.stores)
 	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", diffBucket, diffConn

@@ -537,59 +537,76 @@ func TestClosedSessionRejectsWork(t *testing.T) {
 
 // TestCursorSurvivesArenaRecycle pins the session-boundary copy-out:
 // pages pulled from an open cursor must keep their values while other
-// queries on the same engine recycle the query arena. The engine runs
-// with GCLean on (the default), so without the Detach at cursor
-// construction this reads recycled slabs.
+// queries on the same engine recycle the query arena; without the
+// Detach at cursor construction this reads recycled slabs. The LIMIT
+// case is a prefix slice of arena-backed filter output (vector.Head),
+// which must carry the Pooled mark for that Detach to copy it.
 func TestCursorSurvivesArenaRecycle(t *testing.T) {
-	ev := newEnv(t, Config{PageRows: 4})
-	ev.createTable(t, "t")
-	ev.seedRows(t, "t", 20)
+	for _, tc := range []struct {
+		name, sql string
+		rows      int64
+	}{
+		{"order_by", "SELECT id, v FROM ds.t ORDER BY id", 20},
+		{"limit", "SELECT id, v FROM ds.t WHERE id >= 0 LIMIT 14", 14},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ev := newEnv(t, Config{PageRows: 4})
+			ev.createTable(t, "t")
+			ev.seedRows(t, "t", 20)
 
-	sess := ev.open(t, adminP)
-	defer sess.Close()
+			sess := ev.open(t, adminP)
+			defer sess.Close()
 
-	p, err := sess.Parse("SELECT id, v FROM ds.t ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := p.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	next := int64(0)
-	drain := func(pages int) {
-		for i := 0; i < pages; i++ {
-			pg, err := cur.Next()
+			p, err := sess.Parse(tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pg == nil {
-				return
+			if err := p.Prepare(); err != nil {
+				t.Fatal(err)
 			}
-			for r := 0; r < pg.N; r++ {
-				if id := pg.Column("id").Value(r).AsInt(); id != next {
-					t.Fatalf("page row %d: id = %d, want %d (stale arena data)", r, id, next)
-				}
-				next++
+			cur, err := p.Execute()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
 
-	drain(2)
-	// Interleave queries that grab and scribble over the pooled arena.
-	for q := 0; q < 5; q++ {
-		if _, err := ev.eng.Query(engine.NewContext(adminP, fmt.Sprintf("mid-%d", q)),
-			"SELECT v, COUNT(*) AS n FROM ds.t GROUP BY v ORDER BY v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	drain(100)
-	cur.Close()
-	if next != 20 {
-		t.Fatalf("drained %d rows, want 20", next)
+			next := int64(0)
+			drain := func(pages int) {
+				for i := 0; i < pages; i++ {
+					pg, err := cur.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if pg == nil {
+						return
+					}
+					for r := 0; r < pg.N; r++ {
+						if id := pg.Column("id").Value(r).AsInt(); id != next {
+							t.Fatalf("page row %d: id = %d, want %d (stale arena data)", r, id, next)
+						}
+						next++
+					}
+				}
+			}
+
+			drain(2)
+			// Interleave queries that grab and scribble over the pooled
+			// arena: the filter's gather output reuses the slab bytes the
+			// held result's columns were carved from.
+			for q := 0; q < 5; q++ {
+				for _, sql := range []string{
+					"SELECT v, COUNT(*) AS n FROM ds.t GROUP BY v ORDER BY v",
+					fmt.Sprintf("SELECT v, id FROM ds.t WHERE id >= %d", q+3),
+				} {
+					if _, err := ev.eng.Query(engine.NewContext(adminP, fmt.Sprintf("mid-%d", q)), sql); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			drain(100)
+			cur.Close()
+			if next != tc.rows {
+				t.Fatalf("drained %d rows, want %d", next, tc.rows)
+			}
+		})
 	}
 }

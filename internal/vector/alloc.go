@@ -83,13 +83,13 @@ func (heapAlloc) Pooled() bool { return false }
 // Heap is the allocator used when no arena is attached.
 var Heap Alloc = heapAlloc{}
 
-// Mem bundles the memory policy a query threads through the kernels:
-// where scratch and outputs come from, and whether dictionary columns
-// stay encoded (late materialization) through gather/join/group. The
-// zero value is the legacy behavior: heap allocation, eager decode.
+// Mem is the memory policy a query threads through the kernels: where
+// scratch and outputs come from. A pooled allocator also selects late
+// materialization — dictionary columns stay encoded through
+// gather/join/group and decode at result emission. The zero value
+// allocates from the heap and decodes eagerly.
 type Mem struct {
-	Al      Alloc
-	LateMat bool
+	Al Alloc
 }
 
 // Allocator returns the active allocator, defaulting to Heap.
@@ -100,8 +100,9 @@ func (m Mem) Allocator() Alloc {
 	return m.Al
 }
 
-// Pooled reports whether kernel outputs must be marked Column.Pooled
-// (the allocator recycles its slices after the query).
+// Pooled reports whether the allocator recycles its slices after the
+// query: kernel outputs must be marked Column.Pooled, and dictionary
+// columns stay encoded.
 func (m Mem) Pooled() bool { return m.Al != nil && m.Al.Pooled() }
 
 // appendI32 appends v to s, growing through al with doubling so the

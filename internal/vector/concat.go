@@ -8,14 +8,13 @@ import "fmt"
 // every part, O(parts²) bytes), this sizes the output once and copies
 // each part exactly once, drawing output arrays from m's allocator.
 // Dict and RLE parts are expanded in place without materializing an
-// intermediate Decode copy; under m.LateMat a string column whose
+// intermediate Decode copy; under a pooled m a string column whose
 // parts are all Dict stays Dict, with the per-file dictionaries merged
 // and codes translated, so strings keep flowing as codes past the
 // scan boundary.
 //
 // Nil parts are skipped. Returns (nil, nil) when no parts remain, and
-// the sole part unchanged when only one remains (zero copy, matching
-// the AppendBatch(nil, b) fold it replaces).
+// the sole part unchanged when only one remains (zero copy).
 func ConcatBatchesWith(m Mem, parts []*Batch) (*Batch, error) {
 	live := parts[:0:0]
 	total := 0
@@ -61,7 +60,7 @@ func ConcatBatchesWith(m Mem, parts []*Batch) (*Batch, error) {
 			out.Bools = al.Bools(total)
 			concatCol(out.Bools, func(c *Column) []bool { return c.Bools }, live, ci, nullAt)
 		case String, Bytes:
-			if m.LateMat && allDictParts(live, ci) {
+			if m.Pooled() && allDictParts(live, ci) {
 				cols[ci] = concatDictStrings(al, m, total, live, ci)
 				continue
 			}

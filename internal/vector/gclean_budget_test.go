@@ -77,7 +77,7 @@ func budgetBatch(r *sim.RNG, n int) *Batch {
 func newWarmKernelWorld() *warmKernelWorld {
 	w := &warmKernelWorld{pool: arena.NewPool()}
 	w.ar = w.pool.Get()
-	w.lean = Mem{Al: w.ar, LateMat: true}
+	w.lean = Mem{Al: w.ar}
 	r := sim.NewRNG(42)
 	n := MorselRows + 777
 	w.b = budgetBatch(r, n)
@@ -100,7 +100,7 @@ func newWarmKernelWorld() *warmKernelWorld {
 func (w *warmKernelWorld) recycle() {
 	w.ar.Release()
 	w.ar = w.pool.Get()
-	w.lean = Mem{Al: w.ar, LateMat: true}
+	w.lean = Mem{Al: w.ar}
 }
 
 func measureKernel(t *testing.T, w *warmKernelWorld, name string, budget int, fn func(m Mem)) {

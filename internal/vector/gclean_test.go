@@ -104,7 +104,7 @@ func TestGCLeanKernelParity(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		for _, n := range []int{0, 1, 37, MorselRows + 511} {
 			ar := pool.Get()
-			lean := Mem{Al: ar, LateMat: true}
+			lean := Mem{Al: ar}
 			heap := Mem{}
 			r1 := sim.NewRNG(seed*1000 + uint64(n))
 			r2 := sim.NewRNG(seed*1000 + uint64(n))
@@ -188,14 +188,14 @@ func TestGCLeanKernelParity(t *testing.T) {
 func TestGCLeanLateMatStaysEncoded(t *testing.T) {
 	src := DictEncode(NewStringColumn([]string{"a", "b", "a", "c", "b", "a"}))
 	ar := arena.New()
-	lean := Mem{Al: ar, LateMat: true}
+	lean := Mem{Al: ar}
 
 	g := GatherWith(lean, src, []int{5, 0, 3, 3, 1})
 	if g.Enc != Dict {
-		t.Fatalf("GatherWith under LateMat: enc = %v, want Dict", g.Enc)
+		t.Fatalf("GatherWith under a pooled Mem: enc = %v, want Dict", g.Enc)
 	}
 	if &g.Strs[0] != &src.Strs[0] {
-		t.Fatalf("GatherWith under LateMat copied the dictionary")
+		t.Fatalf("GatherWith under a pooled Mem copied the dictionary")
 	}
 	if !g.Pooled {
 		t.Fatalf("arena-backed gather output not marked Pooled")
@@ -203,7 +203,7 @@ func TestGCLeanLateMatStaysEncoded(t *testing.T) {
 
 	gn := GatherNullWith(lean, src, []int32{2, -1, 4})
 	if gn.Enc != Dict {
-		t.Fatalf("GatherNullWith under LateMat: enc = %v, want Dict", gn.Enc)
+		t.Fatalf("GatherNullWith under a pooled Mem: enc = %v, want Dict", gn.Enc)
 	}
 	if !gn.Value(1).IsNull() {
 		t.Fatalf("negative index did not become NULL")
@@ -221,7 +221,7 @@ func TestGCLeanLateMatStaysEncoded(t *testing.T) {
 func TestGCLeanDetachOutlivesArena(t *testing.T) {
 	pool := arena.NewPool()
 	ar := pool.Get()
-	lean := Mem{Al: ar, LateMat: true}
+	lean := Mem{Al: ar}
 
 	r := sim.NewRNG(7)
 	src := randomLeanBatch(r, 500)

@@ -101,7 +101,7 @@ func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
 	}
 	ka := make([]keyAccess, len(keys))
 	for i, c := range keys {
-		ka[i] = newKeyAccessWith(al, c)
+		ka[i] = newKeyAccess(al, c)
 	}
 
 	hashes := al.Uint64s(n)
@@ -532,7 +532,7 @@ func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, work
 	kas := make([]keyAccess, len(specs))
 	for s, sp := range specs {
 		if sp.Col != nil {
-			kas[s] = newKeyAccessWith(al, sp.Col)
+			kas[s] = newKeyAccess(al, sp.Col)
 		}
 	}
 

@@ -64,16 +64,8 @@ type keyAccess struct {
 	dictHash []uint64
 }
 
-func newKeyAccess(c *Column) keyAccess {
-	return newKeyAccessWith(nil, c)
-}
-
-// newKeyAccessWith is newKeyAccess taking the dictionary hash cache
-// from al (nil = heap).
-func newKeyAccessWith(al Alloc, c *Column) keyAccess {
-	if al == nil {
-		al = Heap
-	}
+// newKeyAccess takes the dictionary hash cache from al.
+func newKeyAccess(al Alloc, c *Column) keyAccess {
 	if c.Enc == RLE {
 		c = c.Decode()
 	}

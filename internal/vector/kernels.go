@@ -355,7 +355,7 @@ func Filter(b *Batch, mask []bool) (*Batch, error) {
 
 // FilterWith is Filter with an explicit memory policy: selection
 // scratch and output arrays come from m's allocator, and Dict columns
-// stay dictionary-encoded when m.LateMat is set.
+// stay dictionary-encoded when m is pooled.
 func FilterWith(m Mem, b *Batch, mask []bool) (*Batch, error) {
 	if len(mask) != b.N {
 		return nil, fmt.Errorf("vector: mask length %d != batch %d", len(mask), b.N)
@@ -388,18 +388,18 @@ func Gather(c *Column, idx []int) *Column {
 	return GatherWith(Mem{}, c, idx)
 }
 
-// GatherWith gathers the rows at idx. Under late materialization a
-// Dict input stays Dict: only the codes are gathered and the
-// dictionary value arrays are shared, so strings are not copied until
-// result emission (Column.Value decodes on read). Otherwise the
-// output is plain-encoded, matching Gather.
+// GatherWith gathers the rows at idx. Under a pooled allocator (late
+// materialization) a Dict input stays Dict: only the codes are
+// gathered and the dictionary value arrays are shared, so strings are
+// not copied until result emission (Column.Value decodes on read).
+// Otherwise the output is plain-encoded, matching Gather.
 func GatherWith(m Mem, c *Column, idx []int) *Column {
 	al := m.Allocator()
 	dec := c
 	if c.Enc == RLE {
 		dec = c.Decode() // random access over RLE is O(runs); decode once
 	}
-	if m.LateMat && dec.Enc == Dict {
+	if m.Pooled() && dec.Enc == Dict {
 		out := &Column{Type: c.Type, Len: len(idx), Enc: Dict, Pooled: m.Pooled() || dec.Pooled}
 		out.Ints, out.Floats, out.Bools, out.Strs = dec.Ints, dec.Floats, dec.Bools, dec.Strs
 		codes := al.Uint32s(len(idx))

@@ -159,8 +159,8 @@ func HashJoinWith(m Mem, left, right *Batch, leftKeys, rightKeys []int, kind Joi
 	ra := make([]keyAccess, len(rightKeys))
 	typesMatch := true
 	for i := range leftKeys {
-		la[i] = newKeyAccessWith(al, left.Cols[leftKeys[i]])
-		ra[i] = newKeyAccessWith(al, right.Cols[rightKeys[i]])
+		la[i] = newKeyAccess(al, left.Cols[leftKeys[i]])
+		ra[i] = newKeyAccess(al, right.Cols[rightKeys[i]])
 		if la[i].c.Type != ra[i].c.Type {
 			// Key identity includes the logical type, so differently
 			// typed key columns (e.g. INT64 vs FLOAT64) can never

@@ -2,17 +2,19 @@ package vector
 
 // This file holds zero-copy / typed materialization helpers used by
 // the execution engine: LIMIT as a column prefix slice instead of a
-// full gather, null-column construction for LEFT JOIN extension, and
-// a gather that treats negative indices as NULL so a join's matched
-// and null-extended rows materialize in one pass per column.
+// full gather, and a gather that treats negative indices as NULL so a
+// join's matched and null-extended rows materialize in one pass per
+// column.
 
 // Head returns the first n rows of a column. Plain and Dict columns
-// share the underlying arrays (zero copy); RLE trims runs.
+// share the underlying arrays (zero copy); RLE trims runs and shares
+// the value arrays. Because the output aliases c, it inherits
+// c.Pooled so the copy-out boundaries detach it.
 func Head(c *Column, n int) *Column {
 	if n >= c.Len {
 		return c
 	}
-	out := &Column{Type: c.Type, Len: n, Enc: c.Enc}
+	out := &Column{Type: c.Type, Len: n, Enc: c.Enc, Pooled: c.Pooled}
 	switch c.Enc {
 	case Plain:
 		if c.Nulls != nil {
@@ -61,45 +63,21 @@ func HeadBatch(b *Batch, n int) *Batch {
 	return &Batch{Schema: b.Schema, Cols: cols, N: n}
 }
 
-// NullColumn returns a plain column of n NULLs of the given type,
-// with zero-valued backing arrays like the Builder would produce.
-func NullColumn(t Type, n int) *Column {
-	out := &Column{Type: t, Len: n, Enc: Plain, Nulls: make([]bool, n)}
-	for i := range out.Nulls {
-		out.Nulls[i] = true
-	}
-	switch t {
-	case Int64, Timestamp:
-		out.Ints = make([]int64, n)
-	case Float64:
-		out.Floats = make([]float64, n)
-	case Bool:
-		out.Bools = make([]bool, n)
-	case String, Bytes:
-		out.Strs = make([]string, n)
-	}
-	return out
-}
-
-// GatherNull materializes the rows at idx into a new plain column,
-// with negative indices producing NULL — the LEFT JOIN null-extension
+// GatherNullWith materializes the rows at idx into a new column, with
+// negative indices producing NULL — the LEFT JOIN null-extension
 // path. Values are copied type-directly, without per-row boxing.
-func GatherNull(c *Column, idx []int32) *Column {
-	return GatherNullWith(Mem{}, c, idx)
-}
-
-// GatherNullWith is GatherNull with an explicit memory policy. Under
-// late materialization a Dict input stays Dict: codes are gathered
-// (negative indices become the NULL code) and the dictionary value
-// arrays are shared, so join outputs carry strings as codes until
-// result emission.
+// Under a pooled allocator (late materialization) a Dict input stays
+// Dict: codes are gathered (negative indices become the NULL code) and
+// the dictionary value arrays are shared, so join outputs carry
+// strings as codes until result emission; otherwise the output is
+// plain.
 func GatherNullWith(m Mem, c *Column, idx []int32) *Column {
 	al := m.Allocator()
 	if c.Enc == RLE {
 		c = c.Decode()
 	}
 	n := len(idx)
-	if m.LateMat && c.Enc == Dict {
+	if m.Pooled() && c.Enc == Dict {
 		out := &Column{Type: c.Type, Len: n, Enc: Dict, Pooled: m.Pooled() || c.Pooled}
 		out.Ints, out.Floats, out.Bools, out.Strs = c.Ints, c.Floats, c.Bools, c.Strs
 		codes := al.Uint32s(n)
