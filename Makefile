@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race chaos fuzz fuzz-bug crash txn serve integrity bench bench-smoke obs gclean systables ci
+.PHONY: all vet build test race chaos fuzz fuzz-bug crash txn serve integrity bench bench-smoke benchmark benchmark-compare obs gclean systables ci
 
 all: build
 
@@ -147,6 +147,39 @@ bench:
 # BENCH_*.json.
 bench-smoke:
 	$(GO) run ./cmd/benchlake e2 e15
+
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): all five
+# workloads at their fixed op counts, every answer checked, every
+# metric printed; results land in benchmark/out/. BENCH_FLAGS passes
+# flags through, e.g. BENCH_FLAGS='-seed 3 -seconds 15'.
+benchmark:
+	$(GO) run ./benchmark $(BENCH_FLAGS)
+
+# make benchmark-compare BASE=<git-ref> [PAIRS=n] [BENCH_FLAGS=...]
+# builds the benchmark at BASE (in a temporary worktree) and at the
+# working tree, runs the suite PAIRS times on each (seeds 1..PAIRS),
+# alternating which side goes first, then applies the BENCHMARK.json
+# bounds to every pair with -compare and fails if any pair is worse.
+# Neither target joins ci: they take minutes and measure the host as
+# much as the code (claim a gain only from >= 10 pairs; see ROADMAP).
+PAIRS ?= 1
+benchmark-compare:
+	@test -n "$(BASE)" || { echo "usage: make benchmark-compare BASE=<git-ref> [PAIRS=n] [BENCH_FLAGS=...]"; exit 2; }
+	@set -e; head=$$(pwd); tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/base" "$(BASE)" >/dev/null; \
+	(cd "$$tmp/base" && $(GO) build -o "$$tmp/bench-base" ./benchmark); \
+	$(GO) build -o "$$tmp/bench-head" ./benchmark; \
+	run() { (cd "$$2" && "$$tmp/bench-$$1" -seed "$$3" -out "$$tmp/out-$$1" $(BENCH_FLAGS) >"$$tmp/out-$$1-seed$$3.log" 2>&1) || \
+		{ cat "$$tmp/out-$$1-seed$$3.log"; exit 1; }; echo "ran $$1 seed $$3"; }; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then run base "$$tmp/base" $$i; run head "$$head" $$i; \
+		else run head "$$head" $$i; run base "$$tmp/base" $$i; fi; \
+	done; \
+	worse=0; for i in $$(seq 1 $(PAIRS)); do \
+		echo "== pair $$i: $(BASE) -> working tree =="; \
+		"$$tmp/bench-head" -compare "$$tmp/out-base/result-seed$$i.json" "$$tmp/out-head/result-seed$$i.json" || worse=1; \
+	done; exit $$worse
 
 # The closing step fails if a gate modified a committed baseline or
 # left a new one untracked.

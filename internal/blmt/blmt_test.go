@@ -427,3 +427,39 @@ func TestRetriesAbsorbTransientInsertFault(t *testing.T) {
 		t.Fatal("expected a metered retry")
 	}
 }
+
+// TestDMLLeavesAliasedScanCacheIntact: with the scan cache on, a query
+// whose filters select every row returns the cached decode's own
+// arrays (vector.FilterWith hands back its input). The copy-on-write
+// rewrites that follow must leave those arrays alone: the result
+// already handed out, and the cache entry behind it, stay byte for
+// byte what they were.
+func TestDMLLeavesAliasedScanCacheIntact(t *testing.T) {
+	ev := newEnv(t)
+	opts := engine.DefaultOptions()
+	opts.EnableScanCache = true
+	ev.eng = engine.New(ev.cat, ev.auth, bigmeta.NewCache(ev.clock, nil), ev.log, ev.clock,
+		map[string]*objstore.Store{"gcp": ev.store}, opts)
+	ev.eng.ManagedCred = ev.cred
+	ev.eng.SetMutator(ev.mgr)
+	ev.createEvents(t)
+	ev.sql(t, "INSERT INTO ds.events VALUES (1, 'click', 0.5), (2, 'view', 1.5), (3, 'click', 2.5)")
+
+	const allPass = "SELECT * FROM ds.events WHERE id >= 0"
+	ev.sql(t, allPass) // decodes and caches the file
+	held := ev.sql(t, allPass)
+	if held.Stats.CacheHits != 1 || held.Batch.N != 3 {
+		t.Fatalf("warm run: hits=%d rows=%d", held.Stats.CacheHits, held.Batch.N)
+	}
+	before := vector.EncodeBatch(held.Batch, true)
+
+	ev.sql(t, "UPDATE ds.events SET value = value * 10 WHERE id >= 0")
+	ev.sql(t, "DELETE FROM ds.events WHERE id = 2")
+	if string(vector.EncodeBatch(held.Batch, true)) != string(before) {
+		t.Fatal("DML wrote through a batch that aliases the scan cache")
+	}
+	after := ev.sql(t, "SELECT id, value FROM ds.events WHERE id >= 0 ORDER BY id")
+	if after.Batch.N != 2 || after.Batch.Row(0)[1].F != 5 || after.Batch.Row(1)[1].F != 25 {
+		t.Fatalf("after DML: %v %v", after.Batch.Row(0), after.Batch.Row(1))
+	}
+}

@@ -297,9 +297,9 @@ func (r *RowReader) Next() ([]vector.Value, error) {
 		rg := r.footer.RowGroups[r.group]
 		r.group++
 
-		// Decode every chunk fully (row-oriented readers reassemble
-		// whole records).
-		cols := make([]*vector.Column, len(r.schema.Fields))
+		// Decode every chunk fully, one boxed value per row
+		// (row-oriented readers reassemble whole records).
+		cols := make([][]vector.Value, len(r.schema.Fields))
 		for i, f := range r.schema.Fields {
 			for _, ch := range rg.Chunks {
 				if ch.Column == f.Name {
@@ -307,7 +307,11 @@ func (r *RowReader) Next() ([]vector.Value, error) {
 					if err != nil {
 						return nil, err
 					}
-					cols[i] = c.Decode()
+					dec := c.Decode()
+					cols[i] = make([]vector.Value, dec.Len)
+					for k := range cols[i] {
+						cols[i][k] = dec.Value(k)
+					}
 				}
 			}
 		}
@@ -321,7 +325,7 @@ func (r *RowReader) Next() ([]vector.Value, error) {
 			keep := true
 			for _, p := range r.preds {
 				ci := r.schema.Index(p.Column)
-				v := cols[ci].Value(i)
+				v := cols[ci][i]
 				if v.IsNull() || !p.Op.Eval(v.Compare(p.Value)) {
 					keep = false
 					break
@@ -332,7 +336,7 @@ func (r *RowReader) Next() ([]vector.Value, error) {
 			}
 			row := make([]vector.Value, len(projIdx))
 			for j, ci := range projIdx {
-				row[j] = cols[ci].Value(i)
+				row[j] = cols[ci][i]
 			}
 			r.rows = append(r.rows, row)
 		}

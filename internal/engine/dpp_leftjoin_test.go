@@ -140,3 +140,53 @@ func TestDPPStillPrunesLeftJoinRightSide(t *testing.T) {
 		t.Fatal("dim file outside the facts key range should be DPP-pruned")
 	}
 }
+
+// TestDPPCapturesOnlyConsumableRanges: a join-key range costs a pass
+// over the scanned side's key column, so it is captured only while a
+// table scan that could prune by it is still to come — never after the
+// last source, never for a side already scanned, never for the
+// preserved side of a LEFT JOIN, never for a subquery (which takes no
+// pushdown). Skipping the capture changes no result: every query
+// returns what it returns with DPP off.
+func TestDPPCapturesOnlyConsumableRanges(t *testing.T) {
+	ev := newEnv(t, DefaultOptions())
+	createFactsAndDim(t, ev)
+	noDPP := DefaultOptions()
+	noDPP.EnableDPP = false
+	ref := newEnv(t, noDPP)
+	createFactsAndDim(t, ref)
+
+	for _, tc := range []struct {
+		name, sql string
+		captures  int64
+		pruned    bool
+	}{
+		{"single table", "SELECT fk FROM ds.facts WHERE fk >= 100", 0, true},
+		// dim scans first (filtered) and its range prunes facts; the
+		// range of facts, scanned last, is for nobody.
+		{"inner, dim first", "SELECT f.fk, d.dk FROM ds.facts AS f JOIN ds.dim AS d ON f.fk = d.dk WHERE d.dx >= 0", 1, true},
+		// No filter: FROM order. facts' range prunes nothing of dim.
+		{"inner, unfiltered", "SELECT f.fk, d.dk FROM ds.facts AS f JOIN ds.dim AS d ON f.fk = d.dk", 1, false},
+		// The preserved side is never pruned (PR 2's guard), and by the
+		// time it has been scanned nothing is left to prune.
+		{"left join, dim first", "SELECT f.fk, d.dk FROM ds.facts AS f LEFT JOIN ds.dim AS d ON f.fk = d.dk WHERE d.dx >= 0", 0, false},
+		{"left join, facts first", "SELECT f.fk, d.dk FROM ds.facts AS f LEFT JOIN ds.dim AS d ON f.fk = d.dk WHERE f.fv = 'low'", 1, true},
+		{"subquery side", "SELECT f.fk, d.dk FROM ds.facts AS f JOIN (SELECT dk FROM ds.dim) AS d ON f.fk = d.dk WHERE f.fv = 'high'", 0, true},
+	} {
+		ctx := NewContext(adminP, "dpp-capture")
+		res, err := ev.eng.Query(ctx, tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ctx.Stats.DPPCaptures != tc.captures {
+			t.Errorf("%s: DPPCaptures = %d, want %d", tc.name, ctx.Stats.DPPCaptures, tc.captures)
+		}
+		if got := ctx.Stats.FilesPruned > 0; got != tc.pruned {
+			t.Errorf("%s: FilesPruned = %d, want pruning = %v", tc.name, ctx.Stats.FilesPruned, tc.pruned)
+		}
+		want := ref.query(t, adminP, tc.sql)
+		if fingerprint(res.Batch) != fingerprint(want.Batch) {
+			t.Errorf("%s: result differs from the DPP-off engine", tc.name)
+		}
+	}
+}

@@ -109,7 +109,10 @@ type Options struct {
 	MorselWorkers int
 	// EnableScanCache turns on the generation-keyed decoded-file cache:
 	// repeated scans of an unchanged object skip both the GET and the
-	// decode. Off by default; a deployment that wants it opts in.
+	// decode. DefaultOptions leaves it off, and with it core.New and
+	// both CLIs; the repo benchmark's serving stack (benchmark/world.go,
+	// 32 MiB), the cache arms of E15/E16/E19/E20, the crash sweep and
+	// half the differential/integrity matrix cells turn it on.
 	EnableScanCache bool
 	// ScanCacheBytes is the cache's decoded-byte budget (0 = default).
 	ScanCacheBytes int64
@@ -302,8 +305,12 @@ type ExecStats struct {
 	// QuarantineSkips counts quarantined files the scan omitted under
 	// Options.SkipQuarantined (each omission also logs a warning).
 	QuarantineSkips int64
-	SimStart        time.Duration
-	SimElapsed      time.Duration
+	// DPPCaptures counts join-key ranges captured for dynamic partition
+	// pruning. A range is only captured while a table scan that could
+	// use it is still to come.
+	DPPCaptures int64
+	SimStart    time.Duration
+	SimElapsed  time.Duration
 }
 
 // QueryContext carries per-query identity and accounting.

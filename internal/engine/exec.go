@@ -143,6 +143,19 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 	// dppRanges accumulates join-key ranges learned from executed
 	// sides, keyed by "qual.col" of the not-yet-executed side.
 	dppRanges := map[string][2]vector.Value{}
+	// canPrune reports whether a table scan still to come could take a
+	// range on the named source; capturing one for anything else (a
+	// source already scanned — always the case after the last scan — or
+	// a subquery or TVF, which take no pushdown) is a wasted pass.
+	scanned := make([]bool, len(sources))
+	canPrune := func(name string) bool {
+		for i, src := range sources {
+			if !scanned[i] && src.ref.Name != "" && src.ref.DisplayName() == name {
+				return true
+			}
+		}
+		return false
+	}
 
 	for _, idx := range order {
 		src := sources[idx]
@@ -158,8 +171,9 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 			b = qualifyBatch(b, src.ref.DisplayName())
 		}
 		batches[idx] = b
+		scanned[idx] = true
 		if e.Opts.EnableDPP {
-			e.recordDPPRanges(sel, src.ref, b, dppRanges)
+			e.recordDPPRanges(ctx, sel, src.ref, b, dppRanges, canPrune)
 		}
 	}
 
@@ -205,8 +219,8 @@ func (e *Engine) scanOrder(ctx *QueryContext, sel *sqlparse.SelectStmt, from *sq
 }
 
 // recordDPPRanges captures min/max of join keys on the just-executed
-// side of each join for later scans.
-func (e *Engine) recordDPPRanges(sel *sqlparse.SelectStmt, executed *sqlparse.TableRef, b *vector.Batch, ranges map[string][2]vector.Value) {
+// side of each join, for the later scans canPrune names.
+func (e *Engine) recordDPPRanges(ctx *QueryContext, sel *sqlparse.SelectStmt, executed *sqlparse.TableRef, b *vector.Batch, ranges map[string][2]vector.Value, canPrune func(string) bool) {
 	for _, j := range sel.Joins {
 		pairs := equiPairs(j.On)
 		for _, pr := range pairs {
@@ -226,10 +240,14 @@ func (e *Engine) recordDPPRanges(sel *sqlparse.SelectStmt, executed *sqlparse.Ta
 			if j.Kind == sqlparse.LeftJoin && other.Table != j.Table.DisplayName() {
 				continue
 			}
+			if !canPrune(other.Table) {
+				continue
+			}
 			i, err := resolveColumn(b.Schema, mine)
 			if err != nil {
 				continue
 			}
+			ctx.Stats.DPPCaptures++
 			min, max, _ := vector.MinMax(b.Cols[i])
 			if min.IsNull() {
 				continue
@@ -692,13 +710,16 @@ func buildAggregateOutput(sel *sqlparse.SelectStmt, rows [][]vector.Value) (*vec
 // bounds the sort to a top-K selection over a size-K heap — same
 // result as the full stable sort followed by LIMIT, in O(N log K).
 func (e *Engine) execOrderBy(ctx *QueryContext, sel *sqlparse.SelectStmt, out, in *vector.Batch, limit int) (*vector.Batch, error) {
-	keys := make([]*vector.Column, len(sel.OrderBy))
+	// Each key is extracted once into typed slices, so a comparison is
+	// two slice reads — not two encoding walks and two boxed Values.
+	al := ctx.mem.Allocator()
+	keys := make([]vector.SortKey, len(sel.OrderBy))
 	for i, item := range sel.OrderBy {
 		// Try the output schema first (aliases and group keys — whose
 		// output names drop the table qualifier), then the input.
 		if ref, ok := item.Expr.(sqlparse.ColumnRef); ok {
 			if idx := out.Schema.Index(ref.Name); idx >= 0 {
-				keys[i] = out.Cols[idx]
+				keys[i] = vector.ExtractSortKey(al, out.Cols[idx], item.Desc)
 				continue
 			}
 		}
@@ -712,21 +733,15 @@ func (e *Engine) execOrderBy(ctx *QueryContext, sel *sqlparse.SelectStmt, out, i
 				return nil, err
 			}
 		}
-		keys[i] = c
+		keys[i] = vector.ExtractSortKey(al, c, item.Desc)
 	}
 	// Strict total order: ORDER BY keys, then original row index — the
 	// order a stable sort produces.
 	less := func(a, b int) bool {
-		for k, item := range sel.OrderBy {
-			va, vb := keys[k].Value(a), keys[k].Value(b)
-			cmp := compareForSort(va, vb)
-			if cmp == 0 {
-				continue
+		for k := range keys {
+			if cmp := keys[k].Compare(a, b); cmp != 0 {
+				return cmp < 0
 			}
-			if item.Desc {
-				return cmp > 0
-			}
-			return cmp < 0
 		}
 		return a < b
 	}
@@ -735,7 +750,7 @@ func (e *Engine) execOrderBy(ctx *QueryContext, sel *sqlparse.SelectStmt, out, i
 	if limit >= 0 && limit < out.N {
 		idx = topK(out.N, limit, less)
 	} else {
-		idx = make([]int, out.N)
+		idx = al.Ints(out.N)
 		for i := range idx {
 			idx[i] = i
 		}
@@ -780,19 +795,6 @@ func topK(n, k int, less func(a, b int) bool) []int {
 	}
 	sort.Slice(h.idx, func(a, b int) bool { return less(h.idx[a], h.idx[b]) })
 	return h.idx
-}
-
-// compareForSort orders values with NULLs first.
-func compareForSort(a, b vector.Value) int {
-	switch {
-	case a.IsNull() && b.IsNull():
-		return 0
-	case a.IsNull():
-		return -1
-	case b.IsNull():
-		return 1
-	}
-	return a.Compare(b)
 }
 
 // --- DML dispatch ---

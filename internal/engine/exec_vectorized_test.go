@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -266,5 +267,66 @@ func TestFooterReadsCountOnlySurvivors(t *testing.T) {
 	}
 	if res.Stats.FooterReads != 4 {
 		t.Fatalf("footer reads = %d, want 4 (only non-pruned files)", res.Stats.FooterReads)
+	}
+}
+
+// TestScanCacheBatchSurvivesAllPassAliasing: a filter that selects
+// every row returns its input, so with the scan cache on an all-pass
+// query's result shares arrays with the cached decode — which stands
+// for every later query of that object generation and must never
+// change. Run the statements that follow an aliased batch furthest —
+// the WHERE and SET closures of UPDATE and DELETE, here applied to the
+// cached batch itself — and require the cache entry to stay byte for
+// byte what it was.
+func TestScanCacheBatchSurvivesAllPassAliasing(t *testing.T) {
+	opts := DefaultOptions()
+	opts.EnableScanCache = true
+	ev := newEnv(t, opts)
+	createFactsAndDim(t, ev)
+
+	const allPass = "SELECT * FROM ds.dim WHERE dk >= 0"
+	first := ev.query(t, adminP, allPass)
+	if first.Batch.N != 10 {
+		t.Fatalf("rows = %d, want 10", first.Batch.N)
+	}
+	var cached *vector.Batch
+	for _, el := range ev.eng.scanCache.items {
+		if ent := el.Value.(*scanCacheEntry); ent.key.Key == "dim/part-000.blk" {
+			cached = ent.batch
+		}
+	}
+	if cached == nil {
+		t.Fatal("dim file not in the scan cache")
+	}
+	second := ev.query(t, adminP, allPass)
+	if second.Stats.CacheHits != 1 {
+		t.Fatalf("second run: cache hits = %d, want 1", second.Stats.CacheHits)
+	}
+	if &second.Batch.Column("dk").Ints[0] != &cached.Column("dk").Ints[0] {
+		t.Fatal("premise: an all-pass query over one cached file should return the cached arrays, not a copy")
+	}
+	before := vector.EncodeBatch(cached, true)
+	want := fingerprint(second.Batch)
+
+	m := newFakeMutator()
+	m.tables["ds.dim"] = cached
+	ev.eng.SetMutator(m)
+	for _, sql := range []string{
+		"UPDATE ds.dim SET dx = dx + 41, dk = 7 WHERE dk >= 0",
+		"UPDATE ds.dim SET dx = 3 WHERE dk = 104",
+		"DELETE FROM ds.dim WHERE dk < 0", // nothing matches: the kept rows are the input
+		"DELETE FROM ds.dim WHERE dx = 1",
+	} {
+		m.tables["ds.dim"] = cached
+		ev.query(t, adminP, sql)
+		if !bytes.Equal(vector.EncodeBatch(cached, true), before) {
+			t.Fatalf("%s changed the cached batch", sql)
+		}
+	}
+	if got := fingerprint(ev.query(t, adminP, allPass).Batch); got != want {
+		t.Fatal("all-pass query answers differently after the DML ran over its cached batch")
+	}
+	if fingerprint(second.Batch) != want {
+		t.Fatal("a result that aliases the cache changed under the DML")
 	}
 }

@@ -88,13 +88,24 @@ func (e *Engine) evalExpr(ctx *QueryContext, b *vector.Batch, expr sqlparse.Expr
 	case sqlparse.Literal:
 		return constColumn(ex.Value, b.N), nil
 	case sqlparse.Not:
-		inner, err := e.evalBool(ctx, b, ex.E)
-		if err != nil {
-			return nil, err
-		}
-		return vector.NewBoolColumn(vector.Not(inner)), nil
+		return e.boolCol(ctx, b, ex)
 	case sqlparse.Binary:
-		return e.evalBinary(ctx, b, ex)
+		if isBoolOp(ex.Op) {
+			return e.boolCol(ctx, b, ex)
+		}
+		switch ex.Op {
+		case "+", "-", "*", "/":
+			l, err := e.evalExpr(ctx, b, ex.L)
+			if err != nil {
+				return nil, err
+			}
+			r, err := e.evalExpr(ctx, b, ex.R)
+			if err != nil {
+				return nil, err
+			}
+			return arith(ctx.mem.Allocator(), ex.Op, l, r)
+		}
+		return nil, fmt.Errorf("%w: operator %q", ErrUnsupported, ex.Op)
 	case sqlparse.Call:
 		if sqlparse.AggregateFuncs[ex.Name] {
 			return nil, fmt.Errorf("%w: aggregate %s outside GROUP BY context", ErrSemantic, ex.Name)
@@ -116,9 +127,96 @@ func (e *Engine) evalExpr(ctx *QueryContext, b *vector.Batch, expr sqlparse.Expr
 	return nil, fmt.Errorf("%w: expression %T", ErrUnsupported, expr)
 }
 
+var cmpOpMap = map[string]vector.CmpOp{
+	"=": vector.EQ, "!=": vector.NE, "<": vector.LT, "<=": vector.LE, ">": vector.GT, ">=": vector.GE,
+}
+
+// isBoolOp reports whether a binary operator yields a boolean: those
+// are evaluated by evalBool, as masks.
+func isBoolOp(op string) bool {
+	_, cmp := cmpOpMap[op]
+	return cmp || op == "AND" || op == "OR"
+}
+
+// boolCol evaluates a boolean expression used as a value (a projected
+// condition) and wraps its mask in a column, carrying the pooled flag
+// so it is detached if it escapes into the result batch.
+func (e *Engine) boolCol(ctx *QueryContext, b *vector.Batch, expr sqlparse.Expr) (*vector.Column, error) {
+	mask, err := e.evalBool(ctx, b, expr)
+	if err != nil {
+		return nil, err
+	}
+	c := vector.NewBoolColumn(mask)
+	c.Pooled = ctx.mem.Pooled()
+	return c, nil
+}
+
 // evalBool evaluates an expression that must produce booleans and
-// returns it as a selection mask (NULL = false).
+// returns it as a selection mask (NULL = false). Comparisons, AND, OR
+// and NOT stay masks from the compare kernel up — no Bool column is
+// built and read back in between. The mask is always fresh, from the
+// query's allocator, so each node combines into its operand's in place.
 func (e *Engine) evalBool(ctx *QueryContext, b *vector.Batch, expr sqlparse.Expr) ([]bool, error) {
+	al := ctx.mem.Allocator()
+	switch ex := expr.(type) {
+	case sqlparse.Not:
+		mask, err := e.evalBool(ctx, b, ex.E)
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range mask {
+			mask[i] = !v
+		}
+		return mask, nil
+	case sqlparse.Binary:
+		if ex.Op == "AND" || ex.Op == "OR" {
+			l, err := e.evalBool(ctx, b, ex.L)
+			if err != nil {
+				return nil, err
+			}
+			r, err := e.evalBool(ctx, b, ex.R)
+			if err != nil {
+				return nil, err
+			}
+			if ex.Op == "AND" {
+				for i := range l {
+					l[i] = l[i] && r[i]
+				}
+			} else {
+				for i := range l {
+					l[i] = l[i] || r[i]
+				}
+			}
+			return l, nil
+		}
+		if op, ok := cmpOpMap[ex.Op]; ok {
+			// Use the constant kernel when one side is a literal (the
+			// vectorized fast path).
+			if lit, ok := ex.R.(sqlparse.Literal); ok {
+				l, err := e.evalExpr(ctx, b, ex.L)
+				if err != nil {
+					return nil, err
+				}
+				return vector.CompareConstWith(al, l, op, lit.Value), nil
+			}
+			if lit, ok := ex.L.(sqlparse.Literal); ok {
+				r, err := e.evalExpr(ctx, b, ex.R)
+				if err != nil {
+					return nil, err
+				}
+				return vector.CompareConstWith(al, r, flipOp(op), lit.Value), nil
+			}
+			l, err := e.evalExpr(ctx, b, ex.L)
+			if err != nil {
+				return nil, err
+			}
+			r, err := e.evalExpr(ctx, b, ex.R)
+			if err != nil {
+				return nil, err
+			}
+			return vector.CompareCols(al, l, r, op)
+		}
+	}
 	c, err := e.evalExpr(ctx, b, expr)
 	if err != nil {
 		return nil, err
@@ -126,97 +224,7 @@ func (e *Engine) evalBool(ctx *QueryContext, b *vector.Batch, expr sqlparse.Expr
 	if c.Type != vector.Bool {
 		return nil, fmt.Errorf("%w: expected BOOL condition, got %v", ErrSemantic, c.Type)
 	}
-	mask := ctx.mem.Allocator().Bools(c.Len)
-	for i := 0; i < c.Len; i++ {
-		v := c.Value(i)
-		mask[i] = !v.IsNull() && v.B
-	}
-	return mask, nil
-}
-
-// boolCol wraps a mask produced from the query's allocator in a column,
-// carrying the pooled flag so it is detached if it escapes (a projected
-// boolean expression ends up in the result batch).
-func (e *Engine) boolCol(ctx *QueryContext, mask []bool) *vector.Column {
-	c := vector.NewBoolColumn(mask)
-	c.Pooled = ctx.mem.Pooled()
-	return c
-}
-
-var cmpOpMap = map[string]vector.CmpOp{
-	"=": vector.EQ, "!=": vector.NE, "<": vector.LT, "<=": vector.LE, ">": vector.GT, ">=": vector.GE,
-}
-
-func (e *Engine) evalBinary(ctx *QueryContext, b *vector.Batch, ex sqlparse.Binary) (*vector.Column, error) {
-	switch ex.Op {
-	case "AND", "OR":
-		l, err := e.evalBool(ctx, b, ex.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.evalBool(ctx, b, ex.R)
-		if err != nil {
-			return nil, err
-		}
-		// Combine in place: both masks are freshly allocated for this
-		// node, so l can absorb r without a third buffer.
-		if ex.Op == "AND" {
-			for i := range l {
-				l[i] = l[i] && r[i]
-			}
-		} else {
-			for i := range l {
-				l[i] = l[i] || r[i]
-			}
-		}
-		return e.boolCol(ctx, l), nil
-	}
-
-	if op, ok := cmpOpMap[ex.Op]; ok {
-		// Comparison: use the constant kernel when one side is a
-		// literal (the vectorized fast path).
-		if lit, ok := ex.R.(sqlparse.Literal); ok {
-			l, err := e.evalExpr(ctx, b, ex.L)
-			if err != nil {
-				return nil, err
-			}
-			return e.boolCol(ctx, vector.CompareConstWith(ctx.mem.Al, l, op, lit.Value)), nil
-		}
-		if lit, ok := ex.L.(sqlparse.Literal); ok {
-			r, err := e.evalExpr(ctx, b, ex.R)
-			if err != nil {
-				return nil, err
-			}
-			return e.boolCol(ctx, vector.CompareConstWith(ctx.mem.Al, r, flipOp(op), lit.Value)), nil
-		}
-		l, err := e.evalExpr(ctx, b, ex.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.evalExpr(ctx, b, ex.R)
-		if err != nil {
-			return nil, err
-		}
-		mask, err := vector.CompareCols(l.Decode(), r.Decode(), op)
-		if err != nil {
-			return nil, err
-		}
-		return vector.NewBoolColumn(mask), nil
-	}
-
-	switch ex.Op {
-	case "+", "-", "*", "/":
-		l, err := e.evalExpr(ctx, b, ex.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.evalExpr(ctx, b, ex.R)
-		if err != nil {
-			return nil, err
-		}
-		return arith(ex.Op, l.Decode(), r.Decode())
-	}
-	return nil, fmt.Errorf("%w: operator %q", ErrUnsupported, ex.Op)
+	return vector.TruthMask(al, c), nil
 }
 
 func flipOp(op vector.CmpOp) vector.CmpOp {
@@ -239,86 +247,15 @@ func numericType(t vector.Type) bool {
 
 // arith computes elementwise arithmetic. Integer inputs stay integer
 // except for '/', which is float.
-func arith(op string, l, r *vector.Column) (*vector.Column, error) {
+func arith(al vector.Alloc, op string, l, r *vector.Column) (*vector.Column, error) {
 	if l.Len != r.Len {
 		return nil, fmt.Errorf("%w: arithmetic over different lengths", ErrSemantic)
 	}
-	if !numericType(l.Type) || !numericType(r.Type) {
-		if op == "+" && (l.Type == vector.String || r.Type == vector.String) {
-			// String concatenation.
-			out := &vector.Column{Type: vector.String, Len: l.Len, Enc: vector.Plain, Strs: make([]string, l.Len)}
-			var nulls []bool
-			for i := 0; i < l.Len; i++ {
-				a, b := l.Value(i), r.Value(i)
-				if a.IsNull() || b.IsNull() {
-					if nulls == nil {
-						nulls = make([]bool, l.Len)
-					}
-					nulls[i] = true
-					continue
-				}
-				out.Strs[i] = a.String() + b.String()
-			}
-			out.Nulls = nulls
-			return out, nil
-		}
+	concat := op == "+" && (l.Type == vector.String || r.Type == vector.String)
+	if !concat && (!numericType(l.Type) || !numericType(r.Type)) {
 		return nil, fmt.Errorf("%w: arithmetic over %v and %v", ErrSemantic, l.Type, r.Type)
 	}
-	floatOut := op == "/" || l.Type == vector.Float64 || r.Type == vector.Float64
-	n := l.Len
-	var nulls []bool
-	markNull := func(i int) {
-		if nulls == nil {
-			nulls = make([]bool, n)
-		}
-		nulls[i] = true
-	}
-	if floatOut {
-		out := &vector.Column{Type: vector.Float64, Len: n, Enc: vector.Plain, Floats: make([]float64, n)}
-		for i := 0; i < n; i++ {
-			a, b := l.Value(i), r.Value(i)
-			if a.IsNull() || b.IsNull() {
-				markNull(i)
-				continue
-			}
-			x, y := a.AsFloat(), b.AsFloat()
-			switch op {
-			case "+":
-				out.Floats[i] = x + y
-			case "-":
-				out.Floats[i] = x - y
-			case "*":
-				out.Floats[i] = x * y
-			case "/":
-				if y == 0 {
-					markNull(i)
-					continue
-				}
-				out.Floats[i] = x / y
-			}
-		}
-		out.Nulls = nulls
-		return out, nil
-	}
-	out := &vector.Column{Type: vector.Int64, Len: n, Enc: vector.Plain, Ints: make([]int64, n)}
-	for i := 0; i < n; i++ {
-		a, b := l.Value(i), r.Value(i)
-		if a.IsNull() || b.IsNull() {
-			markNull(i)
-			continue
-		}
-		x, y := a.AsInt(), b.AsInt()
-		switch op {
-		case "+":
-			out.Ints[i] = x + y
-		case "-":
-			out.Ints[i] = x - y
-		case "*":
-			out.Ints[i] = x * y
-		}
-	}
-	out.Nulls = nulls
-	return out, nil
+	return vector.Arith(al, op[0], l, r)
 }
 
 // outputName picks the column name for a select item.

@@ -99,7 +99,7 @@ func (e *Engine) containCorrupt(ctx *QueryContext, t catalog.Table, f bigmeta.Fi
 
 // fileRead is one worker's outcome for a single file.
 type fileRead struct {
-	batch     *vector.Batch
+	sel       vector.Selection
 	hit, miss bool
 }
 
@@ -136,12 +136,8 @@ func (e *Engine) readFileOnce(ctx *QueryContext, tr sim.Charger, fsp *obs.Span, 
 		if full, ok := e.scanCache.get(cacheKey); ok {
 			rd.hit = true
 			fsp.SetStr("cache", "hit")
-			b, err := finishDecoded(ctx.mem, full, filePreds, f, t)
-			if err != nil {
-				return rd, err
-			}
-			rd.batch = b
-			return rd, nil
+			rd.sel, err = finishDecoded(ctx.mem.Al, full, filePreds, f, t)
+			return rd, err
 		}
 		rd.miss = true
 		fsp.SetStr("cache", "miss")
@@ -151,12 +147,8 @@ func (e *Engine) readFileOnce(ctx *QueryContext, tr sim.Charger, fsp *obs.Span, 
 			return rd, integrity.Annotate(fmt.Errorf("engine: %s/%s: %w", f.Bucket, f.Key, err), t.FullName(), f.Bucket, f.Key)
 		}
 		e.scanCache.put(cacheKey, full)
-		b, err := finishDecoded(ctx.mem, full, filePreds, f, t)
-		if err != nil {
-			return rd, err
-		}
-		rd.batch = b
-		return rd, nil
+		rd.sel, err = finishDecoded(ctx.mem.Al, full, filePreds, f, t)
+		return rd, err
 	}
 
 	b, err := decodeFile(data, filePreds)
@@ -167,6 +159,6 @@ func (e *Engine) readFileOnce(ctx *QueryContext, tr sim.Charger, fsp *obs.Span, 
 	if err != nil {
 		return rd, err
 	}
-	rd.batch = b
+	rd.sel = vector.Selection{Batch: b, N: b.N}
 	return rd, nil
 }

@@ -376,7 +376,10 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 		}
 	}
 
-	results := make([]*vector.Batch, len(files))
+	// Each file contributes a decoded batch and the rows of it the
+	// predicates select; the merge below filters and concatenates in
+	// one pass.
+	results := make([]vector.Selection, len(files))
 
 	// Warm pass: probe the quarantine log and the generation-keyed scan
 	// cache synchronously. An object generation pins immutable content,
@@ -413,14 +416,14 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 					fsp.SetInt("bytes", f.Size)
 					fsp.SetStr("cache", "hit")
 				}
-				b, err := finishDecoded(ctx.mem, full, filePreds, f, t)
+				sel, err := finishDecoded(ctx.mem.Al, full, filePreds, f, t)
 				if err != nil {
 					fsp.End()
 					return nil, err
 				}
-				fsp.SetInt("rows", int64(b.N))
+				fsp.SetInt("rows", int64(sel.N))
 				fsp.End()
-				results[i] = b
+				results[i] = sel
 				ctx.Stats.CacheHits++
 				continue
 			}
@@ -433,9 +436,10 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 		}
 	}
 
-	// One sized pass drawing from the query arena; dictionary columns
-	// stay encoded.
-	out, err := vector.ConcatBatchesWith(ctx.mem, results)
+	// One sized pass drawing from the query arena: each surviving value
+	// is copied once, from its file's (cached) decode straight into the
+	// merged column; dictionary columns stay encoded.
+	out, err := vector.FilterConcatWith(ctx.mem, results)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +456,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 
 // readColdFiles fetches and decodes the files the warm pass could not
 // serve from the scan cache, in parallel worker tracks.
-func (e *Engine) readColdFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, cold []int, results []*vector.Batch, filePreds []colfmt.Predicate) error {
+func (e *Engine) readColdFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, cold []int, results []vector.Selection, filePreds []colfmt.Predicate) error {
 	workers := ScanWorkers
 	if len(cold) < workers {
 		workers = len(cold)
@@ -478,7 +482,7 @@ func (e *Engine) readColdFiles(ctx *QueryContext, store *objstore.Store, cred ob
 				fsp.SetInt("bytes", f.Size)
 			}
 			defer func() {
-				if fsp != nil && results[i] != nil {
+				if fsp != nil && results[i].Batch != nil {
 					fsp.SetInt("rows", int64(results[i].N))
 				}
 				fsp.End()
@@ -524,7 +528,7 @@ func (e *Engine) readColdFiles(ctx *QueryContext, store *objstore.Store, cred ob
 				return
 			}
 			hits[w], misses[w] = rd.hit, rd.miss
-			results[i] = rd.batch
+			results[i] = rd.sel
 		}(w, fi, files[fi])
 	}
 	wg.Wait()
@@ -569,28 +573,29 @@ func decodeFile(data []byte, filePreds []colfmt.Predicate) (*vector.Batch, error
 	return r.ReadAll()
 }
 
-// finishDecoded turns a cached full (unfiltered) decode into the same
-// batch the direct read path produces: predicate filtering followed by
-// partition-column injection.
-func finishDecoded(mem vector.Mem, full *vector.Batch, filePreds []colfmt.Predicate, f bigmeta.FileEntry, t catalog.Table) (*vector.Batch, error) {
-	b := full
+// finishDecoded turns a cached full (unfiltered) decode into what the
+// direct read path produces, short of the copy: the batch with its
+// partition columns injected, and the rows of it the file-level
+// predicates select. readFiles' merge applies the selection.
+func finishDecoded(al vector.Alloc, full *vector.Batch, filePreds []colfmt.Predicate, f bigmeta.FileEntry, t catalog.Table) (vector.Selection, error) {
 	preds := filePreds[:0:0]
 	for _, p := range filePreds {
-		if b.Schema.Index(p.Column) >= 0 {
+		if full.Schema.Index(p.Column) >= 0 {
 			preds = append(preds, p)
 		}
 	}
+	var mask []bool
 	if len(preds) > 0 {
-		mask, err := colfmt.EvalPredicatesWith(mem.Al, b, preds)
-		if err != nil {
-			return nil, err
-		}
-		b, err = vector.FilterWith(mem, b, mask)
-		if err != nil {
-			return nil, err
+		var err error
+		if mask, err = colfmt.EvalPredicatesWith(al, full, preds); err != nil {
+			return vector.Selection{}, err
 		}
 	}
-	return injectPartitionColumns(b, f.Partition, t)
+	b, err := injectPartitionColumns(full, f.Partition, t)
+	if err != nil {
+		return vector.Selection{}, err
+	}
+	return vector.Select(b, mask)
 }
 
 // drainErrs closes the worker error channel and joins every error the
@@ -629,9 +634,35 @@ func injectPartitionColumns(b *vector.Batch, partition map[string]string, t cata
 		typ := t.Schema.Fields[idx].Type
 		v := partitionValue(partition[k], typ)
 		fields = append(fields, vector.Field{Name: k, Type: typ})
-		cols = append(cols, constColumn(v, b.N))
+		cols = append(cols, constRun(v, typ, b.N))
 	}
 	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
+}
+
+// constRun is an n-row column of one value as a single RLE run, O(1)
+// to build however many rows the file has: the scan merge expands it
+// for the surviving rows only.
+func constRun(v vector.Value, t vector.Type, n int) *vector.Column {
+	c := &vector.Column{Type: t, Len: n, Enc: vector.RLE}
+	if n == 0 {
+		return c
+	}
+	run := vector.Run{Count: uint32(n), ValIdx: vector.NullIdx}
+	if !v.IsNull() {
+		run.ValIdx = 0
+		switch t {
+		case vector.Int64, vector.Timestamp:
+			c.Ints = []int64{v.I}
+		case vector.Float64:
+			c.Floats = []float64{v.F}
+		case vector.Bool:
+			c.Bools = []bool{v.B}
+		default:
+			c.Strs = []string{v.S}
+		}
+	}
+	c.Runs = []vector.Run{run}
+	return c
 }
 
 func partitionValue(s string, t vector.Type) vector.Value {

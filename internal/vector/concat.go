@@ -2,45 +2,75 @@ package vector
 
 import "fmt"
 
-// ConcatBatchesWith concatenates batches in order into one batch in a
-// single pass — the multi-file scan merge. Unlike pairwise AppendBatch
-// (which decodes both sides and re-copies the accumulated prefix for
-// every part, O(parts²) bytes), this sizes the output once and copies
-// each part exactly once, drawing output arrays from m's allocator.
-// Dict and RLE parts are expanded in place without materializing an
-// intermediate Decode copy; under a pooled m a string column whose
+// Selection is a batch together with the rows of it a mask selects —
+// one file's contribution to a scan before anything is copied.
+type Selection struct {
+	Batch *Batch
+	Mask  []bool // nil: every row
+	N     int    // number of selected rows
+}
+
+// Select pairs b with mask (nil selects every row), counting the
+// selection once; a mask that selects every row is dropped.
+func Select(b *Batch, mask []bool) (Selection, error) {
+	if mask == nil {
+		return Selection{Batch: b, N: b.N}, nil
+	}
+	if len(mask) != b.N {
+		return Selection{}, fmt.Errorf("vector: mask length %d != batch %d", len(mask), b.N)
+	}
+	n := CountMask(mask)
+	if n == b.N {
+		mask = nil
+	}
+	return Selection{Batch: b, Mask: mask, N: n}, nil
+}
+
+// FilterConcatWith filters each part by its mask and concatenates the
+// survivors, in order, in one sized pass — the multi-file scan merge.
+// Each output array is allocated once from m's allocator and every
+// surviving value is gathered straight into it, expanding Dict codes
+// and RLE runs on the way: neither a per-part filtered copy nor a
+// Decode copy is ever made. Under a pooled m a string column whose
 // parts are all Dict stays Dict, with the per-file dictionaries merged
-// and codes translated, so strings keep flowing as codes past the
-// scan boundary.
+// and codes translated, so strings keep flowing as codes past the scan
+// boundary.
 //
-// Nil parts are skipped. Returns (nil, nil) when no parts remain, and
-// the sole part unchanged when only one remains (zero copy).
-func ConcatBatchesWith(m Mem, parts []*Batch) (*Batch, error) {
-	live := parts[:0:0]
+// Parts without a batch are skipped. Returns (nil, nil) when no parts
+// remain. When only one part has survivors the result is FilterWith of
+// that part — the part itself if every row survived, so like any filter
+// result it must be treated as immutable.
+func FilterConcatWith(m Mem, parts []Selection) (*Batch, error) {
+	live := make([]Selection, 0, len(parts))
+	var schema Schema
 	total := 0
+	seen := false
 	for _, p := range parts {
-		if p == nil {
+		if p.Batch == nil {
 			continue
 		}
-		live = append(live, p)
-		total += p.N
-	}
-	if len(live) == 0 {
-		return nil, nil
-	}
-	if len(live) == 1 {
-		return live[0], nil
-	}
-	schema := live[0].Schema
-	for _, p := range live[1:] {
-		if !p.Schema.Equal(schema) {
-			return nil, fmt.Errorf("vector: concat schema mismatch %v vs %v", schema, p.Schema)
+		if !seen {
+			schema, seen = p.Batch.Schema, true
+		} else if !p.Batch.Schema.Equal(schema) {
+			return nil, fmt.Errorf("vector: concat schema mismatch %v vs %v", schema, p.Batch.Schema)
+		}
+		if p.N > 0 {
+			live = append(live, p)
+			total += p.N
 		}
 	}
+	switch {
+	case !seen:
+		return nil, nil
+	case len(live) == 0:
+		return EmptyBatch(schema), nil
+	case len(live) == 1:
+		return filterCounted(m, live[0].Batch, live[0].Mask, live[0].N), nil
+	}
 	al := m.Allocator()
-	cols := make([]*Column, len(live[0].Cols))
+	cols := make([]*Column, len(schema.Fields))
 	for ci := range cols {
-		t := live[0].Cols[ci].Type
+		t := schema.Fields[ci].Type
 		out := &Column{Type: t, Len: total, Enc: Plain, Pooled: m.Pooled()}
 		var nulls []bool
 		nullAt := func(i int) {
@@ -73,54 +103,79 @@ func ConcatBatchesWith(m Mem, parts []*Batch) (*Batch, error) {
 	return &Batch{Schema: schema, Cols: cols, N: total}, nil
 }
 
-// concatCol copies one column position of every part into dst,
-// expanding Dict codes and RLE runs without an intermediate decode.
-func concatCol[T any](dst []T, arr func(*Column) []T, parts []*Batch, ci int, nullAt func(int)) {
+// concatCol gathers one column position of every part into dst.
+func concatCol[T any](dst []T, arr func(*Column) []T, parts []Selection, ci int, nullAt func(int)) {
 	off := 0
 	for _, p := range parts {
-		c := p.Cols[ci]
-		src := arr(c)
-		switch c.Enc {
-		case Plain:
-			copy(dst[off:], src)
+		c := p.Batch.Cols[ci]
+		off = appendSelected(dst, arr(c), c, p.Mask, off, nullAt)
+	}
+}
+
+// appendSelected copies the rows of c that mask selects (nil: all of
+// them) into dst from position off on, reading src — c's value array,
+// or one indexed like it — through Dict codes and RLE runs without an
+// intermediate decode. NULL rows are reported to nullAt and leave dst
+// untouched. It returns the position after the last row written.
+func appendSelected[T any](dst, src []T, c *Column, mask []bool, off int, nullAt func(int)) int {
+	j := off
+	switch c.Enc {
+	case Plain:
+		if mask == nil {
+			copy(dst[off:], src[:c.Len])
 			for i, isNull := range c.Nulls {
 				if isNull {
 					nullAt(off + i)
 				}
 			}
-		case Dict:
-			for i, code := range c.Codes {
-				if code == NullIdx {
-					nullAt(off + i)
-				} else {
-					dst[off+i] = src[code]
-				}
-			}
-		case RLE:
-			i := off
-			for _, r := range c.Runs {
-				if r.ValIdx == NullIdx {
-					for k := uint32(0); k < r.Count; k++ {
-						nullAt(i)
-						i++
-					}
-				} else {
-					v := src[r.ValIdx]
-					for k := uint32(0); k < r.Count; k++ {
-						dst[i] = v
-						i++
-					}
-				}
-			}
+			return off + c.Len
 		}
-		off += c.Len
+		for i, keep := range mask {
+			if !keep {
+				continue
+			}
+			if c.Nulls != nil && c.Nulls[i] {
+				nullAt(j)
+			} else {
+				dst[j] = src[i]
+			}
+			j++
+		}
+	case Dict:
+		for i, code := range c.Codes {
+			if mask != nil && !mask[i] {
+				continue
+			}
+			if code == NullIdx {
+				nullAt(j)
+			} else {
+				dst[j] = src[code]
+			}
+			j++
+		}
+	case RLE:
+		pos := 0
+		for _, r := range c.Runs {
+			for k := 0; k < int(r.Count); k++ {
+				if mask == nil || mask[pos+k] {
+					if r.ValIdx == NullIdx {
+						nullAt(j)
+					} else {
+						dst[j] = src[r.ValIdx]
+					}
+					j++
+				}
+			}
+			pos += int(r.Count)
+		}
 	}
+	return j
 }
 
-// allDictParts reports whether every non-empty part at ci is Dict.
-func allDictParts(parts []*Batch, ci int) bool {
+// allDictParts reports whether every part at ci is Dict.
+func allDictParts(parts []Selection, ci int) bool {
 	for _, p := range parts {
-		if c := p.Cols[ci]; c.Len > 0 && c.Enc != Dict {
+		if p.Batch.Cols[ci].Enc != Dict {
 			return false
 		}
 	}
@@ -128,20 +183,17 @@ func allDictParts(parts []*Batch, ci int) bool {
 }
 
 // concatDictStrings merges per-part string dictionaries into one and
-// translates codes, keeping the column Dict across the scan merge. The
-// merged dictionary is heap-owned (it is small and shared downstream);
-// the code array comes from the allocator.
-func concatDictStrings(al Alloc, m Mem, total int, parts []*Batch, ci int) *Column {
-	out := &Column{Type: parts[0].Cols[ci].Type, Len: total, Enc: Dict, Pooled: m.Pooled()}
+// translates the selected codes, keeping the column Dict across the
+// scan merge. The merged dictionary is heap-owned (it is small and
+// shared downstream); the code array comes from the allocator.
+func concatDictStrings(al Alloc, m Mem, total int, parts []Selection, ci int) *Column {
+	out := &Column{Type: parts[0].Batch.Cols[ci].Type, Len: total, Enc: Dict, Pooled: m.Pooled()}
 	codes := al.Uint32s(total)
 	var vals []string
 	merged := map[string]uint32{}
 	off := 0
 	for _, p := range parts {
-		c := p.Cols[ci]
-		if c.Len == 0 {
-			continue
-		}
+		c := p.Batch.Cols[ci]
 		trans := al.Uint32s(len(c.Strs))
 		for i, s := range c.Strs {
 			code, ok := merged[s]
@@ -153,13 +205,16 @@ func concatDictStrings(al Alloc, m Mem, total int, parts []*Batch, ci int) *Colu
 			trans[i] = code
 		}
 		for i, code := range c.Codes {
-			if code == NullIdx {
-				codes[off+i] = NullIdx
-			} else {
-				codes[off+i] = trans[code]
+			if p.Mask != nil && !p.Mask[i] {
+				continue
 			}
+			if code == NullIdx {
+				codes[off] = NullIdx
+			} else {
+				codes[off] = trans[code]
+			}
+			off++
 		}
-		off += c.Len
 	}
 	out.Codes = codes
 	out.Strs = vals

@@ -27,6 +27,13 @@ const (
 	budgetHashJoin       = 12 // partition headers + result assembly
 	budgetGroupKeys      = 9  // per-worker table headers + Grouping
 	budgetGroupAggregate = 14 // per-spec partial structs + Value rows
+	budgetMinMax         = 0
+	budgetTruthMask      = 0 // nothing beyond the (arena) mask
+	budgetSortKey        = 1 // per key; measured 0
+	// The fused scan merge, three masked 5-column parts. The two steps it
+	// replaced (FilterWith per part + ConcatBatchesWith) measured 34 on
+	// the same input.
+	budgetFilterConcat = 15
 )
 
 // warmKernelWorld builds deterministic inputs sized well past one
@@ -146,5 +153,30 @@ func TestGCLeanAllocBudgets(t *testing.T) {
 	specs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: w.b.Cols[0]}, {Kind: AggMin, Col: w.b.Cols[2]}}
 	measureKernel(t, w, "GroupAggregateWith", budgetGroupAggregate, func(m Mem) {
 		GroupAggregateWith(m, gr.IDs, gr.NumGroups, specs, 1)
+	})
+
+	// The typed kernels that took the boxed per-row loops' place.
+	measureKernel(t, w, "MinMax", budgetMinMax, func(m Mem) {
+		for _, c := range w.b.Cols {
+			MinMax(c)
+		}
+	})
+	measureKernel(t, w, "TruthMask", budgetTruthMask, func(m Mem) {
+		TruthMask(m.Al, w.b.Cols[3])
+	})
+	keys := make([]SortKey, len(w.b.Cols))
+	measureKernel(t, w, "ExtractSortKey", budgetSortKey*len(keys), func(m Mem) {
+		for i, c := range w.b.Cols {
+			keys[i] = ExtractSortKey(m.Al, c, i%2 == 0)
+		}
+	})
+	parts := make([]Selection, 3)
+	for i, b := range []*Batch{w.b, w.jb, w.b} {
+		parts[i], _ = Select(b, CompareConst(b.Cols[0], LE, IntValue(6)))
+	}
+	measureKernel(t, w, "FilterConcatWith", budgetFilterConcat, func(m Mem) {
+		if _, err := FilterConcatWith(m, parts); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

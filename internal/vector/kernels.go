@@ -265,24 +265,6 @@ func cmpBool(a, b bool) int {
 	return 0
 }
 
-// CompareCols evaluates `a op b` element-wise over two columns of the
-// same length (the join/filter-on-two-columns path). NULLs compare
-// false.
-func CompareCols(a, b *Column, op CmpOp) ([]bool, error) {
-	if a.Len != b.Len {
-		return nil, fmt.Errorf("vector: column length mismatch %d vs %d", a.Len, b.Len)
-	}
-	mask := make([]bool, a.Len)
-	for i := 0; i < a.Len; i++ {
-		av, bv := a.Value(i), b.Value(i)
-		if av.IsNull() || bv.IsNull() {
-			continue
-		}
-		mask[i] = op.Eval(av.Compare(bv))
-	}
-	return mask, nil
-}
-
 // IsNullMask returns a mask that is true where the column is NULL.
 func IsNullMask(c *Column) []bool {
 	mask := make([]bool, c.Len)
@@ -348,7 +330,8 @@ func CountMask(mask []bool) int {
 }
 
 // Filter returns a batch containing only the rows where mask is true.
-// Output columns are plain-encoded.
+// Output columns are plain-encoded — unless every row is selected, when
+// the result is b itself (see FilterWith).
 func Filter(b *Batch, mask []bool) (*Batch, error) {
 	return FilterWith(Mem{}, b, mask)
 }
@@ -356,31 +339,47 @@ func Filter(b *Batch, mask []bool) (*Batch, error) {
 // FilterWith is Filter with an explicit memory policy: selection
 // scratch and output arrays come from m's allocator, and Dict columns
 // stay dictionary-encoded when m is pooled.
+//
+// A mask that selects every row returns b itself, and one that selects
+// none an empty batch: a residual WHERE that pushdown already enforced
+// costs its compare kernel and no copy. Because of the first case a
+// filter result may alias its input, and the input may be a shared
+// immutable batch (a scan-cache entry): callers must never write
+// through a filter result's arrays. None does — operators and the DML
+// rewrites only ever build new columns.
 func FilterWith(m Mem, b *Batch, mask []bool) (*Batch, error) {
 	if len(mask) != b.N {
 		return nil, fmt.Errorf("vector: mask length %d != batch %d", len(mask), b.N)
 	}
-	al := m.Allocator()
-	// Count first so the index scratch is sized to the selection, not
-	// the batch: selective filters (point lookups) would otherwise pay
-	// a full-width zeroing pass for a handful of surviving rows.
-	n := 0
-	for _, mv := range mask {
-		if mv {
-			n++
-		}
+	return filterCounted(m, b, mask, CountMask(mask)), nil
+}
+
+// filterCounted is FilterWith for a mask already known to select n
+// rows. Counting first sizes the index scratch to the selection, not
+// the batch: selective filters (point lookups) would otherwise pay a
+// full-width zeroing pass for a handful of surviving rows.
+func filterCounted(m Mem, b *Batch, mask []bool, n int) *Batch {
+	switch n {
+	case b.N:
+		return b
+	case 0:
+		return EmptyBatch(b.Schema)
 	}
-	idx := al.Ints(n)[:0]
+	// Stopping at the n-th hit spares a point lookup, on average, half
+	// of this second pass over the mask.
+	idx := m.Allocator().Ints(n)[:0]
 	for i, mv := range mask {
 		if mv {
-			idx = append(idx, i)
+			if idx = append(idx, i); len(idx) == n {
+				break
+			}
 		}
 	}
 	cols := make([]*Column, len(b.Cols))
 	for i, c := range b.Cols {
 		cols[i] = GatherWith(m, c, idx)
 	}
-	return &Batch{Schema: b.Schema, Cols: cols, N: len(idx)}, nil
+	return &Batch{Schema: b.Schema, Cols: cols, N: n}
 }
 
 // Gather materializes the rows at idx into a new plain column.
@@ -700,23 +699,4 @@ func Aggregate(c *Column, kind AggKind, mask []bool) Value {
 		return acc
 	}
 	return NullValue
-}
-
-// MinMax scans a plain column once and returns (min, max, nullCount);
-// used when collecting file statistics for Big Metadata.
-func MinMax(c *Column) (min, max Value, nullCount int64) {
-	for i := 0; i < c.Len; i++ {
-		v := c.Value(i)
-		if v.IsNull() {
-			nullCount++
-			continue
-		}
-		if min.IsNull() || v.Compare(min) < 0 {
-			min = v
-		}
-		if max.IsNull() || v.Compare(max) > 0 {
-			max = v
-		}
-	}
-	return min, max, nullCount
 }

@@ -393,50 +393,53 @@ func (c *Column) Value(i int) Value {
 }
 
 // IsNullAt reports whether row i is NULL.
-func (c *Column) IsNullAt(i int) bool { return c.Value(i).IsNull() }
+func (c *Column) IsNullAt(i int) bool {
+	switch c.Enc {
+	case Plain:
+		return c.Nulls != nil && c.Nulls[i]
+	case Dict:
+		return c.Codes[i] == NullIdx
+	case RLE:
+		for _, r := range c.Runs {
+			if i < int(r.Count) {
+				return r.ValIdx == NullIdx
+			}
+			i -= int(r.Count)
+		}
+	}
+	return true
+}
 
-// Decode returns a PLAIN copy of the column, expanding Dict/RLE.
+// Decode returns a PLAIN copy of the column, expanding Dict/RLE. NULL
+// rows hold the type's zero value.
 func (c *Column) Decode() *Column {
 	if c.Enc == Plain {
 		return c
 	}
 	out := &Column{Type: c.Type, Len: c.Len, Enc: Plain}
-	var nulls []bool
-	appendVal := func(i int, v Value) {
-		if v.IsNull() {
-			if nulls == nil {
-				nulls = make([]bool, c.Len)
-			}
-			nulls[i] = true
-			v = zeroOf(c.Type)
-		}
-		switch c.Type {
-		case Int64, Timestamp:
-			out.Ints = append(out.Ints, v.I)
-		case Float64:
-			out.Floats = append(out.Floats, v.F)
-		case Bool:
-			out.Bools = append(out.Bools, v.B)
-		case String, Bytes:
-			out.Strs = append(out.Strs, v.S)
-		}
+	if c.Len == 0 {
+		return out
 	}
-	switch c.Enc {
-	case Dict:
-		for i, code := range c.Codes {
-			appendVal(i, c.valueAtIdx(code))
+	nullAt := func(i int) {
+		if out.Nulls == nil {
+			out.Nulls = make([]bool, c.Len)
 		}
-	case RLE:
-		i := 0
-		for _, r := range c.Runs {
-			v := c.valueAtIdx(r.ValIdx)
-			for k := uint32(0); k < r.Count; k++ {
-				appendVal(i, v)
-				i++
-			}
-		}
+		out.Nulls[i] = true
 	}
-	out.Nulls = nulls
+	switch c.Type {
+	case Int64, Timestamp:
+		out.Ints = make([]int64, c.Len)
+		appendSelected(out.Ints, c.Ints, c, nil, 0, nullAt)
+	case Float64:
+		out.Floats = make([]float64, c.Len)
+		appendSelected(out.Floats, c.Floats, c, nil, 0, nullAt)
+	case Bool:
+		out.Bools = make([]bool, c.Len)
+		appendSelected(out.Bools, c.Bools, c, nil, 0, nullAt)
+	case String, Bytes:
+		out.Strs = make([]string, c.Len)
+		appendSelected(out.Strs, c.Strs, c, nil, 0, nullAt)
+	}
 	return out
 }
 

@@ -213,7 +213,7 @@ func TestCompareConstMixedNumeric(t *testing.T) {
 func TestCompareCols(t *testing.T) {
 	a := NewInt64Column([]int64{1, 5, 3})
 	b := NewInt64Column([]int64{1, 4, 9})
-	mask, err := CompareCols(a, b, EQ)
+	mask, err := CompareCols(Heap, a, b, EQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCompareCols(t *testing.T) {
 		t.Fatalf("mask = %v", mask)
 	}
 	short := NewInt64Column([]int64{1})
-	if _, err := CompareCols(a, short, EQ); err == nil {
+	if _, err := CompareCols(Heap, a, short, EQ); err == nil {
 		t.Fatal("length mismatch should error")
 	}
 }
