@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test race chaos fuzz fuzz-bug crash txn serve integrity bench bench-smoke benchmark benchmark-compare obs gclean systables ci
+.PHONY: all vet build test race chaos fuzz fuzz-bug crash txn serve integrity gatecheck bench bench-smoke benchmark benchmark-compare obs gclean systables ci
 
 all: build
 
@@ -90,19 +90,33 @@ serve:
 
 # The integrity gate: checksums end to end under injected silent
 # corruption. Format-level bit-flip detection, WAL torn-write recovery,
-# the scan-cache poisoning guard and quarantine containment, the
-# budgeted scrubber, the corruption-injection determinism suite, the
-# oracle corruption sweep (zero silent wrong answers), and the E19
-# detect -> contain -> repair experiment.
+# the one verified reader (internal/scan) and each of its callers — the
+# engine's scan-cache poisoning guard and quarantine containment, the
+# Read API's quarantine and partition columns, rewrites that never
+# commit unverified bytes, the budgeted scrubber — the
+# corruption-injection determinism suite, the oracle corruption sweep
+# with its Read API and DML arms (zero silent wrong answers), the E19
+# detect -> contain -> repair experiment, and the scanlint sweep that
+# keeps a second fetch -> verify -> decode path from growing back.
 integrity:
 	$(GO) test -run 'TestRoundTrip|TestVerify' ./internal/colfmt/
 	$(GO) test -race -run 'TestRecover' ./internal/wal/
+	$(GO) test -race ./internal/scan/
 	$(GO) test -race -run 'TestScanCache|TestQuarantined' ./internal/engine/
+	$(GO) test -race -count=10 -run 'TestReusedAggregateSession' ./internal/storageapi/
+	$(GO) test -race -run 'TestReadRowsQuarantines|TestReadPartitionedTable' ./internal/storageapi/
 	$(GO) test -race ./internal/scrub/
 	$(GO) test -run 'TestCorruption' ./internal/objstore/
 	$(GO) test -run 'TestQuarantineLifecycle' ./internal/bigmeta/
-	$(GO) test -run 'TestIntegrity' -v ./internal/oracle/
+	$(GO) test -run 'TestIntegrity|TestRewritesNeverCommit' -v ./internal/oracle/
 	$(GO) test -race -run 'TestE19' -v ./internal/exp/
+	./scripts/scanlint.sh
+
+# Every `-run '<pattern>' <package>` above and below must select at
+# least one test: a test that moves (say from internal/engine to
+# internal/scan) would otherwise empty its gate without a sound.
+gatecheck:
+	./scripts/gatecheck.sh
 
 # The arena-lifetime + alloc-budget gate: pooled kernels agree with
 # their heap-allocating form (bit-exact masks/batches including
@@ -183,6 +197,6 @@ benchmark-compare:
 
 # The closing step fails if a gate modified a committed baseline or
 # left a new one untracked.
-ci: vet build test race obs chaos fuzz crash txn serve integrity gclean systables bench-smoke
+ci: vet build gatecheck test race obs chaos fuzz crash txn serve integrity gclean systables bench-smoke
 	@test -z "$$(git status --porcelain -- 'BENCH_*.json')" || \
 		{ echo "BENCH_*.json modified or left untracked:"; git status --porcelain -- 'BENCH_*.json'; exit 1; }

@@ -55,6 +55,20 @@ type FileEntry struct {
 	Custom      map[string]string
 }
 
+// NewFileEntry describes a data file just written: where the PUT
+// landed it (size and generation from the store's reply) and what its
+// footer says it holds (row count, column statistics).
+func NewFileEntry(bucket, key string, info objstore.ObjectInfo, file []byte) (FileEntry, error) {
+	footer, err := colfmt.ReadFooter(file)
+	if err != nil {
+		return FileEntry{}, err
+	}
+	return FileEntry{
+		Bucket: bucket, Key: key, Size: info.Size, Generation: info.Generation,
+		RowCount: footer.Rows, ColumnStats: footer.Stats(),
+	}, nil
+}
+
 // PartitionOf parses hive-style partition components out of an object
 // key relative to a table prefix: "p/date=2024-01-01/f.blk" yields
 // {"date": "2024-01-01"}.
@@ -193,7 +207,7 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			tr := tracks[i%RefreshWorkers]
-			stats, rows, err := readFooterStats(c.Res, bud, store, cred, bucket, key, tr)
+			stats, rows, err := ReadFooterStats(c.Res, bud, store, cred, bucket, key, tr)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -229,10 +243,12 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 // across its LIST pages and footer reads.
 const refreshRetryBudget = 64
 
-// readFooterStats performs the two ranged reads a real engine does:
-// the trailer to learn the footer size, then the footer itself. Remote
-// calls retry under the cache's policy; ranged reads are hedged.
-func readFooterStats(res *resilience.Policy, bud *resilience.Budget, store *objstore.Store, cred objstore.Credential, bucket, key string, tr *sim.Track) (map[string]colfmt.ColumnStats, int64, error) {
+// ReadFooterStats reads a file's footer statistics the way a real
+// engine does: HEAD for the size, a ranged read of the tail, and a full
+// read only when the footer outgrows the tail guess. The cache refresh
+// runs it in the background; an engine without the cache pays it on the
+// query path (§3.3). Remote calls retry under res; the reads are hedged.
+func ReadFooterStats(res *resilience.Policy, bud *resilience.Budget, store *objstore.Store, cred objstore.Credential, bucket, key string, tr *sim.Track) (map[string]colfmt.ColumnStats, int64, error) {
 	var info objstore.ObjectInfo
 	if err := res.Do(tr, bud, "HEAD "+bucket+"/"+key, func() error {
 		var e error
@@ -271,13 +287,7 @@ func readFooterStats(res *resilience.Policy, bud *resilience.Budget, store *objs
 			return nil, 0, fmt.Errorf("bigmeta: %s/%s: %w", bucket, key, err)
 		}
 	}
-	stats := make(map[string]colfmt.ColumnStats)
-	for _, f := range footer.Fields {
-		if st, ok := footer.ColumnStatsFor(f.Name); ok {
-			stats[f.Name] = st
-		}
-	}
-	return stats, footer.Rows, nil
+	return footer.Stats(), footer.Rows, nil
 }
 
 func max64(a, b int64) int64 {

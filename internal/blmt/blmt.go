@@ -22,6 +22,7 @@ import (
 	"biglake/internal/iceberg"
 	"biglake/internal/objstore"
 	"biglake/internal/resilience"
+	"biglake/internal/scan"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
@@ -186,21 +187,20 @@ func (m *Manager) writeDataFileAt(t catalog.Table, store *objstore.Store, cred o
 		return bigmeta.FileEntry{}, err
 	}
 	m.Crash.At("blmt.after_put")
-	footer, err := colfmt.ReadFooter(file)
-	if err != nil {
-		return bigmeta.FileEntry{}, err
-	}
-	stats := make(map[string]colfmt.ColumnStats)
-	for _, f := range footer.Fields {
-		if st, ok := footer.ColumnStatsFor(f.Name); ok {
-			stats[f.Name] = st
-		}
-	}
-	return bigmeta.FileEntry{
-		Bucket: t.Bucket, Key: key, Size: info.Size,
-		Generation: info.Generation,
-		RowCount:   footer.Rows, ColumnStats: stats,
-	}, nil
+	return bigmeta.NewFileEntry(t.Bucket, key, info, file)
+}
+
+// readFile reads one live data file in full for a rewrite, through the
+// verified reader: quarantine gate, generation/length/CRC checks, one
+// refetch, quarantine on repeat. A rewrite never skips a quarantined
+// file — leaving a file out of a rewrite is data loss — so it fails
+// typed instead, and it never commits a file derived from bytes that
+// did not verify. Detections land in the registry of the store read.
+func (m *Manager) readFile(t catalog.Table, store *objstore.Store, cred objstore.Credential, bud *resilience.Budget, principal string, f bigmeta.FileEntry) (*vector.Batch, error) {
+	rd := scan.Reader{Res: m.Res, Log: m.Log, Obs: store.Obs(), Site: "scan"}
+	src := scan.Source{Table: t, Store: store, Cred: cred, Budget: bud, Principal: principal}
+	sel, _, err := rd.ReadBatch(m.Clock, &src, f, nil, nil)
+	return sel.Batch, err
 }
 
 func (m *Manager) commit(principal string, table string, tx bigmeta.TxOptions, delta bigmeta.TableDelta, t catalog.Table) error {
@@ -320,19 +320,7 @@ func (m *Manager) rewrite(ctx *engine.QueryContext, table, tag string, transform
 	var outs []*vector.Batch
 	var affected int64
 	for _, f := range files {
-		var data []byte
-		if err := m.Res.Do(m.Clock, ctx.Budget, "GET "+f.Bucket+"/"+f.Key, func() error {
-			var ge error
-			data, _, ge = store.Get(cred, f.Bucket, f.Key)
-			return ge
-		}); err != nil {
-			return 0, err
-		}
-		r, err := colfmt.NewVectorizedReader(data, nil, nil)
-		if err != nil {
-			return 0, err
-		}
-		batch, err := r.ReadAll()
+		batch, err := m.readFile(t, store, cred, ctx.Budget, string(ctx.Principal), f)
 		if err != nil {
 			return 0, err
 		}
@@ -547,19 +535,7 @@ func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, 
 	var combined *vector.Batch
 	var delta bigmeta.TableDelta
 	for _, f := range merge {
-		var data []byte
-		if err := m.Res.Do(m.Clock, nil, "GET "+f.Bucket+"/"+f.Key, func() error {
-			var ge error
-			data, _, ge = store.Get(cred, f.Bucket, f.Key)
-			return ge
-		}); err != nil {
-			return OptimizeReport{}, err
-		}
-		r, err := colfmt.NewVectorizedReader(data, nil, nil)
-		if err != nil {
-			return OptimizeReport{}, err
-		}
-		b, err := r.ReadAll()
+		b, err := m.readFile(t, store, cred, nil, principal, f)
 		if err != nil {
 			return OptimizeReport{}, err
 		}

@@ -7,6 +7,7 @@ import (
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
 	"biglake/internal/integrity"
+	"biglake/internal/scan"
 )
 
 // ReplicaFetch returns a surviving replica's bytes for a quarantined
@@ -69,6 +70,8 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 	if err != nil {
 		return rep, err
 	}
+	rd := scan.Reader{Res: m.Res}
+	src := scan.Source{Table: t, Store: store, Cred: cred}
 	live := make(map[string]bigmeta.FileEntry, len(files))
 	for _, f := range files {
 		live[f.Key] = f
@@ -88,12 +91,10 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 			continue
 		}
 
-		// Fast path: the primary may read clean now.
-		data, info, gerr := store.Get(cred, f.Bucket, f.Key)
-		if gerr == nil &&
-			(f.Generation == 0 || info.Generation == f.Generation) &&
-			int64(len(data)) == info.Size &&
-			colfmt.Verify(data) == nil {
+		// Fast path: the primary may read clean now. The verified fetch
+		// pins generation and length; the CRC walk covers the rest. No
+		// gate and no containment: the file is quarantined already.
+		if data, _, gerr := rd.Fetch(m.Clock, &src, f); gerr == nil && colfmt.Verify(data) == nil {
 			if _, err := m.Log.Commit(principal, map[string]bigmeta.TableDelta{
 				table: {Unquarantine: []string{mark.Key}},
 			}); err != nil {
@@ -128,23 +129,9 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 			if pe != nil {
 				return pe
 			}
-			footer, fe := colfmt.ReadFooter(replica)
-			if fe != nil {
-				return fe
-			}
-			stats := make(map[string]colfmt.ColumnStats)
-			for _, fld := range footer.Fields {
-				if st, ok := footer.ColumnStatsFor(fld.Name); ok {
-					stats[fld.Name] = st
-				}
-			}
-			entry = bigmeta.FileEntry{
-				Bucket: t.Bucket, Key: key, Size: pinfo.Size,
-				Generation: pinfo.Generation,
-				RowCount:   footer.Rows, ColumnStats: stats,
-				Partition: f.Partition,
-			}
-			return nil
+			entry, pe = bigmeta.NewFileEntry(t.Bucket, key, pinfo, replica)
+			entry.Partition = f.Partition
+			return pe
 		}); err != nil {
 			return rep, err
 		}

@@ -135,6 +135,18 @@ func (f *Footer) ColumnStatsFor(name string) (ColumnStats, bool) {
 	return out, found
 }
 
+// Stats returns the file-level statistics of every column — what a
+// metadata entry for the file records.
+func (f *Footer) Stats() map[string]ColumnStats {
+	stats := make(map[string]ColumnStats, len(f.Fields))
+	for _, fm := range f.Fields {
+		if st, ok := f.ColumnStatsFor(fm.Name); ok {
+			stats[fm.Name] = st
+		}
+	}
+	return stats
+}
+
 // WriterOptions tunes file layout.
 type WriterOptions struct {
 	// RowGroupRows caps rows per row group (default 8192).

@@ -21,6 +21,7 @@ import (
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/resilience"
+	"biglake/internal/scan"
 	"biglake/internal/security"
 	"biglake/internal/shuffle"
 	"biglake/internal/sim"
@@ -201,7 +202,7 @@ type Engine struct {
 
 	// scanCache holds decoded file contents keyed by object generation;
 	// nil unless Options.EnableScanCache is set.
-	scanCache *scanCache
+	scanCache *scan.Cache
 
 	// arenas recycles per-query execution arenas; stats are mirrored
 	// into the registry after every query.
@@ -249,8 +250,8 @@ func New(cat *catalog.Catalog, auth *security.Authority, meta *bigmeta.Cache, lo
 		Sys:     systables.NewProvider(clock, reg, log),
 	}
 	if opts.EnableScanCache {
-		eng.scanCache = newScanCache(opts.ScanCacheBytes)
-		eng.scanCache.observe(eng.ec.cacheEntries, eng.ec.cacheBytes)
+		eng.scanCache = scan.NewCache(opts.ScanCacheBytes)
+		eng.scanCache.Observe(eng.ec.cacheEntries, eng.ec.cacheBytes)
 	}
 	return eng
 }

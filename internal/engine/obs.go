@@ -62,7 +62,7 @@ func (e *Engine) UseObs(r *obs.Registry) {
 	e.Obs = r
 	e.ec = resolveEngCounters(r)
 	if e.scanCache != nil {
-		e.scanCache.observe(e.ec.cacheEntries, e.ec.cacheBytes)
+		e.scanCache.Observe(e.ec.cacheEntries, e.ec.cacheBytes)
 	}
 	if e.Res != nil {
 		e.Res.Meter = obs.Tee(e.Meter, r.Prefixed("resilience."))

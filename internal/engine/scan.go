@@ -3,16 +3,15 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
-	"biglake/internal/integrity"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/resilience"
+	"biglake/internal/scan"
 	"biglake/internal/sim"
 	"biglake/internal/sqlparse"
 	"biglake/internal/systables"
@@ -207,7 +206,7 @@ func (e *Engine) scanLakeTable(ctx *QueryContext, t catalog.Table, preds []colfm
 					fsp.SetLane(i % ScanWorkers)
 				}
 				defer fsp.End()
-				stats, rows, err := footerPeek(e.Res, ctx.Budget, store, cred, t.Bucket, key, tr)
+				stats, rows, err := bigmeta.ReadFooterStats(e.Res, ctx.Budget, store, cred, t.Bucket, key, tr)
 				if err != nil {
 					errs <- err
 					return
@@ -240,60 +239,6 @@ func (e *Engine) scanLakeTable(ctx *QueryContext, t catalog.Table, preds []colfm
 		}
 	}
 	return e.readFiles(ctx, store, cred, t, files, preds)
-}
-
-// footerPeek reads a file's footer statistics on the query path — the
-// extra object reads §3.3 describes for engines without a metadata
-// cache. Each remote call retries under the policy; the ranged reads
-// are hedged against storage tail latency.
-func footerPeek(res *resilience.Policy, bud *resilience.Budget, store *objstore.Store, cred objstore.Credential, bucket, key string, tr *sim.Track) (map[string]colfmt.ColumnStats, int64, error) {
-	var info objstore.ObjectInfo
-	if err := res.Do(tr, bud, "HEAD "+bucket+"/"+key, func() error {
-		var e error
-		info, e = store.HeadOn(tr, cred, bucket, key)
-		return e
-	}); err != nil {
-		return nil, 0, err
-	}
-	off := info.Size - 64*1024
-	if off < 0 {
-		off = 0
-	}
-	var tail []byte
-	if err := res.HedgedDo(tr, bud, "GET "+bucket+"/"+key, func(ch sim.Charger) error {
-		d, _, e := store.GetRangeOn(ch, cred, bucket, key, off, -1)
-		if e != nil {
-			return e
-		}
-		tail = d
-		return nil
-	}); err != nil {
-		return nil, 0, err
-	}
-	footer, err := colfmt.ReadFooter(tail)
-	if err != nil {
-		var full []byte
-		if err2 := res.HedgedDo(tr, bud, "GET "+bucket+"/"+key, func(ch sim.Charger) error {
-			d, _, e := store.GetOn(ch, cred, bucket, key)
-			if e != nil {
-				return e
-			}
-			full = d
-			return nil
-		}); err2 != nil {
-			return nil, 0, err2
-		}
-		if footer, err = colfmt.ReadFooter(full); err != nil {
-			return nil, 0, err
-		}
-	}
-	stats := make(map[string]colfmt.ColumnStats)
-	for _, f := range footer.Fields {
-		if st, ok := footer.ColumnStatsFor(f.Name); ok {
-			stats[f.Name] = st
-		}
-	}
-	return stats, footer.Rows, nil
 }
 
 // scanManagedTable reads a Native or BLMT table whose source of truth
@@ -364,74 +309,65 @@ func (e *Engine) scanManagedTable(ctx *QueryContext, t catalog.Table, preds []co
 	return out, nil
 }
 
-// readFiles fetches and decodes the surviving files in parallel worker
-// tracks, applying predicate filtering during the scan.
-func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, preds []colfmt.Predicate) (*vector.Batch, error) {
-	// Column-level predicates only; partition predicates are already
-	// consumed by pruning and reference no physical column.
-	var filePreds []colfmt.Predicate
-	for _, p := range preds {
-		if t.Schema.Index(p.Column) >= 0 {
-			filePreds = append(filePreds, p)
-		}
-	}
+// reader assembles the engine's verified data-file reader from its
+// current fields; everything the scan does per file goes through it.
+func (e *Engine) reader() scan.Reader {
+	return scan.Reader{Res: e.Res, Log: e.Log, Obs: e.Obs, Cache: e.scanCache,
+		Site: "scan", SkipQuarantined: e.Opts.SkipQuarantined}
+}
 
+// readFiles reads the surviving files through the verified reader —
+// resident decodes synchronously, the rest in parallel worker tracks —
+// and merges what the predicates select. Predicates on columns a file
+// does not store (partition columns, consumed by pruning) are dropped
+// per file by the reader.
+func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, preds []colfmt.Predicate) (*vector.Batch, error) {
 	// Each file contributes a decoded batch and the rows of it the
 	// predicates select; the merge below filters and concatenates in
 	// one pass.
 	results := make([]vector.Selection, len(files))
+	rd := e.reader()
+	src := scan.Source{Table: t, Store: store, Cred: cred, Budget: ctx.Budget, Principal: string(ctx.Principal)}
 
-	// Warm pass: probe the quarantine log and the generation-keyed scan
-	// cache synchronously. An object generation pins immutable content,
-	// so a known-generation hit skips the GET and the decode — and a hit
-	// needs no worker either, just a predicate pass over the resident
-	// batch. On the steady-state hot path (every surviving file already
-	// decoded) the scan completes here with no goroutines, channels, or
-	// clock tracks at all; only cold files fall through to the parallel
-	// fetch below.
+	// Warm pass: the quarantine gate and the generation-keyed cache,
+	// synchronously. A hit needs no worker, just a predicate pass over
+	// the resident batch. On the steady-state hot path (every surviving
+	// file already decoded) the scan completes here with no goroutines,
+	// channels, or clock tracks at all; only cold files fall through to
+	// the parallel fetch below.
 	var cold []int
 	for i, f := range files {
-		// Containment gate: a quarantined file fails fast with a typed
-		// error naming table and file — or is skipped with a warning
-		// under the explicit opt-in.
-		if e.Log != nil {
-			if m, qok := e.Log.IsQuarantined(t.FullName(), f.Key); qok {
-				if e.Opts.SkipQuarantined {
-					ctx.Stats.QuarantineSkips++
-					e.Obs.Counter("integrity.quarantine_skips").Add(1)
-					e.Obs.Event("integrity.warnings",
-						fmt.Sprintf("skipping quarantined file %s/%s of table %s: %s", f.Bucket, f.Key, t.FullName(), m.Reason))
-					continue
-				}
-				return nil, &integrity.Error{Source: "engine.quarantine", Table: t.FullName(),
-					Bucket: f.Bucket, Key: f.Key, Detail: "file is quarantined: " + m.Reason}
-			}
+		skip, err := rd.Gate(&src, f)
+		if err != nil {
+			return nil, err
 		}
-		if e.scanCache != nil && f.Generation > 0 {
-			cacheKey := scanCacheKey{Cloud: t.Cloud, Bucket: f.Bucket, Key: f.Key, Generation: f.Generation}
-			if full, ok := e.scanCache.get(cacheKey); ok {
-				var fsp *obs.Span
-				if ctx.Span != nil {
-					fsp = ctx.Span.Child("read " + f.Key)
-					fsp.SetInt("bytes", f.Size)
-					fsp.SetStr("cache", "hit")
-				}
-				sel, err := finishDecoded(ctx.mem.Al, full, filePreds, f, t)
-				if err != nil {
-					fsp.End()
-					return nil, err
-				}
-				fsp.SetInt("rows", int64(sel.N))
-				fsp.End()
-				results[i] = sel
-				ctx.Stats.CacheHits++
-				continue
-			}
+		if skip {
+			ctx.Stats.QuarantineSkips++
+			continue
 		}
-		cold = append(cold, i)
+		full, ok := rd.Resident(&src, f)
+		if !ok {
+			cold = append(cold, i)
+			continue
+		}
+		var fsp *obs.Span
+		if ctx.Span != nil {
+			fsp = ctx.Span.Child("read " + f.Key)
+			fsp.SetInt("bytes", f.Size)
+			fsp.SetStr("cache", "hit")
+		}
+		sel, err := scan.Select(ctx.mem.Al, full, preds, f.Partition, t.Schema)
+		if err != nil {
+			fsp.End()
+			return nil, err
+		}
+		fsp.SetInt("rows", int64(sel.N))
+		fsp.End()
+		results[i] = sel
+		ctx.Stats.CacheHits++
 	}
 	if len(cold) > 0 {
-		if err := e.readColdFiles(ctx, store, cred, t, files, cold, results, filePreds); err != nil {
+		if err := e.readColdFiles(ctx, rd, src, files, cold, results, preds); err != nil {
 			return nil, err
 		}
 	}
@@ -454,16 +390,15 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 	return out, nil
 }
 
-// readColdFiles fetches and decodes the files the warm pass could not
-// serve from the scan cache, in parallel worker tracks.
-func (e *Engine) readColdFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, cold []int, results []vector.Selection, filePreds []colfmt.Predicate) error {
+// readColdFiles reads the files the warm pass could not serve from the
+// scan cache, in parallel worker tracks. rd and src arrive by value:
+// the workers share them, and the warm pass's copies stay off the heap.
+func (e *Engine) readColdFiles(ctx *QueryContext, rd scan.Reader, src scan.Source, files []bigmeta.FileEntry, cold []int, results []vector.Selection, preds []colfmt.Predicate) error {
 	workers := ScanWorkers
 	if len(cold) < workers {
 		workers = len(cold)
 	}
-	hits := make([]bool, len(cold))
-	misses := make([]bool, len(cold))
-	skips := make([]bool, len(cold))
+	outcomes := make([]scan.Outcome, len(cold))
 	tracks := startTracks(e.Clock, workers)
 	var wg sync.WaitGroup
 	errs := make(chan error, len(cold))
@@ -481,121 +416,45 @@ func (e *Engine) readColdFiles(ctx *QueryContext, store *objstore.Store, cred ob
 				fsp.SetLane(w % workers)
 				fsp.SetInt("bytes", f.Size)
 			}
-			defer func() {
-				if fsp != nil && results[i].Batch != nil {
-					fsp.SetInt("rows", int64(results[i].N))
-				}
-				fsp.End()
-			}()
+			defer fsp.End()
 
-			rd, err := e.readFileOnce(ctx, tr, fsp, store, cred, t, f, filePreds)
-			if err != nil && errors.Is(err, integrity.ErrCorrupt) {
-				// Detected corruption: evict every cached generation of
-				// the object and re-fetch once from a fresh source. A
-				// sick *response* heals here; a sick *stored copy* fails
-				// again and is quarantined.
-				e.recordDetection(err)
-				if e.scanCache != nil {
-					e.scanCache.evictObject(t.Cloud, f.Bucket, f.Key)
-				}
+			sel, oc, err := rd.ReadBatch(tr, &src, f, ctx.mem.Al, preds)
+			if oc.Quarantined {
+				fsp.SetStr("integrity", "quarantined")
+			} else if oc.Refetched {
 				fsp.SetStr("integrity", "refetch")
-				rd2, err2 := e.readFileOnce(ctx, tr, fsp, store, cred, t, f, filePreds)
-				switch {
-				case err2 == nil:
-					e.Obs.Counter("integrity.recovered.refetch").Add(1)
-					rd, err = rd2, nil
-				case errors.Is(err2, integrity.ErrCorrupt):
-					e.recordDetection(err2)
-					if e.scanCache != nil {
-						e.scanCache.evictObject(t.Cloud, f.Bucket, f.Key)
-					}
-					fsp.SetStr("integrity", "quarantined")
-					skipped, ferr := e.containCorrupt(ctx, t, f, err2)
-					if skipped {
-						skips[w] = true
-						e.Obs.Counter("integrity.quarantine_skips").Add(1)
-						return
-					}
-					errs <- ferr
-					return
-				default:
-					errs <- err2
-					return
-				}
+			}
+			if oc.CacheHit {
+				fsp.SetStr("cache", "hit")
+			} else if oc.CacheMiss {
+				fsp.SetStr("cache", "miss")
+			}
+			if sel.Batch != nil {
+				fsp.SetInt("rows", int64(sel.N))
 			}
 			if err != nil {
 				errs <- err
 				return
 			}
-			hits[w], misses[w] = rd.hit, rd.miss
-			results[i] = rd.sel
+			outcomes[w] = oc
+			results[i] = sel
 		}(w, fi, files[fi])
 	}
 	wg.Wait()
 	// Join tracks before any error return so sim tracks never leak.
 	joinTracks(tracks)
-	for w := range cold {
-		if hits[w] {
+	for _, oc := range outcomes {
+		if oc.CacheHit {
 			ctx.Stats.CacheHits++
 		}
-		if misses[w] {
+		if oc.CacheMiss {
 			ctx.Stats.CacheMisses++
 		}
-		if skips[w] {
+		if oc.Skipped {
 			ctx.Stats.QuarantineSkips++
 		}
 	}
 	return drainErrs(errs)
-}
-
-// decodeFile decodes complete file bytes through the vectorized
-// reader. Hive-partitioned files do not store the partition column;
-// the caller passes only the predicates the file can evaluate (the
-// rest were consumed by pruning and are re-checked after
-// partition-column injection), and this helper further drops any
-// predicate the file's actual schema lacks.
-func decodeFile(data []byte, filePreds []colfmt.Predicate) (*vector.Batch, error) {
-	footer, err := colfmt.ReadFooter(data)
-	if err != nil {
-		return nil, err
-	}
-	fileSchema := footer.Schema()
-	preds := filePreds[:0:0]
-	for _, p := range filePreds {
-		if fileSchema.Index(p.Column) >= 0 {
-			preds = append(preds, p)
-		}
-	}
-	r, err := colfmt.NewVectorizedReader(data, nil, preds)
-	if err != nil {
-		return nil, err
-	}
-	return r.ReadAll()
-}
-
-// finishDecoded turns a cached full (unfiltered) decode into what the
-// direct read path produces, short of the copy: the batch with its
-// partition columns injected, and the rows of it the file-level
-// predicates select. readFiles' merge applies the selection.
-func finishDecoded(al vector.Alloc, full *vector.Batch, filePreds []colfmt.Predicate, f bigmeta.FileEntry, t catalog.Table) (vector.Selection, error) {
-	preds := filePreds[:0:0]
-	for _, p := range filePreds {
-		if full.Schema.Index(p.Column) >= 0 {
-			preds = append(preds, p)
-		}
-	}
-	var mask []bool
-	if len(preds) > 0 {
-		var err error
-		if mask, err = colfmt.EvalPredicatesWith(al, full, preds); err != nil {
-			return vector.Selection{}, err
-		}
-	}
-	b, err := injectPartitionColumns(full, f.Partition, t)
-	if err != nil {
-		return vector.Selection{}, err
-	}
-	return vector.Select(b, mask)
 }
 
 // drainErrs closes the worker error channel and joins every error the
@@ -608,82 +467,6 @@ func drainErrs(errs chan error) error {
 		all = append(all, err)
 	}
 	return errors.Join(all...)
-}
-
-// injectPartitionColumns adds hive partition values as columns when
-// the table schema declares them but files do not store them.
-func injectPartitionColumns(b *vector.Batch, partition map[string]string, t catalog.Table) (*vector.Batch, error) {
-	if len(partition) == 0 {
-		return b, nil
-	}
-	fields := append([]vector.Field(nil), b.Schema.Fields...)
-	cols := append([]*vector.Column(nil), b.Cols...)
-	keys := make([]string, 0, len(partition))
-	for k := range partition {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if b.Schema.Index(k) >= 0 {
-			continue // file stores the column already
-		}
-		idx := t.Schema.Index(k)
-		if idx < 0 {
-			continue // partition key not in declared schema
-		}
-		typ := t.Schema.Fields[idx].Type
-		v := partitionValue(partition[k], typ)
-		fields = append(fields, vector.Field{Name: k, Type: typ})
-		cols = append(cols, constRun(v, typ, b.N))
-	}
-	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
-}
-
-// constRun is an n-row column of one value as a single RLE run, O(1)
-// to build however many rows the file has: the scan merge expands it
-// for the surviving rows only.
-func constRun(v vector.Value, t vector.Type, n int) *vector.Column {
-	c := &vector.Column{Type: t, Len: n, Enc: vector.RLE}
-	if n == 0 {
-		return c
-	}
-	run := vector.Run{Count: uint32(n), ValIdx: vector.NullIdx}
-	if !v.IsNull() {
-		run.ValIdx = 0
-		switch t {
-		case vector.Int64, vector.Timestamp:
-			c.Ints = []int64{v.I}
-		case vector.Float64:
-			c.Floats = []float64{v.F}
-		case vector.Bool:
-			c.Bools = []bool{v.B}
-		default:
-			c.Strs = []string{v.S}
-		}
-	}
-	c.Runs = []vector.Run{run}
-	return c
-}
-
-func partitionValue(s string, t vector.Type) vector.Value {
-	switch t {
-	case vector.Int64, vector.Timestamp:
-		var v int64
-		if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
-			return vector.NullValue
-		}
-		return vector.Value{Type: t, I: v}
-	case vector.Float64:
-		var v float64
-		if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
-			return vector.NullValue
-		}
-		return vector.FloatValue(v)
-	case vector.Bool:
-		return vector.BoolValue(s == "true")
-	default:
-		return vector.StringValue(s)
-	}
 }
 
 // scanObjectTable materializes an Object table: the metadata cache

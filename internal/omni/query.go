@@ -243,14 +243,12 @@ func (d *Deployment) createTempTable(home *Region, principal security.Principal,
 	}); err != nil {
 		return "", err
 	}
-	footer, err := colfmt.ReadFooter(file)
+	entry, err := bigmeta.NewFileEntry(home.Manager.DefaultBucket, key, info, file)
 	if err != nil {
 		return "", err
 	}
 	if _, err := home.Log.Commit(string(ControlPrincipal), map[string]bigmeta.TableDelta{
-		name: {Added: []bigmeta.FileEntry{{
-			Bucket: home.Manager.DefaultBucket, Key: key, Size: info.Size, RowCount: footer.Rows,
-		}}},
+		name: {Added: []bigmeta.FileEntry{entry}},
 	}); err != nil {
 		return "", err
 	}

@@ -4,11 +4,16 @@ package oracle
 // generated world runs generated queries while the object store
 // silently corrupts a seeded fraction of GET responses (bit flips,
 // truncations, stale-object substitution), across {scan cache on/off}
-// × {chaos faults on/off} × {pre/post compaction}. The contract under
+// × {chaos faults on/off} × {pre/post compaction}. Two more arms share
+// the world, the seeds and the contract, because they share the
+// reader: a Read API arm (sparkle.ReadBigLake and raw ReadRows, the
+// external-engine path) in every phase, and a DML arm (generated
+// UPDATE/DELETE, then Optimize) between the phases. The contract under
 // corruption mirrors the fault contract, tightened:
 //
-//   - the engine may FAIL a query — with a typed integrity error — but
-//     must never return a wrong answer;
+//   - a read or a rewrite may FAIL — with a typed integrity error, and
+//     a failed rewrite commits nothing — but must never return or
+//     store a wrong answer;
 //   - every failure must be accounted: the registry's
 //     integrity.detected.* counters must be nonzero whenever
 //     integrity.injected.* is (injected-vs-detected reconciliation);
@@ -23,11 +28,19 @@ import (
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
+	"biglake/internal/colfmt"
 	"biglake/internal/engine"
 	"biglake/internal/integrity"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
+	"biglake/internal/sparkle"
+	"biglake/internal/storageapi"
+	"biglake/internal/vector"
 )
+
+// integrityDML is the number of generated UPDATE/DELETE statements the
+// DML arm runs between the phases.
+const integrityDML = 12
 
 // IntegrityOptions configures a corruption sweep.
 type IntegrityOptions struct {
@@ -60,8 +73,13 @@ func (c IntegrityCell) String() string {
 type IntegrityReport struct {
 	Queries    int
 	Executions int
-	// IntegrityErrors counts queries that failed with a typed
-	// corruption error — the allowed degradation.
+	// ReadAPIReads counts the Read API arm's reads (sparkle frames and
+	// raw ReadRows drains); DMLApplied the DML arm's statements that
+	// committed. Both are included in Executions.
+	ReadAPIReads int
+	DMLApplied   int
+	// IntegrityErrors counts reads and rewrites that failed with a
+	// typed corruption error — the allowed degradation.
 	IntegrityErrors int
 	// OtherErrors counts non-integrity failures (chaos faults past the
 	// retry budget, quarantine commits racing, ...).
@@ -142,24 +160,26 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	}
 
 	queries := make([]GenQuery, opts.Queries)
-	golden := make([]*Resultset, opts.Queries)
 	for i := range queries {
 		queries[i] = gen.Query(tables)
-		rs, err := h.db.ExecSQL(queries[i].SQL)
-		if err != nil {
-			// Statements both sides reject carry no integrity signal;
-			// regenerate until the oracle accepts it.
-			for tries := 0; err != nil && tries < 20; tries++ {
-				queries[i] = gen.Query(tables)
-				rs, err = h.db.ExecSQL(queries[i].SQL)
-			}
-			if err != nil {
-				return rep, fmt.Errorf("could not generate an oracle-valid query: %w", err)
-			}
+		// Statements both sides reject carry no integrity signal;
+		// regenerate until the oracle accepts it.
+		_, err := h.db.ExecSQL(queries[i].SQL)
+		for tries := 0; err != nil && tries < 20; tries++ {
+			queries[i] = gen.Query(tables)
+			_, err = h.db.ExecSQL(queries[i].SQL)
 		}
-		golden[i] = rs
+		if err != nil {
+			return rep, fmt.Errorf("could not generate an oracle-valid query: %w", err)
+		}
 	}
 	rep.Queries = len(queries)
+	var managed *GenTable
+	for _, t := range tables {
+		if t.Managed {
+			managed = t
+		}
+	}
 
 	cells := []IntegrityCell{
 		{ScanCache: false, Chaos: false},
@@ -177,29 +197,51 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 		}
 		return p
 	}
+	// judge files one execution's outcome against the oracle's answer.
+	judge := func(what string, got *vector.Batch, err error, want *Resultset, ordered bool) {
+		rep.Executions++
+		switch {
+		case errors.Is(err, integrity.ErrCorrupt):
+			rep.IntegrityErrors++
+		case err != nil:
+			rep.OtherErrors++
+		default:
+			if d := diffResults(FromBatch(got), want, ordered); d != "" {
+				rep.WrongAnswers++
+				if rep.WrongDetail == "" {
+					rep.WrongDetail = what + ": " + d
+				}
+			}
+		}
+	}
 
 	runPhase := func(phase string) error {
 		defer w.store.ClearFaults()
+		// The DML arm moves the managed table between the phases, so
+		// each phase asks the oracle afresh.
+		golden := make([]*Resultset, len(queries))
+		for i, q := range queries {
+			if golden[i], err = h.db.ExecSQL(q.SQL); err != nil {
+				return fmt.Errorf("oracle rejects %q in phase %s: %w", q.SQL, phase, err)
+			}
+		}
 		for ci, cell := range cells {
 			w.store.InjectFaults(profile(ci, phase))
 			eng := h.integrityEngine(cell, reg, false)
 			for qi, q := range queries {
 				qid := fmt.Sprintf("integ-%d-%s-%d-%d", opts.Seed, phase, ci, qi)
 				res, err := eng.Query(engine.NewContext(diffAdmin, qid), q.SQL)
-				rep.Executions++
-				if err != nil {
-					if errors.Is(err, integrity.ErrCorrupt) {
-						rep.IntegrityErrors++
-					} else {
-						rep.OtherErrors++
-					}
-					continue
+				var got *vector.Batch
+				if err == nil {
+					got = res.Batch
 				}
-				if d := diffResults(FromBatch(res.Batch), golden[qi], q.Ordered); d != "" {
-					rep.WrongAnswers++
-					if rep.WrongDetail == "" {
-						rep.WrongDetail = fmt.Sprintf("phase=%s cell={%s} sql=%s: %s", phase, cell, q.SQL, d)
-					}
+				judge(fmt.Sprintf("phase=%s cell={%s} sql=%s", phase, cell, q.SQL), got, err, golden[qi], q.Ordered)
+			}
+			if !cell.ScanCache {
+				// The Read API has no decoded-file cache: one pass per
+				// chaos setting covers it.
+				if err := h.readAPIArm(fmt.Sprintf("phase=%s cell={%s}", phase, cell), tables, &rep, judge); err != nil {
+					return err
 				}
 			}
 			logf("phase %s cell {%s}: done", phase, cell)
@@ -210,14 +252,69 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	if err := runPhase("pre"); err != nil {
 		return rep, err
 	}
-	// Compact the managed table fault-free, then sweep again: the
-	// rewritten files carry fresh CRCs and generations.
-	w.store.ClearFaults()
-	var managed *GenTable
-	for _, t := range tables {
-		if t.Managed {
-			managed = t
+	// Two corrupt responses in a row quarantine a file whose stored copy
+	// is clean. A rewrite never skips a quarantined file, so the
+	// operator's sequence comes first: re-verify and lift.
+	lift := func() error {
+		rr, err := w.mgr.Repair(string(diffAdmin), managed.Full, nil)
+		if err != nil || len(rr.Failed) > 0 {
+			return fmt.Errorf("lifting in-flight quarantines of %s: %+v, %v", managed.Full, rr, err)
 		}
+		return nil
+	}
+	if err := lift(); err != nil {
+		return rep, err
+	}
+
+	// DML arm: generated UPDATE/DELETE under the corruption profile. A
+	// statement may fail typed, and then it committed nothing and the
+	// oracle skips it; one that succeeds moves the oracle too, and the
+	// post phase holds every reader to the result.
+	w.store.InjectFaults(profile(0, "dml"))
+	eng := h.integrityEngine(cells[0], reg, false)
+	for i := 0; i < integrityDML; i++ {
+		// Inserts read nothing, a statement the oracle rejects carries
+		// no signal, and an emptied table leaves the later legs nothing
+		// to read: draw again.
+		sql := gen.DML(managed)
+		for tries := 0; tries < 40; tries++ {
+			if !strings.HasPrefix(sql, "INSERT") {
+				after := h.db.Clone()
+				if _, err := after.ExecSQL(sql); err == nil && len(after.Tables[managed.Full].Rows) > 0 {
+					break
+				}
+			}
+			sql = gen.DML(managed)
+		}
+		rep.Executions++
+		qid := fmt.Sprintf("integ-%d-dml-%d", opts.Seed, i)
+		_, err := eng.Query(engine.NewContext(diffAdmin, qid), sql)
+		switch {
+		case errors.Is(err, integrity.ErrCorrupt):
+			rep.IntegrityErrors++
+		case err != nil:
+			return rep, fmt.Errorf("dml arm: %q: %w", sql, err)
+		default:
+			if _, err := h.db.ExecSQL(sql); err != nil {
+				return rep, fmt.Errorf("dml arm: oracle rejects %q: %w", sql, err)
+			}
+			rep.DMLApplied++
+		}
+	}
+	// Then compaction, still under corruption: it may fail typed too.
+	// Either way lift and compact fault-free, so the post phase reads
+	// rewritten files with fresh CRCs and generations.
+	rep.Executions++
+	_, err = w.mgr.Optimize(string(diffAdmin), managed.Full, "")
+	w.store.ClearFaults()
+	if err != nil {
+		if !errors.Is(err, integrity.ErrCorrupt) {
+			return rep, fmt.Errorf("optimize %s: %w", managed.Full, err)
+		}
+		rep.IntegrityErrors++
+	}
+	if err := lift(); err != nil {
+		return rep, err
 	}
 	if _, err := w.mgr.Optimize(string(diffAdmin), managed.Full, ""); err != nil {
 		return rep, fmt.Errorf("optimize %s: %w", managed.Full, err)
@@ -239,6 +336,61 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	rep.Recovered = sumPrefix(snap, "integrity.recovered.")
 	rep.Quarantines = snap.Counters["integrity.quarantines"]
 	return rep, nil
+}
+
+// readAPIServer is a fresh Storage Read API frontend over the world: no
+// session outlives the table state it was planned against.
+func (h *harness) readAPIServer() *storageapi.Server {
+	srv := storageapi.NewServer(h.w.cat, h.w.auth, bigmeta.NewCache(h.w.clock, nil), h.w.log, h.w.clock, h.w.stores)
+	srv.ManagedCred = h.w.cred
+	return srv
+}
+
+// readAPIArm reads every table the way an external engine does: whole
+// through sparkle's connector, filtered through sparkle, and projected
+// through raw CreateReadSession/ReadRows — each judged against the
+// oracle's answer to the equivalent SELECT.
+func (h *harness) readAPIArm(where string, tables []*GenTable, rep *IntegrityReport, judge func(string, *vector.Batch, error, *Resultset, bool)) error {
+	srv := h.readAPIServer()
+	sp := sparkle.NewSession(h.w.clock, sparkle.Options{})
+	for _, t := range tables {
+		key := t.Schema.Fields[1] // k<i>: a never-null integer
+		if t.Managed {
+			key = t.Schema.Fields[0]
+		}
+		pred := colfmt.Predicate{Column: key.Name, Op: vector.GE, Value: vector.IntValue(5)}
+		cols := []string{t.Schema.Fields[2].Name, t.Schema.Fields[0].Name}
+		reads := []struct {
+			sql  string
+			read func() (*vector.Batch, error)
+		}{
+			{"SELECT * FROM " + t.Full, func() (*vector.Batch, error) {
+				return sp.ReadBigLake(srv, diffAdmin, t.Full).Collect()
+			}},
+			{fmt.Sprintf("SELECT * FROM %s WHERE %s >= 5", t.Full, key.Name), func() (*vector.Batch, error) {
+				return sp.ReadBigLake(srv, diffAdmin, t.Full).Filter(pred).Collect()
+			}},
+			{fmt.Sprintf("SELECT %s, %s FROM %s", cols[0], cols[1], t.Full), func() (*vector.Batch, error) {
+				rs, err := srv.CreateReadSession(storageapi.ReadSessionRequest{
+					Table: t.Full, Principal: diffAdmin, Columns: cols, SnapshotVersion: -1,
+				})
+				if err != nil {
+					return nil, err
+				}
+				return srv.ReadAll(rs)
+			}},
+		}
+		for _, r := range reads {
+			want, err := h.db.ExecSQL(r.sql)
+			if err != nil {
+				return fmt.Errorf("oracle rejects %q: %w", r.sql, err)
+			}
+			got, err := r.read()
+			rep.ReadAPIReads++
+			judge(where+" readapi "+r.sql, got, err, want, false)
+		}
+	}
+	return nil
 }
 
 // runStoredDamage flips bits in stored managed-table files, then
@@ -282,17 +434,43 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 	}
 	rep.StoredCorrupted = damage
 
-	// 1. Detection + quarantine: the query must fail typed — both
-	// fetches see the same rotten stored bytes.
+	// 1. Detection + quarantine: every arm must fail typed — both
+	// fetches see the same rotten stored bytes. The Read API meets the
+	// damage first and quarantines; the rewrite (which matches no row,
+	// but reads every file to find that out) and the query then fail at
+	// the gate or at the next damaged file. None may commit or answer.
 	eng := h.integrityEngine(IntegrityCell{}, reg, false)
-	if _, err := eng.Query(engine.NewContext(diffAdmin, "integ-stored-1"), goldenSQL); err == nil {
-		return fmt.Errorf("query over %d bit-flipped files succeeded", damage)
-	} else if !errors.Is(err, integrity.ErrCorrupt) {
-		return fmt.Errorf("stored corruption surfaced untyped: %v", err)
+	version := w.log.Version()
+	for _, arm := range []struct {
+		name string
+		run  func() error
+	}{
+		{"read api", func() error {
+			_, err := sparkle.NewSession(w.clock, sparkle.Options{}).ReadBigLake(h.readAPIServer(), diffAdmin, managed.Full).Collect()
+			return err
+		}},
+		{"rewrite", func() error {
+			_, err := eng.Query(engine.NewContext(diffAdmin, "integ-stored-dml"),
+				fmt.Sprintf("UPDATE %s SET v2 = v2 WHERE k2 < 0", managed.Full))
+			return err
+		}},
+		{"query", func() error {
+			_, err := eng.Query(engine.NewContext(diffAdmin, "integ-stored-1"), goldenSQL)
+			return err
+		}},
+	} {
+		if err := arm.run(); err == nil {
+			return fmt.Errorf("%s over %d bit-flipped files succeeded", arm.name, damage)
+		} else if !errors.Is(err, integrity.ErrCorrupt) {
+			return fmt.Errorf("stored corruption surfaced untyped in %s: %v", arm.name, err)
+		}
+		if len(w.log.Quarantined(managed.Full)) == 0 {
+			return fmt.Errorf("no file quarantined after persistent corruption (%s)", arm.name)
+		}
 	}
 	rep.StoredQuarantine = len(w.log.Quarantined(managed.Full))
-	if rep.StoredQuarantine == 0 {
-		return fmt.Errorf("no file quarantined after persistent corruption")
+	if got := w.log.Version() - version; got != int64(rep.StoredQuarantine) {
+		return fmt.Errorf("%d commits over damaged files, want only the %d quarantine marks", got, rep.StoredQuarantine)
 	}
 
 	// 2. Degraded read under the explicit opt-in: skip-and-warn, never
@@ -334,6 +512,13 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 	}
 	if d := diffResults(FromBatch(res.Batch), golden, false); d != "" {
 		return fmt.Errorf("repaired table diverged from oracle: %s", d)
+	}
+	viaAPI, err := sparkle.NewSession(w.clock, sparkle.Options{}).ReadBigLake(h.readAPIServer(), diffAdmin, managed.Full).Collect()
+	if err != nil {
+		return fmt.Errorf("read api after repair failed: %w", err)
+	}
+	if d := diffResults(FromBatch(viaAPI), golden, false); d != "" {
+		return fmt.Errorf("repaired table diverged from oracle through the read api: %s", d)
 	}
 	rep.RepairVerified = true
 	return nil

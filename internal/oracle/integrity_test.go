@@ -36,10 +36,15 @@ func TestIntegritySweep(t *testing.T) {
 	if rep.IntegrityErrors+int(rep.Recovered) == 0 {
 		t.Fatalf("no integrity errors and no recoveries with %d injected corruptions", rep.Injected)
 	}
+	// Both extra arms ran: external-engine reads in every phase, and
+	// rewrites that committed between them.
+	if rep.ReadAPIReads == 0 || rep.DMLApplied == 0 {
+		t.Fatalf("read api arm made %d reads, dml arm applied %d statements", rep.ReadAPIReads, rep.DMLApplied)
+	}
 	// Stored-damage leg assertions.
 	if rep.StoredQuarantine == 0 || !rep.SkippedRows || rep.Repaired == 0 || !rep.RepairVerified {
 		t.Fatalf("stored-damage leg incomplete: %+v", rep)
 	}
-	t.Logf("sweep: %d executions, %d typed integrity failures, %d other errors, injected=%d detected=%d recovered=%d quarantines=%d repaired=%d",
-		rep.Executions, rep.IntegrityErrors, rep.OtherErrors, rep.Injected, rep.Detected, rep.Recovered, rep.Quarantines, rep.Repaired)
+	t.Logf("sweep: %d executions (%d read api, %d dml applied), %d typed integrity failures, %d other errors, injected=%d detected=%d recovered=%d quarantines=%d repaired=%d",
+		rep.Executions, rep.ReadAPIReads, rep.DMLApplied, rep.IntegrityErrors, rep.OtherErrors, rep.Injected, rep.Detected, rep.Recovered, rep.Quarantines, rep.Repaired)
 }

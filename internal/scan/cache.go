@@ -1,4 +1,4 @@
-package engine
+package scan
 
 import (
 	"container/list"
@@ -8,44 +8,58 @@ import (
 	"biglake/internal/vector"
 )
 
-// DefaultScanCacheBytes is the decoded-byte budget of the scan cache
-// when Options.ScanCacheBytes is zero.
-const DefaultScanCacheBytes = 256 << 20
+// DefaultCacheBytes is the decoded-byte budget of a Cache built with a
+// zero budget.
+const DefaultCacheBytes = 256 << 20
 
-// scanCacheKey identifies one immutable object version. Object-store
+// cacheKey identifies one immutable object version. Object-store
 // generations increment on every overwrite, so (cloud, bucket, key,
 // generation) pins exact content: a new generation is simply a
 // different cache entry and stale ones age out of the LRU.
-type scanCacheKey struct {
+type cacheKey struct {
 	Cloud      string
 	Bucket     string
 	Key        string
 	Generation int64
 }
 
-// scanCacheEntry is a fully decoded file: the unfiltered batch as the
+// cacheEntry is a fully decoded file: the unfiltered batch as the
 // vectorized reader produced it (before predicate filtering, which
 // depends on the query and is re-applied per lookup).
-type scanCacheEntry struct {
-	key   scanCacheKey
+type cacheEntry struct {
+	key   cacheKey
 	batch *vector.Batch
 	bytes int64
 }
 
-// scanCache is a byte-budgeted LRU over decoded file batches.
-type scanCache struct {
+// Cache is a byte-budgeted LRU over decoded file batches. Only a
+// Reader fills it, and only with decodes that passed verification.
+type Cache struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64
-	lru    *list.List // front = most recent; values are *scanCacheEntry
-	items  map[scanCacheKey]*list.Element
+	lru    *list.List // front = most recent; values are *cacheEntry
+	items  map[cacheKey]*list.Element
 	// entries/bytes are registry gauges mirroring occupancy (nil-safe).
 	entries *obs.Gauge
 	bytes   *obs.Gauge
 }
 
-// observe installs the registry gauges the cache keeps current.
-func (c *scanCache) observe(entries, bytes *obs.Gauge) {
+// NewCache returns an empty cache holding at most budget decoded bytes
+// (<= 0 means DefaultCacheBytes).
+func NewCache(budget int64) *Cache {
+	if budget <= 0 {
+		budget = DefaultCacheBytes
+	}
+	return &Cache{
+		budget: budget,
+		lru:    list.New(),
+		items:  make(map[cacheKey]*list.Element),
+	}
+}
+
+// Observe installs the registry gauges the cache keeps current.
+func (c *Cache) Observe(entries, bytes *obs.Gauge) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = entries
@@ -54,19 +68,8 @@ func (c *scanCache) observe(entries, bytes *obs.Gauge) {
 	bytes.Set(c.used)
 }
 
-func newScanCache(budget int64) *scanCache {
-	if budget <= 0 {
-		budget = DefaultScanCacheBytes
-	}
-	return &scanCache{
-		budget: budget,
-		lru:    list.New(),
-		items:  make(map[scanCacheKey]*list.Element),
-	}
-}
-
 // get returns the decoded batch for an object generation, if cached.
-func (c *scanCache) get(key scanCacheKey) (*vector.Batch, bool) {
+func (c *Cache) get(key cacheKey) (*vector.Batch, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -74,13 +77,13 @@ func (c *scanCache) get(key scanCacheKey) (*vector.Batch, bool) {
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*scanCacheEntry).batch, true
+	return el.Value.(*cacheEntry).batch, true
 }
 
 // put inserts a decoded batch, evicting least-recently-used entries
 // past the byte budget. Oversized batches (bigger than the whole
 // budget) are not cached at all.
-func (c *scanCache) put(key scanCacheKey, b *vector.Batch) {
+func (c *Cache) put(key cacheKey, b *vector.Batch) {
 	size := batchBytes(b)
 	if size > c.budget {
 		return
@@ -89,11 +92,11 @@ func (c *scanCache) put(key scanCacheKey, b *vector.Batch) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.lru.MoveToFront(el)
-		ent := el.Value.(*scanCacheEntry)
+		ent := el.Value.(*cacheEntry)
 		c.used += size - ent.bytes
 		ent.batch, ent.bytes = b, size
 	} else {
-		el := c.lru.PushFront(&scanCacheEntry{key: key, batch: b, bytes: size})
+		el := c.lru.PushFront(&cacheEntry{key: key, batch: b, bytes: size})
 		c.items[key] = el
 		c.used += size
 	}
@@ -102,7 +105,7 @@ func (c *scanCache) put(key scanCacheKey, b *vector.Batch) {
 		if back == nil {
 			break
 		}
-		ent := back.Value.(*scanCacheEntry)
+		ent := back.Value.(*cacheEntry)
 		c.lru.Remove(back)
 		delete(c.items, ent.key)
 		c.used -= ent.bytes
@@ -112,8 +115,8 @@ func (c *scanCache) put(key scanCacheKey, b *vector.Batch) {
 }
 
 // removeLocked unlinks one element and updates occupancy gauges.
-func (c *scanCache) removeLocked(el *list.Element) {
-	ent := el.Value.(*scanCacheEntry)
+func (c *Cache) removeLocked(el *list.Element) {
+	ent := el.Value.(*cacheEntry)
 	c.lru.Remove(el)
 	delete(c.items, ent.key)
 	c.used -= ent.bytes
@@ -128,7 +131,7 @@ func (c *scanCache) removeLocked(el *list.Element) {
 // or rotten bytes); dropping all generations forces the next read to
 // re-fetch and re-verify from the source. Returns how many entries
 // were dropped.
-func (c *scanCache) evictObject(cloud, bucket, key string) int {
+func (c *Cache) evictObject(cloud, bucket, key string) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0

@@ -1,0 +1,245 @@
+// Package scan is the one verified data-file reader. Everything that
+// reads a table's data files — the engine's scans, the Storage Read
+// API's ReadRows, DML and Optimize rewrites, the scrubber, Repair's
+// re-verify — fetches, verifies, decodes and contains through this
+// package, so the zero-trust boundary and the write path get the same
+// integrity guarantees as a query by construction.
+//
+// Per file the flow is:
+//
+//  1. quarantine gate — a marked file fails fast with a typed error
+//     naming table and file, or is skipped with a warning under the
+//     explicit Reader.SkipQuarantined opt-in;
+//  2. fetch + verify — a hedged GET whose response is checked, inside
+//     the attempt, for truncation (body shorter than the object's
+//     size) and staleness (generation differs from the snapshot's
+//     pinned generation); the caller's use of the bytes then verifies
+//     every colfmt chunk and footer CRC it touches, and a failed
+//     decode never populates the decoded-file cache;
+//  3. alternate-source re-fetch — on corruption, all cached
+//     generations of the object are evicted and ONE fresh fetch runs;
+//     in-flight corruption (a sick response) heals here;
+//  4. quarantine — corruption that survives the re-fetch means the
+//     stored copy itself is damaged: the file is quarantined via a
+//     sealed log commit and the read degrades per policy.
+package scan
+
+import (
+	"errors"
+	"fmt"
+
+	"biglake/internal/bigmeta"
+	"biglake/internal/catalog"
+	"biglake/internal/integrity"
+	"biglake/internal/objstore"
+	"biglake/internal/obs"
+	"biglake/internal/resilience"
+	"biglake/internal/sim"
+)
+
+// Reader holds what a deployment's reads share. It is a handful of
+// pointers: callers build one from their current fields where they
+// read, so a swapped policy or registry is never out of date.
+type Reader struct {
+	// Res retries and hedges the GET. Corruption is classified Corrupt
+	// and never retried in place. Nil behaves like resilience.NoRetry.
+	Res *resilience.Policy
+	// Log is consulted by the quarantine gate and receives quarantine
+	// commits. Nil disables both.
+	Log *bigmeta.Log
+	// Obs receives the integrity.* counters and events (nil-safe).
+	Obs *obs.Registry
+	// Cache, when set, serves and keeps verified full decodes.
+	Cache *Cache
+	// Site says who is reading: "scan" for query, Read API and DML
+	// reads, "scrub" for the scrubber. Detections count under
+	// integrity.detected.<Site>.
+	Site string
+	// SkipQuarantined leaves a quarantined file out with a warning
+	// instead of failing the read. Rewrites (DML, Optimize) must leave
+	// it false whatever the deployment's option says: a file skipped
+	// in a rewrite is data loss.
+	SkipQuarantined bool
+}
+
+// Source is the table being read and the access the read runs under.
+type Source struct {
+	Table catalog.Table
+	Store *objstore.Store
+	Cred  objstore.Credential
+	// Budget is the retry allowance and deadline (nil = unbounded).
+	Budget *resilience.Budget
+	// Principal signs a quarantine commit.
+	Principal string
+}
+
+// Outcome reports what the integrity pipeline did for one file.
+type Outcome struct {
+	// Skipped: the file is quarantined and was left out under
+	// SkipQuarantined. Nothing was read.
+	Skipped bool
+	// Refetched: corruption was detected and one fresh fetch ran.
+	Refetched bool
+	// Quarantined: the fresh fetch was corrupt too and this read
+	// quarantined the file.
+	Quarantined bool
+	// CacheHit / CacheMiss: ReadBatch served the decode from the
+	// Cache, or decoded and inserted it.
+	CacheHit, CacheMiss bool
+}
+
+// Fetch is the verified fetch: one hedged GET with the response-level
+// checks inside the attempt, so the policy classifies a bad response
+// as Corrupt and surfaces it instead of blindly retrying the same
+// source. It neither gates nor contains; Read does.
+func (r *Reader) Fetch(ch sim.Charger, src *Source, f bigmeta.FileEntry) ([]byte, objstore.ObjectInfo, error) {
+	var data []byte
+	var info objstore.ObjectInfo
+	err := r.Res.HedgedDo(ch, src.Budget, "GET "+f.Bucket+"/"+f.Key, func(hch sim.Charger) error {
+		d, oi, err := src.Store.GetOn(hch, src.Cred, f.Bucket, f.Key)
+		if err != nil {
+			return err
+		}
+		if err := checkResponse(src, f, d, oi); err != nil {
+			return err
+		}
+		data, info = d, oi
+		return nil
+	})
+	return data, info, err
+}
+
+// checkResponse checks response-level integrity of one completed GET:
+// stale-generation substitution and truncation. Checksums can't catch
+// either — a stale object's checksums are self-consistent, and a
+// truncated body may cut cleanly between chunks — so the read pins the
+// snapshot's generation and the reported object size instead.
+func checkResponse(src *Source, f bigmeta.FileEntry, data []byte, info objstore.ObjectInfo) error {
+	if f.Generation > 0 && info.Generation != f.Generation {
+		return &integrity.Error{Source: "objstore.stale", Table: src.Table.FullName(), Bucket: f.Bucket, Key: f.Key,
+			Detail: fmt.Sprintf("got generation %d, snapshot pinned %d", info.Generation, f.Generation)}
+	}
+	if int64(len(data)) != info.Size {
+		return &integrity.Error{Source: "objstore.truncated", Table: src.Table.FullName(), Bucket: f.Bucket, Key: f.Key,
+			Detail: fmt.Sprintf("got %d bytes, object reports %d", len(data), info.Size)}
+	}
+	return nil
+}
+
+// Gate is the containment gate: a quarantined file fails fast with a
+// typed error naming table and file, or is skipped with a warning
+// under SkipQuarantined.
+func (r *Reader) Gate(src *Source, f bigmeta.FileEntry) (skip bool, err error) {
+	if r.Log == nil {
+		return false, nil
+	}
+	m, ok := r.Log.IsQuarantined(src.Table.FullName(), f.Key)
+	if !ok {
+		return false, nil
+	}
+	if r.SkipQuarantined {
+		r.Obs.Counter("integrity.quarantine_skips").Add(1)
+		r.Obs.Event("integrity.warnings",
+			fmt.Sprintf("skipping quarantined file %s/%s of table %s: %s", f.Bucket, f.Key, src.Table.FullName(), m.Reason))
+		return true, nil
+	}
+	return false, &integrity.Error{Source: "engine.quarantine", Table: src.Table.FullName(),
+		Bucket: f.Bucket, Key: f.Key, Detail: "file is quarantined: " + m.Reason}
+}
+
+// Read is the contained read: gate, verified fetch, then use of the
+// bytes. use returns an error matching integrity.ErrCorrupt when the
+// bytes fail a check (every colfmt decode and Verify does); Read then
+// evicts, fetches once more and runs use again, and quarantines the
+// file when that fails the same way. use must therefore publish its
+// result only on success. Any other error ends the read.
+func (r *Reader) Read(ch sim.Charger, src *Source, f bigmeta.FileEntry, use func(data []byte, info objstore.ObjectInfo) error) (Outcome, error) {
+	var out Outcome
+	skip, err := r.Gate(src, f)
+	if skip || err != nil {
+		out.Skipped = skip
+		return out, err
+	}
+	attempt := func() error {
+		data, info, err := r.Fetch(ch, src, f)
+		if err != nil {
+			return err
+		}
+		if err := use(data, info); err != nil {
+			return integrity.Annotate(fmt.Errorf("scan: %s/%s: %w", f.Bucket, f.Key, err), src.Table.FullName(), f.Bucket, f.Key)
+		}
+		return nil
+	}
+	err = attempt()
+	if !errors.Is(err, integrity.ErrCorrupt) {
+		return out, err
+	}
+	// A sick *response* heals on the fresh fetch; a sick *stored copy*
+	// fails again and is quarantined.
+	r.detected(src, f, err)
+	out.Refetched = true
+	err = attempt()
+	switch {
+	case err == nil:
+		r.Obs.Counter("integrity.recovered.refetch").Add(1)
+	case errors.Is(err, integrity.ErrCorrupt):
+		r.detected(src, f, err)
+		out.Quarantined, err = r.quarantine(src, f, err)
+		if out.Quarantined && r.SkipQuarantined {
+			r.Obs.Counter("integrity.quarantine_skips").Add(1)
+			out.Skipped, err = true, nil
+		}
+	}
+	return out, err
+}
+
+// sourceOf names the verification site that raised err.
+func sourceOf(err error) string {
+	var ie *integrity.Error
+	if errors.As(err, &ie) {
+		return ie.Source
+	}
+	return "unknown"
+}
+
+// detected counts one detected corruption under "integrity.detected.*"
+// (per reader site and per verification site) and logs it to the
+// "integrity.detections" event stream, so tests can reconcile detected
+// counts against the store's "integrity.injected.*". No cached
+// generation of the object is trusted afterwards.
+func (r *Reader) detected(src *Source, f bigmeta.FileEntry, err error) {
+	r.Obs.Counter("integrity.detected." + r.Site).Add(1)
+	r.Obs.Counter("integrity.detected." + sourceOf(err)).Add(1)
+	r.Obs.Event("integrity.detections", err.Error())
+	if r.Cache != nil {
+		r.Cache.evictObject(src.Table.Cloud, f.Bucket, f.Key)
+	}
+}
+
+// quarantine handles corruption that survived the alternate-source
+// re-fetch: the durable copy is damaged, so the file is quarantined
+// through a sealed log commit. The typed corruption error comes back
+// either way; ok reports that the mark is in place.
+func (r *Reader) quarantine(src *Source, f bigmeta.FileEntry, cause error) (ok bool, err error) {
+	if r.Log == nil {
+		return false, cause
+	}
+	// A query-path mark names the check that failed; the scrubber's
+	// names the scrubber, so an operator can tell who found the damage.
+	source := sourceOf(cause)
+	if r.Site != "scan" {
+		source = r.Site
+	}
+	if _, qerr := r.Log.QuarantineFile(src.Principal, src.Table.FullName(), bigmeta.QuarantineMark{
+		Key:    f.Key,
+		Source: source,
+		Reason: cause.Error(),
+		Time:   src.Store.Clock().Now(),
+	}); qerr != nil {
+		return false, errors.Join(cause, fmt.Errorf("scan: quarantine %s/%s: %w", f.Bucket, f.Key, qerr))
+	}
+	r.Obs.Counter("integrity.quarantines").Add(1)
+	r.Obs.Event("integrity.warnings",
+		fmt.Sprintf("%s quarantined %s/%s (table %s): %v", r.Site, f.Bucket, f.Key, src.Table.FullName(), cause))
+	return true, cause
+}

@@ -13,17 +13,15 @@
 package scrub
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
-	"biglake/internal/colfmt"
-	"biglake/internal/integrity"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/resilience"
+	"biglake/internal/scan"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 )
@@ -81,34 +79,6 @@ func (s *Scrubber) store(cloud string) (*objstore.Store, error) {
 	return st, nil
 }
 
-// verifyObject fetches one live file and verifies it end to end.
-// Verification runs inside the retry op so the policy classifies a
-// bad read as Corrupt and surfaces it instead of blindly retrying the
-// same source.
-func (s *Scrubber) verifyObject(store *objstore.Store, cred objstore.Credential, table string, f bigmeta.FileEntry) (int64, error) {
-	var n int64
-	err := s.Res.Do(s.Clock, nil, "GET "+f.Bucket+"/"+f.Key, func() error {
-		data, info, ge := store.Get(cred, f.Bucket, f.Key)
-		if ge != nil {
-			return ge
-		}
-		n = int64(len(data))
-		if f.Generation > 0 && info.Generation != f.Generation {
-			return &integrity.Error{Source: "objstore.stale", Table: table, Bucket: f.Bucket, Key: f.Key,
-				Detail: fmt.Sprintf("got generation %d, snapshot pinned %d", info.Generation, f.Generation)}
-		}
-		if int64(len(data)) != info.Size {
-			return &integrity.Error{Source: "objstore.truncated", Table: table, Bucket: f.Bucket, Key: f.Key,
-				Detail: fmt.Sprintf("got %d bytes, object reports %d", len(data), info.Size)}
-		}
-		if verr := colfmt.Verify(data); verr != nil {
-			return integrity.Annotate(verr, table, f.Bucket, f.Key)
-		}
-		return nil
-	})
-	return n, err
-}
-
 // Pass scrubs the named tables' current snapshots under the byte
 // budget. Tables are visited in sorted order so budgeted passes
 // resume deterministically.
@@ -142,7 +112,8 @@ func (s *Scrubber) Pass(tables []string) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		cred := conn.ServiceAccount
+		rd := scan.Reader{Res: s.Res, Log: s.Log, Obs: s.Obs, Site: "scrub"}
+		src := scan.Source{Table: t, Store: store, Cred: conn.ServiceAccount, Principal: s.Principal}
 		files, _, err := s.Log.Snapshot(tableName, -1)
 		if err != nil {
 			return rep, err
@@ -163,45 +134,23 @@ func (s *Scrubber) Pass(tables []string) (Report, error) {
 				s.Obs.Counter("integrity.scrub.budget_stops").Add(1)
 				return rep, nil
 			}
-			n, verr := s.verifyObject(store, cred, tableName, f)
+			// The verified reader does the work: fetch, generation and
+			// length checks, the whole-file CRC walk, one fresh re-fetch
+			// on corruption, quarantine when that confirms it.
+			n, oc, verr := rd.Verify(s.Clock, &src, f)
 			rep.BytesVerified += n
 			s.Obs.Counter("integrity.scrub.bytes").Add(n)
-			if verr != nil && errors.Is(verr, integrity.ErrCorrupt) {
-				s.Obs.Counter("integrity.detected.scrub").Add(1)
-				s.Obs.Event("integrity.detections", verr.Error())
-				// One fresh re-fetch separates a sick response from a
-				// sick stored copy.
-				n2, verr2 := s.verifyObject(store, cred, tableName, f)
-				rep.BytesVerified += n2
-				s.Obs.Counter("integrity.scrub.bytes").Add(n2)
-				switch {
-				case verr2 == nil:
-					rep.Recovered++
-					s.Obs.Counter("integrity.recovered.refetch").Add(1)
-					verr = nil
-				case errors.Is(verr2, integrity.ErrCorrupt):
-					s.Obs.Counter("integrity.detected.scrub").Add(1)
-					s.Obs.Event("integrity.detections", verr2.Error())
-					rep.CorruptFound++
-					if _, qerr := s.Log.QuarantineFile(s.Principal, tableName, bigmeta.QuarantineMark{
-						Key:    f.Key,
-						Source: "scrub",
-						Reason: verr2.Error(),
-						Time:   s.Clock.Now(),
-					}); qerr != nil {
-						return rep, qerr
-					}
-					rep.Quarantined++
-					s.Obs.Counter("integrity.quarantines").Add(1)
-					s.Obs.Event("integrity.warnings",
-						fmt.Sprintf("scrub quarantined %s/%s (table %s): %v", f.Bucket, f.Key, tableName, verr2))
-					// Quarantined, not verified: continue with the next file.
-					continue
-				default:
-					return rep, verr2
-				}
-			} else if verr != nil {
+			if oc.Quarantined {
+				// Quarantined, not verified: continue with the next file.
+				rep.CorruptFound++
+				rep.Quarantined++
+				continue
+			}
+			if verr != nil {
 				return rep, verr
+			}
+			if oc.Refetched {
+				rep.Recovered++
 			}
 			rep.FilesVerified++
 			s.Obs.Counter("integrity.scrub.files").Add(1)

@@ -26,6 +26,7 @@ import (
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/resilience"
+	"biglake/internal/scan"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
@@ -106,6 +107,7 @@ type session struct {
 	table  catalog.Table
 	cred   objstore.Credential
 	schema vector.Schema // projected, post-governance schema
+	cols   []string      // the projection: schema's column names, in order
 	// plan is the immutable file partitioning computed at creation;
 	// each acquisition of the session (including reuse) gets fresh
 	// one-shot streams over it.
@@ -134,7 +136,7 @@ func (sess *session) openStreams(id string) []string {
 		sess.streams[name] = &streamState{files: files}
 		names[i] = name
 	}
-	sess.order = names
+	sess.order = append([]string(nil), names...)
 	return names
 }
 
@@ -274,8 +276,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 		if sess, ok := s.sessions[c.id]; ok {
 			s.mu.Unlock()
 			s.msink.Add("sessions_reused", 1)
-			sess.openStreams(c.id)
-			return s.describe(c.id, sess, true), nil
+			return s.describe(c.id, sess, sess.openStreams(c.id), true), nil
 		}
 	}
 	s.mu.Unlock()
@@ -358,6 +359,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 		table:   t,
 		cred:    cred,
 		schema:  schema,
+		cols:    cols,
 		plan:    make([][]bigmeta.FileEntry, nStreams),
 		streams: make(map[string]*streamState),
 		agg:     len(req.Aggregates) > 0,
@@ -372,15 +374,17 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	s.cache[key] = cachedSession{id: id, expires: s.Clock.Now() + s.SessionTTL}
 	s.mu.Unlock()
 	sess.budget = resilience.NewBudget(s.Clock, sessionRetryBudget, resilience.Seed64(id))
-	sess.openStreams(id)
+	streams := sess.openStreams(id)
 
 	// Server-side session creation cost.
 	s.Clock.Advance(SessionLatency)
 	s.msink.Add("sessions_created", 1)
-	return s.describe(id, sess, false), nil
+	return s.describe(id, sess, streams, false), nil
 }
 
-func (s *Server) describe(id string, sess *session, reused bool) *ReadSession {
+// describe builds the client handle for one acquisition of the session;
+// streams are the names openStreams just minted for it.
+func (s *Server) describe(id string, sess *session, streams []string, reused bool) *ReadSession {
 	var all []bigmeta.FileEntry
 	for _, part := range sess.plan {
 		all = append(all, part...)
@@ -391,7 +395,7 @@ func (s *Server) describe(id string, sess *session, reused bool) *ReadSession {
 		ID:            id,
 		Table:         sess.req.Table,
 		Schema:        sess.schema,
-		Streams:       append([]string(nil), sess.order...),
+		Streams:       streams,
 		Stats:         stats,
 		EstimatedRows: rows,
 		Reused:        reused,
@@ -452,7 +456,7 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 	st.next++
 	sess.mu.Unlock()
 
-	batch, err := s.readGoverned(ch, sess, file)
+	batch, err := s.readGoverned(ch, sess, file, sess.cols)
 	if err != nil {
 		// Roll the cursor back so the stream resumes at the failed file:
 		// a client retrying the same ReadRows call after a transient
@@ -470,74 +474,63 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 	return payload, nil
 }
 
-// readGoverned reads one file and applies the full governance +
-// projection pipeline inside the trust boundary.
-func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEntry) (*vector.Batch, error) {
+// readGoverned reads one file through the verified reader and applies
+// the full governance + projection pipeline inside the trust boundary.
+// cols is the projection (nil = every governed column, for the
+// aggregate path, whose aggregates may reference unprojected columns).
+// The reader runs without a decoded-file cache and fails fast on a
+// quarantined file; its integrity.* counters land in the registry of
+// the store it reads.
+func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEntry, cols []string) (*vector.Batch, error) {
 	store, err := s.store(sess.table.Cloud)
 	if err != nil {
 		return nil, err
 	}
-	var data []byte
-	if err := s.Res.HedgedDo(ch, sess.budget, "GET "+file.Bucket+"/"+file.Key, func(hch sim.Charger) error {
-		d, _, ge := store.GetOn(hch, sess.cred, file.Bucket, file.Key)
-		if ge != nil {
-			return ge
-		}
-		data = d
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Predicates on columns the file physically stores; partition
-	// predicates were consumed by pruning, and hive-partitioned files
-	// do not store the partition column itself.
-	footer, err := colfmt.ReadFooter(data)
-	if err != nil {
-		return nil, fmt.Errorf("storageapi: %s/%s: %w", file.Bucket, file.Key, err)
-	}
-	fileSchema := footer.Schema()
-	var filePreds []colfmt.Predicate
-	for _, p := range sess.req.Predicates {
-		if fileSchema.Index(p.Column) >= 0 {
-			filePreds = append(filePreds, p)
-		}
-	}
+	rd := scan.Reader{Res: s.Res, Log: s.Log, Obs: store.Obs(), Site: "scan"}
+	src := scan.Source{Table: sess.table, Store: store, Cred: sess.cred, Budget: sess.budget, Principal: string(sess.req.Principal)}
 
 	var batch *vector.Batch
 	if sess.req.RowOriented {
-		// Legacy pipeline: row-oriented reader, rows re-columnarized.
-		r, err := colfmt.NewRowReader(data, nil, filePreds)
-		if err != nil {
-			return nil, err
-		}
-		batch, err = r.ReadAllColumnar()
-		if err != nil {
-			return nil, err
-		}
+		_, err = rd.Read(ch, &src, file, func(data []byte, _ objstore.ObjectInfo) (err error) {
+			batch, err = decodeRowOriented(data, sess.req.Predicates, file.Partition, sess.table.Schema)
+			return err
+		})
 	} else {
-		r, err := colfmt.NewVectorizedReader(data, nil, filePreds)
-		if err != nil {
-			return nil, err
-		}
-		batch, err = r.ReadAll()
-		if err != nil {
-			return nil, err
-		}
+		// No cache, so the predicates were applied during the decode and
+		// the batch is the selection.
+		var sel vector.Selection
+		sel, _, err = rd.ReadBatch(ch, &src, file, nil, sess.req.Predicates)
+		batch = sel.Batch
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Governance: the Read API applies row filters and masking before
 	// data leaves the boundary (§3.2).
 	governed, err := s.Auth.ApplyGovernance(sess.req.Principal, sess.req.Table, batch)
+	if err != nil || cols == nil {
+		return governed, err
+	}
+	return governed.Project(cols)
+}
+
+// decodeRowOriented is the legacy pipeline (the §3.4 first prototype;
+// E2's baseline): row-oriented reader, rows re-columnarized.
+func decodeRowOriented(data []byte, preds []colfmt.Predicate, partition map[string]string, schema vector.Schema) (*vector.Batch, error) {
+	preds, err := scan.FilePredicates(data, preds)
 	if err != nil {
 		return nil, err
 	}
-
-	cols := sess.req.Columns
-	if cols == nil {
-		return governed, nil
+	r, err := colfmt.NewRowReader(data, nil, preds)
+	if err != nil {
+		return nil, err
 	}
-	return governed.Project(cols)
+	batch, err := r.ReadAllColumnar()
+	if err != nil {
+		return nil, err
+	}
+	return scan.InjectPartitionColumns(batch, partition, schema)
 }
 
 // computeAggregates evaluates the requested partial aggregates
@@ -548,7 +541,7 @@ func (s *Server) computeAggregates(ch sim.Charger, sess *session, files []bigmet
 	partials := make([]vector.Value, n)
 	counts := make([]int64, n)
 	for _, f := range files {
-		batch, err := s.readGovernedAll(ch, sess, f)
+		batch, err := s.readGoverned(ch, sess, f, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -610,15 +603,6 @@ func mergeAgg(kind vector.AggKind, acc, v vector.Value) vector.Value {
 		return acc
 	}
 	return acc
-}
-
-// readGovernedAll is readGoverned without the projection, used by the
-// aggregate path (aggregates may reference unprojected columns).
-func (s *Server) readGovernedAll(ch sim.Charger, sess *session, file bigmeta.FileEntry) (*vector.Batch, error) {
-	saved := sess.req.Columns
-	defer func() { sess.req.Columns = saved }()
-	sess.req.Columns = nil
-	return s.readGoverned(ch, sess, file)
 }
 
 // SplitStream divides a stream's remaining work in two for dynamic

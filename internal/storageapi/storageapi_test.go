@@ -701,6 +701,48 @@ func TestReadPartitionedTableWithPartitionPredicate(t *testing.T) {
 	if got.N != 2 {
 		t.Fatalf("rows = %d, want 2 (partitions pruned to day>=2)", got.N)
 	}
+
+	// The session advertises the partition column; the batches must
+	// carry it, in the advertised order, whether the client names its
+	// columns or not, and through either reader.
+	for _, tc := range []struct {
+		name        string
+		cols        []string
+		rowOriented bool
+	}{
+		{"all columns", nil, false},
+		{"v,day", []string{"v", "day"}, false},
+		{"day,v", []string{"day", "v"}, false},
+		{"v,day row-oriented", []string{"v", "day"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := ev.srv.CreateReadSession(ReadSessionRequest{
+				Table: "ds.pt", Principal: adminP, Columns: tc.cols, RowOriented: tc.rowOriented,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sess.Schema.Index("day") < 0 {
+				t.Fatalf("session schema %v does not advertise the partition column", sess.Schema)
+			}
+			got, err := ev.srv.ReadAll(sess)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Schema.Equal(sess.Schema) {
+				t.Fatalf("batch schema %v != advertised %v", got.Schema, sess.Schema)
+			}
+			if got.N != 3 {
+				t.Fatalf("rows = %d, want 3", got.N)
+			}
+			v, day := got.Column("v").Decode(), got.Column("day").Decode()
+			for i := 0; i < got.N; i++ {
+				if v.Ints[i] != day.Ints[i]*100 {
+					t.Fatalf("row %d: v=%d day=%d, want v = day*100", i, v.Ints[i], day.Ints[i])
+				}
+			}
+		})
+	}
 }
 
 func TestBufferedStreamFlushRows(t *testing.T) {

@@ -218,15 +218,9 @@ func (s *Server) flushStreamLocked(ws *writeStream, atOffset int64) error {
 		return err
 	}
 	s.Crash.At("flush.after_put")
-	footer, err := colfmt.ReadFooter(file)
+	entry, err := bigmeta.NewFileEntry(t.Bucket, key, info, file)
 	if err != nil {
 		return err
-	}
-	stats := make(map[string]colfmt.ColumnStats)
-	for _, f := range footer.Fields {
-		if st, ok := footer.ColumnStatsFor(f.Name); ok {
-			stats[f.Name] = st
-		}
 	}
 	sealed := ws.state(atOffset)
 	sealed.FlushSeq = ws.flushSeq + 1 // the retried flush mints the next key
@@ -235,11 +229,7 @@ func (s *Server) flushStreamLocked(ws *writeStream, atOffset int64) error {
 		IntentSeq: intentSeq,
 		Streams:   map[string]bigmeta.StreamState{ws.id: sealed},
 	}, map[string]bigmeta.TableDelta{
-		ws.table: {Added: []bigmeta.FileEntry{{
-			Bucket: t.Bucket, Key: key, Size: info.Size,
-			Generation: info.Generation,
-			RowCount:   footer.Rows, ColumnStats: stats,
-		}}},
+		ws.table: {Added: []bigmeta.FileEntry{entry}},
 	})
 	if err != nil {
 		return err
@@ -478,22 +468,12 @@ func (s *Server) batchCommit(txnID string, streamIDs []string) error {
 			return err
 		}
 		s.Crash.At("batch.after_put")
-		footer, err := colfmt.ReadFooter(b.file)
+		entry, err := bigmeta.NewFileEntry(b.table.Bucket, b.key, info, b.file)
 		if err != nil {
 			return err
 		}
-		stats := make(map[string]colfmt.ColumnStats)
-		for _, f := range footer.Fields {
-			if st, ok := footer.ColumnStatsFor(f.Name); ok {
-				stats[f.Name] = st
-			}
-		}
 		d := deltas[b.ws.table]
-		d.Added = append(d.Added, bigmeta.FileEntry{
-			Bucket: b.table.Bucket, Key: b.key, Size: info.Size,
-			Generation: info.Generation,
-			RowCount:   footer.Rows, ColumnStats: stats,
-		})
+		d.Added = append(d.Added, entry)
 		deltas[b.ws.table] = d
 	}
 

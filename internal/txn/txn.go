@@ -39,6 +39,7 @@ import (
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/resilience"
+	"biglake/internal/scan"
 	"biglake/internal/security"
 	"biglake/internal/sqlparse"
 	"biglake/internal/vector"
@@ -500,7 +501,7 @@ func (s *Session) Update(ctx *engine.QueryContext, table string, set func(*vecto
 // place. The whole table's live file set enters the read set — an
 // UPDATE/DELETE logically reads everything it scans.
 func (s *Session) rewrite(ctx *engine.QueryContext, table string, transform func(*vector.Batch) (*vector.Batch, bool, error)) (int64, error) {
-	_, store, cred, err := s.managedTable(table)
+	t, store, cred, err := s.managedTable(table)
 	if err != nil {
 		return 0, err
 	}
@@ -529,23 +530,17 @@ func (s *Session) rewrite(ctx *engine.QueryContext, table string, transform func
 	var affected int64
 	var newRemoved []string
 	var outs []*vector.Batch
+	// The rewrite reads through the verified reader, with no cache and
+	// no skipping: a quarantined or corrupt file fails the statement
+	// typed, because leaving it out of a rewrite would lose its rows.
+	rd := scan.Reader{Res: s.m.res(), Log: e.Log, Obs: e.Obs, Site: "scan"}
+	src := scan.Source{Table: t, Store: store, Cred: cred, Budget: ctx.Budget, Principal: string(ctx.Principal)}
 	for _, f := range live {
-		var data []byte
-		if err := s.m.res().Do(e.Clock, ctx.Budget, "GET "+f.Bucket+"/"+f.Key, func() error {
-			var ge error
-			data, _, ge = store.Get(cred, f.Bucket, f.Key)
-			return ge
-		}); err != nil {
-			return 0, err
-		}
-		r, err := colfmt.NewVectorizedReader(data, nil, nil)
+		sel, _, err := rd.ReadBatch(e.Clock, &src, f, nil, nil)
 		if err != nil {
 			return 0, err
 		}
-		batch, err := r.ReadAll()
-		if err != nil {
-			return 0, err
-		}
+		batch := sel.Batch
 		out, changed, err := transform(batch)
 		if err != nil {
 			return 0, err
@@ -919,21 +914,7 @@ func (s *Session) writeDataFile(ctx *engine.QueryContext, p plannedFile) (bigmet
 	}); err != nil {
 		return bigmeta.FileEntry{}, err
 	}
-	footer, err := colfmt.ReadFooter(file)
-	if err != nil {
-		return bigmeta.FileEntry{}, err
-	}
-	stats := make(map[string]colfmt.ColumnStats)
-	for _, f := range footer.Fields {
-		if st, ok := footer.ColumnStatsFor(f.Name); ok {
-			stats[f.Name] = st
-		}
-	}
-	return bigmeta.FileEntry{
-		Bucket: p.t.Bucket, Key: p.key, Size: info.Size,
-		Generation: info.Generation,
-		RowCount:   footer.Rows, ColumnStats: stats,
-	}, nil
+	return bigmeta.NewFileEntry(p.t.Bucket, p.key, info, file)
 }
 
 // Rollback discards the session's buffered writes. It is cheap (no

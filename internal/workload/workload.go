@@ -245,21 +245,12 @@ func loadNative(env *Env, name string, schema vector.Schema, fill func(*vector.B
 	}); err != nil {
 		return err
 	}
-	footer, err := colfmt.ReadFooter(file)
+	entry, err := bigmeta.NewFileEntry(env.Bucket, key, info, file)
 	if err != nil {
 		return err
 	}
-	stats := make(map[string]colfmt.ColumnStats)
-	for _, f := range footer.Fields {
-		if st, ok := footer.ColumnStatsFor(f.Name); ok {
-			stats[f.Name] = st
-		}
-	}
 	_, err = env.Log.Commit("loader", map[string]bigmeta.TableDelta{
-		env.Dataset + "." + name: {Added: []bigmeta.FileEntry{{
-			Bucket: env.Bucket, Key: key, Size: info.Size,
-			RowCount: footer.Rows, ColumnStats: stats,
-		}}},
+		env.Dataset + "." + name: {Added: []bigmeta.FileEntry{entry}},
 	})
 	return err
 }
