@@ -70,14 +70,21 @@ obs:
 
 # The transaction gate: the interactive-transaction package under the
 # race detector, plus the interleaved-schedule serializability oracle
-# and its crash sweep (kill the process at every labeled step of the
-# multi-table commit protocol, recover, re-drive the schedule, and
-# require a serializable, orphan-free state). Replay one world with
+# (sessions, autocommit statements and Optimize passes interleaved) and
+# its crash sweep (kill the process at every labeled step of the one
+# commit protocol, recover, re-drive the schedule, and require a
+# serializable, orphan-free state), then the committers that used to
+# seal unvalidated — autocommit DML and Optimize, raced against each
+# other ten times over — and the post-commit Iceberg export and
+# Write API intent every committer now shares. Replay one world with
 #
 #	go test ./internal/oracle -run TestTxnCrashSweep -seed=<n> -v
 txn:
 	$(GO) test -race ./internal/txn/
 	$(GO) test -race -run 'TestTxn' -v ./internal/oracle/
+	$(GO) test -race -run 'TestAutocommitRewriteLoses|TestEveryCommitterExportsIceberg' ./internal/oracle/
+	$(GO) test -race -count=10 -run 'TestConcurrentAutocommitUpdates|TestOptimizeRacesCommittedDML' ./internal/oracle/
+	$(GO) test -race -run 'TestWriteAPIFlushDeclaresIntent' ./internal/core/
 
 # The query-service gate: admission control, weighted fair queuing,
 # cancellation, and the seeded load harness under the race detector,
@@ -97,7 +104,8 @@ serve:
 # corruption-injection determinism suite, the oracle corruption sweep
 # with its Read API and DML arms (zero silent wrong answers), the E19
 # detect -> contain -> repair experiment, and the scanlint sweep that
-# keeps a second fetch -> verify -> decode path from growing back.
+# keeps a second fetch -> verify -> decode path — and a second intent ->
+# PUT -> seal commit path — from growing back.
 integrity:
 	$(GO) test -run 'TestRoundTrip|TestVerify' ./internal/colfmt/
 	$(GO) test -race -run 'TestRecover' ./internal/wal/

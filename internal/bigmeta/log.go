@@ -77,10 +77,15 @@ type TxCommit struct {
 // CommitSink is the durable write-ahead hook: when attached, every
 // commit is appended to the sink *before* it becomes visible in
 // memory, so a commit that was acknowledged is always recoverable and
-// a commit that never reached the sink never happened. internal/wal
-// implements this against the object store.
+// a commit that never reached the sink never happened. CommitFiles
+// brackets a data-file transaction with the other two records: an
+// intent declaring its keys before the first PUT, and an abort when it
+// fails cleanly. internal/wal implements this against the object
+// store.
 type CommitSink interface {
+	AppendIntent(txnID, principal string, keys []string) (int64, error)
 	AppendCommit(rec TxCommit) error
+	AppendAbort(txnID string, intentSeq int64) error
 }
 
 // TxOptions carries the transactional envelope of one commit.
@@ -121,6 +126,9 @@ type Log struct {
 	// committed them.
 	sink    CommitSink
 	applied map[string]int64
+	// afterData runs after every sealed CommitFiles transaction (see
+	// AfterDataCommit).
+	afterData func(table string) error
 
 	// quarantined is current-state containment: table → key → mark.
 	// Maintained incrementally as commits apply (and on Restore), not
@@ -141,7 +149,8 @@ type Log struct {
 	// commits (0 disables).
 	BaselineEvery int
 
-	// Crash marks the seal protocol's crash points (nil = none).
+	// Crash marks the commit protocol's crash points — commit.* in
+	// CommitFiles, journal.* around the seal (nil = none).
 	Crash *crashpoint.Injector
 }
 
@@ -181,8 +190,9 @@ func (l *Log) UseObs(r *obs.Registry) {
 }
 
 // AttachJournal installs the durable commit sink. Commits made after
-// attachment are write-ahead journaled; the sink must be in place
-// before any commit that needs to survive a crash.
+// attachment are write-ahead journaled, and every CommitFiles
+// transaction declares its intent in the same sink; it must be in
+// place before any commit that needs to survive a crash.
 func (l *Log) AttachJournal(sink CommitSink) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -12,12 +12,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
-	"biglake/internal/colfmt"
-	"biglake/internal/crashpoint"
 	"biglake/internal/engine"
 	"biglake/internal/iceberg"
 	"biglake/internal/objstore"
@@ -26,7 +25,6 @@ import (
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
-	"biglake/internal/wal"
 )
 
 // ErrNotManaged reports DML against a non-managed table.
@@ -37,7 +35,11 @@ var ErrNotManaged = errors.New("blmt: table is not managed")
 const TargetFileBytes = 4 * sim.MB
 
 // Manager owns the managed-table lifecycle for one deployment and
-// implements engine.Mutator.
+// implements engine.Mutator. Every commit it makes — DML, Optimize,
+// Repair — runs the log's one commit protocol (bigmeta.CommitFiles);
+// when the log has a journal attached each one opens a durable intent
+// first, so a crash mid-protocol leaves reclaimable debris instead of
+// invisible orphans.
 type Manager struct {
 	Catalog *catalog.Catalog
 	Auth    *security.Authority
@@ -51,8 +53,10 @@ type Manager struct {
 	DefaultBucket     string
 	DefaultConnection string
 
-	// AutoIceberg exports an Iceberg snapshot asynchronously after
-	// every commit (the §3.5 "future" behaviour, implemented).
+	// AutoIceberg exports an Iceberg snapshot after every data-file
+	// commit to a managed table, whoever makes it — DML here, COMMIT of
+	// a transaction, a Write API flush (the §3.5 "future" behaviour,
+	// implemented).
 	AutoIceberg bool
 
 	// Res is the retry policy for data-file reads/writes and the
@@ -61,15 +65,8 @@ type Manager struct {
 	// Meter records the manager's retry/fault counters.
 	Meter *sim.Meter
 
-	// Journal, when set, opens a durable intent before every DML /
-	// compaction transaction's data-file PUTs, so a crash mid-protocol
-	// leaves reclaimable debris instead of invisible orphans. The same
-	// journal must be attached to Log as its commit sink.
-	Journal *wal.Journal
-	// Crash marks the DML/compaction/export crash points (nil = none).
-	Crash *crashpoint.Injector
-
-	seq int64
+	// seq numbers data files written without a transaction ID.
+	seq atomic.Int64
 }
 
 // dmlTxn derives the idempotency ID for one DML operation of one
@@ -80,49 +77,41 @@ type Manager struct {
 // envelope (and no crash-exactly-once guarantee); their commits are
 // still journaled.
 func (m *Manager) dmlTxn(queryID, op, table string) string {
-	if m.Journal == nil || queryID == "" {
+	if queryID == "" || !m.Log.Journaled() {
 		return ""
 	}
 	return fmt.Sprintf("q-%s-%s-%s", queryID, op, table)
 }
 
-// sanitizeTxn makes a txn ID usable inside an object key.
-func sanitizeTxn(s string) string {
-	out := []byte(s)
-	for i, c := range out {
-		if c == '/' || c == ':' {
-			out[i] = '-'
+// dataFiles plans one data file per batch. Keys derive from the
+// transaction ID, so a retried transaction re-mints identical keys and
+// overwrites its crashed predecessor's files instead of stranding
+// them; without an ID (no journal, nothing to retry against) they come
+// from the manager's counter.
+func (m *Manager) dataFiles(t catalog.Table, store *objstore.Store, cred objstore.Credential, txnID, tag string, batches []*vector.Batch) []bigmeta.DataFile {
+	files := make([]bigmeta.DataFile, len(batches))
+	for i, b := range batches {
+		name, n := bigmeta.SanitizeKey(txnID), int64(i)
+		if txnID == "" {
+			name, n = tag, m.seq.Add(1)
 		}
+		key := fmt.Sprintf("%sdata/%s-%06d.blk", t.Prefix, name, n)
+		files[i] = bigmeta.DataFile{Table: t.FullName(), Store: store, Cred: cred, Bucket: t.Bucket, Key: key, Batch: b}
 	}
-	return string(out)
-}
-
-// txDataKey is the deterministic key of the idx-th data file a
-// transaction writes. Retried transactions re-mint identical keys and
-// overwrite their crashed predecessor's files instead of stranding
-// them; keys never derive from in-memory counters, which reset across
-// recovery.
-func txDataKey(t catalog.Table, txnID string, idx int) string {
-	return fmt.Sprintf("%sdata/%s-%06d.blk", t.Prefix, sanitizeTxn(txnID), idx)
-}
-
-// intent durably declares a transaction's data-file keys before any
-// PUT. No-op without a journal or txn ID.
-func (m *Manager) intent(txnID, principal string, keys []string) (int64, error) {
-	if m.Journal == nil || txnID == "" {
-		return 0, nil
-	}
-	return m.Journal.AppendIntent(txnID, principal, keys)
+	return files
 }
 
 var _ engine.Mutator = (*Manager)(nil)
 
-// New assembles a Manager.
+// New assembles a Manager and installs its AutoIceberg export as the
+// log's post-commit hook.
 func New(cat *catalog.Catalog, auth *security.Authority, log *bigmeta.Log, clock *sim.Clock, stores map[string]*objstore.Store) *Manager {
 	meter := &sim.Meter{}
 	res := resilience.DefaultPolicy()
 	res.Meter = meter
-	return &Manager{Catalog: cat, Auth: auth, Log: log, Clock: clock, Stores: stores, Res: res, Meter: meter}
+	m := &Manager{Catalog: cat, Auth: auth, Log: log, Clock: clock, Stores: stores, Res: res, Meter: meter}
+	log.AfterDataCommit(m.autoExport)
+	return m
 }
 
 func (m *Manager) store(cloud string) (*objstore.Store, error) {
@@ -160,78 +149,41 @@ func (m *Manager) managedTable(name string) (catalog.Table, *objstore.Store, obj
 	return t, store, cred, nil
 }
 
-// writeDataFile materializes a batch as one data file and returns its
-// metadata entry. The PUT retries under the manager's policy against
-// bud (nil = no per-query budget).
-func (m *Manager) writeDataFile(t catalog.Table, store *objstore.Store, cred objstore.Credential, bud *resilience.Budget, rows *vector.Batch, tag string) (bigmeta.FileEntry, error) {
-	m.seq++
-	key := fmt.Sprintf("%sdata/%s-%06d.blk", t.Prefix, tag, m.seq)
-	return m.writeDataFileAt(t, store, cred, bud, rows, key)
+// reader is the verified reader rewrites go through: quarantine gate,
+// generation/length/CRC checks, one refetch, quarantine on repeat. A
+// rewrite never skips a quarantined file — leaving a file out of a
+// rewrite is data loss — so it fails typed instead, and it never
+// commits a file derived from bytes that did not verify. Detections
+// land in the registry of the store read.
+func (m *Manager) reader(t catalog.Table, store *objstore.Store, cred objstore.Credential, bud *resilience.Budget, principal string) (scan.Reader, *scan.Source) {
+	return scan.Reader{Res: m.Res, Log: m.Log, Obs: store.Obs(), Site: "scan"},
+		&scan.Source{Table: t, Store: store, Cred: cred, Budget: bud, Principal: principal}
 }
 
-// writeDataFileAt is writeDataFile with an explicit (deterministic)
-// key — the crash-consistent path, bracketed by blmt.before_put /
-// blmt.after_put crash points.
-func (m *Manager) writeDataFileAt(t catalog.Table, store *objstore.Store, cred objstore.Credential, bud *resilience.Budget, rows *vector.Batch, key string) (bigmeta.FileEntry, error) {
-	file, err := colfmt.WriteFile(rows, colfmt.WriterOptions{})
-	if err != nil {
-		return bigmeta.FileEntry{}, err
+// autoExport is the log's post-commit hook: with AutoIceberg on, every
+// sealed data-file commit to a managed table is followed by an Iceberg
+// export of the new head.
+func (m *Manager) autoExport(table string) error {
+	if !m.AutoIceberg {
+		return nil
 	}
-	m.Crash.At("blmt.before_put")
-	var info objstore.ObjectInfo
-	if err := m.Res.Do(m.Clock, bud, "PUT "+t.Bucket+"/"+key, func() error {
-		var pe error
-		info, pe = store.Put(cred, t.Bucket, key, file, "application/x-blk")
-		return pe
-	}); err != nil {
-		return bigmeta.FileEntry{}, err
+	if t, err := m.Catalog.Table(table); err != nil || t.Type != catalog.Managed {
+		return nil
 	}
-	m.Crash.At("blmt.after_put")
-	return bigmeta.NewFileEntry(t.Bucket, key, info, file)
-}
-
-// readFile reads one live data file in full for a rewrite, through the
-// verified reader: quarantine gate, generation/length/CRC checks, one
-// refetch, quarantine on repeat. A rewrite never skips a quarantined
-// file — leaving a file out of a rewrite is data loss — so it fails
-// typed instead, and it never commits a file derived from bytes that
-// did not verify. Detections land in the registry of the store read.
-func (m *Manager) readFile(t catalog.Table, store *objstore.Store, cred objstore.Credential, bud *resilience.Budget, principal string, f bigmeta.FileEntry) (*vector.Batch, error) {
-	rd := scan.Reader{Res: m.Res, Log: m.Log, Obs: store.Obs(), Site: "scan"}
-	src := scan.Source{Table: t, Store: store, Cred: cred, Budget: bud, Principal: principal}
-	sel, _, err := rd.ReadBatch(m.Clock, &src, f, nil, nil)
-	return sel.Batch, err
-}
-
-func (m *Manager) commit(principal string, table string, tx bigmeta.TxOptions, delta bigmeta.TableDelta, t catalog.Table) error {
-	if _, err := m.Log.CommitTx(principal, tx, map[string]bigmeta.TableDelta{table: delta}); err != nil {
-		return err
-	}
-	m.Crash.At("blmt.after_commit")
-	if m.AutoIceberg && t.Type == catalog.Managed {
-		// The export publishes *after* the sealed log commit, so the
-		// version hint only ever points at sealed versions; a crash
-		// anywhere in here leaves a stale hint that the recovery
-		// re-export converges.
-		if _, err := m.ExportIceberg(table); err != nil {
-			return fmt.Errorf("blmt: auto iceberg export: %w", err)
-		}
+	if _, err := m.ExportIceberg(table); err != nil {
+		return fmt.Errorf("blmt: auto iceberg export: %w", err)
 	}
 	return nil
 }
 
-// Insert appends rows to a managed table (engine.Mutator). The
-// protocol is crash-consistent: durable intent → data PUT at a
-// txn-derived key → sealed commit; a replay of an already-sealed
-// insert (same query ID) is an exact no-op.
+// Insert appends rows to a managed table (engine.Mutator): a blind
+// append, so it passes no conflict check and commutes with every
+// concurrent commit. A replay of an already-sealed insert (same query
+// ID) is an exact no-op.
 func (m *Manager) Insert(ctx *engine.QueryContext, table string, rows *vector.Batch) error {
 	t, store, cred, err := m.managedTable(table)
 	if err != nil {
 		return err
-	}
-	txnID := m.dmlTxn(ctx.QueryID, "ins", table)
-	if _, done := m.Log.AppliedTx(txnID); done {
-		return nil
 	}
 	// Align inserted columns with the declared schema (missing
 	// columns become NULL).
@@ -239,23 +191,12 @@ func (m *Manager) Insert(ctx *engine.QueryContext, table string, rows *vector.Ba
 	if err != nil {
 		return err
 	}
-	var entry bigmeta.FileEntry
-	var intentSeq int64
-	if txnID != "" {
-		key := txDataKey(t, txnID, 0)
-		if intentSeq, err = m.intent(txnID, string(ctx.Principal), []string{key}); err != nil {
-			return err
-		}
-		entry, err = m.writeDataFileAt(t, store, cred, ctx.Budget, aligned, key)
-	} else {
-		entry, err = m.writeDataFile(t, store, cred, ctx.Budget, aligned, "insert")
-	}
-	if err != nil {
-		return err
-	}
-	return m.commit(string(ctx.Principal), table,
-		bigmeta.TxOptions{TxnID: txnID, IntentSeq: intentSeq},
-		bigmeta.TableDelta{Added: []bigmeta.FileEntry{entry}}, t)
+	txnID := m.dmlTxn(ctx.QueryID, "ins", table)
+	_, err = m.Log.CommitFiles(bigmeta.Tx{
+		ID: txnID, Principal: string(ctx.Principal), Res: m.Res, Budget: ctx.Budget,
+		Files: m.dataFiles(t, store, cred, txnID, "insert", []*vector.Batch{aligned}),
+	})
+	return err
 }
 
 // AlignToSchema aligns a batch's columns with a declared table schema:
@@ -296,10 +237,82 @@ func AlignToSchema(rows *vector.Batch, schema vector.Schema) (*vector.Batch, err
 	return vector.NewBatch(schema, cols)
 }
 
-// rewrite applies a per-file transform: files whose transform returns
-// a nil batch are dropped; non-nil batches replace the file
-// (copy-on-write DML).
-func (m *Manager) rewrite(ctx *engine.QueryContext, table, tag string, transform func(*vector.Batch) (*vector.Batch, bool, error)) (int64, error) {
+// Transform is a copy-on-write rewrite of one batch of rows: it
+// returns the batch that replaces the input (nil or empty when no row
+// survives) and how many rows it affected; zero means the input stands
+// as it is. Shared with internal/txn, whose buffered DML applies the
+// same transforms to the session's view.
+type Transform func(*vector.Batch) (out *vector.Batch, affected int64, err error)
+
+// DeleteRows is the DELETE transform: rows matching where are dropped.
+func DeleteRows(where func(*vector.Batch) ([]bool, error)) Transform {
+	return func(b *vector.Batch) (*vector.Batch, int64, error) {
+		mask, err := where(b)
+		if err != nil {
+			return nil, 0, err
+		}
+		n := vector.CountMask(mask)
+		if n == 0 {
+			return nil, 0, nil
+		}
+		kept, err := vector.Filter(b, vector.Not(mask))
+		return kept, int64(n), err
+	}
+}
+
+// UpdateRows is the UPDATE transform: rows matching where take their
+// values from set's output, the rest are copied.
+func UpdateRows(set func(*vector.Batch) (*vector.Batch, error), where func(*vector.Batch) ([]bool, error)) Transform {
+	return func(b *vector.Batch) (*vector.Batch, int64, error) {
+		mask, err := where(b)
+		if err != nil {
+			return nil, 0, err
+		}
+		n := vector.CountMask(mask)
+		if n == 0 {
+			return nil, 0, nil
+		}
+		transformed, err := set(b)
+		if err != nil {
+			return nil, 0, err
+		}
+		out, err := MergeMasked(b, transformed, mask)
+		return out, int64(n), err
+	}
+}
+
+// RewriteFiles reads each file through the verified reader and applies
+// transform: files it leaves alone are skipped, the others are listed
+// in removed with their surviving rows in outs (copy-on-write DML).
+func RewriteFiles(clock *sim.Clock, rd scan.Reader, src *scan.Source, files []bigmeta.FileEntry, transform Transform) (removed []string, outs []*vector.Batch, affected int64, err error) {
+	for _, f := range files {
+		sel, _, err := rd.ReadBatch(clock, src, f, nil, nil)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		out, n, err := transform(sel.Batch)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if n == 0 {
+			continue
+		}
+		affected += n
+		removed = append(removed, f.Key)
+		if out != nil && out.N > 0 {
+			outs = append(outs, out)
+		}
+	}
+	return removed, outs, affected, nil
+}
+
+// rewrite runs one autocommit UPDATE/DELETE: read the latest snapshot,
+// transform every file, and commit the swap validated against that
+// snapshot exactly as a one-statement transaction would be — it read
+// the whole table and removes the files it rewrote, so a concurrent
+// commit that touched either makes it fail with bigmeta.ErrConflict
+// instead of committing both outputs.
+func (m *Manager) rewrite(ctx *engine.QueryContext, table, tag string, transform Transform) (int64, error) {
 	t, store, cred, err := m.managedTable(table)
 	if err != nil {
 		return 0, err
@@ -310,66 +323,31 @@ func (m *Manager) rewrite(ctx *engine.QueryContext, table, tag string, transform
 		// non-idempotent) transform would double-apply it.
 		return 0, nil
 	}
-	files, _, err := m.Log.Snapshot(table, -1)
+	files, version, err := m.Log.Snapshot(table, -1)
 	if err != nil {
 		return 0, err
 	}
-	// Phase 1 — read and transform everything before writing anything,
-	// so the full set of output keys is known for the journal intent.
-	var delta bigmeta.TableDelta
-	var outs []*vector.Batch
-	var affected int64
-	for _, f := range files {
-		batch, err := m.readFile(t, store, cred, ctx.Budget, string(ctx.Principal), f)
-		if err != nil {
-			return 0, err
-		}
-		out, changed, err := transform(batch)
-		if err != nil {
-			return 0, err
-		}
-		if !changed {
-			continue
-		}
-		affected += int64(batch.N)
-		if out != nil {
-			affected -= int64(out.N)
-		}
-		delta.Removed = append(delta.Removed, f.Key)
-		if out != nil && out.N > 0 {
-			outs = append(outs, out)
-		}
-	}
-	if len(delta.Removed) == 0 && len(outs) == 0 {
-		return 0, nil
-	}
-	// Phase 2 — declare every output key durably, then PUT at those
-	// deterministic keys (a retry overwrites its crashed predecessor).
-	var keys []string
-	if txnID != "" {
-		for i := range outs {
-			keys = append(keys, txDataKey(t, txnID, i))
-		}
-	}
-	intentSeq, err := m.intent(txnID, string(ctx.Principal), keys)
-	if err != nil {
+	// Read and transform everything before writing anything, so the
+	// full set of output keys is known for the journal intent.
+	rd, src := m.reader(t, store, cred, ctx.Budget, string(ctx.Principal))
+	removed, outs, affected, err := RewriteFiles(m.Clock, rd, src, files, transform)
+	if err != nil || len(removed) == 0 {
 		return 0, err
 	}
-	for i, out := range outs {
-		var entry bigmeta.FileEntry
-		if txnID != "" {
-			entry, err = m.writeDataFileAt(t, store, cred, ctx.Budget, out, keys[i])
-		} else {
-			entry, err = m.writeDataFile(t, store, cred, ctx.Budget, out, tag)
-		}
-		if err != nil {
-			return 0, err
-		}
-		delta.Added = append(delta.Added, entry)
+	read := make([]string, len(files))
+	for i, f := range files {
+		read[i] = f.Key
 	}
-	// Phase 3 — one sealed commit swaps old files for new atomically.
-	if err := m.commit(string(ctx.Principal), table,
-		bigmeta.TxOptions{TxnID: txnID, IntentSeq: intentSeq}, delta, t); err != nil {
+	fp := bigmeta.Footprint{
+		Removed: map[string]map[string]bool{table: bigmeta.KeySet(removed)},
+		Reads:   map[string]map[string]bool{table: bigmeta.KeySet(read)},
+	}
+	if _, err := m.Log.CommitFiles(bigmeta.Tx{
+		ID: txnID, Principal: string(ctx.Principal), Res: m.Res, Budget: ctx.Budget,
+		Files:   m.dataFiles(t, store, cred, txnID, tag, outs),
+		Removed: map[string][]string{table: removed},
+		Since:   version, Check: fp.Conflicts,
+	}); err != nil {
 		return 0, err
 	}
 	return affected, nil
@@ -377,53 +355,17 @@ func (m *Manager) rewrite(ctx *engine.QueryContext, table, tag string, transform
 
 // Delete removes rows matching where (engine.Mutator).
 func (m *Manager) Delete(ctx *engine.QueryContext, table string, where func(*vector.Batch) ([]bool, error)) (int64, error) {
-	return m.rewrite(ctx, table, "delete", func(b *vector.Batch) (*vector.Batch, bool, error) {
-		mask, err := where(b)
-		if err != nil {
-			return nil, false, err
-		}
-		n := vector.CountMask(mask)
-		if n == 0 {
-			return nil, false, nil
-		}
-		kept, err := vector.Filter(b, vector.Not(mask))
-		if err != nil {
-			return nil, false, err
-		}
-		return kept, true, nil
-	})
+	return m.rewrite(ctx, table, "delete", DeleteRows(where))
 }
 
 // Update rewrites rows matching where with set applied
 // (engine.Mutator).
 func (m *Manager) Update(ctx *engine.QueryContext, table string, set func(*vector.Batch) (*vector.Batch, error), where func(*vector.Batch) ([]bool, error)) (int64, error) {
-	var updated int64
-	_, err := m.rewrite(ctx, table, "update", func(b *vector.Batch) (*vector.Batch, bool, error) {
-		mask, err := where(b)
-		if err != nil {
-			return nil, false, err
-		}
-		n := vector.CountMask(mask)
-		if n == 0 {
-			return nil, false, nil
-		}
-		updated += int64(n)
-		transformed, err := set(b)
-		if err != nil {
-			return nil, false, err
-		}
-		out, err := MergeMasked(b, transformed, mask)
-		if err != nil {
-			return nil, false, err
-		}
-		return out, true, nil
-	})
-	return updated, err
+	return m.rewrite(ctx, table, "update", UpdateRows(set, where))
 }
 
 // MergeMasked merges two same-schema batches row-wise: masked rows
 // come from upd, others from orig — the UPDATE copy-on-write merge.
-// Shared with internal/txn, whose buffered updates merge identically.
 func MergeMasked(orig, upd *vector.Batch, mask []bool) (*vector.Batch, error) {
 	cols := make([]*vector.Column, len(orig.Cols))
 	for ci := range orig.Cols {
@@ -499,8 +441,11 @@ func (m *Manager) CreateTableAs(ctx *engine.QueryContext, table string, orReplac
 // Optimize runs the §3.5 background storage optimizations for one
 // table: coalesce small files toward TargetFileBytes (adaptive file
 // sizing), optionally recluster rows by a column, and report what
-// changed. It is safe to run concurrently with readers: the rewrite
-// commits atomically through the log.
+// changed. It is safe to run concurrently with readers and writers: the
+// swap commits through the log's commit protocol, validated against the
+// snapshot it read, so a pass that loses a merged file to a concurrent
+// UPDATE/DELETE returns bigmeta.ErrConflict and changes nothing (run it
+// again); concurrent inserts add files it never read and commute.
 func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, error) {
 	t, store, cred, err := m.managedTable(table)
 	if err != nil {
@@ -533,17 +478,18 @@ func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, 
 	}
 
 	var combined *vector.Batch
-	var delta bigmeta.TableDelta
+	var removed []string
+	rd, src := m.reader(t, store, cred, nil, principal)
 	for _, f := range merge {
-		b, err := m.readFile(t, store, cred, nil, principal, f)
+		sel, _, err := rd.ReadBatch(m.Clock, src, f, nil, nil)
 		if err != nil {
 			return OptimizeReport{}, err
 		}
-		combined, err = vector.AppendBatch(combined, b)
+		combined, err = vector.AppendBatch(combined, sel.Batch)
 		if err != nil {
 			return OptimizeReport{}, err
 		}
-		delta.Removed = append(delta.Removed, f.Key)
+		removed = append(removed, f.Key)
 	}
 	if combined == nil {
 		return OptimizeReport{FilesBefore: len(files), FilesAfter: len(files)}, nil
@@ -567,17 +513,7 @@ func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, 
 	if rowsPerFile < 1 {
 		rowsPerFile = combined.N
 	}
-	// Chunk count is known before any PUT, so every output key can be
-	// declared in the journal intent up front.
-	nChunks := (combined.N + rowsPerFile - 1) / rowsPerFile
-	keys := make([]string, nChunks)
-	for i := range keys {
-		keys[i] = txDataKey(t, txnID, i)
-	}
-	intentSeq, err := m.intent(txnID, principal, keys)
-	if err != nil {
-		return OptimizeReport{}, err
-	}
+	var chunks []*vector.Batch
 	for start := 0; start < combined.N; start += rowsPerFile {
 		end := start + rowsPerFile
 		if end > combined.N {
@@ -595,14 +531,15 @@ func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, 
 		if err != nil {
 			return OptimizeReport{}, err
 		}
-		entry, err := m.writeDataFileAt(t, store, cred, nil, chunk, keys[start/rowsPerFile])
-		if err != nil {
-			return OptimizeReport{}, err
-		}
-		delta.Added = append(delta.Added, entry)
+		chunks = append(chunks, chunk)
 	}
-	if err := m.commit(principal, table,
-		bigmeta.TxOptions{TxnID: txnID, IntentSeq: intentSeq}, delta, t); err != nil {
+	fp := bigmeta.Footprint{Removed: map[string]map[string]bool{table: bigmeta.KeySet(removed)}}
+	if _, err := m.Log.CommitFiles(bigmeta.Tx{
+		ID: txnID, Principal: principal, Res: m.Res,
+		Files:   m.dataFiles(t, store, cred, txnID, "optimize", chunks),
+		Removed: map[string][]string{table: removed},
+		Since:   version, Check: fp.Conflicts,
+	}); err != nil {
 		return OptimizeReport{}, err
 	}
 	after, _, _ := m.Log.Snapshot(table, -1)
@@ -699,5 +636,5 @@ func (m *Manager) ExportIceberg(table string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return iceberg.ExportWithCrash(m.Crash, m.Res, store, cred, t.Bucket, t.Prefix, table, t.Schema, files, version)
+	return iceberg.ExportWithCrash(m.Log.Crash, m.Res, store, cred, t.Bucket, t.Prefix, table, t.Schema, files, version)
 }

@@ -48,10 +48,11 @@ func verifyRepairSource(table string, f bigmeta.FileEntry, data []byte) error {
 //
 //  1. re-verify the primary copy — if it reads clean now, the mark is
 //     lifted (sealed Unquarantine commit) with no data movement;
-//  2. otherwise fetch a replica via fetch, verify its checksums, PUT
-//     it at a fresh repair key, and commit Removed(old)+Added(new) so
-//     the swap is atomic for readers (removing the old key also clears
-//     its quarantine mark);
+//  2. otherwise fetch a replica via fetch, verify its checksums, and
+//     commit Removed(old)+Added(new at a fresh repair key) through the
+//     log's commit protocol, so the swap is atomic for readers and
+//     validated against concurrent commits (removing the old key also
+//     clears its quarantine mark);
 //  3. files with no clean source stay quarantined and are reported in
 //     Failed.
 //
@@ -122,23 +123,21 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 			m.Meter.Add("repair_replica_corrupt", 1)
 			continue
 		}
-		key := fmt.Sprintf("%sdata/repair-v%06d-%03d.blk", t.Prefix, version, i)
-		var entry bigmeta.FileEntry
-		if err := m.Res.Do(m.Clock, nil, "PUT "+t.Bucket+"/"+key, func() error {
-			pinfo, pe := store.Put(cred, t.Bucket, key, replica, "application/x-blk")
-			if pe != nil {
-				return pe
-			}
-			entry, pe = bigmeta.NewFileEntry(t.Bucket, key, pinfo, replica)
-			entry.Partition = f.Partition
-			return pe
-		}); err != nil {
-			return rep, err
-		}
-		// One sealed commit swaps the rotten file for the restored copy;
-		// Removed clears the quarantine mark as part of the same commit.
-		if _, err := m.Log.Commit(principal, map[string]bigmeta.TableDelta{
-			table: {Removed: []string{mark.Key}, Added: []bigmeta.FileEntry{entry}},
+		// One validated commit swaps the rotten file for the restored
+		// copy (Removed clears the quarantine mark with it): intent, PUT
+		// of the verified replica bytes at a key bound to the snapshot
+		// read, seal. A concurrent commit that removed the file first
+		// makes the swap fail with bigmeta.ErrConflict.
+		fp := bigmeta.Footprint{Removed: map[string]map[string]bool{table: {mark.Key: true}}}
+		if _, err := m.Log.CommitFiles(bigmeta.Tx{
+			ID: fmt.Sprintf("repair:%s:v%d:%d", table, version, i), Principal: principal, Res: m.Res,
+			Files: []bigmeta.DataFile{{
+				Table: table, Store: store, Cred: cred, Bucket: t.Bucket,
+				Key:   fmt.Sprintf("%sdata/repair-v%06d-%03d.blk", t.Prefix, version, i),
+				Bytes: replica, Partition: f.Partition,
+			}},
+			Removed: map[string][]string{table: {mark.Key}},
+			Since:   version, Check: fp.Conflicts,
 		}); err != nil {
 			return rep, err
 		}

@@ -100,14 +100,13 @@ func New(opts Options) (*Lakehouse, error) {
 		return nil, err
 	}
 	log.AttachJournal(j)
-	mgr.Journal = j
 	rt := inference.NewRuntime(auth, stores, clock, sa)
 	rt.Attach(eng)
 
 	lh := &Lakehouse{
 		Clock: clock, Catalog: cat, Auth: auth, Meta: meta, Log: log,
 		Engine: eng, StorageAPI: srv, Manager: mgr, Inference: rt,
-		Store: store, Journal: j, Txns: txn.NewManager(eng, j),
+		Store: store, Journal: j, Txns: txn.NewManager(eng),
 		Admin: opts.Admin, cloud: opts.Cloud, serviceSA: sa,
 		sessions: make(map[security.Principal]*txn.Session),
 	}

@@ -6,9 +6,12 @@ import (
 	"time"
 
 	"biglake/internal/catalog"
+	"biglake/internal/crashpoint"
 	"biglake/internal/objstore"
 	"biglake/internal/security"
+	"biglake/internal/storageapi"
 	"biglake/internal/vector"
+	"biglake/internal/wal"
 )
 
 const admin = security.Principal("admin@test")
@@ -197,5 +200,50 @@ func TestQueryInteractiveTransaction(t *testing.T) {
 	}
 	if got := count(admin); got != 1 {
 		t.Fatalf("after rollback: %d rows, want 1", got)
+	}
+}
+
+// TestWriteAPIFlushDeclaresIntent: in the production assembly a Write
+// API flush runs the log's commit protocol like every other committer,
+// so a flush that dies before its data PUT has already declared its key
+// in a journal intent and recovery lists it for orphan GC.
+func TestWriteAPIFlushDeclaresIntent(t *testing.T) {
+	lh := newLH(t)
+	lh.CreateDataset("d")
+	if err := lh.CreateManagedTable(admin, "d", "events", simpleSchema(), "bq-managed"); err != nil {
+		t.Fatal(err)
+	}
+	id, err := lh.StorageAPI.CreateWriteStream(string(admin), "d.events", storageapi.CommittedMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lh.Log.Crash = crashpoint.New()
+	lh.Log.Crash.Arm("commit.before_put", 0)
+	rows := vector.MustBatch(simpleSchema(), []*vector.Column{vector.NewInt64Column([]int64{1, 2, 3})})
+	sig, err := crashpoint.Run(func() error {
+		_, e := lh.StorageAPI.AppendRows(id, 0, rows)
+		return e
+	})
+	if err != nil || sig == nil || sig.Label != "commit.before_put" {
+		t.Fatalf("crash did not fire before the PUT: sig=%v err=%v", sig, err)
+	}
+
+	j, err := wal.Open(lh.Store, lh.ServiceAccount(), "bq-managed", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Recover(j, lh.Clock, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Report.UnsealedIntents; len(got) != 1 || got[0] != id+":f0" {
+		t.Fatalf("unsealed intents = %v, want the crashed flush %q", got, id+":f0")
+	}
+	wantKey := "blmt/d/events/data/writeStreams-1-f000000.blk"
+	if got := rec.Report.OrphanCandidates; len(got) != 1 || got[0] != wantKey {
+		t.Fatalf("orphan candidates = %v, want [%s]", got, wantKey)
+	}
+	if rec.Log.Version() != 0 {
+		t.Fatalf("recovered version %d, want 0 (nothing sealed)", rec.Log.Version())
 	}
 }

@@ -9,7 +9,7 @@
 //
 // Protocol code marks its steps with labels:
 //
-//	s.Crash.At("flush.after_put")
+//	l.Crash.At("commit.after_put")
 //
 // At is nil-safe and free when nothing is armed, so production paths
 // carry their labels unconditionally. A test arms one (label, hit)

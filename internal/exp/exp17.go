@@ -99,9 +99,8 @@ func newE17World() (*e17World, error) {
 	env.Log.AttachJournal(j)
 	mgr := blmt.New(env.Cat, env.Auth, env.Log, env.Clock, map[string]*objstore.Store{"gcp": env.Store})
 	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "bench", "conn"
-	mgr.Journal = j
 	env.Engine.SetMutator(mgr)
-	w := &e17World{env: env, tm: txn.NewManager(env.Engine, j)}
+	w := &e17World{env: env, tm: txn.NewManager(env.Engine)}
 	// Seed the contended counter rows (ids 1..e17Counters) in one
 	// file: every read-modify-write UPDATE rewrites it, so updaters
 	// racing from a shared snapshot collide at file granularity.

@@ -160,7 +160,6 @@ func newE18World(cfg E18Config, scfg serve.Config, tenants int, lcfg loadtest.Co
 	env.Log.AttachJournal(j)
 	mgr := blmt.New(env.Cat, env.Auth, env.Log, env.Clock, map[string]*objstore.Store{"gcp": env.Store})
 	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "bench", "conn"
-	mgr.Journal = j
 	env.Engine.SetMutator(mgr)
 
 	// Seed the fact table in chunks so it spans several files and the
@@ -186,7 +185,7 @@ func newE18World(cfg E18Config, scfg serve.Config, tenants int, lcfg loadtest.Co
 			}
 		}
 	}
-	return &e18World{env: env, srv: serve.New(env.Engine, txn.NewManager(env.Engine, j), scfg)}, nil
+	return &e18World{env: env, srv: serve.New(env.Engine, txn.NewManager(env.Engine), scfg)}, nil
 }
 
 // e18Gen is the tenant traffic mix: 10% DML appends, 30% OLAP

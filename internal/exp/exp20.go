@@ -201,12 +201,11 @@ func RunE20Config(cfg E20Config) (E20Result, error) {
 	env.Log.AttachJournal(j)
 	mgr := blmt.New(env.Cat, env.Auth, env.Log, env.Clock, env.Engine.Stores)
 	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "bench", "conn"
-	mgr.Journal = j
 	measureQPS := func() (qps, p99 float64, err error) {
 		const id = "e20-point-lean"
 		eng := mkEngine(opts)
 		eng.SetMutator(mgr)
-		srv := serve.New(eng, txn.NewManager(eng, j), serve.Config{})
+		srv := serve.New(eng, txn.NewManager(eng), serve.Config{})
 		defer srv.Close()
 		sess, err := srv.Open(Admin, id)
 		if err != nil {

@@ -160,7 +160,7 @@ func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) 
 		if err := d.VPN.Call(d.Clock, mv.SourceRegion, mv.TargetRegion, int64(len(data)), srcRegion.Store.Profile()); err != nil {
 			return err
 		}
-		replicaKey := dst.Prefix + "data/" + sanitizeKey(f.Key)
+		replicaKey := dst.Prefix + "data/" + flattenKey(f.Key)
 		var info objstore.ObjectInfo
 		if err := d.Res.Do(d.Clock, bud, "PUT "+dst.Bucket+"/"+replicaKey, func() error {
 			var pe error
@@ -249,7 +249,9 @@ func (d *Deployment) connCred(connection string, r *Region) (objstore.Credential
 	return conn.ServiceAccount, nil
 }
 
-func sanitizeKey(key string) string {
+// flattenKey turns a source object key into one path component of the
+// replica's key.
+func flattenKey(key string) string {
 	out := []byte(key)
 	for i, c := range out {
 		if c == '/' {

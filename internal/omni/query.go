@@ -226,25 +226,19 @@ func (d *Deployment) createTempTable(home *Region, principal security.Principal,
 		}
 	}
 	name := fmt.Sprintf("_omni_tmp.t%d", d.nextSeq())
-	file, err := colfmt.WriteFile(rows, colfmt.WriterOptions{})
-	if err != nil {
-		return "", err
-	}
-	cred := home.Engine.ManagedCred
-	key := fmt.Sprintf("tmp/%s.blk", name)
-	info, err := home.Store.Put(cred, home.Manager.DefaultBucket, key, file, "application/x-blk")
+	bucket := home.Manager.DefaultBucket
+	entry, err := bigmeta.PutDataFile(home.Engine.Res, d.Clock, nil, bigmeta.DataFile{
+		Store: home.Store, Cred: home.Engine.ManagedCred, Bucket: bucket,
+		Key: fmt.Sprintf("tmp/%s.blk", name), Batch: rows,
+	})
 	if err != nil {
 		return "", err
 	}
 	if err := d.Catalog.CreateTable(catalog.Table{
 		Dataset: "_omni_tmp", Name: name[len("_omni_tmp."):], Type: catalog.Native,
-		Schema: rows.Schema, Cloud: home.Cloud, Bucket: home.Manager.DefaultBucket,
+		Schema: rows.Schema, Cloud: home.Cloud, Bucket: bucket,
 		Prefix: "tmp/", CreatedAt: d.Clock.Now(),
 	}); err != nil {
-		return "", err
-	}
-	entry, err := bigmeta.NewFileEntry(home.Manager.DefaultBucket, key, info, file)
-	if err != nil {
 		return "", err
 	}
 	if _, err := home.Log.Commit(string(ControlPrincipal), map[string]bigmeta.TableDelta{

@@ -204,15 +204,11 @@ func (cw *crashWorld) wire() {
 	mgr.DefaultBucket = diffBucket
 	mgr.DefaultConnection = diffConn
 	mgr.AutoIceberg = true
-	mgr.Journal = cw.j
-	mgr.Crash = cw.cp
 	w.mgr = mgr
 
 	cw.meta = bigmeta.NewCache(w.clock, nil)
 	srv := storageapi.NewServer(w.cat, w.auth, cw.meta, w.log, w.clock, w.stores)
 	srv.ManagedCred = w.cred
-	srv.Journal = cw.j
-	srv.Crash = cw.cp
 	srv.RestoreStreams(cw.restored)
 	cw.srv = srv
 
@@ -448,10 +444,9 @@ func (cw *crashWorld) verifyFinal(p crashPlan) error {
 // requiredCrashLabels is the coverage contract: the sweep fails if the
 // workload stops exercising any of these protocol steps.
 var requiredCrashLabels = []string{
-	"journal.before_seal", "journal.after_seal",
-	"flush.before_put", "flush.after_put", "flush.after_commit",
-	"batch.before_put", "batch.after_put", "batch.after_commit",
-	"blmt.before_put", "blmt.after_put", "blmt.after_commit",
+	"commit.before_intent", "commit.after_intent",
+	"commit.before_put", "commit.after_put",
+	"journal.before_seal", "journal.after_seal", "commit.after_seal",
 	"iceberg.before_manifest", "iceberg.after_manifest",
 	"iceberg.after_metadata", "iceberg.after_hint",
 }

@@ -11,6 +11,14 @@ package oracle
 // log history must equal some serial execution, and first-committer-
 // wins OCC pins that serial order to commit order.
 //
+// Autocommit statements (one-statement transactions run through
+// engine.Query, outside any session) and Optimize passes are
+// interleaved with the sessions: every committer shares one commit
+// protocol, so an autocommit UPDATE or a compaction that lands inside a
+// session's lifetime must make the overlapping session lose at COMMIT,
+// and a compaction must leave every table's contents exactly as the
+// serial history left them.
+//
 // The same schedule runs under the crash-point sweep: for every
 // labeled protocol step any transaction passes through (intent, data
 // PUT, seal), a fresh world crashes exactly there, recovers from the
@@ -52,12 +60,17 @@ const (
 	stepStmt
 	stepCommit
 	stepRollback
+	stepAuto     // autocommit statement through engine.Query
+	stepOptimize // blmt.Manager.Optimize on one table
 )
 
 type txnStep struct {
-	sess int // session index (-1..): setup sessions use negative slots
-	kind int
-	sql  string // stepStmt only
+	sess  int // session index (-1..): setup sessions use negative slots
+	kind  int
+	sql   string // stepStmt, stepAuto
+	qid   string // stepAuto: the statement's query ID
+	id    string // stepAuto: the log transaction ID that query ID maps to
+	table string // stepOptimize
 }
 
 // txnSchedule is one seed-derived interleaved workload. stmts holds
@@ -80,8 +93,10 @@ func txnID(seed uint64, sess int) string {
 // GenTxnSchedule derives an interleaved schedule from the seed:
 // sessions transactions with 2-5 statements each (blind inserts,
 // id-targeted updates/deletes on the shared seed rows, table scans),
-// begun and committed in seed-shuffled interleaved order. Roughly one
-// in five sessions rolls back instead of committing.
+// begun and committed in seed-shuffled interleaved order, with
+// autocommit statements and Optimize passes dropped between their
+// steps. Roughly one in five sessions rolls back instead of
+// committing.
 func GenTxnSchedule(seed uint64, sessions int) txnSchedule {
 	x := seed*2862933555777941757 + 3037000493
 	next := func(lo, span int) int {
@@ -142,12 +157,41 @@ func GenTxnSchedule(seed uint64, sessions int) txnSchedule {
 	}
 
 	// Interleave: repeatedly pick a live session and emit its next
-	// step. Sessions overlap arbitrarily — that is the point.
+	// step. Sessions overlap arbitrarily — that is the point. About one
+	// slot in three goes to an autocommit statement or an Optimize
+	// pass instead, which commits (or compacts) under the open
+	// sessions' feet.
 	live := make([]int, sessions)
 	for i := range live {
 		live[i] = i
 	}
+	autos := 0
+	auto := func(op, table, sql string) {
+		qid := fmt.Sprintf("itx-%d-a%d", seed, autos)
+		autos++
+		// blmt's idempotency ID for one DML of one query.
+		id := fmt.Sprintf("q-%s-%s-%s", qid, op, table)
+		sc.steps = append(sc.steps, txnStep{kind: stepAuto, sql: sql, qid: qid, id: id})
+		sc.ids = append(sc.ids, id)
+		sc.stmts[id] = []string{sql}
+	}
 	for len(live) > 0 {
+		if roll := next(0, 100); roll < 12 {
+			sc.steps = append(sc.steps, txnStep{kind: stepOptimize, table: txnTables[next(0, len(txnTables))]})
+			continue
+		} else if roll < 34 {
+			table := txnTables[next(0, len(txnTables))]
+			switch roll := next(0, 100); {
+			case roll < 40:
+				base := 5000 + 10*autos
+				auto("ins", table, fmt.Sprintf("INSERT INTO %s VALUES (%d, %d)", table, base, base+next(1, 9)))
+			case roll < 75:
+				auto("update", table, fmt.Sprintf("UPDATE %s SET v = v + %d WHERE id = %d", table, next(1, 9), next(1, 4)))
+			default:
+				auto("delete", table, fmt.Sprintf("DELETE FROM %s WHERE id = %d", table, next(1, 4)))
+			}
+			continue
+		}
 		k := next(0, len(live))
 		i := live[k]
 		sc.steps = append(sc.steps, perSess[i][0])
@@ -157,9 +201,17 @@ func GenTxnSchedule(seed uint64, sessions int) txnSchedule {
 		}
 	}
 
-	// Tail transaction: begins after every interleaved session has
-	// resolved, writes BOTH tables, and commits uncontended — so every
-	// seed's crash surface includes a multi-table, multi-file seal.
+	// Epilogue, uncontended: an autocommit insert then an Optimize pass
+	// on each table — at least two small files each by now, so every
+	// seed's crash surface includes an autocommit commit and a
+	// compaction swap — and the tail transaction, which begins after
+	// every interleaved session has resolved, writes BOTH tables, and
+	// seals multi-table and multi-file.
+	for ti, table := range txnTables {
+		base := 8000 + 100*ti
+		auto("ins", table, fmt.Sprintf("INSERT INTO %s VALUES (%d, %d)", table, base, base+next(1, 9)))
+		sc.steps = append(sc.steps, txnStep{kind: stepOptimize, table: table})
+	}
 	tail := sessions
 	tid := txnID(seed, tail)
 	sc.ids = append(sc.ids, tid)
@@ -220,14 +272,11 @@ func (tw *txnWorld) wire() {
 	eng.ManagedCred = w.cred
 	mgr := blmt.New(w.cat, w.auth, w.log, w.clock, w.stores)
 	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", diffBucket, diffConn
-	mgr.Journal, mgr.Crash = tw.j, tw.cp
 	w.mgr = mgr
 	eng.SetMutator(mgr)
 	tw.eng = eng
 
-	tm := txn.NewManager(eng, tw.j)
-	tm.Crash = tw.cp
-	tw.tm = tm
+	tw.tm = txn.NewManager(eng)
 }
 
 // run drives (or, after a crash, re-drives) the schedule. Conflict
@@ -260,6 +309,22 @@ func (tw *txnWorld) run(sc txnSchedule) (map[string]int64, error) {
 			if err := s.Rollback(); err != nil {
 				return nil, fmt.Errorf("s%d rollback: %w", st.sess, err)
 			}
+		case stepAuto:
+			// Nothing interleaves inside one statement of this serial
+			// driver, so an autocommit statement never loses validation
+			// itself — it makes open sessions lose.
+			if _, err := tw.eng.Query(engine.NewContext(diffAdmin, st.qid), st.sql); err != nil {
+				return nil, fmt.Errorf("autocommit %q: %w", st.sql, err)
+			}
+			if v, ok := tw.w.log.AppliedTx(st.id); ok {
+				committed[st.id] = v
+			}
+			tw.ack()
+		case stepOptimize:
+			if _, err := tw.w.mgr.Optimize(string(diffAdmin), st.table, ""); err != nil {
+				return nil, fmt.Errorf("optimize %s: %w", st.table, err)
+			}
+			tw.ack()
 		}
 	}
 	return committed, nil
@@ -323,6 +388,21 @@ func (tw *txnWorld) tableStateAt(table string, version int64) (*Resultset, error
 	return FromBatch(merged), nil
 }
 
+// optimizeCommits maps each sealed Optimize swap's version to its
+// transaction ID, which binds the pass to the version it read.
+func (tw *txnWorld) optimizeCommits() map[int64]string {
+	out := make(map[int64]string)
+	for _, table := range txnTables {
+		for read := int64(0); read < tw.w.log.Version(); read++ {
+			id := fmt.Sprintf("optimize:%s:v%d", table, read)
+			if v, ok := tw.w.log.AppliedTx(id); ok {
+				out[v] = id
+			}
+		}
+	}
+	return out
+}
+
 // verifySerializable replays the transactions that actually sealed —
 // in commit-version order — through the reference oracle, and diffs
 // both tables at every version against the decoded lakehouse state.
@@ -337,6 +417,12 @@ func (tw *txnWorld) verifySerializable(sc txnSchedule) error {
 		if v, ok := tw.w.log.AppliedTx(id); ok {
 			byVersion[v] = id
 		}
+	}
+	// An Optimize swap has no statements to replay: the diff below
+	// holds it to leaving every table exactly as the serial history
+	// left it.
+	for v, id := range tw.optimizeCommits() {
+		byVersion[v] = id
 	}
 	if int64(len(byVersion)) != head {
 		return fmt.Errorf("%d sealed versions but %d committed transactions known", head, len(byVersion))
@@ -409,7 +495,8 @@ type TxnSweepOptions struct {
 type TxnSweepReport struct {
 	Points    int      // crash points exercised (one fresh world each)
 	Labels    []string // distinct crash labels covered
-	Committed int      // transactions sealed in the record pass
+	Committed int      // transactions sealed in the record pass (sessions + autocommit)
+	Optimized int      // Optimize passes that sealed a swap in the record pass
 	Failure   *CrashFailure
 }
 
@@ -417,9 +504,9 @@ type TxnSweepReport struct {
 // commit protocol: the sweep fails if the schedule stops exercising
 // any of these steps.
 var requiredTxnLabels = []string{
-	"txn.before_intent", "txn.after_intent",
-	"txn.before_put", "txn.after_put", "txn.after_seal",
-	"journal.before_seal", "journal.after_seal",
+	"commit.before_intent", "commit.after_intent",
+	"commit.before_put", "commit.after_put",
+	"journal.before_seal", "journal.after_seal", "commit.after_seal",
 }
 
 // RunTxnOracle executes one interleaved schedule with no crashes and
@@ -480,8 +567,9 @@ func RunTxnCrashSweep(opts TxnSweepOptions) (TxnSweepReport, error) {
 			return rep, fmt.Errorf("schedule no longer reaches crash point %q", l)
 		}
 	}
-	logf("txn crash surface: %d points across %d labels, %d committed txns (seed %d)",
-		len(hits), len(rep.Labels), rep.Committed, opts.Seed)
+	rep.Optimized = len(tw.optimizeCommits())
+	logf("txn crash surface: %d points across %d labels, %d committed txns, %d compactions (seed %d)",
+		len(hits), len(rep.Labels), rep.Committed, rep.Optimized, opts.Seed)
 
 	for _, h := range hits {
 		if fail := txnSweepOne(opts.Seed, sc, h); fail != nil {

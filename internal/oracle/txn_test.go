@@ -9,9 +9,10 @@ package oracle
 import "testing"
 
 // TestTxnInterleavedOracle runs several seeded interleaved schedules
-// crash-free: whatever subset of transactions commits, the state of
-// every table at every log version must equal a serial execution of
-// exactly the committed history in commit order.
+// — sessions, autocommit statements and Optimize passes — crash-free:
+// whatever subset of transactions commits, the state of every table at
+// every log version must equal a serial execution of exactly the
+// committed history in commit order, compactions changing nothing.
 func TestTxnInterleavedOracle(t *testing.T) {
 	seeds := []uint64{*seedFlag, 1, 2, 3, 11, 42, 1337}
 	for _, seed := range seeds {
@@ -22,8 +23,8 @@ func TestTxnInterleavedOracle(t *testing.T) {
 }
 
 // TestTxnCrashSweep kills the "process" at every labeled step any
-// transaction of the seeded schedule passes through (intent, data
-// PUTs, seal), recovers from the journal + object store alone,
+// transaction, autocommit statement or Optimize pass of the seeded
+// schedule passes through (intent, data PUTs, seal), recovers from the journal + object store alone,
 // re-drives the full schedule (sealed transactions no-op through
 // their idempotency IDs), and requires a serializable, orphan-free
 // converged state every time.
@@ -41,8 +42,11 @@ func TestTxnCrashSweep(t *testing.T) {
 	if rep.Committed < 3 {
 		t.Fatalf("record pass committed only %d transactions — schedule lost its write coverage", rep.Committed)
 	}
-	t.Logf("ok: %d txn crash points across %d labels, %d committed (replay seed=%d)",
-		rep.Points, len(rep.Labels), rep.Committed, *seedFlag)
+	if rep.Optimized < 1 {
+		t.Fatal("record pass sealed no Optimize swap — schedule lost its compaction coverage")
+	}
+	t.Logf("ok: %d txn crash points across %d labels, %d committed, %d compactions (replay seed=%d)",
+		rep.Points, len(rep.Labels), rep.Committed, rep.Optimized, *seedFlag)
 }
 
 // TestTxnScheduleDeterministic pins the generator: the same seed must

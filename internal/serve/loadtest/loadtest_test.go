@@ -46,7 +46,6 @@ func world(t *testing.T, cfg serve.Config, tenants int, lcfg Config) *serve.Serv
 	stores := map[string]*objstore.Store{"gcp": store}
 	bm := blmt.New(cat, auth, log, clock, stores)
 	bm.DefaultCloud, bm.DefaultBucket, bm.DefaultConnection = "gcp", "data-bucket", "conn"
-	bm.Journal = j
 	meta := bigmeta.NewCache(clock, nil)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
@@ -70,7 +69,7 @@ func world(t *testing.T, cfg serve.Config, tenants int, lcfg Config) *serve.Serv
 			t.Fatal(err)
 		}
 	}
-	return serve.New(eng, txn.NewManager(eng, j), cfg)
+	return serve.New(eng, txn.NewManager(eng), cfg)
 }
 
 // mixedGen is a small OLAP/point/DML mix over ds.t.

@@ -62,12 +62,11 @@ func newEnv(t *testing.T, cfg Config) *env {
 	stores := map[string]*objstore.Store{"gcp": store}
 	bm := blmt.New(cat, auth, log, clock, stores)
 	bm.DefaultCloud, bm.DefaultBucket, bm.DefaultConnection = "gcp", "data-bucket", "conn"
-	bm.Journal = j
 	meta := bigmeta.NewCache(clock, nil)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
 	eng.SetMutator(bm)
-	mgr := txn.NewManager(eng, j)
+	mgr := txn.NewManager(eng)
 	return &env{clock: clock, store: store, cat: cat, auth: auth, log: log,
 		blmt: bm, eng: eng, mgr: mgr, j: j, cred: cred,
 		srv: New(eng, mgr, cfg)}

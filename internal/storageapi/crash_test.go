@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"testing"
 
+	"biglake/internal/bigmeta"
 	"biglake/internal/crashpoint"
 	"biglake/internal/objstore"
 	"biglake/internal/security"
@@ -26,10 +27,7 @@ func journaled(t *testing.T, ev *env) *wal.Journal {
 		t.Fatal(err)
 	}
 	ev.log.AttachJournal(j)
-	ev.srv.Journal = j
-	cp := crashpoint.New()
-	ev.srv.Crash = cp
-	ev.log.Crash = cp
+	ev.log.Crash = crashpoint.New()
 	return j
 }
 
@@ -52,11 +50,13 @@ func TestFlushRetryDoesNotOrphan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Intent and data PUT land; the seal PUT dies.
-	ev.store.FailNextMatching("-commit.rec", 1)
+	// Intent and data PUT land; the seal PUT dies on every attempt the
+	// retry policy makes.
+	ev.store.FailNextMatching("-commit.rec", 10)
 	if _, err := ev.srv.FlushRows(id, 10); err == nil {
 		t.Fatal("flush succeeded despite seal failure")
 	}
+	ev.store.FailNextMatching("", 0)
 	if n := dataObjects(ev); n != 1 {
 		t.Fatalf("%d data objects after failed flush, want 1 (the not-yet-referenced attempt)", n)
 	}
@@ -94,10 +94,11 @@ func TestCommittedAppendRollsBackOnFlushFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev.store.FailNextMatching("-commit.rec", 1)
+	ev.store.FailNextMatching("-commit.rec", 10)
 	if _, err := ev.srv.AppendRows(id, 5, rowsBatch(5, 5)); err == nil {
 		t.Fatal("append succeeded despite seal failure")
 	}
+	ev.store.FailNextMatching("", 0)
 	// Retry the exact same append: the offset must still be open.
 	if off, err := ev.srv.AppendRows(id, 5, rowsBatch(5, 5)); err != nil || off != 10 {
 		t.Fatalf("retry: off=%d err=%v", off, err)
@@ -158,7 +159,7 @@ func TestBatchCommitPutFailureIsReclaimedAndRetryable(t *testing.T) {
 
 	// Kill every attempt at the second stream's PUT (the retry policy
 	// makes up to MaxAttempts tries).
-	key2 := fmt.Sprintf("data/%s.blk", sanitize(ids[1]))
+	key2 := fmt.Sprintf("data/%s.blk", bigmeta.SanitizeKey(ids[1]))
 	ev.store.FailNextMatching(key2, 10)
 	if err := ev.srv.BatchCommitStreamsTx("batch-tx", ids); err == nil {
 		t.Fatal("batch commit succeeded despite PUT failure")
@@ -231,13 +232,13 @@ func TestStreamResumeAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ev.srv.Crash.Reset() // the first append's flush already counted hits
-	ev.srv.Crash.Arm("flush.after_commit", 0)
+	ev.log.Crash.Reset() // the first append's flush already counted hits
+	ev.log.Crash.Arm("commit.after_seal", 0)
 	sig, err := crashpoint.Run(func() error {
 		_, e := ev.srv.AppendRows(id, 5, rowsBatch(5, 5))
 		return e
 	})
-	if err != nil || sig == nil || sig.Label != "flush.after_commit" {
+	if err != nil || sig == nil || sig.Label != "commit.after_seal" {
 		t.Fatalf("sig=%v err=%v", sig, err)
 	}
 
@@ -249,7 +250,6 @@ func TestStreamResumeAfterCrash(t *testing.T) {
 	ev.log = rec.Log
 	srv2 := NewServer(ev.cat, ev.auth, ev.meta, rec.Log, ev.clock, map[string]*objstore.Store{"gcp": ev.store})
 	srv2.ManagedCred = ev.cred
-	srv2.Journal = j
 	srv2.RestoreStreams(rec.Streams)
 
 	// The crashed append sealed before dying: the retry reports

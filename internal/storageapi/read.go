@@ -22,7 +22,6 @@ import (
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
-	"biglake/internal/crashpoint"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/resilience"
@@ -30,7 +29,6 @@ import (
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
-	"biglake/internal/wal"
 )
 
 // Errors returned by the storage APIs.
@@ -156,13 +154,6 @@ type Server struct {
 	// Res is the retry/hedging policy for object-store reads and
 	// write-path data-file puts. Nil behaves like resilience.NoRetry.
 	Res *resilience.Policy
-	// Journal, when set, opens a durable intent for every write-path
-	// transaction before data-file PUTs, so crashes between PUT and
-	// commit leave reclaimable (not invisible) debris. The same journal
-	// must be attached to Log as its commit sink.
-	Journal *wal.Journal
-	// Crash marks the write protocols' labeled crash points (nil = none).
-	Crash *crashpoint.Injector
 
 	// msink fans session/read counters into the legacy meter and (via
 	// UseObs) a shared registry under "storageapi.*" names.

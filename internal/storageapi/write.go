@@ -5,8 +5,6 @@ import (
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
-	"biglake/internal/colfmt"
-	"biglake/internal/objstore"
 	"biglake/internal/security"
 	"biglake/internal/vector"
 )
@@ -166,88 +164,50 @@ func (s *Server) AppendRows(streamID string, offset int64, rows *vector.Batch) (
 	return ws.offset, nil
 }
 
-// flushStreamLocked materializes buffered rows as a data file and
-// commits it to the table's transaction log, sealing the stream's
-// durable state (offset atOffset, next flush sequence) in the same
-// commit record. The protocol is crash-consistent: journal intent →
-// data PUT → sealed commit. The data-file key derives from the
-// stream's flush sequence, so a retried flush overwrites its own
-// earlier attempt; a flush that dies between PUT and seal leaves one
-// orphan the journal intent has already declared for GC.
+// flushStreamLocked commits buffered rows as one data file through the
+// log's commit protocol (bigmeta.CommitFiles: journal intent → data
+// PUT → sealed commit), sealing the stream's durable state (offset
+// atOffset, next flush sequence) in the same commit record. The
+// data-file key derives from the stream's flush sequence, so a retried
+// flush overwrites its own earlier attempt; a flush that dies between
+// PUT and seal leaves one orphan the journal intent has already
+// declared for GC.
 func (s *Server) flushStreamLocked(ws *writeStream, atOffset int64) error {
 	if ws.rows == nil || ws.rows.N == 0 {
 		return nil
 	}
 	txnID := fmt.Sprintf("%s:f%d", ws.id, ws.flushSeq)
-	if _, done := s.Log.AppliedTx(txnID); done {
-		// A crashed predecessor sealed this exact flush; nothing to redo.
-		ws.rows = nil
-		ws.flushSeq++
-		return nil
-	}
-	t, err := s.Catalog.Table(ws.table)
-	if err != nil {
-		return err
-	}
-	store, err := s.store(t.Cloud)
-	if err != nil {
-		return err
-	}
-	cred, err := s.credFor(t)
-	if err != nil {
-		return err
-	}
-	file, err := colfmt.WriteFile(ws.rows, colfmt.WriterOptions{})
-	if err != nil {
-		return err
-	}
-	key := fmt.Sprintf("%sdata/%s-f%06d.blk", t.Prefix, sanitize(ws.id), ws.flushSeq)
-	var intentSeq int64
-	if s.Journal != nil {
-		if intentSeq, err = s.Journal.AppendIntent(txnID, ws.principal, []string{key}); err != nil {
+	if _, done := s.Log.AppliedTx(txnID); !done {
+		t, err := s.Catalog.Table(ws.table)
+		if err != nil {
+			return err
+		}
+		store, err := s.store(t.Cloud)
+		if err != nil {
+			return err
+		}
+		cred, err := s.credFor(t)
+		if err != nil {
+			return err
+		}
+		sealed := ws.state(atOffset)
+		sealed.FlushSeq = ws.flushSeq + 1 // the retried flush mints the next key
+		if _, err := s.Log.CommitFiles(bigmeta.Tx{
+			ID: txnID, Principal: ws.principal, Res: s.Res,
+			Files: []bigmeta.DataFile{{
+				Table: ws.table, Store: store, Cred: cred, Bucket: t.Bucket,
+				Key:   fmt.Sprintf("%sdata/%s-f%06d.blk", t.Prefix, bigmeta.SanitizeKey(ws.id), ws.flushSeq),
+				Batch: ws.rows,
+			}},
+			Streams: map[string]bigmeta.StreamState{ws.id: sealed},
+		}); err != nil {
 			return err
 		}
 	}
-	s.Crash.At("flush.before_put")
-	var info objstore.ObjectInfo
-	if err := s.Res.Do(s.Clock, nil, "PUT "+t.Bucket+"/"+key, func() error {
-		var pe error
-		info, pe = store.Put(cred, t.Bucket, key, file, "application/x-blk")
-		return pe
-	}); err != nil {
-		return err
-	}
-	s.Crash.At("flush.after_put")
-	entry, err := bigmeta.NewFileEntry(t.Bucket, key, info, file)
-	if err != nil {
-		return err
-	}
-	sealed := ws.state(atOffset)
-	sealed.FlushSeq = ws.flushSeq + 1 // the retried flush mints the next key
-	_, err = s.Log.CommitTx(ws.principal, bigmeta.TxOptions{
-		TxnID:     txnID,
-		IntentSeq: intentSeq,
-		Streams:   map[string]bigmeta.StreamState{ws.id: sealed},
-	}, map[string]bigmeta.TableDelta{
-		ws.table: {Added: []bigmeta.FileEntry{entry}},
-	})
-	if err != nil {
-		return err
-	}
-	s.Crash.At("flush.after_commit")
+	// Sealed now, or by a crashed predecessor of this exact flush.
 	ws.rows = nil
 	ws.flushSeq++
 	return nil
-}
-
-func sanitize(s string) string {
-	out := []byte(s)
-	for i, c := range out {
-		if c == '/' {
-			out[i] = '-'
-		}
-	}
-	return string(out)
 }
 
 // FlushRows makes a buffered stream's rows visible up to offset
@@ -351,38 +311,30 @@ func (s *Server) BatchCommitStreamsTx(txnID string, streamIDs []string) error {
 	return s.batchCommit(txnID, streamIDs)
 }
 
-// batchStream is one validated stream's prepared work.
-type batchStream struct {
-	ws    *writeStream
-	table catalog.Table
-	store *objstore.Store
-	cred  objstore.Credential
-	file  []byte
-	key   string
-}
-
 func (s *Server) batchCommit(txnID string, streamIDs []string) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 
-	if txnID != "" {
-		if _, done := s.Log.AppliedTx(txnID); done {
-			// The original commit sealed before the caller heard the ack;
-			// converge local stream state and succeed idempotently.
-			for _, id := range streamIDs {
-				if ws, ok := s.writes[id]; ok {
-					ws.committed = true
-					ws.rows = nil
-				}
+	if _, done := s.Log.AppliedTx(txnID); done {
+		// The original commit sealed before the caller heard the ack;
+		// converge local stream state and succeed idempotently.
+		for _, id := range streamIDs {
+			if ws, ok := s.writes[id]; ok {
+				ws.committed = true
+				ws.rows = nil
 			}
-			return nil
 		}
+		return nil
 	}
 
-	// Phase 1 — validate every stream before touching the store, so a
-	// bad stream ID midway can no longer strand earlier PUTs.
+	// Validate every stream before touching the store, so a bad stream
+	// ID midway can no longer strand earlier PUTs. Keys are
+	// deterministic per stream, so a crashed attempt's files are
+	// overwritten by the retry.
 	principal := ""
-	var prepared []batchStream
+	var prepared []*writeStream
+	var files []bigmeta.DataFile
+	streams := map[string]bigmeta.StreamState{}
 	for _, id := range streamIDs {
 		ws, ok := s.writes[id]
 		if !ok {
@@ -401,8 +353,11 @@ func (s *Server) batchCommit(txnID string, streamIDs []string) error {
 			return fmt.Errorf("storageapi: stream %s is %v, not PENDING", id, ws.mode)
 		}
 		principal = ws.principal
+		prepared = append(prepared, ws)
+		sealed := ws.state(ws.offset)
+		sealed.Committed = true // committed iff the seal below lands
+		streams[ws.id] = sealed
 		if ws.rows == nil || ws.rows.N == 0 {
-			prepared = append(prepared, batchStream{ws: ws})
 			continue
 		}
 		t, err := s.Catalog.Table(ws.table)
@@ -417,81 +372,27 @@ func (s *Server) batchCommit(txnID string, streamIDs []string) error {
 		if err != nil {
 			return err
 		}
-		file, err := colfmt.WriteFile(ws.rows, colfmt.WriterOptions{})
-		if err != nil {
-			return err
-		}
-		prepared = append(prepared, batchStream{
-			ws: ws, table: t, store: store, cred: cred, file: file,
-			key: fmt.Sprintf("%sdata/%s.blk", t.Prefix, sanitize(ws.id)),
+		files = append(files, bigmeta.DataFile{
+			Table: ws.table, Store: store, Cred: cred, Bucket: t.Bucket,
+			Key:   fmt.Sprintf("%sdata/%s.blk", t.Prefix, bigmeta.SanitizeKey(ws.id)),
+			Batch: ws.rows,
 		})
 	}
 
-	// Phase 2 — declare every key in a journal intent, then PUT. Keys
-	// are deterministic per stream, so a crashed attempt's files are
-	// overwritten by the retry; a PUT failure aborts the intent and
-	// hands the debris to orphan GC.
-	var intentSeq int64
-	if s.Journal != nil && txnID != "" {
-		var keys []string
-		for _, b := range prepared {
-			if b.file != nil {
-				keys = append(keys, b.key)
-			}
-		}
-		var err error
-		if intentSeq, err = s.Journal.AppendIntent(txnID, principal, keys); err != nil {
-			return err
-		}
-	}
-	deltas := map[string]bigmeta.TableDelta{}
-	streams := map[string]bigmeta.StreamState{}
-	for _, b := range prepared {
-		sealed := b.ws.state(b.ws.offset)
-		sealed.Committed = true // committed iff the seal below lands
-		streams[b.ws.id] = sealed
-		if b.file == nil {
-			continue
-		}
-		s.Crash.At("batch.before_put")
-		var info objstore.ObjectInfo
-		if err := s.Res.Do(s.Clock, nil, "PUT "+b.table.Bucket+"/"+b.key, func() error {
-			var pe error
-			info, pe = b.store.Put(b.cred, b.table.Bucket, b.key, b.file, "application/x-blk")
-			return pe
+	// One multi-table transaction through the log's commit protocol
+	// seals the data files and every stream's committed state
+	// atomically.
+	if len(files) > 0 {
+		if _, err := s.Log.CommitFiles(bigmeta.Tx{
+			ID: txnID, Principal: principal, Res: s.Res,
+			Files: files, Streams: streams,
 		}); err != nil {
-			if s.Journal != nil && txnID != "" {
-				if aerr := s.Journal.AppendAbort(txnID, intentSeq); aerr != nil {
-					return fmt.Errorf("%w (abort also failed: %v)", err, aerr)
-				}
-			}
 			return err
 		}
-		s.Crash.At("batch.after_put")
-		entry, err := bigmeta.NewFileEntry(b.table.Bucket, b.key, info, b.file)
-		if err != nil {
-			return err
-		}
-		d := deltas[b.ws.table]
-		d.Added = append(d.Added, entry)
-		deltas[b.ws.table] = d
 	}
-
-	// Phase 3 — one multi-table commit seals the data files and every
-	// stream's committed state atomically.
-	if len(deltas) > 0 {
-		if _, err := s.Log.CommitTx(principal, bigmeta.TxOptions{
-			TxnID:     txnID,
-			IntentSeq: intentSeq,
-			Streams:   streams,
-		}, deltas); err != nil {
-			return err
-		}
-		s.Crash.At("batch.after_commit")
-	}
-	for _, b := range prepared {
-		b.ws.committed = true
-		b.ws.rows = nil
+	for _, ws := range prepared {
+		ws.committed = true
+		ws.rows = nil
 	}
 	return nil
 }

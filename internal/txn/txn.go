@@ -33,8 +33,6 @@ import (
 	"biglake/internal/bigmeta"
 	"biglake/internal/blmt"
 	"biglake/internal/catalog"
-	"biglake/internal/colfmt"
-	"biglake/internal/crashpoint"
 	"biglake/internal/engine"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
@@ -43,7 +41,6 @@ import (
 	"biglake/internal/security"
 	"biglake/internal/sqlparse"
 	"biglake/internal/vector"
-	"biglake/internal/wal"
 )
 
 // Errors surfaced by the transaction layer.
@@ -51,8 +48,10 @@ var (
 	// ErrConflict is a first-committer-wins validation failure: a
 	// transaction that committed after this session's snapshot touched
 	// an overlapping read or write set. The session is aborted; retry
-	// by beginning a new transaction.
-	ErrConflict = errors.New("txn: serialization conflict, transaction aborted")
+	// by beginning a new transaction. It is the log's sentinel, so an
+	// autocommit UPDATE/DELETE, Optimize or Repair that loses the same
+	// validation satisfies errors.Is(err, ErrConflict) too.
+	ErrConflict = bigmeta.ErrConflict
 	// ErrClosed reports a statement against a session that already
 	// committed or aborted.
 	ErrClosed = errors.New("txn: session is closed")
@@ -76,19 +75,13 @@ const (
 )
 
 // Manager owns transaction sessions for one deployment. It reuses the
-// engine's catalog, authority, log, stores, and retry policy, and the
-// same journal the non-transactional DML path writes intents to — a
-// recovered process replays single-statement and multi-table commits
-// through one code path.
+// engine's catalog, authority, log, stores, and retry policy; COMMIT
+// runs the log's one commit protocol (bigmeta.CommitFiles), the same
+// one autocommit DML, Optimize and the Write API run, so a recovered
+// process replays single-statement and multi-table commits through one
+// code path.
 type Manager struct {
 	Eng *engine.Engine
-	// Journal, when set, records a durable intent covering every data
-	// file a commit will write, before the first PUT. Nil disables
-	// journaling (and with it the crash-exactly-once guarantee), same
-	// as blmt.
-	Journal *wal.Journal
-	// Crash marks the commit protocol's crash points (nil = none).
-	Crash *crashpoint.Injector
 	// Res overrides the retry policy for commit-path object I/O; nil
 	// falls back to the engine's policy.
 	Res *resilience.Policy
@@ -124,10 +117,10 @@ type txnCounters struct {
 // sessions up to multi-second stragglers.
 var pinAgeBounds = []int64{100, 1000, 10_000, 100_000, 1_000_000, 10_000_000}
 
-// NewManager assembles a transaction manager around an engine and a
-// journal, publishing txn.* metrics into the engine's registry.
-func NewManager(eng *engine.Engine, j *wal.Journal) *Manager {
-	m := &Manager{Eng: eng, Journal: j}
+// NewManager assembles a transaction manager around an engine,
+// publishing txn.* metrics into the engine's registry.
+func NewManager(eng *engine.Engine) *Manager {
+	m := &Manager{Eng: eng}
 	m.UseObs(eng.Obs)
 	return m
 }
@@ -212,7 +205,6 @@ type Session struct {
 	reads      map[string]map[string]bool
 	readTables map[string]bool
 	bufs       map[string]*tableBuf
-	intentSeq  int64
 
 	trace *obs.Trace
 	root  *obs.Span
@@ -449,49 +441,12 @@ func (s *Session) CreateTableAs(ctx *engine.QueryContext, table string, orReplac
 // Delete buffers a copy-on-write delete: matching snapshot files are
 // marked removed and their surviving rows re-buffered.
 func (s *Session) Delete(ctx *engine.QueryContext, table string, where func(*vector.Batch) ([]bool, error)) (int64, error) {
-	return s.rewrite(ctx, table, func(b *vector.Batch) (*vector.Batch, bool, error) {
-		mask, err := where(b)
-		if err != nil {
-			return nil, false, err
-		}
-		if vector.CountMask(mask) == 0 {
-			return nil, false, nil
-		}
-		kept, err := vector.Filter(b, vector.Not(mask))
-		if err != nil {
-			return nil, false, err
-		}
-		return kept, true, nil
-	})
+	return s.rewrite(ctx, table, blmt.DeleteRows(where))
 }
 
 // Update buffers a copy-on-write update.
 func (s *Session) Update(ctx *engine.QueryContext, table string, set func(*vector.Batch) (*vector.Batch, error), where func(*vector.Batch) ([]bool, error)) (int64, error) {
-	var updated int64
-	_, err := s.rewrite(ctx, table, func(b *vector.Batch) (*vector.Batch, bool, error) {
-		mask, err := where(b)
-		if err != nil {
-			return nil, false, err
-		}
-		n := vector.CountMask(mask)
-		if n == 0 {
-			return nil, false, nil
-		}
-		updated += int64(n)
-		transformed, err := set(b)
-		if err != nil {
-			return nil, false, err
-		}
-		merged, err := blmt.MergeMasked(b, transformed, mask)
-		if err != nil {
-			return nil, false, err
-		}
-		return merged, true, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return updated, nil
+	return s.rewrite(ctx, table, blmt.UpdateRows(set, where))
 }
 
 // rewrite applies a per-file transform over the session's view of the
@@ -500,7 +455,7 @@ func (s *Session) Update(ctx *engine.QueryContext, table string, set func(*vecto
 // survivors re-buffered; touched buffered batches are replaced in
 // place. The whole table's live file set enters the read set — an
 // UPDATE/DELETE logically reads everything it scans.
-func (s *Session) rewrite(ctx *engine.QueryContext, table string, transform func(*vector.Batch) (*vector.Batch, bool, error)) (int64, error) {
+func (s *Session) rewrite(ctx *engine.QueryContext, table string, transform blmt.Transform) (int64, error) {
 	t, store, cred, err := s.managedTable(table)
 	if err != nil {
 		return 0, err
@@ -527,51 +482,27 @@ func (s *Session) rewrite(ctx *engine.QueryContext, table string, transform func
 
 	s.ObserveRead(table, live)
 
-	var affected int64
-	var newRemoved []string
-	var outs []*vector.Batch
 	// The rewrite reads through the verified reader, with no cache and
 	// no skipping: a quarantined or corrupt file fails the statement
 	// typed, because leaving it out of a rewrite would lose its rows.
 	rd := scan.Reader{Res: s.m.res(), Log: e.Log, Obs: e.Obs, Site: "scan"}
 	src := scan.Source{Table: t, Store: store, Cred: cred, Budget: ctx.Budget, Principal: string(ctx.Principal)}
-	for _, f := range live {
-		sel, _, err := rd.ReadBatch(e.Clock, &src, f, nil, nil)
-		if err != nil {
-			return 0, err
-		}
-		batch := sel.Batch
-		out, changed, err := transform(batch)
-		if err != nil {
-			return 0, err
-		}
-		if !changed {
-			continue
-		}
-		affected += int64(batch.N)
-		if out != nil {
-			affected -= int64(out.N)
-		}
-		newRemoved = append(newRemoved, f.Key)
-		if out != nil && out.N > 0 {
-			outs = append(outs, out)
-		}
+	newRemoved, outs, affected, err := blmt.RewriteFiles(e.Clock, rd, &src, live, transform)
+	if err != nil {
+		return 0, err
 	}
 	// Buffered batches are this session's own uncommitted rows; the
 	// transform rewrites them in place.
 	replaced := make(map[int]*vector.Batch)
 	for i, pb := range pending {
-		out, changed, err := transform(pb)
+		out, n, err := transform(pb)
 		if err != nil {
 			return 0, err
 		}
-		if !changed {
+		if n == 0 {
 			continue
 		}
-		affected += int64(pb.N)
-		if out != nil {
-			affected -= int64(out.N)
-		}
+		affected += n
 		replaced[i] = out
 	}
 
@@ -603,82 +534,54 @@ func (s *Session) rewrite(ctx *engine.QueryContext, table string, transform func
 
 // --- commit protocol ---
 
-// plannedFile is one data file the commit will materialize.
-type plannedFile struct {
-	table string
-	t     catalog.Table
-	store *objstore.Store
-	cred  objstore.Credential
-	batch *vector.Batch
-	key   string
-}
-
-func sanitizeTxn(id string) string {
-	out := []byte(id)
-	for i, c := range out {
-		if c == '/' || c == ':' {
-			out[i] = '-'
-		}
-	}
-	return string(out)
-}
-
-// writePlan derives the commit's deterministic data-file keys: tables
-// in sorted order, batches in buffer order, a single global index.
-// A recovered retry of the same transaction re-derives identical keys
-// and overwrites its crashed predecessor's files.
-func (s *Session) writePlan() ([]plannedFile, error) {
+// writePlan derives the commit's data files at deterministic keys:
+// tables in sorted order, batches in buffer order, a single global
+// index. A recovered retry of the same transaction re-derives identical
+// keys and overwrites its crashed predecessor's files.
+func (s *Session) writePlan() ([]bigmeta.DataFile, error) {
 	tables := make([]string, 0, len(s.bufs))
 	for tn, b := range s.bufs {
-		if len(b.batches) > 0 || len(b.removed) > 0 {
+		if len(b.batches) > 0 {
 			tables = append(tables, tn)
 		}
 	}
 	sort.Strings(tables)
-	var plan []plannedFile
-	idx := 0
+	var plan []bigmeta.DataFile
 	for _, tn := range tables {
 		t, store, cred, err := s.managedTable(tn)
 		if err != nil {
 			return nil, err
 		}
 		for _, batch := range s.bufs[tn].batches {
-			key := fmt.Sprintf("%sdata/%s-%06d.blk", t.Prefix, sanitizeTxn(s.ID), idx)
-			idx++
-			plan = append(plan, plannedFile{table: tn, t: t, store: store, cred: cred, batch: batch, key: key})
+			key := fmt.Sprintf("%sdata/%s-%06d.blk", t.Prefix, bigmeta.SanitizeKey(s.ID), len(plan))
+			plan = append(plan, bigmeta.DataFile{Table: tn, Store: store, Cred: cred, Bucket: t.Bucket, Key: key, Batch: batch})
 		}
 	}
 	return plan, nil
 }
 
-// conflicts validates this session's read/write sets against one
-// concurrently committed record (first-committer-wins OCC).
-func (s *Session) conflicts(rec bigmeta.CommitRecord) error {
-	if s.m.tc.validated != nil {
-		s.m.tc.validated.Add(1)
+// footprint copies the session's read and write sets for validation.
+func (s *Session) footprint() bigmeta.Footprint {
+	fp := bigmeta.Footprint{
+		Removed: make(map[string]map[string]bool, len(s.bufs)),
+		Reads:   make(map[string]map[string]bool, len(s.reads)),
 	}
-	for table, d := range rec.Deltas {
-		if b := s.bufs[table]; b != nil && len(b.removed) > 0 {
-			for _, k := range d.Removed {
-				if b.removed[k] {
-					return fmt.Errorf("%w: write-write on %s file %s (committed v%d)", ErrConflict, table, k, rec.Version)
-				}
-			}
+	copySet := func(set map[string]bool) map[string]bool {
+		out := make(map[string]bool, len(set))
+		for k := range set {
+			out[k] = true
 		}
-		if !s.readTables[table] {
-			continue
-		}
-		if len(d.Added) > 0 {
-			return fmt.Errorf("%w: read-write phantom on %s (v%d added %d files)", ErrConflict, table, rec.Version, len(d.Added))
-		}
-		rf := s.reads[table]
-		for _, k := range d.Removed {
-			if rf[k] {
-				return fmt.Errorf("%w: read-write on %s file %s (committed v%d)", ErrConflict, table, k, rec.Version)
-			}
+		return out
+	}
+	for tn, b := range s.bufs {
+		if len(b.removed) > 0 {
+			fp.Removed[tn] = copySet(b.removed)
 		}
 	}
-	return nil
+	for tn, set := range s.reads {
+		fp.Reads[tn] = copySet(set)
+	}
+	return fp
 }
 
 // commitSpan opens the named child span under the session's root (or
@@ -693,16 +596,19 @@ func (s *Session) commitSpan(ctx *engine.QueryContext, name string) *obs.Span {
 	return nil
 }
 
-// Commit runs the multi-table commit protocol. ctx may be nil (a
-// context is derived from the session); when given, its deadline and
-// retry budget govern the protocol's object I/O.
+// Commit commits the transaction through the log's commit protocol.
+// ctx may be nil (a context is derived from the session); when given,
+// its deadline and retry budget govern the protocol's object I/O.
 //
-// Protocol: AppliedTx replay check → cheap pre-validation (a doomed
-// transaction aborts before writing anything durable) → journal intent
-// covering every planned key → data PUTs at txn-derived keys → sealed
-// validate-and-commit under the log mutex (CommitTxIf). A conflict
-// discovered at seal time aborts the intent so GC reclaims the debris
-// eagerly.
+// bigmeta.CommitFiles does the work every committer shares: AppliedTx
+// replay check → cheap pre-validation (a doomed transaction aborts
+// before writing anything durable) → journal intent covering every
+// planned key → data PUTs at txn-derived keys → sealed
+// validate-and-commit under the log mutex, with an abort record on any
+// clean failure past the intent so GC reclaims the debris eagerly. What
+// is left here is the session's own: the read-only fast path, the
+// read/write footprint, abort-cause classification, txn.* metrics and
+// spans.
 func (s *Session) Commit(ctx *engine.QueryContext) (int64, error) {
 	s.mu.Lock()
 	switch s.state {
@@ -755,22 +661,16 @@ func (s *Session) Commit(ctx *engine.QueryContext) (int64, error) {
 
 	s.mu.Lock()
 	plan, err := s.writePlan()
+	fp := s.footprint()
 	s.mu.Unlock()
 	if err != nil {
-		return 0, s.abortWith(ctx, abortFault, err)
+		return 0, s.abortWith(abortFault, err)
 	}
 
 	// Read-only transactions commit at their snapshot: nothing to
 	// validate (snapshot isolation already made them consistent) and
 	// nothing to write.
-	readOnly := true
-	for _, b := range s.bufs {
-		if len(b.batches) > 0 || len(b.removed) > 0 {
-			readOnly = false
-			break
-		}
-	}
-	if readOnly {
+	if len(plan) == 0 && len(fp.Removed) == 0 {
 		if m.tc.commitsRO != nil {
 			m.tc.commitsRO.Add(1)
 		}
@@ -779,142 +679,49 @@ func (s *Session) Commit(ctx *engine.QueryContext) (int64, error) {
 		return s.snapshot, nil
 	}
 
-	// Cheap pre-validation: most conflicts are caught here, before the
-	// transaction has written a single durable byte, so aborts cost
-	// nothing but the session's buffered memory.
-	vsp := s.commitSpan(ctx, "txn.validate")
-	s.mu.Lock()
-	var preErr error
-	for _, rec := range e.Log.Since(s.snapshot) {
-		if preErr = s.conflicts(rec); preErr != nil {
-			break
-		}
-	}
-	s.mu.Unlock()
-	vsp.End()
-	if preErr != nil {
-		return 0, s.abortWith(ctx, abortConflict, preErr)
-	}
-	if err := ctx.Budget.CheckDeadline(e.Clock); err != nil {
-		return 0, s.abortWith(ctx, abortDeadline, err)
-	}
-
-	// Durable intent: every key the commit may write, declared before
-	// the first PUT, so recovery can enumerate (and GC) the debris of
-	// a crash anywhere past this point.
-	m.Crash.At("txn.before_intent")
-	var intentSeq int64
-	if m.Journal != nil {
-		keys := make([]string, len(plan))
-		for i, p := range plan {
-			keys[i] = p.key
-		}
-		isp := s.commitSpan(ctx, "txn.intent")
-		err := m.res().Do(e.Clock, ctx.Budget, "INTENT "+s.ID, func() error {
-			var ie error
-			intentSeq, ie = m.Journal.AppendIntent(s.ID, string(s.Principal), keys)
-			return ie
-		})
-		isp.End()
-		if err != nil {
-			return 0, s.abortIOErr(ctx, err)
-		}
-		s.mu.Lock()
-		s.intentSeq = intentSeq
-		s.mu.Unlock()
-	}
-	m.Crash.At("txn.after_intent")
-
-	// Data PUTs at deterministic keys. Each write retries under the
-	// resilience policy against the commit's budget; chaos faults ride
-	// the backoff, fatal errors abort.
-	psp := s.commitSpan(ctx, "txn.put")
-	deltas := make(map[string]bigmeta.TableDelta)
-	for _, p := range plan {
-		m.Crash.At("txn.before_put")
-		entry, err := s.writeDataFile(ctx, p)
-		if err != nil {
-			psp.End()
-			return 0, s.abortIOErr(ctx, err)
-		}
-		m.Crash.At("txn.after_put")
-		d := deltas[p.table]
-		d.Added = append(d.Added, entry)
-		deltas[p.table] = d
-	}
-	psp.SetInt("files", int64(len(plan)))
-	psp.End()
-	s.mu.Lock()
-	for tn, b := range s.bufs {
-		if len(b.removed) == 0 {
-			continue
-		}
-		d := deltas[tn]
-		for k := range b.removed {
-			d.Removed = append(d.Removed, k)
-		}
-		sort.Strings(d.Removed)
-		deltas[tn] = d
-	}
-	s.mu.Unlock()
-
-	// Seal: validation and the multi-table commit record happen
-	// atomically under the log's single mutex — deadlock-free by
-	// construction, no table lock ordering to get wrong. The journal's
-	// before_seal/after_seal crash points fire inside.
-	ssp := s.commitSpan(ctx, "txn.seal")
-	var version int64
-	err = m.res().Do(e.Clock, ctx.Budget, "SEAL "+s.ID, func() error {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		v, se := e.Log.CommitTxIf(string(s.Principal),
-			bigmeta.TxOptions{TxnID: s.ID, IntentSeq: intentSeq},
-			deltas, s.snapshot, s.conflicts)
-		if se != nil {
-			return se
-		}
-		version = v
-		return nil
+	removed := fp.RemovedKeys()
+	version, err := e.Log.CommitFiles(bigmeta.Tx{
+		ID: s.ID, Principal: string(s.Principal), Res: m.res(), Budget: ctx.Budget,
+		Files: plan, Removed: removed,
+		Since: s.snapshot,
+		Check: func(rec bigmeta.CommitRecord) error {
+			if m.tc.validated != nil {
+				m.tc.validated.Add(1)
+			}
+			return fp.Conflicts(rec)
+		},
+		Span: func(stage string) *obs.Span { return s.commitSpan(ctx, "txn."+stage) },
 	})
-	ssp.End()
-	if err != nil {
-		if errors.Is(err, ErrConflict) {
-			// Late conflict: the intent is already durable, so hand
-			// the debris to GC eagerly with an abort record.
-			return 0, s.abortWith(ctx, abortConflict, err)
+	if version == 0 && err != nil {
+		cause := abortFault
+		switch {
+		case errors.Is(err, ErrConflict):
+			cause = abortConflict
+		case resilience.Classify(err) == resilience.Deadline:
+			cause = abortDeadline
 		}
-		return 0, s.abortIOErr(ctx, err)
+		return 0, s.abortWith(cause, err)
 	}
-	m.Crash.At("txn.after_seal")
 
+	tables := make(map[string]bool, len(removed))
+	for tn := range removed {
+		tables[tn] = true
+	}
+	for _, f := range plan {
+		tables[f.Table] = true
+	}
 	if m.tc.commits != nil {
 		m.tc.commits.Add(1)
-		m.tc.tables.Add(int64(len(deltas)))
+		m.tc.tables.Add(int64(len(tables)))
 		m.tc.files.Add(int64(len(plan)))
 	}
 	s.observePinAge()
 	sp.SetInt("version", version)
-	sp.SetInt("tables", int64(len(deltas)))
+	sp.SetInt("tables", int64(len(tables)))
 	s.finish(stateCommitted, version)
-	return version, nil
-}
-
-// writeDataFile materializes one planned batch, mirroring blmt's
-// crash-consistent PUT (encode → retried PUT → footer stats).
-func (s *Session) writeDataFile(ctx *engine.QueryContext, p plannedFile) (bigmeta.FileEntry, error) {
-	file, err := colfmt.WriteFile(p.batch, colfmt.WriterOptions{})
-	if err != nil {
-		return bigmeta.FileEntry{}, err
-	}
-	var info objstore.ObjectInfo
-	if err := s.m.res().Do(s.m.Eng.Clock, ctx.Budget, "PUT "+p.t.Bucket+"/"+p.key, func() error {
-		var pe error
-		info, pe = p.store.Put(p.cred, p.t.Bucket, p.key, file, "application/x-blk")
-		return pe
-	}); err != nil {
-		return bigmeta.FileEntry{}, err
-	}
-	return bigmeta.NewFileEntry(p.t.Bucket, p.key, info, file)
+	// A non-nil err here is the post-commit export failing after the
+	// transaction sealed.
+	return version, err
 }
 
 // Rollback discards the session's buffered writes. It is cheap (no
@@ -932,33 +739,12 @@ func (s *Session) Rollback() error {
 	return nil
 }
 
-// abortIOErr classifies a commit-path I/O failure (deadline vs
-// exhausted-retries fault) and aborts the session.
-func (s *Session) abortIOErr(ctx *engine.QueryContext, err error) error {
-	cause := abortFault
-	if resilience.Classify(err) == resilience.Deadline {
-		cause = abortDeadline
-	}
-	return s.abortWith(ctx, cause, err)
-}
-
-// abortWith aborts the session for the given cause, appending a
-// journal abort record when an intent was already durable so GC
-// reclaims the planned keys without waiting for recovery.
-func (s *Session) abortWith(ctx *engine.QueryContext, cause string, err error) error {
-	s.mu.Lock()
-	intentSeq := s.intentSeq
-	closed := s.state != stateActive
-	s.mu.Unlock()
-	if closed {
+// abortWith aborts the session for the given cause. The journal abort
+// record, when an intent was already durable, is the commit protocol's
+// job and has been written by the time CommitFiles returns.
+func (s *Session) abortWith(cause string, err error) error {
+	if !s.Active() {
 		return err
-	}
-	if intentSeq > 0 && s.m.Journal != nil {
-		// Best-effort: if the abort record itself fails, recovery
-		// still classifies the unsealed intent's keys as orphans.
-		_ = s.m.res().Do(s.m.Eng.Clock, nil, "ABORT "+s.ID, func() error {
-			return s.m.Journal.AppendAbort(s.ID, intentSeq)
-		})
 	}
 	s.recordAbort(cause)
 	s.finish(stateAborted, 0)

@@ -65,13 +65,11 @@ func newEnv(t *testing.T) *env {
 	stores := map[string]*objstore.Store{"gcp": store}
 	bm := blmt.New(cat, auth, log, clock, stores)
 	bm.DefaultCloud, bm.DefaultBucket, bm.DefaultConnection = "gcp", "customer-bucket", "conn"
-	bm.Journal, bm.Crash = j, cp
 	meta := bigmeta.NewCache(clock, nil)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
 	eng.SetMutator(bm)
-	mgr := NewManager(eng, j)
-	mgr.Crash = cp
+	mgr := NewManager(eng)
 	return &env{clock: clock, store: store, cat: cat, auth: auth, log: log,
 		blmt: bm, eng: eng, mgr: mgr, j: j, cp: cp, cred: cred}
 }
@@ -374,12 +372,12 @@ func TestCrashMidCommitDebrisCollected(t *testing.T) {
 	if _, err := s.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
-	ev.cp.Arm("txn.after_put", 0)
+	ev.cp.Arm("commit.after_put", 0)
 	sig, err := crashpoint.Run(func() error {
 		_, e := s.Commit(nil)
 		return e
 	})
-	if sig == nil || sig.Label != "txn.after_put" {
+	if sig == nil || sig.Label != "commit.after_put" {
 		t.Fatalf("crash did not fire: sig=%v err=%v", sig, err)
 	}
 	ev.cp.Disarm()

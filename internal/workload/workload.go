@@ -229,12 +229,10 @@ func loadNative(env *Env, name string, schema vector.Schema, fill func(*vector.B
 	bl := vector.NewBuilder(schema)
 	fill(bl)
 	batch := bl.Build()
-	file, err := colfmt.WriteFile(batch, colfmt.WriterOptions{})
-	if err != nil {
-		return err
-	}
-	key := fmt.Sprintf("native/%s/part-000.blk", name)
-	info, err := env.Store.Put(env.Cred, env.Bucket, key, file, "application/x-blk")
+	entry, err := bigmeta.PutDataFile(nil, env.Clock, nil, bigmeta.DataFile{
+		Store: env.Store, Cred: env.Cred, Bucket: env.Bucket,
+		Key: fmt.Sprintf("native/%s/part-000.blk", name), Batch: batch,
+	})
 	if err != nil {
 		return err
 	}
@@ -243,10 +241,6 @@ func loadNative(env *Env, name string, schema vector.Schema, fill func(*vector.B
 		Schema: schema, Cloud: env.Cloud, Bucket: env.Bucket,
 		Prefix: fmt.Sprintf("native/%s/", name),
 	}); err != nil {
-		return err
-	}
-	entry, err := bigmeta.NewFileEntry(env.Bucket, key, info, file)
-	if err != nil {
 		return err
 	}
 	_, err = env.Log.Commit("loader", map[string]bigmeta.TableDelta{

@@ -1,26 +1,45 @@
 #!/bin/sh
-# scanlint: one verified data-file reader. Fails if a colfmt reader or
-# colfmt.Verify is applied to object bytes outside internal/scan: a
+# scanlint: one owner per data-file path, read side and write side.
+#
+# Rule "scan": one verified data-file reader. Fails if a colfmt reader
+# or colfmt.Verify is applied to object bytes outside internal/scan: a
 # second fetch -> verify -> decode path is how the Read API and the DML
 # rewrites came to skip the generation check, the quarantine gate and
-# the refetch that queries had. Allowed files are listed, with reasons,
-# in scripts/scanlint.allow; tests are exempt.
+# the refetch that queries had.
+#
+# Rule "commit": one commit protocol. Fails if a journal intent or abort
+# is appended, CommitTxIf is called, or a FileEntry is minted for a
+# just-PUT data file (bigmeta.NewFileEntry) outside internal/bigmeta
+# (bigmeta.CommitFiles / PutDataFile): a second intent -> PUT -> seal
+# sequence is how five of six committers came to seal without
+# validation, without an abort record or without an intent at all.
+#
+# Allowed files are listed per rule, with reasons, in
+# scripts/scanlint.allow; tests are exempt.
 set -eu
 cd "$(dirname "$0")/.."
 
-allow=$(grep -v '^#' scripts/scanlint.allow | grep -v '^$')
-bad=$(grep -rnE 'colfmt\.(NewVectorizedReader|NewRowReader|Verify)\(' --include='*.go' \
-    --exclude='*_test.go' --exclude-dir=scan . | sed 's|^\./||' | while IFS= read -r line; do
-    ok=
-    for prefix in $allow; do
-        case "$line" in "$prefix"*) ok=1 ;; esac
-    done
-    [ -n "$ok" ] || printf '%s\n' "$line"
-done)
-if [ -n "$bad" ]; then
-    echo "scanlint: data-file bytes decoded or verified outside internal/scan:" >&2
-    printf '%s\n' "$bad" >&2
-    echo "read through scan.Reader (Fetch / Read / ReadBatch / Verify), or add the file to scripts/scanlint.allow with a reason" >&2
-    exit 1
-fi
+# check <rule> <regex> <owner-dir> <advice>
+check() {
+    allow=$(grep -v '^#' scripts/scanlint.allow | awk -v r="$1" '$1 == r { print $2 }')
+    bad=$(grep -rnE "$2" --include='*.go' --exclude='*_test.go' --exclude-dir="$3" . |
+        sed 's|^\./||' | while IFS= read -r line; do
+        ok=
+        for prefix in $allow; do
+            case "$line" in "$prefix"*) ok=1 ;; esac
+        done
+        [ -n "$ok" ] || printf '%s\n' "$line"
+    done)
+    if [ -n "$bad" ]; then
+        echo "scanlint($1): $4:" >&2
+        printf '%s\n' "$bad" >&2
+        echo "or add the file to scripts/scanlint.allow under rule '$1' with a reason" >&2
+        exit 1
+    fi
+}
+
+check scan 'colfmt\.(NewVectorizedReader|NewRowReader|Verify)\(' scan \
+    'data-file bytes decoded or verified outside internal/scan; read through scan.Reader (Fetch / Read / ReadBatch / Verify)'
+check commit '\.(AppendIntent|AppendAbort|CommitTxIf|NewFileEntry)\(' bigmeta \
+    'commit protocol step outside internal/bigmeta; commit data files through bigmeta.CommitFiles (PutDataFile for a loader outside a journal)'
 echo "scanlint: ok"
