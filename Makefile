@@ -59,12 +59,20 @@ crash:
 	$(GO) test -race -run 'TestCrashSweep' -v ./internal/oracle/
 
 # Observability gate: registry/span tests under the race detector,
-# the EXPLAIN ANALYZE goldens, the zero-alloc disabled-span benchmark,
-# and the obslint sweep that keeps new counters in the registry.
+# the EXPLAIN ANALYZE goldens, the one-registry tests (a core.New
+# lakehouse shows every layer — store, Big Metadata, Storage API, write
+# path retries, Read API detections, repair outcomes — in
+# system.metrics; a log re-pointed while it commits, a Storage API
+# server while it reads through faults), the zero-alloc
+# disabled-span benchmark, and the obslint sweep that keeps new
+# counters in the registry, documented and dotted.
 obs:
 	$(GO) vet ./internal/obs/ ./internal/engine/
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race -run 'TestExplainAnalyze|TestQuerySpanTree|TestChromeTrace|TestEngineRegistryCounters' ./internal/engine/
+	$(GO) test -race -run 'TestSystemMetrics' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestLogUseObsWhileCommitting' ./internal/bigmeta/
+	$(GO) test -race -count=10 -run 'TestServerUseObsWhileReadRowsRetries' ./internal/storageapi/
 	$(GO) test -run '^$$' -bench BenchmarkSpanDisabled -benchtime 100000x ./internal/obs/
 	./scripts/obslint.sh
 
@@ -149,12 +157,15 @@ gclean:
 # obs registry under the race detector, the direct-engine and
 # serve-session system.* SQL paths (including the self-observation
 # regression), the E21 overhead gate (recording on vs off must take
-# bit-identical trajectories), and the obslint sweep that keeps every
-# registered metric name documented in DESIGN.md.
+# bit-identical trajectories), system.metrics over the production
+# assembly (core.New: every layer's counters in the one registry), and
+# the obslint sweep that keeps every registered metric name documented
+# in DESIGN.md.
 systables:
 	$(GO) test -race ./internal/systables/
 	$(GO) test -race -run 'TestHistogramObserveConcurrent|TestSnapshotUnderConcurrentWriters' ./internal/obs/
 	$(GO) test -run 'TestSystem' ./internal/engine/
+	$(GO) test -run 'TestSystemMetrics' ./internal/core/
 	$(GO) test -race -run 'TestSelfObservation|TestServeShedRecorded|TestServeSessionsAndSLOTables|TestServeRecordsOnce' ./internal/serve/
 	$(GO) test -run 'TestE21|TestRunTop' -v ./internal/exp/
 	./scripts/obslint.sh

@@ -8,13 +8,14 @@ import (
 
 	"biglake/internal/colfmt"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
 )
 
 func testEnv() (*objstore.Store, objstore.Credential, *sim.Clock) {
 	clock := sim.NewClock()
-	st := objstore.New(sim.GCP, clock, nil)
+	st := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@lake"}
 	if err := st.CreateBucket(cred, "lake"); err != nil {
 		panic(err)
@@ -68,7 +69,7 @@ func TestRefreshCollectsEntriesAndStats(t *testing.T) {
 	if err := writePartitionedTable(st, cred, "t/", []string{"2024-01-01", "2024-01-02"}, 3, 100); err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 	n, err := cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestRefreshCollectsEntriesAndStats(t *testing.T) {
 
 func TestCacheMissIsError(t *testing.T) {
 	_, _, clock := testEnv()
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 	if _, err := cache.Files("ghost"); !errors.Is(err, ErrNotCached) {
 		t.Fatalf("err = %v", err)
 	}
@@ -110,7 +111,7 @@ func TestCacheMissIsError(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	st, cred, clock := testEnv()
 	writePartitionedTable(st, cred, "t/", []string{"d"}, 1, 10)
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 	cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{})
 	cache.Invalidate("ds.t")
 	if _, err := cache.Files("ds.t"); !errors.Is(err, ErrNotCached) {
@@ -121,7 +122,7 @@ func TestInvalidate(t *testing.T) {
 func TestPrunePartitions(t *testing.T) {
 	st, cred, clock := testEnv()
 	writePartitionedTable(st, cred, "t/", []string{"2024-01-01", "2024-01-02", "2024-01-03"}, 2, 50)
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 	cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true})
 
 	preds := []colfmt.Predicate{{Column: "date", Op: vector.EQ, Value: vector.StringValue("2024-01-02")}}
@@ -146,7 +147,7 @@ func TestPruneFileStatsFinerThanPartitions(t *testing.T) {
 	// pruning keeps all 10 (the Hive-metastore granularity, ablation
 	// A1).
 	writePartitionedTable(st, cred, "t/", []string{"d1"}, 10, 100)
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 	cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true})
 
 	preds := []colfmt.Predicate{{Column: "id", Op: vector.EQ, Value: vector.IntValue(555)}}
@@ -169,7 +170,7 @@ func TestPruneIntPartitionValues(t *testing.T) {
 		file, _ := colfmt.WriteFile(bl.Build(), colfmt.WriterOptions{})
 		st.Put(cred, "lake", fmt.Sprintf("t/hour=%d/f.blk", h), file, "")
 	}
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 	cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true})
 	preds := []colfmt.Predicate{{Column: "hour", Op: vector.GE, Value: vector.IntValue(2)}}
 	files, _ := cache.Prune("ds.t", preds, PrunePartitionsOnly)
@@ -189,7 +190,7 @@ func TestPruneNoCacheStatsKeepsFile(t *testing.T) {
 func TestRefreshChargesClockForegroundOnly(t *testing.T) {
 	st, cred, clock := testEnv()
 	writePartitionedTable(st, cred, "t/", []string{"d"}, 8, 50)
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 
 	before := clock.Now()
 	if _, err := cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true}); err != nil {
@@ -213,7 +214,7 @@ func TestRefreshChargesClockForegroundOnly(t *testing.T) {
 func TestStatsMerging(t *testing.T) {
 	st, cred, clock := testEnv()
 	writePartitionedTable(st, cred, "t/", []string{"d1", "d2"}, 2, 100)
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 	cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true})
 	ts, err := cache.Stats("ds.t")
 	if err != nil {
@@ -236,7 +237,7 @@ func entry(key string, rows int64) FileEntry {
 
 func TestLogCommitAndSnapshot(t *testing.T) {
 	clock := sim.NewClock()
-	l := NewLog(clock, nil)
+	l := NewLog(clock)
 	v1, err := l.Commit("writer", map[string]TableDelta{
 		"ds.t": {Added: []FileEntry{entry("f1", 10), entry("f2", 20)}},
 	})
@@ -261,14 +262,14 @@ func TestLogCommitAndSnapshot(t *testing.T) {
 }
 
 func TestLogEmptyCommitRejected(t *testing.T) {
-	l := NewLog(sim.NewClock(), nil)
+	l := NewLog(sim.NewClock())
 	if _, err := l.Commit("w", nil); err == nil {
 		t.Fatal("empty commit should fail")
 	}
 }
 
 func TestLogMultiTableTransaction(t *testing.T) {
-	l := NewLog(sim.NewClock(), nil)
+	l := NewLog(sim.NewClock())
 	v, err := l.Commit("writer", map[string]TableDelta{
 		"ds.a": {Added: []FileEntry{entry("a1", 1)}},
 		"ds.b": {Added: []FileEntry{entry("b1", 1)}},
@@ -285,7 +286,7 @@ func TestLogMultiTableTransaction(t *testing.T) {
 }
 
 func TestLogFutureVersionRejected(t *testing.T) {
-	l := NewLog(sim.NewClock(), nil)
+	l := NewLog(sim.NewClock())
 	l.Commit("w", map[string]TableDelta{"t": {Added: []FileEntry{entry("f", 1)}}})
 	if _, _, err := l.Snapshot("t", 99); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("future snapshot: %v", err)
@@ -293,7 +294,7 @@ func TestLogFutureVersionRejected(t *testing.T) {
 }
 
 func TestLogCompactionPreservesReads(t *testing.T) {
-	l := NewLog(sim.NewClock(), nil)
+	l := NewLog(sim.NewClock())
 	l.BaselineEvery = 0 // manual compaction
 	for i := 0; i < 50; i++ {
 		l.Commit("w", map[string]TableDelta{
@@ -323,7 +324,7 @@ func TestLogCompactionPreservesReads(t *testing.T) {
 }
 
 func TestLogAutoCompaction(t *testing.T) {
-	l := NewLog(sim.NewClock(), nil)
+	l := NewLog(sim.NewClock())
 	l.BaselineEvery = 8
 	for i := 0; i < 20; i++ {
 		l.Commit("w", map[string]TableDelta{"t": {Added: []FileEntry{entry(fmt.Sprintf("f%d", i), 1)}}})
@@ -338,7 +339,7 @@ func TestLogAutoCompaction(t *testing.T) {
 }
 
 func TestLogReplayMatchesSnapshot(t *testing.T) {
-	l := NewLog(sim.NewClock(), nil)
+	l := NewLog(sim.NewClock())
 	for i := 0; i < 30; i++ {
 		d := TableDelta{Added: []FileEntry{entry(fmt.Sprintf("f%02d", i), 1)}}
 		if i%5 == 4 {
@@ -359,7 +360,7 @@ func TestLogReplayMatchesSnapshot(t *testing.T) {
 }
 
 func TestLogHistoryIsTamperEvident(t *testing.T) {
-	l := NewLog(sim.NewClock(), nil)
+	l := NewLog(sim.NewClock())
 	l.Commit("alice", map[string]TableDelta{"t": {Added: []FileEntry{entry("f1", 1)}}})
 	l.Commit("bob", map[string]TableDelta{"t": {Removed: []string{"f1"}}})
 	hist := l.History("t")
@@ -383,14 +384,14 @@ func TestLogCommitThroughputBeatsObjectStore(t *testing.T) {
 	// The §3.5 shape: N commits through Big Metadata advance simulated
 	// time far less than N conditional object-store commits.
 	clockA := sim.NewClock()
-	l := NewLog(clockA, nil)
+	l := NewLog(clockA)
 	for i := 0; i < 50; i++ {
 		l.Commit("w", map[string]TableDelta{"t": {Added: []FileEntry{entry(fmt.Sprintf("f%d", i), 1)}}})
 	}
 	metaTime := clockA.Now()
 
 	clockB := sim.NewClock()
-	st := objstore.New(sim.GCP, clockB, nil)
+	st := objstore.New(sim.GCP, clockB)
 	cred := objstore.Credential{Principal: "w"}
 	st.CreateBucket(cred, "b")
 	gen := int64(0)
@@ -409,7 +410,7 @@ func TestLogCommitThroughputBeatsObjectStore(t *testing.T) {
 }
 
 func TestCommitDeltasAreCopied(t *testing.T) {
-	l := NewLog(sim.NewClock(), nil)
+	l := NewLog(sim.NewClock())
 	added := []FileEntry{entry("f1", 1)}
 	l.Commit("w", map[string]TableDelta{"t": {Added: added}})
 	added[0].Key = "tampered"
@@ -450,7 +451,7 @@ func TestRefreshLatencyFarBelowPerQueryListing(t *testing.T) {
 	// costs seconds.
 	st, cred, clock := testEnv()
 	writePartitionedTable(st, cred, "t/", []string{"d1", "d2", "d3", "d4"}, 5, 20)
-	cache := NewCache(clock, nil)
+	cache := NewCache(clock)
 	cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true, Background: true})
 
 	before := clock.Now()
@@ -471,8 +472,9 @@ func TestRefreshLatencyFarBelowPerQueryListing(t *testing.T) {
 }
 
 func TestSnapshotPinCacheServesHistoricalVersions(t *testing.T) {
-	meter := &sim.Meter{}
-	l := NewLog(sim.NewClock(), meter)
+	reg := obs.NewRegistry()
+	l := NewLog(sim.NewClock())
+	l.UseObs(reg)
 	l.BaselineEvery = 0 // manual compaction
 	for i := 0; i < 20; i++ {
 		l.Commit("w", map[string]TableDelta{
@@ -485,9 +487,9 @@ func TestSnapshotPinCacheServesHistoricalVersions(t *testing.T) {
 	if err != nil || len(f1) != 5 {
 		t.Fatalf("snapshot@5 = %d files, %v", len(f1), err)
 	}
-	if meter.Get("meta_snapshot_pin_misses") != 1 || meter.Get("meta_snapshot_replays") != 1 {
+	if reg.Get("bigmeta.meta_snapshot_pin_misses") != 1 || reg.Get("bigmeta.meta_snapshot_replays") != 1 {
 		t.Fatalf("first read: misses=%d replays=%d, want 1/1",
-			meter.Get("meta_snapshot_pin_misses"), meter.Get("meta_snapshot_replays"))
+			reg.Get("bigmeta.meta_snapshot_pin_misses"), reg.Get("bigmeta.meta_snapshot_replays"))
 	}
 	// ...the caller may mutate its copy without corrupting the cache...
 	f1[0].Key = "clobbered"
@@ -499,17 +501,18 @@ func TestSnapshotPinCacheServesHistoricalVersions(t *testing.T) {
 			t.Fatalf("pinned read %d = %+v, %v", i, f, err)
 		}
 	}
-	if hits := meter.Get("meta_snapshot_pin_hits"); hits != 3 {
+	if hits := reg.Get("bigmeta.meta_snapshot_pin_hits"); hits != 3 {
 		t.Fatalf("pin hits = %d, want 3", hits)
 	}
-	if meter.Get("meta_snapshot_replays") != 1 {
-		t.Fatalf("replays = %d, want 1 (cache must serve repeats)", meter.Get("meta_snapshot_replays"))
+	if reg.Get("bigmeta.meta_snapshot_replays") != 1 {
+		t.Fatalf("replays = %d, want 1 (cache must serve repeats)", reg.Get("bigmeta.meta_snapshot_replays"))
 	}
 }
 
 func TestCommitTxIfValidatesAgainstConcurrentCommits(t *testing.T) {
-	meter := &sim.Meter{}
-	l := NewLog(sim.NewClock(), meter)
+	reg := obs.NewRegistry()
+	l := NewLog(sim.NewClock())
+	l.UseObs(reg)
 	snap, _ := l.Commit("w", map[string]TableDelta{"t": {Added: []FileEntry{entry("f1", 1)}}})
 	// A concurrent commit lands after the snapshot.
 	l.Commit("w", map[string]TableDelta{"t": {Removed: []string{"f1"}, Added: []FileEntry{entry("f2", 1)}}})
@@ -529,12 +532,39 @@ func TestCommitTxIfValidatesAgainstConcurrentCommits(t *testing.T) {
 	if _, err := l.CommitTxIf("w", TxOptions{}, map[string]TableDelta{"t": {Added: []FileEntry{entry("f3", 1)}}}, snap, check); !errors.Is(err, wantErr) {
 		t.Fatalf("CommitTxIf err = %v, want conflict", err)
 	}
-	if meter.Get("meta_commit_conflicts") != 1 {
-		t.Fatalf("meta_commit_conflicts = %d, want 1", meter.Get("meta_commit_conflicts"))
+	if reg.Get("bigmeta.meta_commit_conflicts") != 1 {
+		t.Fatalf("meta_commit_conflicts = %d, want 1", reg.Get("bigmeta.meta_commit_conflicts"))
 	}
 	// Validating from the later version passes: nothing new to check.
 	if _, err := l.CommitTxIf("w", TxOptions{}, map[string]TableDelta{"t": {Added: []FileEntry{entry("f3", 1)}}}, l.Version(), check); err != nil {
 		t.Fatalf("CommitTxIf at head: %v", err)
+	}
+}
+
+// TestLogUseObsWhileCommitting re-points the log between two registries
+// while another goroutine commits: the swap is one atomic store, so the
+// race detector stays quiet and every commit lands in exactly one of
+// the two.
+func TestLogUseObsWhileCommitting(t *testing.T) {
+	const commits = 200
+	l := NewLog(sim.NewClock())
+	a, b := obs.NewRegistry(), obs.NewRegistry()
+	l.UseObs(a)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < commits; i++ {
+			l.Commit("w", map[string]TableDelta{"t": {Added: []FileEntry{entry(fmt.Sprintf("f%d", i), 1)}}})
+			l.Snapshot("t", -1)
+		}
+	}()
+	for i := 0; i < commits; i++ {
+		l.UseObs(b)
+		l.UseObs(a)
+	}
+	<-done
+	if got := a.Get("bigmeta.meta_commits") + b.Get("bigmeta.meta_commits"); got != commits {
+		t.Fatalf("commits counted = %d across both registries, want %d", got, commits)
 	}
 }
 
@@ -544,7 +574,7 @@ func TestCommitTxIfValidatesAgainstConcurrentCommits(t *testing.T) {
 // swap a file and lift its mark in one commit.
 func TestQuarantineLifecycle(t *testing.T) {
 	_, _, clock := testEnv()
-	log := NewLog(clock, nil)
+	log := NewLog(clock)
 	if _, err := log.Commit("loader", map[string]TableDelta{"ds.t": {Added: []FileEntry{
 		{Bucket: "lake", Key: "t/a.blk", Size: 1},
 		{Bucket: "lake", Key: "t/b.blk", Size: 1},

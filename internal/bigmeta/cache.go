@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"biglake/internal/colfmt"
@@ -101,8 +102,9 @@ const RefreshWorkers = 16
 // Cache is the metadata cache for BigLake and Object tables.
 type Cache struct {
 	clock *sim.Clock
-	meter *sim.Meter
-	sink  obs.Sink
+	// cc is the registry UseObs installed last and its
+	// "bigmeta.cache_refreshes" counter.
+	cc atomic.Pointer[cacheCounters]
 
 	// Res is the retry policy for the store operations a refresh
 	// issues; a refresh that hits a transient LIST/GET fault retries
@@ -114,34 +116,33 @@ type Cache struct {
 	refreshed map[string]time.Duration
 }
 
-// NewCache returns an empty cache charging background work to clock.
-func NewCache(clock *sim.Clock, meter *sim.Meter) *Cache {
-	if meter == nil {
-		meter = &sim.Meter{}
-	}
-	res := resilience.DefaultPolicy()
-	res.Meter = meter
-	return &Cache{
+type cacheCounters struct {
+	reg       *obs.Registry
+	refreshes *obs.Counter
+}
+
+// NewCache returns an empty cache charging background work to clock
+// and counting into a private registry until UseObs points it at a
+// shared one.
+func NewCache(clock *sim.Clock) *Cache {
+	c := &Cache{
 		clock:     clock,
-		meter:     meter,
-		sink:      meter,
-		Res:       res,
+		Res:       resilience.DefaultPolicy(),
 		entries:   make(map[string][]FileEntry),
 		refreshed: make(map[string]time.Duration),
 	}
+	c.UseObs(obs.NewRegistry())
+	return c
 }
 
-// UseObs tees the cache's counters into a shared registry under
-// "bigmeta."-prefixed names (legacy meter names keep working) and
-// routes refresh retry metrics under "resilience.*".
+// UseObs points the cache's refresh counter ("bigmeta.*") and its
+// refresh retry counters ("resilience.*") at a shared registry in one
+// atomic store, so it is safe with refreshes in flight.
 func (c *Cache) UseObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	c.sink = obs.Tee(c.meter, r.Prefixed("bigmeta."))
-	if c.Res != nil {
-		c.Res.Meter = obs.Tee(c.meter, r.Prefixed("resilience."))
-	}
+	c.cc.Store(&cacheCounters{reg: r, refreshes: r.Counter("bigmeta.cache_refreshes")})
 }
 
 // RefreshOptions configures one refresh pass.
@@ -170,7 +171,9 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 	// Each refresh gets its own retry budget, seeded by the table name
 	// so fault sequences reproduce.
 	bud := resilience.NewBudget(c.clock, refreshRetryBudget, resilience.Seed64(table))
-	infos, err := resilience.ListAll(c.Res, listCharger, bud, store, cred, bucket, prefix)
+	cc := c.cc.Load()
+	res := c.Res.Counting(cc.reg)
+	infos, err := resilience.ListAll(res, listCharger, bud, store, cred, bucket, prefix)
 	if err != nil {
 		return 0, err
 	}
@@ -207,7 +210,7 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			tr := tracks[i%RefreshWorkers]
-			stats, rows, err := ReadFooterStats(c.Res, bud, store, cred, bucket, key, tr)
+			stats, rows, err := ReadFooterStats(res, bud, store, cred, bucket, key, tr)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -235,7 +238,7 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 	c.entries[table] = entries
 	c.refreshed[table] = c.clock.Now()
 	c.mu.Unlock()
-	c.sink.Add("cache_refreshes", 1)
+	cc.refreshes.Add(1)
 	return len(entries), nil
 }
 
@@ -248,7 +251,7 @@ const refreshRetryBudget = 64
 // read only when the footer outgrows the tail guess. The cache refresh
 // runs it in the background; an engine without the cache pays it on the
 // query path (§3.3). Remote calls retry under res; the reads are hedged.
-func ReadFooterStats(res *resilience.Policy, bud *resilience.Budget, store *objstore.Store, cred objstore.Credential, bucket, key string, tr *sim.Track) (map[string]colfmt.ColumnStats, int64, error) {
+func ReadFooterStats(res resilience.Counted, bud *resilience.Budget, store *objstore.Store, cred objstore.Credential, bucket, key string, tr *sim.Track) (map[string]colfmt.ColumnStats, int64, error) {
 	var info objstore.ObjectInfo
 	if err := res.Do(tr, bud, "HEAD "+bucket+"/"+key, func() error {
 		var e error

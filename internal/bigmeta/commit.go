@@ -128,7 +128,7 @@ type DataFile struct {
 // place a data file is materialized. CommitFiles calls it per file
 // between its crash points; loaders that commit outside a journal
 // (omni's temp tables, the workload generators) call it directly.
-func PutDataFile(res *resilience.Policy, ch sim.Charger, bud *resilience.Budget, f DataFile) (FileEntry, error) {
+func PutDataFile(res resilience.Counted, ch sim.Charger, bud *resilience.Budget, f DataFile) (FileEntry, error) {
 	data := f.Bytes
 	if data == nil {
 		var err error
@@ -170,7 +170,8 @@ type Tx struct {
 	ID        string
 	Principal string
 	// Res and Budget govern the intent, every PUT, the seal and the
-	// abort record. Nil means one attempt / no budget.
+	// abort record. Nil means one attempt / no budget. Retries count
+	// ("resilience.*") in the log's registry.
 	Res    *resilience.Policy
 	Budget *resilience.Budget
 	// Files are the data files to write; Removed the live files the
@@ -262,6 +263,7 @@ func (l *Log) CommitFiles(tx Tx) (int64, error) {
 	// the first PUT, so recovery can enumerate (and GC) the debris of a
 	// crash anywhere past this point.
 	l.Crash.At("commit.before_intent")
+	res := tx.Res.Counting(l.Obs())
 	sink, hook := l.hooks()
 	var intentSeq int64
 	if sink != nil && tx.ID != "" {
@@ -270,7 +272,7 @@ func (l *Log) CommitFiles(tx Tx) (int64, error) {
 			keys[i] = f.Key
 		}
 		sp := tx.span("intent")
-		err := tx.Res.Do(l.clock, tx.Budget, "INTENT "+tx.ID, func() error {
+		err := res.Do(l.clock, tx.Budget, "INTENT "+tx.ID, func() error {
 			var ie error
 			intentSeq, ie = sink.AppendIntent(tx.ID, tx.Principal, keys)
 			return ie
@@ -282,12 +284,12 @@ func (l *Log) CommitFiles(tx Tx) (int64, error) {
 	}
 	l.Crash.At("commit.after_intent")
 
-	version, deltas, err := l.putAndSeal(&tx, intentSeq)
+	version, deltas, err := l.putAndSeal(&tx, res, intentSeq)
 	if err != nil {
 		if intentSeq > 0 {
 			// Best-effort: if the abort record itself fails, recovery
 			// still classifies the unsealed intent's keys as orphans.
-			_ = tx.Res.Do(l.clock, nil, "ABORT "+tx.ID, func() error {
+			_ = res.Do(l.clock, nil, "ABORT "+tx.ID, func() error {
 				return sink.AppendAbort(tx.ID, intentSeq)
 			})
 		}
@@ -318,12 +320,12 @@ func (l *Log) CommitFiles(tx Tx) (int64, error) {
 // log's single mutex — deadlock-free by construction, no table lock
 // ordering to get wrong. The journal's before_seal/after_seal crash
 // points fire inside CommitTxIf.
-func (l *Log) putAndSeal(tx *Tx, intentSeq int64) (int64, map[string]TableDelta, error) {
+func (l *Log) putAndSeal(tx *Tx, res resilience.Counted, intentSeq int64) (int64, map[string]TableDelta, error) {
 	deltas := make(map[string]TableDelta, len(tx.Removed)+1)
 	sp := tx.span("put")
 	for _, f := range tx.Files {
 		l.Crash.At("commit.before_put")
-		entry, err := PutDataFile(tx.Res, l.clock, tx.Budget, f)
+		entry, err := PutDataFile(res, l.clock, tx.Budget, f)
 		if err != nil {
 			sp.End()
 			return 0, nil, err
@@ -346,7 +348,7 @@ func (l *Log) putAndSeal(tx *Tx, intentSeq int64) (int64, map[string]TableDelta,
 
 	sp = tx.span("seal")
 	var version int64
-	err := tx.Res.Do(l.clock, tx.Budget, "SEAL "+tx.ID, func() error {
+	err := res.Do(l.clock, tx.Budget, "SEAL "+tx.ID, func() error {
 		v, se := l.CommitTxIf(tx.Principal,
 			TxOptions{TxnID: tx.ID, IntentSeq: intentSeq, Streams: tx.Streams},
 			deltas, tx.Since, tx.Check)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"biglake/internal/crashpoint"
@@ -108,8 +109,7 @@ type TxOptions struct {
 // trail (§3.5).
 type Log struct {
 	clock *sim.Clock
-	meter *sim.Meter
-	msink obs.Sink
+	lc    atomic.Pointer[logCounters]
 
 	mu      sync.RWMutex
 	version int64
@@ -154,20 +154,45 @@ type Log struct {
 	Crash *crashpoint.Injector
 }
 
-// NewLog returns an empty transaction log.
-func NewLog(clock *sim.Clock, meter *sim.Meter) *Log {
-	if meter == nil {
-		meter = &sim.Meter{}
+// logCounters holds the log's registry and its pre-resolved
+// "bigmeta.*" counters: a commit or a snapshot pays atomic adds, never
+// a map lookup.
+type logCounters struct {
+	reg                          *obs.Registry
+	commits, replays, conflicts  *obs.Counter
+	restored, compactions        *obs.Counter
+	pinHits, pinMisses, replayed *obs.Counter
+	quarantines, unquarantines   *obs.Counter
+}
+
+func resolveLogCounters(r *obs.Registry) *logCounters {
+	return &logCounters{
+		reg:           r,
+		commits:       r.Counter("bigmeta.meta_commits"),
+		replays:       r.Counter("bigmeta.meta_commit_replays"),
+		conflicts:     r.Counter("bigmeta.meta_commit_conflicts"),
+		restored:      r.Counter("bigmeta.meta_commits_restored"),
+		compactions:   r.Counter("bigmeta.meta_compactions"),
+		pinHits:       r.Counter("bigmeta.meta_snapshot_pin_hits"),
+		pinMisses:     r.Counter("bigmeta.meta_snapshot_pin_misses"),
+		replayed:      r.Counter("bigmeta.meta_snapshot_replays"),
+		quarantines:   r.Counter("bigmeta.meta_quarantines"),
+		unquarantines: r.Counter("bigmeta.meta_unquarantines"),
 	}
-	return &Log{
+}
+
+// NewLog returns an empty transaction log counting into a private
+// registry until UseObs points it at a shared one.
+func NewLog(clock *sim.Clock) *Log {
+	l := &Log{
 		clock:         clock,
-		meter:         meter,
-		msink:         meter,
 		baseline:      make(map[string][]FileEntry),
 		applied:       make(map[string]int64),
 		pins:          make(map[pinKey][]FileEntry),
 		BaselineEvery: 64,
 	}
+	l.lc.Store(resolveLogCounters(obs.NewRegistry()))
+	return l
 }
 
 // pinKey identifies one cached historical snapshot. Snapshots are
@@ -180,13 +205,19 @@ type pinKey struct {
 // pinCacheMax bounds the historical-snapshot cache.
 const pinCacheMax = 256
 
-// UseObs tees the log's commit counters into a shared registry under
-// "bigmeta."-prefixed names; legacy meter names keep working.
+// Obs returns the registry the log counts into. Components built over
+// the log (the Storage API server, the BLMT manager) start out in it.
+func (l *Log) Obs() *obs.Registry { return l.lc.Load().reg }
+
+// UseObs points the log's "bigmeta.*" counters at a shared registry.
+// The handles swap in one atomic store, so it is safe with commits and
+// snapshot reads in flight. Components already built over the log keep
+// the registry they inherited.
 func (l *Log) UseObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	l.msink = obs.Tee(l.meter, r.Prefixed("bigmeta."))
+	l.lc.Store(resolveLogCounters(r))
 }
 
 // AttachJournal installs the durable commit sink. Commits made after
@@ -248,7 +279,7 @@ func (l *Log) CommitTxIf(principal string, opts TxOptions, deltas map[string]Tab
 	defer l.mu.Unlock()
 	if opts.TxnID != "" {
 		if v, ok := l.applied[opts.TxnID]; ok {
-			l.msink.Add("meta_commit_replays", 1)
+			l.lc.Load().replays.Add(1)
 			return v, nil
 		}
 	}
@@ -261,7 +292,7 @@ func (l *Log) CommitTxIf(principal string, opts TxOptions, deltas map[string]Tab
 		}
 		for i := int(start); i < len(l.history); i++ {
 			if err := check(l.history[i]); err != nil {
-				l.msink.Add("meta_commit_conflicts", 1)
+				l.lc.Load().conflicts.Add(1)
 				return 0, err
 			}
 		}
@@ -309,7 +340,7 @@ func (l *Log) CommitTxIf(principal string, opts TxOptions, deltas map[string]Tab
 	if opts.TxnID != "" {
 		l.applied[opts.TxnID] = rec.Version
 	}
-	l.msink.Add("meta_commits", 1)
+	l.lc.Load().commits.Add(1)
 	if l.BaselineEvery > 0 && len(l.tail) >= l.BaselineEvery {
 		l.compactLocked()
 	}
@@ -356,7 +387,7 @@ func (l *Log) Restore(commits []TxCommit) error {
 			l.applied[c.TxnID] = c.Version
 		}
 	}
-	l.msink.Add("meta_commits_restored", int64(len(commits)))
+	l.lc.Load().restored.Add(int64(len(commits)))
 	return nil
 }
 
@@ -384,7 +415,7 @@ func (l *Log) compactLocked() {
 	}
 	l.baselineVersion = l.version
 	l.tail = nil
-	l.msink.Add("meta_compactions", 1)
+	l.lc.Load().compactions.Add(1)
 }
 
 func applyDelta(files []FileEntry, d TableDelta) []FileEntry {
@@ -425,7 +456,7 @@ func (l *Log) Snapshot(table string, version int64) ([]FileEntry, int64, error) 
 		l.pinMu.Lock()
 		if cached, ok := l.pins[k]; ok {
 			l.pinMu.Unlock()
-			l.msink.Add("meta_snapshot_pin_hits", 1)
+			l.lc.Load().pinHits.Add(1)
 			return append([]FileEntry(nil), cached...), version, nil
 		}
 		files := replay(l.history, table, version)
@@ -437,8 +468,9 @@ func (l *Log) Snapshot(table string, version int64) ([]FileEntry, int64, error) 
 		l.pins[k] = append([]FileEntry(nil), files...)
 		l.pinOrder = append(l.pinOrder, k)
 		l.pinMu.Unlock()
-		l.msink.Add("meta_snapshot_pin_misses", 1)
-		l.msink.Add("meta_snapshot_replays", 1)
+		lc := l.lc.Load()
+		lc.pinMisses.Add(1)
+		lc.replayed.Add(1)
 		return files, version, nil
 	}
 	files := append([]FileEntry(nil), l.baseline[table]...)

@@ -61,9 +61,10 @@ type Manager struct {
 
 	// Res is the retry policy for data-file reads/writes and the
 	// Iceberg export commit CAS. Nil behaves like resilience.NoRetry.
+	// The manager owns no registry: "blmt.repair_*" outcomes, its
+	// reader's "integrity.*" detections and Res's "resilience.*" count
+	// in whatever registry the log counts into at the time.
 	Res *resilience.Policy
-	// Meter records the manager's retry/fault counters.
-	Meter *sim.Meter
 
 	// seq numbers data files written without a transaction ID.
 	seq atomic.Int64
@@ -103,13 +104,10 @@ func (m *Manager) dataFiles(t catalog.Table, store *objstore.Store, cred objstor
 
 var _ engine.Mutator = (*Manager)(nil)
 
-// New assembles a Manager and installs its AutoIceberg export as the
-// log's post-commit hook.
+// New assembles a Manager counting into the log's registry and installs
+// its AutoIceberg export as the log's post-commit hook.
 func New(cat *catalog.Catalog, auth *security.Authority, log *bigmeta.Log, clock *sim.Clock, stores map[string]*objstore.Store) *Manager {
-	meter := &sim.Meter{}
-	res := resilience.DefaultPolicy()
-	res.Meter = meter
-	m := &Manager{Catalog: cat, Auth: auth, Log: log, Clock: clock, Stores: stores, Res: res, Meter: meter}
+	m := &Manager{Catalog: cat, Auth: auth, Log: log, Clock: clock, Stores: stores, Res: resilience.DefaultPolicy()}
 	log.AfterDataCommit(m.autoExport)
 	return m
 }
@@ -154,9 +152,9 @@ func (m *Manager) managedTable(name string) (catalog.Table, *objstore.Store, obj
 // rewrite never skips a quarantined file — leaving a file out of a
 // rewrite is data loss — so it fails typed instead, and it never
 // commits a file derived from bytes that did not verify. Detections
-// land in the registry of the store read.
+// land in the log's registry.
 func (m *Manager) reader(t catalog.Table, store *objstore.Store, cred objstore.Credential, bud *resilience.Budget, principal string) (scan.Reader, *scan.Source) {
-	return scan.Reader{Res: m.Res, Log: m.Log, Obs: store.Obs(), Site: "scan"},
+	return scan.Reader{Res: m.Res, Log: m.Log, Obs: m.Log.Obs(), Site: "scan"},
 		&scan.Source{Table: t, Store: store, Cred: cred, Budget: bud, Principal: principal}
 }
 
@@ -601,7 +599,8 @@ func (m *Manager) GarbageCollect(table string, minAge time.Duration) (int, error
 	for _, f := range files {
 		live[f.Key] = true
 	}
-	infos, err := resilience.ListAll(m.Res, m.Clock, nil, store, cred, t.Bucket, t.Prefix+"data/")
+	res := m.Res.Counting(m.Log.Obs())
+	infos, err := resilience.ListAll(res, m.Clock, nil, store, cred, t.Bucket, t.Prefix+"data/")
 	if err != nil {
 		return 0, err
 	}
@@ -615,7 +614,7 @@ func (m *Manager) GarbageCollect(table string, minAge time.Duration) (int, error
 			continue
 		}
 		key := info.Key
-		if err := m.Res.Do(m.Clock, nil, "DELETE "+t.Bucket+"/"+key, func() error {
+		if err := res.Do(m.Clock, nil, "DELETE "+t.Bucket+"/"+key, func() error {
 			return store.Delete(cred, t.Bucket, key)
 		}); err != nil {
 			return deleted, err
@@ -636,5 +635,5 @@ func (m *Manager) ExportIceberg(table string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return iceberg.ExportWithCrash(m.Log.Crash, m.Res, store, cred, t.Bucket, t.Prefix, table, t.Schema, files, version)
+	return iceberg.ExportWithCrash(m.Log.Crash, m.Res.Counting(m.Log.Obs()), store, cred, t.Bucket, t.Prefix, table, t.Schema, files, version)
 }

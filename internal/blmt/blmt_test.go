@@ -11,6 +11,7 @@ import (
 	"biglake/internal/engine"
 	"biglake/internal/iceberg"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/resilience"
 	"biglake/internal/security"
 	"biglake/internal/sim"
@@ -33,7 +34,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	if err := store.CreateBucket(cred, "customer-bucket"); err != nil {
 		t.Fatal(err)
@@ -42,11 +43,11 @@ func newEnv(t *testing.T) *env {
 	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	stores := map[string]*objstore.Store{"gcp": store}
 	mgr := New(cat, auth, log, clock, stores)
 	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "customer-bucket", "conn"
-	meta := bigmeta.NewCache(clock, nil)
+	meta := bigmeta.NewCache(clock)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
 	eng.SetMutator(mgr)
@@ -417,14 +418,18 @@ func TestRetriesAbsorbTransientInsertFault(t *testing.T) {
 	// the caller: the write retries and commits.
 	ev := newEnv(t)
 	ev.createEvents(t)
+	// The log is wired after the manager was built over it: the manager
+	// owns no registry, so the retry still lands in the log's.
+	reg := obs.NewRegistry()
+	ev.log.UseObs(reg)
 	ev.store.FailNext(1)
 	ev.sql(t, "INSERT INTO ds.events VALUES (1, 'a', 1.0)")
 	res := ev.sql(t, "SELECT COUNT(*) AS n FROM ds.events")
 	if res.Batch.Column("n").Value(0).AsInt() != 1 {
 		t.Fatal("insert did not survive the transient fault")
 	}
-	if ev.mgr.Meter.Get("retries") == 0 {
-		t.Fatal("expected a metered retry")
+	if reg.Get("resilience.retries") == 0 {
+		t.Fatal("expected a counted retry")
 	}
 }
 
@@ -438,7 +443,7 @@ func TestDMLLeavesAliasedScanCacheIntact(t *testing.T) {
 	ev := newEnv(t)
 	opts := engine.DefaultOptions()
 	opts.EnableScanCache = true
-	ev.eng = engine.New(ev.cat, ev.auth, bigmeta.NewCache(ev.clock, nil), ev.log, ev.clock,
+	ev.eng = engine.New(ev.cat, ev.auth, bigmeta.NewCache(ev.clock), ev.log, ev.clock,
 		map[string]*objstore.Store{"gcp": ev.store}, opts)
 	ev.eng.ManagedCred = ev.cred
 	ev.eng.SetMutator(ev.mgr)

@@ -71,7 +71,8 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 	if err != nil {
 		return rep, err
 	}
-	rd := scan.Reader{Res: m.Res}
+	reg := m.Log.Obs()
+	rd := scan.Reader{Res: m.Res, Obs: reg}
 	src := scan.Source{Table: t, Store: store, Cred: cred}
 	live := make(map[string]bigmeta.FileEntry, len(files))
 	for _, f := range files {
@@ -88,7 +89,7 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 				return rep, err
 			}
 			rep.Orphaned++
-			m.Meter.Add("repair_orphan_unquarantined", 1)
+			reg.Add("blmt.repair_orphan_unquarantined", 1)
 			continue
 		}
 
@@ -102,25 +103,25 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 				return rep, err
 			}
 			rep.Reverified++
-			m.Meter.Add("repair_reverified", 1)
+			reg.Add("blmt.repair_reverified", 1)
 			continue
 		}
 
 		if fetch == nil {
 			rep.Failed = append(rep.Failed, mark.Key)
-			m.Meter.Add("repair_failed", 1)
+			reg.Add("blmt.repair_failed", 1)
 			continue
 		}
 		replica, ferr := fetch(t, f)
 		if ferr != nil {
 			rep.Failed = append(rep.Failed, mark.Key)
-			m.Meter.Add("repair_failed", 1)
+			reg.Add("blmt.repair_failed", 1)
 			continue
 		}
 		if verr := verifyRepairSource(table, f, replica); verr != nil {
 			// The replica is rotten too — never swap in unverified bytes.
 			rep.Failed = append(rep.Failed, mark.Key)
-			m.Meter.Add("repair_replica_corrupt", 1)
+			reg.Add("blmt.repair_replica_corrupt", 1)
 			continue
 		}
 		// One validated commit swaps the rotten file for the restored
@@ -142,7 +143,7 @@ func (m *Manager) Repair(principal, table string, fetch ReplicaFetch) (RepairRep
 			return rep, err
 		}
 		rep.Rewritten++
-		m.Meter.Add("repair_rewritten", 1)
+		reg.Add("blmt.repair_rewritten", 1)
 	}
 	return rep, nil
 }

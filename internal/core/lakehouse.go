@@ -76,19 +76,27 @@ func New(opts Options) (*Lakehouse, error) {
 	}
 
 	clock := sim.NewClock()
-	store := objstore.New(sim.ProfileFor(opts.Cloud), clock, nil)
+	store := objstore.New(sim.ProfileFor(opts.Cloud), clock)
 	sa := objstore.Credential{Principal: "sa-biglake@" + opts.Region}
 	if err := store.CreateBucket(sa, "bq-managed"); err != nil {
 		return nil, err
 	}
 	cat := catalog.New()
 	auth := security.NewAuthority("lakehouse-"+opts.Region, opts.Admin)
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	stores := map[string]*objstore.Store{opts.Cloud: store}
 
 	eng := engine.New(cat, auth, meta, log, clock, stores, engOpts)
 	eng.ManagedCred = sa
+	// One registry for the deployment: the engine's, which system.metrics
+	// reads. Everything built below inherits it — the Storage API and the
+	// BLMT manager from the log, the transaction manager and the
+	// inference runtime from the engine, a journal recovery from the
+	// store.
+	store.UseObs(eng.Obs)
+	meta.UseObs(eng.Obs)
+	log.UseObs(eng.Obs)
 	srv := storageapi.NewServer(cat, auth, meta, log, clock, stores)
 	srv.ManagedCred = sa
 	mgr := blmt.New(cat, auth, log, clock, stores)

@@ -2,11 +2,15 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
+	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
+	"biglake/internal/colfmt"
 	"biglake/internal/crashpoint"
+	"biglake/internal/integrity"
 	"biglake/internal/objstore"
 	"biglake/internal/security"
 	"biglake/internal/storageapi"
@@ -232,7 +236,7 @@ func TestWriteAPIFlushDeclaresIntent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := wal.Recover(j, lh.Clock, nil)
+	rec, err := wal.Recover(j, lh.Clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,5 +249,163 @@ func TestWriteAPIFlushDeclaresIntent(t *testing.T) {
 	}
 	if rec.Log.Version() != 0 {
 		t.Fatalf("recovered version %d, want 0 (nothing sealed)", rec.Log.Version())
+	}
+}
+
+// systemCounters reads every counter back through SQL: what
+// system.metrics lists is what an operator of this lakehouse can see.
+func systemCounters(t *testing.T, lh *Lakehouse) map[string]int64 {
+	t.Helper()
+	res, err := lh.Query(admin, "SELECT name, value FROM system.metrics WHERE kind = 'counter'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]int64, res.Batch.N)
+	for i := 0; i < res.Batch.N; i++ {
+		out[res.Batch.Column("name").Value(i).S] = res.Batch.Column("value").Value(i).I
+	}
+	return out
+}
+
+func hasPrefix(counters map[string]int64, prefix string) bool {
+	for name, v := range counters {
+		if v > 0 && strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// managedT creates d.t and inserts one row through the BLMT manager.
+func managedT(t *testing.T, lh *Lakehouse) {
+	t.Helper()
+	lh.CreateDataset("d")
+	if err := lh.CreateManagedTable(admin, "d", "t", simpleSchema(), "bq-managed"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lh.Query(admin, "INSERT INTO d.t VALUES (1)"); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSystemMetricsSeesEveryLayer: core.New hands one registry — the
+// engine's — to everything it assembles, so a managed INSERT, a BigLake
+// scan over a refreshed metadata cache, a Read API session and a
+// journal recovery all show up in system.metrics.
+func TestSystemMetricsSeesEveryLayer(t *testing.T) {
+	lh := newLH(t)
+	managedT(t, lh)
+	for _, sql := range []string{"BEGIN", "INSERT INTO d.t VALUES (2)", "COMMIT"} {
+		if _, err := lh.Query(admin, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := lh.CreateBucket("lake"); err != nil {
+		t.Fatal(err)
+	}
+	file, err := colfmt.WriteFile(vector.MustBatch(simpleSchema(), []*vector.Column{vector.NewInt64Column([]int64{1, 2, 3})}), colfmt.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lh.Upload("lake", "ext/part-0.blk", file, "application/octet-stream"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lh.CreateBigLakeTable(admin, BigLakeTableSpec{
+		Dataset: "d", Name: "ext", Schema: simpleSchema(), Bucket: "lake", Prefix: "ext/", MetadataCaching: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lh.RefreshMetadataCache("d.ext"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lh.Query(admin, "SELECT SUM(id) FROM d.ext"); err != nil {
+		t.Fatal(err)
+	}
+
+	sess, err := lh.StorageAPI.CreateReadSession(storageapi.ReadSessionRequest{Table: "d.t", Principal: admin, SnapshotVersion: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lh.StorageAPI.ReadAll(sess); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := wal.Recover(lh.Journal, lh.Clock); err != nil {
+		t.Fatal(err)
+	}
+
+	if lh.Store.Obs() != lh.Engine.Obs {
+		t.Fatal("the store counts into a registry of its own, not the engine's")
+	}
+	counters := systemCounters(t, lh)
+	for _, prefix := range []string{"objstore.", "bigmeta.", "storageapi.", "engine.", "txn.", "wal."} {
+		if !hasPrefix(counters, prefix) {
+			t.Errorf("system.metrics has no %s* counter", prefix)
+		}
+	}
+}
+
+// TestSystemMetricsSeesWritePathRetry: a transient store fault under an
+// INSERT is absorbed by the BLMT manager's policy, and the retry it
+// spent is visible.
+func TestSystemMetricsSeesWritePathRetry(t *testing.T) {
+	lh := newLH(t)
+	managedT(t, lh)
+	lh.Store.FailNext(1)
+	if _, err := lh.Query(admin, "INSERT INTO d.t VALUES (2)"); err != nil {
+		t.Fatal(err)
+	}
+	if got := systemCounters(t, lh)["resilience.retries"]; got < 1 {
+		t.Fatalf("resilience.retries = %d in system.metrics after an absorbed fault, want >= 1", got)
+	}
+}
+
+// TestSystemMetricsSeesReadAPICorruption: a flipped stored bit the
+// Read API's reader catches is counted where the engine's detections
+// are.
+func TestSystemMetricsSeesReadAPICorruption(t *testing.T) {
+	lh := newLH(t)
+	managedT(t, lh)
+	files, _, err := lh.Log.Snapshot("d.t", -1)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("snapshot: %d files, err %v", len(files), err)
+	}
+	if err := lh.Store.FlipStoredBit(files[0].Bucket, files[0].Key, files[0].Size*4); err != nil {
+		t.Fatal(err)
+	}
+	sess, err := lh.StorageAPI.CreateReadSession(storageapi.ReadSessionRequest{Table: "d.t", Principal: admin, SnapshotVersion: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lh.StorageAPI.ReadAll(sess); !errors.Is(err, integrity.ErrCorrupt) {
+		t.Fatalf("ReadRows over a bit-flipped file: err = %v, want integrity.ErrCorrupt", err)
+	}
+	if !hasPrefix(systemCounters(t, lh), "integrity.detected.") {
+		t.Fatal("system.metrics has no integrity.detected.* counter after the Read API hit stored damage")
+	}
+}
+
+// TestSystemMetricsSeesRepairOutcome: a Repair pass reports what it did
+// with each quarantined file as a blmt.repair_* counter.
+func TestSystemMetricsSeesRepairOutcome(t *testing.T) {
+	lh := newLH(t)
+	managedT(t, lh)
+	files, _, err := lh.Log.Snapshot("d.t", -1)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("snapshot: %d files, err %v", len(files), err)
+	}
+	if _, err := lh.Log.Commit(string(admin), map[string]bigmeta.TableDelta{
+		"d.t": {Quarantine: []bigmeta.QuarantineMark{{Key: files[0].Key, Reason: "test"}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The file is intact, so the pass re-verifies it and lifts the mark.
+	rep, err := lh.Manager.Repair(string(admin), "d.t", nil)
+	if err != nil || rep.Reverified != 1 {
+		t.Fatalf("repair: %+v, err %v", rep, err)
+	}
+	if got := systemCounters(t, lh)["blmt.repair_reverified"]; got != 1 {
+		t.Fatalf("blmt.repair_reverified = %d in system.metrics, want 1", got)
 	}
 }

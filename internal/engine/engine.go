@@ -23,7 +23,6 @@ import (
 	"biglake/internal/resilience"
 	"biglake/internal/scan"
 	"biglake/internal/security"
-	"biglake/internal/shuffle"
 	"biglake/internal/sim"
 	"biglake/internal/sqlparse"
 	"biglake/internal/systables"
@@ -163,12 +162,11 @@ type Engine struct {
 	Meta    *bigmeta.Cache
 	Log     *bigmeta.Log
 	Clock   *sim.Clock
-	Shuffle *shuffle.Service
-	Meter   *sim.Meter
 	Opts    Options
-	// Obs is the unified metrics registry the engine publishes into
-	// ("engine.*" counters, "resilience.*" via the policy tee). New
-	// creates a private one; UseObs installs a shared one.
+	// Obs is the metrics registry the engine publishes into ("engine.*"
+	// counters, "resilience.*" through Res) and system.metrics reads
+	// back. New creates a private one; an assembly hands it to every
+	// other component's UseObs (or installs its own with UseObs here).
 	Obs *obs.Registry
 	// Tracer, when set, records a trace-span tree for every query that
 	// does not arrive with one already attached. Nil disables tracing
@@ -176,6 +174,7 @@ type Engine struct {
 	Tracer *obs.Tracer
 	// Res is the retry/hedging policy applied to every object-store
 	// operation the engine issues. Nil behaves like resilience.NoRetry.
+	// It is bound to Obs at each use, so swapping it keeps its counters.
 	Res *resilience.Policy
 
 	// Stores maps cloud name -> that cloud's object store.
@@ -225,23 +224,16 @@ const stmtCacheCap = 1024
 
 // New assembles an engine.
 func New(cat *catalog.Catalog, auth *security.Authority, meta *bigmeta.Cache, log *bigmeta.Log, clock *sim.Clock, stores map[string]*objstore.Store, opts Options) *Engine {
-	meter := &sim.Meter{}
 	reg := obs.NewRegistry()
-	res := resilience.DefaultPolicy()
-	// Retry/hedge counters land in the legacy meter under their short
-	// names and in the registry under "resilience.*".
-	res.Meter = obs.Tee(meter, reg.Prefixed("resilience."))
 	eng := &Engine{
 		Catalog: cat,
 		Auth:    auth,
 		Meta:    meta,
 		Log:     log,
 		Clock:   clock,
-		Shuffle: shuffle.New(clock, nil),
-		Meter:   meter,
 		Opts:    opts,
 		Obs:     reg,
-		Res:     res,
+		Res:     resilience.DefaultPolicy(),
 		Stores:  stores,
 		scalars: make(map[string]ScalarFunc),
 		tvfs:    make(map[string]TVFFunc),

@@ -36,7 +36,7 @@ type env struct {
 func newEnv(t *testing.T, opts Options) *env {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa-lake@corp"}
 	if err := store.CreateBucket(cred, "lake"); err != nil {
 		t.Fatal(err)
@@ -51,8 +51,8 @@ func newEnv(t *testing.T, opts Options) *env {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	eng := New(cat, auth, meta, log, clock, map[string]*objstore.Store{"gcp": store}, opts)
 	eng.ManagedCred = cred
 	return &env{clock: clock, store: store, cat: cat, auth: auth, meta: meta, log: log, eng: eng, cred: cred}

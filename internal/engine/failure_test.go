@@ -24,6 +24,10 @@ func TestScanSurfacesTransientGetFailure(t *testing.T) {
 	if _, err := ev.eng.Query(NewContext(adminP, "q"), "SELECT COUNT(*) AS n FROM ds.orders"); !errors.Is(err, objstore.ErrTransient) {
 		t.Fatalf("err = %v", err)
 	}
+	// The policy swapped in by hand counts where the default did.
+	if got := ev.eng.Obs.Get("resilience.retries_exhausted"); got != 1 {
+		t.Fatalf("resilience.retries_exhausted = %d in the engine's registry, want 1", got)
+	}
 	// The failure is transient: the retry succeeds with the full
 	// answer.
 	res := ev.query(t, adminP, "SELECT COUNT(*) AS n FROM ds.orders")
@@ -44,7 +48,7 @@ func TestScanRetriesAbsorbTransientGetFailure(t *testing.T) {
 	if res.Batch.Column("n").Value(0).AsInt() != 120 {
 		t.Fatalf("count = %v", res.Batch.Row(0))
 	}
-	if got := ev.eng.Meter.Get("retries"); got == 0 {
+	if got := ev.eng.Obs.Get("resilience.retries"); got == 0 {
 		t.Fatal("expected at least one metered retry")
 	}
 }

@@ -53,8 +53,7 @@ func resolveEngCounters(r *obs.Registry) engCounters {
 	}
 }
 
-// UseObs points the engine (and its scan cache and retry policy) at a
-// shared registry. Call during setup, before queries run.
+// UseObs points the engine (and its scan cache) at a shared registry. Call during setup, before queries run.
 func (e *Engine) UseObs(r *obs.Registry) {
 	if r == nil {
 		return
@@ -63,9 +62,6 @@ func (e *Engine) UseObs(r *obs.Registry) {
 	e.ec = resolveEngCounters(r)
 	if e.scanCache != nil {
 		e.scanCache.Observe(e.ec.cacheEntries, e.ec.cacheBytes)
-	}
-	if e.Res != nil {
-		e.Res.Meter = obs.Tee(e.Meter, r.Prefixed("resilience."))
 	}
 	e.Sys.SetRegistry(r)
 }

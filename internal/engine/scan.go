@@ -164,7 +164,8 @@ func (e *Engine) scanLakeTable(ctx *QueryContext, t catalog.Table, preds []colfm
 		if ctx.Span != nil {
 			lsp = ctx.Span.Child("list")
 		}
-		infos, err := resilience.ListAll(e.Res, e.Clock, ctx.Budget, store, cred, t.Bucket, t.Prefix)
+		res := e.Res.Counting(e.Obs)
+		infos, err := resilience.ListAll(res, e.Clock, ctx.Budget, store, cred, t.Bucket, t.Prefix)
 		if lsp != nil {
 			lsp.SetInt("objects", int64(len(infos)))
 		}
@@ -206,7 +207,7 @@ func (e *Engine) scanLakeTable(ctx *QueryContext, t catalog.Table, preds []colfm
 					fsp.SetLane(i % ScanWorkers)
 				}
 				defer fsp.End()
-				stats, rows, err := bigmeta.ReadFooterStats(e.Res, ctx.Budget, store, cred, t.Bucket, key, tr)
+				stats, rows, err := bigmeta.ReadFooterStats(res, ctx.Budget, store, cred, t.Bucket, key, tr)
 				if err != nil {
 					errs <- err
 					return
@@ -494,7 +495,7 @@ func (e *Engine) scanObjectTable(ctx *QueryContext, t catalog.Table) (*vector.Ba
 	} else {
 		// Without the cache the engine lists the bucket per query —
 		// the hours-long path for billions of objects (§4.1).
-		infos, err := resilience.ListAll(e.Res, e.Clock, ctx.Budget, store, cred, t.Bucket, t.Prefix)
+		infos, err := resilience.ListAll(e.Res.Counting(e.Obs), e.Clock, ctx.Budget, store, cred, t.Bucket, t.Prefix)
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 
 	"biglake/internal/engine"
 	"biglake/internal/objstore"
-	"biglake/internal/obs"
 	"biglake/internal/resilience"
 	"biglake/internal/workload"
 )
@@ -73,7 +72,6 @@ func runE13Arm(scale, rounds int, rate float64, arm string) (E13Row, error) {
 	}
 	if arm == "no-retry" {
 		env.Engine.Res = resilience.NoRetry()
-		env.Engine.Res.Meter = obs.Tee(env.Engine.Meter, env.Obs.Prefixed("resilience."))
 	}
 	queries := workload.TPCHQueries("bench")
 
@@ -91,7 +89,16 @@ func runE13Arm(scale, rounds int, rate float64, arm string) (E13Row, error) {
 		SlowdownRate: rate / 2,
 		Slowdown:     300 * time.Millisecond,
 	})
-	row := E13Row{FaultRate: rate, Arm: arm}
+	// env.Obs may be shared across arms (the CLI's hook installs one
+	// registry for the whole experiment), so the arm reports deltas:
+	// each counter starts at minus its value now and gains its value at
+	// the end.
+	row := E13Row{
+		FaultRate: rate, Arm: arm,
+		Retries:        -env.Obs.Get("resilience.retries"),
+		Hedges:         -env.Obs.Get("resilience.hedges"),
+		FaultsInjected: -env.Obs.Get("objstore.faults.injected"),
+	}
 	for round := 0; round < rounds; round++ {
 		for _, q := range queries {
 			row.Queries++
@@ -106,8 +113,8 @@ func runE13Arm(scale, rounds int, rate float64, arm string) (E13Row, error) {
 		}
 	}
 	row.SuccessRate = float64(row.Succeeded) / float64(row.Queries)
-	row.Retries = env.Engine.Meter.Get("retries")
-	row.Hedges = env.Engine.Meter.Get("hedges")
-	row.FaultsInjected = env.Store.Meter().Get("faults_injected")
+	row.Retries += env.Obs.Get("resilience.retries")
+	row.Hedges += env.Obs.Get("resilience.hedges")
+	row.FaultsInjected += env.Obs.Get("objstore.faults.injected")
 	return row, nil
 }

@@ -70,9 +70,9 @@ type Env struct {
 	Server *storageapi.Server
 	Cred   objstore.Credential
 	WEnv   *workload.Env
-	// Obs is the environment-wide metrics registry: the engine's own
-	// registry with the object store, Big Metadata, and Storage API
-	// teed into it, so one snapshot covers the whole environment.
+	// Obs is the environment-wide metrics registry: the engine's own,
+	// which Observe also hands to the object store, Big Metadata and the
+	// Storage API, so one snapshot covers the whole environment.
 	Obs *obs.Registry
 }
 
@@ -87,7 +87,7 @@ func (e *Env) EnableTracing(capTraces int) *obs.Tracer {
 // NewEnv builds an environment with the given engine options.
 func NewEnv(opts engine.Options) (*Env, error) {
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa-bench@biglake"}
 	if err := store.CreateBucket(cred, "bench"); err != nil {
 		return nil, err
@@ -100,26 +100,23 @@ func NewEnv(opts engine.Options) (*Env, error) {
 	if err := auth.RegisterConnection(Admin, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"}); err != nil {
 		return nil, err
 	}
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	stores := map[string]*objstore.Store{"gcp": store}
 	eng := engine.New(cat, auth, meta, log, clock, stores, opts)
 	eng.ManagedCred = cred
 	srv := storageapi.NewServer(cat, auth, meta, log, clock, stores)
 	srv.ManagedCred = cred
-	store.UseObs(eng.Obs)
-	meta.UseObs(eng.Obs)
-	log.UseObs(eng.Obs)
-	srv.UseObs(eng.Obs)
 	env := &Env{
 		Clock: clock, Store: store, Cat: cat, Auth: auth, Meta: meta, Log: log,
-		Engine: eng, Server: srv, Cred: cred, Obs: eng.Obs,
+		Engine: eng, Server: srv, Cred: cred,
 		WEnv: &workload.Env{
 			Catalog: cat, Auth: auth, Store: store, Log: log, Clock: clock,
 			Cred: cred, Connection: "conn", Bucket: "bench", Cloud: "gcp",
 			Dataset: "bench", Admin: Admin,
 		},
 	}
+	env.Observe(eng.Obs, nil)
 	if obsHook != nil {
 		obsHook(env)
 	}

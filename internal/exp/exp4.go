@@ -100,7 +100,7 @@ func RunA2(rows int) (A2Result, error) {
 	if err != nil {
 		return A2Result{}, err
 	}
-	boundaryBytes := sessA.Meter.Get("readapi_bytes")
+	boundaryBytes := sessA.Obs.Get("sparkle.readapi_bytes")
 
 	if governed.N != filtered.N {
 		return A2Result{}, fmt.Errorf("placements disagree: boundary %d rows, client %d", governed.N, filtered.N)

@@ -66,7 +66,7 @@ func RunE14(scale int) (E14Result, error) {
 
 func runE14Length(commits int) (E14Row, error) {
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa-bench@biglake"}
 	const bucket = "bench"
 	if err := store.CreateBucket(cred, bucket); err != nil {
@@ -76,7 +76,7 @@ func runE14Length(commits int) (E14Row, error) {
 	if err != nil {
 		return E14Row{}, err
 	}
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	log.AttachJournal(j)
 
 	// Build the pre-crash history: `commits` sealed transactions each
@@ -118,7 +118,7 @@ func runE14Length(commits int) (E14Row, error) {
 	if err != nil {
 		return E14Row{}, err
 	}
-	rec, err := wal.Recover(j2, clock, nil)
+	rec, err := wal.Recover(j2, clock)
 	if err != nil {
 		return E14Row{}, err
 	}

@@ -119,7 +119,7 @@ func icebergType(t vector.Type) string {
 // a generation precondition and a bounded reload-and-re-CAS loop, so
 // contention between exporters surfaces as a clean ordered outcome
 // rather than a fatal ErrPreconditionFail.
-func Export(res *resilience.Policy, store *objstore.Store, cred objstore.Credential, bucket, prefix, tableName string, schema vector.Schema, files []bigmeta.FileEntry, snapshotID int64) (string, error) {
+func Export(res resilience.Counted, store *objstore.Store, cred objstore.Credential, bucket, prefix, tableName string, schema vector.Schema, files []bigmeta.FileEntry, snapshotID int64) (string, error) {
 	return ExportWithCrash(nil, res, store, cred, bucket, prefix, tableName, schema, files, snapshotID)
 }
 
@@ -129,7 +129,7 @@ func Export(res *resilience.Policy, store *objstore.Store, cred objstore.Credent
 // partially-written (key-versioned, never-referenced) metadata objects
 // and a stale version hint — the next export of the same version
 // overwrites them and converges the hint.
-func ExportWithCrash(crash *crashpoint.Injector, res *resilience.Policy, store *objstore.Store, cred objstore.Credential, bucket, prefix, tableName string, schema vector.Schema, files []bigmeta.FileEntry, snapshotID int64) (string, error) {
+func ExportWithCrash(crash *crashpoint.Injector, res resilience.Counted, store *objstore.Store, cred objstore.Credential, bucket, prefix, tableName string, schema vector.Schema, files []bigmeta.FileEntry, snapshotID int64) (string, error) {
 	now := int64(store.Clock().Now() / time.Millisecond)
 
 	manifest := Manifest{}

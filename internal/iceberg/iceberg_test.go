@@ -7,6 +7,7 @@ import (
 	"biglake/internal/bigmeta"
 	"biglake/internal/colfmt"
 	"biglake/internal/objstore"
+	"biglake/internal/resilience"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
 )
@@ -14,7 +15,7 @@ import (
 func testStore(t *testing.T) (*objstore.Store, objstore.Credential) {
 	t.Helper()
 	clock := sim.NewClock()
-	st := objstore.New(sim.GCP, clock, nil)
+	st := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@test"}
 	if err := st.CreateBucket(cred, "lake"); err != nil {
 		t.Fatal(err)
@@ -47,7 +48,7 @@ func sampleFiles() []bigmeta.FileEntry {
 
 func TestExportAndReadBack(t *testing.T) {
 	st, cred := testStore(t)
-	metaKey, err := Export(nil, st, cred, "lake", "t/", "ds.t", sampleSchema(), sampleFiles(), 7)
+	metaKey, err := Export(resilience.Counted{}, st, cred, "lake", "t/", "ds.t", sampleSchema(), sampleFiles(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,11 @@ func TestExportAndReadBack(t *testing.T) {
 
 func TestVersionHint(t *testing.T) {
 	st, cred := testStore(t)
-	k1, err := Export(nil, st, cred, "lake", "t/", "ds.t", sampleSchema(), sampleFiles(), 1)
+	k1, err := Export(resilience.Counted{}, st, cred, "lake", "t/", "ds.t", sampleSchema(), sampleFiles(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := Export(nil, st, cred, "lake", "t/", "ds.t", sampleSchema(), sampleFiles(), 2)
+	k2, err := Export(resilience.Counted{}, st, cred, "lake", "t/", "ds.t", sampleSchema(), sampleFiles(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestReadTableMissingSnapshot(t *testing.T) {
 
 func TestExportEmptyTable(t *testing.T) {
 	st, cred := testStore(t)
-	metaKey, err := Export(nil, st, cred, "lake", "t/", "ds.t", sampleSchema(), nil, 1)
+	metaKey, err := Export(resilience.Counted{}, st, cred, "lake", "t/", "ds.t", sampleSchema(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,6 @@ type Runtime struct {
 	Stores  map[string]*objstore.Store
 	Clock   *sim.Clock
 	Shuffle *shuffle.Service
-	Meter   *sim.Meter
 
 	// Cred reads unstructured objects (the object table's delegated
 	// connection credential).
@@ -96,6 +95,10 @@ type Runtime struct {
 	// MaxModelBytes overrides the in-engine limit (tests).
 	MaxModelBytes int64
 
+	// eng is the engine Attach registered the ML functions on; the
+	// "inference.*" counters land in its registry.
+	eng *engine.Engine
+
 	mu      sync.Mutex
 	models  map[string]*Model
 	lastRun MemoryStats
@@ -107,8 +110,7 @@ func NewRuntime(auth *security.Authority, stores map[string]*objstore.Store, clo
 		Auth:          auth,
 		Stores:        stores,
 		Clock:         clock,
-		Shuffle:       shuffle.New(clock, nil),
-		Meter:         &sim.Meter{},
+		Shuffle:       shuffle.New(clock),
 		Cred:          cred,
 		MaxModelBytes: MaxModelBytes,
 		models:        make(map[string]*Model),
@@ -140,8 +142,12 @@ func (rt *Runtime) LastRun() MemoryStats {
 	return rt.lastRun
 }
 
-// Attach registers the ML functions on an engine.
+// Attach registers the ML functions on an engine. "inference.*" counts
+// in whatever registry the engine has at the time of the count;
+// "shuffle.*" in the one it has now.
 func (rt *Runtime) Attach(eng *engine.Engine) {
+	rt.eng = eng
+	rt.Shuffle.UseObs(eng.Obs)
 	eng.RegisterScalar("ML.DECODE_IMAGE", rt.decodeImage)
 	eng.RegisterTVF("ML.PREDICT", rt.predict)
 	eng.RegisterTVF("ML.PROCESS_DOCUMENT", rt.processDocument)
@@ -233,7 +239,7 @@ func (rt *Runtime) decodeImage(ctx *engine.QueryContext, args []*vector.Column) 
 	rt.mu.Lock()
 	rt.lastRun = MemoryStats{RawImageBytes: rawBytes, PeakWorkerBytes: rawMax + SandboxOverheadBytes}
 	rt.mu.Unlock()
-	rt.Meter.Add("images_decoded", int64(uris.Len))
+	rt.eng.Obs.Add("inference.images_decoded", int64(uris.Len))
 	return &vector.Column{Type: vector.Bytes, Len: uris.Len, Enc: vector.Plain, Strs: out}, nil
 }
 
@@ -363,7 +369,7 @@ func (rt *Runtime) predict(ctx *engine.QueryContext, modelName string, input *ve
 	}
 	rt.lastRun = stats
 	rt.mu.Unlock()
-	rt.Meter.Add("inferences", int64(tensors.Len))
+	rt.eng.Obs.Add("inference.inferences", int64(tensors.Len))
 
 	fields := append([]vector.Field{}, input.Schema.Fields...)
 	fields = append(fields, vector.Field{Name: "predictions", Type: vector.String})
@@ -481,6 +487,6 @@ func (rt *Runtime) processDocument(ctx *engine.QueryContext, modelName string, i
 		}
 		builder.Append(row...)
 	}
-	rt.Meter.Add("documents_processed", int64(uris.Len))
+	rt.eng.Obs.Add("inference.documents_processed", int64(uris.Len))
 	return builder.Build(), nil
 }

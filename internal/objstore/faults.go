@@ -239,22 +239,19 @@ func (in *injector) corruptDecide(op Op, bucket, key string) (corruption, bool) 
 	return c, true
 }
 
-// recordFault publishes one injected event: legacy meter counter,
-// registry counter, and the "objstore.faults" event stream. Corruption
-// events additionally land in per-kind "integrity.injected.<kind>"
-// counters so tests can diff harness-injected vs detected counts.
+// recordFault publishes one injected event: registry counter and the
+// "objstore.faults" event stream. Corruption events additionally land
+// in per-kind "integrity.injected.<kind>" counters so tests can diff
+// harness-injected vs detected counts.
 func (s *Store) recordFault(rec FaultRecord) {
 	oc := s.counters()
 	switch {
 	case rec.Kind == "slowdown":
-		s.meter.Add("slowdowns_injected", 1)
 		oc.slowdowns.Add(1)
 	case strings.HasPrefix(rec.Kind, "corrupt:"):
-		s.meter.Add("corruptions_injected", 1)
 		oc.corruptions.Add(1)
 		s.Obs().Counter("integrity.injected." + strings.TrimPrefix(rec.Kind, "corrupt:")).Add(1)
 	default:
-		s.meter.Add("faults_injected", 1)
 		oc.faults.Add(1)
 	}
 	s.Obs().Event("objstore.faults", rec.String())
@@ -288,14 +285,12 @@ func (s *Store) fault(op Op, bucket, key string, ch sim.Charger) error {
 	if s.failures > 0 {
 		s.failures--
 		s.mu.Unlock()
-		s.meter.Add("faults_injected", 1)
 		s.counters().faults.Add(1)
 		return fmt.Errorf("%w: injected %s %s/%s (FailNext)", ErrTransient, op, bucket, key)
 	}
 	if s.failMatchN > 0 && strings.Contains(key, s.failMatch) {
 		s.failMatchN--
 		s.mu.Unlock()
-		s.meter.Add("faults_injected", 1)
 		s.counters().faults.Add(1)
 		return fmt.Errorf("%w: injected %s %s/%s (FailNextMatching %q)", ErrTransient, op, bucket, key, s.failMatch)
 	}

@@ -148,9 +148,6 @@ func TestSlowdownChargesSimulatedTime(t *testing.T) {
 	if cost != baseCost+slow {
 		t.Fatalf("slowdown GET cost %v, want %v + %v", cost, baseCost, slow)
 	}
-	if st.Meter().Get("slowdowns_injected") != 1 {
-		t.Fatal("slowdown not metered")
-	}
 	if st.Obs().Get("objstore.slowdowns.injected") != 1 {
 		t.Fatal("slowdown not in registry")
 	}
@@ -170,9 +167,6 @@ func TestFailNextFiresBeforeProfile(t *testing.T) {
 	}
 	if _, _, err := st.Get(cred, "b", "k"); err != nil {
 		t.Fatalf("one-shot counter should be spent, got %v", err)
-	}
-	if st.Meter().Get("faults_injected") != 1 {
-		t.Fatal("FailNext fault not metered")
 	}
 	if st.Obs().Get("objstore.faults.injected") != 1 {
 		t.Fatal("FailNext fault not in registry")
@@ -251,8 +245,8 @@ func TestCorruptionCountersMatchEvents(t *testing.T) {
 			t.Fatalf("integrity.injected.%s = %d, events show %d", k, got, n)
 		}
 	}
-	if st.Meter().Get("corruptions_injected") != int64(len(events)) {
-		t.Fatalf("corruptions_injected = %d, want %d", st.Meter().Get("corruptions_injected"), len(events))
+	if got := st.Obs().Get("objstore.corruptions.injected"); got != int64(len(events)) {
+		t.Fatalf("objstore.corruptions.injected = %d, want %d", got, len(events))
 	}
 }
 

@@ -145,8 +145,6 @@ func (b *bucket) sortedKeys() []string {
 type Store struct {
 	profile sim.CloudProfile
 	clock   *sim.Clock
-	meter   *sim.Meter
-	obs     atomic.Pointer[obs.Registry]
 	oc      atomic.Pointer[storeCounters]
 
 	mu         sync.Mutex
@@ -159,9 +157,11 @@ type Store struct {
 	inj        *injector
 }
 
-// storeCounters holds the store's pre-resolved registry counters so the
-// data path pays one atomic add per metric, never a map lookup.
+// storeCounters holds the store's registry and its pre-resolved
+// counters, so the data path pays one atomic add per metric, never a
+// map lookup, and UseObs re-points both in one store.
 type storeCounters struct {
+	reg                  *obs.Registry
 	getCount, getBytes   *obs.Counter
 	putCount, putBytes   *obs.Counter
 	listCount, headCount *obs.Counter
@@ -173,6 +173,7 @@ type storeCounters struct {
 
 func resolveStoreCounters(r *obs.Registry) *storeCounters {
 	return &storeCounters{
+		reg:                  r,
 		getCount:             r.Counter("objstore.get.count"),
 		getBytes:             r.Counter("objstore.get.bytes"),
 		putCount:             r.Counter("objstore.put.count"),
@@ -215,22 +216,16 @@ type signedGrant struct {
 }
 
 // New returns an empty Store for the given cloud profile, charging
-// simulated latency to clock and recording request/byte counters on
-// meter. meter may be nil.
-func New(profile sim.CloudProfile, clock *sim.Clock, meter *sim.Meter) *Store {
-	if meter == nil {
-		meter = &sim.Meter{}
-	}
+// simulated latency to clock and counting requests and bytes in a
+// private registry until UseObs points it at a shared one.
+func New(profile sim.CloudProfile, clock *sim.Clock) *Store {
 	s := &Store{
 		profile: profile,
 		clock:   clock,
-		meter:   meter,
 		buckets: make(map[string]*bucket),
 		urls:    make(map[string]signedGrant),
 	}
-	reg := obs.NewRegistry()
-	s.obs.Store(reg)
-	s.oc.Store(resolveStoreCounters(reg))
+	s.oc.Store(resolveStoreCounters(obs.NewRegistry()))
 	return s
 }
 
@@ -240,12 +235,9 @@ func (s *Store) Profile() sim.CloudProfile { return s.profile }
 // Clock returns the simulated clock the store charges.
 func (s *Store) Clock() *sim.Clock { return s.clock }
 
-// Meter returns the store's request/byte meter.
-func (s *Store) Meter() *sim.Meter { return s.meter }
-
 // Obs returns the store's metrics registry (per-op counters under
 // "objstore.*" plus the "objstore.faults" event stream).
-func (s *Store) Obs() *obs.Registry { return s.obs.Load() }
+func (s *Store) Obs() *obs.Registry { return s.oc.Load().reg }
 
 // UseObs points the store at a shared registry — experiments install
 // one registry across engine, store, and metadata so one snapshot
@@ -255,7 +247,6 @@ func (s *Store) UseObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	s.obs.Store(r)
 	s.oc.Store(resolveStoreCounters(r))
 }
 
@@ -275,7 +266,6 @@ func (s *Store) CreateBucket(cred Credential, name string) error {
 		objects:      make(map[string]*object),
 		lastMutation: make(map[string]time.Duration),
 	}
-	s.meter.Add("requests", 1)
 	return nil
 }
 
@@ -348,8 +338,6 @@ func (s *Store) put(cred Credential, bucketName, key string, data []byte, conten
 		}
 		if curGen != ifGeneration {
 			s.mu.Unlock()
-			s.meter.Add("requests", 1)
-			s.meter.Add("precondition_failures", 1)
 			oc := s.counters()
 			oc.putCount.Add(1)
 			oc.preconditionFailures.Add(1)
@@ -404,8 +392,6 @@ func (s *Store) put(cred Credential, bucketName, key string, data []byte, conten
 	info := obj.info
 	s.mu.Unlock()
 
-	s.meter.Add("requests", 1)
-	s.meter.Add("put_bytes", int64(len(data)))
 	oc := s.counters()
 	oc.putCount.Add(1)
 	oc.putBytes.Add(int64(len(data)))
@@ -458,7 +444,6 @@ func (s *Store) getRange(ch sim.Charger, cred Credential, bucketName, key string
 	obj, ok := b.objects[key]
 	if !ok {
 		s.mu.Unlock()
-		s.meter.Add("requests", 1)
 		s.counters().getCount.Add(1)
 		return nil, ObjectInfo{}, fmt.Errorf("%w: %s/%s", ErrNoSuchObject, bucketName, key)
 	}
@@ -509,8 +494,6 @@ func (s *Store) getRange(ch sim.Charger, cred Credential, bucketName, key string
 		}
 	}
 
-	s.meter.Add("requests", 1)
-	s.meter.Add("get_bytes", int64(len(data)))
 	oc := s.counters()
 	oc.getCount.Add(1)
 	oc.getBytes.Add(int64(len(data)))
@@ -541,13 +524,11 @@ func (s *Store) HeadOn(ch sim.Charger, cred Credential, bucketName, key string) 
 	obj, ok := b.objects[key]
 	if !ok {
 		s.mu.Unlock()
-		s.meter.Add("requests", 1)
 		s.counters().headCount.Add(1)
 		return ObjectInfo{}, fmt.Errorf("%w: %s/%s", ErrNoSuchObject, bucketName, key)
 	}
 	info := obj.info
 	s.mu.Unlock()
-	s.meter.Add("requests", 1)
 	s.counters().headCount.Add(1)
 	ch.Charge(s.profile.HeadLatency)
 	return info, nil
@@ -577,7 +558,6 @@ func (s *Store) Delete(cred Credential, bucketName, key string) error {
 	delete(b.lastMutation, key)
 	b.keysDirty = true
 	s.mu.Unlock()
-	s.meter.Add("requests", 1)
 	s.counters().deleteCount.Add(1)
 	s.clock.Advance(s.profile.DeleteLatency)
 	return nil
@@ -638,8 +618,6 @@ func (s *Store) ListOn(ch sim.Charger, cred Credential, bucketName, prefix, page
 	}
 	s.mu.Unlock()
 
-	s.meter.Add("requests", 1)
-	s.meter.Add("list_pages", 1)
 	s.counters().listCount.Add(1)
 	ch.Charge(s.profile.ListPageLatency)
 	return page, nil
@@ -707,8 +685,6 @@ func (s *Store) Fetch(url string) ([]byte, ObjectInfo, error) {
 	copy(data, obj.data)
 	info := obj.info
 	s.mu.Unlock()
-	s.meter.Add("requests", 1)
-	s.meter.Add("get_bytes", int64(len(data)))
 	oc := s.counters()
 	oc.getCount.Add(1)
 	oc.getBytes.Add(int64(len(data)))

@@ -103,13 +103,6 @@ type HistogramSnapshot struct {
 	Sum    int64
 }
 
-// Sink is anything that accepts named integer increments. Both
-// *sim.Meter and the registry adapters below satisfy it, so components
-// can feed legacy meters and the unified registry through one field.
-type Sink interface {
-	Add(name string, v int64)
-}
-
 // Registry is the unified metrics registry. The zero of *Registry
 // (nil) is a valid no-op sink: every method checks the receiver.
 type Registry struct {
@@ -153,7 +146,8 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // Add increments the named counter — the convenience path for cold
-// call sites. Registry itself satisfies Sink.
+// call sites (a retry, a repair outcome); anything per-request holds a
+// resolved *Counter instead.
 func (r *Registry) Add(name string, v int64) {
 	r.Counter(name).Add(v)
 }
@@ -235,17 +229,19 @@ type Snapshot struct {
 // Snapshot copies every metric under the read lock. Counter values are
 // atomic loads, so the copy is consistent even while writers run.
 func (r *Registry) Snapshot() Snapshot {
-	snap := Snapshot{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-		Events:     map[string][]string{},
-	}
 	if r == nil {
-		return snap
+		r = &Registry{} // a nil registry snapshots as an empty one
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	// Sized up front: system.metrics_history snapshots per capture, and
+	// a map grown entry by entry allocates its buckets about twice over.
+	snap := Snapshot{
+		Counters:   make(map[string]int64, len(r.counters)),
+		Gauges:     make(map[string]int64, len(r.gauges)),
+		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Events:     make(map[string][]string, len(r.events)),
+	}
 	for name, c := range r.counters {
 		snap.Counters[name] = c.Get()
 	}
@@ -276,39 +272,4 @@ func (r *Registry) Snapshot() Snapshot {
 // for bespoke sorted-log accessors like the old objstore FaultLog.
 func (r *Registry) Events(stream string) []string {
 	return r.Snapshot().Events[stream]
-}
-
-// Prefixed returns a Sink that routes Add(name, v) to the registry
-// under prefix+name — how components with legacy short meter names
-// ("retries") publish dotted registry names ("resilience.retries").
-func (r *Registry) Prefixed(prefix string) Sink {
-	return prefixedSink{r: r, prefix: prefix}
-}
-
-type prefixedSink struct {
-	r      *Registry
-	prefix string
-}
-
-func (p prefixedSink) Add(name string, v int64) { p.r.Add(p.prefix+name, v) }
-
-// Tee fans one Sink write out to several (nil entries are skipped at
-// construction). Used to keep legacy sim.Meter names alive while the
-// same increments land in the registry under dotted names.
-func Tee(sinks ...Sink) Sink {
-	kept := make([]Sink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			kept = append(kept, s)
-		}
-	}
-	return teeSink(kept)
-}
-
-type teeSink []Sink
-
-func (t teeSink) Add(name string, v int64) {
-	for _, s := range t {
-		s.Add(name, v)
-	}
 }

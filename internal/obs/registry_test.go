@@ -90,19 +90,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	if len(snap.Counters) != 0 {
 		t.Fatalf("nil registry snapshot has counters: %v", snap.Counters)
 	}
-	r.Prefixed("p.").Add("x", 1) // must not panic
-}
-
-func TestTeeAndPrefixed(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	sink := Tee(a.Prefixed("alpha."), b, nil)
-	sink.Add("retries", 3)
-	if got := a.Get("alpha.retries"); got != 3 {
-		t.Fatalf("prefixed tee leg = %d, want 3", got)
-	}
-	if got := b.Get("retries"); got != 3 {
-		t.Fatalf("plain tee leg = %d, want 3", got)
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

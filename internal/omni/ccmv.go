@@ -144,11 +144,12 @@ func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) 
 	// most fault-exposed path in the system, so every Get/Put/Delete
 	// retries under the deployment policy, bounded per refresh.
 	bud := resilience.NewBudget(d.Clock, refreshRetryBudget, resilience.Seed64(mv.Name))
+	res := d.Res.Counting(d.Obs)
 
 	var delta bigmeta.TableDelta
 	copyFile := func(f bigmeta.FileEntry) error {
 		var data []byte
-		if err := d.Res.Do(d.Clock, bud, "GET "+f.Bucket+"/"+f.Key, func() error {
+		if err := res.Do(d.Clock, bud, "GET "+f.Bucket+"/"+f.Key, func() error {
 			var ge error
 			data, _, ge = srcRegion.Store.Get(srcCred, f.Bucket, f.Key)
 			return ge
@@ -162,7 +163,7 @@ func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) 
 		}
 		replicaKey := dst.Prefix + "data/" + flattenKey(f.Key)
 		var info objstore.ObjectInfo
-		if err := d.Res.Do(d.Clock, bud, "PUT "+dst.Bucket+"/"+replicaKey, func() error {
+		if err := res.Do(d.Clock, bud, "PUT "+dst.Bucket+"/"+replicaKey, func() error {
 			var pe error
 			info, pe = dstRegion.Store.Put(dstCred, dst.Bucket, replicaKey, data, "application/x-blk")
 			return pe
@@ -197,7 +198,7 @@ func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) 
 			}
 			delta.Removed = append(delta.Removed, replicaKey)
 			rk := replicaKey
-			if err := d.Res.Do(d.Clock, bud, "DELETE "+dst.Bucket+"/"+rk, func() error {
+			if err := res.Do(d.Clock, bud, "DELETE "+dst.Bucket+"/"+rk, func() error {
 				return dstRegion.Store.Delete(dstCred, dst.Bucket, rk)
 			}); err != nil {
 				return report, err
@@ -210,7 +211,7 @@ func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) 
 		for key, replicaKey := range mv.replicated {
 			delta.Removed = append(delta.Removed, replicaKey)
 			rk := replicaKey
-			if err := d.Res.Do(d.Clock, bud, "DELETE "+dst.Bucket+"/"+rk, func() error {
+			if err := res.Do(d.Clock, bud, "DELETE "+dst.Bucket+"/"+rk, func() error {
 				return dstRegion.Store.Delete(dstCred, dst.Bucket, rk)
 			}); err != nil {
 				return report, err
@@ -233,8 +234,8 @@ func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) 
 		}
 	}
 	mv.lastVersion = version
-	d.msink.Add("ccmv_refreshes", 1)
-	d.msink.Add("ccmv_bytes_copied", report.BytesCopied)
+	d.Obs.Add("omni.ccmv_refreshes", 1)
+	d.Obs.Add("omni.ccmv_bytes_copied", report.BytesCopied)
 	return report, nil
 }
 

@@ -76,21 +76,38 @@ func (r *Region) InRealm(p security.Principal) bool { return r.realm[p] }
 // validate the allow-list, and meter the bytes moved.
 type VPN struct {
 	clock *sim.Clock
-	meter *sim.Meter
-	// sink fans the VPN counters into the legacy meter plus (via
-	// Deployment.UseObs) a registry under "omni."-prefixed names.
-	sink obs.Sink
 
 	mu      sync.Mutex
+	vc      vpnCounters
 	allowed map[string]bool // region names admitted to the VPN
 }
 
-// NewVPN builds the channel.
-func NewVPN(clock *sim.Clock, meter *sim.Meter) *VPN {
-	if meter == nil {
-		meter = &sim.Meter{}
+// vpnCounters are the channel's pre-resolved "omni.*" counters.
+type vpnCounters struct {
+	calls, bytes, egress *obs.Counter
+}
+
+// NewVPN builds the channel, counting into a private registry until
+// UseObs (NewDeployment calls it) points it at a shared one.
+func NewVPN(clock *sim.Clock) *VPN {
+	v := &VPN{clock: clock, allowed: make(map[string]bool)}
+	v.UseObs(obs.NewRegistry())
+	return v
+}
+
+// UseObs points the channel's call/byte/egress counters at a shared
+// registry.
+func (v *VPN) UseObs(r *obs.Registry) {
+	if r == nil {
+		return
 	}
-	return &VPN{clock: clock, meter: meter, sink: meter, allowed: make(map[string]bool)}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.vc = vpnCounters{
+		calls:  r.Counter("omni.vpn_calls"),
+		bytes:  r.Counter("omni.vpn_bytes"),
+		egress: r.Counter("omni.egress_bytes"),
+	}
 }
 
 // Admit allow-lists a region endpoint.
@@ -105,7 +122,7 @@ func (v *VPN) Admit(region string) {
 // allow-listed. Latency lands on ch.
 func (v *VPN) Call(ch sim.Charger, fromRegion, toRegion string, payloadBytes int64, profile sim.CloudProfile) error {
 	v.mu.Lock()
-	ok := v.allowed[toRegion]
+	ok, vc := v.allowed[toRegion], v.vc
 	v.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrVPNDenied, toRegion)
@@ -115,16 +132,11 @@ func (v *VPN) Call(ch sim.Charger, fromRegion, toRegion string, payloadBytes int
 		return nil
 	}
 	ch.Charge(profile.CrossCloudRTT + sim.StreamTime(payloadBytes, profile.EgressPerMB))
-	v.sink.Add("vpn_calls", 1)
-	v.sink.Add("vpn_bytes", payloadBytes)
-	if fromRegion != toRegion {
-		v.sink.Add("egress_bytes", payloadBytes)
-	}
+	vc.calls.Add(1)
+	vc.bytes.Add(payloadBytes)
+	vc.egress.Add(payloadBytes)
 	return nil
 }
-
-// Meter exposes the VPN's counters.
-func (v *VPN) Meter() *sim.Meter { return v.meter }
 
 // Deployment is the whole multi-cloud installation.
 type Deployment struct {
@@ -132,17 +144,15 @@ type Deployment struct {
 	Catalog *catalog.Catalog
 	Auth    *security.Authority
 	VPN     *VPN
-	Meter   *sim.Meter
 	// Obs is the deployment-wide metrics registry: control-plane
 	// counters land under "omni.*" and every region's data plane
-	// (object store, Big Metadata, engine, Storage API) is teed into
-	// it, so one snapshot covers the whole installation.
+	// (object store, Big Metadata, engine, Storage API, BLMT manager)
+	// counts into it too, so one snapshot covers the whole
+	// installation.
 	Obs *obs.Registry
 	// Tracer, when set, records one span tree per submitted query with
 	// per-region subquery spans and egress-byte attributes.
 	Tracer *obs.Tracer
-	// msink fans Deployment counters into Meter and Obs.
-	msink obs.Sink
 	// Res is the retry policy for cross-cloud transfer operations
 	// (CCMV file copies/deletes). Nil behaves like resilience.NoRetry.
 	Res *resilience.Policy
@@ -159,22 +169,17 @@ type Deployment struct {
 // regions yet.
 func NewDeployment(clock *sim.Clock, admins ...security.Principal) *Deployment {
 	admins = append(admins, ControlPrincipal)
-	meter := &sim.Meter{}
 	reg := obs.NewRegistry()
-	res := resilience.DefaultPolicy()
-	res.Meter = obs.Tee(meter, reg.Prefixed("resilience."))
 	d := &Deployment{
 		Clock:   clock,
 		Catalog: catalog.New(),
 		Auth:    security.NewAuthority("omni-deployment-secret", admins...),
-		VPN:     NewVPN(clock, nil),
-		Meter:   meter,
+		VPN:     NewVPN(clock),
 		Obs:     reg,
-		msink:   obs.Tee(meter, reg.Prefixed("omni.")),
-		Res:     res,
+		Res:     resilience.DefaultPolicy(),
 		regions: make(map[string]*Region),
 	}
-	d.VPN.sink = obs.Tee(d.VPN.meter, reg.Prefixed("omni."))
+	d.VPN.UseObs(reg)
 	return d
 }
 
@@ -186,11 +191,17 @@ func (d *Deployment) AddRegion(name, cloud string) (*Region, error) {
 	if _, ok := d.regions[name]; ok {
 		return nil, fmt.Errorf("omni: region %q already deployed", name)
 	}
-	store := objstore.New(sim.ProfileFor(cloud), d.Clock, nil)
-	meta := bigmeta.NewCache(d.Clock, nil)
-	log := bigmeta.NewLog(d.Clock, nil)
+	store := objstore.New(sim.ProfileFor(cloud), d.Clock)
+	meta := bigmeta.NewCache(d.Clock)
+	log := bigmeta.NewLog(d.Clock)
 	stores := map[string]*objstore.Store{cloud: store}
 	eng := engine.New(d.Catalog, d.Auth, meta, log, d.Clock, stores, engine.DefaultOptions())
+	// Every region counts into the deployment's registry; the Storage
+	// API and the BLMT manager inherit it from the log.
+	store.UseObs(d.Obs)
+	meta.UseObs(d.Obs)
+	log.UseObs(d.Obs)
+	eng.UseObs(d.Obs)
 	srv := storageapi.NewServer(d.Catalog, d.Auth, meta, log, d.Clock, stores)
 	mgr := blmt.New(d.Catalog, d.Auth, log, d.Clock, stores)
 	mgr.DefaultCloud = cloud
@@ -212,11 +223,6 @@ func (d *Deployment) AddRegion(name, cloud string) (*Region, error) {
 		return nil, err
 	}
 
-	store.UseObs(d.Obs)
-	meta.UseObs(d.Obs)
-	log.UseObs(d.Obs)
-	eng.UseObs(d.Obs)
-	srv.UseObs(d.Obs)
 	r := &Region{
 		Name: name, Cloud: cloud,
 		Store: store, Meta: meta, Log: log,

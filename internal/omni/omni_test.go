@@ -7,6 +7,7 @@ import (
 
 	"biglake/internal/catalog"
 	"biglake/internal/engine"
+	"biglake/internal/obs"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/sqlparse"
@@ -131,7 +132,7 @@ func TestCrossCloudJoinListing3(t *testing.T) {
 	if res.Batch.N != 400 {
 		t.Fatalf("rows = %d, want 400", res.Batch.N)
 	}
-	if ev.dep.Meter.Get("cross_cloud_queries") != 1 {
+	if ev.dep.Obs.Get("omni.cross_cloud_queries") != 1 {
 		t.Fatal("cross-cloud path not taken")
 	}
 }
@@ -146,19 +147,20 @@ func TestCrossCloudPushdownReducesEgress(t *testing.T) {
 		JOIN aws_dataset.customer_orders AS o ON o.customer_id = ads.customer_id
 		WHERE o.order_total > 2800.0`
 
-	ev.dep.VPN.Meter().Reset()
+	egress := func() int64 { return ev.dep.Obs.Get("omni.egress_bytes") }
+	before := egress()
 	resPush, err := ev.dep.Submit(analystP, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	egressPush := ev.dep.VPN.Meter().Get("egress_bytes")
+	egressPush := egress() - before
 
-	ev.dep.VPN.Meter().Reset()
+	before = egress()
 	resFull, err := ev.dep.SubmitWith(analystP, query, SubmitOptions{DisablePushdown: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	egressFull := ev.dep.VPN.Meter().Get("egress_bytes")
+	egressFull := egress() - before
 
 	if resPush.Batch.N != resFull.Batch.N {
 		t.Fatalf("pushdown changed the answer: %d vs %d", resPush.Batch.N, resFull.Batch.N)
@@ -245,7 +247,7 @@ func TestSecurityRealmsIsolateRegions(t *testing.T) {
 
 func TestVPNAllowList(t *testing.T) {
 	clock := sim.NewClock()
-	vpn := NewVPN(clock, nil)
+	vpn := NewVPN(clock)
 	vpn.Admit("gcp-us")
 	if err := vpn.Call(clock, "gcp-us", "gcp-us", 10, sim.GCP); err != nil {
 		t.Fatal(err)
@@ -257,12 +259,14 @@ func TestVPNAllowList(t *testing.T) {
 
 func TestVPNEgressMetering(t *testing.T) {
 	clock := sim.NewClock()
-	vpn := NewVPN(clock, nil)
+	vpn := NewVPN(clock)
+	reg := obs.NewRegistry()
+	vpn.UseObs(reg)
 	vpn.Admit("a")
 	vpn.Admit("b")
 	vpn.Call(clock, "a", "b", 5000, sim.AWS)
 	vpn.Call(clock, "b", "b", 7000, sim.AWS) // intra-region: no egress
-	if got := vpn.Meter().Get("egress_bytes"); got != 5000 {
+	if got := reg.Get("omni.egress_bytes"); got != 5000 {
 		t.Fatalf("egress = %d", got)
 	}
 }

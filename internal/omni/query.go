@@ -137,7 +137,7 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 	// Cross-cloud query (§5.6.1): run remote subqueries with filter
 	// pushdown, stream results back as temp tables, rewrite, and join
 	// locally.
-	d.msink.Add("cross_cloud_queries", 1)
+	d.Obs.Add("omni.cross_cloud_queries", 1)
 	rewritten := cloneSelect(sel)
 	for _, t := range tables {
 		if regionOf[t] == home {
@@ -227,7 +227,7 @@ func (d *Deployment) createTempTable(home *Region, principal security.Principal,
 	}
 	name := fmt.Sprintf("_omni_tmp.t%d", d.nextSeq())
 	bucket := home.Manager.DefaultBucket
-	entry, err := bigmeta.PutDataFile(home.Engine.Res, d.Clock, nil, bigmeta.DataFile{
+	entry, err := bigmeta.PutDataFile(home.Engine.Res.Counting(d.Obs), d.Clock, nil, bigmeta.DataFile{
 		Store: home.Store, Cred: home.Engine.ManagedCred, Bucket: bucket,
 		Key: fmt.Sprintf("tmp/%s.blk", name), Batch: rows,
 	})

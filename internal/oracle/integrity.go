@@ -116,7 +116,7 @@ func sumPrefix(snap obs.Snapshot, prefix string) int64 {
 
 // integrityEngine builds a cell engine wired to the sweep's registry.
 func (h *harness) integrityEngine(cell IntegrityCell, reg *obs.Registry, skipQuarantined bool) *engine.Engine {
-	meta := bigmeta.NewCache(h.w.clock, nil)
+	meta := bigmeta.NewCache(h.w.clock)
 	opts := engine.DefaultOptions()
 	opts.EnableScanCache = cell.ScanCache
 	opts.SkipQuarantined = skipQuarantined
@@ -148,9 +148,10 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	reg := obs.NewRegistry()
+	// The sweep's registry is the log's: the world's BLMT manager and
+	// every Read API server built over the log already count into it.
+	reg := w.log.Obs()
 	w.store.UseObs(reg)
-	w.log.UseObs(reg)
 
 	gen := NewGen(opts.Seed)
 	tables := gen.Tables()
@@ -341,7 +342,7 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 // readAPIServer is a fresh Storage Read API frontend over the world: no
 // session outlives the table state it was planned against.
 func (h *harness) readAPIServer() *storageapi.Server {
-	srv := storageapi.NewServer(h.w.cat, h.w.auth, bigmeta.NewCache(h.w.clock, nil), h.w.log, h.w.clock, h.w.stores)
+	srv := storageapi.NewServer(h.w.cat, h.w.auth, bigmeta.NewCache(h.w.clock), h.w.log, h.w.clock, h.w.stores)
 	srv.ManagedCred = h.w.cred
 	return srv
 }

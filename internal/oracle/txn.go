@@ -267,7 +267,7 @@ func (tw *txnWorld) wire() {
 	w.log.AttachJournal(tw.j)
 	w.log.Crash = tw.cp
 
-	meta := bigmeta.NewCache(w.clock, nil)
+	meta := bigmeta.NewCache(w.clock)
 	eng := engine.New(w.cat, w.auth, meta, w.log, w.clock, w.stores, engine.DefaultOptions())
 	eng.ManagedCred = w.cred
 	mgr := blmt.New(w.cat, w.auth, w.log, w.clock, w.stores)
@@ -339,7 +339,7 @@ func (tw *txnWorld) recoverWorld() error {
 	if err != nil {
 		return fmt.Errorf("reopen journal: %w", err)
 	}
-	rec, err := wal.Recover(j, tw.w.clock, nil)
+	rec, err := wal.Recover(j, tw.w.clock)
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}

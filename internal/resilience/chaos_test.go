@@ -111,11 +111,11 @@ func TestChaosSoakTPCH(t *testing.T) {
 	}
 
 	// The injected chaos must have actually exercised the machinery.
-	if env.Store.Meter().Get("faults_injected") == 0 {
+	if env.Obs.Get("objstore.faults.injected") == 0 {
 		t.Fatal("no faults injected; soak proved nothing")
 	}
-	if env.Engine.Meter.Get("retries") == 0 {
-		t.Fatal("no retries metered")
+	if env.Obs.Get("resilience.retries") == 0 {
+		t.Fatal("no retries counted")
 	}
 
 	// No state poisoning: with faults cleared, every query returns the

@@ -30,6 +30,7 @@ import (
 
 	"biglake/internal/integrity"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/sim"
 )
 
@@ -150,17 +151,21 @@ type Policy struct {
 	// the primary attempt's charged latency exceeds this threshold, a
 	// second attempt is issued and the cheaper completion is paid.
 	HedgeAfter time.Duration
-	// Meter, when set, records retries/hedges/exhaustions. Any sink
-	// with a counter Add works: a *sim.Meter, an obs registry, or a
-	// tee over both.
-	Meter Meter
 }
 
-// Meter is the counter sink a Policy reports into. *sim.Meter and the
-// obs registry/sink types satisfy it.
-type Meter interface {
-	Add(name string, v int64)
+// Counted is a policy bound to the registry that receives its
+// "resilience.*" counters (retries, hedges, exhaustions). A Policy is
+// pure configuration and holds no registry: the component that owns it
+// binds it to its own registry at each use, so a policy swapped in by
+// hand counts where the one it replaced did. The zero Counted behaves
+// like NoRetry and counts nowhere.
+type Counted struct {
+	*Policy
+	obs *obs.Registry
 }
+
+// Counting binds p (nil is NoRetry) to reg (nil counts nowhere).
+func (p *Policy) Counting(reg *obs.Registry) Counted { return Counted{p, reg} }
 
 // DefaultPolicy returns the production policy every component installs
 // unless a test overrides it.
@@ -178,12 +183,6 @@ func DefaultPolicy() *Policy {
 // the pre-resilience behaviour, used by tests that assert raw fault
 // propagation.
 func NoRetry() *Policy { return &Policy{MaxAttempts: 1} }
-
-func (p *Policy) meter(name string, v int64) {
-	if p != nil && p.Meter != nil {
-		p.Meter.Add(name, v)
-	}
-}
 
 // Budget is the per-query retry allowance: a bounded number of retries
 // shared by every operation the query issues, plus an optional
@@ -319,8 +318,10 @@ func (b *Budget) jitter(max time.Duration) time.Duration {
 // full-jitter backoff charged to ch, bounded by MaxAttempts, the
 // budget's retry count, and the budget's deadline. Fatal, CASConflict,
 // and Deadline errors surface immediately. name tags error messages
-// with the operation (e.g. "scan GET lake/part-1").
-func (p *Policy) Do(ch sim.Charger, b *Budget, name string, op func() error) error {
+// with the operation (e.g. "scan GET lake/part-1"). Every count is off
+// the success path, so the cold by-name Add is enough.
+func (c Counted) Do(ch sim.Charger, b *Budget, name string, op func() error) error {
+	p := c.Policy
 	max := 1
 	var backoff, capB time.Duration
 	mult := 2.0
@@ -344,7 +345,7 @@ func (p *Policy) Do(ch sim.Charger, b *Budget, name string, op func() error) err
 		err := op()
 		if err == nil {
 			if attempt > 0 {
-				p.meter("retry_successes", 1)
+				c.obs.Add("resilience.retry_successes", 1)
 			}
 			return nil
 		}
@@ -353,7 +354,7 @@ func (p *Policy) Do(ch sim.Charger, b *Budget, name string, op func() error) err
 		case Retryable:
 			// fall through to the backoff below
 		case CASConflict:
-			p.meter("cas_conflicts", 1)
+			c.obs.Add("resilience.cas_conflicts", 1)
 			return err
 		case Deadline:
 			return err
@@ -361,20 +362,20 @@ func (p *Policy) Do(ch sim.Charger, b *Budget, name string, op func() error) err
 			// Same-source retry is never the answer for bad bytes;
 			// surface immediately so the caller can try an alternate
 			// source or quarantine.
-			p.meter("corruption_detected", 1)
+			c.obs.Add("resilience.corruption_detected", 1)
 			return err
 		default:
-			p.meter("fatal_errors", 1)
+			c.obs.Add("resilience.fatal_errors", 1)
 			return err
 		}
 		if attempt == max-1 {
 			break
 		}
 		if !b.takeRetry() {
-			p.meter("budget_exhausted", 1)
+			c.obs.Add("resilience.budget_exhausted", 1)
 			return fmt.Errorf("%s: %w: %w", name, ErrBudgetExhausted, err)
 		}
-		p.meter("retries", 1)
+		c.obs.Add("resilience.retries", 1)
 		if d := b.jitter(backoff); d > 0 {
 			ch.Charge(d)
 		}
@@ -383,7 +384,7 @@ func (p *Policy) Do(ch sim.Charger, b *Budget, name string, op func() error) err
 			backoff = capB
 		}
 	}
-	p.meter("retries_exhausted", 1)
+	c.obs.Add("resilience.retries_exhausted", 1)
 	return fmt.Errorf("%s: retries exhausted: %w", name, lastErr)
 }
 
@@ -391,14 +392,15 @@ func (p *Policy) Do(ch sim.Charger, b *Budget, name string, op func() error) err
 // Do) for transient faults, and on a CAS conflict reload is called to
 // re-read current state before the next attempt — the LakeVilla-style
 // contention fix. Attempts are bounded by MaxAttempts.
-func (p *Policy) DoCAS(ch sim.Charger, b *Budget, name string, attempt func() error, reload func() error) error {
+func (c Counted) DoCAS(ch sim.Charger, b *Budget, name string, attempt func() error, reload func() error) error {
+	p := c.Policy
 	max := 1
 	if p != nil && p.MaxAttempts > 1 {
 		max = p.MaxAttempts
 	}
 	var lastErr error
 	for i := 0; i < max; i++ {
-		err := p.Do(ch, b, name, attempt)
+		err := c.Do(ch, b, name, attempt)
 		if err == nil {
 			return nil
 		}
@@ -409,7 +411,7 @@ func (p *Policy) DoCAS(ch sim.Charger, b *Budget, name string, attempt func() er
 		if i == max-1 {
 			break
 		}
-		p.meter("cas_reloads", 1)
+		c.obs.Add("resilience.cas_reloads", 1)
 		if rerr := reload(); rerr != nil {
 			return fmt.Errorf("%s: reload after CAS conflict: %w", name, rerr)
 		}
@@ -448,11 +450,12 @@ func (pr *probe) total() time.Duration {
 //
 // op may run twice (primary + hedge): it must publish its result only
 // on success, so a failed hedge cannot clobber the primary's result.
-func (p *Policy) HedgedDo(ch sim.Charger, b *Budget, name string, op func(sim.Charger) error) error {
+func (c Counted) HedgedDo(ch sim.Charger, b *Budget, name string, op func(sim.Charger) error) error {
+	p := c.Policy
 	if p == nil || p.HedgeAfter <= 0 {
-		return p.Do(ch, b, name, func() error { return op(ch) })
+		return c.Do(ch, b, name, func() error { return op(ch) })
 	}
-	return p.Do(ch, b, name, func() error {
+	return c.Do(ch, b, name, func() error {
 		pr := &probe{}
 		err := op(pr)
 		lat := pr.total()
@@ -461,11 +464,11 @@ func (p *Policy) HedgedDo(ch sim.Charger, b *Budget, name string, op func(sim.Ch
 			return err
 		}
 		if lat > p.HedgeAfter {
-			p.meter("hedges", 1)
+			c.obs.Add("resilience.hedges", 1)
 			pr2 := &probe{}
 			if err2 := op(pr2); err2 == nil {
 				if hedged := p.HedgeAfter + pr2.total(); hedged < lat {
-					p.meter("hedge_wins", 1)
+					c.obs.Add("resilience.hedge_wins", 1)
 					lat = hedged
 				}
 			}
@@ -479,12 +482,12 @@ func (p *Policy) HedgedDo(ch sim.Charger, b *Budget, name string, op func(sim.Ch
 
 // ListAll drains every LIST page for a prefix with per-page retry —
 // the resilient replacement for objstore.Store.ListAll.
-func ListAll(p *Policy, ch sim.Charger, b *Budget, store *objstore.Store, cred objstore.Credential, bucket, prefix string) ([]objstore.ObjectInfo, error) {
+func ListAll(c Counted, ch sim.Charger, b *Budget, store *objstore.Store, cred objstore.Credential, bucket, prefix string) ([]objstore.ObjectInfo, error) {
 	var out []objstore.ObjectInfo
 	token := ""
 	for {
 		var page objstore.ListPage
-		err := p.Do(ch, b, "LIST "+bucket+"/"+prefix, func() error {
+		err := c.Do(ch, b, "LIST "+bucket+"/"+prefix, func() error {
 			var e error
 			page, e = store.ListOn(ch, cred, bucket, prefix, token)
 			return e

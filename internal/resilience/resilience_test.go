@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/sim"
 )
 
@@ -33,9 +34,8 @@ func TestClassify(t *testing.T) {
 
 func TestDoRetriesTransientWithBackoff(t *testing.T) {
 	clock := sim.NewClock()
-	meter := &sim.Meter{}
-	p := DefaultPolicy()
-	p.Meter = meter
+	reg := obs.NewRegistry()
+	p := DefaultPolicy().Counting(reg)
 	b := NewBudget(clock, 10, 1)
 
 	calls := 0
@@ -55,8 +55,8 @@ func TestDoRetriesTransientWithBackoff(t *testing.T) {
 	if clock.Now() == 0 {
 		t.Fatal("retries charged no backoff to the simulated clock")
 	}
-	if meter.Get("retries") != 2 || meter.Get("retry_successes") != 1 {
-		t.Fatalf("retries=%d retry_successes=%d", meter.Get("retries"), meter.Get("retry_successes"))
+	if reg.Get("resilience.retries") != 2 || reg.Get("resilience.retry_successes") != 1 {
+		t.Fatalf("retries=%d retry_successes=%d", reg.Get("resilience.retries"), reg.Get("resilience.retry_successes"))
 	}
 	if b.Remaining() != 8 {
 		t.Fatalf("budget remaining = %d", b.Remaining())
@@ -65,7 +65,7 @@ func TestDoRetriesTransientWithBackoff(t *testing.T) {
 
 func TestDoSurfacesFatalImmediately(t *testing.T) {
 	clock := sim.NewClock()
-	p := DefaultPolicy()
+	p := DefaultPolicy().Counting(nil)
 	calls := 0
 	err := p.Do(clock, nil, "GET b/k", func() error {
 		calls++
@@ -80,7 +80,7 @@ func TestDoSurfacesFatalImmediately(t *testing.T) {
 }
 
 func TestDoExhaustsAttempts(t *testing.T) {
-	p := DefaultPolicy() // 4 attempts
+	p := DefaultPolicy().Counting(nil) // 4 attempts
 	calls := 0
 	err := p.Do(sim.NewClock(), nil, "GET b/k", func() error {
 		calls++
@@ -97,7 +97,7 @@ func TestDoExhaustsAttempts(t *testing.T) {
 func TestDoStopsOnBudgetExhaustion(t *testing.T) {
 	clock := sim.NewClock()
 	b := NewBudget(clock, 1, 1) // one retry for everything
-	p := DefaultPolicy()
+	p := DefaultPolicy().Counting(nil)
 	calls := 0
 	err := p.Do(clock, b, "GET b/k", func() error {
 		calls++
@@ -115,7 +115,7 @@ func TestDeadlineStopsRetrying(t *testing.T) {
 	clock := sim.NewClock()
 	b := NewBudget(clock, 100, 1)
 	b.SetDeadline(50 * time.Millisecond)
-	p := DefaultPolicy()
+	p := DefaultPolicy().Counting(nil)
 	calls := 0
 	err := p.Do(clock, b, "GET b/k", func() error {
 		calls++
@@ -149,7 +149,7 @@ func TestDeadlineSeesParallelTrackFrontier(t *testing.T) {
 }
 
 func TestDoCASReloadsOnConflict(t *testing.T) {
-	p := DefaultPolicy()
+	p := DefaultPolicy().Counting(nil)
 	clock := sim.NewClock()
 	gen, have := 0, 3 // writer believes gen 0; store is at 3
 	reloads := 0
@@ -173,7 +173,7 @@ func TestDoCASReloadsOnConflict(t *testing.T) {
 }
 
 func TestDoCASBoundedOnPersistentConflict(t *testing.T) {
-	p := DefaultPolicy()
+	p := DefaultPolicy().Counting(nil)
 	err := p.DoCAS(sim.NewClock(), nil, "PUT b/hint", func() error {
 		return fmt.Errorf("%w: contended", objstore.ErrPreconditionFail)
 	}, func() error { return nil })
@@ -184,9 +184,8 @@ func TestDoCASBoundedOnPersistentConflict(t *testing.T) {
 
 func TestHedgedDoRacesSlowPrimary(t *testing.T) {
 	clock := sim.NewClock()
-	meter := &sim.Meter{}
-	p := DefaultPolicy() // HedgeAfter 150ms
-	p.Meter = meter
+	reg := obs.NewRegistry()
+	p := DefaultPolicy().Counting(reg) // HedgeAfter 150ms
 	slowOnce := true
 	err := p.HedgedDo(clock, nil, "GET b/k", func(ch sim.Charger) error {
 		if slowOnce {
@@ -205,16 +204,15 @@ func TestHedgedDoRacesSlowPrimary(t *testing.T) {
 	if clock.Now() != want {
 		t.Fatalf("charged %v, want %v", clock.Now(), want)
 	}
-	if meter.Get("hedges") != 1 || meter.Get("hedge_wins") != 1 {
-		t.Fatalf("hedges=%d wins=%d", meter.Get("hedges"), meter.Get("hedge_wins"))
+	if reg.Get("resilience.hedges") != 1 || reg.Get("resilience.hedge_wins") != 1 {
+		t.Fatalf("hedges=%d wins=%d", reg.Get("resilience.hedges"), reg.Get("resilience.hedge_wins"))
 	}
 }
 
 func TestHedgedDoFastPrimaryDoesNotHedge(t *testing.T) {
 	clock := sim.NewClock()
-	meter := &sim.Meter{}
-	p := DefaultPolicy()
-	p.Meter = meter
+	reg := obs.NewRegistry()
+	p := DefaultPolicy().Counting(reg)
 	if err := p.HedgedDo(clock, nil, "GET b/k", func(ch sim.Charger) error {
 		ch.Charge(30 * time.Millisecond)
 		return nil
@@ -224,13 +222,13 @@ func TestHedgedDoFastPrimaryDoesNotHedge(t *testing.T) {
 	if clock.Now() != 30*time.Millisecond {
 		t.Fatalf("charged %v", clock.Now())
 	}
-	if meter.Get("hedges") != 0 {
+	if reg.Get("resilience.hedges") != 0 {
 		t.Fatal("fast primary must not hedge")
 	}
 }
 
 func TestNilPolicyAndNilBudgetAreSafe(t *testing.T) {
-	var p *Policy
+	p := (*Policy)(nil).Counting(nil) // the same as the zero Counted
 	clock := sim.NewClock()
 	calls := 0
 	err := p.Do(clock, nil, "GET b/k", func() error {
@@ -247,7 +245,7 @@ func TestNilPolicyAndNilBudgetAreSafe(t *testing.T) {
 
 func TestListAllRetriesPerPage(t *testing.T) {
 	clock := sim.NewClock()
-	st := objstore.New(sim.GCP, clock, nil)
+	st := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@test"}
 	if err := st.CreateBucket(cred, "b"); err != nil {
 		t.Fatal(err)
@@ -259,7 +257,7 @@ func TestListAllRetriesPerPage(t *testing.T) {
 		}
 	}
 	st.FailNext(1) // first page faults once
-	got, err := ListAll(DefaultPolicy(), clock, NewBudget(clock, 8, 1), st, cred, "b", "p/")
+	got, err := ListAll(DefaultPolicy().Counting(nil), clock, NewBudget(clock, 8, 1), st, cred, "b", "p/")
 	if err != nil {
 		t.Fatal(err)
 	}

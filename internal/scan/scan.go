@@ -47,7 +47,8 @@ type Reader struct {
 	// Log is consulted by the quarantine gate and receives quarantine
 	// commits. Nil disables both.
 	Log *bigmeta.Log
-	// Obs receives the integrity.* counters and events (nil-safe).
+	// Obs receives the integrity.* counters and events and Res's
+	// resilience.* counters (nil-safe).
 	Obs *obs.Registry
 	// Cache, when set, serves and keeps verified full decodes.
 	Cache *Cache
@@ -95,7 +96,7 @@ type Outcome struct {
 func (r *Reader) Fetch(ch sim.Charger, src *Source, f bigmeta.FileEntry) ([]byte, objstore.ObjectInfo, error) {
 	var data []byte
 	var info objstore.ObjectInfo
-	err := r.Res.HedgedDo(ch, src.Budget, "GET "+f.Bucket+"/"+f.Key, func(hch sim.Charger) error {
+	err := r.Res.Counting(r.Obs).HedgedDo(ch, src.Budget, "GET "+f.Bucket+"/"+f.Key, func(hch sim.Charger) error {
 		d, oi, err := src.Store.GetOn(hch, src.Cred, f.Bucket, f.Key)
 		if err != nil {
 			return err

@@ -33,13 +33,13 @@ const (
 func newWorld(t *testing.T) *world {
 	t.Helper()
 	w := &world{clock: sim.NewClock(), reg: obs.NewRegistry()}
-	w.store = objstore.New(sim.GCP, w.clock, nil)
+	w.store = objstore.New(sim.GCP, w.clock)
 	w.store.UseObs(w.reg)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	if err := w.store.CreateBucket(cred, testBucket); err != nil {
 		t.Fatal(err)
 	}
-	w.log = bigmeta.NewLog(w.clock, nil)
+	w.log = bigmeta.NewLog(w.clock)
 	w.src = Source{
 		Table: catalog.Table{
 			Dataset: "ds", Name: "t", Type: catalog.BigLake, Cloud: "gcp", Bucket: testBucket, Prefix: "t/",

@@ -42,7 +42,7 @@ type env struct {
 func newEnv(t *testing.T, cfg Config) *env {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	for _, b := range []string{"data-bucket", "journal-bucket"} {
 		if err := store.CreateBucket(cred, b); err != nil {
@@ -53,7 +53,7 @@ func newEnv(t *testing.T, cfg Config) *env {
 	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	j, err := wal.Open(store, cred, "journal-bucket", "")
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func newEnv(t *testing.T, cfg Config) *env {
 	stores := map[string]*objstore.Store{"gcp": store}
 	bm := blmt.New(cat, auth, log, clock, stores)
 	bm.DefaultCloud, bm.DefaultBucket, bm.DefaultConnection = "gcp", "data-bucket", "conn"
-	meta := bigmeta.NewCache(clock, nil)
+	meta := bigmeta.NewCache(clock)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
 	eng.SetMutator(bm)

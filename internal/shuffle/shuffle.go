@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 
+	"biglake/internal/obs"
 	"biglake/internal/sim"
 )
 
@@ -24,9 +25,9 @@ var (
 // slices (serialized vector batches).
 type Service struct {
 	clock *sim.Clock
-	meter *sim.Meter
 
 	mu       sync.Mutex
+	bytes    *obs.Counter // "shuffle.shuffle_bytes"
 	sessions map[string]*session
 	seq      int
 }
@@ -37,12 +38,22 @@ type session struct {
 	checkpoint [][][]byte
 }
 
-// New returns an empty shuffle service.
-func New(clock *sim.Clock, meter *sim.Meter) *Service {
-	if meter == nil {
-		meter = &sim.Meter{}
+// New returns an empty shuffle service counting into a private
+// registry until UseObs points it at a shared one.
+func New(clock *sim.Clock) *Service {
+	s := &Service{clock: clock, sessions: make(map[string]*session)}
+	s.UseObs(obs.NewRegistry())
+	return s
+}
+
+// UseObs points the service's byte counter at a shared registry.
+func (s *Service) UseObs(r *obs.Registry) {
+	if r == nil {
+		return
 	}
-	return &Service{clock: clock, meter: meter, sessions: make(map[string]*session)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.bytes = r.Counter("shuffle.shuffle_bytes")
 }
 
 // CreateSession allocates a shuffle session with n partitions and
@@ -77,7 +88,7 @@ func (s *Service) Write(id string, partition int, payload []byte) error {
 	cp := make([]byte, len(payload))
 	copy(cp, payload)
 	sess.partitions[partition] = append(sess.partitions[partition], cp)
-	s.meter.Add("shuffle_bytes", int64(len(payload)))
+	s.bytes.Add(int64(len(payload)))
 	return nil
 }
 

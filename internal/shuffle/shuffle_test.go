@@ -9,7 +9,7 @@ import (
 	"biglake/internal/sim"
 )
 
-func newSvc() *Service { return New(sim.NewClock(), nil) }
+func newSvc() *Service { return New(sim.NewClock()) }
 
 func TestSessionLifecycle(t *testing.T) {
 	s := newSvc()

@@ -89,45 +89,6 @@ func TestTrackStartsAtClockTime(t *testing.T) {
 	}
 }
 
-func TestMeter(t *testing.T) {
-	var m Meter
-	m.Add("reads", 3)
-	m.Add("reads", 4)
-	m.Add("bytes", 100)
-	if m.Get("reads") != 7 || m.Get("bytes") != 100 {
-		t.Fatalf("meter = %v", m.Snapshot())
-	}
-	if m.Get("missing") != 0 {
-		t.Fatal("missing counter should read 0")
-	}
-	s := m.String()
-	if s != "bytes=100 reads=7" {
-		t.Fatalf("String() = %q", s)
-	}
-	m.Reset()
-	if m.Get("reads") != 0 {
-		t.Fatal("reset did not clear counters")
-	}
-}
-
-func TestMeterConcurrent(t *testing.T) {
-	var m Meter
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				m.Add("n", 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := m.Get("n"); got != 16000 {
-		t.Fatalf("concurrent adds = %d, want 16000", got)
-	}
-}
-
 func TestRNGDeterministic(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 100; i++ {

@@ -25,6 +25,7 @@ import (
 
 	"biglake/internal/colfmt"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/storageapi"
@@ -52,13 +53,15 @@ type Options struct {
 // Session is a Sparkle driver session.
 type Session struct {
 	Clock *sim.Clock
-	Meter *sim.Meter
-	Opts  Options
+	// Obs is the session's own registry ("sparkle.*"): Sparkle is an
+	// external engine, outside the lakehouse deployment it reads from.
+	Obs  *obs.Registry
+	Opts Options
 }
 
 // NewSession creates a driver session.
 func NewSession(clock *sim.Clock, opts Options) *Session {
-	return &Session{Clock: clock, Meter: &sim.Meter{}, Opts: opts}
+	return &Session{Clock: clock, Obs: obs.NewRegistry(), Opts: opts}
 }
 
 // Frame is a lazily-evaluated relation.
@@ -123,7 +126,7 @@ func (d *directSource) scan(sess *Session, preds []colfmt.Predicate, cols []stri
 	if err != nil {
 		return nil, err
 	}
-	sess.Meter.Add("direct_list_calls", 1)
+	sess.Obs.Add("sparkle.direct_list_calls", 1)
 
 	// Footer peek per file for skippability, then read survivors —
 	// all on the query's critical path, in executor parallel tracks.
@@ -156,7 +159,7 @@ func (d *directSource) scan(sess *Session, preds []colfmt.Predicate, cols []stri
 				return nil, ferr
 			}
 		}
-		sess.Meter.Add("direct_footer_reads", 1)
+		sess.Obs.Add("sparkle.direct_footer_reads", 1)
 		skip := false
 		for _, p := range preds {
 			if st, ok := footer.ColumnStatsFor(p.Column); ok && !p.StatsCanSatisfy(st) {
@@ -170,7 +173,7 @@ func (d *directSource) scan(sess *Session, preds []colfmt.Predicate, cols []stri
 		if gerr != nil {
 			return nil, gerr
 		}
-		sess.Meter.Add("direct_bytes_read", int64(len(data)))
+		sess.Obs.Add("sparkle.direct_bytes_read", int64(len(data)))
 		r, rerr := colfmt.NewVectorizedReader(data, cols, preds)
 		if rerr != nil {
 			return nil, rerr
@@ -255,7 +258,7 @@ func (r *readAPISource) scan(sess *Session, preds []colfmt.Predicate, cols []str
 		return nil, err
 	}
 	if !rs.Reused {
-		sess.Meter.Add("read_sessions", 1)
+		sess.Obs.Add("sparkle.read_sessions", 1)
 	}
 	// Executors read streams in parallel tracks.
 	tracks := make([]*sim.Track, len(rs.Streams))
@@ -272,7 +275,7 @@ func (r *readAPISource) scan(sess *Session, preds []colfmt.Predicate, cols []str
 			if err != nil {
 				return nil, err
 			}
-			sess.Meter.Add("readapi_bytes", int64(len(payload)))
+			sess.Obs.Add("sparkle.readapi_bytes", int64(len(payload)))
 			b, err := vector.DecodeBatch(payload)
 			if err != nil {
 				return nil, err
@@ -443,7 +446,7 @@ func (f *Frame) collectJoin() (*vector.Batch, error) {
 				if !min.IsNull() {
 					sec = sec.Filter(colfmt.Predicate{Column: secondKey, Op: vector.GE, Value: min})
 					sec = sec.Filter(colfmt.Predicate{Column: secondKey, Op: vector.LE, Value: max})
-					f.sess.Meter.Add("dpp_applied", 1)
+					f.sess.Obs.Add("sparkle.dpp_applied", 1)
 				}
 			}
 		}

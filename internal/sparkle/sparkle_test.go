@@ -10,6 +10,7 @@ import (
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/storageapi"
@@ -33,7 +34,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	user := objstore.Credential{Principal: string(userP)}
 	if err := store.CreateBucket(cred, "lake"); err != nil {
@@ -44,8 +45,8 @@ func newEnv(t *testing.T) *env {
 	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	meta := bigmeta.NewCache(clock, nil)
-	log := bigmeta.NewLog(clock, nil)
+	meta := bigmeta.NewCache(clock)
+	log := bigmeta.NewLog(clock)
 	srv := storageapi.NewServer(cat, auth, meta, log, clock, map[string]*objstore.Store{"gcp": store})
 	srv.ManagedCred = cred
 	return &env{clock: clock, store: store, srv: srv, auth: auth, cred: cred, user: user}
@@ -119,8 +120,8 @@ func TestDirectScan(t *testing.T) {
 	if got.N != 100 {
 		t.Fatalf("rows = %d", got.N)
 	}
-	if sess.Meter.Get("direct_list_calls") != 1 || sess.Meter.Get("direct_footer_reads") != 4 {
-		t.Fatalf("meter = %v", sess.Meter.Snapshot())
+	if sess.Obs.Get("sparkle.direct_list_calls") != 1 || sess.Obs.Get("sparkle.direct_footer_reads") != 4 {
+		t.Fatalf("counters = %v", sess.Obs.Snapshot().Counters)
 	}
 }
 
@@ -139,7 +140,7 @@ func TestDirectScanFilterSkipsFiles(t *testing.T) {
 	}
 	// Footer stats pruned 9 of 10 data reads, so bytes read must be
 	// roughly one file's worth.
-	totalBytes := sess.Meter.Get("direct_bytes_read")
+	totalBytes := sess.Obs.Get("sparkle.direct_bytes_read")
 	if totalBytes == 0 {
 		t.Fatal("no bytes metered")
 	}
@@ -229,7 +230,7 @@ func TestDPPPrunesFactScan(t *testing.T) {
 	ev.loadFact(t, 10, 100) // 10 files, ids 0..999
 	ev.loadDim(t, 1000, 5)  // only ids 0..4 are gold
 
-	run := func(opts Options) *sim.Meter {
+	run := func(opts Options) *obs.Registry {
 		sess := NewSession(ev.clock, opts)
 		fact := sess.ReadBigLake(ev.srv, userP, "ds.fact")
 		dim := sess.ReadBigLake(ev.srv, userP, "ds.dim").
@@ -241,17 +242,17 @@ func TestDPPPrunesFactScan(t *testing.T) {
 		if got.N != 5 {
 			t.Fatalf("join rows = %d", got.N)
 		}
-		return sess.Meter
+		return sess.Obs
 	}
 	blind := run(Options{})
 	smart := run(Options{UseSessionStats: true, EnableDPP: true})
-	if smart.Get("dpp_applied") == 0 {
+	if smart.Get("sparkle.dpp_applied") == 0 {
 		t.Fatal("DPP not applied")
 	}
 	// With DPP the fact side ships far fewer payload bytes.
-	if smart.Get("readapi_bytes")*2 >= blind.Get("readapi_bytes") {
+	if smart.Get("sparkle.readapi_bytes")*2 >= blind.Get("sparkle.readapi_bytes") {
 		t.Fatalf("DPP bytes %d should be <half of blind %d",
-			smart.Get("readapi_bytes"), blind.Get("readapi_bytes"))
+			smart.Get("sparkle.readapi_bytes"), blind.Get("sparkle.readapi_bytes"))
 	}
 }
 

@@ -243,7 +243,7 @@ func TestStreamResumeAfterCrash(t *testing.T) {
 	}
 
 	// "Restart": recover a fresh log and server from the journal alone.
-	rec, err := wal.Recover(j, ev.clock, nil)
+	rec, err := wal.Recover(j, ev.clock)
 	if err != nil {
 		t.Fatal(err)
 	}

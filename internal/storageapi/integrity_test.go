@@ -20,6 +20,7 @@ func TestReadRowsQuarantinesStoredDamage(t *testing.T) {
 	ev.createSales(t, 1, 50)
 	reg := obs.NewRegistry()
 	ev.store.UseObs(reg)
+	ev.srv.UseObs(reg)
 	const key = "sales/part-00.blk"
 	if err := ev.store.FlipStoredBit("lake", key, 99); err != nil {
 		t.Fatal(err)
@@ -47,6 +48,9 @@ func TestReadRowsQuarantinesStoredDamage(t *testing.T) {
 
 	// A different projection, so this is a new session, not a reuse.
 	gets := reg.Get("objstore.get.count")
+	if gets == 0 {
+		t.Fatal("the store's GETs do not reach reg: the check below would be vacuous")
+	}
 	next, err := ev.srv.CreateReadSession(ReadSessionRequest{Table: "ds.sales", Principal: adminP, Columns: []string{"id"}})
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"biglake/internal/bigmeta"
@@ -145,7 +146,6 @@ type Server struct {
 	Meta    *bigmeta.Cache
 	Log     *bigmeta.Log
 	Clock   *sim.Clock
-	Meter   *sim.Meter
 	Stores  map[string]*objstore.Store
 	// ManagedCred reads native tables.
 	ManagedCred objstore.Credential
@@ -155,9 +155,9 @@ type Server struct {
 	// write-path data-file puts. Nil behaves like resilience.NoRetry.
 	Res *resilience.Policy
 
-	// msink fans session/read counters into the legacy meter and (via
-	// UseObs) a shared registry under "storageapi.*" names.
-	msink obs.Sink
+	// sc holds the server's registry and its "storageapi.*" counters;
+	// UseObs swaps the whole struct atomically.
+	sc atomic.Pointer[serverCounters]
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -173,39 +173,52 @@ type cachedSession struct {
 	expires time.Duration
 }
 
-// NewServer assembles a Storage API server.
+// serverCounters holds the server's registry (where its reader's
+// "integrity.*" detections land) and its pre-resolved "storageapi.*"
+// counters: a ReadRows pays atomic adds, never a map lookup.
+type serverCounters struct {
+	reg                             *obs.Registry
+	sessionsCreated, sessionsReused *obs.Counter
+	readRowsCalls, readRowsBytes    *obs.Counter
+	appendedRows                    *obs.Counter
+}
+
+// NewServer assembles a Storage API server counting into the log's
+// registry until UseObs points it at another.
 func NewServer(cat *catalog.Catalog, auth *security.Authority, meta *bigmeta.Cache, log *bigmeta.Log, clock *sim.Clock, stores map[string]*objstore.Store) *Server {
-	meter := &sim.Meter{}
-	res := resilience.DefaultPolicy()
-	res.Meter = meter
-	return &Server{
-		msink:      meter,
+	s := &Server{
 		Catalog:    cat,
 		Auth:       auth,
 		Meta:       meta,
 		Log:        log,
 		Clock:      clock,
-		Meter:      meter,
 		Stores:     stores,
 		SessionTTL: 10 * time.Minute,
-		Res:        res,
+		Res:        resilience.DefaultPolicy(),
 		sessions:   make(map[string]*session),
 		cache:      make(map[string]cachedSession),
 		writes:     make(map[string]*writeStream),
 	}
+	s.UseObs(log.Obs())
+	return s
 }
 
-// UseObs tees the server's counters into a shared registry under
-// "storageapi."-prefixed names and its retry metrics under
-// "resilience.*"; legacy meter names keep working.
+// UseObs points the server's "storageapi.*" counters and its reader's
+// "integrity.*" and "resilience.*" counters at a shared registry in one
+// atomic store, so it is safe with sessions in flight. Write-path
+// commits count their retries in the log's registry.
 func (s *Server) UseObs(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	s.msink = obs.Tee(s.Meter, r.Prefixed("storageapi."))
-	if s.Res != nil {
-		s.Res.Meter = obs.Tee(s.Meter, r.Prefixed("resilience."))
-	}
+	s.sc.Store(&serverCounters{
+		reg:             r,
+		sessionsCreated: r.Counter("storageapi.sessions_created"),
+		sessionsReused:  r.Counter("storageapi.sessions_reused"),
+		readRowsCalls:   r.Counter("storageapi.readrows_calls"),
+		readRowsBytes:   r.Counter("storageapi.readrows_bytes"),
+		appendedRows:    r.Counter("storageapi.appended_rows"),
+	})
 }
 
 func (s *Server) store(cloud string) (*objstore.Store, error) {
@@ -266,7 +279,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	if c, ok := s.cache[key]; ok && s.Clock.Now() <= c.expires {
 		if sess, ok := s.sessions[c.id]; ok {
 			s.mu.Unlock()
-			s.msink.Add("sessions_reused", 1)
+			s.sc.Load().sessionsReused.Add(1)
 			return s.describe(c.id, sess, sess.openStreams(c.id), true), nil
 		}
 	}
@@ -369,7 +382,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 
 	// Server-side session creation cost.
 	s.Clock.Advance(SessionLatency)
-	s.msink.Add("sessions_created", 1)
+	s.sc.Load().sessionsCreated.Add(1)
 	return s.describe(id, sess, streams, false), nil
 }
 
@@ -460,8 +473,9 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 		return nil, err
 	}
 	payload := vector.EncodeBatch(batch, sess.req.KeepEncodings)
-	s.msink.Add("readrows_bytes", int64(len(payload)))
-	s.msink.Add("readrows_calls", 1)
+	sc := s.sc.Load()
+	sc.readRowsBytes.Add(int64(len(payload)))
+	sc.readRowsCalls.Add(1)
 	return payload, nil
 }
 
@@ -470,14 +484,14 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 // cols is the projection (nil = every governed column, for the
 // aggregate path, whose aggregates may reference unprojected columns).
 // The reader runs without a decoded-file cache and fails fast on a
-// quarantined file; its integrity.* counters land in the registry of
-// the store it reads.
+// quarantined file; its integrity.* counters land in the server's
+// registry.
 func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEntry, cols []string) (*vector.Batch, error) {
 	store, err := s.store(sess.table.Cloud)
 	if err != nil {
 		return nil, err
 	}
-	rd := scan.Reader{Res: s.Res, Log: s.Log, Obs: store.Obs(), Site: "scan"}
+	rd := scan.Reader{Res: s.Res, Log: s.Log, Obs: s.sc.Load().reg, Site: "scan"}
 	src := scan.Source{Table: sess.table, Store: store, Cred: sess.cred, Budget: sess.budget, Principal: string(sess.req.Principal)}
 
 	var batch *vector.Batch
@@ -564,8 +578,9 @@ func (s *Server) computeAggregates(ch sim.Charger, sess *session, files []bigmet
 		return nil, err
 	}
 	payload := vector.EncodeBatch(batch, false)
-	s.msink.Add("readrows_bytes", int64(len(payload)))
-	s.msink.Add("readrows_calls", 1)
+	sc := s.sc.Load()
+	sc.readRowsBytes.Add(int64(len(payload)))
+	sc.readRowsCalls.Add(1)
 	return payload, nil
 }
 

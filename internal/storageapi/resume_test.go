@@ -4,7 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"biglake/internal/colfmt"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/resilience"
 	"biglake/internal/vector"
 )
@@ -78,6 +80,8 @@ func TestReadRowsResumesAtFailedFile(t *testing.T) {
 func TestReadRowsRetriesAbsorbFault(t *testing.T) {
 	ev := newEnv(t)
 	ev.createSales(t, 4, 10)
+	reg := obs.NewRegistry()
+	ev.srv.UseObs(reg)
 
 	sess, err := ev.srv.CreateReadSession(ReadSessionRequest{
 		Table: "ds.sales", Principal: adminP, MaxStreams: 1,
@@ -93,7 +97,52 @@ func TestReadRowsRetriesAbsorbFault(t *testing.T) {
 	if batch.N != 40 {
 		t.Fatalf("rows = %d", batch.N)
 	}
-	if ev.srv.Meter.Get("retries") == 0 {
-		t.Fatal("expected a metered retry")
+	if reg.Get("resilience.retries") == 0 {
+		t.Fatal("expected a counted retry")
+	}
+}
+
+// TestServerUseObsWhileReadRowsRetries re-points the server between two
+// registries while another goroutine reads through injected faults. The
+// server's counters swap in one atomic store and the policy holds no
+// registry, so the race detector stays quiet and every session and
+// every retry lands in exactly one of the two.
+func TestServerUseObsWhileReadRowsRetries(t *testing.T) {
+	const reads = 50
+	ev := newEnv(t)
+	ev.createSales(t, 2, 10)
+	a, b := obs.NewRegistry(), obs.NewRegistry()
+	ev.srv.UseObs(a)
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < reads; i++ {
+			// A new predicate each time, so no session is reused.
+			sess, err := ev.srv.CreateReadSession(ReadSessionRequest{
+				Table: "ds.sales", Principal: adminP, MaxStreams: 1,
+				Predicates: []colfmt.Predicate{{Column: "id", Op: vector.GE, Value: vector.IntValue(int64(-i))}},
+			})
+			if err != nil {
+				done <- err
+				return
+			}
+			ev.store.FailNext(1)
+			if _, err := ev.srv.ReadAll(sess); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 4*reads; i++ {
+		ev.srv.UseObs(b)
+		ev.srv.UseObs(a)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"storageapi.sessions_created", "resilience.retries"} {
+		if got := a.Get(name) + b.Get(name); got != reads {
+			t.Fatalf("%s = %d across both registries, want %d", name, got, reads)
+		}
 	}
 }

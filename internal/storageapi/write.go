@@ -148,7 +148,7 @@ func (s *Server) AppendRows(streamID string, offset int64, rows *vector.Batch) (
 	}
 	ws.rows = merged
 	ws.offset += int64(rows.N)
-	s.msink.Add("appended_rows", int64(rows.N))
+	s.sc.Load().appendedRows.Add(int64(rows.N))
 
 	if ws.mode == CommittedMode {
 		if err := s.flushStreamLocked(ws, ws.offset); err != nil {

@@ -28,7 +28,7 @@ type histEntry struct {
 	ts       time.Duration
 	counters map[string]int64
 	gauges   map[string]int64
-	deltas   map[string]int64 // counter deltas vs previous capture
+	deltas   map[string]int64 // non-zero counter deltas vs previous capture
 }
 
 // MetricsHistory is a fixed-size ring of registry snapshots taken at
@@ -100,15 +100,21 @@ func (h *MetricsHistory) Capture(now time.Duration, reg *obs.Registry) bool {
 	if h.hasTaken && now == h.lastAt {
 		return false
 	}
-	e := histEntry{
-		ts:       now,
-		counters: snap.Counters,
-		gauges:   snap.Gauges,
-		deltas:   make(map[string]int64, len(snap.Counters)),
-	}
-	for name, v := range snap.Counters {
-		if h.hasPrev {
-			e.deltas[name] = v - h.prev[name]
+	e := histEntry{ts: now, counters: snap.Counters, gauges: snap.Gauges}
+	if h.hasPrev {
+		// Most counters stand still between two captures: keep only
+		// the ones that moved, in a map sized for them.
+		moved := 0
+		for name, v := range snap.Counters {
+			if v != h.prev[name] {
+				moved++
+			}
+		}
+		e.deltas = make(map[string]int64, moved)
+		for name, v := range snap.Counters {
+			if d := v - h.prev[name]; d != 0 {
+				e.deltas[name] = d
+			}
 		}
 	}
 	h.prev, h.hasPrev = snap.Counters, true

@@ -43,7 +43,7 @@ type env struct {
 func newEnv(t *testing.T) *env {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	for _, b := range []string{"customer-bucket", "journal-bucket"} {
 		if err := store.CreateBucket(cred, b); err != nil {
@@ -54,7 +54,7 @@ func newEnv(t *testing.T) *env {
 	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	j, err := wal.Open(store, cred, "journal-bucket", "")
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func newEnv(t *testing.T) *env {
 	stores := map[string]*objstore.Store{"gcp": store}
 	bm := blmt.New(cat, auth, log, clock, stores)
 	bm.DefaultCloud, bm.DefaultBucket, bm.DefaultConnection = "gcp", "customer-bucket", "conn"
-	meta := bigmeta.NewCache(clock, nil)
+	meta := bigmeta.NewCache(clock)
 	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
 	eng.ManagedCred = cred
 	eng.SetMutator(bm)
@@ -352,7 +352,7 @@ func TestRollbackLeavesNoOrphans(t *testing.T) {
 		}
 		// The journal holds intent + abort for the txn: recovery
 		// classifies it as cleanly aborted, not unsealed.
-		rec, err := wal.Recover(ev.j, ev.clock, nil)
+		rec, err := wal.Recover(ev.j, ev.clock)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -328,7 +328,7 @@ type Recovered struct {
 // refuses with a typed integrity error and the journal object must be
 // repaired first. Corrupt intents and aborts are dropped either way:
 // losing one can only make GC more conservative, never lose a commit.
-func Recover(j *Journal, clock *sim.Clock, meter *sim.Meter) (*Recovered, error) {
+func Recover(j *Journal, clock *sim.Clock) (*Recovered, error) {
 	recs, corrupt, err := j.records()
 	if err != nil {
 		return nil, err
@@ -371,12 +371,15 @@ func Recover(j *Journal, clock *sim.Clock, meter *sim.Meter) (*Recovered, error)
 	}
 	sort.Slice(commits, func(a, b int) bool { return commits[a].Version < commits[b].Version })
 
-	log := bigmeta.NewLog(clock, meter)
+	// The recovered log inherits the journal store's registry, and the
+	// recovery statistics below land there under "wal.*".
+	reg := j.Store.Obs()
+	log := bigmeta.NewLog(clock)
+	log.UseObs(reg)
 	if err := log.Restore(commits); err != nil {
 		return nil, err
 	}
 	log.AttachJournal(j)
-	log.UseObs(j.Store.Obs())
 
 	streams := map[string]bigmeta.StreamState{}
 	for _, c := range commits {
@@ -400,8 +403,6 @@ func Recover(j *Journal, clock *sim.Clock, meter *sim.Meter) (*Recovered, error)
 	sort.Strings(rep.UnsealedIntents)
 	sort.Strings(rep.AbortedIntents)
 	sort.Strings(rep.OrphanCandidates)
-	// Recovery statistics land in the store registry under "wal.*".
-	reg := j.Store.Obs()
 	reg.Add("wal.recover.runs", 1)
 	reg.Add("wal.recover.commits", int64(len(commits)))
 	reg.Add("wal.recover.unsealed_intents", int64(len(rep.UnsealedIntents)))

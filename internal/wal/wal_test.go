@@ -18,7 +18,7 @@ import (
 func testWorld(t *testing.T) (*objstore.Store, objstore.Credential, *sim.Clock) {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.ProfileFor("gcp"), clock, nil)
+	store := objstore.New(sim.ProfileFor("gcp"), clock)
 	cred := objstore.Credential{Principal: "admin@corp"}
 	if err := store.CreateBucket(cred, "lake"); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("records = %+v", recs)
 	}
 
-	rec, err := Recover(j2, clock, nil)
+	rec, err := Recover(j2, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestGCOrphansKeepsHistoryReferencedFiles(t *testing.T) {
 	put("t/data/rewritten.blk") // referenced, later removed by compaction
 	put("t/data/orphan.blk")    // PUT by a crashed tx, never sealed
 
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	if _, err := log.Commit("a@corp", map[string]bigmeta.TableDelta{"t": {Added: []bigmeta.FileEntry{
 		{Bucket: "lake", Key: "t/data/live.blk", Size: 3},
 		{Bucket: "lake", Key: "t/data/rewritten.blk", Size: 3},
@@ -126,7 +126,7 @@ func TestReplayedCommitIsExactNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := bigmeta.NewLog(clock, nil)
+	log := bigmeta.NewLog(clock)
 	log.AttachJournal(j)
 	deltas := map[string]bigmeta.TableDelta{"t": {Added: []bigmeta.FileEntry{{Bucket: "lake", Key: "t/data/a.blk"}}}}
 	v1, err := log.CommitTx("a@corp", bigmeta.TxOptions{TxnID: "tx-dup"}, deltas)
@@ -193,7 +193,7 @@ func tornWorld(t *testing.T) (*objstore.Store, objstore.Credential, *sim.Clock, 
 // data file leaving zero orphans, and the integrity counters fired.
 func checkDemotedTail(t *testing.T, store *objstore.Store, cred objstore.Credential, clock *sim.Clock, j *Journal, reg *obs.Registry, tailKey string) {
 	t.Helper()
-	rec, err := Recover(j, clock, nil)
+	rec, err := Recover(j, clock)
 	if err != nil {
 		t.Fatalf("recovery must survive a torn tail: %v", err)
 	}
@@ -296,7 +296,7 @@ func TestRecoverCorruptHistoryCommitRefuses(t *testing.T) {
 	if err := store.FlipStoredBit("lake", j.key(2, KindCommit), 83); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recover(j, clock, nil); err == nil {
+	if _, err := Recover(j, clock); err == nil {
 		t.Fatal("recovery rolled past a corrupt non-tail commit")
 	} else if !errors.Is(err, integrity.ErrCorrupt) {
 		t.Fatalf("history damage surfaced untyped: %v", err)
@@ -315,7 +315,7 @@ func TestRecoverCorruptIntentIsDropped(t *testing.T) {
 	if err := store.FlipStoredBit("lake", j.key(3, KindIntent), 83); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Recover(j, clock, nil)
+	rec, err := Recover(j, clock)
 	if err != nil {
 		t.Fatalf("recovery must survive a corrupt intent: %v", err)
 	}
@@ -346,7 +346,7 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			log := bigmeta.NewLog(clock, nil)
+			log := bigmeta.NewLog(clock)
 			log.BaselineEvery = 7 // force auto-compaction mid-history
 			log.AttachJournal(j)
 
@@ -387,7 +387,7 @@ func TestRecoveryEquivalenceProperty(t *testing.T) {
 			}
 			log.Compact() // ensure at least one baseline is in play
 
-			rec, err := Recover(j, clock, nil)
+			rec, err := Recover(j, clock)
 			if err != nil {
 				t.Fatal(err)
 			}

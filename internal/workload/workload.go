@@ -15,6 +15,7 @@ import (
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
 	"biglake/internal/objstore"
+	"biglake/internal/resilience"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
@@ -229,7 +230,7 @@ func loadNative(env *Env, name string, schema vector.Schema, fill func(*vector.B
 	bl := vector.NewBuilder(schema)
 	fill(bl)
 	batch := bl.Build()
-	entry, err := bigmeta.PutDataFile(nil, env.Clock, nil, bigmeta.DataFile{
+	entry, err := bigmeta.PutDataFile(resilience.Counted{}, env.Clock, nil, bigmeta.DataFile{
 		Store: env.Store, Cred: env.Cred, Bucket: env.Bucket,
 		Key: fmt.Sprintf("native/%s/part-000.blk", name), Batch: batch,
 	})

@@ -16,7 +16,7 @@ const adminP = security.Principal("admin@corp")
 func newEnv(t *testing.T) (*Env, *engine.Engine) {
 	t.Helper()
 	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock, nil)
+	store := objstore.New(sim.GCP, clock)
 	cred := objstore.Credential{Principal: "sa@corp"}
 	if err := store.CreateBucket(cred, "bench"); err != nil {
 		t.Fatal(err)
@@ -27,8 +27,8 @@ func newEnv(t *testing.T) (*Env, *engine.Engine) {
 	}
 	auth := security.NewAuthority("secret", adminP)
 	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock, nil)
-	meta := bigmeta.NewCache(clock, nil)
+	log := bigmeta.NewLog(clock)
+	meta := bigmeta.NewCache(clock)
 	env := &Env{
 		Catalog: cat, Auth: auth, Store: store, Log: log, Clock: clock,
 		Cred: cred, Connection: "conn", Bucket: "bench", Cloud: "gcp",
