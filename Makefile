@@ -108,19 +108,23 @@ serve:
 # the one verified reader (internal/scan) and each of its callers — the
 # engine's scan-cache poisoning guard and quarantine containment, the
 # Read API's quarantine and partition columns, rewrites that never
-# commit unverified bytes, the budgeted scrubber — the
+# commit unverified bytes, the budgeted scrubber — column projection
+# through it (the column-resident cache under concurrent fills, the
+# engine's column sets and the Read API's, both under governance), the
 # corruption-injection determinism suite, the oracle corruption sweep
 # with its Read API and DML arms (zero silent wrong answers), the E19
 # detect -> contain -> repair experiment, and the scanlint sweep that
-# keeps a second fetch -> verify -> decode path — and a second intent ->
-# PUT -> seal commit path — from growing back.
+# keeps a second fetch -> verify -> decode path, a second intent -> PUT
+# -> seal commit path and a whole-file decode on a query path from
+# growing back.
 integrity:
 	$(GO) test -run 'TestRoundTrip|TestVerify' ./internal/colfmt/
 	$(GO) test -race -run 'TestRecover' ./internal/wal/
 	$(GO) test -race ./internal/scan/
-	$(GO) test -race -run 'TestScanCache|TestQuarantined' ./internal/engine/
+	$(GO) test -race -count=10 -run 'TestCacheConcurrentFills' ./internal/scan/
+	$(GO) test -race -run 'TestScanCache|TestQuarantined|TestProjection' ./internal/engine/
 	$(GO) test -race -count=10 -run 'TestReusedAggregateSession' ./internal/storageapi/
-	$(GO) test -race -run 'TestReadRowsQuarantines|TestReadPartitionedTable' ./internal/storageapi/
+	$(GO) test -race -run 'TestReadRowsQuarantines|TestReadPartitionedTable|TestReadRowsProjects' ./internal/storageapi/
 	$(GO) test -race ./internal/scrub/
 	$(GO) test -run 'TestCorruption' ./internal/objstore/
 	$(GO) test -run 'TestQuarantineLifecycle' ./internal/bigmeta/

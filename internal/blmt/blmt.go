@@ -284,7 +284,7 @@ func UpdateRows(set func(*vector.Batch) (*vector.Batch, error), where func(*vect
 // in removed with their surviving rows in outs (copy-on-write DML).
 func RewriteFiles(clock *sim.Clock, rd scan.Reader, src *scan.Source, files []bigmeta.FileEntry, transform Transform) (removed []string, outs []*vector.Batch, affected int64, err error) {
 	for _, f := range files {
-		sel, _, err := rd.ReadBatch(clock, src, f, nil, nil)
+		sel, _, err := rd.ReadBatch(clock, src, f, nil, nil, nil)
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -479,7 +479,7 @@ func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, 
 	var removed []string
 	rd, src := m.reader(t, store, cred, nil, principal)
 	for _, f := range merge {
-		sel, _, err := rd.ReadBatch(m.Clock, src, f, nil, nil)
+		sel, _, err := rd.ReadBatch(m.Clock, src, f, nil, nil, nil)
 		if err != nil {
 			return OptimizeReport{}, err
 		}

@@ -100,6 +100,16 @@ func (f *Footer) Schema() vector.Schema {
 	return vector.Schema{Fields: fields}
 }
 
+// fieldIndex returns the position of the named field, or -1.
+func (f *Footer) fieldIndex(name string) int {
+	for i, fm := range f.Fields {
+		if fm.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // ColumnStatsFor merges per-row-group stats for one column across the
 // whole file; ok is false if the column is unknown.
 func (f *Footer) ColumnStatsFor(name string) (ColumnStats, bool) {

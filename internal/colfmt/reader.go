@@ -2,7 +2,9 @@ package colfmt
 
 import (
 	"fmt"
+	"slices"
 
+	"biglake/internal/integrity"
 	"biglake/internal/vector"
 )
 
@@ -92,12 +94,20 @@ func EvalPredicatesWith(al vector.Alloc, b *vector.Batch, preds []Predicate) ([]
 // using footer stats to skip row groups that cannot satisfy the
 // predicates. This is the reader of §3.4's second generation: column
 // chunks flow into vectorized evaluation without ever becoming rows.
+// Only the chunks of the projected and predicate columns are touched —
+// CRC-checked and decoded; the rest of the file is never walked.
 type VectorizedReader struct {
-	file    []byte
-	footer  *Footer
-	columns []string
-	preds   []Predicate
-	group   int
+	file   []byte
+	footer *Footer
+	schema vector.Schema // projected output schema
+	out    []int         // footer field position of each output column
+	preds  []Predicate
+	// need lists the footer field positions decoded per row group: out,
+	// then the predicate columns not among them. predAt is each
+	// predicate's column as an index into need.
+	need   []int
+	predAt []int
+	group  int
 	// GroupsRead counts row groups actually decoded (observability
 	// for pruning tests).
 	GroupsRead int
@@ -113,129 +123,169 @@ func NewVectorizedReader(file []byte, columns []string, preds []Predicate) (*Vec
 	if err != nil {
 		return nil, err
 	}
-	schema := footer.Schema()
+	return ReaderFor(file, footer, columns, preds)
+}
+
+// ReaderFor is NewVectorizedReader over a footer the caller already
+// parsed (and so checksum-verified) from file.
+func ReaderFor(file []byte, footer *Footer, columns []string, preds []Predicate) (*VectorizedReader, error) {
+	r := &VectorizedReader{file: file, footer: footer, preds: preds}
 	if columns == nil {
-		for _, f := range schema.Fields {
-			columns = append(columns, f.Name)
+		r.schema = footer.Schema()
+		r.out = make([]int, len(footer.Fields))
+		for i := range r.out {
+			r.out[i] = i
+		}
+	} else {
+		r.schema.Fields = make([]vector.Field, len(columns))
+		r.out = make([]int, len(columns))
+		for i, c := range columns {
+			at := footer.fieldIndex(c)
+			if at < 0 {
+				return nil, fmt.Errorf("colfmt: unknown column %q", c)
+			}
+			r.out[i] = at
+			r.schema.Fields[i] = vector.Field{Name: c, Type: footer.Fields[at].Type}
 		}
 	}
-	need := map[string]bool{}
-	for _, c := range columns {
-		if schema.Index(c) < 0 {
-			return nil, fmt.Errorf("colfmt: unknown column %q", c)
-		}
-		need[c] = true
-	}
+	r.need = r.out
 	for _, p := range preds {
-		if schema.Index(p.Column) < 0 {
+		at := footer.fieldIndex(p.Column)
+		if at < 0 {
 			return nil, fmt.Errorf("colfmt: unknown predicate column %q", p.Column)
 		}
+		i := slices.Index(r.need, at)
+		if i < 0 {
+			i = len(r.need)
+			r.need = append(r.need[:i:i], at) // never into r.out's array
+		}
+		r.predAt = append(r.predAt, i)
 	}
-	return &VectorizedReader{file: file, footer: footer, columns: columns, preds: preds}, nil
+	return r, nil
 }
 
 // Schema returns the projected output schema.
-func (r *VectorizedReader) Schema() vector.Schema {
-	full := r.footer.Schema()
-	out, _ := full.Select(r.columns)
-	return out
+func (r *VectorizedReader) Schema() vector.Schema { return r.schema }
+
+// chunk returns the row group's chunk of the field at position at.
+// Writers lay chunks out in field order; a group that does not is
+// searched by name.
+func (r *VectorizedReader) chunk(rg *RowGroupMeta, at int) (*ChunkMeta, error) {
+	name := r.footer.Fields[at].Name
+	if at < len(rg.Chunks) && rg.Chunks[at].Column == name {
+		return &rg.Chunks[at], nil
+	}
+	for i := range rg.Chunks {
+		if rg.Chunks[i].Column == name {
+			return &rg.Chunks[i], nil
+		}
+	}
+	return nil, &integrity.Error{Source: "colfmt.footer", Block: name,
+		Detail: fmt.Sprintf("row group %d has no chunk for the column", r.group-1)}
+}
+
+// nextGroup decodes the next row group the footer stats cannot rule
+// out and returns its projected columns with the rows the predicates
+// select; ok is false when the file is exhausted.
+func (r *VectorizedReader) nextGroup() (sel vector.Selection, ok bool, err error) {
+next:
+	for r.group < len(r.footer.RowGroups) {
+		rg := &r.footer.RowGroups[r.group]
+		r.group++
+
+		for i, p := range r.preds {
+			ch, err := r.chunk(rg, r.need[r.predAt[i]])
+			if err != nil {
+				return vector.Selection{}, false, err
+			}
+			if !p.StatsCanSatisfy(ch.Stats) {
+				r.GroupsSkipped++
+				continue next
+			}
+		}
+		r.GroupsRead++
+
+		// Decode only projected + predicate columns.
+		cols := make([]*vector.Column, len(r.need))
+		for i, at := range r.need {
+			ch, err := r.chunk(rg, at)
+			if err != nil {
+				return vector.Selection{}, false, err
+			}
+			if cols[i], err = ReadChunk(r.file, *ch); err != nil {
+				return vector.Selection{}, false, err
+			}
+			if int64(cols[i].Len) != rg.Rows {
+				return vector.Selection{}, false, &integrity.Error{Source: "colfmt.chunk", Block: ch.Column,
+					Detail: fmt.Sprintf("chunk holds %d rows, its row group %d", cols[i].Len, rg.Rows)}
+			}
+		}
+
+		// Evaluate predicates on encoded columns.
+		var mask []bool
+		for i, p := range r.preds {
+			cm := vector.CompareConst(cols[r.predAt[i]], p.Op, p.Value)
+			if mask == nil {
+				mask = cm
+				continue
+			}
+			for k := range mask {
+				mask[k] = mask[k] && cm[k]
+			}
+		}
+
+		batch := &vector.Batch{Schema: r.schema, N: int(rg.Rows)}
+		if len(r.out) > 0 {
+			if batch, err = vector.NewBatch(r.schema, cols[:len(r.out)]); err != nil {
+				return vector.Selection{}, false, err
+			}
+		}
+		sel, err = vector.Select(batch, mask)
+		return sel, err == nil, err
+	}
+	return vector.Selection{}, false, nil
 }
 
 // Next returns the next batch, or nil when the file is exhausted.
 // Returned batches have predicates already applied.
 func (r *VectorizedReader) Next() (*vector.Batch, error) {
-	for r.group < len(r.footer.RowGroups) {
-		rg := r.footer.RowGroups[r.group]
-		r.group++
-
-		skip := false
-		for _, p := range r.preds {
-			for _, ch := range rg.Chunks {
-				if ch.Column == p.Column && !p.StatsCanSatisfy(ch.Stats) {
-					skip = true
-				}
-			}
+	for {
+		sel, ok, err := r.nextGroup()
+		if err != nil || !ok {
+			return nil, err
 		}
-		if skip {
-			r.GroupsSkipped++
+		if sel.N == 0 {
 			continue
 		}
-		r.GroupsRead++
-
-		// Decode only projected + predicate columns.
-		needed := map[string]bool{}
-		for _, c := range r.columns {
-			needed[c] = true
+		if sel.Mask == nil {
+			return sel.Batch, nil
 		}
-		for _, p := range r.preds {
-			needed[p.Column] = true
-		}
-		cols := map[string]*vector.Column{}
-		for _, ch := range rg.Chunks {
-			if !needed[ch.Column] {
-				continue
-			}
-			c, err := ReadChunk(r.file, ch)
-			if err != nil {
-				return nil, err
-			}
-			cols[ch.Column] = c
-		}
-
-		// Evaluate predicates on encoded columns.
-		var mask []bool
-		if len(r.preds) > 0 {
-			mask = make([]bool, int(rg.Rows))
-			for i := range mask {
-				mask[i] = true
-			}
-			for _, p := range r.preds {
-				mask = vector.And(mask, vector.CompareConst(cols[p.Column], p.Op, p.Value))
-			}
-		}
-
-		schema := r.Schema()
-		outCols := make([]*vector.Column, len(r.columns))
-		for i, name := range r.columns {
-			outCols[i] = cols[name]
-		}
-		batch, err := vector.NewBatch(schema, outCols)
-		if err != nil {
-			return nil, err
-		}
-		if mask != nil {
-			if vector.CountMask(mask) == 0 {
-				continue
-			}
-			batch, err = vector.Filter(batch, mask)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return batch, nil
+		return vector.Filter(sel.Batch, sel.Mask)
 	}
-	return nil, nil
 }
 
-// ReadAll drains the reader into one concatenated batch (possibly
-// empty).
+// ReadAll drains the reader into one batch (possibly empty): the
+// surviving rows of every row group, filtered and concatenated in one
+// sized pass. A single surviving group is returned as decoded, still
+// dictionary- or run-length-encoded.
 func (r *VectorizedReader) ReadAll() (*vector.Batch, error) {
-	var out *vector.Batch
+	var parts []vector.Selection
 	for {
-		b, err := r.Next()
+		sel, ok, err := r.nextGroup()
 		if err != nil {
 			return nil, err
 		}
-		if b == nil {
+		if !ok {
 			break
 		}
-		out, err = vector.AppendBatch(out, b)
-		if err != nil {
-			return nil, err
-		}
+		parts = append(parts, sel)
+	}
+	out, err := vector.FilterConcatWith(vector.Mem{}, parts)
+	if err != nil {
+		return nil, err
 	}
 	if out == nil {
-		out = vector.EmptyBatch(r.Schema())
+		out = vector.EmptyBatch(r.schema)
 	}
 	return out, nil
 }
@@ -261,6 +311,12 @@ func NewRowReader(file []byte, columns []string, preds []Predicate) (*RowReader,
 	if err != nil {
 		return nil, err
 	}
+	return RowReaderFor(file, footer, columns, preds)
+}
+
+// RowReaderFor is NewRowReader over a footer the caller already parsed
+// from file.
+func RowReaderFor(file []byte, footer *Footer, columns []string, preds []Predicate) (*RowReader, error) {
 	schema := footer.Schema()
 	if columns == nil {
 		for _, f := range schema.Fields {

@@ -163,7 +163,7 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 		if e.Opts.EnableDPP {
 			preds = append(preds, e.dppPredsFor(src.ref, sel, dppRanges)...)
 		}
-		b, err := e.execTableRef(ctx, src.ref, preds)
+		b, err := e.execTableRef(ctx, sel, src.ref, preds)
 		if err != nil {
 			return nil, err
 		}
@@ -303,15 +303,17 @@ func equiPairs(on sqlparse.Expr) [][2]sqlparse.ColumnRef {
 	return out
 }
 
-// execTableRef evaluates one FROM source.
-func (e *Engine) execTableRef(ctx *QueryContext, ref *sqlparse.TableRef, preds []colfmt.Predicate) (*vector.Batch, error) {
+// execTableRef evaluates one FROM source of sel. A table is read for
+// the columns sel names; a subquery projects itself, and a TVF's input
+// (sel nil) is read whole.
+func (e *Engine) execTableRef(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, preds []colfmt.Predicate) (*vector.Batch, error) {
 	switch {
 	case ref.TVF != nil:
 		fn, ok := e.tvf(ref.TVF.Name)
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", ErrNoSuchFunc, ref.TVF.Name)
 		}
-		input, err := e.execTableRef(ctx, ref.TVF.Input, nil)
+		input, err := e.execTableRef(ctx, nil, ref.TVF.Input, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -319,7 +321,7 @@ func (e *Engine) execTableRef(ctx *QueryContext, ref *sqlparse.TableRef, preds [
 	case ref.Subquery != nil:
 		return e.execSelect(ctx, ref.Subquery)
 	case ref.Name != "":
-		return e.scanTable(ctx, ref.Name, preds)
+		return e.scanTable(ctx, sel, ref, preds)
 	}
 	return nil, fmt.Errorf("%w: empty table reference", ErrSemantic)
 }

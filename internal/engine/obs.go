@@ -9,16 +9,20 @@ import (
 // engCounters holds the engine's pre-resolved registry handles so the
 // per-query mirror is a handful of atomic adds, never map lookups.
 type engCounters struct {
-	queries      *obs.Counter
-	files        *obs.Counter
-	pruned       *obs.Counter
-	listCalls    *obs.Counter
-	footerReads  *obs.Counter
-	bytes        *obs.Counter
-	rows         *obs.Counter
-	cacheHit     *obs.Counter
-	cacheMiss    *obs.Counter
-	qskips       *obs.Counter
+	queries     *obs.Counter
+	files       *obs.Counter
+	pruned      *obs.Counter
+	listCalls   *obs.Counter
+	footerReads *obs.Counter
+	bytes       *obs.Counter
+	rows        *obs.Counter
+	cacheHit    *obs.Counter
+	cacheMiss   *obs.Counter
+	qskips      *obs.Counter
+	// colsRead / colsSkipped count, per table scan, the columns the
+	// statement's projection kept and left undecoded.
+	colsRead     *obs.Counter
+	colsSkipped  *obs.Counter
 	cacheEntries *obs.Gauge
 	cacheBytes   *obs.Gauge
 	// arenaBytes / arenaRecycled mirror the query-arena pool: slab
@@ -45,6 +49,8 @@ func resolveEngCounters(r *obs.Registry) engCounters {
 		cacheHit:      r.Counter("engine.scan.cache_hit"),
 		cacheMiss:     r.Counter("engine.scan.cache_miss"),
 		qskips:        r.Counter("engine.scan.quarantine_skipped"),
+		colsRead:      r.Counter("engine.scan.columns_read"),
+		colsSkipped:   r.Counter("engine.scan.columns_skipped"),
 		cacheEntries:  r.Gauge("engine.scan.cache_entries"),
 		cacheBytes:    r.Gauge("engine.scan.cache_bytes"),
 		arenaBytes:    r.Gauge("arena.bytes_in_use"),

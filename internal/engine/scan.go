@@ -18,11 +18,13 @@ import (
 	"biglake/internal/vector"
 )
 
-// scanTable reads a catalog table in situ, applying pushdown
-// predicates for pruning and governance before any row leaves the
-// trust boundary. The returned batch carries the table's bare column
-// names.
-func (e *Engine) scanTable(ctx *QueryContext, name string, preds []colfmt.Predicate) (*vector.Batch, error) {
+// scanTable reads a catalog table in situ as the FROM source ref of
+// sel, applying pushdown predicates for pruning and governance before
+// any row leaves the trust boundary. Only the columns sel can read from
+// it are decoded (sel nil: all of them). The returned batch carries the
+// table's bare column names.
+func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, preds []colfmt.Predicate) (*vector.Batch, error) {
+	name := ref.Name
 	if parent := ctx.Span; parent != nil {
 		sp := parent.Child("scan " + name)
 		ctx.Span = sp
@@ -60,13 +62,20 @@ func (e *Engine) scanTable(ctx *QueryContext, name string, preds []colfmt.Predic
 	}
 
 	var batch *vector.Batch
-	switch t.Type {
-	case catalog.Object:
+	if t.Type == catalog.Object {
 		batch, err = e.scanObjectTable(ctx, t)
-	case catalog.Native, catalog.Managed:
-		batch, err = e.scanManagedTable(ctx, t, preds)
-	default: // External, BigLake
-		batch, err = e.scanLakeTable(ctx, t, preds)
+	} else {
+		cols := e.scanColumns(ctx, sel, ref, t.Schema, preds)
+		read, total := int64(cols.Count(t.Schema.Len())), int64(t.Schema.Len())
+		ctx.Span.SetInt("columns", read)
+		ctx.Span.SetInt("columns_total", total)
+		e.ec.colsRead.Add(read)
+		e.ec.colsSkipped.Add(total - read)
+		if t.Type == catalog.Native || t.Type == catalog.Managed {
+			batch, err = e.scanManagedTable(ctx, t, cols, preds)
+		} else { // External, BigLake
+			batch, err = e.scanLakeTable(ctx, t, cols, preds)
+		}
 	}
 	if err != nil {
 		return nil, err
@@ -75,6 +84,68 @@ func (e *Engine) scanTable(ctx *QueryContext, name string, preds []colfmt.Predic
 	// Governance is applied inside the engine for every scan — the
 	// same implementation the Read API uses (§3.2).
 	return e.Auth.ApplyGovernance(ctx.Principal, name, batch)
+}
+
+// scanColumns resolves, once per statement, the columns of one FROM
+// source sel can read: every column of schema its select list, WHERE,
+// GROUP BY, ORDER BY or a join condition names — qualified by the
+// source, or unqualified and so possibly its — plus what the pushdown
+// predicates and the principal's row policies filter on. `*`, or an
+// expression it cannot classify, means every column (nil), as does a
+// scan outside a statement (a TVF's TABLE input).
+func (e *Engine) scanColumns(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, schema vector.Schema, preds []colfmt.Predicate) scan.Columns {
+	if sel == nil {
+		return nil
+	}
+	cols := scan.NewColumns(ctx.mem.Al, schema.Len())
+	qual := ref.DisplayName()
+	ok := addExprColumns(cols, schema, qual, sel.Where)
+	for _, it := range sel.Items {
+		ok = ok && !it.Star && addExprColumns(cols, schema, qual, it.Expr)
+	}
+	for _, g := range sel.GroupBy {
+		ok = ok && addExprColumns(cols, schema, qual, g)
+	}
+	for _, o := range sel.OrderBy {
+		ok = ok && addExprColumns(cols, schema, qual, o.Expr)
+	}
+	for i := range sel.Joins {
+		ok = ok && addExprColumns(cols, schema, qual, sel.Joins[i].On)
+	}
+	if !ok {
+		return nil
+	}
+	cols.AddPredicates(schema, preds)
+	filters, _ := e.Auth.RowFilterFor(ctx.Principal, ref.Name)
+	for _, conj := range filters {
+		cols.AddPredicates(schema, conj)
+	}
+	return cols
+}
+
+// addExprColumns adds to cols the columns of schema that x names as the
+// source qual's. It reports false for an expression it cannot classify.
+func addExprColumns(cols scan.Columns, schema vector.Schema, qual string, x sqlparse.Expr) bool {
+	switch x := x.(type) {
+	case nil, sqlparse.Literal:
+	case sqlparse.ColumnRef:
+		if x.Table == "" || x.Table == qual {
+			cols.AddNamed(schema, x.Name)
+		}
+	case sqlparse.Not:
+		return addExprColumns(cols, schema, qual, x.E)
+	case sqlparse.Binary:
+		return addExprColumns(cols, schema, qual, x.L) && addExprColumns(cols, schema, qual, x.R)
+	case sqlparse.Call:
+		for _, a := range x.Args {
+			if !addExprColumns(cols, schema, qual, a) {
+				return false
+			}
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // scanSystemTable synthesizes one system.* table from the telemetry
@@ -110,7 +181,7 @@ func (e *Engine) scanSystemTable(ctx *QueryContext, name string, preds []colfmt.
 // storage. With metadata caching the file set comes from Big Metadata
 // (no LIST, no footer peeks); without it the engine pays the full
 // object-store metadata cost on the query's critical path (§3.3).
-func (e *Engine) scanLakeTable(ctx *QueryContext, t catalog.Table, preds []colfmt.Predicate) (*vector.Batch, error) {
+func (e *Engine) scanLakeTable(ctx *QueryContext, t catalog.Table, cols scan.Columns, preds []colfmt.Predicate) (*vector.Batch, error) {
 	store, err := e.store(t.Cloud)
 	if err != nil {
 		return nil, err
@@ -239,13 +310,13 @@ func (e *Engine) scanLakeTable(ctx *QueryContext, t catalog.Table, preds []colfm
 			}
 		}
 	}
-	return e.readFiles(ctx, store, cred, t, files, preds)
+	return e.readFiles(ctx, store, cred, t, files, cols, preds)
 }
 
 // scanManagedTable reads a Native or BLMT table whose source of truth
 // is the Big Metadata transaction log (§3.5): the file list comes from
 // a log snapshot, never from object-store listing.
-func (e *Engine) scanManagedTable(ctx *QueryContext, t catalog.Table, preds []colfmt.Predicate) (*vector.Batch, error) {
+func (e *Engine) scanManagedTable(ctx *QueryContext, t catalog.Table, cols scan.Columns, preds []colfmt.Predicate) (*vector.Batch, error) {
 	store, err := e.store(t.Cloud)
 	if err != nil {
 		return nil, err
@@ -290,16 +361,20 @@ func (e *Engine) scanManagedTable(ctx *QueryContext, t catalog.Table, preds []co
 			ctx.Stats.FilesPruned++
 		}
 	}
-	out, err := e.readFiles(ctx, store, cred, t, kept, preds)
+	out, err := e.readFiles(ctx, store, cred, t, kept, cols, preds)
 	if err != nil {
 		return nil, err
 	}
-	// Buffered batches are appended unfiltered; the residual WHERE in
-	// execSelect (and the where-func in DML rewrites) re-checks the
-	// full predicate, so pushdown never has to understand the overlay.
+	// Buffered batches are appended unfiltered, projected like the scan;
+	// the residual WHERE in execSelect (and the where-func in DML
+	// rewrites) re-checks the full predicate, so pushdown never has to
+	// understand the overlay.
 	for _, b := range overlay {
 		if b.N == 0 {
 			continue
+		}
+		if b, err = projectLike(b, out.Schema); err != nil {
+			return nil, err
 		}
 		out, err = vector.AppendBatch(out, b)
 		if err != nil {
@@ -310,6 +385,18 @@ func (e *Engine) scanManagedTable(ctx *QueryContext, t catalog.Table, preds []co
 	return out, nil
 }
 
+// projectLike projects a full-schema batch onto the columns of like.
+func projectLike(b *vector.Batch, like vector.Schema) (*vector.Batch, error) {
+	if b.Schema.Equal(like) {
+		return b, nil
+	}
+	names := make([]string, like.Len())
+	for i, f := range like.Fields {
+		names[i] = f.Name
+	}
+	return b.Project(names)
+}
+
 // reader assembles the engine's verified data-file reader from its
 // current fields; everything the scan does per file goes through it.
 func (e *Engine) reader() scan.Reader {
@@ -317,12 +404,12 @@ func (e *Engine) reader() scan.Reader {
 		Site: "scan", SkipQuarantined: e.Opts.SkipQuarantined}
 }
 
-// readFiles reads the surviving files through the verified reader —
-// resident decodes synchronously, the rest in parallel worker tracks —
-// and merges what the predicates select. Predicates on columns a file
-// does not store (partition columns, consumed by pruning) are dropped
-// per file by the reader.
-func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, preds []colfmt.Predicate) (*vector.Batch, error) {
+// readFiles reads the columns cols of the surviving files through the
+// verified reader — resident ones synchronously, the rest in parallel
+// worker tracks — and merges what the predicates select. Predicates on
+// columns a file does not store (partition columns, consumed by
+// pruning) are dropped per file by the reader.
+func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, cols scan.Columns, preds []colfmt.Predicate) (*vector.Batch, error) {
 	// Each file contributes a decoded batch and the rows of it the
 	// predicates select; the merge below filters and concatenates in
 	// one pass.
@@ -346,7 +433,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 			ctx.Stats.QuarantineSkips++
 			continue
 		}
-		full, ok := rd.Resident(&src, f)
+		b, ok := rd.Resident(&src, f, cols)
 		if !ok {
 			cold = append(cold, i)
 			continue
@@ -357,7 +444,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 			fsp.SetInt("bytes", f.Size)
 			fsp.SetStr("cache", "hit")
 		}
-		sel, err := scan.Select(ctx.mem.Al, full, preds, f.Partition, t.Schema)
+		sel, err := scan.Select(ctx.mem.Al, b, cols, preds, f.Partition, t.Schema)
 		if err != nil {
 			fsp.End()
 			return nil, err
@@ -368,7 +455,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 		ctx.Stats.CacheHits++
 	}
 	if len(cold) > 0 {
-		if err := e.readColdFiles(ctx, rd, src, files, cold, results, preds); err != nil {
+		if err := e.readColdFiles(ctx, rd, src, files, cold, results, cols, preds); err != nil {
 			return nil, err
 		}
 	}
@@ -381,7 +468,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 		return nil, err
 	}
 	if out == nil {
-		out = vector.EmptyBatch(t.Schema)
+		out = vector.EmptyBatch(cols.Project(t.Schema))
 	}
 	ctx.Stats.FilesScanned += int64(len(files))
 	for _, f := range files {
@@ -394,7 +481,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 // readColdFiles reads the files the warm pass could not serve from the
 // scan cache, in parallel worker tracks. rd and src arrive by value:
 // the workers share them, and the warm pass's copies stay off the heap.
-func (e *Engine) readColdFiles(ctx *QueryContext, rd scan.Reader, src scan.Source, files []bigmeta.FileEntry, cold []int, results []vector.Selection, preds []colfmt.Predicate) error {
+func (e *Engine) readColdFiles(ctx *QueryContext, rd scan.Reader, src scan.Source, files []bigmeta.FileEntry, cold []int, results []vector.Selection, cols scan.Columns, preds []colfmt.Predicate) error {
 	workers := ScanWorkers
 	if len(cold) < workers {
 		workers = len(cold)
@@ -419,7 +506,7 @@ func (e *Engine) readColdFiles(ctx *QueryContext, rd scan.Reader, src scan.Sourc
 			}
 			defer fsp.End()
 
-			sel, oc, err := rd.ReadBatch(tr, &src, f, ctx.mem.Al, preds)
+			sel, oc, err := rd.ReadBatch(tr, &src, f, cols, ctx.mem.Al, preds)
 			if oc.Quarantined {
 				fsp.SetStr("integrity", "quarantined")
 			} else if oc.Refetched {

@@ -42,6 +42,9 @@ const (
 	diffBucket = "lake"
 	diffConn   = "conn"
 	diffAdmin  = security.Principal("admin@corp")
+	// diffAnalyst reads every table under the trial's generated
+	// policies: a row policy, a masked and perhaps a denied column each.
+	diffAnalyst = security.Principal("analyst@corp")
 )
 
 // Config is one cell of the acceleration matrix.
@@ -114,20 +117,23 @@ type Report struct {
 
 // Divergence is one engine-vs-oracle mismatch, minimized.
 type Divergence struct {
-	Seed   uint64
-	Trial  int
-	Phase  string // "pre", "dml", or "post" (relative to compaction)
-	Cell   Config
-	SQL    string
-	MinSQL string
-	Detail string
+	Seed  uint64
+	Trial int
+	Phase string // "pre", "dml", or "post" (relative to compaction)
+	Cell  Config
+	// Principal ran the statement: the admin, or the governed analyst
+	// (compared against the oracle's governed view of the tables).
+	Principal security.Principal
+	SQL       string
+	MinSQL    string
+	Detail    string
 }
 
 // Format renders the reproduction recipe a human needs.
 func (d *Divergence) Format() string {
 	return fmt.Sprintf(
-		"divergence: seed=%d trial=%d phase=%s cell={%s}\n  sql: %s\n  minimized: %s\n  %s\n  replay: go test ./internal/oracle -run TestDifferential -seed=%d",
-		d.Seed, d.Trial, d.Phase, d.Cell, d.SQL, d.MinSQL, d.Detail, d.Seed)
+		"divergence: seed=%d trial=%d phase=%s cell={%s} principal=%s\n  sql: %s\n  minimized: %s\n  %s\n  replay: go test ./internal/oracle -run TestDifferential -seed=%d",
+		d.Seed, d.Trial, d.Phase, d.Cell, d.Principal, d.SQL, d.MinSQL, d.Detail, d.Seed)
 }
 
 // world is the shared simulated infrastructure for one trial. Every
@@ -175,8 +181,11 @@ func newWorld() (*world, error) {
 }
 
 type harness struct {
-	w      *world
-	db     *DB
+	w  *world
+	db *DB
+	// pols is what diffAnalyst is governed by; the analyst arm compares
+	// the engine against db.Governed(pols).
+	pols   []GenPolicy
 	seed   uint64
 	trial  int
 	rep    *Report
@@ -337,6 +346,46 @@ func (h *harness) install(tables []*GenTable) error {
 	return nil
 }
 
+// govern installs the trial's policies for diffAnalyst and lets it read
+// the tables.
+func (h *harness) govern(tables []*GenTable, pols []GenPolicy) error {
+	for _, t := range tables {
+		if err := h.w.auth.GrantTable(diffAdmin, t.Full, diffAnalyst, security.RoleViewer); err != nil {
+			return err
+		}
+	}
+	for _, pol := range pols {
+		if err := h.w.auth.AddRowPolicy(diffAdmin, pol.Table, security.RowPolicy{
+			Name: "analyst_rows", Grantees: map[security.Principal]bool{diffAnalyst: true}, Filter: pol.Filter,
+		}); err != nil {
+			return err
+		}
+		// The admin keeps every row (a policy with no filter) and every
+		// raw column: its arm stays the ungoverned reference.
+		if err := h.w.auth.AddRowPolicy(diffAdmin, pol.Table, security.RowPolicy{
+			Name: "admin_rows", Grantees: map[security.Principal]bool{diffAdmin: true},
+		}); err != nil {
+			return err
+		}
+		protect := func(col string, mask vector.MaskKind) error {
+			if col == "" {
+				return nil
+			}
+			return h.w.auth.SetColumnPolicy(diffAdmin, pol.Table, security.ColumnPolicy{
+				Column: col, Allowed: map[security.Principal]bool{diffAdmin: true}, Mask: mask,
+			})
+		}
+		if err := protect(pol.Masked, vector.MaskNullify); err != nil {
+			return err
+		}
+		if err := protect(pol.Denied, vector.MaskNone); err != nil {
+			return err
+		}
+	}
+	h.pols = pols
+	return nil
+}
+
 // insertSQL renders rows as one INSERT statement.
 func insertSQL(t *GenTable, rows [][]vector.Value) string {
 	var sb strings.Builder
@@ -415,9 +464,10 @@ func diffResults(got, want *Resultset, ordered bool) string {
 	return ""
 }
 
-// engRun executes one statement on the engine and converts the batch.
-func (h *harness) engRun(eng *engine.Engine, qid, sql string) (*Resultset, error) {
-	res, err := eng.Query(engine.NewContext(diffAdmin, qid), sql)
+// engRun executes one statement on the engine as who and converts the
+// batch.
+func (h *harness) engRun(eng *engine.Engine, who security.Principal, qid, sql string) (*Resultset, error) {
+	res, err := eng.Query(engine.NewContext(who, qid), sql)
 	if err != nil {
 		return nil, err
 	}
@@ -430,17 +480,33 @@ func (h *harness) faultProfile(phase string, cell int) objstore.FaultProfile {
 	return objstore.FaultProfile{Seed: seed, Rate: 0.025, StreakLen: 2}
 }
 
+// arm is one side of the matrix: who runs the statements, and the
+// oracle database that principal's answers are checked against.
+type arm struct {
+	who security.Principal
+	db  *DB
+}
+
 // runMatrix executes every query in every matrix cell against the
-// current world state and compares against the oracle.
+// current world state, as the admin and — in a governed world — as the
+// analyst, and compares against the oracle: for the analyst, the
+// oracle's governed view of the tables.
 func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 	type oresult struct {
 		rs  *Resultset
 		err error
 	}
-	oras := make([]oresult, len(queries))
-	for i, q := range queries {
-		rs, err := h.db.ExecSQL(q.SQL)
-		oras[i] = oresult{rs, err}
+	arms := []arm{{diffAdmin, h.db}}
+	if h.pols != nil {
+		arms = append(arms, arm{diffAnalyst, h.db.Governed(h.pols)})
+	}
+	oras := make([][]oresult, len(arms))
+	for ai, a := range arms {
+		oras[ai] = make([]oresult, len(queries))
+		for i, q := range queries {
+			rs, err := a.db.ExecSQL(q.SQL)
+			oras[ai][i] = oresult{rs, err}
+		}
 	}
 	defer h.w.store.ClearFaults()
 	for ci, cfg := range Matrix() {
@@ -450,25 +516,38 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 			h.w.store.ClearFaults()
 		}
 		eng := h.engineFor(cfg)
+	queries:
 		for qi, q := range queries {
 			qid := fmt.Sprintf("fz-%d-%d-%s-%d-%d", h.seed, h.trial, phase, ci, qi)
-			got, err := h.engRun(eng, qid, q.SQL)
-			h.rep.Executions++
-			switch {
-			case err != nil && oras[qi].err != nil:
-				// Consistent rejection: both sides call the statement
-				// invalid. Message equality is not required.
-			case err != nil:
-				if cfg.Faults {
-					h.rep.FaultErrors++
-					continue
+			var got *Resultset
+			var err error
+			for ai, a := range arms {
+				want := oras[ai][qi]
+				aqid := qid
+				if ai > 0 {
+					aqid += "-g"
 				}
-				return h.diverge(phase, cfg, q, "engine error: "+err.Error()+" (oracle succeeded)")
-			case oras[qi].err != nil:
-				return h.diverge(phase, cfg, q, "oracle error: "+oras[qi].err.Error()+" (engine succeeded)")
-			default:
-				if d := diffResults(got, oras[qi].rs, q.Ordered); d != "" {
-					return h.diverge(phase, cfg, q, d)
+				ares, aerr := h.engRun(eng, a.who, aqid, q.SQL)
+				if ai == 0 {
+					got, err = ares, aerr
+				}
+				h.rep.Executions++
+				switch {
+				case aerr != nil && want.err != nil:
+					// Consistent rejection: both sides call the statement
+					// invalid. Message equality is not required.
+				case aerr != nil:
+					if cfg.Faults {
+						h.rep.FaultErrors++
+						continue queries
+					}
+					return h.diverge(phase, cfg, a, q, "engine error: "+aerr.Error()+" (oracle succeeded)")
+				case want.err != nil:
+					return h.diverge(phase, cfg, a, q, "oracle error: "+want.err.Error()+" (engine succeeded)")
+				default:
+					if d := diffResults(ares, want.rs, q.Ordered); d != "" {
+						return h.diverge(phase, cfg, a, q, d)
+					}
 				}
 			}
 			if h.serve {
@@ -484,12 +563,12 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 					// accepted the same way direct fault errors are.
 					h.rep.FaultErrors++
 				case serr != nil:
-					return h.diverge(phase, cfg, q, "serve path error: "+serr.Error()+" (direct execution succeeded)")
+					return h.diverge(phase, cfg, arms[0], q, "serve path error: "+serr.Error()+" (direct execution succeeded)")
 				case err != nil:
-					return h.diverge(phase, cfg, q, "serve path succeeded where direct execution was rejected")
+					return h.diverge(phase, cfg, arms[0], q, "serve path succeeded where direct execution was rejected")
 				default:
 					if d := diffResults(sgot, got, true); d != "" {
-						return h.diverge(phase, cfg, q, "serve path diverged from direct execution: "+d)
+						return h.diverge(phase, cfg, arms[0], q, "serve path diverged from direct execution: "+d)
 					}
 				}
 			}
@@ -498,13 +577,13 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 	return nil
 }
 
-func (h *harness) diverge(phase string, cfg Config, q GenQuery, detail string) *Divergence {
+func (h *harness) diverge(phase string, cfg Config, a arm, q GenQuery, detail string) *Divergence {
 	h.w.store.ClearFaults()
 	d := &Divergence{
-		Seed: h.seed, Trial: h.trial, Phase: phase, Cell: cfg,
+		Seed: h.seed, Trial: h.trial, Phase: phase, Cell: cfg, Principal: a.who,
 		SQL: q.SQL, MinSQL: q.SQL, Detail: detail,
 	}
-	d.MinSQL = h.minimize(cfg, q.SQL)
+	d.MinSQL = h.minimize(cfg, a, q.SQL)
 	return d
 }
 
@@ -519,7 +598,7 @@ func (h *harness) runDML(gen *Gen, managed *GenTable, ctasName string) (*GenTabl
 		sql := gen.DML(managed)
 		h.rep.Queries++
 		qid := fmt.Sprintf("fz-dml-%d-%d-%d", h.seed, h.trial, i)
-		got, gerr := h.engRun(eng, qid, sql)
+		got, gerr := h.engRun(eng, diffAdmin, qid, sql)
 		want, werr := h.db.ExecSQL(sql)
 		h.rep.Executions++
 		switch {
@@ -540,7 +619,7 @@ func (h *harness) runDML(gen *Gen, managed *GenTable, ctasName string) (*GenTabl
 	ctasSQL, ctasT := gen.CTAS(managed, ctasName)
 	h.rep.Queries++
 	qid := fmt.Sprintf("fz-ctas-%d-%d", h.seed, h.trial)
-	got, gerr := h.engRun(eng, qid, ctasSQL)
+	got, gerr := h.engRun(eng, diffAdmin, qid, ctasSQL)
 	want, werr := h.db.ExecSQL(ctasSQL)
 	h.rep.Executions++
 	switch {
@@ -566,7 +645,7 @@ func (h *harness) runDML(gen *Gen, managed *GenTable, ctasName string) (*GenTabl
 // diverges. Candidates are compared as multisets with faults off; if
 // the divergence only reproduces under ordering or faults, the
 // original SQL is returned unchanged.
-func (h *harness) minimize(cfg Config, sql string) string {
+func (h *harness) minimize(cfg Config, a arm, sql string) string {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return sql
@@ -579,8 +658,8 @@ func (h *harness) minimize(cfg Config, sql string) string {
 	diverges := func(s *sqlparse.SelectStmt) bool {
 		cand := RenderSelect(s)
 		eng := h.engineFor(cfg)
-		got, gerr := h.engRun(eng, "fz-min", cand)
-		want, werr := h.db.ExecSQL(cand)
+		got, gerr := h.engRun(eng, a.who, "fz-min", cand)
+		want, werr := a.db.ExecSQL(cand)
 		if gerr != nil || werr != nil {
 			return (gerr == nil) != (werr == nil)
 		}
@@ -788,11 +867,18 @@ func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(strin
 	if err := h.install(tables); err != nil {
 		return nil, err
 	}
+	// Policies and the fixed projection shapes draw from a generator of
+	// their own, so the random statements of a seed stay what they were.
+	shapes := NewGen(seed ^ 0xC01C01C01)
+	if err := h.govern(tables, shapes.Policies(tables)); err != nil {
+		return nil, err
+	}
 
 	pre := make([]GenQuery, opts.Queries)
 	for i := range pre {
 		pre[i] = gen.Query(tables)
 	}
+	pre = append(pre, shapes.ProjectionQueries(tables)...)
 	rep.Queries += len(pre)
 	if d := h.runMatrix("pre", pre); d != nil {
 		return d, nil
@@ -820,6 +906,9 @@ func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(strin
 	all := append([]*GenTable{}, tables...)
 	if ctasT != nil {
 		all = append(all, ctasT)
+		if err := w.auth.GrantTable(diffAdmin, ctasT.Full, diffAnalyst, security.RoleViewer); err != nil {
+			return nil, err
+		}
 	}
 	post := append([]GenQuery{}, pre...)
 	extra := opts.Queries / 2

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"biglake/internal/colfmt"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
 )
@@ -549,6 +550,105 @@ func (g *Gen) perm(n int) []int {
 	for i := n - 1; i > 0; i-- {
 		j := g.intn(i + 1)
 		out[i], out[j] = out[j], out[i]
+	}
+	return out
+}
+
+// --- projection shapes and governance ---
+
+// colsOfType lists the table's columns of one type.
+func colsOfType(t *GenTable, typ vector.Type) []string {
+	var out []string
+	for _, f := range t.Schema.Fields {
+		if f.Type == typ {
+			out = append(out, f.Name)
+		}
+	}
+	return out
+}
+
+// ProjectionQueries returns, for every table, the statement shapes
+// column projection has to get right — where the scan's column set is
+// not the select list: a count that names no column, statements that
+// touch only the hive partition column, an ORDER BY key outside the
+// select list, an ORDER BY on an output alias, `*`, and a join whose
+// columns are all unqualified. Random queries meet these by chance;
+// every trial runs them by construction.
+func (g *Gen) ProjectionQueries(tables []*GenTable) []GenQuery {
+	var out []GenQuery
+	add := func(ordered bool, format string, args ...any) {
+		out = append(out, GenQuery{SQL: fmt.Sprintf(format, args...), Ordered: ordered})
+	}
+	for _, t := range tables {
+		scope := tableScope(t, "")
+		add(true, "SELECT COUNT(*) AS n FROM %s", t.Full)
+		if p := t.PartitionCol; p != "" {
+			add(true, "SELECT COUNT(*) AS n FROM %s WHERE %s = '%s'", t.Full, p, partitionPool[g.intn(len(partitionPool))])
+			add(true, "SELECT %s AS gk, COUNT(*) AS n FROM %s GROUP BY %s ORDER BY gk, n", p, t.Full, p)
+		}
+		add(false, "SELECT * FROM %s WHERE %s", t.Full, g.leaf(scope))
+		ints := colsOfType(t, vector.Int64)
+		if len(ints) < 2 {
+			continue
+		}
+		perm := g.perm(len(ints))
+		a, b := ints[perm[0]], ints[perm[1]]
+		add(false, "SELECT %s FROM %s ORDER BY %s DESC", a, t.Full, b)
+		add(true, "SELECT (%s + %d) AS x, %s FROM %s ORDER BY x DESC, %s", a, g.intn(5), b, t.Full, b)
+	}
+	// Bare names are unique across the generated tables, so a join can
+	// leave every reference unqualified.
+	for i := 0; i+1 < len(tables); i++ {
+		l, r := tables[i], tables[i+1]
+		li, ri := colsOfType(l, vector.Int64), colsOfType(r, vector.Int64)
+		if len(li) < 2 || len(ri) == 0 {
+			continue
+		}
+		add(false, "SELECT %s, %s FROM %s AS ga JOIN %s AS gb ON %s = %s WHERE %s < %d",
+			li[1], r.Schema.Fields[len(r.Schema.Fields)-1].Name, l.Full, r.Full, li[0], ri[0], li[1], 10+g.intn(30))
+	}
+	return out
+}
+
+// GenPolicy is the governance a trial puts on one table for the
+// restricted principal: a row policy, and — where set — a column the
+// principal sees masked and one it may not read.
+type GenPolicy struct {
+	Table  string
+	Filter []colfmt.Predicate
+	Masked string // seen as NULLs
+	Denied string
+}
+
+// Policies generates one policy per initial table. The row policy
+// filters on an INT64 column the statements rarely select, so the scan
+// must add it to its column set on its own. The mask is NULLIFY, the
+// one transform a predicate pushed down to the raw values cannot see
+// through: masked, every comparison is false either way. (Pushing a
+// predicate on a HASH- or DEFAULT-masked column down to raw values
+// would drop rows the masked value matches; the engine does not yet
+// keep such predicates out of pushdown.)
+func (g *Gen) Policies(tables []*GenTable) []GenPolicy {
+	var out []GenPolicy
+	for _, t := range tables {
+		ints := colsOfType(t, vector.Int64)
+		pol := GenPolicy{Table: t.Full, Filter: []colfmt.Predicate{{
+			Column: ints[len(ints)-1], Op: vector.LT, Value: vector.IntValue(int64(15 + g.intn(30))),
+		}}}
+		if strs := colsOfType(t, vector.String); len(strs) > 0 {
+			pol.Masked = strs[len(strs)-1]
+		}
+		// Denied: nothing, a column of no other interest, or the very
+		// column the row policy filters on.
+		switch bools := colsOfType(t, vector.Bool); g.pick(3) {
+		case 0:
+			pol.Denied = pol.Filter[0].Column
+		case 1:
+			if len(bools) > 0 {
+				pol.Denied = bools[0]
+			}
+		}
+		out = append(out, pol)
 	}
 	return out
 }

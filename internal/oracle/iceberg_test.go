@@ -68,7 +68,7 @@ func checkExportEquality(t *testing.T, h *harness, table string) {
 	gotRows, gotNames := icebergRows(t, h, key)
 
 	eng := h.engineFor(defaultCell())
-	want, err := h.engRun(eng, "iceberg-eq-"+table, "SELECT * FROM "+table)
+	want, err := h.engRun(eng, diffAdmin, "iceberg-eq-"+table, "SELECT * FROM "+table)
 	if err != nil {
 		t.Fatalf("SELECT * FROM %s: %v", table, err)
 	}

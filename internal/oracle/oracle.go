@@ -64,6 +64,53 @@ func (db *DB) Clone() *DB {
 	return out
 }
 
+// Governed returns the database as the restricted principal of the
+// policies sees it — the reference for governance: per policy, only the
+// table's rows every filter predicate holds on (a NULL holds on none),
+// the masked column NULL in each, the denied column gone. A table
+// without a policy is shared as is.
+func (db *DB) Governed(pols []GenPolicy) *DB {
+	out := NewDB()
+	for name, t := range db.Tables {
+		out.Tables[name] = t
+	}
+	for _, pol := range pols {
+		t, ok := db.Tables[pol.Table]
+		if !ok {
+			continue
+		}
+		masked, denied := t.Schema.Index(pol.Masked), t.Schema.Index(pol.Denied)
+		g := &Table{Name: t.Name}
+		for i, f := range t.Schema.Fields {
+			if i != denied {
+				g.Schema.Fields = append(g.Schema.Fields, f)
+			}
+		}
+	rows:
+		for _, row := range t.Rows {
+			for _, p := range pol.Filter {
+				v := row[t.Schema.Index(p.Column)]
+				if v.IsNull() || !p.Op.Eval(v.Compare(p.Value)) {
+					continue rows
+				}
+			}
+			var seen []vector.Value
+			for i, v := range row {
+				switch i {
+				case denied:
+					continue
+				case masked:
+					v = vector.NullValue
+				}
+				seen = append(seen, v)
+			}
+			g.Rows = append(g.Rows, seen)
+		}
+		out.Tables[pol.Table] = g
+	}
+	return out
+}
+
 // Resultset is the oracle's answer to a statement: ordered rows with
 // named, typed columns — the reference shape engine batches are
 // compared against.

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"biglake/internal/obs"
@@ -23,17 +24,61 @@ type cacheKey struct {
 	Generation int64
 }
 
-// cacheEntry is a fully decoded file: the unfiltered batch as the
-// vectorized reader produced it (before predicate filtering, which
-// depends on the query and is re-applied per lookup).
+// cacheEntry is what has been decoded of one object version so far:
+// its row count and whichever of its columns reads have asked for,
+// each unfiltered as the vectorized reader produced it (predicates
+// depend on the query and are re-applied per lookup). A column is
+// decoded at most once and never replaced, so a projection handed out
+// stays valid for as long as anyone holds it.
 type cacheEntry struct {
-	key   cacheKey
-	batch *vector.Batch
-	bytes int64
+	key    cacheKey
+	schema vector.Schema    // the file's own schema
+	rows   int              // the file's row count
+	cols   []*vector.Column // by position in schema; nil = not asked for yet
+	bytes  int64            // decoded bytes of the resident columns
+	// views are the projections served so far, by the file columns they
+	// carry. Statements repeat their column sets, so a hit hands out a
+	// batch built once instead of assembling one per file per query.
+	views []cacheView
 }
 
-// Cache is a byte-budgeted LRU over decoded file batches. Only a
-// Reader fills it, and only with decodes that passed verification.
+type cacheView struct {
+	cols  []uint64 // bitset over schema positions
+	batch *vector.Batch
+}
+
+// maxViews bounds the projections an entry remembers; past it the
+// oldest is replaced.
+const maxViews = 8
+
+// view returns the entry's projection onto the file columns in fw, all
+// of which are resident.
+func (e *cacheEntry) view(fw []uint64) *vector.Batch {
+	for _, v := range e.views {
+		if slices.Equal(v.cols, fw) {
+			return v.batch
+		}
+	}
+	b := &vector.Batch{N: e.rows}
+	for j, c := range e.cols {
+		if hasBit(fw, j) {
+			b.Schema.Fields = append(b.Schema.Fields, e.schema.Fields[j])
+			b.Cols = append(b.Cols, c)
+		}
+	}
+	v := cacheView{cols: slices.Clone(fw), batch: b}
+	if len(e.views) < maxViews {
+		e.views = append(e.views, v)
+	} else {
+		copy(e.views, e.views[1:])
+		e.views[maxViews-1] = v
+	}
+	return b
+}
+
+// Cache is a byte-budgeted LRU over decoded file columns, one entry per
+// object version. Only a Reader fills it, and only with decodes that
+// passed verification.
 type Cache struct {
 	mu     sync.Mutex
 	budget int64
@@ -68,50 +113,76 @@ func (c *Cache) Observe(entries, bytes *obs.Gauge) {
 	bytes.Set(c.used)
 }
 
-// get returns the decoded batch for an object generation, if cached.
-func (c *Cache) get(key cacheKey) (*vector.Batch, bool) {
+// get returns the projection of an object version onto the columns of
+// the table schema in want, when every one of them the file stores is
+// resident: one map probe, and no allocation for a column set the
+// entry has served before.
+func (c *Cache) get(key cacheKey, want Columns, table vector.Schema) (*vector.Batch, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
 		return nil, false
 	}
+	ent := el.Value.(*cacheEntry)
+	var buf [4]uint64
+	fw := want.onFile(buf[:0], table, ent.schema)
+	for j, col := range ent.cols {
+		if col == nil && hasBit(fw, j) {
+			return nil, false
+		}
+	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).batch, true
+	return ent.view(fw), true
 }
 
-// put inserts a decoded batch, evicting least-recently-used entries
-// past the byte budget. Oversized batches (bigger than the whole
-// budget) are not cached at all.
-func (c *Cache) put(key cacheKey, b *vector.Batch) {
-	size := batchBytes(b)
-	if size > c.budget {
-		return
-	}
+// resident returns the columns of an object version decoded so far, by
+// file position (nil when there is no entry), so a fill decodes only
+// what is missing.
+func (c *Cache) resident(key cacheKey) []*vector.Column {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		c.lru.MoveToFront(el)
-		ent := el.Value.(*cacheEntry)
-		c.used += size - ent.bytes
-		ent.batch, ent.bytes = b, size
-	} else {
-		el := c.lru.PushFront(&cacheEntry{key: key, batch: b, bytes: size})
-		c.items[key] = el
-		c.used += size
+		return slices.Clone(el.Value.(*cacheEntry).cols)
 	}
+	return nil
+}
+
+// add makes the file columns in fw resident — got holds them by file
+// position — and returns the entry's projection onto fw. A column some
+// other read made resident meanwhile is kept and got's copy dropped.
+// Least-recently-used entries past the byte budget are evicted; an
+// entry bigger than the whole budget is not kept at all.
+func (c *Cache) add(key cacheKey, schema vector.Schema, rows int, fw []uint64, got []*vector.Column) *vector.Batch {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var ent *cacheEntry
+	if el, ok := c.items[key]; ok {
+		c.lru.MoveToFront(el)
+		ent = el.Value.(*cacheEntry)
+	} else {
+		ent = &cacheEntry{key: key, schema: schema, rows: rows, cols: make([]*vector.Column, schema.Len())}
+		c.items[key] = c.lru.PushFront(ent)
+	}
+	for j := range ent.cols {
+		if ent.cols[j] == nil && hasBit(fw, j) {
+			ent.cols[j] = got[j]
+			size := columnBytes(got[j])
+			ent.bytes += size
+			c.used += size
+		}
+	}
+	b := ent.view(fw)
 	for c.used > c.budget {
 		back := c.lru.Back()
 		if back == nil {
 			break
 		}
-		ent := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.items, ent.key)
-		c.used -= ent.bytes
+		c.removeLocked(back)
 	}
 	c.entries.Set(int64(c.lru.Len()))
 	c.bytes.Set(c.used)
+	return b
 }
 
 // removeLocked unlinks one element and updates occupancy gauges.
@@ -144,15 +215,12 @@ func (c *Cache) evictObject(cloud, bucket, key string) int {
 	return n
 }
 
-// batchBytes estimates the in-memory size of a decoded batch.
-func batchBytes(b *vector.Batch) int64 {
-	var n int64
-	for _, c := range b.Cols {
-		n += int64(len(c.Ints))*8 + int64(len(c.Floats))*8 + int64(len(c.Bools)) +
-			int64(len(c.Nulls)) + int64(len(c.Codes))*4 + int64(len(c.Runs))*8
-		for _, s := range c.Strs {
-			n += int64(len(s)) + 16
-		}
+// columnBytes estimates the in-memory size of a decoded column.
+func columnBytes(c *vector.Column) int64 {
+	n := int64(len(c.Ints))*8 + int64(len(c.Floats))*8 + int64(len(c.Bools)) +
+		int64(len(c.Nulls)) + int64(len(c.Codes))*4 + int64(len(c.Runs))*8
+	for _, s := range c.Strs {
+		n += int64(len(s)) + 16
 	}
 	return n
 }

@@ -6,58 +6,101 @@ import (
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/colfmt"
+	"biglake/internal/integrity"
 	"biglake/internal/objstore"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
 )
 
-// ReadBatch is the contained read of one file as rows: decoded through
-// the vectorized reader with every chunk CRC checked, the table's hive
-// partition columns injected, and the rows preds select marked. With a
-// Cache the full decode is served from or kept in it, keyed by the
+// ReadBatch is the contained read of one file as rows: the columns in
+// cols (nil = every column) decoded through the vectorized reader —
+// only their chunks, and those of the predicates' columns, are
+// CRC-checked and decoded — the table's hive partition columns among
+// them injected, and the rows preds select marked. With a Cache the
+// columns are served from or added to the object's entry, keyed by the
 // generation the GET actually returned, and preds become the
 // selection's mask; without one they are applied during the decode and
 // every row of the returned batch is selected. preds may name columns
 // the file does not store (partition columns, consumed by pruning):
-// those are dropped here. On a skip the selection is empty.
-func (r *Reader) ReadBatch(ch sim.Charger, src *Source, f bigmeta.FileEntry, al vector.Alloc, preds []colfmt.Predicate) (vector.Selection, Outcome, error) {
+// those are dropped here; a column the table has must be in cols. On a
+// skip the selection is empty.
+func (r *Reader) ReadBatch(ch sim.Charger, src *Source, f bigmeta.FileEntry, cols Columns, al vector.Alloc, preds []colfmt.Predicate) (vector.Selection, Outcome, error) {
+	if err := cols.covers(src.Table.Schema, preds); err != nil {
+		return vector.Selection{}, Outcome{}, err
+	}
 	var sel vector.Selection
-	var hit, miss bool
+	var hit bool
 	out, err := r.Read(ch, src, f, func(data []byte, info objstore.ObjectInfo) error {
 		if r.Cache == nil {
-			b, err := decode(data, preds)
+			b, err := decode(data, cols, preds, src.Table.Schema)
 			if err != nil {
 				return err
 			}
-			if b, err = InjectPartitionColumns(b, f.Partition, src.Table.Schema); err != nil {
-				return err
-			}
-			sel = vector.Selection{Batch: b, N: b.N}
-			return nil
+			sel, err = Select(al, b, cols, nil, f.Partition, src.Table.Schema)
+			return err
 		}
 		// The file-entry generation may be unknown (0): the GET just
-		// told us the real one, so the decode may still be reusable —
-		// or worth caching for the next read.
+		// told us the real one, so the columns may be resident all the
+		// same — or worth keeping for the next read.
 		key := cacheKey{Cloud: src.Table.Cloud, Bucket: f.Bucket, Key: f.Key, Generation: info.Generation}
-		full, ok := r.Cache.get(key)
-		hit, miss = ok, !ok
-		if !ok {
+		b, ok := r.Cache.get(key, cols, src.Table.Schema)
+		if hit = ok; !ok {
 			var err error
-			if full, err = decode(data, nil); err != nil {
-				// Poisoning guard: the failed decode is not cached.
+			if b, err = r.fill(key, data, cols, src.Table.Schema); err != nil {
+				// Poisoning guard: a failed decode adds nothing.
 				return err
 			}
-			r.Cache.put(key, full)
 		}
 		var err error
-		sel, err = Select(al, full, preds, f.Partition, src.Table.Schema)
+		sel, err = Select(al, b, cols, preds, f.Partition, src.Table.Schema)
 		return err
 	})
 	if err != nil || out.Skipped {
 		return vector.Selection{}, out, err
 	}
-	out.CacheHit, out.CacheMiss = hit, miss
+	out.CacheHit, out.CacheMiss = hit, r.Cache != nil && !hit
 	return sel, out, nil
+}
+
+// fill decodes the wanted columns the object's cache entry lacks out
+// of data, adds them to it, and returns the entry's projection onto
+// the wanted columns.
+func (r *Reader) fill(key cacheKey, data []byte, cols Columns, table vector.Schema) (*vector.Batch, error) {
+	footer, err := colfmt.ReadFooter(data)
+	if err != nil {
+		return nil, err
+	}
+	fs := footer.Schema()
+	fw := cols.onFile(nil, table, fs)
+	got := r.Cache.resident(key)
+	if got == nil {
+		got = make([]*vector.Column, fs.Len())
+	}
+	var names []string
+	var at []int
+	for j, f := range fs.Fields {
+		if got[j] == nil && hasBit(fw, j) {
+			names, at = append(names, f.Name), append(at, j)
+		}
+	}
+	if len(names) > 0 { // no name at all is the row count alone: the footer has it
+		rd, err := colfmt.ReaderFor(data, footer, names, nil)
+		if err != nil {
+			return nil, err
+		}
+		b, err := rd.ReadAll()
+		if err != nil {
+			return nil, err
+		}
+		if int64(b.N) != footer.Rows {
+			return nil, &integrity.Error{Source: "colfmt.footer",
+				Detail: fmt.Sprintf("row groups hold %d rows, footer says %d", b.N, footer.Rows)}
+		}
+		for i, j := range at {
+			got[j] = b.Cols[i]
+		}
+	}
+	return r.Cache.add(key, fs, int(footer.Rows), fw, got), nil
 }
 
 // Verify is the contained read with no decode: its use of the bytes is
@@ -73,68 +116,74 @@ func (r *Reader) Verify(ch sim.Charger, src *Source, f bigmeta.FileEntry) (int64
 	return n, out, err
 }
 
-// Resident returns f's full decode when the snapshot pinned its
-// generation and the Cache holds that generation. An object generation
-// pins immutable content, so a hit needs neither the GET nor the
-// decode: Select turns it into the file's selection. Resident does not
-// gate; callers run Gate first.
-func (r *Reader) Resident(src *Source, f bigmeta.FileEntry) (*vector.Batch, bool) {
+// Resident returns f's columns cols (nil = all), unfiltered, when the
+// snapshot pinned its generation and the Cache holds every one of them
+// for that generation. An object generation pins immutable content, so
+// a hit needs neither the GET nor the decode: Select turns it into the
+// file's selection. Resident does not gate; callers run Gate first.
+func (r *Reader) Resident(src *Source, f bigmeta.FileEntry, cols Columns) (*vector.Batch, bool) {
 	if r.Cache == nil || f.Generation <= 0 {
 		return nil, false
 	}
-	return r.Cache.get(cacheKey{Cloud: src.Table.Cloud, Bucket: f.Bucket, Key: f.Key, Generation: f.Generation})
+	return r.Cache.get(cacheKey{Cloud: src.Table.Cloud, Bucket: f.Bucket, Key: f.Key, Generation: f.Generation}, cols, src.Table.Schema)
 }
 
-// FilePredicates keeps the predicates the file's own schema can
+// FilePredicates keeps the predicates a file's own schema can
 // evaluate. Hive-partitioned files do not store the partition column;
 // predicates on it were consumed by pruning.
-func FilePredicates(data []byte, preds []colfmt.Predicate) ([]colfmt.Predicate, error) {
-	footer, err := colfmt.ReadFooter(data)
-	if err != nil {
-		return nil, err
-	}
-	return schemaPredicates(footer.Schema(), preds), nil
-}
-
-func schemaPredicates(s vector.Schema, preds []colfmt.Predicate) []colfmt.Predicate {
+func FilePredicates(file vector.Schema, preds []colfmt.Predicate) []colfmt.Predicate {
 	kept := preds[:0:0]
 	for _, p := range preds {
-		if s.Index(p.Column) >= 0 {
+		if file.Index(p.Column) >= 0 {
 			kept = append(kept, p)
 		}
 	}
 	return kept
 }
 
-// decode decodes complete file bytes through the vectorized reader,
-// applying the predicates the file can evaluate.
-func decode(data []byte, preds []colfmt.Predicate) (*vector.Batch, error) {
-	if len(preds) > 0 { // a full decode skips the extra footer parse
-		var err error
-		if preds, err = FilePredicates(data, preds); err != nil {
-			return nil, err
+// decode decodes the columns in cols out of complete file bytes through
+// the vectorized reader, applying the predicates the file can evaluate.
+// The footer is parsed — and its CRC checked — once.
+func decode(data []byte, cols Columns, preds []colfmt.Predicate, table vector.Schema) (*vector.Batch, error) {
+	footer, err := colfmt.ReadFooter(data)
+	if err != nil {
+		return nil, err
+	}
+	fs := footer.Schema()
+	var names []string // nil = every column of the file
+	if cols != nil {
+		fw := cols.onFile(nil, table, fs)
+		names = []string{}
+		for j, f := range fs.Fields {
+			if hasBit(fw, j) {
+				names = append(names, f.Name)
+			}
 		}
 	}
-	r, err := colfmt.NewVectorizedReader(data, nil, preds)
+	r, err := colfmt.ReaderFor(data, footer, names, FilePredicates(fs, preds))
 	if err != nil {
 		return nil, err
 	}
 	return r.ReadAll()
 }
 
-// Select turns a cached full (unfiltered) decode into what the direct
-// decode produces, short of the copy: the batch with its partition
-// columns injected, and the rows of it the file-level predicates
-// select. The caller's merge applies the selection.
-func Select(al vector.Alloc, full *vector.Batch, preds []colfmt.Predicate, partition map[string]string, schema vector.Schema) (vector.Selection, error) {
+// Select turns a file's resident columns cols — decoded, unfiltered —
+// into what the direct decode produces, short of the copy: the batch
+// with the wanted partition columns injected, and the rows of it the
+// file-level predicates select. The caller's merge applies the
+// selection. schema is the table's.
+func Select(al vector.Alloc, b *vector.Batch, cols Columns, preds []colfmt.Predicate, partition map[string]string, schema vector.Schema) (vector.Selection, error) {
+	if err := cols.covers(schema, preds); err != nil {
+		return vector.Selection{}, err
+	}
 	var mask []bool
-	if preds = schemaPredicates(full.Schema, preds); len(preds) > 0 {
+	if preds = FilePredicates(b.Schema, preds); len(preds) > 0 {
 		var err error
-		if mask, err = colfmt.EvalPredicatesWith(al, full, preds); err != nil {
+		if mask, err = colfmt.EvalPredicatesWith(al, b, preds); err != nil {
 			return vector.Selection{}, err
 		}
 	}
-	b, err := InjectPartitionColumns(full, partition, schema)
+	b, err := InjectPartitionColumns(b, partition, schema, cols)
 	if err != nil {
 		return vector.Selection{}, err
 	}
@@ -142,27 +191,28 @@ func Select(al vector.Alloc, full *vector.Batch, preds []colfmt.Predicate, parti
 }
 
 // InjectPartitionColumns adds hive partition values as columns when
-// the table schema declares them but files do not store them.
-func InjectPartitionColumns(b *vector.Batch, partition map[string]string, schema vector.Schema) (*vector.Batch, error) {
+// the table schema declares them, want has them (nil = all) and files
+// do not store them.
+func InjectPartitionColumns(b *vector.Batch, partition map[string]string, schema vector.Schema, want Columns) (*vector.Batch, error) {
 	if len(partition) == 0 {
 		return b, nil
 	}
-	fields := append([]vector.Field(nil), b.Schema.Fields...)
-	cols := append([]*vector.Column(nil), b.Cols...)
 	keys := make([]string, 0, len(partition))
 	for k := range partition {
-		keys = append(keys, k)
+		// A key the file stores already, the declared schema lacks, or
+		// the read does not want adds nothing.
+		if idx := schema.Index(k); idx >= 0 && want.Has(idx) && b.Schema.Index(k) < 0 {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return b, nil
 	}
 	sort.Strings(keys)
+	fields := append([]vector.Field(nil), b.Schema.Fields...)
+	cols := append([]*vector.Column(nil), b.Cols...)
 	for _, k := range keys {
-		if b.Schema.Index(k) >= 0 {
-			continue // file stores the column already
-		}
-		idx := schema.Index(k)
-		if idx < 0 {
-			continue // partition key not in declared schema
-		}
-		typ := schema.Fields[idx].Type
+		typ := schema.Fields[schema.Index(k)].Type
 		fields = append(fields, vector.Field{Name: k, Type: typ})
 		cols = append(cols, constRun(partitionValue(partition[k], typ), typ, b.N))
 	}

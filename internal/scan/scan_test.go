@@ -121,7 +121,7 @@ func TestReadBatchNeverReturnsCorruptRows(t *testing.T) {
 			w := newWorld(t)
 			f := w.write(t, 100) // current rows 100..109; 1..10 is the stale copy
 			w.store.InjectFaults(objstore.FaultProfile{Seed: seed, CorruptRate: rate})
-			sel, out, err := w.reader("scan").ReadBatch(w.clock, &w.src, f, nil, nil)
+			sel, out, err := w.reader("scan").ReadBatch(w.clock, &w.src, f, nil, nil, nil)
 			switch {
 			case err == nil:
 				if got := sumX(t, sel); got != 1045 {
@@ -227,7 +227,7 @@ func TestReadBatchCachePoisoningGuard(t *testing.T) {
 		{Column: "day", Op: vector.EQ, Value: vector.IntValue(7)}, // not stored: dropped here
 	}
 	for i, want := range []Outcome{{CacheMiss: true}, {CacheHit: true}} {
-		sel, out, err := rd.ReadBatch(w.clock, &w.src, w.file, nil, preds)
+		sel, out, err := rd.ReadBatch(w.clock, &w.src, w.file, nil, nil, preds)
 		if err != nil || out != want {
 			t.Fatalf("read %d: outcome = %+v err = %v, want %+v", i, out, err, want)
 		}
@@ -238,7 +238,7 @@ func TestReadBatchCachePoisoningGuard(t *testing.T) {
 			t.Fatalf("read %d: partition column missing from %v", i, sel.Batch.Schema)
 		}
 	}
-	if full, ok := rd.Resident(&w.src, w.file); !ok || full.N != 10 {
+	if full, ok := rd.Resident(&w.src, w.file, nil); !ok || full.N != 10 {
 		t.Fatal("pinned generation not resident after a clean read")
 	}
 
@@ -248,7 +248,7 @@ func TestReadBatchCachePoisoningGuard(t *testing.T) {
 	if err := w.store.FlipStoredBit(testBucket, testKey, 99); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := rd.ReadBatch(w.clock, &w.src, next, nil, nil); !errors.Is(err, integrity.ErrCorrupt) {
+	if _, _, err := rd.ReadBatch(w.clock, &w.src, next, nil, nil, nil); !errors.Is(err, integrity.ErrCorrupt) {
 		t.Fatalf("read of a rotten file: err = %v", err)
 	}
 	if len(rd.Cache.items) != 0 {

@@ -317,45 +317,9 @@ func (a *Authority) ApplyGovernance(p Principal, table string, b *vector.Batch) 
 		return nil, err
 	}
 
-	// Column-level decisions first. Columns the principal is denied
-	// are removed from the result entirely (fail closed); explicitly
-	// selecting a denied column is rejected earlier, at session
-	// creation or column resolution.
-	names := make([]string, len(b.Schema.Fields))
-	for i, f := range b.Schema.Fields {
-		names[i] = f.Name
-	}
-	decisions := a.ColumnDecisionsFor(p, table, names)
-	hasDenied := false
-	for _, d := range decisions {
-		if d.Denied {
-			hasDenied = true
-		}
-	}
-	if hasDenied {
-		fields := make([]vector.Field, 0, len(b.Schema.Fields))
-		cols := make([]*vector.Column, 0, len(b.Cols))
-		kept := decisions[:0]
-		for i, d := range decisions {
-			if d.Denied {
-				continue
-			}
-			fields = append(fields, b.Schema.Fields[i])
-			cols = append(cols, b.Cols[i])
-			kept = append(kept, d)
-		}
-		nb, err := vector.NewBatch(vector.Schema{Fields: fields}, cols)
-		if err != nil {
-			return nil, err
-		}
-		b = nb
-		decisions = kept
-	}
-
-	// Row-level filtering.
-	filters, unrestricted := a.RowFilterFor(p, table)
-	out := b
-	if !unrestricted {
+	// Row-level filtering first: a row policy reads raw values, and may
+	// filter on a column this principal is denied or sees masked.
+	if filters, unrestricted := a.RowFilterFor(p, table); !unrestricted {
 		mask := make([]bool, b.N) // default: no rows
 		for _, conj := range filters {
 			m, err := colfmt.EvalPredicates(b, conj)
@@ -365,30 +329,44 @@ func (a *Authority) ApplyGovernance(p Principal, table string, b *vector.Batch) 
 			mask = vector.Or(mask, m)
 		}
 		var err error
-		out, err = vector.Filter(b, mask)
-		if err != nil {
+		if b, err = vector.Filter(b, mask); err != nil {
 			return nil, err
 		}
 	}
 
-	// Masking.
-	masked := false
-	cols := make([]*vector.Column, len(out.Cols))
-	copy(cols, out.Cols)
-	fields := make([]vector.Field, len(out.Schema.Fields))
-	copy(fields, out.Schema.Fields)
+	// Column-level decisions on what is left. Columns the principal is
+	// denied are removed from the result entirely (fail closed);
+	// explicitly selecting a denied column is rejected earlier, at
+	// session creation or column resolution. Masked columns are replaced.
+	names := make([]string, len(b.Schema.Fields))
+	for i, f := range b.Schema.Fields {
+		names[i] = f.Name
+	}
+	decisions := a.ColumnDecisionsFor(p, table, names)
+	open := true
+	for _, d := range decisions {
+		if d.Denied || d.Mask != vector.MaskNone {
+			open = false
+		}
+	}
+	if open {
+		return b, nil
+	}
+	fields := make([]vector.Field, 0, len(b.Schema.Fields))
+	cols := make([]*vector.Column, 0, len(b.Cols))
 	for i, d := range decisions {
-		if d.Mask == vector.MaskNone {
+		if d.Denied {
 			continue
 		}
-		masked = true
-		cols[i] = vector.ApplyMask(out.Cols[i], d.Mask)
-		fields[i].Type = cols[i].Type
+		f, c := b.Schema.Fields[i], b.Cols[i]
+		if d.Mask != vector.MaskNone {
+			c = vector.ApplyMask(c, d.Mask)
+			f.Type = c.Type
+		}
+		fields = append(fields, f)
+		cols = append(cols, c)
 	}
-	if !masked {
-		return out, nil
-	}
-	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
+	return &vector.Batch{Schema: vector.Schema{Fields: fields}, Cols: cols, N: b.N}, nil
 }
 
 // SessionToken is the per-query token Omni's untrusted proxy validates

@@ -220,6 +220,35 @@ func TestRowAndColumnPoliciesCompose(t *testing.T) {
 	}
 }
 
+// TestRowPolicyOnDeniedOrMaskedColumn: the row filter reads raw values
+// before the column decisions apply, so a policy may filter on a column
+// the principal is denied (the filter used to run after the drop, and
+// fail: "predicate column region not in batch") or sees masked.
+func TestRowPolicyOnDeniedOrMaskedColumn(t *testing.T) {
+	for _, mask := range []vector.MaskKind{vector.MaskNone, vector.MaskHash} {
+		a := newAuth()
+		a.GrantTable(admin, "t", alice, RoleViewer)
+		a.AddRowPolicy(admin, "t", RowPolicy{
+			Name: "emea", Grantees: map[Principal]bool{alice: true},
+			Filter: []colfmt.Predicate{{Column: "region", Op: vector.EQ, Value: vector.StringValue("emea")}},
+		})
+		a.SetColumnPolicy(admin, "t", ColumnPolicy{Column: "region", Allowed: map[Principal]bool{admin: true}, Mask: mask})
+		out, err := a.ApplyGovernance(alice, "t", salesBatch())
+		if err != nil {
+			t.Fatalf("mask %v: %v", mask, err)
+		}
+		if out.N != 2 {
+			t.Fatalf("mask %v: alice sees %d rows, want the 2 emea rows", mask, out.N)
+		}
+		switch c := out.Column("region"); {
+		case mask == vector.MaskNone && c != nil:
+			t.Fatal("denied column leaked")
+		case mask != vector.MaskNone && (c == nil || c.Value(0).S == "emea"):
+			t.Fatal("masked column missing or raw")
+		}
+	}
+}
+
 func TestOnlyOwnersSetPolicies(t *testing.T) {
 	a := newAuth()
 	a.GrantTable(admin, "t", alice, RoleViewer)

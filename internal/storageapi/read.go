@@ -460,7 +460,7 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 	st.next++
 	sess.mu.Unlock()
 
-	batch, err := s.readGoverned(ch, sess, file, sess.cols)
+	batch, err := s.readGoverned(ch, sess, file, s.readColumns(sess))
 	if err != nil {
 		// Roll the cursor back so the stream resumes at the failed file:
 		// a client retrying the same ReadRows call after a transient
@@ -479,14 +479,41 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 	return payload, nil
 }
 
+// readColumns is what a session's reads decode: its projection — or,
+// for an aggregate session, the columns it aggregates — with the
+// columns its pushed-down predicates and the principal's row policies
+// filter on. Resolved per ReadRows call, so it is the set the policy in
+// force when governance runs needs. nil is every column.
+func (s *Server) readColumns(sess *session) scan.Columns {
+	schema := sess.table.Schema
+	var want scan.Columns
+	switch {
+	case sess.agg:
+		want = scan.NewColumns(nil, schema.Len())
+		for _, a := range sess.req.Aggregates {
+			want.AddNamed(schema, a.Column)
+		}
+	case sess.req.Columns == nil:
+		return nil
+	default:
+		want = scan.ColumnsOf(schema, sess.cols...)
+	}
+	want.AddPredicates(schema, sess.req.Predicates)
+	filters, _ := s.Auth.RowFilterFor(sess.req.Principal, sess.req.Table)
+	for _, conj := range filters {
+		want.AddPredicates(schema, conj)
+	}
+	return want
+}
+
 // readGoverned reads one file through the verified reader and applies
 // the full governance + projection pipeline inside the trust boundary.
-// cols is the projection (nil = every governed column, for the
-// aggregate path, whose aggregates may reference unprojected columns).
-// The reader runs without a decoded-file cache and fails fast on a
-// quarantined file; its integrity.* counters land in the server's
-// registry.
-func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEntry, cols []string) (*vector.Batch, error) {
+// Only the columns in want (readColumns) are decoded; an aggregate
+// session keeps every governed one of them, the others project to the
+// session's columns. The reader runs without a decoded-file cache and
+// fails fast on a quarantined file; its integrity.* counters land in
+// the server's registry.
+func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEntry, want scan.Columns) (*vector.Batch, error) {
 	store, err := s.store(sess.table.Cloud)
 	if err != nil {
 		return nil, err
@@ -504,7 +531,7 @@ func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEn
 		// No cache, so the predicates were applied during the decode and
 		// the batch is the selection.
 		var sel vector.Selection
-		sel, _, err = rd.ReadBatch(ch, &src, file, nil, sess.req.Predicates)
+		sel, _, err = rd.ReadBatch(ch, &src, file, want, nil, sess.req.Predicates)
 		batch = sel.Batch
 	}
 	if err != nil {
@@ -514,20 +541,21 @@ func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEn
 	// Governance: the Read API applies row filters and masking before
 	// data leaves the boundary (§3.2).
 	governed, err := s.Auth.ApplyGovernance(sess.req.Principal, sess.req.Table, batch)
-	if err != nil || cols == nil {
+	if err != nil || sess.agg {
 		return governed, err
 	}
-	return governed.Project(cols)
+	return governed.Project(sess.cols)
 }
 
 // decodeRowOriented is the legacy pipeline (the §3.4 first prototype;
-// E2's baseline): row-oriented reader, rows re-columnarized.
+// E2's baseline): row-oriented reader, every column decoded, rows
+// re-columnarized.
 func decodeRowOriented(data []byte, preds []colfmt.Predicate, partition map[string]string, schema vector.Schema) (*vector.Batch, error) {
-	preds, err := scan.FilePredicates(data, preds)
+	footer, err := colfmt.ReadFooter(data)
 	if err != nil {
 		return nil, err
 	}
-	r, err := colfmt.NewRowReader(data, nil, preds)
+	r, err := colfmt.RowReaderFor(data, footer, nil, scan.FilePredicates(footer.Schema(), preds))
 	if err != nil {
 		return nil, err
 	}
@@ -535,7 +563,7 @@ func decodeRowOriented(data []byte, preds []colfmt.Predicate, partition map[stri
 	if err != nil {
 		return nil, err
 	}
-	return scan.InjectPartitionColumns(batch, partition, schema)
+	return scan.InjectPartitionColumns(batch, partition, schema, nil)
 }
 
 // computeAggregates evaluates the requested partial aggregates
@@ -545,8 +573,9 @@ func (s *Server) computeAggregates(ch sim.Charger, sess *session, files []bigmet
 	n := len(sess.req.Aggregates)
 	partials := make([]vector.Value, n)
 	counts := make([]int64, n)
+	want := s.readColumns(sess)
 	for _, f := range files {
-		batch, err := s.readGoverned(ch, sess, f, nil)
+		batch, err := s.readGoverned(ch, sess, f, want)
 		if err != nil {
 			return nil, err
 		}

@@ -197,6 +197,47 @@ func TestReadYourWritesAndMultiTableAtomicity(t *testing.T) {
 	}
 }
 
+// TestProjectedScanSeesBufferedRows: inside a transaction a scan reads
+// only the statement's columns from the snapshot's files and projects
+// the session's buffered batches to match — with committed files under
+// the overlay, and with none.
+func TestProjectedScanSeesBufferedRows(t *testing.T) {
+	ev := newEnv(t)
+	ev.createTable(t, "a")
+	ev.createTable(t, "empty")
+	ev.sql(t, "INSERT INTO ds.a VALUES (1, 10), (2, 20)")
+
+	s := ev.mgr.Begin(adminP, "txn-proj")
+	for _, q := range []string{"INSERT INTO ds.a VALUES (3, 30)", "INSERT INTO ds.empty VALUES (7, 70)"} {
+		if _, err := s.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := ev.eng.Obs.Get("engine.scan.columns_read")
+	for q, want := range map[string]int64{
+		"SELECT SUM(v) AS s FROM ds.a":                   60,
+		"SELECT COUNT(*) AS n FROM ds.a":                 3,
+		"SELECT SUM(v) AS s FROM ds.a WHERE id >= 2":     50,
+		"SELECT SUM(v) AS s FROM ds.empty":               70,
+		"SELECT COUNT(*) AS n FROM ds.empty WHERE v > 0": 1,
+	} {
+		res, err := s.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if res.Batch.N != 1 || res.Batch.Row(0)[0].I != want {
+			t.Fatalf("%s = %v, want %d", q, res.Batch.Row(0), want)
+		}
+	}
+	// v; nothing; id and v; v; v.
+	if got := ev.eng.Obs.Get("engine.scan.columns_read") - read; got != 5 {
+		t.Fatalf("the five scans read %d columns, want 5", got)
+	}
+	if err := s.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFirstCommitterWins(t *testing.T) {
 	ev := newEnv(t)
 	ev.createTable(t, "acct")

@@ -14,6 +14,12 @@
 # sequence is how five of six committers came to seal without
 # validation, without an abort record or without an intent at all.
 #
+# Rule "project": one decode, of the columns asked for. Fails if
+# ReadBatch or Resident is called with a literal nil column list — every
+# column of the file — outside the rewrites (DML, Optimize), which must
+# carry whole rows: a whole-file decode on a query path is how a scan
+# came to decode sixteen columns to sum one.
+#
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt.
 set -eu
@@ -42,4 +48,6 @@ check scan 'colfmt\.(NewVectorizedReader|NewRowReader|Verify)\(' scan \
     'data-file bytes decoded or verified outside internal/scan; read through scan.Reader (Fetch / Read / ReadBatch / Verify)'
 check commit '\.(AppendIntent|AppendAbort|CommitTxIf|NewFileEntry)\(' bigmeta \
     'commit protocol step outside internal/bigmeta; commit data files through bigmeta.CommitFiles (PutDataFile for a loader outside a journal)'
+check project '\.(ReadBatch\([^,]+,[^,]+,[^,]+|Resident\([^,]+,[^,]+), *nil *[,)]' scan \
+    'whole-file decode (nil column list) outside a rewrite; pass the scan.Columns the caller reads (scan.ColumnsOf, or the engine'"'"'s scanColumns)'
 echo "scanlint: ok"
