@@ -40,9 +40,11 @@ chaos:
 
 # The differential soak: ≥200 generated queries through every
 # {cache, DPP, prune granularity, faults} × {pre/post compaction}
-# cell, engine vs oracle, bit-identical or the build fails.
+# cell, engine vs oracle, bit-identical or the build fails — the star
+# family among them, which must keep reaching every join strategy and
+# grouping kernel.
 fuzz:
-	$(GO) test -run 'TestDifferential|TestIcebergExportEquality' -v ./internal/oracle/
+	$(GO) test -run 'TestDifferential|TestIcebergExportEquality|TestStarFamilyReachesKernels' -v ./internal/oracle/
 
 # Demonstrate the harness catches a planted pruning bug (not in ci:
 # the tagged build is intentionally broken).
@@ -141,9 +143,13 @@ gatecheck:
 # The arena-lifetime + alloc-budget gate: pooled kernels agree with
 # their heap-allocating form (bit-exact masks/batches including
 # late-materialized dictionaries), per-kernel allocs/op budgets (a
-# kernel that starts allocating again fails the build), arena lifetime
-# safety under the race detector (query results, LIMIT prefixes
-# included, must survive arena recycling; serve cursors copy out), and
+# kernel that starts allocating again fails the build; zero for the
+# N:1 join and dictionary grouping), every join and grouping path
+# against the string-keyed reference under the race detector (the
+# N:1 probe's shared match slots five times over), arena lifetime
+# safety under the race detector (query results, LIMIT prefixes and
+# columns a join passed through included, must survive arena
+# recycling; serve cursors copy out), the small-join alloc budget, and
 # the E20 experiment smoke: the star join's heap allocs/bytes/GC per
 # query under committed budgets, mixed-traffic QPS, variance cells.
 # BENCH_E15.json / BENCH_E20.json are the committed full-scale
@@ -152,7 +158,10 @@ gatecheck:
 # beyond the noise band recorded in BENCH_E20.json.
 gclean:
 	$(GO) test -run 'TestGCLean' ./internal/vector/
+	$(GO) test -race -run 'TestJoinGroupPathParity|TestDictKeyDuplicateEntries' ./internal/vector/
+	$(GO) test -race -count=5 -run 'TestN1ProbeConcurrentWriters' ./internal/vector/
 	$(GO) test -race -run 'TestGCLean|TestArena' ./internal/engine/
+	$(GO) test -run 'TestGCLeanSmallJoinAllocs' ./internal/engine/
 	$(GO) test -race ./internal/arena/
 	$(GO) test -race -run 'TestCursorSurvivesArenaRecycle' ./internal/serve/
 	$(GO) test -run 'TestE20' -v ./internal/exp/

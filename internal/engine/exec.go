@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"biglake/internal/colfmt"
 	"biglake/internal/obs"
@@ -59,7 +58,7 @@ func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vecto
 			asp.SetInt("in_rows", int64(joined.N))
 			asp.SetInt("workers", int64(e.execWorkers()))
 		}
-		out, err = e.execAggregate(ctx, sel, joined)
+		out, err = e.execAggregate(ctx, sel, joined, asp)
 		if asp != nil && err == nil {
 			asp.SetInt("groups", int64(out.N))
 			asp.SetInt("rows", int64(out.N))
@@ -327,10 +326,15 @@ func (e *Engine) execTableRef(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *
 }
 
 // hashJoin executes an equi-join between left and right qualified
-// batches.
+// batches. When every left row matched exactly one right row the left
+// columns are the output's as they stand — not copied, each keeping its
+// own Pooled mark, like an all-pass filter's — so, as there, the result
+// may alias a shared immutable batch and nothing downstream may write
+// through it.
 func (e *Engine) hashJoin(ctx *QueryContext, left, right *vector.Batch, j sqlparse.Join) (out *vector.Batch, err error) {
+	var sp *obs.Span
 	if ctx.Span != nil {
-		sp := ctx.Span.Child("join")
+		sp = ctx.Span.Child("join")
 		sp.SetInt("left_rows", int64(left.N))
 		sp.SetInt("right_rows", int64(right.N))
 		sp.SetInt("workers", int64(e.execWorkers()))
@@ -376,39 +380,32 @@ func (e *Engine) hashJoin(ctx *QueryContext, left, right *vector.Batch, j sqlpar
 		return nil, err
 	}
 
-	// One combined index per side: matched pairs in probe order, then
-	// the null-extended unmatched left rows (right index -1 = NULL).
-	al := ctx.mem.Allocator()
-	nOut := len(res.Left) + len(res.LeftOuter)
-	leftFull := al.Int32s(nOut)
-	n1 := copy(leftFull, res.Left)
-	copy(leftFull[n1:], res.LeftOuter)
-	rightFull := al.Int32s(nOut)
-	copy(rightFull, res.Right)
-	for i := len(res.Right); i < nOut; i++ {
-		rightFull[i] = -1
+	// Output rows: matched pairs in probe order, then the null-extended
+	// unmatched left rows (right index -1 = NULL). Only that second part
+	// needs an index of its own built.
+	leftIdx, rightIdx := res.Left, res.Right
+	if nOuter := len(res.LeftOuter); nOuter > 0 {
+		al := ctx.mem.Allocator()
+		nOut := len(res.Left) + nOuter
+		leftIdx = al.Int32s(nOut)
+		copy(leftIdx[copy(leftIdx, res.Left):], res.LeftOuter)
+		rightIdx = al.Int32s(nOut)
+		for i := copy(rightIdx, res.Right); i < nOut; i++ {
+			rightIdx[i] = -1
+		}
 	}
 
 	fields := append(append([]vector.Field(nil), left.Schema.Fields...), right.Schema.Fields...)
 	cols := make([]*vector.Column, len(left.Cols)+len(right.Cols))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	gather := func(dst int, c *vector.Column, idx []int32) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			cols[dst] = vector.GatherNullWith(ctx.mem, c, idx)
-		}()
+	passthrough := 0
+	if res.LeftIdentity {
+		passthrough = copy(cols, left.Cols)
+	} else {
+		vector.GatherNullColsWith(ctx.mem, cols, left.Cols, leftIdx, workers)
 	}
-	for i, c := range left.Cols {
-		gather(i, c, leftFull)
-	}
-	for i, c := range right.Cols {
-		gather(len(left.Cols)+i, c, rightFull)
-	}
-	wg.Wait()
+	vector.GatherNullColsWith(ctx.mem, cols[len(left.Cols):], right.Cols, rightIdx, workers)
+	sp.SetStr("strategy", res.Strategy.String())
+	sp.SetInt("passthrough_cols", int64(passthrough))
 	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
 }
 
@@ -451,8 +448,9 @@ func (e *Engine) execProject(ctx *QueryContext, sel *sqlparse.SelectStmt, in *ve
 	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
 }
 
-// execAggregate evaluates GROUP BY / aggregate queries.
-func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *vector.Batch) (*vector.Batch, error) {
+// execAggregate evaluates GROUP BY / aggregate queries; sp (nil when
+// untraced) is the aggregate span, told which grouping kernel ran.
+func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *vector.Batch, sp *obs.Span) (*vector.Batch, error) {
 	// Evaluate group keys.
 	keyCols := make([]*vector.Column, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
@@ -511,31 +509,26 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 
 	workers := e.execWorkers()
 	grouping := vector.GroupKeysWith(ctx.mem, keyCols, in.N, workers)
+	sp.SetStr("grouping", grouping.Strategy.String())
 
 	// Classify select items into aggregate specs (deduplicated; AVG
 	// decomposes into SUM + COUNT) and group-key references. Errors are
 	// deferred to match the oracle's row-at-a-time semantics: with zero
 	// groups no item is ever evaluated, so nothing can fail.
-	groupExprIndex := groupKeyIndex(sel)
+	groupKeys := newGroupKeyNames(sel)
 	type itemPlan struct {
 		specA  int // primary spec (-1 = group key reference)
 		specB  int // COUNT spec for AVG, else -1
-		avg    bool
 		keyIdx int
 	}
 	var specs []vector.AggSpec
-	type specKey struct {
-		kind vector.AggKind
-		col  *vector.Column
-	}
-	specIdx := map[specKey]int{}
 	addSpec := func(kind vector.AggKind, col *vector.Column) int {
-		k := specKey{kind, col}
-		if i, ok := specIdx[k]; ok {
-			return i
+		for i, sp := range specs {
+			if sp.Kind == kind && sp.Col == col {
+				return i
+			}
 		}
 		specs = append(specs, vector.AggSpec{Kind: kind, Col: col})
-		specIdx[k] = len(specs) - 1
 		return len(specs) - 1
 	}
 	plans := make([]itemPlan, len(sel.Items))
@@ -567,21 +560,14 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 				case "AVG":
 					plans[i].specA = addSpec(vector.AggSum, col)
 					plans[i].specB = addSpec(vector.AggCount, col)
-					plans[i].avg = true
 				default:
 					return fmt.Errorf("%w: aggregate %s", ErrUnsupported, call.Name)
 				}
 				return nil
 			}
-			if k, ok := groupExprIndex[item.Expr.String()]; ok {
+			if k := groupKeys.index(item.Expr); k >= 0 {
 				plans[i].keyIdx = k
 				return nil
-			}
-			if ref, ok := item.Expr.(sqlparse.ColumnRef); ok {
-				if k, ok := groupExprIndex[ref.Name]; ok {
-					plans[i].keyIdx = k
-					return nil
-				}
 			}
 			return fmt.Errorf("%w: %s must appear in GROUP BY or an aggregate", ErrSemantic, item.Expr)
 		}
@@ -595,116 +581,117 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 
 	results := vector.GroupAggregateWith(ctx.mem, grouping.IDs, grouping.NumGroups, specs, workers)
 
-	// Group-key values come from each group's first-encounter row. Both
-	// the key table and the output rows are carved from single flat
-	// backing arrays — one allocation each, not one per group.
-	keyVals := make([][]vector.Value, len(keyCols))
-	kflat := make([]vector.Value, len(keyCols)*grouping.NumGroups)
-	for k, kc := range keyCols {
-		keyVals[k] = kflat[k*grouping.NumGroups : (k+1)*grouping.NumGroups]
-		for g, rep := range grouping.Rep {
-			if rep >= 0 {
-				keyVals[k][g] = kc.Value(int(rep))
-			}
-		}
-	}
-
-	rows := make([][]vector.Value, grouping.NumGroups)
-	rflat := make([]vector.Value, grouping.NumGroups*len(sel.Items))
-	for g := 0; g < grouping.NumGroups; g++ {
-		row := rflat[g*len(sel.Items) : (g+1)*len(sel.Items)]
-		for i := range sel.Items {
-			p := plans[i]
-			switch {
-			case p.avg:
-				sum, cnt := results[p.specA][g], results[p.specB][g]
-				if sum.IsNull() || cnt.AsInt() == 0 {
-					row[i] = vector.NullValue
-				} else {
-					row[i] = vector.FloatValue(sum.AsFloat() / float64(cnt.AsInt()))
-				}
-			case p.specA >= 0:
-				row[i] = results[p.specA][g]
-			default:
-				row[i] = keyVals[p.keyIdx][g]
-			}
-		}
-		rows[g] = row
-	}
-	return buildAggregateOutput(sel, rows)
-}
-
-// groupKeyIndex maps a GROUP BY expression's rendering (and, for
-// column references, the bare name) to its key position.
-func groupKeyIndex(sel *sqlparse.SelectStmt) map[string]int {
-	idx := map[string]int{}
-	for i, g := range sel.GroupBy {
-		idx[g.String()] = i
-		if ref, ok := g.(sqlparse.ColumnRef); ok {
-			idx[ref.Name] = i // allow unqualified reuse
-		}
-	}
-	return idx
-}
-
-// buildAggregateOutput materializes aggregate result rows, inferring
-// each output column's type from its first non-null value (Int64 when
-// all null).
-func buildAggregateOutput(sel *sqlparse.SelectStmt, rows [][]vector.Value) (*vector.Batch, error) {
-	n := len(rows)
+	// One typed column per select item: an aggregate's is its spec's, a
+	// group key's is the key column at each group's first-encounter row
+	// (gathered once per key, however many items name it).
+	keyOut := make([]*vector.Column, len(keyCols))
 	fields := make([]vector.Field, len(sel.Items))
 	cols := make([]*vector.Column, len(sel.Items))
 	for i, item := range sel.Items {
-		t := vector.Int64
-		for _, row := range rows {
-			if !row[i].IsNull() {
-				t = row[i].Type
-				break
+		var c *vector.Column
+		switch p := plans[i]; {
+		case p.specB >= 0:
+			c = avgColumn(ctx.mem, results[p.specA], results[p.specB])
+		case p.specA >= 0:
+			c = results[p.specA]
+		case p.keyIdx >= 0:
+			if keyOut[p.keyIdx] == nil {
+				// Decoded: a result's encoding shows (egress accounting
+				// charges a Dict column its whole dictionary), and group
+				// keys have always left here plain.
+				keyOut[p.keyIdx] = vector.GatherNullWith(ctx.mem, keyCols[p.keyIdx], grouping.Rep).Decode()
 			}
+			c = keyOut[p.keyIdx]
 		}
-		fields[i] = vector.Field{Name: outputName(item, i), Type: t}
-
-		// Materialize the column directly, presized — the group count is
-		// known, so the row-at-a-time Builder's per-row buffering would
-		// only add allocations.
-		c := &vector.Column{Type: t, Len: n, Enc: vector.Plain}
-		var nulls []bool
-		set := func(g int, v vector.Value) {
-			if v.IsNull() {
-				if nulls == nil {
-					nulls = make([]bool, n)
-				}
-				nulls[g] = true
-				return
-			}
-			switch t {
-			case vector.Int64, vector.Timestamp:
-				c.Ints[g] = v.I
-			case vector.Float64:
-				c.Floats[g] = v.F
-			case vector.Bool:
-				c.Bools[g] = v.B
-			case vector.String, vector.Bytes:
-				c.Strs[g] = v.S
-			}
-		}
-		switch t {
-		case vector.Int64, vector.Timestamp:
-			c.Ints = make([]int64, n)
-		case vector.Float64:
-			c.Floats = make([]float64, n)
-		case vector.Bool:
-			c.Bools = make([]bool, n)
-		case vector.String, vector.Bytes:
-			c.Strs = make([]string, n)
-		}
-		for g, row := range rows {
-			set(g, row[i])
-		}
-		c.Nulls = nulls
+		c = aggOutputColumn(ctx.mem, c, grouping.NumGroups)
+		fields[i] = vector.Field{Name: outputName(item, i), Type: c.Type}
 		cols[i] = c
 	}
-	return &vector.Batch{Schema: vector.Schema{Fields: fields}, Cols: cols, N: n}, nil
+	return &vector.Batch{Schema: vector.Schema{Fields: fields}, Cols: cols, N: grouping.NumGroups}, nil
+}
+
+// groupKeyNames holds, per GROUP BY expression, its rendering and (for
+// a column reference) its bare name: the two spellings a select item
+// may use for it.
+type groupKeyNames struct {
+	rendered, bare []string
+}
+
+func newGroupKeyNames(sel *sqlparse.SelectStmt) groupKeyNames {
+	n := len(sel.GroupBy)
+	names := make([]string, 2*n)
+	g := groupKeyNames{rendered: names[:n], bare: names[n:]}
+	for i, expr := range sel.GroupBy {
+		g.rendered[i] = expr.String()
+		if ref, ok := expr.(sqlparse.ColumnRef); ok {
+			g.bare[i] = ref.Name // allow unqualified reuse
+		}
+	}
+	return g
+}
+
+// index returns the position of the GROUP BY key a select item names
+// (-1 if none): by the item's rendering, else by a column reference's
+// bare name. Where several keys answer to one spelling the last wins.
+func (g groupKeyNames) index(item sqlparse.Expr) int {
+	find := func(name string) int {
+		for i := len(g.rendered) - 1; i >= 0; i-- {
+			if g.rendered[i] == name || g.bare[i] == name {
+				return i
+			}
+		}
+		return -1
+	}
+	if k := find(item.String()); k >= 0 {
+		return k
+	}
+	if ref, ok := item.(sqlparse.ColumnRef); ok {
+		return find(ref.Name)
+	}
+	return -1
+}
+
+// avgColumn is SUM / COUNT per group: NULL where the sum is (no non-NULL
+// input), Float64 otherwise.
+func avgColumn(m vector.Mem, sum, cnt *vector.Column) *vector.Column {
+	al := m.Allocator()
+	out := &vector.Column{Type: vector.Float64, Len: sum.Len, Enc: vector.Plain, Floats: al.Float64s(sum.Len), Pooled: m.Pooled()}
+	for g, n := range cnt.Ints {
+		switch {
+		case n == 0 || (sum.Nulls != nil && sum.Nulls[g]):
+			if out.Nulls == nil {
+				out.Nulls = al.Bools(sum.Len)
+			}
+			out.Nulls[g] = true
+		case sum.Type == vector.Float64:
+			out.Floats[g] = sum.Floats[g] / float64(n)
+		default:
+			out.Floats[g] = float64(sum.Ints[g]) / float64(n)
+		}
+	}
+	return out
+}
+
+// aggOutputColumn applies the aggregate output typing rule: a column
+// takes the type of its first non-NULL value, so one with none — zero
+// groups included — is Int64 whatever produced it.
+func aggOutputColumn(m vector.Mem, c *vector.Column, n int) *vector.Column {
+	if c != nil {
+		for g := 0; g < n; g++ {
+			if !c.IsNullAt(g) {
+				return c
+			}
+		}
+	}
+	al := m.Allocator()
+	out := &vector.Column{Type: vector.Int64, Len: n, Enc: vector.Plain, Ints: al.Int64s(n), Pooled: m.Pooled()}
+	if n > 0 {
+		out.Nulls = al.Bools(n)
+		for g := range out.Nulls {
+			out.Nulls[g] = true
+		}
+	}
+	return out
 }
 
 // execOrderBy sorts the projected output. ORDER BY expressions may

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"biglake/internal/obs"
+	"biglake/internal/vector"
 )
 
 // starJoinSQL is the golden EXPLAIN ANALYZE workload: scan two tables,
@@ -84,6 +85,45 @@ func TestExplainAnalyzeStarJoin(t *testing.T) {
 	if back.Root.Name != "query" {
 		t.Fatalf("unexpected root name %q", back.Root.Name)
 	}
+
+	// The profile says which kernels ran. No two star-world dimension
+	// rows share a (k1, k2), so its join probes N:1 — but fact rows with a
+	// NULL k2 match nothing, so no column passes through. In the N:1
+	// world every fact row matches, and the GROUP BY key reaches the
+	// aggregate as dictionary codes gathered through the join.
+	for _, want := range [][2]string{{"strategy", "n1"}, {"passthrough_cols", "0"}} {
+		if got := profileAttr(prof.Root, "join", want[0]); got != want[1] {
+			t.Errorf("star world join %s = %q, want %q\n%s", want[0], got, want[1], text)
+		}
+	}
+	n1World(t, ev, 3*vector.MorselRows/2, 2)
+	_, prof, err = ev.eng.ExplainAnalyze(NewContext(adminP, "q-explain-n1"), n1StarSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range [][3]string{
+		{"join", "strategy", "n1"},
+		{"join", "passthrough_cols", "3"},
+		{"aggregate", "grouping", "dict"},
+	} {
+		if got := profileAttr(prof.Root, want[0], want[1]); got != want[2] {
+			t.Errorf("%s %s = %q, want %q\n%s", want[0], want[1], got, want[2], prof.Text())
+		}
+	}
+}
+
+// profileAttr returns attribute key of the first profile node called
+// name ("" if there is none).
+func profileAttr(n *obs.ProfileNode, name, key string) string {
+	if n.Name == name {
+		return n.Attrs[key]
+	}
+	for _, c := range n.Children {
+		if v := profileAttr(c, name, key); v != "" {
+			return v
+		}
+	}
+	return ""
 }
 
 // TestQuerySpanTree drives a real query through a Tracer and checks

@@ -879,23 +879,38 @@ func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(strin
 		pre[i] = gen.Query(tables)
 	}
 	pre = append(pre, shapes.ProjectionQueries(tables)...)
-	rep.Queries += len(pre)
-	if d := h.runMatrix("pre", pre); d != nil {
-		return d, nil
-	}
-
 	var managed *GenTable
 	for _, t := range tables {
 		if t.Managed {
 			managed = t
 		}
 	}
+	// The star family brings its own tables, from a third generator:
+	// gen never sees them, so it draws the statements it always drew.
+	stars := NewGen(seed ^ 0x57A257A2)
+	starTables := stars.StarTables()
+	if err := h.install(starTables); err != nil {
+		return nil, err
+	}
+	for _, t := range starTables {
+		if err := w.auth.GrantTable(diffAdmin, t.Full, diffAnalyst, security.RoleViewer); err != nil {
+			return nil, err
+		}
+	}
+	pre = append(pre, stars.StarQueries(managed)...)
+	rep.Queries += len(pre)
+	if d := h.runMatrix("pre", pre); d != nil {
+		return d, nil
+	}
+
 	ctasT, d := h.runDML(gen, managed, fmt.Sprintf("ds.c%d", trial))
 	if d != nil {
 		return d, nil
 	}
-	if _, err := w.mgr.Optimize(string(diffAdmin), managed.Full, ""); err != nil {
-		return nil, fmt.Errorf("optimize %s: %w", managed.Full, err)
+	for _, full := range []string{managed.Full, starTables[0].Full} {
+		if _, err := w.mgr.Optimize(string(diffAdmin), full, ""); err != nil {
+			return nil, fmt.Errorf("optimize %s: %w", full, err)
+		}
 	}
 	if ctasT != nil {
 		if _, err := w.mgr.Optimize(string(diffAdmin), ctasT.Full, ""); err != nil {

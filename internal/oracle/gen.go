@@ -610,6 +610,96 @@ func (g *Gen) ProjectionQueries(tables []*GenTable) []GenQuery {
 	return out
 }
 
+// starDimKeys is how many rows the star family's dimension has; its key
+// dk runs 0..starDimKeys-1, each once.
+const starDimKeys = 12
+
+// StarTables generates the star family's world: a managed fact table
+// ds.sf (installed as many small files, coalesced by the post phase's
+// Optimize) and a one-file dimension ds.sd. The shapes that choose the
+// join and grouping kernels are in the columns:
+//
+//	sf.fa  never NULL, always a key of sd.dk: every probe row matches once
+//	sf.fb  NULL at times and past sd.dk's range at others: probe rows miss
+//	sf.fs  a few strings, NULL at times: reaches GROUP BY dictionary-encoded
+//	sf.fw  more values than a file dictionary-encodes: a plain integer key
+//	sd.dk  unique; sd.dr repeats (dk mod 3); sd.dg is a few strings
+//
+// Bare names are distinct from every Tables() column.
+func (g *Gen) StarTables() []*GenTable {
+	sf := &GenTable{Full: "ds.sf", Managed: true, Schema: vector.NewSchema(
+		vector.Field{Name: "fa", Type: vector.Int64},
+		vector.Field{Name: "fb", Type: vector.Int64},
+		vector.Field{Name: "fv", Type: vector.Int64},
+		vector.Field{Name: "ff", Type: vector.Float64},
+		vector.Field{Name: "fs", Type: vector.String},
+		vector.Field{Name: "fw", Type: vector.Int64},
+	)}
+	for r, rows := 0, 90+g.intn(60); r < rows; r++ {
+		sf.Rows = append(sf.Rows, []vector.Value{
+			vector.IntValue(int64(g.intn(starDimKeys))),
+			g.maybeNull(0.1, vector.IntValue(int64(g.intn(starDimKeys+4)))),
+			g.maybeNull(0.1, vector.IntValue(int64(g.intn(50)))),
+			g.maybeNull(0.1, g.dyadic()),
+			g.maybeNull(0.1, vector.StringValue(stringPool[g.intn(3)])),
+			vector.IntValue(int64(g.intn(40))),
+		})
+	}
+	sd := &GenTable{Full: "ds.sd", PartitionCol: "dp", Schema: vector.NewSchema(
+		vector.Field{Name: "dp", Type: vector.String},
+		vector.Field{Name: "dk", Type: vector.Int64},
+		vector.Field{Name: "dr", Type: vector.Int64},
+		vector.Field{Name: "dg", Type: vector.String},
+		vector.Field{Name: "dw", Type: vector.Int64},
+	)}
+	for _, k := range g.perm(starDimKeys) {
+		sd.Rows = append(sd.Rows, []vector.Value{
+			vector.StringValue(partitionPool[0]),
+			vector.IntValue(int64(k)), vector.IntValue(int64(k % 3)),
+			vector.StringValue(stringPool[g.intn(4)]),
+			vector.IntValue(int64(g.intn(20))),
+		})
+	}
+	return []*GenTable{sf, sd}
+}
+
+// StarQueries returns the star family over StarTables' pair: the
+// statement shapes by which the join and the grouping choose a kernel
+// — an N:1 join on the unique key grouped by a dimension column, the
+// same with a filter on the dimension so fact rows miss, its LEFT JOIN
+// forms (all matching, and with NULL and out-of-range keys), a join on
+// the repeating key, GROUP BY on a dictionary-encoded string, on a
+// plain integer and on two keys, and a projection through the join (the
+// fact columns pass through it). probe, when non-nil, is a further fact table: its
+// first INT64 column is joined to the unique key too (the trial's
+// managed table, which DML rewrites and row policies filter).
+func (g *Gen) StarQueries(probe *GenTable) []GenQuery {
+	var out []GenQuery
+	add := func(ordered bool, format string, args ...any) {
+		out = append(out, GenQuery{SQL: fmt.Sprintf(format, args...), Ordered: ordered})
+	}
+	const grouped = "SELECT gb.dg AS g, COUNT(*) AS n, SUM(ga.fv) AS sv, SUM(ga.ff) AS sx, AVG(ga.fv) AS av FROM ds.sf AS ga %s ds.sd AS gb ON ga.%s = gb.%s%s GROUP BY gb.dg ORDER BY g, n, sv, sx, av"
+	add(true, grouped, "JOIN", "fa", "dk", "")
+	add(true, grouped, "JOIN", "fa", "dk", fmt.Sprintf(" WHERE gb.dw < %d", 5+g.intn(10)))
+	add(true, grouped, "LEFT JOIN", "fa", "dk", "")
+	add(true, grouped, "LEFT JOIN", "fb", "dk", "")
+	add(true, grouped, "JOIN", "fb", "dk", fmt.Sprintf(" WHERE ga.fv >= %d", g.intn(25)))
+	add(true, grouped, "JOIN", "fa", "dr", "")
+	add(true, grouped, "LEFT JOIN", "fb", "dr", "")
+	add(true, "SELECT fs AS g, COUNT(*) AS n, SUM(fv) AS sv, MIN(ff) AS mn, MAX(fs) AS mx FROM ds.sf GROUP BY fs ORDER BY g, n, sv, mn, mx")
+	add(true, "SELECT fw AS g, COUNT(*) AS n, SUM(fv) AS sv FROM ds.sf WHERE fv >= %d GROUP BY fw ORDER BY g, n, sv", g.intn(25))
+	add(true, "SELECT fs AS g, fa AS h, COUNT(*) AS n, SUM(ff) AS sx FROM ds.sf GROUP BY fs, fa ORDER BY g, h, n, sx")
+	add(false, "SELECT ga.fv, ga.ff, ga.fs, gb.dg FROM ds.sf AS ga JOIN ds.sd AS gb ON ga.fa = gb.dk")
+	add(false, "SELECT ga.fv, ga.fs, gb.dg, gb.dw FROM ds.sf AS ga LEFT JOIN ds.sd AS gb ON ga.fb = gb.dk WHERE ga.fw < %d", 10+g.intn(25))
+	if probe != nil {
+		if ints := colsOfType(probe, vector.Int64); len(ints) > 1 {
+			add(true, "SELECT gb.dg AS g, COUNT(*) AS n, SUM(ga.%s) AS sv FROM %s AS ga JOIN ds.sd AS gb ON ga.%s = gb.dk GROUP BY gb.dg ORDER BY g, n, sv",
+				ints[1], probe.Full, ints[0])
+		}
+	}
+	return out
+}
+
 // GenPolicy is the governance a trial puts on one table for the
 // restricted principal: a row policy, and — where set — a column the
 // principal sees masked and one it may not read.

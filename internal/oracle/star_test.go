@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"biglake/internal/engine"
+	"biglake/internal/obs"
 	"biglake/internal/serve"
 	"biglake/internal/vector"
 )
@@ -134,4 +135,59 @@ func TestDifferentialStarBattery(t *testing.T) {
 	}
 	t.Logf("ok: %d queries x %d cells x 2 phases = %d executions, %d accepted fault errors",
 		len(starBattery), len(Matrix()), rep.Executions, rep.FaultErrors)
+}
+
+// TestStarFamilyReachesKernels keeps the generated star family honest:
+// the reference must answer every statement (runMatrix accepts one both
+// sides reject), and between them the statements must reach each join
+// strategy, the pass-through and each grouping kernel — the data picks
+// the kernel, so a family that stopped reaching one would stop testing
+// it without a sound.
+func TestStarFamilyReachesKernels(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		w, err := newWorld()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := &harness{
+			w: w, db: NewDB(), seed: seed, rep: &Report{}, logf: t.Logf,
+			sessions: map[*engine.Engine]*serve.Session{},
+		}
+		tables := NewGen(seed).Tables()
+		stars := NewGen(seed ^ 0x57A257A2)
+		if err := h.install(append(tables, stars.StarTables()...)); err != nil {
+			t.Fatal(err)
+		}
+		eng := h.engineFor(defaultCell())
+		seen := map[string]bool{}
+		for i, q := range stars.StarQueries(tables[len(tables)-1]) {
+			if _, err := h.db.ExecSQL(q.SQL); err != nil {
+				t.Fatalf("seed %d: oracle rejects %q: %v", seed, q.SQL, err)
+			}
+			_, prof, err := eng.ExplainAnalyze(engine.NewContext(diffAdmin, fmt.Sprintf("star-%d-%d", seed, i)), q.SQL)
+			if err != nil {
+				t.Fatalf("seed %d: %q: %v", seed, q.SQL, err)
+			}
+			var walk func(n *obs.ProfileNode)
+			walk = func(n *obs.ProfileNode) {
+				for _, key := range []string{"strategy", "grouping"} {
+					if v := n.Attrs[key]; v != "" {
+						seen[key+"="+v] = true
+					}
+				}
+				if v := n.Attrs["passthrough_cols"]; v != "" && v != "0" {
+					seen["passthrough"] = true
+				}
+				for _, c := range n.Children {
+					walk(c)
+				}
+			}
+			walk(prof.Root)
+		}
+		for _, want := range []string{"strategy=n1", "strategy=general", "passthrough", "grouping=dict", "grouping=int64", "grouping=hash"} {
+			if !seen[want] {
+				t.Errorf("seed %d: no star-family statement reached %s (reached %v)", seed, want, seen)
+			}
+		}
+	}
 }

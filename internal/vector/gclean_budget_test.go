@@ -25,7 +25,9 @@ const (
 	budgetGather         = 2
 	budgetGatherNull     = 2
 	budgetHashJoin       = 12 // partition headers + result assembly
+	budgetHashJoinN1     = 0  // typed N:1 join, one worker: table, match slots and output all arena
 	budgetGroupKeys      = 9  // per-worker table headers + Grouping
+	budgetGroupKeysDict  = 0  // dictionary-code grouping: closure-free, all arena
 	budgetGroupAggregate = 14 // per-spec partial structs + Value rows
 	budgetMinMax         = 0
 	budgetTruthMask      = 0 // nothing beyond the (arena) mask
@@ -45,6 +47,7 @@ type warmKernelWorld struct {
 	lean Mem
 	b    *Batch
 	jb   *Batch
+	dim  *Batch // one row per value of b's c0: an N:1 build side
 	idx  []int
 	jidx []int32
 	keys []*Column
@@ -89,6 +92,11 @@ func newWarmKernelWorld() *warmKernelWorld {
 	n := MorselRows + 777
 	w.b = budgetBatch(r, n)
 	w.jb = budgetBatch(r, n/2)
+	dimKeys := make([]int64, 12)
+	for i := range dimKeys {
+		dimKeys[i] = int64(i)
+	}
+	w.dim = MustBatch(NewSchema(Field{Name: "c0", Type: Int64}), []*Column{NewInt64Column(dimKeys)})
 	ri := sim.NewRNG(43)
 	w.idx = make([]int, n)
 	for i := range w.idx {
@@ -146,13 +154,24 @@ func TestGCLeanAllocBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	measureKernel(t, w, "HashJoinWith/n:1", budgetHashJoinN1, func(m Mem) {
+		if res, err := HashJoinWith(m, w.b, w.dim, []int{0}, []int{0}, InnerJoin, 1); err != nil || !res.intKey || !res.LeftIdentity {
+			t.Fatalf("N:1 join took another path: %+v, %v", res, err)
+		}
+	})
+	measureKernel(t, w, "GroupKeysWith/dict", budgetGroupKeysDict, func(m Mem) {
+		if g := GroupKeysWith(m, w.keys[:1], w.b.N, 1); g.Strategy != GroupDict {
+			t.Fatalf("dictionary grouping took the %v path", g.Strategy)
+		}
+	})
 	var gr Grouping
 	measureKernel(t, w, "GroupKeysWith", budgetGroupKeys, func(m Mem) {
 		gr = GroupKeysWith(m, w.keys, w.b.N, 1)
 	})
+	ids := append([]int32(nil), gr.IDs...) // the measurements below recycle the arena gr came from
 	specs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: w.b.Cols[0]}, {Kind: AggMin, Col: w.b.Cols[2]}}
 	measureKernel(t, w, "GroupAggregateWith", budgetGroupAggregate, func(m Mem) {
-		GroupAggregateWith(m, gr.IDs, gr.NumGroups, specs, 1)
+		GroupAggregateWith(m, ids, gr.NumGroups, specs, 1)
 	})
 
 	// The typed kernels that took the boxed per-row loops' place.

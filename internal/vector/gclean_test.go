@@ -170,11 +170,7 @@ func TestGCLeanKernelParity(t *testing.T) {
 			a1 := GroupAggregateWith(heap, gr1.IDs, gr1.NumGroups, specs1, workers)
 			a2 := GroupAggregateWith(lean, gr2.IDs, gr2.NumGroups, specs2, workers)
 			for si := range a1 {
-				for g := range a1[si] {
-					if !a1[si][g].Equal(a2[si][g]) {
-						t.Fatalf("agg spec %d group %d: %s vs %s", si, g, a1[si][g], a2[si][g])
-					}
-				}
+				sameValues(t, fmt.Sprintf("agg spec %d", si), a1[si], a2[si])
 			}
 
 			ar.Release()

@@ -20,12 +20,41 @@ package vector
 // form one group).
 var nullKeyHash = mix64(^uint64(0))
 
+// GroupStrategy names the kernel that computed a Grouping. The shape of
+// the key selects it, never an option, and every strategy returns the
+// same IDs and Rep.
+type GroupStrategy uint8
+
+// Group strategies.
+const (
+	// GroupHash is the general kernel: any number of keys of any type
+	// and encoding, hashed per row.
+	GroupHash GroupStrategy = iota
+	// GroupDict groups one dictionary-encoded key by its codes: the
+	// dictionary's entries are grouped, the rows only mapped.
+	GroupDict
+	// GroupInt64 groups one plain non-null Int64/Timestamp key with the
+	// hash inline and the values compared directly.
+	GroupInt64
+)
+
+func (s GroupStrategy) String() string {
+	switch s {
+	case GroupDict:
+		return "dict"
+	case GroupInt64:
+		return "int64"
+	}
+	return "hash"
+}
+
 // Grouping is the outcome of GroupKeys: a dense group ID per row plus
 // one representative row per group, both in first-encounter order.
 type Grouping struct {
 	NumGroups int
 	IDs       []int32 // len == n; IDs[i] is row i's group
 	Rep       []int32 // len == NumGroups; first row of each group (-1 if none)
+	Strategy  GroupStrategy
 }
 
 // groupHashRange fills hashes[lo:hi] for grouping: like hashKeyRange
@@ -78,12 +107,20 @@ func GroupKeys(keys []*Column, n, workers int) Grouping {
 // hash+key comparison makes the table size invisible in results.
 const localTableSize = 8192
 
-// GroupKeysWith is GroupKeys with an explicit memory policy. The
-// per-morsel map[uint64][]int32 tables of the original implementation
-// are replaced by reusable per-worker open-addressing tables and flat
-// representative buffers — zero steady-state allocation — while
-// producing the identical grouping (global first-encounter order,
-// merged sequentially in morsel order).
+// dictGroupFactor is how many rows per dictionary entry make grouping a
+// Dict key by its codes the cheaper plan: below it the dictionary is
+// not much smaller than the column and hashing the rows costs the same.
+const dictGroupFactor = 4
+
+// GroupKeysWith is GroupKeys with an explicit memory policy: reusable
+// per-worker open-addressing tables and flat representative buffers
+// from m's allocator. Three kernels produce the one result (global
+// first-encounter order): a single Dict key whose dictionary fits a
+// morsel and is much smaller than n groups its dictionary entries and
+// maps the rows' codes (groupDict); a single plain non-null integer key
+// hashes inline and compares values (groupInts); everything else —
+// several keys, NULL-bearing, float, string, RLE — hashes each row
+// once and compares through keyAccess.
 func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
 	if workers < 1 {
 		workers = 1
@@ -99,6 +136,14 @@ func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
 	if n == 0 {
 		return Grouping{}
 	}
+	if len(keys) == 1 {
+		switch c := keys[0]; {
+		case c.Enc == Dict && c.dictLen() <= MorselRows && c.dictLen()*dictGroupFactor <= n:
+			return groupDict(al, c, n)
+		case plainIntKey(c):
+			return groupInts(al, c.Ints, workers)
+		}
+	}
 	ka := make([]keyAccess, len(keys))
 	for i, c := range keys {
 		ka[i] = newKeyAccess(al, c)
@@ -109,124 +154,254 @@ func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
 		groupHashRange(ka, hashes, lo, hi)
 	})
 
-	mc := morselCount(n)
-	nw := workers
-	if nw > mc {
-		nw = mc
-	}
+	// Per-morsel local grouping (parallel), then a sequential merge in
+	// morsel order: global group IDs come out in global first-encounter
+	// order regardless of worker count. The global table is
+	// open-addressing too, sized for half load.
 	ids := al.Int32s(n)
-
-	// Per-morsel local grouping (parallel): local IDs in local
-	// first-encounter order written straight into ids, representatives
-	// appended to a flat per-worker buffer. tabs hold the local row of
-	// each occupied slot's representative relative to the morsel's
-	// base; touched lists make the reset between morsels O(groups).
-	tabs := make([][]int32, nw)
-	touch := make([][]int32, nw)
-	repBufs := make([][]int32, nw)
-	repWorker := al.Int32s(mc)
-	repOff := al.Int32s(mc)
-	repLen := al.Int32s(mc)
-	forMorsels(n, nw, func(w, mor, lo, hi int) {
-		tab := tabs[w]
-		if tab == nil {
-			tab = al.Int32s(localTableSize)
-			for i := range tab {
-				tab[i] = -1
-			}
-			tabs[w] = tab
+	lg := newLocalGroups(al, n, workers)
+	tabs := make([][]int32, lg.workers)
+	forMorsels(n, lg.workers, func(w, mor, lo, hi int) {
+		if tabs[w] == nil {
+			tabs[w] = emptyTable(al, localTableSize)
 		}
-		tb := touch[w][:0]
-		rb := repBufs[w]
-		base := int32(len(rb))
+		base := len(lg.reps[w])
+		lg.touch[w], lg.reps[w] = groupMorsel(al, ka, hashes, ids, tabs[w], lg.touch[w], lg.reps[w], lo, hi)
+		lg.record(w, mor, base)
+	})
+
+	local, gtab, repArr, trans := lg.mergeBuffers(al)
+	gmask := len(gtab) - 1
+	nGroups := 0
+	for t, r := range local {
+		h := hashes[r]
+		slot := int(h) & gmask
+		for {
+			cand := gtab[slot]
+			if cand < 0 {
+				repArr[nGroups] = r
+				gtab[slot] = int32(nGroups)
+				trans[t] = int32(nGroups)
+				nGroups++
+				break
+			}
+			if gr := repArr[cand]; hashes[gr] == h && groupKeysEq(ka, int(r), int(gr)) {
+				trans[t] = cand
+				break
+			}
+			slot = (slot + 1) & gmask
+		}
+	}
+	lg.translate(ids, trans)
+	return Grouping{NumGroups: nGroups, IDs: ids, Rep: repArr[:nGroups]}
+}
+
+// emptyTable returns an open-addressing table of size slots, all free.
+func emptyTable(al Alloc, size int) []int32 {
+	tab := al.Int32s(size)
+	for i := range tab {
+		tab[i] = -1
+	}
+	return tab
+}
+
+// groupMorsel gives rows [lo, hi) local group IDs in first-encounter
+// order, counted from the morsel's first group: ids[i] is written in
+// place and each new group's first row is appended to rb. tab holds,
+// per occupied slot, the local ID of the group there; it must be all
+// free on entry and is freed again before returning, in O(groups)
+// through the touched-slot list tb.
+func groupMorsel(al Alloc, ka []keyAccess, hashes []uint64, ids, tab, tb, rb []int32, lo, hi int) (touched, reps []int32) {
+	tb = tb[:0]
+	base := int32(len(rb))
+	for i := lo; i < hi; i++ {
+		h := hashes[i]
+		slot := int(h & (localTableSize - 1))
+		var id int32
+		for {
+			cand := tab[slot]
+			if cand < 0 {
+				id = int32(len(rb)) - base
+				rb = appendI32(al, rb, int32(i))
+				tab[slot] = id
+				tb = appendI32(al, tb, int32(slot))
+				break
+			}
+			rep := rb[base+cand]
+			if hashes[rep] == h && groupKeysEq(ka, i, int(rep)) {
+				id = cand
+				break
+			}
+			slot = (slot + 1) & (localTableSize - 1)
+		}
+		ids[i] = id
+	}
+	for _, s := range tb {
+		tab[s] = -1
+	}
+	return tb, rb
+}
+
+// localGroups is the bookkeeping both morsel-parallel grouping kernels
+// share: where each morsel's local representatives landed in its
+// worker's flat buffer, so the merge can replay them in morsel order
+// and the translation can find each morsel's slice of the local-to-
+// global table.
+type localGroups struct {
+	n, workers  int
+	reps, touch [][]int32 // per worker
+	worker      []int32   // per morsel: which worker ran it
+	off, cnt    []int32   // per morsel: its reps in reps[worker]
+	base        []int32   // per morsel: its first slot in the local-to-global table
+}
+
+func newLocalGroups(al Alloc, n, workers int) *localGroups {
+	mc := morselCount(n)
+	if workers > mc {
+		workers = mc
+	}
+	return &localGroups{
+		n: n, workers: workers,
+		reps: make([][]int32, workers), touch: make([][]int32, workers),
+		worker: al.Int32s(mc), off: al.Int32s(mc), cnt: al.Int32s(mc), base: al.Int32s(mc),
+	}
+}
+
+// record notes that worker w's buffer holds morsel mor's groups from
+// off on.
+func (lg *localGroups) record(w, mor, off int) {
+	lg.worker[mor], lg.off[mor], lg.cnt[mor] = int32(w), int32(off), int32(len(lg.reps[w])-off)
+}
+
+// mergeBuffers returns what the sequential merge works on: local, the
+// first row of every local group in morsel order then local
+// first-encounter order; a free global table at half load; the global
+// representative array; and trans, indexed like local, for the merge to
+// fill with each local group's global ID.
+func (lg *localGroups) mergeBuffers(al Alloc) (local, gtab, repArr, trans []int32) {
+	total := 0
+	for mor := range lg.cnt {
+		lg.base[mor] = int32(total)
+		total += int(lg.cnt[mor])
+	}
+	local = al.Int32s(total)
+	for mor := range lg.cnt {
+		copy(local[lg.base[mor]:], lg.reps[lg.worker[mor]][lg.off[mor]:lg.off[mor]+lg.cnt[mor]])
+	}
+	size := 8
+	for size < 2*total {
+		size <<= 1
+	}
+	return local, emptyTable(al, size), al.Int32s(total), al.Int32s(total)
+}
+
+// translate rewrites the morsel-local IDs in ids to global ones.
+func (lg *localGroups) translate(ids, trans []int32) {
+	forMorsels(lg.n, lg.workers, func(_, mor, lo, hi int) {
+		b := int(lg.base[mor])
 		for i := lo; i < hi; i++ {
-			h := hashes[i]
-			slot := int(h & (localTableSize - 1))
-			var id int32
-			for {
-				cand := tab[slot]
-				if cand < 0 {
-					id = int32(len(rb)) - base
-					rb = appendI32(al, rb, int32(i))
-					tab[slot] = id
-					tb = appendI32(al, tb, int32(slot))
-					break
-				}
-				rep := rb[base+cand]
-				if hashes[rep] == h && groupKeysEq(ka, i, int(rep)) {
-					id = cand
-					break
-				}
+			ids[i] = trans[b+int(ids[i])]
+		}
+	})
+}
+
+// groupInts is GroupKeysWith for one plain non-null integer key. Same
+// plan as the general kernel — local tables per morsel, sequential
+// merge in morsel order, parallel translation — with the value itself
+// in the table beside the group ID: no hash array, no keyAccess.
+func groupInts(al Alloc, vals []int64, workers int) Grouping {
+	n := len(vals)
+	ids := al.Int32s(n)
+	lg := newLocalGroups(al, n, workers)
+	tabs := make([][]int32, lg.workers)
+	tabKeys := make([][]int64, lg.workers)
+	forMorsels(n, lg.workers, func(w, mor, lo, hi int) {
+		if tabs[w] == nil {
+			tabs[w], tabKeys[w] = emptyTable(al, localTableSize), al.Int64s(localTableSize)
+		}
+		tab, tabKey, tb, rb := tabs[w], tabKeys[w], lg.touch[w][:0], lg.reps[w]
+		base := len(rb)
+		for i := lo; i < hi; i++ {
+			v := vals[i]
+			slot := int(intSlot(v) & (localTableSize - 1))
+			for tab[slot] >= 0 && tabKey[slot] != v {
 				slot = (slot + 1) & (localTableSize - 1)
+			}
+			id := tab[slot]
+			if id < 0 {
+				id = int32(len(rb) - base)
+				rb = appendI32(al, rb, int32(i))
+				tab[slot], tabKey[slot] = id, v
+				tb = appendI32(al, tb, int32(slot))
 			}
 			ids[i] = id
 		}
 		for _, s := range tb {
 			tab[s] = -1
 		}
-		repBufs[w] = rb
-		touch[w] = tb[:0]
-		repWorker[mor], repOff[mor], repLen[mor] = int32(w), base, int32(len(rb))-base
+		lg.touch[w], lg.reps[w] = tb, rb
+		lg.record(w, mor, base)
 	})
 
-	// Sequential merge in morsel order: global group IDs come out in
-	// global first-encounter order regardless of worker count. The
-	// global table is open-addressing too, sized for half load.
-	totalReps := 0
-	for m2 := 0; m2 < mc; m2++ {
-		totalReps += int(repLen[m2])
-	}
-	gsize := 8
-	for gsize < 2*totalReps {
-		gsize <<= 1
-	}
-	gtab := al.Int32s(gsize)
-	for i := range gtab {
-		gtab[i] = -1
-	}
-	gmask := gsize - 1
-	repArr := al.Int32s(totalReps)
-	trans := al.Int32s(totalReps)
-	tBase := al.Int32s(mc)
+	local, gtab, repArr, trans := lg.mergeBuffers(al)
+	gmask := uint64(len(gtab) - 1)
 	nGroups := 0
-	tb := 0
-	for m2 := 0; m2 < mc; m2++ {
-		tBase[m2] = int32(tb)
-		rb := repBufs[repWorker[m2]]
-		for li := 0; li < int(repLen[m2]); li++ {
-			r := rb[int(repOff[m2])+li]
-			h := hashes[r]
-			slot := int(h) & gmask
-			var gid int32
-			for {
-				cand := gtab[slot]
-				if cand < 0 {
-					gid = int32(nGroups)
-					repArr[nGroups] = r
-					nGroups++
-					gtab[slot] = gid
-					break
-				}
-				gr := repArr[cand]
-				if hashes[gr] == h && groupKeysEq(ka, int(r), int(gr)) {
-					gid = cand
-					break
-				}
-				slot = (slot + 1) & gmask
-			}
-			trans[tb+li] = gid
+	for t, r := range local {
+		v := vals[r]
+		slot := intSlot(v) & gmask
+		for gtab[slot] >= 0 && vals[repArr[gtab[slot]]] != v {
+			slot = (slot + 1) & gmask
 		}
-		tb += int(repLen[m2])
+		if gtab[slot] < 0 {
+			repArr[nGroups] = r
+			gtab[slot] = int32(nGroups)
+			nGroups++
+		}
+		trans[t] = gtab[slot]
 	}
+	lg.translate(ids, trans)
+	return Grouping{NumGroups: nGroups, IDs: ids, Rep: repArr[:nGroups], Strategy: GroupInt64}
+}
 
-	// Parallel translation of local IDs to global IDs.
-	forMorsels(n, nw, func(_, mor, lo, hi int) {
-		b := int(tBase[mor])
-		for i := lo; i < hi; i++ {
-			ids[i] = trans[b+int(ids[i])]
+// groupDict is GroupKeysWith for one Dict key with few dictionary
+// entries. The entries are grouped by the general kernel's morsel loop
+// (so duplicate entries, NaNs and ±0.0 fall into the classes key
+// identity gives them); a row's group is then its code's class, NULL
+// being a class of its own, numbered in first-encounter row order in
+// one sequential pass that touches no value. Closure-free: it
+// allocates nothing outside al.
+func groupDict(al Alloc, c *Column, n int) Grouping {
+	d := c.dictLen()
+	entries := Column{Type: c.Type, Len: d, Enc: Plain, Ints: c.Ints, Floats: c.Floats, Bools: c.Bools, Strs: c.Strs}
+	ka := [1]keyAccess{{c: &entries}}
+	hashes := al.Uint64s(d)
+	groupHashRange(ka[:], hashes, 0, d)
+	class := al.Int32s(d + 1) // class[code]; one morsel, so local IDs are the classes
+	_, classRep := groupMorsel(al, ka[:], hashes, class, emptyTable(al, localTableSize), nil, nil, 0, d)
+	class[d] = int32(len(classRep)) // NULL
+
+	classID := emptyTable(al, len(classRep)+1)
+	codeID := emptyTable(al, d+1)
+	rep := al.Int32s(len(classRep) + 1)
+	ids := al.Int32s(n)
+	nGroups := 0
+	for i, code := range c.Codes[:n] {
+		if code == NullIdx {
+			code = uint32(d)
 		}
-	})
-	return Grouping{NumGroups: nGroups, IDs: ids, Rep: repArr[:nGroups]}
+		id := codeID[code]
+		if id < 0 { // first row with this code
+			if id = classID[class[code]]; id < 0 {
+				id = int32(nGroups)
+				classID[class[code]] = id
+				rep[nGroups] = int32(i)
+				nGroups++
+			}
+			codeID[code] = id
+		}
+		ids[i] = id
+	}
+	return Grouping{NumGroups: nGroups, IDs: ids, Rep: rep[:nGroups], Strategy: GroupDict}
 }
 
 // AggSpec describes one grouped aggregate: Kind applied to Col. A nil
@@ -466,63 +641,70 @@ func copyAcc(dst, src *aggPartial, t Type, g int) {
 	}
 }
 
-// finishSpec materializes the per-group result Values of one spec,
-// matching the row-at-a-time semantics: COUNT is never NULL; SUM and
-// MIN/MAX over zero non-null rows are NULL; integer-family SUM yields
-// Int64 (even for Timestamp inputs); MIN/MAX keep the column's type.
-func finishSpec(p *aggPartial, sp AggSpec, out []Value) {
+// finishSpec turns one spec's merged accumulators into its result
+// column, one row per group, matching the row-at-a-time semantics:
+// COUNT is never NULL; SUM and MIN/MAX over zero non-null rows are
+// NULL; integer-family SUM yields Int64 (even for Timestamp inputs);
+// MIN/MAX keep the column's type. The column takes the accumulator
+// arrays as they are — a group that folded nothing left its zero
+// value there, which is what a NULL row of a plain column holds.
+func finishSpec(m Mem, p *aggPartial, sp AggSpec, numGroups int) *Column {
+	out := &Column{Type: Int64, Len: numGroups, Enc: Plain, Pooled: m.Pooled()}
+	markNull := func(g int) {
+		if out.Nulls == nil {
+			out.Nulls = m.Allocator().Bools(numGroups)
+		}
+		out.Nulls[g] = true
+	}
 	switch sp.Kind {
 	case AggCount:
-		for g := range out {
-			out[g] = IntValue(p.cnt[g])
-		}
+		out.Ints = p.cnt
 	case AggSum:
-		for g := range out {
-			if p.cnt[g] == 0 {
-				out[g] = NullValue
-			} else if p.sumF != nil {
-				out[g] = FloatValue(p.sumF[g])
-			} else {
-				out[g] = IntValue(p.sumI[g])
+		if p.sumF != nil {
+			out.Type, out.Floats = Float64, p.sumF
+		} else {
+			out.Ints = p.sumI
+		}
+		for g, c := range p.cnt {
+			if c == 0 {
+				markNull(g)
 			}
 		}
 	case AggMin, AggMax:
-		for g := range out {
-			if !p.set[g] {
-				out[g] = NullValue
-				continue
-			}
-			switch sp.Col.Type {
-			case Int64:
-				out[g] = IntValue(p.accI[g])
-			case Timestamp:
-				out[g] = TimestampValue(p.accI[g])
-			case Float64:
-				out[g] = FloatValue(p.accF[g])
-			case Bool:
-				out[g] = BoolValue(p.accB[g])
-			case String:
-				out[g] = StringValue(p.accS[g])
-			default:
-				out[g] = Value{Type: Bytes, S: p.accS[g]}
+		out.Type = sp.Col.Type
+		out.Ints, out.Floats, out.Bools, out.Strs = p.accI, p.accF, p.accB, p.accS
+		for g, set := range p.set {
+			if !set {
+				markNull(g)
 			}
 		}
 	}
+	return out
 }
 
 // GroupAggregate computes the given aggregates per group and returns
-// results[spec][group]. ids and numGroups come from GroupKeys;
+// results[spec][group], boxed. ids and numGroups come from GroupKeys;
 // workers bounds the morsel-parallel fan-out. Associative folds
 // (COUNT, integer SUM, tie-broken MIN/MAX) run morsel-parallel with
 // per-worker partials; Float64 SUM/MIN/MAX fold sequentially in row
 // order so float results stay bit-identical to the sequential path.
 func GroupAggregate(ids []int32, numGroups int, specs []AggSpec, workers int) [][]Value {
-	return GroupAggregateWith(Mem{}, ids, numGroups, specs, workers)
+	cols := GroupAggregateWith(Mem{}, ids, numGroups, specs, workers)
+	out := make([][]Value, len(specs))
+	flat := make([]Value, len(specs)*numGroups)
+	for s, c := range cols {
+		out[s] = flat[s*numGroups : (s+1)*numGroups]
+		for g := range out[s] {
+			out[s][g] = c.Value(g)
+		}
+	}
+	return out
 }
 
-// GroupAggregateWith is GroupAggregate taking accumulator arrays (and
-// dictionary hash caches) from m's allocator.
-func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, workers int) [][]Value {
+// GroupAggregateWith is GroupAggregate without the boxing: one typed
+// plain column of numGroups rows per spec, accumulator and output
+// arrays (they are the same arrays) from m's allocator.
+func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, workers int) []*Column {
 	if workers < 1 {
 		workers = 1
 	}
@@ -560,10 +742,7 @@ func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, work
 		}
 	})
 
-	// Result rows for all specs share one flat backing array — the
-	// group count is known, so per-spec appends would only fragment.
-	out := make([][]Value, len(specs))
-	flat := make([]Value, len(specs)*numGroups)
+	out := make([]*Column, len(specs))
 	for s, sp := range specs {
 		var merged *aggPartial
 		if sequentialSpec(sp) {
@@ -575,8 +754,7 @@ func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, work
 				mergePartial(merged, partials[w][s], sp, numGroups)
 			}
 		}
-		out[s] = flat[s*numGroups : (s+1)*numGroups]
-		finishSpec(merged, sp, out[s])
+		out[s] = finishSpec(m, merged, sp, numGroups)
 	}
 	return out
 }

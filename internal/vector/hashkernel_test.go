@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"biglake/internal/sim"
 )
 
 // refKey renders the historical string join/group key for a row:
@@ -420,6 +422,219 @@ func TestHeadAndGatherNull(t *testing.T) {
 		for i, wv := range want {
 			if !g.Value(i).Equal(wv) {
 				t.Fatalf("GatherNullWith(%v) row %d: %v != %v", c.Enc, i, g.Value(i), wv)
+			}
+		}
+	}
+}
+
+// sweepKey is key number j of a type's domain. The float domain opens
+// with NaN and both zeros: every NaN is one key, the zeros are two.
+func sweepKey(t Type, j int) Value {
+	switch t {
+	case Int64:
+		return IntValue(int64(j)*7 - 20)
+	case Timestamp:
+		return TimestampValue(int64(j) * 1_000_003)
+	case Float64:
+		switch j {
+		case 0:
+			return FloatValue(math.NaN())
+		case 1:
+			return FloatValue(0)
+		case 2:
+			return FloatValue(math.Copysign(0, -1))
+		}
+		return FloatValue(float64(j) / 4)
+	default:
+		return StringValue(fmt.Sprintf("key-%d", j))
+	}
+}
+
+// sweepColumn builds a one-column batch of the given key numbers (-1 =
+// NULL) in the given encoding.
+func sweepColumn(t Type, enc Encoding, keys []int) *Batch {
+	bl := NewBuilder(NewSchema(Field{Name: "k", Type: t}))
+	for _, j := range keys {
+		if j < 0 {
+			bl.Append(NullValue)
+		} else {
+			bl.Append(sweepKey(t, j))
+		}
+	}
+	b := bl.Build()
+	switch enc {
+	case Dict:
+		b.Cols[0] = DictEncode(b.Cols[0])
+	case RLE:
+		b.Cols[0] = RLEncode(b.Cols[0])
+	}
+	return b
+}
+
+// joinShape is one point of the sweep's data dimensions.
+type joinShape struct {
+	name            string
+	rows, build     int     // probe rows, distinct build keys
+	dup, null, miss float64 // build rows repeating a key; NULL keys on both sides; probe rows with no build key
+}
+
+// TestJoinGroupPathParity sweeps {rows, build cardinality, duplicate
+// rate, NULL rate, miss rate} x {Plain, Dict, RLE} x {Int64, Timestamp,
+// Float64, String} x {inner, left outer} x workers against refJoin and
+// refGroup, and fails if the inputs stopped reaching any of the kernels'
+// paths: which one runs is chosen by the data, so a sweep that no longer
+// reaches one no longer tests it.
+func TestJoinGroupPathParity(t *testing.T) {
+	two, three := MorselRows+133, 2*MorselRows+77 // morsels
+	shapes := []joinShape{
+		{name: "one build row", rows: 40, build: 1},
+		{name: "n:1 all match", rows: two, build: 64},
+		{name: "n:1 some miss", rows: three, build: 1000, miss: 0.25},
+		{name: "n:1 nulls", rows: two, build: 300, null: 0.05, miss: 0.1},
+		{name: "duplicate build keys", rows: three, build: 200, dup: 0.3, miss: 0.1},
+		{name: "duplicates and nulls", rows: two, build: 200, dup: 0.3, null: 0.05, miss: 0.5},
+		{name: "every row misses", rows: 500, build: 50, miss: 1},
+	}
+	var joinPaths struct{ n1, n1Int, general, identity, compacted int }
+	groupPaths := map[GroupStrategy]int{}
+	r := sim.NewRNG(22)
+	for _, sh := range shapes {
+		for _, typ := range []Type{Int64, Timestamp, Float64, String} {
+			for _, enc := range []Encoding{Plain, Dict, RLE} {
+				pick := func(j int) int {
+					if r.Float64() < sh.null {
+						return -1
+					}
+					return j
+				}
+				var rk []int
+				for j := 0; j < sh.build; j++ {
+					rk = append(rk, pick(j))
+					if r.Float64() < sh.dup {
+						rk = append(rk, pick(r.Intn(j+1)))
+					}
+				}
+				lk := make([]int, sh.rows)
+				for i := range lk {
+					if r.Float64() < sh.miss {
+						lk[i] = pick(sh.build + r.Intn(8))
+					} else {
+						lk[i] = pick(r.Intn(sh.build))
+					}
+				}
+				left, right := sweepColumn(typ, enc, lk), sweepColumn(typ, enc, rk)
+				what := fmt.Sprintf("%s/%v/%v", sh.name, typ, enc)
+
+				for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
+					want := refJoin(left, right, []int{0}, []int{0}, kind)
+					for _, w := range []int{1, 2, 3, 8} {
+						got, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, kind, w)
+						if err != nil {
+							t.Fatalf("%s workers=%d: %v", what, w, err)
+						}
+						switch {
+						case got.intKey:
+							joinPaths.n1Int++
+						case got.Strategy == JoinN1:
+							joinPaths.n1++
+						default:
+							joinPaths.general++
+						}
+						if got.LeftIdentity {
+							joinPaths.identity++
+							if got.Left != nil || len(got.Right) != left.N {
+								t.Fatalf("%s workers=%d: LeftIdentity with Left=%v, %d pairs for %d rows", what, w, got.Left, len(got.Right), left.N)
+							}
+							got.Left = make([]int32, left.N)
+							for i := range got.Left {
+								got.Left[i] = int32(i)
+							}
+						} else if got.Strategy == JoinN1 {
+							joinPaths.compacted++
+						}
+						if !joinEq(got, want) {
+							t.Fatalf("%s kind=%d workers=%d (%v):\n got %+v\nwant %+v", what, kind, w, got.Strategy, got, want)
+						}
+					}
+				}
+				g := checkGroupAllWorkers(t, []*Column{left.Cols[0]}, left.N)
+				groupPaths[g.Strategy]++
+			}
+		}
+	}
+	t.Logf("join paths %+v, group paths %v", joinPaths, groupPaths)
+	if joinPaths.n1 == 0 || joinPaths.n1Int == 0 || joinPaths.general == 0 || joinPaths.identity == 0 || joinPaths.compacted == 0 {
+		t.Errorf("sweep missed a join path: %+v", joinPaths)
+	}
+	for _, s := range []GroupStrategy{GroupHash, GroupDict, GroupInt64} {
+		if groupPaths[s] == 0 {
+			t.Errorf("sweep never took the %v grouping path: %v", s, groupPaths)
+		}
+	}
+}
+
+// TestDictKeyDuplicateEntries: a dictionary is not a set. Two entries
+// may hold one key (two NaN payloads, or a writer that did not
+// deduplicate) and must land in one group and match one another; -0.0
+// and +0.0 are two keys; the NULL code is a group of its own and matches
+// nothing.
+func TestDictKeyDuplicateEntries(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	if nan2 == nan2 {
+		t.Fatal("second NaN payload is not a NaN")
+	}
+	floats := &Column{Type: Float64, Enc: Dict, Floats: []float64{1.5, math.NaN(), 0, nan2, math.Copysign(0, -1), 1.5}}
+	strs := &Column{Type: String, Enc: Dict, Strs: []string{"a", "b", "a", "c"}}
+	for _, c := range []*Column{floats, strs} {
+		d := c.dictLen()
+		c.Len = 8 * d
+		c.Codes = make([]uint32, c.Len)
+		for i := range c.Codes {
+			c.Codes[i] = uint32((i*5 + i/d) % (d + 1))
+			if c.Codes[i] == uint32(d) {
+				c.Codes[i] = NullIdx
+			}
+		}
+		if g := checkGroupAllWorkers(t, []*Column{c}, c.Len); g.Strategy != GroupDict {
+			t.Fatalf("%v dictionary of %d entries over %d rows grouped by %v, want dict", c.Type, d, c.Len, g.Strategy)
+		}
+		for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
+			checkJoinAllWorkers(t, batchOf(c), batchOf(Head(c, d+2)), []int{0}, []int{0}, kind)
+		}
+	}
+}
+
+// TestN1ProbeConcurrentWriters is the race-detector target for the N:1
+// probe (`make gclean` runs it under -race -count=5): eight workers
+// write match slots, miss counts and compacted ranges of one shared
+// output, and must produce what one worker does — for the typed
+// integer loop and the hashed one, with and without misses.
+func TestN1ProbeConcurrentWriters(t *testing.T) {
+	n := 16*MorselRows + 5
+	for _, typ := range []Type{Int64, String} {
+		for _, miss := range []float64{0, 0.2} {
+			r := sim.NewRNG(7)
+			rk := make([]int, 500)
+			for i := range rk {
+				rk[i] = i
+			}
+			lk := make([]int, n)
+			for i := range lk {
+				lk[i] = r.Intn(len(rk))
+				if r.Float64() < miss {
+					lk[i] += len(rk)
+				}
+			}
+			left, right := sweepColumn(typ, Plain, lk), sweepColumn(typ, Plain, rk)
+			for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
+				want, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, kind, 1)
+				if err != nil || want.Strategy != JoinN1 || want.intKey != (typ == Int64) || want.LeftIdentity != (miss == 0) {
+					t.Fatalf("%v miss=%v: one worker took another path: %+v, %v", typ, miss, want.Strategy, err)
+				}
+				got, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, kind, 8)
+				if err != nil || !joinEq(got, want) || got.LeftIdentity != want.LeftIdentity {
+					t.Fatalf("%v miss=%v kind=%d: eight workers disagree with one (err %v)", typ, miss, kind, err)
+				}
 			}
 		}
 	}

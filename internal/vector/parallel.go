@@ -105,6 +105,27 @@ const (
 	LeftOuterJoin
 )
 
+// JoinStrategy names the probe a join ran. The data selects it, never
+// an option, and every strategy returns the same pairs.
+type JoinStrategy uint8
+
+// Join strategies.
+const (
+	// JoinGeneral is the chained probe: a probe row may match any
+	// number of build rows.
+	JoinGeneral JoinStrategy = iota
+	// JoinN1 is the probe over a build side on which no two rows share
+	// a key: one match slot per probe row, written in place.
+	JoinN1
+)
+
+func (s JoinStrategy) String() string {
+	if s == JoinN1 {
+		return "n1"
+	}
+	return "general"
+}
+
 // JoinResult is the index-pair outcome of a hash join. Matched pairs
 // are ordered by probe (left) row, and for one probe row by build
 // (right) row ascending — exactly the order a sequential
@@ -115,17 +136,33 @@ type JoinResult struct {
 	Left      []int32
 	Right     []int32
 	LeftOuter []int32
+	// LeftIdentity reports that every probe row matched exactly one
+	// build row, so pair i is (i, Right[i]). HashJoinWith then leaves
+	// Left nil rather than materialising 0..n-1: a caller can keep the
+	// probe side's columns as they are.
+	LeftIdentity bool
+	Strategy     JoinStrategy
+	// intKey marks the typed single-key form of JoinN1 (tests assert
+	// each path is reached).
+	intKey bool
 }
 
 // HashJoin executes a typed equi-join between the key columns of two
-// batches and returns matched index pairs. The build side (right) is
-// hash-partitioned and the partition tables are built in parallel; the
-// probe side (left) is split into fixed-size morsels fanned out over
-// the worker pool, with per-morsel outputs concatenated in morsel
-// order so results are deterministic for any worker count. Rows where
-// any key column is NULL never match.
+// batches and returns matched index pairs, Left always materialised.
+// The build side (right) is hash-partitioned and the partition tables
+// are built in parallel; the probe side (left) is split into fixed-size
+// morsels fanned out over the worker pool, with per-morsel outputs
+// placed in morsel order so results are deterministic for any worker
+// count. Rows where any key column is NULL never match.
 func HashJoin(left, right *Batch, leftKeys, rightKeys []int, kind JoinKind, workers int) (JoinResult, error) {
-	return HashJoinWith(Mem{}, left, right, leftKeys, rightKeys, kind, workers)
+	res, err := HashJoinWith(Mem{}, left, right, leftKeys, rightKeys, kind, workers)
+	if res.LeftIdentity {
+		res.Left = make([]int32, len(res.Right))
+		for i := range res.Left {
+			res.Left[i] = int32(i)
+		}
+	}
+	return res, err
 }
 
 // probeSpan records where one probe morsel's output landed inside its
@@ -146,15 +183,27 @@ type probeScratch struct {
 
 // HashJoinWith is HashJoin with an explicit memory policy: hashes,
 // partition scatter, bucket arrays and outputs come from m's
-// allocator, and per-worker scratch buffers replace the old per-morsel
-// append-to-nil slices. The build table is an open chain (head per
-// bucket + shared next array) instead of per-hash map buckets — same
-// candidate set, same order, no map allocation.
+// allocator. The build table is an open chain (head per bucket +
+// shared next array); building it also learns whether any two build
+// rows share a key. When none do (the N:1 shape of a fact-to-dimension
+// join) each probe row has at most one match, so the probe writes one
+// slot per row in place — no per-worker scratch, no stitching — and
+// compacts only if some row missed. A single plain non-null
+// Int64/Timestamp key skips the hash and null arrays too. Duplicate
+// build keys take the general chained probe. All of them return the
+// same JoinResult; only LeftIdentity and Strategy say which ran.
 func HashJoinWith(m Mem, left, right *Batch, leftKeys, rightKeys []int, kind JoinKind, workers int) (JoinResult, error) {
 	if workers < 1 {
 		workers = 1
 	}
 	al := m.Allocator()
+	if len(leftKeys) == 1 && left.N > 0 && right.N > 0 {
+		if lc, rc := left.Cols[leftKeys[0]], right.Cols[rightKeys[0]]; plainIntKey(lc) && plainIntKey(rc) && lc.Type == rc.Type {
+			if out, ok := joinN1Ints(al, lc.Ints, rc.Ints, kind, workers); ok {
+				return out, nil
+			}
+		}
+	}
 	la := make([]keyAccess, len(leftKeys))
 	ra := make([]keyAccess, len(rightKeys))
 	typesMatch := true
@@ -233,9 +282,13 @@ func HashJoinWith(m Mem, left, right *Batch, leftKeys, rightKeys []int, kind Joi
 	// race-free). Rows are inserted in descending order so each
 	// push-front chain reads back ascending — preserving the
 	// "build rows ascending per probe row" contract. Bucket index
-	// uses the hash bits above the partition bits.
+	// uses the hash bits above the partition bits. Equal keys hash to
+	// one partition and one bucket, so walking the chain a row is about
+	// to join finds any earlier row with its key; a partition stops
+	// looking at its first duplicate.
 	next := al.Int32s(right.N)
 	heads := make([][]int32, nPart)
+	dup := al.Bools(nPart)
 	parallelEach(nPart, workers, func(p int) {
 		rows := flat[start[p]:start[p+1]]
 		if len(rows) == 0 {
@@ -245,19 +298,53 @@ func HashJoinWith(m Mem, left, right *Batch, leftKeys, rightKeys []int, kind Joi
 		for size < 2*len(rows) {
 			size <<= 1
 		}
-		h := al.Int32s(size)
-		for i := range h {
-			h[i] = -1
-		}
+		h := emptyTable(al, size)
 		bmask := uint64(size - 1)
+		seen := false
 		for i := len(rows) - 1; i >= 0; i-- {
 			r := rows[i]
 			b := (rh[r] >> partBits) & bmask
+			for c := h[b]; c >= 0 && !seen; c = next[c] {
+				seen = rh[c] == rh[r] && keysEq(ra, int(c), ra, int(r))
+			}
 			next[r] = h[b]
 			h[b] = r
 		}
-		heads[p] = h
+		heads[p], dup[p] = h, seen
 	})
+	unique := true
+	for _, d := range dup {
+		unique = unique && !d
+	}
+
+	if unique {
+		// N:1 probe: the first hit is the only hit.
+		match := al.Int32s(left.N)
+		misses := al.Ints(morselCount(left.N))
+		forMorsels(left.N, workers, func(_, mor, lo, hi int) {
+			miss := 0
+			for l := lo; l < hi; l++ {
+				r := int32(-1)
+				if !lnull[l] {
+					h := lh[l]
+					if hd := heads[h&mask]; hd != nil {
+						for c := hd[(h>>partBits)&uint64(len(hd)-1)]; c >= 0; c = next[c] {
+							if rh[c] == h && keysEq(la, l, ra, int(c)) {
+								r = c
+								break
+							}
+						}
+					}
+				}
+				match[l] = r
+				if r < 0 {
+					miss++
+				}
+			}
+			misses[mor] = miss
+		})
+		return finishN1(al, match, misses, kind, workers), nil
+	}
 
 	// Morsel-parallel probe into per-worker scratch; spans record each
 	// morsel's slice of its worker's buffers for in-order assembly.
@@ -316,4 +403,126 @@ func HashJoinWith(m Mem, left, right *Batch, leftKeys, rightKeys []int, kind Joi
 		oo += int(s.outLen)
 	}
 	return out, nil
+}
+
+// plainIntKey reports whether c is a key the typed kernels read as a
+// bare []int64: plain, integer-family, no NULLs.
+func plainIntKey(c *Column) bool {
+	return c.Enc == Plain && c.Nulls == nil && (c.Type == Int64 || c.Type == Timestamp)
+}
+
+// intSlot is the table hash of the typed integer kernels: the two
+// halves folded, one Fibonacci multiply, the product's upper half
+// (callers mask it to their table). A third the cost of mix64 on the
+// probe's critical path, and consecutive keys — what a dimension's
+// surrogate key is — land almost collision-free. The tables compare
+// values exactly, so a weaker hash can only cost probes, never change a
+// result.
+func intSlot(v int64) uint64 {
+	x := uint64(v)
+	x ^= x >> 32
+	return (x * 0x9e3779b97f4a7c15) >> 32
+}
+
+// joinN1Ints is the N:1 join on one plain non-null integer key: an
+// open-addressing table of build rows keyed by the value itself, the
+// hash computed inline, no hash or null arrays. ok is false when two
+// build rows share a key (the caller takes the general path). The
+// sequential branch exists so that one worker probes closure-free: an
+// all-match join then allocates nothing outside al.
+func joinN1Ints(al Alloc, lv, rv []int64, kind JoinKind, workers int) (JoinResult, bool) {
+	size := 8
+	for size < 2*len(rv) {
+		size <<= 1
+	}
+	tab := emptyTable(al, size)
+	mask := uint64(size - 1)
+	for r, v := range rv {
+		s := intSlot(v) & mask
+		for tab[s] >= 0 {
+			if rv[tab[s]] == v {
+				return JoinResult{}, false
+			}
+			s = (s + 1) & mask
+		}
+		tab[s] = int32(r)
+	}
+
+	n := len(lv)
+	match := al.Int32s(n)
+	mc := morselCount(n)
+	misses := al.Ints(mc)
+	if workers == 1 || mc == 1 {
+		for mor := 0; mor < mc; mor++ {
+			lo, hi := morselBounds(mor, n)
+			misses[mor] = probeInts(tab, rv, lv, match, lo, hi)
+		}
+	} else {
+		forMorsels(n, workers, func(_, mor, lo, hi int) {
+			misses[mor] = probeInts(tab, rv, lv, match, lo, hi)
+		})
+	}
+	out := finishN1(al, match, misses, kind, workers)
+	out.intKey = true
+	return out, true
+}
+
+// probeInts writes match[l] for probe rows [lo, hi) and returns how
+// many of them found no build row.
+func probeInts(tab []int32, rv, lv []int64, match []int32, lo, hi int) int {
+	mask := uint64(len(tab) - 1)
+	miss := 0
+	for l := lo; l < hi; l++ {
+		v := lv[l]
+		s := intSlot(v) & mask
+		r := tab[s]
+		for r >= 0 && rv[r] != v {
+			s = (s + 1) & mask
+			r = tab[s]
+		}
+		match[l] = r
+		if r < 0 {
+			miss++
+		}
+	}
+	return miss
+}
+
+// finishN1 turns the per-row match slots of an N:1 probe into a
+// JoinResult. With no misses match is Right and Left is the identity;
+// otherwise each morsel compacts its hits (and, for a left outer join,
+// its misses) into the range its miss count assigns it, so the layout
+// is a function of the data alone.
+func finishN1(al Alloc, match []int32, misses []int, kind JoinKind, workers int) JoinResult {
+	n := len(match)
+	nMiss := 0
+	for _, c := range misses {
+		nMiss += c
+	}
+	if nMiss == 0 {
+		return JoinResult{Right: match, LeftIdentity: true, Strategy: JoinN1}
+	}
+	out := JoinResult{Left: al.Int32s(n - nMiss), Right: al.Int32s(n - nMiss), Strategy: JoinN1}
+	if kind == LeftOuterJoin {
+		out.LeftOuter = al.Int32s(nMiss)
+	}
+	// misses[mor] becomes the number of misses before morsel mor.
+	before := 0
+	for mor, c := range misses {
+		misses[mor] = before
+		before += c
+	}
+	forMorsels(n, workers, func(_, mor, lo, hi int) {
+		po, oo := lo-misses[mor], misses[mor]
+		for l := lo; l < hi; l++ {
+			if r := match[l]; r >= 0 {
+				out.Left[po], out.Right[po] = int32(l), r
+				po++
+			} else if out.LeftOuter != nil {
+				out.LeftOuter[oo] = int32(l)
+				oo++
+			}
+		}
+	})
+	return out
 }

@@ -166,3 +166,16 @@ func GatherNullWith(m Mem, c *Column, idx []int32) *Column {
 	out.Nulls = nulls
 	return out
 }
+
+// GatherNullColsWith is GatherNullWith over every column of cols into
+// dst[i], the columns fanned out over at most workers goroutines. An
+// index under one morsel is gathered on the calling goroutine: starting
+// one costs more than the copy.
+func GatherNullColsWith(m Mem, dst, cols []*Column, idx []int32, workers int) {
+	if len(idx) < MorselRows {
+		workers = 1
+	}
+	parallelEach(len(cols), workers, func(i int) {
+		dst[i] = GatherNullWith(m, cols[i], idx)
+	})
+}
