@@ -112,39 +112,22 @@ func New(cat *catalog.Catalog, auth *security.Authority, log *bigmeta.Log, clock
 	return m
 }
 
-func (m *Manager) store(cloud string) (*objstore.Store, error) {
-	st, ok := m.Stores[cloud]
-	if !ok {
-		return nil, fmt.Errorf("blmt: no object store for cloud %q", cloud)
-	}
-	return st, nil
-}
-
-func (m *Manager) credFor(t catalog.Table) (objstore.Credential, error) {
-	conn, err := m.Auth.Connection(t.Connection)
-	if err != nil {
-		return objstore.Credential{}, err
-	}
-	return conn.ServiceAccount, nil
-}
-
-func (m *Manager) managedTable(name string) (catalog.Table, *objstore.Store, objstore.Credential, error) {
-	t, err := m.Catalog.Table(name)
+// ManagedTable looks up a table DML may write — Managed or Native —
+// and resolves where its files live and under which credential.
+func ManagedTable(cat *catalog.Catalog, acc scan.Access, name string) (catalog.Table, *objstore.Store, objstore.Credential, error) {
+	t, err := cat.Table(name)
 	if err != nil {
 		return catalog.Table{}, nil, objstore.Credential{}, err
 	}
 	if t.Type != catalog.Managed && t.Type != catalog.Native {
 		return catalog.Table{}, nil, objstore.Credential{}, fmt.Errorf("%w: %s is %v", ErrNotManaged, name, t.Type)
 	}
-	store, err := m.store(t.Cloud)
-	if err != nil {
-		return catalog.Table{}, nil, objstore.Credential{}, err
-	}
-	cred, err := m.credFor(t)
-	if err != nil {
-		return catalog.Table{}, nil, objstore.Credential{}, err
-	}
-	return t, store, cred, nil
+	store, cred, err := acc.Resolve(t)
+	return t, store, cred, err
+}
+
+func (m *Manager) managedTable(name string) (catalog.Table, *objstore.Store, objstore.Credential, error) {
+	return ManagedTable(m.Catalog, scan.Access{Auth: m.Auth, Stores: m.Stores}, name)
 }
 
 // reader is the verified reader rewrites go through: quarantine gate,

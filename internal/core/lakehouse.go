@@ -264,11 +264,11 @@ func (lh *Lakehouse) RefreshMetadataCache(table string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	conn, err := lh.Auth.Connection(t.Connection)
+	store, cred, err := lh.Engine.Planner().Resolve(t)
 	if err != nil {
 		return 0, err
 	}
-	return lh.Meta.Refresh(table, lh.Store, conn.ServiceAccount, t.Bucket, t.Prefix, bigmeta.RefreshOptions{
+	return lh.Meta.Refresh(table, store, cred, t.Bucket, t.Prefix, bigmeta.RefreshOptions{
 		WithFileStats: t.Type != catalog.Object,
 		Background:    true,
 	})

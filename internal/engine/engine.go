@@ -41,9 +41,6 @@ var (
 	ErrNoTxn = errors.New("engine: transaction control requires an interactive transaction session")
 )
 
-// ScanWorkers is the per-scan parallelism of the worker pool.
-const ScanWorkers = 16
-
 // QueryRetryBudget is the total number of object-store retries one
 // query may spend across all its operations; past it, faults surface
 // even if individual operations still have attempts left.
@@ -560,44 +557,4 @@ func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Resul
 		return nil, ErrNoTxn
 	}
 	return nil, fmt.Errorf("%w: statement %T", ErrUnsupported, stmt)
-}
-
-func (e *Engine) store(cloud string) (*objstore.Store, error) {
-	st, ok := e.Stores[cloud]
-	if !ok {
-		return nil, fmt.Errorf("engine: no object store for cloud %q", cloud)
-	}
-	return st, nil
-}
-
-// connectionCred resolves the delegated-access credential for a table
-// (§3.1). Native tables use the engine's managed-storage credential.
-func (e *Engine) connectionCred(t catalog.Table) (objstore.Credential, error) {
-	if t.Type == catalog.Native {
-		return e.ManagedCred, nil
-	}
-	if t.Connection == "" {
-		// Legacy external tables use a per-deployment reader
-		// credential (the pre-BigLake model with no fine-grained
-		// governance attached).
-		return e.ManagedCred, nil
-	}
-	conn, err := e.Auth.Connection(t.Connection)
-	if err != nil {
-		return objstore.Credential{}, err
-	}
-	return conn.ServiceAccount, nil
-}
-
-// credForCtx resolves the table credential and applies the context's
-// per-query scope if any.
-func (e *Engine) credForCtx(ctx *QueryContext, t catalog.Table) (objstore.Credential, error) {
-	cred, err := e.connectionCred(t)
-	if err != nil {
-		return objstore.Credential{}, err
-	}
-	if len(ctx.Scope) == 0 {
-		return cred, nil
-	}
-	return cred.WithScope(ctx.Scope...)
 }

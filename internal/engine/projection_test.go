@@ -220,3 +220,66 @@ func TestProjectionUnderGovernance(t *testing.T) {
 		}
 	}
 }
+
+// TestProjectionKeepsMaskedPredicatesOutOfPushdown: a reader who sees a column
+// masked filters on what they see. Pushed down, the predicate would run
+// on the stored values — in the decode, in the cached batch's scan mask
+// and, for a partition column, in file pruning — and drop the row whose
+// stored value is 'alpha', which reads 'Xlpha' and passes.
+func TestProjectionKeepsMaskedPredicatesOutOfPushdown(t *testing.T) {
+	schema := vector.NewSchema(
+		vector.Field{Name: "id", Type: vector.Int64},
+		vector.Field{Name: "s", Type: vector.String},
+		vector.Field{Name: "part", Type: vector.String},
+	)
+	for _, cache := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.EnableScanCache = cache
+		ev := newEnv(t, opts)
+		for i, part := range []string{"alpha", "gamma"} {
+			bl := vector.NewBuilder(vector.Schema{Fields: schema.Fields[:2]})
+			bl.Append(vector.IntValue(int64(2*i)), vector.StringValue("alpha"))
+			bl.Append(vector.IntValue(int64(2*i+1)), vector.StringValue("omega"))
+			file, err := colfmt.WriteFile(bl.Build(), colfmt.WriterOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ev.store.Put(ev.cred, "lake", "t/part="+part+"/f.blk", file, ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ev.cat.CreateTable(catalog.Table{
+			Dataset: "ds", Name: "t", Type: catalog.BigLake, Schema: schema,
+			Cloud: "gcp", Bucket: "lake", Prefix: "t/", Connection: "lake-conn",
+			PartitionColumn: "part", MetadataCaching: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ev.auth.GrantTable(adminP, "ds.t", aliceP, security.RoleViewer)
+		for _, col := range []string{"s", "part"} {
+			ev.auth.SetColumnPolicy(adminP, "ds.t", security.ColumnPolicy{
+				Column: col, Allowed: map[security.Principal]bool{adminP: true}, Mask: vector.MaskLastFour,
+			})
+		}
+		for _, c := range []struct {
+			who  security.Principal
+			sql  string
+			want int
+		}{
+			{adminP, "SELECT id FROM ds.t WHERE s != 'alpha'", 2},
+			{aliceP, "SELECT id FROM ds.t WHERE s != 'alpha'", 4},
+			{aliceP, "SELECT id FROM ds.t WHERE s = 'Xlpha'", 2},
+			{aliceP, "SELECT id FROM ds.t WHERE s = 'alpha'", 0},
+			{adminP, "SELECT id FROM ds.t WHERE part != 'alpha'", 2},
+			{aliceP, "SELECT id FROM ds.t WHERE part != 'alpha'", 4},
+			{aliceP, "SELECT id FROM ds.t WHERE part = 'alpha' AND id < 10", 0},
+		} {
+			// Twice: the second run of a cached cell reads resident columns.
+			for run := 0; run < 2; run++ {
+				if res := ev.query(t, c.who, c.sql); res.Batch.N != c.want {
+					t.Errorf("cache=%v run %d: %s as %s: %d rows, want %d", cache, run, c.sql, c.who, res.Batch.N, c.want)
+				}
+			}
+		}
+	}
+}

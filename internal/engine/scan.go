@@ -1,14 +1,11 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
-	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/resilience"
 	"biglake/internal/scan"
@@ -61,39 +58,73 @@ func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sql
 		return nil, err
 	}
 
-	var batch *vector.Batch
 	if t.Type == catalog.Object {
-		batch, err = e.scanObjectTable(ctx, t)
-	} else {
-		cols := e.scanColumns(ctx, sel, ref, t.Schema, preds)
-		read, total := int64(cols.Count(t.Schema.Len())), int64(t.Schema.Len())
-		ctx.Span.SetInt("columns", read)
-		ctx.Span.SetInt("columns_total", total)
-		e.ec.colsRead.Add(read)
-		e.ec.colsSkipped.Add(total - read)
-		if t.Type == catalog.Native || t.Type == catalog.Managed {
-			batch, err = e.scanManagedTable(ctx, t, cols, preds)
-		} else { // External, BigLake
-			batch, err = e.scanLakeTable(ctx, t, cols, preds)
-		}
+		return e.scanObjectTable(ctx, t)
 	}
+
+	// Which files, which columns of them and which predicates on them is
+	// the scan plan's business, as for a Read API session.
+	req := scan.Request{
+		Table: t, Principal: ctx.Principal, Project: projection(ctx, sel, ref, t.Schema), Predicates: preds,
+		Version: -1, Granularity: e.Opts.PruneGranularity, MetadataCache: e.Opts.UseMetadataCache && t.MetadataCaching,
+		Scope: ctx.Scope, Budget: ctx.Budget, Al: ctx.mem.Al, Span: ctx.Span,
+	}
+	var overlay []*vector.Batch
+	if ctx.Txn != nil && (t.Type == catalog.Native || t.Type == catalog.Managed) {
+		// Inside a transaction the scan sees the pinned snapshot minus
+		// the files the session already rewrote, plus its buffered
+		// batches; the read set is everything the statement logically
+		// read, not just what its pushdown kept.
+		req.Version = ctx.Txn.SnapshotVersion()
+		req.Removed, overlay = ctx.Txn.Overlay(name)
+		req.Observe = func(live []bigmeta.FileEntry) { ctx.Txn.ObserveRead(name, live) }
+	}
+	p, err := e.Planner().Plan(req)
+	ctx.Stats.FilesPruned += p.Pruned
+	ctx.Stats.ListCalls += p.ListCalls
+	ctx.Stats.FooterReads += p.FooterReads
 	if err != nil {
 		return nil, err
 	}
+	read, total := int64(p.Columns.Count(t.Schema.Len())), int64(t.Schema.Len())
+	ctx.Span.SetInt("columns", read)
+	ctx.Span.SetInt("columns_total", total)
+	e.ec.colsRead.Add(read)
+	e.ec.colsSkipped.Add(total - read)
 
-	// Governance is applied inside the engine for every scan — the
-	// same implementation the Read API uses (§3.2).
-	return e.Auth.ApplyGovernance(ctx.Principal, name, batch)
+	out, err := e.readFiles(ctx, &p)
+	if err != nil {
+		return nil, err
+	}
+	// Buffered batches are appended unfiltered, projected like the scan;
+	// the residual WHERE in execSelect (and the where-func in DML
+	// rewrites) re-checks the full predicate, so pushdown never has to
+	// understand the overlay.
+	for _, b := range overlay {
+		if b.N == 0 {
+			continue
+		}
+		if b, err = projectLike(b, out.Schema); err != nil {
+			return nil, err
+		}
+		if out, err = vector.AppendBatch(out, b); err != nil {
+			return nil, err
+		}
+		ctx.Stats.RowsScanned += int64(b.N)
+	}
+	// Governance is applied inside the engine for every scan — the same
+	// step the Read API's reads end with (§3.2).
+	return p.Govern(out)
 }
 
-// scanColumns resolves, once per statement, the columns of one FROM
-// source sel can read: every column of schema its select list, WHERE,
-// GROUP BY, ORDER BY or a join condition names — qualified by the
-// source, or unqualified and so possibly its — plus what the pushdown
-// predicates and the principal's row policies filter on. `*`, or an
-// expression it cannot classify, means every column (nil), as does a
-// scan outside a statement (a TVF's TABLE input).
-func (e *Engine) scanColumns(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, schema vector.Schema, preds []colfmt.Predicate) scan.Columns {
+// projection resolves, once per statement, the columns of one FROM
+// source sel names: every column of schema in its select list, WHERE,
+// GROUP BY, ORDER BY or a join condition — qualified by the source, or
+// unqualified and so possibly its. `*`, or an expression it cannot
+// classify, means every column (nil), as does a scan outside a
+// statement (a TVF's TABLE input). The scan plan adds what the pushdown
+// predicates and the principal's row policies filter on.
+func projection(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, schema vector.Schema) scan.Columns {
 	if sel == nil {
 		return nil
 	}
@@ -114,11 +145,6 @@ func (e *Engine) scanColumns(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *s
 	}
 	if !ok {
 		return nil
-	}
-	cols.AddPredicates(schema, preds)
-	filters, _ := e.Auth.RowFilterFor(ctx.Principal, ref.Name)
-	for _, conj := range filters {
-		cols.AddPredicates(schema, conj)
 	}
 	return cols
 }
@@ -177,214 +203,6 @@ func (e *Engine) scanSystemTable(ctx *QueryContext, name string, preds []colfmt.
 	return b, nil
 }
 
-// scanLakeTable reads an External or BigLake table from object
-// storage. With metadata caching the file set comes from Big Metadata
-// (no LIST, no footer peeks); without it the engine pays the full
-// object-store metadata cost on the query's critical path (§3.3).
-func (e *Engine) scanLakeTable(ctx *QueryContext, t catalog.Table, cols scan.Columns, preds []colfmt.Predicate) (*vector.Batch, error) {
-	store, err := e.store(t.Cloud)
-	if err != nil {
-		return nil, err
-	}
-	cred, err := e.credForCtx(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-
-	var files []bigmeta.FileEntry
-	useCache := e.Opts.UseMetadataCache && t.MetadataCaching && t.Type == catalog.BigLake
-	if useCache {
-		refreshedAt, ok := e.Meta.RefreshedAt(t.FullName())
-		stale := ok && t.MetadataStaleness > 0 && e.Clock.Now()-refreshedAt > t.MetadataStaleness
-		if !ok || stale {
-			// First touch or staleness-interval expiry: rebuild the
-			// cache (normally a background maintenance task; §3.3).
-			var msp *obs.Span
-			if ctx.Span != nil {
-				msp = ctx.Span.Child("meta.refresh")
-			}
-			_, err := e.Meta.Refresh(t.FullName(), store, cred, t.Bucket, t.Prefix, bigmeta.RefreshOptions{WithFileStats: true, Background: true})
-			msp.End()
-			if err != nil {
-				return nil, err
-			}
-		}
-		var psp *obs.Span
-		if ctx.Span != nil {
-			psp = ctx.Span.Child("meta.prune")
-			psp.SetInt("granularity", int64(e.Opts.PruneGranularity))
-		}
-		all, err := e.Meta.Files(t.FullName())
-		if err != nil {
-			psp.End()
-			return nil, err
-		}
-		files, err = e.Meta.Prune(t.FullName(), preds, e.Opts.PruneGranularity)
-		if err != nil {
-			psp.End()
-			return nil, err
-		}
-		psp.SetInt("files_total", int64(len(all)))
-		psp.SetInt("files_kept", int64(len(files)))
-		psp.End()
-		ctx.Stats.FilesPruned += int64(len(all) - len(files))
-	} else {
-		// Slow path: list the bucket, then peek at each file's footer
-		// to decide skippability — all on the critical path.
-		var lsp *obs.Span
-		if ctx.Span != nil {
-			lsp = ctx.Span.Child("list")
-		}
-		res := e.Res.Counting(e.Obs)
-		infos, err := resilience.ListAll(res, e.Clock, ctx.Budget, store, cred, t.Bucket, t.Prefix)
-		if lsp != nil {
-			lsp.SetInt("objects", int64(len(infos)))
-		}
-		lsp.End()
-		if err != nil {
-			return nil, err
-		}
-		ctx.Stats.ListCalls++
-		entries := make([]bigmeta.FileEntry, len(infos))
-		tracks := startTracks(e.Clock, ScanWorkers)
-		var wg sync.WaitGroup
-		errs := make(chan error, len(infos))
-		sem := make(chan struct{}, ScanWorkers)
-		var footerPeeks int64
-		for i, info := range infos {
-			entries[i] = bigmeta.FileEntry{
-				Bucket:     t.Bucket,
-				Key:        info.Key,
-				Size:       info.Size,
-				Generation: info.Generation,
-				Partition:  bigmeta.PartitionOf(t.Prefix, info.Key),
-			}
-			// Partition pruning needs no footer; only survivors get a
-			// footer peek.
-			if !bigmeta.FileCanMatch(entries[i], preds, bigmeta.PrunePartitionsOnly) {
-				entries[i].Size = -1 // mark pruned
-				continue
-			}
-			footerPeeks++
-			wg.Add(1)
-			go func(i int, key string) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				tr := tracks[i%ScanWorkers]
-				var fsp *obs.Span
-				if ctx.Span != nil {
-					fsp = ctx.Span.ChildAt(tr, "footer "+key)
-					fsp.SetLane(i % ScanWorkers)
-				}
-				defer fsp.End()
-				stats, rows, err := bigmeta.ReadFooterStats(res, ctx.Budget, store, cred, t.Bucket, key, tr)
-				if err != nil {
-					errs <- err
-					return
-				}
-				entries[i].ColumnStats = stats
-				entries[i].RowCount = rows
-			}(i, info.Key)
-		}
-		wg.Wait()
-		// Tracks fold into the global clock even when a worker failed,
-		// so an error return cannot leak simulated-time tracks.
-		joinTracks(tracks)
-		// Only survivors of partition pruning got a footer peek.
-		ctx.Stats.FooterReads += footerPeeks
-		if err := drainErrs(errs); err != nil {
-			return nil, err
-		}
-		for _, en := range entries {
-			if en.Size < 0 {
-				ctx.Stats.FilesPruned++
-				continue
-			}
-			// Honor the configured granularity here too: the knob
-			// must mean the same thing with and without the cache.
-			if bigmeta.FileCanMatch(en, preds, e.Opts.PruneGranularity) {
-				files = append(files, en)
-			} else {
-				ctx.Stats.FilesPruned++
-			}
-		}
-	}
-	return e.readFiles(ctx, store, cred, t, files, cols, preds)
-}
-
-// scanManagedTable reads a Native or BLMT table whose source of truth
-// is the Big Metadata transaction log (§3.5): the file list comes from
-// a log snapshot, never from object-store listing.
-func (e *Engine) scanManagedTable(ctx *QueryContext, t catalog.Table, cols scan.Columns, preds []colfmt.Predicate) (*vector.Batch, error) {
-	store, err := e.store(t.Cloud)
-	if err != nil {
-		return nil, err
-	}
-	cred, err := e.credForCtx(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	version := int64(-1)
-	if ctx.Txn != nil {
-		version = ctx.Txn.SnapshotVersion()
-	}
-	files, _, err := e.Log.Snapshot(t.FullName(), version)
-	if err != nil {
-		return nil, err
-	}
-	var overlay []*vector.Batch
-	if ctx.Txn != nil {
-		// Inside a transaction the scan sees the pinned snapshot minus
-		// the files the session already rewrote, plus its buffered
-		// batches. The surviving snapshot files are recorded *before*
-		// predicate pruning: the read set must cover everything the
-		// statement logically read, not just what its pushdown kept.
-		removed, added := ctx.Txn.Overlay(t.FullName())
-		if len(removed) > 0 {
-			live := files[:0]
-			for _, f := range files {
-				if !removed[f.Key] {
-					live = append(live, f)
-				}
-			}
-			files = live
-		}
-		ctx.Txn.ObserveRead(t.FullName(), files)
-		overlay = added
-	}
-	kept := files[:0]
-	for _, f := range files {
-		if bigmeta.FileCanMatch(f, preds, e.Opts.PruneGranularity) {
-			kept = append(kept, f)
-		} else {
-			ctx.Stats.FilesPruned++
-		}
-	}
-	out, err := e.readFiles(ctx, store, cred, t, kept, cols, preds)
-	if err != nil {
-		return nil, err
-	}
-	// Buffered batches are appended unfiltered, projected like the scan;
-	// the residual WHERE in execSelect (and the where-func in DML
-	// rewrites) re-checks the full predicate, so pushdown never has to
-	// understand the overlay.
-	for _, b := range overlay {
-		if b.N == 0 {
-			continue
-		}
-		if b, err = projectLike(b, out.Schema); err != nil {
-			return nil, err
-		}
-		out, err = vector.AppendBatch(out, b)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Stats.RowsScanned += int64(b.N)
-	}
-	return out, nil
-}
-
 // projectLike projects a full-schema batch onto the columns of like.
 func projectLike(b *vector.Batch, like vector.Schema) (*vector.Batch, error) {
 	if b.Schema.Equal(like) {
@@ -397,25 +215,25 @@ func projectLike(b *vector.Batch, like vector.Schema) (*vector.Batch, error) {
 	return b.Project(names)
 }
 
-// reader assembles the engine's verified data-file reader from its
-// current fields; everything the scan does per file goes through it.
-func (e *Engine) reader() scan.Reader {
-	return scan.Reader{Res: e.Res, Log: e.Log, Obs: e.Obs, Cache: e.scanCache,
-		Site: "scan", SkipQuarantined: e.Opts.SkipQuarantined}
+// Planner assembles the engine's scan planner — its table → (store,
+// credential) rule, and the verified reader every file goes through —
+// from its current fields. Writers that act under the engine's
+// credentials (internal/txn) resolve their tables through it too.
+func (e *Engine) Planner() scan.Planner {
+	return scan.Planner{Meta: e.Meta, Clock: e.Clock,
+		Access: scan.Access{Auth: e.Auth, Stores: e.Stores, ManagedCred: e.ManagedCred},
+		Reader: scan.Reader{Res: e.Res, Log: e.Log, Obs: e.Obs, Cache: e.scanCache,
+			Site: "scan", SkipQuarantined: e.Opts.SkipQuarantined}}
 }
 
-// readFiles reads the columns cols of the surviving files through the
-// verified reader — resident ones synchronously, the rest in parallel
-// worker tracks — and merges what the predicates select. Predicates on
-// columns a file does not store (partition columns, consumed by
-// pruning) are dropped per file by the reader.
-func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objstore.Credential, t catalog.Table, files []bigmeta.FileEntry, cols scan.Columns, preds []colfmt.Predicate) (*vector.Batch, error) {
+// readFiles reads the plan's files through it — resident ones
+// synchronously, the rest in parallel worker tracks — and merges what
+// the pushed predicates select.
+func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, error) {
 	// Each file contributes a decoded batch and the rows of it the
 	// predicates select; the merge below filters and concatenates in
 	// one pass.
-	results := make([]vector.Selection, len(files))
-	rd := e.reader()
-	src := scan.Source{Table: t, Store: store, Cred: cred, Budget: ctx.Budget, Principal: string(ctx.Principal)}
+	results := make([]vector.Selection, len(p.Files))
 
 	// Warm pass: the quarantine gate and the generation-keyed cache,
 	// synchronously. A hit needs no worker, just a predicate pass over
@@ -424,8 +242,8 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 	// channels, or clock tracks at all; only cold files fall through to
 	// the parallel fetch below.
 	var cold []int
-	for i, f := range files {
-		skip, err := rd.Gate(&src, f)
+	for i, f := range p.Files {
+		skip, err := p.Reader.Gate(&p.Source, f)
 		if err != nil {
 			return nil, err
 		}
@@ -433,7 +251,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 			ctx.Stats.QuarantineSkips++
 			continue
 		}
-		b, ok := rd.Resident(&src, f, cols)
+		b, ok := p.Reader.Resident(&p.Source, f, p.Columns)
 		if !ok {
 			cold = append(cold, i)
 			continue
@@ -444,7 +262,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 			fsp.SetInt("bytes", f.Size)
 			fsp.SetStr("cache", "hit")
 		}
-		sel, err := scan.Select(ctx.mem.Al, b, cols, preds, f.Partition, t.Schema)
+		sel, err := scan.Select(ctx.mem.Al, b, p.Columns, p.Pushed, f.Partition, p.Table.Schema)
 		if err != nil {
 			fsp.End()
 			return nil, err
@@ -455,7 +273,7 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 		ctx.Stats.CacheHits++
 	}
 	if len(cold) > 0 {
-		if err := e.readColdFiles(ctx, rd, src, files, cold, results, cols, preds); err != nil {
+		if err := e.readColdFiles(ctx, *p, cold, results); err != nil {
 			return nil, err
 		}
 	}
@@ -468,10 +286,10 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 		return nil, err
 	}
 	if out == nil {
-		out = vector.EmptyBatch(cols.Project(t.Schema))
+		out = vector.EmptyBatch(p.Columns.Project(p.Table.Schema))
 	}
-	ctx.Stats.FilesScanned += int64(len(files))
-	for _, f := range files {
+	ctx.Stats.FilesScanned += int64(len(p.Files))
+	for _, f := range p.Files {
 		ctx.Stats.BytesScanned += f.Size
 	}
 	ctx.Stats.RowsScanned += int64(out.N)
@@ -479,58 +297,41 @@ func (e *Engine) readFiles(ctx *QueryContext, store *objstore.Store, cred objsto
 }
 
 // readColdFiles reads the files the warm pass could not serve from the
-// scan cache, in parallel worker tracks. rd and src arrive by value:
-// the workers share them, and the warm pass's copies stay off the heap.
-func (e *Engine) readColdFiles(ctx *QueryContext, rd scan.Reader, src scan.Source, files []bigmeta.FileEntry, cold []int, results []vector.Selection, cols scan.Columns, preds []colfmt.Predicate) error {
-	workers := ScanWorkers
-	if len(cold) < workers {
-		workers = len(cold)
-	}
+// scan cache, in parallel worker tracks. The plan arrives by value: the
+// workers share it, and the warm pass's copy stays off the heap.
+func (e *Engine) readColdFiles(ctx *QueryContext, p scan.Plan, cold []int, results []vector.Selection) error {
+	workers := min(scan.Workers, len(cold))
 	outcomes := make([]scan.Outcome, len(cold))
-	tracks := startTracks(e.Clock, workers)
-	var wg sync.WaitGroup
-	errs := make(chan error, len(cold))
-	sem := make(chan struct{}, workers)
-	for w, fi := range cold {
-		wg.Add(1)
-		go func(w, i int, f bigmeta.FileEntry) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tr := tracks[w%workers]
-			var fsp *obs.Span
-			if ctx.Span != nil {
-				fsp = ctx.Span.ChildAt(tr, "read "+f.Key)
-				fsp.SetLane(w % workers)
-				fsp.SetInt("bytes", f.Size)
-			}
-			defer fsp.End()
+	err := scan.OnTracks(e.Clock, workers, len(cold), func(w int, tracks []*sim.Track) error {
+		f, tr := p.Files[cold[w]], tracks[w%workers]
+		var fsp *obs.Span
+		if ctx.Span != nil {
+			fsp = ctx.Span.ChildAt(tr, "read "+f.Key)
+			fsp.SetLane(w % workers)
+			fsp.SetInt("bytes", f.Size)
+		}
+		defer fsp.End()
 
-			sel, oc, err := rd.ReadBatch(tr, &src, f, cols, ctx.mem.Al, preds)
-			if oc.Quarantined {
-				fsp.SetStr("integrity", "quarantined")
-			} else if oc.Refetched {
-				fsp.SetStr("integrity", "refetch")
-			}
-			if oc.CacheHit {
-				fsp.SetStr("cache", "hit")
-			} else if oc.CacheMiss {
-				fsp.SetStr("cache", "miss")
-			}
-			if sel.Batch != nil {
-				fsp.SetInt("rows", int64(sel.N))
-			}
-			if err != nil {
-				errs <- err
-				return
-			}
-			outcomes[w] = oc
-			results[i] = sel
-		}(w, fi, files[fi])
-	}
-	wg.Wait()
-	// Join tracks before any error return so sim tracks never leak.
-	joinTracks(tracks)
+		sel, oc, err := p.Reader.ReadBatch(tr, &p.Source, f, p.Columns, ctx.mem.Al, p.Pushed)
+		if oc.Quarantined {
+			fsp.SetStr("integrity", "quarantined")
+		} else if oc.Refetched {
+			fsp.SetStr("integrity", "refetch")
+		}
+		if oc.CacheHit {
+			fsp.SetStr("cache", "hit")
+		} else if oc.CacheMiss {
+			fsp.SetStr("cache", "miss")
+		}
+		if sel.Batch != nil {
+			fsp.SetInt("rows", int64(sel.N))
+		}
+		if err != nil {
+			return err
+		}
+		outcomes[w], results[cold[w]] = oc, sel
+		return nil
+	})
 	for _, oc := range outcomes {
 		if oc.CacheHit {
 			ctx.Stats.CacheHits++
@@ -542,29 +343,13 @@ func (e *Engine) readColdFiles(ctx *QueryContext, rd scan.Reader, src scan.Sourc
 			ctx.Stats.QuarantineSkips++
 		}
 	}
-	return drainErrs(errs)
-}
-
-// drainErrs closes the worker error channel and joins every error the
-// pool reported — not just the first — so multi-file failures surface
-// completely.
-func drainErrs(errs chan error) error {
-	close(errs)
-	var all []error
-	for err := range errs {
-		all = append(all, err)
-	}
-	return errors.Join(all...)
+	return err
 }
 
 // scanObjectTable materializes an Object table: the metadata cache
 // itself is the data source (§4.1) — each cached object becomes a row.
 func (e *Engine) scanObjectTable(ctx *QueryContext, t catalog.Table) (*vector.Batch, error) {
-	store, err := e.store(t.Cloud)
-	if err != nil {
-		return nil, err
-	}
-	cred, err := e.credForCtx(ctx, t)
+	store, cred, err := e.Planner().Resolve(t, ctx.Scope...)
 	if err != nil {
 		return nil, err
 	}
@@ -607,21 +392,7 @@ func (e *Engine) scanObjectTable(ctx *QueryContext, t catalog.Table) (*vector.Ba
 		)
 	}
 	ctx.Stats.RowsScanned += int64(bl.Len())
-	return bl.Build(), nil
-}
-
-func startTracks(clock *sim.Clock, n int) []*sim.Track {
-	tracks := make([]*sim.Track, n)
-	for i := range tracks {
-		tracks[i] = clock.StartTrack()
-	}
-	return tracks
-}
-
-func joinTracks(tracks []*sim.Track) {
-	for _, tr := range tracks {
-		tr.Join()
-	}
+	return e.Auth.ApplyGovernance(ctx.Principal, t.FullName(), bl.Build())
 }
 
 // qualifyBatch prefixes every column with "qual." for multi-table

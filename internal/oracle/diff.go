@@ -35,6 +35,7 @@ import (
 	"biglake/internal/serve"
 	"biglake/internal/sim"
 	"biglake/internal/sqlparse"
+	"biglake/internal/storageapi"
 	"biglake/internal/vector"
 )
 
@@ -375,7 +376,7 @@ func (h *harness) govern(tables []*GenTable, pols []GenPolicy) error {
 				Column: col, Allowed: map[security.Principal]bool{diffAdmin: true}, Mask: mask,
 			})
 		}
-		if err := protect(pol.Masked, vector.MaskNullify); err != nil {
+		if err := protect(pol.Masked, pol.Mask); err != nil {
 			return err
 		}
 		if err := protect(pol.Denied, vector.MaskNone); err != nil {
@@ -474,6 +475,83 @@ func (h *harness) engRun(eng *engine.Engine, who security.Principal, qid, sql st
 	return FromBatch(res.Batch), nil
 }
 
+// readShape is a statement the Storage Read API answers on its own, with
+// no engine behind it: `SELECT cols FROM t WHERE p AND ...`, every p a
+// `column op literal`. The session has no residual WHERE to hide behind,
+// so what its predicates may touch is decided by the scan plan alone.
+type readShape struct {
+	table string
+	cols  []string // nil = `*`
+	preds []colfmt.Predicate
+}
+
+// readShapeOf reports the statement's Read API form, if it has one.
+func readShapeOf(sql string) (*readShape, bool) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return nil, false
+	}
+	sel, ok := stmt.(*sqlparse.SelectStmt)
+	if !ok || sel.From == nil || sel.From.Name == "" || len(sel.Joins)+len(sel.GroupBy)+len(sel.OrderBy) > 0 || sel.Limit >= 0 {
+		return nil, false
+	}
+	rs := &readShape{table: sel.From.Name}
+	for _, it := range sel.Items {
+		ref, ok := it.Expr.(sqlparse.ColumnRef)
+		switch {
+		case it.Star && len(sel.Items) == 1:
+		case ok && ref.Table == "" && it.Alias == "":
+			rs.cols = append(rs.cols, ref.Name)
+		default:
+			return nil, false
+		}
+	}
+	var walk func(e sqlparse.Expr) bool
+	walk = func(e sqlparse.Expr) bool {
+		bin, ok := e.(sqlparse.Binary)
+		if !ok {
+			return false
+		}
+		if bin.Op == "AND" {
+			return walk(bin.L) && walk(bin.R)
+		}
+		op, isCmp := cmpOpMap[bin.Op]
+		ref, isRef := bin.L.(sqlparse.ColumnRef)
+		lit, isLit := bin.R.(sqlparse.Literal)
+		if !isCmp || !isRef || !isLit || ref.Table != "" || lit.Value.IsNull() {
+			return false
+		}
+		rs.preds = append(rs.preds, colfmt.Predicate{Column: ref.Name, Op: op, Value: lit.Value})
+		return true
+	}
+	if sel.Where != nil && !walk(sel.Where) {
+		return nil, false
+	}
+	return rs, true
+}
+
+// readRun answers rs through a Read API session as the arm's principal.
+// `*` asks for every column that principal can name.
+func (h *harness) readRun(srv *storageapi.Server, a arm, rs *readShape) (*Resultset, error) {
+	cols := rs.cols
+	if t, ok := a.db.Tables[rs.table]; ok && cols == nil {
+		for _, f := range t.Schema.Fields {
+			cols = append(cols, f.Name)
+		}
+	}
+	sess, err := srv.CreateReadSession(storageapi.ReadSessionRequest{
+		Table: rs.table, Principal: a.who, Columns: cols, Predicates: rs.preds, SnapshotVersion: -1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	b, err := srv.ReadAll(sess)
+	if err != nil {
+		return nil, err
+	}
+	return FromBatch(b), nil
+}
+
 // faultProfile derives a deterministic chaos profile for one cell.
 func (h *harness) faultProfile(phase string, cell int) objstore.FaultProfile {
 	seed := h.seed*1315423911 + uint64(cell)<<20 + uint64(len(phase))<<8 + uint64(h.trial)
@@ -490,7 +568,9 @@ type arm struct {
 // runMatrix executes every query in every matrix cell against the
 // current world state, as the admin and — in a governed world — as the
 // analyst, and compares against the oracle: for the analyst, the
-// oracle's governed view of the tables.
+// oracle's governed view of the tables. A statement the Read API can
+// answer alone (readShape) is also put to a fresh Storage API server in
+// every cell, as both principals, and compared as a multiset.
 func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 	type oresult struct {
 		rs  *Resultset
@@ -508,6 +588,10 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 			oras[ai][i] = oresult{rs, err}
 		}
 	}
+	reads := make([]*readShape, len(queries))
+	for i, q := range queries {
+		reads[i], _ = readShapeOf(q.SQL)
+	}
 	defer h.w.store.ClearFaults()
 	for ci, cfg := range Matrix() {
 		if cfg.Faults {
@@ -516,6 +600,10 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 			h.w.store.ClearFaults()
 		}
 		eng := h.engineFor(cfg)
+		// Per cell, like the engine: a session cached across the DML
+		// phase would pin the files of the snapshot it was planned on.
+		srv := storageapi.NewServer(h.w.cat, h.w.auth, bigmeta.NewCache(h.w.clock), h.w.log, h.w.clock, h.w.stores)
+		srv.ManagedCred = h.w.cred
 	queries:
 		for qi, q := range queries {
 			qid := fmt.Sprintf("fz-%d-%d-%s-%d-%d", h.seed, h.trial, phase, ci, qi)
@@ -547,6 +635,27 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 				default:
 					if d := diffResults(ares, want.rs, q.Ordered); d != "" {
 						return h.diverge(phase, cfg, a, q, d)
+					}
+				}
+			}
+			for ai, a := range arms {
+				if reads[qi] == nil {
+					break
+				}
+				want := oras[ai][qi]
+				rgot, rerr := h.readRun(srv, a, reads[qi])
+				h.rep.Executions++
+				switch {
+				case rerr != nil && want.err != nil:
+				case rerr != nil && cfg.Faults:
+					h.rep.FaultErrors++
+				case rerr != nil:
+					return h.diverge(phase, cfg, a, q, "read api error: "+rerr.Error()+" (oracle succeeded)")
+				case want.err != nil:
+					return h.diverge(phase, cfg, a, q, "oracle error: "+want.err.Error()+" (read api succeeded)")
+				default:
+					if d := diffResults(rgot, want.rs, false); d != "" {
+						return h.diverge(phase, cfg, a, q, "read api: "+d)
 					}
 				}
 			}

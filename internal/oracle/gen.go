@@ -571,9 +571,9 @@ func colsOfType(t *GenTable, typ vector.Type) []string {
 // column projection has to get right — where the scan's column set is
 // not the select list: a count that names no column, statements that
 // touch only the hive partition column, an ORDER BY key outside the
-// select list, an ORDER BY on an output alias, `*`, and a join whose
-// columns are all unqualified. Random queries meet these by chance;
-// every trial runs them by construction.
+// select list, an ORDER BY on an output alias, `*`, plain filtered
+// projections, and a join whose columns are all unqualified. Random
+// queries meet these by chance; every trial runs them by construction.
 func (g *Gen) ProjectionQueries(tables []*GenTable) []GenQuery {
 	var out []GenQuery
 	add := func(ordered bool, format string, args ...any) {
@@ -588,6 +588,15 @@ func (g *Gen) ProjectionQueries(tables []*GenTable) []GenQuery {
 		}
 		add(false, "SELECT * FROM %s WHERE %s", t.Full, g.leaf(scope))
 		ints := colsOfType(t, vector.Int64)
+		// Shapes the Storage Read API answers alone (readShape), so its
+		// arm runs by construction: a comparison on the last STRING
+		// column — the one Policies masks — and an integer range.
+		if strs := colsOfType(t, vector.String); len(strs) > 0 && len(ints) > 0 {
+			s, lit := strs[len(strs)-1], stringPool[g.intn(len(stringPool))]
+			add(false, "SELECT %s, %s FROM %s WHERE %s != '%s'", ints[0], s, t.Full, s, lit)
+			add(false, "SELECT %s, %s FROM %s WHERE %s = '%s' AND %s < %d", s, ints[0], t.Full, s, lit, ints[0], 10+g.intn(40))
+			add(false, "SELECT * FROM %s WHERE %s >= %d", t.Full, ints[len(ints)-1], g.intn(30))
+		}
 		if len(ints) < 2 {
 			continue
 		}
@@ -706,18 +715,17 @@ func (g *Gen) StarQueries(probe *GenTable) []GenQuery {
 type GenPolicy struct {
 	Table  string
 	Filter []colfmt.Predicate
-	Masked string // seen as NULLs
+	Masked string
+	// Mask is how Masked reads: NULLs (MaskNullify), or its type's zero
+	// value in every row (MaskDefault) — which predicates match, so a
+	// predicate that reached the stored values instead shows.
+	Mask   vector.MaskKind
 	Denied string
 }
 
 // Policies generates one policy per initial table. The row policy
 // filters on an INT64 column the statements rarely select, so the scan
-// must add it to its column set on its own. The mask is NULLIFY, the
-// one transform a predicate pushed down to the raw values cannot see
-// through: masked, every comparison is false either way. (Pushing a
-// predicate on a HASH- or DEFAULT-masked column down to raw values
-// would drop rows the masked value matches; the engine does not yet
-// keep such predicates out of pushdown.)
+// must add it to its column set on its own.
 func (g *Gen) Policies(tables []*GenTable) []GenPolicy {
 	var out []GenPolicy
 	for _, t := range tables {
@@ -726,7 +734,10 @@ func (g *Gen) Policies(tables []*GenTable) []GenPolicy {
 			Column: ints[len(ints)-1], Op: vector.LT, Value: vector.IntValue(int64(15 + g.intn(30))),
 		}}}
 		if strs := colsOfType(t, vector.String); len(strs) > 0 {
-			pol.Masked = strs[len(strs)-1]
+			pol.Masked, pol.Mask = strs[len(strs)-1], vector.MaskNullify
+			if g.chance(0.5) {
+				pol.Mask = vector.MaskDefault
+			}
 		}
 		// Denied: nothing, a column of no other interest, or the very
 		// column the row policy filters on.

@@ -67,8 +67,9 @@ func (db *DB) Clone() *DB {
 // Governed returns the database as the restricted principal of the
 // policies sees it — the reference for governance: per policy, only the
 // table's rows every filter predicate holds on (a NULL holds on none),
-// the masked column NULL in each, the denied column gone. A table
-// without a policy is shared as is.
+// the masked column NULL in each — or, under MaskDefault, its type's
+// zero value — the denied column gone. A table without a policy is
+// shared as is.
 func (db *DB) Governed(pols []GenPolicy) *DB {
 	out := NewDB()
 	for name, t := range db.Tables {
@@ -101,6 +102,10 @@ func (db *DB) Governed(pols []GenPolicy) *DB {
 					continue
 				case masked:
 					v = vector.NullValue
+					if pol.Mask == vector.MaskDefault {
+						// Type alone is the zero value: 0, 0.0, "", false.
+						v = vector.Value{Type: t.Schema.Fields[i].Type}
+					}
 				}
 				seen = append(seen, v)
 			}

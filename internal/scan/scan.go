@@ -1,9 +1,12 @@
-// Package scan is the one verified data-file reader. Everything that
-// reads a table's data files — the engine's scans, the Storage Read
-// API's ReadRows, DML and Optimize rewrites, the scrubber, Repair's
-// re-verify — fetches, verifies, decodes and contains through this
-// package, so the zero-trust boundary and the write path get the same
-// integrity guarantees as a query by construction.
+// Package scan owns a table read at both levels. Plan (plan.go) is the
+// table: table → source → files → columns → governed batch, resolved
+// once, with the engine's scans and the Storage Read API's sessions as
+// its two callers. Reader is the file, the one verified data-file
+// reader: everything that reads a table's data files — those two
+// through their plan, DML and Optimize rewrites, the scrubber, Repair's
+// re-verify — fetches, verifies, decodes and contains through it, so
+// the zero-trust boundary and the write path get the same integrity
+// guarantees as a query by construction.
 //
 // Per file the flow is:
 //

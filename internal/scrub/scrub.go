@@ -13,7 +13,6 @@
 package scrub
 
 import (
-	"fmt"
 	"sort"
 
 	"biglake/internal/bigmeta"
@@ -71,14 +70,6 @@ type Report struct {
 	Exhausted bool
 }
 
-func (s *Scrubber) store(cloud string) (*objstore.Store, error) {
-	st, ok := s.Stores[cloud]
-	if !ok {
-		return nil, fmt.Errorf("scrub: no object store for cloud %q", cloud)
-	}
-	return st, nil
-}
-
 // Pass scrubs the named tables' current snapshots under the byte
 // budget. Tables are visited in sorted order so budgeted passes
 // resume deterministically.
@@ -104,16 +95,12 @@ func (s *Scrubber) Pass(tables []string) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		store, err := s.store(t.Cloud)
-		if err != nil {
-			return rep, err
-		}
-		conn, err := s.Auth.Connection(t.Connection)
+		store, cred, err := scan.Access{Auth: s.Auth, Stores: s.Stores}.Resolve(t)
 		if err != nil {
 			return rep, err
 		}
 		rd := scan.Reader{Res: s.Res, Log: s.Log, Obs: s.Obs, Site: "scrub"}
-		src := scan.Source{Table: t, Store: store, Cred: conn.ServiceAccount, Principal: s.Principal}
+		src := scan.Source{Table: t, Store: store, Cred: cred, Principal: s.Principal}
 		files, _, err := s.Log.Snapshot(tableName, -1)
 		if err != nil {
 			return rep, err

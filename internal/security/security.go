@@ -288,22 +288,37 @@ func (a *Authority) ColumnDecisionsFor(p Principal, table string, columns []stri
 	tp := a.tables[table]
 	out := make([]ColumnDecision, len(columns))
 	for i, col := range columns {
-		out[i] = ColumnDecision{Column: col}
-		if tp == nil {
-			continue
-		}
-		for _, cp := range tp.ColumnPolices {
-			if cp.Column != col || cp.Allowed[p] {
-				continue
-			}
-			if cp.Mask == vector.MaskNone {
-				out[i].Denied = true
-			} else {
-				out[i].Mask = cp.Mask
-			}
-		}
+		out[i] = tp.decide(p, col)
 	}
 	return out
+}
+
+// ColumnDecisionFor is ColumnDecisionsFor for one column. It allocates
+// nothing, and on a table without a column policy costs the table
+// lookup alone.
+func (a *Authority) ColumnDecisionFor(p Principal, table, column string) ColumnDecision {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.tables[table].decide(p, column)
+}
+
+// decide is the column-policy rule; a nil policy protects nothing.
+func (tp *TablePolicy) decide(p Principal, col string) ColumnDecision {
+	d := ColumnDecision{Column: col}
+	if tp == nil {
+		return d
+	}
+	for _, cp := range tp.ColumnPolices {
+		if cp.Column != col || cp.Allowed[p] {
+			continue
+		}
+		if cp.Mask == vector.MaskNone {
+			d.Denied = true
+		} else {
+			d.Mask = cp.Mask
+		}
+	}
+	return d
 }
 
 // ApplyGovernance enforces the full fine-grained policy for principal

@@ -7,8 +7,9 @@
 //
 // The Read API is the trust boundary of §3.2: every batch has row
 // policies, column ACLs and masking applied *before* it is serialized
-// to the (untrusted) external engine, using the same
-// security.Authority implementation the engine's own scans use.
+// to the (untrusted) external engine. A read session is a scan.Plan —
+// what the engine's own scans are built on — with its files partitioned
+// into streams (DESIGN.md "Who owns what").
 package storageapi
 
 import (
@@ -103,23 +104,23 @@ type streamState struct {
 
 type session struct {
 	req    ReadSessionRequest
-	table  catalog.Table
-	cred   objstore.Credential
 	schema vector.Schema // projected, post-governance schema
 	cols   []string      // the projection: schema's column names, in order
-	// plan is the immutable file partitioning computed at creation;
-	// each acquisition of the session (including reuse) gets fresh
-	// one-shot streams over it.
-	plan    [][]bigmeta.FileEntry
+	// plan is the table read as resolved at creation: source, files,
+	// and — renewed at every ReadRows — predicates and columns. Its
+	// Budget is the session-lifetime retry allowance shared by every
+	// ReadRows call, seeded from the session ID for reproducibility.
+	plan scan.Plan
+	// parts is the immutable partitioning of plan.Files; each
+	// acquisition of the session (including reuse) gets fresh one-shot
+	// streams over it.
+	parts   [][]bigmeta.FileEntry
 	streams map[string]*streamState
 	order   []string
 	gen     int
 	mu      sync.Mutex
 	agg     bool
 	aggDone bool
-	// budget is the session-lifetime retry allowance shared by every
-	// ReadRows call, seeded from the session ID for reproducibility.
-	budget *resilience.Budget
 }
 
 // openStreams instantiates fresh streams over the session plan and
@@ -129,8 +130,8 @@ func (sess *session) openStreams(id string) []string {
 	defer sess.mu.Unlock()
 	sess.gen++
 	sess.aggDone = false
-	names := make([]string, len(sess.plan))
-	for i, files := range sess.plan {
+	names := make([]string, len(sess.parts))
+	for i, files := range sess.parts {
 		name := fmt.Sprintf("%s/streams/g%d-%d", id, sess.gen, i)
 		sess.streams[name] = &streamState{files: files}
 		names[i] = name
@@ -221,23 +222,13 @@ func (s *Server) UseObs(r *obs.Registry) {
 	})
 }
 
-func (s *Server) store(cloud string) (*objstore.Store, error) {
-	st, ok := s.Stores[cloud]
-	if !ok {
-		return nil, fmt.Errorf("storageapi: no object store for cloud %q", cloud)
-	}
-	return st, nil
-}
-
-func (s *Server) credFor(t catalog.Table) (objstore.Credential, error) {
-	if t.Connection == "" {
-		return s.ManagedCred, nil
-	}
-	conn, err := s.Auth.Connection(t.Connection)
-	if err != nil {
-		return objstore.Credential{}, err
-	}
-	return conn.ServiceAccount, nil
+// planner assembles the server's scan planner from its current fields.
+// Its reader has no decoded-file cache and fails fast on a quarantined
+// file; its integrity.* counters land in the server's registry.
+func (s *Server) planner() scan.Planner {
+	return scan.Planner{Meta: s.Meta, Clock: s.Clock,
+		Access: scan.Access{Auth: s.Auth, Stores: s.Stores, ManagedCred: s.ManagedCred},
+		Reader: scan.Reader{Res: s.Res, Log: s.Log, Obs: s.sc.Load().reg, Site: "scan"}}
 }
 
 func sessionKey(req ReadSessionRequest) string {
@@ -285,66 +276,50 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	}
 	s.mu.Unlock()
 
-	cred, err := s.credFor(t)
-	if err != nil {
-		return nil, err
+	if t.Type == catalog.External || t.Type == catalog.Object {
+		return nil, fmt.Errorf("storageapi: table type %v not readable through the Read API", t.Type)
 	}
 
-	// Column-level security: fail early on denied columns.
+	// Column-level security: fail early on denied columns. What is left
+	// is the projected output schema (types may change under masking).
 	cols := req.Columns
 	if cols == nil {
 		for _, f := range t.Schema.Fields {
 			cols = append(cols, f.Name)
 		}
 	}
-	for _, d := range s.Auth.ColumnDecisionsFor(req.Principal, req.Table, cols) {
-		if d.Denied {
-			return nil, fmt.Errorf("%w: column %s.%s", security.ErrDenied, req.Table, d.Column)
-		}
-	}
-
-	// Enumerate and prune files.
-	var files []bigmeta.FileEntry
-	switch t.Type {
-	case catalog.Native, catalog.Managed:
-		files, _, err = s.Log.Snapshot(req.Table, req.SnapshotVersion)
-		if err != nil {
-			return nil, err
-		}
-		kept := files[:0]
-		for _, f := range files {
-			if bigmeta.FileCanMatch(f, req.Predicates, bigmeta.PruneFiles) {
-				kept = append(kept, f)
-			}
-		}
-		files = kept
-	case catalog.BigLake:
-		store, err := s.store(t.Cloud)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := s.Meta.RefreshedAt(req.Table); !ok {
-			if _, err := s.Meta.Refresh(req.Table, store, cred, t.Bucket, t.Prefix, bigmeta.RefreshOptions{WithFileStats: true, Background: true}); err != nil {
-				return nil, err
-			}
-		}
-		files, err = s.Meta.Prune(req.Table, req.Predicates, bigmeta.PruneFiles)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("storageapi: table type %v not readable through the Read API", t.Type)
-	}
-
-	// Projected output schema (types may change under masking).
 	schema, err := t.Schema.Select(cols)
 	if err != nil {
 		return nil, err
 	}
 	for i, d := range s.Auth.ColumnDecisionsFor(req.Principal, req.Table, cols) {
+		if d.Denied {
+			return nil, fmt.Errorf("%w: column %s.%s", security.ErrDenied, req.Table, d.Column)
+		}
 		if d.Mask != vector.MaskNone {
 			schema.Fields[i].Type = vector.String
 		}
+	}
+
+	// What a read decodes starts from the projection — or, for an
+	// aggregate session, the columns it aggregates; nil is every column.
+	var project scan.Columns
+	switch {
+	case len(req.Aggregates) > 0:
+		project = scan.NewColumns(nil, t.Schema.Len())
+		for _, a := range req.Aggregates {
+			project.AddNamed(t.Schema, a.Column)
+		}
+	case req.Columns != nil:
+		project = scan.ColumnsOf(t.Schema, cols...)
+	}
+	// A session reads a BigLake table's cache snapshot and never LISTs.
+	plan, err := s.planner().Plan(scan.Request{
+		Table: t, Principal: req.Principal, Project: project, Predicates: req.Predicates,
+		Version: req.SnapshotVersion, Granularity: bigmeta.PruneFiles, MetadataCache: true,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Partition files across streams.
@@ -352,24 +327,23 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	if nStreams <= 0 {
 		nStreams = DefaultStreams
 	}
-	if nStreams > len(files) && len(files) > 0 {
-		nStreams = len(files)
+	if nStreams > len(plan.Files) && len(plan.Files) > 0 {
+		nStreams = len(plan.Files)
 	}
 	if nStreams == 0 {
 		nStreams = 1
 	}
 	sess := &session{
 		req:     req,
-		table:   t,
-		cred:    cred,
 		schema:  schema,
 		cols:    cols,
-		plan:    make([][]bigmeta.FileEntry, nStreams),
+		plan:    plan,
+		parts:   make([][]bigmeta.FileEntry, nStreams),
 		streams: make(map[string]*streamState),
 		agg:     len(req.Aggregates) > 0,
 	}
-	for i, f := range files {
-		sess.plan[i%nStreams] = append(sess.plan[i%nStreams], f)
+	for i, f := range plan.Files {
+		sess.parts[i%nStreams] = append(sess.parts[i%nStreams], f)
 	}
 	s.mu.Lock()
 	s.seq++
@@ -377,7 +351,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	s.sessions[id] = sess
 	s.cache[key] = cachedSession{id: id, expires: s.Clock.Now() + s.SessionTTL}
 	s.mu.Unlock()
-	sess.budget = resilience.NewBudget(s.Clock, sessionRetryBudget, resilience.Seed64(id))
+	sess.plan.Budget = resilience.NewBudget(s.Clock, sessionRetryBudget, resilience.Seed64(id))
 	streams := sess.openStreams(id)
 
 	// Server-side session creation cost.
@@ -389,19 +363,14 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 // describe builds the client handle for one acquisition of the session;
 // streams are the names openStreams just minted for it.
 func (s *Server) describe(id string, sess *session, streams []string, reused bool) *ReadSession {
-	var all []bigmeta.FileEntry
-	for _, part := range sess.plan {
-		all = append(all, part...)
-	}
-	stats := bigmeta.MergeStats(all)
-	rows := stats.Rows
+	stats := sess.plan.Stats()
 	return &ReadSession{
 		ID:            id,
 		Table:         sess.req.Table,
 		Schema:        sess.schema,
 		Streams:       streams,
 		Stats:         stats,
-		EstimatedRows: rows,
+		EstimatedRows: stats.Rows,
 		Reused:        reused,
 	}
 }
@@ -412,16 +381,12 @@ func (s *Server) describe(id string, sess *session, streams []string, reused boo
 // pushdown predicates during the scan, enforces governance, projects,
 // and serializes.
 func (s *Server) ReadRows(sessionID, streamName string) ([]byte, error) {
-	return s.readRowsOn(s.Clock, sessionID, streamName)
+	return s.ReadRowsOn(s.Clock, sessionID, streamName)
 }
 
 // ReadRowsOn is ReadRows with latency charged to a parallel client
 // track.
 func (s *Server) ReadRowsOn(ch sim.Charger, sessionID, streamName string) ([]byte, error) {
-	return s.readRowsOn(ch, sessionID, streamName)
-}
-
-func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byte, error) {
 	s.mu.Lock()
 	sess, ok := s.sessions[sessionID]
 	s.mu.Unlock()
@@ -442,12 +407,8 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 			return nil, ErrEndOfStream
 		}
 		sess.aggDone = true
-		var files []bigmeta.FileEntry
-		for _, part := range sess.plan {
-			files = append(files, part...)
-		}
 		sess.mu.Unlock()
-		return s.computeAggregates(ch, sess, files)
+		return s.computeAggregates(ch, sess)
 	}
 
 	if st.next >= len(st.files) {
@@ -460,7 +421,11 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 	st.next++
 	sess.mu.Unlock()
 
-	batch, err := s.readGoverned(ch, sess, file, s.readColumns(sess))
+	p, err := s.planner().Renew(&sess.plan)
+	var batch *vector.Batch
+	if err == nil {
+		batch, err = s.readGoverned(ch, sess, &p, file)
+	}
 	if err != nil {
 		// Roll the cursor back so the stream resumes at the failed file:
 		// a client retrying the same ReadRows call after a transient
@@ -479,59 +444,24 @@ func (s *Server) readRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 	return payload, nil
 }
 
-// readColumns is what a session's reads decode: its projection — or,
-// for an aggregate session, the columns it aggregates — with the
-// columns its pushed-down predicates and the principal's row policies
-// filter on. Resolved per ReadRows call, so it is the set the policy in
-// force when governance runs needs. nil is every column.
-func (s *Server) readColumns(sess *session) scan.Columns {
-	schema := sess.table.Schema
-	var want scan.Columns
-	switch {
-	case sess.agg:
-		want = scan.NewColumns(nil, schema.Len())
-		for _, a := range sess.req.Aggregates {
-			want.AddNamed(schema, a.Column)
-		}
-	case sess.req.Columns == nil:
-		return nil
-	default:
-		want = scan.ColumnsOf(schema, sess.cols...)
-	}
-	want.AddPredicates(schema, sess.req.Predicates)
-	filters, _ := s.Auth.RowFilterFor(sess.req.Principal, sess.req.Table)
-	for _, conj := range filters {
-		want.AddPredicates(schema, conj)
-	}
-	return want
-}
-
-// readGoverned reads one file through the verified reader and applies
-// the full governance + projection pipeline inside the trust boundary.
-// Only the columns in want (readColumns) are decoded; an aggregate
-// session keeps every governed one of them, the others project to the
-// session's columns. The reader runs without a decoded-file cache and
-// fails fast on a quarantined file; its integrity.* counters land in
-// the server's registry.
-func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEntry, want scan.Columns) (*vector.Batch, error) {
-	store, err := s.store(sess.table.Cloud)
-	if err != nil {
-		return nil, err
-	}
-	rd := scan.Reader{Res: s.Res, Log: s.Log, Obs: s.sc.Load().reg, Site: "scan"}
-	src := scan.Source{Table: sess.table, Store: store, Cred: sess.cred, Budget: sess.budget, Principal: string(sess.req.Principal)}
-
+// readGoverned reads one file through p — the session's plan, renewed
+// by the caller, so predicates, columns and governance are the ones
+// the policy now in force calls for — and projects inside the trust
+// boundary: an aggregate session keeps every governed column it read,
+// the others the session's columns.
+func (s *Server) readGoverned(ch sim.Charger, sess *session, p *scan.Plan, file bigmeta.FileEntry) (*vector.Batch, error) {
 	var batch *vector.Batch
+	var err error
 	if sess.req.RowOriented {
-		_, err = rd.Read(ch, &src, file, func(data []byte, _ objstore.ObjectInfo) (err error) {
-			batch, err = decodeRowOriented(data, sess.req.Predicates, file.Partition, sess.table.Schema)
+		_, err = p.Reader.Read(ch, &p.Source, file, func(data []byte, _ objstore.ObjectInfo) (err error) {
+			batch, err = decodeRowOriented(data, p.Pushed, file.Partition, p.Table.Schema)
 			return err
 		})
 	} else {
-		// No cache, so the predicates were applied during the decode and
-		// the batch is the selection.
+		// No cache, so the pushed predicates were applied during the
+		// decode and the batch is the selection.
 		var sel vector.Selection
-		sel, _, err = rd.ReadBatch(ch, &src, file, want, nil, sess.req.Predicates)
+		sel, _, err = p.Reader.ReadBatch(ch, &p.Source, file, p.Columns, nil, p.Pushed)
 		batch = sel.Batch
 	}
 	if err != nil {
@@ -540,7 +470,7 @@ func (s *Server) readGoverned(ch sim.Charger, sess *session, file bigmeta.FileEn
 
 	// Governance: the Read API applies row filters and masking before
 	// data leaves the boundary (§3.2).
-	governed, err := s.Auth.ApplyGovernance(sess.req.Principal, sess.req.Table, batch)
+	governed, err := p.Govern(batch)
 	if err != nil || sess.agg {
 		return governed, err
 	}
@@ -568,25 +498,30 @@ func decodeRowOriented(data []byte, preds []colfmt.Predicate, partition map[stri
 
 // computeAggregates evaluates the requested partial aggregates
 // server-side and returns one small payload.
-func (s *Server) computeAggregates(ch sim.Charger, sess *session, files []bigmeta.FileEntry) ([]byte, error) {
+func (s *Server) computeAggregates(ch sim.Charger, sess *session) ([]byte, error) {
 	// Accumulate per aggregate.
 	n := len(sess.req.Aggregates)
 	partials := make([]vector.Value, n)
-	counts := make([]int64, n)
-	want := s.readColumns(sess)
-	for _, f := range files {
-		batch, err := s.readGoverned(ch, sess, f, want)
-		if err != nil {
-			return nil, err
-		}
-		for i, a := range sess.req.Aggregates {
-			c := batch.Column(a.Column)
-			if c == nil {
-				return nil, fmt.Errorf("storageapi: aggregate column %q not found", a.Column)
+	p, err := s.planner().Renew(&sess.plan)
+	if err != nil {
+		return nil, err
+	}
+	// Stream by stream, as a client draining the session would: float
+	// sums keep their order.
+	for _, part := range sess.parts {
+		for _, f := range part {
+			batch, err := s.readGoverned(ch, sess, &p, f)
+			if err != nil {
+				return nil, err
 			}
-			v := vector.Aggregate(c, a.Kind, nil)
-			partials[i] = mergeAgg(a.Kind, partials[i], v)
-			counts[i]++
+			for i, a := range sess.req.Aggregates {
+				c := batch.Column(a.Column)
+				if c == nil {
+					return nil, fmt.Errorf("storageapi: aggregate column %q not found", a.Column)
+				}
+				v := vector.Aggregate(c, a.Kind, nil)
+				partials[i] = mergeAgg(a.Kind, partials[i], v)
+			}
 		}
 	}
 	fields := make([]vector.Field, n)

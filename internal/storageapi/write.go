@@ -164,6 +164,18 @@ func (s *Server) AppendRows(streamID string, offset int64, rows *vector.Batch) (
 	return ws.offset, nil
 }
 
+// dataFile plans ws's buffered rows as the data file name under its
+// table's data/ prefix, written under the table's credential.
+func (s *Server) dataFile(ws *writeStream, name string) (bigmeta.DataFile, error) {
+	t, err := s.Catalog.Table(ws.table)
+	if err != nil {
+		return bigmeta.DataFile{}, err
+	}
+	store, cred, err := s.planner().Resolve(t)
+	return bigmeta.DataFile{Table: ws.table, Store: store, Cred: cred, Bucket: t.Bucket,
+		Key: fmt.Sprintf("%sdata/%s.blk", t.Prefix, name), Batch: ws.rows}, err
+}
+
 // flushStreamLocked commits buffered rows as one data file through the
 // log's commit protocol (bigmeta.CommitFiles: journal intent → data
 // PUT → sealed commit), sealing the stream's durable state (offset
@@ -178,15 +190,7 @@ func (s *Server) flushStreamLocked(ws *writeStream, atOffset int64) error {
 	}
 	txnID := fmt.Sprintf("%s:f%d", ws.id, ws.flushSeq)
 	if _, done := s.Log.AppliedTx(txnID); !done {
-		t, err := s.Catalog.Table(ws.table)
-		if err != nil {
-			return err
-		}
-		store, err := s.store(t.Cloud)
-		if err != nil {
-			return err
-		}
-		cred, err := s.credFor(t)
+		file, err := s.dataFile(ws, fmt.Sprintf("%s-f%06d", bigmeta.SanitizeKey(ws.id), ws.flushSeq))
 		if err != nil {
 			return err
 		}
@@ -194,11 +198,7 @@ func (s *Server) flushStreamLocked(ws *writeStream, atOffset int64) error {
 		sealed.FlushSeq = ws.flushSeq + 1 // the retried flush mints the next key
 		if _, err := s.Log.CommitFiles(bigmeta.Tx{
 			ID: txnID, Principal: ws.principal, Res: s.Res,
-			Files: []bigmeta.DataFile{{
-				Table: ws.table, Store: store, Cred: cred, Bucket: t.Bucket,
-				Key:   fmt.Sprintf("%sdata/%s-f%06d.blk", t.Prefix, bigmeta.SanitizeKey(ws.id), ws.flushSeq),
-				Batch: ws.rows,
-			}},
+			Files:   []bigmeta.DataFile{file},
 			Streams: map[string]bigmeta.StreamState{ws.id: sealed},
 		}); err != nil {
 			return err
@@ -360,23 +360,11 @@ func (s *Server) batchCommit(txnID string, streamIDs []string) error {
 		if ws.rows == nil || ws.rows.N == 0 {
 			continue
 		}
-		t, err := s.Catalog.Table(ws.table)
+		file, err := s.dataFile(ws, bigmeta.SanitizeKey(ws.id))
 		if err != nil {
 			return err
 		}
-		store, err := s.store(t.Cloud)
-		if err != nil {
-			return err
-		}
-		cred, err := s.credFor(t)
-		if err != nil {
-			return err
-		}
-		files = append(files, bigmeta.DataFile{
-			Table: ws.table, Store: store, Cred: cred, Bucket: t.Bucket,
-			Key:   fmt.Sprintf("%sdata/%s.blk", t.Prefix, bigmeta.SanitizeKey(ws.id)),
-			Batch: ws.rows,
-		})
+		files = append(files, file)
 	}
 
 	// One multi-table transaction through the log's commit protocol

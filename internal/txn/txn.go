@@ -376,29 +376,7 @@ func (s *Session) ExecStmt(ctx *engine.QueryContext, stmt sqlparse.Statement) (*
 // --- engine.Mutator: buffered writes ---
 
 func (s *Session) managedTable(name string) (catalog.Table, *objstore.Store, objstore.Credential, error) {
-	e := s.m.Eng
-	t, err := e.Catalog.Table(name)
-	if err != nil {
-		return catalog.Table{}, nil, objstore.Credential{}, err
-	}
-	if t.Type != catalog.Managed && t.Type != catalog.Native {
-		return catalog.Table{}, nil, objstore.Credential{}, fmt.Errorf("%w: %s is %v", blmt.ErrNotManaged, name, t.Type)
-	}
-	store, ok := e.Stores[t.Cloud]
-	if !ok {
-		return catalog.Table{}, nil, objstore.Credential{}, fmt.Errorf("txn: no object store for cloud %q", t.Cloud)
-	}
-	var cred objstore.Credential
-	if t.Connection == "" {
-		cred = e.ManagedCred
-	} else {
-		conn, err := e.Auth.Connection(t.Connection)
-		if err != nil {
-			return catalog.Table{}, nil, objstore.Credential{}, err
-		}
-		cred = conn.ServiceAccount
-	}
-	return t, store, cred, nil
+	return blmt.ManagedTable(s.m.Eng.Catalog, s.m.Eng.Planner().Access, name)
 }
 
 func (s *Session) buf(table string) *tableBuf {

@@ -20,15 +20,27 @@
 # carry whole rows: a whole-file decode on a query path is how a scan
 # came to decode sixteen columns to sum one.
 #
+# Rule "plan": one scan plan. Fails if file pruning (Cache.Prune,
+# bigmeta.FileCanMatch) or a principal's row filters (RowFilterFor) are
+# consulted outside internal/scan, internal/bigmeta and
+# internal/security: which files can hold a match, and which predicates
+# may be put to stored values at all, is decided once per table read, in
+# scan.Plan — a second enumerate -> prune -> column-set path is how the
+# Read API came to ignore the staleness bound and both paths to prune on
+# the stored values of a column the reader sees masked.
+#
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt.
 set -eu
 cd "$(dirname "$0")/.."
 
-# check <rule> <regex> <owner-dir> <advice>
+# check <rule> <regex> <owner-dirs> <advice>
 check() {
     allow=$(grep -v '^#' scripts/scanlint.allow | awk -v r="$1" '$1 == r { print $2 }')
-    bad=$(grep -rnE "$2" --include='*.go' --exclude='*_test.go' --exclude-dir="$3" . |
+    owners=
+    for dir in $3; do owners="$owners --exclude-dir=$dir"; done
+    # shellcheck disable=SC2086 # owners is a list of flags
+    bad=$(grep -rnE "$2" --include='*.go' --exclude='*_test.go' $owners . |
         sed 's|^\./||' | while IFS= read -r line; do
         ok=
         for prefix in $allow; do
@@ -49,5 +61,7 @@ check scan 'colfmt\.(NewVectorizedReader|NewRowReader|Verify)\(' scan \
 check commit '\.(AppendIntent|AppendAbort|CommitTxIf|NewFileEntry)\(' bigmeta \
     'commit protocol step outside internal/bigmeta; commit data files through bigmeta.CommitFiles (PutDataFile for a loader outside a journal)'
 check project '\.(ReadBatch\([^,]+,[^,]+,[^,]+|Resident\([^,]+,[^,]+), *nil *[,)]' scan \
-    'whole-file decode (nil column list) outside a rewrite; pass the scan.Columns the caller reads (scan.ColumnsOf, or the engine'"'"'s scanColumns)'
+    'whole-file decode (nil column list) outside a rewrite; pass the scan.Columns the caller reads (scan.ColumnsOf, or a scan.Plan'"'"'s)'
+check plan '(\.Prune|FileCanMatch|RowFilterFor)\(' 'scan bigmeta security' \
+    'file pruning or row-filter lookup outside internal/scan; build a scan.Plan (Planner.Plan) and read its Files / Columns / Pushed'
 echo "scanlint: ok"
