@@ -42,9 +42,15 @@ chaos:
 # {cache, DPP, prune granularity, faults} × {pre/post compaction}
 # cell, engine vs oracle, bit-identical or the build fails — the star
 # family among them, which must keep reaching every join strategy and
-# grouping kernel.
+# grouping kernel. Then ten seconds of native fuzzing on each of the
+# column codec's decoders — the one parser a Read API client points at
+# bytes with no checksum in front of them: an error or a column that
+# re-encodes to itself, never a panic (the seed corpus alone runs in
+# every plain `go test`).
 fuzz:
 	$(GO) test -run 'TestDifferential|TestIcebergExportEquality|TestStarFamilyReachesKernels' -v ./internal/oracle/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeColumn' -fuzztime=10s ./internal/vector/
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime=10s ./internal/vector/
 
 # Demonstrate the harness catches a planted pruning bug (not in ci:
 # the tagged build is intentionally broken).
@@ -149,9 +155,13 @@ gatecheck:
 # N:1 probe's shared match slots five times over), arena lifetime
 # safety under the race detector (query results, LIMIT prefixes and
 # columns a join passed through included, must survive arena
-# recycling; serve cursors copy out), the small-join alloc budget, and
-# the E20 experiment smoke: the star join's heap allocs/bytes/GC per
-# query under committed budgets, mixed-traffic QPS, variance cells.
+# recycling; serve cursors copy out), the small-join alloc budget, the
+# column codec and the Read API's masking and partial aggregates against
+# their byte-reader / boxed references with per-column (never per-value)
+# alloc budgets, a governed ReadRows that allocates the same at 1k and
+# 8k rows, and the E20 experiment smoke: the star join's heap
+# allocs/bytes/GC per query under committed budgets, mixed-traffic QPS,
+# variance cells.
 # BENCH_E15.json / BENCH_E20.json are the committed full-scale
 # snapshots (they also record the removed row-at-a-time and eager-heap
 # arms); a plain `benchlake e20` fails if any variance cell regresses
@@ -162,6 +172,8 @@ gclean:
 	$(GO) test -race -count=5 -run 'TestN1ProbeConcurrentWriters' ./internal/vector/
 	$(GO) test -race -run 'TestGCLean|TestArena' ./internal/engine/
 	$(GO) test -run 'TestGCLeanSmallJoinAllocs' ./internal/engine/
+	$(GO) test -run 'TestWire|TestMaskKernel|TestAggregateKernel|TestDecodedStringsShareOneBuffer' ./internal/vector/
+	$(GO) test -run 'TestGCLeanReadRowsAllocs' ./internal/storageapi/
 	$(GO) test -race ./internal/arena/
 	$(GO) test -race -run 'TestCursorSurvivesArenaRecycle' ./internal/serve/
 	$(GO) test -run 'TestE20' -v ./internal/exp/

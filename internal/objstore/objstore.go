@@ -467,8 +467,9 @@ func (s *Store) getRange(ch sim.Charger, cred Credential, bucketName, key string
 	if length >= 0 && offset+length < end {
 		end = offset + length
 	}
-	data := make([]byte, end-offset)
-	copy(data, src.data[offset:end])
+	// append, not make+copy: the runtime does not clear what the copy
+	// overwrites. Always a private copy — corruption below mutates it.
+	data := append([]byte(nil), src.data[offset:end]...)
 	info := src.info
 	s.mu.Unlock()
 

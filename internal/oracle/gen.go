@@ -716,9 +716,11 @@ type GenPolicy struct {
 	Table  string
 	Filter []colfmt.Predicate
 	Masked string
-	// Mask is how Masked reads: NULLs (MaskNullify), or its type's zero
+	// Mask is how Masked reads: NULLs (MaskNullify), its type's zero
 	// value in every row (MaskDefault) — which predicates match, so a
-	// predicate that reached the stored values instead shows.
+	// predicate that reached the stored values instead shows — or, the
+	// column being a string, its last four bytes after X's
+	// (MaskLastFour): a value computed from the stored one, row by row.
 	Mask   vector.MaskKind
 	Denied string
 }
@@ -734,10 +736,8 @@ func (g *Gen) Policies(tables []*GenTable) []GenPolicy {
 			Column: ints[len(ints)-1], Op: vector.LT, Value: vector.IntValue(int64(15 + g.intn(30))),
 		}}}
 		if strs := colsOfType(t, vector.String); len(strs) > 0 {
-			pol.Masked, pol.Mask = strs[len(strs)-1], vector.MaskNullify
-			if g.chance(0.5) {
-				pol.Mask = vector.MaskDefault
-			}
+			pol.Masked = strs[len(strs)-1]
+			pol.Mask = []vector.MaskKind{vector.MaskNullify, vector.MaskDefault, vector.MaskLastFour}[g.pick(3)]
 		}
 		// Denied: nothing, a column of no other interest, or the very
 		// column the row policy filters on.

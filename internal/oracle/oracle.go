@@ -68,8 +68,10 @@ func (db *DB) Clone() *DB {
 // policies sees it — the reference for governance: per policy, only the
 // table's rows every filter predicate holds on (a NULL holds on none),
 // the masked column NULL in each — or, under MaskDefault, its type's
-// zero value — the denied column gone. A table without a policy is
-// shared as is.
+// zero value; under MaskLastFour, worked out here and not by
+// vector.ApplyMask, the string's last four bytes after an X for each
+// byte before them — the denied column gone. A table without a policy
+// is shared as is.
 func (db *DB) Governed(pols []GenPolicy) *DB {
 	out := NewDB()
 	for name, t := range db.Tables {
@@ -101,10 +103,16 @@ func (db *DB) Governed(pols []GenPolicy) *DB {
 				case denied:
 					continue
 				case masked:
-					v = vector.NullValue
-					if pol.Mask == vector.MaskDefault {
+					switch pol.Mask {
+					case vector.MaskDefault:
 						// Type alone is the zero value: 0, 0.0, "", false.
 						v = vector.Value{Type: t.Schema.Fields[i].Type}
+					case vector.MaskLastFour:
+						if n := len(v.S) - 4; n > 0 {
+							v.S = strings.Repeat("X", n) + v.S[n:]
+						}
+					default:
+						v = vector.NullValue
 					}
 				}
 				seen = append(seen, v)

@@ -335,13 +335,24 @@ func (a *Authority) ApplyGovernance(p Principal, table string, b *vector.Batch) 
 	// Row-level filtering first: a row policy reads raw values, and may
 	// filter on a column this principal is denied or sees masked.
 	if filters, unrestricted := a.RowFilterFor(p, table); !unrestricted {
-		mask := make([]bool, b.N) // default: no rows
+		// The first conjunct's mask is the result; further ones fold
+		// into it. No policy for the principal selects no row.
+		var mask []bool
 		for _, conj := range filters {
 			m, err := colfmt.EvalPredicates(b, conj)
 			if err != nil {
 				return nil, err
 			}
-			mask = vector.Or(mask, m)
+			if mask == nil {
+				mask = m
+				continue
+			}
+			for i, keep := range m {
+				mask[i] = mask[i] || keep
+			}
+		}
+		if mask == nil {
+			mask = make([]bool, b.N)
 		}
 		var err error
 		if b, err = vector.Filter(b, mask); err != nil {

@@ -134,7 +134,7 @@ func (d *directSource) scan(sess *Session, preds []colfmt.Predicate, cols []stri
 	for i := range tracks {
 		tracks[i] = sess.Clock.StartTrack()
 	}
-	var out *vector.Batch
+	var parts []*vector.Batch
 	for i, info := range infos {
 		tr := tracks[i%Executors]
 		head, herr := d.store.HeadOn(tr, d.cred, d.bucket, info.Key)
@@ -182,18 +182,16 @@ func (d *directSource) scan(sess *Session, preds []colfmt.Predicate, cols []stri
 		if rerr != nil {
 			return nil, rerr
 		}
-		out, err = vector.AppendBatch(out, b)
-		if err != nil {
-			return nil, err
-		}
+		parts = append(parts, b)
 	}
 	for _, tr := range tracks {
 		tr.Join()
 	}
-	if out == nil {
-		return nil, fmt.Errorf("sparkle: no files under %s/%s", d.bucket, d.prefix)
+	out, err := vector.Concat(parts)
+	if out == nil && err == nil {
+		err = fmt.Errorf("sparkle: no files under %s/%s", d.bucket, d.prefix)
 	}
-	return out, nil
+	return out, err
 }
 
 // --- Read API source (the connector) ---
@@ -265,7 +263,7 @@ func (r *readAPISource) scan(sess *Session, preds []colfmt.Predicate, cols []str
 	for i := range tracks {
 		tracks[i] = sess.Clock.StartTrack()
 	}
-	var out *vector.Batch
+	var parts []*vector.Batch
 	for i, stream := range rs.Streams {
 		for {
 			payload, err := r.server.ReadRowsOn(tracks[i], rs.ID, stream)
@@ -281,19 +279,17 @@ func (r *readAPISource) scan(sess *Session, preds []colfmt.Predicate, cols []str
 				return nil, err
 			}
 			// Arrow-native ingestion: decode once, no row conversion.
-			out, err = vector.AppendBatch(out, b)
-			if err != nil {
-				return nil, err
-			}
+			parts = append(parts, b)
 		}
 	}
 	for _, tr := range tracks {
 		tr.Join()
 	}
-	if out == nil {
+	out, err := vector.Concat(parts)
+	if out == nil && err == nil {
 		out = vector.EmptyBatch(rs.Schema)
 	}
-	return out, nil
+	return out, err
 }
 
 // --- frame operations ---

@@ -605,7 +605,7 @@ func (s *Server) SplitStream(sessionID, streamName string) (string, error) {
 // ReadAll is a client convenience: drain every stream of a session
 // (sequentially) and decode into one batch.
 func (s *Server) ReadAll(sess *ReadSession) (*vector.Batch, error) {
-	var out *vector.Batch
+	var parts []*vector.Batch
 	for _, stream := range sess.Streams {
 		for {
 			payload, err := s.ReadRows(sess.ID, stream)
@@ -619,10 +619,7 @@ func (s *Server) ReadAll(sess *ReadSession) (*vector.Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			out, err = vector.AppendBatch(out, b)
-			if err != nil {
-				return nil, err
-			}
+			parts = append(parts, b)
 		}
 		if sess.Streams[0] == stream && len(sess.Streams) > 0 {
 			// aggregate sessions answer entirely on the first stream
@@ -634,8 +631,9 @@ func (s *Server) ReadAll(sess *ReadSession) (*vector.Batch, error) {
 			}
 		}
 	}
-	if out == nil {
+	out, err := vector.Concat(parts)
+	if out == nil && err == nil {
 		out = vector.EmptyBatch(sess.Schema)
 	}
-	return out, nil
+	return out, err
 }

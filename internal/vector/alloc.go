@@ -1,5 +1,7 @@
 package vector
 
+import "strings"
+
 // Alloc hands out typed scratch slices for the execution kernels. The
 // production implementation is *arena.Arena (matched structurally to
 // avoid an import cycle); Heap is the fallback that preserves the
@@ -120,11 +122,30 @@ func appendI32(al Alloc, s []int32, v int32) []int32 {
 	return append(s, v)
 }
 
+// strBuf packs a column's strings into one allocation. Grown to their
+// total size up front the builder never moves, so every cut is a view
+// of the one buffer: the strings cost one allocation, not one each,
+// and live and die together.
+type strBuf struct {
+	sb  strings.Builder
+	off int
+}
+
+// cut returns what was written to sb since the last cut.
+func (b *strBuf) cut() string {
+	s := b.sb.String()[b.off:]
+	b.off += len(s)
+	return s
+}
+
 // DetachColumn returns a column whose backing arrays are heap-owned:
 // pooled (arena-backed) columns are deep-copied, everything else is
 // returned as-is. This is the copy-out at every boundary where data
 // outlives the query arena (Execute results, txn insert buffers,
-// serve cursor pages).
+// serve cursor pages). The copy is deep for strings too: a decoded
+// column's strings share one buffer (DecodeColumn), and the rows a
+// query gathered out of a scan-cache entry would otherwise pin that
+// entry's whole buffer for as long as the result is held.
 func DetachColumn(c *Column) *Column {
 	if c == nil || !c.Pooled {
 		return c
@@ -144,7 +165,17 @@ func DetachColumn(c *Column) *Column {
 		out.Bools = append([]bool(nil), c.Bools...)
 	}
 	if c.Strs != nil {
-		out.Strs = append([]string(nil), c.Strs...)
+		out.Strs = make([]string, len(c.Strs))
+		total := 0
+		for _, s := range c.Strs {
+			total += len(s)
+		}
+		var buf strBuf
+		buf.sb.Grow(total)
+		for i, s := range c.Strs {
+			buf.sb.WriteString(s)
+			out.Strs[i] = buf.cut()
+		}
 	}
 	if c.Codes != nil {
 		out.Codes = append([]uint32(nil), c.Codes...)

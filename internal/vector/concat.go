@@ -103,6 +103,17 @@ func FilterConcatWith(m Mem, parts []Selection) (*Batch, error) {
 	return &Batch{Schema: schema, Cols: cols, N: total}, nil
 }
 
+// Concat concatenates whole batches, in order, in one sized pass — a
+// client draining a read session decodes every payload, then
+// concatenates once. Returns (nil, nil) for no batches.
+func Concat(batches []*Batch) (*Batch, error) {
+	parts := make([]Selection, len(batches))
+	for i, b := range batches {
+		parts[i] = Selection{Batch: b, N: b.N}
+	}
+	return FilterConcatWith(Mem{}, parts)
+}
+
 // concatCol gathers one column position of every part into dst.
 func concatCol[T any](dst []T, arr func(*Column) []T, parts []Selection, ci int, nullAt func(int)) {
 	off := 0

@@ -2,7 +2,9 @@ package vector
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // CmpOp is a comparison operator for predicate kernels.
@@ -530,92 +532,205 @@ func (m MaskKind) String() string {
 	return "?"
 }
 
-// ApplyMask returns a masked copy of the column. For Dict columns the
-// transform runs once per dictionary entry — masking is vectorized
-// over the encoding just like predicates.
+// ApplyMask returns a masked copy of the column. For Dict and RLE
+// columns the transform runs once per dictionary entry — masking is
+// vectorized over the encoding just like predicates. HASH and LAST_FOUR
+// produce a String column whose values share one buffer; LAST_FOUR
+// keeps the last four *bytes* of the value as Value.String renders it,
+// so it may cut a multi-byte UTF-8 character. An unknown kind fails
+// closed, as NULLIFY.
 func ApplyMask(c *Column, kind MaskKind) *Column {
 	switch kind {
 	case MaskNone:
 		return c
-	case MaskNullify:
-		out := &Column{Type: c.Type, Len: c.Len, Enc: Plain, Nulls: make([]bool, c.Len)}
+	case MaskHash, MaskLastFour:
+		out := &Column{Type: String, Len: c.Len, Enc: c.Enc, Codes: c.Codes, Runs: c.Runs}
+		if c.Enc == Plain && c.Nulls != nil && slices.Contains(c.Nulls, true) {
+			out.Nulls = append([]bool(nil), c.Nulls...)
+		}
+		out.Strs = maskValues(c, kind == MaskHash, out.Nulls)
+		return out
+	}
+	out := &Column{Type: c.Type, Len: c.Len, Enc: Plain}
+	if kind != MaskDefault {
+		out.Nulls = make([]bool, c.Len)
 		for i := range out.Nulls {
 			out.Nulls[i] = true
 		}
-		switch c.Type {
-		case Int64, Timestamp:
-			out.Ints = make([]int64, c.Len)
-		case Float64:
-			out.Floats = make([]float64, c.Len)
-		case Bool:
-			out.Bools = make([]bool, c.Len)
-		case String, Bytes:
-			out.Strs = make([]string, c.Len)
+	}
+	switch c.Type {
+	case Int64, Timestamp:
+		out.Ints = make([]int64, c.Len)
+	case Float64:
+		out.Floats = make([]float64, c.Len)
+	case Bool:
+		out.Bools = make([]bool, c.Len)
+	case String, Bytes:
+		out.Strs = make([]string, c.Len)
+	}
+	return out
+}
+
+// masker renders HASH or LAST_FOUR values into one buffer. HASH is
+// "hash_%016x" of the FNV-1a of fmt's "%d:%s:%d:%g:%t" over a Value's
+// (Type, S, I, F, B): a column's type fills one of the four fields, so
+// the text around it — pre and suf — is fixed per column and hashed
+// without being formatted.
+type masker struct {
+	strBuf
+	hash bool
+	pre  uint64 // FNV state after the prefix
+	suf  string
+	num  [32]byte // a numeric value's rendering
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+	hexDigits   = "0123456789abcdef"
+	maskXs      = "XXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXXX"
+)
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+func fnvBytes(h uint64, s []byte) uint64 {
+	for _, b := range s {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	return h
+}
+
+// hashed writes the token for a value whose field hashed to h.
+func (m *masker) hashed(h uint64) string {
+	h = fnvString(h, m.suf)
+	tok := [21]byte{'h', 'a', 's', 'h', '_'}
+	for i := 0; i < 16; i++ {
+		tok[5+i] = hexDigits[h>>(60-4*i)&15]
+	}
+	m.sb.Write(tok[:])
+	return m.cut()
+}
+
+// xs writes n X's.
+func (m *masker) xs(n int) {
+	for ; n > 0; n -= len(maskXs) {
+		m.sb.WriteString(maskXs[:min(n, len(maskXs))])
+	}
+}
+
+// lastFour writes s with all but its last four bytes X-ed out.
+func (m *masker) lastFour(s string) string {
+	if len(s) > 4 {
+		m.xs(len(s) - 4)
+		s = s[len(s)-4:]
+	}
+	m.sb.WriteString(s)
+	return m.cut()
+}
+
+// lastFourHex is lastFour of s's "%x" rendering, which is how a Bytes
+// value prints.
+func (m *masker) lastFourHex(s string) string {
+	if len(s) > 2 {
+		m.xs(2*len(s) - 4)
+		s = s[len(s)-2:]
+	}
+	for i := 0; i < len(s); i++ {
+		m.sb.WriteByte(hexDigits[s[i]>>4])
+		m.sb.WriteByte(hexDigits[s[i]&15])
+	}
+	return m.cut()
+}
+
+// rendered masks a numeric or boolean value whose rendering is b; b is
+// overwritten.
+func (m *masker) rendered(b []byte) string {
+	if m.hash {
+		return m.hashed(fnvBytes(m.pre, b))
+	}
+	for i := 0; i < len(b)-4; i++ {
+		b[i] = 'X'
+	}
+	m.sb.Write(b)
+	return m.cut()
+}
+
+// live reports whether row i is not flagged in nulls.
+func live(nulls []bool, i int) bool { return nulls == nil || !nulls[i] }
+
+// maskValues masks c's value arrays — the rows of a Plain column, the
+// dictionary of a Dict or RLE one — skipping the rows nulls flags.
+func maskValues(c *Column, hash bool, nulls []bool) []string {
+	out := make([]string, c.dictLen())
+	m := masker{hash: hash}
+	// What "%d:%s:%d:%g:%t" prints around the type's one field, and the
+	// longest rendering of a value: the bound of LAST_FOUR's buffer.
+	pre, width := strconv.Itoa(int(c.Type))+"::", 0
+	switch c.Type {
+	case Int64, Timestamp:
+		m.suf, width = ":0:false", 20
+	case Float64:
+		pre, m.suf, width = pre+"0:", ":false", 24
+	case Bool:
+		pre, width = pre+"0:0:", 5
+	case String, Bytes:
+		pre, m.suf = pre[:len(pre)-1], ":0:0:false"
+		for i, s := range c.Strs {
+			if live(nulls, i) {
+				width += len(s)
+			}
 		}
-		return out
-	case MaskDefault:
-		out := &Column{Type: c.Type, Len: c.Len, Enc: Plain}
-		switch c.Type {
-		case Int64, Timestamp:
-			out.Ints = make([]int64, c.Len)
-		case Float64:
-			out.Floats = make([]float64, c.Len)
-		case Bool:
-			out.Bools = make([]bool, c.Len)
-		case String, Bytes:
-			out.Strs = make([]string, c.Len)
+		if c.Type == Bytes {
+			width *= 2
 		}
-		return out
+	}
+	m.pre = fnvString(fnvOffset64, pre)
+	switch {
+	case hash:
+		m.sb.Grow(21 * len(out))
+	case c.Type == String || c.Type == Bytes:
+		m.sb.Grow(width)
+	default:
+		m.sb.Grow(width * len(out))
 	}
 
-	// Value-transforming masks: operate on the dictionary when the
-	// column is Dict/RLE encoded.
-	transform := func(v Value) Value {
-		switch kind {
-		case MaskHash:
-			h := fnv.New64a()
-			fmt.Fprintf(h, "%d:%s:%d:%g:%t", v.Type, v.S, v.I, v.F, v.B)
-			return StringValue(fmt.Sprintf("hash_%016x", h.Sum64()))
-		case MaskLastFour:
-			s := v.String()
-			if len(s) <= 4 {
-				return StringValue(s)
+	switch c.Type {
+	case Int64, Timestamp:
+		for i, v := range c.Ints {
+			if live(nulls, i) {
+				out[i] = m.rendered(strconv.AppendInt(m.num[:0], v, 10))
 			}
-			masked := make([]byte, len(s))
-			for i := range masked {
-				masked[i] = 'X'
+		}
+	case Float64:
+		for i, v := range c.Floats {
+			if live(nulls, i) {
+				out[i] = m.rendered(strconv.AppendFloat(m.num[:0], v, 'g', -1, 64))
 			}
-			copy(masked[len(s)-4:], s[len(s)-4:])
-			return StringValue(string(masked))
 		}
-		return v
-	}
-
-	if c.Enc == Dict || c.Enc == RLE {
-		out := &Column{Type: String, Len: c.Len, Enc: c.Enc}
-		out.Codes = c.Codes
-		out.Runs = c.Runs
-		n := c.dictLen()
-		out.Strs = make([]string, n)
-		for i := 0; i < n; i++ {
-			out.Strs[i] = transform(c.valueAtIdx(uint32(i))).S
-		}
-		return out
-	}
-	out := &Column{Type: String, Len: c.Len, Enc: Plain, Strs: make([]string, c.Len)}
-	var nulls []bool
-	for i := 0; i < c.Len; i++ {
-		v := c.Value(i)
-		if v.IsNull() {
-			if nulls == nil {
-				nulls = make([]bool, c.Len)
+	case Bool:
+		for i, v := range c.Bools {
+			if live(nulls, i) {
+				out[i] = m.rendered(strconv.AppendBool(m.num[:0], v))
 			}
-			nulls[i] = true
-			continue
 		}
-		out.Strs[i] = transform(v).S
+	case String, Bytes:
+		for i, s := range c.Strs {
+			switch {
+			case !live(nulls, i):
+			case hash:
+				out[i] = m.hashed(fnvString(m.pre, s))
+			case c.Type == String:
+				out[i] = m.lastFour(s)
+			default:
+				out[i] = m.lastFourHex(s)
+			}
+		}
 	}
-	out.Nulls = nulls
 	return out
 }
 
@@ -645,39 +760,111 @@ func (a AggKind) String() string {
 	return "?"
 }
 
+// aggAt resolves row i of a Plain or Dict column to its position in the
+// value arrays, or -1 when the row is unselected or NULL.
+func aggAt(c *Column, mask []bool, i int) int {
+	if mask != nil && !mask[i] {
+		return -1
+	}
+	if c.Enc == Dict {
+		if code := c.Codes[i]; code != NullIdx {
+			return int(code)
+		}
+		return -1
+	}
+	if c.Nulls != nil && c.Nulls[i] {
+		return -1
+	}
+	return i
+}
+
+// cmpNum orders numerics as Value.Compare does: through float64, an
+// unordered pair (a NaN) comparing equal.
+func cmpNum(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 // Aggregate computes a partial aggregate over the column under an
 // optional selection mask (nil = all rows). COUNT counts non-null
 // selected rows. SUM/MIN/MAX skip NULLs; an empty input yields NULL
-// for MIN/MAX/SUM and 0 for COUNT.
+// for MIN/MAX/SUM and 0 for COUNT. A float SUM adds in row order;
+// MIN/MAX order values as Value.Compare does and keep the first of
+// equals.
 func Aggregate(c *Column, kind AggKind, mask []bool) Value {
-	count := int64(0)
-	var acc Value
-	accSet := false
-	var sumI int64
+	if c.Enc == RLE {
+		c = c.Decode() // runs have no random access; Plain and Dict are read in place
+	}
+	numeric := c.Type == Int64 || c.Type == Timestamp
+	var count, sumI int64
 	var sumF float64
-	for i := 0; i < c.Len; i++ {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		v := c.Value(i)
-		if v.IsNull() {
-			continue
-		}
-		count++
-		switch kind {
-		case AggSum:
-			if c.Type == Float64 {
-				sumF += v.F
-			} else {
-				sumI += v.I
+	at := -1 // MIN/MAX: where the extreme so far sits in the value arrays
+	switch {
+	case kind == AggSum && c.Type == Float64:
+		for i := 0; i < c.Len; i++ {
+			if j := aggAt(c, mask, i); j >= 0 {
+				count++
+				sumF += c.Floats[j]
 			}
-		case AggMin:
-			if !accSet || v.Compare(acc) < 0 {
-				acc, accSet = v, true
+		}
+	case kind == AggSum && numeric:
+		for i := 0; i < c.Len; i++ {
+			if j := aggAt(c, mask, i); j >= 0 {
+				count++
+				sumI += c.Ints[j]
 			}
-		case AggMax:
-			if !accSet || v.Compare(acc) > 0 {
-				acc, accSet = v, true
+		}
+	case kind == AggMin || kind == AggMax:
+		want := -1 // the sign of compare(v, extreme) that replaces the extreme
+		if kind == AggMax {
+			want = 1
+		}
+		switch {
+		case numeric:
+			var ext float64
+			for i := 0; i < c.Len; i++ {
+				if j := aggAt(c, mask, i); j >= 0 {
+					if v := float64(c.Ints[j]); at < 0 || cmpNum(v, ext) == want {
+						at, ext = j, v
+					}
+				}
+			}
+		case c.Type == Float64:
+			var ext float64
+			for i := 0; i < c.Len; i++ {
+				if j := aggAt(c, mask, i); j >= 0 {
+					if v := c.Floats[j]; at < 0 || cmpNum(v, ext) == want {
+						at, ext = j, v
+					}
+				}
+			}
+		case c.Type == Bool:
+			for i := 0; i < c.Len; i++ {
+				if j := aggAt(c, mask, i); j >= 0 {
+					// false < true
+					if at < 0 || (c.Bools[j] != c.Bools[at] && c.Bools[j] == (want > 0)) {
+						at = j
+					}
+				}
+			}
+		case c.Type == String || c.Type == Bytes:
+			for i := 0; i < c.Len; i++ {
+				if j := aggAt(c, mask, i); j >= 0 {
+					if at < 0 || strings.Compare(c.Strs[j], c.Strs[at]) == want {
+						at = j
+					}
+				}
+			}
+		}
+	default: // COUNT, and SUM over a type with nothing to add
+		for i := 0; i < c.Len; i++ {
+			if aggAt(c, mask, i) >= 0 {
+				count++
 			}
 		}
 	}
@@ -693,10 +880,9 @@ func Aggregate(c *Column, kind AggKind, mask []bool) Value {
 		}
 		return IntValue(sumI)
 	case AggMin, AggMax:
-		if !accSet {
-			return NullValue
+		if at >= 0 {
+			return c.valueAtIdx(uint32(at))
 		}
-		return acc
 	}
 	return NullValue
 }

@@ -29,6 +29,13 @@
 # Read API came to ignore the staleness bound and both paths to prune on
 # the stored values of a column the reader sees masked.
 #
+# Rule "codec": one column codec. Fails if a byte-reader decode
+# (bytes.Reader, binary.ReadUvarint / ReadVarint) appears in a non-test
+# file of internal/vector: wire.go walks the input slice, and the
+# byte-reader codec it replaced is kept only as the parity reference in
+# wire_test.go — a second decoder beside the first is how column chunks
+# and Read API payloads would come to accept different bytes.
+#
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt.
 set -eu
@@ -64,4 +71,9 @@ check project '\.(ReadBatch\([^,]+,[^,]+,[^,]+|Resident\([^,]+,[^,]+), *nil *[,)
     'whole-file decode (nil column list) outside a rewrite; pass the scan.Columns the caller reads (scan.ColumnsOf, or a scan.Plan'"'"'s)'
 check plan '(\.Prune|FileCanMatch|RowFilterFor)\(' 'scan bigmeta security' \
     'file pruning or row-filter lookup outside internal/scan; build a scan.Plan (Planner.Plan) and read its Files / Columns / Pushed'
+if bad=$(grep -nE 'bytes\.(New)?Reader|binary\.Read(Uv|V)arint' internal/vector/*.go | grep -v '_test\.go:'); then
+    echo "scanlint(codec): byte-reader decode in internal/vector; decode through wire.go's cursor (wireReader):" >&2
+    printf '%s\n' "$bad" >&2
+    exit 1
+fi
 echo "scanlint: ok"
