@@ -57,14 +57,19 @@ fuzz:
 fuzz-bug:
 	$(GO) test -tags oraclebug -run 'TestForcedBugCaught' -v ./internal/oracle/
 
-# The crash-point sweep: kill the process at every labeled step of the
-# flush/batch-commit/compaction/Iceberg-export protocols, recover from
-# the journal, and diff against the oracle. Prints the seed and a
-# replay command on failure; re-run one world with
+# The crash-point sweep: kill a core.New lakehouse at every labeled
+# step of the flush/batch-commit/compaction/Iceberg-export protocols,
+# restart it through Lakehouse.Recover (the deployment's one restart
+# path: journal replay, every in-memory service rebuilt), and diff
+# against the oracle; then the restart path itself on every surface it
+# rebuilds — engine, Read API, resumed write stream, transactions, one
+# registry. Prints the seed and a replay command on failure; re-run one
+# world with
 #
 #	go test ./internal/oracle -run TestCrashSweep -seed=<n> -v
 crash:
 	$(GO) test -race -run 'TestCrashSweep' -v ./internal/oracle/
+	$(GO) test -race -run 'TestRecoverRewiresEveryService' ./internal/core/
 
 # Observability gate: registry/span tests under the race detector,
 # the EXPLAIN ANALYZE goldens, the one-registry tests (a core.New
@@ -88,11 +93,12 @@ obs:
 # race detector, plus the interleaved-schedule serializability oracle
 # (sessions, autocommit statements and Optimize passes interleaved) and
 # its crash sweep (kill the process at every labeled step of the one
-# commit protocol, recover, re-drive the schedule, and require a
-# serializable, orphan-free state), then the committers that used to
-# seal unvalidated — autocommit DML and Optimize, raced against each
-# other ten times over — and the post-commit Iceberg export and
-# Write API intent every committer now shares. Replay one world with
+# commit protocol, restart through Lakehouse.Recover, re-drive the
+# schedule, and require a serializable, orphan-free state), then the
+# committers that used to seal unvalidated — autocommit DML and
+# Optimize, raced against each other ten times over — and the
+# post-commit Iceberg export and Write API intent every committer now
+# shares. Replay one world with
 #
 #	go test ./internal/oracle -run TestTxnCrashSweep -seed=<n> -v
 txn:

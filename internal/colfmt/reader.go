@@ -164,9 +164,6 @@ func ReaderFor(file []byte, footer *Footer, columns []string, preds []Predicate)
 	return r, nil
 }
 
-// Schema returns the projected output schema.
-func (r *VectorizedReader) Schema() vector.Schema { return r.schema }
-
 // chunk returns the row group's chunk of the field at position at.
 // Writers lay chunks out in field order; a group that does not is
 // searched by name.
@@ -244,24 +241,6 @@ next:
 		return sel, err == nil, err
 	}
 	return vector.Selection{}, false, nil
-}
-
-// Next returns the next batch, or nil when the file is exhausted.
-// Returned batches have predicates already applied.
-func (r *VectorizedReader) Next() (*vector.Batch, error) {
-	for {
-		sel, ok, err := r.nextGroup()
-		if err != nil || !ok {
-			return nil, err
-		}
-		if sel.N == 0 {
-			continue
-		}
-		if sel.Mask == nil {
-			return sel.Batch, nil
-		}
-		return vector.Filter(sel.Batch, sel.Mask)
-	}
 }
 
 // ReadAll drains the reader into one batch (possibly empty): the

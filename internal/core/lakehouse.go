@@ -16,6 +16,7 @@ import (
 	"biglake/internal/engine"
 	"biglake/internal/inference"
 	"biglake/internal/objstore"
+	"biglake/internal/obs"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/sqlparse"
@@ -59,6 +60,9 @@ type Lakehouse struct {
 	sessions  map[security.Principal]*txn.Session
 }
 
+// managedBucket holds managed-table data by default and the journal.
+const managedBucket = "bq-managed"
+
 // New builds a ready-to-use lakehouse.
 func New(opts Options) (*Lakehouse, error) {
 	if opts.Cloud == "" {
@@ -78,57 +82,104 @@ func New(opts Options) (*Lakehouse, error) {
 	clock := sim.NewClock()
 	store := objstore.New(sim.ProfileFor(opts.Cloud), clock)
 	sa := objstore.Credential{Principal: "sa-biglake@" + opts.Region}
-	if err := store.CreateBucket(sa, "bq-managed"); err != nil {
+	if err := store.CreateBucket(sa, managedBucket); err != nil {
 		return nil, err
 	}
-	cat := catalog.New()
-	auth := security.NewAuthority("lakehouse-"+opts.Region, opts.Admin)
-	meta := bigmeta.NewCache(clock)
-	log := bigmeta.NewLog(clock)
-	stores := map[string]*objstore.Store{opts.Cloud: store}
-
-	eng := engine.New(cat, auth, meta, log, clock, stores, engOpts)
-	eng.ManagedCred = sa
-	// One registry for the deployment: the engine's, which system.metrics
-	// reads. Everything built below inherits it — the Storage API and the
-	// BLMT manager from the log, the transaction manager and the
-	// inference runtime from the engine, a journal recovery from the
-	// store.
-	store.UseObs(eng.Obs)
-	meta.UseObs(eng.Obs)
-	log.UseObs(eng.Obs)
-	srv := storageapi.NewServer(cat, auth, meta, log, clock, stores)
-	srv.ManagedCred = sa
-	mgr := blmt.New(cat, auth, log, clock, stores)
-	mgr.DefaultCloud = opts.Cloud
-	mgr.DefaultBucket = "bq-managed"
-	eng.SetMutator(mgr)
-	j, err := wal.Open(store, sa, "bq-managed", "")
+	lh := &Lakehouse{
+		Clock: clock, Catalog: catalog.New(), Store: store,
+		Auth:  security.NewAuthority("lakehouse-"+opts.Region, opts.Admin),
+		Admin: opts.Admin, cloud: opts.Cloud, serviceSA: sa,
+	}
+	lh.assemble(bigmeta.NewLog(clock), engOpts, nil)
+	j, err := wal.Open(store, sa, managedBucket, "")
 	if err != nil {
 		return nil, err
 	}
-	log.AttachJournal(j)
-	rt := inference.NewRuntime(auth, stores, clock, sa)
-	rt.Attach(eng)
-
-	lh := &Lakehouse{
-		Clock: clock, Catalog: cat, Auth: auth, Meta: meta, Log: log,
-		Engine: eng, StorageAPI: srv, Manager: mgr, Inference: rt,
-		Store: store, Journal: j, Txns: txn.NewManager(eng),
-		Admin: opts.Admin, cloud: opts.Cloud, serviceSA: sa,
-		sessions: make(map[security.Principal]*txn.Session),
-	}
+	lh.Log.AttachJournal(j)
+	lh.Journal = j
 	// A default connection for managed tables and examples.
-	if err := auth.RegisterConnection(opts.Admin, security.Connection{
+	if err := lh.Auth.RegisterConnection(opts.Admin, security.Connection{
 		Name: "default", ServiceAccount: sa, Cloud: opts.Cloud,
 	}); err != nil {
 		return nil, err
 	}
-	mgr.DefaultConnection = "default"
-	if err := cat.CreateDataset(catalog.Dataset{Name: "_system", Region: opts.Region, Cloud: opts.Cloud}); err != nil {
+	if err := lh.Catalog.CreateDataset(catalog.Dataset{Name: "_system", Region: opts.Region, Cloud: opts.Cloud}); err != nil {
 		return nil, err
 	}
 	return lh, nil
+}
+
+// assemble builds every in-memory service over log: the Big Metadata
+// cache, the engine, the Storage API server, the BLMT manager, the
+// transaction manager and the inference runtime. The clock, store,
+// catalog and IAM are the lakehouse's own and survive it. There is one
+// registry for the deployment — reg, or the new engine's when reg is
+// nil — and system.metrics reads it: the store, cache and log are
+// pointed at it, the Storage API server and the BLMT manager inherit it
+// from the log, the transaction manager and the inference runtime from
+// the engine, a journal recovery from the store. Open interactive
+// sessions are dropped.
+func (lh *Lakehouse) assemble(log *bigmeta.Log, engOpts engine.Options, reg *obs.Registry) {
+	stores := map[string]*objstore.Store{lh.cloud: lh.Store}
+	meta := bigmeta.NewCache(lh.Clock)
+	eng := engine.New(lh.Catalog, lh.Auth, meta, log, lh.Clock, stores, engOpts)
+	eng.ManagedCred = lh.serviceSA
+	eng.UseObs(reg)
+	lh.Store.UseObs(eng.Obs)
+	meta.UseObs(eng.Obs)
+	log.UseObs(eng.Obs)
+	srv := storageapi.NewServer(lh.Catalog, lh.Auth, meta, log, lh.Clock, stores)
+	srv.ManagedCred = lh.serviceSA
+	mgr := blmt.New(lh.Catalog, lh.Auth, log, lh.Clock, stores)
+	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = lh.cloud, managedBucket, "default"
+	eng.SetMutator(mgr)
+	rt := inference.NewRuntime(lh.Auth, stores, lh.Clock, lh.serviceSA)
+	rt.Attach(eng)
+	lh.Meta, lh.Log, lh.Engine, lh.StorageAPI, lh.Manager, lh.Inference = meta, log, eng, srv, mgr, rt
+	lh.Txns = txn.NewManager(eng)
+	lh.sessions = make(map[security.Principal]*txn.Session)
+}
+
+// NewEngine returns another engine over this deployment, with its own
+// options, scan cache and arena pool. It shares everything else with
+// lh.Engine: catalog, IAM, log, stores, Big Metadata cache, BLMT
+// mutator, managed credential, registry and tracer — so its DML is
+// visible to lh.Engine and the other way round, and it counts where
+// system.metrics reads.
+func (lh *Lakehouse) NewEngine(opts engine.Options) *engine.Engine {
+	eng := engine.New(lh.Catalog, lh.Auth, lh.Meta, lh.Log, lh.Clock, lh.Engine.Stores, opts)
+	eng.ManagedCred = lh.serviceSA
+	eng.UseObs(lh.Engine.Obs)
+	eng.Tracer = lh.Engine.Tracer
+	eng.SetMutator(lh.Manager)
+	return eng
+}
+
+// Recover is the restart path: it reopens the journal from the store,
+// replays it with wal.Recover and rebuilds every in-memory service over
+// the replayed log with lh.Engine's options, registry and tracer — the
+// Storage API server resuming each write stream at its sealed offset,
+// the BLMT manager keeping AutoIceberg. Open sessions are dropped; the
+// clock, store, catalog and IAM are kept. Orphan GC and re-exporting
+// Iceberg metadata are the caller's, which knows its data prefixes. A
+// crash injector on the old log is not carried over.
+func (lh *Lakehouse) Recover() (wal.RecoveryReport, error) {
+	j, err := wal.Open(lh.Store, lh.serviceSA, managedBucket, "")
+	if err != nil {
+		return wal.RecoveryReport{}, fmt.Errorf("core: reopen journal: %w", err)
+	}
+	rec, err := wal.Recover(j, lh.Clock)
+	if err != nil {
+		return wal.RecoveryReport{}, err
+	}
+	old := lh.Engine
+	autoIceberg := lh.Manager.AutoIceberg
+	lh.assemble(rec.Log, old.Opts, old.Obs)
+	lh.Engine.Tracer = old.Tracer
+	lh.Manager.AutoIceberg = autoIceberg
+	lh.StorageAPI.RestoreStreams(rec.Report.Streams)
+	lh.Journal = j
+	return rec.Report, nil
 }
 
 // Cloud returns the hosting cloud name.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
 	"biglake/internal/crashpoint"
+	"biglake/internal/engine"
 	"biglake/internal/integrity"
 	"biglake/internal/objstore"
 	"biglake/internal/security"
@@ -232,23 +234,176 @@ func TestWriteAPIFlushDeclaresIntent(t *testing.T) {
 		t.Fatalf("crash did not fire before the PUT: sig=%v err=%v", sig, err)
 	}
 
-	j, err := wal.Open(lh.Store, lh.ServiceAccount(), "bq-managed", "")
+	rep, err := lh.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := wal.Recover(j, lh.Clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Report.UnsealedIntents; len(got) != 1 || got[0] != id+":f0" {
+	if got := rep.UnsealedIntents; len(got) != 1 || got[0] != id+":f0" {
 		t.Fatalf("unsealed intents = %v, want the crashed flush %q", got, id+":f0")
 	}
 	wantKey := "blmt/d/events/data/writeStreams-1-f000000.blk"
-	if got := rec.Report.OrphanCandidates; len(got) != 1 || got[0] != wantKey {
+	if got := rep.OrphanCandidates; len(got) != 1 || got[0] != wantKey {
 		t.Fatalf("orphan candidates = %v, want [%s]", got, wantKey)
 	}
-	if rec.Log.Version() != 0 {
-		t.Fatalf("recovered version %d, want 0 (nothing sealed)", rec.Log.Version())
+	if lh.Log.Version() != 0 {
+		t.Fatalf("recovered version %d, want 0 (nothing sealed)", lh.Log.Version())
+	}
+}
+
+// ids reads column id of d.t through the engine, sorted.
+func ids(t *testing.T, lh *Lakehouse) []int64 {
+	t.Helper()
+	res, err := lh.Query(admin, "SELECT id FROM d.t ORDER BY id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return columnInts(res.Batch)
+}
+
+func columnInts(b *vector.Batch) []int64 {
+	out := make([]int64, b.N)
+	for i := range out {
+		out[i] = b.Column("id").Value(i).I
+	}
+	return out
+}
+
+func int64Rows(vals ...int64) *vector.Batch {
+	return vector.MustBatch(simpleSchema(), []*vector.Column{vector.NewInt64Column(vals)})
+}
+
+// crash runs op with label armed for its first hit and requires the
+// process to die there.
+func crash(t *testing.T, lh *Lakehouse, label string, op func() error) {
+	t.Helper()
+	lh.Log.Crash = crashpoint.New()
+	lh.Log.Crash.Arm(label, 0)
+	sig, err := crashpoint.Run(op)
+	if err != nil || sig == nil || sig.Label != label {
+		t.Fatalf("crash at %s did not fire: sig=%v err=%v", label, sig, err)
+	}
+}
+
+// TestRecoverRewiresEveryService: a process dies mid Write API flush,
+// restarts, dies again mid autocommit INSERT, restarts again. After
+// each Recover the deployment answers from the sealed state alone, on
+// every surface — engine, Read API, Write API, transactions — and still
+// counts into one registry.
+func TestRecoverRewiresEveryService(t *testing.T) {
+	lh := newLH(t)
+	managedT(t, lh) // sealed: id 1
+	stream, err := lh.StorageAPI.CreateWriteStream(string(admin), "d.t", storageapi.CommittedMode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lh.StorageAPI.AppendRows(stream, 0, int64Rows(2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, lh, "commit.before_put", func() error {
+		_, err := lh.StorageAPI.AppendRows(stream, 2, int64Rows(4, 5))
+		return err
+	})
+	if _, err := lh.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	crash(t, lh, "commit.after_put", func() error {
+		_, err := lh.Query(admin, "INSERT INTO d.t VALUES (6)")
+		return err
+	})
+	if _, err := lh.Recover(); err != nil {
+		t.Fatal(err)
+	}
+
+	if got := ids(t, lh); !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Fatalf("query after recovery: ids %v, want the sealed [1 2 3]", got)
+	}
+	sess, err := lh.StorageAPI.CreateReadSession(storageapi.ReadSessionRequest{Table: "d.t", Principal: admin, SnapshotVersion: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := lh.StorageAPI.ReadAll(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := columnInts(b)
+	if slices.Sort(got); !slices.Equal(got, []int64{1, 2, 3}) {
+		t.Fatalf("Read API after recovery: ids %v, want the sealed [1 2 3]", got)
+	}
+	if next, err := lh.StorageAPI.AppendRows(stream, 0, int64Rows(2, 3)); !errors.Is(err, storageapi.ErrOffsetExists) || next != 2 {
+		t.Fatalf("restored stream: resend at 0 = (%d, %v), want ErrOffsetExists at sealed offset 2", next, err)
+	}
+	if _, err := lh.StorageAPI.AppendRows(stream, 2, int64Rows(4, 5)); err != nil {
+		t.Fatalf("restored stream did not resume at its sealed offset: %v", err)
+	}
+	for _, sql := range []string{"BEGIN", "INSERT INTO d.t VALUES (6)", "COMMIT"} {
+		if _, err := lh.Query(admin, sql); err != nil {
+			t.Fatalf("%s after recovery: %v", sql, err)
+		}
+	}
+	if got := ids(t, lh); !slices.Equal(got, []int64{1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("after resuming: ids %v, want [1 .. 6]", got)
+	}
+
+	if lh.Store.Obs() != lh.Engine.Obs || lh.Log.Obs() != lh.Engine.Obs {
+		t.Fatal("after recovery the store or the log counts into a registry other than the engine's")
+	}
+	counters := systemCounters(t, lh)
+	for _, prefix := range []string{"objstore.", "bigmeta.", "storageapi.", "engine.", "txn.", "wal."} {
+		if !hasPrefix(counters, prefix) {
+			t.Errorf("system.metrics has no %s* counter after recovery", prefix)
+		}
+	}
+}
+
+// TestNewEngineSharesDeployment: a second engine writes and reads the
+// deployment's tables and counts into its registry, but its scan cache
+// is its own.
+func TestNewEngineSharesDeployment(t *testing.T) {
+	lh := newLH(t)
+	managedT(t, lh)
+	opts := engine.DefaultOptions()
+	opts.EnableScanCache = true
+	other := lh.NewEngine(opts)
+	if _, err := other.Query(engine.NewContext(admin, "other-ins"), "INSERT INTO d.t VALUES (2)"); err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(t, lh); !slices.Equal(got, []int64{1, 2}) {
+		t.Fatalf("lh.Engine sees ids %v after an insert through NewEngine, want [1 2]", got)
+	}
+	if _, err := lh.Query(admin, "INSERT INTO d.t VALUES (3)"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := other.Query(engine.NewContext(admin, "other-read"), "SELECT id FROM d.t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Batch.N != 3 {
+		t.Fatalf("NewEngine sees %d rows after an insert through lh.Engine, want 3", res.Batch.N)
+	}
+	if other.Obs != lh.Engine.Obs {
+		t.Fatal("NewEngine counts into a registry of its own")
+	}
+	if got := lh.Engine.Obs.Get("engine.queries"); got < 5 {
+		t.Fatalf("engine.queries = %d, want both engines' queries counted", got)
+	}
+
+	// other's scan filled its cache; an engine of the same options built
+	// now starts cold, and other's next scan is a hit.
+	third := lh.NewEngine(opts)
+	hits := lh.Engine.Obs.Get("engine.scan.cache_hit")
+	r3, err := third.Query(engine.NewContext(admin, "third-read"), "SELECT id FROM d.t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r3.Stats.CacheHits != 0 || lh.Engine.Obs.Get("engine.scan.cache_hit") != hits {
+		t.Fatalf("a fresh engine hit another engine's scan cache: %d hits", r3.Stats.CacheHits)
+	}
+	r2, err := other.Query(engine.NewContext(admin, "other-reread"), "SELECT id FROM d.t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r2.Stats.CacheHits == 0 {
+		t.Fatal("an engine missed its own warm scan cache")
 	}
 }
 

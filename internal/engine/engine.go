@@ -107,9 +107,11 @@ type Options struct {
 	// EnableScanCache turns on the generation-keyed decoded-file cache:
 	// repeated scans of an unchanged object skip both the GET and the
 	// decode. DefaultOptions leaves it off, and with it core.New and
-	// both CLIs; the repo benchmark's serving stack (benchmark/world.go,
-	// 32 MiB), the cache arms of E15/E16/E19/E20, the crash sweep and
-	// half the differential/integrity matrix cells turn it on.
+	// both CLIs. It is on in the repo benchmark's serving stack
+	// (benchmark/world.go, 32 MiB), in the cache arms E15/E16/E20 get
+	// from Lakehouse.NewEngine and E19's engines, in the crash sweep's
+	// lakehouse (and so its engine after Lakehouse.Recover), in every
+	// differential matrix cell and in half the integrity cells.
 	EnableScanCache bool
 	// ScanCacheBytes is the cache's decoded-byte budget (0 = default).
 	ScanCacheBytes int64

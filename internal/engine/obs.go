@@ -2,7 +2,6 @@ package engine
 
 import (
 	"biglake/internal/obs"
-	"biglake/internal/sqlparse"
 	"time"
 )
 
@@ -117,19 +116,6 @@ func (e *Engine) ExplainAnalyze(ctx *QueryContext, sql string) (*Result, *obs.Pr
 	ctx.Trace = tr
 	ctx.Span = tr.Root()
 	res, err := e.Query(ctx, sql)
-	tr.Finish()
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, obs.BuildProfile(tr), nil
-}
-
-// ExplainAnalyzeStmt is ExplainAnalyze for an already-parsed statement.
-func (e *Engine) ExplainAnalyzeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Result, *obs.Profile, error) {
-	tr := obs.NewTrace(ctx.QueryID, e.Clock)
-	ctx.Trace = tr
-	ctx.Span = tr.Root()
-	res, err := e.Execute(ctx, stmt)
 	tr.Finish()
 	if err != nil {
 		return nil, nil, err

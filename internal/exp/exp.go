@@ -18,6 +18,7 @@ import (
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
+	"biglake/internal/core"
 	"biglake/internal/engine"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
@@ -52,14 +53,19 @@ func (e *Env) Observe(reg *obs.Registry, tracer *obs.Tracer) {
 		e.Log.UseObs(reg)
 		e.Engine.UseObs(reg)
 		e.Server.UseObs(reg)
+		e.LH.Txns.UseObs(reg)
 	}
 	if tracer != nil {
 		e.Engine.Tracer = tracer
 	}
 }
 
-// Env is one self-contained single-region environment.
+// Env is one self-contained single-region environment: a core.New
+// lakehouse with the harness's "bench" bucket, dataset and "conn"
+// connection. The fields below LH name its parts the way the
+// experiments use them.
 type Env struct {
+	LH     *core.Lakehouse
 	Clock  *sim.Clock
 	Store  *objstore.Store
 	Cat    *catalog.Catalog
@@ -70,53 +76,37 @@ type Env struct {
 	Server *storageapi.Server
 	Cred   objstore.Credential
 	WEnv   *workload.Env
-	// Obs is the environment-wide metrics registry: the engine's own,
-	// which Observe also hands to the object store, Big Metadata and the
-	// Storage API, so one snapshot covers the whole environment.
+	// Obs is the environment-wide metrics registry: the engine's, which
+	// every part of the lakehouse counts into, so one snapshot covers the
+	// whole environment.
 	Obs *obs.Registry
-}
-
-// EnableTracing attaches a span tracer to the environment's engine and
-// returns it; subsequent queries each record a span tree.
-func (e *Env) EnableTracing(capTraces int) *obs.Tracer {
-	tr := &obs.Tracer{Cap: capTraces}
-	e.Engine.Tracer = tr
-	return tr
 }
 
 // NewEnv builds an environment with the given engine options.
 func NewEnv(opts engine.Options) (*Env, error) {
-	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock)
-	cred := objstore.Credential{Principal: "sa-bench@biglake"}
-	if err := store.CreateBucket(cred, "bench"); err != nil {
+	lh, err := core.New(core.Options{Admin: Admin, Engine: &opts})
+	if err != nil {
 		return nil, err
 	}
-	cat := catalog.New()
-	if err := cat.CreateDataset(catalog.Dataset{Name: "bench", Region: "gcp-us", Cloud: "gcp"}); err != nil {
+	cred := lh.ServiceAccount()
+	if err := lh.CreateBucket("bench"); err != nil {
 		return nil, err
 	}
-	auth := security.NewAuthority("bench-secret", Admin)
-	if err := auth.RegisterConnection(Admin, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"}); err != nil {
+	if err := lh.CreateDataset("bench"); err != nil {
 		return nil, err
 	}
-	meta := bigmeta.NewCache(clock)
-	log := bigmeta.NewLog(clock)
-	stores := map[string]*objstore.Store{"gcp": store}
-	eng := engine.New(cat, auth, meta, log, clock, stores, opts)
-	eng.ManagedCred = cred
-	srv := storageapi.NewServer(cat, auth, meta, log, clock, stores)
-	srv.ManagedCred = cred
+	if err := lh.Auth.RegisterConnection(Admin, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"}); err != nil {
+		return nil, err
+	}
 	env := &Env{
-		Clock: clock, Store: store, Cat: cat, Auth: auth, Meta: meta, Log: log,
-		Engine: eng, Server: srv, Cred: cred,
+		LH: lh, Clock: lh.Clock, Store: lh.Store, Cat: lh.Catalog, Auth: lh.Auth, Meta: lh.Meta, Log: lh.Log,
+		Engine: lh.Engine, Server: lh.StorageAPI, Cred: cred, Obs: lh.Engine.Obs,
 		WEnv: &workload.Env{
-			Catalog: cat, Auth: auth, Store: store, Log: log, Clock: clock,
+			Catalog: lh.Catalog, Auth: lh.Auth, Store: lh.Store, Log: lh.Log, Clock: lh.Clock,
 			Cred: cred, Connection: "conn", Bucket: "bench", Cloud: "gcp",
 			Dataset: "bench", Admin: Admin,
 		},
 	}
-	env.Observe(eng.Obs, nil)
 	if obsHook != nil {
 		obsHook(env)
 	}

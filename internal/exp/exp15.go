@@ -66,17 +66,10 @@ func RunE15(factRows int) (E15Result, error) {
 		return E15Result{}, err
 	}
 
-	// Engines share the environment's catalog/metadata/log but carry
-	// their own options (the scan cache is wired at construction).
-	mkEngine := func(opts engine.Options) *engine.Engine {
-		eng := engine.New(env.Cat, env.Auth, env.Meta, env.Log, env.Clock, env.Engine.Stores, opts)
-		eng.ManagedCred = env.Cred
-		// Arm engines inherit the environment's observability so CLI
-		// tracing/metrics cover the measured runs, not just env setup.
-		eng.Tracer = env.Engine.Tracer
-		eng.UseObs(env.Obs)
-		return eng
-	}
+	// Each arm is an engine of its own options (the scan cache is wired
+	// at construction) over the environment's deployment, sharing its
+	// registry and tracer so CLI tracing/metrics cover the measured runs.
+	mkEngine := env.LH.NewEngine
 	run := func(eng *engine.Engine, id string) (*engine.Result, time.Duration, error) {
 		start := time.Now()
 		res, err := eng.Query(engine.NewContext(Admin, id), e15Query)

@@ -90,18 +90,14 @@ func RunE16(factRows int) (E16Result, error) {
 	}
 
 	mkEngine := func(opts engine.Options) (*engine.Engine, *obs.Tracer) {
-		eng := engine.New(env.Cat, env.Auth, env.Meta, env.Log, env.Clock, env.Engine.Stores, opts)
-		eng.ManagedCred = env.Cred
-		eng.UseObs(env.Obs)
-		// Share the environment's tracer when one is installed (the
-		// CLI's -trace flag) so its span file covers the measured
-		// runs; queries are sequential, so Last() stays per-arm.
-		tr := env.Engine.Tracer
-		if tr == nil {
-			tr = &obs.Tracer{Cap: 8}
+		// The environment's tracer when one is installed (the CLI's
+		// -trace flag), so its span file covers the measured runs;
+		// queries are sequential, so Last() stays per-arm.
+		eng := env.LH.NewEngine(opts)
+		if eng.Tracer == nil {
+			eng.Tracer = &obs.Tracer{Cap: 8}
 		}
-		eng.Tracer = tr
-		return eng, tr
+		return eng, eng.Tracer
 	}
 	// traced runs one query and returns its span tree; a warm-up run
 	// first keeps one-time metadata work out of the measured trace.

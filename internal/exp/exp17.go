@@ -17,13 +17,10 @@ import (
 	"errors"
 	"fmt"
 
-	"biglake/internal/blmt"
 	"biglake/internal/catalog"
 	"biglake/internal/engine"
-	"biglake/internal/objstore"
 	"biglake/internal/txn"
 	"biglake/internal/vector"
-	"biglake/internal/wal"
 )
 
 // e17MaxAttempts caps commit attempts (1 initial + retries) per
@@ -67,15 +64,10 @@ type E17Result struct {
 	Rows   []E17Row
 }
 
-// e17World is one environment with the transactional write path wired
-// in: journaled log, BLMT mutator for autocommit DML, txn manager for
-// interactive sessions.
-type e17World struct {
-	env *Env
-	tm  *txn.Manager
-}
-
-func newE17World() (*e17World, error) {
+// newE17World builds one environment — its lakehouse's journaled log,
+// BLMT mutator for autocommit DML and txn manager for interactive
+// sessions — with the ledger and counter tables.
+func newE17World() (*Env, error) {
 	env, err := NewEnv(engine.DefaultOptions())
 	if err != nil {
 		return nil, err
@@ -92,15 +84,6 @@ func newE17World() (*e17World, error) {
 			return nil, err
 		}
 	}
-	j, err := wal.Open(env.Store, env.Cred, "bench", "")
-	if err != nil {
-		return nil, err
-	}
-	env.Log.AttachJournal(j)
-	mgr := blmt.New(env.Cat, env.Auth, env.Log, env.Clock, map[string]*objstore.Store{"gcp": env.Store})
-	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "bench", "conn"
-	env.Engine.SetMutator(mgr)
-	w := &e17World{env: env, tm: txn.NewManager(env.Engine)}
 	// Seed the contended counter rows (ids 1..e17Counters) in one
 	// file: every read-modify-write UPDATE rewrites it, so updaters
 	// racing from a shared snapshot collide at file granularity.
@@ -114,7 +97,7 @@ func newE17World() (*e17World, error) {
 	if _, err := env.query("e17-seed", "INSERT INTO bench.counter VALUES "+vals); err != nil {
 		return nil, err
 	}
-	return w, nil
+	return env, nil
 }
 
 // e17Op is one writer's statement: a blind ledger append for three in
@@ -151,7 +134,7 @@ func runE17Writers(writers, rounds int) (E17Row, error) {
 	}
 	row := E17Row{Writers: writers}
 	uid := 0
-	t0 := w.env.Clock.Now()
+	t0 := w.Clock.Now()
 	for r := 0; r < rounds; r++ {
 		// All writers of the round begin before any commits: every
 		// session pins the same snapshot.
@@ -160,7 +143,7 @@ func runE17Writers(writers, rounds int) (E17Row, error) {
 		for i := 0; i < writers; i++ {
 			uid++
 			sqls[i] = e17Op(i, uid)
-			sess[i] = w.tm.Begin(Admin, fmt.Sprintf("e17-w%d-r%d-s%d-a0", writers, r, i))
+			sess[i] = w.LH.Txns.Begin(Admin, fmt.Sprintf("e17-w%d-r%d-s%d-a0", writers, r, i))
 			if _, err := sess[i].Exec(sqls[i]); err != nil {
 				return E17Row{}, fmt.Errorf("w%d r%d s%d exec: %w", writers, r, i, err)
 			}
@@ -183,14 +166,14 @@ func runE17Writers(writers, rounds int) (E17Row, error) {
 					break
 				}
 				row.Retries++
-				s = w.tm.Begin(Admin, fmt.Sprintf("e17-w%d-r%d-s%d-a%d", writers, r, i, attempt))
+				s = w.LH.Txns.Begin(Admin, fmt.Sprintf("e17-w%d-r%d-s%d-a%d", writers, r, i, attempt))
 				if _, err := s.Exec(sqls[i]); err != nil {
 					return E17Row{}, fmt.Errorf("w%d r%d s%d re-exec: %w", writers, r, i, err)
 				}
 			}
 		}
 	}
-	txnSecs := (w.env.Clock.Now() - t0).Seconds()
+	txnSecs := (w.Clock.Now() - t0).Seconds()
 
 	// Baseline: the identical operation stream as autocommit DML in a
 	// fresh world — same journaled commit protocol, no transaction
@@ -200,16 +183,16 @@ func runE17Writers(writers, rounds int) (E17Row, error) {
 		return E17Row{}, err
 	}
 	uid = 0
-	b0 := b.env.Clock.Now()
+	b0 := b.Clock.Now()
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < writers; i++ {
 			uid++
-			if _, err := b.env.query(fmt.Sprintf("e17-base-%d-%d", r, i), e17Op(i, uid)); err != nil {
+			if _, err := b.query(fmt.Sprintf("e17-base-%d-%d", r, i), e17Op(i, uid)); err != nil {
 				return E17Row{}, fmt.Errorf("baseline w%d r%d s%d: %w", writers, r, i, err)
 			}
 		}
 	}
-	baseSecs := (b.env.Clock.Now() - b0).Seconds()
+	baseSecs := (b.Clock.Now() - b0).Seconds()
 
 	row.AbortRate = float64(row.Aborts) / float64(row.Attempts)
 	if txnSecs > 0 {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"biglake/internal/blmt"
 	"biglake/internal/catalog"
 	"biglake/internal/engine"
 	"biglake/internal/objstore"
@@ -25,9 +24,7 @@ import (
 	"biglake/internal/serve"
 	"biglake/internal/serve/loadtest"
 	"biglake/internal/sim"
-	"biglake/internal/txn"
 	"biglake/internal/vector"
-	"biglake/internal/wal"
 )
 
 // e18FactRows is the row count of the shared OLAP fact table; point
@@ -129,8 +126,9 @@ type E18Result struct {
 	WeightedRatio float64
 }
 
-// e18World is one environment with the full serve stack: journaled
-// log, BLMT mutator, txn manager, admission-fronted server.
+// e18World is one environment with the full serve stack: its
+// lakehouse's journaled log, BLMT mutator and txn manager behind an
+// admission-fronted server.
 type e18World struct {
 	env *Env
 	srv *serve.Server
@@ -153,15 +151,6 @@ func newE18World(cfg E18Config, scfg serve.Config, tenants int, lcfg loadtest.Co
 			return nil, err
 		}
 	}
-	j, err := wal.Open(env.Store, env.Cred, "bench", "")
-	if err != nil {
-		return nil, err
-	}
-	env.Log.AttachJournal(j)
-	mgr := blmt.New(env.Cat, env.Auth, env.Log, env.Clock, map[string]*objstore.Store{"gcp": env.Store})
-	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "bench", "conn"
-	env.Engine.SetMutator(mgr)
-
 	// Seed the fact table in chunks so it spans several files and the
 	// OLAP class does real multi-file scans.
 	const chunk = 256
@@ -185,7 +174,7 @@ func newE18World(cfg E18Config, scfg serve.Config, tenants int, lcfg loadtest.Co
 			}
 		}
 	}
-	return &e18World{env: env, srv: serve.New(env.Engine, txn.NewManager(env.Engine), scfg)}, nil
+	return &e18World{env: env, srv: serve.New(env.Engine, env.LH.Txns, scfg)}, nil
 }
 
 // e18Gen is the tenant traffic mix: 10% DML appends, 30% OLAP

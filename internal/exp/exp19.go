@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"biglake/internal/bigmeta"
-	"biglake/internal/blmt"
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
 	"biglake/internal/engine"
@@ -103,10 +102,9 @@ type E19Result struct {
 }
 
 // e19World is one self-contained environment with a Files-file managed
-// table, its pristine replicas, and a repair-capable blmt manager.
+// table and its pristine replicas.
 type e19World struct {
 	env      *Env
-	mgr      *blmt.Manager
 	keys     []string
 	replicas map[string][]byte
 	bytes    int64 // total stored corpus size
@@ -117,6 +115,9 @@ func newE19World(cfg E19Config) (*e19World, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Repair's commits unjournaled, as E5's: the repair time measured is
+	// the rewrite, not the journal's PUTs (which would double it).
+	env.Log.AttachJournal(nil)
 	if err := env.Cat.CreateTable(catalog.Table{
 		Dataset: "bench", Name: "fact", Type: catalog.Managed,
 		Schema: vector.NewSchema(
@@ -127,11 +128,7 @@ func newE19World(cfg E19Config) (*e19World, error) {
 	}); err != nil {
 		return nil, err
 	}
-	mgr := blmt.New(env.Cat, env.Auth, env.Log, env.Clock, map[string]*objstore.Store{"gcp": env.Store})
-	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "bench", "conn"
-	env.Engine.SetMutator(mgr)
-
-	w := &e19World{env: env, mgr: mgr, replicas: map[string][]byte{}}
+	w := &e19World{env: env, replicas: map[string][]byte{}}
 	schema := vector.NewSchema(
 		vector.Field{Name: "id", Type: vector.Int64},
 		vector.Field{Name: "v", Type: vector.Int64},
@@ -173,12 +170,7 @@ func newE19World(cfg E19Config) (*e19World, error) {
 func (w *e19World) engine() *engine.Engine {
 	opts := engine.DefaultOptions()
 	opts.EnableScanCache = true
-	eng := engine.New(w.env.Cat, w.env.Auth, w.env.Meta, w.env.Log, w.env.Clock,
-		map[string]*objstore.Store{"gcp": w.env.Store}, opts)
-	eng.ManagedCred = w.env.Cred
-	eng.SetMutator(w.mgr)
-	eng.UseObs(w.env.Obs)
-	return eng
+	return w.env.LH.NewEngine(opts)
 }
 
 // e19Queries is the deterministic query mix: full aggregate, grouped
@@ -338,7 +330,7 @@ func RunE19Config(cfg E19Config) (E19Result, error) {
 		// Phase 3: repair from the pristine replicas, then re-verify the
 		// golden answers with a fresh engine.
 		t0 = w.env.Clock.Now()
-		rr, err := w.mgr.Repair(string(Admin), "bench.fact", func(t catalog.Table, f bigmeta.FileEntry) ([]byte, error) {
+		rr, err := w.env.LH.Manager.Repair(string(Admin), "bench.fact", func(t catalog.Table, f bigmeta.FileEntry) ([]byte, error) {
 			data, ok := w.replicas[f.Key]
 			if !ok {
 				return nil, fmt.Errorf("no replica for %s", f.Key)

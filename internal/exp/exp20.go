@@ -25,12 +25,9 @@ import (
 	"sort"
 	"time"
 
-	"biglake/internal/blmt"
 	"biglake/internal/engine"
 	"biglake/internal/objstore"
 	"biglake/internal/serve"
-	"biglake/internal/txn"
-	"biglake/internal/wal"
 )
 
 // E20Config shapes one E20 run; tests shrink it.
@@ -154,12 +151,7 @@ func RunE20Config(cfg E20Config) (E20Result, error) {
 	out := E20Result{FactRows: cfg.FactRows, DimRows: cfg.DimRows,
 		PointQueries: cfg.PointQueries, MixEvery: cfg.MixEvery}
 
-	mkEngine := func(opts engine.Options) *engine.Engine {
-		eng := engine.New(env.Cat, env.Auth, env.Meta, env.Log, env.Clock, env.Engine.Stores, opts)
-		eng.ManagedCred = env.Cred
-		eng.UseObs(env.Obs)
-		return eng
-	}
+	mkEngine := env.LH.NewEngine
 
 	opts := engine.DefaultOptions()
 	opts.EnableScanCache = true
@@ -194,18 +186,9 @@ func RunE20Config(cfg E20Config) (E20Result, error) {
 	}
 
 	// --- Measurement 2: point-lookup throughput through serve ---
-	j, err := wal.Open(env.Store, env.Cred, "bench", "e20wal/")
-	if err != nil {
-		return E20Result{}, err
-	}
-	env.Log.AttachJournal(j)
-	mgr := blmt.New(env.Cat, env.Auth, env.Log, env.Clock, env.Engine.Stores)
-	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", "bench", "conn"
 	measureQPS := func() (qps, p99 float64, err error) {
 		const id = "e20-point-lean"
-		eng := mkEngine(opts)
-		eng.SetMutator(mgr)
-		srv := serve.New(eng, txn.NewManager(eng), serve.Config{})
+		srv := serve.New(mkEngine(opts), env.LH.Txns, serve.Config{})
 		defer srv.Close()
 		sess, err := srv.Open(Admin, id)
 		if err != nil {

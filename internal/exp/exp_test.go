@@ -634,8 +634,7 @@ func BenchmarkE20GCLean(b *testing.B) {
 	}
 	opts := engine.DefaultOptions()
 	opts.EnableScanCache = true
-	eng := engine.New(env.Cat, env.Auth, env.Meta, env.Log, env.Clock, env.Engine.Stores, opts)
-	eng.ManagedCred = env.Cred
+	eng := env.LH.NewEngine(opts)
 	if _, err := eng.Query(engine.NewContext(Admin, "bench-warm"), e15Query); err != nil {
 		b.Fatal(err)
 	}

@@ -28,12 +28,11 @@ import (
 
 // Errors returned by the inference runtime.
 var (
-	ErrNoModel      = errors.New("inference: no such model")
-	ErrModelTooBig  = errors.New("inference: model exceeds in-engine memory limit; host it remotely")
-	ErrNoTensorCol  = errors.New("inference: input has no tensor column")
-	ErrNoURIColumn  = errors.New("inference: input has no uri column")
-	ErrBadURI       = errors.New("inference: malformed object uri")
-	ErrRemoteNeeded = errors.New("inference: model is remote; no local weights")
+	ErrNoModel     = errors.New("inference: no such model")
+	ErrModelTooBig = errors.New("inference: model exceeds in-engine memory limit; host it remotely")
+	ErrNoTensorCol = errors.New("inference: input has no tensor column")
+	ErrNoURIColumn = errors.New("inference: input has no uri column")
+	ErrBadURI      = errors.New("inference: malformed object uri")
 )
 
 // MaxModelBytes is the in-engine model size limit: "models greater

@@ -267,11 +267,3 @@ func flattenKey(key string) string {
 func (d *Deployment) GrantReplicaAccess(mv *CCMV, p security.Principal) error {
 	return d.Auth.GrantTable(ControlPrincipal, mv.Replica, p, security.RoleViewer)
 }
-
-// LastReplicatedVersion reports the source log version the replica
-// reflects.
-func (mv *CCMV) LastReplicatedVersion() int64 {
-	mv.mu.Lock()
-	defer mv.mu.Unlock()
-	return mv.lastVersion
-}

@@ -63,11 +63,6 @@ type Region struct {
 	realm map[security.Principal]bool
 }
 
-// AllowPrincipal adds a service identity to the region's realm.
-func (r *Region) AllowPrincipal(p security.Principal) {
-	r.realm[p] = true
-}
-
 // InRealm reports whether a principal may operate in this region.
 func (r *Region) InRealm(p security.Principal) bool { return r.realm[p] }
 

@@ -70,7 +70,7 @@ func TestAutocommitRewriteLosesToConcurrentCommit(t *testing.T) {
 			return engineAndOracle(tw, db, "inner", "DELETE FROM "+table+" WHERE id = 2 OR id = 6")
 		},
 		"optimize": func(tw *txnWorld, _ *DB) error {
-			rep, err := tw.w.mgr.Optimize(string(diffAdmin), table, "")
+			rep, err := tw.w.Manager.Optimize(string(diffAdmin), table, "")
 			if err == nil && rep.FilesCoalesced != 2 {
 				err = fmt.Errorf("optimize coalesced %d files, want 2", rep.FilesCoalesced)
 			}
@@ -80,10 +80,10 @@ func TestAutocommitRewriteLosesToConcurrentCommit(t *testing.T) {
 	for name, run := range inner {
 		t.Run(name, func(t *testing.T) {
 			tw, db := rewriteWorld(t, table)
-			m := &interposed{Mutator: tw.w.mgr, hook: func() error { return run(tw, db) }}
+			m := &interposed{Mutator: tw.w.Manager, hook: func() error { return run(tw, db) }}
 			ctx := engine.NewContext(diffAdmin, "outer")
 			ctx.Mutator = m
-			_, err := tw.eng.Query(ctx, "UPDATE "+table+" SET v = v + 1 WHERE id >= 0")
+			_, err := tw.w.Engine.Query(ctx, "UPDATE "+table+" SET v = v + 1 WHERE id >= 0")
 			if !m.done || m.err != nil {
 				t.Fatalf("inner statement did not run cleanly: ran=%v err=%v", m.done, m.err)
 			}
@@ -98,7 +98,7 @@ func TestAutocommitRewriteLosesToConcurrentCommit(t *testing.T) {
 // sumAndCount reads COUNT(*) and SUM(v) through the engine.
 func sumAndCount(t *testing.T, tw *txnWorld, table string) (rows, sum int64) {
 	t.Helper()
-	res, err := tw.eng.Query(engine.NewContext(diffAdmin, "final"), "SELECT COUNT(*) AS n, SUM(v) AS s FROM "+table)
+	res, err := tw.w.Engine.Query(engine.NewContext(diffAdmin, "final"), "SELECT COUNT(*) AS n, SUM(v) AS s FROM "+table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestConcurrentAutocommitUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tw.eng.Query(engine.NewContext(diffAdmin, "seed"),
+	if _, err := tw.w.Engine.Query(engine.NewContext(diffAdmin, "seed"),
 		"INSERT INTO "+table+" VALUES (0,0),(1,10),(2,20),(3,30),(4,40),(5,50),(6,60),(7,70)"); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestConcurrentAutocommitUpdates(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				_, err := tw.eng.Query(engine.NewContext(diffAdmin, fmt.Sprintf("g%d-i%d", g, i)),
+				_, err := tw.w.Engine.Query(engine.NewContext(diffAdmin, fmt.Sprintf("g%d-i%d", g, i)),
 					"UPDATE "+table+" SET v = v + 1 WHERE id >= 0")
 				mu.Lock()
 				switch {
@@ -162,7 +162,7 @@ func TestOptimizeRacesCommittedDML(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tw.eng.Query(engine.NewContext(diffAdmin, "seed"),
+	if _, err := tw.w.Engine.Query(engine.NewContext(diffAdmin, "seed"),
 		"INSERT INTO "+table+" VALUES (0,0),(1,10),(2,20),(3,30),(4,40),(5,50),(6,60),(7,70)"); err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestOptimizeRacesCommittedDML(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := tw.w.mgr.Optimize(string(diffAdmin), table, ""); err != nil && !errors.Is(err, txn.ErrConflict) {
+			if _, err := tw.w.Manager.Optimize(string(diffAdmin), table, ""); err != nil && !errors.Is(err, txn.ErrConflict) {
 				t.Errorf("optimize: %v", err)
 				return
 			}
@@ -185,7 +185,7 @@ func TestOptimizeRacesCommittedDML(t *testing.T) {
 	}()
 	var updates, inserts int64
 	for i := 0; i < 200; i++ {
-		s := tw.tm.Begin(diffAdmin, fmt.Sprintf("upd-%d", i))
+		s := tw.w.Txns.Begin(diffAdmin, fmt.Sprintf("upd-%d", i))
 		_, err := s.Exec("UPDATE " + table + " SET v = v + 1 WHERE id < 8")
 		if err == nil {
 			_, err = s.Commit(nil)
@@ -198,7 +198,7 @@ func TestOptimizeRacesCommittedDML(t *testing.T) {
 		default:
 			t.Fatalf("update %d: %v", i, err)
 		}
-		if _, err := tw.eng.Query(engine.NewContext(diffAdmin, fmt.Sprintf("ins-%d", i)),
+		if _, err := tw.w.Engine.Query(engine.NewContext(diffAdmin, fmt.Sprintf("ins-%d", i)),
 			fmt.Sprintf("INSERT INTO %s VALUES (%d, 0)", table, 1000+i)); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -227,8 +227,8 @@ func TestEveryCommitterExportsIceberg(t *testing.T) {
 	}
 	fresh := func(step string) {
 		t.Helper()
-		head := cw.w.log.Version()
-		hint, err := iceberg.LatestMetadataKey(cw.w.store, cw.w.cred, diffBucket, crashPrefix)
+		head := cw.w.Log.Version()
+		hint, err := iceberg.LatestMetadataKey(cw.w.Store, cw.w.ServiceAccount(), diffBucket, crashPrefix)
 		if err != nil {
 			t.Fatalf("%s: no Iceberg export: %v", step, err)
 		}
@@ -237,7 +237,7 @@ func TestEveryCommitterExportsIceberg(t *testing.T) {
 		}
 	}
 
-	s := txn.NewManager(cw.eng).Begin(diffAdmin, "ice-txn")
+	s := cw.w.Txns.Begin(diffAdmin, "ice-txn")
 	if _, err := s.Exec(crashInsertSQL(1, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -246,33 +246,33 @@ func TestEveryCommitterExportsIceberg(t *testing.T) {
 	}
 	fresh("COMMIT")
 
-	sb, err := cw.srv.CreateWriteStream(string(diffAdmin), crashTable, storageapi.BufferedMode)
+	sb, err := cw.w.StorageAPI.CreateWriteStream(string(diffAdmin), crashTable, storageapi.BufferedMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cw.srv.AppendRows(sb, -1, crashBatch(10, 4)); err != nil {
+	if _, err := cw.w.StorageAPI.AppendRows(sb, -1, crashBatch(10, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cw.srv.FlushRows(sb, 4); err != nil {
+	if _, err := cw.w.StorageAPI.FlushRows(sb, 4); err != nil {
 		t.Fatal(err)
 	}
 	fresh("FlushRows")
 
-	sp, err := cw.srv.CreateWriteStream(string(diffAdmin), crashTable, storageapi.PendingMode)
+	sp, err := cw.w.StorageAPI.CreateWriteStream(string(diffAdmin), crashTable, storageapi.PendingMode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cw.srv.AppendRows(sp, -1, crashBatch(20, 5)); err != nil {
+	if _, err := cw.w.StorageAPI.AppendRows(sp, -1, crashBatch(20, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cw.srv.FinalizeStream(sp); err != nil {
+	if _, err := cw.w.StorageAPI.FinalizeStream(sp); err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.srv.BatchCommitStreams([]string{sp}); err != nil {
+	if err := cw.w.StorageAPI.BatchCommitStreams([]string{sp}); err != nil {
 		t.Fatal(err)
 	}
 	fresh("BatchCommitStreams")
-	if cw.w.log.Version() != 3 {
-		t.Fatalf("log at v%d after three commits", cw.w.log.Version())
+	if cw.w.Log.Version() != 3 {
+		t.Fatalf("log at v%d after three commits", cw.w.Log.Version())
 	}
 }

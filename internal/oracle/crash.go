@@ -28,8 +28,8 @@ import (
 	"strings"
 
 	"biglake/internal/bigmeta"
-	"biglake/internal/blmt"
 	"biglake/internal/catalog"
+	"biglake/internal/core"
 	"biglake/internal/crashpoint"
 	"biglake/internal/engine"
 	"biglake/internal/iceberg"
@@ -159,12 +159,10 @@ func expectedDB(p crashPlan) (*DB, error) {
 
 // crashWorld is one journaled, crash-instrumented lakehouse.
 type crashWorld struct {
-	w        *world
-	j        *wal.Journal
-	cp       *crashpoint.Injector
-	meta     *bigmeta.Cache
-	srv      *storageapi.Server
-	eng      *engine.Engine
+	w  *core.Lakehouse
+	cp *crashpoint.Injector
+	// restored is the Write API stream state the last restart resumed
+	// from: what a client may take as already sealed.
 	restored map[string]bigmeta.StreamState
 	// acked is the log version after the last op the workload driver
 	// saw complete — the client-visible durability watermark.
@@ -172,60 +170,30 @@ type crashWorld struct {
 }
 
 func newCrashWorld() (*crashWorld, error) {
-	w, err := newWorld()
+	// Scan-cache on: crash/recovery sweeps double as validation that
+	// generation-keyed reuse never resurrects pre-crash file contents.
+	opts := engine.DefaultOptions()
+	opts.EnableScanCache = true
+	w, err := newWorld(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.cat.CreateTable(catalog.Table{
+	if err := w.Catalog.CreateTable(catalog.Table{
 		Dataset: "ds", Name: "events", Type: catalog.Managed, Schema: crashSchema(),
 		Cloud: "gcp", Bucket: diffBucket, Prefix: crashPrefix, Connection: diffConn,
 	}); err != nil {
 		return nil, err
 	}
-	j, err := wal.Open(w.store, w.cred, diffBucket, "")
-	if err != nil {
-		return nil, err
-	}
-	cw := &crashWorld{w: w, j: j, cp: crashpoint.New(), restored: map[string]bigmeta.StreamState{}}
-	cw.wire()
+	w.Manager.AutoIceberg = true
+	cw := &crashWorld{w: w, cp: crashpoint.New()}
+	w.Log.Crash = cw.cp
 	return cw, nil
 }
 
-// wire (re)assembles the journaled manager, write server, and engine
-// around the world's current log — used both at boot and after
-// recovery swaps in a replayed log.
-func (cw *crashWorld) wire() {
-	w := cw.w
-	w.log.AttachJournal(cw.j)
-	w.log.Crash = cw.cp
-
-	mgr := blmt.New(w.cat, w.auth, w.log, w.clock, w.stores)
-	mgr.DefaultCloud = "gcp"
-	mgr.DefaultBucket = diffBucket
-	mgr.DefaultConnection = diffConn
-	mgr.AutoIceberg = true
-	w.mgr = mgr
-
-	cw.meta = bigmeta.NewCache(w.clock)
-	srv := storageapi.NewServer(w.cat, w.auth, cw.meta, w.log, w.clock, w.stores)
-	srv.ManagedCred = w.cred
-	srv.RestoreStreams(cw.restored)
-	cw.srv = srv
-
-	opts := engine.DefaultOptions()
-	// Scan-cache on: crash/recovery sweeps double as validation that
-	// generation-keyed reuse never resurrects pre-crash file contents.
-	opts.EnableScanCache = true
-	eng := engine.New(w.cat, w.auth, cw.meta, w.log, w.clock, w.stores, opts)
-	eng.ManagedCred = w.cred
-	eng.SetMutator(mgr)
-	cw.eng = eng
-}
-
-func (cw *crashWorld) ack() { cw.acked = cw.w.log.Version() }
+func (cw *crashWorld) ack() { cw.acked = cw.w.Log.Version() }
 
 func (cw *crashWorld) dml(qid, sql string) error {
-	if _, err := cw.eng.Query(engine.NewContext(diffAdmin, qid), sql); err != nil {
+	if _, err := cw.w.Engine.Query(engine.NewContext(diffAdmin, qid), sql); err != nil {
 		return fmt.Errorf("%s: %w", qid, err)
 	}
 	cw.ack()
@@ -239,7 +207,7 @@ func (cw *crashWorld) stream(want string, mode storageapi.WriteMode) (string, er
 	if _, ok := cw.restored[want]; ok {
 		return want, nil
 	}
-	id, err := cw.srv.CreateWriteStream(string(diffAdmin), crashTable, mode)
+	id, err := cw.w.StorageAPI.CreateWriteStream(string(diffAdmin), crashTable, mode)
 	if err != nil {
 		return "", err
 	}
@@ -252,7 +220,7 @@ func (cw *crashWorld) stream(want string, mode storageapi.WriteMode) (string, er
 // appendAt is an exactly-once client append: ErrOffsetExists means the
 // crashed process already sealed these rows, which is success.
 func (cw *crashWorld) appendAt(id string, off int64, rows *vector.Batch) error {
-	if _, err := cw.srv.AppendRows(id, off, rows); err != nil && !errors.Is(err, storageapi.ErrOffsetExists) {
+	if _, err := cw.w.StorageAPI.AppendRows(id, off, rows); err != nil && !errors.Is(err, storageapi.ErrOffsetExists) {
 		return fmt.Errorf("append %s@%d: %w", id, off, err)
 	}
 	cw.ack()
@@ -289,10 +257,10 @@ func (cw *crashWorld) workload(p crashPlan) error {
 		return err
 	}
 	if st, ok := cw.restored[sb]; !ok || st.Offset < int64(p.sbN) {
-		if _, err := cw.srv.AppendRows(sb, -1, crashBatch(200, p.sbN)); err != nil {
+		if _, err := cw.w.StorageAPI.AppendRows(sb, -1, crashBatch(200, p.sbN)); err != nil {
 			return fmt.Errorf("buffered append: %w", err)
 		}
-		if _, err := cw.srv.FlushRows(sb, int64(p.sbN)); err != nil {
+		if _, err := cw.w.StorageAPI.FlushRows(sb, int64(p.sbN)); err != nil {
 			return fmt.Errorf("flush: %w", err)
 		}
 	}
@@ -308,16 +276,16 @@ func (cw *crashWorld) workload(p crashPlan) error {
 			return err
 		}
 		if st, ok := cw.restored[id]; !ok || !st.Committed {
-			if _, err := cw.srv.AppendRows(id, -1, crashBatch(start, p.pN)); err != nil {
+			if _, err := cw.w.StorageAPI.AppendRows(id, -1, crashBatch(start, p.pN)); err != nil {
 				return fmt.Errorf("pending append %s: %w", id, err)
 			}
-			if _, err := cw.srv.FinalizeStream(id); err != nil {
+			if _, err := cw.w.StorageAPI.FinalizeStream(id); err != nil {
 				return fmt.Errorf("finalize %s: %w", id, err)
 			}
 		}
 		pending = append(pending, id)
 	}
-	if err := cw.srv.BatchCommitStreamsTx("cw-batch-1", pending); err != nil {
+	if err := cw.w.StorageAPI.BatchCommitStreamsTx("cw-batch-1", pending); err != nil {
 		return fmt.Errorf("batch commit: %w", err)
 	}
 	cw.ack()
@@ -330,44 +298,38 @@ func (cw *crashWorld) workload(p crashPlan) error {
 	}
 
 	// Background compaction, crash-atomic like any other transaction.
-	if _, err := cw.w.mgr.Optimize(string(diffAdmin), crashTable, ""); err != nil {
+	if _, err := cw.w.Manager.Optimize(string(diffAdmin), crashTable, ""); err != nil {
 		return fmt.Errorf("optimize: %w", err)
 	}
 	cw.ack()
 	return nil
 }
 
-// recoverWorld is the restart path: everything in-memory is discarded
-// and rebuilt from the journal and object store, orphaned data files
-// are collected, and the Iceberg export is re-converged.
+// recoverWorld restarts the lakehouse through Lakehouse.Recover —
+// everything in-memory rebuilt from the journal and object store — then
+// collects orphaned data files and re-converges the Iceberg export.
 func (cw *crashWorld) recoverWorld() error {
-	j, err := wal.Open(cw.w.store, cw.w.cred, diffBucket, "")
-	if err != nil {
-		return fmt.Errorf("reopen journal: %w", err)
-	}
-	rec, err := wal.Recover(j, cw.w.clock)
+	rep, err := cw.w.Recover()
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
 	// Atomicity at commit granularity: every acked commit survived, and
 	// at most the single in-flight commit (iff it sealed) joined them.
-	v := rec.Log.Version()
+	v := cw.w.Log.Version()
 	if v < cw.acked || v > cw.acked+1 {
 		return fmt.Errorf("recovered version %d outside [acked %d, acked+1]", v, cw.acked)
 	}
-	cw.j = j
-	cw.w.log = rec.Log
-	cw.restored = rec.Streams
-	cw.wire()
+	cw.restored = rep.Streams
+	cw.w.Log.Crash = cw.cp
 
 	// Collect debris of transactions that died between PUT and seal.
-	if _, err := wal.GCOrphans(cw.w.store, cw.w.cred, diffBucket, []string{crashPrefix + "data/"}, rec.Log); err != nil {
+	if _, err := wal.GCOrphans(cw.w.Store, cw.w.ServiceAccount(), diffBucket, []string{crashPrefix + "data/"}, cw.w.Log); err != nil {
 		return fmt.Errorf("orphan gc: %w", err)
 	}
 	// A crash inside an auto-export can leave the version hint behind
 	// the sealed log; re-export converges it.
 	if v > 0 {
-		if _, err := cw.w.mgr.ExportIceberg(crashTable); err != nil {
+		if _, err := cw.w.Manager.ExportIceberg(crashTable); err != nil {
 			return fmt.Errorf("recovery re-export: %w", err)
 		}
 	}
@@ -381,7 +343,7 @@ func (cw *crashWorld) verifyFinal(p crashPlan) error {
 	if err != nil {
 		return err
 	}
-	res, err := cw.eng.Query(engine.NewContext(diffAdmin, "cw-final"),
+	res, err := cw.w.Engine.Query(engine.NewContext(diffAdmin, "cw-final"),
 		"SELECT id, kind, value FROM "+crashTable)
 	if err != nil {
 		return fmt.Errorf("final read: %w", err)
@@ -396,30 +358,30 @@ func (cw *crashWorld) verifyFinal(p crashPlan) error {
 
 	// Zero unreachable objects: a second GC pass finds nothing, and
 	// everything the log references is present.
-	rep, err := wal.GCOrphans(cw.w.store, cw.w.cred, diffBucket, []string{crashPrefix + "data/"}, cw.w.log)
+	rep, err := wal.GCOrphans(cw.w.Store, cw.w.ServiceAccount(), diffBucket, []string{crashPrefix + "data/"}, cw.w.Log)
 	if err != nil {
 		return err
 	}
 	if len(rep.Deleted) != 0 {
 		return fmt.Errorf("unreachable objects after full replay: %v", rep.Deleted)
 	}
-	files, ver, err := cw.w.log.Snapshot(crashTable, -1)
+	files, ver, err := cw.w.Log.Snapshot(crashTable, -1)
 	if err != nil {
 		return err
 	}
 	for _, f := range files {
-		if _, err := cw.w.store.Head(cw.w.cred, f.Bucket, f.Key); err != nil {
+		if _, err := cw.w.Store.Head(cw.w.ServiceAccount(), f.Bucket, f.Key); err != nil {
 			return fmt.Errorf("referenced file %s missing: %w", f.Key, err)
 		}
 	}
 
 	// Historical snapshots replay bit-identically at every version.
 	for v := int64(1); v <= ver; v++ {
-		a, _, err := cw.w.log.Snapshot(crashTable, v)
+		a, _, err := cw.w.Log.Snapshot(crashTable, v)
 		if err != nil {
 			return err
 		}
-		b, _, err := cw.w.log.SnapshotByReplay(crashTable, v)
+		b, _, err := cw.w.Log.SnapshotByReplay(crashTable, v)
 		if err != nil {
 			return err
 		}
@@ -431,7 +393,7 @@ func (cw *crashWorld) verifyFinal(p crashPlan) error {
 	}
 
 	// The Iceberg hint points at the sealed head.
-	hint, err := iceberg.LatestMetadataKey(cw.w.store, cw.w.cred, diffBucket, crashPrefix)
+	hint, err := iceberg.LatestMetadataKey(cw.w.Store, cw.w.ServiceAccount(), diffBucket, crashPrefix)
 	if err != nil {
 		return fmt.Errorf("version hint: %w", err)
 	}

@@ -25,15 +25,14 @@ import (
 	"strings"
 
 	"biglake/internal/bigmeta"
-	"biglake/internal/blmt"
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
+	"biglake/internal/core"
 	"biglake/internal/engine"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/security"
 	"biglake/internal/serve"
-	"biglake/internal/sim"
 	"biglake/internal/sqlparse"
 	"biglake/internal/storageapi"
 	"biglake/internal/vector"
@@ -41,7 +40,7 @@ import (
 
 const (
 	diffBucket = "lake"
-	diffConn   = "conn"
+	diffConn   = "default" // core.New registers it
 	diffAdmin  = security.Principal("admin@corp")
 	// diffAnalyst reads every table under the trial's generated
 	// policies: a row policy, a masked and perhaps a denied column each.
@@ -137,62 +136,36 @@ func (d *Divergence) Format() string {
 		d.Seed, d.Trial, d.Phase, d.Cell, d.Principal, d.SQL, d.MinSQL, d.Detail, d.Seed)
 }
 
-// world is the shared simulated infrastructure for one trial. Every
-// matrix cell gets a fresh metadata cache and engine, but the object
-// store, catalog, and commit log are shared — that is the state the
-// acceleration paths must agree about.
-type world struct {
-	clock  *sim.Clock
-	store  *objstore.Store
-	stores map[string]*objstore.Store
-	cat    *catalog.Catalog
-	auth   *security.Authority
-	log    *bigmeta.Log
-	mgr    *blmt.Manager
-	cred   objstore.Credential
-}
-
-func newWorld() (*world, error) {
-	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock)
-	cred := objstore.Credential{Principal: "sa-lake@corp"}
-	if err := store.CreateBucket(cred, diffBucket); err != nil {
+// newWorld is the lakehouse one trial or sweep runs in: a core.New
+// deployment with lh.Engine built from opts, plus the lake bucket and
+// the "ds" dataset. Every matrix cell gets an engine of its own options
+// from NewEngine; the object store, catalog, commit log and Big
+// Metadata cache are the deployment's — the state the acceleration
+// paths must agree about. Read API sessions are never reused: one
+// planned against the table state of an earlier phase would pin it.
+func newWorld(opts engine.Options) (*core.Lakehouse, error) {
+	lh, err := core.New(core.Options{Admin: diffAdmin, Engine: &opts})
+	if err != nil {
 		return nil, err
 	}
-	cat := catalog.New()
-	if err := cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"}); err != nil {
+	lh.StorageAPI.SessionTTL = 0
+	if err := lh.CreateBucket(diffBucket); err != nil {
 		return nil, err
 	}
-	auth := security.NewAuthority("secret", diffAdmin)
-	if err := auth.RegisterConnection(diffAdmin, security.Connection{
-		Name: diffConn, ServiceAccount: cred, Cloud: "gcp",
-	}); err != nil {
-		return nil, err
-	}
-	log := bigmeta.NewLog(clock)
-	stores := map[string]*objstore.Store{"gcp": store}
-	mgr := blmt.New(cat, auth, log, clock, stores)
-	mgr.DefaultCloud = "gcp"
-	mgr.DefaultBucket = diffBucket
-	mgr.DefaultConnection = diffConn
-	return &world{
-		clock: clock, store: store, stores: stores, cat: cat,
-		auth: auth, log: log, mgr: mgr, cred: cred,
-	}, nil
+	return lh, lh.CreateDataset("ds")
 }
 
 type harness struct {
-	w  *world
+	w  *core.Lakehouse
 	db *DB
 	// pols is what diffAnalyst is governed by; the analyst arm compares
 	// the engine against db.Governed(pols).
-	pols   []GenPolicy
-	seed   uint64
-	trial  int
-	rep    *Report
-	logf   func(format string, args ...any)
-	tracer *obs.Tracer
-	serve  bool
+	pols  []GenPolicy
+	seed  uint64
+	trial int
+	rep   *Report
+	logf  func(format string, args ...any)
+	serve bool
 	// sessions caches one serve session per cell engine so the serve
 	// arm reuses warmed server state the way a real client would.
 	sessions map[*engine.Engine]*serve.Session
@@ -238,19 +211,16 @@ func (h *harness) serveRun(eng *engine.Engine, qid, sql string) (*Resultset, err
 	return FromBatch(b), nil
 }
 
-// engineFor builds a fresh engine (and metadata cache) for one cell.
+// engineFor builds a fresh engine for one cell: its own options and
+// scan cache over the deployment's metadata cache, which the first
+// cache-on cell fills through the scan plan's on-demand refresh.
 func (h *harness) engineFor(cfg Config) *engine.Engine {
-	meta := bigmeta.NewCache(h.w.clock)
 	opts := engine.DefaultOptions()
 	opts.UseMetadataCache = cfg.Cache
 	opts.EnableDPP = cfg.DPP
 	opts.PruneGranularity = cfg.Granularity
 	opts.EnableScanCache = cfg.ScanCache
-	eng := engine.New(h.w.cat, h.w.auth, meta, h.w.log, h.w.clock, h.w.stores, opts)
-	eng.ManagedCred = h.w.cred
-	eng.SetMutator(h.w.mgr)
-	eng.Tracer = h.tracer
-	return eng
+	return h.w.NewEngine(opts)
 }
 
 // defaultCell is the fault-free all-accelerations cell used for
@@ -269,7 +239,7 @@ func (h *harness) install(tables []*GenTable) error {
 	for _, t := range tables {
 		short := strings.TrimPrefix(t.Full, "ds.")
 		if t.Managed {
-			if err := h.w.cat.CreateTable(catalog.Table{
+			if err := h.w.Catalog.CreateTable(catalog.Table{
 				Dataset: "ds", Name: short, Type: catalog.Managed, Schema: t.Schema,
 				Cloud: "gcp", Bucket: diffBucket, Prefix: "blmt/ds/" + short + "/",
 				Connection: diffConn,
@@ -325,13 +295,13 @@ func (h *harness) install(tables []*GenTable) error {
 					return err
 				}
 				key := fmt.Sprintf("%s/%s=%s/part-%03d.blk", short, t.PartitionCol, pv, file)
-				if _, err := h.w.store.Put(h.w.cred, diffBucket, key, data, "application/x-blk"); err != nil {
+				if _, err := h.w.Store.Put(h.w.ServiceAccount(), diffBucket, key, data, "application/x-blk"); err != nil {
 					return err
 				}
 				file++
 			}
 		}
-		if err := h.w.cat.CreateTable(catalog.Table{
+		if err := h.w.Catalog.CreateTable(catalog.Table{
 			Dataset: "ds", Name: short, Type: catalog.BigLake, Schema: t.Schema,
 			Cloud: "gcp", Bucket: diffBucket, Prefix: short + "/", Connection: diffConn,
 			PartitionColumn: t.PartitionCol, MetadataCaching: true,
@@ -351,19 +321,19 @@ func (h *harness) install(tables []*GenTable) error {
 // the tables.
 func (h *harness) govern(tables []*GenTable, pols []GenPolicy) error {
 	for _, t := range tables {
-		if err := h.w.auth.GrantTable(diffAdmin, t.Full, diffAnalyst, security.RoleViewer); err != nil {
+		if err := h.w.Auth.GrantTable(diffAdmin, t.Full, diffAnalyst, security.RoleViewer); err != nil {
 			return err
 		}
 	}
 	for _, pol := range pols {
-		if err := h.w.auth.AddRowPolicy(diffAdmin, pol.Table, security.RowPolicy{
+		if err := h.w.Auth.AddRowPolicy(diffAdmin, pol.Table, security.RowPolicy{
 			Name: "analyst_rows", Grantees: map[security.Principal]bool{diffAnalyst: true}, Filter: pol.Filter,
 		}); err != nil {
 			return err
 		}
 		// The admin keeps every row (a policy with no filter) and every
 		// raw column: its arm stays the ungoverned reference.
-		if err := h.w.auth.AddRowPolicy(diffAdmin, pol.Table, security.RowPolicy{
+		if err := h.w.Auth.AddRowPolicy(diffAdmin, pol.Table, security.RowPolicy{
 			Name: "admin_rows", Grantees: map[security.Principal]bool{diffAdmin: true},
 		}); err != nil {
 			return err
@@ -372,7 +342,7 @@ func (h *harness) govern(tables []*GenTable, pols []GenPolicy) error {
 			if col == "" {
 				return nil
 			}
-			return h.w.auth.SetColumnPolicy(diffAdmin, pol.Table, security.ColumnPolicy{
+			return h.w.Auth.SetColumnPolicy(diffAdmin, pol.Table, security.ColumnPolicy{
 				Column: col, Allowed: map[security.Principal]bool{diffAdmin: true}, Mask: mask,
 			})
 		}
@@ -532,7 +502,8 @@ func readShapeOf(sql string) (*readShape, bool) {
 
 // readRun answers rs through a Read API session as the arm's principal.
 // `*` asks for every column that principal can name.
-func (h *harness) readRun(srv *storageapi.Server, a arm, rs *readShape) (*Resultset, error) {
+func (h *harness) readRun(a arm, rs *readShape) (*Resultset, error) {
+	srv := h.w.StorageAPI
 	cols := rs.cols
 	if t, ok := a.db.Tables[rs.table]; ok && cols == nil {
 		for _, f := range t.Schema.Fields {
@@ -569,8 +540,8 @@ type arm struct {
 // current world state, as the admin and — in a governed world — as the
 // analyst, and compares against the oracle: for the analyst, the
 // oracle's governed view of the tables. A statement the Read API can
-// answer alone (readShape) is also put to a fresh Storage API server in
-// every cell, as both principals, and compared as a multiset.
+// answer alone (readShape) is also put to the deployment's Storage API
+// in every cell, as both principals, and compared as a multiset.
 func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 	type oresult struct {
 		rs  *Resultset
@@ -592,18 +563,14 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 	for i, q := range queries {
 		reads[i], _ = readShapeOf(q.SQL)
 	}
-	defer h.w.store.ClearFaults()
+	defer h.w.Store.ClearFaults()
 	for ci, cfg := range Matrix() {
 		if cfg.Faults {
-			h.w.store.InjectFaults(h.faultProfile(phase, ci))
+			h.w.Store.InjectFaults(h.faultProfile(phase, ci))
 		} else {
-			h.w.store.ClearFaults()
+			h.w.Store.ClearFaults()
 		}
 		eng := h.engineFor(cfg)
-		// Per cell, like the engine: a session cached across the DML
-		// phase would pin the files of the snapshot it was planned on.
-		srv := storageapi.NewServer(h.w.cat, h.w.auth, bigmeta.NewCache(h.w.clock), h.w.log, h.w.clock, h.w.stores)
-		srv.ManagedCred = h.w.cred
 	queries:
 		for qi, q := range queries {
 			qid := fmt.Sprintf("fz-%d-%d-%s-%d-%d", h.seed, h.trial, phase, ci, qi)
@@ -643,7 +610,7 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 					break
 				}
 				want := oras[ai][qi]
-				rgot, rerr := h.readRun(srv, a, reads[qi])
+				rgot, rerr := h.readRun(a, reads[qi])
 				h.rep.Executions++
 				switch {
 				case rerr != nil && want.err != nil:
@@ -687,7 +654,7 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 }
 
 func (h *harness) diverge(phase string, cfg Config, a arm, q GenQuery, detail string) *Divergence {
-	h.w.store.ClearFaults()
+	h.w.Store.ClearFaults()
 	d := &Divergence{
 		Seed: h.seed, Trial: h.trial, Phase: phase, Cell: cfg, Principal: a.who,
 		SQL: q.SQL, MinSQL: q.SQL, Detail: detail,
@@ -963,14 +930,15 @@ func Run(opts Options) (Report, error) {
 }
 
 func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(string, ...any)) (*Divergence, error) {
-	w, err := newWorld()
+	w, err := newWorld(engine.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
+	w.Engine.Tracer = opts.Tracer
 	gen := NewGen(seed)
 	tables := gen.Tables()
 	h := &harness{
-		w: w, db: NewDB(), seed: seed, trial: trial, rep: rep, logf: logf, tracer: opts.Tracer,
+		w: w, db: NewDB(), seed: seed, trial: trial, rep: rep, logf: logf,
 		serve: opts.Serve, sessions: map[*engine.Engine]*serve.Session{},
 	}
 	if err := h.install(tables); err != nil {
@@ -1002,7 +970,7 @@ func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(strin
 		return nil, err
 	}
 	for _, t := range starTables {
-		if err := w.auth.GrantTable(diffAdmin, t.Full, diffAnalyst, security.RoleViewer); err != nil {
+		if err := w.Auth.GrantTable(diffAdmin, t.Full, diffAnalyst, security.RoleViewer); err != nil {
 			return nil, err
 		}
 	}
@@ -1017,12 +985,12 @@ func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(strin
 		return d, nil
 	}
 	for _, full := range []string{managed.Full, starTables[0].Full} {
-		if _, err := w.mgr.Optimize(string(diffAdmin), full, ""); err != nil {
+		if _, err := w.Manager.Optimize(string(diffAdmin), full, ""); err != nil {
 			return nil, fmt.Errorf("optimize %s: %w", full, err)
 		}
 	}
 	if ctasT != nil {
-		if _, err := w.mgr.Optimize(string(diffAdmin), ctasT.Full, ""); err != nil {
+		if _, err := w.Manager.Optimize(string(diffAdmin), ctasT.Full, ""); err != nil {
 			return nil, fmt.Errorf("optimize %s: %w", ctasT.Full, err)
 		}
 	}
@@ -1030,7 +998,7 @@ func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(strin
 	all := append([]*GenTable{}, tables...)
 	if ctasT != nil {
 		all = append(all, ctasT)
-		if err := w.auth.GrantTable(diffAdmin, ctasT.Full, diffAnalyst, security.RoleViewer); err != nil {
+		if err := w.Auth.GrantTable(diffAdmin, ctasT.Full, diffAnalyst, security.RoleViewer); err != nil {
 			return nil, err
 		}
 	}

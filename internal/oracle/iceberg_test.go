@@ -14,14 +14,19 @@ import (
 	"testing"
 
 	"biglake/internal/colfmt"
+	"biglake/internal/engine"
 	"biglake/internal/iceberg"
 )
 
-// icebergRows decodes every data file referenced by the exported
-// snapshot and returns the rendered row multiset.
-func icebergRows(t *testing.T, h *harness, metadataKey string) ([]string, []string) {
+// icebergRows decodes every data file referenced by the table's
+// exported snapshot and returns the rendered row multiset.
+func icebergRows(t *testing.T, h *harness, table, metadataKey string) ([]string, []string) {
 	t.Helper()
-	files, schema, err := iceberg.ReadTable(h.w.store, h.w.cred, diffBucket, metadataKey)
+	tab, err := h.w.Catalog.Table(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, schema, err := iceberg.ReadTable(h.w.Store, h.w.ServiceAccount(), tab.Bucket, metadataKey)
 	if err != nil {
 		t.Fatalf("ReadTable(%s): %v", metadataKey, err)
 	}
@@ -31,7 +36,7 @@ func icebergRows(t *testing.T, h *harness, metadataKey string) ([]string, []stri
 		if slash < 0 {
 			t.Fatalf("data file path %q has no bucket prefix", f.Path)
 		}
-		data, _, err := h.w.store.Get(h.w.cred, f.Path[:slash], f.Path[slash+1:])
+		data, _, err := h.w.Store.Get(h.w.ServiceAccount(), f.Path[:slash], f.Path[slash+1:])
 		if err != nil {
 			t.Fatalf("get %s: %v", f.Path, err)
 		}
@@ -61,11 +66,11 @@ func icebergRows(t *testing.T, h *harness, metadataKey string) ([]string, []stri
 // snapshot's decoded contents against SELECT * through the engine.
 func checkExportEquality(t *testing.T, h *harness, table string) {
 	t.Helper()
-	key, err := h.w.mgr.ExportIceberg(table)
+	key, err := h.w.Manager.ExportIceberg(table)
 	if err != nil {
 		t.Fatalf("ExportIceberg(%s): %v", table, err)
 	}
-	gotRows, gotNames := icebergRows(t, h, key)
+	gotRows, gotNames := icebergRows(t, h, table, key)
 
 	eng := h.engineFor(defaultCell())
 	want, err := h.engRun(eng, diffAdmin, "iceberg-eq-"+table, "SELECT * FROM "+table)
@@ -95,7 +100,7 @@ func checkExportEquality(t *testing.T, h *harness, table string) {
 func TestIcebergExportEquality(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			w, err := newWorld()
+			w, err := newWorld(engine.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +127,7 @@ func TestIcebergExportEquality(t *testing.T) {
 			// Export both before and after compaction: the snapshot
 			// must track whichever file layout is current.
 			checkExportEquality(t, h, managed.Full)
-			if _, err := w.mgr.Optimize(string(diffAdmin), managed.Full, ""); err != nil {
+			if _, err := w.Manager.Optimize(string(diffAdmin), managed.Full, ""); err != nil {
 				t.Fatalf("optimize: %v", err)
 			}
 			checkExportEquality(t, h, managed.Full)

@@ -114,17 +114,12 @@ func sumPrefix(snap obs.Snapshot, prefix string) int64 {
 	return n
 }
 
-// integrityEngine builds a cell engine wired to the sweep's registry.
-func (h *harness) integrityEngine(cell IntegrityCell, reg *obs.Registry, skipQuarantined bool) *engine.Engine {
-	meta := bigmeta.NewCache(h.w.clock)
+// integrityEngine builds a cell engine over the sweep's deployment.
+func (h *harness) integrityEngine(cell IntegrityCell, skipQuarantined bool) *engine.Engine {
 	opts := engine.DefaultOptions()
 	opts.EnableScanCache = cell.ScanCache
 	opts.SkipQuarantined = skipQuarantined
-	eng := engine.New(h.w.cat, h.w.auth, meta, h.w.log, h.w.clock, h.w.stores, opts)
-	eng.ManagedCred = h.w.cred
-	eng.SetMutator(h.w.mgr)
-	eng.UseObs(reg)
-	return eng
+	return h.w.NewEngine(opts)
 }
 
 // RunIntegritySweep executes the corruption sweep and returns its
@@ -144,14 +139,13 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	}
 	rep := IntegrityReport{}
 
-	w, err := newWorld()
+	w, err := newWorld(engine.DefaultOptions())
 	if err != nil {
 		return rep, err
 	}
-	// The sweep's registry is the log's: the world's BLMT manager and
-	// every Read API server built over the log already count into it.
-	reg := w.log.Obs()
-	w.store.UseObs(reg)
+	// The sweep's registry is the deployment's: every engine, the Read
+	// API, the BLMT manager and the store count into it.
+	reg := w.Engine.Obs
 
 	gen := NewGen(opts.Seed)
 	tables := gen.Tables()
@@ -217,7 +211,7 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	}
 
 	runPhase := func(phase string) error {
-		defer w.store.ClearFaults()
+		defer w.Store.ClearFaults()
 		// The DML arm moves the managed table between the phases, so
 		// each phase asks the oracle afresh.
 		golden := make([]*Resultset, len(queries))
@@ -227,8 +221,8 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 			}
 		}
 		for ci, cell := range cells {
-			w.store.InjectFaults(profile(ci, phase))
-			eng := h.integrityEngine(cell, reg, false)
+			w.Store.InjectFaults(profile(ci, phase))
+			eng := h.integrityEngine(cell, false)
 			for qi, q := range queries {
 				qid := fmt.Sprintf("integ-%d-%s-%d-%d", opts.Seed, phase, ci, qi)
 				res, err := eng.Query(engine.NewContext(diffAdmin, qid), q.SQL)
@@ -257,7 +251,7 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	// is clean. A rewrite never skips a quarantined file, so the
 	// operator's sequence comes first: re-verify and lift.
 	lift := func() error {
-		rr, err := w.mgr.Repair(string(diffAdmin), managed.Full, nil)
+		rr, err := w.Manager.Repair(string(diffAdmin), managed.Full, nil)
 		if err != nil || len(rr.Failed) > 0 {
 			return fmt.Errorf("lifting in-flight quarantines of %s: %+v, %v", managed.Full, rr, err)
 		}
@@ -271,8 +265,8 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	// statement may fail typed, and then it committed nothing and the
 	// oracle skips it; one that succeeds moves the oracle too, and the
 	// post phase holds every reader to the result.
-	w.store.InjectFaults(profile(0, "dml"))
-	eng := h.integrityEngine(cells[0], reg, false)
+	w.Store.InjectFaults(profile(0, "dml"))
+	eng := h.integrityEngine(cells[0], false)
 	for i := 0; i < integrityDML; i++ {
 		// Inserts read nothing, a statement the oracle rejects carries
 		// no signal, and an emptied table leaves the later legs nothing
@@ -306,8 +300,8 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	// Either way lift and compact fault-free, so the post phase reads
 	// rewritten files with fresh CRCs and generations.
 	rep.Executions++
-	_, err = w.mgr.Optimize(string(diffAdmin), managed.Full, "")
-	w.store.ClearFaults()
+	_, err = w.Manager.Optimize(string(diffAdmin), managed.Full, "")
+	w.Store.ClearFaults()
 	if err != nil {
 		if !errors.Is(err, integrity.ErrCorrupt) {
 			return rep, fmt.Errorf("optimize %s: %w", managed.Full, err)
@@ -317,7 +311,7 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	if err := lift(); err != nil {
 		return rep, err
 	}
-	if _, err := w.mgr.Optimize(string(diffAdmin), managed.Full, ""); err != nil {
+	if _, err := w.Manager.Optimize(string(diffAdmin), managed.Full, ""); err != nil {
 		return rep, fmt.Errorf("optimize %s: %w", managed.Full, err)
 	}
 	if err := runPhase("post"); err != nil {
@@ -326,8 +320,8 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 
 	// Stored-damage leg: corrupt the managed table's files at rest and
 	// drive detect -> quarantine -> skip -> repair -> verify.
-	w.store.ClearFaults()
-	if err := runStoredDamage(h, reg, managed, &rep); err != nil {
+	w.Store.ClearFaults()
+	if err := runStoredDamage(h, managed, &rep); err != nil {
 		return rep, err
 	}
 
@@ -339,21 +333,13 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	return rep, nil
 }
 
-// readAPIServer is a fresh Storage Read API frontend over the world: no
-// session outlives the table state it was planned against.
-func (h *harness) readAPIServer() *storageapi.Server {
-	srv := storageapi.NewServer(h.w.cat, h.w.auth, bigmeta.NewCache(h.w.clock), h.w.log, h.w.clock, h.w.stores)
-	srv.ManagedCred = h.w.cred
-	return srv
-}
-
 // readAPIArm reads every table the way an external engine does: whole
 // through sparkle's connector, filtered through sparkle, and projected
 // through raw CreateReadSession/ReadRows — each judged against the
 // oracle's answer to the equivalent SELECT.
 func (h *harness) readAPIArm(where string, tables []*GenTable, rep *IntegrityReport, judge func(string, *vector.Batch, error, *Resultset, bool)) error {
-	srv := h.readAPIServer()
-	sp := sparkle.NewSession(h.w.clock, sparkle.Options{})
+	srv := h.w.StorageAPI
+	sp := sparkle.NewSession(h.w.Clock, sparkle.Options{})
 	for _, t := range tables {
 		key := t.Schema.Fields[1] // k<i>: a never-null integer
 		if t.Managed {
@@ -397,7 +383,7 @@ func (h *harness) readAPIArm(where string, tables []*GenTable, rep *IntegrityRep
 // runStoredDamage flips bits in stored managed-table files, then
 // drives the full containment and repair path against the golden
 // oracle answer.
-func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *IntegrityReport) error {
+func runStoredDamage(h *harness, managed *GenTable, rep *IntegrityReport) error {
 	w := h.w
 	goldenSQL := fmt.Sprintf("SELECT * FROM %s", managed.Full)
 	golden, err := h.db.ExecSQL(goldenSQL)
@@ -405,7 +391,7 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 		return err
 	}
 
-	files, _, err := w.log.Snapshot(managed.Full, -1)
+	files, _, err := w.Log.Snapshot(managed.Full, -1)
 	if err != nil {
 		return err
 	}
@@ -416,7 +402,7 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 	// path's "surviving replica".
 	replicas := make(map[string][]byte, len(files))
 	for _, f := range files {
-		data, _, err := w.store.Get(w.cred, f.Bucket, f.Key)
+		data, _, err := w.Store.Get(w.ServiceAccount(), f.Bucket, f.Key)
 		if err != nil {
 			return err
 		}
@@ -429,7 +415,7 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 	}
 	for i := 0; i < damage; i++ {
 		f := files[i]
-		if err := w.store.FlipStoredBit(f.Bucket, f.Key, int64(37+101*i)); err != nil {
+		if err := w.Store.FlipStoredBit(f.Bucket, f.Key, int64(37+101*i)); err != nil {
 			return err
 		}
 	}
@@ -440,14 +426,14 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 	// damage first and quarantines; the rewrite (which matches no row,
 	// but reads every file to find that out) and the query then fail at
 	// the gate or at the next damaged file. None may commit or answer.
-	eng := h.integrityEngine(IntegrityCell{}, reg, false)
-	version := w.log.Version()
+	eng := h.integrityEngine(IntegrityCell{}, false)
+	version := w.Log.Version()
 	for _, arm := range []struct {
 		name string
 		run  func() error
 	}{
 		{"read api", func() error {
-			_, err := sparkle.NewSession(w.clock, sparkle.Options{}).ReadBigLake(h.readAPIServer(), diffAdmin, managed.Full).Collect()
+			_, err := sparkle.NewSession(w.Clock, sparkle.Options{}).ReadBigLake(w.StorageAPI, diffAdmin, managed.Full).Collect()
 			return err
 		}},
 		{"rewrite", func() error {
@@ -465,18 +451,18 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 		} else if !errors.Is(err, integrity.ErrCorrupt) {
 			return fmt.Errorf("stored corruption surfaced untyped in %s: %v", arm.name, err)
 		}
-		if len(w.log.Quarantined(managed.Full)) == 0 {
+		if len(w.Log.Quarantined(managed.Full)) == 0 {
 			return fmt.Errorf("no file quarantined after persistent corruption (%s)", arm.name)
 		}
 	}
-	rep.StoredQuarantine = len(w.log.Quarantined(managed.Full))
-	if got := w.log.Version() - version; got != int64(rep.StoredQuarantine) {
+	rep.StoredQuarantine = len(w.Log.Quarantined(managed.Full))
+	if got := w.Log.Version() - version; got != int64(rep.StoredQuarantine) {
 		return fmt.Errorf("%d commits over damaged files, want only the %d quarantine marks", got, rep.StoredQuarantine)
 	}
 
 	// 2. Degraded read under the explicit opt-in: skip-and-warn, never
 	// a wrong full answer — the result must be a subset of the oracle's.
-	skipEng := h.integrityEngine(IntegrityCell{}, reg, true)
+	skipEng := h.integrityEngine(IntegrityCell{}, true)
 	res, err := skipEng.Query(engine.NewContext(diffAdmin, "integ-stored-2"), goldenSQL)
 	if err != nil {
 		return fmt.Errorf("SkipQuarantined query failed: %w", err)
@@ -489,7 +475,7 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 
 	// 3. Repair from the surviving replicas, then re-verify the full
 	// answer bit-identically.
-	rr, err := w.mgr.Repair(string(diffAdmin), managed.Full, func(t catalog.Table, f bigmeta.FileEntry) ([]byte, error) {
+	rr, err := w.Manager.Repair(string(diffAdmin), managed.Full, func(t catalog.Table, f bigmeta.FileEntry) ([]byte, error) {
 		data, ok := replicas[f.Key]
 		if !ok {
 			return nil, fmt.Errorf("no replica for %s", f.Key)
@@ -503,10 +489,10 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 	if len(rr.Failed) > 0 {
 		return fmt.Errorf("repair failed for %v", rr.Failed)
 	}
-	if len(w.log.Quarantined(managed.Full)) != 0 {
+	if len(w.Log.Quarantined(managed.Full)) != 0 {
 		return fmt.Errorf("files still quarantined after repair")
 	}
-	post := h.integrityEngine(IntegrityCell{}, reg, false)
+	post := h.integrityEngine(IntegrityCell{}, false)
 	res, err = post.Query(engine.NewContext(diffAdmin, "integ-stored-3"), goldenSQL)
 	if err != nil {
 		return fmt.Errorf("query after repair failed: %w", err)
@@ -514,7 +500,7 @@ func runStoredDamage(h *harness, reg *obs.Registry, managed *GenTable, rep *Inte
 	if d := diffResults(FromBatch(res.Batch), golden, false); d != "" {
 		return fmt.Errorf("repaired table diverged from oracle: %s", d)
 	}
-	viaAPI, err := sparkle.NewSession(w.clock, sparkle.Options{}).ReadBigLake(h.readAPIServer(), diffAdmin, managed.Full).Collect()
+	viaAPI, err := sparkle.NewSession(w.Clock, sparkle.Options{}).ReadBigLake(w.StorageAPI, diffAdmin, managed.Full).Collect()
 	if err != nil {
 		return fmt.Errorf("read api after repair failed: %w", err)
 	}

@@ -82,7 +82,7 @@ func orderBySQL() []string {
 }
 
 func TestDifferentialOrderByBattery(t *testing.T) {
-	w, err := newWorld()
+	w, err := newWorld(engine.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDifferentialOrderByBattery(t *testing.T) {
 	if d := h.runMatrix("pre", battery); d != nil {
 		t.Fatal(d.Format())
 	}
-	if _, err := w.mgr.Optimize(string(diffAdmin), fct.Full, ""); err != nil {
+	if _, err := w.Manager.Optimize(string(diffAdmin), fct.Full, ""); err != nil {
 		t.Fatalf("optimize %s: %v", fct.Full, err)
 	}
 	if d := h.runMatrix("post", battery); d != nil {

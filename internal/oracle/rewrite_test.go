@@ -33,12 +33,12 @@ func TestRewritesNeverCommitUnverifiedBytes(t *testing.T) {
 			return engineAndOracle(tw, db, qid, "DELETE FROM "+table+" WHERE id = 2 OR id = 6")
 		},
 		"optimize": func(tw *txnWorld, _ *DB, _ string) error {
-			_, err := tw.w.mgr.Optimize(string(diffAdmin), table, "")
+			_, err := tw.w.Manager.Optimize(string(diffAdmin), table, "")
 			return err
 		},
 		"txn": func(tw *txnWorld, db *DB, qid string) error {
 			const sql = "UPDATE " + table + " SET v = v + 7 WHERE id <= 5"
-			s := tw.tm.Begin(diffAdmin, qid)
+			s := tw.w.Txns.Begin(diffAdmin, qid)
 			if _, err := s.Exec(sql); err != nil {
 				_ = s.Rollback()
 				return err
@@ -56,11 +56,11 @@ func TestRewritesNeverCommitUnverifiedBytes(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/rate=%v/seed=%d", name, rate, seed), func(t *testing.T) {
 					tw, db := rewriteWorld(t, table)
 					before := liveFiles(t, tw, table)
-					tw.w.store.InjectFaults(objstore.FaultProfile{
+					tw.w.Store.InjectFaults(objstore.FaultProfile{
 						Seed: seed, PerBucketCorrupt: map[string]float64{diffBucket: rate},
 					})
 					err := op(tw, db, fmt.Sprintf("rw-%s-%d", name, seed))
-					tw.w.store.ClearFaults()
+					tw.w.Store.ClearFaults()
 					if err != nil {
 						if !errors.Is(err, integrity.ErrCorrupt) {
 							t.Fatalf("rewrite failed untyped: %v", err)
@@ -71,7 +71,7 @@ func TestRewritesNeverCommitUnverifiedBytes(t *testing.T) {
 					}
 					// Whatever was quarantined on the way is intact at rest:
 					// the re-verify lifts the marks without moving data.
-					if rep, rerr := tw.w.mgr.Repair(string(diffAdmin), table, nil); rerr != nil || len(rep.Failed) > 0 {
+					if rep, rerr := tw.w.Manager.Repair(string(diffAdmin), table, nil); rerr != nil || len(rep.Failed) > 0 {
 						t.Fatalf("repair: %+v, %v", rep, rerr)
 					}
 					got, gerr := tw.tableStateAt(table, -1)
@@ -94,7 +94,7 @@ func TestRewritesNeverCommitUnverifiedBytes(t *testing.T) {
 // engineAndOracle runs one DML statement on the engine and, when it
 // succeeds, on the oracle.
 func engineAndOracle(tw *txnWorld, db *DB, qid, sql string) error {
-	if _, err := tw.eng.Query(engine.NewContext(diffAdmin, qid), sql); err != nil {
+	if _, err := tw.w.Engine.Query(engine.NewContext(diffAdmin, qid), sql); err != nil {
 		return err
 	}
 	_, err := db.ExecSQL(sql)
@@ -120,7 +120,7 @@ func rewriteWorld(t *testing.T, table string) (*txnWorld, *DB) {
 			t.Fatal(err)
 		}
 	}
-	files, _, err := tw.w.log.Snapshot(table, -1)
+	files, _, err := tw.w.Log.Snapshot(table, -1)
 	if err != nil || len(files) != 2 {
 		t.Fatalf("install left %d files, %v", len(files), err)
 	}
@@ -137,7 +137,7 @@ func rewriteWorld(t *testing.T, table string) (*txnWorld, *DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := tw.w.store.Put(tw.w.cred, old.Bucket, old.Key, file, "application/x-blk")
+		info, err := tw.w.Store.Put(tw.w.ServiceAccount(), old.Bucket, old.Key, file, "application/x-blk")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func rewriteWorld(t *testing.T, table string) (*txnWorld, *DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tw.w.log.Commit(string(diffAdmin), map[string]bigmeta.TableDelta{
+		if _, err := tw.w.Log.Commit(string(diffAdmin), map[string]bigmeta.TableDelta{
 			table: {Removed: []string{old.Key}, Added: []bigmeta.FileEntry{entry}},
 		}); err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func rewriteWorld(t *testing.T, table string) (*txnWorld, *DB) {
 // liveFiles renders a table's live (key, generation) set.
 func liveFiles(t *testing.T, tw *txnWorld, table string) string {
 	t.Helper()
-	files, _, err := tw.w.log.Snapshot(table, -1)
+	files, _, err := tw.w.Log.Snapshot(table, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ var starSQL = []string{
 // in every matrix cell, before and after compaction. Zero divergences,
 // and no engine error outside the fault cells.
 func TestDifferentialStarBattery(t *testing.T) {
-	w, err := newWorld()
+	w, err := newWorld(engine.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestDifferentialStarBattery(t *testing.T) {
 		t.Fatal(d.Format())
 	}
 	for _, tb := range tables {
-		if _, err := w.mgr.Optimize(string(diffAdmin), tb.Full, ""); err != nil {
+		if _, err := w.Manager.Optimize(string(diffAdmin), tb.Full, ""); err != nil {
 			t.Fatalf("optimize %s: %v", tb.Full, err)
 		}
 	}
@@ -145,7 +145,7 @@ func TestDifferentialStarBattery(t *testing.T) {
 // it without a sound.
 func TestStarFamilyReachesKernels(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		w, err := newWorld()
+		w, err := newWorld(engine.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,10 +30,9 @@ import (
 	"errors"
 	"fmt"
 
-	"biglake/internal/bigmeta"
-	"biglake/internal/blmt"
 	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
+	"biglake/internal/core"
 	"biglake/internal/crashpoint"
 	"biglake/internal/engine"
 	"biglake/internal/txn"
@@ -229,54 +228,27 @@ func GenTxnSchedule(seed uint64, sessions int) txnSchedule {
 // txnWorld is one journaled, crash-instrumented lakehouse whose only
 // write path is the interactive transaction layer.
 type txnWorld struct {
-	w     *world
-	j     *wal.Journal
+	w     *core.Lakehouse
 	cp    *crashpoint.Injector
-	eng   *engine.Engine
-	tm    *txn.Manager
 	acked int64
 }
 
 func newTxnWorld() (*txnWorld, error) {
-	w, err := newWorld()
+	w, err := newWorld(engine.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
 	for _, table := range txnTables {
-		if err := w.cat.CreateTable(catalog.Table{
+		if err := w.Catalog.CreateTable(catalog.Table{
 			Dataset: "ds", Name: table[len("ds."):], Type: catalog.Managed, Schema: txnSchema(),
 			Cloud: "gcp", Bucket: diffBucket, Prefix: txnPrefix(table), Connection: diffConn,
 		}); err != nil {
 			return nil, err
 		}
 	}
-	j, err := wal.Open(w.store, w.cred, diffBucket, "")
-	if err != nil {
-		return nil, err
-	}
-	tw := &txnWorld{w: w, j: j, cp: crashpoint.New()}
-	tw.wire()
+	tw := &txnWorld{w: w, cp: crashpoint.New()}
+	w.Log.Crash = tw.cp
 	return tw, nil
-}
-
-// wire (re)assembles the engine and transaction manager around the
-// world's current log — at boot and after recovery swaps in a
-// replayed one.
-func (tw *txnWorld) wire() {
-	w := tw.w
-	w.log.AttachJournal(tw.j)
-	w.log.Crash = tw.cp
-
-	meta := bigmeta.NewCache(w.clock)
-	eng := engine.New(w.cat, w.auth, meta, w.log, w.clock, w.stores, engine.DefaultOptions())
-	eng.ManagedCred = w.cred
-	mgr := blmt.New(w.cat, w.auth, w.log, w.clock, w.stores)
-	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = "gcp", diffBucket, diffConn
-	w.mgr = mgr
-	eng.SetMutator(mgr)
-	tw.eng = eng
-
-	tw.tm = txn.NewManager(eng)
 }
 
 // run drives (or, after a crash, re-drives) the schedule. Conflict
@@ -290,7 +262,7 @@ func (tw *txnWorld) run(sc txnSchedule) (map[string]int64, error) {
 		s := sessions[st.sess]
 		switch st.kind {
 		case stepBegin:
-			sessions[st.sess] = tw.tm.Begin(diffAdmin, txnID(sc.seed, st.sess))
+			sessions[st.sess] = tw.w.Txns.Begin(diffAdmin, txnID(sc.seed, st.sess))
 		case stepStmt:
 			if _, err := s.Exec(st.sql); err != nil {
 				return nil, fmt.Errorf("s%d %q: %w", st.sess, st.sql, err)
@@ -313,15 +285,15 @@ func (tw *txnWorld) run(sc txnSchedule) (map[string]int64, error) {
 			// Nothing interleaves inside one statement of this serial
 			// driver, so an autocommit statement never loses validation
 			// itself — it makes open sessions lose.
-			if _, err := tw.eng.Query(engine.NewContext(diffAdmin, st.qid), st.sql); err != nil {
+			if _, err := tw.w.Engine.Query(engine.NewContext(diffAdmin, st.qid), st.sql); err != nil {
 				return nil, fmt.Errorf("autocommit %q: %w", st.sql, err)
 			}
-			if v, ok := tw.w.log.AppliedTx(st.id); ok {
+			if v, ok := tw.w.Log.AppliedTx(st.id); ok {
 				committed[st.id] = v
 			}
 			tw.ack()
 		case stepOptimize:
-			if _, err := tw.w.mgr.Optimize(string(diffAdmin), st.table, ""); err != nil {
+			if _, err := tw.w.Manager.Optimize(string(diffAdmin), st.table, ""); err != nil {
 				return nil, fmt.Errorf("optimize %s: %w", st.table, err)
 			}
 			tw.ack()
@@ -330,31 +302,25 @@ func (tw *txnWorld) run(sc txnSchedule) (map[string]int64, error) {
 	return committed, nil
 }
 
-func (tw *txnWorld) ack() { tw.acked = tw.w.log.Version() }
+func (tw *txnWorld) ack() { tw.acked = tw.w.Log.Version() }
 
-// recoverWorld discards everything in memory and rebuilds from the
-// journal + object store, then collects orphaned data files.
+// recoverWorld restarts the lakehouse through Lakehouse.Recover —
+// everything in-memory rebuilt from the journal and object store — then
+// collects orphaned data files.
 func (tw *txnWorld) recoverWorld() error {
-	j, err := wal.Open(tw.w.store, tw.w.cred, diffBucket, "")
-	if err != nil {
-		return fmt.Errorf("reopen journal: %w", err)
-	}
-	rec, err := wal.Recover(j, tw.w.clock)
-	if err != nil {
+	if _, err := tw.w.Recover(); err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
-	v := rec.Log.Version()
+	v := tw.w.Log.Version()
 	if v < tw.acked || v > tw.acked+1 {
 		return fmt.Errorf("recovered version %d outside [acked %d, acked+1]", v, tw.acked)
 	}
-	tw.j = j
-	tw.w.log = rec.Log
-	tw.wire()
+	tw.w.Log.Crash = tw.cp
 	var prefixes []string
 	for _, table := range txnTables {
 		prefixes = append(prefixes, txnPrefix(table)+"data/")
 	}
-	if _, err := wal.GCOrphans(tw.w.store, tw.w.cred, diffBucket, prefixes, rec.Log); err != nil {
+	if _, err := wal.GCOrphans(tw.w.Store, tw.w.ServiceAccount(), diffBucket, prefixes, tw.w.Log); err != nil {
 		return fmt.Errorf("orphan gc: %w", err)
 	}
 	return nil
@@ -363,13 +329,13 @@ func (tw *txnWorld) recoverWorld() error {
 // tableStateAt decodes a table's actual data files at one pinned log
 // version into a resultset.
 func (tw *txnWorld) tableStateAt(table string, version int64) (*Resultset, error) {
-	files, _, err := tw.w.log.Snapshot(table, version)
+	files, _, err := tw.w.Log.Snapshot(table, version)
 	if err != nil {
 		return nil, err
 	}
 	merged := vector.NewBuilder(txnSchema()).Build()
 	for _, f := range files {
-		data, _, err := tw.w.store.Get(tw.w.cred, f.Bucket, f.Key)
+		data, _, err := tw.w.Store.Get(tw.w.ServiceAccount(), f.Bucket, f.Key)
 		if err != nil {
 			return nil, fmt.Errorf("GET %s: %w", f.Key, err)
 		}
@@ -393,9 +359,9 @@ func (tw *txnWorld) tableStateAt(table string, version int64) (*Resultset, error
 func (tw *txnWorld) optimizeCommits() map[int64]string {
 	out := make(map[int64]string)
 	for _, table := range txnTables {
-		for read := int64(0); read < tw.w.log.Version(); read++ {
+		for read := int64(0); read < tw.w.Log.Version(); read++ {
 			id := fmt.Sprintf("optimize:%s:v%d", table, read)
-			if v, ok := tw.w.log.AppliedTx(id); ok {
+			if v, ok := tw.w.Log.AppliedTx(id); ok {
 				out[v] = id
 			}
 		}
@@ -409,12 +375,12 @@ func (tw *txnWorld) optimizeCommits() map[int64]string {
 // It then checks the orphan-free contract: one GC pass after the fact
 // deletes nothing, and every referenced file exists.
 func (tw *txnWorld) verifySerializable(sc txnSchedule) error {
-	head := tw.w.log.Version()
+	head := tw.w.Log.Version()
 	// Map each sealed version to its transaction via the idempotency
 	// index; every version must belong to a known transaction.
 	byVersion := make(map[int64]string)
 	for _, id := range sc.ids {
-		if v, ok := tw.w.log.AppliedTx(id); ok {
+		if v, ok := tw.w.Log.AppliedTx(id); ok {
 			byVersion[v] = id
 		}
 	}
@@ -463,7 +429,7 @@ func (tw *txnWorld) verifySerializable(sc txnSchedule) error {
 	for _, table := range txnTables {
 		prefixes = append(prefixes, txnPrefix(table)+"data/")
 	}
-	rep, err := wal.GCOrphans(tw.w.store, tw.w.cred, diffBucket, prefixes, tw.w.log)
+	rep, err := wal.GCOrphans(tw.w.Store, tw.w.ServiceAccount(), diffBucket, prefixes, tw.w.Log)
 	if err != nil {
 		return err
 	}
@@ -471,12 +437,12 @@ func (tw *txnWorld) verifySerializable(sc txnSchedule) error {
 		return fmt.Errorf("orphaned objects survived recovery GC: %v", rep.Deleted)
 	}
 	for _, table := range txnTables {
-		files, _, err := tw.w.log.Snapshot(table, -1)
+		files, _, err := tw.w.Log.Snapshot(table, -1)
 		if err != nil {
 			return err
 		}
 		for _, f := range files {
-			if _, err := tw.w.store.Head(tw.w.cred, f.Bucket, f.Key); err != nil {
+			if _, err := tw.w.Store.Head(tw.w.ServiceAccount(), f.Bucket, f.Key); err != nil {
 				return fmt.Errorf("referenced file %s missing: %w", f.Key, err)
 			}
 		}

@@ -230,16 +230,6 @@ func (b *Budget) Cancel() {
 	b.mu.Unlock()
 }
 
-// Canceled reports whether Cancel was called.
-func (b *Budget) Canceled() bool {
-	if b == nil {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.canceled
-}
-
 // Remaining returns the unspent retry count.
 func (b *Budget) Remaining() int {
 	if b == nil {

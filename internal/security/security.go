@@ -124,13 +124,6 @@ func NewAuthority(tokenSecret string, admins ...Principal) *Authority {
 	return a
 }
 
-// IsAdmin reports whether the principal is a deployment admin.
-func (a *Authority) IsAdmin(p Principal) bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.admins[p]
-}
-
 func (a *Authority) policy(table string) *TablePolicy {
 	tp, ok := a.tables[table]
 	if !ok {

@@ -16,11 +16,11 @@ import (
 // come back empty.
 func gcConverged(t *testing.T, ev *env) int {
 	t.Helper()
-	rep, err := wal.GCOrphans(ev.store, ev.cred, "data-bucket", []string{"blmt/"}, ev.log)
+	rep, err := wal.GCOrphans(ev.Store, ev.ServiceAccount(), "bq-managed", []string{"blmt/"}, ev.Log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := wal.GCOrphans(ev.store, ev.cred, "data-bucket", []string{"blmt/"}, ev.log)
+	again, err := wal.GCOrphans(ev.Store, ev.ServiceAccount(), "bq-managed", []string{"blmt/"}, ev.Log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCancelMidResultStream(t *testing.T) {
 	if running, mem, queued := ev.admState(); running != 0 || mem != 0 || queued != 0 {
 		t.Fatalf("leaked admission state: running=%d mem=%d queued=%d", running, mem, queued)
 	}
-	if got := ev.eng.Obs.Get("serve.canceled"); got != 1 {
+	if got := ev.Engine.Obs.Get("serve.canceled"); got != 1 {
 		t.Fatalf("serve.canceled = %d", got)
 	}
 	// A canceled SELECT wrote nothing: zero orphans.
@@ -178,7 +178,7 @@ func TestKillMidCommit(t *testing.T) {
 
 func assertCount(t *testing.T, ev *env, table string, want int) {
 	t.Helper()
-	res, err := ev.eng.Query(engine.NewContext(adminP, fmt.Sprintf("count-%s-%d", table, ev.clock.Now())),
+	res, err := ev.Engine.Query(engine.NewContext(adminP, fmt.Sprintf("count-%s-%d", table, ev.Clock.Now())),
 		"SELECT id FROM ds."+table)
 	if err != nil {
 		t.Fatal(err)

@@ -6,17 +6,11 @@ import (
 	"testing"
 	"time"
 
-	"biglake/internal/bigmeta"
-	"biglake/internal/blmt"
-	"biglake/internal/catalog"
-	"biglake/internal/engine"
-	"biglake/internal/objstore"
+	"biglake/internal/core"
 	"biglake/internal/security"
 	"biglake/internal/serve"
 	"biglake/internal/sim"
-	"biglake/internal/txn"
 	"biglake/internal/vector"
-	"biglake/internal/wal"
 )
 
 const adminP = security.Principal("admin@corp")
@@ -25,51 +19,28 @@ const adminP = security.Principal("admin@corp")
 // and grants every tenant principal editor access.
 func world(t *testing.T, cfg serve.Config, tenants int, lcfg Config) *serve.Server {
 	t.Helper()
-	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock)
-	cred := objstore.Credential{Principal: "sa@corp"}
-	for _, b := range []string{"data-bucket", "journal-bucket"} {
-		if err := store.CreateBucket(cred, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cat := catalog.New()
-	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
-	auth := security.NewAuthority("secret", adminP)
-	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock)
-	j, err := wal.Open(store, cred, "journal-bucket", "")
+	lh, err := core.New(core.Options{Admin: adminP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.AttachJournal(j)
-	stores := map[string]*objstore.Store{"gcp": store}
-	bm := blmt.New(cat, auth, log, clock, stores)
-	bm.DefaultCloud, bm.DefaultBucket, bm.DefaultConnection = "gcp", "data-bucket", "conn"
-	meta := bigmeta.NewCache(clock)
-	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
-	eng.ManagedCred = cred
-	eng.SetMutator(bm)
-	if err := cat.CreateTable(catalog.Table{
-		Dataset: "ds", Name: "t", Type: catalog.Managed,
-		Schema: vector.NewSchema(
-			vector.Field{Name: "id", Type: vector.Int64},
-			vector.Field{Name: "v", Type: vector.Int64},
-		),
-		Cloud: "gcp", Bucket: "data-bucket", Prefix: "blmt/ds/t/", Connection: "conn",
-	}); err != nil {
+	if err := lh.CreateDataset("ds"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Query(engine.NewContext(adminP, "seed"),
-		"INSERT INTO ds.t VALUES (0,0),(1,10),(2,20),(3,30),(4,40),(5,50),(6,60),(7,70)"); err != nil {
+	if err := lh.CreateManagedTable(adminP, "ds", "t", vector.NewSchema(
+		vector.Field{Name: "id", Type: vector.Int64},
+		vector.Field{Name: "v", Type: vector.Int64},
+	), "bq-managed"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lh.Query(adminP, "INSERT INTO ds.t VALUES (0,0),(1,10),(2,20),(3,30),(4,40),(5,50),(6,60),(7,70)"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < tenants; i++ {
-		if err := auth.GrantTable(adminP, "ds.t", lcfg.Principal(i), security.RoleEditor); err != nil {
+		if err := lh.Auth.GrantTable(adminP, "ds.t", lcfg.Principal(i), security.RoleEditor); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return serve.New(eng, txn.NewManager(eng), cfg)
+	return serve.New(lh.Engine, lh.Txns, cfg)
 }
 
 // mixedGen is a small OLAP/point/DML mix over ds.t.

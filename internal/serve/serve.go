@@ -535,7 +535,6 @@ func (s *Session) runStatement(p *Prepared, g *Grant) (cur *Cursor, err error) {
 		qid:       qid,
 		batch:     batch,
 		page:      srv.cfg.PageRows,
-		stats:     res.Stats,
 		job:       job,
 		wallStart: wallStart,
 	}, nil
@@ -597,7 +596,6 @@ type Cursor struct {
 	qid   string
 	batch *vector.Batch
 	page  int
-	stats engine.ExecStats
 
 	// job is the statement's pre-filled system.jobs record; CloseAt
 	// finalizes it (egress, rows delivered, wall time, stream outcome)
@@ -612,9 +610,6 @@ type Cursor struct {
 	egress    int64
 	failErr   error
 }
-
-// Stats returns the execution stats recorded when the query ran.
-func (c *Cursor) Stats() engine.ExecStats { return c.stats }
 
 // Egress returns the result bytes streamed so far.
 func (c *Cursor) Egress() int64 {

@@ -7,82 +7,40 @@ import (
 	"testing"
 	"time"
 
-	"biglake/internal/bigmeta"
-	"biglake/internal/blmt"
-	"biglake/internal/catalog"
+	"biglake/internal/core"
 	"biglake/internal/engine"
-	"biglake/internal/objstore"
 	"biglake/internal/resilience"
 	"biglake/internal/security"
-	"biglake/internal/sim"
-	"biglake/internal/txn"
 	"biglake/internal/vector"
-	"biglake/internal/wal"
 )
 
 const adminP = security.Principal("admin@corp")
 
 type env struct {
-	clock *sim.Clock
-	store *objstore.Store
-	cat   *catalog.Catalog
-	auth  *security.Authority
-	log   *bigmeta.Log
-	blmt  *blmt.Manager
-	eng   *engine.Engine
-	mgr   *txn.Manager
-	j     *wal.Journal
-	cred  objstore.Credential
-	srv   *Server
+	*core.Lakehouse
+	srv *Server
 }
 
-// newEnv wires the full stack — store, catalog, authority, log,
-// journal, engine, blmt mutator, txn manager — and fronts it with a
-// server under cfg.
+// newEnv fronts a core.New lakehouse — journaled log, engine, BLMT
+// mutator, txn manager — with a server under cfg.
 func newEnv(t *testing.T, cfg Config) *env {
 	t.Helper()
-	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock)
-	cred := objstore.Credential{Principal: "sa@corp"}
-	for _, b := range []string{"data-bucket", "journal-bucket"} {
-		if err := store.CreateBucket(cred, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cat := catalog.New()
-	cat.CreateDataset(catalog.Dataset{Name: "ds", Region: "gcp-us", Cloud: "gcp"})
-	auth := security.NewAuthority("secret", adminP)
-	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock)
-	j, err := wal.Open(store, cred, "journal-bucket", "")
+	lh, err := core.New(core.Options{Admin: adminP})
 	if err != nil {
 		t.Fatal(err)
 	}
-	log.AttachJournal(j)
-	stores := map[string]*objstore.Store{"gcp": store}
-	bm := blmt.New(cat, auth, log, clock, stores)
-	bm.DefaultCloud, bm.DefaultBucket, bm.DefaultConnection = "gcp", "data-bucket", "conn"
-	meta := bigmeta.NewCache(clock)
-	eng := engine.New(cat, auth, meta, log, clock, stores, engine.DefaultOptions())
-	eng.ManagedCred = cred
-	eng.SetMutator(bm)
-	mgr := txn.NewManager(eng)
-	return &env{clock: clock, store: store, cat: cat, auth: auth, log: log,
-		blmt: bm, eng: eng, mgr: mgr, j: j, cred: cred,
-		srv: New(eng, mgr, cfg)}
+	if err := lh.CreateDataset("ds"); err != nil {
+		t.Fatal(err)
+	}
+	return &env{Lakehouse: lh, srv: New(lh.Engine, lh.Txns, cfg)}
 }
 
 func (ev *env) createTable(t *testing.T, name string) {
 	t.Helper()
-	if err := ev.cat.CreateTable(catalog.Table{
-		Dataset: "ds", Name: name, Type: catalog.Managed,
-		Schema: vector.NewSchema(
-			vector.Field{Name: "id", Type: vector.Int64},
-			vector.Field{Name: "v", Type: vector.Int64},
-		),
-		Cloud: "gcp", Bucket: "data-bucket",
-		Prefix: "blmt/ds/" + name + "/", Connection: "conn",
-	}); err != nil {
+	if err := ev.CreateManagedTable(adminP, "ds", name, vector.NewSchema(
+		vector.Field{Name: "id", Type: vector.Int64},
+		vector.Field{Name: "v", Type: vector.Int64},
+	), "bq-managed"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,7 +56,7 @@ func (ev *env) seedRows(t *testing.T, table string, n int) {
 		}
 		fmt.Fprintf(&sb, "(%d, %d)", i, i*10)
 	}
-	if _, err := ev.eng.Query(engine.NewContext(adminP, fmt.Sprintf("seed-%s", table)), sb.String()); err != nil {
+	if _, err := ev.Engine.Query(engine.NewContext(adminP, fmt.Sprintf("seed-%s", table)), sb.String()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,7 +143,7 @@ func TestSessionLifecyclePaging(t *testing.T) {
 	if u.Completed != 1 || u.Egress != cur.Egress() {
 		t.Fatalf("usage = %+v (egress %d)", u, cur.Egress())
 	}
-	if got := ev.eng.Obs.Get("serve.admitted"); got != 1 {
+	if got := ev.Engine.Obs.Get("serve.admitted"); got != 1 {
 		t.Fatalf("serve.admitted = %d", got)
 	}
 }
@@ -198,7 +156,7 @@ func TestPagedEqualsDirect(t *testing.T) {
 	ev.seedRows(t, "t", 23)
 
 	const q = "SELECT id, v FROM ds.t WHERE id < 17 ORDER BY id DESC"
-	direct, err := ev.eng.Query(engine.NewContext(adminP, "direct"), q)
+	direct, err := ev.Engine.Query(engine.NewContext(adminP, "direct"), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +223,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 		}
 		return p
 	}
-	now := ev.clock.Now()
+	now := ev.Clock.Now()
 
 	var first *Cursor
 	prep().ExecuteAt(now, func(_ time.Duration, run func() (*Cursor, error), err error) {
@@ -310,7 +268,7 @@ func TestOverloadShedsTyped(t *testing.T) {
 	if !errors.As(shedErr, &oe) || oe.Reason != "queue_full" || oe.RetryAfter <= 0 {
 		t.Fatalf("overload error = %+v", oe)
 	}
-	if got := ev.eng.Obs.Get("serve.rejected.queue_full"); got != 1 {
+	if got := ev.Engine.Obs.Get("serve.rejected.queue_full"); got != 1 {
 		t.Fatalf("serve.rejected.queue_full = %d", got)
 	}
 
@@ -357,7 +315,7 @@ func TestQueueWaitShedding(t *testing.T) {
 	if waitErr == nil || !errors.As(waitErr, &oe) || oe.Reason != "queue_wait" {
 		t.Fatalf("stale ticket error = %v", waitErr)
 	}
-	if got := ev.eng.Obs.Get("serve.rejected.queue_wait"); got != 1 {
+	if got := ev.Engine.Obs.Get("serve.rejected.queue_wait"); got != 1 {
 		t.Fatalf("serve.rejected.queue_wait = %d", got)
 	}
 }
@@ -388,7 +346,7 @@ func TestEgressQuota(t *testing.T) {
 	if !errors.As(err, &qe) || qe.Tenant != string(adminP) || qe.Used == 0 {
 		t.Fatalf("quota error = %+v", qe)
 	}
-	if got := ev.eng.Obs.Get("serve.rejected.quota"); got != 1 {
+	if got := ev.Engine.Obs.Get("serve.rejected.quota"); got != 1 {
 		t.Fatalf("serve.rejected.quota = %d", got)
 	}
 }
@@ -421,7 +379,7 @@ func TestOneTxnPerPrincipal(t *testing.T) {
 	if _, err := s2.Query("BEGIN"); !errors.Is(err, ErrTxnOpen) {
 		t.Fatalf("second BEGIN for same principal: %v", err)
 	}
-	if got := ev.eng.Obs.Gauge("serve.txn.open").Get(); got != 1 {
+	if got := ev.Engine.Obs.Gauge("serve.txn.open").Get(); got != 1 {
 		t.Fatalf("serve.txn.open = %d", got)
 	}
 
@@ -457,7 +415,7 @@ func TestOneTxnPerPrincipal(t *testing.T) {
 	if s1.TxnOpen() {
 		t.Fatal("txn still open after COMMIT")
 	}
-	if got := ev.eng.Obs.Gauge("serve.txn.open").Get(); got != 0 {
+	if got := ev.Engine.Obs.Gauge("serve.txn.open").Get(); got != 0 {
 		t.Fatalf("serve.txn.open after commit = %d", got)
 	}
 	// The principal may BEGIN again, on any session.
@@ -596,7 +554,7 @@ func TestCursorSurvivesArenaRecycle(t *testing.T) {
 					"SELECT v, COUNT(*) AS n FROM ds.t GROUP BY v ORDER BY v",
 					fmt.Sprintf("SELECT v, id FROM ds.t WHERE id >= %d", q+3),
 				} {
-					if _, err := ev.eng.Query(engine.NewContext(adminP, fmt.Sprintf("mid-%d", q)), sql); err != nil {
+					if _, err := ev.Engine.Query(engine.NewContext(adminP, fmt.Sprintf("mid-%d", q)), sql); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -54,7 +54,7 @@ func TestSelfObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jobs := ev.eng.Sys.Jobs()
+	jobs := ev.Engine.Sys.Jobs()
 	served := 0
 	for _, j := range jobs {
 		if j.Principal == string(adminP) && j.Kind == "select" {
@@ -140,7 +140,7 @@ func TestServeShedRecorded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.ExecuteAt(ev.clock.Now(), func(_ time.Duration, run func() (*Cursor, error), err error) {
+		p.ExecuteAt(ev.Clock.Now(), func(_ time.Duration, run func() (*Cursor, error), err error) {
 			if err != nil {
 				shed++
 				return
@@ -158,7 +158,7 @@ func TestServeShedRecorded(t *testing.T) {
 		t.Fatal("no submissions shed with MaxQueue 1")
 	}
 	var shedRecs int
-	for _, j := range ev.eng.Sys.Jobs() {
+	for _, j := range ev.Engine.Sys.Jobs() {
 		if j.State == systables.StateShed {
 			shedRecs++
 			if j.ErrorClass != "overload_queue_full" {
@@ -226,7 +226,7 @@ func TestServeRecordsOnce(t *testing.T) {
 	ev := newEnv(t, Config{})
 	ev.createTable(t, "t")
 	ev.seedRows(t, "t", 4)
-	base := len(ev.eng.Sys.Jobs())
+	base := len(ev.Engine.Sys.Jobs())
 
 	sess := ev.open(t, adminP)
 	defer sess.Close()
@@ -234,13 +234,13 @@ func TestServeRecordsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ev.eng.Sys.Jobs()); got != base {
+	if got := len(ev.Engine.Sys.Jobs()); got != base {
 		t.Fatalf("job recorded before cursor close: %d vs base %d", got, base)
 	}
 	if _, err := cur.All(); err != nil { // All closes
 		t.Fatal(err)
 	}
-	jobs := ev.eng.Sys.Jobs()
+	jobs := ev.Engine.Sys.Jobs()
 	if got := len(jobs); got != base+1 {
 		t.Fatalf("jobs after close = %d, want %d", got, base+1)
 	}
@@ -253,7 +253,7 @@ func TestServeRecordsOnce(t *testing.T) {
 	}
 	// Closing again must not double-record.
 	cur.Close()
-	if got := len(ev.eng.Sys.Jobs()); got != base+1 {
+	if got := len(ev.Engine.Sys.Jobs()); got != base+1 {
 		t.Fatalf("double close double-recorded: %d", got)
 	}
 }

@@ -250,7 +250,7 @@ func TestStreamResumeAfterCrash(t *testing.T) {
 	ev.log = rec.Log
 	srv2 := NewServer(ev.cat, ev.auth, ev.meta, rec.Log, ev.clock, map[string]*objstore.Store{"gcp": ev.store})
 	srv2.ManagedCred = ev.cred
-	srv2.RestoreStreams(rec.Streams)
+	srv2.RestoreStreams(rec.Report.Streams)
 
 	// The crashed append sealed before dying: the retry reports
 	// ErrOffsetExists with the stream already past it.

@@ -114,17 +114,6 @@ func (p *Provider) SetRegistry(reg *obs.Registry) {
 	p.hist.ResetBaseline()
 }
 
-// SetLog re-points the quarantine source (engine.UseMeta analog; the
-// engine wires this at construction).
-func (p *Provider) SetLog(log *bigmeta.Log) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.log = log
-	p.mu.Unlock()
-}
-
 // SetSessions installs the open-session enumerator (wired by
 // serve.New). The callback must not call back into the provider.
 func (p *Provider) SetSessions(fn func() []SessionRow) {
@@ -301,27 +290,6 @@ var (
 		vector.Field{Name: "p99_us", Type: vector.Int64},
 	)
 )
-
-// Schema returns the fixed schema for a system table, or false.
-func Schema(name string) (vector.Schema, bool) {
-	switch name {
-	case TableJobs:
-		return jobsSchema, true
-	case TableMetrics:
-		return metricsSchema, true
-	case TableHistory:
-		return historySchema, true
-	case TableEvents:
-		return eventsSchema, true
-	case TableSessions:
-		return sessionsSchema, true
-	case TableQuarantine:
-		return quarantineSchema, true
-	case TableSLO:
-		return sloSchema, true
-	}
-	return vector.Schema{}, false
-}
 
 // Scan synthesizes the named table's current contents as one batch.
 // Every underlying structure is copied under its own lock and released

@@ -299,6 +299,10 @@ type RecoveryReport struct {
 	// torn tail were demoted: their transactions recover as unsealed
 	// intents instead of rolling forward garbage.
 	DemotedCommits int
+	// Streams is the durable Write API stream state: for each stream
+	// that ever sealed state into a commit, the last sealed snapshot.
+	// Clients resume AppendRows at exactly these offsets.
+	Streams map[string]bigmeta.StreamState
 }
 
 // Recovered is a post-crash world rebuilt from the journal alone.
@@ -306,12 +310,8 @@ type Recovered struct {
 	// Log is a fresh bigmeta.Log with every sealed commit rolled
 	// forward in version order and the journal re-attached, so the
 	// recovered process keeps write-ahead semantics.
-	Log *bigmeta.Log
-	// Streams is the durable Write API stream state: for each stream
-	// that ever sealed state into a commit, the last sealed snapshot.
-	// Clients resume AppendRows at exactly these offsets.
-	Streams map[string]bigmeta.StreamState
-	Report  RecoveryReport
+	Log    *bigmeta.Log
+	Report RecoveryReport
 }
 
 // Recover replays the journal into a fresh Log: sealed commits roll
@@ -381,10 +381,10 @@ func Recover(j *Journal, clock *sim.Clock) (*Recovered, error) {
 	}
 	log.AttachJournal(j)
 
-	streams := map[string]bigmeta.StreamState{}
+	rep.Streams = map[string]bigmeta.StreamState{}
 	for _, c := range commits {
 		for id, st := range c.Streams {
-			streams[id] = st
+			rep.Streams[id] = st
 		}
 	}
 
@@ -412,7 +412,7 @@ func Recover(j *Journal, clock *sim.Clock) (*Recovered, error) {
 		reg.Add("integrity.detected.wal", int64(n))
 		reg.Add("wal.recover.demoted_commits", int64(rep.DemotedCommits))
 	}
-	return &Recovered{Log: log, Streams: streams, Report: rep}, nil
+	return &Recovered{Log: log, Report: rep}, nil
 }
 
 // GCReport summarizes one orphan-GC sweep.

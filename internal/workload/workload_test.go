@@ -3,40 +3,30 @@ package workload
 import (
 	"testing"
 
-	"biglake/internal/bigmeta"
-	"biglake/internal/catalog"
+	"biglake/internal/core"
 	"biglake/internal/engine"
-	"biglake/internal/objstore"
 	"biglake/internal/security"
-	"biglake/internal/sim"
 )
 
 const adminP = security.Principal("admin@corp")
 
 func newEnv(t *testing.T) (*Env, *engine.Engine) {
 	t.Helper()
-	clock := sim.NewClock()
-	store := objstore.New(sim.GCP, clock)
-	cred := objstore.Credential{Principal: "sa@corp"}
-	if err := store.CreateBucket(cred, "bench"); err != nil {
+	lh, err := core.New(core.Options{Admin: adminP})
+	if err != nil {
 		t.Fatal(err)
 	}
-	cat := catalog.New()
-	if err := cat.CreateDataset(catalog.Dataset{Name: "bench", Region: "gcp-us", Cloud: "gcp"}); err != nil {
+	if err := lh.CreateBucket("bench"); err != nil {
 		t.Fatal(err)
 	}
-	auth := security.NewAuthority("secret", adminP)
-	auth.RegisterConnection(adminP, security.Connection{Name: "conn", ServiceAccount: cred, Cloud: "gcp"})
-	log := bigmeta.NewLog(clock)
-	meta := bigmeta.NewCache(clock)
-	env := &Env{
-		Catalog: cat, Auth: auth, Store: store, Log: log, Clock: clock,
-		Cred: cred, Connection: "conn", Bucket: "bench", Cloud: "gcp",
+	if err := lh.CreateDataset("bench"); err != nil {
+		t.Fatal(err)
+	}
+	return &Env{
+		Catalog: lh.Catalog, Auth: lh.Auth, Store: lh.Store, Log: lh.Log, Clock: lh.Clock,
+		Cred: lh.ServiceAccount(), Connection: "default", Bucket: "bench", Cloud: lh.Cloud(),
 		Dataset: "bench", Admin: adminP,
-	}
-	eng := engine.New(cat, auth, meta, log, clock, map[string]*objstore.Store{"gcp": store}, engine.DefaultOptions())
-	eng.ManagedCred = cred
-	return env, eng
+	}, lh.Engine
 }
 
 func TestLoadTPCDSAndRunAllQueries(t *testing.T) {

@@ -36,6 +36,14 @@
 # wire_test.go — a second decoder beside the first is how column chunks
 # and Read API payloads would come to accept different bytes.
 #
+# Rule "assemble": one assembly. Fails if engine.New,
+# storageapi.NewServer, blmt.New, txn.NewManager or bigmeta.NewCache is
+# called in a non-test file outside internal/core: a lakehouse is built
+# by core.New, a second engine over it by Lakehouse.NewEngine and a
+# restarted one by Lakehouse.Recover — hand-wired harness worlds are how
+# the experiments came to run without the journal production runs with,
+# and the crash sweeps to restart through a path no deployment takes.
+#
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt.
 set -eu
@@ -71,6 +79,8 @@ check project '\.(ReadBatch\([^,]+,[^,]+,[^,]+|Resident\([^,]+,[^,]+), *nil *[,)
     'whole-file decode (nil column list) outside a rewrite; pass the scan.Columns the caller reads (scan.ColumnsOf, or a scan.Plan'"'"'s)'
 check plan '(\.Prune|FileCanMatch|RowFilterFor)\(' 'scan bigmeta security' \
     'file pruning or row-filter lookup outside internal/scan; build a scan.Plan (Planner.Plan) and read its Files / Columns / Pushed'
+check assemble '(engine\.New|storageapi\.NewServer|blmt\.New|txn\.NewManager|bigmeta\.NewCache)\(' core \
+    'lakehouse service wired outside internal/core; build the deployment with core.New, another engine with Lakehouse.NewEngine, a restart with Lakehouse.Recover'
 if bad=$(grep -nE 'bytes\.(New)?Reader|binary\.Read(Uv|V)arint' internal/vector/*.go | grep -v '_test\.go:'); then
     echo "scanlint(codec): byte-reader decode in internal/vector; decode through wire.go's cursor (wireReader):" >&2
     printf '%s\n' "$bad" >&2
