@@ -220,7 +220,8 @@ benchmark:
 	$(GO) run ./benchmark $(BENCH_FLAGS)
 
 # make benchmark-compare BASE=<git-ref> [PAIRS=n] [BENCH_FLAGS=...]
-# builds the benchmark at BASE (in a temporary worktree) and at the
+# builds the benchmark at BASE (unpacked with `git archive` into a
+# temporary directory: no worktree, no .git needed) and at the
 # working tree, runs the suite PAIRS times on each (seeds 1..PAIRS),
 # alternating which side goes first, then applies the BENCHMARK.json
 # bounds to every pair with -compare and fails if any pair is worse.
@@ -230,8 +231,9 @@ PAIRS ?= 1
 benchmark-compare:
 	@test -n "$(BASE)" || { echo "usage: make benchmark-compare BASE=<git-ref> [PAIRS=n] [BENCH_FLAGS=...]"; exit 2; }
 	@set -e; head=$$(pwd); tmp=$$(mktemp -d); \
-	trap 'git worktree remove --force "$$tmp/base" >/dev/null 2>&1; rm -rf "$$tmp"' EXIT; \
-	git worktree add --detach "$$tmp/base" "$(BASE)" >/dev/null; \
+	trap 'rm -rf "$$tmp"' EXIT; \
+	git rev-parse --verify --quiet "$(BASE)^{commit}" >/dev/null || { echo "benchmark-compare: unknown ref $(BASE)"; exit 2; }; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
 	(cd "$$tmp/base" && $(GO) build -o "$$tmp/bench-base" ./benchmark); \
 	$(GO) build -o "$$tmp/bench-head" ./benchmark; \
 	run() { (cd "$$2" && "$$tmp/bench-$$1" -seed "$$3" -out "$$tmp/out-$$1" $(BENCH_FLAGS) >"$$tmp/out-$$1-seed$$3.log" 2>&1) || \

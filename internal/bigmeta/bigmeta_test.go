@@ -3,6 +3,7 @@ package bigmeta
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -208,6 +209,68 @@ func TestRefreshChargesClockForegroundOnly(t *testing.T) {
 	bg := clock.Now() - before
 	if bg != 0 {
 		t.Fatalf("background refresh charged %v to the critical path", bg)
+	}
+}
+
+// TestRefreshFailureNamesEveryKeyAndCharges: a foreground refresh whose
+// footers cannot be read fails with every unreadable key, in key order,
+// in the same words on every run, and charges its footer reads beside
+// its LIST. A background one fails the same way and charges nothing.
+func TestRefreshFailureNamesEveryKeyAndCharges(t *testing.T) {
+	keys := []string{"t/a.blk", "t/b.blk", "t/c.blk", "t/d.blk"}
+	var first string
+	for run := 0; run < 50; run++ {
+		st, cred, clock := testEnv()
+		for _, k := range keys {
+			if _, err := st.Put(cred, "lake", k, []byte("not a columnar file"), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cache := NewCache(clock)
+		before := clock.Now()
+		if _, err := cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		list := clock.Now() - before
+		// The files are the same size, so each lane's footer read costs
+		// what one costs alone.
+		tr := clock.StartTrack()
+		if _, _, err := ReadFooterStats(cache.Res.Counting(obs.NewRegistry()), nil, st, cred, "lake", keys[0], tr); err == nil {
+			t.Fatal("footer of a non-columnar file read cleanly")
+		}
+		footer := tr.Now() - clock.Now()
+
+		before = clock.Now()
+		_, err := cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true})
+		if err == nil {
+			t.Fatal("refresh over unreadable files succeeded")
+		}
+		if got := clock.Now() - before; got != list+footer {
+			t.Fatalf("failed refresh charged %v, want LIST %v + footer reads %v", got, list, footer)
+		}
+		msg := err.Error()
+		if run == 0 {
+			first = msg
+			at := -1
+			for _, k := range keys {
+				i := strings.Index(msg, k)
+				if i <= at {
+					t.Fatalf("error does not name %s after the keys before it:\n%s", k, msg)
+				}
+				at = i
+			}
+		} else if msg != first {
+			t.Fatalf("run %d error:\n%s\nrun 0 error:\n%s", run, msg, first)
+		}
+
+		before = clock.Now()
+		_, err = cache.Refresh("ds.t", st, cred, "lake", "t/", RefreshOptions{WithFileStats: true, Background: true})
+		if err == nil || err.Error() != first {
+			t.Fatalf("background refresh error:\n%v\nforeground:\n%s", err, first)
+		}
+		if got := clock.Now() - before; got != 0 {
+			t.Fatalf("failed background refresh charged %v to the critical path", got)
+		}
 	}
 }
 

@@ -151,9 +151,9 @@ type RefreshOptions struct {
 	// counts and column statistics (BigLake tables). Object tables
 	// refresh with this disabled: object attributes suffice.
 	WithFileStats bool
-	// Background charges refresh latency to a side track rather than
-	// the global clock's critical path, modelling asynchronous cache
-	// maintenance. When false the caller waits for the refresh.
+	// Background runs the refresh on a clock of its own, modelling
+	// asynchronous cache maintenance. When false the caller waits for
+	// the refresh.
 	Background bool
 }
 
@@ -161,34 +161,27 @@ type RefreshOptions struct {
 // the table's delegated connection credential — the maintenance
 // operation of §3.1 that must run outside any user query context.
 func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Credential, bucket, prefix string, opts RefreshOptions) (int, error) {
-	// The listing itself is sequential pagination. In background mode
-	// every charge lands on side tracks that are never joined, keeping
-	// maintenance off the query critical path.
-	var listCharger sim.Charger = c.clock
+	// The LIST is sequential pagination; the footer reads fan out, file
+	// i on lane i % RefreshWorkers. A foreground refresh charges both to
+	// the cache's clock. A background one charges them to a clock that
+	// starts now and that nothing joins, keeping maintenance off the
+	// query critical path.
+	clock := c.clock
 	if opts.Background {
-		listCharger = c.clock.StartTrack()
+		clock = sim.NewClock()
+		clock.AdvanceTo(c.clock.Now())
 	}
 	// Each refresh gets its own retry budget, seeded by the table name
 	// so fault sequences reproduce.
-	bud := resilience.NewBudget(c.clock, refreshRetryBudget, resilience.Seed64(table))
+	bud := resilience.NewBudget(clock, refreshRetryBudget, resilience.Seed64(table))
 	cc := c.cc.Load()
 	res := c.Res.Counting(cc.reg)
-	infos, err := resilience.ListAll(res, listCharger, bud, store, cred, bucket, prefix)
+	infos, err := resilience.ListAll(res, clock, bud, store, cred, bucket, prefix)
 	if err != nil {
 		return 0, err
 	}
 
 	entries := make([]FileEntry, len(infos))
-	var firstErr error
-	var errMu sync.Mutex
-
-	// Footer collection fans out over parallel tracks.
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, RefreshWorkers)
-	tracks := make([]*sim.Track, RefreshWorkers)
-	for i := range tracks {
-		tracks[i] = c.clock.StartTrack()
-	}
 	for i, info := range infos {
 		entries[i] = FileEntry{
 			Bucket:      bucket,
@@ -201,35 +194,15 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 			Generation:  info.Generation,
 			Custom:      info.Custom,
 		}
-		if !opts.WithFileStats {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, key string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			tr := tracks[i%RefreshWorkers]
-			stats, rows, err := ReadFooterStats(res, bud, store, cred, bucket, key, tr)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			entries[i].ColumnStats = stats
-			entries[i].RowCount = rows
-		}(i, info.Key)
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	if !opts.Background {
-		for _, tr := range tracks {
-			tr.Join()
+	if opts.WithFileStats {
+		err := clock.OnTracks(RefreshWorkers, len(entries), func(i int, tracks []*sim.Track) error {
+			var err error
+			entries[i].ColumnStats, entries[i].RowCount, err = ReadFooterStats(res, bud, store, cred, bucket, entries[i].Key, tracks[i%RefreshWorkers])
+			return err
+		})
+		if err != nil {
+			return 0, err
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
@@ -367,7 +340,7 @@ func FileCanMatch(e FileEntry, preds []colfmt.Predicate, g PruneGranularity) boo
 		// Partition pruning: exact-typed comparison on the partition
 		// value.
 		if pv, ok := e.Partition[p.Column]; ok {
-			v := parsePartitionValue(pv, p.Value.Type)
+			v := ParsePartitionValue(pv, p.Value.Type)
 			if !v.IsNull() && !p.Op.Eval(v.Compare(p.Value)) {
 				return false
 			}
@@ -385,7 +358,11 @@ func FileCanMatch(e FileEntry, preds []colfmt.Predicate, g PruneGranularity) boo
 	return true
 }
 
-func parsePartitionValue(s string, t vector.Type) vector.Value {
+// ParsePartitionValue reads a hive partition value (the text after
+// "name=" in an object key) as type t: what pruning compares with a
+// predicate and what a read injects as the partition column. A number
+// that does not parse is NULL.
+func ParsePartitionValue(s string, t vector.Type) vector.Value {
 	switch t {
 	case vector.Int64, vector.Timestamp:
 		var v int64

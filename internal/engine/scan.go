@@ -302,7 +302,7 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, erro
 func (e *Engine) readColdFiles(ctx *QueryContext, p scan.Plan, cold []int, results []vector.Selection) error {
 	workers := min(scan.Workers, len(cold))
 	outcomes := make([]scan.Outcome, len(cold))
-	err := scan.OnTracks(e.Clock, workers, len(cold), func(w int, tracks []*sim.Track) error {
+	err := e.Clock.OnTracks(workers, len(cold), func(w int, tracks []*sim.Track) error {
 		f, tr := p.Files[cold[w]], tracks[w%workers]
 		var fsp *obs.Span
 		if ctx.Span != nil {

@@ -12,6 +12,7 @@ package inference
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -182,58 +183,39 @@ func (rt *Runtime) fetch(ch sim.Charger, uri string) ([]byte, error) {
 // decodeImage implements ML.DECODE_IMAGE(uri): it fetches each object
 // with the delegated credential, decodes and preprocesses it into a
 // model input tensor, and returns the serialized tensors as a BYTES
-// column. Fetch+decode fan out over preprocess workers.
+// column. Fetch+decode fan out over preprocess workers, image i on lane
+// i % Workers; a NULL uri is skipped.
 func (rt *Runtime) decodeImage(ctx *engine.QueryContext, args []*vector.Column) (*vector.Column, error) {
 	if len(args) != 1 {
 		return nil, fmt.Errorf("inference: ML.DECODE_IMAGE expects 1 argument")
 	}
 	uris := args[0].Decode()
 	out := make([]string, uris.Len)
-	var rawBytes int64
-	var rawMax int64
-	var mu sync.Mutex
-	tracks := make([]*sim.Track, Workers)
-	for i := range tracks {
-		tracks[i] = rt.Clock.StartTrack()
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, uris.Len)
-	sem := make(chan struct{}, Workers)
-	for i := 0; i < uris.Len; i++ {
-		if uris.Value(i).IsNull() {
-			continue
+	raw := make([]int64, uris.Len)
+	err := rt.Clock.OnTracks(Workers, uris.Len, func(i int, tracks []*sim.Track) error {
+		v := uris.Value(i)
+		if v.IsNull() {
+			return nil
 		}
-		wg.Add(1)
-		go func(i int, uri string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			data, err := rt.fetch(tracks[i%Workers], uri)
-			if err != nil {
-				errs <- err
-				return
-			}
-			tensor, err := mlmodel.Preprocess(data, TensorSide)
-			if err != nil {
-				errs <- fmt.Errorf("inference: %s: %w", uri, err)
-				return
-			}
-			mu.Lock()
-			rawBytes += int64(len(data))
-			if int64(len(data)) > rawMax {
-				rawMax = int64(len(data))
-			}
-			mu.Unlock()
-			out[i] = string(tensor.Encode())
-		}(i, uris.Value(i).S)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+		uri := v.S
+		data, err := rt.fetch(tracks[i%Workers], uri)
+		if err != nil {
+			return err
+		}
+		tensor, err := mlmodel.Preprocess(data, TensorSide)
+		if err != nil {
+			return fmt.Errorf("inference: %s: %w", uri, err)
+		}
+		raw[i], out[i] = int64(len(data)), string(tensor.Encode())
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, tr := range tracks {
-		tr.Join()
+	var rawBytes, rawMax int64
+	for _, n := range raw {
+		rawBytes += n
+		rawMax = max(rawMax, n)
 	}
 	rt.mu.Lock()
 	rt.lastRun = MemoryStats{RawImageBytes: rawBytes, PeakWorkerBytes: rawMax + SandboxOverheadBytes}
@@ -296,57 +278,34 @@ func (rt *Runtime) predict(ctx *engine.QueryContext, modelName string, input *ve
 		return nil, err
 	}
 
-	// Inference workers each hold the model plus one tensor at a time.
+	// Inference workers, one lane each, hold the model plus one tensor
+	// at a time; worker w reads shuffle partition w.
 	predictions := make([]string, tensors.Len)
-	tracks := make([]*sim.Track, Workers)
-	for i := range tracks {
-		tracks[i] = rt.Clock.StartTrack()
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, Workers)
 	workerMax := make([]int64, Workers)
-	for w := 0; w < Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			payloads, err := rt.Shuffle.Read(sessID, w)
+	err = rt.Clock.OnTracks(Workers, Workers, func(w int, _ []*sim.Track) error {
+		payloads, err := rt.Shuffle.Read(sessID, w)
+		if err != nil {
+			return err
+		}
+		for j, payload := range payloads {
+			tensor, err := mlmodel.DecodeTensor(payload)
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
-			for j, payload := range payloads {
-				tensor, err := mlmodel.DecodeTensor(payload)
-				if err != nil {
-					errs <- err
-					return
-				}
-				label, _, err := model.Classifier.Predict(tensor)
-				if err != nil {
-					errs <- err
-					return
-				}
-				// Row i was routed to partition i%Workers in order.
-				predictions[w+j*Workers] = label
-				if int64(len(payload)) > workerMax[w] {
-					workerMax[w] = int64(len(payload))
-				}
+			label, _, err := model.Classifier.Predict(tensor)
+			if err != nil {
+				return err
 			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
+			// Row i was routed to partition i%Workers in order.
+			predictions[w+j*Workers] = label
+			workerMax[w] = max(workerMax[w], int64(len(payload)))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	var maxTensor int64
-	for _, m := range workerMax {
-		if m > maxTensor {
-			maxTensor = m
-		}
-	}
-	for _, tr := range tracks {
-		tr.Join()
-	}
+	maxTensor := slices.Max(workerMax)
 
 	rt.mu.Lock()
 	prev := rt.lastRun
@@ -404,62 +363,37 @@ func (rt *Runtime) processDocument(ctx *engine.QueryContext, modelName string, i
 
 	// Mint signed URLs so the external service can fetch the objects
 	// without Dremel touching the bytes — the governance umbrella
-	// outside BigQuery (§4.1).
-	type parsed struct {
-		entities map[string]string
-		err      error
-	}
-	results := make([]parsed, uris.Len)
-	tracks := make([]*sim.Track, Workers)
-	for i := range tracks {
-		tracks[i] = rt.Clock.StartTrack()
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, Workers)
-	for i := 0; i < uris.Len; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			uri := uris.Value(i).S
-			cloud, bucket, key, err := parseURI(uri)
-			if err != nil {
-				results[i] = parsed{err: err}
-				return
-			}
-			store, ok := rt.Stores[cloud]
-			if !ok {
-				results[i] = parsed{err: fmt.Errorf("inference: no store for %q", cloud)}
-				return
-			}
-			url, err := store.SignURL(rt.Cred, bucket, key, 5*time.Minute)
-			if err != nil {
-				results[i] = parsed{err: err}
-				return
-			}
-			doc, _, err := store.Fetch(url) // the service's direct read
-			if err != nil {
-				results[i] = parsed{err: err}
-				return
-			}
-			tracks[i%Workers].Advance(2 * time.Millisecond) // service-side parse
-			entities, err := model.DocParser.Parse(doc)
-			results[i] = parsed{entities: entities, err: err}
-		}(i)
-	}
-	wg.Wait()
-	for _, tr := range tracks {
-		tr.Join()
+	// outside BigQuery (§4.1). Document i parses on lane i % Workers.
+	results := make([]map[string]string, uris.Len)
+	err = rt.Clock.OnTracks(Workers, uris.Len, func(i int, tracks []*sim.Track) error {
+		cloud, bucket, key, err := parseURI(uris.Value(i).S)
+		if err != nil {
+			return err
+		}
+		store, ok := rt.Stores[cloud]
+		if !ok {
+			return fmt.Errorf("inference: no store for %q", cloud)
+		}
+		url, err := store.SignURL(rt.Cred, bucket, key, 5*time.Minute)
+		if err != nil {
+			return err
+		}
+		doc, _, err := store.Fetch(url) // the service's direct read
+		if err != nil {
+			return err
+		}
+		tracks[i%Workers].Advance(2 * time.Millisecond) // service-side parse
+		results[i], err = model.DocParser.Parse(doc)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Flatten: union of entity keys become columns.
 	keySet := map[string]bool{}
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
-		for k := range results[i].entities {
+	for _, entities := range results {
+		for k := range entities {
 			keySet[k] = true
 		}
 	}
@@ -478,7 +412,7 @@ func (rt *Runtime) processDocument(ctx *engine.QueryContext, modelName string, i
 		row := make([]vector.Value, len(fields))
 		row[0] = uris.Value(i)
 		for j, k := range keys {
-			if v, ok := results[i].entities[k]; ok {
+			if v, ok := results[i][k]; ok {
 				row[j+1] = vector.StringValue(v)
 			} else {
 				row[j+1] = vector.NullValue

@@ -331,6 +331,52 @@ func TestDecodeImageBadURI(t *testing.T) {
 	}
 }
 
+// TestDecodeImageMalformedNamesEveryURIAndCharges: ML.DECODE_IMAGE over
+// images that do not decode fails with every URI, in row order, in the
+// same words on every run, and charges the GETs it made.
+func TestDecodeImageMalformedNamesEveryURIAndCharges(t *testing.T) {
+	uris := []string{"gcp://media/imgs/bad-0.jpg", "gcp://media/imgs/bad-1.jpg", "gcp://media/imgs/bad-2.jpg", "gcp://media/imgs/bad-3.jpg"}
+	var first string
+	for run := 0; run < 50; run++ {
+		ev := newEnv(t)
+		for _, u := range uris {
+			if _, err := ev.store.Put(ev.cred, "media", strings.TrimPrefix(u, "gcp://media/"), []byte("not an image"), "image/jpeg"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The images are the same size and each has a lane to itself, so
+		// the stage costs what one GET costs alone.
+		tr := ev.clock.StartTrack()
+		if _, _, err := ev.store.GetOn(tr, ev.cred, "media", "imgs/bad-0.jpg"); err != nil {
+			t.Fatal(err)
+		}
+		get := tr.Now() - ev.clock.Now()
+
+		before := ev.clock.Now()
+		_, err := ev.rt.decodeImage(engine.NewContext(adminP, "q"), []*vector.Column{vector.NewStringColumn(uris)})
+		if err == nil {
+			t.Fatal("malformed images decoded")
+		}
+		if got := ev.clock.Now() - before; got != get {
+			t.Fatalf("failed decode charged %v, want one GET %v", got, get)
+		}
+		msg := err.Error()
+		if run == 0 {
+			first = msg
+			at := -1
+			for _, u := range uris {
+				i := strings.Index(msg, u)
+				if i <= at {
+					t.Fatalf("error does not name %s after the URIs before it:\n%s", u, msg)
+				}
+				at = i
+			}
+		} else if msg != first {
+			t.Fatalf("run %d error:\n%s\nrun 0 error:\n%s", run, msg, first)
+		}
+	}
+}
+
 func TestParseURI(t *testing.T) {
 	cloud, bucket, key, err := parseURI("gcp://media/imgs/a.jpg")
 	if err != nil || cloud != "gcp" || bucket != "media" || key != "imgs/a.jpg" {

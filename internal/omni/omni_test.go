@@ -484,7 +484,7 @@ func TestReferencedTables(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", sql, err)
 		}
-		got := referencedTables(stmt)
+		got := sqlparse.ReferencedTables(stmt)
 		if len(got) != len(want) {
 			t.Fatalf("%q tables = %v, want %v", sql, got, want)
 		}

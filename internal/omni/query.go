@@ -49,7 +49,7 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 	defer tr.Finish()
 
 	sel, isSelect := stmt.(*sqlparse.SelectStmt)
-	tables := referencedTables(stmt)
+	tables := sqlparse.ReferencedTables(stmt)
 	for _, t := range tables {
 		if err := d.Auth.CheckRead(principal, t); err != nil {
 			return nil, err
@@ -250,56 +250,6 @@ func (d *Deployment) createTempTable(home *Region, principal security.Principal,
 		return "", err
 	}
 	return name, nil
-}
-
-// referencedTables walks a statement and returns every named table.
-func referencedTables(stmt sqlparse.Statement) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(name string) {
-		if name != "" && !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	var walkSel func(*sqlparse.SelectStmt)
-	var walkRef func(*sqlparse.TableRef)
-	walkRef = func(r *sqlparse.TableRef) {
-		if r == nil {
-			return
-		}
-		add(r.Name)
-		if r.Subquery != nil {
-			walkSel(r.Subquery)
-		}
-		if r.TVF != nil {
-			walkRef(r.TVF.Input)
-		}
-	}
-	walkSel = func(s *sqlparse.SelectStmt) {
-		if s == nil {
-			return
-		}
-		walkRef(s.From)
-		for i := range s.Joins {
-			walkRef(s.Joins[i].Table)
-		}
-	}
-	switch s := stmt.(type) {
-	case *sqlparse.SelectStmt:
-		walkSel(s)
-	case *sqlparse.InsertStmt:
-		add(s.Table)
-		walkSel(s.Select)
-	case *sqlparse.UpdateStmt:
-		add(s.Table)
-	case *sqlparse.DeleteStmt:
-		add(s.Table)
-	case *sqlparse.CreateTableAsStmt:
-		add(s.Table)
-		walkSel(s.Select)
-	}
-	return out
 }
 
 // aliasFor returns the alias the query uses for a table (or its name).

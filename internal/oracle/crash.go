@@ -56,6 +56,8 @@ type CrashReport struct {
 
 // CrashFailure is one crash point whose recovery broke an invariant.
 type CrashFailure struct {
+	// Test is the sweep's test, the one that replays the failure.
+	Test   string
 	Seed   uint64
 	Label  string
 	Hit    int
@@ -65,8 +67,8 @@ type CrashFailure struct {
 // Format renders the reproduction recipe.
 func (f *CrashFailure) Format() string {
 	return fmt.Sprintf(
-		"crash sweep failure: seed=%d crash=%s#%d\n  %s\n  replay: go test ./internal/oracle -run TestCrashSweep -seed=%d",
-		f.Seed, f.Label, f.Hit, f.Detail, f.Seed)
+		"%s failure: seed=%d crash=%s#%d\n  %s\n  replay: go test ./internal/oracle -run %s -seed=%d",
+		f.Test, f.Seed, f.Label, f.Hit, f.Detail, f.Test, f.Seed)
 }
 
 // crashPlan is the seed-derived shape of the scripted workload. Both
@@ -462,7 +464,7 @@ func RunCrashSweep(opts CrashOptions) (CrashReport, error) {
 
 func sweepOne(seed uint64, plan crashPlan, h crashpoint.Hit) *CrashFailure {
 	fail := func(format string, args ...any) *CrashFailure {
-		return &CrashFailure{Seed: seed, Label: h.Label, Hit: h.N, Detail: fmt.Sprintf(format, args...)}
+		return &CrashFailure{Test: "TestCrashSweep", Seed: seed, Label: h.Label, Hit: h.N, Detail: fmt.Sprintf(format, args...)}
 	}
 	cw, err := newCrashWorld()
 	if err != nil {

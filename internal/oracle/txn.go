@@ -550,8 +550,7 @@ func RunTxnCrashSweep(opts TxnSweepOptions) (TxnSweepReport, error) {
 
 func txnSweepOne(seed uint64, sc txnSchedule, h crashpoint.Hit) *CrashFailure {
 	fail := func(format string, args ...any) *CrashFailure {
-		return &CrashFailure{Seed: seed, Label: h.Label, Hit: h.N,
-			Detail: fmt.Sprintf(format, args...) + " (txn sweep)"}
+		return &CrashFailure{Test: "TestTxnCrashSweep", Seed: seed, Label: h.Label, Hit: h.N, Detail: fmt.Sprintf(format, args...)}
 	}
 	tw, err := newTxnWorld()
 	if err != nil {

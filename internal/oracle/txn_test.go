@@ -6,7 +6,12 @@ package oracle
 //
 // (the -seed flag is shared with TestDifferential/TestCrashSweep.)
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"biglake/internal/crashpoint"
+)
 
 // TestTxnInterleavedOracle runs several seeded interleaved schedules
 // — sessions, autocommit statements and Optimize passes — crash-free:
@@ -47,6 +52,24 @@ func TestTxnCrashSweep(t *testing.T) {
 	}
 	t.Logf("ok: %d txn crash points across %d labels, %d committed, %d compactions (replay seed=%d)",
 		rep.Points, len(rep.Labels), rep.Committed, rep.Optimized, *seedFlag)
+}
+
+// TestTxnSweepFailureNamesItsReplay: a txn-sweep failure prints the
+// command that replays it — TestTxnCrashSweep, not the crash sweep's
+// test. A point the schedule never reaches is a failure of that sweep.
+func TestTxnSweepFailureNamesItsReplay(t *testing.T) {
+	const seed = 5
+	fail := txnSweepOne(seed, GenTxnSchedule(seed, 3), crashpoint.Hit{Label: "no.such.step", N: 1})
+	if fail == nil {
+		t.Fatal("an unreachable crash point did not fail the sweep")
+	}
+	got := fail.Format()
+	if want := "replay: go test ./internal/oracle -run TestTxnCrashSweep -seed=5"; !strings.Contains(got, want) {
+		t.Fatalf("Format() =\n%s\nwant it to contain %q", got, want)
+	}
+	if !strings.HasPrefix(got, "TestTxnCrashSweep failure: seed=5 crash=no.such.step#1\n") {
+		t.Fatalf("Format() =\n%s\nwant the txn sweep's header", got)
+	}
 }
 
 // TestTxnScheduleDeterministic pins the generator: the same seed must

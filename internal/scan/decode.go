@@ -214,7 +214,7 @@ func InjectPartitionColumns(b *vector.Batch, partition map[string]string, schema
 	for _, k := range keys {
 		typ := schema.Fields[schema.Index(k)].Type
 		fields = append(fields, vector.Field{Name: k, Type: typ})
-		cols = append(cols, constRun(partitionValue(partition[k], typ), typ, b.N))
+		cols = append(cols, constRun(bigmeta.ParsePartitionValue(partition[k], typ), typ, b.N))
 	}
 	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
 }
@@ -243,25 +243,4 @@ func constRun(v vector.Value, t vector.Type, n int) *vector.Column {
 	}
 	c.Runs = []vector.Run{run}
 	return c
-}
-
-func partitionValue(s string, t vector.Type) vector.Value {
-	switch t {
-	case vector.Int64, vector.Timestamp:
-		var v int64
-		if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
-			return vector.NullValue
-		}
-		return vector.Value{Type: t, I: v}
-	case vector.Float64:
-		var v float64
-		if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
-			return vector.NullValue
-		}
-		return vector.FloatValue(v)
-	case vector.Bool:
-		return vector.BoolValue(s == "true")
-	default:
-		return vector.StringValue(s)
-	}
 }

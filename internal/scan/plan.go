@@ -1,9 +1,7 @@
 package scan
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
@@ -299,7 +297,7 @@ func (p *Plan) listed(pl Planner, req Request) error {
 	p.FooterReads += int64(len(peek))
 	// The workers share copies: the plan itself stays off the heap.
 	store, cred, span, budget := p.Store, p.Cred, req.Span, req.Budget
-	err = OnTracks(pl.Clock, Workers, len(peek), func(k int, tracks []*sim.Track) error {
+	err = pl.Clock.OnTracks(Workers, len(peek), func(k int, tracks []*sim.Track) error {
 		lane := peek[k] % Workers
 		tr := tracks[lane]
 		var fsp *obs.Span
@@ -322,35 +320,6 @@ func (p *Plan) listed(pl Planner, req Request) error {
 
 // Workers is the parallelism of a scan's object-store fan-out.
 const Workers = 16
-
-// OnTracks runs fn(k, tracks) for every k in [0, n), at most workers at
-// a time, each charging its I/O to one of the same workers
-// simulated-time tracks. The tracks fold into the clock before it
-// returns, whatever failed, and every error — not just the first — is
-// joined into the result.
-func OnTracks(clock *sim.Clock, workers, n int, fn func(k int, tracks []*sim.Track) error) error {
-	tracks := make([]*sim.Track, workers)
-	for i := range tracks {
-		tracks[i] = clock.StartTrack()
-	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[k] = fn(k, tracks)
-		}(k)
-	}
-	wg.Wait()
-	for _, tr := range tracks {
-		tr.Join()
-	}
-	return errors.Join(errs...)
-}
 
 // Govern is the enforcement step for rows read through the plan, one
 // implementation for object stores and native storage (§3.2): row

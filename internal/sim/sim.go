@@ -13,6 +13,7 @@
 package sim
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,6 +104,37 @@ func (t *Track) Now() time.Duration { return time.Duration(t.now.Load()) }
 
 // Join merges the track's frontier into the parent clock.
 func (t *Track) Join() { t.clock.AdvanceTo(t.Now()) }
+
+// OnTracks is the one simulated-parallel stage: it runs fn(k, tracks)
+// for every k in [0, n), at most workers at a time, over workers tracks
+// opened at the clock's current time. fn charges item k to the track
+// its caller's lane rule picks. Every track folds into the clock before
+// OnTracks returns, whatever failed, and every error is joined in k
+// order: a failing stage charges the time it spent and reports the
+// same error on every run.
+func (c *Clock) OnTracks(workers, n int, fn func(k int, tracks []*Track) error) error {
+	tracks := make([]*Track, workers)
+	for i := range tracks {
+		tracks[i] = c.StartTrack()
+	}
+	errs := make([]error, n)
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for k := 0; k < n; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[k] = fn(k, tracks)
+		}(k)
+	}
+	wg.Wait()
+	for _, tr := range tracks {
+		tr.Join()
+	}
+	return errors.Join(errs...)
+}
 
 // RNG is a small deterministic PRNG (xorshift64*) used everywhere a
 // component needs reproducible pseudo-randomness without pulling in

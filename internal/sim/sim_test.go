@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -86,6 +89,90 @@ func TestTrackStartsAtClockTime(t *testing.T) {
 	tr.Join()
 	if got := c.Now(); got != time.Second+time.Millisecond {
 		t.Fatalf("clock %v, want 1.001s", got)
+	}
+}
+
+// TestOnTracksJoinsErrorsInItemOrder: item 2 fails before item 0 does,
+// and the result still reads item 0's error first — the text does not
+// depend on which goroutine finished first.
+func TestOnTracksJoinsErrorsInItemOrder(t *testing.T) {
+	c := NewClock()
+	errA, errC := errors.New("item 0"), errors.New("item 2")
+	lateFailed := make(chan struct{})
+	err := c.OnTracks(3, 3, func(k int, _ []*Track) error {
+		switch k {
+		case 0:
+			<-lateFailed
+			return errA
+		case 2:
+			defer close(lateFailed)
+			return errC
+		}
+		return nil
+	})
+	if !errors.Is(err, errA) || !errors.Is(err, errC) {
+		t.Fatalf("err = %v, want both item errors", err)
+	}
+	if got, want := err.Error(), "item 0\nitem 2"; got != want {
+		t.Fatalf("err = %q, want %q", got, want)
+	}
+}
+
+// TestOnTracksFoldsEveryTrackOnFailure: every item fails, yet the clock
+// advances by the busiest lane's work — the failed stage's time counts.
+func TestOnTracksFoldsEveryTrackOnFailure(t *testing.T) {
+	c := NewClock()
+	c.Advance(time.Second)
+	const workers = 4
+	err := c.OnTracks(workers, 8, func(k int, tracks []*Track) error {
+		tracks[k%workers].Advance(time.Duration(k+1) * time.Millisecond)
+		return fmt.Errorf("item %d", k)
+	})
+	if err == nil {
+		t.Fatal("eight failing items returned nil")
+	}
+	// Lane 3 carries items 3 and 7: 4ms + 8ms.
+	if got, want := c.Now(), time.Second+12*time.Millisecond; got != want {
+		t.Fatalf("clock %v after a failed stage, want %v", got, want)
+	}
+}
+
+func TestOnTracksBoundsConcurrency(t *testing.T) {
+	c := NewClock()
+	const workers = 3
+	var active, peak atomic.Int32
+	err := c.OnTracks(workers, 24, func(k int, _ []*Track) error {
+		n := active.Add(1)
+		for {
+			p := peak.Load()
+			if n <= p || peak.CompareAndSwap(p, n) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		active.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("%d calls ran at once, want at most %d", p, workers)
+	}
+}
+
+func TestOnTracksNoItems(t *testing.T) {
+	c := NewClock()
+	c.Advance(5 * time.Millisecond)
+	err := c.OnTracks(4, 0, func(int, []*Track) error {
+		t.Error("fn called with n = 0")
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("err = %v, want nil", err)
+	}
+	if got := c.Now(); got != 5*time.Millisecond {
+		t.Fatalf("clock %v, want 5ms", got)
 	}
 }
 

@@ -44,6 +44,14 @@
 # the experiments came to run without the journal production runs with,
 # and the crash sweeps to restart through a path no deployment takes.
 #
+# Rule "fanout": one simulated-parallel stage. Fails if a sim track is
+# opened (.StartTrack) in a non-test file outside internal/sim: parallel
+# work runs through sim.Clock.OnTracks, which bounds the workers, folds
+# every lane into the clock even when an item fails and joins every
+# error in item order — hand-rolled pools are how a failing Big Metadata
+# refresh or ML.DECODE_IMAGE came to charge nothing and to report
+# whichever error arrived first.
+#
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt.
 set -eu
@@ -81,6 +89,8 @@ check plan '(\.Prune|FileCanMatch|RowFilterFor)\(' 'scan bigmeta security' \
     'file pruning or row-filter lookup outside internal/scan; build a scan.Plan (Planner.Plan) and read its Files / Columns / Pushed'
 check assemble '(engine\.New|storageapi\.NewServer|blmt\.New|txn\.NewManager|bigmeta\.NewCache)\(' core \
     'lakehouse service wired outside internal/core; build the deployment with core.New, another engine with Lakehouse.NewEngine, a restart with Lakehouse.Recover'
+check fanout '\.StartTrack\(' sim \
+    'simulated worker track opened outside internal/sim; run the parallel stage through sim.Clock.OnTracks'
 if bad=$(grep -nE 'bytes\.(New)?Reader|binary\.Read(Uv|V)arint' internal/vector/*.go | grep -v '_test\.go:'); then
     echo "scanlint(codec): byte-reader decode in internal/vector; decode through wire.go's cursor (wireReader):" >&2
     printf '%s\n' "$bad" >&2
