@@ -22,8 +22,10 @@ GO ?= go
 
 all: build
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l internal cmd)"
 
 build:
 	$(GO) build ./...
@@ -124,18 +126,22 @@ serve:
 # Read API's quarantine and partition columns, rewrites that never
 # commit unverified bytes, the budgeted scrubber — column projection
 # through it (the column-resident cache under concurrent fills, the
-# engine's column sets and the Read API's, both under governance), the
+# engine's column sets and the Read API's, both under governance),
+# ranged reads through Big Metadata's chunk map (damage to one range's
+# response heals on the refetch, a stored flip in a fetched chunk
+# quarantines, one in a chunk no read fetches is the scrubber's), the
 # corruption-injection determinism suite, the oracle corruption sweep
 # with its Read API and DML arms (zero silent wrong answers), the E19
 # detect -> contain -> repair experiment, and the scanlint sweep that
 # keeps a second fetch -> verify -> decode path, a second intent -> PUT
-# -> seal commit path and a whole-file decode on a query path from
-# growing back.
+# -> seal commit path, a whole-file decode on a query path and a second
+# footer parse beside the chunk map from growing back.
 integrity:
 	$(GO) test -run 'TestRoundTrip|TestVerify' ./internal/colfmt/
 	$(GO) test -race -run 'TestRecover' ./internal/wal/
 	$(GO) test -race ./internal/scan/
 	$(GO) test -race -count=10 -run 'TestCacheConcurrentFills' ./internal/scan/
+	$(GO) test -race -count=3 -run 'TestRangedRead' ./internal/scan/
 	$(GO) test -race -run 'TestScanCache|TestQuarantined|TestProjection' ./internal/engine/
 	$(GO) test -race -count=10 -run 'TestReusedAggregateSession' ./internal/storageapi/
 	$(GO) test -race -run 'TestReadRowsQuarantines|TestReadPartitionedTable|TestReadRowsProjects' ./internal/storageapi/

@@ -54,20 +54,39 @@ type FileEntry struct {
 	Updated     time.Duration
 	Generation  int64
 	Custom      map[string]string
+	// Layout is the file's verified footer — its chunk map: every row
+	// group's rows and every chunk's offset, length, CRC and statistics
+	// — for the generation the entry pins, so a read fetches exactly the
+	// chunks it decodes and parses no footer. It is filled wherever the
+	// footer is already in hand (commit, refresh, a listed plan's peek),
+	// shared and never modified, and held in memory only: an entry
+	// replayed from the journal has none and is read whole.
+	Layout *colfmt.Footer `json:"-"`
 }
 
 // NewFileEntry describes a data file just written: where the PUT
 // landed it (size and generation from the store's reply) and what its
-// footer says it holds (row count, column statistics).
+// footer says it holds.
 func NewFileEntry(bucket, key string, info objstore.ObjectInfo, file []byte) (FileEntry, error) {
 	footer, err := colfmt.ReadFooter(file)
 	if err != nil {
 		return FileEntry{}, err
 	}
-	return FileEntry{
-		Bucket: bucket, Key: key, Size: info.Size, Generation: info.Generation,
-		RowCount: footer.Rows, ColumnStats: footer.Stats(),
-	}, nil
+	e := FileEntry{Bucket: bucket, Key: key, Size: info.Size, Generation: info.Generation}
+	e.Describe(footer, info.Generation)
+	return e, nil
+}
+
+// Describe records what a file's footer says of it: its row count and
+// column statistics, and its chunk map (Layout) when the footer was
+// read from the generation the entry pins. A footer of another
+// generation — the object changed between listing and peek — maps
+// other bytes.
+func (e *FileEntry) Describe(footer *colfmt.Footer, generation int64) {
+	e.RowCount, e.ColumnStats = footer.Rows, footer.Stats()
+	if generation == e.Generation {
+		e.Layout = footer
+	}
 }
 
 // PartitionOf parses hive-style partition components out of an object
@@ -197,8 +216,10 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 	}
 	if opts.WithFileStats {
 		err := clock.OnTracks(RefreshWorkers, len(entries), func(i int, tracks []*sim.Track) error {
-			var err error
-			entries[i].ColumnStats, entries[i].RowCount, err = ReadFooterStats(res, bud, store, cred, bucket, entries[i].Key, tracks[i%RefreshWorkers])
+			footer, gen, err := ReadFooterStats(res, bud, store, cred, bucket, entries[i].Key, tracks[i%RefreshWorkers])
+			if err == nil {
+				entries[i].Describe(footer, gen)
+			}
 			return err
 		})
 		if err != nil {
@@ -219,12 +240,13 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 // across its LIST pages and footer reads.
 const refreshRetryBudget = 64
 
-// ReadFooterStats reads a file's footer statistics the way a real
-// engine does: HEAD for the size, a ranged read of the tail, and a full
-// read only when the footer outgrows the tail guess. The cache refresh
-// runs it in the background; an engine without the cache pays it on the
-// query path (§3.3). Remote calls retry under res; the reads are hedged.
-func ReadFooterStats(res resilience.Counted, bud *resilience.Budget, store *objstore.Store, cred objstore.Credential, bucket, key string, tr *sim.Track) (map[string]colfmt.ColumnStats, int64, error) {
+// ReadFooterStats reads a file's footer the way a real engine does:
+// HEAD for the size, a ranged read of the tail, and a full read only
+// when the footer outgrows the tail guess. It returns the verified
+// footer and the generation it was read from. The cache refresh runs it
+// in the background; an engine without the cache pays it on the query
+// path (§3.3). Remote calls retry under res; the reads are hedged.
+func ReadFooterStats(res resilience.Counted, bud *resilience.Budget, store *objstore.Store, cred objstore.Credential, bucket, key string, tr *sim.Track) (*colfmt.Footer, int64, error) {
 	var info objstore.ObjectInfo
 	if err := res.Do(tr, bud, "HEAD "+bucket+"/"+key, func() error {
 		var e error
@@ -235,11 +257,11 @@ func ReadFooterStats(res resilience.Counted, bud *resilience.Budget, store *objs
 	}
 	var tail []byte
 	if err := res.HedgedDo(tr, bud, "GET "+bucket+"/"+key, func(ch sim.Charger) error {
-		d, _, e := store.GetRangeOn(ch, cred, bucket, key, max64(0, info.Size-64*1024), -1)
+		d, oi, e := store.GetRangeOn(ch, cred, bucket, key, max64(0, info.Size-64*1024), -1)
 		if e != nil {
 			return e
 		}
-		tail = d
+		tail, info = d, oi
 		return nil
 	}); err != nil {
 		return nil, 0, err
@@ -249,11 +271,11 @@ func ReadFooterStats(res resilience.Counted, bud *resilience.Budget, store *objs
 		// Footer larger than our 64KB guess: fall back to full read.
 		var full []byte
 		if err2 := res.HedgedDo(tr, bud, "GET "+bucket+"/"+key, func(ch sim.Charger) error {
-			d, _, e := store.GetOn(ch, cred, bucket, key)
+			d, oi, e := store.GetOn(ch, cred, bucket, key)
 			if e != nil {
 				return e
 			}
-			full = d
+			full, info = d, oi
 			return nil
 		}); err2 != nil {
 			return nil, 0, err2
@@ -263,7 +285,7 @@ func ReadFooterStats(res resilience.Counted, bud *resilience.Budget, store *objs
 			return nil, 0, fmt.Errorf("bigmeta: %s/%s: %w", bucket, key, err)
 		}
 	}
-	return footer.Stats(), footer.Rows, nil
+	return footer, info.Generation, nil
 }
 
 func max64(a, b int64) int64 {

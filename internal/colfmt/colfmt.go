@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"biglake/internal/integrity"
 	"biglake/internal/vector"
@@ -349,18 +350,50 @@ func ReadFooter(file []byte) (*Footer, error) {
 	return &f, nil
 }
 
-// ReadChunk checksum-verifies and decodes one column chunk from file
-// bytes. Any mismatch between the stored CRC and the bytes on hand is
-// a typed integrity error naming the column, never a mis-decode.
-func ReadChunk(file []byte, m ChunkMeta) (*vector.Column, error) {
-	if m.Offset < 0 || m.Length < 0 || m.Offset+m.Length > int64(len(file)) {
+// Range is a span of a file's bytes: what one ranged GET asks for.
+type Range struct {
+	Offset, Length int64
+}
+
+// Extent is bytes of a file from Offset on: what one ranged GET
+// returned.
+type Extent struct {
+	Offset int64
+	Data   []byte
+}
+
+// Extents are the bytes of a file a fetch returned, in offset order. A
+// complete file is the one extent at offset 0 (Whole).
+type Extents []Extent
+
+// Whole is a complete file's bytes as extents.
+func Whole(file []byte) Extents { return Extents{{Data: file}} }
+
+// chunk returns chunk m's bytes, checksum-verified: the one bounds and
+// CRC step every read of a chunk takes. A chunk outside the bytes on
+// hand or whose CRC does not match them is a typed integrity error
+// naming the column, never a mis-decode.
+func (src Extents) chunk(m ChunkMeta) ([]byte, error) {
+	// The last extent starting at or before the chunk is the only one
+	// that can hold it.
+	i := sort.Search(len(src), func(i int) bool { return src[i].Offset > m.Offset }) - 1
+	if m.Offset < 0 || m.Length < 0 || i < 0 || m.Offset+m.Length > src[i].Offset+int64(len(src[i].Data)) {
 		return nil, &integrity.Error{Source: "colfmt.chunk", Block: m.Column,
-			Detail: fmt.Sprintf("chunk [%d,+%d) out of bounds of %d-byte file", m.Offset, m.Length, len(file))}
+			Detail: fmt.Sprintf("chunk [%d,+%d) is outside the bytes read", m.Offset, m.Length)}
 	}
-	raw := file[m.Offset : m.Offset+m.Length]
+	raw := src[i].Data[m.Offset-src[i].Offset:][:m.Length]
 	if got := integrity.Checksum(raw); got != m.CRC {
 		return nil, &integrity.Error{Source: "colfmt.chunk", Block: m.Column,
 			Detail: fmt.Sprintf("chunk checksum mismatch: got %08x want %08x", got, m.CRC)}
+	}
+	return raw, nil
+}
+
+// readChunk checksum-verifies and decodes one column chunk.
+func (src Extents) readChunk(m ChunkMeta) (*vector.Column, error) {
+	raw, err := src.chunk(m)
+	if err != nil {
+		return nil, err
 	}
 	col, err := vector.DecodeColumn(raw)
 	if err != nil {
@@ -368,6 +401,12 @@ func ReadChunk(file []byte, m ChunkMeta) (*vector.Column, error) {
 			Detail: "decode failed despite matching checksum: " + err.Error()}
 	}
 	return col, nil
+}
+
+// ReadChunk checksum-verifies and decodes one column chunk from file
+// bytes.
+func ReadChunk(file []byte, m ChunkMeta) (*vector.Column, error) {
+	return Whole(file).readChunk(m)
 }
 
 // Verify walks the whole file — footer and every chunk CRC — without
@@ -378,16 +417,11 @@ func Verify(file []byte) error {
 	if err != nil {
 		return err
 	}
-	for gi, rg := range f.RowGroups {
+	src := Whole(file)
+	for _, rg := range f.RowGroups {
 		for _, m := range rg.Chunks {
-			if m.Offset < 0 || m.Length < 0 || m.Offset+m.Length > int64(len(file)) {
-				return &integrity.Error{Source: "colfmt.chunk", Block: m.Column,
-					Detail: fmt.Sprintf("row group %d chunk [%d,+%d) out of bounds of %d-byte file",
-						gi, m.Offset, m.Length, len(file))}
-			}
-			if got := integrity.Checksum(file[m.Offset : m.Offset+m.Length]); got != m.CRC {
-				return &integrity.Error{Source: "colfmt.chunk", Block: m.Column,
-					Detail: fmt.Sprintf("row group %d chunk checksum mismatch: got %08x want %08x", gi, got, m.CRC)}
+			if _, err := src.chunk(m); err != nil {
+				return err
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package colfmt
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -95,9 +96,10 @@ func EvalPredicatesWith(al vector.Alloc, b *vector.Batch, preds []Predicate) ([]
 // predicates. This is the reader of §3.4's second generation: column
 // chunks flow into vectorized evaluation without ever becoming rows.
 // Only the chunks of the projected and predicate columns are touched —
-// CRC-checked and decoded; the rest of the file is never walked.
+// CRC-checked and decoded; the rest of the file is never walked, so the
+// reader needs only the bytes Ranges names.
 type VectorizedReader struct {
-	file   []byte
+	src    Extents
 	footer *Footer
 	schema vector.Schema // projected output schema
 	out    []int         // footer field position of each output column
@@ -123,13 +125,19 @@ func NewVectorizedReader(file []byte, columns []string, preds []Predicate) (*Vec
 	if err != nil {
 		return nil, err
 	}
-	return ReaderFor(file, footer, columns, preds)
+	r, err := ReaderFor(footer, columns, preds)
+	if err != nil {
+		return nil, err
+	}
+	r.src = Whole(file)
+	return r, nil
 }
 
 // ReaderFor is NewVectorizedReader over a footer the caller already
-// parsed (and so checksum-verified) from file.
-func ReaderFor(file []byte, footer *Footer, columns []string, preds []Predicate) (*VectorizedReader, error) {
-	r := &VectorizedReader{file: file, footer: footer, preds: preds}
+// holds, verified, with no bytes yet: ReadFrom takes the ones Ranges
+// names.
+func ReaderFor(footer *Footer, columns []string, preds []Predicate) (*VectorizedReader, error) {
+	r := &VectorizedReader{footer: footer, preds: preds}
 	if columns == nil {
 		r.schema = footer.Schema()
 		r.out = make([]int, len(footer.Fields))
@@ -164,11 +172,11 @@ func ReaderFor(file []byte, footer *Footer, columns []string, preds []Predicate)
 	return r, nil
 }
 
-// chunk returns the row group's chunk of the field at position at.
+// chunk returns row group gi's chunk of the field at position at.
 // Writers lay chunks out in field order; a group that does not is
 // searched by name.
-func (r *VectorizedReader) chunk(rg *RowGroupMeta, at int) (*ChunkMeta, error) {
-	name := r.footer.Fields[at].Name
+func (r *VectorizedReader) chunk(gi, at int) (*ChunkMeta, error) {
+	rg, name := &r.footer.RowGroups[gi], r.footer.Fields[at].Name
 	if at < len(rg.Chunks) && rg.Chunks[at].Column == name {
 		return &rg.Chunks[at], nil
 	}
@@ -178,38 +186,86 @@ func (r *VectorizedReader) chunk(rg *RowGroupMeta, at int) (*ChunkMeta, error) {
 		}
 	}
 	return nil, &integrity.Error{Source: "colfmt.footer", Block: name,
-		Detail: fmt.Sprintf("row group %d has no chunk for the column", r.group-1)}
+		Detail: fmt.Sprintf("row group %d has no chunk for the column", gi)}
+}
+
+// skip reports whether the predicates' chunk statistics rule row group
+// gi out.
+func (r *VectorizedReader) skip(gi int) (bool, error) {
+	for i, p := range r.preds {
+		ch, err := r.chunk(gi, r.need[r.predAt[i]])
+		if err != nil {
+			return false, err
+		}
+		if !p.StatsCanSatisfy(ch.Stats) {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// Ranges returns the bytes the reader decodes, in file order: the
+// chunks of its columns in the row groups the predicates' chunk
+// statistics do not rule out, with ranges that touch merged. A reader
+// of no column needs none.
+func (r *VectorizedReader) Ranges() ([]Range, error) {
+	var out []Range
+	for gi := range r.footer.RowGroups {
+		skip, err := r.skip(gi)
+		if err != nil {
+			return nil, err
+		}
+		if skip {
+			continue
+		}
+		for _, at := range r.need {
+			ch, err := r.chunk(gi, at)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, Range{Offset: ch.Offset, Length: ch.Length})
+		}
+	}
+	slices.SortFunc(out, func(a, b Range) int { return cmp.Compare(a.Offset, b.Offset) })
+	merged := out[:0]
+	for _, rg := range out {
+		if n := len(merged); n > 0 && merged[n-1].Offset+merged[n-1].Length >= rg.Offset {
+			last := &merged[n-1]
+			last.Length = max(last.Length, rg.Offset+rg.Length-last.Offset)
+			continue
+		}
+		merged = append(merged, rg)
+	}
+	return merged, nil
 }
 
 // nextGroup decodes the next row group the footer stats cannot rule
 // out and returns its projected columns with the rows the predicates
 // select; ok is false when the file is exhausted.
 func (r *VectorizedReader) nextGroup() (sel vector.Selection, ok bool, err error) {
-next:
 	for r.group < len(r.footer.RowGroups) {
-		rg := &r.footer.RowGroups[r.group]
+		gi := r.group
+		rg := &r.footer.RowGroups[gi]
 		r.group++
 
-		for i, p := range r.preds {
-			ch, err := r.chunk(rg, r.need[r.predAt[i]])
-			if err != nil {
-				return vector.Selection{}, false, err
-			}
-			if !p.StatsCanSatisfy(ch.Stats) {
-				r.GroupsSkipped++
-				continue next
-			}
+		skip, err := r.skip(gi)
+		if err != nil {
+			return vector.Selection{}, false, err
+		}
+		if skip {
+			r.GroupsSkipped++
+			continue
 		}
 		r.GroupsRead++
 
 		// Decode only projected + predicate columns.
 		cols := make([]*vector.Column, len(r.need))
 		for i, at := range r.need {
-			ch, err := r.chunk(rg, at)
+			ch, err := r.chunk(gi, at)
 			if err != nil {
 				return vector.Selection{}, false, err
 			}
-			if cols[i], err = ReadChunk(r.file, *ch); err != nil {
+			if cols[i], err = r.src.readChunk(*ch); err != nil {
 				return vector.Selection{}, false, err
 			}
 			if int64(cols[i].Len) != rg.Rows {
@@ -243,6 +299,13 @@ next:
 	return vector.Selection{}, false, nil
 }
 
+// ReadFrom is ReadAll over src, the bytes of the file a fetch of
+// Ranges returned.
+func (r *VectorizedReader) ReadFrom(src Extents) (*vector.Batch, error) {
+	r.src = src
+	return r.ReadAll()
+}
+
 // ReadAll drains the reader into one batch (possibly empty): the
 // surviving rows of every row group, filtered and concatenated in one
 // sized pass. A single surviving group is returned as decoded, still
@@ -274,7 +337,7 @@ func (r *VectorizedReader) ReadAll() (*vector.Batch, error) {
 // materialized as boxed values, predicates are evaluated row-at-a-time
 // and the surviving rows are re-columnarized by the caller.
 type RowReader struct {
-	file   []byte
+	src    Extents
 	footer *Footer
 	schema vector.Schema
 	group  int
@@ -307,7 +370,7 @@ func RowReaderFor(file []byte, footer *Footer, columns []string, preds []Predica
 			return nil, fmt.Errorf("colfmt: unknown column %q", c)
 		}
 	}
-	return &RowReader{file: file, footer: footer, schema: schema, preds: preds, cols: columns}, nil
+	return &RowReader{src: Whole(file), footer: footer, schema: schema, preds: preds, cols: columns}, nil
 }
 
 // Schema returns the projected output schema.
@@ -338,7 +401,7 @@ func (r *RowReader) Next() ([]vector.Value, error) {
 		for i, f := range r.schema.Fields {
 			for _, ch := range rg.Chunks {
 				if ch.Column == f.Name {
-					c, err := ReadChunk(r.file, ch)
+					c, err := r.src.readChunk(ch)
 					if err != nil {
 						return nil, err
 					}

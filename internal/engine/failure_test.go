@@ -12,16 +12,21 @@ import (
 // single transient fault is absorbed by retries; to assert the raw
 // fault still propagates cleanly the tests pin the engine to a
 // no-retry policy. Both behaviors are covered: surfacing (NoRetry)
-// and absorption (DefaultPolicy).
+// and absorption (DefaultPolicy). The queries decode a column: a
+// COUNT(*) over files Big Metadata maps is answered from the map with
+// no GET at all (TestCountStarMakesNoGet).
+
+// sumSQL decodes amount from every file, so each file costs a GET.
+const sumSQL = "SELECT SUM(amount) AS s, COUNT(*) AS n FROM ds.orders"
 
 func TestScanSurfacesTransientGetFailure(t *testing.T) {
 	ev := newEnv(t, DefaultOptions())
 	ev.eng.Res = resilience.NoRetry() // surface raw faults
 	ev.createOrders(t, []string{"us", "eu"}, 3, 20, true)
-	ev.query(t, adminP, "SELECT COUNT(*) AS n FROM ds.orders") // warm cache
+	ev.query(t, adminP, sumSQL) // warm cache
 
 	ev.store.FailNext(1)
-	if _, err := ev.eng.Query(NewContext(adminP, "q"), "SELECT COUNT(*) AS n FROM ds.orders"); !errors.Is(err, objstore.ErrTransient) {
+	if _, err := ev.eng.Query(NewContext(adminP, "q"), sumSQL); !errors.Is(err, objstore.ErrTransient) {
 		t.Fatalf("err = %v", err)
 	}
 	// The policy swapped in by hand counts where the default did.
@@ -30,7 +35,7 @@ func TestScanSurfacesTransientGetFailure(t *testing.T) {
 	}
 	// The failure is transient: the retry succeeds with the full
 	// answer.
-	res := ev.query(t, adminP, "SELECT COUNT(*) AS n FROM ds.orders")
+	res := ev.query(t, adminP, sumSQL)
 	if res.Batch.Column("n").Value(0).AsInt() != 120 {
 		t.Fatalf("retry count = %v", res.Batch.Row(0))
 	}
@@ -41,10 +46,10 @@ func TestScanRetriesAbsorbTransientGetFailure(t *testing.T) {
 	// caller: the retry layer absorbs it and the query succeeds.
 	ev := newEnv(t, DefaultOptions())
 	ev.createOrders(t, []string{"us", "eu"}, 3, 20, true)
-	ev.query(t, adminP, "SELECT COUNT(*) AS n FROM ds.orders") // warm cache
+	ev.query(t, adminP, sumSQL) // warm cache
 
 	ev.store.FailNext(1)
-	res := ev.query(t, adminP, "SELECT COUNT(*) AS n FROM ds.orders")
+	res := ev.query(t, adminP, sumSQL)
 	if res.Batch.Column("n").Value(0).AsInt() != 120 {
 		t.Fatalf("count = %v", res.Batch.Row(0))
 	}
@@ -69,14 +74,14 @@ func TestFailureMidParallelScanDoesNotPanic(t *testing.T) {
 	ev := newEnv(t, DefaultOptions())
 	ev.eng.Res = resilience.NoRetry()
 	ev.createOrders(t, []string{"us"}, 24, 5, true)
-	ev.query(t, adminP, "SELECT COUNT(*) AS n FROM ds.orders") // warm cache
+	ev.query(t, adminP, sumSQL) // warm cache
 	for trial := 0; trial < 5; trial++ {
 		ev.store.FailNext(1)
-		if _, err := ev.eng.Query(NewContext(adminP, "q"), "SELECT COUNT(*) AS n FROM ds.orders"); !errors.Is(err, objstore.ErrTransient) {
+		if _, err := ev.eng.Query(NewContext(adminP, "q"), sumSQL); !errors.Is(err, objstore.ErrTransient) {
 			t.Fatalf("trial %d: err = %v", trial, err)
 		}
 	}
-	res := ev.query(t, adminP, "SELECT COUNT(*) AS n FROM ds.orders")
+	res := ev.query(t, adminP, sumSQL)
 	if res.Batch.Column("n").Value(0).AsInt() != 120 {
 		t.Fatal("engine state poisoned after injected failures")
 	}
@@ -91,7 +96,7 @@ func TestQueryDeadlineExceeded(t *testing.T) {
 
 	ctx := NewContext(adminP, "qdl")
 	ctx.Deadline = 1 // 1ns of simulated time: nothing fits
-	_, err := ev.eng.Query(ctx, "SELECT COUNT(*) AS n FROM ds.orders")
+	_, err := ev.eng.Query(ctx, sumSQL)
 	if !errors.Is(err, resilience.ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -99,7 +104,7 @@ func TestQueryDeadlineExceeded(t *testing.T) {
 	// A generous deadline leaves the query unaffected.
 	ctx2 := NewContext(adminP, "qdl2")
 	ctx2.Deadline = 1 << 50
-	res, err := ev.eng.Query(ctx2, "SELECT COUNT(*) AS n FROM ds.orders")
+	res, err := ev.eng.Query(ctx2, sumSQL)
 	if err != nil {
 		t.Fatalf("query with generous deadline failed: %v", err)
 	}

@@ -155,3 +155,31 @@ func TestQuarantinedFileFailsFastAndSkipOptIn(t *testing.T) {
 		t.Fatalf("QuarantineSkips = %d, want 1", res.Stats.QuarantineSkips)
 	}
 }
+
+// TestCountStarMakesNoGet: a read that decodes no column takes each
+// file's row count from the chunk map Big Metadata holds and makes no
+// GET — and the quarantine gate still runs before it, so a quarantined
+// file fails the count typed.
+func TestCountStarMakesNoGet(t *testing.T) {
+	ev := newEnv(t, DefaultOptions())
+	ev.createOrders(t, []string{"us", "eu"}, 3, 20, true)
+	const sql = `SELECT COUNT(*) AS n FROM ds.orders`
+	ev.query(t, adminP, sql) // builds the metadata cache
+	gets := ev.store.Obs().Get("objstore.get.count")
+	if got := ev.query(t, adminP, sql).Batch.Column("n").Value(0).AsInt(); got != 120 {
+		t.Fatalf("count = %d, want 120", got)
+	}
+	if got := ev.store.Obs().Get("objstore.get.count") - gets; got != 0 {
+		t.Fatalf("COUNT(*) over mapped files made %d GETs, want 0", got)
+	}
+	if _, err := ev.log.QuarantineFile(string(adminP), "ds.orders", bigmeta.QuarantineMark{
+		Key: "orders/region=eu/part-001.blk", Source: "test", Reason: "synthetic", Time: ev.clock.Now(),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ev.eng.Query(NewContext(adminP, "q-fail"), sql)
+	var ie *integrity.Error
+	if !errors.As(err, &ie) || ie.Source != "engine.quarantine" || ie.Key != "orders/region=eu/part-001.blk" {
+		t.Fatalf("COUNT(*) over a quarantined file: err = %v, want engine.quarantine naming the file", err)
+	}
+}

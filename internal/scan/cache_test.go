@@ -135,14 +135,20 @@ func TestCacheEntryGrowsByColumn(t *testing.T) {
 		t.Fatal("entry without s reported resident for (a, s)")
 	}
 
-	gets := w.reg.Get("objstore.get.count")
+	gets, bytes := w.reg.Get("objstore.get.count"), w.reg.Get("objstore.get.bytes")
 	sel, out, err = rd.ReadBatch(w.clock, &w.src, f, w.cols("a", "s", "day"), nil,
 		[]colfmt.Predicate{{Column: "a", Op: vector.GE, Value: vector.IntValue(90)}})
 	if err != nil || !out.CacheMiss || fieldNames(sel.Batch.Schema) != "a s day " || sel.N != 10 {
 		t.Fatalf("second read: schema %v selected %d outcome %+v err %v", sel.Batch.Schema, sel.N, out, err)
 	}
-	if got := w.reg.Get("objstore.get.count") - gets; got != 1 {
-		t.Fatalf("partial hit cost %d GETs, want 1", got)
+	// The partial hit fetches the chunks of s, the missing column, and
+	// nothing else: one ranged GET per row group (a and b lie between).
+	var sBytes int64
+	for _, rg := range f.Layout.RowGroups {
+		sBytes += rg.Chunks[2].Length
+	}
+	if got, gotBytes := w.reg.Get("objstore.get.count")-gets, w.reg.Get("objstore.get.bytes")-bytes; got != 2 || gotBytes != sBytes {
+		t.Fatalf("partial hit cost %d GETs of %d bytes, want 2 of %d (the chunks of s)", got, gotBytes, sBytes)
 	}
 	if ent.cols[0] != a || sel.Batch.Cols[0] != a {
 		t.Fatal("the resident column was decoded again")

@@ -14,46 +14,34 @@ import (
 
 // ReadBatch is the contained read of one file as rows: the columns in
 // cols (nil = every column) decoded through the vectorized reader —
-// only their chunks, and those of the predicates' columns, are
+// only their chunks, and those of the predicates' columns, are fetched,
 // CRC-checked and decoded — the table's hive partition columns among
 // them injected, and the rows preds select marked. With a Cache the
 // columns are served from or added to the object's entry, keyed by the
-// generation the GET actually returned, and preds become the
-// selection's mask; without one they are applied during the decode and
-// every row of the returned batch is selected. preds may name columns
-// the file does not store (partition columns, consumed by pruning):
-// those are dropped here; a column the table has must be in cols. On a
-// skip the selection is empty.
+// pinned generation (or the one an unpinned GET returned), and preds
+// become the selection's mask; without one they skip row groups and are
+// applied during the decode, and every row of the returned batch is
+// selected. preds may name columns the file does not store (partition
+// columns, consumed by pruning): those are dropped here; a column the
+// table has must be in cols. On a skip the selection is empty.
 func (r *Reader) ReadBatch(ch sim.Charger, src *Source, f bigmeta.FileEntry, cols Columns, al vector.Alloc, preds []colfmt.Predicate) (vector.Selection, Outcome, error) {
 	if err := cols.covers(src.Table.Schema, preds); err != nil {
 		return vector.Selection{}, Outcome{}, err
 	}
 	var sel vector.Selection
 	var hit bool
-	out, err := r.Read(ch, src, f, func(data []byte, info objstore.ObjectInfo) error {
-		if r.Cache == nil {
-			b, err := decode(data, cols, preds, src.Table.Schema)
-			if err != nil {
-				return err
-			}
-			sel, err = Select(al, b, cols, nil, f.Partition, src.Table.Schema)
+	out, err := r.contain(src, f, func() error {
+		b, ok, err := r.load(ch, src, f, cols, preds)
+		if err != nil {
 			return err
 		}
-		// The file-entry generation may be unknown (0): the GET just
-		// told us the real one, so the columns may be resident all the
-		// same — or worth keeping for the next read.
-		key := cacheKey{Cloud: src.Table.Cloud, Bucket: f.Bucket, Key: f.Key, Generation: info.Generation}
-		b, ok := r.Cache.get(key, cols, src.Table.Schema)
-		if hit = ok; !ok {
-			var err error
-			if b, err = r.fill(key, data, cols, src.Table.Schema); err != nil {
-				// Poisoning guard: a failed decode adds nothing.
-				return err
-			}
+		hit = ok
+		mask := preds
+		if r.Cache == nil {
+			mask = nil // applied during the decode
 		}
-		var err error
-		sel, err = Select(al, b, cols, preds, f.Partition, src.Table.Schema)
-		return err
+		sel, err = Select(al, b, cols, mask, f.Partition, src.Table.Schema)
+		return annotate(src, f, err)
 	})
 	if err != nil || out.Skipped {
 		return vector.Selection{}, out, err
@@ -62,45 +50,73 @@ func (r *Reader) ReadBatch(ch sim.Charger, src *Source, f bigmeta.FileEntry, col
 	return sel, out, nil
 }
 
-// fill decodes the wanted columns the object's cache entry lacks out
-// of data, adds them to it, and returns the entry's projection onto
-// the wanted columns.
-func (r *Reader) fill(key cacheKey, data []byte, cols Columns, table vector.Schema) (*vector.Batch, error) {
-	footer, err := colfmt.ReadFooter(data)
-	if err != nil {
-		return nil, err
+// load is one attempt at f's columns cols, unfiltered when there is a
+// Cache. It reads through the file's chunk map: the Cache's resident
+// columns are served, and the rest are decoded from ranged GETs of
+// exactly their chunks — with no Cache, only in the row groups the
+// predicates do not rule out. An entry with no map, or no pinned
+// generation, is fetched whole and its footer parsed from the bytes;
+// the decode is the same.
+func (r *Reader) load(ch sim.Charger, src *Source, f bigmeta.FileEntry, cols Columns, preds []colfmt.Predicate) (b *vector.Batch, hit bool, err error) {
+	layout, gen, table := f.Layout, f.Generation, src.Table.Schema
+	var whole colfmt.Extents
+	if layout == nil || gen <= 0 {
+		data, info, err := r.Fetch(ch, src, f)
+		if err != nil {
+			return nil, false, err
+		}
+		if layout, err = colfmt.ReadFooter(data); err != nil {
+			return nil, false, annotate(src, f, err)
+		}
+		whole, gen = colfmt.Whole(data), info.Generation
 	}
-	fs := footer.Schema()
+	fs := layout.Schema()
 	fw := cols.onFile(nil, table, fs)
-	got := r.Cache.resident(key)
-	if got == nil {
-		got = make([]*vector.Column, fs.Len())
+	key := cacheKey{Cloud: src.Table.Cloud, Bucket: f.Bucket, Key: f.Key, Generation: gen}
+	var got []*vector.Column // by file position: the resident columns
+	if r.Cache != nil {
+		if b, ok := r.Cache.get(key, cols, table); ok {
+			return b, true, nil
+		}
+		if got = r.Cache.resident(key); got == nil {
+			got = make([]*vector.Column, fs.Len())
+		}
+		preds = nil // the selection's mask, not the decode's
 	}
-	var names []string
+	names := make([]string, 0, fs.Len())
 	var at []int
-	for j, f := range fs.Fields {
-		if got[j] == nil && hasBit(fw, j) {
-			names, at = append(names, f.Name), append(at, j)
+	for j, fld := range fs.Fields {
+		if hasBit(fw, j) && (got == nil || got[j] == nil) {
+			names, at = append(names, fld.Name), append(at, j)
 		}
 	}
-	if len(names) > 0 { // no name at all is the row count alone: the footer has it
-		rd, err := colfmt.ReaderFor(data, footer, names, nil)
+	rd, err := colfmt.ReaderFor(layout, names, FilePredicates(fs, preds))
+	if err != nil {
+		return nil, false, annotate(src, f, err)
+	}
+	if whole == nil {
+		ranges, err := rd.Ranges()
 		if err != nil {
-			return nil, err
+			return nil, false, annotate(src, f, err)
 		}
-		b, err := rd.ReadAll()
-		if err != nil {
-			return nil, err
-		}
-		if int64(b.N) != footer.Rows {
-			return nil, &integrity.Error{Source: "colfmt.footer",
-				Detail: fmt.Sprintf("row groups hold %d rows, footer says %d", b.N, footer.Rows)}
-		}
-		for i, j := range at {
-			got[j] = b.Cols[i]
+		if whole, err = r.fetchRanges(ch, src, f, ranges); err != nil {
+			return nil, false, err
 		}
 	}
-	return r.Cache.add(key, fs, int(footer.Rows), fw, got), nil
+	if b, err = rd.ReadFrom(whole); err != nil {
+		return nil, false, annotate(src, f, err)
+	}
+	if r.Cache == nil {
+		return b, false, nil
+	}
+	if int64(b.N) != layout.Rows {
+		return nil, false, annotate(src, f, &integrity.Error{Source: "colfmt.footer",
+			Detail: fmt.Sprintf("row groups hold %d rows, footer says %d", b.N, layout.Rows)})
+	}
+	for i, j := range at {
+		got[j] = b.Cols[i]
+	}
+	return r.Cache.add(key, fs, int(layout.Rows), fw, got), false, nil
 }
 
 // Verify is the contained read with no decode: its use of the bytes is
@@ -139,32 +155,6 @@ func FilePredicates(file vector.Schema, preds []colfmt.Predicate) []colfmt.Predi
 		}
 	}
 	return kept
-}
-
-// decode decodes the columns in cols out of complete file bytes through
-// the vectorized reader, applying the predicates the file can evaluate.
-// The footer is parsed — and its CRC checked — once.
-func decode(data []byte, cols Columns, preds []colfmt.Predicate, table vector.Schema) (*vector.Batch, error) {
-	footer, err := colfmt.ReadFooter(data)
-	if err != nil {
-		return nil, err
-	}
-	fs := footer.Schema()
-	var names []string // nil = every column of the file
-	if cols != nil {
-		fw := cols.onFile(nil, table, fs)
-		names = []string{}
-		for j, f := range fs.Fields {
-			if hasBit(fw, j) {
-				names = append(names, f.Name)
-			}
-		}
-	}
-	r, err := colfmt.ReaderFor(data, footer, names, FilePredicates(fs, preds))
-	if err != nil {
-		return nil, err
-	}
-	return r.ReadAll()
 }
 
 // Select turns a file's resident columns cols — decoded, unfiltered —

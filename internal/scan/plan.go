@@ -306,8 +306,10 @@ func (p *Plan) listed(pl Planner, req Request) error {
 			fsp.SetLane(lane)
 		}
 		defer fsp.End()
-		stats, rows, err := bigmeta.ReadFooterStats(res, budget, store, cred, t.Bucket, entries[k].Key, tr)
-		entries[k].ColumnStats, entries[k].RowCount = stats, rows
+		footer, gen, err := bigmeta.ReadFooterStats(res, budget, store, cred, t.Bucket, entries[k].Key, tr)
+		if err == nil {
+			entries[k].Describe(footer, gen)
+		}
 		return err
 	})
 	if err != nil {

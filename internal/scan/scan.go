@@ -30,9 +30,11 @@ package scan
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
+	"biglake/internal/colfmt"
 	"biglake/internal/integrity"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
@@ -92,10 +94,11 @@ type Outcome struct {
 	CacheHit, CacheMiss bool
 }
 
-// Fetch is the verified fetch: one hedged GET with the response-level
-// checks inside the attempt, so the policy classifies a bad response
-// as Corrupt and surfaces it instead of blindly retrying the same
-// source. It neither gates nor contains; Read does.
+// Fetch is the verified fetch of the whole object: one hedged GET with
+// the response-level checks inside the attempt, so the policy
+// classifies a bad response as Corrupt and surfaces it instead of
+// blindly retrying the same source. It neither gates nor contains; Read
+// does.
 func (r *Reader) Fetch(ch sim.Charger, src *Source, f bigmeta.FileEntry) ([]byte, objstore.ObjectInfo, error) {
 	var data []byte
 	var info objstore.ObjectInfo
@@ -104,7 +107,7 @@ func (r *Reader) Fetch(ch sim.Charger, src *Source, f bigmeta.FileEntry) ([]byte
 		if err != nil {
 			return err
 		}
-		if err := checkResponse(src, f, d, oi); err != nil {
+		if err := checkResponse(src, f, d, oi, oi.Size); err != nil {
 			return err
 		}
 		data, info = d, oi
@@ -113,19 +116,65 @@ func (r *Reader) Fetch(ch sim.Charger, src *Source, f bigmeta.FileEntry) ([]byte
 	return data, info, err
 }
 
+// fetchRanges is the verified fetch of part of an object: one hedged
+// ranged GET per range, each checked like Fetch's response and for
+// exactly the length asked. The ranges are requested together, so ch is
+// charged the slowest of them, retries included, not their sum. No
+// range is no request.
+func (r *Reader) fetchRanges(ch sim.Charger, src *Source, f bigmeta.FileEntry, ranges []colfmt.Range) (colfmt.Extents, error) {
+	res := r.Res.Counting(r.Obs)
+	at := src.Store.Clock().Now()
+	if ts, ok := ch.(interface{ Now() time.Duration }); ok {
+		at = ts.Now()
+	}
+	var slowest time.Duration
+	defer func() { ch.Charge(slowest) }()
+	out := make(colfmt.Extents, len(ranges))
+	for i, rg := range ranges {
+		ln := &lane{at: at}
+		err := res.HedgedDo(ln, src.Budget, "GET "+f.Bucket+"/"+f.Key, func(hch sim.Charger) error {
+			d, oi, err := src.Store.GetRangeOn(hch, src.Cred, f.Bucket, f.Key, rg.Offset, rg.Length)
+			if err != nil {
+				return err
+			}
+			if err := checkResponse(src, f, d, oi, rg.Length); err != nil {
+				return err
+			}
+			out[i] = colfmt.Extent{Offset: rg.Offset, Data: d}
+			return nil
+		})
+		slowest = max(slowest, ln.spent)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// lane is one of a file's concurrent ranged GETs in simulated time: it
+// starts where the read stands and accumulates what its request costs,
+// so deadline checks see its own frontier.
+type lane struct {
+	at, spent time.Duration
+}
+
+func (l *lane) Charge(d time.Duration) { l.spent += max(d, 0) }
+func (l *lane) Now() time.Duration     { return l.at + l.spent }
+
 // checkResponse checks response-level integrity of one completed GET:
 // stale-generation substitution and truncation. Checksums can't catch
 // either — a stale object's checksums are self-consistent, and a
 // truncated body may cut cleanly between chunks — so the read pins the
-// snapshot's generation and the reported object size instead.
-func checkResponse(src *Source, f bigmeta.FileEntry, data []byte, info objstore.ObjectInfo) error {
+// snapshot's generation and the length it asked for (the object's size
+// for a whole GET) instead.
+func checkResponse(src *Source, f bigmeta.FileEntry, data []byte, info objstore.ObjectInfo, want int64) error {
 	if f.Generation > 0 && info.Generation != f.Generation {
 		return &integrity.Error{Source: "objstore.stale", Table: src.Table.FullName(), Bucket: f.Bucket, Key: f.Key,
 			Detail: fmt.Sprintf("got generation %d, snapshot pinned %d", info.Generation, f.Generation)}
 	}
-	if int64(len(data)) != info.Size {
+	if int64(len(data)) != want {
 		return &integrity.Error{Source: "objstore.truncated", Table: src.Table.FullName(), Bucket: f.Bucket, Key: f.Key,
-			Detail: fmt.Sprintf("got %d bytes, object reports %d", len(data), info.Size)}
+			Detail: fmt.Sprintf("got %d bytes, want %d", len(data), want)}
 	}
 	return nil
 }
@@ -151,28 +200,38 @@ func (r *Reader) Gate(src *Source, f bigmeta.FileEntry) (skip bool, err error) {
 		Bucket: f.Bucket, Key: f.Key, Detail: "file is quarantined: " + m.Reason}
 }
 
-// Read is the contained read: gate, verified fetch, then use of the
-// bytes. use returns an error matching integrity.ErrCorrupt when the
-// bytes fail a check (every colfmt decode and Verify does); Read then
-// evicts, fetches once more and runs use again, and quarantines the
-// file when that fails the same way. use must therefore publish its
-// result only on success. Any other error ends the read.
+// Read is the contained read of the whole object: gate, verified
+// fetch, then use of the bytes. use returns an error matching
+// integrity.ErrCorrupt when the bytes fail a check (every colfmt decode
+// and Verify does). use must publish its result only on success.
 func (r *Reader) Read(ch sim.Charger, src *Source, f bigmeta.FileEntry, use func(data []byte, info objstore.ObjectInfo) error) (Outcome, error) {
+	return r.contain(src, f, func() error {
+		data, info, err := r.Fetch(ch, src, f)
+		if err != nil {
+			return err
+		}
+		return annotate(src, f, use(data, info))
+	})
+}
+
+// annotate names the table and file in an error their bytes raised.
+func annotate(src *Source, f bigmeta.FileEntry, err error) error {
+	if err == nil {
+		return nil
+	}
+	return integrity.Annotate(fmt.Errorf("scan: %s/%s: %w", f.Bucket, f.Key, err), src.Table.FullName(), f.Bucket, f.Key)
+}
+
+// contain runs one read attempt — fetch and use — inside the gate and
+// the containment loop: an attempt that fails corrupt is evicted and
+// run once more, and the file is quarantined when that fails the same
+// way. Any other error ends the read.
+func (r *Reader) contain(src *Source, f bigmeta.FileEntry, attempt func() error) (Outcome, error) {
 	var out Outcome
 	skip, err := r.Gate(src, f)
 	if skip || err != nil {
 		out.Skipped = skip
 		return out, err
-	}
-	attempt := func() error {
-		data, info, err := r.Fetch(ch, src, f)
-		if err != nil {
-			return err
-		}
-		if err := use(data, info); err != nil {
-			return integrity.Annotate(fmt.Errorf("scan: %s/%s: %w", f.Bucket, f.Key, err), src.Table.FullName(), f.Bucket, f.Key)
-		}
-		return nil
 	}
 	err = attempt()
 	if !errors.Is(err, integrity.ErrCorrupt) {

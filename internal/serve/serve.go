@@ -489,18 +489,18 @@ func (s *Session) runStatement(p *Prepared, g *Grant) (cur *Cursor, err error) {
 		tr.Finish()
 	}
 	job := systables.JobRecord{
-		QueryID:       qid,
-		Principal:     string(s.Principal),
-		SQL:           p.sql,
-		Kind:          p.kind,
-		Class:         engine.QueryClass(p.stmt),
-		State:         systables.StateDone,
-		AdmissionWait: g.queuedFor,
-		Start:         ctx.Stats.SimStart,
-		ExecSim:       ctx.Stats.SimElapsed,
-		RowsScanned:   ctx.Stats.RowsScanned,
-		BytesScanned:  ctx.Stats.BytesScanned,
-		CacheHits:     ctx.Stats.CacheHits,
+		QueryID:         qid,
+		Principal:       string(s.Principal),
+		SQL:             p.sql,
+		Kind:            p.kind,
+		Class:           engine.QueryClass(p.stmt),
+		State:           systables.StateDone,
+		AdmissionWait:   g.queuedFor,
+		Start:           ctx.Stats.SimStart,
+		ExecSim:         ctx.Stats.SimElapsed,
+		RowsScanned:     ctx.Stats.RowsScanned,
+		BytesScanned:    ctx.Stats.BytesScanned,
+		CacheHits:       ctx.Stats.CacheHits,
 		QuarantineSkips: ctx.Stats.QuarantineSkips,
 	}
 	if err != nil {

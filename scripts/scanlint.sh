@@ -52,6 +52,14 @@
 # refresh or ML.DECODE_IMAGE came to charge nothing and to report
 # whichever error arrived first.
 #
+# Rule "footer": one chunk map. Fails if colfmt.ReadFooter is called in
+# a non-test file outside internal/colfmt, internal/bigmeta and
+# internal/scan: a file's footer is learned where it is committed,
+# refreshed or peeked, kept as bigmeta.FileEntry.Layout, and read
+# through by scan.Reader — a second footer parse beside the map is how
+# every cold read came to GET the whole object and decode its footer
+# JSON again.
+#
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt.
 set -eu
@@ -91,6 +99,8 @@ check assemble '(engine\.New|storageapi\.NewServer|blmt\.New|txn\.NewManager|big
     'lakehouse service wired outside internal/core; build the deployment with core.New, another engine with Lakehouse.NewEngine, a restart with Lakehouse.Recover'
 check fanout '\.StartTrack\(' sim \
     'simulated worker track opened outside internal/sim; run the parallel stage through sim.Clock.OnTracks'
+check footer 'colfmt\.ReadFooter\(' 'colfmt bigmeta scan' \
+    'footer parsed outside internal/colfmt, internal/bigmeta and internal/scan; read the chunk map Big Metadata holds (bigmeta.FileEntry.Layout) through scan.Reader'
 if bad=$(grep -nE 'bytes\.(New)?Reader|binary\.Read(Uv|V)arint' internal/vector/*.go | grep -v '_test\.go:'); then
     echo "scanlint(codec): byte-reader decode in internal/vector; decode through wire.go's cursor (wireReader):" >&2
     printf '%s\n' "$bad" >&2
