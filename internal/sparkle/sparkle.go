@@ -3,9 +3,10 @@
 // 5). Sparkle executes DataFrame-style plans over two sources:
 //
 //   - a direct object-store source that lists the bucket, peeks at
-//     file footers and reads data files itself (the "Spark directly
-//     reading Parquet from GCS" baseline of §3.4), with the user's own
-//     credential and no BigLake governance; and
+//     every file's footer on the query path and reads the chunks it
+//     needs by range through scan.Reader (the "Spark directly reading
+//     Parquet from GCS" baseline of §3.4), with the user's own
+//     credential, no Big Metadata and no BigLake governance; and
 //
 //   - a Storage Read API connector (the Spark BigQuery Connector's
 //     DataSourceV2 role): the driver creates a read session, executors
@@ -21,11 +22,15 @@ package sparkle
 import (
 	"errors"
 	"fmt"
-	"strings"
+	"slices"
 
+	"biglake/internal/bigmeta"
+	"biglake/internal/catalog"
 	"biglake/internal/colfmt"
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
+	"biglake/internal/resilience"
+	"biglake/internal/scan"
 	"biglake/internal/security"
 	"biglake/internal/sim"
 	"biglake/internal/storageapi"
@@ -121,77 +126,50 @@ func (d *directSource) estimate(sess *Session, preds []colfmt.Predicate) (int64,
 	return 0, false // no metadata service: the baseline plans blind
 }
 
+// scan lists the prefix, peeks at every file's footer and reads the
+// chunks of the wanted and predicate columns in the row groups their
+// stats keep — all on the query's critical path, file k on executor
+// k % Executors. The baseline has no retry policy, and its reader no
+// Cache and no Log: no Big Metadata, no governance, no quarantine, but
+// the chunk CRCs, the generation and length checks and one refetch.
 func (d *directSource) scan(sess *Session, preds []colfmt.Predicate, cols []string) (*vector.Batch, error) {
-	infos, err := d.store.ListAll(d.cred, d.bucket, d.prefix)
+	var res resilience.Counted
+	infos, err := resilience.ListAll(res, sess.Clock, nil, d.store, d.cred, d.bucket, d.prefix)
 	if err != nil {
 		return nil, err
 	}
 	sess.Obs.Add("sparkle.direct_list_calls", 1)
-
-	// Footer peek per file for skippability, then read survivors —
-	// all on the query's critical path, in executor parallel tracks.
-	tracks := make([]*sim.Track, Executors)
-	for i := range tracks {
-		tracks[i] = sess.Clock.StartTrack()
+	if len(infos) == 0 {
+		return nil, fmt.Errorf("sparkle: no files under %s/%s", d.bucket, d.prefix)
 	}
-	var parts []*vector.Batch
-	for i, info := range infos {
-		tr := tracks[i%Executors]
-		head, herr := d.store.HeadOn(tr, d.cred, d.bucket, info.Key)
-		if herr != nil {
-			return nil, herr
-		}
-		off := head.Size - 64*1024
-		if off < 0 {
-			off = 0
-		}
-		tail, _, terr := d.store.GetRangeOn(tr, d.cred, d.bucket, info.Key, off, -1)
-		if terr != nil {
-			return nil, terr
-		}
-		footer, ferr := colfmt.ReadFooter(tail)
-		if ferr != nil {
-			full, _, gerr := d.store.GetOn(tr, d.cred, d.bucket, info.Key)
-			if gerr != nil {
-				return nil, gerr
-			}
-			if footer, ferr = colfmt.ReadFooter(full); ferr != nil {
-				return nil, ferr
-			}
+	var rd scan.Reader
+	parts := make([]vector.Selection, len(infos))
+	err = sess.Clock.OnTracks(Executors, len(infos), func(k int, tracks []*sim.Track) error {
+		tr := tracks[k%Executors]
+		f := bigmeta.FileEntry{Bucket: d.bucket, Key: infos[k].Key, Size: infos[k].Size, Generation: infos[k].Generation}
+		footer, gen, err := bigmeta.ReadFooterStats(res, nil, d.store, d.cred, d.bucket, f.Key, tr)
+		if err != nil {
+			return err
 		}
 		sess.Obs.Add("sparkle.direct_footer_reads", 1)
-		skip := false
-		for _, p := range preds {
-			if st, ok := footer.ColumnStatsFor(p.Column); ok && !p.StatsCanSatisfy(st) {
-				skip = true
-			}
+		f.Describe(footer, gen)
+		src := &scan.Source{Table: catalog.Table{Schema: footer.Schema()}, Store: d.store, Cred: d.cred}
+		var want scan.Columns // none asked for: every column
+		if len(cols) > 0 {
+			want = scan.ColumnsOf(src.Table.Schema, cols...)
+			want.AddPredicates(src.Table.Schema, preds)
 		}
-		if skip {
-			continue
-		}
-		data, _, gerr := d.store.GetOn(tr, d.cred, d.bucket, info.Key)
-		if gerr != nil {
-			return nil, gerr
-		}
-		sess.Obs.Add("sparkle.direct_bytes_read", int64(len(data)))
-		r, rerr := colfmt.NewVectorizedReader(data, cols, preds)
-		if rerr != nil {
-			return nil, rerr
-		}
-		b, rerr := r.ReadAll()
-		if rerr != nil {
-			return nil, rerr
-		}
-		parts = append(parts, b)
+		parts[k], _, err = rd.ReadBatch(tr, src, f, want, nil, preds)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, tr := range tracks {
-		tr.Join()
+	out, err := vector.FilterConcatWith(vector.Mem{}, parts)
+	if err != nil || len(cols) == 0 {
+		return out, err
 	}
-	out, err := vector.Concat(parts)
-	if out == nil && err == nil {
-		err = fmt.Errorf("sparkle: no files under %s/%s", d.bucket, d.prefix)
-	}
-	return out, err
+	return out.Project(cols) // the predicate columns were read to filter
 }
 
 // --- Read API source (the connector) ---
@@ -250,6 +228,8 @@ func (r *readAPISource) estimate(sess *Session, preds []colfmt.Predicate) (int64
 	return est, true
 }
 
+// scan has the executors read the session's streams in parallel,
+// stream i on track i, and concatenates the parts in stream order.
 func (r *readAPISource) scan(sess *Session, preds []colfmt.Predicate, cols []string) (*vector.Batch, error) {
 	rs, err := r.session(sess, preds, cols)
 	if err != nil {
@@ -258,34 +238,29 @@ func (r *readAPISource) scan(sess *Session, preds []colfmt.Predicate, cols []str
 	if !rs.Reused {
 		sess.Obs.Add("sparkle.read_sessions", 1)
 	}
-	// Executors read streams in parallel tracks.
-	tracks := make([]*sim.Track, len(rs.Streams))
-	for i := range tracks {
-		tracks[i] = sess.Clock.StartTrack()
-	}
-	var parts []*vector.Batch
-	for i, stream := range rs.Streams {
+	parts := make([][]*vector.Batch, len(rs.Streams))
+	err = sess.Clock.OnTracks(len(rs.Streams), len(rs.Streams), func(i int, tracks []*sim.Track) error {
 		for {
-			payload, err := r.server.ReadRowsOn(tracks[i], rs.ID, stream)
+			payload, err := r.server.ReadRowsOn(tracks[i], rs.ID, rs.Streams[i])
 			if errors.Is(err, storageapi.ErrEndOfStream) {
-				break
+				return nil
 			}
 			if err != nil {
-				return nil, err
+				return err
 			}
 			sess.Obs.Add("sparkle.readapi_bytes", int64(len(payload)))
 			b, err := vector.DecodeBatch(payload)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// Arrow-native ingestion: decode once, no row conversion.
-			parts = append(parts, b)
+			parts[i] = append(parts[i], b)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	for _, tr := range tracks {
-		tr.Join()
-	}
-	out, err := vector.Concat(parts)
+	out, err := vector.Concat(slices.Concat(parts...))
 	if out == nil && err == nil {
 		out = vector.EmptyBatch(rs.Schema)
 	}
@@ -347,77 +322,37 @@ func (f *Frame) collectAgg() (*vector.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	type group struct {
-		key  []vector.Value
-		rows []int
-	}
-	groups := map[string]*group{}
-	var order []string
-	keyIdx := make([]int, len(f.agg.keys))
+	keys := make([]*vector.Column, len(f.agg.keys))
 	for i, k := range f.agg.keys {
-		keyIdx[i] = in.Schema.Index(k)
-		if keyIdx[i] < 0 {
+		ci := in.Schema.Index(k)
+		if ci < 0 {
 			return nil, fmt.Errorf("%w: group key %q not in %v", ErrPlan, k, in.Schema)
 		}
+		keys[i] = in.Cols[ci]
 	}
-	for _, a := range f.agg.aggs {
-		if in.Schema.Index(a.Column) < 0 {
+	specs := make([]vector.AggSpec, len(f.agg.aggs))
+	for i, a := range f.agg.aggs {
+		ci := in.Schema.Index(a.Column)
+		if ci < 0 {
 			return nil, fmt.Errorf("%w: aggregate column %q not in %v", ErrPlan, a.Column, in.Schema)
 		}
+		specs[i] = vector.AggSpec{Kind: a.Kind, Col: in.Cols[ci]}
 	}
-	for r := 0; r < in.N; r++ {
-		var sb strings.Builder
-		key := make([]vector.Value, len(keyIdx))
-		for i, ki := range keyIdx {
-			key[i] = in.Cols[ki].Value(r)
-			fmt.Fprintf(&sb, "%s|", key[i])
-		}
-		ks := sb.String()
-		g, ok := groups[ks]
-		if !ok {
-			g = &group{key: key}
-			groups[ks] = g
-			order = append(order, ks)
-		}
-		g.rows = append(g.rows, r)
+	// Groups come out in first-encounter order, each key taken from the
+	// group's first row.
+	g := vector.GroupKeysWith(vector.Mem{}, keys, in.N, Executors)
+	aggs := vector.GroupAggregateWith(vector.Mem{}, g.IDs, g.NumGroups, specs, Executors)
+	var out vector.Schema
+	cols := make([]*vector.Column, 0, len(keys)+len(aggs))
+	for i, k := range keys {
+		out.Fields = append(out.Fields, vector.Field{Name: f.agg.keys[i], Type: k.Type})
+		cols = append(cols, vector.GatherNullWith(vector.Mem{}, k, g.Rep))
 	}
-	if len(f.agg.keys) == 0 && len(groups) == 0 {
-		groups[""] = &group{}
-		order = append(order, "")
+	for i, c := range aggs {
+		out.Fields = append(out.Fields, vector.Field{Name: f.agg.aggs[i].As, Type: c.Type})
+		cols = append(cols, c)
 	}
-
-	fields := make([]vector.Field, 0, len(f.agg.keys)+len(f.agg.aggs))
-	for i, k := range f.agg.keys {
-		fields = append(fields, vector.Field{Name: k, Type: in.Schema.Fields[keyIdx[i]].Type})
-	}
-	for _, a := range f.agg.aggs {
-		t := vector.Int64
-		if a.Kind == vector.AggSum || a.Kind == vector.AggMin || a.Kind == vector.AggMax {
-			if ci := in.Schema.Index(a.Column); ci >= 0 {
-				t = in.Schema.Fields[ci].Type
-			}
-		}
-		fields = append(fields, vector.Field{Name: a.As, Type: t})
-	}
-	builder := vector.NewBuilder(vector.Schema{Fields: fields})
-	for _, ks := range order {
-		g := groups[ks]
-		row := make([]vector.Value, 0, len(fields))
-		row = append(row, g.key...)
-		mask := make([]bool, in.N)
-		for _, r := range g.rows {
-			mask[r] = true
-		}
-		for _, a := range f.agg.aggs {
-			ci := in.Schema.Index(a.Column)
-			if ci < 0 {
-				return nil, fmt.Errorf("%w: aggregate column %q not in %v", ErrPlan, a.Column, in.Schema)
-			}
-			row = append(row, vector.Aggregate(in.Cols[ci], a.Kind, mask))
-		}
-		builder.Append(row...)
-	}
-	return builder.Build(), nil
+	return vector.NewBatch(out, cols)
 }
 
 // collectJoin executes the join tree left-deep. With session
@@ -482,30 +417,24 @@ func (f *Frame) collectJoin() (*vector.Batch, error) {
 	if bi < 0 || pi < 0 {
 		return nil, fmt.Errorf("%w: join keys %q/%q not found", ErrPlan, j.leftKey, j.rightKey)
 	}
-	ht := make(map[string][]int, build.N)
-	bk := build.Cols[bi].Decode()
-	for r := 0; r < build.N; r++ {
-		v := bk.Value(r)
-		if v.IsNull() {
-			continue
-		}
-		ht[v.String()] = append(ht[v.String()], r)
+	res, err := vector.HashJoinWith(vector.Mem{}, probe, build, []int{pi}, []int{bi}, vector.InnerJoin, Executors)
+	if err != nil {
+		return nil, err
 	}
-	var probeIdx, buildIdx []int
-	pk := probe.Cols[pi].Decode()
-	for r := 0; r < probe.N; r++ {
-		v := pk.Value(r)
-		if v.IsNull() {
-			continue
+	// gather takes one side's matched rows; identity: every row matched
+	// once, in order, and the side's columns are the output's.
+	gather := func(b *vector.Batch, idx []int32, identity bool) []*vector.Column {
+		cols := make([]*vector.Column, len(b.Cols))
+		if identity {
+			copy(cols, b.Cols)
+		} else {
+			vector.GatherNullColsWith(vector.Mem{}, cols, b.Cols, idx, Executors)
 		}
-		for _, br := range ht[v.String()] {
-			probeIdx = append(probeIdx, r)
-			buildIdx = append(buildIdx, br)
-		}
+		return cols
 	}
-	leftB, leftIdx, rightB, rightIdx := probe, probeIdx, build, buildIdx
+	leftB, leftCols, rightB, rightCols := probe, gather(probe, res.Left, res.LeftIdentity), build, gather(build, res.Right, false)
 	if swapped {
-		leftB, leftIdx, rightB, rightIdx = build, buildIdx, probe, probeIdx
+		leftB, leftCols, rightB, rightCols = rightB, rightCols, leftB, leftCols
 	}
 	fields := append(append([]vector.Field(nil), leftB.Schema.Fields...), rightB.Schema.Fields...)
 	// Disambiguate duplicate names from the right side.
@@ -518,14 +447,7 @@ func (f *Frame) collectJoin() (*vector.Batch, error) {
 		seen[name] = true
 		fields[i].Name = name
 	}
-	cols := make([]*vector.Column, 0, len(fields))
-	for _, c := range leftB.Cols {
-		cols = append(cols, vector.Gather(c, leftIdx))
-	}
-	for _, c := range rightB.Cols {
-		cols = append(cols, vector.Gather(c, rightIdx))
-	}
-	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
+	return vector.NewBatch(vector.Schema{Fields: fields}, append(leftCols, rightCols...))
 }
 
 func estimateFrame(f *Frame) (int64, bool) {

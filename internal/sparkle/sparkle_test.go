@@ -1,10 +1,12 @@
 package sparkle
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
@@ -59,6 +61,18 @@ func factSchema() vector.Schema {
 	)
 }
 
+// putFile writes b as one columnar file at key in the lake bucket.
+func (ev *env) putFile(t *testing.T, key string, b *vector.Batch) {
+	t.Helper()
+	file, err := colfmt.WriteFile(b, colfmt.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.store.Put(ev.cred, "lake", key, file, ""); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // loadFact writes `files` fact files with item_ids ascending, and
 // registers them as a BigLake table.
 func (ev *env) loadFact(t *testing.T, files, rowsPerFile int) {
@@ -70,11 +84,7 @@ func (ev *env) loadFact(t *testing.T, files, rowsPerFile int) {
 			bl.Append(vector.IntValue(next), vector.IntValue(next%7))
 			next++
 		}
-		file, err := colfmt.WriteFile(bl.Build(), colfmt.WriterOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.store.Put(ev.cred, "lake", fmt.Sprintf("fact/part-%03d.blk", f), file, "")
+		ev.putFile(t, fmt.Sprintf("fact/part-%03d.blk", f), bl.Build())
 	}
 	ev.srv.Catalog.CreateTable(catalog.Table{
 		Dataset: "ds", Name: "fact", Type: catalog.BigLake, Schema: factSchema(),
@@ -100,8 +110,7 @@ func (ev *env) loadDim(t *testing.T, n, goldCount int) {
 		}
 		bl.Append(vector.IntValue(int64(i)), vector.StringValue(tier))
 	}
-	file, _ := colfmt.WriteFile(bl.Build(), colfmt.WriterOptions{})
-	ev.store.Put(ev.cred, "lake", "dim/part-000.blk", file, "")
+	ev.putFile(t, "dim/part-000.blk", bl.Build())
 	ev.srv.Catalog.CreateTable(catalog.Table{
 		Dataset: "ds", Name: "dim", Type: catalog.BigLake, Schema: dimSchema(),
 		Cloud: "gcp", Bucket: "lake", Prefix: "dim/", Connection: "conn", MetadataCaching: true,
@@ -126,23 +135,56 @@ func TestDirectScan(t *testing.T) {
 }
 
 func TestDirectScanFilterSkipsFiles(t *testing.T) {
+	const files = 10
 	ev := newEnv(t)
-	ev.loadFact(t, 10, 10)
-	sess := NewSession(ev.clock, Options{})
-	got, err := sess.ReadFiles(ev.store, ev.user, "lake", "fact/").
-		Filter(colfmt.Predicate{Column: "item_id", Op: vector.EQ, Value: vector.IntValue(55)}).
-		Collect()
+	ev.loadFact(t, files, 10)
+	infos, err := ev.store.ListAll(ev.cred, "lake", "fact/")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var whole, smallest int64
+	for _, info := range infos {
+		whole += info.Size
+		if smallest == 0 || info.Size < smallest {
+			smallest = info.Size
+		}
+	}
+	// collect runs f and returns the GETs and bytes its data reads cost:
+	// every GET but the footer peeks, one a file, each of which fetches
+	// the whole file here (a file under 64 KB is all tail).
+	reg := ev.store.Obs()
+	collect := func(f *Frame) (*vector.Batch, int64, int64) {
+		t.Helper()
+		gets, read := reg.Get("objstore.get.count"), reg.Get("objstore.get.bytes")
+		got, err := f.Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, reg.Get("objstore.get.count") - gets - files, reg.Get("objstore.get.bytes") - read - whole
+	}
+	sess := NewSession(ev.clock, Options{})
+	fact := sess.ReadFiles(ev.store, ev.user, "lake", "fact/")
+
+	// The chunk stats rule out 9 of the 10 files: those make no data
+	// request, and the one that can match is read in one ranged GET (its
+	// only row group's two chunks touch).
+	got, gets, read := collect(fact.Filter(colfmt.Predicate{Column: "item_id", Op: vector.EQ, Value: vector.IntValue(55)}))
 	if got.N != 1 {
 		t.Fatalf("rows = %d", got.N)
 	}
-	// Footer stats pruned 9 of 10 data reads, so bytes read must be
-	// roughly one file's worth.
-	totalBytes := sess.Obs.Get("sparkle.direct_bytes_read")
-	if totalBytes == 0 {
-		t.Fatal("no bytes metered")
+	if gets != 1 || read <= 0 || read >= smallest {
+		t.Fatalf("filtered read: %d data GETs, %d bytes; want 1 GET of under one file (%d bytes)", gets, read, smallest)
+	}
+
+	// A projected read fetches only the qty chunks: fewer bytes than
+	// the whole objects, and than a read of every column.
+	all, _, allBytes := collect(fact)
+	qty, _, qtyBytes := collect(fact.Select("qty"))
+	if all.N != 100 || qty.N != 100 || qty.Schema.Len() != 1 || qty.Schema.Fields[0].Name != "qty" {
+		t.Fatalf("all %d rows, qty %d rows of %v", all.N, qty.N, qty.Schema)
+	}
+	if qtyBytes <= 0 || qtyBytes >= allBytes || allBytes >= whole {
+		t.Fatalf("data bytes: qty %d, every column %d, whole objects %d", qtyBytes, allBytes, whole)
 	}
 }
 
@@ -223,6 +265,22 @@ func TestJoinCorrectness(t *testing.T) {
 			t.Fatalf("schema = %v", got.Schema)
 		}
 	}
+	// Key identity includes the type: Int64 1 never joins String "1".
+	ints := vector.NewBuilder(vector.NewSchema(vector.Field{Name: "k", Type: vector.Int64}))
+	ints.Append(vector.IntValue(1))
+	ev.putFile(t, "ints/part-000.blk", ints.Build())
+	strs := vector.NewBuilder(vector.NewSchema(vector.Field{Name: "k", Type: vector.String}))
+	strs.Append(vector.StringValue("1"))
+	ev.putFile(t, "strs/part-000.blk", strs.Build())
+	sess := NewSession(ev.clock, Options{})
+	got, err := sess.ReadFiles(ev.store, ev.user, "lake", "ints/").
+		Join(sess.ReadFiles(ev.store, ev.user, "lake", "strs/"), "k", "k").Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != 0 {
+		t.Fatalf("Int64 1 = String \"1\" joined %d rows, want 0", got.N)
+	}
 }
 
 func TestDPPPrunesFactScan(t *testing.T) {
@@ -290,21 +348,42 @@ func TestStatsSpeedUpJoinWallClock(t *testing.T) {
 func TestGroupByAgg(t *testing.T) {
 	ev := newEnv(t)
 	ev.loadFact(t, 1, 21) // qty = item_id % 7
+	// String keys a rendered key would merge: a separator inside a
+	// value, and NULL beside the string "NULL".
+	keys := vector.NewBuilder(vector.NewSchema(
+		vector.Field{Name: "a", Type: vector.String},
+		vector.Field{Name: "b", Type: vector.String},
+	))
+	keys.Append(vector.StringValue("x|"), vector.StringValue("y"))
+	keys.Append(vector.StringValue("x"), vector.StringValue("|y"))
+	keys.Append(vector.NullValue, vector.StringValue("z"))
+	keys.Append(vector.StringValue("NULL"), vector.StringValue("z"))
+	ev.putFile(t, "keys/part-000.blk", keys.Build())
 	sess := NewSession(ev.clock, Options{})
-	got, err := sess.ReadBigLake(ev.srv, userP, "ds.fact").
-		GroupBy("qty").
-		Agg(AggSpec{Kind: vector.AggCount, Column: "item_id", As: "n"},
-			AggSpec{Kind: vector.AggMax, Column: "item_id", As: "max_id"}).
-		Collect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != 7 {
-		t.Fatalf("groups = %d", got.N)
-	}
-	for i := 0; i < got.N; i++ {
-		if got.Column("n").Value(i).AsInt() != 3 {
-			t.Fatalf("group %v", got.Row(i))
+	for _, tc := range []struct {
+		name      string
+		in        *Frame
+		keys      []string
+		col       string
+		groups, n int
+	}{
+		{"int key", sess.ReadBigLake(ev.srv, userP, "ds.fact"), []string{"qty"}, "item_id", 7, 3},
+		{"separator and NULL in string keys", sess.ReadFiles(ev.store, ev.user, "lake", "keys/"), []string{"a", "b"}, "b", 4, 1},
+	} {
+		got, err := tc.in.GroupBy(tc.keys...).
+			Agg(AggSpec{Kind: vector.AggCount, Column: tc.col, As: "n"},
+				AggSpec{Kind: vector.AggMax, Column: tc.col, As: "max"}).
+			Collect()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.N != tc.groups {
+			t.Fatalf("%s: groups = %d, want %d", tc.name, got.N, tc.groups)
+		}
+		for i := 0; i < got.N; i++ {
+			if got.Column("n").Value(i).AsInt() != int64(tc.n) {
+				t.Fatalf("%s: group %v", tc.name, got.Row(i))
+			}
 		}
 	}
 }
@@ -365,5 +444,46 @@ func TestJoinDuplicateColumnNames(t *testing.T) {
 	}
 	if got.Schema.Index("item_id") < 0 || got.Schema.Index("item_id_r") < 0 {
 		t.Fatalf("schema = %v", got.Schema)
+	}
+}
+
+func TestCollectDeterministicUnderFaults(t *testing.T) {
+	// Both sources fan out on goroutines; a seeded fault profile must
+	// still give the same batches and the same simulated time, run
+	// after run. Each run builds the same world from scratch: a second
+	// collect on one store would see the next calls of every fault
+	// stream, and warm caches.
+	run := func() (batches [][]byte, elapsed time.Duration) {
+		ev := newEnv(t)
+		ev.loadFact(t, 3*Executors+1, 40) // more files than executors: lanes are shared
+		ev.store.InjectFaults(objstore.FaultProfile{Seed: 7, SlowdownRate: 0.3, Slowdown: 40 * time.Millisecond})
+		sess := NewSession(ev.clock, Options{})
+		start := ev.clock.Now()
+		for _, f := range []*Frame{
+			sess.ReadFiles(ev.store, ev.user, "lake", "fact/"),
+			sess.ReadBigLake(ev.srv, userP, "ds.fact"),
+		} {
+			b, err := f.Filter(colfmt.Predicate{Column: "qty", Op: vector.LT, Value: vector.IntValue(3)}).Collect()
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches = append(batches, vector.EncodeBatch(b, false))
+		}
+		if ev.store.Obs().Get("objstore.slowdowns.injected") == 0 {
+			t.Fatal("no slowdown injected")
+		}
+		return batches, ev.clock.Now() - start
+	}
+	wantB, wantT := run()
+	for i := 0; i < 3; i++ {
+		gotB, gotT := run()
+		for s := range wantB {
+			if !bytes.Equal(gotB[s], wantB[s]) {
+				t.Fatalf("run %d: source %d returned other batches", i+1, s)
+			}
+		}
+		if gotT != wantT {
+			t.Fatalf("run %d: elapsed %v, first run %v", i+1, gotT, wantT)
+		}
 	}
 }

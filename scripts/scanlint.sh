@@ -2,7 +2,8 @@
 # scanlint: one owner per data-file path, read side and write side.
 #
 # Rule "scan": one verified data-file reader. Fails if a colfmt reader
-# or colfmt.Verify is applied to object bytes outside internal/scan: a
+# — over file bytes, or over a footer already in hand (ReaderFor,
+# RowReaderFor) — or colfmt.Verify is opened outside internal/scan: a
 # second fetch -> verify -> decode path is how the Read API and the DML
 # rewrites came to skip the generation check, the quarantine gate and
 # the refetch that queries had.
@@ -61,7 +62,8 @@
 # JSON again.
 #
 # Allowed files are listed per rule, with reasons, in
-# scripts/scanlint.allow; tests are exempt.
+# scripts/scanlint.allow; tests are exempt. An entry that excuses no
+# line fails the sweep too.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -71,8 +73,9 @@ check() {
     owners=
     for dir in $3; do owners="$owners --exclude-dir=$dir"; done
     # shellcheck disable=SC2086 # owners is a list of flags
-    bad=$(grep -rnE "$2" --include='*.go' --exclude='*_test.go' $owners . |
-        sed 's|^\./||' | while IFS= read -r line; do
+    hits=$(grep -rnE "$2" --include='*.go' --exclude='*_test.go' $owners . | sed 's|^\./||')
+    bad=$(printf '%s\n' "$hits" | while IFS= read -r line; do
+        [ -n "$line" ] || continue
         ok=
         for prefix in $allow; do
             case "$line" in "$prefix"*) ok=1 ;; esac
@@ -85,9 +88,17 @@ check() {
         echo "or add the file to scripts/scanlint.allow under rule '$1' with a reason" >&2
         exit 1
     fi
+    # An exception that excuses no line would silently excuse the next
+    # one written there.
+    for prefix in $allow; do
+        if ! printf '%s\n' "$hits" | awk -v p="$prefix" 'index($0, p) == 1 { found = 1 } END { exit !found }'; then
+            echo "scanlint($1): stale allowlist entry '$1 $prefix' excuses no line; delete it from scripts/scanlint.allow" >&2
+            exit 1
+        fi
+    done
 }
 
-check scan 'colfmt\.(NewVectorizedReader|NewRowReader|Verify)\(' scan \
+check scan 'colfmt\.(NewVectorizedReader|NewRowReader|ReaderFor|RowReaderFor|Verify)\(' scan \
     'data-file bytes decoded or verified outside internal/scan; read through scan.Reader (Fetch / Read / ReadBatch / Verify)'
 check commit '\.(AppendIntent|AppendAbort|CommitTxIf|NewFileEntry)\(' bigmeta \
     'commit protocol step outside internal/bigmeta; commit data files through bigmeta.CommitFiles (PutDataFile for a loader outside a journal)'
