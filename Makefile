@@ -65,13 +65,17 @@ fuzz-bug:
 # path: journal replay, every in-memory service rebuilt), and diff
 # against the oracle; then the restart path itself on every surface it
 # rebuilds — engine, Read API, resumed write stream, transactions, one
-# registry. Prints the seed and a replay command on failure; re-run one
-# world with
+# registry — and on lakehouses that share a control plane: a sibling
+# restarted alone, an Omni region restarted under its CCMV replica, and
+# CCMV refreshes that fail partway (nothing of them seals, the next one
+# copies every missing file). Prints the seed and a replay command on
+# failure; re-run one world with
 #
 #	go test ./internal/oracle -run TestCrashSweep -seed=<n> -v
 crash:
 	$(GO) test -race -run 'TestCrashSweep' -v ./internal/oracle/
-	$(GO) test -race -run 'TestRecoverRewiresEveryService' ./internal/core/
+	$(GO) test -race -run 'TestRecoverRewiresEveryService|TestControlPlaneDeploysSiblings' ./internal/core/
+	$(GO) test -race -run 'TestCCMVFailed|TestRegionRecover' ./internal/omni/
 
 # Observability gate: registry/span tests under the race detector,
 # the EXPLAIN ANALYZE goldens, the one-registry tests (a core.New

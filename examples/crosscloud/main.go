@@ -52,7 +52,7 @@ func main() {
 	tok := dep.Auth.MintToken("demo-q", analyst, aws.Name,
 		[]string{"aws_dataset.customer_orders"}, dep.Clock.Now()+5*time.Minute)
 	tok.Tables = append(tok.Tables, "local_dataset.ads_impressions") // compromised worker widens scope
-	err = dep.Proxy().Authorize(tok, aws.Name, "svc-aws-us-east-1@omni", "local_dataset.ads_impressions")
+	err = dep.Proxy().Authorize(tok, aws.Name, biglake.Principal(aws.ServiceAccount().Principal), "local_dataset.ads_impressions")
 	fmt.Printf("\ntampered session token: %v\n", err)
 
 	// Cross-cloud materialized view: incremental replication.
@@ -99,14 +99,14 @@ func seed(dep *biglake.Deployment, gcp, aws *biglake.Region) error {
 	if err := dep.Catalog.CreateTable(catalog.Table{
 		Dataset: "local_dataset", Name: "ads_impressions", Type: catalog.Managed,
 		Schema: adsSchema, Cloud: gcp.Cloud, Bucket: gcp.Manager.DefaultBucket,
-		Prefix: "blmt/ads/", Connection: "omni-" + gcp.Name,
+		Prefix: "blmt/ads/", Connection: gcp.DefaultConnection(),
 	}); err != nil {
 		return err
 	}
 	if err := dep.Catalog.CreateTable(catalog.Table{
 		Dataset: "aws_dataset", Name: "customer_orders", Type: catalog.Managed,
 		Schema: ordersSchema(), Cloud: aws.Cloud, Bucket: aws.Manager.DefaultBucket,
-		Prefix: "blmt/orders/", Connection: "omni-" + aws.Name,
+		Prefix: "blmt/orders/", Connection: aws.DefaultConnection(),
 	}); err != nil {
 		return err
 	}

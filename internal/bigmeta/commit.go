@@ -126,8 +126,8 @@ type DataFile struct {
 
 // PutDataFile is the encode → retried PUT → FileEntry step: the one
 // place a data file is materialized. CommitFiles calls it per file
-// between its crash points; loaders that commit outside a journal
-// (omni's temp tables, the workload generators) call it directly.
+// between its crash points; the workload generators, which load
+// outside the commit protocol, call it directly.
 func PutDataFile(res resilience.Counted, ch sim.Charger, bud *resilience.Budget, f DataFile) (FileEntry, error) {
 	data := f.Bytes
 	if data == nil {

@@ -3,10 +3,13 @@
 // the BLMT manager and the BQML inference runtime into one coherent
 // deployment object — the "single core platform that solves the
 // difficult data management problems once, but has it work across
-// storage substrates and analytics stacks" of §3.
+// storage substrates and analytics stacks" of §3. Every lakehouse is
+// deployed on a ControlPlane; several can share one, as Omni's regions
+// do (§5).
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -38,11 +41,30 @@ type Options struct {
 	Engine *engine.Options
 }
 
-// Lakehouse is a single-region BigLake deployment.
+// ControlPlane is what every lakehouse deployed on it shares: the
+// simulated clock, the catalog, the IAM authority and the metrics
+// registry. core.New deploys one lakehouse on a control plane of its
+// own; an Omni deployment deploys one per region on a shared one (§5's
+// data plane per cloud under one GCP control plane).
+type ControlPlane struct {
+	Clock   *sim.Clock
+	Catalog *catalog.Catalog
+	Auth    *security.Authority
+	// Obs is the registry every lakehouse on the control plane counts
+	// into, and what their system.metrics reads.
+	Obs *obs.Registry
+}
+
+// NewControlPlane builds an empty control plane whose IAM authority
+// signs tokens with secret and is administered by admins.
+func NewControlPlane(clock *sim.Clock, secret string, admins ...security.Principal) *ControlPlane {
+	return &ControlPlane{Clock: clock, Catalog: catalog.New(),
+		Auth: security.NewAuthority(secret, admins...), Obs: obs.NewRegistry()}
+}
+
+// Lakehouse is one region's BigLake deployment on a control plane.
 type Lakehouse struct {
-	Clock      *sim.Clock
-	Catalog    *catalog.Catalog
-	Auth       *security.Authority
+	*ControlPlane
 	Meta       *bigmeta.Cache
 	Log        *bigmeta.Log
 	Engine     *engine.Engine
@@ -54,17 +76,17 @@ type Lakehouse struct {
 	Txns       *txn.Manager
 	Admin      security.Principal
 
-	cloud     string
-	serviceSA objstore.Credential
-	querySeq  int
-	sessions  map[security.Principal]*txn.Session
+	cloud, region string
+	serviceSA     objstore.Credential
+	querySeq      int
+	sessions      map[security.Principal]*txn.Session
 }
 
 // managedBucket holds managed-table data by default and the journal.
+// Every lakehouse has a store of its own, so the name never collides.
 const managedBucket = "bq-managed"
 
-// New builds a ready-to-use lakehouse.
-func New(opts Options) (*Lakehouse, error) {
+func (opts *Options) defaults() {
 	if opts.Cloud == "" {
 		opts.Cloud = "gcp"
 	}
@@ -74,47 +96,61 @@ func New(opts Options) (*Lakehouse, error) {
 	if opts.Admin == "" {
 		opts.Admin = "admin@biglake"
 	}
+}
+
+// New builds a ready-to-use lakehouse on a control plane of its own.
+func New(opts Options) (*Lakehouse, error) {
+	opts.defaults()
+	return NewControlPlane(sim.NewClock(), "lakehouse-"+opts.Region, opts.Admin).Deploy(opts)
+}
+
+// Deploy builds a lakehouse in opts.Region on the control plane: its
+// own object store, journal, log and services, the control plane's
+// clock, catalog, IAM and registry. opts.Admin must administer the
+// control plane's IAM. One rule names what a region adds to the shared
+// IAM and its own store, so regions never collide: the service account
+// sa-biglake@<region>, its connection managed-<region>, and the managed
+// bucket bq-managed. The _system dataset is created once per catalog.
+func (cp *ControlPlane) Deploy(opts Options) (*Lakehouse, error) {
+	opts.defaults()
 	engOpts := engine.DefaultOptions()
 	if opts.Engine != nil {
 		engOpts = *opts.Engine
 	}
-
-	clock := sim.NewClock()
-	store := objstore.New(sim.ProfileFor(opts.Cloud), clock)
+	store := objstore.New(sim.ProfileFor(opts.Cloud), cp.Clock)
 	sa := objstore.Credential{Principal: "sa-biglake@" + opts.Region}
 	if err := store.CreateBucket(sa, managedBucket); err != nil {
 		return nil, err
 	}
 	lh := &Lakehouse{
-		Clock: clock, Catalog: catalog.New(), Store: store,
-		Auth:  security.NewAuthority("lakehouse-"+opts.Region, opts.Admin),
-		Admin: opts.Admin, cloud: opts.Cloud, serviceSA: sa,
+		ControlPlane: cp, Store: store, Admin: opts.Admin,
+		cloud: opts.Cloud, region: opts.Region, serviceSA: sa,
 	}
-	lh.assemble(bigmeta.NewLog(clock), engOpts, nil)
+	lh.assemble(bigmeta.NewLog(cp.Clock), engOpts, cp.Obs)
 	j, err := wal.Open(store, sa, managedBucket, "")
 	if err != nil {
 		return nil, err
 	}
 	lh.Log.AttachJournal(j)
 	lh.Journal = j
-	// A default connection for managed tables and examples.
 	if err := lh.Auth.RegisterConnection(opts.Admin, security.Connection{
-		Name: "default", ServiceAccount: sa, Cloud: opts.Cloud,
+		Name: lh.DefaultConnection(), ServiceAccount: sa, Cloud: opts.Cloud,
 	}); err != nil {
 		return nil, err
 	}
-	if err := lh.Catalog.CreateDataset(catalog.Dataset{Name: "_system", Region: opts.Region, Cloud: opts.Cloud}); err != nil {
-		return nil, err
+	if _, err := lh.Catalog.Dataset("_system"); errors.Is(err, catalog.ErrNotFound) {
+		if err := lh.CreateDataset("_system"); err != nil {
+			return nil, err
+		}
 	}
 	return lh, nil
 }
 
 // assemble builds every in-memory service over log: the Big Metadata
 // cache, the engine, the Storage API server, the BLMT manager, the
-// transaction manager and the inference runtime. The clock, store,
-// catalog and IAM are the lakehouse's own and survive it. There is one
-// registry for the deployment — reg, or the new engine's when reg is
-// nil — and system.metrics reads it: the store, cache and log are
+// transaction manager and the inference runtime. The store and the
+// control plane survive it. There is one registry for the deployment —
+// reg — and system.metrics reads it: the store, cache and log are
 // pointed at it, the Storage API server and the BLMT manager inherit it
 // from the log, the transaction manager and the inference runtime from
 // the engine, a journal recovery from the store. Open interactive
@@ -131,7 +167,7 @@ func (lh *Lakehouse) assemble(log *bigmeta.Log, engOpts engine.Options, reg *obs
 	srv := storageapi.NewServer(lh.Catalog, lh.Auth, meta, log, lh.Clock, stores)
 	srv.ManagedCred = lh.serviceSA
 	mgr := blmt.New(lh.Catalog, lh.Auth, log, lh.Clock, stores)
-	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = lh.cloud, managedBucket, "default"
+	mgr.DefaultCloud, mgr.DefaultBucket, mgr.DefaultConnection = lh.cloud, managedBucket, lh.DefaultConnection()
 	eng.SetMutator(mgr)
 	rt := inference.NewRuntime(lh.Auth, stores, lh.Clock, lh.serviceSA)
 	rt.Attach(eng)
@@ -185,13 +221,17 @@ func (lh *Lakehouse) Recover() (wal.RecoveryReport, error) {
 // Cloud returns the hosting cloud name.
 func (lh *Lakehouse) Cloud() string { return lh.cloud }
 
+// DefaultConnection names the connection of the deployment's service
+// account: table helpers use it when a spec names none.
+func (lh *Lakehouse) DefaultConnection() string { return "managed-" + lh.region }
+
 // ServiceAccount returns the deployment's default delegated service
 // account credential.
 func (lh *Lakehouse) ServiceAccount() objstore.Credential { return lh.serviceSA }
 
 // CreateDataset registers a dataset in the hosting region.
 func (lh *Lakehouse) CreateDataset(name string) error {
-	return lh.Catalog.CreateDataset(catalog.Dataset{Name: name, Region: lh.cloud + "-us", Cloud: lh.cloud})
+	return lh.Catalog.CreateDataset(catalog.Dataset{Name: name, Region: lh.region, Cloud: lh.cloud})
 }
 
 // CreateBucket provisions a customer bucket readable by the default
@@ -236,7 +276,7 @@ type BigLakeTableSpec struct {
 // ownership.
 func (lh *Lakehouse) CreateBigLakeTable(creator security.Principal, spec BigLakeTableSpec) error {
 	if spec.Connection == "" {
-		spec.Connection = "default"
+		spec.Connection = lh.DefaultConnection()
 	}
 	t := catalog.Table{
 		Dataset: spec.Dataset, Name: spec.Name, Type: catalog.BigLake,
@@ -258,7 +298,7 @@ func (lh *Lakehouse) CreateManagedTable(creator security.Principal, dataset, nam
 		Dataset: dataset, Name: name, Type: catalog.Managed,
 		Schema: schema, Cloud: lh.cloud, Bucket: bucket,
 		Prefix:     fmt.Sprintf("blmt/%s/%s/", dataset, name),
-		Connection: "default", CreatedAt: lh.Clock.Now(),
+		Connection: lh.DefaultConnection(), CreatedAt: lh.Clock.Now(),
 	}
 	if err := lh.Catalog.CreateTable(t); err != nil {
 		return err
@@ -272,7 +312,7 @@ func (lh *Lakehouse) CreateObjectTable(creator security.Principal, dataset, name
 	t := catalog.Table{
 		Dataset: dataset, Name: name, Type: catalog.Object,
 		Cloud: lh.cloud, Bucket: bucket, Prefix: prefix,
-		Connection: "default", MetadataCaching: true, CreatedAt: lh.Clock.Now(),
+		Connection: lh.DefaultConnection(), MetadataCaching: true, CreatedAt: lh.Clock.Now(),
 	}
 	if err := lh.Catalog.CreateTable(t); err != nil {
 		return err

@@ -15,6 +15,7 @@ import (
 	"biglake/internal/integrity"
 	"biglake/internal/objstore"
 	"biglake/internal/security"
+	"biglake/internal/sim"
 	"biglake/internal/storageapi"
 	"biglake/internal/vector"
 	"biglake/internal/wal"
@@ -40,7 +41,7 @@ func TestNewDefaults(t *testing.T) {
 		t.Fatalf("defaults: cloud=%q admin=%q", lh.Cloud(), lh.Admin)
 	}
 	// The default connection exists and managed storage is provisioned.
-	if _, err := lh.Auth.Connection("default"); err != nil {
+	if _, err := lh.Auth.Connection(lh.DefaultConnection()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := lh.Catalog.Dataset("_system"); err != nil {
@@ -55,6 +56,59 @@ func TestNewOnForeignCloud(t *testing.T) {
 	}
 	if lh.Cloud() != "aws" || lh.Store.Profile().Name != "aws" {
 		t.Fatalf("cloud = %q profile = %q", lh.Cloud(), lh.Store.Profile().Name)
+	}
+}
+
+func TestCreateDatasetUsesDeploymentRegion(t *testing.T) {
+	lh, err := New(Options{Region: "gcp-eu", Admin: admin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lh.CreateDataset("d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lh.CreateManagedTable(admin, "d", "t", simpleSchema(), "bq-managed"); err != nil {
+		t.Fatal(err)
+	}
+	if region, err := lh.Catalog.RegionOf("d.t"); err != nil || region != "gcp-eu" {
+		t.Fatalf("RegionOf(d.t) = %q, %v; want gcp-eu", region, err)
+	}
+}
+
+// TestControlPlaneDeploysSiblings: lakehouses deployed on one control
+// plane share its catalog, IAM and registry, and one naming rule keeps
+// their connections and service accounts apart.
+func TestControlPlaneDeploysSiblings(t *testing.T) {
+	cp := NewControlPlane(sim.NewClock(), "secret", admin)
+	us, err := cp.Deploy(Options{Region: "gcp-us", Admin: admin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aws, err := cp.Deploy(Options{Cloud: "aws", Region: "aws-us-east-1", Admin: admin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if us.DefaultConnection() == aws.DefaultConnection() || us.ServiceAccount().Principal == aws.ServiceAccount().Principal {
+		t.Fatalf("siblings share a connection or service account: %q %q", us.DefaultConnection(), aws.DefaultConnection())
+	}
+	if us.Catalog != aws.Catalog || us.Auth != aws.Auth || us.Engine.Obs != aws.Engine.Obs || us.Engine.Obs != cp.Obs {
+		t.Fatal("siblings do not share the control plane")
+	}
+	if us.Store == aws.Store || us.Log == aws.Log {
+		t.Fatal("siblings share a data plane")
+	}
+	managedT(t, aws)
+	if region, err := aws.Catalog.RegionOf("d.t"); err != nil || region != "aws-us-east-1" {
+		t.Fatalf("RegionOf(d.t) = %q, %v", region, err)
+	}
+	if files, _, _ := us.Log.Snapshot("d.t", -1); len(files) != 0 {
+		t.Fatal("a sibling's commit landed in another region's log")
+	}
+	if _, err := aws.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(t, aws); !slices.Equal(got, []int64{1}) {
+		t.Fatalf("after the sibling's restart: ids %v", got)
 	}
 }
 

@@ -60,7 +60,7 @@ func RunE9(scale int) (E9Result, error) {
 		}
 		return workload.LoadTPCH(&workload.Env{
 			Catalog: dep.Catalog, Auth: dep.Auth, Store: r.Store, Log: r.Log, Clock: clock,
-			Cred: cred, Connection: "omni-" + r.Name, Bucket: bucket, Cloud: r.Cloud,
+			Cred: cred, Connection: r.DefaultConnection(), Bucket: bucket, Cloud: r.Cloud,
 			Dataset: dataset, Admin: omni.ControlPrincipal,
 		}, cfg)
 	}
@@ -182,14 +182,14 @@ func seedListing3(dep *omni.Deployment, gcp, aws *omni.Region, adsRows, orderRow
 	if err := dep.Catalog.CreateTable(catalog.Table{
 		Dataset: "local_dataset", Name: "ads_impressions", Type: catalog.Managed,
 		Schema: adsSchema, Cloud: gcp.Cloud, Bucket: gcp.Manager.DefaultBucket,
-		Prefix: "blmt/ads/", Connection: "omni-" + gcp.Name,
+		Prefix: "blmt/ads/", Connection: gcp.DefaultConnection(),
 	}); err != nil {
 		return err
 	}
 	if err := dep.Catalog.CreateTable(catalog.Table{
 		Dataset: "aws_dataset", Name: "customer_orders", Type: catalog.Managed,
 		Schema: ordersSchema, Cloud: aws.Cloud, Bucket: aws.Manager.DefaultBucket,
-		Prefix: "blmt/orders/", Connection: "omni-" + aws.Name,
+		Prefix: "blmt/orders/", Connection: aws.DefaultConnection(),
 	}); err != nil {
 		return err
 	}
@@ -242,18 +242,19 @@ func RunE11(files, rowsPerFile int) (E11Result, error) {
 	if err := seedListing3(dep, gcp, aws, 1, rowsPerFile); err != nil {
 		return E11Result{}, err
 	}
-	ctx := engine.NewContext(Admin, "seed")
 	ordersSchema := vector.NewSchema(
 		vector.Field{Name: "order_id", Type: vector.Int64},
 		vector.Field{Name: "customer_id", Type: vector.Int64},
 		vector.Field{Name: "order_total", Type: vector.Float64},
 	)
+	// Each insert is its own query: a journaled log replays a reused
+	// query ID as a no-op.
 	for f := 1; f < files; f++ {
 		bo := vector.NewBuilder(ordersSchema)
 		for i := 0; i < rowsPerFile; i++ {
 			bo.Append(vector.IntValue(int64(f*rowsPerFile+i)), vector.IntValue(int64(i%50)), vector.FloatValue(1))
 		}
-		if err := aws.Manager.Insert(ctx, "aws_dataset.customer_orders", bo.Build()); err != nil {
+		if err := aws.Manager.Insert(engine.NewContext(Admin, fmt.Sprintf("seed-%d", f)), "aws_dataset.customer_orders", bo.Build()); err != nil {
 			return E11Result{}, err
 		}
 	}
@@ -269,7 +270,7 @@ func RunE11(files, rowsPerFile int) (E11Result, error) {
 	// One small source change.
 	bo := vector.NewBuilder(ordersSchema)
 	bo.Append(vector.IntValue(999999), vector.IntValue(1), vector.FloatValue(1))
-	if err := aws.Manager.Insert(ctx, "aws_dataset.customer_orders", bo.Build()); err != nil {
+	if err := aws.Manager.Insert(engine.NewContext(Admin, "change"), "aws_dataset.customer_orders", bo.Build()); err != nil {
 		return E11Result{}, err
 	}
 

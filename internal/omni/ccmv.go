@@ -2,12 +2,14 @@ package omni
 
 import (
 	"fmt"
+	"path"
+	"strings"
 	"sync"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
-	"biglake/internal/objstore"
 	"biglake/internal/resilience"
+	"biglake/internal/scan"
 	"biglake/internal/security"
 )
 
@@ -16,7 +18,10 @@ import (
 // incrementally replicated into the primary region by stateful
 // file-based copying. Each source data file is a replication unit —
 // when an upsert/delete rewrites a file, only that file's partition is
-// re-replicated, never the whole view.
+// re-replicated, never the whole view. The state of the replication is
+// the replica's own snapshot in the target region's log: replica file
+// <prefix>data/<refresh>/<flattened source key> holds a copy of that
+// source file.
 type CCMV struct {
 	Name         string
 	Source       string // managed table in a foreign region
@@ -28,11 +33,7 @@ type CCMV struct {
 	// RefreshInterval is advisory metadata for auto-refresh tooling.
 	RefreshInterval int64
 
-	mu          sync.Mutex
-	lastVersion int64
-	// replicated maps source object keys to the replica object keys
-	// holding their copies.
-	replicated map[string]string
+	mu sync.Mutex
 }
 
 // refreshRetryBudget bounds total retries within one CCMV refresh.
@@ -77,7 +78,7 @@ func (d *Deployment) CreateCCMV(name, sourceTable, targetRegion string) (*CCMV, 
 	if err := d.Catalog.CreateTable(catalog.Table{
 		Dataset: "_ccmv", Name: name, Type: catalog.Managed,
 		Schema: src.Schema, Cloud: target.Cloud, Bucket: target.Manager.DefaultBucket,
-		Prefix: "ccmv/" + name + "/", Connection: "omni-" + targetRegion,
+		Prefix: "ccmv/" + name + "/", Connection: target.DefaultConnection(),
 		CreatedAt: d.Clock.Now(),
 	}); err != nil {
 		return nil, err
@@ -88,14 +89,16 @@ func (d *Deployment) CreateCCMV(name, sourceTable, targetRegion string) (*CCMV, 
 		SourceRegion: srcRegionName,
 		TargetRegion: targetRegion,
 		Replica:      replica,
-		replicated:   make(map[string]string),
 	}, nil
 }
 
-// Refresh brings the replica up to date. In incremental mode only
-// files added or removed since the last refresh move across the VPN;
-// in full mode (the ablation baseline / "recreate everything"
-// traditional ETL) every current source file is re-copied.
+// Refresh brings the replica up to date as one commit in the target
+// region's log. In incremental mode only files added or removed since
+// the replica's snapshot move across the VPN; in full mode (the
+// ablation baseline / "recreate everything" traditional ETL) every
+// current source file is re-copied and every replica file retired.
+// Either the whole refresh seals or none of it does; retired replica
+// objects are reclaimed by the BLMT garbage collector after the seal.
 func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) {
 	mv.mu.Lock()
 	defer mv.mu.Unlock()
@@ -116,151 +119,102 @@ func (d *Deployment) Refresh(mv *CCMV, incremental bool) (RefreshReport, error) 
 	if err != nil {
 		return RefreshReport{}, err
 	}
-	srcCred, err := d.connCred(src.Connection, srcRegion)
+	srcPlanner := srcRegion.Engine.Planner()
+	srcStore, srcCred, err := srcPlanner.Resolve(src)
 	if err != nil {
 		return RefreshReport{}, err
 	}
-	dstCred, err := d.connCred(dst.Connection, dstRegion)
+	dstStore, dstCred, err := dstRegion.Engine.Planner().Resolve(dst)
+	if err != nil {
+		return RefreshReport{}, err
+	}
+	files, _, err := srcRegion.Log.Snapshot(mv.Source, -1)
+	if err != nil {
+		return RefreshReport{}, err
+	}
+	replicas, since, err := dstRegion.Log.Snapshot(mv.Replica, -1)
 	if err != nil {
 		return RefreshReport{}, err
 	}
 
-	files, version, err := srcRegion.Log.Snapshot(mv.Source, -1)
-	if err != nil {
-		return RefreshReport{}, err
+	// Which source files the replica holds is read off its snapshot.
+	held := make(map[string]bool, len(replicas))
+	read := make(map[string]bool, len(replicas))
+	for _, r := range replicas {
+		held[path.Base(r.Key)], read[r.Key] = true, true
+	}
+	current := make(map[string]bool, len(files))
+	var copies []bigmeta.FileEntry
+	for _, f := range files {
+		current[flattenKey(f.Key)] = true
+		if !incremental || !held[flattenKey(f.Key)] {
+			copies = append(copies, f)
+		}
+	}
+	var retired []string
+	for _, r := range replicas {
+		if !incremental || !current[path.Base(r.Key)] {
+			retired = append(retired, r.Key)
+		}
 	}
 	report := RefreshReport{Incremental: incremental}
-	if incremental && version == mv.lastVersion {
+	if len(copies) == 0 && len(retired) == 0 {
 		report.UpToDate = true
 		return report, nil
 	}
 
-	current := make(map[string]bigmeta.FileEntry, len(files))
-	for _, f := range files {
-		current[f.Key] = f
-	}
-
 	// Per-refresh retry budget: cross-cloud copies are long-haul and the
-	// most fault-exposed path in the system, so every Get/Put/Delete
-	// retries under the deployment policy, bounded per refresh.
+	// most fault-exposed path in the system, so every source read and
+	// the replica commit retry under the deployment policy, bounded per
+	// refresh.
 	bud := resilience.NewBudget(d.Clock, refreshRetryBudget, resilience.Seed64(mv.Name))
-	res := d.Res.Counting(d.Obs)
-
-	var delta bigmeta.TableDelta
-	copyFile := func(f bigmeta.FileEntry) error {
-		var data []byte
-		if err := res.Do(d.Clock, bud, "GET "+f.Bucket+"/"+f.Key, func() error {
-			var ge error
-			data, _, ge = srcRegion.Store.Get(srcCred, f.Bucket, f.Key)
-			return ge
-		}); err != nil {
-			return err
+	rd := srcPlanner.Reader
+	rd.Res = d.Res
+	source := &scan.Source{Table: src, Store: srcStore, Cred: srcCred, Budget: bud, Principal: string(ControlPrincipal)}
+	// The transaction is named after the replica snapshot it read, so a
+	// retry of a refresh that never sealed re-mints the same keys.
+	txID := fmt.Sprintf("ccmv-%s-v%d", mv.Name, since)
+	tx := bigmeta.Tx{
+		ID: txID, Principal: string(ControlPrincipal), Res: d.Res, Budget: bud,
+		Removed: map[string][]string{mv.Replica: retired},
+		Since:   since,
+		Check: bigmeta.Footprint{
+			Removed: map[string]map[string]bool{mv.Replica: bigmeta.KeySet(retired)},
+			Reads:   map[string]map[string]bool{mv.Replica: read},
+		}.Conflicts,
+	}
+	for _, f := range copies {
+		data, _, err := rd.Fetch(d.Clock, source, f)
+		if err != nil {
+			return RefreshReport{}, err
 		}
 		// Cross-cloud transfer over the VPN (Colossus-bound file copy
 		// in production; egress metered either way).
-		if err := d.VPN.Call(d.Clock, mv.SourceRegion, mv.TargetRegion, int64(len(data)), srcRegion.Store.Profile()); err != nil {
-			return err
+		if err := d.VPN.Call(d.Clock, mv.SourceRegion, mv.TargetRegion, int64(len(data)), srcStore.Profile()); err != nil {
+			return RefreshReport{}, err
 		}
-		replicaKey := dst.Prefix + "data/" + flattenKey(f.Key)
-		var info objstore.ObjectInfo
-		if err := res.Do(d.Clock, bud, "PUT "+dst.Bucket+"/"+replicaKey, func() error {
-			var pe error
-			info, pe = dstRegion.Store.Put(dstCred, dst.Bucket, replicaKey, data, "application/x-blk")
-			return pe
-		}); err != nil {
-			return err
-		}
-		delta.Added = append(delta.Added, bigmeta.FileEntry{
-			Bucket: dst.Bucket, Key: replicaKey, Size: info.Size,
-			RowCount: f.RowCount, ColumnStats: f.ColumnStats, Partition: f.Partition,
+		tx.Files = append(tx.Files, bigmeta.DataFile{
+			Table: mv.Replica, Store: dstStore, Cred: dstCred, Bucket: dst.Bucket,
+			Key:   dst.Prefix + "data/" + bigmeta.SanitizeKey(txID) + "/" + flattenKey(f.Key),
+			Bytes: data, Partition: f.Partition,
 		})
-		mv.replicated[f.Key] = replicaKey
-		report.FilesCopied++
 		report.BytesCopied += int64(len(data))
-		return nil
 	}
-
-	if incremental {
-		// Copy new source files.
-		for key, f := range current {
-			if _, ok := mv.replicated[key]; ok {
-				continue
-			}
-			if err := copyFile(f); err != nil {
-				return report, err
-			}
-		}
-		// Retire replicas of removed source files (the partition an
-		// upsert/delete rewrote).
-		for key, replicaKey := range mv.replicated {
-			if _, ok := current[key]; ok {
-				continue
-			}
-			delta.Removed = append(delta.Removed, replicaKey)
-			rk := replicaKey
-			if err := res.Do(d.Clock, bud, "DELETE "+dst.Bucket+"/"+rk, func() error {
-				return dstRegion.Store.Delete(dstCred, dst.Bucket, rk)
-			}); err != nil {
-				return report, err
-			}
-			delete(mv.replicated, key)
-			report.FilesDeleted++
-		}
-	} else {
-		// Full recreation: drop all replicas, recopy everything.
-		for key, replicaKey := range mv.replicated {
-			delta.Removed = append(delta.Removed, replicaKey)
-			rk := replicaKey
-			if err := res.Do(d.Clock, bud, "DELETE "+dst.Bucket+"/"+rk, func() error {
-				return dstRegion.Store.Delete(dstCred, dst.Bucket, rk)
-			}); err != nil {
-				return report, err
-			}
-			delete(mv.replicated, key)
-			report.FilesDeleted++
-		}
-		for _, f := range files {
-			if err := copyFile(f); err != nil {
-				return report, err
-			}
-		}
+	if _, err := dstRegion.Log.CommitFiles(tx); err != nil {
+		return RefreshReport{}, err
 	}
-
-	if len(delta.Added) > 0 || len(delta.Removed) > 0 {
-		if _, err := dstRegion.Log.Commit(string(ControlPrincipal), map[string]bigmeta.TableDelta{
-			mv.Replica: delta,
-		}); err != nil {
-			return report, err
-		}
-	}
-	mv.lastVersion = version
+	report.FilesCopied, report.FilesDeleted = len(copies), len(retired)
 	d.Obs.Add("omni.ccmv_refreshes", 1)
 	d.Obs.Add("omni.ccmv_bytes_copied", report.BytesCopied)
+	if _, err := dstRegion.Manager.GarbageCollect(mv.Replica, 0); err != nil {
+		return report, err
+	}
 	return report, nil
-}
-
-func (d *Deployment) connCred(connection string, r *Region) (objstore.Credential, error) {
-	if connection == "" {
-		return r.Engine.ManagedCred, nil
-	}
-	conn, err := d.Auth.Connection(connection)
-	if err != nil {
-		return objstore.Credential{}, err
-	}
-	return conn.ServiceAccount, nil
 }
 
 // flattenKey turns a source object key into one path component of the
 // replica's key.
-func flattenKey(key string) string {
-	out := []byte(key)
-	for i, c := range out {
-		if c == '/' {
-			out[i] = '_'
-		}
-	}
-	return string(out)
-}
+func flattenKey(key string) string { return strings.ReplaceAll(key, "/", "_") }
 
 // GrantReplicaAccess grants a principal read access to the CCMV
 // replica.

@@ -2,6 +2,7 @@ package omni
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -73,14 +74,14 @@ func (ev *env) seedTables(t *testing.T, adsRows, orderRows int) {
 	if err := d.Catalog.CreateTable(catalog.Table{
 		Dataset: "local_dataset", Name: "ads_impressions", Type: catalog.Managed,
 		Schema: adsSchema(), Cloud: "gcp", Bucket: ev.gcp.Manager.DefaultBucket,
-		Prefix: "blmt/ads/", Connection: "omni-gcp-us",
+		Prefix: "blmt/ads/", Connection: ev.gcp.DefaultConnection(),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Catalog.CreateTable(catalog.Table{
 		Dataset: "aws_dataset", Name: "customer_orders", Type: catalog.Managed,
 		Schema: ordersSchema(), Cloud: "aws", Bucket: ev.aws.Manager.DefaultBucket,
-		Prefix: "blmt/orders/", Connection: "omni-aws-us-east-1",
+		Prefix: "blmt/orders/", Connection: ev.aws.DefaultConnection(),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestUntrustedProxyRejectsTamperedToken(t *testing.T) {
 	ev := newEnv(t)
 	ev.seedTables(t, 5, 5)
 	proxy := ev.dep.Proxy()
-	svc := security.Principal("svc-aws-us-east-1@omni")
+	svc := security.Principal(ev.aws.ServiceAccount().Principal)
 	tok := ev.dep.Auth.MintToken("q1", analystP, "aws-us-east-1",
 		[]string{"aws_dataset.customer_orders"}, ev.clock.Now()+time.Minute)
 
@@ -229,8 +230,8 @@ func TestSecurityRealmsIsolateRegions(t *testing.T) {
 	ev := newEnv(t)
 	ev.seedTables(t, 1, 1)
 	proxy := ev.dep.Proxy()
-	awsSvc := security.Principal("svc-aws-us-east-1@omni")
-	gcpSvc := security.Principal("svc-gcp-us@omni")
+	awsSvc := security.Principal(ev.aws.ServiceAccount().Principal)
+	gcpSvc := security.Principal(ev.gcp.ServiceAccount().Principal)
 	tok := ev.dep.Auth.MintToken("q", analystP, "gcp-us",
 		[]string{"local_dataset.ads_impressions"}, ev.clock.Now()+time.Minute)
 	if err := proxy.Authorize(tok, "gcp-us", gcpSvc, "local_dataset.ads_impressions"); err != nil {
@@ -247,7 +248,7 @@ func TestSecurityRealmsIsolateRegions(t *testing.T) {
 
 func TestVPNAllowList(t *testing.T) {
 	clock := sim.NewClock()
-	vpn := NewVPN(clock)
+	vpn := NewVPN(obs.NewRegistry())
 	vpn.Admit("gcp-us")
 	if err := vpn.Call(clock, "gcp-us", "gcp-us", 10, sim.GCP); err != nil {
 		t.Fatal(err)
@@ -259,9 +260,8 @@ func TestVPNAllowList(t *testing.T) {
 
 func TestVPNEgressMetering(t *testing.T) {
 	clock := sim.NewClock()
-	vpn := NewVPN(clock)
 	reg := obs.NewRegistry()
-	vpn.UseObs(reg)
+	vpn := NewVPN(reg)
 	vpn.Admit("a")
 	vpn.Admit("b")
 	vpn.Call(clock, "a", "b", 5000, sim.AWS)
@@ -280,7 +280,7 @@ func TestScopedCredentialLimitsBlastRadius(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, _ := ev.dep.Auth.Connection("omni-aws-us-east-1")
+	conn, _ := ev.dep.Auth.Connection(ev.aws.DefaultConnection())
 	scoped, err := conn.ServiceAccount.WithScope(scope...)
 	if err != nil {
 		t.Fatal(err)
@@ -357,9 +357,9 @@ func TestCCMVIncrementalBeatsFullOnEgress(t *testing.T) {
 	// file; full recreation recopies everything.
 	ev := newEnv(t)
 	ev.seedTables(t, 5, 50)
-	ctx := engine.NewContext(adminP, "seed2")
 	// Several more source commits -> several files.
 	for i := 0; i < 4; i++ {
+		ctx := engine.NewContext(adminP, fmt.Sprintf("seed2-%d", i))
 		bo := vector.NewBuilder(ordersSchema())
 		for j := 0; j < 50; j++ {
 			bo.Append(vector.IntValue(int64(1000+i*50+j)), vector.IntValue(int64(j%50)), vector.FloatValue(1))
@@ -379,7 +379,7 @@ func TestCCMVIncrementalBeatsFullOnEgress(t *testing.T) {
 	// One more small source insert.
 	bo := vector.NewBuilder(ordersSchema())
 	bo.Append(vector.IntValue(9999), vector.IntValue(1), vector.FloatValue(1))
-	if err := ev.aws.Manager.Insert(ctx, "aws_dataset.customer_orders", bo.Build()); err != nil {
+	if err := ev.aws.Manager.Insert(engine.NewContext(adminP, "seed3"), "aws_dataset.customer_orders", bo.Build()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -403,7 +403,7 @@ func TestCCMVIncrementalBeatsFullOnEgress(t *testing.T) {
 func TestCCMVDeleteRecreatesOnlyAffectedPartition(t *testing.T) {
 	ev := newEnv(t)
 	ev.seedTables(t, 5, 50)
-	ctx := engine.NewContext(adminP, "seed")
+	ctx := engine.NewContext(adminP, "seed2")
 	// Second file.
 	bo := vector.NewBuilder(ordersSchema())
 	for j := 0; j < 50; j++ {

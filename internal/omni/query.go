@@ -89,6 +89,10 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 	}
 	proxy := d.Proxy()
 	for region := range regions {
+		r, err := d.Region(region)
+		if err != nil {
+			return nil, err
+		}
 		var regionTables []string
 		for _, t := range tables {
 			if regionOf[t] == region {
@@ -96,7 +100,7 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 			}
 		}
 		tok := d.Auth.MintToken(queryID, principal, region, regionTables, d.Clock.Now()+TokenTTL)
-		svc := security.Principal(fmt.Sprintf("svc-%s@omni", region))
+		svc := security.Principal(r.ServiceAccount().Principal)
 		for _, t := range regionTables {
 			if err := proxy.Authorize(tok, region, svc, t); err != nil {
 				return nil, err
@@ -218,7 +222,8 @@ func (d *Deployment) nextSeq() int {
 }
 
 // createTempTable materializes a batch as a Native temp table in the
-// home region and grants the querying principal read access.
+// home region — one commit through the region log's commit protocol —
+// and grants the querying principal read access.
 func (d *Deployment) createTempTable(home *Region, principal security.Principal, rows *vector.Batch) (string, error) {
 	if _, err := d.Catalog.Dataset("_omni_tmp"); err != nil {
 		if err := d.Catalog.CreateDataset(catalog.Dataset{Name: "_omni_tmp", Region: home.Name, Cloud: home.Cloud}); err != nil {
@@ -227,13 +232,6 @@ func (d *Deployment) createTempTable(home *Region, principal security.Principal,
 	}
 	name := fmt.Sprintf("_omni_tmp.t%d", d.nextSeq())
 	bucket := home.Manager.DefaultBucket
-	entry, err := bigmeta.PutDataFile(home.Engine.Res.Counting(d.Obs), d.Clock, nil, bigmeta.DataFile{
-		Store: home.Store, Cred: home.Engine.ManagedCred, Bucket: bucket,
-		Key: fmt.Sprintf("tmp/%s.blk", name), Batch: rows,
-	})
-	if err != nil {
-		return "", err
-	}
 	if err := d.Catalog.CreateTable(catalog.Table{
 		Dataset: "_omni_tmp", Name: name[len("_omni_tmp."):], Type: catalog.Native,
 		Schema: rows.Schema, Cloud: home.Cloud, Bucket: bucket,
@@ -241,8 +239,12 @@ func (d *Deployment) createTempTable(home *Region, principal security.Principal,
 	}); err != nil {
 		return "", err
 	}
-	if _, err := home.Log.Commit(string(ControlPrincipal), map[string]bigmeta.TableDelta{
-		name: {Added: []bigmeta.FileEntry{entry}},
+	if _, err := home.Log.CommitFiles(bigmeta.Tx{
+		ID: name, Principal: string(ControlPrincipal), Res: home.Engine.Res,
+		Files: []bigmeta.DataFile{{
+			Table: name, Store: home.Store, Cred: home.ServiceAccount(), Bucket: bucket,
+			Key: fmt.Sprintf("tmp/%s.blk", name), Batch: rows,
+		}},
 	}); err != nil {
 		return "", err
 	}

@@ -182,7 +182,7 @@ func newCrashWorld() (*crashWorld, error) {
 	}
 	if err := w.Catalog.CreateTable(catalog.Table{
 		Dataset: "ds", Name: "events", Type: catalog.Managed, Schema: crashSchema(),
-		Cloud: "gcp", Bucket: diffBucket, Prefix: crashPrefix, Connection: diffConn,
+		Cloud: "gcp", Bucket: diffBucket, Prefix: crashPrefix, Connection: w.DefaultConnection(),
 	}); err != nil {
 		return nil, err
 	}

@@ -40,7 +40,6 @@ import (
 
 const (
 	diffBucket = "lake"
-	diffConn   = "default" // core.New registers it
 	diffAdmin  = security.Principal("admin@corp")
 	// diffAnalyst reads every table under the trial's generated
 	// policies: a row policy, a masked and perhaps a denied column each.
@@ -242,7 +241,7 @@ func (h *harness) install(tables []*GenTable) error {
 			if err := h.w.Catalog.CreateTable(catalog.Table{
 				Dataset: "ds", Name: short, Type: catalog.Managed, Schema: t.Schema,
 				Cloud: "gcp", Bucket: diffBucket, Prefix: "blmt/ds/" + short + "/",
-				Connection: diffConn,
+				Connection: h.w.DefaultConnection(),
 			}); err != nil {
 				return err
 			}
@@ -303,7 +302,7 @@ func (h *harness) install(tables []*GenTable) error {
 		}
 		if err := h.w.Catalog.CreateTable(catalog.Table{
 			Dataset: "ds", Name: short, Type: catalog.BigLake, Schema: t.Schema,
-			Cloud: "gcp", Bucket: diffBucket, Prefix: short + "/", Connection: diffConn,
+			Cloud: "gcp", Bucket: diffBucket, Prefix: short + "/", Connection: h.w.DefaultConnection(),
 			PartitionColumn: t.PartitionCol, MetadataCaching: true,
 		}); err != nil {
 			return err

@@ -241,7 +241,7 @@ func newTxnWorld() (*txnWorld, error) {
 	for _, table := range txnTables {
 		if err := w.Catalog.CreateTable(catalog.Table{
 			Dataset: "ds", Name: table[len("ds."):], Type: catalog.Managed, Schema: txnSchema(),
-			Cloud: "gcp", Bucket: diffBucket, Prefix: txnPrefix(table), Connection: diffConn,
+			Cloud: "gcp", Bucket: diffBucket, Prefix: txnPrefix(table), Connection: w.DefaultConnection(),
 		}); err != nil {
 			return nil, err
 		}

@@ -24,7 +24,7 @@ func newEnv(t *testing.T) (*Env, *engine.Engine) {
 	}
 	return &Env{
 		Catalog: lh.Catalog, Auth: lh.Auth, Store: lh.Store, Log: lh.Log, Clock: lh.Clock,
-		Cred: lh.ServiceAccount(), Connection: "default", Bucket: "bench", Cloud: lh.Cloud(),
+		Cred: lh.ServiceAccount(), Connection: lh.DefaultConnection(), Bucket: "bench", Cloud: lh.Cloud(),
 		Dataset: "bench", Admin: adminP,
 	}, lh.Engine
 }

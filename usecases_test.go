@@ -105,7 +105,7 @@ func TestUseCaseCrossCloudAnalysis(t *testing.T) {
 		if err := dep.Catalog.CreateTable(catalog.Table{
 			Dataset: r.dataset, Name: "t", Type: catalog.Managed, Schema: schema,
 			Cloud: r.region.Cloud, Bucket: r.region.Manager.DefaultBucket,
-			Prefix: "blmt/t/", Connection: "omni-" + r.region.Name,
+			Prefix: "blmt/t/", Connection: r.region.DefaultConnection(),
 		}); err != nil {
 			t.Fatal(err)
 		}
