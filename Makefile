@@ -175,7 +175,11 @@ gatecheck:
 # column codec and the Read API's masking and partial aggregates against
 # their byte-reader / boxed references with per-column (never per-value)
 # alloc budgets, a governed ReadRows that allocates the same at 1k and
-# 8k rows, and the E20 experiment smoke: the star join's heap
+# 8k rows, a point lookup over a cache-resident sorted column that finds
+# its row by binary search (a handful of allocator elements, not a mask
+# the width of the file) and windowed results that outlive their arena
+# and their scan-cache entry under the race detector, and the E20
+# experiment smoke: the star join's heap
 # allocs/bytes/GC per query under committed budgets, mixed-traffic QPS,
 # variance cells.
 # BENCH_E15.json / BENCH_E20.json are the committed full-scale
@@ -190,6 +194,8 @@ gclean:
 	$(GO) test -run 'TestGCLeanSmallJoinAllocs' ./internal/engine/
 	$(GO) test -run 'TestWire|TestMaskKernel|TestAggregateKernel|TestDecodedStringsShareOneBuffer' ./internal/vector/
 	$(GO) test -run 'TestGCLeanReadRowsAllocs' ./internal/storageapi/
+	$(GO) test -run 'TestGCLeanSortedPointLookup' ./internal/scan/
+	$(GO) test -race -run 'TestWindowOutlivesArenaAndCache' ./internal/scan/
 	$(GO) test -race ./internal/arena/
 	$(GO) test -race -run 'TestCursorSurvivesArenaRecycle' ./internal/serve/
 	$(GO) test -run 'TestE20' -v ./internal/exp/

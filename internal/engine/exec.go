@@ -106,7 +106,7 @@ func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vecto
 	}
 	if sel.Limit >= 0 && int64(out.N) > sel.Limit {
 		// Column prefix slice: LIMIT costs O(columns), not O(N).
-		out = vector.HeadBatch(out, int(sel.Limit))
+		out = vector.SliceBatch(out, 0, int(sel.Limit))
 	}
 	return out, nil
 }

@@ -39,7 +39,7 @@ func TestArenaResultOutlivesRecycle(t *testing.T) {
 }
 
 // TestArenaLimitResultOutlivesRecycle is the same property for LIMIT
-// without ORDER BY: the result is a prefix slice (vector.Head) of
+// without ORDER BY: the result is a prefix slice (vector.Slice) of
 // arena-backed scan/filter output, so it must carry the Pooled mark
 // across the slice or the copy-out at the Execute boundary skips it
 // and the next statement overwrites the rows a client is holding.

@@ -45,7 +45,7 @@ const (
 )
 
 // TestArenaJoinPassThroughOutlivesRecycle is the lifetime test for the
-// join's new aliasing (the vector.Head-dropped-Pooled bug class): when
+// join's new aliasing (the dropped-Pooled-on-a-slice bug class): when
 // every fact row matches, the join output's left columns ARE the scan's
 // columns. Cache-resident ones reach the client uncopied; arena-backed
 // ones (a multi-file merge, a selective filter) must still carry Pooled

@@ -16,8 +16,12 @@ type GenTable struct {
 	Full         string // "ds.t0"
 	Managed      bool
 	PartitionCol string // "" for managed tables
-	Schema       vector.Schema
-	Rows         [][]vector.Value
+	// KeyCol is a null-free INT64 key whose initial rows ascend, mostly
+	// unique, so files store it Plain and a cached scan finds its
+	// predicates' rows by binary search ("" for CTAS and star tables).
+	KeyCol string
+	Schema vector.Schema
+	Rows   [][]vector.Value
 }
 
 // GenQuery is one generated SELECT plus the comparison contract it
@@ -48,7 +52,8 @@ var partitionPool = []string{"pa", "pb", "pc", "pd"}
 
 // Tables generates the trial's world: two partitioned BigLake tables
 // and one managed (DML-able) table, with globally unique bare column
-// names so unqualified references never become ambiguous.
+// names so unqualified references never become ambiguous. Each ends
+// with its ascending key id<i>.
 func (g *Gen) Tables() []*GenTable {
 	var out []*GenTable
 	for i := 0; i < 2; i++ {
@@ -60,14 +65,17 @@ func (g *Gen) Tables() []*GenTable {
 			vector.Field{Name: fmt.Sprintf("s%d", i), Type: vector.String},
 			vector.Field{Name: fmt.Sprintf("b%d", i), Type: vector.Bool},
 			vector.Field{Name: fmt.Sprintf("ts%d", i), Type: vector.Timestamp},
+			vector.Field{Name: fmt.Sprintf("id%d", i), Type: vector.Int64},
 		)
 		t := &GenTable{
 			Full:         fmt.Sprintf("ds.t%d", i),
 			PartitionCol: fmt.Sprintf("p%d", i),
+			KeyCol:       fmt.Sprintf("id%d", i),
 			Schema:       schema,
 		}
 		nparts := 2 + g.intn(3)
 		rows := 30 + g.intn(50)
+		id := int64(g.intn(5))
 		for r := 0; r < rows; r++ {
 			t.Rows = append(t.Rows, []vector.Value{
 				vector.StringValue(partitionPool[g.intn(nparts)]),
@@ -77,22 +85,27 @@ func (g *Gen) Tables() []*GenTable {
 				g.maybeNull(0.10, vector.StringValue(stringPool[g.intn(len(stringPool))])),
 				g.maybeNull(0.10, vector.BoolValue(g.chance(0.5))),
 				g.maybeNull(0.10, vector.TimestampValue(int64(20240100+g.intn(100)))),
+				vector.IntValue(id),
 			})
+			id += nextKey(g)
 		}
 		out = append(out, t)
 	}
 	m := &GenTable{
 		Full:    "ds.m2",
 		Managed: true,
+		KeyCol:  "id2",
 		Schema: vector.NewSchema(
 			vector.Field{Name: "k2", Type: vector.Int64},
 			vector.Field{Name: "v2", Type: vector.Int64},
 			vector.Field{Name: "f2", Type: vector.Float64},
 			vector.Field{Name: "s2", Type: vector.String},
 			vector.Field{Name: "b2", Type: vector.Bool},
+			vector.Field{Name: "id2", Type: vector.Int64},
 		),
 	}
 	rows := 25 + g.intn(40)
+	id := int64(g.intn(5))
 	for r := 0; r < rows; r++ {
 		m.Rows = append(m.Rows, []vector.Value{
 			vector.IntValue(int64(g.intn(10))),
@@ -100,10 +113,21 @@ func (g *Gen) Tables() []*GenTable {
 			g.maybeNull(0.10, g.dyadic()),
 			g.maybeNull(0.10, vector.StringValue(stringPool[g.intn(len(stringPool))])),
 			g.maybeNull(0.10, vector.BoolValue(g.chance(0.5))),
+			vector.IntValue(id),
 		})
+		id += nextKey(g)
 	}
 	out = append(out, m)
 	return out
+}
+
+// nextKey is the step from one row's ascending key to the next: one,
+// or zero one time in ten, so a few keys repeat.
+func nextKey(g *Gen) int64 {
+	if g.chance(0.1) {
+		return 0
+	}
+	return 1
 }
 
 // dyadic returns a non-negative float that is exactly representable
@@ -207,6 +231,20 @@ func (g *Gen) predicate(scope []scopeCol, depth int) string {
 }
 
 func (g *Gen) leaf(scope []scopeCol) string {
+	// The ascending key gets extra weight, as an equality, a range or a
+	// BETWEEN, so a cached scan's binary search fires.
+	for _, sc := range scope {
+		if sc.name == sc.t.KeyCol && g.chance(0.2) {
+			switch g.pick(3) {
+			case 0:
+				return sc.ref(g) + " = " + g.litFor(sc)
+			case 1:
+				return sc.ref(g) + " " + numOps[2+g.intn(4)] + " " + g.litFor(sc)
+			default:
+				return sc.ref(g) + " BETWEEN " + g.litFor(sc) + " AND " + g.litFor(sc)
+			}
+		}
+	}
 	c := scope[g.intn(len(scope))]
 	// Partition columns get extra weight so partition pruning fires.
 	for _, sc := range scope {
@@ -732,6 +770,9 @@ func (g *Gen) Policies(tables []*GenTable) []GenPolicy {
 	var out []GenPolicy
 	for _, t := range tables {
 		ints := colsOfType(t, vector.Int64)
+		if t.KeyCol != "" {
+			ints = ints[:len(ints)-1] // the key is the last; statements often select it
+		}
 		pol := GenPolicy{Table: t.Full, Filter: []colfmt.Predicate{{
 			Column: ints[len(ints)-1], Op: vector.LT, Value: vector.IntValue(int64(15 + g.intn(30))),
 		}}}

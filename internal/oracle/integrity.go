@@ -319,8 +319,13 @@ func RunIntegritySweep(opts IntegrityOptions) (IntegrityReport, error) {
 	}
 
 	// Stored-damage leg: corrupt the managed table's files at rest and
-	// drive detect -> quarantine -> skip -> repair -> verify.
+	// drive detect -> quarantine -> skip -> repair -> verify. The post
+	// phase's chaos may have quarantined a clean file too: lift it, so
+	// the leg detects every damaged file itself.
 	w.Store.ClearFaults()
+	if err := lift(); err != nil {
+		return rep, err
+	}
 	if err := runStoredDamage(h, managed, &rep); err != nil {
 		return rep, err
 	}
@@ -458,6 +463,11 @@ func runStoredDamage(h *harness, managed *GenTable, rep *IntegrityReport) error 
 	rep.StoredQuarantine = len(w.Log.Quarantined(managed.Full))
 	if got := w.Log.Version() - version; got != int64(rep.StoredQuarantine) {
 		return fmt.Errorf("%d commits over damaged files, want only the %d quarantine marks", got, rep.StoredQuarantine)
+	}
+	for _, f := range files[:damage] {
+		if _, ok := w.Log.IsQuarantined(managed.Full, f.Key); !ok {
+			return fmt.Errorf("damaged file %s is not quarantined", f.Key)
+		}
 	}
 
 	// 2. Degraded read under the explicit opt-in: skip-and-warn, never

@@ -113,8 +113,12 @@ func (r *Reader) load(ch sim.Charger, src *Source, f bigmeta.FileEntry, cols Col
 		return nil, false, annotate(src, f, &integrity.Error{Source: "colfmt.footer",
 			Detail: fmt.Sprintf("row groups hold %d rows, footer says %d", b.N, layout.Rows)})
 	}
+	// Sortedness is a fact about resident data: recorded once here, as
+	// the freshly decoded columns become resident, and read by Select.
 	for i, j := range at {
-		got[j] = b.Cols[i]
+		c := b.Cols[i]
+		c.Sorted = vector.Ascending(c)
+		got[j] = c
 	}
 	return r.Cache.add(key, fs, int(layout.Rows), fw, got), false, nil
 }
@@ -160,16 +164,32 @@ func FilePredicates(file vector.Schema, preds []colfmt.Predicate) []colfmt.Predi
 // Select turns a file's resident columns cols — decoded, unfiltered —
 // into what the direct decode produces, short of the copy: the batch
 // with the wanted partition columns injected, and the rows of it the
-// file-level predicates select. The caller's merge applies the
-// selection. schema is the table's.
+// file-level predicates select. A predicate with an integer literal on
+// a Sorted column narrows the selection's window by binary search; the
+// others are evaluated inside the window only. The caller's merge
+// applies the selection. schema is the table's.
 func Select(al vector.Alloc, b *vector.Batch, cols Columns, preds []colfmt.Predicate, partition map[string]string, schema vector.Schema) (vector.Selection, error) {
 	if err := cols.covers(schema, preds); err != nil {
 		return vector.Selection{}, err
 	}
+	lo, hi := 0, b.N
+	var rest []colfmt.Predicate
+	for _, p := range preds {
+		c := b.Column(p.Column)
+		if c == nil {
+			continue // not stored: consumed by pruning (FilePredicates)
+		}
+		if l, h, ok := vector.SortedWindow(c, p.Op, p.Value); ok {
+			lo, hi = max(lo, l), min(hi, h)
+		} else {
+			rest = append(rest, p)
+		}
+	}
+	hi = max(lo, hi) // disjoint windows select nothing
 	var mask []bool
-	if preds = FilePredicates(b.Schema, preds); len(preds) > 0 {
+	if len(rest) > 0 && lo < hi {
 		var err error
-		if mask, err = colfmt.EvalPredicatesWith(al, b, preds); err != nil {
+		if mask, err = colfmt.EvalPredicatesWith(al, vector.SliceBatch(b, lo, hi), rest); err != nil {
 			return vector.Selection{}, err
 		}
 	}
@@ -177,7 +197,7 @@ func Select(al vector.Alloc, b *vector.Batch, cols Columns, preds []colfmt.Predi
 	if err != nil {
 		return vector.Selection{}, err
 	}
-	return vector.Select(b, mask)
+	return vector.SelectWindow(b, lo, hi, mask)
 }
 
 // InjectPartitionColumns adds hive partition values as columns when

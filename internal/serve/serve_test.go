@@ -496,7 +496,7 @@ func TestClosedSessionRejectsWork(t *testing.T) {
 // pages pulled from an open cursor must keep their values while other
 // queries on the same engine recycle the query arena; without the
 // Detach at cursor construction this reads recycled slabs. The LIMIT
-// case is a prefix slice of arena-backed filter output (vector.Head),
+// case is a prefix slice of arena-backed filter output (vector.Slice),
 // which must carry the Pooled mark for that Detach to copy it.
 func TestCursorSurvivesArenaRecycle(t *testing.T) {
 	for _, tc := range []struct {

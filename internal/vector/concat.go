@@ -2,32 +2,48 @@ package vector
 
 import "fmt"
 
-// Selection is a batch together with the rows of it a mask selects —
-// one file's contribution to a scan before anything is copied.
+// Selection is a batch together with the rows of it a window and a
+// mask select — one file's contribution to a scan before anything is
+// copied. The window lets a cached scan hand on a resident batch as it
+// is, with the rows a sorted column's binary search found.
 type Selection struct {
 	Batch *Batch
-	Mask  []bool // nil: every row
-	N     int    // number of selected rows
+	// Lo and Hi bound the window of Batch's rows the selection ranges
+	// over, [Lo, Hi).
+	Lo, Hi int
+	Mask   []bool // over the window's rows; nil: every one of them
+	N      int    // number of selected rows; 0 selects nothing
 }
 
 // Select pairs b with mask (nil selects every row), counting the
 // selection once; a mask that selects every row is dropped.
 func Select(b *Batch, mask []bool) (Selection, error) {
-	if mask == nil {
-		return Selection{Batch: b, N: b.N}, nil
-	}
-	if len(mask) != b.N {
-		return Selection{}, fmt.Errorf("vector: mask length %d != batch %d", len(mask), b.N)
-	}
-	n := CountMask(mask)
-	if n == b.N {
-		mask = nil
-	}
-	return Selection{Batch: b, Mask: mask, N: n}, nil
+	return SelectWindow(b, 0, b.N, mask)
 }
 
-// FilterConcatWith filters each part by its mask and concatenates the
-// survivors, in order, in one sized pass — the multi-file scan merge.
+// SelectWindow is Select over the rows [lo, hi) of b: mask, when
+// given, covers those rows only.
+func SelectWindow(b *Batch, lo, hi int, mask []bool) (Selection, error) {
+	if lo < 0 || lo > hi || hi > b.N {
+		return Selection{}, fmt.Errorf("vector: window [%d, %d) of a %d-row batch", lo, hi, b.N)
+	}
+	if mask != nil && len(mask) != hi-lo {
+		return Selection{}, fmt.Errorf("vector: mask length %d != window %d", len(mask), hi-lo)
+	}
+	n := hi - lo
+	if mask != nil {
+		if n = CountMask(mask); n == hi-lo {
+			mask = nil
+		}
+	}
+	return Selection{Batch: b, Lo: lo, Hi: hi, Mask: mask, N: n}, nil
+}
+
+// FilterConcatWith filters each part by its window and mask and
+// concatenates the survivors, in order, in one sized pass — the
+// multi-file scan merge. A windowed part is sliced to its window
+// (Slice), so neither a mask nor a count is built for the rows outside
+// it.
 // Each output array is allocated once from m's allocator and every
 // surviving value is gathered straight into it, expanding Dict codes
 // and RLE runs on the way: neither a per-part filtered copy nor a
@@ -37,9 +53,9 @@ func Select(b *Batch, mask []bool) (Selection, error) {
 // boundary.
 //
 // Parts without a batch are skipped. Returns (nil, nil) when no parts
-// remain. When only one part has survivors the result is FilterWith of
-// that part — the part itself if every row survived, so like any filter
-// result it must be treated as immutable.
+// remain. When only one part has survivors its rows are gathered — the
+// part itself if every row survived, so like any filter result it must
+// be treated as immutable.
 func FilterConcatWith(m Mem, parts []Selection) (*Batch, error) {
 	live := make([]Selection, 0, len(parts))
 	var schema Schema
@@ -54,6 +70,9 @@ func FilterConcatWith(m Mem, parts []Selection) (*Batch, error) {
 		} else if !p.Batch.Schema.Equal(schema) {
 			return nil, fmt.Errorf("vector: concat schema mismatch %v vs %v", schema, p.Batch.Schema)
 		}
+		if p.N > p.Hi-p.Lo {
+			return nil, fmt.Errorf("vector: %d rows selected from a window of %d", p.N, p.Hi-p.Lo)
+		}
 		if p.N > 0 {
 			live = append(live, p)
 			total += p.N
@@ -65,7 +84,12 @@ func FilterConcatWith(m Mem, parts []Selection) (*Batch, error) {
 	case len(live) == 0:
 		return EmptyBatch(schema), nil
 	case len(live) == 1:
-		return filterCounted(m, live[0].Batch, live[0].Mask, live[0].N), nil
+		return filterCounted(m, live[0]), nil
+	}
+	for i, p := range live {
+		if p.Hi-p.Lo < p.Batch.N {
+			live[i] = Selection{Batch: SliceBatch(p.Batch, p.Lo, p.Hi), Hi: p.Hi - p.Lo, Mask: p.Mask, N: p.N}
+		}
 	}
 	al := m.Allocator()
 	cols := make([]*Column, len(schema.Fields))
@@ -109,7 +133,7 @@ func FilterConcatWith(m Mem, parts []Selection) (*Batch, error) {
 func Concat(batches []*Batch) (*Batch, error) {
 	parts := make([]Selection, len(batches))
 	for i, b := range batches {
-		parts[i] = Selection{Batch: b, N: b.N}
+		parts[i] = Selection{Batch: b, Hi: b.N, N: b.N}
 	}
 	return FilterConcatWith(Mem{}, parts)
 }

@@ -408,13 +408,13 @@ func valuesBitEqual(a, b []Value) bool {
 func TestHeadAndGatherNull(t *testing.T) {
 	base := intCol([]int64{10, 20, 30, 40, 50}, 2)
 	for _, c := range []*Column{base, DictEncode(base.Decode()), RLEncode(base.Decode())} {
-		h := Head(c, 3)
+		h := Slice(c, 0, 3)
 		if h.Len != 3 {
 			t.Fatalf("Head len %d", h.Len)
 		}
 		for i := 0; i < 3; i++ {
 			if !h.Value(i).Equal(c.Value(i)) {
-				t.Fatalf("Head(%v) row %d: %v != %v", c.Enc, i, h.Value(i), c.Value(i))
+				t.Fatalf("Slice(%v) row %d: %v != %v", c.Enc, i, h.Value(i), c.Value(i))
 			}
 		}
 		g := GatherNullWith(Mem{}, c, []int32{4, -1, 2, 0})
@@ -599,7 +599,7 @@ func TestDictKeyDuplicateEntries(t *testing.T) {
 			t.Fatalf("%v dictionary of %d entries over %d rows grouped by %v, want dict", c.Type, d, c.Len, g.Strategy)
 		}
 		for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
-			checkJoinAllWorkers(t, batchOf(c), batchOf(Head(c, d+2)), []int{0}, []int{0}, kind)
+			checkJoinAllWorkers(t, batchOf(c), batchOf(Slice(c, 0, d+2)), []int{0}, []int{0}, kind)
 		}
 	}
 }

@@ -353,27 +353,37 @@ func FilterWith(m Mem, b *Batch, mask []bool) (*Batch, error) {
 	if len(mask) != b.N {
 		return nil, fmt.Errorf("vector: mask length %d != batch %d", len(mask), b.N)
 	}
-	return filterCounted(m, b, mask, CountMask(mask)), nil
+	return filterCounted(m, Selection{Batch: b, Hi: b.N, Mask: mask, N: CountMask(mask)}), nil
 }
 
-// filterCounted is FilterWith for a mask already known to select n
-// rows. Counting first sizes the index scratch to the selection, not
-// the batch: selective filters (point lookups) would otherwise pay a
-// full-width zeroing pass for a handful of surviving rows.
-func filterCounted(m Mem, b *Batch, mask []bool, n int) *Batch {
-	switch n {
+// filterCounted gathers the rows a counted selection selects. Knowing
+// the count first sizes the index scratch to the selection, not the
+// batch: selective filters (point lookups) would otherwise pay a
+// full-width zeroing pass for a handful of surviving rows. A window
+// without a mask needs no pass over anything.
+func filterCounted(m Mem, s Selection) *Batch {
+	b := s.Batch
+	switch s.N {
 	case b.N:
 		return b
 	case 0:
 		return EmptyBatch(b.Schema)
 	}
-	// Stopping at the n-th hit spares a point lookup, on average, half
-	// of this second pass over the mask.
-	idx := m.Allocator().Ints(n)[:0]
-	for i, mv := range mask {
-		if mv {
-			if idx = append(idx, i); len(idx) == n {
-				break
+	lo := s.Lo
+	idx := m.Allocator().Ints(s.N)
+	if s.Mask == nil {
+		for i := range idx {
+			idx[i] = lo + i
+		}
+	} else {
+		// Stopping at the n-th hit spares a point lookup, on average,
+		// half of this second pass over the mask.
+		idx = idx[:0]
+		for i, mv := range s.Mask {
+			if mv {
+				if idx = append(idx, lo+i); len(idx) == s.N {
+					break
+				}
 			}
 		}
 	}
@@ -381,7 +391,7 @@ func filterCounted(m Mem, b *Batch, mask []bool, n int) *Batch {
 	for i, c := range b.Cols {
 		cols[i] = GatherWith(m, c, idx)
 	}
-	return &Batch{Schema: b.Schema, Cols: cols, N: n}
+	return &Batch{Schema: b.Schema, Cols: cols, N: s.N}
 }
 
 // Gather materializes the rows at idx into a new plain column.

@@ -1,66 +1,123 @@
 package vector
 
 // This file holds zero-copy / typed materialization helpers used by
-// the execution engine: LIMIT as a column prefix slice instead of a
-// full gather, and a gather that treats negative indices as NULL so a
-// join's matched and null-extended rows materialize in one pass per
-// column.
+// the execution engine: a row window as a column slice instead of a
+// gather (LIMIT, the scan merge of a windowed selection), the binary
+// search that finds a sorted column's window, and a gather that treats
+// negative indices as NULL so a join's matched and null-extended rows
+// materialize in one pass per column.
 
-// Head returns the first n rows of a column. Plain and Dict columns
-// share the underlying arrays (zero copy); RLE trims runs and shares
-// the value arrays. Because the output aliases c, it inherits
-// c.Pooled so the copy-out boundaries detach it.
-func Head(c *Column, n int) *Column {
-	if n >= c.Len {
+// Slice returns rows [lo, hi) of a column, 0 <= lo <= hi <= c.Len.
+// Plain and Dict columns share the underlying arrays (zero copy); RLE
+// trims the runs at both ends and shares the value arrays. Because the
+// output aliases c, it inherits c.Pooled, so the copy-out boundaries
+// detach it, and c.Sorted, since a window of a sorted column is sorted.
+func Slice(c *Column, lo, hi int) *Column {
+	if lo == 0 && hi == c.Len {
 		return c
 	}
-	out := &Column{Type: c.Type, Len: n, Enc: c.Enc, Pooled: c.Pooled}
+	out := &Column{Type: c.Type, Len: hi - lo, Enc: c.Enc, Pooled: c.Pooled, Sorted: c.Sorted}
 	switch c.Enc {
 	case Plain:
 		if c.Nulls != nil {
-			out.Nulls = c.Nulls[:n]
+			out.Nulls = c.Nulls[lo:hi]
 		}
 		switch c.Type {
 		case Int64, Timestamp:
-			out.Ints = c.Ints[:n]
+			out.Ints = c.Ints[lo:hi]
 		case Float64:
-			out.Floats = c.Floats[:n]
+			out.Floats = c.Floats[lo:hi]
 		case Bool:
-			out.Bools = c.Bools[:n]
+			out.Bools = c.Bools[lo:hi]
 		case String, Bytes:
-			out.Strs = c.Strs[:n]
+			out.Strs = c.Strs[lo:hi]
 		}
 	case Dict:
-		out.Codes = c.Codes[:n]
+		out.Codes = c.Codes[lo:hi]
 		out.Ints, out.Floats, out.Bools, out.Strs = c.Ints, c.Floats, c.Bools, c.Strs
 	case RLE:
 		out.Ints, out.Floats, out.Bools, out.Strs = c.Ints, c.Floats, c.Bools, c.Strs
-		left := n
+		pos := 0
 		for _, r := range c.Runs {
-			if left <= 0 {
+			end := pos + int(r.Count)
+			if end > lo && pos < hi {
+				r.Count = uint32(min(end, hi) - max(pos, lo))
+				out.Runs = append(out.Runs, r)
+			}
+			if pos = end; pos >= hi {
 				break
 			}
-			if int(r.Count) > left {
-				r.Count = uint32(left)
-			}
-			out.Runs = append(out.Runs, r)
-			left -= int(r.Count)
 		}
 	}
 	return out
 }
 
-// HeadBatch returns the first n rows of a batch (zero copy for
+// SliceBatch returns rows [lo, hi) of a batch (zero copy for
 // Plain/Dict columns).
-func HeadBatch(b *Batch, n int) *Batch {
-	if n >= b.N {
+func SliceBatch(b *Batch, lo, hi int) *Batch {
+	if lo == 0 && hi == b.N {
 		return b
 	}
 	cols := make([]*Column, len(b.Cols))
 	for i, c := range b.Cols {
-		cols[i] = Head(c, n)
+		cols[i] = Slice(c, lo, hi)
 	}
-	return &Batch{Schema: b.Schema, Cols: cols, N: n}
+	return &Batch{Schema: b.Schema, Cols: cols, N: hi - lo}
+}
+
+// Ascending reports whether c is a null-free Plain Int64/Timestamp
+// column whose values never decrease, in one pass that stops at the
+// first descent. It is what Column.Sorted records.
+func Ascending(c *Column) bool {
+	if c.Enc != Plain || c.Nulls != nil || (c.Type != Int64 && c.Type != Timestamp) {
+		return false
+	}
+	for i := 1; i < len(c.Ints); i++ {
+		if c.Ints[i] < c.Ints[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// SortedWindow returns the rows [lo, hi) of c that `c op v` selects,
+// found by binary search. ok is false — evaluate the predicate row by
+// row — unless c is Sorted, v is an Int64 or Timestamp literal and op
+// is EQ, LT, LE, GT or GE; on the window it gives, CompareConst's mask
+// is true exactly inside it.
+func SortedWindow(c *Column, op CmpOp, v Value) (lo, hi int, ok bool) {
+	if c == nil || !c.Sorted || (v.Type != Int64 && v.Type != Timestamp) {
+		return 0, 0, false
+	}
+	xs, k := c.Ints, v.I
+	switch op {
+	case EQ:
+		return searchInts(xs, k, false), searchInts(xs, k, true), true
+	case LT:
+		return 0, searchInts(xs, k, false), true
+	case LE:
+		return 0, searchInts(xs, k, true), true
+	case GT:
+		return searchInts(xs, k, true), len(xs), true
+	case GE:
+		return searchInts(xs, k, false), len(xs), true
+	}
+	return 0, 0, false
+}
+
+// searchInts returns the first position of the non-decreasing xs whose
+// value is at least k — above k when above is set — or len(xs).
+func searchInts(xs []int64, k int64, above bool) int {
+	lo, hi := 0, len(xs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if xs[m] < k || (above && xs[m] == k) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // GatherNullWith materializes the rows at idx into a new column, with

@@ -305,6 +305,12 @@ type Column struct {
 	// any consumer retaining it past that point must DetachColumn
 	// first. Heap-owned columns leave this false.
 	Pooled bool
+	// Sorted marks a null-free Plain Int64/Timestamp column whose values
+	// never decrease (see Ascending). Only the scan cache sets it, once,
+	// when it makes a decoded column resident; scan.Select reads it to
+	// find a predicate's rows by binary search (SortedWindow). Kernels
+	// build their outputs without it; a slice inherits it.
+	Sorted bool
 }
 
 // NewInt64Column builds a plain Int64 column.
