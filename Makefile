@@ -178,7 +178,10 @@ gatecheck:
 # 8k rows, a point lookup over a cache-resident sorted column that finds
 # its row by binary search (a handful of allocator elements, not a mask
 # the width of the file) and windowed results that outlive their arena
-# and their scan-cache entry under the race detector, and the E20
+# and their scan-cache entry under the race detector, a metadata prune
+# that keeps what the per-file reference keeps and allocates the same
+# at 10^2 and 10^4 files (BenchmarkPrune run once, so it keeps
+# compiling and running), and the E20
 # experiment smoke: the star join's heap
 # allocs/bytes/GC per query under committed budgets, mixed-traffic QPS,
 # variance cells.
@@ -195,6 +198,8 @@ gclean:
 	$(GO) test -run 'TestWire|TestMaskKernel|TestAggregateKernel|TestDecodedStringsShareOneBuffer' ./internal/vector/
 	$(GO) test -run 'TestGCLeanReadRowsAllocs' ./internal/storageapi/
 	$(GO) test -run 'TestGCLeanSortedPointLookup' ./internal/scan/
+	$(GO) test -run 'TestGCLeanPruneAllocs|TestPruneKernelMatchesReference' ./internal/bigmeta/
+	$(GO) test -run '^$$' -bench BenchmarkPrune -benchtime 1x ./internal/bigmeta/
 	$(GO) test -race -run 'TestWindowOutlivesArenaAndCache' ./internal/scan/
 	$(GO) test -race ./internal/arena/
 	$(GO) test -race -run 'TestCursorSurvivesArenaRecycle' ./internal/serve/

@@ -131,7 +131,7 @@ type Cache struct {
 	Res *resilience.Policy
 
 	mu        sync.RWMutex
-	entries   map[string][]FileEntry
+	indexes   map[string]*Index
 	refreshed map[string]time.Duration
 }
 
@@ -147,7 +147,7 @@ func NewCache(clock *sim.Clock) *Cache {
 	c := &Cache{
 		clock:     clock,
 		Res:       resilience.DefaultPolicy(),
-		entries:   make(map[string][]FileEntry),
+		indexes:   make(map[string]*Index),
 		refreshed: make(map[string]time.Duration),
 	}
 	c.UseObs(obs.NewRegistry())
@@ -227,9 +227,10 @@ func (c *Cache) Refresh(table string, store *objstore.Store, cred objstore.Crede
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
+	x := NewIndex(entries)
 
 	c.mu.Lock()
-	c.entries[table] = entries
+	c.indexes[table] = x
 	c.refreshed[table] = c.clock.Now()
 	c.mu.Unlock()
 	cc.refreshes.Add(1)
@@ -295,17 +296,25 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// Files returns the cached entries for a table.
+// Files returns a copy of the cached entries for a table.
 func (c *Cache) Files(table string) ([]FileEntry, error) {
+	x, err := c.Index(table)
+	if err != nil {
+		return nil, err
+	}
+	return append([]FileEntry(nil), x.files...), nil
+}
+
+// Index returns the prune index of a table's cached entries, built at
+// its last refresh. It is immutable: a refresh replaces it.
+func (c *Cache) Index(table string) (*Index, error) {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	entries, ok := c.entries[table]
+	x, ok := c.indexes[table]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotCached, table)
 	}
-	out := make([]FileEntry, len(entries))
-	copy(out, entries)
-	return out, nil
+	return x, nil
 }
 
 // RefreshedAt reports when the table's cache was last rebuilt.
@@ -320,7 +329,7 @@ func (c *Cache) RefreshedAt(table string) (time.Duration, bool) {
 func (c *Cache) Invalidate(table string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.entries, table)
+	delete(c.indexes, table)
 	delete(c.refreshed, table)
 }
 
@@ -340,44 +349,29 @@ const (
 
 // Prune returns the cached files that could contain rows matching all
 // predicates, using partition values and (at PruneFiles granularity)
-// per-file column statistics. It never touches the object store.
+// per-file column statistics: the table's Index pruned on the heap. It
+// never touches the object store.
 func (c *Cache) Prune(table string, preds []colfmt.Predicate, g PruneGranularity) ([]FileEntry, error) {
-	entries, err := c.Files(table)
+	x, err := c.Index(table)
 	if err != nil {
 		return nil, err
 	}
-	out := entries[:0]
-	for _, e := range entries {
-		if FileCanMatch(e, preds, g) {
-			out = append(out, e)
-		}
-	}
-	return out, nil
+	return x.Prune(nil, preds, g), nil
 }
 
 // FileCanMatch reports whether a file's metadata admits rows matching
-// every predicate.
+// every predicate — the prune kernel over a one-file list. For each
+// predicate:
+//   - a file with the predicate's column as a hive partition key is
+//     decided by the value, parsed as the literal's type (one that does
+//     not parse prunes nothing);
+//   - otherwise, at PruneFiles granularity, by the file's statistics on
+//     the column (colfmt.Predicate.StatsCanSatisfy's rules; no
+//     statistics prune nothing).
+//
+// Integers compare exactly, everything else as Value.Compare orders it.
 func FileCanMatch(e FileEntry, preds []colfmt.Predicate, g PruneGranularity) bool {
-	for _, p := range preds {
-		// Partition pruning: exact-typed comparison on the partition
-		// value.
-		if pv, ok := e.Partition[p.Column]; ok {
-			v := ParsePartitionValue(pv, p.Value.Type)
-			if !v.IsNull() && !p.Op.Eval(v.Compare(p.Value)) {
-				return false
-			}
-			continue
-		}
-		if g == PruneFiles && e.ColumnStats != nil {
-			// statsCanSatisfy is a build-tag seam: the oraclebug tag
-			// swaps in a deliberately wrong comparison so the
-			// differential fuzzer can prove it catches pruning bugs.
-			if st, ok := e.ColumnStats[p.Column]; ok && !statsCanSatisfy(p, st) {
-				return false
-			}
-		}
-	}
-	return true
+	return len(PruneList(nil, []FileEntry{e}, preds, g)) == 1
 }
 
 // ParsePartitionValue reads a hive partition value (the text after
@@ -416,11 +410,11 @@ type TableStats struct {
 
 // Stats merges all file entries into table-level statistics.
 func (c *Cache) Stats(table string) (TableStats, error) {
-	entries, err := c.Files(table)
+	x, err := c.Index(table)
 	if err != nil {
 		return TableStats{}, err
 	}
-	return MergeStats(entries), nil
+	return MergeStats(x.files), nil
 }
 
 // MergeStats folds file entries into table-level statistics.
@@ -431,20 +425,10 @@ func MergeStats(entries []FileEntry) TableStats {
 		ts.Rows += e.RowCount
 		ts.TotalBytes += e.Size
 		for col, st := range e.ColumnStats {
-			cur, ok := ts.ColumnStats[col]
-			if !ok {
-				ts.ColumnStats[col] = st
-				continue
+			if cur, ok := ts.ColumnStats[col]; ok {
+				st = cur.Merge(st)
 			}
-			if min := st.Min.ToValue(); !min.IsNull() && (cur.Min.ToValue().IsNull() || min.Compare(cur.Min.ToValue()) < 0) {
-				cur.Min = st.Min
-			}
-			if max := st.Max.ToValue(); !max.IsNull() && (cur.Max.ToValue().IsNull() || max.Compare(cur.Max.ToValue()) > 0) {
-				cur.Max = st.Max
-			}
-			cur.Nulls += st.Nulls
-			cur.Distinct += st.Distinct
-			ts.ColumnStats[col] = cur
+			ts.ColumnStats[col] = st
 		}
 	}
 	return ts

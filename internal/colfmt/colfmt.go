@@ -42,6 +42,23 @@ type ColumnStats struct {
 	Distinct int64     `json:"distinct"`
 }
 
+// Merge returns the statistics of s's rows and o's together: the wider
+// range, its bounds compared as StatsCanSatisfy compares them
+// (integers exactly, so a merged bound never excludes a row the compare
+// kernel selects), the summed nulls and an upper bound on distinct
+// values.
+func (s ColumnStats) Merge(o ColumnStats) ColumnStats {
+	if min := o.Min.ToValue(); !min.IsNull() && (s.Min.Type == vector.Invalid || compareStat(min, s.Min.ToValue()) < 0) {
+		s.Min = o.Min
+	}
+	if max := o.Max.ToValue(); !max.IsNull() && (s.Max.Type == vector.Invalid || compareStat(max, s.Max.ToValue()) > 0) {
+		s.Max = o.Max
+	}
+	s.Nulls += o.Nulls
+	s.Distinct += o.Distinct
+	return s
+}
+
 // StatValue is a JSON-serializable vector.Value.
 type StatValue struct {
 	Type vector.Type `json:"type"`
@@ -112,7 +129,7 @@ func (f *Footer) fieldIndex(name string) int {
 }
 
 // ColumnStatsFor merges per-row-group stats for one column across the
-// whole file; ok is false if the column is unknown.
+// whole file (ColumnStats.Merge); ok is false if the column is unknown.
 func (f *Footer) ColumnStatsFor(name string) (ColumnStats, bool) {
 	var out ColumnStats
 	found := false
@@ -126,14 +143,7 @@ func (f *Footer) ColumnStatsFor(name string) (ColumnStats, bool) {
 				found = true
 				continue
 			}
-			if min := ch.Stats.Min.ToValue(); !min.IsNull() && (out.Min.ToValue().IsNull() || min.Compare(out.Min.ToValue()) < 0) {
-				out.Min = ch.Stats.Min
-			}
-			if max := ch.Stats.Max.ToValue(); !max.IsNull() && (out.Max.ToValue().IsNull() || max.Compare(out.Max.ToValue()) > 0) {
-				out.Max = ch.Stats.Max
-			}
-			out.Nulls += ch.Stats.Nulls
-			out.Distinct += ch.Stats.Distinct // upper bound across groups
+			out = out.Merge(ch.Stats)
 		}
 	}
 	if !found {

@@ -24,7 +24,9 @@ func (p Predicate) String() string {
 
 // StatsCanSatisfy reports whether a chunk with the given stats could
 // contain rows satisfying the predicate; false means the whole group
-// can be skipped.
+// can be skipped. Integers (Int64, Timestamp) compare exactly, as the
+// compare kernels select rows; other values as Value.Compare orders
+// them.
 func (p Predicate) StatsCanSatisfy(st ColumnStats) bool {
 	min, max := st.Min.ToValue(), st.Max.ToValue()
 	if min.IsNull() || max.IsNull() {
@@ -37,21 +39,33 @@ func (p Predicate) StatsCanSatisfy(st ColumnStats) bool {
 	}
 	switch p.Op {
 	case vector.EQ:
-		return p.Value.Compare(min) >= 0 && p.Value.Compare(max) <= 0
+		return compareStat(p.Value, min) >= 0 && compareStat(p.Value, max) <= 0
 	case vector.NE:
 		// Only skippable if every row equals Value.
-		return !(min.Compare(max) == 0 && min.Compare(p.Value) == 0 && st.Nulls == 0)
+		return !(compareStat(min, max) == 0 && compareStat(min, p.Value) == 0 && st.Nulls == 0)
 	case vector.LT:
-		return min.Compare(p.Value) < 0
+		return compareStat(min, p.Value) < 0
 	case vector.LE:
-		return min.Compare(p.Value) <= 0
+		return compareStat(min, p.Value) <= 0
 	case vector.GT:
-		return max.Compare(p.Value) > 0
+		return compareStat(max, p.Value) > 0
 	case vector.GE:
-		return max.Compare(p.Value) >= 0
+		return compareStat(max, p.Value) >= 0
 	}
 	return true
 }
+
+// compareStat is Value.Compare, except that two integers compare
+// exactly rather than through float64, which ties neighbours beyond
+// 2^53: a statistic must never prune a row the kernel would select.
+func compareStat(a, b vector.Value) int {
+	if isInt(a.Type) && isInt(b.Type) {
+		return cmp.Compare(a.I, b.I)
+	}
+	return a.Compare(b)
+}
+
+func isInt(t vector.Type) bool { return t == vector.Int64 || t == vector.Timestamp }
 
 // EvalPredicates computes the conjunction of predicates over a batch.
 func EvalPredicates(b *vector.Batch, preds []Predicate) ([]bool, error) {

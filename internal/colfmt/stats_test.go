@@ -93,17 +93,20 @@ func TestNaNStatsWriteReadPrune(t *testing.T) {
 	}
 }
 
-// Chunk statistics for integers are exact (vector.MinMax), while
-// StatsCanSatisfy — like every other consumer — compares through
-// Value.Compare's float64 detour, which ties neighbours beyond 2^53; a
-// boxed scan therefore kept the first of each tie. float64 conversion
-// is monotone, so under Value.Compare the exact range is never narrower
-// than the boxed one: every group the footer kept with boxed statistics
-// it keeps with exact ones, and the non-strict predicates (what dynamic
-// partition pruning emits: `>= min AND <= max`) keep every group that
-// holds a match. (Strict predicates beyond 2^53 are an older gap of a
-// different kind — the compare kernel is exact on plain integers where
-// StatsCanSatisfy ties — which exact statistics neither open nor close.)
+// Chunk statistics for integers are exact (vector.MinMax), where a
+// boxed scan through Value.Compare's float64 detour, which ties
+// neighbours beyond 2^53, kept the first of each tie. The exact range
+// contains the boxed one: every group the footer kept with boxed
+// statistics it keeps with exact ones, and the non-strict predicates
+// (what dynamic partition pruning emits: `>= min AND <= max`) keep
+// every group that holds a match. StatsCanSatisfy compares two
+// integers exactly, as the compare kernel does, and under that compare
+// boxed statistics could exclude a row, so every fold of ranges is
+// exact too (TestFileStatsMergeGroupsExactly). (Strict predicates
+// beyond 2^53 were once a gap of their own — statistics tied where the
+// kernel did not — closed by the exact compare, not by exact
+// statistics; TestStatsPruneExactBeyond2To53 in internal/engine covers
+// them end to end.)
 func TestExactIntStatsStayConservative(t *testing.T) {
 	const big = int64(1) << 53
 	// Value.Compare ties 2^53+1 with 2^53 and 2^53+3 with 2^53+4, so a
@@ -138,6 +141,44 @@ func TestExactIntStatsStayConservative(t *testing.T) {
 			strict := op == vector.LT || op == vector.GT || op == vector.NE
 			if matches := vector.CountMask(vector.CompareConst(c, op, p.Value)) > 0; matches && !strict && !keep {
 				t.Fatalf("%v matches a row but exact stats [%d, %d] prune the group", p, min.I, max.I)
+			}
+		}
+	}
+}
+
+// TestFileStatsMergeGroupsExactly: a file's statistics fold its row
+// groups' exact ranges with the exact integer compare. Through
+// Value.Compare's float64 detour 2^53 ties 2^53+1 and the first group's
+// bound is kept, so a file whose groups hold 2^53+1 then 2^53 would
+// record min 2^53+1 and an exact prune of `x = 2^53` would drop it.
+func TestFileStatsMergeGroupsExactly(t *testing.T) {
+	const big = int64(1) << 53
+	schema := vector.NewSchema(vector.Field{Name: "x", Type: vector.Int64})
+	for _, vals := range [][]int64{{big + 1, big}, {big, big + 1}} {
+		b := vector.MustBatch(schema, []*vector.Column{vector.NewInt64Column(vals)})
+		data, err := WriteFile(b, WriterOptions{RowGroupRows: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		footer, err := ReadFooter(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(footer.RowGroups) != 2 {
+			t.Fatalf("%v: row groups = %d, want 2", vals, len(footer.RowGroups))
+		}
+		st := footer.Stats()["x"]
+		if st.Min.I != big || st.Max.I != big+1 {
+			t.Fatalf("%v: file stats [%d, %d], want [%d, %d]", vals, st.Min.I, st.Max.I, big, big+1)
+		}
+		for _, p := range []Predicate{
+			{Column: "x", Op: vector.EQ, Value: vector.IntValue(big)},
+			{Column: "x", Op: vector.LE, Value: vector.IntValue(big)},
+			{Column: "x", Op: vector.GT, Value: vector.IntValue(big)},
+			{Column: "x", Op: vector.EQ, Value: vector.IntValue(big + 1)},
+		} {
+			if !p.StatsCanSatisfy(st) {
+				t.Fatalf("%v: %v matches a row but the file's stats prune it", vals, p)
 			}
 		}
 	}

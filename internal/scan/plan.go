@@ -201,14 +201,10 @@ func (p *Plan) resolve() error {
 	return nil
 }
 
-// prune keeps, in place, the files whose metadata admits a match.
+// prune keeps, in place, the files of a list the plan owns whose
+// metadata admits a match.
 func (p *Plan) prune(files []bigmeta.FileEntry, g bigmeta.PruneGranularity) {
-	kept := files[:0]
-	for _, f := range files {
-		if bigmeta.FileCanMatch(f, p.Pushed, g) {
-			kept = append(kept, f)
-		}
-	}
+	kept := bigmeta.PruneList(p.al, files, p.Pushed, g)
 	p.Pruned += int64(len(files) - len(kept))
 	p.Files = kept
 }
@@ -253,12 +249,13 @@ func (p *Plan) cached(pl Planner, req Request) error {
 	sp := req.Span.Child("meta.prune")
 	defer sp.End()
 	sp.SetInt("granularity", int64(req.Granularity))
-	all, err := pl.Meta.Files(name)
+	x, err := pl.Meta.Index(name)
 	if err != nil {
 		return err
 	}
-	p.prune(all, req.Granularity)
-	sp.SetInt("files_total", int64(len(all)))
+	p.Files = x.Prune(p.al, p.Pushed, req.Granularity)
+	p.Pruned += int64(x.Len() - len(p.Files))
+	sp.SetInt("files_total", int64(x.Len()))
 	sp.SetInt("files_kept", int64(len(p.Files)))
 	return nil
 }
@@ -277,22 +274,24 @@ func (p *Plan) listed(pl Planner, req Request) error {
 		return err
 	}
 	p.ListCalls++
-	entries := make([]bigmeta.FileEntry, 0, len(infos))
-	peek := make([]int, 0, len(infos)) // positions in infos: a file's picks its track
+	entries := make([]bigmeta.FileEntry, len(infos))
 	for i, info := range infos {
-		en := bigmeta.FileEntry{
+		entries[i] = bigmeta.FileEntry{
 			Bucket:     t.Bucket,
 			Key:        info.Key,
 			Size:       info.Size,
 			Generation: info.Generation,
 			Partition:  bigmeta.PartitionOf(t.Prefix, info.Key),
 		}
-		// Partition pruning needs no footer; only survivors get a peek.
-		if !bigmeta.FileCanMatch(en, p.Pushed, bigmeta.PrunePartitionsOnly) {
-			p.Pruned++
-			continue
+	}
+	// Partition pruning needs no footer; only survivors get a peek.
+	entries = bigmeta.PruneList(p.al, entries, p.Pushed, bigmeta.PrunePartitionsOnly)
+	p.Pruned += int64(len(infos) - len(entries))
+	peek := make([]int, len(entries)) // positions in infos: a file's picks its track
+	for i, k := 0, 0; k < len(entries); i++ {
+		if infos[i].Key == entries[k].Key {
+			peek[k], k = i, k+1
 		}
-		entries, peek = append(entries, en), append(peek, i)
 	}
 	p.FooterReads += int64(len(peek))
 	// The workers share copies: the plan itself stays off the heap.

@@ -287,6 +287,38 @@ func TestPlanFindsFiles(t *testing.T) {
 	}
 }
 
+// TestPlanObservesBeforePruning: a transaction's read set is the live
+// snapshot, not what pruning leaves. Observe sees every file Removed
+// leaves, in snapshot order — the ones the predicates then prune
+// included — whether the prune narrows k's ascending ranges by binary
+// search or evaluates a mask.
+func TestPlanObservesBeforePruning(t *testing.T) {
+	w := newPlanWorld(t)
+	managed := w.tables["managed"]
+	for _, preds := range [][]colfmt.Predicate{
+		{{Column: "k", Op: vector.GE, Value: vector.IntValue(30)}},  // window over k's ranges
+		{{Column: "v", Op: vector.GE, Value: vector.IntValue(900)}}, // mask over v's ranges
+		{{Column: "day", Op: vector.EQ, Value: vector.IntValue(3)}}, // the hive key
+		{{Column: "k", Op: vector.NE, Value: vector.IntValue(30)}, {Column: "v", Op: vector.GT, Value: vector.IntValue(899)}},
+	} {
+		var observed []string
+		p, err := w.pl.Plan(Request{
+			Table: managed, Principal: planAdmin, Predicates: preds, Version: -1, Granularity: bigmeta.PruneFiles,
+			Removed: map[string]bool{"managed/day=1/f.blk": true},
+			Observe: func(live []bigmeta.FileEntry) { observed = keys(live) },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"managed/day=0/f.blk", "managed/day=2/f.blk", "managed/day=3/f.blk"}; !reflect.DeepEqual(observed, want) {
+			t.Errorf("%v: observed %v, want %v", preds, observed, want)
+		}
+		if got := keys(p.Files); !reflect.DeepEqual(got, []string{"managed/day=3/f.blk"}) || p.Pruned != 2 {
+			t.Errorf("%v: files %v, pruned %d; want day=3 alone, 2 pruned", preds, got, p.Pruned)
+		}
+	}
+}
+
 // TestResolveOneRule: a table's connection names its credential; a
 // table without one is accessed under the managed credential, and an
 // Access that holds none says so with the typed error.

@@ -33,11 +33,11 @@ import (
 //     already could for a NaN in any but the leading position.)
 //   - Int64 and Timestamp compare exactly. Value.Compare converts to
 //     float64, so beyond 2^53 it sees neighbouring integers as equal
-//     and keeps whichever came first. float64 conversion is monotone,
-//     so float(min) <= float(v) <= float(max) for every row v: under
-//     Value.Compare — which is how footer pruning and DPP's
-//     `>= min AND <= max` read the range — the exact range is never
-//     narrower than the boxed one and never excludes a row.
+//     and keeps whichever came first. The exact range never excludes a
+//     row under either order, while a boxed one excludes rows under the
+//     exact integer compare that footer pruning, the prune index and
+//     the compare kernels use; colfmt.ColumnStats.Merge keeps row-group
+//     ranges exact when it folds them into a file's.
 //
 // Equal values keep the first encountered (−0.0 vs +0.0).
 func MinMax(c *Column) (min, max Value, nullCount int64) {

@@ -306,8 +306,9 @@ type Column struct {
 	// first. Heap-owned columns leave this false.
 	Pooled bool
 	// Sorted marks a null-free Plain Int64/Timestamp column whose values
-	// never decrease (see Ascending). Only the scan cache sets it, once,
-	// when it makes a decoded column resident; scan.Select reads it to
+	// never decrease (see Ascending). Only the scan cache (once, when it
+	// makes a decoded column resident) and the Big Metadata prune index
+	// (on its min and max columns, when it builds them) set it; readers
 	// find a predicate's rows by binary search (SortedWindow). Kernels
 	// build their outputs without it; a slice inherits it.
 	Sorted bool

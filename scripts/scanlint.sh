@@ -21,10 +21,12 @@
 # carry whole rows: a whole-file decode on a query path is how a scan
 # came to decode sixteen columns to sum one.
 #
-# Rule "plan": one scan plan. Fails if file pruning (Cache.Prune,
-# bigmeta.FileCanMatch) or a principal's row filters (RowFilterFor) are
-# consulted outside internal/scan, internal/bigmeta and
-# internal/security: which files can hold a match, and which predicates
+# Rule "plan": one scan plan. Fails if file pruning — the prune kernel
+# over a table's columnar index (bigmeta.Index.Prune, and its wrappers
+# Cache.Prune, bigmeta.PruneList, bigmeta.FileCanMatch) — or a
+# principal's row filters (RowFilterFor) are consulted outside
+# internal/scan, internal/bigmeta and internal/security: which files can
+# hold a match, and which predicates
 # may be put to stored values at all, is decided once per table read, in
 # scan.Plan — a second enumerate -> prune -> column-set path is how the
 # Read API came to ignore the staleness bound and both paths to prune on
@@ -104,7 +106,7 @@ check commit '\.(AppendIntent|AppendAbort|CommitTxIf|NewFileEntry)\(' bigmeta \
     'commit protocol step outside internal/bigmeta; commit data files through bigmeta.CommitFiles (PutDataFile for a loader outside a journal)'
 check project '\.(ReadBatch\([^,]+,[^,]+,[^,]+|Resident\([^,]+,[^,]+), *nil *[,)]' scan \
     'whole-file decode (nil column list) outside a rewrite; pass the scan.Columns the caller reads (scan.ColumnsOf, or a scan.Plan'"'"'s)'
-check plan '(\.Prune|FileCanMatch|RowFilterFor)\(' 'scan bigmeta security' \
+check plan '(\.Prune|\.PruneList|FileCanMatch|RowFilterFor)\(' 'scan bigmeta security' \
     'file pruning or row-filter lookup outside internal/scan; build a scan.Plan (Planner.Plan) and read its Files / Columns / Pushed'
 check assemble '(engine\.New|storageapi\.NewServer|blmt\.New|txn\.NewManager|bigmeta\.NewCache)\(' core \
     'lakehouse service wired outside internal/core; build the deployment with core.New, another engine with Lakehouse.NewEngine, a restart with Lakehouse.Recover'
