@@ -181,7 +181,11 @@ gatecheck:
 # and their scan-cache entry under the race detector, a metadata prune
 # that keeps what the per-file reference keeps and allocates the same
 # at 10^2 and 10^4 files (BenchmarkPrune run once, so it keeps
-# compiling and running), and the E20
+# compiling and running), the scan merge at workers {1, 2, 3, 8} on a
+# recycled arena full of garbage against the serial heap merge under
+# the race detector (BenchmarkScanMerge run once), the worker sweep over
+# warm scans whose selects and merge fan out, raced three times, and
+# the E20
 # experiment smoke: the star join's heap
 # allocs/bytes/GC per query under committed budgets, mixed-traffic QPS,
 # variance cells.
@@ -200,6 +204,9 @@ gclean:
 	$(GO) test -run 'TestGCLeanSortedPointLookup' ./internal/scan/
 	$(GO) test -run 'TestGCLeanPruneAllocs|TestPruneKernelMatchesReference' ./internal/bigmeta/
 	$(GO) test -run '^$$' -bench BenchmarkPrune -benchtime 1x ./internal/bigmeta/
+	$(GO) test -race -run 'TestScanMerge' ./internal/vector/
+	$(GO) test -run '^$$' -bench BenchmarkScanMerge -benchtime 1x ./internal/vector/
+	$(GO) test -race -count=3 -run 'TestVectorizedWorkerCountInvarianceWarm' ./internal/engine/
 	$(GO) test -race -run 'TestWindowOutlivesArenaAndCache' ./internal/scan/
 	$(GO) test -race ./internal/arena/
 	$(GO) test -race -run 'TestCursorSurvivesArenaRecycle' ./internal/serve/

@@ -48,8 +48,9 @@ type typed[T any] struct {
 // Arena is a per-query bump allocator. It is safe for concurrent use
 // by the worker goroutines of a single query (a mutex guards the bump
 // pointers; the carved regions themselves are exclusively owned by the
-// caller). All allocation methods return zeroed slices with cap ==
-// len, or nil when n == 0, matching make().
+// caller). All allocation methods return slices with cap == len, or
+// nil when n == 0, zeroed like make() — except the ForOverwrite forms,
+// which skip the clear for an output the caller writes in full.
 type Arena struct {
 	mu   sync.Mutex
 	i64  typed[int64]
@@ -68,7 +69,10 @@ type Arena struct {
 	pool *Pool
 }
 
-func allocT[T any](a *Arena, t *typed[T], n, elemSize int) []T {
+// allocT carves n elements from t. zero clears a region carved from a
+// recycled slab; without it the region may hold an earlier query's
+// values.
+func allocT[T any](a *Arena, t *typed[T], n, elemSize int, zero bool) []T {
 	if n == 0 {
 		return nil
 	}
@@ -79,7 +83,7 @@ func allocT[T any](a *Arena, t *typed[T], n, elemSize int) []T {
 		if len(s.buf)-s.off >= n {
 			out := s.buf[s.off : s.off+n : s.off+n]
 			s.off += n
-			if s.dirty {
+			if s.dirty && zero {
 				clear(out)
 			}
 			return out
@@ -122,30 +126,48 @@ func resetT[T any](t *typed[T], clearRefs bool) {
 }
 
 // Int64s returns a zeroed []int64 of length n.
-func (a *Arena) Int64s(n int) []int64 { return allocT(a, &a.i64, n, 8) }
+func (a *Arena) Int64s(n int) []int64 { return allocT(a, &a.i64, n, 8, true) }
 
 // Float64s returns a zeroed []float64 of length n.
-func (a *Arena) Float64s(n int) []float64 { return allocT(a, &a.f64, n, 8) }
+func (a *Arena) Float64s(n int) []float64 { return allocT(a, &a.f64, n, 8, true) }
 
 // Bools returns a zeroed []bool of length n.
-func (a *Arena) Bools(n int) []bool { return allocT(a, &a.bl, n, 1) }
+func (a *Arena) Bools(n int) []bool { return allocT(a, &a.bl, n, 1, true) }
 
 // Strings returns a zeroed []string of length n. The header array is
 // arena memory; the string contents referenced later are whatever the
 // caller stores (usually dictionary entries owned by the heap).
-func (a *Arena) Strings(n int) []string { return allocT(a, &a.str, n, 16) }
+func (a *Arena) Strings(n int) []string { return allocT(a, &a.str, n, 16, true) }
 
 // Int32s returns a zeroed []int32 of length n.
-func (a *Arena) Int32s(n int) []int32 { return allocT(a, &a.i32, n, 4) }
+func (a *Arena) Int32s(n int) []int32 { return allocT(a, &a.i32, n, 4, true) }
 
 // Uint32s returns a zeroed []uint32 of length n.
-func (a *Arena) Uint32s(n int) []uint32 { return allocT(a, &a.u32, n, 4) }
+func (a *Arena) Uint32s(n int) []uint32 { return allocT(a, &a.u32, n, 4, true) }
 
 // Uint64s returns a zeroed []uint64 of length n.
-func (a *Arena) Uint64s(n int) []uint64 { return allocT(a, &a.u64, n, 8) }
+func (a *Arena) Uint64s(n int) []uint64 { return allocT(a, &a.u64, n, 8, true) }
 
 // Ints returns a zeroed []int of length n.
-func (a *Arena) Ints(n int) []int { return allocT(a, &a.ints, n, 8) }
+func (a *Arena) Ints(n int) []int { return allocT(a, &a.ints, n, 8, true) }
+
+// The ForOverwrite forms return a slice of length n (cap == len, nil
+// when n == 0) that is not zeroed: carved from a recycled slab, it may
+// hold an earlier query's values. They are for an output its caller
+// writes in full before anything reads it — the scan merge's columns —
+// and spare it the clear a recycled slab otherwise costs.
+
+// Int64sForOverwrite returns an unzeroed []int64 of length n.
+func (a *Arena) Int64sForOverwrite(n int) []int64 { return allocT(a, &a.i64, n, 8, false) }
+
+// Float64sForOverwrite returns an unzeroed []float64 of length n.
+func (a *Arena) Float64sForOverwrite(n int) []float64 { return allocT(a, &a.f64, n, 8, false) }
+
+// BoolsForOverwrite returns an unzeroed []bool of length n.
+func (a *Arena) BoolsForOverwrite(n int) []bool { return allocT(a, &a.bl, n, 1, false) }
+
+// Uint32sForOverwrite returns an unzeroed []uint32 of length n.
+func (a *Arena) Uint32sForOverwrite(n int) []uint32 { return allocT(a, &a.u32, n, 4, false) }
 
 // Pooled reports that slices from this allocator are recycled —
 // consumers must detach (deep-copy) anything that outlives the query.

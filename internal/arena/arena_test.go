@@ -57,6 +57,37 @@ func TestRecycledSlabsAreZeroed(t *testing.T) {
 	}
 }
 
+// TestForOverwriteSkipsOnlyItsOwnClear: an overwrite carve of a
+// recycled slab keeps the old values (that is the clear it spares), a
+// zeroed carve after it on the same slab is still zeroed, and both are
+// sized like make().
+func TestForOverwriteSkipsOnlyItsOwnClear(t *testing.T) {
+	p := NewPool()
+	a := p.Get()
+	xs := a.Int64s(200)
+	for i := range xs {
+		xs[i] = -1
+	}
+	p.Put(a)
+
+	b := p.Get()
+	raw := b.Int64sForOverwrite(100)
+	if len(raw) != 100 || cap(raw) != 100 {
+		t.Fatalf("len=%d cap=%d, want 100/100", len(raw), cap(raw))
+	}
+	if raw[0] != -1 {
+		t.Fatalf("overwrite carve of a recycled slab was cleared: %d", raw[0])
+	}
+	for i, v := range b.Int64s(100) {
+		if v != 0 {
+			t.Fatalf("zeroed carve after an overwrite carve not zeroed at %d: %d", i, v)
+		}
+	}
+	if b.Int64sForOverwrite(0) != nil || b.Float64sForOverwrite(0) != nil || b.BoolsForOverwrite(0) != nil || b.Uint32sForOverwrite(0) != nil {
+		t.Fatal("n==0 must return nil")
+	}
+}
+
 func TestLargeAllocSpansSlab(t *testing.T) {
 	a := New()
 	n := (minSlabBytes / 8) * 3 // larger than the first slab

@@ -76,7 +76,10 @@ func fingerprint(b *vector.Batch) string {
 // starWorld builds a fact and dimension with multi-column keys, NULL
 // keys on both sides, a dictionary-heavy group column, and an empty
 // table.
-func starWorld(t *testing.T, ev *env) {
+func starWorld(t *testing.T, ev *env) { starWorldOf(t, ev, 400, 3) }
+
+// starWorldOf is starWorld with factRows fact rows in factFiles files.
+func starWorldOf(t *testing.T, ev *env, factRows, factFiles int) {
 	factSchema := vector.NewSchema(
 		vector.Field{Name: "k1", Type: vector.Int64},
 		vector.Field{Name: "k2", Type: vector.String},
@@ -85,7 +88,7 @@ func starWorld(t *testing.T, ev *env) {
 	)
 	grps := []string{"red", "green", "blue"}
 	var fact [][]vector.Value
-	for i := 0; i < 400; i++ {
+	for i := 0; i < factRows; i++ {
 		k2 := vector.StringValue(grps[i%3])
 		if i%17 == 0 {
 			k2 = vector.NullValue // NULL join key: matches nothing
@@ -99,7 +102,7 @@ func starWorld(t *testing.T, ev *env) {
 			vector.FloatValue(float64(i%7) / 4),
 		})
 	}
-	ev.createCustom(t, "fct", factSchema, fact, 3)
+	ev.createCustom(t, "fct", factSchema, fact, factFiles)
 
 	dimSchema := vector.NewSchema(
 		vector.Field{Name: "k1", Type: vector.Int64},
@@ -158,6 +161,42 @@ func TestVectorizedWorkerCountInvariance(t *testing.T) {
 			if got != want {
 				t.Errorf("workers=%d changed the result for %q", w, sql)
 			}
+		}
+	}
+}
+
+// TestVectorizedWorkerCountInvarianceWarm is the worker sweep over
+// cached scans: each fact file holds more than a morsel of rows, with a
+// Dict string column (k2) and a nullable one (v), so a warm scan's
+// selects and its merge run as parallel tasks at two or more workers.
+// Every statement, cold and then warm, answers as at one worker, and
+// the fan-out path is taken exactly when there is more than one worker.
+func TestVectorizedWorkerCountInvarianceWarm(t *testing.T) {
+	want := map[string]string{}
+	for _, w := range []int{1, 2, 3, 5, 8} {
+		opts := DefaultOptions()
+		opts.EnableScanCache = true
+		opts.MorselWorkers = w
+		ev := newEnv(t, opts)
+		starWorldOf(t, ev, 3*(vector.MorselRows+400), 3)
+		for _, sql := range vectorizedBattery {
+			for _, pass := range []string{"cold", "warm"} {
+				res := ev.query(t, adminP, sql)
+				if pass == "warm" && res.Stats.CacheMisses != 0 {
+					t.Fatalf("workers=%d: warm %q missed the cache %d times", w, sql, res.Stats.CacheMisses)
+				}
+				got := fingerprint(res.Batch)
+				if w == 1 && pass == "cold" {
+					want[sql] = got
+				} else if got != want[sql] {
+					t.Errorf("workers=%d: %s run changed the result for %q", w, pass, sql)
+				}
+			}
+		}
+		selects := ev.eng.Obs.Counter("engine.scan.select_fanouts").Get()
+		merges := ev.eng.Obs.Counter("engine.scan.merge_fanouts").Get()
+		if fanned := selects > 0 && merges > 0; fanned != (w > 1) {
+			t.Errorf("workers=%d: %d selects and %d merges fanned out", w, selects, merges)
 		}
 	}
 }

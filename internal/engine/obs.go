@@ -20,10 +20,16 @@ type engCounters struct {
 	qskips      *obs.Counter
 	// colsRead / colsSkipped count, per table scan, the columns the
 	// statement's projection kept and left undecoded.
-	colsRead     *obs.Counter
-	colsSkipped  *obs.Counter
-	cacheEntries *obs.Gauge
-	cacheBytes   *obs.Gauge
+	colsRead    *obs.Counter
+	colsSkipped *obs.Counter
+	// reads counts the table reads that merged their files; of them,
+	// selectFanouts the ones whose cache hits selected as parallel
+	// tasks, and mergeFanouts the ones whose merge copy did.
+	reads         *obs.Counter
+	selectFanouts *obs.Counter
+	mergeFanouts  *obs.Counter
+	cacheEntries  *obs.Gauge
+	cacheBytes    *obs.Gauge
 	// arenaBytes / arenaRecycled mirror the query-arena pool: slab
 	// bytes retained for reuse, and how many queries were served by a
 	// recycled arena instead of fresh allocation.
@@ -50,6 +56,9 @@ func resolveEngCounters(r *obs.Registry) engCounters {
 		qskips:        r.Counter("engine.scan.quarantine_skipped"),
 		colsRead:      r.Counter("engine.scan.columns_read"),
 		colsSkipped:   r.Counter("engine.scan.columns_skipped"),
+		reads:         r.Counter("engine.scan.reads"),
+		selectFanouts: r.Counter("engine.scan.select_fanouts"),
+		mergeFanouts:  r.Counter("engine.scan.merge_fanouts"),
 		cacheEntries:  r.Gauge("engine.scan.cache_entries"),
 		cacheBytes:    r.Gauge("engine.scan.cache_bytes"),
 		arenaBytes:    r.Gauge("arena.bytes_in_use"),

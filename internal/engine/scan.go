@@ -226,22 +226,22 @@ func (e *Engine) Planner() scan.Planner {
 			Site: "scan", SkipQuarantined: e.Opts.SkipQuarantined}}
 }
 
-// readFiles reads the plan's files through it — resident ones
-// synchronously, the rest in parallel worker tracks — and merges what
-// the pushed predicates select.
+// readFiles reads the plan's files through it — the cache-resident
+// ones as morsel tasks, the rest in parallel worker tracks — and merges
+// what the pushed predicates select.
 func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, error) {
 	// Each file contributes a decoded batch and the rows of it the
 	// predicates select; the merge below filters and concatenates in
 	// one pass.
 	results := make([]vector.Selection, len(p.Files))
 
-	// Warm pass: the quarantine gate and the generation-keyed cache,
-	// synchronously. A hit needs no worker, just a predicate pass over
-	// the resident batch. On the steady-state hot path (every surviving
-	// file already decoded) the scan completes here with no goroutines,
-	// channels, or clock tracks at all; only cold files fall through to
-	// the parallel fetch below.
+	// Warm pass, on the statement goroutine: the quarantine gate, the
+	// generation-keyed cache and, for a hit, the row window its sorted
+	// columns leave (a binary search). A hit needs no fetch and no clock
+	// track, only a predicate pass over that window (selectResident);
+	// only cold files fall through to the parallel fetch below.
 	var cold []int
+	hits, big := 0, 0
 	for i, f := range p.Files {
 		skip, err := p.Reader.Gate(&p.Source, f)
 		if err != nil {
@@ -256,21 +256,34 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, erro
 			cold = append(cold, i)
 			continue
 		}
-		var fsp *obs.Span
-		if ctx.Span != nil {
-			fsp = ctx.Span.Child("read " + f.Key)
-			fsp.SetInt("bytes", f.Size)
-			fsp.SetStr("cache", "hit")
+		lo, hi := scan.Window(b, p.Pushed)
+		results[i] = vector.Selection{Batch: b, Lo: lo, Hi: hi}
+		if hi-lo >= vector.MorselRows {
+			big++
 		}
-		sel, err := scan.Select(ctx.mem.Al, b, p.Columns, p.Pushed, f.Partition, p.Table.Schema)
+		hits++
+	}
+	if hits > 0 {
+		fanned, err := e.selectResident(ctx.mem.Al, p, results, big)
 		if err != nil {
-			fsp.End()
 			return nil, err
 		}
-		fsp.SetInt("rows", int64(sel.N))
-		fsp.End()
-		results[i] = sel
-		ctx.Stats.CacheHits++
+		if fanned {
+			e.ec.selectFanouts.Add(1)
+		}
+		ctx.Stats.CacheHits += int64(hits)
+		if ctx.Span != nil {
+			for i, f := range p.Files {
+				if results[i].Batch == nil {
+					continue
+				}
+				fsp := ctx.Span.Child("read " + f.Key)
+				fsp.SetInt("bytes", f.Size)
+				fsp.SetStr("cache", "hit")
+				fsp.SetInt("rows", int64(results[i].N))
+				fsp.End()
+			}
+		}
 	}
 	if len(cold) > 0 {
 		if err := e.readColdFiles(ctx, *p, cold, results); err != nil {
@@ -280,11 +293,16 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, erro
 
 	// One sized pass drawing from the query arena: each surviving value
 	// is copied once, from its file's (cached) decode straight into the
-	// merged column; dictionary columns stay encoded.
-	out, err := vector.FilterConcatWith(ctx.mem, results)
+	// merged column, each (column, file) a task writing its own range;
+	// dictionary columns stay encoded.
+	out, fanned, err := vector.FilterConcatWorkers(ctx.mem, results, e.execWorkers())
 	if err != nil {
 		return nil, err
 	}
+	if fanned {
+		e.ec.mergeFanouts.Add(1)
+	}
+	e.ec.reads.Add(1)
 	if out == nil {
 		out = vector.EmptyBatch(p.Columns.Project(p.Table.Schema))
 	}
@@ -294,6 +312,50 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, erro
 	}
 	ctx.Stats.RowsScanned += int64(out.N)
 	return out, nil
+}
+
+// selectResident turns each cache hit's window in results into its
+// selection: the remaining predicates evaluated inside the window, the
+// survivors counted. Each hit is one task, and big of them hold a
+// morsel of window rows; the tasks fan out over the engine's morsel
+// workers only when vector.TaskWorkers says so, and otherwise run here
+// with no goroutine and no allocation of their own. It reports whether
+// they fanned out.
+func (e *Engine) selectResident(al vector.Alloc, p *scan.Plan, results []vector.Selection, big int) (bool, error) {
+	w := vector.TaskWorkers(e.execWorkers(), big)
+	if w == 1 {
+		for i := range results {
+			if err := selectOne(al, p, results, i); err != nil {
+				return false, err
+			}
+		}
+		return false, nil
+	}
+	// The goroutines share a copy of the plan, so the caller's stays
+	// off the heap.
+	shared := *p
+	errs := make([]error, len(results))
+	vector.ParallelEach(len(results), w, func(i int) {
+		errs[i] = selectOne(al, &shared, results, i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return true, err // the first in file order, as inline
+		}
+	}
+	return true, nil
+}
+
+// selectOne replaces the pending window results[i] of a cache hit (none
+// for a cold or skipped file) with its selection.
+func selectOne(al vector.Alloc, p *scan.Plan, results []vector.Selection, i int) error {
+	r := results[i]
+	if r.Batch == nil {
+		return nil
+	}
+	sel, err := scan.SelectWindow(al, r.Batch, r.Lo, r.Hi, p.Columns, p.Pushed, p.Files[i].Partition, p.Table.Schema)
+	results[i] = sel
+	return err
 }
 
 // readColdFiles reads the files the warm pass could not serve from the

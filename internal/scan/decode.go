@@ -164,28 +164,44 @@ func FilePredicates(file vector.Schema, preds []colfmt.Predicate) []colfmt.Predi
 // Select turns a file's resident columns cols — decoded, unfiltered —
 // into what the direct decode produces, short of the copy: the batch
 // with the wanted partition columns injected, and the rows of it the
-// file-level predicates select. A predicate with an integer literal on
-// a Sorted column narrows the selection's window by binary search; the
-// others are evaluated inside the window only. The caller's merge
-// applies the selection. schema is the table's.
+// file-level predicates select. It is SelectWindow over b's Window.
+// schema is the table's.
 func Select(al vector.Alloc, b *vector.Batch, cols Columns, preds []colfmt.Predicate, partition map[string]string, schema vector.Schema) (vector.Selection, error) {
+	lo, hi := Window(b, preds)
+	return SelectWindow(al, b, lo, hi, cols, preds, partition, schema)
+}
+
+// Window returns the rows [lo, hi) of b that the predicates with an
+// integer literal on a Sorted column leave, found by binary search —
+// the rows Select compares the other predicates on, and so the measure
+// of its work. Every row when no predicate narrows it.
+func Window(b *vector.Batch, preds []colfmt.Predicate) (lo, hi int) {
+	lo, hi = 0, b.N
+	for _, p := range preds {
+		if l, h, ok := vector.SortedWindow(b.Column(p.Column), p.Op, p.Value); ok {
+			lo, hi = max(lo, l), min(hi, h)
+		}
+	}
+	return lo, max(lo, hi) // disjoint windows select nothing
+}
+
+// SelectWindow is Select given Window(b, preds) = [lo, hi): the
+// predicates a sorted column does not answer are evaluated inside the
+// window only, and the selection counted.
+func SelectWindow(al vector.Alloc, b *vector.Batch, lo, hi int, cols Columns, preds []colfmt.Predicate, partition map[string]string, schema vector.Schema) (vector.Selection, error) {
 	if err := cols.covers(schema, preds); err != nil {
 		return vector.Selection{}, err
 	}
-	lo, hi := 0, b.N
 	var rest []colfmt.Predicate
 	for _, p := range preds {
 		c := b.Column(p.Column)
 		if c == nil {
 			continue // not stored: consumed by pruning (FilePredicates)
 		}
-		if l, h, ok := vector.SortedWindow(c, p.Op, p.Value); ok {
-			lo, hi = max(lo, l), min(hi, h)
-		} else {
+		if !vector.Windowed(c, p.Op, p.Value) {
 			rest = append(rest, p)
 		}
 	}
-	hi = max(lo, hi) // disjoint windows select nothing
 	var mask []bool
 	if len(rest) > 0 && lo < hi {
 		var err error

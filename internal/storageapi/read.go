@@ -348,10 +348,12 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	s.mu.Lock()
 	s.seq++
 	id := fmt.Sprintf("sessions/%d", s.seq)
+	// The budget is set before the session is published: a reuse of it
+	// (the cache entry below) may read the plan as soon as the lock goes.
+	sess.plan.Budget = resilience.NewBudget(s.Clock, sessionRetryBudget, resilience.Seed64(id))
 	s.sessions[id] = sess
 	s.cache[key] = cachedSession{id: id, expires: s.Clock.Now() + s.SessionTTL}
 	s.mu.Unlock()
-	sess.plan.Budget = resilience.NewBudget(s.Clock, sessionRetryBudget, resilience.Seed64(id))
 	streams := sess.openStreams(id)
 
 	// Server-side session creation cost.

@@ -85,6 +85,49 @@ func (heapAlloc) Pooled() bool { return false }
 // Heap is the allocator used when no arena is attached.
 var Heap Alloc = heapAlloc{}
 
+// overwriter is an allocator that can hand out a slice without zeroing
+// it, for an output its caller writes in full before anything reads it
+// (*arena.Arena: a recycled slab's clear is skipped).
+type overwriter interface {
+	Int64sForOverwrite(n int) []int64
+	Float64sForOverwrite(n int) []float64
+	BoolsForOverwrite(n int) []bool
+	Uint32sForOverwrite(n int) []uint32
+}
+
+// int64sForOverwrite returns n int64s from al for an output the caller
+// writes in full: unzeroed when al can skip the clear.
+func int64sForOverwrite(al Alloc, n int) []int64 {
+	if o, ok := al.(overwriter); ok {
+		return o.Int64sForOverwrite(n)
+	}
+	return al.Int64s(n)
+}
+
+// float64sForOverwrite is int64sForOverwrite for float64s.
+func float64sForOverwrite(al Alloc, n int) []float64 {
+	if o, ok := al.(overwriter); ok {
+		return o.Float64sForOverwrite(n)
+	}
+	return al.Float64s(n)
+}
+
+// boolsForOverwrite is int64sForOverwrite for bools.
+func boolsForOverwrite(al Alloc, n int) []bool {
+	if o, ok := al.(overwriter); ok {
+		return o.BoolsForOverwrite(n)
+	}
+	return al.Bools(n)
+}
+
+// uint32sForOverwrite is int64sForOverwrite for uint32s.
+func uint32sForOverwrite(al Alloc, n int) []uint32 {
+	if o, ok := al.(overwriter); ok {
+		return o.Uint32sForOverwrite(n)
+	}
+	return al.Uint32s(n)
+}
+
 // Mem is the memory policy a query threads through the kernels: where
 // scratch and outputs come from. A pooled allocator also selects late
 // materialization — dictionary columns stay encoded through
@@ -145,10 +188,18 @@ func (b *strBuf) cut() string {
 // serve cursor pages). The copy is deep for strings too: a decoded
 // column's strings share one buffer (DecodeColumn), and the rows a
 // query gathered out of a scan-cache entry would otherwise pin that
-// entry's whole buffer for as long as the result is held.
+// entry's whole buffer for as long as the result is held. A Dict
+// column with fewer rows than dictionary entries — a pooled gather
+// shares its source's whole dictionary — is detached as its values, so
+// a one-row answer never copies a thousand-entry dictionary.
 func DetachColumn(c *Column) *Column {
 	if c == nil || !c.Pooled {
 		return c
+	}
+	if c.Enc == Dict && c.Len < len(c.Ints)+len(c.Floats)+len(c.Bools)+len(c.Strs) {
+		out := c.Decode() // heap arrays of c.Len values
+		ownStrings(out.Strs, out.Strs)
+		return out
 	}
 	out := *c
 	out.Pooled = false
@@ -166,16 +217,7 @@ func DetachColumn(c *Column) *Column {
 	}
 	if c.Strs != nil {
 		out.Strs = make([]string, len(c.Strs))
-		total := 0
-		for _, s := range c.Strs {
-			total += len(s)
-		}
-		var buf strBuf
-		buf.sb.Grow(total)
-		for i, s := range c.Strs {
-			buf.sb.WriteString(s)
-			out.Strs[i] = buf.cut()
-		}
+		ownStrings(out.Strs, c.Strs)
 	}
 	if c.Codes != nil {
 		out.Codes = append([]uint32(nil), c.Codes...)
@@ -184,6 +226,21 @@ func DetachColumn(c *Column) *Column {
 		out.Runs = append([]Run(nil), c.Runs...)
 	}
 	return &out
+}
+
+// ownStrings sets dst[i] to a copy of src[i], every copy cut from one
+// new buffer; dst may be src.
+func ownStrings(dst, src []string) {
+	total := 0
+	for _, s := range src {
+		total += len(s)
+	}
+	var buf strBuf
+	buf.sb.Grow(total)
+	for i, s := range src {
+		buf.sb.WriteString(s)
+		dst[i] = buf.cut()
+	}
 }
 
 // DetachBatch deep-copies any pooled columns so the batch is safe to

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"biglake/internal/arena"
@@ -258,6 +259,54 @@ func TestGCLeanDetachOutlivesArena(t *testing.T) {
 			if !row[j].Equal(want[i][j]) {
 				t.Fatalf("row %d col %d changed after recycle: %s vs %s", i, j, row[j], want[i][j])
 			}
+		}
+	}
+}
+
+// TestGCLeanDetachOneRowOfBigDictionary: detaching a one-row Dict
+// column — what a pooled gather of one row out of a dictionary-encoded
+// file gives — allocates the same bytes whether the dictionary it shares
+// holds a thousand entries or a hundred thousand: the row is detached as
+// its value, not as a code plus a copy of the whole dictionary.
+func TestGCLeanDetachOneRowOfBigDictionary(t *testing.T) {
+	perDetach := func(typ Type, entries int) float64 {
+		src := &Column{Type: typ, Len: entries, Enc: Dict, Codes: make([]uint32, entries)}
+		for i := range src.Codes {
+			src.Codes[i] = uint32(i)
+		}
+		if typ == String {
+			src.Strs = make([]string, entries)
+			for i := range src.Strs {
+				src.Strs[i] = fmt.Sprintf("value-%06d", i)
+			}
+		} else {
+			src.Ints = make([]int64, entries)
+			for i := range src.Ints {
+				src.Ints[i] = int64(i) * 3
+			}
+		}
+		ar := arena.New()
+		one := GatherWith(Mem{Al: ar}, src, []int{entries / 2})
+		if one.Enc != Dict || !one.Pooled {
+			t.Fatalf("pooled gather: enc %v pooled %v, want a pooled Dict column", one.Enc, one.Pooled)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			d := DetachColumn(one)
+			if d.Pooled || !d.Value(0).Equal(src.Value(entries/2)) {
+				t.Fatalf("detached %v, want %v", d.Value(0), src.Value(entries/2))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, typ := range []Type{Int64, String} {
+		small, big := perDetach(typ, 1000), perDetach(typ, 100000)
+		t.Logf("%v: %.0f B per detach at 1,000 entries, %.0f B at 100,000", typ, small, big)
+		if small > 512 || big > 512 {
+			t.Errorf("%v: detaching one row allocates %.0f B (1,000 entries) and %.0f B (100,000 entries); want it bounded by the row, not the dictionary", typ, small, big)
 		}
 	}
 }

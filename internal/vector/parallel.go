@@ -66,9 +66,24 @@ func forMorsels(n, workers int, fn func(worker, morsel, lo, hi int)) {
 	wg.Wait()
 }
 
-// parallelEach runs fn(i) for i in [0, n) over at most `workers`
-// goroutines; used for per-column / per-partition fan-out.
-func parallelEach(n, workers int, fn func(i int)) {
+// TaskWorkers returns how many of workers a stage of tasks runs on,
+// given how many of its tasks hold a morsel (MorselRows rows compared or
+// copied) of work each. Smaller tasks ride along but are never a reason
+// to fan out: a stage with fewer than two morsel-sized tasks — a point
+// lookup's window, a table of small files — runs on its caller's
+// goroutine (1), where a goroutine would cost more than it saves.
+func TaskWorkers(workers, big int) int {
+	if big < 2 {
+		return 1
+	}
+	return min(workers, big)
+}
+
+// ParallelEach runs fn(i) for i in [0, n) over at most `workers`
+// goroutines, which claim indices in order; used for per-column /
+// per-partition / per-file fan-out. With one worker (or one index)
+// everything runs inline on the calling goroutine.
+func ParallelEach(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}
@@ -289,7 +304,7 @@ func HashJoinWith(m Mem, left, right *Batch, leftKeys, rightKeys []int, kind Joi
 	next := al.Int32s(right.N)
 	heads := make([][]int32, nPart)
 	dup := al.Bools(nPart)
-	parallelEach(nPart, workers, func(p int) {
+	ParallelEach(nPart, workers, func(p int) {
 		rows := flat[start[p]:start[p+1]]
 		if len(rows) == 0 {
 			return

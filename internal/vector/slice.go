@@ -86,7 +86,7 @@ func Ascending(c *Column) bool {
 // is EQ, LT, LE, GT or GE; on the window it gives, CompareConst's mask
 // is true exactly inside it.
 func SortedWindow(c *Column, op CmpOp, v Value) (lo, hi int, ok bool) {
-	if c == nil || !c.Sorted || (v.Type != Int64 && v.Type != Timestamp) {
+	if !Windowed(c, op, v) {
 		return 0, 0, false
 	}
 	xs, k := c.Ints, v.I
@@ -103,6 +103,19 @@ func SortedWindow(c *Column, op CmpOp, v Value) (lo, hi int, ok bool) {
 		return searchInts(xs, k, false), len(xs), true
 	}
 	return 0, 0, false
+}
+
+// Windowed reports whether SortedWindow answers `c op v`, without the
+// search.
+func Windowed(c *Column, op CmpOp, v Value) bool {
+	if c == nil || !c.Sorted || (v.Type != Int64 && v.Type != Timestamp) {
+		return false
+	}
+	switch op {
+	case EQ, LT, LE, GT, GE:
+		return true
+	}
+	return false
 }
 
 // searchInts returns the first position of the non-decreasing xs whose
@@ -232,7 +245,7 @@ func GatherNullColsWith(m Mem, dst, cols []*Column, idx []int32, workers int) {
 	if len(idx) < MorselRows {
 		workers = 1
 	}
-	parallelEach(len(cols), workers, func(i int) {
+	ParallelEach(len(cols), workers, func(i int) {
 		dst[i] = GatherNullWith(m, cols[i], idx)
 	})
 }

@@ -176,7 +176,7 @@ func minMaxVals[T cmp.Ordered](c *Column, vals []T) (lo, hi T, ok bool, nulls in
 // combine into it in place.
 func TruthMask(al Alloc, c *Column) []bool {
 	mask := al.Bools(c.Len)
-	appendSelected(mask, c.Bools, c, nil, 0, func(i int) { mask[i] = false })
+	copySelected(mask, c.Bools, c, 0, c.Len, nil, func(i int) { mask[i] = false })
 	return mask
 }
 
@@ -437,7 +437,7 @@ func ExtractSortKey(al Alloc, c *Column, desc bool) SortKey {
 			break
 		}
 		k.nums = al.Float64s(c.Len)
-		appendSelected(k.nums, c.Floats, c, nil, 0, k.nullSetter(al, c.Len))
+		copySelected(k.nums, c.Floats, c, 0, c.Len, nil, k.nullSetter(al, c.Len))
 	case numericType(c.Type):
 		k.nums = al.Float64s(c.Len)
 		if c.Enc == Plain {
@@ -452,13 +452,13 @@ func ExtractSortKey(al Alloc, c *Column, desc bool) SortKey {
 		for i, v := range c.Ints {
 			vals[i] = float64(v)
 		}
-		appendSelected(k.nums, vals, c, nil, 0, k.nullSetter(al, c.Len))
+		copySelected(k.nums, vals, c, 0, c.Len, nil, k.nullSetter(al, c.Len))
 	case stringType(c.Type) && c.Enc == Plain:
 		k.strs, k.nulls = c.Strs, c.Nulls
 	case stringType(c.Type):
 		ranks := stringRanks(al, c.Strs)
 		k.ords = al.Int32s(c.Len)
-		appendSelected(k.ords, ranks, c, nil, 0, func(i int) { k.ords[i] = -1 })
+		copySelected(k.ords, ranks, c, 0, c.Len, nil, func(i int) { k.ords[i] = -1 })
 	case c.Type == Bool:
 		k.ords = al.Int32s(c.Len)
 		vals := al.Int32s(len(c.Bools))
@@ -467,7 +467,7 @@ func ExtractSortKey(al Alloc, c *Column, desc bool) SortKey {
 				vals[i] = 1
 			}
 		}
-		appendSelected(k.ords, vals, c, nil, 0, func(i int) { k.ords[i] = -1 })
+		copySelected(k.ords, vals, c, 0, c.Len, nil, func(i int) { k.ords[i] = -1 })
 	}
 	return k
 }

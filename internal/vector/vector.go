@@ -436,16 +436,16 @@ func (c *Column) Decode() *Column {
 	switch c.Type {
 	case Int64, Timestamp:
 		out.Ints = make([]int64, c.Len)
-		appendSelected(out.Ints, c.Ints, c, nil, 0, nullAt)
+		copySelected(out.Ints, c.Ints, c, 0, c.Len, nil, nullAt)
 	case Float64:
 		out.Floats = make([]float64, c.Len)
-		appendSelected(out.Floats, c.Floats, c, nil, 0, nullAt)
+		copySelected(out.Floats, c.Floats, c, 0, c.Len, nil, nullAt)
 	case Bool:
 		out.Bools = make([]bool, c.Len)
-		appendSelected(out.Bools, c.Bools, c, nil, 0, nullAt)
+		copySelected(out.Bools, c.Bools, c, 0, c.Len, nil, nullAt)
 	case String, Bytes:
 		out.Strs = make([]string, c.Len)
-		appendSelected(out.Strs, c.Strs, c, nil, 0, nullAt)
+		copySelected(out.Strs, c.Strs, c, 0, c.Len, nil, nullAt)
 	}
 	return out
 }
