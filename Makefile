@@ -115,11 +115,16 @@ txn:
 	$(GO) test -race -run 'TestWriteAPIFlushDeclaresIntent' ./internal/core/
 
 # The query-service gate: admission control, weighted fair queuing,
-# cancellation, and the seeded load harness under the race detector,
-# then a short deterministic soak (E18 overload shape + same-seed
+# cancellation, and the seeded load harness under the race detector —
+# with one open transaction per principal across both of a lakehouse's
+# doors (Lakehouse.Query and a session) — then every door recording one
+# job per statement (Lakehouse.Query, a session, Omni single-region and
+# cross-cloud) and a repeated cross-cloud query over the shared cached
+# AST, a short deterministic soak (E18 overload shape + same-seed
 # bit-identical replay) and the serve-path differential diff.
 serve:
 	$(GO) test -race ./internal/serve/...
+	$(GO) test -race -run 'TestEveryDoorRecordsOneJob|TestCrossCloudQueryRepeats' ./internal/omni/
 	$(GO) test -race -run 'TestE18' -v ./internal/exp/
 	$(GO) test -run 'TestDifferentialServe' ./internal/oracle/
 
@@ -215,7 +220,8 @@ gclean:
 # The queryable-telemetry gate: the systables rings/trackers and the
 # obs registry under the race detector, the direct-engine and
 # serve-session system.* SQL paths (including the self-observation
-# regression), the E21 overhead gate (recording on vs off must take
+# regression), one job row with its SQL text per statement through every
+# door, the E21 overhead gate (recording on vs off must take
 # bit-identical trajectories), system.metrics over the production
 # assembly (core.New: every layer's counters in the one registry), and
 # the obslint sweep that keeps every registered metric name documented
@@ -226,6 +232,7 @@ systables:
 	$(GO) test -run 'TestSystem' ./internal/engine/
 	$(GO) test -run 'TestSystemMetrics' ./internal/core/
 	$(GO) test -race -run 'TestSelfObservation|TestServeShedRecorded|TestServeSessionsAndSLOTables|TestServeRecordsOnce' ./internal/serve/
+	$(GO) test -race -run 'TestEveryDoorRecordsOneJob' ./internal/omni/
 	$(GO) test -run 'TestE21|TestRunTop' -v ./internal/exp/
 	./scripts/obslint.sh
 

@@ -37,7 +37,11 @@ import (
 
 // Core deployment types.
 type (
-	// Lakehouse is a single-region BigLake deployment.
+	// Lakehouse is a single-region BigLake deployment. Its Query runs
+	// each statement on the deployment's query service: admitted (the
+	// serve layer's default budget and queue) and recorded once in
+	// system.jobs with its SQL text. BEGIN opens the principal's
+	// transaction and returns one row, its txn_id.
 	Lakehouse = core.Lakehouse
 	// Options configures New.
 	Options = core.Options

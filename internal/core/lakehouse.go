@@ -21,8 +21,8 @@ import (
 	"biglake/internal/objstore"
 	"biglake/internal/obs"
 	"biglake/internal/security"
+	"biglake/internal/serve"
 	"biglake/internal/sim"
-	"biglake/internal/sqlparse"
 	"biglake/internal/storageapi"
 	"biglake/internal/txn"
 	"biglake/internal/vector"
@@ -74,12 +74,14 @@ type Lakehouse struct {
 	Store      *objstore.Store
 	Journal    *wal.Journal
 	Txns       *txn.Manager
-	Admin      security.Principal
+	// Server is the query service Query runs on; it holds each
+	// principal's one open transaction.
+	Server *serve.Server
+	Admin  security.Principal
 
 	cloud, region string
 	serviceSA     objstore.Credential
 	querySeq      int
-	sessions      map[security.Principal]*txn.Session
 }
 
 // managedBucket holds managed-table data by default and the journal.
@@ -148,13 +150,13 @@ func (cp *ControlPlane) Deploy(opts Options) (*Lakehouse, error) {
 
 // assemble builds every in-memory service over log: the Big Metadata
 // cache, the engine, the Storage API server, the BLMT manager, the
-// transaction manager and the inference runtime. The store and the
-// control plane survive it. There is one registry for the deployment —
-// reg — and system.metrics reads it: the store, cache and log are
-// pointed at it, the Storage API server and the BLMT manager inherit it
-// from the log, the transaction manager and the inference runtime from
-// the engine, a journal recovery from the store. Open interactive
-// sessions are dropped.
+// transaction manager, the inference runtime and the query service
+// (serve.Config{}). The store and the control plane survive it. There is
+// one registry for the deployment — reg — and system.metrics reads it:
+// the store, cache and log are pointed at it, the Storage API server and
+// the BLMT manager inherit it from the log, the transaction manager, the
+// inference runtime and the query service from the engine, a journal
+// recovery from the store. Open interactive sessions are dropped.
 func (lh *Lakehouse) assemble(log *bigmeta.Log, engOpts engine.Options, reg *obs.Registry) {
 	stores := map[string]*objstore.Store{lh.cloud: lh.Store}
 	meta := bigmeta.NewCache(lh.Clock)
@@ -173,7 +175,7 @@ func (lh *Lakehouse) assemble(log *bigmeta.Log, engOpts engine.Options, reg *obs
 	rt.Attach(eng)
 	lh.Meta, lh.Log, lh.Engine, lh.StorageAPI, lh.Manager, lh.Inference = meta, log, eng, srv, mgr, rt
 	lh.Txns = txn.NewManager(eng)
-	lh.sessions = make(map[security.Principal]*txn.Session)
+	lh.Server = serve.New(eng, lh.Txns, serve.Config{})
 }
 
 // NewEngine returns another engine over this deployment, with its own
@@ -195,10 +197,11 @@ func (lh *Lakehouse) NewEngine(opts engine.Options) *engine.Engine {
 // replays it with wal.Recover and rebuilds every in-memory service over
 // the replayed log with lh.Engine's options, registry and tracer — the
 // Storage API server resuming each write stream at its sealed offset,
-// the BLMT manager keeping AutoIceberg. Open sessions are dropped; the
-// clock, store, catalog and IAM are kept. Orphan GC and re-exporting
-// Iceberg metadata are the caller's, which knows its data prefixes. A
-// crash injector on the old log is not carried over.
+// the BLMT manager keeping AutoIceberg. Open sessions and transactions
+// go with the old query service; the clock, store, catalog and IAM are
+// kept. Orphan GC and re-exporting Iceberg metadata are the caller's,
+// which knows its data prefixes. A crash injector on the old log is not
+// carried over.
 func (lh *Lakehouse) Recover() (wal.RecoveryReport, error) {
 	j, err := wal.Open(lh.Store, lh.serviceSA, managedBucket, "")
 	if err != nil {
@@ -320,32 +323,16 @@ func (lh *Lakehouse) CreateObjectTable(creator security.Principal, dataset, name
 	return lh.Auth.GrantTable(lh.Admin, t.FullName(), creator, security.RoleOwner)
 }
 
-// Query runs SQL as a principal. BEGIN opens an interactive
-// transaction for that principal; until it commits or rolls back,
-// the principal's statements run inside the session — reads pinned to
-// the BEGIN-time snapshot, writes buffered until COMMIT seals them
-// atomically across every table touched.
+// Query runs one SQL statement as a principal on the lakehouse's query
+// service (Server.Exec, query ID q-<n>): admitted, recorded once in
+// system.jobs, returned whole. BEGIN opens the principal's transaction
+// and returns one txn_id row; the principal's statements then run inside
+// it — reads pinned to the BEGIN-time snapshot, writes buffered until
+// COMMIT seals them atomically — until COMMIT or ROLLBACK. BEGIN fails
+// with serve.ErrTxnOpen while a serve session of the principal holds one.
 func (lh *Lakehouse) Query(p security.Principal, sql string) (*engine.Result, error) {
 	lh.querySeq++
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if s := lh.sessions[p]; s != nil {
-		res, err := s.Exec(sql)
-		if !s.Active() {
-			delete(lh.sessions, p)
-		}
-		return res, err
-	}
-	if _, ok := stmt.(*sqlparse.BeginStmt); ok {
-		s := lh.Txns.Begin(p, fmt.Sprintf("q-%d", lh.querySeq))
-		lh.sessions[p] = s
-		out := vector.MustBatch(vector.NewSchema(vector.Field{Name: "snapshot_version", Type: vector.Int64}),
-			[]*vector.Column{vector.NewInt64Column([]int64{s.Snapshot()})})
-		return &engine.Result{Batch: out}, nil
-	}
-	return lh.Engine.Query(engine.NewContext(p, fmt.Sprintf("q-%d", lh.querySeq)), sql)
+	return lh.Server.Exec(p, fmt.Sprintf("q-%d", lh.querySeq), sql)
 }
 
 // RefreshMetadataCache rebuilds the §3.3 cache for a table in the

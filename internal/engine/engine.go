@@ -346,8 +346,8 @@ type QueryContext struct {
 	// serve layer) set it before Execute.
 	SQLText string
 	// SkipJobRecord suppresses Execute's job recording for this
-	// statement. The serve layer sets it and records at cursor close,
-	// so every statement lands in system.jobs exactly once.
+	// statement. The serve layer (at cursor close) and Omni (once per
+	// query) record it themselves, so it lands in system.jobs once.
 	SkipJobRecord bool
 
 	// mem is the query's memory policy: the arena every kernel draws
@@ -433,9 +433,19 @@ func (e *Engine) Execute(ctx *QueryContext, stmt sqlparse.Statement) (*Result, e
 	if ctx.SkipJobRecord || !e.Sys.Enabled() {
 		return e.executeStmt(ctx, stmt)
 	}
-	pre := ctx.Stats
 	wallStart := time.Now()
 	res, err := e.executeStmt(ctx, stmt)
+	rec := JobRecord(ctx, stmt, res, err)
+	rec.Wall = time.Since(wallStart)
+	e.Sys.RecordJob(rec)
+	return res, err
+}
+
+// JobRecord builds the system.jobs row of a statement run under ctx, for
+// every door (Execute, serve, Omni): identity, SQL and counts from ctx,
+// kind and class from stmt, rows returned from res (nil: none), state
+// and error class from err. Callers add admission wait, bytes, wall time.
+func JobRecord(ctx *QueryContext, stmt sqlparse.Statement, res *Result, err error) systables.JobRecord {
 	rec := systables.JobRecord{
 		QueryID:         ctx.QueryID,
 		Principal:       string(ctx.Principal),
@@ -445,24 +455,23 @@ func (e *Engine) Execute(ctx *QueryContext, stmt sqlparse.Statement) (*Result, e
 		State:           systables.StateDone,
 		Start:           ctx.Stats.SimStart,
 		ExecSim:         ctx.Stats.SimElapsed,
-		Wall:            time.Since(wallStart),
-		RowsScanned:     ctx.Stats.RowsScanned - pre.RowsScanned,
-		BytesScanned:    ctx.Stats.BytesScanned - pre.BytesScanned,
-		CacheHits:       ctx.Stats.CacheHits - pre.CacheHits,
-		QuarantineSkips: ctx.Stats.QuarantineSkips - pre.QuarantineSkips,
+		RowsScanned:     ctx.Stats.RowsScanned,
+		BytesScanned:    ctx.Stats.BytesScanned,
+		CacheHits:       ctx.Stats.CacheHits,
+		QuarantineSkips: ctx.Stats.QuarantineSkips,
 	}
 	if err != nil {
-		rec.ErrorClass = systables.ClassifyError(err)
-		if rec.ErrorClass == "cancelled" {
+		rec.State, rec.ErrorClass = systables.StateFailed, systables.ClassifyError(err)
+		switch rec.ErrorClass {
+		case "cancelled":
 			rec.State = systables.StateCancelled
-		} else {
-			rec.State = systables.StateFailed
+		case "txn_conflict":
+			rec.AbortCause = err.Error()
 		}
 	} else if res != nil && res.Batch != nil {
 		rec.RowsReturned = int64(res.Batch.N)
 	}
-	e.Sys.RecordJob(rec)
-	return res, err
+	return rec
 }
 
 // QueryClass buckets a statement for SLO accounting: selects with

@@ -19,6 +19,7 @@ import (
 
 	"biglake/internal/catalog"
 	"biglake/internal/engine"
+	"biglake/internal/sqlparse"
 	"biglake/internal/txn"
 	"biglake/internal/vector"
 )
@@ -139,12 +140,14 @@ func runE17Writers(writers, rounds int) (E17Row, error) {
 		// All writers of the round begin before any commits: every
 		// session pins the same snapshot.
 		sess := make([]*txn.Session, writers)
-		sqls := make([]string, writers)
+		stmts := make([]sqlparse.Statement, writers)
 		for i := 0; i < writers; i++ {
 			uid++
-			sqls[i] = e17Op(i, uid)
+			if stmts[i], _, err = w.LH.Engine.Parse(e17Op(i, uid)); err != nil {
+				return E17Row{}, err
+			}
 			sess[i] = w.LH.Txns.Begin(Admin, fmt.Sprintf("e17-w%d-r%d-s%d-a0", writers, r, i))
-			if _, err := sess[i].Exec(sqls[i]); err != nil {
+			if _, err := sess[i].ExecStmt(nil, stmts[i]); err != nil {
 				return E17Row{}, fmt.Errorf("w%d r%d s%d exec: %w", writers, r, i, err)
 			}
 		}
@@ -167,7 +170,7 @@ func runE17Writers(writers, rounds int) (E17Row, error) {
 				}
 				row.Retries++
 				s = w.LH.Txns.Begin(Admin, fmt.Sprintf("e17-w%d-r%d-s%d-a%d", writers, r, i, attempt))
-				if _, err := s.Exec(sqls[i]); err != nil {
+				if _, err := s.ExecStmt(nil, stmts[i]); err != nil {
 					return E17Row{}, fmt.Errorf("w%d r%d s%d re-exec: %w", writers, r, i, err)
 				}
 			}

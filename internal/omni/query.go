@@ -2,6 +2,7 @@ package omni
 
 import (
 	"fmt"
+	"time"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
@@ -33,20 +34,39 @@ func (d *Deployment) Submit(principal security.Principal, sql string) (*engine.R
 	return d.SubmitWith(principal, sql, SubmitOptions{})
 }
 
-// SubmitWith is Submit with experiment options.
-func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts SubmitOptions) (*engine.Result, error) {
-	stmt, err := sqlparse.Parse(sql)
+// SubmitWith is Submit with experiment options. It parses through the
+// primary region's statement cache and records the query as one job,
+// omni-q-<n>, in the primary's system.jobs; region runs record none.
+func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts SubmitOptions) (res *engine.Result, err error) {
+	primary, err := d.Region(d.Primary)
 	if err != nil {
 		return nil, err
 	}
-	queryID := fmt.Sprintf("omni-q-%d", d.nextSeq())
+	stmt, _, err := primary.Engine.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	job := engine.NewContext(principal, fmt.Sprintf("omni-q-%d", d.nextSeq()))
+	job.SQLText, job.Stats.SimStart = sql, d.Clock.Now()
+	wallStart := time.Now()
+	defer func() {
+		job.Stats.SimElapsed = d.Clock.Now() - job.Stats.SimStart
+		rec := engine.JobRecord(job, stmt, res, err)
+		rec.Wall = time.Since(wallStart)
+		primary.Engine.Sys.RecordJob(rec)
+	}()
 
 	// Per-query trace (nil Tracer disables it end to end). The
 	// deployment started the trace, so it — not the region engines,
 	// which see ctx.Trace already set — finishes it.
-	tr := d.Tracer.Start(queryID, d.Clock)
+	tr := d.Tracer.Start(job.QueryID, d.Clock)
 	root := tr.Root()
 	defer tr.Finish()
+	regionCtx := func(region string, scope []string) *engine.QueryContext {
+		ctx := engine.NewContext(principal, job.QueryID)
+		ctx.Region, ctx.Scope, ctx.Trace, ctx.SkipJobRecord = region, scope, tr, true
+		return ctx
+	}
 
 	sel, isSelect := stmt.(*sqlparse.SelectStmt)
 	tables := sqlparse.ReferencedTables(stmt)
@@ -99,7 +119,7 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 				regionTables = append(regionTables, t)
 			}
 		}
-		tok := d.Auth.MintToken(queryID, principal, region, regionTables, d.Clock.Now()+TokenTTL)
+		tok := d.Auth.MintToken(job.QueryID, principal, region, regionTables, d.Clock.Now()+TokenTTL)
 		svc := security.Principal(r.ServiceAccount().Principal)
 		for _, t := range regionTables {
 			if err := proxy.Authorize(tok, region, svc, t); err != nil {
@@ -115,10 +135,7 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 		if err := d.VPN.Call(d.Clock, d.Primary, target.Name, 1024, target.Store.Profile()); err != nil {
 			return nil, err
 		}
-		ctx := engine.NewContext(principal, queryID)
-		ctx.Region = target.Name
-		ctx.Scope = scope
-		ctx.Trace = tr
+		ctx := regionCtx(target.Name, scope)
 		if root != nil {
 			sp := root.Child("dispatch " + target.Name)
 			sp.SetStr("cloud", target.Cloud)
@@ -166,10 +183,7 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 			Where: predsToExpr(preds),
 			Limit: -1,
 		}
-		ctx := engine.NewContext(principal, queryID)
-		ctx.Region = remote.Name
-		ctx.Scope = scope
-		ctx.Trace = tr
+		ctx := regionCtx(remote.Name, scope)
 		var ssp *obs.Span
 		if root != nil {
 			ssp = root.Child("subquery " + remote.Name)
@@ -199,19 +213,13 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 		replaceTable(rewritten, t, tempName)
 	}
 
-	ctx := engine.NewContext(principal, queryID)
-	ctx.Region = home
-	ctx.Trace = tr
+	ctx := regionCtx(home, nil)
 	if root != nil {
 		jsp := root.Child("local join " + home)
 		ctx.Span = jsp
 		defer jsp.End()
 	}
-	res, err := homeRegion.Engine.Execute(ctx, rewritten)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return homeRegion.Engine.Execute(ctx, rewritten)
 }
 
 func (d *Deployment) nextSeq() int {

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"biglake/internal/core"
 	"biglake/internal/engine"
 	"biglake/internal/iceberg"
 	"biglake/internal/storageapi"
@@ -186,7 +187,7 @@ func TestOptimizeRacesCommittedDML(t *testing.T) {
 	var updates, inserts int64
 	for i := 0; i < 200; i++ {
 		s := tw.w.Txns.Begin(diffAdmin, fmt.Sprintf("upd-%d", i))
-		_, err := s.Exec("UPDATE " + table + " SET v = v + 1 WHERE id < 8")
+		_, err := execIn(tw.w, s, "UPDATE "+table+" SET v = v + 1 WHERE id < 8")
 		if err == nil {
 			_, err = s.Commit(nil)
 		}
@@ -238,7 +239,7 @@ func TestEveryCommitterExportsIceberg(t *testing.T) {
 	}
 
 	s := cw.w.Txns.Begin(diffAdmin, "ice-txn")
-	if _, err := s.Exec(crashInsertSQL(1, 3)); err != nil {
+	if _, err := execIn(cw.w, s, crashInsertSQL(1, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Commit(nil); err != nil {
@@ -275,4 +276,14 @@ func TestEveryCommitterExportsIceberg(t *testing.T) {
 	if cw.w.Log.Version() != 3 {
 		t.Fatalf("log at v%d after three commits", cw.w.Log.Version())
 	}
+}
+
+// execIn runs one statement inside a transaction session, parsed
+// through the world engine's statement cache.
+func execIn(w *core.Lakehouse, s *txn.Session, sql string) (*engine.Result, error) {
+	stmt, _, err := w.Engine.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return s.ExecStmt(nil, stmt)
 }

@@ -39,7 +39,7 @@ func TestRewritesNeverCommitUnverifiedBytes(t *testing.T) {
 		"txn": func(tw *txnWorld, db *DB, qid string) error {
 			const sql = "UPDATE " + table + " SET v = v + 7 WHERE id <= 5"
 			s := tw.w.Txns.Begin(diffAdmin, qid)
-			if _, err := s.Exec(sql); err != nil {
+			if _, err := execIn(tw.w, s, sql); err != nil {
 				_ = s.Rollback()
 				return err
 			}

@@ -264,7 +264,11 @@ func (tw *txnWorld) run(sc txnSchedule) (map[string]int64, error) {
 		case stepBegin:
 			sessions[st.sess] = tw.w.Txns.Begin(diffAdmin, txnID(sc.seed, st.sess))
 		case stepStmt:
-			if _, err := s.Exec(st.sql); err != nil {
+			stmt, _, err := tw.w.Engine.Parse(st.sql)
+			if err == nil {
+				_, err = s.ExecStmt(nil, stmt)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("s%d %q: %w", st.sess, st.sql, err)
 			}
 		case stepCommit:

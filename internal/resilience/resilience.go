@@ -51,6 +51,9 @@ var (
 	// admission control shed this request before it consumed capacity.
 	// Retrying after OverloadError.RetryAfter is safe and expected.
 	ErrOverloaded = errors.New("resilience: overloaded")
+	// ErrQuotaExceeded rejects a tenant past its egress quota
+	// (serve.QuotaError); retrying does not help until it is raised.
+	ErrQuotaExceeded = errors.New("resilience: tenant egress quota exceeded")
 )
 
 // OverloadError is the typed "overloaded, retry later" error an

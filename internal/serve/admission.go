@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -11,8 +10,9 @@ import (
 	"biglake/internal/systables"
 )
 
-// ErrQuotaExceeded matches every QuotaError via errors.Is.
-var ErrQuotaExceeded = errors.New("serve: tenant egress quota exceeded")
+// ErrQuotaExceeded is resilience.ErrQuotaExceeded: every QuotaError
+// matches it via errors.Is.
+var ErrQuotaExceeded = resilience.ErrQuotaExceeded
 
 // QuotaError rejects a submission from a tenant whose cumulative
 // result egress exceeded its configured quota. Unlike an overload

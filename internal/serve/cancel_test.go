@@ -1,4 +1,4 @@
-package serve
+package serve_test
 
 import (
 	"errors"
@@ -8,6 +8,7 @@ import (
 
 	"biglake/internal/engine"
 	"biglake/internal/resilience"
+	. "biglake/internal/serve"
 	"biglake/internal/wal"
 )
 

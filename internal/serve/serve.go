@@ -57,7 +57,9 @@ type Server struct {
 	sessSeq  int64
 	sessions int
 	sessMap  map[string]*Session
-	openTxns map[security.Principal]*txn.Session
+	// openTxns maps each principal to the session holding its one open
+	// transaction, a client's or Exec's.
+	openTxns map[security.Principal]*Session
 }
 
 // New builds a server over eng. txns may be nil: BEGIN then fails
@@ -71,7 +73,7 @@ func New(eng *engine.Engine, txns *txn.Manager, cfg Config) *Server {
 		adm:      newAdmitter(cfg, eng.Obs),
 		c:        resolveServeCounters(eng.Obs),
 		sessMap:  map[string]*Session{},
-		openTxns: map[security.Principal]*txn.Session{},
+		openTxns: map[security.Principal]*Session{},
 	}
 	// The server is the system-table provider's session source and SLO
 	// configurator: system.sessions enumerates open sessions and
@@ -137,6 +139,33 @@ func (s *Server) Open(principal security.Principal, name string) (*Session, erro
 	return sess, nil
 }
 
+// Exec runs one statement for principal with no client session — the
+// door Lakehouse.Query is: the same parse → prepare → admit → execute →
+// record sequence, under query ID qid, the result returned whole. It
+// runs inside the transaction a previous Exec BEGIN left open, on the
+// session holding it; otherwise on a session of its own.
+func (s *Server) Exec(principal security.Principal, qid, sql string) (*engine.Result, error) {
+	s.mu.Lock()
+	closed, sess := s.closed, s.openTxns[principal]
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrServerClosed
+	}
+	if sess == nil || !sess.door {
+		sess = &Session{srv: s, ID: qid, Principal: principal, door: true, inflight: map[string]*engine.QueryContext{}}
+	}
+	p, err := sess.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	p.SetQueryID(qid)
+	cur, err := p.Execute()
+	if err != nil {
+		return nil, err
+	}
+	return cur.whole(), nil
+}
+
 // Close shuts the server: existing sessions keep draining, new Opens
 // fail.
 func (s *Server) Close() {
@@ -152,6 +181,7 @@ type Session struct {
 	srv       *Server
 	ID        string
 	Principal security.Principal
+	door      bool // Exec's: no client holds it
 
 	mu       sync.Mutex
 	closed   bool
@@ -217,11 +247,10 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	open := s.txn
-	s.txn = nil
 	s.mu.Unlock()
 	var err error
 	if open != nil {
-		s.srv.unregisterTxn(s.Principal, open)
+		s.clearTxn(open)
 		if open.Active() {
 			err = open.Rollback()
 		}
@@ -378,32 +407,12 @@ func (s *Session) recordShed(p *Prepared, now time.Duration, cause error) {
 	}
 	s.mu.Lock()
 	s.shedSeq++
-	qid := fmt.Sprintf("%s-shed%03d", s.ID, s.shedSeq)
+	ctx := engine.NewContext(s.Principal, fmt.Sprintf("%s-shed%03d", s.ID, s.shedSeq))
 	s.mu.Unlock()
-	sys.RecordJob(systables.JobRecord{
-		QueryID:    qid,
-		Principal:  string(s.Principal),
-		SQL:        p.sql,
-		Kind:       p.kind,
-		Class:      engine.QueryClass(p.stmt),
-		State:      systables.StateShed,
-		ErrorClass: classifyServeError(cause),
-		Start:      now,
-	})
-}
-
-// classifyServeError extends the engine's error classification with
-// the serve- and txn-layer causes this package can see.
-func classifyServeError(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrQuotaExceeded):
-		return "quota"
-	case errors.Is(err, txn.ErrConflict):
-		return "txn_conflict"
-	}
-	return systables.ClassifyError(err)
+	ctx.SQLText, ctx.Stats.SimStart = p.sql, now
+	job := engine.JobRecord(ctx, p.stmt, nil, cause)
+	job.State = systables.StateShed
+	sys.RecordJob(job)
 }
 
 // runStatement executes an admitted statement. The grant is handed to
@@ -488,31 +497,10 @@ func (s *Session) runStatement(p *Prepared, g *Grant) (cur *Cursor, err error) {
 	if tr != nil {
 		tr.Finish()
 	}
-	job := systables.JobRecord{
-		QueryID:         qid,
-		Principal:       string(s.Principal),
-		SQL:             p.sql,
-		Kind:            p.kind,
-		Class:           engine.QueryClass(p.stmt),
-		State:           systables.StateDone,
-		AdmissionWait:   g.queuedFor,
-		Start:           ctx.Stats.SimStart,
-		ExecSim:         ctx.Stats.SimElapsed,
-		RowsScanned:     ctx.Stats.RowsScanned,
-		BytesScanned:    ctx.Stats.BytesScanned,
-		CacheHits:       ctx.Stats.CacheHits,
-		QuarantineSkips: ctx.Stats.QuarantineSkips,
-	}
 	if err != nil {
 		s.removeInflight(qid)
-		job.ErrorClass = classifyServeError(err)
-		job.State = systables.StateFailed
-		if job.ErrorClass == "cancelled" {
-			job.State = systables.StateCancelled
-		}
-		if job.ErrorClass == "txn_conflict" {
-			job.AbortCause = err.Error()
-		}
+		job := engine.JobRecord(ctx, p.stmt, nil, err)
+		job.AdmissionWait = g.queuedFor
 		job.Wall = time.Since(wallStart)
 		srv.eng.Sys.RecordJob(job)
 		return nil, err
@@ -526,16 +514,14 @@ func (s *Session) runStatement(p *Prepared, g *Grant) (cur *Cursor, err error) {
 	// its own results, but the session boundary owns the lifetime
 	// guarantee, so enforce it here too.
 	batch = vector.DetachBatch(batch)
-	job.ExecSim = res.Stats.SimElapsed
-	job.Start = res.Stats.SimStart
 	return &Cursor{
 		sess:      s,
 		ctx:       ctx,
 		grant:     g,
-		qid:       qid,
+		stmt:      p.stmt,
 		batch:     batch,
+		stats:     res.Stats,
 		page:      srv.cfg.PageRows,
-		job:       job,
 		wallStart: wallStart,
 	}, nil
 }
@@ -554,7 +540,7 @@ func (s *Session) beginTxn(ctx *engine.QueryContext, qid string) (*engine.Result
 		return nil, ErrTxnOpen
 	}
 	ts := srv.txns.Begin(s.Principal, qid)
-	srv.openTxns[s.Principal] = ts
+	srv.openTxns[s.Principal] = s
 	n := len(srv.openTxns)
 	srv.mu.Unlock()
 	s.mu.Lock()
@@ -567,19 +553,22 @@ func (s *Session) beginTxn(ctx *engine.QueryContext, qid string) (*engine.Result
 	return &engine.Result{Batch: out}, nil
 }
 
+// clearTxn drops ts from the session and, with it, the session from the
+// registry.
 func (s *Session) clearTxn(ts *txn.Session) {
 	s.mu.Lock()
-	if s.txn == ts {
+	mine := s.txn == ts
+	if mine {
 		s.txn = nil
 	}
 	s.mu.Unlock()
-	s.srv.unregisterTxn(s.Principal, ts)
-}
-
-func (srv *Server) unregisterTxn(p security.Principal, ts *txn.Session) {
+	if !mine {
+		return
+	}
+	srv := s.srv
 	srv.mu.Lock()
-	if srv.openTxns[p] == ts {
-		delete(srv.openTxns, p)
+	if srv.openTxns[s.Principal] == s {
+		delete(srv.openTxns, s.Principal)
 	}
 	n := len(srv.openTxns)
 	srv.mu.Unlock()
@@ -590,17 +579,13 @@ func (srv *Server) unregisterTxn(p security.Principal, ts *txn.Session) {
 // grant is held until Close (or CloseAt), so capacity accounting
 // covers result delivery, not just execution.
 type Cursor struct {
-	sess  *Session
-	ctx   *engine.QueryContext
-	grant *Grant
-	qid   string
-	batch *vector.Batch
-	page  int
-
-	// job is the statement's pre-filled system.jobs record; CloseAt
-	// finalizes it (egress, rows delivered, wall time, stream outcome)
-	// and hands it to the provider exactly once.
-	job       systables.JobRecord
+	sess      *Session
+	ctx       *engine.QueryContext
+	grant     *Grant
+	stmt      sqlparse.Statement
+	batch     *vector.Batch
+	stats     engine.ExecStats
+	page      int
 	wallStart time.Time
 
 	mu        sync.Mutex
@@ -665,6 +650,16 @@ func (c *Cursor) All() (*vector.Batch, error) {
 	return concatPages(pages)
 }
 
+// whole delivers the entire result unpaged and closes the cursor, every
+// row counted as returned.
+func (c *Cursor) whole() *engine.Result {
+	c.mu.Lock()
+	c.off, c.sentFirst, c.egress = c.batch.N, true, pageBytes(c.batch)
+	c.mu.Unlock()
+	c.Close()
+	return &engine.Result{Batch: c.batch, Stats: c.stats}
+}
+
 // Cancel cooperatively kills the query and its stream: in-flight
 // engine work fails at its next budget check and the next Next
 // returns the cancellation error.
@@ -691,24 +686,19 @@ func (c *Cursor) CloseAt(now time.Duration) {
 	rows := int64(c.off)
 	failErr := c.failErr
 	c.mu.Unlock()
-	c.sess.removeInflight(c.qid)
+	c.sess.removeInflight(c.ctx.QueryID)
 	c.sess.srv.adm.release(c.grant, egress, now)
 
-	// Finalize the job record now that the stream outcome is known.
-	// Recording happens after every lock above is released, and the
-	// provider copies under its own locks only, so a concurrent scan of
-	// system.jobs (even from this very session) cannot deadlock.
-	job := c.job
-	job.RowsReturned = rows
-	job.BytesReturned = egress
+	// Record the job now that the stream outcome is known, after every
+	// lock above is released: the provider copies under its own locks
+	// only, so a concurrent scan of system.jobs (even from this very
+	// session) cannot deadlock. It is timed from the result, which differs
+	// from the context only for DML (built before its end is stamped).
+	job := engine.JobRecord(c.ctx, c.stmt, nil, failErr)
+	job.AdmissionWait = c.grant.queuedFor
+	job.Start, job.ExecSim = c.stats.SimStart, c.stats.SimElapsed
+	job.RowsReturned, job.BytesReturned = rows, egress
 	job.Wall = time.Since(c.wallStart)
-	if failErr != nil {
-		job.ErrorClass = classifyServeError(failErr)
-		job.State = systables.StateFailed
-		if job.ErrorClass == "cancelled" {
-			job.State = systables.StateCancelled
-		}
-	}
 	c.sess.srv.eng.Sys.RecordJob(job)
 }
 

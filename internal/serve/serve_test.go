@@ -1,4 +1,4 @@
-package serve
+package serve_test
 
 import (
 	"errors"
@@ -11,6 +11,7 @@ import (
 	"biglake/internal/engine"
 	"biglake/internal/resilience"
 	"biglake/internal/security"
+	. "biglake/internal/serve"
 	"biglake/internal/vector"
 )
 
@@ -72,10 +73,7 @@ func (ev *env) open(t *testing.T, p security.Principal) *Session {
 
 // admState reads the admitter's capacity accounting.
 func (ev *env) admState() (running int, memUsed int64, queued int) {
-	a := ev.srv.adm
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.running, a.memUsed, a.q.len()
+	return AdmState(ev.srv)
 }
 
 func TestSessionLifecyclePaging(t *testing.T) {
@@ -99,7 +97,7 @@ func TestSessionLifecyclePaging(t *testing.T) {
 	if got := p.Tables(); len(got) != 1 || got[0] != "ds.t" {
 		t.Fatalf("tables = %v", got)
 	}
-	if p.Cost() <= minCost {
+	if p.Cost() <= MinCost {
 		t.Fatalf("cost = %d, want > floor (table has data)", p.Cost())
 	}
 	cur, err := p.Execute()
@@ -435,6 +433,76 @@ func TestOneTxnPerPrincipal(t *testing.T) {
 	}
 	if got, _ := cur.All(); got.N != 3 {
 		t.Fatalf("committed rows = %d, want 3", got.N)
+	}
+}
+
+// TestOneTxnPerPrincipalAcrossDoors: the lakehouse's query service
+// keeps one transaction registry for both of its doors, so BEGIN
+// through Lakehouse.Query fails while a session of the same principal
+// holds a transaction, and the other way round. BEGIN answers with the
+// same txn_id row through either door.
+func TestOneTxnPerPrincipalAcrossDoors(t *testing.T) {
+	ev := newEnv(t, Config{})
+	ev.createTable(t, "t")
+	lh := ev.Lakehouse
+	sess, err := lh.Server.Open(adminP, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+
+	res, err := lh.Query(adminP, "BEGIN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := res.Batch.Schema.Fields; len(f) != 1 || f[0].Name != "txn_id" || res.Batch.N != 1 {
+		t.Fatalf("Lakehouse.Query BEGIN returned %v with %d rows, want one txn_id row", f, res.Batch.N)
+	}
+	if _, err := sess.Query("BEGIN"); !errors.Is(err, ErrTxnOpen) {
+		t.Fatalf("session BEGIN while Lakehouse.Query holds a transaction: %v, want ErrTxnOpen", err)
+	}
+	if _, err := lh.Query(adminP, "INSERT INTO ds.t VALUES (1, 10)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lh.Query(adminP, "COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+
+	cur, err := sess.Query("BEGIN")
+	if err != nil {
+		t.Fatalf("session BEGIN after the other door committed: %v", err)
+	}
+	got, err := cur.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := got.Schema.Fields; len(f) != 1 || f[0].Name != "txn_id" {
+		t.Fatalf("session BEGIN returned %v, want txn_id", f)
+	}
+	if _, err := lh.Query(adminP, "BEGIN"); !errors.Is(err, ErrTxnOpen) {
+		t.Fatalf("Lakehouse.Query BEGIN while a session holds a transaction: %v, want ErrTxnOpen", err)
+	}
+	// The session's transaction stays its own: the other door's reads
+	// run outside it.
+	if cur, err = sess.Query("INSERT INTO ds.t VALUES (2, 20)"); err != nil {
+		t.Fatal(err)
+	}
+	cur.Close()
+	if res, err = lh.Query(adminP, "SELECT id FROM ds.t"); err != nil {
+		t.Fatal(err)
+	}
+	if res.Batch.N != 1 {
+		t.Fatalf("Lakehouse.Query read during the session's transaction: %d rows, want the 1 committed", res.Batch.N)
+	}
+	if cur, err = sess.Query("COMMIT"); err != nil {
+		t.Fatal(err)
+	}
+	cur.Close()
+	if _, err := lh.Query(adminP, "BEGIN"); err != nil {
+		t.Fatalf("Lakehouse.Query BEGIN after the session committed: %v", err)
+	}
+	if _, err := lh.Query(adminP, "ROLLBACK"); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,4 +1,4 @@
-package serve
+package serve_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	. "biglake/internal/serve"
 	"biglake/internal/systables"
 )
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
 	"biglake/internal/integrity"
 	"biglake/internal/resilience"
@@ -19,9 +20,9 @@ const (
 	StateShed      = "shed"      // rejected by admission control; never ran
 )
 
-// JobRecord is one finished (or shed) statement. Durations are sim
-// time except Wall. Byte/row counts are deltas for this statement
-// alone even when the engine context is reused across a transaction.
+// JobRecord is one finished (or shed) statement, built by
+// engine.JobRecord whichever door the statement came through. Durations
+// are sim time except Wall. Byte/row counts are this statement's alone.
 type JobRecord struct {
 	QueryID    string
 	Principal  string
@@ -105,13 +106,16 @@ func (r *JobRing) Total() int64 {
 }
 
 // ClassifyError buckets an execution error into the error_class
-// vocabulary used by system.jobs. Transaction conflicts are classified
-// by the serve layer (this package cannot import txn), which overrides
-// the class before recording.
+// vocabulary used by system.jobs. It is the one classifier: every job
+// row, whichever door its statement came through, takes its class here.
 func ClassifyError(err error) string {
 	switch {
 	case err == nil:
 		return ""
+	case errors.Is(err, bigmeta.ErrConflict):
+		return "txn_conflict"
+	case errors.Is(err, resilience.ErrQuotaExceeded):
+		return "quota"
 	case errors.Is(err, resilience.ErrCanceled):
 		return "cancelled"
 	case errors.Is(err, resilience.ErrDeadlineExceeded):

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"biglake/internal/bigmeta"
 	"biglake/internal/obs"
 	"biglake/internal/resilience"
 	"biglake/internal/sim"
@@ -195,6 +196,9 @@ func TestClassifyError(t *testing.T) {
 		{resilience.ErrDeadlineExceeded, "deadline"},
 		{&resilience.OverloadError{Reason: "queue_full"}, "overload_queue_full"},
 		{fmt.Errorf("wrapped: %w", resilience.ErrCanceled), "cancelled"},
+		{fmt.Errorf("commit q-1: %w", fmt.Errorf("%w: write-write on ds.t", bigmeta.ErrConflict)), "txn_conflict"},
+		{fmt.Errorf("serve: %w", resilience.ErrQuotaExceeded), "quota"},
+		{fmt.Errorf("serve: %w", &resilience.OverloadError{Reason: "queue_wait"}), "overload_queue_wait"},
 		{fmt.Errorf("boom"), "error"},
 	}
 	for _, c := range cases {

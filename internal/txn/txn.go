@@ -244,9 +244,6 @@ func (m *Manager) Begin(principal security.Principal, id string) *Session {
 	return s
 }
 
-// Snapshot returns the log version the session's reads are pinned to.
-func (s *Session) Snapshot() int64 { return s.snapshot }
-
 // Active reports whether the session still accepts statements — false
 // once committed, rolled back, or aborted.
 func (s *Session) Active() bool {
@@ -322,22 +319,13 @@ func (s *Session) newCtx(tag string) *engine.QueryContext {
 	return ctx
 }
 
-// Exec parses and executes one SQL statement inside the transaction.
-// BEGIN is rejected (no nesting); COMMIT and ROLLBACK resolve the
-// session and return a one-row status batch.
-func (s *Session) Exec(sql string) (*engine.Result, error) {
-	stmt, _, err := s.m.Eng.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecStmt(nil, stmt)
-}
-
-// ExecStmt executes a parsed statement inside the transaction. A nil
-// ctx derives a session-tagged context; a caller-supplied one (the
-// serve layer passes a context whose retry budget it can cancel) is
-// bound to the session — its Txn/Mutator hooks are overwritten — so
-// reads pin to the snapshot and DML lands in the write buffer.
+// ExecStmt executes a parsed statement inside the transaction. BEGIN
+// is rejected (no nesting); COMMIT and ROLLBACK resolve the session and
+// return a one-row status batch. A nil ctx derives a session-tagged
+// context; a caller-supplied one (the serve layer passes a context
+// whose retry budget it can cancel) is bound to the session — its
+// Txn/Mutator hooks are overwritten — so reads pin to the snapshot and
+// DML lands in the write buffer.
 func (s *Session) ExecStmt(ctx *engine.QueryContext, stmt sqlparse.Statement) (*engine.Result, error) {
 	switch stmt.(type) {
 	case *sqlparse.BeginStmt:

@@ -99,6 +99,16 @@ func (ev *env) sql(t *testing.T, q string) *engine.Result {
 	return res
 }
 
+// exec parses sql through the session's engine cache and runs it inside
+// the transaction.
+func exec(s *Session, sql string) (*engine.Result, error) {
+	stmt, _, err := s.m.Eng.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	return s.ExecStmt(nil, stmt)
+}
+
 func rowCount(t *testing.T) func(*engine.Result, error) int {
 	return func(res *engine.Result, err error) int {
 		t.Helper()
@@ -125,13 +135,13 @@ func TestSnapshotIsolation(t *testing.T) {
 	ev.sql(t, "INSERT INTO ds.acct VALUES (1, 100), (2, 200)")
 
 	s := ev.mgr.Begin(adminP, "txn-si")
-	if n := rowCount(t)(s.Exec("SELECT id FROM ds.acct")); n != 2 {
+	if n := rowCount(t)(exec(s, "SELECT id FROM ds.acct")); n != 2 {
 		t.Fatalf("pinned read = %d rows, want 2", n)
 	}
 	// A commit lands after the session began: invisible to the pinned
 	// snapshot, visible outside.
 	ev.sql(t, "INSERT INTO ds.acct VALUES (3, 300)")
-	if n := rowCount(t)(s.Exec("SELECT id FROM ds.acct")); n != 2 {
+	if n := rowCount(t)(exec(s, "SELECT id FROM ds.acct")); n != 2 {
 		t.Fatalf("snapshot leaked: %d rows, want 2", n)
 	}
 	if n := rowCount(t)(ev.eng.Query(engine.NewContext(adminP, "qo"), "SELECT id FROM ds.acct")); n != 3 {
@@ -143,8 +153,8 @@ func TestSnapshotIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read-only commit: %v", err)
 	}
-	if v != s.Snapshot() {
-		t.Fatalf("read-only commit version = %d, want snapshot %d", v, s.Snapshot())
+	if v != s.SnapshotVersion() {
+		t.Fatalf("read-only commit version = %d, want snapshot %d", v, s.SnapshotVersion())
 	}
 }
 
@@ -155,17 +165,17 @@ func TestReadYourWritesAndMultiTableAtomicity(t *testing.T) {
 	ev.sql(t, "INSERT INTO ds.a VALUES (1, 10)")
 
 	s := ev.mgr.Begin(adminP, "txn-ryw")
-	if _, err := s.Exec("INSERT INTO ds.a VALUES (2, 20)"); err != nil {
+	if _, err := exec(s, "INSERT INTO ds.a VALUES (2, 20)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("INSERT INTO ds.b VALUES (9, 90)"); err != nil {
+	if _, err := exec(s, "INSERT INTO ds.b VALUES (9, 90)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("UPDATE ds.a SET v = 11 WHERE id = 1"); err != nil {
+	if _, err := exec(s, "UPDATE ds.a SET v = 11 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	// The session sees its own buffered effects...
-	res, err := s.Exec("SELECT v FROM ds.a ORDER BY v")
+	res, err := exec(s, "SELECT v FROM ds.a ORDER BY v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +219,7 @@ func TestProjectedScanSeesBufferedRows(t *testing.T) {
 
 	s := ev.mgr.Begin(adminP, "txn-proj")
 	for _, q := range []string{"INSERT INTO ds.a VALUES (3, 30)", "INSERT INTO ds.empty VALUES (7, 70)"} {
-		if _, err := s.Exec(q); err != nil {
+		if _, err := exec(s, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +231,7 @@ func TestProjectedScanSeesBufferedRows(t *testing.T) {
 		"SELECT SUM(v) AS s FROM ds.empty":               70,
 		"SELECT COUNT(*) AS n FROM ds.empty WHERE v > 0": 1,
 	} {
-		res, err := s.Exec(q)
+		res, err := exec(s, q)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -245,10 +255,10 @@ func TestFirstCommitterWins(t *testing.T) {
 
 	s1 := ev.mgr.Begin(adminP, "txn-w1")
 	s2 := ev.mgr.Begin(adminP, "txn-w2")
-	if _, err := s1.Exec("UPDATE ds.acct SET v = 101 WHERE id = 1"); err != nil {
+	if _, err := exec(s1, "UPDATE ds.acct SET v = 101 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Exec("UPDATE ds.acct SET v = 102 WHERE id = 1"); err != nil {
+	if _, err := exec(s2, "UPDATE ds.acct SET v = 102 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.Commit(nil); err != nil {
@@ -276,10 +286,10 @@ func TestBlindInsertsCommute(t *testing.T) {
 
 	s1 := ev.mgr.Begin(adminP, "txn-i1")
 	s2 := ev.mgr.Begin(adminP, "txn-i2")
-	if _, err := s1.Exec("INSERT INTO ds.events VALUES (1, 1)"); err != nil {
+	if _, err := exec(s1, "INSERT INTO ds.events VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.Exec("INSERT INTO ds.events VALUES (2, 2)"); err != nil {
+	if _, err := exec(s2, "INSERT INTO ds.events VALUES (2, 2)"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.Commit(nil); err != nil {
@@ -305,11 +315,11 @@ func TestReadWriteConflictPhantom(t *testing.T) {
 	// concurrent insert lands in acct. Serializability demands s
 	// abort: its audit row no longer reflects acct.
 	s := ev.mgr.Begin(adminP, "txn-ph")
-	if _, err := s.Exec("SELECT v FROM ds.acct"); err != nil {
+	if _, err := exec(s, "SELECT v FROM ds.acct"); err != nil {
 		t.Fatal(err)
 	}
 	ev.sql(t, "INSERT INTO ds.acct VALUES (2, 50)")
-	if _, err := s.Exec("INSERT INTO ds.audit VALUES (1, 100)"); err != nil {
+	if _, err := exec(s, "INSERT INTO ds.audit VALUES (1, 100)"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Commit(nil); !errors.Is(err, ErrConflict) {
@@ -325,10 +335,10 @@ func TestRollbackLeavesNoOrphans(t *testing.T) {
 		ev := newEnv(t)
 		ev.createTable(t, "x")
 		s := ev.mgr.Begin(adminP, "txn-rb")
-		if _, err := s.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
+		if _, err := exec(s, "INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Exec("ROLLBACK")
+		res, err := exec(s, "ROLLBACK")
 		if err != nil || res.Batch.N != 1 {
 			t.Fatalf("rollback: %v %v", err, res)
 		}
@@ -336,7 +346,7 @@ func TestRollbackLeavesNoOrphans(t *testing.T) {
 		if err := s.Rollback(); err != nil {
 			t.Fatalf("second rollback: %v", err)
 		}
-		if _, err := s.Exec("SELECT id FROM ds.x"); !errors.Is(err, ErrClosed) {
+		if _, err := exec(s, "SELECT id FROM ds.x"); !errors.Is(err, ErrClosed) {
 			t.Fatalf("statement after rollback err = %v, want ErrClosed", err)
 		}
 		if rep := ev.gcOnce(t); len(rep.Deleted) != 0 {
@@ -354,7 +364,7 @@ func TestRollbackLeavesNoOrphans(t *testing.T) {
 		ev.createTable(t, "x")
 		ev.sql(t, "INSERT INTO ds.x VALUES (1, 1)")
 		s := ev.mgr.Begin(adminP, "txn-cf")
-		if _, err := s.Exec("DELETE FROM ds.x WHERE id = 1"); err != nil {
+		if _, err := exec(s, "DELETE FROM ds.x WHERE id = 1"); err != nil {
 			t.Fatal(err)
 		}
 		ev.sql(t, "UPDATE ds.x SET v = 2 WHERE id = 1")
@@ -371,7 +381,7 @@ func TestRollbackLeavesNoOrphans(t *testing.T) {
 		ev := newEnv(t)
 		ev.createTable(t, "x")
 		s := ev.mgr.Begin(adminP, "txn-ch")
-		if _, err := s.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
+		if _, err := exec(s, "INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 			t.Fatal(err)
 		}
 		// Every data-path call on the customer bucket faults; the
@@ -410,7 +420,7 @@ func TestCrashMidCommitDebrisCollected(t *testing.T) {
 	ev := newEnv(t)
 	ev.createTable(t, "x")
 	s := ev.mgr.Begin(adminP, "txn-crash")
-	if _, err := s.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
+	if _, err := exec(s, "INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
 	ev.cp.Arm("commit.after_put", 0)
@@ -442,7 +452,7 @@ func TestCommitReplayIsNoop(t *testing.T) {
 	ev := newEnv(t)
 	ev.createTable(t, "x")
 	s1 := ev.mgr.Begin(adminP, "txn-dup")
-	if _, err := s1.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
+	if _, err := exec(s1, "INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
 	v1, err := s1.Commit(nil)
@@ -450,7 +460,7 @@ func TestCommitReplayIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := ev.mgr.Begin(adminP, "txn-dup")
-	if _, err := s2.Exec("INSERT INTO ds.x VALUES (2, 2)"); err != nil {
+	if _, err := exec(s2, "INSERT INTO ds.x VALUES (2, 2)"); err != nil {
 		t.Fatal(err)
 	}
 	v2, err := s2.Commit(nil)
@@ -475,7 +485,7 @@ func TestCommitRetriesCounter(t *testing.T) {
 	ev := newEnv(t)
 	ev.createTable(t, "x")
 	s := ev.mgr.Begin(adminP, "txn-rty")
-	if _, err := s.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
+	if _, err := exec(s, "INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
 	ev.store.InjectFaults(objstore.FaultProfile{Seed: 7, PerOp: map[objstore.Op]float64{objstore.OpPut: 0.4}})
@@ -493,7 +503,7 @@ func TestCommitDeadline(t *testing.T) {
 	ev.createTable(t, "x")
 	s := ev.mgr.Begin(adminP, "txn-dl")
 	s.Deadline = 200 * time.Millisecond
-	if _, err := s.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
+	if _, err := exec(s, "INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
 	ev.store.InjectFaults(objstore.FaultProfile{Seed: 3, SlowdownRate: 1.0, Slowdown: time.Second})
@@ -529,7 +539,7 @@ func TestTxnMetricsAndSpans(t *testing.T) {
 	if got := ev.eng.Obs.Gauge("txn.sessions.active").Get(); got != 1 {
 		t.Fatalf("active = %d, want 1", got)
 	}
-	if _, err := s.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
+	if _, err := exec(s, "INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Commit(nil); err != nil {
@@ -551,7 +561,7 @@ func TestTxnMetricsAndSpans(t *testing.T) {
 	}
 	if sp := tr.Find("txn.begin"); len(sp) != 1 {
 		t.Fatalf("txn.begin spans = %d", len(sp))
-	} else if v, ok := sp[0].IntAttr("snapshot_version"); !ok || v != s.Snapshot() {
+	} else if v, ok := sp[0].IntAttr("snapshot_version"); !ok || v != s.SnapshotVersion() {
 		t.Fatalf("begin span snapshot_version = %d,%v", v, ok)
 	}
 	cs := tr.Find("txn.commit")
@@ -574,13 +584,13 @@ func TestEngineTxnControlStatements(t *testing.T) {
 		t.Fatalf("bare BEGIN err = %v, want ErrNoTxn", err)
 	}
 	s := ev.mgr.Begin(adminP, "txn-sql")
-	if _, err := s.Exec("BEGIN TRANSACTION"); !errors.Is(err, ErrNested) {
+	if _, err := exec(s, "BEGIN TRANSACTION"); !errors.Is(err, ErrNested) {
 		t.Fatalf("nested BEGIN err = %v", err)
 	}
-	if _, err := s.Exec("INSERT INTO ds.x VALUES (1, 1)"); err != nil {
+	if _, err := exec(s, "INSERT INTO ds.x VALUES (1, 1)"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Exec("COMMIT")
+	res, err := exec(s, "COMMIT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +601,7 @@ func TestEngineTxnControlStatements(t *testing.T) {
 	if v, err := s.Commit(nil); err != nil || v != s.Version() {
 		t.Fatalf("re-commit = (%d, %v)", v, err)
 	}
-	if _, err := s.Exec("INSERT INTO ds.x VALUES (2, 2)"); !errors.Is(err, ErrClosed) {
+	if _, err := exec(s, "INSERT INTO ds.x VALUES (2, 2)"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("statement after commit err = %v", err)
 	}
 }
@@ -611,7 +621,7 @@ func TestConcurrentSessions(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			s := ev.mgr.Begin(adminP, fmt.Sprintf("txn-con-%02d", i))
-			if _, err := s.Exec(fmt.Sprintf("INSERT INTO ds.x VALUES (%d, %d)", i, i)); err != nil {
+			if _, err := exec(s, fmt.Sprintf("INSERT INTO ds.x VALUES (%d, %d)", i, i)); err != nil {
 				errs[i] = err
 				return
 			}

@@ -63,6 +63,20 @@
 # every cold read came to GET the whole object and decode its footer
 # JSON again.
 #
+# Rule "job": one job-row builder. Fails if a systables.JobRecord
+# literal is written in a non-test file outside internal/systables and
+# internal/engine: every system.jobs row — engine.Execute's, serve's
+# done, failed and shed statements, an Omni job — is built by
+# engine.JobRecord from the statement's QueryContext; hand-built rows
+# are how a row came to miss its SQL text, its state or its error
+# class depending on the door the statement came through.
+#
+# Rule "parse": one parse per statement. Fails if sqlparse.Parse is
+# called outside internal/sqlparse and internal/engine: every door
+# parses through the engine's statement cache (Engine.Parse), so a
+# statement is parsed once and its AST shared — a second parse in a
+# front door is how Lakehouse.Query came to parse every statement twice.
+#
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt. An entry that excuses no
 # line fails the sweep too.
@@ -114,6 +128,10 @@ check fanout '\.StartTrack\(' sim \
     'simulated worker track opened outside internal/sim; run the parallel stage through sim.Clock.OnTracks'
 check footer 'colfmt\.ReadFooter\(' 'colfmt bigmeta scan' \
     'footer parsed outside internal/colfmt, internal/bigmeta and internal/scan; read the chunk map Big Metadata holds (bigmeta.FileEntry.Layout) through scan.Reader'
+check job 'systables\.JobRecord\{' 'systables engine' \
+    'system.jobs row built outside internal/engine; build it with engine.JobRecord over the statement'"'"'s QueryContext'
+check parse 'sqlparse\.Parse\(' 'sqlparse engine' \
+    'SQL parsed outside the engine'"'"'s statement cache; parse through Engine.Parse'
 if bad=$(grep -nE 'bytes\.(New)?Reader|binary\.Read(Uv|V)arint' internal/vector/*.go | grep -v '_test\.go:'); then
     echo "scanlint(codec): byte-reader decode in internal/vector; decode through wire.go's cursor (wireReader):" >&2
     printf '%s\n' "$bad" >&2
