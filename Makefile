@@ -218,10 +218,13 @@ gclean:
 	$(GO) test -run 'TestE20' -v ./internal/exp/
 
 # The queryable-telemetry gate: the systables rings/trackers and the
-# obs registry under the race detector, the direct-engine and
+# obs registry under the race detector, the direct-engine system.* SQL
+# path (which records no job: the engine only executes), the
 # serve-session system.* SQL paths (including the self-observation
-# regression), one job row with its SQL text per statement through every
-# door, the E21 overhead gate (recording on vs off must take
+# regression, and DML rows timed from their own statement — through a
+# session and through Lakehouse.Query), one job row with its SQL text
+# per statement through every door (an Omni row with what its region
+# runs scanned), the E21 overhead gate (recording on vs off must take
 # bit-identical trajectories), system.metrics over the production
 # assembly (core.New: every layer's counters in the one registry), and
 # the obslint sweep that keeps every registered metric name documented
@@ -229,9 +232,10 @@ gclean:
 systables:
 	$(GO) test -race ./internal/systables/
 	$(GO) test -race -run 'TestHistogramObserveConcurrent|TestSnapshotUnderConcurrentWriters' ./internal/obs/
-	$(GO) test -run 'TestSystem' ./internal/engine/
+	$(GO) test -race -run 'TestSystem' ./internal/engine/
 	$(GO) test -run 'TestSystemMetrics' ./internal/core/
-	$(GO) test -race -run 'TestSelfObservation|TestServeShedRecorded|TestServeSessionsAndSLOTables|TestServeRecordsOnce' ./internal/serve/
+	$(GO) test -race -run 'TestQueryDMLReportsElapsed' ./internal/core/
+	$(GO) test -race -run 'TestSelfObservation|TestServe|TestSystem' ./internal/serve/
 	$(GO) test -race -run 'TestEveryDoorRecordsOneJob' ./internal/omni/
 	$(GO) test -run 'TestE21|TestRunTop' -v ./internal/exp/
 	./scripts/obslint.sh

@@ -179,6 +179,32 @@ func TestQuerySequencesIDs(t *testing.T) {
 	}
 }
 
+// TestQueryDMLReportsElapsed: Lakehouse.Query returns a DML result
+// with the statement's final stats, timed like its system.jobs row.
+func TestQueryDMLReportsElapsed(t *testing.T) {
+	lh := newLH(t)
+	if err := lh.CreateDataset("d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lh.CreateBucket("data"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lh.CreateManagedTable(admin, "d", "t", simpleSchema(), "data"); err != nil {
+		t.Fatal(err)
+	}
+	res, err := lh.Query(admin, "INSERT INTO d.t VALUES (1), (2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SimElapsed <= 0 {
+		t.Fatalf("INSERT result SimElapsed = %v, want > 0", res.Stats.SimElapsed)
+	}
+	jobs := lh.Engine.Sys.Jobs()
+	if last := jobs[len(jobs)-1]; last.Kind != "insert" || last.ExecSim != res.Stats.SimElapsed {
+		t.Fatalf("last job %s %s exec %v, want the insert timed %v", last.QueryID, last.Kind, last.ExecSim, res.Stats.SimElapsed)
+	}
+}
+
 func TestRefreshMetadataCacheErrors(t *testing.T) {
 	lh := newLH(t)
 	if _, err := lh.RefreshMetadataCache("ghost.t"); !errors.Is(err, catalog.ErrNotFound) {

@@ -181,9 +181,8 @@ type Engine struct {
 
 	// Sys serves the virtual "system" dataset: live telemetry
 	// (system.jobs, system.metrics, system.slo, ...) synthesized as
-	// columnar batches at scan time. Execute records a job record per
-	// statement unless the context opts out (the serve layer does, and
-	// records at cursor close instead).
+	// columnar batches at scan time. The engine records no job: the
+	// doors (serve, Omni) do.
 	Sys *systables.Provider
 
 	// ManagedCred is the internal credential for BigQuery managed
@@ -341,14 +340,9 @@ type QueryContext struct {
 	// buffer this way.
 	Mutator Mutator
 
-	// SQLText is the statement's source text, recorded into
-	// system.jobs. Query sets it; callers that Parse themselves (the
-	// serve layer) set it before Execute.
+	// SQLText is the statement's source text, which a door (serve,
+	// Omni) sets for the system.jobs row it records.
 	SQLText string
-	// SkipJobRecord suppresses Execute's job recording for this
-	// statement. The serve layer (at cursor close) and Omni (once per
-	// query) record it themselves, so it lands in system.jobs once.
-	SkipJobRecord bool
 
 	// mem is the query's memory policy: the arena every kernel draws
 	// scratch and outputs from. Execute installs it for the statement's
@@ -394,9 +388,6 @@ func (e *Engine) Query(ctx *QueryContext, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ctx.SQLText == "" {
-		ctx.SQLText = sql
-	}
 	return e.Execute(ctx, stmt)
 }
 
@@ -424,25 +415,8 @@ func (e *Engine) Parse(sql string) (stmt sqlparse.Statement, hit bool, err error
 	return stmt, false, nil
 }
 
-// Execute runs a parsed statement and, unless the context opts out,
-// records its terminal state into the system.jobs ring. Recording
-// happens strictly after execution returns, so a statement scanning
-// system.jobs sees the ring as of before itself — never a partial
-// record of its own run (the self-observation rule).
-func (e *Engine) Execute(ctx *QueryContext, stmt sqlparse.Statement) (*Result, error) {
-	if ctx.SkipJobRecord || !e.Sys.Enabled() {
-		return e.executeStmt(ctx, stmt)
-	}
-	wallStart := time.Now()
-	res, err := e.executeStmt(ctx, stmt)
-	rec := JobRecord(ctx, stmt, res, err)
-	rec.Wall = time.Since(wallStart)
-	e.Sys.RecordJob(rec)
-	return res, err
-}
-
 // JobRecord builds the system.jobs row of a statement run under ctx, for
-// every door (Execute, serve, Omni): identity, SQL and counts from ctx,
+// every door (serve, Omni): identity, SQL, timing and counts from ctx,
 // kind and class from stmt, rows returned from res (nil: none), state
 // and error class from err. Callers add admission wait, bytes, wall time.
 func JobRecord(ctx *QueryContext, stmt sqlparse.Statement, res *Result, err error) systables.JobRecord {
@@ -497,7 +471,12 @@ func QueryClass(stmt sqlparse.Statement) string {
 	return "other"
 }
 
-func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Result, error) {
+// Execute runs a parsed statement under ctx. Whatever the statement, a
+// result carries its final stats, stamped after the statement's end. It
+// records nothing: system.jobs is written by the doors a statement comes
+// through (serve's cursors, sheds and failures, Omni's one row per
+// query), each from the statement's context once its outcome is known.
+func (e *Engine) Execute(ctx *QueryContext, stmt sqlparse.Statement) (res *Result, err error) {
 	owned := e.ensureTrace(ctx)
 	pre := ctx.Stats
 	parentSpan := ctx.Span
@@ -509,6 +488,9 @@ func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Resul
 	ctx.Stats.SimStart = e.Clock.Now()
 	defer func() {
 		ctx.Stats.SimElapsed = e.Clock.Now() - ctx.Stats.SimStart
+		if res != nil {
+			res.Stats = ctx.Stats
+		}
 		exec.End()
 		ctx.Span = parentSpan
 		e.mirrorStats(pre, ctx.Stats)
@@ -554,8 +536,7 @@ func (e *Engine) executeStmt(ctx *QueryContext, stmt sqlparse.Statement) (*Resul
 		// Copy-out boundary: the result must survive the arena being
 		// recycled by the next query.
 		b = vector.DetachBatch(b)
-		ctx.Stats.SimElapsed = e.Clock.Now() - ctx.Stats.SimStart
-		return &Result{Batch: b, Stats: ctx.Stats}, nil
+		return &Result{Batch: b}, nil
 	case *sqlparse.InsertStmt:
 		return e.execInsert(ctx, s)
 	case *sqlparse.UpdateStmt:

@@ -858,7 +858,7 @@ func (e *Engine) execInsert(ctx *QueryContext, ins *sqlparse.InsertStmt) (*Resul
 	if err := m.Insert(ctx, ins.Table, rows); err != nil {
 		return nil, err
 	}
-	return &Result{Batch: vector.EmptyBatch(t.Schema), Stats: ctx.Stats}, nil
+	return &Result{Batch: vector.EmptyBatch(t.Schema)}, nil
 }
 
 // coerce adapts a literal to a column type (int literals into float or
@@ -911,7 +911,7 @@ func (e *Engine) execDelete(ctx *QueryContext, del *sqlparse.DeleteStmt) (*Resul
 	}
 	out := vector.MustBatch(vector.NewSchema(vector.Field{Name: "rows_deleted", Type: vector.Int64}),
 		[]*vector.Column{vector.NewInt64Column([]int64{n})})
-	return &Result{Batch: out, Stats: ctx.Stats}, nil
+	return &Result{Batch: out}, nil
 }
 
 func (e *Engine) execUpdate(ctx *QueryContext, upd *sqlparse.UpdateStmt) (*Result, error) {
@@ -952,7 +952,7 @@ func (e *Engine) execUpdate(ctx *QueryContext, upd *sqlparse.UpdateStmt) (*Resul
 	}
 	out := vector.MustBatch(vector.NewSchema(vector.Field{Name: "rows_updated", Type: vector.Int64}),
 		[]*vector.Column{vector.NewInt64Column([]int64{n})})
-	return &Result{Batch: out, Stats: ctx.Stats}, nil
+	return &Result{Batch: out}, nil
 }
 
 func (e *Engine) execCTAS(ctx *QueryContext, cta *sqlparse.CreateTableAsStmt) (*Result, error) {
@@ -970,5 +970,5 @@ func (e *Engine) execCTAS(ctx *QueryContext, cta *sqlparse.CreateTableAsStmt) (*
 	if err := m.CreateTableAs(ctx, cta.Table, cta.OrReplace, rows); err != nil {
 		return nil, err
 	}
-	return &Result{Batch: rows, Stats: ctx.Stats}, nil
+	return &Result{Batch: rows}, nil
 }

@@ -9,44 +9,25 @@ import (
 )
 
 // TestSystemTablesDirect drives SELECTs over the virtual system
-// dataset through the normal engine path: recorded jobs, registry
-// metrics, history snapshots, and SLO rows all resolve without any
-// catalog entry, and predicates push down into the synthesized batch.
+// dataset through the normal engine path: registry metrics, history
+// snapshots, and SLO rows all resolve without any catalog entry, and
+// predicates push down into the synthesized batch. (The engine records
+// no job; the system.jobs assertions run behind serve's door, in
+// internal/serve.)
 func TestSystemTablesDirect(t *testing.T) {
 	ev := newEnv(t, DefaultOptions())
 	ev.createOrders(t, []string{"us", "eu"}, 2, 50, true)
 
-	// Two user queries to populate the jobs ring: one point, one olap.
+	// Four statements for engine.queries to count, two of them scans of
+	// system.jobs (empty: the engine records no job).
 	ev.query(t, adminP, "SELECT order_id FROM ds.orders WHERE order_id = 7")
 	ev.query(t, adminP, "SELECT region, COUNT(*) AS n FROM ds.orders GROUP BY region")
-
-	res := ev.query(t, adminP, "SELECT query_id, sql, class, state, rows_scanned FROM system.jobs WHERE state = 'done'")
-	if res.Batch.N != 2 {
-		t.Fatalf("system.jobs rows = %d, want 2", res.Batch.N)
-	}
-	classes := res.Batch.Column("class")
-	if got := classes.Value(0).S; got != "point" {
-		t.Errorf("first job class = %q, want point", got)
-	}
-	if got := classes.Value(1).S; got != "olap" {
-		t.Errorf("second job class = %q, want olap", got)
-	}
-	if sqlText := res.Batch.Column("sql").Value(0).S; sqlText == "" {
-		t.Errorf("job record lost its SQL text")
-	}
-	if rows := res.Batch.Column("rows_scanned").Value(1).I; rows != 200 {
-		t.Errorf("olap job rows_scanned = %d, want 200", rows)
-	}
-
-	// The jobs query above recorded itself: ring grows by exactly one.
-	res = ev.query(t, adminP, "SELECT query_id FROM system.jobs")
-	if res.Batch.N != 3 {
-		t.Fatalf("system.jobs rows after self-query = %d, want 3", res.Batch.N)
-	}
+	ev.query(t, adminP, "SELECT query_id, sql, class, state, rows_scanned FROM system.jobs WHERE state = 'done'")
+	ev.query(t, adminP, "SELECT query_id FROM system.jobs")
 
 	// system.metrics surfaces registry counters; predicate pushdown
 	// narrows to one name.
-	res = ev.query(t, adminP, "SELECT name, value FROM system.metrics WHERE name = 'engine.queries' AND kind = 'counter'")
+	res := ev.query(t, adminP, "SELECT name, value FROM system.metrics WHERE name = 'engine.queries' AND kind = 'counter'")
 	if res.Batch.N != 1 {
 		t.Fatalf("system.metrics name filter rows = %d, want 1", res.Batch.N)
 	}
@@ -58,13 +39,6 @@ func TestSystemTablesDirect(t *testing.T) {
 	res = ev.query(t, adminP, "SELECT class, total, attainment FROM system.slo ORDER BY class")
 	if res.Batch.N < 4 {
 		t.Fatalf("system.slo rows = %d, want >= 4", res.Batch.N)
-	}
-	byClass := map[string]int64{}
-	for i := 0; i < res.Batch.N; i++ {
-		byClass[res.Batch.Column("class").Value(i).S] = res.Batch.Column("total").Value(i).I
-	}
-	if byClass["point"] < 2 || byClass["olap"] < 1 {
-		t.Errorf("slo totals = %v, want point >= 2 and olap >= 1", byClass)
 	}
 
 	// system.metrics_history fills from forced captures and carries
@@ -88,25 +62,25 @@ func TestSystemTablesDirect(t *testing.T) {
 	}
 
 	// Aggregation over a system table goes through the normal kernels.
-	res = ev.query(t, adminP, "SELECT state, COUNT(*) AS n FROM system.jobs GROUP BY state ORDER BY state")
+	res = ev.query(t, adminP, "SELECT kind, COUNT(*) AS n FROM system.metrics GROUP BY kind ORDER BY kind")
 	if res.Batch.N == 0 {
-		t.Fatal("aggregate over system.jobs returned no rows")
+		t.Fatal("aggregate over system.metrics returned no rows")
 	}
 }
 
-// TestSystemTablesNoGovernance: telemetry is readable by any
-// principal — no catalog entry, no grant, no row policy applies.
-func TestSystemTablesNoGovernance(t *testing.T) {
+// TestSystemJobsNotRecordedByEngine: the engine only executes. A bare
+// Query — a statement no door sent, like an experiment's seed load —
+// leaves system.jobs as it was.
+func TestSystemJobsNotRecordedByEngine(t *testing.T) {
 	ev := newEnv(t, DefaultOptions())
 	ev.createOrders(t, []string{"us"}, 1, 10, true)
 	ev.query(t, adminP, "SELECT order_id FROM ds.orders WHERE order_id = 1")
-
-	res, err := ev.eng.Query(NewContext(aliceP, "alice-sys"), "SELECT query_id, principal FROM system.jobs")
-	if err != nil {
-		t.Fatalf("non-admin system.jobs query: %v", err)
+	ev.query(t, adminP, "SELECT region, COUNT(*) AS n FROM ds.orders GROUP BY region")
+	if jobs := ev.eng.Sys.Jobs(); len(jobs) != 0 {
+		t.Fatalf("bare engine queries left %d system.jobs rows, want 0: %+v", len(jobs), jobs)
 	}
-	if res.Batch.N == 0 {
-		t.Fatal("non-admin sees empty system.jobs")
+	if res := ev.query(t, adminP, "SELECT query_id FROM system.jobs"); res.Batch.N != 0 {
+		t.Fatalf("system.jobs rows = %d, want 0", res.Batch.N)
 	}
 }
 
@@ -135,18 +109,5 @@ func TestSystemQuarantineTable(t *testing.T) {
 	}
 	if got := res.Batch.Column("table_name").Value(0).S; got != "ds.orders" {
 		t.Errorf("quarantine table = %q", got)
-	}
-}
-
-// TestSystemJobsDisabled: with recording off the ring stays frozen and
-// scans still work.
-func TestSystemJobsDisabled(t *testing.T) {
-	ev := newEnv(t, DefaultOptions())
-	ev.createOrders(t, []string{"us"}, 1, 10, true)
-	ev.eng.Sys.SetEnabled(false)
-	ev.query(t, adminP, "SELECT order_id FROM ds.orders WHERE order_id = 1")
-	res := ev.query(t, adminP, "SELECT query_id FROM system.jobs")
-	if res.Batch.N != 0 {
-		t.Fatalf("jobs recorded while disabled: %d", res.Batch.N)
 	}
 }

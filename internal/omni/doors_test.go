@@ -19,7 +19,8 @@ const crossCloudJoin = `SELECT o.order_id, o.order_total, ads.id
 // serve session, an Omni single-region query and an Omni cross-cloud
 // query — and requires each statement to leave exactly one new
 // system.jobs row across the deployment, in the region that owns the
-// door, carrying its SQL text.
+// door, carrying its SQL text. An Omni row also carries what its region
+// runs scanned.
 func TestEveryDoorRecordsOneJob(t *testing.T) {
 	ev := newEnv(t)
 	ev.seedTables(t, 100, 200)
@@ -78,6 +79,9 @@ func TestEveryDoorRecordsOneJob(t *testing.T) {
 				}
 				if last := jobs[len(jobs)-1]; last.SQL != sql || !strings.HasPrefix(last.QueryID, door.id) {
 					t.Fatalf("%s: row %s carries SQL %q, want its own text under a %s* ID", sql, last.QueryID, last.SQL, door.id)
+				}
+				if last := jobs[len(jobs)-1]; door.id == "omni-q-" && (last.RowsScanned <= 0 || last.BytesScanned <= 0) {
+					t.Fatalf("%s: row %s reports rows_scanned %d, bytes_scanned %d, want > 0", sql, last.QueryID, last.RowsScanned, last.BytesScanned)
 				}
 			}
 		})

@@ -36,7 +36,8 @@ func (d *Deployment) Submit(principal security.Principal, sql string) (*engine.R
 
 // SubmitWith is Submit with experiment options. It parses through the
 // primary region's statement cache and records the query as one job,
-// omni-q-<n>, in the primary's system.jobs; region runs record none.
+// omni-q-<n>, in the primary's system.jobs, carrying what its region
+// runs scanned; the region engines record nothing.
 func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts SubmitOptions) (res *engine.Result, err error) {
 	primary, err := d.Region(d.Primary)
 	if err != nil {
@@ -49,8 +50,15 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 	job := engine.NewContext(principal, fmt.Sprintf("omni-q-%d", d.nextSeq()))
 	job.SQLText, job.Stats.SimStart = sql, d.Clock.Now()
 	wallStart := time.Now()
+	var runs []*engine.QueryContext
 	defer func() {
 		job.Stats.SimElapsed = d.Clock.Now() - job.Stats.SimStart
+		for _, ctx := range runs {
+			job.Stats.RowsScanned += ctx.Stats.RowsScanned
+			job.Stats.BytesScanned += ctx.Stats.BytesScanned
+			job.Stats.CacheHits += ctx.Stats.CacheHits
+			job.Stats.QuarantineSkips += ctx.Stats.QuarantineSkips
+		}
 		rec := engine.JobRecord(job, stmt, res, err)
 		rec.Wall = time.Since(wallStart)
 		primary.Engine.Sys.RecordJob(rec)
@@ -64,7 +72,8 @@ func (d *Deployment) SubmitWith(principal security.Principal, sql string, opts S
 	defer tr.Finish()
 	regionCtx := func(region string, scope []string) *engine.QueryContext {
 		ctx := engine.NewContext(principal, job.QueryID)
-		ctx.Region, ctx.Scope, ctx.Trace, ctx.SkipJobRecord = region, scope, tr, true
+		ctx.Region, ctx.Scope, ctx.Trace = region, scope, tr
+		runs = append(runs, ctx)
 		return ctx
 	}
 

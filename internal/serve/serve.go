@@ -442,11 +442,9 @@ func (s *Session) runStatement(p *Prepared, g *Grant) (cur *Cursor, err error) {
 
 	wallStart := time.Now()
 	ctx := engine.NewContext(s.Principal, qid)
-	// The serve layer owns job recording: the statement lands in
-	// system.jobs exactly once, at cursor close (or on the error paths
-	// below), with admission wait and egress attached — not at engine
-	// return, where the stream outcome is unknown.
-	ctx.SkipJobRecord = true
+	// The serve layer records the statement in system.jobs exactly once,
+	// at cursor close (or on the error paths below), with admission wait
+	// and egress attached — once the stream outcome is known.
 	ctx.SQLText = p.sql
 	// Seed the retry budget exactly as engine.Execute would, but
 	// before execution starts, so Cancel from another goroutine works
@@ -520,7 +518,6 @@ func (s *Session) runStatement(p *Prepared, g *Grant) (cur *Cursor, err error) {
 		grant:     g,
 		stmt:      p.stmt,
 		batch:     batch,
-		stats:     res.Stats,
 		page:      srv.cfg.PageRows,
 		wallStart: wallStart,
 	}, nil
@@ -584,7 +581,6 @@ type Cursor struct {
 	grant     *Grant
 	stmt      sqlparse.Statement
 	batch     *vector.Batch
-	stats     engine.ExecStats
 	page      int
 	wallStart time.Time
 
@@ -623,7 +619,17 @@ func (c *Cursor) Next() (*vector.Batch, error) {
 	if n > c.page {
 		n = c.page
 	}
-	pg := pageOf(c.batch, c.off, n)
+	pg := c.batch // a result that fits one page, zero rows included, is its page
+	if n < c.batch.N {
+		sel, err := vector.SelectWindow(c.batch, c.off, c.off+n, nil)
+		if err == nil {
+			pg, err = vector.FilterConcatWith(vector.Mem{}, []vector.Selection{sel})
+		}
+		if err != nil {
+			c.mu.Unlock()
+			return nil, err
+		}
+	}
 	c.off += n
 	c.sentFirst = true
 	c.egress += pageBytes(pg)
@@ -647,7 +653,11 @@ func (c *Cursor) All() (*vector.Batch, error) {
 		pages = append(pages, pg)
 	}
 	c.Close()
-	return concatPages(pages)
+	b, err := vector.Concat(pages)
+	if b == nil && err == nil {
+		b = vector.EmptyBatch(vector.Schema{})
+	}
+	return b, err
 }
 
 // whole delivers the entire result unpaged and closes the cursor, every
@@ -657,7 +667,7 @@ func (c *Cursor) whole() *engine.Result {
 	c.off, c.sentFirst, c.egress = c.batch.N, true, pageBytes(c.batch)
 	c.mu.Unlock()
 	c.Close()
-	return &engine.Result{Batch: c.batch, Stats: c.stats}
+	return &engine.Result{Batch: c.batch, Stats: c.ctx.Stats}
 }
 
 // Cancel cooperatively kills the query and its stream: in-flight
@@ -692,30 +702,12 @@ func (c *Cursor) CloseAt(now time.Duration) {
 	// Record the job now that the stream outcome is known, after every
 	// lock above is released: the provider copies under its own locks
 	// only, so a concurrent scan of system.jobs (even from this very
-	// session) cannot deadlock. It is timed from the result, which differs
-	// from the context only for DML (built before its end is stamped).
+	// session) cannot deadlock.
 	job := engine.JobRecord(c.ctx, c.stmt, nil, failErr)
 	job.AdmissionWait = c.grant.queuedFor
-	job.Start, job.ExecSim = c.stats.SimStart, c.stats.SimElapsed
 	job.RowsReturned, job.BytesReturned = rows, egress
 	job.Wall = time.Since(c.wallStart)
 	c.sess.srv.eng.Sys.RecordJob(job)
-}
-
-// pageOf slices rows [off, off+n) of b into a plain-encoded page.
-func pageOf(b *vector.Batch, off, n int) *vector.Batch {
-	if off == 0 && n >= b.N {
-		return b
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = off + i
-	}
-	cols := make([]*vector.Column, len(b.Cols))
-	for i, col := range b.Cols {
-		cols[i] = vector.Gather(col, idx)
-	}
-	return &vector.Batch{Schema: b.Schema, Cols: cols, N: n}
 }
 
 // pageBytes estimates a page's wire size for egress accounting — same
@@ -730,59 +722,6 @@ func pageBytes(b *vector.Batch) int64 {
 		}
 	}
 	return n
-}
-
-// concatPages reassembles pages into one batch (used by All and the
-// serve-path oracle diff). Multi-page streams are always plain-encoded
-// (every page went through Gather); a single page may carry the
-// original encoding and is returned as-is.
-func concatPages(pages []*vector.Batch) (*vector.Batch, error) {
-	if len(pages) == 0 {
-		return vector.EmptyBatch(vector.Schema{}), nil
-	}
-	if len(pages) == 1 {
-		return pages[0], nil
-	}
-	first := pages[0]
-	total := 0
-	for _, p := range pages {
-		total += p.N
-	}
-	cols := make([]*vector.Column, len(first.Cols))
-	for ci := range first.Cols {
-		t := first.Cols[ci].Type
-		out := &vector.Column{Type: t, Len: total, Enc: vector.Plain}
-		var nulls []bool
-		row := 0
-		for _, p := range pages {
-			col := p.Cols[ci]
-			if col.Enc != vector.Plain {
-				return nil, fmt.Errorf("serve: unexpected non-plain column in page %d", row)
-			}
-			for i := 0; i < p.N; i++ {
-				if col.Nulls != nil && col.Nulls[i] {
-					if nulls == nil {
-						nulls = make([]bool, total)
-					}
-					nulls[row+i] = true
-				}
-			}
-			switch t {
-			case vector.Int64, vector.Timestamp:
-				out.Ints = append(out.Ints, col.Ints...)
-			case vector.Float64:
-				out.Floats = append(out.Floats, col.Floats...)
-			case vector.Bool:
-				out.Bools = append(out.Bools, col.Bools...)
-			case vector.String, vector.Bytes:
-				out.Strs = append(out.Strs, col.Strs...)
-			}
-			row += p.N
-		}
-		out.Nulls = nulls
-		cols[ci] = out
-	}
-	return &vector.Batch{Schema: first.Schema, Cols: cols, N: total}, nil
 }
 
 // Clock returns the server's simulated time so harnesses share its

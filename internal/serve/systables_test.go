@@ -6,9 +6,25 @@ import (
 	"testing"
 	"time"
 
+	"biglake/internal/security"
 	. "biglake/internal/serve"
 	"biglake/internal/systables"
+	"biglake/internal/vector"
 )
+
+// drain runs sql on sess and returns its whole result.
+func drain(t *testing.T, sess *Session, sql string) *vector.Batch {
+	t.Helper()
+	cur, err := sess.Query(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	b, err := cur.All()
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return b
+}
 
 func collect(t *testing.T, cur *Cursor) [][]string {
 	t.Helper()
@@ -256,5 +272,116 @@ func TestServeRecordsOnce(t *testing.T) {
 	cur.Close()
 	if got := len(ev.Engine.Sys.Jobs()); got != base+1 {
 		t.Fatalf("double close double-recorded: %d", got)
+	}
+}
+
+// TestSystemJobsThroughSession drives SELECTs over system.jobs through
+// a serve session, the door that records them: each closed statement is
+// one row with its class, SQL text and scan counts, the jobs query
+// records itself once, the SLO tracker counts the rows per class, and
+// aggregation over the ring goes through the normal kernels.
+func TestSystemJobsThroughSession(t *testing.T) {
+	ev := newEnv(t, Config{})
+	ev.createTable(t, "t")
+	ev.seedRows(t, "t", 200)
+	sess := ev.open(t, adminP)
+	defer sess.Close()
+
+	// Two user queries to populate the jobs ring: one point, one olap.
+	drain(t, sess, "SELECT id FROM ds.t WHERE id = 7")
+	drain(t, sess, "SELECT v, COUNT(*) AS n FROM ds.t GROUP BY v")
+
+	b := drain(t, sess, "SELECT query_id, sql, class, state, rows_scanned FROM system.jobs WHERE state = 'done'")
+	if b.N != 2 {
+		t.Fatalf("system.jobs rows = %d, want 2", b.N)
+	}
+	classes := b.Column("class")
+	if got := classes.Value(0).S; got != "point" {
+		t.Errorf("first job class = %q, want point", got)
+	}
+	if got := classes.Value(1).S; got != "olap" {
+		t.Errorf("second job class = %q, want olap", got)
+	}
+	if sqlText := b.Column("sql").Value(0).S; sqlText == "" {
+		t.Errorf("job record lost its SQL text")
+	}
+	if rows := b.Column("rows_scanned").Value(1).I; rows != 200 {
+		t.Errorf("olap job rows_scanned = %d, want 200", rows)
+	}
+
+	// The jobs query above recorded itself: ring grows by exactly one.
+	if b = drain(t, sess, "SELECT query_id FROM system.jobs"); b.N != 3 {
+		t.Fatalf("system.jobs rows after self-query = %d, want 3", b.N)
+	}
+
+	// system.slo totals the recorded rows per class.
+	b = drain(t, sess, "SELECT class, total, attainment FROM system.slo ORDER BY class")
+	byClass := map[string]int64{}
+	for i := 0; i < b.N; i++ {
+		byClass[b.Column("class").Value(i).S] = b.Column("total").Value(i).I
+	}
+	if byClass["point"] < 2 || byClass["olap"] < 1 {
+		t.Errorf("slo totals = %v, want point >= 2 and olap >= 1", byClass)
+	}
+
+	// Aggregation over a system table goes through the normal kernels.
+	if b = drain(t, sess, "SELECT state, COUNT(*) AS n FROM system.jobs GROUP BY state ORDER BY state"); b.N == 0 {
+		t.Fatal("aggregate over system.jobs returned no rows")
+	}
+}
+
+// TestSystemTablesNoGovernance: telemetry is readable by any
+// principal — no catalog entry, no grant, no row policy applies.
+func TestSystemTablesNoGovernance(t *testing.T) {
+	ev := newEnv(t, Config{})
+	ev.createTable(t, "t")
+	ev.seedRows(t, "t", 10)
+	admin := ev.open(t, adminP)
+	defer admin.Close()
+	drain(t, admin, "SELECT id FROM ds.t WHERE id = 1")
+
+	alice := ev.open(t, security.Principal("alice@corp"))
+	defer alice.Close()
+	if b := drain(t, alice, "SELECT query_id, principal FROM system.jobs"); b.N == 0 {
+		t.Fatal("non-admin sees empty system.jobs")
+	}
+}
+
+// TestSystemJobsDisabled: with recording off the ring stays frozen and
+// scans still work.
+func TestSystemJobsDisabled(t *testing.T) {
+	ev := newEnv(t, Config{})
+	ev.createTable(t, "t")
+	ev.seedRows(t, "t", 10)
+	ev.Engine.Sys.SetEnabled(false)
+	sess := ev.open(t, adminP)
+	defer sess.Close()
+	drain(t, sess, "SELECT id FROM ds.t WHERE id = 1")
+	if b := drain(t, sess, "SELECT query_id FROM system.jobs"); b.N != 0 {
+		t.Fatalf("jobs recorded while disabled: %d", b.N)
+	}
+}
+
+// TestServedDMLTimed: a served INSERT's row is timed from its own
+// statement — its exec_sim_us is the execution its result reports, not
+// the zero a DML result carried before its end was stamped.
+func TestServedDMLTimed(t *testing.T) {
+	ev := newEnv(t, Config{})
+	ev.createTable(t, "t")
+	res, err := ev.srv.Exec(adminP, "ins-1", "INSERT INTO ds.t VALUES (1, 10), (2, 20)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SimElapsed <= 0 {
+		t.Fatalf("INSERT result SimElapsed = %v, want > 0", res.Stats.SimElapsed)
+	}
+	sess := ev.open(t, adminP)
+	defer sess.Close()
+	b := drain(t, sess, "SELECT kind, exec_sim_us FROM system.jobs WHERE query_id = 'ins-1'")
+	if b.N != 1 || b.Column("kind").Value(0).S != "insert" {
+		t.Fatalf("ins-1 rows = %d, want one insert row", b.N)
+	}
+	if got, want := b.Column("exec_sim_us").Value(0).I, res.Stats.SimElapsed.Microseconds(); got <= 0 || got != want {
+		t.Fatalf("INSERT row exec_sim_us = %d, want its result's %d (> 0)", got, want)
 	}
 }

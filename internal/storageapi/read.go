@@ -501,9 +501,15 @@ func decodeRowOriented(data []byte, preds []colfmt.Predicate, partition map[stri
 // computeAggregates evaluates the requested partial aggregates
 // server-side and returns one small payload.
 func (s *Server) computeAggregates(ch sim.Charger, sess *session) ([]byte, error) {
-	// Accumulate per aggregate.
+	// Accumulate per aggregate. A COUNT over no file is 0, as the
+	// engine answers it; SUM, MIN and MAX over none stay NULL.
 	n := len(sess.req.Aggregates)
 	partials := make([]vector.Value, n)
+	for i, a := range sess.req.Aggregates {
+		if a.Kind == vector.AggCount {
+			partials[i] = vector.IntValue(0)
+		}
+	}
 	p, err := s.planner().Renew(&sess.plan)
 	if err != nil {
 		return nil, err

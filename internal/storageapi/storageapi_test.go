@@ -437,6 +437,38 @@ func TestAggregatePushdown(t *testing.T) {
 	}
 }
 
+// TestAggregateOverEmptyPlan: a session whose plan keeps no file
+// answers COUNT 0, as the engine does for the same query; SUM stays
+// NULL.
+func TestAggregateOverEmptyPlan(t *testing.T) {
+	ev := newEnv(t)
+	ev.createSales(t, 4, 25)
+	sess, err := ev.srv.CreateReadSession(ReadSessionRequest{
+		Table: "ds.sales", Principal: adminP,
+		Predicates: []colfmt.Predicate{{Column: "id", Op: vector.GT, Value: vector.IntValue(100)}},
+		Aggregates: []AggregateRequest{
+			{Column: "amount", Kind: vector.AggSum},
+			{Column: "id", Kind: vector.AggCount},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.EstimatedRows != 0 {
+		t.Fatalf("plan kept %d rows, want none", sess.EstimatedRows)
+	}
+	got, err := ev.srv.ReadAll(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != 1 {
+		t.Fatalf("aggregate rows = %d", got.N)
+	}
+	if row := got.Row(0); !row[0].IsNull() || row[1].IsNull() || row[1].AsInt() != 0 {
+		t.Fatalf("SUM, COUNT over no file = %v, want NULL, 0", row)
+	}
+}
+
 func TestAggregatePushdownPayloadTiny(t *testing.T) {
 	ev := newEnv(t)
 	ev.createSales(t, 2, 500)

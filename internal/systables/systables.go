@@ -11,7 +11,8 @@
 // once, like any other query, and only AFTER its own scan completed —
 // Scan copies every underlying structure under that structure's own
 // mutex and releases all locks before returning, and job recording
-// happens at terminal state (execute-return or cursor-close), so a
+// happens at terminal state, by the door the statement came through
+// (a serve cursor's close, failure or shed; an Omni job's return), so a
 // scan never observes or blocks its own record.
 package systables
 

@@ -65,11 +65,18 @@
 #
 # Rule "job": one job-row builder. Fails if a systables.JobRecord
 # literal is written in a non-test file outside internal/systables and
-# internal/engine: every system.jobs row — engine.Execute's, serve's
-# done, failed and shed statements, an Omni job — is built by
-# engine.JobRecord from the statement's QueryContext; hand-built rows
-# are how a row came to miss its SQL text, its state or its error
-# class depending on the door the statement came through.
+# internal/engine: every system.jobs row — serve's done, failed and
+# shed statements, an Omni job — is built by engine.JobRecord from the
+# statement's QueryContext; hand-built rows are how a row came to miss
+# its SQL text, its state or its error class depending on the door the
+# statement came through.
+#
+# Rule "record": one recorder per door. Fails if Provider.RecordJob is
+# called in a non-test file outside internal/systables, internal/serve
+# and internal/omni: a statement is recorded by the door it came
+# through, and the engine only executes — a second recorder is how the
+# jobs ring came to count an experiment's seed loader as a tenant and
+# to time every served DML statement at zero.
 #
 # Rule "parse": one parse per statement. Fails if sqlparse.Parse is
 # called outside internal/sqlparse and internal/engine: every door
@@ -130,6 +137,8 @@ check footer 'colfmt\.ReadFooter\(' 'colfmt bigmeta scan' \
     'footer parsed outside internal/colfmt, internal/bigmeta and internal/scan; read the chunk map Big Metadata holds (bigmeta.FileEntry.Layout) through scan.Reader'
 check job 'systables\.JobRecord\{' 'systables engine' \
     'system.jobs row built outside internal/engine; build it with engine.JobRecord over the statement'"'"'s QueryContext'
+check record '\.RecordJob\(' 'systables serve omni' \
+    'system.jobs row recorded outside a door; record it in serve (cursor close, failure, shed) or Omni (SubmitWith), never in the engine'
 check parse 'sqlparse\.Parse\(' 'sqlparse engine' \
     'SQL parsed outside the engine'"'"'s statement cache; parse through Engine.Parse'
 if bad=$(grep -nE 'bytes\.(New)?Reader|binary\.Read(Uv|V)arint' internal/vector/*.go | grep -v '_test\.go:'); then
