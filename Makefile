@@ -138,7 +138,10 @@ serve:
 # engine's column sets and the Read API's, both under governance),
 # ranged reads through Big Metadata's chunk map (damage to one range's
 # response heals on the refetch, a stored flip in a fetched chunk
-# quarantines, one in a chunk no read fetches is the scrubber's), the
+# quarantines, one in a chunk no read fetches is the scrubber's), Read
+# API aggregate sessions (every acquisition of a reused session answers
+# once, a float SUM is the engine's at any stream count, reuse keys on
+# the stream cap), the
 # corruption-injection determinism suite, the oracle corruption sweep
 # with its Read API and DML arms (zero silent wrong answers), the E19
 # detect -> contain -> repair experiment, and the scanlint sweep that
@@ -153,6 +156,7 @@ integrity:
 	$(GO) test -race -count=3 -run 'TestRangedRead' ./internal/scan/
 	$(GO) test -race -run 'TestScanCache|TestQuarantined|TestProjection' ./internal/engine/
 	$(GO) test -race -count=10 -run 'TestReusedAggregateSession' ./internal/storageapi/
+	$(GO) test -race -run 'TestAggregateFloatSumMatchesEngine|TestSessionReuseKeysOnStreamCap' ./internal/storageapi/
 	$(GO) test -race -run 'TestReadRowsQuarantines|TestReadPartitionedTable|TestReadRowsProjects' ./internal/storageapi/
 	$(GO) test -race ./internal/scrub/
 	$(GO) test -run 'TestCorruption' ./internal/objstore/

@@ -458,7 +458,7 @@ func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, 
 		merge = files // reclustering rewrites everything
 	}
 
-	var combined *vector.Batch
+	var batches []*vector.Batch
 	var removed []string
 	rd, src := m.reader(t, store, cred, nil, principal)
 	for _, f := range merge {
@@ -466,11 +466,12 @@ func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, 
 		if err != nil {
 			return OptimizeReport{}, err
 		}
-		combined, err = vector.AppendBatch(combined, sel.Batch)
-		if err != nil {
-			return OptimizeReport{}, err
-		}
+		batches = append(batches, sel.Batch)
 		removed = append(removed, f.Key)
+	}
+	combined, err := vector.Concat(batches)
+	if err != nil {
+		return OptimizeReport{}, err
 	}
 	if combined == nil {
 		return OptimizeReport{FilesBefore: len(files), FilesAfter: len(files)}, nil
@@ -506,7 +507,7 @@ func (m *Manager) Optimize(principal, table, clusterBy string) (OptimizeReport, 
 		}
 		cols := make([]*vector.Column, len(combined.Cols))
 		for i, c := range combined.Cols {
-			cols[i] = vector.Gather(c, idx)
+			cols[i] = vector.GatherWith(vector.Mem{}, c, idx)
 		}
 		chunk, err := vector.NewBatch(combined.Schema, cols)
 		if err != nil {
@@ -561,7 +562,7 @@ func sortBatchBy(b *vector.Batch, col string) (*vector.Batch, error) {
 	})
 	cols := make([]*vector.Column, len(b.Cols))
 	for i, c := range b.Cols {
-		cols[i] = vector.Gather(c, idx)
+		cols[i] = vector.GatherWith(vector.Mem{}, c, idx)
 	}
 	return vector.NewBatch(b.Schema, cols)
 }

@@ -202,7 +202,7 @@ func (w *Writer) WriteBatch(b *vector.Batch) error {
 	if !b.Schema.Equal(w.schema) {
 		return fmt.Errorf("colfmt: batch schema %v != file schema %v", b.Schema, w.schema)
 	}
-	merged, err := vector.AppendBatch(w.pend, b)
+	merged, err := vector.Concat([]*vector.Batch{w.pend, b})
 	if err != nil {
 		return err
 	}
@@ -235,8 +235,8 @@ func splitBatch(b *vector.Batch, n int) (head, tail *vector.Batch, err error) {
 	hc := make([]*vector.Column, len(b.Cols))
 	tc := make([]*vector.Column, len(b.Cols))
 	for i, c := range b.Cols {
-		hc[i] = vector.Gather(c, headIdx)
-		tc[i] = vector.Gather(c, tailIdx)
+		hc[i] = vector.GatherWith(vector.Mem{}, c, headIdx)
+		tc[i] = vector.GatherWith(vector.Mem{}, c, tailIdx)
 	}
 	head, err = vector.NewBatch(b.Schema, hc)
 	if err != nil {

@@ -603,7 +603,7 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 			}
 			c = keyOut[p.keyIdx]
 		}
-		c = aggOutputColumn(ctx.mem, c, grouping.NumGroups)
+		c = vector.AggOutput(ctx.mem, c, grouping.NumGroups)
 		fields[i] = vector.Field{Name: outputName(item, i), Type: c.Type}
 		cols[i] = c
 	}
@@ -667,28 +667,6 @@ func avgColumn(m vector.Mem, sum, cnt *vector.Column) *vector.Column {
 			out.Floats[g] = sum.Floats[g] / float64(n)
 		default:
 			out.Floats[g] = float64(sum.Ints[g]) / float64(n)
-		}
-	}
-	return out
-}
-
-// aggOutputColumn applies the aggregate output typing rule: a column
-// takes the type of its first non-NULL value, so one with none — zero
-// groups included — is Int64 whatever produced it.
-func aggOutputColumn(m vector.Mem, c *vector.Column, n int) *vector.Column {
-	if c != nil {
-		for g := 0; g < n; g++ {
-			if !c.IsNullAt(g) {
-				return c
-			}
-		}
-	}
-	al := m.Allocator()
-	out := &vector.Column{Type: vector.Int64, Len: n, Enc: vector.Plain, Ints: al.Int64s(n), Pooled: m.Pooled()}
-	if n > 0 {
-		out.Nulls = al.Bools(n)
-		for g := range out.Nulls {
-			out.Nulls[g] = true
 		}
 	}
 	return out

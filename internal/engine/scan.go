@@ -99,18 +99,22 @@ func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sql
 	// Buffered batches are appended unfiltered, projected like the scan;
 	// the residual WHERE in execSelect (and the where-func in DML
 	// rewrites) re-checks the full predicate, so pushdown never has to
-	// understand the overlay.
-	for _, b := range overlay {
-		if b.N == 0 {
-			continue
+	// understand the overlay. The scan and the overlay concatenate once.
+	if len(overlay) > 0 {
+		parts := []vector.Selection{{Batch: out, Hi: out.N, N: out.N}}
+		for _, b := range overlay {
+			if b.N == 0 {
+				continue
+			}
+			if b, err = projectLike(b, out.Schema); err != nil {
+				return nil, err
+			}
+			parts = append(parts, vector.Selection{Batch: b, Hi: b.N, N: b.N})
+			ctx.Stats.RowsScanned += int64(b.N)
 		}
-		if b, err = projectLike(b, out.Schema); err != nil {
+		if out, err = vector.FilterConcatWith(ctx.mem, parts); err != nil {
 			return nil, err
 		}
-		if out, err = vector.AppendBatch(out, b); err != nil {
-			return nil, err
-		}
-		ctx.Stats.RowsScanned += int64(b.N)
 	}
 	// Governance is applied inside the engine for every scan — the same
 	// step the Read API's reads end with (§3.2).

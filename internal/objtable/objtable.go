@@ -80,7 +80,7 @@ func Sample(b *vector.Batch, fraction float64, seed uint64) (*vector.Batch, erro
 	}
 	cols := make([]*vector.Column, len(b.Cols))
 	for i, c := range b.Cols {
-		cols[i] = vector.Gather(c, idx)
+		cols[i] = vector.GatherWith(vector.Mem{}, c, idx)
 	}
 	return vector.NewBatch(b.Schema, cols)
 }

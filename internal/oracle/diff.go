@@ -21,6 +21,7 @@ package oracle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -446,12 +447,33 @@ func (h *harness) engRun(eng *engine.Engine, who security.Principal, qid, sql st
 
 // readShape is a statement the Storage Read API answers on its own, with
 // no engine behind it: `SELECT cols FROM t WHERE p AND ...`, every p a
-// `column op literal`. The session has no residual WHERE to hide behind,
-// so what its predicates may touch is decided by the scan plan alone.
+// `column op literal`, or the same with every item a COUNT, SUM, MIN or
+// MAX of a column, which an aggregate session answers. The session has
+// no residual WHERE to hide behind, so what its predicates may touch is
+// decided by the scan plan alone.
 type readShape struct {
 	table string
 	cols  []string // nil = `*`
 	preds []colfmt.Predicate
+	aggs  []storageapi.AggregateRequest
+	names []string // the aggregates' output names
+}
+
+// aggKinds are the aggregates a Read API session computes.
+var aggKinds = map[string]vector.AggKind{
+	"COUNT": vector.AggCount, "SUM": vector.AggSum, "MIN": vector.AggMin, "MAX": vector.AggMax,
+}
+
+// aggOf reports the Read API aggregate an item is, if it is one: COUNT,
+// SUM, MIN or MAX of an unqualified column.
+func aggOf(e sqlparse.Expr) (storageapi.AggregateRequest, bool) {
+	call, ok := e.(sqlparse.Call)
+	kind, known := aggKinds[call.Name]
+	if !ok || !known || len(call.Args) != 1 {
+		return storageapi.AggregateRequest{}, false
+	}
+	ref, ok := call.Args[0].(sqlparse.ColumnRef)
+	return storageapi.AggregateRequest{Column: ref.Name, Kind: kind}, ok && ref.Table == ""
 }
 
 // readShapeOf reports the statement's Read API form, if it has one.
@@ -465,12 +487,16 @@ func readShapeOf(sql string) (*readShape, bool) {
 		return nil, false
 	}
 	rs := &readShape{table: sel.From.Name}
-	for _, it := range sel.Items {
+	for pos, it := range sel.Items {
 		ref, ok := it.Expr.(sqlparse.ColumnRef)
+		ag, isAgg := aggOf(it.Expr)
 		switch {
 		case it.Star && len(sel.Items) == 1:
-		case ok && ref.Table == "" && it.Alias == "":
+		case ok && ref.Table == "" && it.Alias == "" && rs.aggs == nil:
 			rs.cols = append(rs.cols, ref.Name)
+		case isAgg && rs.cols == nil:
+			rs.aggs = append(rs.aggs, ag)
+			rs.names = append(rs.names, outputName(it, pos))
 		default:
 			return nil, false
 		}
@@ -500,10 +526,17 @@ func readShapeOf(sql string) (*readShape, bool) {
 }
 
 // readRun answers rs through a Read API session as the arm's principal.
-// `*` asks for every column that principal can name.
+// `*` asks for every column that principal can name; an aggregate
+// session asks for the columns it aggregates, and its answer takes the
+// statement's output names.
 func (h *harness) readRun(a arm, rs *readShape) (*Resultset, error) {
 	srv := h.w.StorageAPI
 	cols := rs.cols
+	for _, ag := range rs.aggs {
+		if !slices.Contains(cols, ag.Column) {
+			cols = append(cols, ag.Column)
+		}
+	}
 	if t, ok := a.db.Tables[rs.table]; ok && cols == nil {
 		for _, f := range t.Schema.Fields {
 			cols = append(cols, f.Name)
@@ -511,6 +544,7 @@ func (h *harness) readRun(a arm, rs *readShape) (*Resultset, error) {
 	}
 	sess, err := srv.CreateReadSession(storageapi.ReadSessionRequest{
 		Table: rs.table, Principal: a.who, Columns: cols, Predicates: rs.preds, SnapshotVersion: -1,
+		Aggregates: rs.aggs,
 	})
 	if err != nil {
 		return nil, err
@@ -519,7 +553,11 @@ func (h *harness) readRun(a arm, rs *readShape) (*Resultset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return FromBatch(b), nil
+	out := FromBatch(b)
+	if rs.aggs != nil {
+		out.Names = rs.names
+	}
+	return out, nil
 }
 
 // faultProfile derives a deterministic chaos profile for one cell.

@@ -628,12 +628,19 @@ func (g *Gen) ProjectionQueries(tables []*GenTable) []GenQuery {
 		ints := colsOfType(t, vector.Int64)
 		// Shapes the Storage Read API answers alone (readShape), so its
 		// arm runs by construction: a comparison on the last STRING
-		// column — the one Policies masks — and an integer range.
+		// column — the one Policies masks — an integer range, and
+		// aggregates over that range, which an aggregate session answers.
 		if strs := colsOfType(t, vector.String); len(strs) > 0 && len(ints) > 0 {
 			s, lit := strs[len(strs)-1], stringPool[g.intn(len(stringPool))]
+			hi := 10 + g.intn(40)
 			add(false, "SELECT %s, %s FROM %s WHERE %s != '%s'", ints[0], s, t.Full, s, lit)
-			add(false, "SELECT %s, %s FROM %s WHERE %s = '%s' AND %s < %d", s, ints[0], t.Full, s, lit, ints[0], 10+g.intn(40))
+			add(false, "SELECT %s, %s FROM %s WHERE %s = '%s' AND %s < %d", s, ints[0], t.Full, s, lit, ints[0], hi)
 			add(false, "SELECT * FROM %s WHERE %s >= %d", t.Full, ints[len(ints)-1], g.intn(30))
+			aggs := fmt.Sprintf("COUNT(%s), SUM(%s), MIN(%s), MAX(%s)", s, ints[0], s, ints[len(ints)-1])
+			if fs := colsOfType(t, vector.Float64); len(fs) > 0 {
+				aggs += fmt.Sprintf(", SUM(%s), MIN(%s)", fs[0], fs[0])
+			}
+			add(false, "SELECT %s FROM %s WHERE %s < %d", aggs, t.Full, ints[0], hi)
 		}
 		if len(ints) < 2 {
 			continue

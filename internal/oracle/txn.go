@@ -337,7 +337,7 @@ func (tw *txnWorld) tableStateAt(table string, version int64) (*Resultset, error
 	if err != nil {
 		return nil, err
 	}
-	merged := vector.NewBuilder(txnSchema()).Build()
+	parts := []*vector.Batch{vector.NewBuilder(txnSchema()).Build()}
 	for _, f := range files {
 		data, _, err := tw.w.Store.Get(tw.w.ServiceAccount(), f.Bucket, f.Key)
 		if err != nil {
@@ -351,9 +351,11 @@ func (tw *txnWorld) tableStateAt(table string, version int64) (*Resultset, error
 		if err != nil {
 			return nil, err
 		}
-		if merged, err = vector.AppendBatch(merged, b); err != nil {
-			return nil, err
-		}
+		parts = append(parts, b)
+	}
+	merged, err := vector.Concat(parts)
+	if err != nil {
+		return nil, err
 	}
 	return FromBatch(merged), nil
 }

@@ -66,9 +66,9 @@ func TestReadRowsQuarantinesStoredDamage(t *testing.T) {
 }
 
 // TestReusedAggregateSessionDrainedConcurrently: two clients acquire
-// the same cached aggregate session and drain it at once. The
-// aggregate path reads unprojected; it must not do so by rewriting the
-// shared request. Run under -race.
+// the same cached aggregate session and drain it at once, and each
+// acquisition gets its answer. The aggregate path reads unprojected; it
+// must not do so by rewriting the shared request. Run under -race.
 func TestReusedAggregateSessionDrainedConcurrently(t *testing.T) {
 	ev := newEnv(t)
 	ev.createSales(t, 8, 50)
@@ -92,9 +92,6 @@ func TestReusedAggregateSessionDrainedConcurrently(t *testing.T) {
 					return
 				}
 				payload, err := ev.srv.ReadRows(sess.ID, sess.Streams[0])
-				if errors.Is(err, ErrEndOfStream) {
-					continue // the other client drained this acquisition
-				}
 				if err != nil {
 					t.Error(err)
 					return
@@ -112,4 +109,69 @@ func TestReusedAggregateSessionDrainedConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestReusedAggregateSessionAnswersEveryAcquisition: every acquisition
+// of a reused aggregate session answers once on its first stream,
+// whatever another acquisition has read; its other streams start empty,
+// and none of them splits.
+func TestReusedAggregateSessionAnswersEveryAcquisition(t *testing.T) {
+	ev := newEnv(t)
+	ev.createSales(t, 4, 25)
+	req := ReadSessionRequest{
+		Table: "ds.sales", Principal: adminP, MaxStreams: 2,
+		Aggregates: []AggregateRequest{{Column: "amount", Kind: vector.AggSum}},
+	}
+	var want int64
+	for i := int64(0); i < 100; i++ {
+		want += i * 10
+	}
+	first, err := ev.srv.CreateReadSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ev.srv.CreateReadSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.Reused || len(second.Streams) != 2 {
+		t.Fatalf("second acquisition: reused=%v, %d streams; want a reuse with 2", second.Reused, len(second.Streams))
+	}
+	for i, sess := range []*ReadSession{first, second} {
+		b, err := ev.srv.ReadAll(sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.N != 1 {
+			t.Fatalf("acquisition %d: ReadAll = %d rows, want one", i, b.N)
+		}
+		if got := b.Cols[0].Value(0).AsInt(); got != want {
+			t.Fatalf("acquisition %d: SUM(amount) = %d, want %d", i, got, want)
+		}
+	}
+	// Each acquisition answered once: its streams are all drained.
+	third, err := ev.srv.CreateReadSession(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sess := range []*ReadSession{first, second, third} {
+		for i, stream := range sess.Streams {
+			if sess == third && i == 0 {
+				continue
+			}
+			if _, err := ev.srv.ReadRows(sess.ID, stream); !errors.Is(err, ErrEndOfStream) {
+				t.Fatalf("stream %s: err = %v, want ErrEndOfStream", stream, err)
+			}
+		}
+	}
+	if _, err := ev.srv.SplitStream(third.ID, third.Streams[0]); err == nil {
+		t.Fatal("an aggregate stream split")
+	}
+	payload, err := ev.srv.ReadRows(third.ID, third.Streams[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, err := vector.DecodeBatch(payload); err != nil || b.Cols[0].Value(0).AsInt() != want {
+		t.Fatalf("third acquisition after the others drained: %v, err %v", b, err)
+	}
 }

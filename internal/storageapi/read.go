@@ -96,8 +96,12 @@ type ReadSession struct {
 	Reused bool
 }
 
+// streamState is one stream of one acquisition: the items it answers,
+// in order, one per ReadRows. A row stream's item is one file; an
+// aggregate acquisition's first stream has one item, the whole plan,
+// and its other streams none.
 type streamState struct {
-	files []bigmeta.FileEntry
+	items [][]bigmeta.FileEntry
 	next  int
 	done  bool
 }
@@ -113,27 +117,39 @@ type session struct {
 	plan scan.Plan
 	// parts is the immutable partitioning of plan.Files; each
 	// acquisition of the session (including reuse) gets fresh one-shot
-	// streams over it.
+	// streams over it (an aggregate session's, one per part).
 	parts   [][]bigmeta.FileEntry
 	streams map[string]*streamState
 	order   []string
 	gen     int
 	mu      sync.Mutex
-	agg     bool
-	aggDone bool
 }
 
+// aggregate reports whether the session answers aggregates instead of
+// rows (§3.4 future work: aggregate pushdown).
+func (sess *session) aggregate() bool { return len(sess.req.Aggregates) > 0 }
+
 // openStreams instantiates fresh streams over the session plan and
-// returns their names.
+// returns their names. An aggregate acquisition answers once, on its
+// first stream.
 func (sess *session) openStreams(id string) []string {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.gen++
-	sess.aggDone = false
 	names := make([]string, len(sess.parts))
 	for i, files := range sess.parts {
+		st := &streamState{}
+		switch {
+		case !sess.aggregate():
+			st.items = make([][]bigmeta.FileEntry, len(files))
+			for j := range files {
+				st.items[j] = files[j : j+1 : j+1]
+			}
+		case i == 0:
+			st.items = [][]bigmeta.FileEntry{sess.plan.Files}
+		}
 		name := fmt.Sprintf("%s/streams/g%d-%d", id, sess.gen, i)
-		sess.streams[name] = &streamState{files: files}
+		sess.streams[name] = st
 		names[i] = name
 	}
 	sess.order = append([]string(nil), names...)
@@ -231,9 +247,11 @@ func (s *Server) planner() scan.Planner {
 		Reader: scan.Reader{Res: s.Res, Log: s.Log, Obs: s.sc.Load().reg, Site: "scan"}}
 }
 
+// sessionKey is the request shape session reuse matches on, the stream
+// cap included: a reused session keeps the streams it was cut into.
 func sessionKey(req ReadSessionRequest) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%s|%v|%d|%v|%v|%v", req.Table, req.Principal, req.Columns, req.SnapshotVersion, req.KeepEncodings, req.RowOriented, req.Aggregates)
+	fmt.Fprintf(&sb, "%s|%s|%v|%d|%v|%v|%v|%d", req.Table, req.Principal, req.Columns, req.SnapshotVersion, req.KeepEncodings, req.RowOriented, req.Aggregates, streamCap(req))
 	preds := make([]string, len(req.Predicates))
 	for i, p := range req.Predicates {
 		preds[i] = p.String()
@@ -246,6 +264,14 @@ func sessionKey(req ReadSessionRequest) string {
 // DefaultStreams is the stream count when the caller does not specify
 // one.
 const DefaultStreams = 8
+
+// streamCap is the request's stream cap, 0 resolved to DefaultStreams.
+func streamCap(req ReadSessionRequest) int {
+	if req.MaxStreams <= 0 {
+		return DefaultStreams
+	}
+	return req.MaxStreams
+}
 
 // sessionRetryBudget bounds the total object-store retries one read
 // session may spend across all its streams.
@@ -323,10 +349,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	}
 
 	// Partition files across streams.
-	nStreams := req.MaxStreams
-	if nStreams <= 0 {
-		nStreams = DefaultStreams
-	}
+	nStreams := streamCap(req)
 	if nStreams > len(plan.Files) && len(plan.Files) > 0 {
 		nStreams = len(plan.Files)
 	}
@@ -340,7 +363,6 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 		plan:    plan,
 		parts:   make([][]bigmeta.FileEntry, nStreams),
 		streams: make(map[string]*streamState),
-		agg:     len(req.Aggregates) > 0,
 	}
 	for i, f := range plan.Files {
 		sess.parts[i%nStreams] = append(sess.parts[i%nStreams], f)
@@ -379,9 +401,10 @@ func (s *Server) describe(id string, sess *session, streams []string, reused boo
 
 // ReadRows drains the next chunk of a stream, returning a wire-encoded
 // batch. io semantics: (nil, ErrEndOfStream) once the stream is
-// exhausted. Each call reads one file's worth of data, applies
-// pushdown predicates during the scan, enforces governance, projects,
-// and serializes.
+// exhausted. Each call answers one item: a row stream's reads one
+// file, applies pushdown predicates during the scan, enforces
+// governance, projects, and serializes; an aggregate stream's folds
+// the whole plan into one row.
 func (s *Server) ReadRows(sessionID, streamName string) ([]byte, error) {
 	return s.ReadRowsOn(s.Clock, sessionID, streamName)
 }
@@ -402,36 +425,29 @@ func (s *Server) ReadRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 		return nil, fmt.Errorf("%w: %s", ErrNoStream, streamName)
 	}
 
-	if sess.agg {
-		// Aggregate pushdown: one result payload on the first stream.
-		if sess.aggDone {
-			sess.mu.Unlock()
-			return nil, ErrEndOfStream
-		}
-		sess.aggDone = true
-		sess.mu.Unlock()
-		return s.computeAggregates(ch, sess)
-	}
-
-	if st.next >= len(st.files) {
+	if st.next >= len(st.items) {
 		st.done = true
 		sess.mu.Unlock()
 		return nil, ErrEndOfStream
 	}
 	idx := st.next
-	file := st.files[idx]
+	item := st.items[idx]
 	st.next++
 	sess.mu.Unlock()
 
 	p, err := s.planner().Renew(&sess.plan)
 	var batch *vector.Batch
-	if err == nil {
-		batch, err = s.readGoverned(ch, sess, &p, file)
+	switch {
+	case err != nil:
+	case sess.aggregate():
+		batch, err = s.computeAggregates(ch, sess, &p, item)
+	default:
+		batch, err = s.readGoverned(ch, sess, &p, item[0])
 	}
 	if err != nil {
-		// Roll the cursor back so the stream resumes at the failed file:
+		// Roll the cursor back so the stream resumes at the failed item:
 		// a client retrying the same ReadRows call after a transient
-		// fault re-reads this file rather than silently skipping it.
+		// fault re-reads it rather than silently skipping it.
 		sess.mu.Lock()
 		if st.next == idx+1 {
 			st.next = idx
@@ -473,7 +489,7 @@ func (s *Server) readGoverned(ch sim.Charger, sess *session, p *scan.Plan, file 
 	// Governance: the Read API applies row filters and masking before
 	// data leaves the boundary (§3.2).
 	governed, err := p.Govern(batch)
-	if err != nil || sess.agg {
+	if err != nil || sess.aggregate() {
 		return governed, err
 	}
 	return governed.Project(sess.cols)
@@ -498,89 +514,39 @@ func decodeRowOriented(data []byte, preds []colfmt.Predicate, partition map[stri
 	return scan.InjectPartitionColumns(batch, partition, schema, nil)
 }
 
-// computeAggregates evaluates the requested partial aggregates
-// server-side and returns one small payload.
-func (s *Server) computeAggregates(ch sim.Charger, sess *session) ([]byte, error) {
-	// Accumulate per aggregate. A COUNT over no file is 0, as the
-	// engine answers it; SUM, MIN and MAX over none stay NULL.
-	n := len(sess.req.Aggregates)
-	partials := make([]vector.Value, n)
-	for i, a := range sess.req.Aggregates {
-		if a.Kind == vector.AggCount {
-			partials[i] = vector.IntValue(0)
+// computeAggregates folds the governed rows of files — the renewed
+// plan's, in plan order — through the engine's aggregate accumulators
+// into one row: the answer the engine gives over the same rows, float
+// sums included. COUNT over no row is 0; SUM, MIN and MAX over none
+// are NULL.
+func (s *Server) computeAggregates(ch sim.Charger, sess *session, p *scan.Plan, files []bigmeta.FileEntry) (*vector.Batch, error) {
+	aggs := sess.req.Aggregates
+	kinds := make([]vector.AggKind, len(aggs))
+	for i, a := range aggs {
+		kinds[i] = a.Kind
+	}
+	fold := vector.NewFold(vector.Mem{}, kinds)
+	in := make([]*vector.Column, len(aggs))
+	for _, f := range files {
+		batch, err := s.readGoverned(ch, sess, p, f)
+		if err != nil {
+			return nil, err
 		}
-	}
-	p, err := s.planner().Renew(&sess.plan)
-	if err != nil {
-		return nil, err
-	}
-	// Stream by stream, as a client draining the session would: float
-	// sums keep their order.
-	for _, part := range sess.parts {
-		for _, f := range part {
-			batch, err := s.readGoverned(ch, sess, &p, f)
-			if err != nil {
-				return nil, err
-			}
-			for i, a := range sess.req.Aggregates {
-				c := batch.Column(a.Column)
-				if c == nil {
-					return nil, fmt.Errorf("storageapi: aggregate column %q not found", a.Column)
-				}
-				v := vector.Aggregate(c, a.Kind, nil)
-				partials[i] = mergeAgg(a.Kind, partials[i], v)
+		for i, a := range aggs {
+			if in[i] = batch.Column(a.Column); in[i] == nil {
+				return nil, fmt.Errorf("storageapi: aggregate column %q not found", a.Column)
 			}
 		}
-	}
-	fields := make([]vector.Field, n)
-	builder := make([]*vector.Column, n)
-	for i, a := range sess.req.Aggregates {
-		v := partials[i]
-		typ := v.Type
-		if v.IsNull() {
-			typ = vector.Int64
+		if err := fold.Add(in); err != nil {
+			return nil, err
 		}
-		fields[i] = vector.Field{Name: fmt.Sprintf("%s_%s", strings.ToLower(a.Kind.String()), a.Column), Type: typ}
-		bl := vector.NewBuilder(vector.NewSchema(fields[i]))
-		bl.Append(v)
-		builder[i] = bl.Build().Cols[0]
 	}
-	batch, err := vector.NewBatch(vector.Schema{Fields: fields}, builder)
-	if err != nil {
-		return nil, err
+	cols := fold.Finish()
+	fields := make([]vector.Field, len(aggs))
+	for i, a := range aggs {
+		fields[i] = vector.Field{Name: fmt.Sprintf("%s_%s", strings.ToLower(a.Kind.String()), a.Column), Type: cols[i].Type}
 	}
-	payload := vector.EncodeBatch(batch, false)
-	sc := s.sc.Load()
-	sc.readRowsBytes.Add(int64(len(payload)))
-	sc.readRowsCalls.Add(1)
-	return payload, nil
-}
-
-func mergeAgg(kind vector.AggKind, acc, v vector.Value) vector.Value {
-	if acc.IsNull() {
-		return v
-	}
-	if v.IsNull() {
-		return acc
-	}
-	switch kind {
-	case vector.AggCount, vector.AggSum:
-		if acc.Type == vector.Float64 || v.Type == vector.Float64 {
-			return vector.FloatValue(acc.AsFloat() + v.AsFloat())
-		}
-		return vector.IntValue(acc.AsInt() + v.AsInt())
-	case vector.AggMin:
-		if v.Compare(acc) < 0 {
-			return v
-		}
-		return acc
-	case vector.AggMax:
-		if v.Compare(acc) > 0 {
-			return v
-		}
-		return acc
-	}
-	return acc
+	return &vector.Batch{Schema: vector.Schema{Fields: fields}, Cols: cols, N: 1}, nil
 }
 
 // SplitStream divides a stream's remaining work in two for dynamic
@@ -598,14 +564,17 @@ func (s *Server) SplitStream(sessionID, streamName string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrNoStream, streamName)
 	}
-	remaining := len(st.files) - st.next
+	if sess.aggregate() {
+		return "", fmt.Errorf("storageapi: stream %s answers an aggregate once and cannot be split", streamName)
+	}
+	remaining := len(st.items) - st.next
 	if remaining < 2 {
 		return "", fmt.Errorf("storageapi: stream %s has too little work to split", streamName)
 	}
 	half := st.next + remaining/2
 	newName := fmt.Sprintf("%s-split%d", streamName, len(sess.order))
-	sess.streams[newName] = &streamState{files: append([]bigmeta.FileEntry(nil), st.files[half:]...)}
-	st.files = st.files[:half]
+	sess.streams[newName] = &streamState{items: append([][]bigmeta.FileEntry(nil), st.items[half:]...)}
+	st.items = st.items[:half]
 	sess.order = append(sess.order, newName)
 	return newName, nil
 }
@@ -628,15 +597,6 @@ func (s *Server) ReadAll(sess *ReadSession) (*vector.Batch, error) {
 				return nil, err
 			}
 			parts = append(parts, b)
-		}
-		if sess.Streams[0] == stream && len(sess.Streams) > 0 {
-			// aggregate sessions answer entirely on the first stream
-			s.mu.Lock()
-			real, ok := s.sessions[sess.ID]
-			s.mu.Unlock()
-			if ok && real.agg {
-				break
-			}
 		}
 	}
 	out, err := vector.Concat(parts)

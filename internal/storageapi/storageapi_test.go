@@ -252,6 +252,41 @@ func TestSessionReuse(t *testing.T) {
 	}
 }
 
+// TestSessionReuseKeysOnStreamCap: a request reuses a cached session
+// only at the same stream cap, 0 standing for DefaultStreams.
+func TestSessionReuseKeysOnStreamCap(t *testing.T) {
+	ev := newEnv(t)
+	ev.createSales(t, 10, 5)
+	req := func(streams int) ReadSessionRequest {
+		return ReadSessionRequest{Table: "ds.sales", Principal: adminP, MaxStreams: streams}
+	}
+	base, err := ev.srv.CreateReadSession(req(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 4, DefaultStreams} {
+		s, err := ev.srv.CreateReadSession(req(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Reused || len(s.Streams) != n {
+			t.Fatalf("MaxStreams %d: reused=%v with %d streams, want a fresh session with %d", n, s.Reused, len(s.Streams), n)
+		}
+	}
+	again, err := ev.srv.CreateReadSession(req(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dflt, err := ev.srv.CreateReadSession(req(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Reused || again.ID != base.ID || !dflt.Reused || len(dflt.Streams) != DefaultStreams {
+		t.Fatalf("repeat of 2: reused=%v id %s (want %s); MaxStreams 0: reused=%v with %d streams",
+			again.Reused, again.ID, base.ID, dflt.Reused, len(dflt.Streams))
+	}
+}
+
 func TestSessionStatsForPlanner(t *testing.T) {
 	ev := newEnv(t)
 	ev.createSales(t, 4, 25)

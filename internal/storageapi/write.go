@@ -142,7 +142,7 @@ func (s *Server) AppendRows(streamID string, offset int64, rows *vector.Batch) (
 		}
 	}
 	savedRows, savedOffset := ws.rows, ws.offset
-	merged, err := vector.AppendBatch(ws.rows, rows)
+	merged, err := vector.Concat([]*vector.Batch{ws.rows, rows})
 	if err != nil {
 		return ws.offset, err
 	}
@@ -239,7 +239,7 @@ func (s *Server) FlushRows(streamID string, offset int64) (int64, error) {
 	}
 	cols := make([]*vector.Column, len(ws.rows.Cols))
 	for i, c := range ws.rows.Cols {
-		cols[i] = vector.Gather(c, idx)
+		cols[i] = vector.GatherWith(vector.Mem{}, c, idx)
 	}
 	visible, err := vector.NewBatch(ws.rows.Schema, cols)
 	if err != nil {
@@ -252,7 +252,7 @@ func (s *Server) FlushRows(streamID string, offset int64) (int64, error) {
 	}
 	restCols := make([]*vector.Column, len(ws.rows.Cols))
 	for i, c := range ws.rows.Cols {
-		restCols[i] = vector.Gather(c, restIdx)
+		restCols[i] = vector.GatherWith(vector.Mem{}, c, restIdx)
 	}
 	remaining, err := vector.NewBatch(ws.rows.Schema, restCols)
 	if err != nil {

@@ -159,11 +159,14 @@ func FilterConcatWorkers(m Mem, parts []Selection, workers int) (out *Batch, fan
 
 // Concat concatenates whole batches, in order, in one sized pass — a
 // client draining a read session decodes every payload, then
-// concatenates once. Returns (nil, nil) for no batches.
+// concatenates once. Nil batches are skipped; returns (nil, nil) when
+// none is left.
 func Concat(batches []*Batch) (*Batch, error) {
 	parts := make([]Selection, len(batches))
 	for i, b := range batches {
-		parts[i] = Selection{Batch: b, Hi: b.N, N: b.N}
+		if b != nil {
+			parts[i] = Selection{Batch: b, Hi: b.N, N: b.N}
+		}
 	}
 	return FilterConcatWith(Mem{}, parts)
 }

@@ -153,21 +153,21 @@ func TestDecodeColumnTruncations(t *testing.T) {
 	}
 }
 
-func TestAppendBatchWithNullsOnBothSides(t *testing.T) {
+func TestConcatWithNullsOnBothSides(t *testing.T) {
 	schema := NewSchema(Field{"v", Int64})
 	a := NewInt64Column([]int64{1, 2})
 	a.Nulls = []bool{false, true}
 	bcol := NewInt64Column([]int64{3})
 	bcol.Nulls = []bool{true}
-	got, err := AppendBatch(
+	got, err := Concat([]*Batch{
 		MustBatch(schema, []*Column{a}),
 		MustBatch(schema, []*Column{bcol}),
-	)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Cols[0].Value(1).IsNull() || !got.Cols[0].Value(2).IsNull() || got.Cols[0].Value(0).AsInt() != 1 {
-		t.Fatalf("append nulls = %v %v %v", got.Cols[0].Value(0), got.Cols[0].Value(1), got.Cols[0].Value(2))
+		t.Fatalf("concat nulls = %v %v %v", got.Cols[0].Value(0), got.Cols[0].Value(1), got.Cols[0].Value(2))
 	}
 }
 

@@ -1,5 +1,7 @@
 package vector
 
+import "fmt"
+
 // This file implements the grouped-aggregation kernel: GroupKeys
 // assigns every row a dense group ID from typed multi-column keys
 // (morsel-parallel, first-encounter group order), and GroupAggregate
@@ -682,28 +684,19 @@ func finishSpec(m Mem, p *aggPartial, sp AggSpec, numGroups int) *Column {
 	return out
 }
 
-// GroupAggregate computes the given aggregates per group and returns
-// results[spec][group], boxed. ids and numGroups come from GroupKeys;
-// workers bounds the morsel-parallel fan-out. Associative folds
-// (COUNT, integer SUM, tie-broken MIN/MAX) run morsel-parallel with
-// per-worker partials; Float64 SUM/MIN/MAX fold sequentially in row
-// order so float results stay bit-identical to the sequential path.
-func GroupAggregate(ids []int32, numGroups int, specs []AggSpec, workers int) [][]Value {
-	cols := GroupAggregateWith(Mem{}, ids, numGroups, specs, workers)
-	out := make([][]Value, len(specs))
-	flat := make([]Value, len(specs)*numGroups)
-	for s, c := range cols {
-		out[s] = flat[s*numGroups : (s+1)*numGroups]
-		for g := range out[s] {
-			out[s][g] = c.Value(g)
-		}
-	}
-	return out
+// GroupAggregate is GroupAggregateWith on the heap.
+func GroupAggregate(ids []int32, numGroups int, specs []AggSpec, workers int) []*Column {
+	return GroupAggregateWith(Mem{}, ids, numGroups, specs, workers)
 }
 
-// GroupAggregateWith is GroupAggregate without the boxing: one typed
+// GroupAggregateWith computes the given aggregates per group: one typed
 // plain column of numGroups rows per spec, accumulator and output
-// arrays (they are the same arrays) from m's allocator.
+// arrays (they are the same arrays) from m's allocator. ids and
+// numGroups come from GroupKeys; workers bounds the morsel-parallel
+// fan-out. Associative folds (COUNT, integer SUM, tie-broken MIN/MAX)
+// run morsel-parallel with per-worker partials; Float64 SUM/MIN/MAX
+// fold sequentially in row order so float results stay bit-identical
+// to the sequential path.
 func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, workers int) []*Column {
 	if workers < 1 {
 		workers = 1
@@ -714,7 +707,7 @@ func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, work
 	kas := make([]keyAccess, len(specs))
 	for s, sp := range specs {
 		if sp.Col != nil {
-			kas[s] = newKeyAccess(al, sp.Col)
+			kas[s] = valueAccess(sp.Col)
 		}
 	}
 
@@ -755,6 +748,95 @@ func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, work
 			}
 		}
 		out[s] = finishSpec(m, merged, sp, numGroups)
+	}
+	return out
+}
+
+// AggOutput applies the aggregate output typing rule to an aggregate's
+// column of n rows: a column takes the type of its first non-NULL value,
+// so one with none — zero groups included, and a nil c — is Int64
+// whatever produced it. The engine's aggregates and a Fold's answer are
+// both typed by it.
+func AggOutput(m Mem, c *Column, n int) *Column {
+	if c != nil {
+		for g := 0; g < n; g++ {
+			if !c.IsNullAt(g) {
+				return c
+			}
+		}
+	}
+	al := m.Allocator()
+	out := &Column{Type: Int64, Len: n, Enc: Plain, Ints: al.Int64s(n), Pooled: m.Pooled()}
+	if n > 0 {
+		out.Nulls = al.Bools(n)
+		for g := range out.Nulls {
+			out.Nulls[g] = true
+		}
+	}
+	return out
+}
+
+// Fold is GroupAggregateWith's accumulator run as one group's running
+// fold: each Add folds its rows after every row added before, so a
+// float SUM adds, and a MIN/MAX keeps the first of equals, in call
+// order — the answer GroupAggregateWith gives for one group over the
+// inputs concatenated. A Read API aggregate session folds its plan's
+// files through it.
+type Fold struct {
+	m     Mem
+	specs []AggSpec // Col: the first input added, which fixes the type
+	parts []*aggPartial
+	ids   []int32 // all zero: every row is in the one group
+}
+
+// NewFold starts a fold of one aggregate per kind.
+func NewFold(m Mem, kinds []AggKind) *Fold {
+	f := &Fold{m: m, specs: make([]AggSpec, len(kinds)), parts: make([]*aggPartial, len(kinds))}
+	for s, k := range kinds {
+		f.specs[s].Kind = k
+	}
+	return f
+}
+
+// Add folds one input column per aggregate, after every row added
+// before. Each aggregate's input keeps the type it first had.
+func (f *Fold) Add(cols []*Column) error {
+	if len(cols) != len(f.specs) {
+		return fmt.Errorf("vector: %d fold inputs for %d aggregates", len(cols), len(f.specs))
+	}
+	al := f.m.Allocator()
+	for s, c := range cols {
+		sp := &f.specs[s]
+		switch {
+		case f.parts[s] == nil:
+			sp.Col = c
+			f.parts[s] = newAggPartial(al, *sp, 1)
+		case c.Type != sp.Col.Type:
+			return fmt.Errorf("vector: fold input %d changed type from %v to %v", s, sp.Col.Type, c.Type)
+		}
+		if len(f.ids) < c.Len {
+			f.ids = al.Int32s(c.Len)
+		}
+		accumRange(f.parts[s], *sp, valueAccess(c), f.ids, 0, c.Len)
+	}
+	return nil
+}
+
+// Finish returns the fold's answer, one single-row column per
+// aggregate, typed by AggOutput: COUNT over nothing is 0, SUM, MIN and
+// MAX over no value NULL.
+func (f *Fold) Finish() []*Column {
+	out := make([]*Column, len(f.specs))
+	for s, sp := range f.specs {
+		p := f.parts[s]
+		if p == nil && sp.Kind == AggCount {
+			p = newAggPartial(f.m.Allocator(), sp, 1)
+		}
+		var c *Column
+		if p != nil {
+			c = finishSpec(f.m, p, sp, 1)
+		}
+		out[s] = AggOutput(f.m, c, 1)
 	}
 	return out
 }

@@ -64,13 +64,19 @@ type keyAccess struct {
 	dictHash []uint64
 }
 
-// newKeyAccess takes the dictionary hash cache from al.
-func newKeyAccess(al Alloc, c *Column) keyAccess {
+// valueAccess is keyAccess without the dictionary hashes: what an
+// aggregate input reads, values only.
+func valueAccess(c *Column) keyAccess {
 	if c.Enc == RLE {
 		c = c.Decode()
 	}
-	ka := keyAccess{c: c}
-	if c.Enc == Dict {
+	return keyAccess{c: c}
+}
+
+// newKeyAccess takes the dictionary hash cache from al.
+func newKeyAccess(al Alloc, c *Column) keyAccess {
+	ka := valueAccess(c)
+	if c := ka.c; c.Enc == Dict {
 		n := c.dictLen()
 		ka.dictHash = al.Uint64s(n)
 		for i := 0; i < n; i++ {

@@ -68,7 +68,16 @@ func joinEq(a, b JoinResult) bool {
 		}
 		return s
 	}
-	return reflect.DeepEqual(norm(a.Left), norm(b.Left)) &&
+	left := func(r JoinResult) []int32 {
+		if r.LeftIdentity {
+			r.Left = make([]int32, len(r.Right))
+			for i := range r.Left {
+				r.Left[i] = int32(i)
+			}
+		}
+		return r.Left
+	}
+	return reflect.DeepEqual(norm(left(a)), norm(left(b))) &&
 		reflect.DeepEqual(norm(a.Right), norm(b.Right)) &&
 		reflect.DeepEqual(norm(a.LeftOuter), norm(b.LeftOuter))
 }
@@ -293,7 +302,7 @@ func refAggregate(sp AggSpec, ids []int32, numGroups, n int) []Value {
 			out[g] = IntValue(int64(rows))
 			continue
 		}
-		out[g] = Aggregate(sp.Col, sp.Kind, mask)
+		out[g] = refBoxedAggregate(sp.Col, sp.Kind, mask)
 	}
 	return out
 }
@@ -345,7 +354,7 @@ func TestGroupAggregateMatchesReference(t *testing.T) {
 		got := GroupAggregate(g.IDs, g.NumGroups, specs, w)
 		for s, sp := range specs {
 			want := refAggregate(sp, g.IDs, g.NumGroups, n)
-			if !valuesBitEqual(got[s], want) {
+			if !valuesBitEqual(colValues(got[s]), want) {
 				t.Fatalf("spec %d (%v, col %v) workers=%d:\n got %v\nwant %v",
 					s, sp.Kind, colType(sp.Col), w, got[s], want)
 			}
@@ -356,7 +365,7 @@ func TestGroupAggregateMatchesReference(t *testing.T) {
 func TestGroupAggregateEmptyAndAllNull(t *testing.T) {
 	// Zero rows with grouping: no groups, no values.
 	out := GroupAggregate(nil, 0, []AggSpec{{Kind: AggCount}}, 4)
-	if len(out[0]) != 0 {
+	if out[0].Len != 0 {
 		t.Fatalf("empty aggregate: %v", out)
 	}
 	// All-null column: SUM/MIN/MAX are NULL, COUNT is 0.
@@ -366,9 +375,18 @@ func TestGroupAggregateEmptyAndAllNull(t *testing.T) {
 	out = GroupAggregate(ids, 1, []AggSpec{
 		{Kind: AggSum, Col: c}, {Kind: AggMin, Col: c}, {Kind: AggCount, Col: c},
 	}, 4)
-	if !out[0][0].IsNull() || !out[1][0].IsNull() || out[2][0].I != 0 {
+	if !out[0].IsNullAt(0) || !out[1].IsNullAt(0) || out[2].Value(0).I != 0 {
 		t.Fatalf("all-null aggregate: %v", out)
 	}
+}
+
+// colValues boxes a kernel's output column.
+func colValues(c *Column) []Value {
+	out := make([]Value, c.Len)
+	for i := range out {
+		out[i] = c.Value(i)
+	}
+	return out
 }
 
 func makeBools(n int) []bool {

@@ -4,8 +4,13 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"strings"
 )
+
+// Heap forms. A kernel's X form is its XWith over Mem{} — one line,
+// no contract of its own. Filter and CompareConst serve callers that
+// hold no arena; HashJoin, GroupKeys and GroupAggregate have no caller
+// in the program and are kept only for the benchmark's per-layer
+// probes (benchmark/layers.go), whose source stays as it is.
 
 // CmpOp is a comparison operator for predicate kernels.
 type CmpOp uint8
@@ -402,16 +407,11 @@ func filterCounted(m Mem, s Selection) *Batch {
 	return &Batch{Schema: b.Schema, Cols: cols, N: s.N}
 }
 
-// Gather materializes the rows at idx into a new plain column.
-func Gather(c *Column, idx []int) *Column {
-	return GatherWith(Mem{}, c, idx)
-}
-
 // GatherWith gathers the rows at idx. Under a pooled allocator (late
 // materialization) a Dict input stays Dict: only the codes are
 // gathered and the dictionary value arrays are shared, so strings are
 // not copied until result emission (Column.Value decodes on read).
-// Otherwise the output is plain-encoded, matching Gather.
+// Otherwise the output is plain-encoded.
 func GatherWith(m Mem, c *Column, idx []int) *Column {
 	al := m.Allocator()
 	dec := c
@@ -776,131 +776,4 @@ func (a AggKind) String() string {
 		return "MAX"
 	}
 	return "?"
-}
-
-// aggAt resolves row i of a Plain or Dict column to its position in the
-// value arrays, or -1 when the row is unselected or NULL.
-func aggAt(c *Column, mask []bool, i int) int {
-	if mask != nil && !mask[i] {
-		return -1
-	}
-	if c.Enc == Dict {
-		if code := c.Codes[i]; code != NullIdx {
-			return int(code)
-		}
-		return -1
-	}
-	if c.Nulls != nil && c.Nulls[i] {
-		return -1
-	}
-	return i
-}
-
-// cmpNum orders numerics as Value.Compare does: through float64, an
-// unordered pair (a NaN) comparing equal.
-func cmpNum(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// Aggregate computes a partial aggregate over the column under an
-// optional selection mask (nil = all rows). COUNT counts non-null
-// selected rows. SUM/MIN/MAX skip NULLs; an empty input yields NULL
-// for MIN/MAX/SUM and 0 for COUNT. A float SUM adds in row order;
-// MIN/MAX order values as Value.Compare does and keep the first of
-// equals.
-func Aggregate(c *Column, kind AggKind, mask []bool) Value {
-	if c.Enc == RLE {
-		c = c.Decode() // runs have no random access; Plain and Dict are read in place
-	}
-	numeric := c.Type == Int64 || c.Type == Timestamp
-	var count, sumI int64
-	var sumF float64
-	at := -1 // MIN/MAX: where the extreme so far sits in the value arrays
-	switch {
-	case kind == AggSum && c.Type == Float64:
-		for i := 0; i < c.Len; i++ {
-			if j := aggAt(c, mask, i); j >= 0 {
-				count++
-				sumF += c.Floats[j]
-			}
-		}
-	case kind == AggSum && numeric:
-		for i := 0; i < c.Len; i++ {
-			if j := aggAt(c, mask, i); j >= 0 {
-				count++
-				sumI += c.Ints[j]
-			}
-		}
-	case kind == AggMin || kind == AggMax:
-		want := -1 // the sign of compare(v, extreme) that replaces the extreme
-		if kind == AggMax {
-			want = 1
-		}
-		switch {
-		case numeric:
-			var ext float64
-			for i := 0; i < c.Len; i++ {
-				if j := aggAt(c, mask, i); j >= 0 {
-					if v := float64(c.Ints[j]); at < 0 || cmpNum(v, ext) == want {
-						at, ext = j, v
-					}
-				}
-			}
-		case c.Type == Float64:
-			var ext float64
-			for i := 0; i < c.Len; i++ {
-				if j := aggAt(c, mask, i); j >= 0 {
-					if v := c.Floats[j]; at < 0 || cmpNum(v, ext) == want {
-						at, ext = j, v
-					}
-				}
-			}
-		case c.Type == Bool:
-			for i := 0; i < c.Len; i++ {
-				if j := aggAt(c, mask, i); j >= 0 {
-					// false < true
-					if at < 0 || (c.Bools[j] != c.Bools[at] && c.Bools[j] == (want > 0)) {
-						at = j
-					}
-				}
-			}
-		case c.Type == String || c.Type == Bytes:
-			for i := 0; i < c.Len; i++ {
-				if j := aggAt(c, mask, i); j >= 0 {
-					if at < 0 || strings.Compare(c.Strs[j], c.Strs[at]) == want {
-						at = j
-					}
-				}
-			}
-		}
-	default: // COUNT, and SUM over a type with nothing to add
-		for i := 0; i < c.Len; i++ {
-			if aggAt(c, mask, i) >= 0 {
-				count++
-			}
-		}
-	}
-	switch kind {
-	case AggCount:
-		return IntValue(count)
-	case AggSum:
-		if count == 0 {
-			return NullValue
-		}
-		if c.Type == Float64 {
-			return FloatValue(sumF)
-		}
-		return IntValue(sumI)
-	case AggMin, AggMax:
-		if at >= 0 {
-			return c.valueAtIdx(uint32(at))
-		}
-	}
-	return NullValue
 }

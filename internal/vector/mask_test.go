@@ -166,42 +166,101 @@ func sameValue(a, b Value) bool {
 		(math.Float64bits(a.F) == math.Float64bits(b.F) || (a.F != a.F && b.F != b.F))
 }
 
-// TestAggregateKernelParity: the typed loops return the boxed
-// reference's value — type included — for every kind over every type,
-// encoding and null pattern, with and without a selection mask, on
-// empty input, and with float sums bit-equal (so added in row order).
+// foldOne is one aggregate of c through a one-input Fold.
+func foldOne(c *Column, kind AggKind) Value {
+	f := NewFold(Mem{}, []AggKind{kind})
+	if err := f.Add([]*Column{c}); err != nil {
+		panic(err)
+	}
+	return f.Finish()[0].Value(0)
+}
+
+// TestAggregateKernelParity: the fold returns the boxed reference's
+// value — type included — for every kind over every type, encoding and
+// null pattern, on empty input, and with float sums bit-equal (so added
+// in row order, across Adds too).
 func TestAggregateKernelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
 	for _, tc := range wireCorpus(12, 0, 1, 50, 1000) {
-		masks := [][]bool{nil, make([]bool, tc.col.Len), make([]bool, tc.col.Len)}
-		for i := range masks[1] {
-			masks[1][i] = rng.Intn(3) > 0
-		}
-		for mi, mask := range masks {
-			for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax} {
-				want := refBoxedAggregate(tc.col, kind, mask)
-				if got := Aggregate(tc.col, kind, mask); !sameValue(got, want) {
-					t.Fatalf("%s mask%d %v = %#v, want %#v", tc.name, mi, kind, got, want)
-				}
+		for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax} {
+			want := refBoxedAggregate(tc.col, kind, nil)
+			if got := foldOne(tc.col, kind); !sameValue(got, want) {
+				t.Fatalf("%s %v = %#v, want %#v", tc.name, kind, got, want)
 			}
 		}
 	}
-	// Row order is the contract for floats: these three sum differently
-	// in any other order.
+	// Row order is the contract for floats: these sum differently in
+	// any other order, and differently again as two per-Add partials.
 	c := NewFloat64Column([]float64{1e16, 1, -1e16, 1})
-	if got := Aggregate(c, AggSum, nil); got.F != 1 {
+	if got := foldOne(c, AggSum); got.F != 1 {
 		t.Fatalf("float SUM = %v, want 1 (row order)", got.F)
+	}
+	f := NewFold(Mem{}, []AggKind{AggSum})
+	for _, part := range [][]float64{{1e16, 1}, {-1e16, 1}} {
+		if err := f.Add([]*Column{NewFloat64Column(part)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := f.Finish()[0].Value(0); got.F != 1 {
+		t.Fatalf("float SUM over two Adds = %v, want 1 (row order)", got.F)
 	}
 }
 
+// TestAggregateKernelAllocs: once a fold has seen an input, folding
+// another batch of it allocates nothing.
 func TestAggregateKernelAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, enc := range []Encoding{Plain, Dict} {
 		c := wireColumn(rng, Int64, enc, nullsSome, 4096)
 		for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax} {
-			if got := testing.AllocsPerRun(10, func() { Aggregate(c, kind, nil) }); got != 0 {
-				t.Errorf("%v %v: Aggregate allocates %.0f times, want 0", enc, kind, got)
+			f := NewFold(Mem{}, []AggKind{kind})
+			in := []*Column{c}
+			if got := testing.AllocsPerRun(10, func() { f.Add(in) }); got != 0 {
+				t.Errorf("%v %v: Fold.Add allocates %.0f times, want 0", enc, kind, got)
 			}
+		}
+	}
+}
+
+// countAlloc is the heap allocator, counting the elements it hands out.
+type countAlloc struct {
+	heapAlloc
+	n int
+}
+
+func (a *countAlloc) Int64s(n int) []int64     { a.n += n; return a.heapAlloc.Int64s(n) }
+func (a *countAlloc) Float64s(n int) []float64 { a.n += n; return a.heapAlloc.Float64s(n) }
+func (a *countAlloc) Bools(n int) []bool       { a.n += n; return a.heapAlloc.Bools(n) }
+func (a *countAlloc) Strings(n int) []string   { a.n += n; return a.heapAlloc.Strings(n) }
+func (a *countAlloc) Int32s(n int) []int32     { a.n += n; return a.heapAlloc.Int32s(n) }
+func (a *countAlloc) Uint32s(n int) []uint32   { a.n += n; return a.heapAlloc.Uint32s(n) }
+func (a *countAlloc) Uint64s(n int) []uint64   { a.n += n; return a.heapAlloc.Uint64s(n) }
+func (a *countAlloc) Ints(n int) []int         { a.n += n; return a.heapAlloc.Ints(n) }
+
+// TestAggregateKernelDictNotHashed: an aggregate reads a Dict input's
+// values through its codes and never hashes its dictionary, so neither
+// the grouped kernel nor the fold allocates anything proportional to
+// the dictionary.
+func TestAggregateKernelDictNotHashed(t *testing.T) {
+	const entries = 1 << 14
+	vals := make([]int64, entries)
+	for i := range vals {
+		vals[i] = int64(i)
+	}
+	// three rows over the whole dictionary
+	c := &Column{Type: Int64, Len: 3, Enc: Dict, Ints: vals, Codes: []uint32{0, entries - 1, 7}}
+	ids := make([]int32, c.Len)
+	for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax} {
+		ga := &countAlloc{}
+		GroupAggregateWith(Mem{Al: ga}, ids, 1, []AggSpec{{Kind: kind, Col: c}}, 2)
+		fa := &countAlloc{}
+		f := NewFold(Mem{Al: fa}, []AggKind{kind})
+		if err := f.Add([]*Column{c}); err != nil {
+			t.Fatal(err)
+		}
+		f.Finish()
+		if ga.n >= entries || fa.n >= entries {
+			t.Errorf("%v over a %d-entry dictionary: grouped kernel %d elements, fold %d; want fewer than one per entry",
+				kind, entries, ga.n, fa.n)
 		}
 	}
 }

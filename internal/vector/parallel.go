@@ -163,21 +163,14 @@ type JoinResult struct {
 }
 
 // HashJoin executes a typed equi-join between the key columns of two
-// batches and returns matched index pairs, Left always materialised.
+// batches and returns matched index pairs: HashJoinWith on the heap.
 // The build side (right) is hash-partitioned and the partition tables
 // are built in parallel; the probe side (left) is split into fixed-size
 // morsels fanned out over the worker pool, with per-morsel outputs
 // placed in morsel order so results are deterministic for any worker
 // count. Rows where any key column is NULL never match.
 func HashJoin(left, right *Batch, leftKeys, rightKeys []int, kind JoinKind, workers int) (JoinResult, error) {
-	res, err := HashJoinWith(Mem{}, left, right, leftKeys, rightKeys, kind, workers)
-	if res.LeftIdentity {
-		res.Left = make([]int32, len(res.Right))
-		for i := range res.Left {
-			res.Left[i] = int32(i)
-		}
-	}
-	return res, err
+	return HashJoinWith(Mem{}, left, right, leftKeys, rightKeys, kind, workers)
 }
 
 // probeSpan records where one probe morsel's output landed inside its
@@ -196,7 +189,7 @@ type probeScratch struct {
 	left, right, outer []int32
 }
 
-// HashJoinWith is HashJoin with an explicit memory policy: hashes,
+// HashJoinWith is the hash join with an explicit memory policy: hashes,
 // partition scatter, bucket arrays and outputs come from m's
 // allocator. The build table is an open chain (head per bucket +
 // shared next array); building it also learns whether any two build

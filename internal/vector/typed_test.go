@@ -520,7 +520,7 @@ func TestFilterAllOrNothing(t *testing.T) {
 
 // TestFilterConcatMatchesFilterThenAppend diffs the fused scan merge
 // against the two steps it replaced — Filter per part, then pairwise
-// AppendBatch — over random encodings, masks (all, none, some, nil)
+// append (refAppendBatch) — over random encodings, masks (all, none, some, nil)
 // and nil parts, on the heap and on an arena.
 func TestFilterConcatMatchesFilterThenAppend(t *testing.T) {
 	pool := arena.NewPool()
@@ -552,7 +552,7 @@ func TestFilterConcatMatchesFilterThenAppend(t *testing.T) {
 			if parts[i].N != filtered.N {
 				t.Fatalf("seed %d: Select counted %d rows, Filter kept %d", seed, parts[i].N, filtered.N)
 			}
-			if want, err = AppendBatch(want, filtered); err != nil {
+			if want, err = refAppendBatch(want, filtered); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -575,6 +575,33 @@ func TestFilterConcatMatchesFilterThenAppend(t *testing.T) {
 		}
 		ar.Release()
 	}
+}
+
+// refAppendBatch is the pairwise concatenation the scan merge replaced:
+// src decoded onto a decoded copy of dst.
+func refAppendBatch(dst, src *Batch) (*Batch, error) {
+	if dst == nil {
+		return src, nil
+	}
+	if !dst.Schema.Equal(src.Schema) {
+		return nil, fmt.Errorf("append schema mismatch %v vs %v", dst.Schema, src.Schema)
+	}
+	cols := make([]*Column, len(dst.Cols))
+	for i := range dst.Cols {
+		a, b := dst.Cols[i].Decode(), src.Cols[i].Decode()
+		out := &Column{Type: a.Type, Len: a.Len + b.Len, Enc: Plain}
+		out.Ints = append(append([]int64{}, a.Ints...), b.Ints...)
+		out.Floats = append(append([]float64{}, a.Floats...), b.Floats...)
+		out.Bools = append(append([]bool{}, a.Bools...), b.Bools...)
+		out.Strs = append(append([]string{}, a.Strs...), b.Strs...)
+		if a.Nulls != nil || b.Nulls != nil {
+			out.Nulls = make([]bool, a.Len+b.Len)
+			copy(out.Nulls, a.Nulls)
+			copy(out.Nulls[a.Len:], b.Nulls)
+		}
+		cols[i] = out
+	}
+	return &Batch{Schema: dst.Schema, Cols: cols, N: dst.N + src.N}, nil
 }
 
 func TestFilterConcatRejectsMismatch(t *testing.T) {

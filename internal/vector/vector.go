@@ -545,38 +545,6 @@ func (b *Batch) Project(names []string) (*Batch, error) {
 	return &Batch{Schema: schema, Cols: cols, N: b.N}, nil
 }
 
-// AppendBatch concatenates src onto dst (both plain-decoded), returning
-// the combined batch. Schemas must match.
-func AppendBatch(dst, src *Batch) (*Batch, error) {
-	if dst == nil {
-		return src, nil
-	}
-	if !dst.Schema.Equal(src.Schema) {
-		return nil, fmt.Errorf("vector: append schema mismatch %v vs %v", dst.Schema, src.Schema)
-	}
-	cols := make([]*Column, len(dst.Cols))
-	for i := range dst.Cols {
-		a, b := dst.Cols[i].Decode(), src.Cols[i].Decode()
-		out := &Column{Type: a.Type, Len: a.Len + b.Len, Enc: Plain}
-		out.Ints = append(append([]int64{}, a.Ints...), b.Ints...)
-		out.Floats = append(append([]float64{}, a.Floats...), b.Floats...)
-		out.Bools = append(append([]bool{}, a.Bools...), b.Bools...)
-		out.Strs = append(append([]string{}, a.Strs...), b.Strs...)
-		if a.Nulls != nil || b.Nulls != nil {
-			nulls := make([]bool, a.Len+b.Len)
-			if a.Nulls != nil {
-				copy(nulls, a.Nulls)
-			}
-			if b.Nulls != nil {
-				copy(nulls[a.Len:], b.Nulls)
-			}
-			out.Nulls = nulls
-		}
-		cols[i] = out
-	}
-	return &Batch{Schema: dst.Schema, Cols: cols, N: dst.N + src.N}, nil
-}
-
 // Builder builds a batch row-at-a-time; used by loaders and tests.
 type Builder struct {
 	schema Schema

@@ -275,7 +275,7 @@ func TestFilterPreservesNulls(t *testing.T) {
 
 func TestGatherFromRLE(t *testing.T) {
 	c := RLEncode(NewStringColumn([]string{"x", "x", "y", "y", "z"}))
-	out := Gather(c, []int{4, 0, 2})
+	out := GatherWith(Mem{}, c, []int{4, 0, 2})
 	if out.Strs[0] != "z" || out.Strs[1] != "x" || out.Strs[2] != "y" {
 		t.Fatalf("gather = %v", out.Strs)
 	}
@@ -360,16 +360,16 @@ func TestMaskPreservesNulls(t *testing.T) {
 
 func TestAggregates(t *testing.T) {
 	c := NewInt64Column([]int64{5, 1, 9, 3})
-	if got := Aggregate(c, AggCount, nil); got.AsInt() != 4 {
+	if got := foldOne(c, AggCount); got.AsInt() != 4 {
 		t.Fatalf("count = %v", got)
 	}
-	if got := Aggregate(c, AggSum, nil); got.AsInt() != 18 {
+	if got := foldOne(c, AggSum); got.AsInt() != 18 {
 		t.Fatalf("sum = %v", got)
 	}
-	if got := Aggregate(c, AggMin, nil); got.AsInt() != 1 {
+	if got := foldOne(c, AggMin); got.AsInt() != 1 {
 		t.Fatalf("min = %v", got)
 	}
-	if got := Aggregate(c, AggMax, nil); got.AsInt() != 9 {
+	if got := foldOne(c, AggMax); got.AsInt() != 9 {
 		t.Fatalf("max = %v", got)
 	}
 }
@@ -377,31 +377,35 @@ func TestAggregates(t *testing.T) {
 func TestAggregatesWithMaskAndNulls(t *testing.T) {
 	c := NewInt64Column([]int64{5, 1, 9, 3})
 	c.Nulls = []bool{false, false, true, false}
-	mask := []bool{true, false, true, true}
-	if got := Aggregate(c, AggCount, mask); got.AsInt() != 2 { // rows 0 and 3; row 2 null
+	b, err := Filter(MustBatch(NewSchema(Field{"v", Int64}), []*Column{c}), []bool{true, false, true, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c = b.Cols[0]
+	if got := foldOne(c, AggCount); got.AsInt() != 2 { // rows 0 and 3; row 2 null
 		t.Fatalf("count = %v", got)
 	}
-	if got := Aggregate(c, AggSum, mask); got.AsInt() != 8 {
+	if got := foldOne(c, AggSum); got.AsInt() != 8 {
 		t.Fatalf("sum = %v", got)
 	}
 }
 
 func TestAggregateEmptyInput(t *testing.T) {
 	c := NewFloat64Column(nil)
-	if got := Aggregate(c, AggCount, nil); got.AsInt() != 0 {
+	if got := foldOne(c, AggCount); got.AsInt() != 0 {
 		t.Fatal("count of empty")
 	}
-	if got := Aggregate(c, AggMin, nil); !got.IsNull() {
+	if got := foldOne(c, AggMin); !got.IsNull() {
 		t.Fatal("min of empty should be NULL")
 	}
-	if got := Aggregate(c, AggSum, nil); !got.IsNull() {
+	if got := foldOne(c, AggSum); !got.IsNull() {
 		t.Fatal("sum of empty should be NULL")
 	}
 }
 
 func TestAggregateFloatSum(t *testing.T) {
 	c := NewFloat64Column([]float64{1.5, 2.25})
-	if got := Aggregate(c, AggSum, nil); got.AsFloat() != 3.75 {
+	if got := foldOne(c, AggSum); got.AsFloat() != 3.75 {
 		t.Fatalf("sum = %v", got)
 	}
 }
@@ -470,23 +474,23 @@ func TestNewBatchValidation(t *testing.T) {
 	}
 }
 
-func TestAppendBatch(t *testing.T) {
+func TestConcatTwoBatches(t *testing.T) {
 	schema := NewSchema(Field{"a", Int64})
 	b1 := MustBatch(schema, []*Column{NewInt64Column([]int64{1, 2})})
 	b2 := MustBatch(schema, []*Column{NewInt64Column([]int64{3})})
-	out, err := AppendBatch(b1, b2)
+	out, err := Concat([]*Batch{b1, b2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.N != 3 || out.Cols[0].Ints[2] != 3 {
-		t.Fatalf("append = %+v", out.Cols[0])
+		t.Fatalf("concat = %+v", out.Cols[0])
 	}
-	out, err = AppendBatch(nil, b2)
+	out, err = Concat([]*Batch{b2})
 	if err != nil || out.N != 1 {
-		t.Fatal("append to nil")
+		t.Fatal("concat of one")
 	}
 	other := MustBatch(NewSchema(Field{"x", String}), []*Column{NewStringColumn([]string{"q"})})
-	if _, err := AppendBatch(b1, other); err == nil {
+	if _, err := Concat([]*Batch{b1, other}); err == nil {
 		t.Fatal("schema mismatch should error")
 	}
 }
