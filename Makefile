@@ -141,7 +141,10 @@ serve:
 # quarantines, one in a chunk no read fetches is the scrubber's), Read
 # API aggregate sessions (every acquisition of a reused session answers
 # once, a float SUM is the engine's at any stream count, reuse keys on
-# the stream cap), the
+# the stream cap), read-session lifetimes raced ten times over (each
+# acquisition reads under its own retry budget, a drained stream's
+# state goes, an expired or never-read session is reclaimed, ReadAll
+# drains the splits too — and all of it from several clients at once), the
 # corruption-injection determinism suite, the oracle corruption sweep
 # with its Read API and DML arms (zero silent wrong answers), the E19
 # detect -> contain -> repair experiment, and the scanlint sweep that
@@ -155,7 +158,7 @@ integrity:
 	$(GO) test -race -count=10 -run 'TestCacheConcurrentFills' ./internal/scan/
 	$(GO) test -race -count=3 -run 'TestRangedRead' ./internal/scan/
 	$(GO) test -race -run 'TestScanCache|TestQuarantined|TestProjection' ./internal/engine/
-	$(GO) test -race -count=10 -run 'TestReusedAggregateSession' ./internal/storageapi/
+	$(GO) test -race -count=10 -run 'TestReusedAggregateSession|TestLifetime|TestReadAllDrainsSplitStreams' ./internal/storageapi/
 	$(GO) test -race -run 'TestAggregateFloatSumMatchesEngine|TestSessionReuseKeysOnStreamCap' ./internal/storageapi/
 	$(GO) test -race -run 'TestReadRowsQuarantines|TestReadPartitionedTable|TestReadRowsProjects' ./internal/storageapi/
 	$(GO) test -race ./internal/scrub/

@@ -112,7 +112,10 @@ type Report struct {
 	Queries     int // generated statements (SELECT + DML + CTAS)
 	Executions  int // engine runs across all matrix cells
 	FaultErrors int // engine errors accepted in fault-injection cells
-	Divergence  *Divergence
+	// ReadAPIAggSessions counts the aggregate Read API sessions run for
+	// generated statements (the fixed shapes not included).
+	ReadAPIAggSessions int
+	Divergence         *Divergence
 }
 
 // Divergence is one engine-vs-oracle mismatch, minimized.
@@ -448,9 +451,10 @@ func (h *harness) engRun(eng *engine.Engine, who security.Principal, qid, sql st
 // readShape is a statement the Storage Read API answers on its own, with
 // no engine behind it: `SELECT cols FROM t WHERE p AND ...`, every p a
 // `column op literal`, or the same with every item a COUNT, SUM, MIN or
-// MAX of a column, which an aggregate session answers. The session has
-// no residual WHERE to hide behind, so what its predicates may touch is
-// decided by the scan plan alone.
+// MAX of a column, which an aggregate session answers; a column may be
+// qualified by the table's alias. The session has no residual WHERE to
+// hide behind, so what its predicates may touch is decided by the scan
+// plan alone.
 type readShape struct {
 	table string
 	cols  []string // nil = `*`
@@ -465,15 +469,15 @@ var aggKinds = map[string]vector.AggKind{
 }
 
 // aggOf reports the Read API aggregate an item is, if it is one: COUNT,
-// SUM, MIN or MAX of an unqualified column.
-func aggOf(e sqlparse.Expr) (storageapi.AggregateRequest, bool) {
+// SUM, MIN or MAX of a column of the table aliased alias.
+func aggOf(e sqlparse.Expr, alias string) (storageapi.AggregateRequest, bool) {
 	call, ok := e.(sqlparse.Call)
 	kind, known := aggKinds[call.Name]
 	if !ok || !known || len(call.Args) != 1 {
 		return storageapi.AggregateRequest{}, false
 	}
 	ref, ok := call.Args[0].(sqlparse.ColumnRef)
-	return storageapi.AggregateRequest{Column: ref.Name, Kind: kind}, ok && ref.Table == ""
+	return storageapi.AggregateRequest{Column: ref.Name, Kind: kind}, ok && (ref.Table == "" || ref.Table == alias)
 }
 
 // readShapeOf reports the statement's Read API form, if it has one.
@@ -487,12 +491,14 @@ func readShapeOf(sql string) (*readShape, bool) {
 		return nil, false
 	}
 	rs := &readShape{table: sel.From.Name}
+	alias := sel.From.Alias
+	local := func(ref sqlparse.ColumnRef) bool { return ref.Table == "" || ref.Table == alias }
 	for pos, it := range sel.Items {
 		ref, ok := it.Expr.(sqlparse.ColumnRef)
-		ag, isAgg := aggOf(it.Expr)
+		ag, isAgg := aggOf(it.Expr, alias)
 		switch {
 		case it.Star && len(sel.Items) == 1:
-		case ok && ref.Table == "" && it.Alias == "" && rs.aggs == nil:
+		case ok && local(ref) && it.Alias == "" && rs.aggs == nil:
 			rs.cols = append(rs.cols, ref.Name)
 		case isAgg && rs.cols == nil:
 			rs.aggs = append(rs.aggs, ag)
@@ -513,7 +519,7 @@ func readShapeOf(sql string) (*readShape, bool) {
 		op, isCmp := cmpOpMap[bin.Op]
 		ref, isRef := bin.L.(sqlparse.ColumnRef)
 		lit, isLit := bin.R.(sqlparse.Literal)
-		if !isCmp || !isRef || !isLit || ref.Table != "" || lit.Value.IsNull() {
+		if !isCmp || !isRef || !isLit || !local(ref) || lit.Value.IsNull() {
 			return false
 		}
 		rs.preds = append(rs.preds, colfmt.Predicate{Column: ref.Name, Op: op, Value: lit.Value})
@@ -649,6 +655,9 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 				want := oras[ai][qi]
 				rgot, rerr := h.readRun(a, reads[qi])
 				h.rep.Executions++
+				if q.drawn && reads[qi].aggs != nil {
+					h.rep.ReadAPIAggSessions++
+				}
 				switch {
 				case rerr != nil && want.err != nil:
 				case rerr != nil && cfg.Faults:

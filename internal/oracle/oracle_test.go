@@ -51,8 +51,11 @@ func TestDifferential(t *testing.T) {
 	if rep.Queries < 200 {
 		t.Fatalf("short-mode coverage too thin: %d generated queries (< 200)", rep.Queries)
 	}
-	t.Logf("ok: %d trials, %d queries, %d engine executions, %d accepted fault errors",
-		rep.Trials, rep.Queries, rep.Executions, rep.FaultErrors)
+	if rep.ReadAPIAggSessions == 0 {
+		t.Fatal("the Read API aggregate arm ran 0 sessions for generated statements")
+	}
+	t.Logf("ok: %d trials, %d queries, %d engine executions, %d accepted fault errors, %d generated Read API aggregate sessions",
+		rep.Trials, rep.Queries, rep.Executions, rep.FaultErrors, rep.ReadAPIAggSessions)
 }
 
 // TestDifferentialServe routes every matrix SELECT through the serve

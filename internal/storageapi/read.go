@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,66 +95,106 @@ type ReadSession struct {
 	// Reused reports that an equivalent cached session was returned
 	// instead of creating a new one (§3.4 future work: session reuse).
 	Reused bool
+
+	acq *acquisition // the acquisition Streams were minted for
 }
 
-// streamState is one stream of one acquisition: the items it answers,
-// in order, one per ReadRows. A row stream's item is one file; an
-// aggregate acquisition's first stream has one item, the whole plan,
-// and its other streams none.
+// streamState is one live stream of one acquisition: the items it
+// answers, in order, one per ReadRows (see session.items), and how many
+// it has handed out.
 type streamState struct {
+	acq   *acquisition
 	items [][]bigmeta.FileEntry
 	next  int
-	done  bool
 }
 
+// acquisition is one use of a session — one CreateReadSession, fresh or
+// reused: the streams minted for it and the retry budget their reads
+// share. It expires SessionTTL after it was opened.
+type acquisition struct {
+	budget *resilience.Budget
+	// streams are the names minted for it: its streams, then its splits
+	// in the order they were made (guarded by the session's mu).
+	streams []string
+}
+
+// session is what every acquisition of one request shape shares: the
+// plan, its partitioning and the projected schema, fixed at creation.
+// Per-use state — streams, cursors, retry budget — is the
+// acquisition's. Only live streams are stored: a stream's state goes
+// once its last item has been served. The session goes (Server.reclaim)
+// once its reuse window has closed and its last acquisition has
+// expired, drained or not: a client that drained a stream still hears
+// ErrEndOfStream from it until then.
 type session struct {
-	req    ReadSessionRequest
-	schema vector.Schema // projected, post-governance schema
-	cols   []string      // the projection: schema's column names, in order
+	id, key string
+	req     ReadSessionRequest
+	schema  vector.Schema // projected, post-governance schema
+	cols    []string      // the projection: schema's column names, in order
 	// plan is the table read as resolved at creation: source, files,
-	// and — renewed at every ReadRows — predicates and columns. Its
-	// Budget is the session-lifetime retry allowance shared by every
-	// ReadRows call, seeded from the session ID for reproducibility.
+	// and — renewed at every ReadRows — predicates and columns. It has
+	// no budget: each ReadRows reads under its acquisition's.
 	plan scan.Plan
-	// parts is the immutable partitioning of plan.Files; each
-	// acquisition of the session (including reuse) gets fresh one-shot
-	// streams over it (an aggregate session's, one per part).
-	parts   [][]bigmeta.FileEntry
-	streams map[string]*streamState
-	order   []string
-	gen     int
-	mu      sync.Mutex
+	// items is, per stream, what it answers: a row stream's item is one
+	// file, an aggregate session's first stream has one item, the whole
+	// plan, and its other streams none. Each acquisition's streams start
+	// over them; nothing writes them after creation.
+	items [][][]bigmeta.FileEntry
+	// expires closes the reuse window (creation + SessionTTL); held is
+	// when the last acquisition opened expires. Both are guarded by the
+	// server's mu.
+	expires, held time.Duration
+
+	mu       sync.Mutex
+	acquired int // acquisitions opened
+	minted   int // stream names minted: <id>/streams/0 .. minted-1
+	streams  map[string]*streamState
 }
 
 // aggregate reports whether the session answers aggregates instead of
 // rows (§3.4 future work: aggregate pushdown).
 func (sess *session) aggregate() bool { return len(sess.req.Aggregates) > 0 }
 
-// openStreams instantiates fresh streams over the session plan and
-// returns their names. An aggregate acquisition answers once, on its
-// first stream.
-func (sess *session) openStreams(id string) []string {
+// open opens an acquisition of the session: a retry budget of its own
+// and fresh streams over the session's items, whose names it returns.
+// The first acquisition's budget is seeded from the session ID, each
+// later one's from the ID and its acquisition number.
+func (sess *session) open(clock *sim.Clock) (*acquisition, []string) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	sess.gen++
-	names := make([]string, len(sess.parts))
-	for i, files := range sess.parts {
-		st := &streamState{}
-		switch {
-		case !sess.aggregate():
-			st.items = make([][]bigmeta.FileEntry, len(files))
-			for j := range files {
-				st.items[j] = files[j : j+1 : j+1]
-			}
-		case i == 0:
-			st.items = [][]bigmeta.FileEntry{sess.plan.Files}
-		}
-		name := fmt.Sprintf("%s/streams/g%d-%d", id, sess.gen, i)
-		sess.streams[name] = st
-		names[i] = name
+	seed := resilience.Seed64(sess.id) ^ uint64(sess.acquired)*0x9E3779B97F4A7C15
+	sess.acquired++
+	acq := &acquisition{
+		budget:  resilience.NewBudget(clock, sessionRetryBudget, seed),
+		streams: make([]string, len(sess.items)),
 	}
-	sess.order = append([]string(nil), names...)
-	return names
+	for i, items := range sess.items {
+		acq.streams[i] = sess.mint(acq, items)
+	}
+	return acq, acq.streams
+}
+
+// mint names a new stream of acq and stores it if it has items to
+// answer — a stream with none has ended as it starts; the caller holds
+// sess.mu.
+func (sess *session) mint(acq *acquisition, items [][]bigmeta.FileEntry) string {
+	name := sess.id + "/streams/" + strconv.Itoa(sess.minted)
+	sess.minted++
+	if len(items) > 0 {
+		sess.streams[name] = &streamState{acq: acq, items: items}
+	}
+	return name
+}
+
+// missing is the answer for a stream name sess does not store:
+// ErrEndOfStream if sess minted it (the stream has ended), ErrNoStream
+// if it never did. The caller holds sess.mu.
+func (sess *session) missing(name string) error {
+	rest, ok := strings.CutPrefix(name, sess.id+"/streams/")
+	if n, err := strconv.Atoi(rest); ok && err == nil && n >= 0 && n < sess.minted && strconv.Itoa(n) == rest {
+		return ErrEndOfStream
+	}
+	return fmt.Errorf("%w: %s", ErrNoStream, name)
 }
 
 // Server is one region's Storage API frontend.
@@ -178,16 +219,11 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
-	cache    map[string]cachedSession
+	cache    map[string]*session // request shape → the session it reuses
 	seq      int
 	wmu      sync.Mutex
 	writes   map[string]*writeStream
 	wseq     int
-}
-
-type cachedSession struct {
-	id      string
-	expires time.Duration
 }
 
 // serverCounters holds the server's registry (where its reader's
@@ -213,7 +249,7 @@ func NewServer(cat *catalog.Catalog, auth *security.Authority, meta *bigmeta.Cac
 		SessionTTL: 10 * time.Minute,
 		Res:        resilience.DefaultPolicy(),
 		sessions:   make(map[string]*session),
-		cache:      make(map[string]cachedSession),
+		cache:      make(map[string]*session),
 		writes:     make(map[string]*writeStream),
 	}
 	s.UseObs(log.Obs())
@@ -273,8 +309,8 @@ func streamCap(req ReadSessionRequest) int {
 	return req.MaxStreams
 }
 
-// sessionRetryBudget bounds the total object-store retries one read
-// session may spend across all its streams.
+// sessionRetryBudget bounds the total object-store retries one
+// acquisition of a read session may spend across all its streams.
 const sessionRetryBudget = 64
 
 // CreateReadSession plans a consistent point-in-time read and returns
@@ -290,15 +326,17 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 	}
 
 	// Session reuse from the cache (§3.4 future work) — same request
-	// shape within the TTL returns the existing session.
+	// shape within the TTL returns the existing session. The acquisition
+	// opens under the server lock, so no reclaim can take the session
+	// between the lookup and its new streams.
 	key := sessionKey(req)
 	s.mu.Lock()
-	if c, ok := s.cache[key]; ok && s.Clock.Now() <= c.expires {
-		if sess, ok := s.sessions[c.id]; ok {
-			s.mu.Unlock()
-			s.sc.Load().sessionsReused.Add(1)
-			return s.describe(c.id, sess, sess.openStreams(c.id), true), nil
-		}
+	if sess, now := s.cache[key], s.Clock.Now(); sess != nil && now <= sess.expires {
+		sess.held = max(sess.held, now+s.SessionTTL)
+		acq, streams := sess.open(s.Clock)
+		s.mu.Unlock()
+		s.sc.Load().sessionsReused.Add(1)
+		return s.describe(sess, acq, streams, true), nil
 	}
 	s.mu.Unlock()
 
@@ -348,7 +386,7 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 		return nil, err
 	}
 
-	// Partition files across streams.
+	// Partition files across streams, round robin.
 	nStreams := streamCap(req)
 	if nStreams > len(plan.Files) && len(plan.Files) > 0 {
 		nStreams = len(plan.Files)
@@ -357,46 +395,80 @@ func (s *Server) CreateReadSession(req ReadSessionRequest) (*ReadSession, error)
 		nStreams = 1
 	}
 	sess := &session{
+		key:     key,
 		req:     req,
 		schema:  schema,
 		cols:    cols,
 		plan:    plan,
-		parts:   make([][]bigmeta.FileEntry, nStreams),
+		items:   make([][][]bigmeta.FileEntry, nStreams),
 		streams: make(map[string]*streamState),
 	}
-	for i, f := range plan.Files {
-		sess.parts[i%nStreams] = append(sess.parts[i%nStreams], f)
+	if sess.aggregate() {
+		sess.items[0] = [][]bigmeta.FileEntry{plan.Files}
+	} else {
+		for i := range plan.Files {
+			sess.items[i%nStreams] = append(sess.items[i%nStreams], plan.Files[i:i+1:i+1])
+		}
 	}
 	s.mu.Lock()
+	now := s.Clock.Now()
+	s.reclaim(now)
 	s.seq++
-	id := fmt.Sprintf("sessions/%d", s.seq)
-	// The budget is set before the session is published: a reuse of it
-	// (the cache entry below) may read the plan as soon as the lock goes.
-	sess.plan.Budget = resilience.NewBudget(s.Clock, sessionRetryBudget, resilience.Seed64(id))
-	s.sessions[id] = sess
-	s.cache[key] = cachedSession{id: id, expires: s.Clock.Now() + s.SessionTTL}
+	sess.id = fmt.Sprintf("sessions/%d", s.seq)
+	sess.expires = now + s.SessionTTL
+	sess.held = sess.expires
+	s.sessions[sess.id] = sess
+	s.cache[key] = sess
+	acq, streams := sess.open(s.Clock)
 	s.mu.Unlock()
-	streams := sess.openStreams(id)
 
 	// Server-side session creation cost.
 	s.Clock.Advance(SessionLatency)
 	s.sc.Load().sessionsCreated.Add(1)
-	return s.describe(id, sess, streams, false), nil
+	return s.describe(sess, acq, streams, false), nil
+}
+
+// reclaim drops every session whose reuse window has closed by now and
+// whose last acquisition has expired, with its cache entry; the caller
+// holds s.mu. It runs when a session is created, so the sessions held
+// are those of request shapes used within SessionTTL, and a handle to a
+// dropped session answers ErrNoSession.
+func (s *Server) reclaim(now time.Duration) {
+	for id, sess := range s.sessions {
+		if now > sess.expires && now > sess.held {
+			delete(s.sessions, id)
+			if s.cache[sess.key] == sess {
+				delete(s.cache, sess.key)
+			}
+		}
+	}
 }
 
 // describe builds the client handle for one acquisition of the session;
-// streams are the names openStreams just minted for it.
-func (s *Server) describe(id string, sess *session, streams []string, reused bool) *ReadSession {
+// streams are the names open minted for it.
+func (s *Server) describe(sess *session, acq *acquisition, streams []string, reused bool) *ReadSession {
 	stats := sess.plan.Stats()
 	return &ReadSession{
-		ID:            id,
+		ID:            sess.id,
 		Table:         sess.req.Table,
 		Schema:        sess.schema,
 		Streams:       streams,
 		Stats:         stats,
 		EstimatedRows: stats.Rows,
 		Reused:        reused,
+		acq:           acq,
 	}
+}
+
+// session looks up a live session by ID.
+func (s *Server) session(id string) (*session, error) {
+	s.mu.Lock()
+	sess, ok := s.sessions[id]
+	s.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoSession, id)
+	}
+	return sess, nil
 }
 
 // ReadRows drains the next chunk of a stream, returning a wire-encoded
@@ -412,30 +484,29 @@ func (s *Server) ReadRows(sessionID, streamName string) ([]byte, error) {
 // ReadRowsOn is ReadRows with latency charged to a parallel client
 // track.
 func (s *Server) ReadRowsOn(ch sim.Charger, sessionID, streamName string) ([]byte, error) {
-	s.mu.Lock()
-	sess, ok := s.sessions[sessionID]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoSession, sessionID)
+	sess, err := s.session(sessionID)
+	if err != nil {
+		return nil, err
 	}
 	sess.mu.Lock()
 	st, ok := sess.streams[streamName]
 	if !ok {
+		err := sess.missing(streamName)
 		sess.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrNoStream, streamName)
+		return nil, err
 	}
-
-	if st.next >= len(st.items) {
-		st.done = true
+	if st.next >= len(st.items) { // its last item is being read
 		sess.mu.Unlock()
 		return nil, ErrEndOfStream
 	}
 	idx := st.next
 	item := st.items[idx]
 	st.next++
+	last := st.next == len(st.items)
 	sess.mu.Unlock()
 
 	p, err := s.planner().Renew(&sess.plan)
+	p.Budget = st.acq.budget
 	var batch *vector.Batch
 	switch {
 	case err != nil:
@@ -454,6 +525,13 @@ func (s *Server) ReadRowsOn(ch sim.Charger, sessionID, streamName string) ([]byt
 		}
 		sess.mu.Unlock()
 		return nil, err
+	}
+	if last {
+		// The stream has served its last item: its state goes, and its
+		// name answers ErrEndOfStream from now on.
+		sess.mu.Lock()
+		delete(sess.streams, streamName)
+		sess.mu.Unlock()
 	}
 	payload := vector.EncodeBatch(batch, sess.req.KeepEncodings)
 	sc := s.sc.Load()
@@ -552,17 +630,15 @@ func (s *Server) computeAggregates(ch sim.Charger, sess *session, p *scan.Plan, 
 // SplitStream divides a stream's remaining work in two for dynamic
 // rebalancing (§2.2.1), returning the new stream's name.
 func (s *Server) SplitStream(sessionID, streamName string) (string, error) {
-	s.mu.Lock()
-	sess, ok := s.sessions[sessionID]
-	s.mu.Unlock()
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNoSession, sessionID)
+	sess, err := s.session(sessionID)
+	if err != nil {
+		return "", err
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	st, ok := sess.streams[streamName]
 	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrNoStream, streamName)
+		return "", sess.missing(streamName)
 	}
 	if sess.aggregate() {
 		return "", fmt.Errorf("storageapi: stream %s answers an aggregate once and cannot be split", streamName)
@@ -572,20 +648,28 @@ func (s *Server) SplitStream(sessionID, streamName string) (string, error) {
 		return "", fmt.Errorf("storageapi: stream %s has too little work to split", streamName)
 	}
 	half := st.next + remaining/2
-	newName := fmt.Sprintf("%s-split%d", streamName, len(sess.order))
-	sess.streams[newName] = &streamState{items: append([][]bigmeta.FileEntry(nil), st.items[half:]...)}
+	name := sess.mint(st.acq, st.items[half:])
 	st.items = st.items[:half]
-	sess.order = append(sess.order, newName)
-	return newName, nil
+	st.acq.streams = append(st.acq.streams, name)
+	return name, nil
 }
 
-// ReadAll is a client convenience: drain every stream of a session
-// (sequentially) and decode into one batch.
-func (s *Server) ReadAll(sess *ReadSession) (*vector.Batch, error) {
+// ReadAll is a client convenience: drain every stream of an
+// acquisition — its streams, then the splits made of them, each in the
+// order it was minted — sequentially, and decode into one batch.
+func (s *Server) ReadAll(rs *ReadSession) (*vector.Batch, error) {
+	sess, err := s.session(rs.ID)
+	if err != nil {
+		return nil, err
+	}
 	var parts []*vector.Batch
-	for _, stream := range sess.Streams {
+	for i := 0; ; i++ {
+		stream, ok := sess.streamOf(rs, i)
+		if !ok {
+			break
+		}
 		for {
-			payload, err := s.ReadRows(sess.ID, stream)
+			payload, err := s.ReadRows(rs.ID, stream)
 			if errors.Is(err, ErrEndOfStream) {
 				break
 			}
@@ -601,7 +685,22 @@ func (s *Server) ReadAll(sess *ReadSession) (*vector.Batch, error) {
 	}
 	out, err := vector.Concat(parts)
 	if out == nil && err == nil {
-		out = vector.EmptyBatch(sess.Schema)
+		out = vector.EmptyBatch(rs.Schema)
 	}
 	return out, err
+}
+
+// streamOf is the i-th stream minted for rs's acquisition (a handle
+// built by hand has only its Streams), or false past the last.
+func (sess *session) streamOf(rs *ReadSession, i int) (string, bool) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	names := rs.Streams
+	if rs.acq != nil {
+		names = rs.acq.streams
+	}
+	if i >= len(names) {
+		return "", false
+	}
+	return names[i], true
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
@@ -381,8 +382,60 @@ func TestUnknownSessionAndStream(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 	sess, _ := ev.srv.CreateReadSession(ReadSessionRequest{Table: "ds.sales", Principal: adminP})
-	if _, err := ev.srv.ReadRows(sess.ID, "ghost"); !errors.Is(err, ErrNoStream) {
-		t.Fatalf("err = %v", err)
+	// Names the session never minted, whatever they look like.
+	for _, name := range []string{"ghost", sess.ID + "/streams/1", sess.ID + "/streams/00", sess.ID + "/streams/-0", "sessions/99/streams/0"} {
+		if _, err := ev.srv.ReadRows(sess.ID, name); !errors.Is(err, ErrNoStream) {
+			t.Fatalf("%s: err = %v, want ErrNoStream", name, err)
+		}
+	}
+	// A drained stream has ended, for good.
+	if _, err := ev.srv.ReadAll(sess); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := ev.srv.ReadRows(sess.ID, sess.Streams[0]); !errors.Is(err, ErrEndOfStream) {
+			t.Fatalf("drained stream: err = %v, want ErrEndOfStream", err)
+		}
+	}
+	// Once the reuse window has closed, the next session created
+	// reclaims this one: its ID names no session.
+	ev.clock.Advance(ev.srv.SessionTTL + time.Second)
+	if _, err := ev.srv.CreateReadSession(ReadSessionRequest{Table: "ds.sales", Principal: adminP, Columns: []string{"id"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ev.srv.ReadRows(sess.ID, sess.Streams[0]); !errors.Is(err, ErrNoSession) {
+		t.Fatalf("reclaimed session: err = %v, want ErrNoSession", err)
+	}
+}
+
+// TestReadAllDrainsSplitStreams: ReadAll drains every stream of its
+// acquisition, the splits made of them included.
+func TestReadAllDrainsSplitStreams(t *testing.T) {
+	ev := newEnv(t)
+	ev.createSales(t, 4, 10)
+	sess, err := ev.srv.CreateReadSession(ReadSessionRequest{Table: "ds.sales", Principal: adminP, MaxStreams: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := ev.srv.SplitStream(sess.ID, sess.Streams[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A split of the split: three streams, read in the order minted.
+	if _, err := ev.srv.SplitStream(sess.ID, split); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ev.srv.ReadAll(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.N != 40 {
+		t.Fatalf("ReadAll after splits = %d rows, want 40", got.N)
+	}
+	for i := 0; i < got.N; i++ {
+		if id := got.Column("id").Value(i).AsInt(); id != int64(i) {
+			t.Fatalf("row %d has id %d: the streams were not read in the order minted", i, id)
+		}
 	}
 }
 
