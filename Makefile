@@ -47,12 +47,17 @@ chaos:
 # grouping kernel. Then ten seconds of native fuzzing on each of the
 # column codec's decoders — the one parser a Read API client points at
 # bytes with no checksum in front of them: an error or a column that
-# re-encodes to itself, never a panic (the seed corpus alone runs in
-# every plain `go test`).
+# re-encodes to itself, never a panic — and ten on the file writer over
+# random float bit patterns, integers near ±2^53 and the int64 extremes,
+# NULL runs and non-UTF-8 strings: every value reads back bit for bit
+# (NaN as NaN), every chunk's Distinct stat is its typed distinct count,
+# and the footer the writer hands over is the one a reader parses (the
+# seed corpora alone run in every plain `go test`).
 fuzz:
 	$(GO) test -run 'TestDifferential|TestIcebergExportEquality|TestStarFamilyReachesKernels' -v ./internal/oracle/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeColumn' -fuzztime=10s ./internal/vector/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime=10s ./internal/vector/
+	$(GO) test -run '^$$' -fuzz 'FuzzWriteFileRoundTrip' -fuzztime=10s ./internal/colfmt/
 
 # Demonstrate the harness catches a planted pruning bug (not in ci:
 # the tagged build is intentionally broken).
@@ -196,8 +201,9 @@ gatecheck:
 # compiling and running), the scan merge at workers {1, 2, 3, 8} on a
 # recycled arena full of garbage against the serial heap merge under
 # the race detector (BenchmarkScanMerge run once), the worker sweep over
-# warm scans whose selects and merge fan out, raced three times, and
-# the E20
+# warm scans whose selects and merge fan out, raced three times, a file
+# write whose allocations grow per chunk, not per row
+# (BenchmarkWriteFile run once), and the E20
 # experiment smoke: the star join's heap
 # allocs/bytes/GC per query under committed budgets, mixed-traffic QPS,
 # variance cells.
@@ -218,6 +224,8 @@ gclean:
 	$(GO) test -run '^$$' -bench BenchmarkPrune -benchtime 1x ./internal/bigmeta/
 	$(GO) test -race -run 'TestScanMerge' ./internal/vector/
 	$(GO) test -run '^$$' -bench BenchmarkScanMerge -benchtime 1x ./internal/vector/
+	$(GO) test -run 'TestGCLeanWriteFile' ./internal/colfmt/
+	$(GO) test -run '^$$' -bench BenchmarkWriteFile -benchtime 1x ./internal/colfmt/
 	$(GO) test -race -count=3 -run 'TestVectorizedWorkerCountInvarianceWarm' ./internal/engine/
 	$(GO) test -race -run 'TestWindowOutlivesArenaAndCache' ./internal/scan/
 	$(GO) test -race ./internal/arena/

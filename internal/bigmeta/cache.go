@@ -67,14 +67,10 @@ type FileEntry struct {
 // NewFileEntry describes a data file just written: where the PUT
 // landed it (size and generation from the store's reply) and what its
 // footer says it holds.
-func NewFileEntry(bucket, key string, info objstore.ObjectInfo, file []byte) (FileEntry, error) {
-	footer, err := colfmt.ReadFooter(file)
-	if err != nil {
-		return FileEntry{}, err
-	}
+func NewFileEntry(bucket, key string, info objstore.ObjectInfo, footer *colfmt.Footer) FileEntry {
 	e := FileEntry{Bucket: bucket, Key: key, Size: info.Size, Generation: info.Generation}
 	e.Describe(footer, info.Generation)
-	return e, nil
+	return e
 }
 
 // Describe records what a file's footer says of it: its row count and

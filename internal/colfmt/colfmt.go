@@ -3,7 +3,17 @@
 // Parquet stand-in (§2.1, §3.3, §3.4). Files consist of row groups of
 // independently-encoded column chunks (PLAIN / DICT / RLE), followed
 // by a footer holding the schema, row-group index, and per-column
-// statistics (min/max, null count, distinct estimate).
+// statistics (min/max, null count, distinct count).
+//
+// Each chunk is written by one typed pass over its rows
+// (vector.ChunkEncoder). It is a dictionary when its distinct values
+// are at most half its rows, and runs instead when its runs are at most
+// a third of its rows; otherwise it is Plain. Values are told apart by
+// the hash kernel's key identity: integers exactly, floats by their
+// bits with −0 and +0 distinct and every NaN one value, strings
+// byte-wise. A chunk's Distinct stat is that count; a batch that fills
+// exactly one row group keeps its columns' encodings, and its Dict
+// columns report their dictionary's length.
 //
 // Two readers are provided on purpose:
 //
@@ -17,11 +27,14 @@
 package colfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
+	"unicode/utf8"
 
 	"biglake/internal/integrity"
 	"biglake/internal/vector"
@@ -181,8 +194,9 @@ type Writer struct {
 	schema vector.Schema
 	opts   WriterOptions
 	pend   *vector.Batch
-	body   bytes.Buffer
+	body   []byte
 	footer Footer
+	enc    vector.ChunkEncoder
 }
 
 // NewWriter returns a writer for schema.
@@ -197,123 +211,184 @@ func NewWriter(schema vector.Schema, opts WriterOptions) *Writer {
 	return w
 }
 
-// WriteBatch appends rows; full row groups are flushed to the body.
+// WriteBatch appends rows; full row groups are flushed to the body. A
+// batch that fills exactly one row group is written with its columns'
+// encodings as they are. One that spans more is cut into row groups as
+// windows of it, made Plain first (plainRows), which copies a column
+// only to decode it or to zero a NULL row's value.
 func (w *Writer) WriteBatch(b *vector.Batch) error {
 	if !b.Schema.Equal(w.schema) {
 		return fmt.Errorf("colfmt: batch schema %v != file schema %v", b.Schema, w.schema)
 	}
-	merged, err := vector.Concat([]*vector.Batch{w.pend, b})
+	p, err := vector.Concat([]*vector.Batch{w.pend, b})
 	if err != nil {
 		return err
 	}
-	w.pend = merged
-	for w.pend != nil && w.pend.N >= w.opts.RowGroupRows {
-		head, tail, err := splitBatch(w.pend, w.opts.RowGroupRows)
-		if err != nil {
+	n := w.opts.RowGroupRows
+	w.pend = p
+	if p == nil || p.N < n {
+		return nil
+	}
+	if p.N > n {
+		p = plainRows(p)
+	}
+	lo := 0
+	for ; p.N-lo >= n; lo += n {
+		if err := w.flushGroup(window(p, lo, lo+n)); err != nil {
 			return err
 		}
-		if err := w.flushGroup(head); err != nil {
-			return err
-		}
-		w.pend = tail
+	}
+	w.pend = nil
+	if lo < p.N {
+		w.pend = window(p, lo, p.N)
 	}
 	return nil
 }
 
-func splitBatch(b *vector.Batch, n int) (head, tail *vector.Batch, err error) {
-	if b.N <= n {
-		return b, nil, nil
-	}
-	headIdx := make([]int, n)
-	for i := range headIdx {
-		headIdx[i] = i
-	}
-	tailIdx := make([]int, b.N-n)
-	for i := range tailIdx {
-		tailIdx[i] = n + i
-	}
-	hc := make([]*vector.Column, len(b.Cols))
-	tc := make([]*vector.Column, len(b.Cols))
+// plainRows is b with every column Plain and every NULL row holding its
+// type's zero value, as a gather copies them; a column that is so
+// already is kept, not copied.
+func plainRows(b *vector.Batch) *vector.Batch {
+	cols := make([]*vector.Column, len(b.Cols))
 	for i, c := range b.Cols {
-		hc[i] = vector.GatherWith(vector.Mem{}, c, headIdx)
-		tc[i] = vector.GatherWith(vector.Mem{}, c, tailIdx)
+		if c = c.Decode(); c.Nulls != nil {
+			z := *c
+			switch c.Type {
+			case vector.Int64, vector.Timestamp:
+				z.Ints = zeroNulls(c.Ints, c.Nulls, func(v int64) bool { return v == 0 })
+			case vector.Float64:
+				z.Floats = zeroNulls(c.Floats, c.Nulls, func(v float64) bool { return math.Float64bits(v) == 0 })
+			case vector.Bool:
+				z.Bools = zeroNulls(c.Bools, c.Nulls, func(v bool) bool { return !v })
+			case vector.String, vector.Bytes:
+				z.Strs = zeroNulls(c.Strs, c.Nulls, func(v string) bool { return v == "" })
+			}
+			c = &z
+		}
+		cols[i] = c
 	}
-	head, err = vector.NewBatch(b.Schema, hc)
-	if err != nil {
-		return nil, nil, err
-	}
-	tail, err = vector.NewBatch(b.Schema, tc)
-	return head, tail, err
+	return &vector.Batch{Schema: b.Schema, Cols: cols, N: b.N}
 }
 
-// chooseEncoding picks the cheapest physical encoding for a chunk.
-func chooseEncoding(c *vector.Column) *vector.Column {
-	if c.Len == 0 {
-		return c
-	}
-	distinct := c.DistinctCount()
-	if distinct > 0 && distinct*2 <= c.Len {
-		dict := vector.DictEncode(c)
-		rle := vector.RLEncode(c)
-		if len(rle.Runs)*3 <= c.Len {
-			return rle
+// zeroNulls is vals with the zero value at each NULL row, copied only
+// if some NULL row holds another.
+func zeroNulls[T any](vals []T, nulls []bool, isZero func(T) bool) []T {
+	copied := false
+	for i, null := range nulls {
+		if null && !isZero(vals[i]) {
+			if !copied {
+				vals, copied = slices.Clone(vals), true
+			}
+			var zero T
+			vals[i] = zero
 		}
-		return dict
 	}
-	return c
+	return vals
+}
+
+// window is rows [lo, hi) of a plainRows batch as a row group, each
+// column without a NULL array where its rows hold no NULL; the whole
+// batch is returned as it is.
+func window(b *vector.Batch, lo, hi int) *vector.Batch {
+	out := vector.SliceBatch(b, lo, hi)
+	if out == b {
+		return b
+	}
+	for _, c := range out.Cols {
+		if c.Nulls != nil && !slices.Contains(c.Nulls, true) {
+			c.Nulls = nil
+		}
+	}
+	return out
 }
 
 func (w *Writer) flushGroup(b *vector.Batch) error {
 	rg := RowGroupMeta{Rows: int64(b.N)}
 	for i, c := range b.Cols {
-		enc := c
-		if !w.opts.DisableEncodings {
-			enc = chooseEncoding(c)
-		}
-		min, max, nulls := vector.MinMax(c)
-		chunk := vector.EncodeColumn(enc)
+		ch := w.enc.Encode(c, !w.opts.DisableEncodings)
+		chunk := vector.EncodeColumn(ch.Col)
 		rg.Chunks = append(rg.Chunks, ChunkMeta{
 			Column: w.schema.Fields[i].Name,
-			Offset: int64(w.body.Len()),
+			Offset: int64(len(w.body)),
 			Length: int64(len(chunk)),
 			CRC:    integrity.Checksum(chunk),
 			Stats: ColumnStats{
-				Min:      FromValue(min),
-				Max:      FromValue(max),
-				Nulls:    nulls,
-				Distinct: int64(enc.DistinctCount()),
+				Min:      FromValue(ch.Min),
+				Max:      FromValue(ch.Max),
+				Nulls:    ch.Nulls,
+				Distinct: int64(ch.Distinct),
 			},
 		})
-		w.body.Write(chunk)
+		w.body = append(w.body, chunk...)
 	}
 	w.footer.RowGroups = append(w.footer.RowGroups, rg)
 	w.footer.Rows += int64(b.N)
 	return nil
 }
 
-// Finish flushes pending rows and returns the complete file bytes.
-func (w *Writer) Finish() ([]byte, error) {
+// Finish flushes pending rows and returns the complete file bytes and
+// the footer they end with, as ReadFooter would parse it from them.
+// The writer is done with once it returns.
+func (w *Writer) Finish() ([]byte, *Footer, error) {
 	if w.pend != nil && w.pend.N > 0 {
 		if err := w.flushGroup(w.pend); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		w.pend = nil
 	}
 	footerJSON, err := json.Marshal(&w.footer)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := bytes.Buffer{}
-	out.Write(w.body.Bytes())
-	out.Write(footerJSON)
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], integrity.Checksum(footerJSON))
-	out.Write(crcBuf[:])
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(footerJSON)))
-	out.Write(lenBuf[:])
-	out.WriteString(Magic)
-	return out.Bytes(), nil
+	out := append(w.body, footerJSON...)
+	out = binary.LittleEndian.AppendUint32(out, integrity.Checksum(footerJSON))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(footerJSON)))
+	out = append(out, Magic...)
+	// The footer outlives the writer (a committed file's entry keeps it
+	// as its chunk map), so it is handed over apart from the writer's
+	// buffers.
+	footer := w.footer
+	footer.asRead()
+	return out, &footer, nil
+}
+
+// asRead makes f what json.Unmarshal gives back for its JSON: a −0
+// bound, which the "omitempty" of StatValue.F drops, reads as +0, and
+// each byte of invalid UTF-8 in a string reads as U+FFFD.
+func (f *Footer) asRead() {
+	for i := range f.Fields {
+		f.Fields[i].Name = jsonText(f.Fields[i].Name)
+	}
+	for _, rg := range f.RowGroups {
+		for i := range rg.Chunks {
+			m := &rg.Chunks[i]
+			m.Column = jsonText(m.Column)
+			for _, sv := range []*StatValue{&m.Stats.Min, &m.Stats.Max} {
+				if sv.F == 0 {
+					sv.F = 0
+				}
+				sv.S = jsonText(sv.S)
+			}
+		}
+	}
+}
+
+// jsonText is s as encoding/json writes and reads it back.
+func jsonText(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b.WriteRune(utf8.RuneError)
+		} else {
+			b.WriteString(s[i : i+size])
+		}
+		i += size
+	}
+	return b.String()
 }
 
 // WriteFile is a convenience that writes one batch as a whole file.
@@ -322,7 +397,8 @@ func WriteFile(b *vector.Batch, opts WriterOptions) ([]byte, error) {
 	if err := w.WriteBatch(b); err != nil {
 		return nil, err
 	}
-	return w.Finish()
+	file, _, err := w.Finish()
+	return file, err
 }
 
 // FooterSize returns the byte length of the footer region (footer JSON

@@ -286,7 +286,7 @@ func TestMultipleWriteBatchCalls(t *testing.T) {
 		}
 		total += b.N
 	}
-	file, err := w.Finish()
+	file, _, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestEncodingsChosenForLowCardinality(t *testing.T) {
 
 func TestEmptyFile(t *testing.T) {
 	w := NewWriter(sampleSchema(), WriterOptions{})
-	file, err := w.Finish()
+	file, _, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -312,7 +312,7 @@ func TestRoundTripEmpty(t *testing.T) {
 	if err := w.WriteBatch(bl2.Build()); err != nil {
 		t.Fatal(err)
 	}
-	data, err := w.Finish()
+	data, _, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,10 +141,11 @@ func rewriteWorld(t *testing.T, table string) (*txnWorld, *DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entry, err := bigmeta.NewFileEntry(old.Bucket, old.Key, info, file)
+		footer, err := colfmt.ReadFooter(file)
 		if err != nil {
 			t.Fatal(err)
 		}
+		entry := bigmeta.NewFileEntry(old.Bucket, old.Key, info, footer)
 		if _, err := tw.w.Log.Commit(string(diffAdmin), map[string]bigmeta.TableDelta{
 			table: {Removed: []string{old.Key}, Added: []bigmeta.FileEntry{entry}},
 		}); err != nil {

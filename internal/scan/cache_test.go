@@ -43,10 +43,11 @@ func (w *world) writeWide(t *testing.T, key string) (bigmeta.FileEntry, []byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := bigmeta.NewFileEntry(testBucket, key, info, data)
+	footer, err := colfmt.ReadFooter(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := bigmeta.NewFileEntry(testBucket, key, info, footer)
 	f.Partition = bigmeta.PartitionOf("t/", key)
 	return f, data
 }

@@ -108,10 +108,11 @@ func (w *planWorld) put(t *testing.T, tab catalog.Table, f int) bigmeta.FileEntr
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := bigmeta.NewFileEntry(testBucket, key, info, data)
+	footer, err := colfmt.ReadFooter(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	en := bigmeta.NewFileEntry(testBucket, key, info, footer)
 	en.Partition = bigmeta.PartitionOf(tab.Prefix, key)
 	return en
 }

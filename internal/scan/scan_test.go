@@ -67,10 +67,11 @@ func (w *world) write(t *testing.T, base int64) bigmeta.FileEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := bigmeta.NewFileEntry(testBucket, testKey, info, data)
+	footer, err := colfmt.ReadFooter(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := bigmeta.NewFileEntry(testBucket, testKey, info, footer)
 	f.Partition = bigmeta.PartitionOf("t/", testKey)
 	return f
 }

@@ -184,10 +184,11 @@ func (w *world) writeSorted(t *testing.T, key string, n int) bigmeta.FileEntry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := bigmeta.NewFileEntry(testBucket, key, info, data)
+	footer, err := colfmt.ReadFooter(data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := bigmeta.NewFileEntry(testBucket, key, info, footer)
 	f.Partition = bigmeta.PartitionOf("t/", key)
 	return f
 }

@@ -598,136 +598,3 @@ func (bl *Builder) Build() *Batch {
 	}
 	return &Batch{Schema: bl.schema, Cols: cols, N: n}
 }
-
-// DictEncode returns a dictionary-encoded copy of a plain column (or
-// the column itself if already encoded).
-func DictEncode(c *Column) *Column {
-	if c.Enc != Plain {
-		return c
-	}
-	out := &Column{Type: c.Type, Len: c.Len, Enc: Dict, Codes: make([]uint32, c.Len)}
-	switch c.Type {
-	case Int64, Timestamp:
-		seen := make(map[int64]uint32)
-		for i, v := range c.Ints {
-			if c.Nulls != nil && c.Nulls[i] {
-				out.Codes[i] = NullIdx
-				continue
-			}
-			code, ok := seen[v]
-			if !ok {
-				code = uint32(len(out.Ints))
-				seen[v] = code
-				out.Ints = append(out.Ints, v)
-			}
-			out.Codes[i] = code
-		}
-	case Float64:
-		seen := make(map[float64]uint32)
-		for i, v := range c.Floats {
-			if c.Nulls != nil && c.Nulls[i] {
-				out.Codes[i] = NullIdx
-				continue
-			}
-			code, ok := seen[v]
-			if !ok {
-				code = uint32(len(out.Floats))
-				seen[v] = code
-				out.Floats = append(out.Floats, v)
-			}
-			out.Codes[i] = code
-		}
-	case Bool:
-		seen := make(map[bool]uint32)
-		for i, v := range c.Bools {
-			if c.Nulls != nil && c.Nulls[i] {
-				out.Codes[i] = NullIdx
-				continue
-			}
-			code, ok := seen[v]
-			if !ok {
-				code = uint32(len(out.Bools))
-				seen[v] = code
-				out.Bools = append(out.Bools, v)
-			}
-			out.Codes[i] = code
-		}
-	case String, Bytes:
-		seen := make(map[string]uint32)
-		for i, v := range c.Strs {
-			if c.Nulls != nil && c.Nulls[i] {
-				out.Codes[i] = NullIdx
-				continue
-			}
-			code, ok := seen[v]
-			if !ok {
-				code = uint32(len(out.Strs))
-				seen[v] = code
-				out.Strs = append(out.Strs, v)
-			}
-			out.Codes[i] = code
-		}
-	}
-	return out
-}
-
-// RLEncode returns a run-length-encoded copy of a plain column.
-func RLEncode(c *Column) *Column {
-	if c.Enc != Plain {
-		return c
-	}
-	out := &Column{Type: c.Type, Len: c.Len, Enc: RLE}
-	var prev Value
-	first := true
-	for i := 0; i < c.Len; i++ {
-		v := c.Value(i)
-		if !first && v.Equal(prev) {
-			out.Runs[len(out.Runs)-1].Count++
-			continue
-		}
-		first = false
-		prev = v
-		idx := NullIdx
-		if !v.IsNull() {
-			idx = uint32(out.dictLen())
-			switch c.Type {
-			case Int64, Timestamp:
-				out.Ints = append(out.Ints, v.I)
-			case Float64:
-				out.Floats = append(out.Floats, v.F)
-			case Bool:
-				out.Bools = append(out.Bools, v.B)
-			case String, Bytes:
-				out.Strs = append(out.Strs, v.S)
-			}
-		}
-		out.Runs = append(out.Runs, Run{Count: 1, ValIdx: idx})
-	}
-	return out
-}
-
-// DistinctCount returns the number of distinct non-null values stored
-// in an encoded column's dictionary (Dict/RLE), or a full scan count
-// for Plain.
-func (c *Column) DistinctCount() int {
-	switch c.Enc {
-	case Dict:
-		return c.dictLen()
-	case RLE:
-		seen := map[Value]bool{}
-		for _, r := range c.Runs {
-			if r.ValIdx != NullIdx {
-				seen[c.valueAtIdx(r.ValIdx)] = true
-			}
-		}
-		return len(seen)
-	default:
-		seen := map[Value]bool{}
-		for i := 0; i < c.Len; i++ {
-			if v := c.Value(i); !v.IsNull() {
-				seen[v] = true
-			}
-		}
-		return len(seen)
-	}
-}

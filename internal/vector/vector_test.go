@@ -627,14 +627,11 @@ func TestPropertyEncodingsAgree(t *testing.T) {
 
 func TestDistinctCount(t *testing.T) {
 	plain := buildMixedColumn()
-	if plain.DistinctCount() != 4 {
-		t.Fatal("plain distinct")
-	}
-	if DictEncode(plain).DistinctCount() != 4 {
-		t.Fatal("dict distinct")
-	}
-	if RLEncode(plain).DistinctCount() != 4 {
-		t.Fatal("rle distinct")
+	var e ChunkEncoder
+	for _, c := range []*Column{plain, DictEncode(plain), RLEncode(plain)} {
+		if got := e.Encode(c, true).Distinct; got != 4 {
+			t.Fatalf("%v distinct = %d, want 4", c.Enc, got)
+		}
 	}
 }
 
