@@ -33,8 +33,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, then the statement cache's
+# shared templates hit and missed by many goroutines at once, ten times
+# over.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestShapeCacheConcurrent' ./internal/engine/
 
 # The chaos soak: TPC-H under injected object-store faults, race-clean.
 chaos:
@@ -51,13 +55,17 @@ chaos:
 # random float bit patterns, integers near ±2^53 and the int64 extremes,
 # NULL runs and non-UTF-8 strings: every value reads back bit for bit
 # (NaN as NaN), every chunk's Distinct stat is its typed distinct count,
-# and the footer the writer hands over is the one a reader parses (the
-# seed corpora alone run in every plain `go test`).
+# and the footer the writer hands over is the one a reader parses; then
+# ten on the statement cache: any text, and the same text with fresh
+# literals, parse through Engine.Parse exactly as sqlparse.Parse parses
+# them, errors byte for byte (the seed corpora alone run in every plain
+# `go test`).
 fuzz:
 	$(GO) test -run 'TestDifferential|TestIcebergExportEquality|TestStarFamilyReachesKernels' -v ./internal/oracle/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeColumn' -fuzztime=10s ./internal/vector/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime=10s ./internal/vector/
 	$(GO) test -run '^$$' -fuzz 'FuzzWriteFileRoundTrip' -fuzztime=10s ./internal/colfmt/
+	$(GO) test -run '^$$' -fuzz 'FuzzShapeCache' -fuzztime=10s ./internal/engine/
 
 # Demonstrate the harness catches a planted pruning bug (not in ci:
 # the tagged build is intentionally broken).
@@ -203,8 +211,10 @@ gatecheck:
 # the race detector (BenchmarkScanMerge run once), the worker sweep over
 # warm scans whose selects and merge fan out, raced three times, a file
 # write whose allocations grow per chunk, not per row
-# (BenchmarkWriteFile run once), and the E20
-# experiment smoke: the star join's heap
+# (BenchmarkWriteFile run once), a point lookup served from the
+# statement cache in a handful of allocations with a lexer that
+# allocates nothing per token (BenchmarkParse, miss and hit, run once),
+# and the E20 experiment smoke: the star join's heap
 # allocs/bytes/GC per query under committed budgets, mixed-traffic QPS,
 # variance cells.
 # BENCH_E15.json / BENCH_E20.json are the committed full-scale
@@ -226,6 +236,8 @@ gclean:
 	$(GO) test -run '^$$' -bench BenchmarkScanMerge -benchtime 1x ./internal/vector/
 	$(GO) test -run 'TestGCLeanWriteFile' ./internal/colfmt/
 	$(GO) test -run '^$$' -bench BenchmarkWriteFile -benchtime 1x ./internal/colfmt/
+	$(GO) test -run 'TestGCLeanParseHit' ./internal/engine/
+	$(GO) test -run '^$$' -bench BenchmarkParse -benchtime 1x ./internal/engine/
 	$(GO) test -race -count=3 -run 'TestVectorizedWorkerCountInvarianceWarm' ./internal/engine/
 	$(GO) test -race -run 'TestWindowOutlivesArenaAndCache' ./internal/scan/
 	$(GO) test -race ./internal/arena/

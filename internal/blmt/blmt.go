@@ -180,13 +180,20 @@ func (m *Manager) Insert(ctx *engine.QueryContext, table string, rows *vector.Ba
 	return err
 }
 
-// AlignToSchema aligns a batch's columns with a declared table schema:
-// matching columns are type-checked, missing columns become all-NULL.
-// Shared with internal/txn, whose buffered writes must align exactly
-// like a direct insert.
+// AlignToSchema aligns a batch's columns with a declared table schema
+// by name: matching columns are type-checked, missing columns become
+// all-NULL, and a column the table does not have is an ErrSemantic
+// naming it (an unaliased INSERT … SELECT expression, say). Shared with
+// internal/txn, whose buffered writes must align exactly like a direct
+// insert.
 func AlignToSchema(rows *vector.Batch, schema vector.Schema) (*vector.Batch, error) {
 	if rows.Schema.Equal(schema) {
 		return rows, nil
+	}
+	for _, f := range rows.Schema.Fields {
+		if schema.Index(f.Name) < 0 {
+			return nil, fmt.Errorf("%w: inserted column %q is not a column of the table", engine.ErrSemantic, f.Name)
+		}
 	}
 	cols := make([]*vector.Column, schema.Len())
 	for i, f := range schema.Fields {

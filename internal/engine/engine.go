@@ -205,19 +205,20 @@ type Engine struct {
 	// into the registry after every query.
 	arenas *arena.Pool
 
-	// stmts caches parsed statements by SQL text. Parsed ASTs are
-	// immutable once built — the executor never writes into a
-	// statement node — so a repeated statement (the prepared-statement
-	// and dashboard pattern) skips the lexer and parser entirely and
-	// allocates nothing.
+	// shapes caches parsed statements by shape (sqlparse.Lexed.Key: the
+	// token stream with each literal reduced to its class), so a
+	// statement that differs from a cached one only in its literals —
+	// a point lookup's key, an INSERT's VALUES — is lexed and bound to
+	// the cached template, not parsed. Templates are immutable and a
+	// bound AST shares the template's literal-free subtrees, so the
+	// executor never writes into a statement node.
 	stmtMu sync.Mutex
-	stmts  map[string]sqlparse.Statement
+	shapes map[string]*sqlparse.Template
 }
 
 // stmtCacheCap bounds the statement cache. Overflow resets the whole
-// map rather than tracking recency: the cache exists to make repeated
-// statements allocation-free, and an LRU list would put allocations
-// back on the hit path it is trying to clear.
+// map rather than tracking recency: an LRU list would put allocations
+// back on the hit path the cache exists to clear.
 const stmtCacheCap = 1024
 
 // New assembles an engine.
@@ -391,26 +392,38 @@ func (e *Engine) Query(ctx *QueryContext, sql string) (*Result, error) {
 	return e.Execute(ctx, stmt)
 }
 
-// Parse returns the statement for one SQL text, serving repeats from
-// the statement cache (hit reports whether it did). Callers must treat
-// the returned AST as immutable — it may be shared with concurrent
-// queries.
+// Parse returns the statement for one SQL text, binding it to the
+// cached template of its shape when there is one (hit reports whether
+// it did). A text that lexes to a cached shape but does not bind — a
+// fixed token such as a LIMIT count differs, or a literal overflows —
+// is parsed in full, so its AST and its errors are sqlparse.Parse's;
+// its template then replaces the cached one. Callers must treat the
+// returned AST as immutable — it shares nodes with the template and
+// with concurrent queries.
 func (e *Engine) Parse(sql string) (stmt sqlparse.Statement, hit bool, err error) {
-	e.stmtMu.Lock()
-	stmt, hit = e.stmts[sql]
-	e.stmtMu.Unlock()
-	if hit {
-		return stmt, true, nil
+	lx, err := sqlparse.Lex(sql)
+	if err != nil {
+		return nil, false, err
 	}
-	stmt, err = sqlparse.Parse(sql)
+	defer lx.Release()
+	key := lx.Key()
+	e.stmtMu.Lock()
+	tpl := e.shapes[string(key)]
+	e.stmtMu.Unlock()
+	if tpl != nil {
+		if stmt, ok := tpl.Bind(lx); ok {
+			return stmt, true, nil
+		}
+	}
+	tpl, stmt, err = lx.Parse()
 	if err != nil {
 		return nil, false, err
 	}
 	e.stmtMu.Lock()
-	if e.stmts == nil || len(e.stmts) >= stmtCacheCap {
-		e.stmts = make(map[string]sqlparse.Statement, 64)
+	if e.shapes == nil || len(e.shapes) >= stmtCacheCap {
+		e.shapes = make(map[string]*sqlparse.Template, 64)
 	}
-	e.stmts[sql] = stmt
+	e.shapes[string(key)] = tpl
 	e.stmtMu.Unlock()
 	return stmt, false, nil
 }

@@ -1,16 +1,19 @@
 package sqlparse
 
-// Table-driven grammar corpus: one entry per production, each pinned
-// to a canonical re-render of the parsed AST, plus malformed inputs
-// pinned to their error text (and, for lexer errors, the byte
+// Table-driven grammar corpus (testdata/corpus.json, shared with the
+// engine's statement-cache tests): one entry per production, each
+// pinned to a canonical re-render of the parsed AST, plus malformed
+// inputs pinned to their error text (and, for lexer errors, the byte
 // offset). When the differential fuzzer reports a SQL failure this
 // corpus triages it: if the shape is covered here, the bug is in the
 // engine, not the parser. Desugarings (IN → OR chain, BETWEEN →
-// range conjunction, unary minus → 0-x, <> → !=) are visible in the
-// canonical form on purpose.
+// range conjunction, unary minus → 0-x unless it folds into a number
+// literal, <> → !=) are visible in the canonical form on purpose.
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -135,151 +138,61 @@ func canonRef(t *TableRef) string {
 	return out
 }
 
-func TestParserCorpus(t *testing.T) {
-	cases := []struct {
-		name string
-		sql  string
-		want string
-	}{
-		// --- projection productions ---
-		{"star", "SELECT * FROM ds.t", "SELECT * FROM ds.t"},
-		{"column", "SELECT a FROM ds.t", "SELECT a FROM ds.t"},
-		{"qualified-column", "SELECT t.a FROM ds.t AS t", "SELECT t.a FROM ds.t AS t"},
-		{"explicit-alias", "SELECT a AS b FROM ds.t", "SELECT a AS b FROM ds.t"},
-		{"implicit-alias", "SELECT a b FROM ds.t", "SELECT a AS b FROM ds.t"},
-		{"multiple-items", "SELECT a, b, c FROM ds.t", "SELECT a, b, c FROM ds.t"},
-		{"select-no-from", "SELECT 1", "SELECT 1"},
-
-		// --- literal productions ---
-		{"int-literal", "SELECT 42", "SELECT 42"},
-		{"float-literal", "SELECT 1.5", "SELECT 1.5"},
-		{"string-literal", "SELECT 'hi'", "SELECT 'hi'"},
-		{"string-escape", "SELECT 'it''s'", "SELECT 'it''s'"},
-		{"true-false-null", "SELECT TRUE, FALSE, NULL", "SELECT true, false, NULL"},
-		{"timestamp-fn", "SELECT TIMESTAMP('2024-01-02')", "SELECT 20240102"},
-
-		// --- expression productions ---
-		{"unary-minus", "SELECT -a FROM ds.t", "SELECT (0 - a) FROM ds.t"},
-		{"arith-precedence", "SELECT a + b * c FROM ds.t", "SELECT (a + (b * c)) FROM ds.t"},
-		{"parens", "SELECT (a + b) * c FROM ds.t", "SELECT ((a + b) * c) FROM ds.t"},
-		{"division", "SELECT a / 2 FROM ds.t", "SELECT (a / 2) FROM ds.t"},
-		{"concat-plus", "SELECT s + 'x' FROM ds.t", "SELECT (s + 'x') FROM ds.t"},
-		{"cmp-ops", "SELECT a FROM ds.t WHERE a >= 1 AND b <= 2 AND c != 3",
-			"SELECT a FROM ds.t WHERE (((a >= 1) AND (b <= 2)) AND (c != 3))"},
-		{"diamond-ne", "SELECT a FROM ds.t WHERE a <> 1", "SELECT a FROM ds.t WHERE (a != 1)"},
-		{"not", "SELECT a FROM ds.t WHERE NOT a = 1", "SELECT a FROM ds.t WHERE NOT (a = 1)"},
-		{"and-or-precedence", "SELECT a FROM ds.t WHERE a = 1 OR b = 2 AND c = 3",
-			"SELECT a FROM ds.t WHERE ((a = 1) OR ((b = 2) AND (c = 3)))"},
-		{"in-desugar", "SELECT a FROM ds.t WHERE a IN (1, 2)",
-			"SELECT a FROM ds.t WHERE ((a = 1) OR (a = 2))"},
-		{"not-in-desugar", "SELECT a FROM ds.t WHERE a NOT IN (1, 2)",
-			"SELECT a FROM ds.t WHERE NOT ((a = 1) OR (a = 2))"},
-		{"between-desugar", "SELECT a FROM ds.t WHERE a BETWEEN 1 AND 5",
-			"SELECT a FROM ds.t WHERE ((a >= 1) AND (a <= 5))"},
-		{"not-between", "SELECT a FROM ds.t WHERE a NOT BETWEEN 1 AND 5",
-			"SELECT a FROM ds.t WHERE NOT ((a >= 1) AND (a <= 5))"},
-
-		// --- calls ---
-		{"count-star", "SELECT COUNT(*) FROM ds.t", "SELECT COUNT(*) FROM ds.t"},
-		{"agg-calls", "SELECT SUM(a), MIN(b), MAX(c), AVG(d) FROM ds.t",
-			"SELECT SUM(a), MIN(b), MAX(c), AVG(d) FROM ds.t"},
-		{"call-expr-arg", "SELECT SUM(a * 2) FROM ds.t", "SELECT SUM((a * 2)) FROM ds.t"},
-
-		// --- FROM productions ---
-		{"from-alias-as", "SELECT a FROM ds.t AS x", "SELECT a FROM ds.t AS x"},
-		{"from-alias-bare", "SELECT a FROM ds.t x", "SELECT a FROM ds.t AS x"},
-		{"join", "SELECT a FROM ds.t AS x JOIN ds.u AS y ON x.a = y.b",
-			"SELECT a FROM ds.t AS x JOIN ds.u AS y ON (x.a = y.b)"},
-		{"left-join", "SELECT a FROM ds.t AS x LEFT JOIN ds.u AS y ON x.a = y.b",
-			"SELECT a FROM ds.t AS x LEFT-JOIN ds.u AS y ON (x.a = y.b)"},
-		{"join-compound-on", "SELECT a FROM ds.t AS x JOIN ds.u AS y ON x.a = y.b AND x.c = y.d",
-			"SELECT a FROM ds.t AS x JOIN ds.u AS y ON ((x.a = y.b) AND (x.c = y.d))"},
-		{"subquery", "SELECT a FROM (SELECT a FROM ds.t) AS s",
-			"SELECT a FROM (SELECT a FROM ds.t) AS s"},
-
-		// --- clause tail productions ---
-		{"group-by", "SELECT a, COUNT(*) FROM ds.t GROUP BY a",
-			"SELECT a, COUNT(*) FROM ds.t GROUP-BY a"},
-		{"group-by-expr", "SELECT a * 2, COUNT(*) FROM ds.t GROUP BY a * 2",
-			"SELECT (a * 2), COUNT(*) FROM ds.t GROUP-BY (a * 2)"},
-		{"order-by", "SELECT a FROM ds.t ORDER BY a", "SELECT a FROM ds.t ORDER-BY a"},
-		{"order-by-desc", "SELECT a FROM ds.t ORDER BY a DESC, b",
-			"SELECT a FROM ds.t ORDER-BY a DESC, b"},
-		{"limit", "SELECT a FROM ds.t LIMIT 7", "SELECT a FROM ds.t LIMIT 7"},
-		{"kitchen-sink", "SELECT a, SUM(b) AS s FROM ds.t WHERE c > 0 GROUP BY a ORDER BY s DESC LIMIT 3",
-			"SELECT a, SUM(b) AS s FROM ds.t WHERE (c > 0) GROUP-BY a ORDER-BY s DESC LIMIT 3"},
-
-		// --- lexical forms ---
-		{"line-comment", "SELECT a -- trailing\nFROM ds.t", "SELECT a FROM ds.t"},
-		{"backtick-ident", "SELECT `a` FROM ds.t", "SELECT a FROM ds.t"},
-		{"semicolon", "SELECT a FROM ds.t;", "SELECT a FROM ds.t"},
-		{"case-insensitive-kw", "select a from ds.t where a = 1 order by a",
-			"SELECT a FROM ds.t WHERE (a = 1) ORDER-BY a"},
-
-		// --- DML / DDL statements ---
-		{"insert", "INSERT INTO ds.t VALUES (1, 'a'), (2, 'b')",
-			"INSERT ds.t VALUES (1, 'a'), (2, 'b')"},
-		{"insert-columns", "INSERT INTO ds.t (a, b) VALUES (1, 2)",
-			"INSERT ds.t (a, b) VALUES (1, 2)"},
-		{"update", "UPDATE ds.t SET a = a + 1, b = 'x' WHERE a < 3",
-			"UPDATE ds.t SET a = (a + 1), b = 'x' WHERE (a < 3)"},
-		{"delete", "DELETE FROM ds.t WHERE a = 1", "DELETE ds.t WHERE (a = 1)"},
-		{"delete-all", "DELETE FROM ds.t", "DELETE ds.t"},
-		{"ctas", "CREATE TABLE ds.x AS SELECT a FROM ds.t",
-			"CTAS ds.x AS SELECT a FROM ds.t"},
-		{"ctas-replace", "CREATE OR REPLACE TABLE ds.x AS SELECT a FROM ds.t",
-			"CTAS-REPLACE ds.x AS SELECT a FROM ds.t"},
+// corpus is testdata/corpus.json: statements with their canonical
+// form, and malformed statements with a substring of their error.
+type corpus struct {
+	Parse []struct {
+		Name, SQL, Want string
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			stmt, err := Parse(tc.sql)
+	Malformed []struct {
+		Name, SQL, Err string
+	}
+}
+
+func loadCorpus(t *testing.T) corpus {
+	t.Helper()
+	data, err := os.ReadFile("testdata/corpus.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c corpus
+	if err := json.Unmarshal(data, &c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestParserCorpus(t *testing.T) {
+	for _, tc := range loadCorpus(t).Parse {
+		t.Run(tc.Name, func(t *testing.T) {
+			stmt, err := Parse(tc.SQL)
 			if err != nil {
-				t.Fatalf("Parse(%q): %v", tc.sql, err)
+				t.Fatalf("Parse(%q): %v", tc.SQL, err)
 			}
 			got := canon(stmt)
-			if tc.want == "" {
+			if tc.Want == "" {
 				t.Logf("canon: %s", got)
 				return
 			}
-			if got != tc.want {
-				t.Fatalf("Parse(%q)\n  got:  %s\n  want: %s", tc.sql, got, tc.want)
+			if got != tc.Want {
+				t.Fatalf("Parse(%q)\n  got:  %s\n  want: %s", tc.SQL, got, tc.Want)
 			}
 		})
 	}
 }
 
 func TestParserCorpusMalformed(t *testing.T) {
-	cases := []struct {
-		name    string
-		sql     string
-		wantErr string // substring of the error, always prefixed "sqlparse:"
-	}{
-		{"empty", "", "sqlparse:"},
-		{"unknown-stmt", "DROP TABLE ds.t", "sqlparse:"},
-		{"trailing-input", "SELECT a FROM ds.t garbage extra", "sqlparse:"},
-		{"unterminated-string", "SELECT 'abc", "sqlparse: unterminated string at 7"},
-		{"unterminated-backtick", "SELECT `abc", "sqlparse: unterminated quoted identifier at 7"},
-		{"bad-char", "SELECT a ? b", "sqlparse: unexpected character '?' at 9"},
-		{"missing-from-table", "SELECT a FROM", "sqlparse:"},
-		{"missing-on", "SELECT a FROM ds.t JOIN ds.u", "sqlparse:"},
-		{"bad-limit", "SELECT a FROM ds.t LIMIT x", "sqlparse:"},
-		{"unclosed-paren", "SELECT (a + 1 FROM ds.t", "sqlparse:"},
-		{"insert-no-values", "INSERT INTO ds.t", "sqlparse:"},
-		{"update-no-set", "UPDATE ds.t WHERE a = 1", "sqlparse:"},
-		{"between-missing-and", "SELECT a FROM ds.t WHERE a BETWEEN 1", "sqlparse:"},
-		{"in-empty", "SELECT a FROM ds.t WHERE a IN ()", "sqlparse:"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(tc.sql)
+	for _, tc := range loadCorpus(t).Malformed {
+		t.Run(tc.Name, func(t *testing.T) {
+			_, err := Parse(tc.SQL)
 			if err == nil {
-				t.Fatalf("Parse(%q) unexpectedly succeeded", tc.sql)
+				t.Fatalf("Parse(%q) unexpectedly succeeded", tc.SQL)
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("Parse(%q) error = %q, want substring %q", tc.sql, err, tc.wantErr)
+			if !strings.Contains(err.Error(), tc.Err) {
+				t.Fatalf("Parse(%q) error = %q, want substring %q", tc.SQL, err, tc.Err)
 			}
 			if !strings.HasPrefix(err.Error(), "sqlparse:") {
-				t.Fatalf("Parse(%q) error %q is not namespaced", tc.sql, err)
+				t.Fatalf("Parse(%q) error %q is not namespaced", tc.SQL, err)
 			}
 		})
 	}

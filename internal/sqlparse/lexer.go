@@ -7,8 +7,10 @@
 package sqlparse
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -24,150 +26,226 @@ const (
 	tokParam // @name (reserved for future use)
 )
 
+// token is one lexeme. Its text is a substring of the statement, except
+// for a string literal holding an escaped (doubled) quote, and the EOF
+// token.
 type token struct {
 	kind tokenKind
 	text string
 	pos  int
 }
 
-type lexer struct {
-	src    string
-	pos    int
-	tokens []token
+// Lexed is one statement's token stream, lexed once into a buffer that
+// is reused across statements: Lex takes it from a pool and Release
+// hands it back, so lexing allocates nothing per token. It is what a
+// statement-cache probe pays: Key names the statement's shape, and a
+// Template of that shape binds it (Template.Bind) without a parse.
+type Lexed struct {
+	src  string
+	pos  int
+	toks []token
+	key  []byte
 }
 
-// lex tokenizes the input or returns a descriptive error.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.tokens = append(l.tokens, token{kind: tokEOF, pos: l.pos})
-			return l.tokens, nil
+var lexedPool = sync.Pool{New: func() any { return new(Lexed) }}
+
+// Lex tokenizes one statement or returns a descriptive error. The
+// result is valid until Release.
+func Lex(src string) (*Lexed, error) {
+	lx := lexedPool.Get().(*Lexed)
+	if err := lx.lex(src); err != nil {
+		lx.Release()
+		return nil, err
+	}
+	return lx, nil
+}
+
+// Release returns the token buffer to the pool; lx must not be used
+// afterwards. A Statement parsed or bound from it stays valid.
+func (lx *Lexed) Release() {
+	lx.src = ""
+	lexedPool.Put(lx)
+}
+
+// Key is the statement's shape: its token stream with each number and
+// string literal reduced to its class (int, float or string), so two
+// statements that differ only in literals share a key. Keywords and
+// identifiers keep their exact text. The bytes are valid until Release.
+func (lx *Lexed) Key() []byte {
+	k := lx.key[:0]
+	for _, t := range lx.toks {
+		switch t.kind {
+		case tokNumber:
+			if strings.IndexByte(t.text, '.') >= 0 {
+				k = append(k, 'f')
+			} else {
+				k = append(k, 'i')
+			}
+		case tokString:
+			k = append(k, 's')
+		default:
+			k = append(k, byte('A'+t.kind))
+			k = binary.AppendUvarint(k, uint64(len(t.text)))
+			k = append(k, t.text...)
 		}
-		c := l.src[l.pos]
+	}
+	lx.key = k
+	return k
+}
+
+// lex tokenizes src into the reused token buffer.
+func (lx *Lexed) lex(src string) error {
+	lx.src, lx.pos, lx.toks = src, 0, lx.toks[:0]
+	for {
+		lx.skipSpace()
+		if lx.pos >= len(lx.src) {
+			lx.toks = append(lx.toks, token{kind: tokEOF, pos: lx.pos})
+			return nil
+		}
+		c := lx.src[lx.pos]
 		switch {
-		case isIdentStart(rune(c)):
-			l.lexIdent()
+		case isIdentStart(c):
+			lx.lexIdent()
 		case c >= '0' && c <= '9':
-			l.lexNumber()
+			lx.lexNumber()
 		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
+			if err := lx.lexString(); err != nil {
+				return err
 			}
 		case c == '`':
-			if err := l.lexQuotedIdent(); err != nil {
-				return nil, err
+			if err := lx.lexQuotedIdent(); err != nil {
+				return err
 			}
-		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-':
-			l.skipLineComment()
+		case c == '-' && lx.pos+1 < len(lx.src) && lx.src[lx.pos+1] == '-':
+			lx.skipLineComment()
 		default:
-			if err := l.lexOp(); err != nil {
-				return nil, err
+			if err := lx.lexOp(); err != nil {
+				return err
 			}
 		}
 	}
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
+func (lx *Lexed) emit(kind tokenKind, start, end int) {
+	lx.toks = append(lx.toks, token{kind: kind, text: lx.src[start:end], pos: start})
+}
+
+// The character classes read one byte as a rune, so a byte past ASCII
+// is classified as its Latin-1 code point; ASCII is decided inline.
+
+func isSpace(c byte) bool {
+	if c < 0x80 {
+		return c == ' ' || c >= '\t' && c <= '\r'
+	}
+	return unicode.IsSpace(rune(c))
+}
+
+func isIdentStart(c byte) bool {
+	if c < 0x80 {
+		return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
+	}
+	return unicode.IsLetter(rune(c))
+}
+
+func isIdentPart(c byte) bool {
+	if c < 0x80 {
+		return isIdentStart(c) || c >= '0' && c <= '9'
+	}
+	return unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+}
+
+func (lx *Lexed) skipSpace() {
+	for lx.pos < len(lx.src) && isSpace(lx.src[lx.pos]) {
+		lx.pos++
 	}
 }
 
-func (l *lexer) skipLineComment() {
-	for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-		l.pos++
+func (lx *Lexed) skipLineComment() {
+	for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
+		lx.pos++
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
-}
-
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
-}
-
-func (l *lexer) lexIdent() {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+func (lx *Lexed) lexIdent() {
+	start := lx.pos
+	for lx.pos < len(lx.src) && isIdentPart(lx.src[lx.pos]) {
+		lx.pos++
 	}
-	l.tokens = append(l.tokens, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
+	lx.emit(tokIdent, start, lx.pos)
 }
 
-func (l *lexer) lexQuotedIdent() error {
-	start := l.pos
-	l.pos++ // consume backtick
-	for l.pos < len(l.src) && l.src[l.pos] != '`' {
-		l.pos++
-	}
-	if l.pos >= len(l.src) {
+func (lx *Lexed) lexQuotedIdent() error {
+	start := lx.pos
+	end := strings.IndexByte(lx.src[start+1:], '`')
+	if end < 0 {
 		return fmt.Errorf("sqlparse: unterminated quoted identifier at %d", start)
 	}
-	l.tokens = append(l.tokens, token{kind: tokIdent, text: l.src[start+1 : l.pos], pos: start})
-	l.pos++
+	end += start + 1
+	lx.toks = append(lx.toks, token{kind: tokIdent, text: lx.src[start+1 : end], pos: start})
+	lx.pos = end + 1
 	return nil
 }
 
-func (l *lexer) lexNumber() {
-	start := l.pos
+func (lx *Lexed) lexNumber() {
+	start := lx.pos
 	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	for lx.pos < len(lx.src) {
+		c := lx.src[lx.pos]
 		if c == '.' && !seenDot {
 			seenDot = true
-			l.pos++
+			lx.pos++
 			continue
 		}
 		if c < '0' || c > '9' {
 			break
 		}
-		l.pos++
+		lx.pos++
 	}
-	l.tokens = append(l.tokens, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
+	lx.emit(tokNumber, start, lx.pos)
 }
 
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' { // escaped quote
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.tokens = append(l.tokens, token{kind: tokString, text: sb.String(), pos: start})
-			return nil
+// lexString reads a quoted literal. Its text is the substring between
+// the quotes; only a literal holding an escaped (doubled) quote is
+// copied, with each pair unescaped.
+func (lx *Lexed) lexString() error {
+	start := lx.pos
+	escaped := false
+	for i := start + 1; i < len(lx.src); i++ {
+		if lx.src[i] != '\'' {
+			continue
 		}
-		sb.WriteByte(c)
-		l.pos++
+		if i+1 < len(lx.src) && lx.src[i+1] == '\'' {
+			escaped = true
+			i++
+			continue
+		}
+		text := lx.src[start+1 : i]
+		if escaped {
+			text = strings.ReplaceAll(text, "''", "'")
+		}
+		lx.toks = append(lx.toks, token{kind: tokString, text: text, pos: start})
+		lx.pos = i + 1
+		return nil
 	}
 	return fmt.Errorf("sqlparse: unterminated string at %d", start)
 }
 
-var twoCharOps = map[string]bool{"<=": true, ">=": true, "!=": true, "<>": true}
-
-func (l *lexer) lexOp() error {
-	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		if twoCharOps[two] {
-			l.tokens = append(l.tokens, token{kind: tokOp, text: two, pos: l.pos})
-			l.pos += 2
+func (lx *Lexed) lexOp() error {
+	start := lx.pos
+	c := lx.src[start]
+	if start+1 < len(lx.src) {
+		switch d := lx.src[start+1]; {
+		case d == '=' && (c == '<' || c == '>' || c == '!'), c == '<' && d == '>':
+			lx.pos += 2
+			lx.emit(tokOp, start, lx.pos)
 			return nil
 		}
 	}
-	c := l.src[l.pos]
 	switch c {
 	case '=', '<', '>', '(', ')', ',', '.', '*', '+', '-', '/', ';':
-		l.tokens = append(l.tokens, token{kind: tokOp, text: string(c), pos: l.pos})
-		l.pos++
+		lx.pos++
+		lx.emit(tokOp, start, lx.pos)
 		return nil
 	}
-	return fmt.Errorf("sqlparse: unexpected character %q at %d", c, l.pos)
+	return fmt.Errorf("sqlparse: unexpected character %q at %d", c, lx.pos)
 }

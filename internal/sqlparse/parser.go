@@ -10,20 +10,13 @@ import (
 
 // Parse parses one SQL statement.
 func Parse(src string) (Statement, error) {
-	toks, err := lex(src)
+	lx, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, src: src}
-	stmt, err := p.parseStatement()
-	if err != nil {
-		return nil, err
-	}
-	p.accept(";")
-	if !p.atEOF() {
-		return nil, p.errf("trailing input starting at %q", p.peek().text)
-	}
-	return stmt, nil
+	defer lx.Release()
+	p := parser{toks: lx.toks}
+	return p.parse()
 }
 
 // ParseSelect parses a statement and requires it to be a SELECT.
@@ -42,7 +35,24 @@ func ParseSelect(src string) (*SelectStmt, error) {
 type parser struct {
 	toks []token
 	i    int
-	src  string
+	// tmpl parses a template: each number or string literal the
+	// expression grammar reads becomes a hole, its token recorded in
+	// slots (see template.go).
+	tmpl  bool
+	slots []slot
+}
+
+// parse reads one statement, an optional ';', and the end of input.
+func (p *parser) parse() (Statement, error) {
+	stmt, err := p.parseStatement()
+	if err != nil {
+		return nil, err
+	}
+	p.accept(";")
+	if !p.atEOF() {
+		return nil, p.errf("trailing input starting at %q", p.peek().text)
+	}
+	return stmt, nil
 }
 
 func (p *parser) peek() token { return p.toks[p.i] }
@@ -539,7 +549,10 @@ func (p *parser) parseCreateTableAs() (Statement, error) {
 //	addExpr := mulExpr ((+ -) mulExpr)*
 //	mulExpr := unary ((* /) unary)*
 //	unary   := primary
-//	primary := literal | column | call | ( expr )
+//	primary := literal | - number | - primary | column | call | ( expr )
+//
+// A minus directly before a number folds into one negative literal
+// (-9223372036854775808 included); before anything else it is 0 - x.
 func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
 
 func (p *parser) parseOr() (Expr, error) {
@@ -731,23 +744,9 @@ func (p *parser) parseMul() (Expr, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokNumber:
+	case tokNumber, tokString:
 		p.i++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return Literal{Value: vector.FloatValue(f)}, nil
-		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errf("bad number %q", t.text)
-		}
-		return Literal{Value: vector.IntValue(n)}, nil
-	case tokString:
-		p.i++
-		return Literal{Value: vector.StringValue(t.text)}, nil
+		return p.literal(p.i-1, false)
 	case tokOp:
 		if t.text == "(" {
 			p.i++
@@ -762,6 +761,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		}
 		if t.text == "-" {
 			p.i++
+			if p.peek().kind == tokNumber {
+				// A minus before a number is part of the literal.
+				p.i++
+				return p.literal(p.i-1, true)
+			}
 			e, err := p.parsePrimary()
 			if err != nil {
 				return nil, err

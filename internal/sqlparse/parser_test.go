@@ -1,6 +1,7 @@
 package sqlparse
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -104,11 +105,31 @@ func TestLiterals(t *testing.T) {
 }
 
 func TestNegativeNumbers(t *testing.T) {
+	// A minus before a number folds into one literal; before anything
+	// else it stays 0 - x.
 	sel := mustSelect(t, "SELECT a FROM t WHERE x > -5")
-	cmp := sel.Where.(Binary)
-	sub := cmp.R.(Binary)
-	if sub.Op != "-" || sub.R.(Literal).Value.AsInt() != 5 {
-		t.Fatalf("negative literal = %v", cmp.R)
+	if lit, ok := sel.Where.(Binary).R.(Literal); !ok || lit.Value.AsInt() != -5 {
+		t.Fatalf("negative literal = %v", sel.Where.(Binary).R)
+	}
+	sel = mustSelect(t, "SELECT -9223372036854775808, -0.0, - 2.5, -a, -(1), 3 - -1 FROM t")
+	if v := sel.Items[0].Expr.(Literal).Value; v.Type != vector.Int64 || v.I != math.MinInt64 {
+		t.Fatalf("-2^63 = %v", v)
+	}
+	if v := sel.Items[1].Expr.(Literal).Value; v.Type != vector.Float64 || v.F != 0 || !math.Signbit(v.F) {
+		t.Fatalf("-0.0 = %v, want negative zero", v)
+	}
+	if v := sel.Items[2].Expr.(Literal).Value; v.F != -2.5 {
+		t.Fatalf("- 2.5 = %v", v)
+	}
+	for i, want := range []string{"(0 - a)", "(0 - 1)", "(3 - -1)"} {
+		if got := sel.Items[3+i].Expr.String(); got != want {
+			t.Fatalf("item %d = %s, want %s", 3+i, got, want)
+		}
+	}
+	for _, sql := range []string{"SELECT 9223372036854775808", "SELECT -9223372036854775809"} {
+		if _, err := Parse(sql); err == nil || !strings.Contains(err.Error(), "bad number") {
+			t.Fatalf("Parse(%q) = %v, want bad number", sql, err)
+		}
 	}
 }
 

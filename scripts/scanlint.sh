@@ -78,11 +78,12 @@
 # jobs ring came to count an experiment's seed loader as a tenant and
 # to time every served DML statement at zero.
 #
-# Rule "parse": one parse per statement. Fails if sqlparse.Parse is
-# called outside internal/sqlparse and internal/engine: every door
-# parses through the engine's statement cache (Engine.Parse), so a
-# statement is parsed once and its AST shared — a second parse in a
-# front door is how Lakehouse.Query came to parse every statement twice.
+# Rule "parse": one parse per statement. Fails if sqlparse.Parse or
+# sqlparse.Lex is called outside internal/sqlparse and internal/engine:
+# every door parses through the engine's statement cache (Engine.Parse),
+# so a statement is lexed once and bound to its shape's template or
+# parsed once — a second parse in a front door is how Lakehouse.Query
+# came to parse every statement twice.
 #
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt. An entry that excuses no
@@ -139,7 +140,7 @@ check job 'systables\.JobRecord\{' 'systables engine' \
     'system.jobs row built outside internal/engine; build it with engine.JobRecord over the statement'"'"'s QueryContext'
 check record '\.RecordJob\(' 'systables serve omni' \
     'system.jobs row recorded outside a door; record it in serve (cursor close, failure, shed) or Omni (SubmitWith), never in the engine'
-check parse 'sqlparse\.Parse\(' 'sqlparse engine' \
+check parse 'sqlparse\.(Parse|Lex)\(' 'sqlparse engine' \
     'SQL parsed outside the engine'"'"'s statement cache; parse through Engine.Parse'
 if bad=$(grep -nE 'bytes\.(New)?Reader|binary\.Read(Uv|V)arint' internal/vector/*.go | grep -v '_test\.go:'); then
     echo "scanlint(codec): byte-reader decode in internal/vector; decode through wire.go's cursor (wireReader):" >&2
