@@ -58,14 +58,17 @@ chaos:
 # and the footer the writer hands over is the one a reader parses; then
 # ten on the statement cache: any text, and the same text with fresh
 # literals, parse through Engine.Parse exactly as sqlparse.Parse parses
-# them, errors byte for byte (the seed corpora alone run in every plain
-# `go test`).
+# them, errors byte for byte; then ten on the exact float SUM: random
+# float64 bit patterns spread over random morsel, worker, group and Add
+# layouts sum to the math/big reference's bits (the seed corpora alone
+# run in every plain `go test`).
 fuzz:
 	$(GO) test -run 'TestDifferential|TestIcebergExportEquality|TestStarFamilyReachesKernels' -v ./internal/oracle/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeColumn' -fuzztime=10s ./internal/vector/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeBatch' -fuzztime=10s ./internal/vector/
 	$(GO) test -run '^$$' -fuzz 'FuzzWriteFileRoundTrip' -fuzztime=10s ./internal/colfmt/
 	$(GO) test -run '^$$' -fuzz 'FuzzShapeCache' -fuzztime=10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz 'FuzzExactSum' -fuzztime=10s ./internal/vector/
 
 # Demonstrate the harness catches a planted pruning bug (not in ci:
 # the tagged build is intentionally broken).
@@ -211,7 +214,9 @@ gatecheck:
 # the race detector (BenchmarkScanMerge run once), the worker sweep over
 # warm scans whose selects and merge fan out, raced three times, a file
 # write whose allocations grow per chunk, not per row
-# (BenchmarkWriteFile run once), a point lookup served from the
+# (BenchmarkWriteFile run once), the fused aggregate walk under an
+# allocation budget and the float SUM over dyadic and non-dyadic input
+# (BenchmarkFloatSum run once), a point lookup served from the
 # statement cache in a handful of allocations with a lexer that
 # allocates nothing per token (BenchmarkParse, miss and hit, run once),
 # and the E20 experiment smoke: the star join's heap
@@ -234,6 +239,7 @@ gclean:
 	$(GO) test -run '^$$' -bench BenchmarkPrune -benchtime 1x ./internal/bigmeta/
 	$(GO) test -race -run 'TestScanMerge' ./internal/vector/
 	$(GO) test -run '^$$' -bench BenchmarkScanMerge -benchtime 1x ./internal/vector/
+	$(GO) test -run '^$$' -bench BenchmarkFloatSum -benchtime 1x ./internal/vector/
 	$(GO) test -run 'TestGCLeanWriteFile' ./internal/colfmt/
 	$(GO) test -run '^$$' -bench BenchmarkWriteFile -benchtime 1x ./internal/colfmt/
 	$(GO) test -run 'TestGCLeanParseHit' ./internal/engine/

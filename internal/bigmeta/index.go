@@ -194,7 +194,7 @@ func put(c *vector.Column, i int, v colfmt.StatValue) {
 	case vector.Int64, vector.Timestamp:
 		c.Ints[i] = v.I
 	case vector.Float64:
-		c.Floats[i] = v.F
+		c.Floats[i] = v.ToValue().F // ±Inf is held apart from F
 	case vector.Bool:
 		c.Bools[i] = v.B
 	case vector.String, vector.Bytes:

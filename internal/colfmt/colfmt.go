@@ -72,23 +72,37 @@ func (s ColumnStats) Merge(o ColumnStats) ColumnStats {
 	return s
 }
 
-// StatValue is a JSON-serializable vector.Value.
+// StatValue is a JSON-serializable vector.Value. JSON has no number for
+// ±Inf, so an infinite bound is held as Inf, its sign, with F zero; a
+// StatValue without one encodes as it always has.
 type StatValue struct {
 	Type vector.Type `json:"type"`
 	I    int64       `json:"i,omitempty"`
 	F    float64     `json:"f,omitempty"`
 	S    string      `json:"s,omitempty"`
 	B    bool        `json:"b,omitempty"`
+	Inf  int8        `json:"inf,omitempty"` // +1 or −1: the bound is ±Inf
 }
 
 // ToValue converts back to a vector.Value.
 func (sv StatValue) ToValue() vector.Value {
-	return vector.Value{Type: sv.Type, I: sv.I, F: sv.F, S: sv.S, B: sv.B}
+	f := sv.F
+	if sv.Inf != 0 {
+		f = math.Inf(int(sv.Inf))
+	}
+	return vector.Value{Type: sv.Type, I: sv.I, F: f, S: sv.S, B: sv.B}
 }
 
 // FromValue converts a vector.Value into its stat form.
 func FromValue(v vector.Value) StatValue {
-	return StatValue{Type: v.Type, I: v.I, F: v.F, S: v.S, B: v.B}
+	sv := StatValue{Type: v.Type, I: v.I, F: v.F, S: v.S, B: v.B}
+	if math.IsInf(v.F, 0) {
+		sv.F, sv.Inf = 0, 1
+		if v.F < 0 {
+			sv.Inf = -1
+		}
+	}
+	return sv
 }
 
 // ChunkMeta locates one column chunk within the file.

@@ -178,9 +178,9 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 
 	// Fold joins left-to-right.
 	out := batches[0]
-	for i, j := range sel.Joins {
+	for i := range sel.Joins {
 		var err error
-		out, err = e.hashJoin(ctx, out, batches[i+1], j)
+		out, err = e.hashJoin(ctx, sel, i, out, batches[i+1])
 		if err != nil {
 			return nil, err
 		}
@@ -325,13 +325,15 @@ func (e *Engine) execTableRef(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *
 	return nil, fmt.Errorf("%w: empty table reference", ErrSemantic)
 }
 
-// hashJoin executes an equi-join between left and right qualified
+// hashJoin executes sel's join i between left and right qualified
 // batches. When every left row matched exactly one right row the left
 // columns are the output's as they stand — not copied, each keeping its
 // own Pooled mark, like an all-pass filter's — so, as there, the result
 // may alias a shared immutable batch and nothing downstream may write
-// through it.
-func (e *Engine) hashJoin(ctx *QueryContext, left, right *vector.Batch, j sqlparse.Join) (out *vector.Batch, err error) {
+// through it. Of the right (build) side only the columns read after the
+// join are gathered (readAfterJoin); the others leave the schema.
+func (e *Engine) hashJoin(ctx *QueryContext, sel *sqlparse.SelectStmt, i int, left, right *vector.Batch) (out *vector.Batch, err error) {
+	j := sel.Joins[i]
 	var sp *obs.Span
 	if ctx.Span != nil {
 		sp = ctx.Span.Child("join")
@@ -395,18 +397,52 @@ func (e *Engine) hashJoin(ctx *QueryContext, left, right *vector.Batch, j sqlpar
 		}
 	}
 
-	fields := append(append([]vector.Field(nil), left.Schema.Fields...), right.Schema.Fields...)
-	cols := make([]*vector.Column, len(left.Cols)+len(right.Cols))
+	fields := append([]vector.Field(nil), left.Schema.Fields...)
+	build := right.Cols
+	if read := readAfterJoin(sel, i, right.Schema); read != nil {
+		build = nil
+		for k, f := range right.Schema.Fields {
+			if read[k] {
+				fields = append(fields, f)
+				build = append(build, right.Cols[k])
+			}
+		}
+	} else {
+		fields = append(fields, right.Schema.Fields...)
+	}
+	cols := make([]*vector.Column, len(left.Cols)+len(build))
 	passthrough := 0
 	if res.LeftIdentity {
 		passthrough = copy(cols, left.Cols)
 	} else {
 		vector.GatherNullColsWith(ctx.mem, cols, left.Cols, leftIdx, workers)
 	}
-	vector.GatherNullColsWith(ctx.mem, cols[len(left.Cols):], right.Cols, rightIdx, workers)
+	vector.GatherNullColsWith(ctx.mem, cols[len(left.Cols):], build, rightIdx, workers)
 	sp.SetStr("strategy", res.Strategy.String())
 	sp.SetInt("passthrough_cols", int64(passthrough))
+	sp.SetInt("build_cols", int64(len(build)))
 	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
+}
+
+// readAfterJoin reports, per column of schema (join i's build side),
+// whether sel reads it after that join — in its select list, WHERE,
+// GROUP BY, ORDER BY or a later join's condition — by its qualified
+// name or, unqualified, by its bare one, as resolveColumn would find it.
+// A `*`, or an expression it cannot classify, reads every column (nil).
+func readAfterJoin(sel *sqlparse.SelectStmt, i int, schema vector.Schema) []bool {
+	read := make([]bool, schema.Len())
+	if !stmtRefs(sel, i+1, func(r sqlparse.ColumnRef) {
+		for k, f := range schema.Fields {
+			if r.Table != "" {
+				read[k] = read[k] || f.Name == r.Table+"."+r.Name
+			} else {
+				read[k] = read[k] || f.Name == r.Name || strings.HasSuffix(f.Name, "."+r.Name)
+			}
+		}
+	}) {
+		return nil
+	}
+	return read
 }
 
 // execProject evaluates the projection list.

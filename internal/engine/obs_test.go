@@ -104,6 +104,7 @@ func TestExplainAnalyzeStarJoin(t *testing.T) {
 	for _, want := range [][3]string{
 		{"join", "strategy", "n1"},
 		{"join", "passthrough_cols", "3"},
+		{"join", "build_cols", "1"}, // d.grp; the key d.k is read by nothing after the join
 		{"aggregate", "grouping", "dict"},
 	} {
 		if got := profileAttr(prof.Root, want[0], want[1]); got != want[2] {

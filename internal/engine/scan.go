@@ -134,41 +134,51 @@ func projection(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.Table
 	}
 	cols := scan.NewColumns(ctx.mem.Al, schema.Len())
 	qual := ref.DisplayName()
-	ok := addExprColumns(cols, schema, qual, sel.Where)
-	for _, it := range sel.Items {
-		ok = ok && !it.Star && addExprColumns(cols, schema, qual, it.Expr)
-	}
-	for _, g := range sel.GroupBy {
-		ok = ok && addExprColumns(cols, schema, qual, g)
-	}
-	for _, o := range sel.OrderBy {
-		ok = ok && addExprColumns(cols, schema, qual, o.Expr)
-	}
-	for i := range sel.Joins {
-		ok = ok && addExprColumns(cols, schema, qual, sel.Joins[i].On)
-	}
-	if !ok {
+	if !stmtRefs(sel, 0, func(r sqlparse.ColumnRef) {
+		if r.Table == "" || r.Table == qual {
+			cols.AddNamed(schema, r.Name)
+		}
+	}) {
 		return nil
 	}
 	return cols
 }
 
-// addExprColumns adds to cols the columns of schema that x names as the
-// source qual's. It reports false for an expression it cannot classify.
-func addExprColumns(cols scan.Columns, schema vector.Schema, qual string, x sqlparse.Expr) bool {
+// stmtRefs calls fn on every column reference in sel's select list,
+// WHERE, GROUP BY, ORDER BY and the conditions of its joins from the
+// join numbered from on. It reports false for a `*`, or an expression
+// exprRefs cannot classify.
+func stmtRefs(sel *sqlparse.SelectStmt, from int, fn func(sqlparse.ColumnRef)) bool {
+	ok := exprRefs(sel.Where, fn)
+	for _, it := range sel.Items {
+		ok = ok && !it.Star && exprRefs(it.Expr, fn)
+	}
+	for _, g := range sel.GroupBy {
+		ok = ok && exprRefs(g, fn)
+	}
+	for _, o := range sel.OrderBy {
+		ok = ok && exprRefs(o.Expr, fn)
+	}
+	for _, j := range sel.Joins[from:] {
+		ok = ok && exprRefs(j.On, fn)
+	}
+	return ok
+}
+
+// exprRefs calls fn on every column reference in x. It reports false
+// for an expression it cannot classify.
+func exprRefs(x sqlparse.Expr, fn func(sqlparse.ColumnRef)) bool {
 	switch x := x.(type) {
 	case nil, sqlparse.Literal:
 	case sqlparse.ColumnRef:
-		if x.Table == "" || x.Table == qual {
-			cols.AddNamed(schema, x.Name)
-		}
+		fn(x)
 	case sqlparse.Not:
-		return addExprColumns(cols, schema, qual, x.E)
+		return exprRefs(x.E, fn)
 	case sqlparse.Binary:
-		return addExprColumns(cols, schema, qual, x.L) && addExprColumns(cols, schema, qual, x.R)
+		return exprRefs(x.L, fn) && exprRefs(x.R, fn)
 	case sqlparse.Call:
 		for _, a := range x.Args {
-			if !addExprColumns(cols, schema, qual, a) {
+			if !exprRefs(a, fn) {
 				return false
 			}
 		}

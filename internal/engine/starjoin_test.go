@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"biglake/internal/arena"
@@ -112,13 +113,13 @@ func TestArenaJoinPassThroughKeepsPooledFlags(t *testing.T) {
 	left := vector.MustBatch(schema("f"), []*vector.Column{heapCol, arenaCol})
 	right := vector.MustBatch(schema("d"), []*vector.Column{
 		vector.NewInt64Column([]int64{0, 1, 2}), vector.NewInt64Column([]int64{7, 8, 9})})
-	stmt, err := sqlparse.Parse("SELECT f.v FROM f JOIN d ON f.k = d.k")
+	stmt, err := sqlparse.Parse("SELECT f.v, d.k, d.v FROM f JOIN d ON f.k = d.k")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := NewContext(adminP, "q-flags")
 	ctx.mem = vector.Mem{Al: arena.New()}
-	out, err := ev.eng.hashJoin(ctx, left, right, stmt.(*sqlparse.SelectStmt).Joins[0])
+	out, err := ev.eng.hashJoin(ctx, stmt.(*sqlparse.SelectStmt), 0, left, right)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,5 +137,31 @@ func TestArenaJoinPassThroughKeepsPooledFlags(t *testing.T) {
 	if got, want := fingerprint(out), fingerprint(vector.MustBatch(out.Schema, []*vector.Column{
 		heapCol, arenaCol, vector.NewInt64Column([]int64{2, 0, 1, 2}), vector.NewInt64Column([]int64{9, 7, 8, 9})})); got != want {
 		t.Fatalf("join output:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestReadAfterJoin: a join gathers the build-side columns the statement
+// reads after it — select list, WHERE, GROUP BY, ORDER BY and later ON
+// clauses, qualified or by bare name — and every column under `*`.
+func TestReadAfterJoin(t *testing.T) {
+	schema := vector.NewSchema(vector.Field{Name: "d.k", Type: vector.Int64},
+		vector.Field{Name: "d.grp", Type: vector.String}, vector.Field{Name: "d.x", Type: vector.Int64})
+	for _, tc := range []struct {
+		sql  string
+		want []bool
+	}{
+		{"SELECT d.grp, COUNT(*) AS n FROM f JOIN d ON f.k = d.k GROUP BY d.grp", []bool{false, true, false}},
+		{"SELECT grp FROM f JOIN d ON f.k = d.k WHERE x > 1", []bool{false, true, true}},
+		{"SELECT f.v FROM f JOIN d ON f.k = d.k JOIN e ON d.x = e.x ORDER BY d.k", []bool{true, false, true}},
+		{"SELECT f.v FROM f JOIN d ON f.k = d.k WHERE f.x > 1", []bool{false, false, false}},
+		{"SELECT * FROM f JOIN d ON f.k = d.k", nil},
+	} {
+		stmt, err := sqlparse.Parse(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readAfterJoin(stmt.(*sqlparse.SelectStmt), 0, schema); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: read %v, want %v", tc.sql, got, tc.want)
+		}
 	}
 }

@@ -1,12 +1,19 @@
 package omni
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"biglake/internal/engine"
+	"biglake/internal/oracle"
 	"biglake/internal/sqlparse"
+	"biglake/internal/storageapi"
+	"biglake/internal/vector"
 )
 
 const crossCloudJoin = `SELECT o.order_id, o.order_total, ads.id
@@ -127,4 +134,77 @@ func rowStrings(res *engine.Result) [][]string {
 		}
 	}
 	return out
+}
+
+// TestFloatSumSameAtEveryDoor: a SUM and AVG over non-dyadic floats
+// spread over several files answer the exact sum, rounded once, at
+// every door that offers them — an Omni query, the region's own
+// Lakehouse.Query, a serve session and a Read API aggregate session.
+func TestFloatSumSameAtEveryDoor(t *testing.T) {
+	ev := newEnv(t)
+	ev.seedTables(t, 10, 0)
+	rng := rand.New(rand.NewSource(9))
+	var totals []float64
+	for file := 0; file < 5; file++ {
+		bo := vector.NewBuilder(ordersSchema())
+		for i, n := 0, 1+rng.Intn(20); i < n; i++ {
+			v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(16)-3))
+			totals = append(totals, v)
+			bo.Append(vector.IntValue(int64(len(totals))), vector.IntValue(int64(i%7)), vector.FloatValue(v))
+		}
+		ctx := engine.NewContext(adminP, fmt.Sprintf("seed-float-%d", file)) // a reused ID replays as a no-op
+		if err := ev.aws.Manager.Insert(ctx, "aws_dataset.customer_orders", bo.Build()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sum := oracle.ExactSum(totals)
+	want := []float64{sum, sum / float64(len(totals))}
+	const sql = "SELECT SUM(order_total) AS s, AVG(order_total) AS a FROM aws_dataset.customer_orders"
+
+	check := func(door string, b *vector.Batch) {
+		t.Helper()
+		for i, w := range want[:len(b.Cols)] {
+			if got := b.Cols[i].Value(0); got.Type != vector.Float64 || math.Float64bits(got.F) != math.Float64bits(w) {
+				t.Errorf("%s column %d = %v, want %v (exact)", door, i, got, w)
+			}
+		}
+	}
+	res, err := ev.dep.Submit(analystP, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Omni", res.Batch)
+	if res, err = ev.aws.Query(adminP, sql); err != nil {
+		t.Fatal(err)
+	}
+	check("Lakehouse.Query", res.Batch)
+	sess, err := ev.aws.Server.Open(adminP, "float")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	cur, err := sess.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := cur.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("serve.Session", b)
+	for _, streams := range []int{1, 2, 4} {
+		ev.clock.Advance(ev.aws.StorageAPI.SessionTTL + time.Second)
+		rs, err := ev.aws.StorageAPI.CreateReadSession(storageapi.ReadSessionRequest{
+			Table: "aws_dataset.customer_orders", Principal: adminP, SnapshotVersion: -1, MaxStreams: streams,
+			Aggregates: []storageapi.AggregateRequest{{Column: "order_total", Kind: vector.AggSum}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ev.aws.StorageAPI.ReadAll(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("Read API at MaxStreams %d", streams), b)
+	}
 }

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -82,7 +83,7 @@ func (g *Gen) Tables() []*GenTable {
 				vector.StringValue(partitionPool[g.intn(nparts)]),
 				vector.IntValue(int64(g.intn(10))),
 				g.maybeNull(0.15, vector.IntValue(int64(g.intn(50)))),
-				g.maybeNull(0.10, g.dyadic()),
+				g.maybeNull(0.10, g.float()),
 				g.maybeNull(0.10, vector.StringValue(stringPool[g.intn(len(stringPool))])),
 				g.maybeNull(0.10, vector.BoolValue(g.chance(0.5))),
 				g.maybeNull(0.10, vector.TimestampValue(int64(20240100+g.intn(100)))),
@@ -111,7 +112,7 @@ func (g *Gen) Tables() []*GenTable {
 		m.Rows = append(m.Rows, []vector.Value{
 			vector.IntValue(int64(g.intn(10))),
 			g.maybeNull(0.15, vector.IntValue(int64(g.intn(50)))),
-			g.maybeNull(0.10, g.dyadic()),
+			g.maybeNull(0.10, g.float()),
 			g.maybeNull(0.10, vector.StringValue(stringPool[g.intn(len(stringPool))])),
 			g.maybeNull(0.10, vector.BoolValue(g.chance(0.5))),
 			vector.IntValue(id),
@@ -132,11 +133,28 @@ func nextKey(g *Gen) int64 {
 }
 
 // dyadic returns a non-negative float that is exactly representable
-// with few mantissa bits (k * 0.25), so sums are exact and therefore
-// independent of accumulation order — the engine and oracle may visit
-// rows in different orders.
+// with few mantissa bits (k * 0.25): a literal, or a value whose sums
+// never round.
 func (g *Gen) dyadic() vector.Value {
 	return vector.FloatValue(float64(g.intn(8000)) * 0.25)
+}
+
+// float draws a stored FLOAT64 value: mostly dyadic, else one whose
+// sums round, so an aggregate's answer depends on adding exactly — a
+// non-dyadic decimal, ±1e16 beside small values (a large
+// cancellation), a subnormal — or a signed zero.
+func (g *Gen) float() vector.Value {
+	switch g.pick(10) {
+	case 0, 1:
+		return vector.FloatValue(float64(g.intn(20000)-10000) / 10)
+	case 2:
+		return vector.FloatValue([]float64{1e16, -1e16}[g.intn(2)])
+	case 3:
+		return vector.FloatValue(math.Ldexp(float64(1+g.intn(1000)), -1074))
+	case 4:
+		return vector.FloatValue([]float64{0, math.Copysign(0, -1)}[g.intn(2)])
+	}
+	return g.dyadic()
 }
 
 func (g *Gen) maybeNull(p float64, v vector.Value) vector.Value {
@@ -702,7 +720,7 @@ func (g *Gen) StarTables() []*GenTable {
 			vector.IntValue(int64(g.intn(starDimKeys))),
 			g.maybeNull(0.1, vector.IntValue(int64(g.intn(starDimKeys+4)))),
 			g.maybeNull(0.1, vector.IntValue(int64(g.intn(50)))),
-			g.maybeNull(0.1, g.dyadic()),
+			g.maybeNull(0.1, g.float()),
 			g.maybeNull(0.1, vector.StringValue(stringPool[g.intn(3)])),
 			vector.IntValue(int64(g.intn(40))),
 		})

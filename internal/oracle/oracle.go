@@ -19,6 +19,8 @@ package oracle
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"sort"
 	"strings"
 
@@ -901,11 +903,11 @@ func (db *DB) execAggregate(sel *sqlparse.SelectStmt, in *rel) (*rel, error) {
 			}
 			var sum vector.Value
 			if at == vector.Float64 {
-				var f float64
-				for _, v := range vals {
-					f += v.F
+				fs := make([]float64, len(vals))
+				for i, v := range vals {
+					fs[i] = v.F
 				}
-				sum = vector.FloatValue(f)
+				sum = vector.FloatValue(ExactSum(fs))
 			} else {
 				var n int64
 				for _, v := range vals {
@@ -1276,4 +1278,48 @@ func FromBatch(b *vector.Batch) *Resultset {
 		rs.Rows = append(rs.Rows, row)
 	}
 	return rs
+}
+
+// ExactSum is the float SUM by definition: the exact sum of vals,
+// computed in math/big and rounded once to the nearest float64 (ties to
+// even). NaN if any value is NaN or both infinities occur, else an
+// infinity that occurs; an exact zero is −0 only when every value is
+// −0. AVG divides it once by the count.
+func ExactSum(vals []float64) float64 {
+	var nan, pos, neg bool
+	allNegZero := true
+	acc, term := new(big.Int), new(big.Int)
+	for _, v := range vals {
+		switch {
+		case v != v:
+			nan = true
+		case math.IsInf(v, 1):
+			pos = true
+		case math.IsInf(v, -1):
+			neg = true
+		default:
+			if v != 0 || !math.Signbit(v) {
+				allNegZero = false
+			}
+			// v × 2^1074 is an integer for every finite float64.
+			f := new(big.Float).SetFloat64(v)
+			f.SetMantExp(f, 1074)
+			f.Int(term)
+			acc.Add(acc, term)
+		}
+	}
+	switch {
+	case nan || (pos && neg):
+		return math.NaN()
+	case pos:
+		return math.Inf(1)
+	case neg:
+		return math.Inf(-1)
+	case acc.Sign() == 0 && allNegZero:
+		return math.Copysign(0, -1)
+	}
+	f := new(big.Float).SetInt(acc)
+	f.SetMantExp(f, -1074)
+	r, _ := f.Float64()
+	return r
 }

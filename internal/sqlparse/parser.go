@@ -471,6 +471,9 @@ func (p *parser) parseUpdate() (Statement, error) {
 		if col.kind != tokIdent {
 			return nil, p.errf("expected column in SET, found %q", col.text)
 		}
+		if _, dup := upd.Set[col.text]; dup {
+			return nil, p.errf("column %q assigned twice in SET", col.text)
+		}
 		if err := p.expect("="); err != nil {
 			return nil, err
 		}

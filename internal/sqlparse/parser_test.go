@@ -293,6 +293,18 @@ func TestUpdate(t *testing.T) {
 	}
 }
 
+// TestUpdateRejectsRepeatedColumn: SQL assigns a column at most once
+// per UPDATE; a second assignment is an error, not a silent overwrite.
+func TestUpdateRejectsRepeatedColumn(t *testing.T) {
+	_, err := Parse("UPDATE t SET a = 1, a = 2")
+	if err == nil || !strings.Contains(err.Error(), `column "a" assigned twice`) {
+		t.Fatalf("Parse = %v, want a repeated-column error", err)
+	}
+	if _, err := Parse("UPDATE t SET a = 1, b = 2"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDelete(t *testing.T) {
 	stmt, err := Parse("DELETE FROM ds.t WHERE id < 100")
 	if err != nil {

@@ -29,6 +29,10 @@ const (
 	budgetGroupKeys      = 9  // per-worker table headers + Grouping
 	budgetGroupKeysDict  = 0  // dictionary-code grouping: closure-free, all arena
 	budgetGroupAggregate = 14 // per-spec partial structs + Value rows
+	// The fused walk (COUNT(*), an int and a float SUM over Plain
+	// null-free inputs), one group and many: worker, partial and output
+	// headers only. Measured 14 and 14.
+	budgetFusedAggregate = 16
 	budgetMinMax         = 0
 	budgetTruthMask      = 0 // nothing beyond the (arena) mask
 	budgetSortKey        = 1 // per key; measured 0
@@ -172,6 +176,14 @@ func TestGCLeanAllocBudgets(t *testing.T) {
 	specs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: w.b.Cols[0]}, {Kind: AggMin, Col: w.b.Cols[2]}}
 	measureKernel(t, w, "GroupAggregateWith", budgetGroupAggregate, func(m Mem) {
 		GroupAggregateWith(m, ids, gr.NumGroups, specs, 1)
+	})
+	fused := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: w.b.Cols[0]}, {Kind: AggSum, Col: w.b.Cols[1]}}
+	one := make([]int32, len(ids))
+	measureKernel(t, w, "GroupAggregateWith/fused one group", budgetFusedAggregate, func(m Mem) {
+		GroupAggregateWith(m, one, 1, fused, 1)
+	})
+	measureKernel(t, w, "GroupAggregateWith/fused", budgetFusedAggregate, func(m Mem) {
+		GroupAggregateWith(m, ids, gr.NumGroups, fused, 1)
 	})
 
 	// The typed kernels that took the boxed per-row loops' place.

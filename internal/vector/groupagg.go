@@ -11,11 +11,11 @@ import "fmt"
 // Determinism contract: results are bit-identical for every worker
 // count. Group IDs follow global first-encounter (row) order because
 // per-morsel local groupings are merged sequentially in morsel order.
-// Integer adds and tie-broken min/max merge commutatively across
-// workers; float SUM/MIN/MAX are not associative (and min/max folds
-// are order-sensitive in the presence of NaN), so those run in a
-// dedicated sequential pass in ascending row order — exactly the
-// order the row-at-a-time path used.
+// Integer adds, exact float sums (exactsum.go) and tie-broken min/max
+// merge commutatively across workers. Float MIN/MAX folds are
+// order-sensitive in the presence of NaN, so those run in a dedicated
+// sequential pass in ascending row order — exactly the order the
+// row-at-a-time path used.
 
 // nullKeyHash is the hash contribution of a NULL group-key value.
 // Unlike join keys, GROUP BY treats NULL as a regular key (all NULLs
@@ -417,26 +417,37 @@ type AggSpec struct {
 // aggPartial holds one worker's (or the sequential pass's) per-group
 // accumulator state for a single spec.
 type aggPartial struct {
-	cnt    []int64   // rows folded (non-null; all rows for COUNT(*))
-	sumI   []int64   // integer SUM
-	sumF   []float64 // float SUM (sequential pass only)
-	set    []bool    // MIN/MAX: group has a value
-	accI   []int64   // MIN/MAX acc for Int64/Timestamp
-	accF   []float64 // MIN/MAX acc for Float64 (sequential pass only)
-	accS   []string  // MIN/MAX acc for String/Bytes
-	accB   []bool    // MIN/MAX acc for Bool
-	accRow []int32   // row index of the current MIN/MAX acc (merge tie-break)
+	cnt       []int64   // rows folded (non-null; all rows for COUNT(*)); the fused specs of a worker share one
+	sumI      []int64   // integer SUM
+	sumF      []float64 // float SUM: the plain sum, exact while inexact[g] is false
+	inexact   []bool    // float SUM: an add or a merge into sumF[g] rounded
+	refoldAll bool      // float SUM: a fused walk stopped adding after a morsel rounded; every group refolds
+	wide      *exactSum // a Fold's float SUM once an Add rounded
+	set       []bool    // MIN/MAX: group has a value
+	accI      []int64   // MIN/MAX acc for Int64/Timestamp
+	accF      []float64 // MIN/MAX acc for Float64 (sequential pass only)
+	accS      []string  // MIN/MAX acc for String/Bytes
+	accB      []bool    // MIN/MAX acc for Bool
+	accRow    []int32   // row index of the current MIN/MAX acc (merge tie-break)
 }
 
-func newAggPartial(al Alloc, sp AggSpec, numGroups int) *aggPartial {
-	p := &aggPartial{cnt: al.Int64s(numGroups)}
+// newAggPartial allocates a partial for sp, counting into cnt (a fresh
+// array when nil).
+func newAggPartial(al Alloc, sp AggSpec, numGroups int, cnt []int64) *aggPartial {
+	if cnt == nil {
+		cnt = al.Int64s(numGroups)
+	}
+	p := &aggPartial{cnt: cnt}
 	if sp.Col == nil {
 		return p
 	}
 	switch sp.Kind {
 	case AggSum:
 		if sp.Col.Type == Float64 {
-			p.sumF = al.Float64s(numGroups)
+			p.sumF, p.inexact = al.Float64s(numGroups), al.Bools(numGroups)
+			for g := range p.sumF {
+				p.sumF[g] = negZero
+			}
 		} else {
 			p.sumI = al.Int64s(numGroups)
 		}
@@ -458,12 +469,238 @@ func newAggPartial(al Alloc, sp AggSpec, numGroups int) *aggPartial {
 }
 
 // sequentialSpec reports whether a spec must be folded in ascending
-// row order on one goroutine: float accumulation is not associative
-// (SUM), and the historical min/max fold is order-sensitive when NaNs
-// are present, so all Float64 folds except COUNT stay sequential.
+// row order on one goroutine: the historical float min/max fold is
+// order-sensitive when NaNs are present, so Float64 MIN/MAX stay
+// sequential until one total order over floats ranks them.
 func sequentialSpec(sp AggSpec) bool {
-	return sp.Col != nil && sp.Col.Type == Float64 && sp.Kind != AggCount
+	return sp.Col != nil && sp.Col.Type == Float64 && (sp.Kind == AggMin || sp.Kind == AggMax)
 }
+
+// fusedSpec reports whether the fused walk folds sp: COUNT(*), or a
+// COUNT or SUM over a Plain null-free input, whose rows it reads
+// directly. Every row of a morsel counts for all of them, so they share
+// one count.
+func fusedSpec(sp AggSpec) bool {
+	return sp.Col == nil || ((sp.Kind == AggCount || sp.Kind == AggSum) && sp.Col.Enc == Plain && sp.Col.Nulls == nil)
+}
+
+// fusedInt and fusedFloat are the fused walk's SUMs: a worker's
+// accumulators and the input they read.
+type fusedInt struct{ vals, acc []int64 }
+
+type fusedFloat struct {
+	vals, acc []float64
+	part      *aggPartial
+	rounded   bool // an add of the last morsel rounded: see dropRounded
+}
+
+// aggWorker is one worker's partials for every spec of a pass (nil for
+// a sequential spec). The fused specs' partials share cnt.
+type aggWorker struct {
+	parts  []*aggPartial
+	cnt    []int64
+	fused  bool // some spec is fused
+	ints   []fusedInt
+	floats []fusedFloat
+}
+
+func newAggWorker(al Alloc, specs []AggSpec, numGroups int) *aggWorker {
+	w := &aggWorker{parts: make([]*aggPartial, len(specs))}
+	for s, sp := range specs {
+		switch {
+		case sequentialSpec(sp):
+		case fusedSpec(sp):
+			if !w.fused {
+				w.cnt, w.fused = al.Int64s(numGroups), true
+			}
+			p := newAggPartial(al, sp, numGroups, w.cnt)
+			w.parts[s] = p
+			if sp.Kind != AggSum {
+				continue
+			}
+			switch c := sp.Col; c.Type {
+			case Int64, Timestamp:
+				w.ints = append(w.ints, fusedInt{vals: c.Ints[:c.Len], acc: p.sumI})
+			case Float64:
+				w.floats = append(w.floats, fusedFloat{vals: c.Floats[:c.Len], acc: p.sumF, part: p})
+			}
+			// Bool/String/Bytes SUM counts its rows; its sum stays 0.
+		default:
+			w.parts[s] = newAggPartial(al, sp, numGroups, nil)
+		}
+	}
+	return w
+}
+
+// fold folds rows [lo, hi) of every spec but the sequential ones: the
+// fused specs in one walk, the rest spec by spec. The caller hands each
+// worker its ranges in ascending row order.
+func (w *aggWorker) fold(specs []AggSpec, kas []keyAccess, ids []int32, numGroups, lo, hi int) {
+	switch {
+	case !w.fused:
+	case numGroups == 1:
+		w.foldOne(lo, hi)
+	default:
+		w.foldFused(ids, lo, hi)
+	}
+	for s, p := range w.parts {
+		if p != nil && !fusedSpec(specs[s]) {
+			accumRange(p, specs[s], kas[s], ids, lo, hi)
+		}
+	}
+}
+
+// foldOne is the fused walk of the one group: every sum runs in
+// registers over its input and lands in its accumulator once.
+func (w *aggWorker) foldOne(lo, hi int) {
+	w.cnt[0] += int64(hi - lo)
+	for k := range w.ints {
+		f := &w.ints[k]
+		var s int64
+		for _, v := range f.vals[lo:hi] {
+			s += v
+		}
+		f.acc[0] += s
+	}
+	for k := range w.floats {
+		f := &w.floats[k]
+		s, exact := sumRun(f.vals[lo:hi])
+		t, ok := addExact(f.acc[0], s)
+		f.acc[0] = t
+		f.rounded = !exact || !ok
+	}
+	w.dropRounded()
+}
+
+// foldFused is the fused walk over many groups: each row's group is
+// read once, counted, and its first int and float SUMs folded; any
+// further SUM takes a walk of its own. Each shape has its own loop, so
+// every array it touches stays in a register.
+func (w *aggWorker) foldFused(ids []int32, lo, hi int) {
+	ints, floats := w.ints, w.floats
+	switch {
+	case len(ints) > 0 && len(floats) > 0:
+		if next := walkCountIntFloat(w.cnt, ints[0], floats[0], ids, lo, hi); next < hi {
+			floats[0].rounded = true
+			walkCountInt(w.cnt, ints[0], ids, next, hi)
+		}
+		ints, floats = ints[1:], floats[1:]
+	case len(ints) > 0:
+		walkCountInt(w.cnt, ints[0], ids, lo, hi)
+		ints = ints[1:]
+	case len(floats) > 0:
+		next := walkCountFloat(w.cnt, floats[0], ids, lo, hi)
+		floats[0].rounded = next < hi
+		for _, g := range ids[next:hi] {
+			w.cnt[g]++
+		}
+		floats = floats[1:]
+	default:
+		for _, g := range ids[lo:hi] {
+			w.cnt[g]++
+		}
+	}
+	for _, f := range ints {
+		acc, vals := f.acc, f.vals[:hi]
+		for i := lo; i < hi; i++ {
+			acc[ids[i]] += vals[i]
+		}
+	}
+	for k := range floats {
+		floats[k].rounded = walkFloat(floats[k], ids, lo, hi) < hi
+	}
+	w.dropRounded()
+}
+
+// dropRounded stops the fused float SUMs an add of the last morsel
+// rounded: refold recomputes every group of such a sum from its rows,
+// so adding more rows to its plain sums would be wasted work.
+func (w *aggWorker) dropRounded() {
+	kept := w.floats[:0]
+	for _, f := range w.floats {
+		if f.rounded {
+			f.part.refoldAll = true
+		} else {
+			kept = append(kept, f)
+		}
+	}
+	w.floats = kept
+}
+
+// The float walks stop at the first add that rounds and return the row
+// after it (hi if none did): the rest of the morsel is not added.
+
+func walkCountIntFloat(cnt []int64, fi fusedInt, ff fusedFloat, ids []int32, lo, hi int) int {
+	iacc, ivals, facc, fvals := fi.acc, fi.vals[:hi], ff.acc, ff.vals[:hi]
+	for i := lo; i < hi; i++ {
+		g := ids[i]
+		cnt[g]++
+		iacc[g] += ivals[i]
+		t, ok := addExact(facc[g], fvals[i])
+		if !ok {
+			return i + 1
+		}
+		facc[g] = t
+	}
+	return hi
+}
+
+func walkCountInt(cnt []int64, f fusedInt, ids []int32, lo, hi int) {
+	acc, vals := f.acc, f.vals[:hi]
+	for i := lo; i < hi; i++ {
+		g := ids[i]
+		cnt[g]++
+		acc[g] += vals[i]
+	}
+}
+
+func walkCountFloat(cnt []int64, f fusedFloat, ids []int32, lo, hi int) int {
+	acc, vals := f.acc, f.vals[:hi]
+	for i := lo; i < hi; i++ {
+		g := ids[i]
+		cnt[g]++
+		t, ok := addExact(acc[g], vals[i])
+		if !ok {
+			return i + 1
+		}
+		acc[g] = t
+	}
+	return hi
+}
+
+func walkFloat(f fusedFloat, ids []int32, lo, hi int) int {
+	acc, vals := f.acc, f.vals[:hi]
+	for i := lo; i < hi; i++ {
+		t, ok := addExact(acc[ids[i]], vals[i])
+		if !ok {
+			return i + 1
+		}
+		acc[ids[i]] = t
+	}
+	return hi
+}
+
+// merge folds worker o's partials into w's, the shared count once.
+func (w *aggWorker) merge(o *aggWorker, specs []AggSpec, numGroups int) {
+	for g := range w.cnt {
+		w.cnt[g] += o.cnt[g]
+	}
+	for s, p := range w.parts {
+		if p != nil {
+			mergePartial(p, o.parts[s], specs[s], numGroups, !fusedSpec(specs[s]))
+		}
+	}
+}
+
+// lineAlloc cuts every slice from one a cache line longer on either
+// side, so no two workers' partials share a line.
+type lineAlloc struct{ Alloc }
+
+func (a lineAlloc) Int64s(n int) []int64     { return a.Alloc.Int64s(n + 16)[8 : 8+n : 8+n] }
+func (a lineAlloc) Float64s(n int) []float64 { return a.Alloc.Float64s(n + 16)[8 : 8+n : 8+n] }
+func (a lineAlloc) Bools(n int) []bool       { return a.Alloc.Bools(n + 128)[64 : 64+n : 64+n] }
+func (a lineAlloc) Strings(n int) []string   { return a.Alloc.Strings(n + 8)[4 : 4+n : 4+n] }
+func (a lineAlloc) Int32s(n int) []int32     { return a.Alloc.Int32s(n + 32)[16 : 16+n : 16+n] }
 
 // accumRange folds rows [lo, hi) of one spec into a partial. The
 // caller guarantees each worker's ranges arrive in ascending row
@@ -501,7 +738,11 @@ func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids []int32, lo, hi int
 				}
 				g := ids[i]
 				p.cnt[g]++
-				p.sumF[g] += ka.c.Floats[ka.valIdx(i)]
+				t, ok := addExact(p.sumF[g], ka.c.Floats[ka.valIdx(i)])
+				p.sumF[g] = t
+				if !ok {
+					p.inexact[g] = true
+				}
 			}
 		default:
 			// Bool/String/Bytes SUM historically summed Value.I, which
@@ -584,14 +825,17 @@ func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids []int32, lo, hi int
 	}
 }
 
-// mergePartial folds src into dst. Sums and counts add; min/max keeps
-// the strictly better value and breaks ties toward the smaller row
-// index, which is commutative and reproduces the sequential
-// keep-first fold for every type this path handles (no NaNs: Float64
-// never takes this path).
-func mergePartial(dst, src *aggPartial, sp AggSpec, numGroups int) {
-	for g := 0; g < numGroups; g++ {
-		dst.cnt[g] += src.cnt[g]
+// mergePartial folds src into dst; counts too unless they are shared.
+// Sums and counts add, a float sum staying exact only while both sides
+// were and their add is; min/max keeps the strictly better value and
+// breaks ties toward the smaller row index, which is commutative and
+// reproduces the sequential keep-first fold for every type this path
+// handles (no NaNs: Float64 MIN/MAX never takes this path).
+func mergePartial(dst, src *aggPartial, sp AggSpec, numGroups int, counts bool) {
+	if counts {
+		for g := 0; g < numGroups; g++ {
+			dst.cnt[g] += src.cnt[g]
+		}
 	}
 	if sp.Col == nil {
 		return
@@ -601,6 +845,16 @@ func mergePartial(dst, src *aggPartial, sp AggSpec, numGroups int) {
 		if dst.sumI != nil {
 			for g := 0; g < numGroups; g++ {
 				dst.sumI[g] += src.sumI[g]
+			}
+		}
+		if dst.sumF != nil {
+			dst.refoldAll = dst.refoldAll || src.refoldAll
+			for g := 0; g < numGroups; g++ {
+				t, ok := addExact(dst.sumF[g], src.sumF[g])
+				dst.sumF[g] = t
+				if !ok || src.inexact[g] {
+					dst.inexact[g] = true
+				}
 			}
 		}
 	case AggMin, AggMax:
@@ -643,13 +897,70 @@ func copyAcc(dst, src *aggPartial, t Type, g int) {
 	}
 }
 
+// refold makes a merged float SUM exact: the sum of every group whose
+// plain sum rounded somewhere (every group with a row, after refoldAll)
+// is recomputed from its rows in a superaccumulator and rounded once. One group over a Plain null-free
+// input reads its rows in place, a superaccumulator per worker; else
+// the groups' non-null inputs are first gathered group by group.
+func refold(al Alloc, p *aggPartial, ka keyAccess, ids []int32, numGroups, workers int) {
+	c := ka.c
+	if numGroups == 1 && c.Enc == Plain && c.Nulls == nil {
+		if !p.inexact[0] && !p.refoldAll {
+			return
+		}
+		parts := make([]exactSum, workers)
+		forMorsels(len(ids), workers, func(w, _, lo, hi int) {
+			parts[w].addSlice(c.Floats[lo:hi])
+		})
+		for w := 1; w < workers; w++ {
+			parts[0].merge(&parts[w])
+		}
+		p.sumF[0] = parts[0].round()
+		return
+	}
+	// at[g] is group g's first slot in vals, -1 for an exact group.
+	at, total := al.Ints(numGroups), 0
+	for g, x := range p.inexact[:numGroups] {
+		at[g] = -1
+		if x || (p.refoldAll && p.cnt[g] > 0) {
+			at[g], total = total, total+int(p.cnt[g])
+		}
+	}
+	if total == 0 {
+		return
+	}
+	vals := al.Float64s(total)
+	if c.Enc == Plain && c.Nulls == nil {
+		for i, v := range c.Floats[:len(ids)] {
+			if k := at[ids[i]]; k >= 0 {
+				vals[k] = v
+				at[ids[i]] = k + 1
+			}
+		}
+	} else {
+		for i, g := range ids {
+			if k := at[g]; k >= 0 && !ka.null(i) {
+				vals[k] = c.Floats[ka.valIdx(i)]
+				at[g] = k + 1
+			}
+		}
+	}
+	ParallelEach(numGroups, workers, func(g int) {
+		if at[g] < 0 {
+			return
+		}
+		p.sumF[g] = exactSumOf(vals[at[g]-int(p.cnt[g]) : at[g]])
+	})
+}
+
 // finishSpec turns one spec's merged accumulators into its result
 // column, one row per group, matching the row-at-a-time semantics:
 // COUNT is never NULL; SUM and MIN/MAX over zero non-null rows are
 // NULL; integer-family SUM yields Int64 (even for Timestamp inputs);
-// MIN/MAX keep the column's type. The column takes the accumulator
-// arrays as they are — a group that folded nothing left its zero
-// value there, which is what a NULL row of a plain column holds.
+// MIN/MAX keep the column's type. A float SUM is rounded here, once.
+// The column takes the accumulator arrays as they are — a group that
+// folded nothing left its zero value there, which is what a NULL row
+// of a plain column holds.
 func finishSpec(m Mem, p *aggPartial, sp AggSpec, numGroups int) *Column {
 	out := &Column{Type: Int64, Len: numGroups, Enc: Plain, Pooled: m.Pooled()}
 	markNull := func(g int) {
@@ -663,6 +974,9 @@ func finishSpec(m Mem, p *aggPartial, sp AggSpec, numGroups int) *Column {
 		out.Ints = p.cnt
 	case AggSum:
 		if p.sumF != nil {
+			if p.wide != nil {
+				p.sumF[0] = p.wide.round()
+			}
 			out.Type, out.Floats = Float64, p.sumF
 		} else {
 			out.Ints = p.sumI
@@ -670,6 +984,9 @@ func finishSpec(m Mem, p *aggPartial, sp AggSpec, numGroups int) *Column {
 		for g, c := range p.cnt {
 			if c == 0 {
 				markNull(g)
+				if p.sumF != nil {
+					p.sumF[g] = 0
+				}
 			}
 		}
 	case AggMin, AggMax:
@@ -693,10 +1010,11 @@ func GroupAggregate(ids []int32, numGroups int, specs []AggSpec, workers int) []
 // plain column of numGroups rows per spec, accumulator and output
 // arrays (they are the same arrays) from m's allocator. ids and
 // numGroups come from GroupKeys; workers bounds the morsel-parallel
-// fan-out. Associative folds (COUNT, integer SUM, tie-broken MIN/MAX)
-// run morsel-parallel with per-worker partials; Float64 SUM/MIN/MAX
-// fold sequentially in row order so float results stay bit-identical
-// to the sequential path.
+// fan-out. Every spec but a Float64 MIN/MAX folds morsel-parallel into
+// per-worker partials, one walk per morsel for the fused ones; a float
+// SUM is the correctly rounded exact sum, refolded into
+// superaccumulators only for the groups whose plain sum rounded.
+// Float64 MIN/MAX fold sequentially in row order.
 func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, workers int) []*Column {
 	if workers < 1 {
 		workers = 1
@@ -711,43 +1029,33 @@ func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, work
 		}
 	}
 
-	nWorkers := workers
-	if m := morselCount(n); nWorkers > m {
-		nWorkers = m
+	nWorkers := max(min(workers, morselCount(n)), 1)
+	wal := al
+	if nWorkers > 1 {
+		wal = lineAlloc{al}
 	}
-	if nWorkers < 1 {
-		nWorkers = 1
-	}
-	partials := make([][]*aggPartial, nWorkers)
-	for w := range partials {
-		partials[w] = make([]*aggPartial, len(specs))
-		for s := range specs {
-			if !sequentialSpec(specs[s]) {
-				partials[w][s] = newAggPartial(al, specs[s], numGroups)
-			}
-		}
+	ws := make([]*aggWorker, nWorkers)
+	for w := range ws {
+		ws[w] = newAggWorker(wal, specs, numGroups)
 	}
 	forMorsels(n, nWorkers, func(w, _, lo, hi int) {
-		for s := range specs {
-			if p := partials[w][s]; p != nil {
-				accumRange(p, specs[s], kas[s], ids, lo, hi)
-			}
-		}
+		ws[w].fold(specs, kas, ids, numGroups, lo, hi)
 	})
+	for _, o := range ws[1:] {
+		ws[0].merge(o, specs, numGroups)
+	}
 
 	out := make([]*Column, len(specs))
 	for s, sp := range specs {
-		var merged *aggPartial
-		if sequentialSpec(sp) {
-			merged = newAggPartial(al, sp, numGroups)
-			accumRange(merged, sp, kas[s], ids, 0, n)
-		} else {
-			merged = partials[0][s]
-			for w := 1; w < nWorkers; w++ {
-				mergePartial(merged, partials[w][s], sp, numGroups)
-			}
+		p := ws[0].parts[s]
+		if p == nil {
+			p = newAggPartial(al, sp, numGroups, nil)
+			accumRange(p, sp, kas[s], ids, 0, n)
 		}
-		out[s] = finishSpec(m, merged, sp, numGroups)
+		if p.inexact != nil {
+			refold(al, p, kas[s], ids, numGroups, nWorkers)
+		}
+		out[s] = finishSpec(m, p, sp, numGroups)
 	}
 	return out
 }
@@ -778,10 +1086,10 @@ func AggOutput(m Mem, c *Column, n int) *Column {
 
 // Fold is GroupAggregateWith's accumulator run as one group's running
 // fold: each Add folds its rows after every row added before, so a
-// float SUM adds, and a MIN/MAX keeps the first of equals, in call
-// order — the answer GroupAggregateWith gives for one group over the
-// inputs concatenated. A Read API aggregate session folds its plan's
-// files through it.
+// MIN/MAX keeps the first of equals in call order, and a float SUM is
+// exact — the answer GroupAggregateWith gives for one group over the
+// inputs concatenated, however they were split into Adds. A Read API
+// aggregate session folds its plan's files through it.
 type Fold struct {
 	m     Mem
 	specs []AggSpec // Col: the first input added, which fixes the type
@@ -810,14 +1118,49 @@ func (f *Fold) Add(cols []*Column) error {
 		switch {
 		case f.parts[s] == nil:
 			sp.Col = c
-			f.parts[s] = newAggPartial(al, *sp, 1)
+			f.parts[s] = newAggPartial(al, *sp, 1, nil)
 		case c.Type != sp.Col.Type:
 			return fmt.Errorf("vector: fold input %d changed type from %v to %v", s, sp.Col.Type, c.Type)
 		}
 		if len(f.ids) < c.Len {
 			f.ids = al.Int32s(c.Len)
 		}
-		accumRange(f.parts[s], *sp, valueAccess(c), f.ids, 0, c.Len)
+		p, ka := f.parts[s], valueAccess(c)
+		if p.sumF == nil {
+			accumRange(p, *sp, ka, f.ids, 0, c.Len)
+			continue
+		}
+		// A float SUM stays a plain sum while every add is exact. Its
+		// first inexact Add moves it into a superaccumulator — the
+		// exact sum so far, then that Add's inputs — and every later Add
+		// lands there too.
+		prev := p.sumF[0]
+		if p.wide != nil {
+			p.sumF[0], p.inexact[0] = negZero, false
+		}
+		accumRange(p, *sp, ka, f.ids, 0, c.Len)
+		if p.wide == nil {
+			if !p.inexact[0] {
+				continue
+			}
+			p.wide = &exactSum{}
+			p.wide.add(prev)
+		}
+		if !p.inexact[0] {
+			p.wide.add(p.sumF[0])
+			continue
+		}
+		var vals []float64
+		if kc := ka.c; kc.Enc == Plain && kc.Nulls == nil {
+			vals = kc.Floats[:kc.Len]
+		} else {
+			for i := 0; i < kc.Len; i++ {
+				if !ka.null(i) {
+					vals = append(vals, kc.Floats[ka.valIdx(i)])
+				}
+			}
+		}
+		p.wide.addSlice(vals)
 	}
 	return nil
 }
@@ -830,7 +1173,7 @@ func (f *Fold) Finish() []*Column {
 	for s, sp := range f.specs {
 		p := f.parts[s]
 		if p == nil && sp.Kind == AggCount {
-			p = newAggPartial(f.m.Allocator(), sp, 1)
+			p = newAggPartial(f.m.Allocator(), sp, 1, nil)
 		}
 		var c *Column
 		if p != nil {

@@ -111,7 +111,7 @@ func refBoxedAggregate(c *Column, kind AggKind, mask []bool) Value {
 	var acc Value
 	accSet := false
 	var sumI int64
-	var sumF float64
+	var floats []float64
 	for i := 0; i < c.Len; i++ {
 		if mask != nil && !mask[i] {
 			continue
@@ -124,7 +124,7 @@ func refBoxedAggregate(c *Column, kind AggKind, mask []bool) Value {
 		switch kind {
 		case AggSum:
 			if c.Type == Float64 {
-				sumF += v.F
+				floats = append(floats, v.F)
 			} else {
 				sumI += v.I
 			}
@@ -146,7 +146,7 @@ func refBoxedAggregate(c *Column, kind AggKind, mask []bool) Value {
 			return NullValue
 		}
 		if c.Type == Float64 {
-			return FloatValue(sumF)
+			return FloatValue(bigSum(floats))
 		}
 		return IntValue(sumI)
 	case AggMin, AggMax:
@@ -177,8 +177,8 @@ func foldOne(c *Column, kind AggKind) Value {
 
 // TestAggregateKernelParity: the fold returns the boxed reference's
 // value — type included — for every kind over every type, encoding and
-// null pattern, on empty input, and with float sums bit-equal (so added
-// in row order, across Adds too).
+// null pattern, on empty input, and with float sums bit-equal to the
+// exact sum rounded once, however the rows are split into Adds.
 func TestAggregateKernelParity(t *testing.T) {
 	for _, tc := range wireCorpus(12, 0, 1, 50, 1000) {
 		for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax} {
@@ -188,11 +188,11 @@ func TestAggregateKernelParity(t *testing.T) {
 			}
 		}
 	}
-	// Row order is the contract for floats: these sum differently in
-	// any other order, and differently again as two per-Add partials.
+	// Row order no longer matters: added in row order these give 1, as
+	// two per-Add partials 1 again; the exact sum is 2.
 	c := NewFloat64Column([]float64{1e16, 1, -1e16, 1})
-	if got := foldOne(c, AggSum); got.F != 1 {
-		t.Fatalf("float SUM = %v, want 1 (row order)", got.F)
+	if got := foldOne(c, AggSum); got.F != 2 {
+		t.Fatalf("float SUM = %v, want 2 (exact)", got.F)
 	}
 	f := NewFold(Mem{}, []AggKind{AggSum})
 	for _, part := range [][]float64{{1e16, 1}, {-1e16, 1}} {
@@ -200,8 +200,8 @@ func TestAggregateKernelParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := f.Finish()[0].Value(0); got.F != 1 {
-		t.Fatalf("float SUM over two Adds = %v, want 1 (row order)", got.F)
+	if got := f.Finish()[0].Value(0); got.F != 2 {
+		t.Fatalf("float SUM over two Adds = %v, want 2 (exact)", got.F)
 	}
 }
 

@@ -119,8 +119,23 @@ func minMaxVals[T cmp.Ordered](c *Column, vals []T) (lo, hi T, ok bool, nulls in
 	switch c.Enc {
 	case Plain:
 		if c.Nulls == nil {
-			for _, v := range vals[:c.Len] {
-				see(v)
+			// The hot case (a DPP capture over a join key) in a loop of its
+			// own: skip to the first value equal to itself, then compare.
+			vs := vals[:c.Len]
+			i := 0
+			for i < len(vs) && vs[i] != vs[i] {
+				i++
+			}
+			if i == len(vs) {
+				break
+			}
+			lo, hi, ok = vs[i], vs[i], true
+			for _, v := range vs[i+1:] {
+				if v < lo {
+					lo = v
+				} else if v > hi {
+					hi = v
+				}
 			}
 			break
 		}

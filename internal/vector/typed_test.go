@@ -184,6 +184,7 @@ func TestTypedMinMaxNaNPositions(t *testing.T) {
 		{[]float64{nan, nan, 3}, 3, 3, false},
 		{[]float64{nan}, 0, 0, true},
 		{[]float64{nan, nan}, 0, 0, true},
+		{[]float64{nan, nan, 2, -1, nan, 3, 0.5}, -1, 3, false},
 	} {
 		for _, c := range []*Column{NewFloat64Column(tc.vals), DictEncode(NewFloat64Column(tc.vals)), RLEncode(NewFloat64Column(tc.vals))} {
 			min, max, nulls := MinMax(c)
