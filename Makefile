@@ -48,7 +48,9 @@ chaos:
 # {cache, DPP, prune granularity, faults} × {pre/post compaction}
 # cell, engine vs oracle, bit-identical or the build fails — the star
 # family among them, which must keep reaching every join strategy and
-# grouping kernel. Then ten seconds of native fuzzing on each of the
+# grouping kernel, and single-table LIMITs with no ORDER BY, whose
+# answer is any n rows of the unlimited one and which a cold engine
+# must answer row for row as the warm one does. Then ten seconds of native fuzzing on each of the
 # column codec's decoders — the one parser a Read API client points at
 # bytes with no checksum in front of them: an error or a column that
 # re-encodes to itself, never a panic — and ten on the file writer over
@@ -147,7 +149,10 @@ serve:
 # The integrity gate: checksums end to end under injected silent
 # corruption. Format-level bit-flip detection, WAL torn-write recovery,
 # the one verified reader (internal/scan) and each of its callers — the
-# engine's scan-cache poisoning guard and quarantine containment, the
+# engine's scan-cache poisoning guard and quarantine containment, a
+# LIMIT's stop (its files fetched in waves, none after the prefix that
+# holds its rows, and never under a row policy, a mask, a transaction
+# overlay or a WHERE the scan does not enforce exactly), the
 # Read API's quarantine and partition columns, rewrites that never
 # commit unverified bytes, the budgeted scrubber — column projection
 # through it (the column-resident cache under concurrent fills, the
@@ -173,7 +178,7 @@ integrity:
 	$(GO) test -race ./internal/scan/
 	$(GO) test -race -count=10 -run 'TestCacheConcurrentFills' ./internal/scan/
 	$(GO) test -race -count=3 -run 'TestRangedRead' ./internal/scan/
-	$(GO) test -race -run 'TestScanCache|TestQuarantined|TestProjection' ./internal/engine/
+	$(GO) test -race -run 'TestScanCache|TestQuarantined|TestProjection|TestLimitStop' ./internal/engine/
 	$(GO) test -race -count=10 -run 'TestReusedAggregateSession|TestLifetime|TestReadAllDrainsSplitStreams' ./internal/storageapi/
 	$(GO) test -race -run 'TestAggregateFloatSumMatchesEngine|TestSessionReuseKeysOnStreamCap' ./internal/storageapi/
 	$(GO) test -race -run 'TestReadRowsQuarantines|TestReadPartitionedTable|TestReadRowsProjects' ./internal/storageapi/

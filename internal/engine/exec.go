@@ -14,20 +14,19 @@ import (
 
 // execSelect runs a SELECT statement to completion.
 func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vector.Batch, error) {
-	joined, err := e.execFromClause(ctx, sel)
+	joined, where, err := e.execFromClause(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
 
-	// Residual WHERE (pushdown is best-effort; full predicate is
-	// always enforced here).
-	if sel.Where != nil {
+	// Residual WHERE: every conjunct the scans did not enforce exactly.
+	if where != nil {
 		var fsp *obs.Span
 		if ctx.Span != nil {
 			fsp = ctx.Span.Child("filter")
 			fsp.SetInt("in_rows", int64(joined.N))
 		}
-		mask, err := e.evalBool(ctx, joined, sel.Where)
+		mask, err := e.evalBool(ctx, joined, where)
 		if err != nil {
 			fsp.End()
 			return nil, err
@@ -44,14 +43,8 @@ func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vecto
 	}
 
 	// Aggregation vs plain projection.
-	hasAgg := len(sel.GroupBy) > 0
-	for _, item := range sel.Items {
-		if !item.Star && sqlparse.IsAggregate(item.Expr) {
-			hasAgg = true
-		}
-	}
 	var out *vector.Batch
-	if hasAgg {
+	if aggregates(sel) {
 		var asp *obs.Span
 		if ctx.Span != nil {
 			asp = ctx.Span.Child("aggregate")
@@ -111,14 +104,26 @@ func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vecto
 	return out, nil
 }
 
+// aggregates reports whether sel groups or aggregates its rows.
+func aggregates(sel *sqlparse.SelectStmt) bool {
+	for _, item := range sel.Items {
+		if !item.Star && sqlparse.IsAggregate(item.Expr) {
+			return true
+		}
+	}
+	return len(sel.GroupBy) > 0
+}
+
 // execFromClause evaluates the FROM clause (including joins) into one
-// qualified batch. With no FROM, a single empty row is produced so
-// constant expressions evaluate.
-func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vector.Batch, error) {
+// qualified batch, and returns the residual of sel's WHERE: the
+// conjuncts its scans did not enforce exactly (nil: none). With no
+// FROM, a single empty row is produced so constant expressions
+// evaluate.
+func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vector.Batch, sqlparse.Expr, error) {
 	if sel.From == nil {
 		one := vector.MustBatch(vector.NewSchema(vector.Field{Name: "__one", Type: vector.Int64}),
 			[]*vector.Column{vector.NewInt64Column([]int64{0})})
-		return one, nil
+		return one, sel.Where, nil
 	}
 
 	single := len(sel.Joins) == 0
@@ -137,7 +142,15 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 	// smallest sources first so their join keys can prune the big fact
 	// scan. We estimate with cached table statistics when available.
 	batches := make([]*vector.Batch, len(sources))
-	order := e.scanOrder(ctx, sel, sources[0].ref, sel.Joins)
+	var buf [8]sqlparse.Expr
+	conj := conjuncts(sel.Where, buf[:0])
+	al := ctx.mem.Allocator()
+	order := e.scanOrder(al, conj, sources[0].ref, sel.Joins)
+	enforced := al.Bools(len(conj))
+	limit := int64(-1)
+	if single && len(sel.OrderBy) == 0 && !aggregates(sel) {
+		limit = sel.Limit
+	}
 
 	// dppRanges accumulates join-key ranges learned from executed
 	// sides, keyed by "qual.col" of the not-yet-executed side.
@@ -158,13 +171,14 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 
 	for _, idx := range order {
 		src := sources[idx]
-		preds := pushdownPreds(sel.Where, src.ref.DisplayName(), single)
+		nullable := src.join != nil && src.join.Kind == sqlparse.LeftJoin
+		pd := pushdownFor(al, conj, src.ref.DisplayName(), single, enforced, nullable, limit)
 		if e.Opts.EnableDPP {
-			preds = append(preds, e.dppPredsFor(src.ref, sel, dppRanges)...)
+			pd.preds = append(pd.preds, e.dppPredsFor(src.ref, sel, dppRanges)...)
 		}
-		b, err := e.execTableRef(ctx, sel, src.ref, preds)
+		b, err := e.execTableRef(ctx, sel, src.ref, &pd)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if qualify {
 			b = qualifyBatch(b, src.ref.DisplayName())
@@ -182,16 +196,37 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 		var err error
 		out, err = e.hashJoin(ctx, sel, i, out, batches[i+1])
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return out, nil
+	return out, residual(sel.Where, conj, enforced), nil
+}
+
+// residual is where without the conjuncts conj (its own) that enforced
+// marks: where itself when none is marked, nil when every one is.
+func residual(where sqlparse.Expr, conj []sqlparse.Expr, enforced []bool) sqlparse.Expr {
+	var out sqlparse.Expr
+	dropped := false
+	for k, c := range conj {
+		switch {
+		case enforced[k]:
+			dropped = true
+		case out == nil:
+			out = c
+		default:
+			out = sqlparse.Binary{Op: "AND", L: out, R: c}
+		}
+	}
+	if !dropped {
+		return where
+	}
+	return out
 }
 
 // scanOrder returns source indices ordered so that sources with
 // explicit literal filters run before unfiltered ones (dimension
 // tables before facts), enabling dynamic partition pruning.
-func (e *Engine) scanOrder(ctx *QueryContext, sel *sqlparse.SelectStmt, from *sqlparse.TableRef, joins []sqlparse.Join) []int {
+func (e *Engine) scanOrder(al vector.Alloc, conj []sqlparse.Expr, from *sqlparse.TableRef, joins []sqlparse.Join) []int {
 	n := 1 + len(joins)
 	order := make([]int, n)
 	for i := range order {
@@ -202,7 +237,7 @@ func (e *Engine) scanOrder(ctx *QueryContext, sel *sqlparse.SelectStmt, from *sq
 	}
 	single := false
 	filtered := func(ref *sqlparse.TableRef) bool {
-		return len(pushdownPreds(sel.Where, ref.DisplayName(), single)) > 0
+		return len(pushdownFor(al, conj, ref.DisplayName(), single, nil, false, -1).preds) > 0
 	}
 	refAt := func(i int) *sqlparse.TableRef {
 		if i == 0 {
@@ -303,9 +338,10 @@ func equiPairs(on sqlparse.Expr) [][2]sqlparse.ColumnRef {
 }
 
 // execTableRef evaluates one FROM source of sel. A table is read for
-// the columns sel names; a subquery projects itself, and a TVF's input
-// (sel nil) is read whole.
-func (e *Engine) execTableRef(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, preds []colfmt.Predicate) (*vector.Batch, error) {
+// the columns sel names, under pd (nil: no predicates); a subquery
+// projects itself, and a TVF's input (sel nil) is read whole. Only a
+// table scan enforces any of pd exactly.
+func (e *Engine) execTableRef(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, pd *pushdown) (*vector.Batch, error) {
 	switch {
 	case ref.TVF != nil:
 		fn, ok := e.tvf(ref.TVF.Name)
@@ -320,7 +356,7 @@ func (e *Engine) execTableRef(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *
 	case ref.Subquery != nil:
 		return e.execSelect(ctx, ref.Subquery)
 	case ref.Name != "":
-		return e.scanTable(ctx, sel, ref, preds)
+		return e.scanTable(ctx, sel, ref, pd)
 	}
 	return nil, fmt.Errorf("%w: empty table reference", ErrSemantic)
 }

@@ -28,8 +28,11 @@ type engCounters struct {
 	reads         *obs.Counter
 	selectFanouts *obs.Counter
 	mergeFanouts  *obs.Counter
-	cacheEntries  *obs.Gauge
-	cacheBytes    *obs.Gauge
+	// limitStops counts the table reads a LIMIT's row budget stopped
+	// before the plan's last file.
+	limitStops   *obs.Counter
+	cacheEntries *obs.Gauge
+	cacheBytes   *obs.Gauge
 	// arenaBytes / arenaRecycled mirror the query-arena pool: slab
 	// bytes retained for reuse, and how many queries were served by a
 	// recycled arena instead of fresh allocation.
@@ -59,6 +62,7 @@ func resolveEngCounters(r *obs.Registry) engCounters {
 		reads:         r.Counter("engine.scan.reads"),
 		selectFanouts: r.Counter("engine.scan.select_fanouts"),
 		mergeFanouts:  r.Counter("engine.scan.merge_fanouts"),
+		limitStops:    r.Counter("engine.limit_stops"),
 		cacheEntries:  r.Gauge("engine.scan.cache_entries"),
 		cacheBytes:    r.Gauge("engine.scan.cache_bytes"),
 		arenaBytes:    r.Gauge("arena.bytes_in_use"),

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"biglake/internal/bigmeta"
 	"biglake/internal/catalog"
@@ -16,18 +17,25 @@ import (
 )
 
 // scanTable reads a catalog table in situ as the FROM source ref of
-// sel, applying pushdown predicates for pruning and governance before
-// any row leaves the trust boundary. Only the columns sel can read from
-// it are decoded (sel nil: all of them). The returned batch carries the
+// sel, applying pd's predicates for pruning and governance before any
+// row leaves the trust boundary, and marking in pd the ones it enforced
+// exactly (pd nil: no predicates). Only the columns sel can read from it
+// are decoded (sel nil: all of them). The returned batch carries the
 // table's bare column names.
-func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, preds []colfmt.Predicate) (*vector.Batch, error) {
+func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, pd *pushdown) (*vector.Batch, error) {
 	name := ref.Name
+	var preds []colfmt.Predicate
+	if pd != nil {
+		preds = pd.preds
+	}
+	var planned int64
 	if parent := ctx.Span; parent != nil {
 		sp := parent.Child("scan " + name)
 		ctx.Span = sp
 		pre := ctx.Stats
 		defer func() {
-			sp.SetInt("files", ctx.Stats.FilesScanned-pre.FilesScanned)
+			sp.SetInt("files", planned)
+			sp.SetInt("files_read", ctx.Stats.FilesScanned-pre.FilesScanned)
 			sp.SetInt("pruned", ctx.Stats.FilesPruned-pre.FilesPruned)
 			sp.SetInt("bytes", ctx.Stats.BytesScanned-pre.BytesScanned)
 			sp.SetInt("rows", ctx.Stats.RowsScanned-pre.RowsScanned)
@@ -91,15 +99,17 @@ func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sql
 	ctx.Span.SetInt("columns_total", total)
 	e.ec.colsRead.Add(read)
 	e.ec.colsSkipped.Add(total - read)
+	planned = int64(len(p.Files))
 
-	out, err := e.readFiles(ctx, &p)
+	out, err := e.readFiles(ctx, &p, pd.enforce(&p, len(overlay) > 0))
 	if err != nil {
 		return nil, err
 	}
 	// Buffered batches are appended unfiltered, projected like the scan;
 	// the residual WHERE in execSelect (and the where-func in DML
 	// rewrites) re-checks the full predicate, so pushdown never has to
-	// understand the overlay. The scan and the overlay concatenate once.
+	// understand the overlay — and no conjunct is exact over a table
+	// that has one. The scan and the overlay concatenate once.
 	if len(overlay) > 0 {
 		parts := []vector.Selection{{Batch: out, Hi: out.N, N: out.N}}
 		for _, b := range overlay {
@@ -242,8 +252,11 @@ func (e *Engine) Planner() scan.Planner {
 
 // readFiles reads the plan's files through it — the cache-resident
 // ones as morsel tasks, the rest in parallel worker tracks — and merges
-// what the pushed predicates select.
-func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, error) {
+// what the pushed predicates select. A limit ≥ 0 is a row budget: the
+// pushed predicates are the whole WHERE and exact, and nothing after
+// the scan drops a row, so the first limit rows of the merge are the
+// statement's answer (-1: no budget).
+func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan, limit int64) (*vector.Batch, error) {
 	// Each file contributes a decoded batch and the rows of it the
 	// predicates select; the merge below filters and concatenates in
 	// one pass.
@@ -299,17 +312,53 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, erro
 			}
 		}
 	}
-	if len(cold) > 0 {
-		if err := e.readColdFiles(ctx, *p, cold, results); err != nil {
+
+	// Cold files are read in plan order, in waves. With no budget there
+	// is one wave, of every cold file. Under one, the first wave is the
+	// fewest cold files whose row counts could hold the rows the files
+	// before them leave wanting, and each later wave is twice the last,
+	// up to scan.Workers; the read stops once a prefix of the plan's
+	// files selects limit rows, and only that prefix is merged (files,
+	// below). A file after it is gated, but neither fetched nor merged.
+	files := len(p.Files)
+	for next, wave := 0, 0; ; next += wave {
+		var need int64
+		if limit >= 0 {
+			upto := len(p.Files)
+			if next < len(cold) {
+				upto = cold[next]
+			}
+			var n int
+			if n, need = covered(results[:upto], limit); need <= 0 {
+				files = n
+				break
+			}
+		}
+		if next == len(cold) {
+			break
+		}
+		switch {
+		case limit < 0:
+			wave = len(cold)
+		case wave == 0:
+			wave = firstWave(p, results, cold[next:], need)
+		default:
+			wave = min(2*wave, scan.Workers, len(cold)-next)
+		}
+		if err := e.readColdFiles(ctx, *p, cold[next:next+wave], results); err != nil {
 			return nil, err
 		}
+	}
+	if files < len(p.Files) {
+		e.ec.limitStops.Add(1)
+		ctx.Span.SetInt("limit_stop", 1)
 	}
 
 	// One sized pass drawing from the query arena: each surviving value
 	// is copied once, from its file's (cached) decode straight into the
 	// merged column, each (column, file) a task writing its own range;
 	// dictionary columns stay encoded.
-	out, fanned, err := vector.FilterConcatWorkers(ctx.mem, results, e.execWorkers())
+	out, fanned, err := vector.FilterConcatWorkers(ctx.mem, results[:files], e.execWorkers())
 	if err != nil {
 		return nil, err
 	}
@@ -320,12 +369,41 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan) (*vector.Batch, erro
 	if out == nil {
 		out = vector.EmptyBatch(p.Columns.Project(p.Table.Schema))
 	}
-	ctx.Stats.FilesScanned += int64(len(p.Files))
-	for _, f := range p.Files {
+	ctx.Stats.FilesScanned += int64(files)
+	for _, f := range p.Files[:files] {
 		ctx.Stats.BytesScanned += f.Size
 	}
 	ctx.Stats.RowsScanned += int64(out.N)
 	return out, nil
+}
+
+// covered returns the length n of the shortest prefix of results that
+// selects limit rows, with need ≤ 0; when no prefix does, n is
+// len(results) and need the rows still wanted.
+func covered(results []vector.Selection, limit int64) (n int, need int64) {
+	need = limit
+	for ; n < len(results) && need > 0; n++ {
+		need -= int64(results[n].N)
+	}
+	return n, need
+}
+
+// firstWave is how many of the cold files cold, in plan order, the
+// first wave of a budgeted read takes: the fewest whose row counts,
+// with the rows the cache hits among them select, could hold need more
+// rows — or all of them.
+func firstWave(p *scan.Plan, results []vector.Selection, cold []int, need int64) int {
+	at := cold[0]
+	for k, i := range cold {
+		for ; at < i; at++ {
+			need -= int64(results[at].N)
+		}
+		if need -= p.Files[i].RowCount; need <= 0 {
+			return k + 1
+		}
+		at = i + 1
+	}
+	return len(cold)
 }
 
 // selectResident turns each cache hit's window in results into its
@@ -372,8 +450,8 @@ func selectOne(al vector.Alloc, p *scan.Plan, results []vector.Selection, i int)
 	return err
 }
 
-// readColdFiles reads the files the warm pass could not serve from the
-// scan cache, in parallel worker tracks. The plan arrives by value: the
+// readColdFiles reads the files cold names, ones the warm pass could
+// not serve from the scan cache, in parallel worker tracks. The plan arrives by value: the
 // workers share it, and the warm pass's copy stays off the heap.
 func (e *Engine) readColdFiles(ctx *QueryContext, p scan.Plan, cold []int, results []vector.Selection) error {
 	workers := min(scan.Workers, len(cold))
@@ -481,26 +559,55 @@ func qualifyBatch(b *vector.Batch, qual string) *vector.Batch {
 	return &vector.Batch{Schema: vector.Schema{Fields: fields}, Cols: b.Cols, N: b.N}
 }
 
-// pushdownPreds extracts `col op literal` conjuncts from a WHERE tree
-// that reference the given table qualifier (or are unqualified when
-// the query has a single table). It is a best-effort extraction: the
-// full predicate is always re-checked after the scan.
-func pushdownPreds(where sqlparse.Expr, qualifier string, single bool) []colfmt.Predicate {
-	var out []colfmt.Predicate
-	var walk func(e sqlparse.Expr)
-	walk = func(e sqlparse.Expr) {
-		bin, ok := e.(sqlparse.Binary)
+// conjuncts appends the top-level AND conjuncts of where to out.
+func conjuncts(where sqlparse.Expr, out []sqlparse.Expr) []sqlparse.Expr {
+	if bin, ok := where.(sqlparse.Binary); ok && bin.Op == "AND" {
+		return conjuncts(bin.R, conjuncts(bin.L, out))
+	}
+	if where != nil {
+		out = append(out, where)
+	}
+	return out
+}
+
+// pushdown is one FROM source's share of a statement's WHERE: the
+// predicates put to its scan, and what the scan made of them.
+type pushdown struct {
+	// preds are the `col op literal` conjuncts on the source, then any
+	// DPP ranges; from[k] is the WHERE conjunct preds[k] came from, for
+	// each of the conjuncts.
+	preds []colfmt.Predicate
+	from  []int
+	// nullable marks a LEFT JOIN's NULL-extended side: a row the join
+	// extends with NULLs never met the scan, so nothing it enforces is
+	// exact.
+	nullable bool
+	// limit is the statement's LIMIT when the scan may stop at it (-1:
+	// never): a single-table SELECT with no aggregate, GROUP BY or ORDER
+	// BY, every WHERE conjunct among preds.
+	limit int64
+	// enforced, indexed like the WHERE's conjuncts, is where the scan
+	// marks the ones it enforced exactly.
+	enforced []bool
+}
+
+// pushdownFor extracts from a WHERE's conjuncts the `col op literal`
+// ones that reference the given table qualifier (or are unqualified
+// when the query has a single table), for a scan that marks in enforced
+// the ones it enforces exactly. nullable marks a LEFT JOIN's
+// NULL-extended side; limit is the LIMIT of a statement whose scan may
+// stop at it once every conjunct is among the preds (-1: none). al
+// supplies from.
+func pushdownFor(al vector.Alloc, conj []sqlparse.Expr, qualifier string, single bool, enforced []bool, nullable bool, limit int64) pushdown {
+	pd := pushdown{from: al.Ints(len(conj))[:0], nullable: nullable, limit: -1, enforced: enforced}
+	for k, c := range conj {
+		bin, ok := c.(sqlparse.Binary)
 		if !ok {
-			return
-		}
-		if bin.Op == "AND" {
-			walk(bin.L)
-			walk(bin.R)
-			return
+			continue
 		}
 		op, ok := cmpOpMap[bin.Op]
 		if !ok {
-			return
+			continue
 		}
 		ref, refOK := bin.L.(sqlparse.ColumnRef)
 		lit, litOK := bin.R.(sqlparse.Literal)
@@ -514,18 +621,75 @@ func pushdownPreds(where sqlparse.Expr, qualifier string, single bool) []colfmt.
 			}
 		}
 		if !refOK || !litOK || lit.Value.IsNull() {
-			return
+			continue
 		}
 		if ref.Table != "" && ref.Table != qualifier {
-			return
+			continue
 		}
 		if ref.Table == "" && !single {
-			return
+			continue
 		}
-		out = append(out, colfmt.Predicate{Column: ref.Name, Op: op, Value: lit.Value})
+		pd.preds = append(pd.preds, colfmt.Predicate{Column: ref.Name, Op: op, Value: lit.Value})
+		pd.from = append(pd.from, k)
 	}
-	if where != nil {
-		walk(where)
+	if len(pd.from) == len(conj) {
+		pd.limit = limit
 	}
-	return out
+	return pd
+}
+
+// enforce is the exact-pushdown rule applied to the scan of plan p: it
+// marks each WHERE conjunct of pd that the scan enforces exactly, and
+// returns the row budget the scan's read may stop at (-1: none). Over a
+// table with a transaction overlay, or on a LEFT JOIN's NULL-extended
+// side, nothing is exact. The budget needs every conjunct exact and a
+// Govern that drops no row.
+func (pd *pushdown) enforce(p *scan.Plan, overlay bool) int64 {
+	if pd == nil || pd.nullable || overlay {
+		return -1
+	}
+	all := true
+	for k, c := range pd.from {
+		if exact(p, pd.preds[k]) {
+			pd.enforced[c] = true
+		} else {
+			all = false
+		}
+	}
+	if !all || pd.limit < 0 || p.GovernFilters() {
+		return -1
+	}
+	return pd.limit
+}
+
+// exact reports whether a scan through p returns only rows that satisfy
+// the pushed conjunct pr as the residual WHERE would evaluate it: on a
+// column the table's files store (not a hive partition column, which
+// only pruning consumes, and a value that does not parse prunes
+// nothing) and the principal sees unmasked, against a non-NULL literal
+// of the column's own type that the encoded kernels — Dict and RLE
+// compare through float64 — judge as the plain one does: an integer or
+// timestamp strictly inside ±2^53, a float that is not NaN.
+func exact(p *scan.Plan, pr colfmt.Predicate) bool {
+	i := p.Table.Schema.Index(pr.Column)
+	if i < 0 || pr.Column == p.Table.PartitionColumn || pr.Value.Type != p.Table.Schema.Fields[i].Type {
+		return false
+	}
+	for _, f := range p.Files {
+		if _, ok := f.Partition[pr.Column]; ok {
+			return false
+		}
+	}
+	for _, m := range p.Masked {
+		if m.Column == pr.Column {
+			return false
+		}
+	}
+	switch v := pr.Value; v.Type {
+	case vector.Int64, vector.Timestamp:
+		return -1<<53 < v.I && v.I < 1<<53
+	case vector.Float64:
+		return !math.IsNaN(v.F)
+	}
+	return true
 }

@@ -115,7 +115,10 @@ type Report struct {
 	// ReadAPIAggSessions counts the aggregate Read API sessions run for
 	// generated statements (the fixed shapes not included).
 	ReadAPIAggSessions int
-	Divergence         *Divergence
+	// LimitStops counts the table reads a LIMIT stopped before their
+	// plan's last file (engine.limit_stops).
+	LimitStops int64
+	Divergence *Divergence
 }
 
 // Divergence is one engine-vs-oracle mismatch, minimized.
@@ -403,17 +406,8 @@ func renderRow(row []vector.Value) string {
 // returns a human-readable description of the first difference, or
 // "" when they agree.
 func diffResults(got, want *Resultset, ordered bool) string {
-	if len(got.Names) != len(want.Names) {
-		return fmt.Sprintf("column count: engine %d vs oracle %d (%v vs %v)",
-			len(got.Names), len(want.Names), got.Names, want.Names)
-	}
-	for i := range got.Names {
-		if got.Names[i] != want.Names[i] {
-			return fmt.Sprintf("column %d name: engine %q vs oracle %q", i, got.Names[i], want.Names[i])
-		}
-		if got.Types[i] != want.Types[i] {
-			return fmt.Sprintf("column %q type: engine %v vs oracle %v", got.Names[i], got.Types[i], want.Types[i])
-		}
+	if d := diffHeader(got, want); d != "" {
+		return d
 	}
 	if len(got.Rows) != len(want.Rows) {
 		return fmt.Sprintf("row count: engine %d vs oracle %d", len(got.Rows), len(want.Rows))
@@ -433,6 +427,75 @@ func diffResults(got, want *Resultset, ordered bool) string {
 	for i := range g {
 		if g[i] != w[i] {
 			return fmt.Sprintf("first divergent row (%s, index %d):\n    engine: %s\n    oracle: %s", mode, i, g[i], w[i])
+		}
+	}
+	return ""
+}
+
+// unlimited splits a SELECT with a LIMIT and no ORDER BY into the same
+// statement without its LIMIT, and the limit: any min(limit, rows) of
+// that statement's rows answer it. Any other statement comes back as it
+// is, with limit -1. The LIMIT is the statement's last clause, cut from
+// the text as written (a re-rendered literal need not parse back).
+func unlimited(sql string) (string, int64) {
+	stmt, err := sqlparse.Parse(sql)
+	if err != nil {
+		return sql, -1
+	}
+	sel, ok := stmt.(*sqlparse.SelectStmt)
+	i := strings.LastIndex(sql, "LIMIT")
+	if !ok || sel.Limit < 0 || len(sel.OrderBy) > 0 || i < 0 {
+		return sql, -1
+	}
+	return strings.TrimSpace(sql[:i]), sel.Limit
+}
+
+// diffAnswer compares got against want: as diffResults does, or — for a
+// limit ≥ 0, when want answers got's statement without its LIMIT
+// (unlimited) — against want's first min(limit, |want|) rows, in order
+// when ordered (a bare LIMIT the statement pins to table order), else
+// as a sub-multiset of want with exactly that many rows.
+func diffAnswer(got, want *Resultset, ordered bool, limit int64) string {
+	if limit < 0 {
+		return diffResults(got, want, ordered)
+	}
+	if ordered {
+		prefix := *want
+		prefix.Rows = want.Rows[:min(limit, int64(len(want.Rows)))]
+		return diffResults(got, &prefix, true)
+	}
+	if d := diffHeader(got, want); d != "" {
+		return d
+	}
+	if n := min(limit, int64(len(want.Rows))); int64(len(got.Rows)) != n {
+		return fmt.Sprintf("row count: engine %d vs min(LIMIT %d, oracle %d)", len(got.Rows), limit, len(want.Rows))
+	}
+	left := make(map[string]int, len(want.Rows))
+	for _, r := range want.Rows {
+		left[renderRow(r)]++
+	}
+	for i, r := range got.Rows {
+		k := renderRow(r)
+		if left[k] == 0 {
+			return fmt.Sprintf("row %d is not among the oracle's unlimited answer's rows (LIMIT %d):\n    engine: %s", i, limit, k)
+		}
+		left[k]--
+	}
+	return ""
+}
+
+// diffHeader compares the column names and types of got and want.
+func diffHeader(got, want *Resultset) string {
+	if len(got.Names) != len(want.Names) {
+		return fmt.Sprintf("column count: engine %d vs oracle %d (%v vs %v)",
+			len(got.Names), len(want.Names), got.Names, want.Names)
+	}
+	for i := range got.Names {
+		if got.Names[i] != want.Names[i] {
+			return fmt.Sprintf("column %d name: engine %q vs oracle %q", i, got.Names[i], want.Names[i])
+		}
+		if got.Types[i] != want.Types[i] {
+			return fmt.Sprintf("column %q type: engine %v vs oracle %v", got.Names[i], got.Types[i], want.Types[i])
 		}
 	}
 	return ""
@@ -594,11 +657,15 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 	if h.pols != nil {
 		arms = append(arms, arm{diffAnalyst, h.db.Governed(h.pols)})
 	}
+	refs, limits := make([]string, len(queries)), make([]int64, len(queries))
+	for i, q := range queries {
+		refs[i], limits[i] = unlimited(q.SQL)
+	}
 	oras := make([][]oresult, len(arms))
 	for ai, a := range arms {
 		oras[ai] = make([]oresult, len(queries))
-		for i, q := range queries {
-			rs, err := a.db.ExecSQL(q.SQL)
+		for i := range queries {
+			rs, err := a.db.ExecSQL(refs[i])
 			oras[ai][i] = oresult{rs, err}
 		}
 	}
@@ -643,8 +710,25 @@ func (h *harness) runMatrix(phase string, queries []GenQuery) *Divergence {
 				case want.err != nil:
 					return h.diverge(phase, cfg, a, q, "oracle error: "+want.err.Error()+" (engine succeeded)")
 				default:
-					if d := diffResults(ares, want.rs, q.Ordered); d != "" {
+					if d := diffAnswer(ares, want.rs, q.Ordered, limits[qi]); d != "" {
 						return h.diverge(phase, cfg, a, q, d)
+					}
+				}
+			}
+			if limits[qi] >= 0 && err == nil {
+				// A cold engine fetches what the warm one served from
+				// its scan cache, in waves that stop once they hold the
+				// LIMIT's rows: the same rows, in the same order.
+				cgot, cerr := h.engRun(h.engineFor(cfg), diffAdmin, qid+"-cold", q.SQL)
+				h.rep.Executions++
+				switch {
+				case cerr != nil && cfg.Faults:
+					h.rep.FaultErrors++
+				case cerr != nil:
+					return h.diverge(phase, cfg, arms[0], q, "cold engine error: "+cerr.Error()+" (warm engine succeeded)")
+				default:
+					if d := diffResults(cgot, got, true); d != "" {
+						return h.diverge(phase, cfg, arms[0], q, "cold engine diverged from the warm one: "+d)
 					}
 				}
 			}
@@ -781,11 +865,12 @@ func (h *harness) minimize(cfg Config, a arm, sql string) string {
 		cand := RenderSelect(s)
 		eng := h.engineFor(cfg)
 		got, gerr := h.engRun(eng, a.who, "fz-min", cand)
-		want, werr := a.db.ExecSQL(cand)
+		ref, limit := unlimited(cand)
+		want, werr := a.db.ExecSQL(ref)
 		if gerr != nil || werr != nil {
 			return (gerr == nil) != (werr == nil)
 		}
-		return diffResults(got, want, false) != ""
+		return diffAnswer(got, want, false, limit) != ""
 	}
 	if !diverges(sel) {
 		return sql
@@ -1002,6 +1087,7 @@ func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(strin
 		pre[i] = gen.Query(tables)
 	}
 	pre = append(pre, shapes.ProjectionQueries(tables)...)
+	pre = append(pre, shapes.LimitQueries(tables, 16)...)
 	var managed *GenTable
 	for _, t := range tables {
 		if t.Managed {
@@ -1054,8 +1140,7 @@ func runTrial(rep *Report, seed uint64, trial int, opts Options, logf func(strin
 		post = append(post, gen.Query(all))
 	}
 	rep.Queries += extra
-	if d := h.runMatrix("post", post); d != nil {
-		return d, nil
-	}
-	return nil, nil
+	d = h.runMatrix("post", post)
+	rep.LimitStops += w.Engine.Obs.Counter("engine.limit_stops").Get()
+	return d, nil
 }

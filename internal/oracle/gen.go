@@ -307,6 +307,11 @@ func (g *Gen) leaf(scope []scopeCol) string {
 	case g.chance(0.06) && c.typ == vector.Float64: // division, incl. by zero
 		return "(" + c.ref(g) + " / " + strconv.Itoa(g.intn(3)) + ".0) >= " + g.litFor(c)
 	}
+	return g.comparison(c)
+}
+
+// comparison is `c op literal`, the shape a scan is pushed.
+func (g *Gen) comparison(c scopeCol) string {
 	ops := numOps
 	if c.typ == vector.String {
 		ops = []string{"=", "!=", "<", ">"}
@@ -398,28 +403,7 @@ func (g *Gen) intCol(scope []scopeCol) string {
 
 // plainQuery generates a non-aggregate SELECT.
 func (g *Gen) plainQuery(from string, scope []scopeCol) GenQuery {
-	var items []string
-	var outNames []string
-	if g.chance(0.2) {
-		items = []string{"*"}
-		for _, c := range scope {
-			outNames = append(outNames, c.name) // unique bare names unqualify
-		}
-	} else {
-		n := 1 + g.intn(4)
-		perm := g.perm(len(scope))
-		for i := 0; i < n && i < len(scope); i++ {
-			c := scope[perm[i]]
-			items = append(items, c.ref(g))
-			outNames = append(outNames, c.name)
-		}
-		if g.chance(0.35) {
-			expr, name := g.computedItem(scope)
-			items = append(items, expr+" AS "+name)
-			outNames = append(outNames, name)
-		}
-	}
-
+	items, outNames := g.selectList(scope)
 	var sb strings.Builder
 	sb.WriteString("SELECT " + strings.Join(items, ", ") + " FROM " + from)
 	if g.chance(0.7) {
@@ -445,6 +429,65 @@ func (g *Gen) plainQuery(from string, scope []scopeCol) GenQuery {
 		}
 	}
 	return GenQuery{SQL: sb.String(), Ordered: ordered}
+}
+
+// selectList draws a plain SELECT's items over scope — `*`, or a few
+// columns and perhaps a computed one — and their output names.
+func (g *Gen) selectList(scope []scopeCol) (items, outNames []string) {
+	if g.chance(0.2) {
+		items = []string{"*"}
+		for _, c := range scope {
+			outNames = append(outNames, c.name) // unique bare names unqualify
+		}
+	} else {
+		n := 1 + g.intn(4)
+		perm := g.perm(len(scope))
+		for i := 0; i < n && i < len(scope); i++ {
+			c := scope[perm[i]]
+			items = append(items, c.ref(g))
+			outNames = append(outNames, c.name)
+		}
+		if g.chance(0.35) {
+			expr, name := g.computedItem(scope)
+			items = append(items, expr+" AS "+name)
+			outNames = append(outNames, name)
+		}
+	}
+	return items, outNames
+}
+
+// LimitQueries draws n single-table SELECTs with a LIMIT and no ORDER
+// BY, whose right answers are any LIMIT rows of the unlimited answer
+// (diffAnswer). Half their WHEREs are one or two `column op literal`
+// conjuncts, so a scan may stop reading once it holds the LIMIT's rows
+// (it does when every conjunct is exact); the rest are drawn as any
+// other WHERE, or left out. Like ProjectionQueries they draw from a
+// generator of their own, so the random statements of a seed stay what
+// they were.
+func (g *Gen) LimitQueries(tables []*GenTable, n int) []GenQuery {
+	out := make([]GenQuery, n)
+	for i := range out {
+		t := tables[g.intn(len(tables))]
+		from, scope := t.Full, tableScope(t, "")
+		if g.chance(0.25) {
+			from, scope = t.Full+" AS ga", tableScope(t, "ga")
+		}
+		items, _ := g.selectList(scope)
+		var sb strings.Builder
+		sb.WriteString("SELECT " + strings.Join(items, ", ") + " FROM " + from)
+		switch {
+		case g.chance(0.5):
+			sb.WriteString(" WHERE " + g.comparison(scope[g.intn(len(scope))]))
+			if g.chance(0.5) {
+				sb.WriteString(" AND " + g.comparison(scope[g.intn(len(scope))]))
+			}
+		case g.chance(0.8):
+			sb.WriteString(" WHERE " + g.predicate(scope, 2))
+		}
+		sb.WriteString(" LIMIT " + strconv.Itoa(g.intn(16)))
+		out[i] = GenQuery{SQL: sb.String()}
+	}
+	return out
 }
 
 // computedItem returns an expression with a fresh alias.

@@ -54,8 +54,11 @@ func TestDifferential(t *testing.T) {
 	if rep.ReadAPIAggSessions == 0 {
 		t.Fatal("the Read API aggregate arm ran 0 sessions for generated statements")
 	}
-	t.Logf("ok: %d trials, %d queries, %d engine executions, %d accepted fault errors, %d generated Read API aggregate sessions",
-		rep.Trials, rep.Queries, rep.Executions, rep.FaultErrors, rep.ReadAPIAggSessions)
+	if rep.LimitStops == 0 {
+		t.Fatal("no LIMIT stopped a table read before its last file")
+	}
+	t.Logf("ok: %d trials, %d queries, %d engine executions, %d accepted fault errors, %d generated Read API aggregate sessions, %d LIMIT stops",
+		rep.Trials, rep.Queries, rep.Executions, rep.FaultErrors, rep.ReadAPIAggSessions, rep.LimitStops)
 }
 
 // TestDifferentialServe routes every matrix SELECT through the serve
@@ -180,6 +183,40 @@ func TestDifferentialWithProfiling(t *testing.T) {
 		}
 		if data, err := obs.ChromeTrace(tr); err != nil || len(data) == 0 {
 			t.Fatalf("trace %s: chrome export failed: %v", tr.QueryID, err)
+		}
+	}
+}
+
+// TestDiffAnswerLimit pins how a LIMIT without ORDER BY is judged
+// against its unlimited reference: a statement the battery orders (a
+// bare LIMIT is in table order) must return the reference's first rows
+// in order; any other returns any min(LIMIT, rows) of them.
+func TestDiffAnswerLimit(t *testing.T) {
+	rs := func(vs ...int64) *Resultset {
+		out := &Resultset{Names: []string{"v"}, Types: []vector.Type{vector.Int64}}
+		for _, v := range vs {
+			out.Rows = append(out.Rows, []vector.Value{vector.IntValue(v)})
+		}
+		return out
+	}
+	want := rs(1, 2, 3, 4)
+	for _, tc := range []struct {
+		got     *Resultset
+		ordered bool
+		limit   int64
+		ok      bool
+	}{
+		{rs(1, 2), true, 2, true},
+		{rs(2, 1), true, 2, false},     // the prefix, out of order
+		{rs(1, 3), true, 2, false},     // qualifying rows, not the prefix
+		{rs(3, 1), false, 2, true},     // any two rows of the reference
+		{rs(1, 1), false, 2, false},    // one row twice
+		{rs(1, 2, 3), false, 2, false}, // more rows than the LIMIT
+		{rs(1, 2, 3, 4), true, 9, true},
+		{rs(1, 2, 3), false, 9, false}, // fewer than min(LIMIT, rows)
+	} {
+		if d := diffAnswer(tc.got, want, tc.ordered, tc.limit); (d == "") != tc.ok {
+			t.Errorf("diffAnswer(%v, ordered=%v, LIMIT %d) = %q, want ok=%v", tc.got.Rows, tc.ordered, tc.limit, d, tc.ok)
 		}
 	}
 }

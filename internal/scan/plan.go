@@ -338,6 +338,23 @@ func (p *Plan) Govern(b *vector.Batch) (*vector.Batch, error) {
 	return vector.Filter(b, mask)
 }
 
+// GovernFilters reports whether Govern may drop rows the read
+// selected: a row policy restricts the principal, or a predicate waits
+// for a mask.
+func (p *Plan) GovernFilters() bool {
+	return len(p.Masked) > 0 || p.rowsRestricted()
+}
+
+// rowsRestricted reports whether a row policy hides rows of the table
+// from the principal.
+func (p *Plan) rowsRestricted() bool {
+	filters, allRows := p.auth.RowFilterFor(security.Principal(p.Principal), p.Table.FullName())
+	for _, conj := range filters {
+		allRows = allRows || len(conj) == 0 // a policy that filters on nothing grants every row
+	}
+	return !allRows
+}
+
 // Stats merges the planned files' statistics into what the principal
 // may plan with (§3.4). Totals are the pre-policy estimate. A column it
 // is denied or sees masked reports nothing, and under a row policy that
@@ -346,14 +363,11 @@ func (p *Plan) Govern(b *vector.Batch) (*vector.Batch, error) {
 func (p *Plan) Stats() bigmeta.TableStats {
 	table, who := p.Table.FullName(), security.Principal(p.Principal)
 	ts := bigmeta.MergeStats(p.Files)
-	filters, allRows := p.auth.RowFilterFor(who, table)
-	for _, conj := range filters {
-		allRows = allRows || len(conj) == 0 // a policy that filters on nothing grants every row
-	}
+	restricted := p.rowsRestricted()
 	for col, st := range ts.ColumnStats {
 		if d := p.auth.ColumnDecisionFor(who, table, col); d.Denied || d.Mask != vector.MaskNone {
 			delete(ts.ColumnStats, col)
-		} else if !allRows {
+		} else if restricted {
 			st.Min, st.Max = colfmt.StatValue{}, colfmt.StatValue{}
 			ts.ColumnStats[col] = st
 		}
