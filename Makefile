@@ -9,12 +9,15 @@
 #	go test ./internal/oracle -run TestDifferential -seed=<n> -v
 #
 # (add -trials/-queries to match a longer soak). To watch the harness
-# catch a planted engine bug — a flipped pruning comparison — run
+# catch planted engine bugs — a flipped pruning comparison and an
+# off-by-one direct-address grouping slot — run
 #
 #	make fuzz-bug
 #
 # which builds with `-tags oraclebug` and must FAIL the differential
-# test while PASSING TestForcedBugCaught with a minimized report.
+# test while PASSING TestForcedBugCaught with a minimized report, then
+# with `-tags oraclebug_dense` (the grouping bug alone) and must PASS
+# TestForcedDenseBugCaught.
 
 GO ?= go
 
@@ -72,10 +75,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzShapeCache' -fuzztime=10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzExactSum' -fuzztime=10s ./internal/vector/
 
-# Demonstrate the harness catches a planted pruning bug (not in ci:
-# the tagged build is intentionally broken).
+# Demonstrate the harness catches each planted bug, one build tag each
+# — a flipped pruning comparison (oraclebug) and an off-by-one
+# direct-address grouping slot (oraclebug_dense) — (not in ci: the
+# tagged builds are intentionally broken).
 fuzz-bug:
 	$(GO) test -tags oraclebug -run 'TestForcedBugCaught' -v ./internal/oracle/
+	$(GO) test -tags oraclebug_dense -run 'TestForcedDenseBugCaught' -v ./internal/oracle/
 
 # The crash-point sweep: kill a core.New lakehouse at every labeled
 # step of the flush/batch-commit/compaction/Iceberg-export protocols,
@@ -199,7 +205,8 @@ gatecheck:
 # their heap-allocating form (bit-exact masks/batches including
 # late-materialized dictionaries), per-kernel allocs/op budgets (a
 # kernel that starts allocating again fails the build; zero for the
-# N:1 join and dictionary grouping), every join and grouping path
+# N:1 joins, the dictionary and dense groupings and top-K), every join
+# and grouping path
 # against the string-keyed reference under the race detector (the
 # N:1 probe's shared match slots five times over), arena lifetime
 # safety under the race detector (query results, LIMIT prefixes and
@@ -221,7 +228,10 @@ gatecheck:
 # write whose allocations grow per chunk, not per row
 # (BenchmarkWriteFile run once), the fused aggregate walk under an
 # allocation budget and the float SUM over dyadic and non-dyadic input
-# (BenchmarkFloatSum run once), a point lookup served from the
+# (BenchmarkFloatSum run once), the direct-address grouping and N:1
+# join and the typed top-K at zero allocations on one worker
+# (BenchmarkGroupKeys, BenchmarkHashJoinN1 and BenchmarkTopK run once),
+# a point lookup served from the
 # statement cache in a handful of allocations with a lexer that
 # allocates nothing per token (BenchmarkParse, miss and hit, run once),
 # and the E20 experiment smoke: the star join's heap
@@ -245,6 +255,7 @@ gclean:
 	$(GO) test -race -run 'TestScanMerge' ./internal/vector/
 	$(GO) test -run '^$$' -bench BenchmarkScanMerge -benchtime 1x ./internal/vector/
 	$(GO) test -run '^$$' -bench BenchmarkFloatSum -benchtime 1x ./internal/vector/
+	$(GO) test -run '^$$' -bench 'BenchmarkGroupKeys|BenchmarkHashJoinN1|BenchmarkTopK' -benchtime 1x ./internal/vector/
 	$(GO) test -run 'TestGCLeanWriteFile' ./internal/colfmt/
 	$(GO) test -run '^$$' -bench BenchmarkWriteFile -benchtime 1x ./internal/colfmt/
 	$(GO) test -run 'TestGCLeanParseHit' ./internal/engine/

@@ -1,10 +1,13 @@
 package biglake
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
 	"biglake/internal/colfmt"
+	"biglake/internal/engine"
 	"biglake/internal/mlmodel"
 	"biglake/internal/sim"
 	"biglake/internal/vector"
@@ -181,4 +184,73 @@ func TestSparkleSessionOverLakehouse(t *testing.T) {
 // writeFileHelper builds a columnar file from a batch for tests.
 func writeFileHelper(b *vector.Batch) ([]byte, error) {
 	return colfmt.WriteFile(b, colfmt.WriterOptions{})
+}
+
+// TestIntegerOrderIsExact: integers that differ only past float64
+// precision are ordered and compared as integers at every door — ORDER
+// BY (with and without LIMIT), MIN and MAX through the query service,
+// the engine at every worker count, and a Read API aggregate session.
+func TestIntegerOrderIsExact(t *testing.T) {
+	lh := newLakehouse(t)
+	if err := lh.CreateDataset("d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := lh.CreateManagedTable(admin, "d", "t", NewSchema(Field{Name: "x", Type: Int64}), "bq-managed"); err != nil {
+		t.Fatal(err)
+	}
+	const big = int64(1) << 53
+	if _, err := lh.Query(admin, fmt.Sprintf("INSERT INTO d.t VALUES (%d), (%d)", big+1, big)); err != nil {
+		t.Fatal(err)
+	}
+	checks := []struct {
+		sql  string
+		want []int64
+	}{
+		{"SELECT x FROM d.t ORDER BY x", []int64{big, big + 1}},
+		{"SELECT x FROM d.t ORDER BY x DESC", []int64{big + 1, big}},
+		{"SELECT x FROM d.t ORDER BY x LIMIT 1", []int64{big}},
+		{"SELECT x FROM d.t ORDER BY x DESC LIMIT 1", []int64{big + 1}},
+		{"SELECT MIN(x) AS m FROM d.t", []int64{big}},
+		{"SELECT MAX(x) AS m FROM d.t", []int64{big + 1}},
+	}
+	check := func(door string, b *Batch, want []int64) {
+		t.Helper()
+		got := make([]int64, b.N)
+		for i := range got {
+			got[i] = b.Cols[0].Value(i).I
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v, want %v", door, got, want)
+		}
+	}
+	for _, c := range checks {
+		res, err := lh.Query(admin, c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.sql, res.Batch, c.want)
+		for _, w := range []int{1, 2, 3, 8} {
+			opts := engine.DefaultOptions()
+			opts.MorselWorkers = w
+			res, err := lh.NewEngine(opts).Query(engine.NewContext(admin, fmt.Sprintf("q-exact-w%d", w)), c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s at %d workers", c.sql, w), res.Batch, c.want)
+		}
+	}
+	sess, err := lh.StorageAPI.CreateReadSession(ReadSessionRequest{
+		Table: "d.t", Principal: admin, SnapshotVersion: -1,
+		Aggregates: []AggregateRequest{{Column: "x", Kind: vector.AggMin}, {Column: "x", Kind: vector.AggMax}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := lh.StorageAPI.ReadAll(sess)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.N != 1 || b.Cols[0].Value(0).I != big || b.Cols[1].Value(0).I != big+1 {
+		t.Fatalf("Read API MIN, MAX = %v, want [%d %d]", b.Row(0), big, big+1)
+	}
 }

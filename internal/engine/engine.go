@@ -214,11 +214,15 @@ type Engine struct {
 	// executor never writes into a statement node.
 	stmtMu sync.Mutex
 	shapes map[string]*sqlparse.Template
+	// shapeRing holds the cached shapes' keys in insertion order, the
+	// oldest at shapeNext once the ring is full.
+	shapeRing []string
+	shapeNext int
 }
 
-// stmtCacheCap bounds the statement cache. Overflow resets the whole
-// map rather than tracking recency: an LRU list would put allocations
-// back on the hit path the cache exists to clear.
+// stmtCacheCap bounds the statement cache. At the cap a new shape evicts
+// the oldest one inserted (FIFO) rather than tracking recency: an LRU
+// list would put writes back on the hit path the cache exists to clear.
 const stmtCacheCap = 1024
 
 // New assembles an engine.
@@ -420,12 +424,28 @@ func (e *Engine) Parse(sql string) (stmt sqlparse.Statement, hit bool, err error
 		return nil, false, err
 	}
 	e.stmtMu.Lock()
-	if e.shapes == nil || len(e.shapes) >= stmtCacheCap {
-		e.shapes = make(map[string]*sqlparse.Template, 64)
-	}
-	e.shapes[string(key)] = tpl
+	e.cacheShape(string(key), tpl)
 	e.stmtMu.Unlock()
 	return stmt, false, nil
+}
+
+// cacheShape caches tpl under key, replacing the template a key already
+// cached holds, or evicting the oldest shape when the cache is full.
+// The caller holds stmtMu.
+func (e *Engine) cacheShape(key string, tpl *sqlparse.Template) {
+	if e.shapes == nil {
+		e.shapes = make(map[string]*sqlparse.Template, 64)
+	}
+	if _, ok := e.shapes[key]; !ok {
+		if len(e.shapeRing) < stmtCacheCap {
+			e.shapeRing = append(e.shapeRing, key)
+		} else {
+			delete(e.shapes, e.shapeRing[e.shapeNext])
+			e.shapeRing[e.shapeNext] = key
+			e.shapeNext = (e.shapeNext + 1) % stmtCacheCap
+		}
+	}
+	e.shapes[key] = tpl
 }
 
 // JobRecord builds the system.jobs row of a statement run under ctx, for

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"strings"
@@ -746,8 +745,8 @@ func avgColumn(m vector.Mem, sum, cnt *vector.Column) *vector.Column {
 
 // execOrderBy sorts the projected output. ORDER BY expressions may
 // reference output aliases or input columns. A non-negative limit
-// bounds the sort to a top-K selection over a size-K heap — same
-// result as the full stable sort followed by LIMIT, in O(N log K).
+// bounds the sort to vector.TopK's selection — same result as the full
+// stable sort followed by LIMIT, in O(N log K).
 func (e *Engine) execOrderBy(ctx *QueryContext, sel *sqlparse.SelectStmt, out, in *vector.Batch, limit int) (*vector.Batch, error) {
 	// Each key is extracted once into typed slices, so a comparison is
 	// two slice reads — not two encoding walks and two boxed Values.
@@ -776,64 +775,16 @@ func (e *Engine) execOrderBy(ctx *QueryContext, sel *sqlparse.SelectStmt, out, i
 	}
 	// Strict total order: ORDER BY keys, then original row index — the
 	// order a stable sort produces.
-	less := func(a, b int) bool {
-		for k := range keys {
-			if cmp := keys[k].Compare(a, b); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return a < b
+	k := out.N
+	if limit >= 0 {
+		k = limit
 	}
-
-	var idx []int
-	if limit >= 0 && limit < out.N {
-		idx = topK(out.N, limit, less)
-	} else {
-		idx = al.Ints(out.N)
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.Slice(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-	}
+	idx := vector.TopK(ctx.mem, keys, out.N, k)
 	cols := make([]*vector.Column, len(out.Cols))
 	for i, c := range out.Cols {
 		cols[i] = vector.GatherWith(ctx.mem, c, idx)
 	}
 	return &vector.Batch{Schema: out.Schema, Cols: cols, N: len(idx)}, nil
-}
-
-// orderHeap is a bounded max-heap over row indices: the root is the
-// worst row currently kept, so a better candidate replaces it in
-// O(log K).
-type orderHeap struct {
-	idx  []int
-	less func(a, b int) bool
-}
-
-func (h *orderHeap) Len() int           { return len(h.idx) }
-func (h *orderHeap) Less(i, j int) bool { return h.less(h.idx[j], h.idx[i]) }
-func (h *orderHeap) Swap(i, j int)      { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *orderHeap) Push(x any)         { h.idx = append(h.idx, x.(int)) }
-func (h *orderHeap) Pop() any {
-	x := h.idx[len(h.idx)-1]
-	h.idx = h.idx[:len(h.idx)-1]
-	return x
-}
-
-// topK returns the first k rows of the sorted order without sorting
-// all n rows.
-func topK(n, k int, less func(a, b int) bool) []int {
-	h := &orderHeap{less: less}
-	for i := 0; i < n; i++ {
-		if h.Len() < k {
-			heap.Push(h, i)
-		} else if k > 0 && less(i, h.idx[0]) {
-			h.idx[0] = i
-			heap.Fix(h, 0)
-		}
-	}
-	sort.Slice(h.idx, func(a, b int) bool { return less(h.idx[a], h.idx[b]) })
-	return h.idx
 }
 
 // --- DML dispatch ---

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -197,6 +198,44 @@ func TestVectorizedWorkerCountInvarianceWarm(t *testing.T) {
 		merges := ev.eng.Obs.Counter("engine.scan.merge_fanouts").Get()
 		if fanned := selects > 0 && merges > 0; fanned != (w > 1) {
 			t.Errorf("workers=%d: %d selects and %d merges fanned out", w, selects, merges)
+		}
+	}
+}
+
+// TestOrderByNaNSameAtEveryWorkerCount: a NaN sort key ties with every
+// value, so the order is not total and a top-K's rows depend on which
+// rows met which; ORDER BY … LIMIT over several morsels of floats with
+// NaNs answers the same rows in the same order at every worker count
+// and on every repeat.
+func TestOrderByNaNSameAtEveryWorkerCount(t *testing.T) {
+	ev := newEnv(t, DefaultOptions())
+	schema := vector.NewSchema(vector.Field{Name: "i", Type: vector.Int64}, vector.Field{Name: "f", Type: vector.Float64})
+	n := 3*vector.MorselRows + 500
+	rows := make([][]vector.Value, n)
+	for r := range rows {
+		f := float64(r%61) / 4
+		if r%7 == 3 {
+			f = math.NaN()
+		}
+		rows[r] = []vector.Value{vector.IntValue(int64(r)), vector.FloatValue(f)}
+	}
+	ev.createCustom(t, "nans", schema, rows, 3)
+	for _, sql := range []string{
+		`SELECT i, f FROM ds.nans ORDER BY f DESC LIMIT 5`,
+		`SELECT i, f FROM ds.nans ORDER BY f LIMIT 50`,
+		`SELECT i, f FROM ds.nans ORDER BY f, i DESC LIMIT 20`,
+	} {
+		var want string
+		for _, w := range []int{1, 2, 3, 8} {
+			ev.eng.Opts.MorselWorkers = w
+			for rep := 0; rep < 3; rep++ {
+				got := fingerprint(ev.query(t, adminP, sql).Batch)
+				if w == 1 && rep == 0 {
+					want = got
+				} else if got != want {
+					t.Fatalf("workers=%d repeat %d changed the rows of %q:\n%s\nwant\n%s", w, rep, sql, got, want)
+				}
+			}
 		}
 	}
 }

@@ -89,8 +89,9 @@ func TestExplainAnalyzeStarJoin(t *testing.T) {
 	// The profile says which kernels ran. No two star-world dimension
 	// rows share a (k1, k2), so its join probes N:1 — but fact rows with a
 	// NULL k2 match nothing, so no column passes through. In the N:1
-	// world every fact row matches, and the GROUP BY key reaches the
-	// aggregate as dictionary codes gathered through the join.
+	// world every fact row matches one of a 16-key dimension, whose
+	// range makes the build table direct-address, and the GROUP BY key
+	// reaches the aggregate as dictionary codes gathered through the join.
 	for _, want := range [][2]string{{"strategy", "n1"}, {"passthrough_cols", "0"}} {
 		if got := profileAttr(prof.Root, "join", want[0]); got != want[1] {
 			t.Errorf("star world join %s = %q, want %q\n%s", want[0], got, want[1], text)
@@ -102,7 +103,7 @@ func TestExplainAnalyzeStarJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range [][3]string{
-		{"join", "strategy", "n1"},
+		{"join", "strategy", "dense"},
 		{"join", "passthrough_cols", "3"},
 		{"join", "build_cols", "1"}, // d.grp; the key d.k is read by nothing after the join
 		{"aggregate", "grouping", "dict"},

@@ -59,3 +59,29 @@ func TestShapeCacheConcurrent(t *testing.T) {
 		t.Fatal("a shared template was written while statements were bound from it")
 	}
 }
+
+// TestShapeCacheEvictsOldest: a cache filled past its cap evicts its
+// oldest shapes one at a time, so the shapes inserted last — among them
+// the one inserted right before the shape that overflowed it — still
+// hit, the first ones miss, and the cache never holds more than its cap.
+func TestShapeCacheEvictsOldest(t *testing.T) {
+	e := new(Engine)
+	shape := func(i int) string { return fmt.Sprintf("SELECT c%d FROM ds.t WHERE id = %d", i, i) }
+	total := stmtCacheCap + 10
+	for i := 0; i < total; i++ {
+		if _, hit, err := e.Parse(shape(i)); err != nil || hit {
+			t.Fatalf("shape %d: first parse hit=%v err=%v", i, hit, err)
+		}
+	}
+	if len(e.shapes) != stmtCacheCap {
+		t.Fatalf("cache holds %d shapes, cap %d", len(e.shapes), stmtCacheCap)
+	}
+	for i := total - 1; i >= total-20; i-- {
+		if _, hit, err := e.Parse(shape(i)); err != nil || !hit {
+			t.Fatalf("shape %d of %d, inserted after the cache filled: repeat hit=%v err=%v", i, total, hit, err)
+		}
+	}
+	if _, hit, _ := e.Parse(shape(0)); hit {
+		t.Fatal("the oldest shape is still cached past the cap")
+	}
+}

@@ -404,7 +404,10 @@ func renderRow(row []vector.Value) string {
 
 // diffResults compares engine output against the oracle answer and
 // returns a human-readable description of the first difference, or
-// "" when they agree.
+// "" when they agree. Ordered results are compared row for row with
+// the sign of every zero folded — ORDER BY ranks −0 and 0 equal, so
+// rows that differ only there may come in either order — and then, like
+// unordered ones, as multisets, bit for bit.
 func diffResults(got, want *Resultset, ordered bool) string {
 	if d := diffHeader(got, want); d != "" {
 		return d
@@ -412,24 +415,40 @@ func diffResults(got, want *Resultset, ordered bool) string {
 	if len(got.Rows) != len(want.Rows) {
 		return fmt.Sprintf("row count: engine %d vs oracle %d", len(got.Rows), len(want.Rows))
 	}
+	if ordered {
+		for i := range got.Rows {
+			if g, w := renderOrderRow(got.Rows[i]), renderOrderRow(want.Rows[i]); g != w {
+				return fmt.Sprintf("first divergent row (ordered, index %d):\n    engine: %s\n    oracle: %s", i, g, w)
+			}
+		}
+	}
 	g := make([]string, len(got.Rows))
 	w := make([]string, len(want.Rows))
 	for i := range got.Rows {
 		g[i] = renderRow(got.Rows[i])
 		w[i] = renderRow(want.Rows[i])
 	}
-	mode := "ordered"
-	if !ordered {
-		mode = "multiset"
-		sort.Strings(g)
-		sort.Strings(w)
-	}
+	sort.Strings(g)
+	sort.Strings(w)
 	for i := range g {
 		if g[i] != w[i] {
-			return fmt.Sprintf("first divergent row (%s, index %d):\n    engine: %s\n    oracle: %s", mode, i, g[i], w[i])
+			return fmt.Sprintf("first divergent row (multiset, index %d):\n    engine: %s\n    oracle: %s", i, g[i], w[i])
 		}
 	}
 	return ""
+}
+
+// renderOrderRow is renderRow with every zero's sign folded: the form in
+// which ORDER BY tells rows apart.
+func renderOrderRow(row []vector.Value) string {
+	parts := make([]string, len(row))
+	for i, v := range row {
+		if v.Type == vector.Float64 && v.F == 0 {
+			v.F = 0
+		}
+		parts[i] = renderCell(v)
+	}
+	return strings.Join(parts, "|")
 }
 
 // unlimited splits a SELECT with a LIMIT and no ORDER BY into the same

@@ -746,6 +746,12 @@ const starDimKeys = 12
 //	sf.fb  NULL at times and past sd.dk's range at others: probe rows miss
 //	sf.fs  a few strings, NULL at times: reaches GROUP BY dictionary-encoded
 //	sf.fw  more values than a file dictionary-encodes: a plain integer key
+//	sf.fx  a plain integer key whose range is just within the grouping's
+//	       density cap (vector.DenseCap), sf.fz one just beyond it; each range
+//	       negative, small, or against MinInt64 or MaxInt64
+//	sf.fy  sd.dx of the row's fa: a unique join key every probe row
+//	       matches, spaced so the build range is within the join's
+//	       density cap or just beyond it, placed like fx
 //	sd.dk  unique; sd.dr repeats (dk mod 3); sd.dg is a few strings
 //
 // Bare names are distinct from every Tables() column.
@@ -757,15 +763,43 @@ func (g *Gen) StarTables() []*GenTable {
 		vector.Field{Name: "ff", Type: vector.Float64},
 		vector.Field{Name: "fs", Type: vector.String},
 		vector.Field{Name: "fw", Type: vector.Int64},
+		vector.Field{Name: "fx", Type: vector.Int64},
+		vector.Field{Name: "fz", Type: vector.Int64},
+		vector.Field{Name: "fy", Type: vector.Int64},
 	)}
-	for r, rows := 0, 90+g.intn(60); r < rows; r++ {
+	rows := 90 + g.intn(60)
+	// Ranges of exactly spanX and spanZ values: the first two rows hold
+	// each range's ends.
+	capRows := vector.DenseCap(rows)
+	spanX := capRows - g.intn(rows)
+	spanZ := capRows + 1 + g.intn(rows)
+	baseX, baseZ := g.keyBase(spanX), g.keyBase(spanZ)
+	// The widest spacing whose build range fits the join's cap, one
+	// narrower, or one wider (which does not fit).
+	fit := int64((vector.DenseCap(starDimKeys) - 1) / (starDimKeys - 1))
+	step := fit - 1 + int64(g.intn(3))
+	baseY := g.keyBase(int((starDimKeys-1)*step + 1))
+	end := func(r, span int) int64 {
+		switch r {
+		case 0:
+			return 0
+		case 1:
+			return int64(span - 1)
+		}
+		return int64(g.intn(span))
+	}
+	for r := 0; r < rows; r++ {
+		fa := int64(g.intn(starDimKeys))
 		sf.Rows = append(sf.Rows, []vector.Value{
-			vector.IntValue(int64(g.intn(starDimKeys))),
+			vector.IntValue(fa),
 			g.maybeNull(0.1, vector.IntValue(int64(g.intn(starDimKeys+4)))),
 			g.maybeNull(0.1, vector.IntValue(int64(g.intn(50)))),
 			g.maybeNull(0.1, g.float()),
 			g.maybeNull(0.1, vector.StringValue(stringPool[g.intn(3)])),
 			vector.IntValue(int64(g.intn(40))),
+			vector.IntValue(baseX + end(r, spanX)),
+			vector.IntValue(baseZ + end(r, spanZ)),
+			vector.IntValue(baseY + fa*step),
 		})
 	}
 	sd := &GenTable{Full: "ds.sd", PartitionCol: "dp", Schema: vector.NewSchema(
@@ -774,6 +808,7 @@ func (g *Gen) StarTables() []*GenTable {
 		vector.Field{Name: "dr", Type: vector.Int64},
 		vector.Field{Name: "dg", Type: vector.String},
 		vector.Field{Name: "dw", Type: vector.Int64},
+		vector.Field{Name: "dx", Type: vector.Int64},
 	)}
 	for _, k := range g.perm(starDimKeys) {
 		sd.Rows = append(sd.Rows, []vector.Value{
@@ -781,9 +816,26 @@ func (g *Gen) StarTables() []*GenTable {
 			vector.IntValue(int64(k)), vector.IntValue(int64(k % 3)),
 			vector.StringValue(stringPool[g.intn(4)]),
 			vector.IntValue(int64(g.intn(20))),
+			vector.IntValue(baseY + int64(k)*step),
 		})
 	}
 	return []*GenTable{sf, sd}
+}
+
+// keyBase draws where a key range of span values starts: below zero,
+// just above it, at MinInt64, or ending at MaxInt64 — a few values off
+// each, so a range's arithmetic meets both int64 extremes.
+func (g *Gen) keyBase(span int) int64 {
+	off := int64(g.intn(4))
+	switch g.pick(4) {
+	case 0:
+		return -int64(span) - int64(g.intn(100000))
+	case 1:
+		return off
+	case 2:
+		return math.MinInt64 + off
+	}
+	return math.MaxInt64 - int64(span-1) - off
 }
 
 // StarQueries returns the star family over StarTables' pair: the
@@ -811,6 +863,11 @@ func (g *Gen) StarQueries(probe *GenTable) []GenQuery {
 	add(true, grouped, "LEFT JOIN", "fb", "dr", "")
 	add(true, "SELECT fs AS g, COUNT(*) AS n, SUM(fv) AS sv, MIN(ff) AS mn, MAX(fs) AS mx FROM ds.sf GROUP BY fs ORDER BY g, n, sv, mn, mx")
 	add(true, "SELECT fw AS g, COUNT(*) AS n, SUM(fv) AS sv FROM ds.sf WHERE fv >= %d GROUP BY fw ORDER BY g, n, sv", g.intn(25))
+	// Keys near the int64 extremes are compared as multisets: ORDER BY
+	// in the reference ranks integers through float64, which ties them.
+	add(false, "SELECT fx AS g, COUNT(*) AS n, SUM(fv) AS sv, MIN(ff) AS mn FROM ds.sf GROUP BY fx")
+	add(false, "SELECT fz AS g, COUNT(*) AS n, SUM(fv) AS sv FROM ds.sf GROUP BY fz")
+	add(true, "SELECT gb.dg AS g, COUNT(*) AS n, SUM(ga.fv) AS sv FROM ds.sf AS ga JOIN ds.sd AS gb ON ga.fy = gb.dx GROUP BY gb.dg ORDER BY g, n, sv")
 	add(true, "SELECT fs AS g, fa AS h, COUNT(*) AS n, SUM(ff) AS sx FROM ds.sf GROUP BY fs, fa ORDER BY g, h, n, sx")
 	add(false, "SELECT ga.fv, ga.ff, ga.fs, gb.dg FROM ds.sf AS ga JOIN ds.sd AS gb ON ga.fa = gb.dk")
 	add(false, "SELECT ga.fv, ga.fs, gb.dg, gb.dw FROM ds.sf AS ga LEFT JOIN ds.sd AS gb ON ga.fb = gb.dk WHERE ga.fw < %d", 10+g.intn(25))

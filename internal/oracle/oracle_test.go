@@ -9,6 +9,7 @@ package oracle
 
 import (
 	"flag"
+	"math"
 	"testing"
 
 	"biglake/internal/obs"
@@ -217,6 +218,36 @@ func TestDiffAnswerLimit(t *testing.T) {
 	} {
 		if d := diffAnswer(tc.got, want, tc.ordered, tc.limit); (d == "") != tc.ok {
 			t.Errorf("diffAnswer(%v, ordered=%v, LIMIT %d) = %q, want ok=%v", tc.got.Rows, tc.ordered, tc.limit, d, tc.ok)
+		}
+	}
+}
+
+// TestDiffResultsFoldsZeroSignInOrder: ORDER BY ranks −0 and 0 equal,
+// so two rows that differ only in a zero's sign may come in either
+// order; the ordered check folds the sign, and the rows are still
+// compared as a multiset bit for bit.
+func TestDiffResultsFoldsZeroSignInOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rs := func(fs ...float64) *Resultset {
+		out := &Resultset{Names: []string{"f", "s"}, Types: []vector.Type{vector.Float64, vector.String}}
+		for _, f := range fs {
+			out.Rows = append(out.Rows, []vector.Value{vector.FloatValue(f), vector.StringValue("x")})
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		got, want *Resultset
+		ordered   bool
+		ok        bool
+	}{
+		{rs(negZero, 0), rs(0, negZero), true, true},
+		{rs(negZero, 0), rs(0, negZero), false, true},
+		{rs(0, 0), rs(negZero, 0), true, false},  // the same order, not the same rows
+		{rs(0, 0), rs(negZero, 0), false, false}, // nor as a multiset
+		{rs(1, negZero), rs(negZero, 1), true, false},
+	} {
+		if d := diffResults(tc.got, tc.want, tc.ordered); (d == "") != tc.ok {
+			t.Errorf("diffResults(%v, %v, ordered=%v) = %q, want ok=%v", tc.got.Rows, tc.want.Rows, tc.ordered, d, tc.ok)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package oracle
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"biglake/internal/engine"
@@ -183,11 +184,31 @@ func TestStarFamilyReachesKernels(t *testing.T) {
 				}
 			}
 			walk(prof.Root)
+			// The density-cap keys are drawn to land on either side of it.
+			for stmt, want := range map[string]string{"GROUP BY fx": "dense", "GROUP BY fz": "int64"} {
+				if got := aggregateGrouping(prof.Root); strings.Contains(q.SQL, stmt) && got != want {
+					t.Errorf("seed %d: %q grouped by %q, want %q", seed, q.SQL, got, want)
+				}
+			}
 		}
-		for _, want := range []string{"strategy=n1", "strategy=general", "passthrough", "grouping=dict", "grouping=int64", "grouping=hash"} {
+		for _, want := range []string{"strategy=n1", "strategy=dense", "strategy=general", "passthrough", "grouping=dict", "grouping=int64", "grouping=dense", "grouping=hash"} {
 			if !seen[want] {
 				t.Errorf("seed %d: no star-family statement reached %s (reached %v)", seed, want, seen)
 			}
 		}
 	}
+}
+
+// aggregateGrouping is the grouping kernel of the first aggregate span
+// under n ("" if none).
+func aggregateGrouping(n *obs.ProfileNode) string {
+	if v := n.Attrs["grouping"]; v != "" {
+		return v
+	}
+	for _, c := range n.Children {
+		if v := aggregateGrouping(c); v != "" {
+			return v
+		}
+	}
+	return ""
 }

@@ -28,6 +28,9 @@ const (
 	budgetHashJoinN1     = 0  // typed N:1 join, one worker: table, match slots and output all arena
 	budgetGroupKeys      = 9  // per-worker table headers + Grouping
 	budgetGroupKeysDict  = 0  // dictionary-code grouping: closure-free, all arena
+	budgetGroupKeysDense = 0  // direct-address integer grouping, one worker: all arena
+	budgetHashJoinDense  = 0  // direct-address N:1 join, one worker: table, match slots and output all arena
+	budgetTopK           = 0  // typed top-K, one worker: heap and result all arena
 	budgetGroupAggregate = 14 // per-spec partial structs + Value rows
 	// The fused walk (COUNT(*), an int and a float SUM over Plain
 	// null-free inputs), one group and many: worker, partial and output
@@ -158,9 +161,35 @@ func TestGCLeanAllocBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// The same keys spread 7 apart: a build range past the density cap,
+	// so the typed join hashes.
+	spread := func(c *Column) *Batch {
+		vals := make([]int64, c.Len)
+		for i, v := range c.Ints[:c.Len] {
+			vals[i] = 7 * v
+		}
+		return MustBatch(NewSchema(Field{Name: "c0", Type: Int64}), []*Column{NewInt64Column(vals)})
+	}
+	sparseFact, sparseDim := spread(w.b.Cols[0]), spread(w.dim.Cols[0])
 	measureKernel(t, w, "HashJoinWith/n:1", budgetHashJoinN1, func(m Mem) {
-		if res, err := HashJoinWith(m, w.b, w.dim, []int{0}, []int{0}, InnerJoin, 1); err != nil || !res.intKey || !res.LeftIdentity {
+		if res, err := HashJoinWith(m, sparseFact, sparseDim, []int{0}, []int{0}, InnerJoin, 1); err != nil || res.Strategy != JoinN1 || !res.intKey || !res.LeftIdentity {
 			t.Fatalf("N:1 join took another path: %+v, %v", res, err)
+		}
+	})
+	measureKernel(t, w, "HashJoinWith/dense", budgetHashJoinDense, func(m Mem) {
+		if res, err := HashJoinWith(m, w.b, w.dim, []int{0}, []int{0}, InnerJoin, 1); err != nil || res.Strategy != JoinDense {
+			t.Fatalf("dense N:1 join took another path: %+v, %v", res.Strategy, err)
+		}
+	})
+	measureKernel(t, w, "GroupKeysWith/dense", budgetGroupKeysDense, func(m Mem) {
+		if g := GroupKeysWith(m, w.b.Cols[:1], w.b.N, 1); g.Strategy != GroupDense {
+			t.Fatalf("integer grouping took the %v path", g.Strategy)
+		}
+	})
+	topKeys := []SortKey{ExtractSortKey(Heap, w.b.Cols[1], true), ExtractSortKey(Heap, w.b.Cols[0], true)}
+	measureKernel(t, w, "TopK", budgetTopK, func(m Mem) {
+		if idx := TopK(m, topKeys, w.b.N, 100); len(idx) != 100 {
+			t.Fatalf("TopK returned %d rows, want 100", len(idx))
 		}
 	})
 	measureKernel(t, w, "GroupKeysWith/dict", budgetGroupKeysDict, func(m Mem) {

@@ -38,6 +38,10 @@ const (
 	// GroupInt64 groups one plain non-null Int64/Timestamp key with the
 	// hash inline and the values compared directly.
 	GroupInt64
+	// GroupDense groups one plain non-null Int64/Timestamp key whose
+	// range is within the density cap by direct address: a row's slot is
+	// its value minus the minimum.
+	GroupDense
 )
 
 func (s GroupStrategy) String() string {
@@ -46,6 +50,8 @@ func (s GroupStrategy) String() string {
 		return "dict"
 	case GroupInt64:
 		return "int64"
+	case GroupDense:
+		return "dense"
 	}
 	return "hash"
 }
@@ -116,13 +122,15 @@ const dictGroupFactor = 4
 
 // GroupKeysWith is GroupKeys with an explicit memory policy: reusable
 // per-worker open-addressing tables and flat representative buffers
-// from m's allocator. Three kernels produce the one result (global
+// from m's allocator. Four kernels produce the one result (global
 // first-encounter order): a single Dict key whose dictionary fits a
 // morsel and is much smaller than n groups its dictionary entries and
-// maps the rows' codes (groupDict); a single plain non-null integer key
-// hashes inline and compares values (groupInts); everything else —
-// several keys, NULL-bearing, float, string, RLE — hashes each row
-// once and compares through keyAccess.
+// its rows by code (groupDict); a single plain non-null integer key
+// whose range is within the density cap (denseRange) groups by
+// direct address (groupDense), and one with a wider range hashes
+// inline and compares values (groupInts); everything else — several
+// keys, NULL-bearing, float, string, RLE — hashes each row once and
+// compares through keyAccess.
 func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
 	if workers < 1 {
 		workers = 1
@@ -141,9 +149,13 @@ func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
 	if len(keys) == 1 {
 		switch c := keys[0]; {
 		case c.Enc == Dict && c.dictLen() <= MorselRows && c.dictLen()*dictGroupFactor <= n:
-			return groupDict(al, c, n)
+			return groupDict(al, c, n, workers)
 		case plainIntKey(c):
-			return groupInts(al, c.Ints, workers)
+			vals := c.Ints[:n]
+			if lo, span, ok := denseRange(vals); ok {
+				return groupDense(al, vals, lo, span, nil, 0, workers)
+			}
+			return groupInts(al, vals, workers)
 		}
 	}
 	ka := make([]keyAccess, len(keys))
@@ -368,42 +380,22 @@ func groupInts(al Alloc, vals []int64, workers int) Grouping {
 // groupDict is GroupKeysWith for one Dict key with few dictionary
 // entries. The entries are grouped by the general kernel's morsel loop
 // (so duplicate entries, NaNs and ±0.0 fall into the classes key
-// identity gives them); a row's group is then its code's class, NULL
-// being a class of its own, numbered in first-encounter row order in
-// one sequential pass that touches no value. Closure-free: it
-// allocates nothing outside al.
-func groupDict(al Alloc, c *Column, n int) Grouping {
+// identity gives them); the rows are then grouped by their codes — a
+// dense range once NULL's NullIdx wraps to the slot below code 0 —
+// through the direct-address kernel, each code standing for its class.
+// Closure-free at one worker: it allocates nothing outside al.
+func groupDict(al Alloc, c *Column, n, workers int) Grouping {
 	d := c.dictLen()
 	entries := Column{Type: c.Type, Len: d, Enc: Plain, Ints: c.Ints, Floats: c.Floats, Bools: c.Bools, Strs: c.Strs}
 	ka := [1]keyAccess{{c: &entries}}
 	hashes := al.Uint64s(d)
 	groupHashRange(ka[:], hashes, 0, d)
-	class := al.Int32s(d + 1) // class[code]; one morsel, so local IDs are the classes
-	_, classRep := groupMorsel(al, ka[:], hashes, class, emptyTable(al, localTableSize), nil, nil, 0, d)
-	class[d] = int32(len(classRep)) // NULL
-
-	classID := emptyTable(al, len(classRep)+1)
-	codeID := emptyTable(al, d+1)
-	rep := al.Int32s(len(classRep) + 1)
-	ids := al.Int32s(n)
-	nGroups := 0
-	for i, code := range c.Codes[:n] {
-		if code == NullIdx {
-			code = uint32(d)
-		}
-		id := codeID[code]
-		if id < 0 { // first row with this code
-			if id = classID[class[code]]; id < 0 {
-				id = int32(nGroups)
-				classID[class[code]] = id
-				rep[nGroups] = int32(i)
-				nGroups++
-			}
-			codeID[code] = id
-		}
-		ids[i] = id
-	}
-	return Grouping{NumGroups: nGroups, IDs: ids, Rep: rep[:nGroups], Strategy: GroupDict}
+	class := al.Int32s(d + 1) // class[code+1], NULL's at 0; one morsel, so local IDs are the classes
+	_, classRep := groupMorsel(al, ka[:], hashes, class[1:], emptyTable(al, localTableSize), nil, nil, 0, d)
+	class[0] = int32(len(classRep))
+	g := groupDense(al, c.Codes[:n], NullIdx, d+1, class, len(classRep)+1, workers)
+	g.Strategy = GroupDict
+	return g
 }
 
 // AggSpec describes one grouped aggregate: Kind applied to Col. A nil
@@ -767,8 +759,7 @@ func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids []int32, lo, hi int
 					p.set[g], p.accI[g], p.accRow[g] = true, v, int32(i)
 					continue
 				}
-				// Historical ordering compares numerics as float64.
-				c := cmpFloat(float64(v), float64(p.accI[g]))
+				c := cmpInt(v, p.accI[g])
 				if (min && c < 0) || (!min && c > 0) {
 					p.accI[g], p.accRow[g] = v, int32(i)
 				}
@@ -871,7 +862,7 @@ func mergePartial(dst, src *aggPartial, sp AggSpec, numGroups int, counts bool) 
 			var c int
 			switch sp.Col.Type {
 			case Int64, Timestamp:
-				c = cmpFloat(float64(src.accI[g]), float64(dst.accI[g]))
+				c = cmpInt(src.accI[g], dst.accI[g])
 			case Bool:
 				c = cmpBool(src.accB[g], dst.accB[g])
 			default:

@@ -496,12 +496,86 @@ type joinShape struct {
 	dup, null, miss float64 // build rows repeating a key; NULL keys on both sides; probe rows with no build key
 }
 
+// sweepKind is one key type of the path sweep; for Int64 also the
+// layout of its values, key j being base + step·j (wrapping).
+type sweepKind struct {
+	typ        Type
+	base, step int64
+}
+
+func (k sweepKind) String() string {
+	if k.typ == Int64 {
+		return fmt.Sprintf("%v(%d+%d·j)", k.typ, k.base, k.step)
+	}
+	return k.typ.String()
+}
+
+// sweepKinds are the sweep's key kinds: every type, and integers laid
+// out densely (consecutive keys from MinInt64, below MaxInt64 and below
+// zero, so the direct-address kernels index from a range's either
+// extreme) and sparsely (one key per 2^40, which must take the hash
+// kernels).
+var sweepKinds = []sweepKind{
+	{typ: Int64, base: -20, step: 7}, {typ: Timestamp}, {typ: Float64}, {typ: String},
+	{typ: Int64, base: math.MinInt64, step: 1},
+	{typ: Int64, base: math.MaxInt64 - 1<<12, step: 1},
+	{typ: Int64, base: -3000, step: 1},
+	{typ: Int64, base: -1 << 50, step: 1 << 40},
+}
+
+// sparse reports whether keys of this kind span 2^40 or more, beyond
+// every density cap: two distinct ones do when they are 2^40 apart.
+func (k sweepKind) sparse(keys []int) bool {
+	if k.step < 1<<40 {
+		return false
+	}
+	first := -1
+	for _, j := range keys {
+		switch {
+		case j < 0:
+		case first < 0:
+			first = j
+		case j != first:
+			return true
+		}
+	}
+	return false
+}
+
+// column builds a one-column batch of kind k holding keys (-1 = NULL).
+func (k sweepKind) column(enc Encoding, keys []int) *Batch {
+	if k.typ != Int64 {
+		return sweepColumn(k.typ, enc, keys)
+	}
+	vals := make([]Value, len(keys))
+	for i, j := range keys {
+		vals[i] = NullValue
+		if j >= 0 {
+			vals[i] = IntValue(k.base + k.step*int64(j))
+		}
+	}
+	bl := NewBuilder(NewSchema(Field{Name: "k", Type: Int64}))
+	for _, v := range vals {
+		bl.Append(v)
+	}
+	b := bl.Build()
+	switch enc {
+	case Dict:
+		b.Cols[0] = DictEncode(b.Cols[0])
+	case RLE:
+		b.Cols[0] = RLEncode(b.Cols[0])
+	}
+	return b
+}
+
 // TestJoinGroupPathParity sweeps {rows, build cardinality, duplicate
-// rate, NULL rate, miss rate} x {Plain, Dict, RLE} x {Int64, Timestamp,
-// Float64, String} x {inner, left outer} x workers against refJoin and
-// refGroup, and fails if the inputs stopped reaching any of the kernels'
-// paths: which one runs is chosen by the data, so a sweep that no longer
-// reaches one no longer tests it.
+// rate, NULL rate, miss rate} x {Plain, Dict, RLE} x {Int64 laid out
+// sparsely and densely, Timestamp, Float64, String} x {inner, left
+// outer} x workers {1, 2, 3, 8} against refJoin and refGroup, and fails
+// if the inputs stopped reaching any of the kernels' paths: which one
+// runs is chosen by the data, so a sweep that no longer reaches one no
+// longer tests it. A key one value per 2^40 apart must never take a
+// direct-address kernel.
 func TestJoinGroupPathParity(t *testing.T) {
 	two, three := MorselRows+133, 2*MorselRows+77 // morsels
 	shapes := []joinShape{
@@ -513,11 +587,11 @@ func TestJoinGroupPathParity(t *testing.T) {
 		{name: "duplicates and nulls", rows: two, build: 200, dup: 0.3, null: 0.05, miss: 0.5},
 		{name: "every row misses", rows: 500, build: 50, miss: 1},
 	}
-	var joinPaths struct{ n1, n1Int, general, identity, compacted int }
+	var joinPaths struct{ n1, n1Int, dense, general, identity, compacted int }
 	groupPaths := map[GroupStrategy]int{}
 	r := sim.NewRNG(22)
 	for _, sh := range shapes {
-		for _, typ := range []Type{Int64, Timestamp, Float64, String} {
+		for _, kd := range sweepKinds {
 			for _, enc := range []Encoding{Plain, Dict, RLE} {
 				pick := func(j int) int {
 					if r.Float64() < sh.null {
@@ -540,8 +614,8 @@ func TestJoinGroupPathParity(t *testing.T) {
 						lk[i] = pick(r.Intn(sh.build))
 					}
 				}
-				left, right := sweepColumn(typ, enc, lk), sweepColumn(typ, enc, rk)
-				what := fmt.Sprintf("%s/%v/%v", sh.name, typ, enc)
+				left, right := kd.column(enc, lk), kd.column(enc, rk)
+				what := fmt.Sprintf("%s/%v/%v", sh.name, kd, enc)
 
 				for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
 					want := refJoin(left, right, []int{0}, []int{0}, kind)
@@ -551,6 +625,11 @@ func TestJoinGroupPathParity(t *testing.T) {
 							t.Fatalf("%s workers=%d: %v", what, w, err)
 						}
 						switch {
+						case got.Strategy == JoinDense:
+							joinPaths.dense++
+							if kd.sparse(rk) {
+								t.Fatalf("%s workers=%d: a key 2^40 apart took the direct-address join", what, w)
+							}
 						case got.intKey:
 							joinPaths.n1Int++
 						case got.Strategy == JoinN1:
@@ -567,7 +646,7 @@ func TestJoinGroupPathParity(t *testing.T) {
 							for i := range got.Left {
 								got.Left[i] = int32(i)
 							}
-						} else if got.Strategy == JoinN1 {
+						} else if got.Strategy == JoinN1 || got.Strategy == JoinDense {
 							joinPaths.compacted++
 						}
 						if !joinEq(got, want) {
@@ -577,14 +656,17 @@ func TestJoinGroupPathParity(t *testing.T) {
 				}
 				g := checkGroupAllWorkers(t, []*Column{left.Cols[0]}, left.N)
 				groupPaths[g.Strategy]++
+				if kd.sparse(lk) && g.Strategy == GroupDense {
+					t.Fatalf("%s: a key 2^40 apart took the direct-address grouping", what)
+				}
 			}
 		}
 	}
 	t.Logf("join paths %+v, group paths %v", joinPaths, groupPaths)
-	if joinPaths.n1 == 0 || joinPaths.n1Int == 0 || joinPaths.general == 0 || joinPaths.identity == 0 || joinPaths.compacted == 0 {
+	if joinPaths.n1 == 0 || joinPaths.n1Int == 0 || joinPaths.dense == 0 || joinPaths.general == 0 || joinPaths.identity == 0 || joinPaths.compacted == 0 {
 		t.Errorf("sweep missed a join path: %+v", joinPaths)
 	}
-	for _, s := range []GroupStrategy{GroupHash, GroupDict, GroupInt64} {
+	for _, s := range []GroupStrategy{GroupHash, GroupDict, GroupInt64, GroupDense} {
 		if groupPaths[s] == 0 {
 			t.Errorf("sweep never took the %v grouping path: %v", s, groupPaths)
 		}
@@ -626,10 +708,15 @@ func TestDictKeyDuplicateEntries(t *testing.T) {
 // probe (`make gclean` runs it under -race -count=5): eight workers
 // write match slots, miss counts and compacted ranges of one shared
 // output, and must produce what one worker does — for the typed
-// integer loop and the hashed one, with and without misses.
+// integer loops (hashed and direct-address) and the hashed one, with
+// and without misses.
 func TestN1ProbeConcurrentWriters(t *testing.T) {
 	n := 16*MorselRows + 5
-	for _, typ := range []Type{Int64, String} {
+	for _, kd := range []sweepKind{{typ: Int64, base: -20, step: 7}, {typ: Int64, base: -20, step: 1}, {typ: String}} {
+		strategy := JoinN1
+		if kd.typ == Int64 && kd.step == 1 {
+			strategy = JoinDense
+		}
 		for _, miss := range []float64{0, 0.2} {
 			r := sim.NewRNG(7)
 			rk := make([]int, 500)
@@ -643,15 +730,15 @@ func TestN1ProbeConcurrentWriters(t *testing.T) {
 					lk[i] += len(rk)
 				}
 			}
-			left, right := sweepColumn(typ, Plain, lk), sweepColumn(typ, Plain, rk)
+			left, right := kd.column(Plain, lk), kd.column(Plain, rk)
 			for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
 				want, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, kind, 1)
-				if err != nil || want.Strategy != JoinN1 || want.intKey != (typ == Int64) || want.LeftIdentity != (miss == 0) {
-					t.Fatalf("%v miss=%v: one worker took another path: %+v, %v", typ, miss, want.Strategy, err)
+				if err != nil || want.Strategy != strategy || want.intKey != (kd.typ == Int64) || want.LeftIdentity != (miss == 0) {
+					t.Fatalf("%v miss=%v: one worker took another path: %+v, %v", kd, miss, want.Strategy, err)
 				}
 				got, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, kind, 8)
 				if err != nil || !joinEq(got, want) || got.LeftIdentity != want.LeftIdentity {
-					t.Fatalf("%v miss=%v kind=%d: eight workers disagree with one (err %v)", typ, miss, kind, err)
+					t.Fatalf("%v miss=%v kind=%d: eight workers disagree with one (err %v)", kd, miss, kind, err)
 				}
 			}
 		}

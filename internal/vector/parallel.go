@@ -47,23 +47,45 @@ func forMorsels(n, workers int, fn func(worker, morsel, lo, hi int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	fanOut(workers, &fanRun{tasks: morsels, morsel: fn, n: n})
+}
+
+// fanRun is one fan-out's shared state, in one allocation: the next
+// task to claim and the workers still running. A task is a morsel of n
+// rows (morsel set) or an index (each set).
+type fanRun struct {
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	tasks  int
+	n      int
+	morsel func(worker, morsel, lo, hi int)
+	each   func(i int)
+}
+
+// fanOut runs r's tasks on workers goroutines and waits for them.
+func fanOut(workers int, r *fanRun) {
+	r.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= morsels {
-					return
-				}
-				lo, hi := morselBounds(m, n)
-				fn(w, m, lo, hi)
-			}
-		}(w)
+		go r.work(w)
 	}
-	wg.Wait()
+	r.wg.Wait()
+}
+
+// work claims and runs tasks until none is left.
+func (r *fanRun) work(w int) {
+	defer r.wg.Done()
+	for {
+		t := int(r.next.Add(1)) - 1
+		if t >= r.tasks {
+			return
+		}
+		if r.each != nil {
+			r.each(t)
+			continue
+		}
+		lo, hi := morselBounds(t, r.n)
+		r.morsel(w, t, lo, hi)
+	}
 }
 
 // TaskWorkers returns how many of workers a stage of tasks runs on,
@@ -93,22 +115,7 @@ func ParallelEach(n, workers int, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(workers, &fanRun{tasks: n, each: fn})
 }
 
 // JoinKind selects the join semantics of HashJoin.
@@ -132,11 +139,18 @@ const (
 	// JoinN1 is the probe over a build side on which no two rows share
 	// a key: one match slot per probe row, written in place.
 	JoinN1
+	// JoinDense is JoinN1 on one plain integer key whose build side's
+	// range is within the density cap: the build table is indexed by
+	// value minus minimum.
+	JoinDense
 )
 
 func (s JoinStrategy) String() string {
-	if s == JoinN1 {
+	switch s {
+	case JoinN1:
 		return "n1"
+	case JoinDense:
+		return "dense"
 	}
 	return "general"
 }
@@ -207,7 +221,7 @@ func HashJoinWith(m Mem, left, right *Batch, leftKeys, rightKeys []int, kind Joi
 	al := m.Allocator()
 	if len(leftKeys) == 1 && left.N > 0 && right.N > 0 {
 		if lc, rc := left.Cols[leftKeys[0]], right.Cols[rightKeys[0]]; plainIntKey(lc) && plainIntKey(rc) && lc.Type == rc.Type {
-			if out, ok := joinN1Ints(al, lc.Ints, rc.Ints, kind, workers); ok {
+			if out, ok := joinN1Ints(al, lc.Ints, rc.Ints[:rc.Len], kind, workers); ok {
 				return out, nil
 			}
 		}
@@ -432,13 +446,67 @@ func intSlot(v int64) uint64 {
 	return (x * 0x9e3779b97f4a7c15) >> 32
 }
 
-// joinN1Ints is the N:1 join on one plain non-null integer key: an
-// open-addressing table of build rows keyed by the value itself, the
-// hash computed inline, no hash or null arrays. ok is false when two
-// build rows share a key (the caller takes the general path). The
-// sequential branch exists so that one worker probes closure-free: an
-// all-match join then allocates nothing outside al.
+// joinN1Ints is the N:1 join on one plain non-null integer key, the
+// hash computed inline, no hash or null arrays. When the build side's
+// range is within the density cap the table is direct-address, row[v −
+// min], and a probe is one bounds check and one load; otherwise it is an
+// open-addressing table of build rows keyed by the value itself. ok is
+// false when two build rows share a key (the caller takes the general
+// path). The sequential branch exists so that one worker probes
+// closure-free: an all-match join then allocates nothing outside al.
 func joinN1Ints(al Alloc, lv, rv []int64, kind JoinKind, workers int) (JoinResult, bool) {
+	lo, span, dense := denseRange(rv)
+	tab, ok := intTable(al, rv, lo, span, dense)
+	if !ok {
+		return JoinResult{}, false
+	}
+	n := len(lv)
+	match := al.Int32s(n)
+	mc := morselCount(n)
+	misses := al.Ints(mc)
+	switch {
+	case workers == 1 || mc == 1:
+		for mor := 0; mor < mc; mor++ {
+			l, h := morselBounds(mor, n)
+			if dense {
+				misses[mor] = probeDense(tab, lo, lv, match, l, h)
+			} else {
+				misses[mor] = probeInts(tab, rv, lv, match, l, h)
+			}
+		}
+	case dense:
+		forMorsels(n, workers, func(_, mor, l, h int) {
+			misses[mor] = probeDense(tab, lo, lv, match, l, h)
+		})
+	default:
+		forMorsels(n, workers, func(_, mor, l, h int) {
+			misses[mor] = probeInts(tab, rv, lv, match, l, h)
+		})
+	}
+	out := finishN1(al, match, misses, kind, workers)
+	out.intKey = true
+	if dense {
+		out.Strategy = JoinDense
+	}
+	return out, true
+}
+
+// intTable builds the typed N:1 join's table over build keys rv: when
+// dense, span slots holding build row + 1 at v − lo (0 is empty), else
+// an open-addressing table of build rows at intSlot(v). ok is false when
+// two build rows share a key.
+func intTable(al Alloc, rv []int64, lo int64, span int, dense bool) ([]int32, bool) {
+	if dense {
+		tab := al.Int32s(span)
+		for r, v := range rv {
+			s := uint64(v) - uint64(lo)
+			if tab[s] != 0 {
+				return nil, false
+			}
+			tab[s] = int32(r) + 1
+		}
+		return tab, true
+	}
 	size := 8
 	for size < 2*len(rv) {
 		size <<= 1
@@ -449,30 +517,34 @@ func joinN1Ints(al Alloc, lv, rv []int64, kind JoinKind, workers int) (JoinResul
 		s := intSlot(v) & mask
 		for tab[s] >= 0 {
 			if rv[tab[s]] == v {
-				return JoinResult{}, false
+				return nil, false
 			}
 			s = (s + 1) & mask
 		}
 		tab[s] = int32(r)
 	}
+	return tab, true
+}
 
-	n := len(lv)
-	match := al.Int32s(n)
-	mc := morselCount(n)
-	misses := al.Ints(mc)
-	if workers == 1 || mc == 1 {
-		for mor := 0; mor < mc; mor++ {
-			lo, hi := morselBounds(mor, n)
-			misses[mor] = probeInts(tab, rv, lv, match, lo, hi)
+// probeDense writes match[l] for probe rows [lo, hi) against the
+// direct-address table of build rows above base, and returns how many
+// of them found no build row. Kept out of line: inlined into
+// joinN1Ints its loop spills its slices to the stack.
+//
+//go:noinline
+func probeDense(tab []int32, base int64, lv []int64, match []int32, lo, hi int) int {
+	miss := 0
+	for l, v := range lv[lo:hi] {
+		r := int32(-1)
+		if s := uint64(v) - uint64(base); s < uint64(len(tab)) {
+			r = tab[s] - 1
 		}
-	} else {
-		forMorsels(n, workers, func(_, mor, lo, hi int) {
-			misses[mor] = probeInts(tab, rv, lv, match, lo, hi)
-		})
+		match[lo+l] = r
+		if r < 0 {
+			miss++
+		}
 	}
-	out := finishN1(al, match, misses, kind, workers)
-	out.intKey = true
-	return out, true
+	return miss
 }
 
 // probeInts writes match[l] for probe rows [lo, hi) and returns how

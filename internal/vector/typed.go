@@ -424,15 +424,16 @@ func (c *Column) render(i int) string {
 
 // SortKey is one ORDER BY key extracted from a column once, so the
 // sort's comparator indexes typed slices instead of resolving the
-// encoding and boxing two Values per comparison. It orders rows exactly
-// as Value.Compare with NULLs first does: numerics as float64 (so
-// integers beyond 2^53 tie where Value.Compare ties them, and NaN ties
+// encoding and boxing two Values per comparison. It orders rows as
+// Value.Compare with NULLs first does, except that integers compare as
+// integers: Int64 and Timestamp exactly, floats numerically (NaN ties
 // with everything), strings bytewise, false before true; Desc reverses
 // the key, NULLs included.
 type SortKey struct {
 	desc  bool
-	nulls []bool    // nums and strs; nil when the key has no NULLs
-	nums  []float64 // Int64, Timestamp, Float64
+	nulls []bool    // ints, nums and strs; nil when the key has no NULLs
+	ints  []int64   // Int64, Timestamp
+	nums  []float64 // Float64
 	strs  []string  // plain String, Bytes
 	// ords is the key of encoded strings (each value's rank in its
 	// sorted dictionary, equal strings sharing a rank) and of Bools
@@ -441,7 +442,7 @@ type SortKey struct {
 }
 
 // ExtractSortKey builds the key for column c, drawing per-row slices
-// from al. Plain Float64 and plain strings are used in place; Dict and
+// from al. Plain numerics and plain strings are used in place; Dict and
 // RLE are expanded once — Column.Value on RLE costs O(runs) per call.
 func ExtractSortKey(al Alloc, c *Column, desc bool) SortKey {
 	k := SortKey{desc: desc}
@@ -453,21 +454,13 @@ func ExtractSortKey(al Alloc, c *Column, desc bool) SortKey {
 		}
 		k.nums = al.Float64s(c.Len)
 		copySelected(k.nums, c.Floats, c, 0, c.Len, nil, k.nullSetter(al, c.Len))
-	case numericType(c.Type):
-		k.nums = al.Float64s(c.Len)
+	case c.Type == Int64 || c.Type == Timestamp:
 		if c.Enc == Plain {
-			k.nulls = c.Nulls
-			for i, v := range c.Ints[:c.Len] {
-				k.nums[i] = float64(v)
-			}
+			k.ints, k.nulls = c.Ints, c.Nulls
 			break
 		}
-		// Convert the dictionary, then expand it like any float column.
-		vals := al.Float64s(len(c.Ints))
-		for i, v := range c.Ints {
-			vals[i] = float64(v)
-		}
-		copySelected(k.nums, vals, c, 0, c.Len, nil, k.nullSetter(al, c.Len))
+		k.ints = al.Int64s(c.Len)
+		copySelected(k.ints, c.Ints, c, 0, c.Len, nil, k.nullSetter(al, c.Len))
 	case stringType(c.Type) && c.Enc == Plain:
 		k.strs, k.nulls = c.Strs, c.Nulls
 	case stringType(c.Type):
@@ -525,6 +518,8 @@ func (k *SortKey) Compare(a, b int) int {
 		c = cmp.Compare(k.ords[a], k.ords[b])
 	case k.nulls != nil && (k.nulls[a] || k.nulls[b]):
 		c = cmpBool(!k.nulls[a], !k.nulls[b])
+	case k.ints != nil:
+		c = cmp.Compare(k.ints[a], k.ints[b])
 	case k.nums != nil:
 		c = cmpFloat(k.nums[a], k.nums[b])
 	case k.strs != nil:

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"testing"
@@ -429,7 +430,9 @@ func TestTypedArithParity(t *testing.T) {
 }
 
 // refCompareForSort is the comparator ORDER BY used to run per pair of
-// rows: NULLs first, then Value.Compare.
+// rows: NULLs first, then Value.Compare — except that two integers
+// compare as integers, where Value.Compare sees neighbours past 2^53 as
+// equal (the sort key departs from it there on purpose).
 func refCompareForSort(a, b Value) int {
 	switch {
 	case a.IsNull() && b.IsNull():
@@ -438,6 +441,8 @@ func refCompareForSort(a, b Value) int {
 		return -1
 	case b.IsNull():
 		return 1
+	case a.Type != Float64 && b.Type != Float64 && a.numeric() && b.numeric():
+		return cmp.Compare(a.I, b.I)
 	}
 	return a.Compare(b)
 }
@@ -476,13 +481,22 @@ func TestTypedSortKeyParity(t *testing.T) {
 	})
 }
 
-// TestTypedSortKeyKeepsFloatTies: ORDER BY keeps Value.Compare's order
-// bit for bit, including its ties — integers that differ only past
-// float64 precision sort by row index, as they always have.
-func TestTypedSortKeyKeepsFloatTies(t *testing.T) {
-	key := ExtractSortKey(Heap, NewInt64Column([]int64{big + 1, big}), false)
-	if key.Compare(0, 1) != 0 {
-		t.Fatal("2^53+1 and 2^53 must tie under the sort key as they do under Value.Compare")
+// TestTypedSortKeyOrdersIntegersExactly: integers that differ only
+// past float64 precision are ordered as integers, not tied as
+// Value.Compare ties them — plain, dictionary and run-length encoded.
+func TestTypedSortKeyOrdersIntegersExactly(t *testing.T) {
+	c := NewInt64Column([]int64{big + 1, big, big + 1, big})
+	for _, col := range []*Column{c, DictEncode(c), RLEncode(c)} {
+		for _, desc := range []bool{false, true} {
+			key := ExtractSortKey(Heap, col, desc)
+			want := 1
+			if desc {
+				want = -1
+			}
+			if got := key.Compare(0, 1); got != want {
+				t.Fatalf("%v desc=%v: 2^53+1 against 2^53 compares %d, want %d", col.Enc, desc, got, want)
+			}
+		}
 	}
 }
 
