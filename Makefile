@@ -9,15 +9,17 @@
 #	go test ./internal/oracle -run TestDifferential -seed=<n> -v
 #
 # (add -trials/-queries to match a longer soak). To watch the harness
-# catch planted engine bugs — a flipped pruning comparison and an
-# off-by-one direct-address grouping slot — run
+# catch planted engine bugs — a flipped pruning comparison, an
+# off-by-one direct-address grouping slot and an off-by-one piece
+# offset — run
 #
 #	make fuzz-bug
 #
 # which builds with `-tags oraclebug` and must FAIL the differential
 # test while PASSING TestForcedBugCaught with a minimized report, then
 # with `-tags oraclebug_dense` (the grouping bug alone) and must PASS
-# TestForcedDenseBugCaught.
+# TestForcedDenseBugCaught, then with `-tags oraclebug_sel` (the offset
+# bug alone) and must PASS TestForcedSelBugCaught.
 
 GO ?= go
 
@@ -76,12 +78,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzExactSum' -fuzztime=10s ./internal/vector/
 
 # Demonstrate the harness catches each planted bug, one build tag each
-# — a flipped pruning comparison (oraclebug) and an off-by-one
-# direct-address grouping slot (oraclebug_dense) — (not in ci: the
-# tagged builds are intentionally broken).
+# — a flipped pruning comparison (oraclebug), an off-by-one
+# direct-address grouping slot (oraclebug_dense) and an off-by-one
+# piece offset in a join's pass-through (oraclebug_sel) — (not in ci:
+# the tagged builds are intentionally broken).
 fuzz-bug:
 	$(GO) test -tags oraclebug -run 'TestForcedBugCaught' -v ./internal/oracle/
 	$(GO) test -tags oraclebug_dense -run 'TestForcedDenseBugCaught' -v ./internal/oracle/
+	$(GO) test -tags oraclebug_sel -run 'TestForcedSelBugCaught' -v ./internal/oracle/
 
 # The crash-point sweep: kill a core.New lakehouse at every labeled
 # step of the flush/batch-commit/compaction/Iceberg-export protocols,
@@ -231,6 +235,8 @@ gatecheck:
 # (BenchmarkFloatSum run once), the direct-address grouping and N:1
 # join and the typed top-K at zero allocations on one worker
 # (BenchmarkGroupKeys, BenchmarkHashJoinN1 and BenchmarkTopK run once),
+# a warm scan's selections grouped and folded where they lie against
+# the same after a copy (BenchmarkScanSelect run once),
 # a point lookup served from the
 # statement cache in a handful of allocations with a lexer that
 # allocates nothing per token (BenchmarkParse, miss and hit, run once),
@@ -255,7 +261,7 @@ gclean:
 	$(GO) test -race -run 'TestScanMerge' ./internal/vector/
 	$(GO) test -run '^$$' -bench BenchmarkScanMerge -benchtime 1x ./internal/vector/
 	$(GO) test -run '^$$' -bench BenchmarkFloatSum -benchtime 1x ./internal/vector/
-	$(GO) test -run '^$$' -bench 'BenchmarkGroupKeys|BenchmarkHashJoinN1|BenchmarkTopK' -benchtime 1x ./internal/vector/
+	$(GO) test -run '^$$' -bench 'BenchmarkGroupKeys|BenchmarkHashJoinN1|BenchmarkTopK|BenchmarkScanSelect' -benchtime 1x ./internal/vector/
 	$(GO) test -run 'TestGCLeanWriteFile' ./internal/colfmt/
 	$(GO) test -run '^$$' -bench BenchmarkWriteFile -benchtime 1x ./internal/colfmt/
 	$(GO) test -run 'TestGCLeanParseHit' ./internal/engine/

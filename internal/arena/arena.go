@@ -169,6 +169,9 @@ func (a *Arena) BoolsForOverwrite(n int) []bool { return allocT(a, &a.bl, n, 1, 
 // Uint32sForOverwrite returns an unzeroed []uint32 of length n.
 func (a *Arena) Uint32sForOverwrite(n int) []uint32 { return allocT(a, &a.u32, n, 4, false) }
 
+// Int32sForOverwrite returns an unzeroed []int32 of length n.
+func (a *Arena) Int32sForOverwrite(n int) []int32 { return allocT(a, &a.i32, n, 4, false) }
+
 // Pooled reports that slices from this allocator are recycled —
 // consumers must detach (deep-copy) anything that outlives the query.
 func (a *Arena) Pooled() bool { return true }

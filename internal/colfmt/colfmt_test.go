@@ -341,15 +341,15 @@ func TestEmptyFile(t *testing.T) {
 
 func TestEvalPredicates(t *testing.T) {
 	b := sampleBatch(100, 4)
-	mask, err := EvalPredicates(b, []Predicate{
+	rows, err := EvalPredicates(b, []Predicate{
 		{Column: "id", Op: vector.GE, Value: vector.IntValue(10)},
 		{Column: "id", Op: vector.LT, Value: vector.IntValue(20)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vector.CountMask(mask) != 10 {
-		t.Fatalf("matched %d, want 10", vector.CountMask(mask))
+	if len(rows) != 10 || rows[0] != 10 || rows[9] != 19 {
+		t.Fatalf("matched rows %v, want 10..19", rows)
 	}
 	if _, err := EvalPredicates(b, []Predicate{{Column: "ghost", Op: vector.EQ, Value: vector.IntValue(1)}}); err == nil {
 		t.Fatal("missing predicate column should error")

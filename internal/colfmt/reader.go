@@ -67,42 +67,37 @@ func compareStat(a, b vector.Value) int {
 
 func isInt(t vector.Type) bool { return t == vector.Int64 || t == vector.Timestamp }
 
-// EvalPredicates computes the conjunction of predicates over a batch.
-func EvalPredicates(b *vector.Batch, preds []Predicate) ([]bool, error) {
-	return EvalPredicatesWith(nil, b, preds)
+// EvalPredicates returns the rows of a batch the conjunction of
+// predicates selects, ascending.
+func EvalPredicates(b *vector.Batch, preds []Predicate) ([]int32, error) {
+	return EvalPredicatesWith(nil, b, 0, b.N, preds)
 }
 
-// EvalPredicatesWith is EvalPredicates drawing its masks from al (nil
-// = heap). The first predicate's compare mask becomes the result
-// directly and later predicates fold into it in place, so the common
-// single-conjunct scan (a point lookup) runs one kernel pass with no
-// all-true initialization.
-func EvalPredicatesWith(al vector.Alloc, b *vector.Batch, preds []Predicate) ([]bool, error) {
-	if al == nil {
-		al = vector.Heap
-	}
-	var mask []bool
+// EvalPredicatesWith returns the rows of b in [lo, hi) the conjunction
+// of predicates selects, ascending, as a selection drawn from al (nil =
+// heap): the first predicate's kernel writes the survivors of the
+// window, and each later one refines them in place, so no mask is built
+// and the common single-conjunct scan (a point lookup) runs one kernel
+// pass. With no predicate every row of the window survives.
+func EvalPredicatesWith(al vector.Alloc, b *vector.Batch, lo, hi int, preds []Predicate) ([]int32, error) {
+	var sel []int32
 	for _, p := range preds {
 		c := b.Column(p.Column)
 		if c == nil {
 			return nil, fmt.Errorf("colfmt: predicate column %q not in batch", p.Column)
 		}
-		cm := vector.CompareConstWith(al, c, p.Op, p.Value)
-		if mask == nil {
-			mask = cm
-			continue
+		sel = vector.SelectConst(al, c, lo, hi, sel, p.Op, p.Value)
+	}
+	if sel == nil {
+		if al == nil {
+			al = vector.Heap
 		}
-		for i := range mask {
-			mask[i] = mask[i] && cm[i]
+		sel = al.Int32s(hi - lo)
+		for i := range sel {
+			sel[i] = int32(lo + i)
 		}
 	}
-	if mask == nil {
-		mask = al.Bools(b.N)
-		for i := range mask {
-			mask[i] = true
-		}
-	}
-	return mask, nil
+	return sel, nil
 }
 
 // VectorizedReader scans a file emitting encoded columnar batches,
@@ -289,16 +284,9 @@ func (r *VectorizedReader) nextGroup() (sel vector.Selection, ok bool, err error
 		}
 
 		// Evaluate predicates on encoded columns.
-		var mask []bool
+		var rows []int32
 		for i, p := range r.preds {
-			cm := vector.CompareConst(cols[r.predAt[i]], p.Op, p.Value)
-			if mask == nil {
-				mask = cm
-				continue
-			}
-			for k := range mask {
-				mask[k] = mask[k] && cm[k]
-			}
+			rows = vector.SelectConst(nil, cols[r.predAt[i]], 0, int(rg.Rows), rows, p.Op, p.Value)
 		}
 
 		batch := &vector.Batch{Schema: r.schema, N: int(rg.Rows)}
@@ -307,7 +295,7 @@ func (r *VectorizedReader) nextGroup() (sel vector.Selection, ok bool, err error
 				return vector.Selection{}, false, err
 			}
 		}
-		sel, err = vector.Select(batch, mask)
+		sel, err = vector.Window(batch, 0, batch.N, rows)
 		return sel, err == nil, err
 	}
 	return vector.Selection{}, false, nil

@@ -125,7 +125,7 @@ func TestExactIntStatsStayConservative(t *testing.T) {
 	if bmin.I != big+1 || bmax.I != big+3 {
 		t.Fatalf("premise: boxed scan gives (%d, %d), expected (%d, %d)", bmin.I, bmax.I, big+1, big+3)
 	}
-	min, max, nulls := vector.MinMax(c)
+	min, max, nulls := vector.MinMax(c, nil)
 	if min.I != big || max.I != big+4 {
 		t.Fatalf("MinMax = (%d, %d), want exact (%d, %d)", min.I, max.I, big, big+4)
 	}

@@ -281,7 +281,7 @@ func TestJoin(t *testing.T) {
 		Dataset: "ds", Name: "customers", Type: catalog.Native, Schema: custSchema,
 		Cloud: "gcp", Bucket: "lake", Prefix: "managed/customers/",
 	})
-	min, _, _ := vector.MinMax(bl.Build().Cols[0])
+	min, _, _ := vector.MinMax(bl.Build().Cols[0], nil)
 	_ = min
 	ev.log.Commit("loader", map[string]bigmeta.TableDelta{
 		"ds.customers": {Added: []bigmeta.FileEntry{{Bucket: "lake", Key: "managed/customers/f1.blk", Size: int64(len(file)), RowCount: 5}}},

@@ -13,7 +13,7 @@ import (
 
 // execSelect runs a SELECT statement to completion.
 func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vector.Batch, error) {
-	joined, where, err := e.execFromClause(ctx, sel)
+	r, where, err := e.execFromClause(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -23,48 +23,63 @@ func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vecto
 		var fsp *obs.Span
 		if ctx.Span != nil {
 			fsp = ctx.Span.Child("filter")
-			fsp.SetInt("in_rows", int64(joined.N))
+			fsp.SetInt("in_rows", int64(r.rows()))
 		}
-		mask, err := e.evalBool(ctx, joined, where)
+		joined, err := e.materialize(ctx, r)
+		var mask []bool
+		if err == nil {
+			mask, err = e.evalBool(ctx, joined, where)
+		}
+		if err == nil {
+			joined, err = vector.FilterWith(ctx.mem, joined, mask)
+		}
 		if err != nil {
 			fsp.End()
 			return nil, err
 		}
-		joined, err = vector.FilterWith(ctx.mem, joined, mask)
-		if err != nil {
-			fsp.End()
-			return nil, err
-		}
+		r = batchRel(joined)
 		if fsp != nil {
 			fsp.SetInt("rows", int64(joined.N))
 		}
 		fsp.End()
 	}
 
-	// Aggregation vs plain projection.
-	var out *vector.Batch
+	// Aggregation vs plain projection. A projection of columns stays the
+	// input's pieces: ORDER BY reads them there, and the output is
+	// copied once — all of it with no ORDER BY, the rows it keeps with
+	// one.
+	var out sorted      // the output before ORDER BY
+	var b *vector.Batch // the output
 	if aggregates(sel) {
 		var asp *obs.Span
 		if ctx.Span != nil {
 			asp = ctx.Span.Child("aggregate")
-			asp.SetInt("in_rows", int64(joined.N))
+			asp.SetInt("in_rows", int64(r.rows()))
 			asp.SetInt("workers", int64(e.execWorkers()))
 		}
-		out, err = e.execAggregate(ctx, sel, joined, asp)
+		b, err = e.execAggregate(ctx, sel, r, asp)
 		if asp != nil && err == nil {
-			asp.SetInt("groups", int64(out.N))
-			asp.SetInt("rows", int64(out.N))
+			asp.SetInt("groups", int64(b.N))
+			asp.SetInt("rows", int64(b.N))
 		}
 		asp.End()
+		if err == nil && len(sel.OrderBy) > 0 {
+			out = outputOf(b)
+		}
 	} else {
 		var psp *obs.Span
 		if ctx.Span != nil {
 			psp = ctx.Span.Child("project")
-			psp.SetInt("in_rows", int64(joined.N))
+			psp.SetInt("in_rows", int64(r.rows()))
 		}
-		out, err = e.execProject(ctx, sel, joined)
+		out, err = e.execProject(ctx, sel, r)
+		if err == nil && len(sel.OrderBy) == 0 {
+			if b, err = e.materialize(ctx, out.r); err == nil {
+				b = pick(b, out.schema, out.cols)
+			}
+		}
 		if psp != nil && err == nil {
-			psp.SetInt("rows", int64(out.N))
+			psp.SetInt("rows", int64(out.r.rows()))
 		}
 		psp.End()
 	}
@@ -82,25 +97,44 @@ func (e *Engine) execSelect(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vecto
 		var osp *obs.Span
 		if ctx.Span != nil {
 			osp = ctx.Span.Child("order_by")
-			osp.SetInt("in_rows", int64(out.N))
+			osp.SetInt("in_rows", int64(out.r.rows()))
 			if limit >= 0 {
 				osp.SetInt("limit", int64(limit))
 			}
 		}
-		out, err = e.execOrderBy(ctx, sel, out, joined, limit)
+		b, err = e.execOrderBy(ctx, sel, out, r, limit)
 		if osp != nil && err == nil {
-			osp.SetInt("rows", int64(out.N))
+			osp.SetInt("rows", int64(b.N))
 		}
 		osp.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	if sel.Limit >= 0 && int64(out.N) > sel.Limit {
+	if sel.Limit >= 0 && int64(b.N) > sel.Limit {
 		// Column prefix slice: LIMIT costs O(columns), not O(N).
-		out = vector.SliceBatch(out, 0, int(sel.Limit))
+		b = vector.SliceBatch(b, 0, int(sel.Limit))
 	}
-	return out, nil
+	return b, nil
+}
+
+// sorted is a statement's output before ORDER BY: its columns are the
+// columns cols of the relation r, named by schema. A projection of
+// columns leaves r the input itself; otherwise r is the output batch.
+type sorted struct {
+	r      rel
+	schema vector.Schema
+	cols   []int
+	input  bool // r is the statement's input relation
+}
+
+// outputOf is the output batch b as a sorted output.
+func outputOf(b *vector.Batch) sorted {
+	cols := make([]int, b.Schema.Len())
+	for i := range cols {
+		cols[i] = i
+	}
+	return sorted{r: batchRel(b), schema: b.Schema, cols: cols}
 }
 
 // aggregates reports whether sel groups or aggregates its rows.
@@ -114,15 +148,15 @@ func aggregates(sel *sqlparse.SelectStmt) bool {
 }
 
 // execFromClause evaluates the FROM clause (including joins) into one
-// qualified batch, and returns the residual of sel's WHERE: the
+// qualified relation, and returns the residual of sel's WHERE: the
 // conjuncts its scans did not enforce exactly (nil: none). With no
 // FROM, a single empty row is produced so constant expressions
 // evaluate.
-func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*vector.Batch, sqlparse.Expr, error) {
+func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (rel, sqlparse.Expr, error) {
 	if sel.From == nil {
 		one := vector.MustBatch(vector.NewSchema(vector.Field{Name: "__one", Type: vector.Int64}),
 			[]*vector.Column{vector.NewInt64Column([]int64{0})})
-		return one, sel.Where, nil
+		return batchRel(one), sel.Where, nil
 	}
 
 	single := len(sel.Joins) == 0
@@ -140,7 +174,7 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 	// Stats-based scan ordering for DPP: execute the most selective /
 	// smallest sources first so their join keys can prune the big fact
 	// scan. We estimate with cached table statistics when available.
-	batches := make([]*vector.Batch, len(sources))
+	rels := make([]rel, len(sources))
 	var buf [8]sqlparse.Expr
 	conj := conjuncts(sel.Where, buf[:0])
 	al := ctx.mem.Allocator()
@@ -175,27 +209,27 @@ func (e *Engine) execFromClause(ctx *QueryContext, sel *sqlparse.SelectStmt) (*v
 		if e.Opts.EnableDPP {
 			pd.preds = append(pd.preds, e.dppPredsFor(src.ref, sel, dppRanges)...)
 		}
-		b, err := e.execTableRef(ctx, sel, src.ref, &pd)
+		r, err := e.execTableRef(ctx, sel, src.ref, &pd)
 		if err != nil {
-			return nil, nil, err
+			return rel{}, nil, err
 		}
 		if qualify {
-			b = qualifyBatch(b, src.ref.DisplayName())
+			r.schema = qualifySchema(r.schema, src.ref.DisplayName())
 		}
-		batches[idx] = b
+		rels[idx] = r
 		scanned[idx] = true
 		if e.Opts.EnableDPP {
-			e.recordDPPRanges(ctx, sel, src.ref, b, dppRanges, canPrune)
+			e.recordDPPRanges(ctx, sel, src.ref, r, dppRanges, canPrune)
 		}
 	}
 
 	// Fold joins left-to-right.
-	out := batches[0]
+	out := rels[0]
 	for i := range sel.Joins {
 		var err error
-		out, err = e.hashJoin(ctx, sel, i, out, batches[i+1])
+		out, err = e.hashJoin(ctx, sel, i, out, rels[i+1])
 		if err != nil {
-			return nil, nil, err
+			return rel{}, nil, err
 		}
 	}
 	return out, residual(sel.Where, conj, enforced), nil
@@ -252,8 +286,9 @@ func (e *Engine) scanOrder(al vector.Alloc, conj []sqlparse.Expr, from *sqlparse
 }
 
 // recordDPPRanges captures min/max of join keys on the just-executed
-// side of each join, for the later scans canPrune names.
-func (e *Engine) recordDPPRanges(ctx *QueryContext, sel *sqlparse.SelectStmt, executed *sqlparse.TableRef, b *vector.Batch, ranges map[string][2]vector.Value, canPrune func(string) bool) {
+// side of each join — over its surviving rows, piece by piece — for the
+// later scans canPrune names.
+func (e *Engine) recordDPPRanges(ctx *QueryContext, sel *sqlparse.SelectStmt, executed *sqlparse.TableRef, r rel, ranges map[string][2]vector.Value, canPrune func(string) bool) {
 	for _, j := range sel.Joins {
 		pairs := equiPairs(j.On)
 		for _, pr := range pairs {
@@ -276,12 +311,33 @@ func (e *Engine) recordDPPRanges(ctx *QueryContext, sel *sqlparse.SelectStmt, ex
 			if !canPrune(other.Table) {
 				continue
 			}
-			i, err := resolveColumn(b.Schema, mine)
+			i, err := resolveColumn(r.schema, mine)
 			if err != nil {
 				continue
 			}
 			ctx.Stats.DPPCaptures++
-			min, max, _ := vector.MinMax(b.Cols[i])
+			// Each piece's range is a task; they fold in piece order, so
+			// the first of equal values is kept, as over one batch.
+			bounds := make([][2]vector.Value, len(r.pieces))
+			big := 0
+			for _, p := range r.pieces {
+				if p.N >= vector.MorselRows {
+					big++
+				}
+			}
+			vector.ParallelEach(len(r.pieces), vector.TaskWorkers(e.execWorkers(), big), func(k int) {
+				p := r.pieces[k]
+				bounds[k][0], bounds[k][1], _ = vector.MinMax(p.Batch.Cols[i], p.Rows(0, p.N))
+			})
+			var min, max vector.Value
+			for _, rg := range bounds {
+				if lo := rg[0]; !lo.IsNull() && (min.IsNull() || below(lo, min)) {
+					min = lo
+				}
+				if hi := rg[1]; !hi.IsNull() && (max.IsNull() || below(max, hi)) {
+					max = hi
+				}
+			}
 			if min.IsNull() {
 				continue
 			}
@@ -289,6 +345,18 @@ func (e *Engine) recordDPPRanges(ctx *QueryContext, sel *sqlparse.SelectStmt, ex
 			ranges[key] = [2]vector.Value{min, max}
 		}
 	}
+}
+
+// below reports whether a sorts strictly before b, two non-NULL values
+// of one column: integers exactly, as MinMax ranges them.
+func below(a, b vector.Value) bool {
+	switch a.Type {
+	case vector.Int64, vector.Timestamp:
+		return a.I < b.I
+	case vector.Float64:
+		return a.F < b.F
+	}
+	return a.Compare(b) < 0
 }
 
 // dppPredsFor converts recorded join-key ranges into pushdown
@@ -340,68 +408,82 @@ func equiPairs(on sqlparse.Expr) [][2]sqlparse.ColumnRef {
 // the columns sel names, under pd (nil: no predicates); a subquery
 // projects itself, and a TVF's input (sel nil) is read whole. Only a
 // table scan enforces any of pd exactly.
-func (e *Engine) execTableRef(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, pd *pushdown) (*vector.Batch, error) {
+func (e *Engine) execTableRef(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, pd *pushdown) (rel, error) {
+	var b *vector.Batch
+	var err error
 	switch {
 	case ref.TVF != nil:
 		fn, ok := e.tvf(ref.TVF.Name)
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", ErrNoSuchFunc, ref.TVF.Name)
+			return rel{}, fmt.Errorf("%w: %s", ErrNoSuchFunc, ref.TVF.Name)
 		}
-		input, err := e.execTableRef(ctx, nil, ref.TVF.Input, nil)
-		if err != nil {
-			return nil, err
+		var input rel
+		if input, err = e.execTableRef(ctx, nil, ref.TVF.Input, nil); err != nil {
+			return rel{}, err
 		}
-		return fn(ctx, ref.TVF.Model, input)
+		var in *vector.Batch
+		if in, err = e.materialize(ctx, input); err != nil {
+			return rel{}, err
+		}
+		b, err = fn(ctx, ref.TVF.Model, in)
 	case ref.Subquery != nil:
-		return e.execSelect(ctx, ref.Subquery)
+		b, err = e.execSelect(ctx, ref.Subquery)
 	case ref.Name != "":
 		return e.scanTable(ctx, sel, ref, pd)
+	default:
+		return rel{}, fmt.Errorf("%w: empty table reference", ErrSemantic)
 	}
-	return nil, fmt.Errorf("%w: empty table reference", ErrSemantic)
+	if err != nil {
+		return rel{}, err
+	}
+	return batchRel(b), nil
 }
 
-// hashJoin executes sel's join i between left and right qualified
-// batches. When every left row matched exactly one right row the left
-// columns are the output's as they stand — not copied, each keeping its
-// own Pooled mark, like an all-pass filter's — so, as there, the result
-// may alias a shared immutable batch and nothing downstream may write
-// through it. Of the right (build) side only the columns read after the
+// hashJoin executes sel's join i between the left and right qualified
+// relations. The build (right) side is materialized; the probe reads
+// the left side's keys through its pieces. When every left row matched
+// exactly one right row the left side passes on as the same pieces —
+// its columns not copied — each piece's batch extended by the build
+// columns gathered into the piece's own rows; so, as for a scan, the
+// result may alias a shared immutable batch and nothing downstream may
+// write through it. Otherwise the left side is materialized and both
+// sides gathered. Of the build side only the columns read after the
 // join are gathered (readAfterJoin); the others leave the schema.
-func (e *Engine) hashJoin(ctx *QueryContext, sel *sqlparse.SelectStmt, i int, left, right *vector.Batch) (out *vector.Batch, err error) {
+func (e *Engine) hashJoin(ctx *QueryContext, sel *sqlparse.SelectStmt, i int, left, right rel) (out rel, err error) {
 	j := sel.Joins[i]
 	var sp *obs.Span
 	if ctx.Span != nil {
 		sp = ctx.Span.Child("join")
-		sp.SetInt("left_rows", int64(left.N))
-		sp.SetInt("right_rows", int64(right.N))
+		sp.SetInt("left_rows", int64(left.rows()))
+		sp.SetInt("right_rows", int64(right.rows()))
 		sp.SetInt("workers", int64(e.execWorkers()))
 		defer func() {
-			if out != nil {
-				sp.SetInt("rows", int64(out.N))
+			if err == nil {
+				sp.SetInt("rows", int64(out.rows()))
 			}
 			sp.End()
 		}()
 	}
 	pairs := equiPairs(j.On)
 	if len(pairs) == 0 {
-		return nil, fmt.Errorf("%w: JOIN requires at least one column equality, got %s", ErrUnsupported, j.On)
+		return rel{}, fmt.Errorf("%w: JOIN requires at least one column equality, got %s", ErrUnsupported, j.On)
 	}
 	var leftKeys, rightKeys []int
 	for _, pr := range pairs {
 		a, b := pr[0], pr[1]
-		li, errA := resolveColumn(left.Schema, a)
+		li, errA := resolveColumn(left.schema, a)
 		if errA != nil {
 			// a belongs to the right side; swap the pair.
 			var err error
-			li, err = resolveColumn(left.Schema, b)
+			li, err = resolveColumn(left.schema, b)
 			if err != nil {
-				return nil, fmt.Errorf("%w: join key %s matches neither side", ErrSemantic, b)
+				return rel{}, fmt.Errorf("%w: join key %s matches neither side", ErrSemantic, b)
 			}
 			b = a
 		}
-		ri, err := resolveColumn(right.Schema, b)
+		ri, err := resolveColumn(right.schema, b)
 		if err != nil {
-			return nil, err
+			return rel{}, err
 		}
 		leftKeys = append(leftKeys, li)
 		rightKeys = append(rightKeys, ri)
@@ -411,15 +493,45 @@ func (e *Engine) hashJoin(ctx *QueryContext, sel *sqlparse.SelectStmt, i int, le
 	if j.Kind == sqlparse.LeftJoin {
 		kind = vector.LeftOuterJoin
 	}
-	workers := e.execWorkers()
-	res, err := vector.HashJoinWith(ctx.mem, left, right, leftKeys, rightKeys, kind, workers)
+	rb, err := e.materialize(ctx, right)
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
+	workers := e.execWorkers()
+	res, err := vector.HashJoinWith(ctx.mem, left.pieces, rb, leftKeys, rightKeys, kind, workers)
+	if err != nil {
+		return rel{}, err
+	}
+
+	fields := append([]vector.Field(nil), left.schema.Fields...)
+	build := rb.Cols
+	if read := readAfterJoin(sel, i, right.schema); read != nil {
+		build = nil
+		for k, f := range right.schema.Fields {
+			if read[k] {
+				fields = append(fields, f)
+				build = append(build, rb.Cols[k])
+			}
+		}
+	} else {
+		fields = append(fields, right.schema.Fields...)
+	}
+	schema := vector.Schema{Fields: fields}
+	sp.SetStr("strategy", res.Strategy.String())
+	sp.SetInt("build_cols", int64(len(build)))
+	if res.LeftIdentity {
+		sp.SetInt("passthrough_cols", int64(len(left.schema.Fields)))
+		return rel{schema: schema, pieces: vector.Extend(ctx.mem, left.pieces, build, res.Right, schema, workers)}, nil
+	}
+	sp.SetInt("passthrough_cols", 0)
 
 	// Output rows: matched pairs in probe order, then the null-extended
 	// unmatched left rows (right index -1 = NULL). Only that second part
 	// needs an index of its own built.
+	lb, err := e.materialize(ctx, left)
+	if err != nil {
+		return rel{}, err
+	}
 	leftIdx, rightIdx := res.Left, res.Right
 	if nOuter := len(res.LeftOuter); nOuter > 0 {
 		al := ctx.mem.Allocator()
@@ -431,32 +543,14 @@ func (e *Engine) hashJoin(ctx *QueryContext, sel *sqlparse.SelectStmt, i int, le
 			rightIdx[i] = -1
 		}
 	}
-
-	fields := append([]vector.Field(nil), left.Schema.Fields...)
-	build := right.Cols
-	if read := readAfterJoin(sel, i, right.Schema); read != nil {
-		build = nil
-		for k, f := range right.Schema.Fields {
-			if read[k] {
-				fields = append(fields, f)
-				build = append(build, right.Cols[k])
-			}
-		}
-	} else {
-		fields = append(fields, right.Schema.Fields...)
+	cols := make([]*vector.Column, len(lb.Cols)+len(build))
+	vector.GatherNullColsWith(ctx.mem, cols, lb.Cols, leftIdx, workers)
+	vector.GatherNullColsWith(ctx.mem, cols[len(lb.Cols):], build, rightIdx, workers)
+	b, err := vector.NewBatch(schema, cols)
+	if err != nil {
+		return rel{}, err
 	}
-	cols := make([]*vector.Column, len(left.Cols)+len(build))
-	passthrough := 0
-	if res.LeftIdentity {
-		passthrough = copy(cols, left.Cols)
-	} else {
-		vector.GatherNullColsWith(ctx.mem, cols, left.Cols, leftIdx, workers)
-	}
-	vector.GatherNullColsWith(ctx.mem, cols[len(left.Cols):], build, rightIdx, workers)
-	sp.SetStr("strategy", res.Strategy.String())
-	sp.SetInt("passthrough_cols", int64(passthrough))
-	sp.SetInt("build_cols", int64(len(build)))
-	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
+	return batchRel(b), nil
 }
 
 // readAfterJoin reports, per column of schema (join i's build side),
@@ -480,22 +574,25 @@ func readAfterJoin(sel *sqlparse.SelectStmt, i int, schema vector.Schema) []bool
 	return read
 }
 
-// execProject evaluates the projection list.
-func (e *Engine) execProject(ctx *QueryContext, sel *sqlparse.SelectStmt, in *vector.Batch) (*vector.Batch, error) {
+// execProject evaluates the projection list over in. A list of columns
+// (and `*`) leaves the rows in in's pieces, naming the columns it takes;
+// an expression is evaluated over in materialized (exprColumns).
+func (e *Engine) execProject(ctx *QueryContext, sel *sqlparse.SelectStmt, in rel) (sorted, error) {
+	x := exprColumns{e: e, ctx: ctx, in: in}
 	var fields []vector.Field
-	var cols []*vector.Column
+	var cols []int
 	for pos, item := range sel.Items {
 		if item.Star {
-			for i, f := range in.Schema.Fields {
+			for i, f := range in.schema.Fields {
 				if f.Name == "__one" {
 					continue
 				}
 				name := f.Name
-				if i2 := strings.LastIndexByte(name, '.'); i2 >= 0 && in.Schema.Index(name[i2+1:]) < 0 {
+				if i2 := strings.LastIndexByte(name, '.'); i2 >= 0 && in.schema.Index(name[i2+1:]) < 0 {
 					// Unqualify when unambiguous for readable output.
 					bare := name[i2+1:]
 					conflict := false
-					for k, other := range in.Schema.Fields {
+					for k, other := range in.schema.Fields {
 						if k != i && strings.HasSuffix(other.Name, "."+bare) {
 							conflict = true
 						}
@@ -505,49 +602,94 @@ func (e *Engine) execProject(ctx *QueryContext, sel *sqlparse.SelectStmt, in *ve
 					}
 				}
 				fields = append(fields, vector.Field{Name: name, Type: f.Type})
-				cols = append(cols, in.Cols[i])
+				cols = append(cols, i)
 			}
 			continue
 		}
-		c, err := e.evalExpr(ctx, in, item.Expr)
+		i, err := x.column(item.Expr)
 		if err != nil {
-			return nil, err
+			return sorted{}, err
 		}
-		fields = append(fields, vector.Field{Name: outputName(item, pos), Type: c.Type})
-		cols = append(cols, c)
+		r := x.rel()
+		fields = append(fields, vector.Field{Name: outputName(item, pos), Type: r.col(i).Type})
+		cols = append(cols, i)
 	}
-	return vector.NewBatch(vector.Schema{Fields: fields}, cols)
+	return sorted{r: x.rel(), schema: vector.Schema{Fields: fields}, cols: cols, input: true}, nil
 }
 
-// execAggregate evaluates GROUP BY / aggregate queries; sp (nil when
-// untraced) is the aggregate span, told which grouping kernel ran.
-func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *vector.Batch, sp *obs.Span) (*vector.Batch, error) {
-	// Evaluate group keys.
-	keyCols := make([]*vector.Column, len(sel.GroupBy))
+// exprColumns resolves expressions to columns of the relation in: a
+// column reference to its own column, any other expression to a column
+// evaluated over in materialized (ext), after in's columns — the
+// relation the columns then index being that one batch.
+type exprColumns struct {
+	e   *Engine
+	ctx *QueryContext
+	in  rel
+	ext *vector.Batch
+}
+
+// column returns the column of x.rel() that expr reads.
+func (x *exprColumns) column(expr sqlparse.Expr) (int, error) {
+	if ref, ok := expr.(sqlparse.ColumnRef); ok {
+		return resolveColumn(x.in.schema, ref)
+	}
+	if x.ext == nil {
+		b, err := x.e.materialize(x.ctx, x.in)
+		if err != nil {
+			return 0, err
+		}
+		x.ext = &vector.Batch{Schema: b.Schema, Cols: b.Cols[:len(b.Cols):len(b.Cols)], N: b.N}
+	}
+	c, err := x.e.evalExpr(x.ctx, x.ext, expr)
+	if err != nil {
+		return 0, err
+	}
+	x.ext.Cols = append(x.ext.Cols, c)
+	x.ext.Schema.Fields = append(x.ext.Schema.Fields[:len(x.ext.Schema.Fields):len(x.ext.Schema.Fields)], vector.Field{Name: expr.String(), Type: c.Type})
+	return len(x.ext.Cols) - 1, nil
+}
+
+// rel returns the relation x's columns index.
+func (x *exprColumns) rel() rel {
+	if x.ext == nil {
+		return x.in
+	}
+	return batchRel(x.ext)
+}
+
+// execAggregate evaluates GROUP BY / aggregate queries over in; sp (nil
+// when untraced) is the aggregate span, told which grouping kernel ran.
+// Group keys and aggregate arguments that are columns are read in in's
+// pieces; with an expression among them the grouping reads in
+// materialized, the expression's column beside it (exprColumns).
+func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in rel, sp *obs.Span) (*vector.Batch, error) {
+	x := exprColumns{e: e, ctx: ctx, in: in}
+	// Group key columns.
+	keyIdx := make([]int, len(sel.GroupBy))
 	for i, g := range sel.GroupBy {
-		c, err := e.evalExpr(ctx, in, g)
+		k, err := x.column(g)
 		if err != nil {
 			return nil, err
 		}
-		keyCols[i] = c
+		keyIdx[i] = k
 	}
 
-	// Pre-evaluate aggregate argument expressions once over the whole
-	// input. Select lists are a handful of items, so the dedup tables
-	// here (and below) are linear slices, not maps — the same lookup
-	// cost at this width without a per-query map allocation.
+	// Resolve aggregate argument expressions once over the whole input.
+	// Select lists are a handful of items, so the dedup tables here (and
+	// below) are linear slices, not maps — the same lookup cost at this
+	// width without a per-query map allocation.
 	type argCol struct {
 		key string
-		col *vector.Column
+		col int
 	}
 	var argCols []argCol
-	findArg := func(key string) *vector.Column {
+	findArg := func(key string) int {
 		for _, a := range argCols {
 			if a.key == key {
 				return a.col
 			}
 		}
-		return nil
+		return -1
 	}
 	var prepare func(expr sqlparse.Expr) error
 	prepare = func(expr sqlparse.Expr) error {
@@ -559,10 +701,10 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 			return nil
 		}
 		key := call.Args[0].String()
-		if findArg(key) != nil {
+		if findArg(key) >= 0 {
 			return nil
 		}
-		c, err := e.evalExpr(ctx, in, call.Args[0])
+		c, err := x.column(call.Args[0])
 		if err != nil {
 			return err
 		}
@@ -577,9 +719,14 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 			return nil, err
 		}
 	}
+	in = x.rel()
+	keyCols := make([]*vector.Column, len(keyIdx))
+	for i, k := range keyIdx {
+		keyCols[i] = in.col(k)
+	}
 
 	workers := e.execWorkers()
-	grouping := vector.GroupKeysWith(ctx.mem, keyCols, in.N, workers)
+	grouping := vector.GroupKeysWith(ctx.mem, in.pieces, keyCols, workers)
 	sp.SetStr("grouping", grouping.Strategy.String())
 
 	// Classify select items into aggregate specs (deduplicated; AVG
@@ -615,10 +762,11 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 				if len(call.Args) != 1 {
 					return fmt.Errorf("%w: %s expects one argument", ErrSemantic, call.Name)
 				}
-				col := findArg(call.Args[0].String())
-				if col == nil {
+				arg := findArg(call.Args[0].String())
+				if arg < 0 {
 					return fmt.Errorf("%w: aggregate argument %s not prepared", ErrSemantic, call.Args[0])
 				}
+				col := in.col(arg)
 				switch call.Name {
 				case "COUNT":
 					plans[i].specA = addSpec(vector.AggCount, col)
@@ -650,12 +798,21 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 		return nil, itemErr
 	}
 
-	results := vector.GroupAggregateWith(ctx.mem, grouping.IDs, grouping.NumGroups, specs, workers)
+	results := vector.GroupAggregateWith(ctx.mem, in.pieces, grouping.IDs, grouping.NumGroups, specs, workers)
 
 	// One typed column per select item: an aggregate's is its spec's, a
 	// group key's is the key column at each group's first-encounter row
-	// (gathered once per key, however many items name it).
-	keyOut := make([]*vector.Column, len(keyCols))
+	// (the keys' first rows copied once, however many items name them).
+	var keyOut []*vector.Column
+	for _, p := range plans {
+		if p.keyIdx >= 0 {
+			keyOut = take(ctx, in, grouping.Rep, keyIdx)
+			for i, c := range keyOut {
+				keyOut[i] = c.Decode()
+			}
+			break
+		}
+	}
 	fields := make([]vector.Field, len(sel.Items))
 	cols := make([]*vector.Column, len(sel.Items))
 	for i, item := range sel.Items {
@@ -666,12 +823,9 @@ func (e *Engine) execAggregate(ctx *QueryContext, sel *sqlparse.SelectStmt, in *
 		case p.specA >= 0:
 			c = results[p.specA]
 		case p.keyIdx >= 0:
-			if keyOut[p.keyIdx] == nil {
-				// Decoded: a result's encoding shows (egress accounting
-				// charges a Dict column its whole dictionary), and group
-				// keys have always left here plain.
-				keyOut[p.keyIdx] = vector.GatherNullWith(ctx.mem, keyCols[p.keyIdx], grouping.Rep).Decode()
-			}
+			// Decoded: a result's encoding shows (egress accounting
+			// charges a Dict column its whole dictionary), and group
+			// keys have always left here plain.
 			c = keyOut[p.keyIdx]
 		}
 		c = vector.AggOutput(ctx.mem, c, grouping.NumGroups)
@@ -743,48 +897,112 @@ func avgColumn(m vector.Mem, sum, cnt *vector.Column) *vector.Column {
 	return out
 }
 
-// execOrderBy sorts the projected output. ORDER BY expressions may
-// reference output aliases or input columns. A non-negative limit
+// execOrderBy sorts the statement's output out and returns its first
+// limit rows (-1: all). ORDER BY keys may reference output aliases or
+// input columns (in, the input rows). Keys that are columns of out's
+// relation are read there — in the input's pieces, for a projection of
+// columns — and only the rows the sort keeps are copied; an expression
+// key is evaluated over the output materialized (or, failing that, over
+// the input, when it has the output's rows). A non-negative limit
 // bounds the sort to vector.TopK's selection — same result as the full
 // stable sort followed by LIMIT, in O(N log K).
-func (e *Engine) execOrderBy(ctx *QueryContext, sel *sqlparse.SelectStmt, out, in *vector.Batch, limit int) (*vector.Batch, error) {
+func (e *Engine) execOrderBy(ctx *QueryContext, sel *sqlparse.SelectStmt, out sorted, in rel, limit int) (*vector.Batch, error) {
+	r, cols := out.r, out.cols
+	keyCols := make([]int, len(sel.OrderBy))
+	for i, item := range sel.OrderBy {
+		k, ok := orderColumn(out, item.Expr)
+		if !ok {
+			var err error
+			if r, cols, keyCols, err = e.orderExprs(ctx, sel, out, in); err != nil {
+				return nil, err
+			}
+			break
+		}
+		keyCols[i] = k
+	}
 	// Each key is extracted once into typed slices, so a comparison is
 	// two slice reads — not two encoding walks and two boxed Values.
 	al := ctx.mem.Allocator()
 	keys := make([]vector.SortKey, len(sel.OrderBy))
 	for i, item := range sel.OrderBy {
-		// Try the output schema first (aliases and group keys — whose
-		// output names drop the table qualifier), then the input.
-		if ref, ok := item.Expr.(sqlparse.ColumnRef); ok {
-			if idx := out.Schema.Index(ref.Name); idx >= 0 {
-				keys[i] = vector.ExtractSortKey(al, out.Cols[idx], item.Desc)
-				continue
-			}
-		}
-		c, err := e.evalExpr(ctx, out, item.Expr)
-		if err != nil {
-			if in == nil || in.N != out.N {
-				return nil, err
-			}
-			c, err = e.evalExpr(ctx, in, item.Expr)
-			if err != nil {
-				return nil, err
-			}
-		}
-		keys[i] = vector.ExtractSortKey(al, c, item.Desc)
+		keys[i] = vector.ExtractSortKey(al, r.pieces, r.col(keyCols[i]), item.Desc)
 	}
-	// Strict total order: ORDER BY keys, then original row index — the
-	// order a stable sort produces.
-	k := out.N
+	// Strict total order: ORDER BY keys, then position — the order a
+	// stable sort produces.
+	k := r.rows()
 	if limit >= 0 {
 		k = limit
 	}
-	idx := vector.TopK(ctx.mem, keys, out.N, k)
-	cols := make([]*vector.Column, len(out.Cols))
-	for i, c := range out.Cols {
-		cols[i] = vector.GatherWith(ctx.mem, c, idx)
+	pos := vector.TopK(ctx.mem, r.pieces, keys, k)
+	return &vector.Batch{Schema: out.schema, Cols: take(ctx, r, pos, cols), N: len(pos)}, nil
+}
+
+// orderColumn resolves an ORDER BY key that is a column of out's
+// relation: an output column by its bare name (aliases and group keys,
+// whose output names drop the table qualifier) or as a reference, else —
+// for a projection of columns — an input column.
+func orderColumn(out sorted, x sqlparse.Expr) (int, bool) {
+	ref, ok := x.(sqlparse.ColumnRef)
+	if !ok {
+		return 0, false
 	}
-	return &vector.Batch{Schema: out.Schema, Cols: cols, N: len(idx)}, nil
+	if i := out.schema.Index(ref.Name); i >= 0 {
+		return out.cols[i], true
+	}
+	if i, err := resolveColumn(out.schema, ref); err == nil {
+		return out.cols[i], true
+	}
+	if out.input {
+		if i, err := resolveColumn(out.r.schema, ref); err == nil {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// orderExprs is execOrderBy's relation when a key is an expression: the
+// output materialized, each key's column after its columns — an output
+// column by its bare name, else the key evaluated over the output, or
+// over the input when that fails and the input has the output's rows.
+func (e *Engine) orderExprs(ctx *QueryContext, sel *sqlparse.SelectStmt, out sorted, in rel) (rel, []int, []int, error) {
+	ob, err := e.materialize(ctx, out.r)
+	if err != nil {
+		return rel{}, nil, nil, err
+	}
+	ob = pick(ob, out.schema, out.cols)
+	ext := ob.Cols[:len(ob.Cols):len(ob.Cols)]
+	keyCols := make([]int, len(sel.OrderBy))
+	var ib *vector.Batch
+	for i, item := range sel.OrderBy {
+		if ref, ok := item.Expr.(sqlparse.ColumnRef); ok {
+			if idx := ob.Schema.Index(ref.Name); idx >= 0 {
+				keyCols[i] = idx
+				continue
+			}
+		}
+		c, err := e.evalExpr(ctx, ob, item.Expr)
+		if err != nil {
+			if in.rows() != ob.N {
+				return rel{}, nil, nil, err
+			}
+			if ib == nil {
+				if ib, err = e.materialize(ctx, in); err != nil {
+					return rel{}, nil, nil, err
+				}
+			}
+			if c, err = e.evalExpr(ctx, ib, item.Expr); err != nil {
+				return rel{}, nil, nil, err
+			}
+		}
+		keyCols[i] = len(ext)
+		ext = append(ext, c)
+	}
+	cols := make([]int, len(ob.Cols))
+	for i := range cols {
+		cols[i] = i
+	}
+	b := &vector.Batch{Schema: ob.Schema, Cols: ext, N: ob.N}
+	return rel{schema: ob.Schema, pieces: []vector.Selection{vector.Whole(b)}}, cols, keyCols, nil
 }
 
 // --- DML dispatch ---

@@ -123,6 +123,15 @@ func starWorldOf(t *testing.T, ev *env, factRows, factFiles int) {
 	}
 	ev.createCustom(t, "dm", dimSchema, dim, 1)
 	ev.createCustom(t, "void", factSchema, nil, 1)
+
+	// A dimension with one row per k1: the fact joins it N:1, every fact
+	// row matching, so the join hands the fact's pieces on.
+	ukSchema := vector.NewSchema(vector.Field{Name: "k1", Type: vector.Int64}, vector.Field{Name: "grp", Type: vector.String})
+	var uk [][]vector.Value
+	for i := 0; i < 22; i++ {
+		uk = append(uk, []vector.Value{vector.IntValue(int64(i)), vector.StringValue(grps[i%3])})
+	}
+	ev.createCustom(t, "uk", ukSchema, uk, 1)
 }
 
 // vectorizedBattery is the differential query set: every construct
@@ -145,6 +154,14 @@ var vectorizedBattery = []string{
 	`SELECT v FROM ds.fct WHERE v >= 10 LIMIT 5`,
 	`SELECT f.k2, COUNT(*) AS n FROM ds.fct AS f JOIN ds.dm AS d ON f.k2 = d.k2
 		GROUP BY f.k2 ORDER BY n DESC LIMIT 2`,
+	// Over the scan's selections: every row surviving, survivors spread
+	// over morsels, and the N:1 join passing them on to GROUP BY.
+	`SELECT f.k2, COUNT(*) AS n, SUM(f.v) AS sv FROM ds.fct AS f WHERE f.price >= 0 GROUP BY f.k2`,
+	`SELECT f.k1, SUM(f.price) AS rev, MIN(f.v) AS mn FROM ds.fct AS f WHERE f.v < 60 GROUP BY f.k1 ORDER BY f.k1`,
+	`SELECT v, price, k1 FROM ds.fct WHERE v >= 20 ORDER BY price DESC, v DESC LIMIT 9`,
+	`SELECT u.grp, COUNT(*) AS n, SUM(f.price) AS rev, SUM(f.v) AS sv FROM ds.fct AS f JOIN ds.uk AS u ON f.k1 = u.k1
+		WHERE f.v < 70 GROUP BY u.grp ORDER BY u.grp`,
+	`SELECT u.grp, f.k2, COUNT(*) AS n FROM ds.fct AS f LEFT JOIN ds.uk AS u ON f.k1 = u.k1 GROUP BY u.grp, f.k2`,
 }
 
 func TestVectorizedWorkerCountInvariance(t *testing.T) {

@@ -192,12 +192,44 @@ func TestLimitStopExclusions(t *testing.T) {
 	}
 }
 
+// TestEncodedCompareIsIntegerExact: the scan's RLE and Dict kernels
+// compare an integer column with an integer literal as integers, as the
+// plain kernel does. Through float64, 2^53 and 2^53+1 are one value: an
+// RLE chunk of 8,192 copies of 2^53+1 compared `> 2^53` would select
+// none of them, and a Dict chunk of both values `= 2^53+1` both.
+func TestEncodedCompareIsIntegerExact(t *testing.T) {
+	ev := newEnv(t, DefaultOptions())
+	const big = int64(1) << 53
+	schema := vector.NewSchema(vector.Field{Name: "x", Type: vector.Int64})
+	rle, dict := make([][]vector.Value, 8192), make([][]vector.Value, 8192)
+	for i := range rle {
+		rle[i] = []vector.Value{vector.IntValue(big + 1)}
+		dict[i] = []vector.Value{vector.IntValue(big + int64(i%2))}
+	}
+	ev.createCustom(t, "r", schema, rle, 1)
+	ev.createCustom(t, "d", schema, dict, 1)
+	for _, tc := range []struct {
+		sql  string
+		rows int
+	}{
+		{fmt.Sprintf("SELECT x FROM ds.r WHERE x > %d", big), 8192},
+		{fmt.Sprintf("SELECT x FROM ds.r WHERE x >= %d", big+1), 8192},
+		{fmt.Sprintf("SELECT x FROM ds.r WHERE x < %d", big+1), 0},
+		{fmt.Sprintf("SELECT x FROM ds.d WHERE x = %d", big+1), 4096},
+		{fmt.Sprintf("SELECT x FROM ds.d WHERE x < %d", big+1), 4096},
+	} {
+		res := ev.query(t, adminP, tc.sql)
+		if res.Batch.N != tc.rows {
+			t.Errorf("%s: %d rows, want %d", tc.sql, res.Batch.N, tc.rows)
+		}
+	}
+}
+
 // TestExactPushdownRule: a conjunct the scan may not enforce exactly
 // stays in the residual WHERE, and the answer is right. On a LEFT
 // JOIN's NULL-extended side the residual drops the extended rows; a
-// literal of another type, an integer at 2^53 compared over an RLE
-// chunk of 2^53+1 (Dict and RLE compare through float64), and a NaN
-// literal are not exact either.
+// literal of another type and a NaN literal are not exact either. An
+// integer past 2^53 is: every encoding compares it as an integer.
 func TestExactPushdownRule(t *testing.T) {
 	ev := newEnv(t, DefaultOptions())
 	kv := vector.NewSchema(vector.Field{Name: "k", Type: vector.Int64}, vector.Field{Name: "x", Type: vector.Int64})
@@ -227,9 +259,9 @@ func TestExactPushdownRule(t *testing.T) {
 		// A literal of another type.
 		{"SELECT x FROM ds.r WHERE f = 1", 0, true},
 		{"SELECT x FROM ds.r WHERE f = 1.5", 8192, false},
-		// 2^53 and 2^53+1 are one float64.
-		{fmt.Sprintf("SELECT x FROM ds.r WHERE x = %d", big-1), 0, true},
-		{fmt.Sprintf("SELECT x FROM ds.r WHERE x = %d", big), 8192, true},
+		// 2^53 and 2^53+1 are one float64, but two integers.
+		{fmt.Sprintf("SELECT x FROM ds.r WHERE x = %d", big-1), 0, false},
+		{fmt.Sprintf("SELECT x FROM ds.r WHERE x = %d", big), 8192, false},
 		{"SELECT x FROM ds.r WHERE x > 0", 8192, false},
 	}
 	for _, tc := range cases {
@@ -246,7 +278,7 @@ func TestExactPushdownRule(t *testing.T) {
 	}
 
 	// The rule itself, on one plan of ds.r: what the parser cannot
-	// write (NaN) and the ±2^53 bounds.
+	// write (NaN), and integers on either side of ±2^53.
 	tbl, err := ev.cat.Table("ds.r")
 	if err != nil {
 		t.Fatal(err)
@@ -260,9 +292,9 @@ func TestExactPushdownRule(t *testing.T) {
 		{colfmt.Predicate{Column: "f", Op: vector.LE, Value: vector.FloatValue(math.Inf(1))}, true},
 		{colfmt.Predicate{Column: "f", Op: vector.EQ, Value: vector.IntValue(1)}, false},
 		{colfmt.Predicate{Column: "x", Op: vector.LT, Value: vector.IntValue(1<<53 - 1)}, true},
-		{colfmt.Predicate{Column: "x", Op: vector.LT, Value: vector.IntValue(1 << 53)}, false},
+		{colfmt.Predicate{Column: "x", Op: vector.LT, Value: vector.IntValue(1 << 53)}, true},
 		{colfmt.Predicate{Column: "x", Op: vector.GT, Value: vector.IntValue(-1<<53 + 1)}, true},
-		{colfmt.Predicate{Column: "x", Op: vector.GT, Value: vector.IntValue(-1 << 53)}, false},
+		{colfmt.Predicate{Column: "x", Op: vector.GT, Value: vector.IntValue(-1 << 53)}, true},
 		{colfmt.Predicate{Column: "x", Op: vector.EQ, Value: vector.FloatValue(1)}, false},
 		{colfmt.Predicate{Column: "nope", Op: vector.EQ, Value: vector.IntValue(1)}, false},
 	} {

@@ -20,9 +20,11 @@ import (
 // sel, applying pd's predicates for pruning and governance before any
 // row leaves the trust boundary, and marking in pd the ones it enforced
 // exactly (pd nil: no predicates). Only the columns sel can read from it
-// are decoded (sel nil: all of them). The returned batch carries the
-// table's bare column names.
-func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, pd *pushdown) (*vector.Batch, error) {
+// are decoded (sel nil: all of them). The returned relation carries the
+// table's bare column names; its pieces are the files' surviving rows
+// of their decoded (often cache-resident) columns, unless a transaction
+// overlay or governance needs them as one batch.
+func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sqlparse.TableRef, pd *pushdown) (rel, error) {
 	name := ref.Name
 	var preds []colfmt.Predicate
 	if pd != nil {
@@ -60,14 +62,18 @@ func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sql
 
 	t, err := e.Catalog.Table(name)
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
 	if err := e.Auth.CheckRead(ctx.Principal, name); err != nil {
-		return nil, err
+		return rel{}, err
 	}
 
 	if t.Type == catalog.Object {
-		return e.scanObjectTable(ctx, t)
+		b, err := e.scanObjectTable(ctx, t)
+		if err != nil {
+			return rel{}, err
+		}
+		return batchRel(b), nil
 	}
 
 	// Which files, which columns of them and which predicates on them is
@@ -92,7 +98,7 @@ func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sql
 	ctx.Stats.ListCalls += p.ListCalls
 	ctx.Stats.FooterReads += p.FooterReads
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
 	read, total := int64(p.Columns.Count(t.Schema.Len())), int64(t.Schema.Len())
 	ctx.Span.SetInt("columns", read)
@@ -102,33 +108,34 @@ func (e *Engine) scanTable(ctx *QueryContext, sel *sqlparse.SelectStmt, ref *sql
 	planned = int64(len(p.Files))
 
 	out, err := e.readFiles(ctx, &p, pd.enforce(&p, len(overlay) > 0))
-	if err != nil {
-		return nil, err
+	if err != nil || (len(overlay) == 0 && !p.Governs()) {
+		return out, err
 	}
 	// Buffered batches are appended unfiltered, projected like the scan;
 	// the residual WHERE in execSelect (and the where-func in DML
 	// rewrites) re-checks the full predicate, so pushdown never has to
 	// understand the overlay — and no conjunct is exact over a table
 	// that has one. The scan and the overlay concatenate once.
-	if len(overlay) > 0 {
-		parts := []vector.Selection{{Batch: out, Hi: out.N, N: out.N}}
-		for _, b := range overlay {
-			if b.N == 0 {
-				continue
-			}
-			if b, err = projectLike(b, out.Schema); err != nil {
-				return nil, err
-			}
-			parts = append(parts, vector.Selection{Batch: b, Hi: b.N, N: b.N})
-			ctx.Stats.RowsScanned += int64(b.N)
+	for _, b := range overlay {
+		if b.N == 0 {
+			continue
 		}
-		if out, err = vector.FilterConcatWith(ctx.mem, parts); err != nil {
-			return nil, err
+		if b, err = projectLike(b, out.schema); err != nil {
+			return rel{}, err
 		}
+		out.pieces = append(out.pieces, vector.Whole(b))
+		ctx.Stats.RowsScanned += int64(b.N)
+	}
+	b, err := e.materialize(ctx, out)
+	if err != nil {
+		return rel{}, err
 	}
 	// Governance is applied inside the engine for every scan — the same
 	// step the Read API's reads end with (§3.2).
-	return p.Govern(out)
+	if b, err = p.Govern(b); err != nil {
+		return rel{}, err
+	}
+	return batchRel(b), nil
 }
 
 // projection resolves, once per statement, the columns of one FROM
@@ -202,10 +209,10 @@ func exprRefs(x sqlparse.Expr, fn func(sqlparse.ColumnRef)) bool {
 // provider. Pushdown predicates on columns the table actually has are
 // applied here (the normal pruning contract); the rest fall through to
 // the residual WHERE in execSelect.
-func (e *Engine) scanSystemTable(ctx *QueryContext, name string, preds []colfmt.Predicate) (*vector.Batch, error) {
+func (e *Engine) scanSystemTable(ctx *QueryContext, name string, preds []colfmt.Predicate) (rel, error) {
 	b, err := e.Sys.Scan(name)
 	if err != nil {
-		return nil, err
+		return rel{}, err
 	}
 	applicable := preds[:0:0]
 	for _, p := range preds {
@@ -213,18 +220,18 @@ func (e *Engine) scanSystemTable(ctx *QueryContext, name string, preds []colfmt.
 			applicable = append(applicable, p)
 		}
 	}
+	r := batchRel(b)
 	if len(applicable) > 0 {
-		mask, err := colfmt.EvalPredicatesWith(ctx.mem.Al, b, applicable)
+		rows, err := colfmt.EvalPredicatesWith(ctx.mem.Al, b, 0, b.N, applicable)
 		if err != nil {
-			return nil, err
+			return rel{}, err
 		}
-		b, err = vector.FilterWith(ctx.mem, b, mask)
-		if err != nil {
-			return nil, err
+		if r.pieces[0], err = vector.Window(b, 0, b.N, rows); err != nil {
+			return rel{}, err
 		}
 	}
-	ctx.Stats.RowsScanned += int64(b.N)
-	return b, nil
+	ctx.Stats.RowsScanned += int64(r.rows())
+	return r, nil
 }
 
 // projectLike projects a full-schema batch onto the columns of like.
@@ -251,15 +258,15 @@ func (e *Engine) Planner() scan.Planner {
 }
 
 // readFiles reads the plan's files through it — the cache-resident
-// ones as morsel tasks, the rest in parallel worker tracks — and merges
-// what the pushed predicates select. A limit ≥ 0 is a row budget: the
-// pushed predicates are the whole WHERE and exact, and nothing after
-// the scan drops a row, so the first limit rows of the merge are the
-// statement's answer (-1: no budget).
-func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan, limit int64) (*vector.Batch, error) {
+// ones as morsel tasks, the rest in parallel worker tracks — and returns
+// what the pushed predicates select as a relation: one piece per file
+// with rows, in plan order, nothing copied. A limit ≥ 0 is a row
+// budget: the pushed predicates are the whole WHERE and exact, and
+// nothing after the scan drops a row, so the first limit rows of the
+// relation are the statement's answer (-1: no budget).
+func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan, limit int64) (rel, error) {
 	// Each file contributes a decoded batch and the rows of it the
-	// predicates select; the merge below filters and concatenates in
-	// one pass.
+	// predicates select.
 	results := make([]vector.Selection, len(p.Files))
 
 	// Warm pass, on the statement goroutine: the quarantine gate, the
@@ -272,7 +279,7 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan, limit int64) (*vecto
 	for i, f := range p.Files {
 		skip, err := p.Reader.Gate(&p.Source, f)
 		if err != nil {
-			return nil, err
+			return rel{}, err
 		}
 		if skip {
 			ctx.Stats.QuarantineSkips++
@@ -293,7 +300,7 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan, limit int64) (*vecto
 	if hits > 0 {
 		fanned, err := e.selectResident(ctx.mem.Al, p, results, big)
 		if err != nil {
-			return nil, err
+			return rel{}, err
 		}
 		if fanned {
 			e.ec.selectFanouts.Add(1)
@@ -346,7 +353,7 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan, limit int64) (*vecto
 			wave = min(2*wave, scan.Workers, len(cold)-next)
 		}
 		if err := e.readColdFiles(ctx, *p, cold[next:next+wave], results); err != nil {
-			return nil, err
+			return rel{}, err
 		}
 	}
 	if files < len(p.Files) {
@@ -354,26 +361,30 @@ func (e *Engine) readFiles(ctx *QueryContext, p *scan.Plan, limit int64) (*vecto
 		ctx.Span.SetInt("limit_stop", 1)
 	}
 
-	// One sized pass drawing from the query arena: each surviving value
-	// is copied once, from its file's (cached) decode straight into the
-	// merged column, each (column, file) a task writing its own range;
-	// dictionary columns stay encoded.
-	out, fanned, err := vector.FilterConcatWorkers(ctx.mem, results[:files], e.execWorkers())
-	if err != nil {
-		return nil, err
+	// The files' selections are the relation's pieces, in plan order:
+	// a skipped file and one with no survivor contribute none.
+	out := rel{pieces: results[:0]}
+	for _, r := range results[:files] {
+		if r.Batch == nil || r.N == 0 {
+			continue
+		}
+		if len(out.pieces) == 0 {
+			out.schema = r.Batch.Schema
+		} else if !r.Batch.Schema.Equal(out.schema) {
+			return rel{}, fmt.Errorf("vector: concat schema mismatch %v vs %v", out.schema, r.Batch.Schema)
+		}
+		out.pieces = append(out.pieces, r)
 	}
-	if fanned {
-		e.ec.mergeFanouts.Add(1)
+	if len(out.pieces) == 0 {
+		out.schema = p.Columns.Project(p.Table.Schema)
+		out.pieces = append(out.pieces, vector.Whole(vector.EmptyBatch(out.schema)))
 	}
 	e.ec.reads.Add(1)
-	if out == nil {
-		out = vector.EmptyBatch(p.Columns.Project(p.Table.Schema))
-	}
 	ctx.Stats.FilesScanned += int64(files)
 	for _, f := range p.Files[:files] {
 		ctx.Stats.BytesScanned += f.Size
 	}
-	ctx.Stats.RowsScanned += int64(out.N)
+	ctx.Stats.RowsScanned += int64(out.rows())
 	return out, nil
 }
 
@@ -549,14 +560,14 @@ func (e *Engine) scanObjectTable(ctx *QueryContext, t catalog.Table) (*vector.Ba
 	return e.Auth.ApplyGovernance(ctx.Principal, t.FullName(), bl.Build())
 }
 
-// qualifyBatch prefixes every column with "qual." for multi-table
+// qualifySchema prefixes every column with "qual." for multi-table
 // resolution.
-func qualifyBatch(b *vector.Batch, qual string) *vector.Batch {
-	fields := make([]vector.Field, len(b.Schema.Fields))
-	for i, f := range b.Schema.Fields {
+func qualifySchema(s vector.Schema, qual string) vector.Schema {
+	fields := make([]vector.Field, len(s.Fields))
+	for i, f := range s.Fields {
 		fields[i] = vector.Field{Name: qual + "." + f.Name, Type: f.Type}
 	}
-	return &vector.Batch{Schema: vector.Schema{Fields: fields}, Cols: b.Cols, N: b.N}
+	return vector.Schema{Fields: fields}
 }
 
 // conjuncts appends the top-level AND conjuncts of where to out.
@@ -667,9 +678,9 @@ func (pd *pushdown) enforce(p *scan.Plan, overlay bool) int64 {
 // column the table's files store (not a hive partition column, which
 // only pruning consumes, and a value that does not parse prunes
 // nothing) and the principal sees unmasked, against a non-NULL literal
-// of the column's own type that the encoded kernels — Dict and RLE
-// compare through float64 — judge as the plain one does: an integer or
-// timestamp strictly inside ±2^53, a float that is not NaN.
+// of the column's own type that every encoding's kernel judges as the
+// plain one does — any integer or timestamp (each compares it exactly),
+// a float that is not NaN.
 func exact(p *scan.Plan, pr colfmt.Predicate) bool {
 	i := p.Table.Schema.Index(pr.Column)
 	if i < 0 || pr.Column == p.Table.PartitionColumn || pr.Value.Type != p.Table.Schema.Fields[i].Type {
@@ -685,11 +696,5 @@ func exact(p *scan.Plan, pr colfmt.Predicate) bool {
 			return false
 		}
 	}
-	switch v := pr.Value; v.Type {
-	case vector.Int64, vector.Timestamp:
-		return -1<<53 < v.I && v.I < 1<<53
-	case vector.Float64:
-		return !math.IsNaN(v.F)
-	}
-	return true
+	return pr.Value.Type != vector.Float64 || !math.IsNaN(pr.Value.F)
 }

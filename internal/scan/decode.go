@@ -19,7 +19,7 @@ import (
 // them injected, and the rows preds select marked. With a Cache the
 // columns are served from or added to the object's entry, keyed by the
 // pinned generation (or the one an unpinned GET returned), and preds
-// become the selection's mask; without one they skip row groups and are
+// select the selection's rows; without one they skip row groups and are
 // applied during the decode, and every row of the returned batch is
 // selected. preds may name columns the file does not store (partition
 // columns, consumed by pruning): those are dropped here; a column the
@@ -36,11 +36,11 @@ func (r *Reader) ReadBatch(ch sim.Charger, src *Source, f bigmeta.FileEntry, col
 			return err
 		}
 		hit = ok
-		mask := preds
+		rowPreds := preds
 		if r.Cache == nil {
-			mask = nil // applied during the decode
+			rowPreds = nil // applied during the decode
 		}
-		sel, err = Select(al, b, cols, mask, f.Partition, src.Table.Schema)
+		sel, err = Select(al, b, cols, rowPreds, f.Partition, src.Table.Schema)
 		return annotate(src, f, err)
 	})
 	if err != nil || out.Skipped {
@@ -81,7 +81,7 @@ func (r *Reader) load(ch sim.Charger, src *Source, f bigmeta.FileEntry, cols Col
 		if got = r.Cache.resident(key); got == nil {
 			got = make([]*vector.Column, fs.Len())
 		}
-		preds = nil // the selection's mask, not the decode's
+		preds = nil // the selection's rows, not the decode's
 	}
 	names := make([]string, 0, fs.Len())
 	var at []int
@@ -187,7 +187,9 @@ func Window(b *vector.Batch, preds []colfmt.Predicate) (lo, hi int) {
 
 // SelectWindow is Select given Window(b, preds) = [lo, hi): the
 // predicates a sorted column does not answer are evaluated inside the
-// window only, and the selection counted.
+// window only, their kernels writing the surviving rows. A predicate on
+// a column the file does not store (a hive partition column) was
+// consumed by pruning, which kept or dropped the whole file.
 func SelectWindow(al vector.Alloc, b *vector.Batch, lo, hi int, cols Columns, preds []colfmt.Predicate, partition map[string]string, schema vector.Schema) (vector.Selection, error) {
 	if err := cols.covers(schema, preds); err != nil {
 		return vector.Selection{}, err
@@ -202,10 +204,10 @@ func SelectWindow(al vector.Alloc, b *vector.Batch, lo, hi int, cols Columns, pr
 			rest = append(rest, p)
 		}
 	}
-	var mask []bool
+	var sel []int32
 	if len(rest) > 0 && lo < hi {
 		var err error
-		if mask, err = colfmt.EvalPredicatesWith(al, vector.SliceBatch(b, lo, hi), rest); err != nil {
+		if sel, err = colfmt.EvalPredicatesWith(al, b, lo, hi, rest); err != nil {
 			return vector.Selection{}, err
 		}
 	}
@@ -213,7 +215,7 @@ func SelectWindow(al vector.Alloc, b *vector.Batch, lo, hi int, cols Columns, pr
 	if err != nil {
 		return vector.Selection{}, err
 	}
-	return vector.SelectWindow(b, lo, hi, mask)
+	return vector.Window(b, lo, hi, sel)
 }
 
 // InjectPartitionColumns adds hive partition values as columns when

@@ -293,8 +293,8 @@ func TestWindowOutlivesArenaAndCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lo, hi := sel.Lo, sel.Hi; lo != 500 || hi != 1000 || sel.Mask != nil {
-				t.Fatalf("read %d: window [%d, %d) mask %v, want [500, 1000) and no mask", i, lo, hi, sel.Mask != nil)
+			if lo, hi := sel.Lo, sel.Hi; lo != 500 || hi != 1000 || sel.Sel != nil {
+				t.Fatalf("read %d: window [%d, %d) rows %v, want [500, 1000) and no rows", i, lo, hi, sel.Sel != nil)
 			}
 			out, err := vector.FilterConcatWith(vector.Mem{Al: ar}, []vector.Selection{sel, sel})
 			if err != nil {
@@ -334,7 +334,7 @@ func TestWindowOutlivesArenaAndCache(t *testing.T) {
 		c.Sorted = vector.Ascending(c)
 		b := vector.MustBatch(vector.NewSchema(vector.Field{Name: "x", Type: vector.Int64}), []*vector.Column{c})
 		lo, hi, _ := vector.SortedWindow(c, vector.GE, vector.IntValue(3000))
-		sel, err := vector.SelectWindow(b, lo, hi, nil)
+		sel, err := vector.Window(b, lo, hi, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,4 +364,82 @@ func TestWindowOutlivesArenaAndCache(t *testing.T) {
 		check(t, vector.SliceBatch(held[1], hi-lo, 2*(hi-lo)), 3000, hi-lo)
 		check(t, held[2], 3000, 10)
 	})
+}
+
+// TestSelectionOutlivesEviction: a selection over a file's
+// cache-resident columns keeps them reachable. While other goroutines
+// evict the file's entry, read it back and scribble over recycled arena
+// slabs, the grouping, aggregates, top-K and merge over a selection
+// taken before answer as they did — and under -race (make race), no
+// byte a selection reads is written by anyone.
+func TestSelectionOutlivesEviction(t *testing.T) {
+	w := newWorld(t)
+	rd := w.reader("scan")
+	rd.Cache = NewCache(0)
+	f := w.writeSorted(t, "t/day=7/sel.blk", 3*vector.MorselRows)
+	cols := ColumnsOf(w.src.Table.Schema, "x")
+	preds := []colfmt.Predicate{
+		{Column: "x", Op: vector.GE, Value: vector.IntValue(1000)}, // the sorted window
+		{Column: "x", Op: vector.NE, Value: vector.IntValue(5000)}, // rows selected in it
+	}
+	pool := arena.NewPool()
+	ar := pool.Get()
+	defer ar.Release()
+	var sel vector.Selection
+	for i := 0; i < 2; i++ { // a miss that fills, then a hit
+		var err error
+		if sel, _, err = rd.ReadBatch(w.clock, &w.src, f, cols, ar, preds); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sel.Sel == nil || sel.Lo == 0 {
+		t.Fatalf("selection [%d, %d) with rows %v: want a window with rows selected", sel.Lo, sel.Hi, sel.Sel != nil)
+	}
+	in := []vector.Selection{sel}
+	answer := func() string {
+		q := pool.Get()
+		defer q.Release()
+		m := vector.Mem{Al: q}
+		x := sel.Batch.Cols[0]
+		g := vector.GroupKeysWith(m, in, []*vector.Column{x}, 2)
+		aggs := vector.GroupAggregateWith(m, in, g.IDs, g.NumGroups, []vector.AggSpec{{Kind: vector.AggCount}, {Kind: vector.AggSum, Col: x}, {Kind: vector.AggMax, Col: x}}, 2)
+		ids := make([]int32, vector.Count(in))
+		sums := vector.GroupAggregateWith(m, in, ids, 1, []vector.AggSpec{{Kind: vector.AggSum, Col: x}}, 2)
+		top := vector.TopK(m, in, []vector.SortKey{vector.ExtractSortKey(q, in, x, true)}, 5)
+		out, _, err := vector.FilterConcatWorkers(m, in, 2)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		return fmt.Sprint(g.NumGroups, g.Rep[:3], aggs[0].Value(0), aggs[1].Value(0), aggs[2].Value(0), sums[0].Value(0), top,
+			out.N, out.Cols[0].Value(0), out.Cols[0].Value(out.N-1))
+	}
+	want := answer()
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for q := 0; q < 5; q++ {
+				rd.Cache.evictObject("gcp", testBucket, f.Key)
+				if _, _, err := rd.ReadBatch(sim.NewClock(), &w.src, f, cols, nil, preds); err != nil {
+					t.Error(err)
+				}
+				s := pool.Get()
+				for i, xs := 0, s.Int64s(1<<14); i < len(xs); i++ {
+					xs[i] = -1
+				}
+				s.Release()
+			}
+		}()
+	}
+	for q := 0; q < 5; q++ {
+		if got := answer(); got != want {
+			t.Fatalf("after eviction: %s, want %s", got, want)
+		}
+	}
+	wg.Wait()
+	if got := answer(); got != want {
+		t.Fatalf("after eviction: %s, want %s", got, want)
+	}
 }

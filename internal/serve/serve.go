@@ -621,7 +621,7 @@ func (c *Cursor) Next() (*vector.Batch, error) {
 	}
 	pg := c.batch // a result that fits one page, zero rows included, is its page
 	if n < c.batch.N {
-		sel, err := vector.SelectWindow(c.batch, c.off, c.off+n, nil)
+		sel, err := vector.Window(c.batch, c.off, c.off+n, nil)
 		if err == nil {
 			pg, err = vector.FilterConcatWith(vector.Mem{}, []vector.Selection{sel})
 		}

@@ -340,8 +340,9 @@ func (f *Frame) collectAgg() (*vector.Batch, error) {
 	}
 	// Groups come out in first-encounter order, each key taken from the
 	// group's first row.
-	g := vector.GroupKeysWith(vector.Mem{}, keys, in.N, Executors)
-	aggs := vector.GroupAggregateWith(vector.Mem{}, g.IDs, g.NumGroups, specs, Executors)
+	rel := []vector.Selection{vector.Whole(in)}
+	g := vector.GroupKeysWith(vector.Mem{}, rel, keys, Executors)
+	aggs := vector.GroupAggregateWith(vector.Mem{}, rel, g.IDs, g.NumGroups, specs, Executors)
 	var out vector.Schema
 	cols := make([]*vector.Column, 0, len(keys)+len(aggs))
 	for i, k := range keys {
@@ -373,7 +374,7 @@ func (f *Frame) collectJoin() (*vector.Batch, error) {
 		sec := second
 		if f.sess.Opts.EnableDPP {
 			if ci := fb.Schema.Index(firstKey); ci >= 0 {
-				min, max, _ := vector.MinMax(fb.Cols[ci])
+				min, max, _ := vector.MinMax(fb.Cols[ci], nil)
 				if !min.IsNull() {
 					sec = sec.Filter(colfmt.Predicate{Column: secondKey, Op: vector.GE, Value: min})
 					sec = sec.Filter(colfmt.Predicate{Column: secondKey, Op: vector.LE, Value: max})
@@ -417,7 +418,7 @@ func (f *Frame) collectJoin() (*vector.Batch, error) {
 	if bi < 0 || pi < 0 {
 		return nil, fmt.Errorf("%w: join keys %q/%q not found", ErrPlan, j.leftKey, j.rightKey)
 	}
-	res, err := vector.HashJoinWith(vector.Mem{}, probe, build, []int{pi}, []int{bi}, vector.InnerJoin, Executors)
+	res, err := vector.HashJoinWith(vector.Mem{}, []vector.Selection{vector.Whole(probe)}, build, []int{pi}, []int{bi}, vector.InnerJoin, Executors)
 	if err != nil {
 		return nil, err
 	}

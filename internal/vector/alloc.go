@@ -93,6 +93,7 @@ type overwriter interface {
 	Float64sForOverwrite(n int) []float64
 	BoolsForOverwrite(n int) []bool
 	Uint32sForOverwrite(n int) []uint32
+	Int32sForOverwrite(n int) []int32
 }
 
 // int64sForOverwrite returns n int64s from al for an output the caller
@@ -126,6 +127,14 @@ func uint32sForOverwrite(al Alloc, n int) []uint32 {
 		return o.Uint32sForOverwrite(n)
 	}
 	return al.Uint32s(n)
+}
+
+// int32sForOverwrite is int64sForOverwrite for int32s.
+func int32sForOverwrite(al Alloc, n int) []int32 {
+	if o, ok := al.(overwriter); ok {
+		return o.Int32sForOverwrite(n)
+	}
+	return al.Int32s(n)
 }
 
 // Mem is the memory policy a query threads through the kernels: where

@@ -48,7 +48,7 @@ type Chunk struct {
 func (e *ChunkEncoder) Encode(c *Column, choose bool) Chunk {
 	switch c.Enc {
 	case Dict:
-		min, max, nulls := MinMax(c)
+		min, max, nulls := MinMax(c, nil)
 		return Chunk{Col: c, Min: min, Max: max, Nulls: nulls, Distinct: c.dictLen()}
 	case RLE:
 		ch := e.Encode(c.Decode(), false)
@@ -57,7 +57,7 @@ func (e *ChunkEncoder) Encode(c *Column, choose bool) Chunk {
 	}
 	runs, nulls := e.code(c)
 	ch := Chunk{Col: c, Nulls: nulls, Distinct: e.dict.Len}
-	ch.Min, ch.Max, _ = MinMax(&e.dict)
+	ch.Min, ch.Max, _ = MinMax(&e.dict, nil)
 	if choose && ch.Distinct > 0 && ch.Distinct*2 <= c.Len {
 		if runs*3 <= c.Len {
 			ch.Col = e.rleColumn(c, runs)

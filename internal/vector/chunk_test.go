@@ -128,7 +128,7 @@ func TestChunkEncoderMatchesReference(t *testing.T) {
 			t.Fatalf("trial %d %v: distinct %d nulls %d enc %v, want %d %d %v", trial, typ,
 				ch.Distinct, ch.Nulls, ch.Col.Enc, distinct, nulls, want)
 		}
-		min, max, _ := MinMax(c)
+		min, max, _ := MinMax(c, nil)
 		if !sameValue(ch.Min, min) || !sameValue(ch.Max, max) {
 			t.Fatalf("trial %d %v: min/max %v/%v, want %v/%v", trial, typ, ch.Min, ch.Max, min, max)
 		}

@@ -31,21 +31,23 @@ func benchFact(keys int, step int64) (k, amount *Column, price *Column) {
 }
 
 // BenchmarkGroupKeys groups 125k rows by one integer key of 1,024
-// values: consecutive (the direct-address kernel) and 2^40 apart (the
-// hash kernel).
+// values: consecutive (the direct-address kernel), and 7,919, 2^32 and
+// 2^40 apart (the hash kernel, whose table hash must spread keys that
+// differ only in their high bits as well as any).
 func BenchmarkGroupKeys(b *testing.B) {
 	for _, c := range []struct {
 		name string
 		step int64
 		want GroupStrategy
-	}{{"dense", 1, GroupDense}, {"hash", 1 << 40, GroupInt64}} {
+	}{{"dense", 1, GroupDense}, {"hash", 1 << 40, GroupInt64}, {"hash7919", 7919, GroupInt64}, {"hash2^32", 1 << 32, GroupInt64}} {
 		k, _, _ := benchFact(1024, c.step)
+		in, keys := one(benchRows, k), []*Column{k}
 		for _, w := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/workers=%d", c.name, w), func(b *testing.B) {
 				pool := arena.NewPool()
 				for i := 0; i < b.N; i++ {
 					ar := pool.Get()
-					if g := GroupKeysWith(Mem{Al: ar}, []*Column{k}, benchRows, w); g.Strategy != c.want {
+					if g := GroupKeysWith(Mem{Al: ar}, in, keys, w); g.Strategy != c.want {
 						b.Fatalf("grouped by %v, want %v", g.Strategy, c.want)
 					}
 					ar.Release()
@@ -70,7 +72,7 @@ func BenchmarkHashJoinN1(b *testing.B) {
 			pool := arena.NewPool()
 			for i := 0; i < b.N; i++ {
 				ar := pool.Get()
-				res, err := HashJoinWith(Mem{Al: ar}, fact, dim, []int{0}, []int{0}, InnerJoin, w)
+				res, err := HashJoinWith(Mem{Al: ar}, []Selection{Whole(fact)}, dim, []int{0}, []int{0}, InnerJoin, w)
 				if err != nil || res.Strategy != JoinDense {
 					b.Fatalf("joined by %v (%v), want dense", res.Strategy, err)
 				}
@@ -87,8 +89,9 @@ func BenchmarkTopK(b *testing.B) {
 	pool := arena.NewPool()
 	for i := 0; i < b.N; i++ {
 		ar := pool.Get()
-		keys := []SortKey{ExtractSortKey(ar, price, true), ExtractSortKey(ar, amount, true)}
-		if idx := TopK(Mem{Al: ar}, keys, benchRows, 100); len(idx) != 100 {
+		in := one(benchRows, price, amount)
+		keys := []SortKey{ExtractSortKey(ar, in, price, true), ExtractSortKey(ar, in, amount, true)}
+		if idx := TopK(Mem{Al: ar}, in, keys, 100); len(idx) != 100 {
 			b.Fatalf("%d rows, want 100", len(idx))
 		}
 		ar.Release()
@@ -115,13 +118,13 @@ func TestTopKMatchesStableSort(t *testing.T) {
 	for lead := range cols {
 		for _, desc := range []bool{false, true} {
 			order := []*Column{cols[lead], cols[(lead+1)%len(cols)]}
-			want := make([]int, n)
+			want := make([]int32, n)
 			for i := range want {
-				want[i] = i
+				want[i] = int32(i)
 			}
 			sort.SliceStable(want, func(a, b int) bool {
 				for k, c := range order {
-					cmp := refCompareForSort(c.Value(want[a]), c.Value(want[b]))
+					cmp := refCompareForSort(c.Value(int(want[a])), c.Value(int(want[b])))
 					if k == 0 && desc {
 						cmp = -cmp
 					}
@@ -131,9 +134,10 @@ func TestTopKMatchesStableSort(t *testing.T) {
 				}
 				return false
 			})
-			keys := []SortKey{ExtractSortKey(Heap, order[0], desc), ExtractSortKey(Heap, order[1], false)}
+			in := one(n, order...)
+			keys := []SortKey{ExtractSortKey(Heap, in, order[0], desc), ExtractSortKey(Heap, in, order[1], false)}
 			for _, k := range []int{0, 1, 7, 100, n - 1, n, n + 5} {
-				got := TopK(Mem{}, keys, n, k)
+				got := TopK(Mem{}, in, keys, k)
 				if wk := want[:min(k, n)]; !reflect.DeepEqual(norm(got), norm(wk)) {
 					t.Fatalf("lead %d desc=%v k=%d: rows differ from the stable sort's first k", lead, desc, k)
 				}
@@ -142,7 +146,7 @@ func TestTopKMatchesStableSort(t *testing.T) {
 	}
 }
 
-func norm(s []int) []int {
+func norm[T int | int32](s []T) []T {
 	if len(s) == 0 {
 		return nil
 	}

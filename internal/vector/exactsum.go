@@ -42,15 +42,16 @@ func addExact(a, b float64) (float64, bool) {
 	return t, t-a == b && t-b == a
 }
 
-// sumRun is the plain sum of vals and whether it is exact. Four lanes
-// run side by side: a sum whose every add is exact is the same however
-// its adds are grouped.
-func sumRun(vals []float64) (float64, bool) {
+// sumRun is the plain sum of the values of vals at rows and whether it
+// is exact. Four lanes run side by side: a sum whose every add is exact
+// is the same however its adds are grouped.
+func sumRun(vals []float64, rows []int32) (float64, bool) {
 	s0, s1, s2, s3 := negZero, negZero, negZero, negZero
 	exact := true
 	i := 0
-	for ; i+4 <= len(vals); i += 4 {
-		v0, v1, v2, v3 := vals[i], vals[i+1], vals[i+2], vals[i+3]
+	for ; i+4 <= len(rows); i += 4 {
+		r := rows[i : i+4 : i+4]
+		v0, v1, v2, v3 := vals[r[0]], vals[r[1]], vals[r[2]], vals[r[3]]
 		t0, t1, t2, t3 := s0+v0, s1+v1, s2+v2, s3+v3
 		if t0-s0 != v0 || t0-v0 != s0 || t1-s1 != v1 || t1-v1 != s1 ||
 			t2-s2 != v2 || t2-v2 != s2 || t3-s3 != v3 || t3-v3 != s3 {
@@ -58,9 +59,9 @@ func sumRun(vals []float64) (float64, bool) {
 		}
 		s0, s1, s2, s3 = t0, t1, t2, t3
 	}
-	for ; i < len(vals); i++ {
+	for ; i < len(rows); i++ {
 		var ok bool
-		s0, ok = addExact(s0, vals[i])
+		s0, ok = addExact(s0, vals[rows[i]])
 		exact = exact && ok
 	}
 	s01, ok01 := addExact(s0, s1)
@@ -239,21 +240,6 @@ func (w window) round(negZeroOnly bool) float64 {
 		f = -f
 	}
 	return f
-}
-
-// exactSumOf is the exact sum of vals rounded once: a window rounded
-// directly when vals fit one, else a superaccumulator's.
-func exactSumOf(vals []float64) float64 {
-	if len(vals) <= windowRows {
-		fits := true
-		w, notNegZero, ok := sumWindow(vals, func(float64) { fits = false })
-		if ok && fits {
-			return w.round(notNegZero == 0)
-		}
-	}
-	var acc exactSum
-	acc.addSlice(vals)
-	return acc.round()
 }
 
 // addSlice adds every value of vals, a window at a time: only each

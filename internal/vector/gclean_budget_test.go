@@ -39,10 +39,15 @@ const (
 	budgetMinMax         = 0
 	budgetTruthMask      = 0 // nothing beyond the (arena) mask
 	budgetSortKey        = 1 // per key; measured 0
-	// The fused scan merge, three masked 5-column parts. The two steps it
-	// replaced (FilterWith per part + ConcatBatchesWith) measured 34 on
-	// the same input.
+	// The fused scan merge, three selected 5-column parts. The two steps
+	// it replaced (FilterWith per part + ConcatBatchesWith) measured 34
+	// on the same input.
 	budgetFilterConcat = 15
+	// The selection path, one worker: two conjuncts' kernels writing
+	// three parts' surviving rows, then the direct-address grouping and
+	// the top-K reading them through the pieces — selections, layout,
+	// tables and outputs all arena.
+	budgetSelection = 0
 )
 
 // warmKernelWorld builds deterministic inputs sized well past one
@@ -141,6 +146,8 @@ func measureKernel(t *testing.T, w *warmKernelWorld, name string, budget int, fn
 func TestGCLeanAllocBudgets(t *testing.T) {
 	w := newWarmKernelWorld()
 	var mask []bool
+	// The relations the kernels read, built outside the measured runs.
+	factIn := []Selection{Whole(w.b)}
 
 	measureKernel(t, w, "CompareConstWith", budgetCompareConst, func(m Mem) {
 		mask = CompareConstWith(m.Al, w.b.Cols[0], LE, IntValue(6))
@@ -157,7 +164,7 @@ func TestGCLeanAllocBudgets(t *testing.T) {
 		GatherNullWith(m, w.jb.Cols[2], w.jidx)
 	})
 	measureKernel(t, w, "HashJoinWith", budgetHashJoin, func(m Mem) {
-		if _, err := HashJoinWith(m, w.b, w.jb, []int{0, 2}, []int{0, 2}, InnerJoin, 1); err != nil {
+		if _, err := HashJoinWith(m, factIn, w.jb, []int{0, 2}, []int{0, 2}, InnerJoin, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -171,54 +178,55 @@ func TestGCLeanAllocBudgets(t *testing.T) {
 		return MustBatch(NewSchema(Field{Name: "c0", Type: Int64}), []*Column{NewInt64Column(vals)})
 	}
 	sparseFact, sparseDim := spread(w.b.Cols[0]), spread(w.dim.Cols[0])
+	sparseIn := []Selection{Whole(sparseFact)}
 	measureKernel(t, w, "HashJoinWith/n:1", budgetHashJoinN1, func(m Mem) {
-		if res, err := HashJoinWith(m, sparseFact, sparseDim, []int{0}, []int{0}, InnerJoin, 1); err != nil || res.Strategy != JoinN1 || !res.intKey || !res.LeftIdentity {
+		if res, err := HashJoinWith(m, sparseIn, sparseDim, []int{0}, []int{0}, InnerJoin, 1); err != nil || res.Strategy != JoinN1 || !res.intKey || !res.LeftIdentity {
 			t.Fatalf("N:1 join took another path: %+v, %v", res, err)
 		}
 	})
 	measureKernel(t, w, "HashJoinWith/dense", budgetHashJoinDense, func(m Mem) {
-		if res, err := HashJoinWith(m, w.b, w.dim, []int{0}, []int{0}, InnerJoin, 1); err != nil || res.Strategy != JoinDense {
+		if res, err := HashJoinWith(m, factIn, w.dim, []int{0}, []int{0}, InnerJoin, 1); err != nil || res.Strategy != JoinDense {
 			t.Fatalf("dense N:1 join took another path: %+v, %v", res.Strategy, err)
 		}
 	})
 	measureKernel(t, w, "GroupKeysWith/dense", budgetGroupKeysDense, func(m Mem) {
-		if g := GroupKeysWith(m, w.b.Cols[:1], w.b.N, 1); g.Strategy != GroupDense {
+		if g := GroupKeysWith(m, factIn, w.b.Cols[:1], 1); g.Strategy != GroupDense {
 			t.Fatalf("integer grouping took the %v path", g.Strategy)
 		}
 	})
-	topKeys := []SortKey{ExtractSortKey(Heap, w.b.Cols[1], true), ExtractSortKey(Heap, w.b.Cols[0], true)}
+	topKeys := []SortKey{ExtractSortKey(Heap, factIn, w.b.Cols[1], true), ExtractSortKey(Heap, factIn, w.b.Cols[0], true)}
 	measureKernel(t, w, "TopK", budgetTopK, func(m Mem) {
-		if idx := TopK(m, topKeys, w.b.N, 100); len(idx) != 100 {
+		if idx := TopK(m, factIn, topKeys, 100); len(idx) != 100 {
 			t.Fatalf("TopK returned %d rows, want 100", len(idx))
 		}
 	})
 	measureKernel(t, w, "GroupKeysWith/dict", budgetGroupKeysDict, func(m Mem) {
-		if g := GroupKeysWith(m, w.keys[:1], w.b.N, 1); g.Strategy != GroupDict {
+		if g := GroupKeysWith(m, factIn, w.keys[:1], 1); g.Strategy != GroupDict {
 			t.Fatalf("dictionary grouping took the %v path", g.Strategy)
 		}
 	})
 	var gr Grouping
 	measureKernel(t, w, "GroupKeysWith", budgetGroupKeys, func(m Mem) {
-		gr = GroupKeysWith(m, w.keys, w.b.N, 1)
+		gr = GroupKeysWith(m, factIn, w.keys, 1)
 	})
 	ids := append([]int32(nil), gr.IDs...) // the measurements below recycle the arena gr came from
 	specs := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: w.b.Cols[0]}, {Kind: AggMin, Col: w.b.Cols[2]}}
 	measureKernel(t, w, "GroupAggregateWith", budgetGroupAggregate, func(m Mem) {
-		GroupAggregateWith(m, ids, gr.NumGroups, specs, 1)
+		GroupAggregateWith(m, factIn, ids, gr.NumGroups, specs, 1)
 	})
 	fused := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: w.b.Cols[0]}, {Kind: AggSum, Col: w.b.Cols[1]}}
-	one := make([]int32, len(ids))
+	single := make([]int32, len(ids))
 	measureKernel(t, w, "GroupAggregateWith/fused one group", budgetFusedAggregate, func(m Mem) {
-		GroupAggregateWith(m, one, 1, fused, 1)
+		GroupAggregateWith(m, factIn, single, 1, fused, 1)
 	})
 	measureKernel(t, w, "GroupAggregateWith/fused", budgetFusedAggregate, func(m Mem) {
-		GroupAggregateWith(m, ids, gr.NumGroups, fused, 1)
+		GroupAggregateWith(m, factIn, ids, gr.NumGroups, fused, 1)
 	})
 
 	// The typed kernels that took the boxed per-row loops' place.
 	measureKernel(t, w, "MinMax", budgetMinMax, func(m Mem) {
 		for _, c := range w.b.Cols {
-			MinMax(c)
+			MinMax(c, nil)
 		}
 	})
 	measureKernel(t, w, "TruthMask", budgetTruthMask, func(m Mem) {
@@ -227,16 +235,39 @@ func TestGCLeanAllocBudgets(t *testing.T) {
 	keys := make([]SortKey, len(w.b.Cols))
 	measureKernel(t, w, "ExtractSortKey", budgetSortKey*len(keys), func(m Mem) {
 		for i, c := range w.b.Cols {
-			keys[i] = ExtractSortKey(m.Al, c, i%2 == 0)
+			keys[i] = ExtractSortKey(m.Al, factIn, c, i%2 == 0)
 		}
 	})
 	parts := make([]Selection, 3)
 	for i, b := range []*Batch{w.b, w.jb, w.b} {
-		parts[i], _ = Select(b, CompareConst(b.Cols[0], LE, IntValue(6)))
+		parts[i], _ = Window(b, 0, b.N, SelectConst(Heap, b.Cols[0], 0, b.N, nil, LE, IntValue(6)))
 	}
 	measureKernel(t, w, "FilterConcatWith", budgetFilterConcat, func(m Mem) {
 		if _, err := FilterConcatWith(m, parts); err != nil {
 			t.Fatal(err)
+		}
+	})
+	sources := []*Batch{w.b, w.jb, w.b}
+	pieces := make([]Selection, len(sources))
+	for i, b := range sources {
+		pieces[i] = Whole(b)
+	}
+	// A key's parts index its pieces' batch rows, whichever survive.
+	selKeys := []SortKey{ExtractSortKey(Heap, pieces, w.b.Cols[1], true)}
+	measureKernel(t, w, "selection path", budgetSelection, func(m Mem) {
+		for i, b := range sources {
+			rows := SelectConst(m.Al, b.Cols[0], 0, b.N, nil, LE, IntValue(6))
+			rows = SelectConst(m.Al, b.Cols[1], 0, b.N, rows, GE, FloatValue(1))
+			var err error
+			if pieces[i], err = Window(b, 0, b.N, rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g := GroupKeysWith(m, pieces, w.b.Cols[:1], 1); g.Strategy != GroupDense {
+			t.Fatalf("grouping over pieces took the %v path", g.Strategy)
+		}
+		if idx := TopK(m, pieces, selKeys, 10); len(idx) != 10 {
+			t.Fatalf("TopK over pieces returned %d rows", len(idx))
 		}
 	})
 }

@@ -140,8 +140,8 @@ func TestGCLeanKernelParity(t *testing.T) {
 			// HashJoin + GatherNull (join output materialization shape).
 			jb1 := randomLeanBatch(r1, n/2+1)
 			jb2 := randomLeanBatch(r2, n/2+1)
-			jr1, err1 := HashJoinWith(heap, b1, jb1, []int{0, 2}, []int{0, 2}, LeftOuterJoin, workers)
-			jr2, err2 := HashJoinWith(lean, b2, jb2, []int{0, 2}, []int{0, 2}, LeftOuterJoin, workers)
+			jr1, err1 := HashJoinWith(heap, []Selection{Whole(b1)}, jb1, []int{0, 2}, []int{0, 2}, LeftOuterJoin, workers)
+			jr2, err2 := HashJoinWith(lean, []Selection{Whole(b2)}, jb2, []int{0, 2}, []int{0, 2}, LeftOuterJoin, workers)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("join err mismatch: %v vs %v", err1, err2)
 			}
@@ -159,8 +159,8 @@ func TestGCLeanKernelParity(t *testing.T) {
 			}
 
 			// GroupKeys + GroupAggregate.
-			gr1 := GroupKeysWith(heap, []*Column{b1.Cols[2], b1.Cols[4]}, n, workers)
-			gr2 := GroupKeysWith(lean, []*Column{b2.Cols[2], b2.Cols[4]}, n, workers)
+			gr1 := GroupKeysWith(heap, one(n, b1.Cols[2], b1.Cols[4]), []*Column{b1.Cols[2], b1.Cols[4]}, workers)
+			gr2 := GroupKeysWith(lean, one(n, b2.Cols[2], b2.Cols[4]), []*Column{b2.Cols[2], b2.Cols[4]}, workers)
 			if gr1.NumGroups != gr2.NumGroups {
 				t.Fatalf("groups: %d vs %d", gr1.NumGroups, gr2.NumGroups)
 			}
@@ -168,8 +168,8 @@ func TestGCLeanKernelParity(t *testing.T) {
 			sameI32(t, "group reps", gr1.Rep, gr2.Rep)
 			specs1 := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: b1.Cols[1]}, {Kind: AggMin, Col: b1.Cols[2]}, {Kind: AggMax, Col: b1.Cols[0]}}
 			specs2 := []AggSpec{{Kind: AggCount}, {Kind: AggSum, Col: b2.Cols[1]}, {Kind: AggMin, Col: b2.Cols[2]}, {Kind: AggMax, Col: b2.Cols[0]}}
-			a1 := GroupAggregateWith(heap, gr1.IDs, gr1.NumGroups, specs1, workers)
-			a2 := GroupAggregateWith(lean, gr2.IDs, gr2.NumGroups, specs2, workers)
+			a1 := GroupAggregateWith(heap, specsIn(len(gr1.IDs), specs1), gr1.IDs, gr1.NumGroups, specs1, workers)
+			a2 := GroupAggregateWith(lean, specsIn(len(gr2.IDs), specs2), gr2.IDs, gr2.NumGroups, specs2, workers)
 			for si := range a1 {
 				sameValues(t, fmt.Sprintf("agg spec %d", si), a1[si], a2[si])
 			}

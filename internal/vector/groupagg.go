@@ -1,6 +1,10 @@
 package vector
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // This file implements the grouped-aggregation kernel: GroupKeys
 // assigns every row a dense group ID from typed multi-column keys
@@ -65,77 +69,105 @@ type Grouping struct {
 	Strategy  GroupStrategy
 }
 
-// groupHashRange fills hashes[lo:hi] for grouping: like hashKeyRange
-// but NULL key values contribute nullKeyHash instead of poisoning the
-// row.
-func groupHashRange(keys []keyAccess, hashes []uint64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		hashes[i] = 0x9e3779b97f4a7c15
+// groupHashRange fills hashes (the positions of rows) for grouping:
+// like hashKeyRange but NULL key values contribute nullKeyHash instead
+// of poisoning the row.
+func groupHashRange(keys []keyAccess, rows []int32, hashes []uint64) {
+	for k := range hashes {
+		hashes[k] = 0x9e3779b97f4a7c15
 	}
-	for _, k := range keys {
-		for i := lo; i < hi; i++ {
-			if k.null(i) {
-				hashes[i] = combineHash(hashes[i], nullKeyHash)
+	for _, ka := range keys {
+		for k, r := range rows {
+			if ka.null(int(r)) {
+				hashes[k] = combineHash(hashes[k], nullKeyHash)
 			} else {
-				hashes[i] = combineHash(hashes[i], k.hash(i))
+				hashes[k] = combineHash(hashes[k], ka.hash(int(r)))
 			}
 		}
 	}
 }
 
-// groupKeysEq reports group-key equality between rows i and j of the
-// same key columns (NULL == NULL for grouping).
-func groupKeysEq(keys []keyAccess, i, j int) bool {
-	for k := range keys {
-		ni, nj := keys[k].null(i), keys[k].null(j)
+// groupKeysEq reports group-key equality between row i of key columns a
+// and row j of b, columns of the same keys (NULL == NULL for grouping).
+func groupKeysEq(a []keyAccess, i int, b []keyAccess, j int) bool {
+	for k := range a {
+		ni, nj := a[k].null(i), b[k].null(j)
 		if ni || nj {
 			if ni != nj {
 				return false
 			}
 			continue
 		}
-		if !valEq(keys[k], i, keys[k], j) {
+		if !valEq(a[k], i, b[k], j) {
 			return false
 		}
 	}
 	return true
 }
 
-// GroupKeys computes the grouping of n rows by the given key columns.
-// With no key columns it returns the single global group (even over
-// zero rows, matching SQL's global-aggregate-of-empty-input one-row
-// semantics; Rep[0] is -1 in that case).
+// GroupKeys computes the grouping of n rows by the given key columns:
+// GroupKeysWith on the heap over the one piece they make. With no key
+// columns it returns the single global group (even over zero rows,
+// matching SQL's global-aggregate-of-empty-input one-row semantics;
+// Rep[0] is -1 in that case).
 func GroupKeys(keys []*Column, n, workers int) Grouping {
-	return GroupKeysWith(Mem{}, keys, n, workers)
+	in := []Selection{Whole(&Batch{Cols: keys, N: n})}
+	return GroupKeysWith(Mem{}, in, keys, workers)
 }
 
 // localTableSize is the per-worker open-addressing table used for
 // morsel-local grouping: a power of two at least 2x MorselRows, so
 // the table never exceeds half load and never needs to grow. Exact
 // hash+key comparison makes the table size invisible in results.
-const localTableSize = 8192
+const (
+	localTableBits = 13
+	localTableSize = 1 << localTableBits
+	localShift     = 64 - localTableBits // intSlot's shift for a local table
+)
 
 // dictGroupFactor is how many rows per dictionary entry make grouping a
 // Dict key by its codes the cheaper plan: below it the dictionary is
 // not much smaller than the column and hashing the rows costs the same.
 const dictGroupFactor = 4
 
-// GroupKeysWith is GroupKeys with an explicit memory policy: reusable
-// per-worker open-addressing tables and flat representative buffers
-// from m's allocator. Four kernels produce the one result (global
-// first-encounter order): a single Dict key whose dictionary fits a
-// morsel and is much smaller than n groups its dictionary entries and
-// its rows by code (groupDict); a single plain non-null integer key
-// whose range is within the density cap (denseRange) groups by
-// direct address (groupDense), and one with a wider range hashes
-// inline and compares values (groupInts); everything else — several
-// keys, NULL-bearing, float, string, RLE — hashes each row once and
-// compares through keyAccess.
-func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
+// argOf returns the position of c among the columns of in's first
+// piece: how a kernel names an input of a relation, read at the same
+// position in every piece (-1 for nil, COUNT(*)'s input).
+func argOf(in []Selection, c *Column) int {
+	if c == nil {
+		return -1
+	}
+	if len(in) > 0 {
+		for i, x := range in[0].Batch.Cols {
+			if x == c {
+				return i
+			}
+		}
+	}
+	panic("vector: an input column is not a column of the relation")
+}
+
+// GroupKeysWith groups the rows of the relation in by the key columns
+// keys — columns of its first piece, read at the same position in every
+// piece — with an explicit memory policy: reusable per-worker
+// open-addressing tables and flat representative buffers from m's
+// allocator. IDs are indexed by position, and Rep holds positions. Four
+// kernels produce the one result (global first-encounter order): a
+// single Dict key, one dictionary in every piece, that fits a morsel and
+// is much smaller than the rows groups its dictionary entries and its
+// rows by code (groupDict); a single plain non-null integer key whose
+// range is within the density cap (denseRange) groups by direct address
+// (groupDense), and one with a wider range hashes inline and compares
+// values (groupInts); everything else — several keys, NULL-bearing,
+// float, string, RLE, per-piece dictionaries — hashes each row once and
+// compares through keyAccess. Every one reads its morsels, ranges of
+// one piece each, through the piece's rows.
+func GroupKeysWith(m Mem, in []Selection, keys []*Column, workers int) Grouping {
 	if workers < 1 {
 		workers = 1
 	}
 	al := m.Allocator()
+	n := Count(in)
 	if len(keys) == 0 {
 		rep := []int32{0}
 		if n == 0 {
@@ -146,68 +178,122 @@ func GroupKeysWith(m Mem, keys []*Column, n, workers int) Grouping {
 	if n == 0 {
 		return Grouping{}
 	}
+	l := newLayout(al, in)
 	if len(keys) == 1 {
+		ci := argOf(in, keys[0])
 		switch c := keys[0]; {
-		case c.Enc == Dict && c.dictLen() <= MorselRows && c.dictLen()*dictGroupFactor <= n:
-			return groupDict(al, c, n, workers)
-		case plainIntKey(c):
-			vals := c.Ints[:n]
-			if lo, span, ok := denseRange(vals); ok {
-				return groupDense(al, vals, lo, span, nil, 0, workers)
+		case c.Enc == Dict && c.dictLen() <= MorselRows && c.dictLen()*dictGroupFactor <= n && oneDict(in, ci):
+			return groupDict(al, &l, ci, workers)
+		case plainInts(in, ci):
+			if lo, span, ok := denseRange(&l, ci); ok {
+				return groupDense(al, &l, ci, intVals, lo, span, nil, 0, workers)
 			}
-			return groupInts(al, vals, workers)
+			return groupInts(al, &l, ci, workers)
 		}
 	}
-	ka := make([]keyAccess, len(keys))
-	for i, c := range keys {
-		ka[i] = newKeyAccess(al, c)
+	// ka[p*nk:(p+1)*nk] is piece p's key columns.
+	nk, ka := len(keys), make([]keyAccess, len(in)*len(keys))
+	for p := range in {
+		for k, c := range keys {
+			ka[p*nk+k] = newKeyAccess(al, in[p].Batch.Cols[argOf(in, c)])
+		}
 	}
 
+	gl := l // the closures' copy: the paths above keep l off the heap
 	hashes := al.Uint64s(n)
-	forMorsels(n, workers, func(_, _, lo, hi int) {
-		groupHashRange(ka, hashes, lo, hi)
+	forPieces(&gl, workers, func(_, _, p, lo, hi int) {
+		groupHashRange(ka[p*nk:(p+1)*nk], gl.rows(p, lo, hi), hashes[lo:hi])
 	})
 
 	// Per-morsel local grouping (parallel), then a sequential merge in
 	// morsel order: global group IDs come out in global first-encounter
 	// order regardless of worker count. The global table is
 	// open-addressing too, sized for half load.
-	ids := al.Int32s(n)
-	lg := newLocalGroups(al, n, workers)
+	ids := int32sForOverwrite(al, n)
+	lg := newLocalGroups(al, &gl, workers)
 	tabs := make([][]int32, lg.workers)
-	forMorsels(n, lg.workers, func(w, mor, lo, hi int) {
+	forPieces(&gl, lg.workers, func(w, mor, p, lo, hi int) {
 		if tabs[w] == nil {
 			tabs[w] = emptyTable(al, localTableSize)
 		}
 		base := len(lg.reps[w])
-		lg.touch[w], lg.reps[w] = groupMorsel(al, ka, hashes, ids, tabs[w], lg.touch[w], lg.reps[w], lo, hi)
+		lg.touch[w], lg.reps[w] = groupMorsel(al, ka[p*nk:(p+1)*nk], gl.rows(p, lo, hi), hashes, ids, tabs[w], lg.touch[w], lg.reps[w], lo)
 		lg.record(w, mor, base)
 	})
 
 	local, gtab, repArr, trans := lg.mergeBuffers(al)
+	piece, row := lg.locals(al, local)
 	gmask := len(gtab) - 1
 	nGroups := 0
 	for t, r := range local {
 		h := hashes[r]
 		slot := int(h) & gmask
+		p := int(piece[t])
 		for {
 			cand := gtab[slot]
 			if cand < 0 {
 				repArr[nGroups] = r
+				piece[nGroups], row[nGroups] = piece[t], row[t] // t >= nGroups: read already
 				gtab[slot] = int32(nGroups)
 				trans[t] = int32(nGroups)
 				nGroups++
 				break
 			}
-			if gr := repArr[cand]; hashes[gr] == h && groupKeysEq(ka, int(r), int(gr)) {
-				trans[t] = cand
-				break
+			if gr := repArr[cand]; hashes[gr] == h {
+				gp := int(piece[cand])
+				if groupKeysEq(ka[p*nk:(p+1)*nk], int(row[t]), ka[gp*nk:(gp+1)*nk], int(row[cand])) {
+					trans[t] = cand
+					break
+				}
 			}
 			slot = (slot + 1) & gmask
 		}
 	}
 	lg.translate(ids, trans)
 	return Grouping{NumGroups: nGroups, IDs: ids, Rep: repArr[:nGroups]}
+}
+
+// plainInts reports whether column ci of every piece is a key the typed
+// kernels read as a bare []int64.
+func plainInts(in []Selection, ci int) bool {
+	for p := range in {
+		if !plainIntKey(in[p].Batch.Cols[ci]) {
+			return false
+		}
+	}
+	return true
+}
+
+// oneDict reports whether column ci of every piece is Dict over one
+// dictionary, so a code means one value throughout.
+func oneDict(in []Selection, ci int) bool {
+	c0 := in[0].Batch.Cols[ci]
+	for p := range in[1:] {
+		if c := in[p+1].Batch.Cols[ci]; c.Enc != Dict || !shareValues(c, c0) {
+			return false
+		}
+	}
+	return true
+}
+
+// shareValues reports whether a and b share their value arrays.
+func shareValues(a, b *Column) bool {
+	n := a.dictLen()
+	if a.Type != b.Type || n != b.dictLen() {
+		return false
+	}
+	if n == 0 {
+		return true
+	}
+	switch a.Type {
+	case Int64, Timestamp:
+		return &a.Ints[0] == &b.Ints[0]
+	case Float64:
+		return &a.Floats[0] == &b.Floats[0]
+	case Bool:
+		return &a.Bools[0] == &b.Bools[0]
+	}
+	return &a.Strs[0] == &b.Strs[0]
 }
 
 // emptyTable returns an open-addressing table of size slots, all free.
@@ -219,16 +305,18 @@ func emptyTable(al Alloc, size int) []int32 {
 	return tab
 }
 
-// groupMorsel gives rows [lo, hi) local group IDs in first-encounter
-// order, counted from the morsel's first group: ids[i] is written in
-// place and each new group's first row is appended to rb. tab holds,
-// per occupied slot, the local ID of the group there; it must be all
-// free on entry and is freed again before returning, in O(groups)
-// through the touched-slot list tb.
-func groupMorsel(al Alloc, ka []keyAccess, hashes []uint64, ids, tab, tb, rb []int32, lo, hi int) (touched, reps []int32) {
+// groupMorsel gives the morsel of positions from lo on, whose rows are
+// rows, local group IDs in first-encounter order, counted from the
+// morsel's first group: ids is written in place and each new group's
+// first position is appended to rb. tab holds, per occupied slot, the
+// local ID of the group there; it must be all free on entry and is
+// freed again before returning, in O(groups) through the touched-slot
+// list tb.
+func groupMorsel(al Alloc, ka []keyAccess, rows []int32, hashes []uint64, ids, tab, tb, rb []int32, lo int) (touched, reps []int32) {
 	tb = tb[:0]
 	base := int32(len(rb))
-	for i := lo; i < hi; i++ {
+	for k, r := range rows {
+		i := lo + k
 		h := hashes[i]
 		slot := int(h & (localTableSize - 1))
 		var id int32
@@ -242,7 +330,7 @@ func groupMorsel(al Alloc, ka []keyAccess, hashes []uint64, ids, tab, tb, rb []i
 				break
 			}
 			rep := rb[base+cand]
-			if hashes[rep] == h && groupKeysEq(ka, i, int(rep)) {
+			if hashes[rep] == h && groupKeysEq(ka, int(r), ka, int(rows[int(rep)-lo])) {
 				id = cand
 				break
 			}
@@ -262,20 +350,21 @@ func groupMorsel(al Alloc, ka []keyAccess, hashes []uint64, ids, tab, tb, rb []i
 // and the translation can find each morsel's slice of the local-to-
 // global table.
 type localGroups struct {
-	n, workers  int
+	l           layout
+	workers     int
 	reps, touch [][]int32 // per worker
 	worker      []int32   // per morsel: which worker ran it
 	off, cnt    []int32   // per morsel: its reps in reps[worker]
 	base        []int32   // per morsel: its first slot in the local-to-global table
 }
 
-func newLocalGroups(al Alloc, n, workers int) *localGroups {
-	mc := morselCount(n)
+func newLocalGroups(al Alloc, l *layout, workers int) *localGroups {
+	mc := l.morsels
 	if workers > mc {
 		workers = mc
 	}
 	return &localGroups{
-		n: n, workers: workers,
+		l: *l, workers: workers,
 		reps: make([][]int32, workers), touch: make([][]int32, workers),
 		worker: al.Int32s(mc), off: al.Int32s(mc), cnt: al.Int32s(mc), base: al.Int32s(mc),
 	}
@@ -288,7 +377,7 @@ func (lg *localGroups) record(w, mor, off int) {
 }
 
 // mergeBuffers returns what the sequential merge works on: local, the
-// first row of every local group in morsel order then local
+// first position of every local group in morsel order then local
 // first-encounter order; a free global table at half load; the global
 // representative array; and trans, indexed like local, for the merge to
 // fill with each local group's global ID.
@@ -309,9 +398,23 @@ func (lg *localGroups) mergeBuffers(al Alloc) (local, gtab, repArr, trans []int3
 	return local, emptyTable(al, size), al.Int32s(total), al.Int32s(total)
 }
 
+// locals returns the piece and batch row of each entry of local, as
+// mergeBuffers orders them: found morsel by morsel, not searched for.
+func (lg *localGroups) locals(al Alloc, local []int32) (piece, row []int32) {
+	piece, row = al.Int32s(len(local)), al.Int32s(len(local))
+	for mor := range lg.cnt {
+		p, lo, hi := lg.l.bounds(mor)
+		rows := lg.l.rows(p, lo, hi)
+		for t := lg.base[mor]; t < lg.base[mor]+lg.cnt[mor]; t++ {
+			piece[t], row[t] = int32(p), rows[int(local[t])-lo]
+		}
+	}
+	return piece, row
+}
+
 // translate rewrites the morsel-local IDs in ids to global ones.
 func (lg *localGroups) translate(ids, trans []int32) {
-	forMorsels(lg.n, lg.workers, func(_, mor, lo, hi int) {
+	forPieces(&lg.l, lg.workers, func(_, mor, _, lo, hi int) {
 		b := int(lg.base[mor])
 		for i := lo; i < hi; i++ {
 			ids[i] = trans[b+int(ids[i])]
@@ -319,36 +422,38 @@ func (lg *localGroups) translate(ids, trans []int32) {
 	})
 }
 
-// groupInts is GroupKeysWith for one plain non-null integer key. Same
-// plan as the general kernel — local tables per morsel, sequential
-// merge in morsel order, parallel translation — with the value itself
-// in the table beside the group ID: no hash array, no keyAccess.
-func groupInts(al Alloc, vals []int64, workers int) Grouping {
-	n := len(vals)
-	ids := al.Int32s(n)
-	lg := newLocalGroups(al, n, workers)
+// groupInts is GroupKeysWith for one plain non-null integer key,
+// column ci of every piece. Same plan as the general kernel — local
+// tables per morsel, sequential merge in morsel order, parallel
+// translation — with the value itself in the table beside the group ID:
+// no hash array, no keyAccess.
+func groupInts(al Alloc, pl *layout, ci, workers int) Grouping {
+	l := *pl // the closures' copy
+	ids := int32sForOverwrite(al, l.n)
+	lg := newLocalGroups(al, &l, workers)
 	tabs := make([][]int32, lg.workers)
 	tabKeys := make([][]int64, lg.workers)
-	forMorsels(n, lg.workers, func(w, mor, lo, hi int) {
+	forPieces(&l, lg.workers, func(w, mor, p, lo, hi int) {
 		if tabs[w] == nil {
 			tabs[w], tabKeys[w] = emptyTable(al, localTableSize), al.Int64s(localTableSize)
 		}
 		tab, tabKey, tb, rb := tabs[w], tabKeys[w], lg.touch[w][:0], lg.reps[w]
 		base := len(rb)
-		for i := lo; i < hi; i++ {
-			v := vals[i]
-			slot := int(intSlot(v) & (localTableSize - 1))
+		vals, out := l.in[p].Batch.Cols[ci].Ints, ids[lo:hi]
+		for k, r := range l.rows(p, lo, hi) {
+			v := vals[r]
+			slot := int(intSlot(v, localShift))
 			for tab[slot] >= 0 && tabKey[slot] != v {
 				slot = (slot + 1) & (localTableSize - 1)
 			}
 			id := tab[slot]
 			if id < 0 {
 				id = int32(len(rb) - base)
-				rb = appendI32(al, rb, int32(i))
+				rb = appendI32(al, rb, int32(lo+k))
 				tab[slot], tabKey[slot] = id, v
 				tb = appendI32(al, tb, int32(slot))
 			}
-			ids[i] = id
+			out[k] = id
 		}
 		for _, s := range tb {
 			tab[s] = -1
@@ -358,16 +463,18 @@ func groupInts(al Alloc, vals []int64, workers int) Grouping {
 	})
 
 	local, gtab, repArr, trans := lg.mergeBuffers(al)
-	gmask := uint64(len(gtab) - 1)
+	piece, row := lg.locals(al, local)
+	repVal := al.Int64s(len(repArr))
+	gmask, gshift := uint64(len(gtab)-1), tableShift(len(gtab))
 	nGroups := 0
 	for t, r := range local {
-		v := vals[r]
-		slot := intSlot(v) & gmask
-		for gtab[slot] >= 0 && vals[repArr[gtab[slot]]] != v {
+		v := l.in[piece[t]].Batch.Cols[ci].Ints[row[t]]
+		slot := intSlot(v, gshift)
+		for gtab[slot] >= 0 && repVal[gtab[slot]] != v {
 			slot = (slot + 1) & gmask
 		}
 		if gtab[slot] < 0 {
-			repArr[nGroups] = r
+			repArr[nGroups], repVal[nGroups] = r, v
 			gtab[slot] = int32(nGroups)
 			nGroups++
 		}
@@ -378,22 +485,25 @@ func groupInts(al Alloc, vals []int64, workers int) Grouping {
 }
 
 // groupDict is GroupKeysWith for one Dict key with few dictionary
-// entries. The entries are grouped by the general kernel's morsel loop
-// (so duplicate entries, NaNs and ±0.0 fall into the classes key
-// identity gives them); the rows are then grouped by their codes — a
-// dense range once NULL's NullIdx wraps to the slot below code 0 —
-// through the direct-address kernel, each code standing for its class.
-// Closure-free at one worker: it allocates nothing outside al.
-func groupDict(al Alloc, c *Column, n, workers int) Grouping {
+// entries, column ci of every piece over one dictionary. The entries are
+// grouped by the general kernel's morsel loop (so duplicate entries,
+// NaNs and ±0.0 fall into the classes key identity gives them); the rows
+// are then grouped by their codes — a dense range once NULL's NullIdx
+// wraps to the slot below code 0 — through the direct-address kernel,
+// each code standing for its class. Closure-free at one worker: it
+// allocates nothing outside al.
+func groupDict(al Alloc, l *layout, ci, workers int) Grouping {
+	c := l.in[0].Batch.Cols[ci]
 	d := c.dictLen()
 	entries := Column{Type: c.Type, Len: d, Enc: Plain, Ints: c.Ints, Floats: c.Floats, Bools: c.Bools, Strs: c.Strs}
 	ka := [1]keyAccess{{c: &entries}}
 	hashes := al.Uint64s(d)
-	groupHashRange(ka[:], hashes, 0, d)
+	all := identity(d)
+	groupHashRange(ka[:], all, hashes)
 	class := al.Int32s(d + 1) // class[code+1], NULL's at 0; one morsel, so local IDs are the classes
-	_, classRep := groupMorsel(al, ka[:], hashes, class[1:], emptyTable(al, localTableSize), nil, nil, 0, d)
+	_, classRep := groupMorsel(al, ka[:], all, hashes, class[1:], emptyTable(al, localTableSize), nil, nil, 0)
 	class[0] = int32(len(classRep))
-	g := groupDense(al, c.Codes[:n], NullIdx, d+1, class, len(classRep)+1, workers)
+	g := groupDense(al, l, ci, codeVals, NullIdx, d+1, class, len(classRep)+1, workers)
 	g.Strategy = GroupDict
 	return g
 }
@@ -468,22 +578,38 @@ func sequentialSpec(sp AggSpec) bool {
 	return sp.Col != nil && sp.Col.Type == Float64 && (sp.Kind == AggMin || sp.Kind == AggMax)
 }
 
-// fusedSpec reports whether the fused walk folds sp: COUNT(*), or a
-// COUNT or SUM over a Plain null-free input, whose rows it reads
+// fusedSpec reports whether the fused walk folds sp, whose input is
+// column arg of every piece of in: COUNT(*), or a COUNT or SUM over an
+// input that is Plain and null-free in every piece, whose rows it reads
 // directly. Every row of a morsel counts for all of them, so they share
 // one count.
-func fusedSpec(sp AggSpec) bool {
-	return sp.Col == nil || ((sp.Kind == AggCount || sp.Kind == AggSum) && sp.Col.Enc == Plain && sp.Col.Nulls == nil)
+func fusedSpec(in []Selection, sp AggSpec, arg int) bool {
+	if sp.Col == nil {
+		return true
+	}
+	if sp.Kind != AggCount && sp.Kind != AggSum {
+		return false
+	}
+	for p := range in {
+		if c := in[p].Batch.Cols[arg]; c.Enc != Plain || c.Nulls != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // fusedInt and fusedFloat are the fused walk's SUMs: a worker's
-// accumulators and the input they read.
-type fusedInt struct{ vals, acc []int64 }
+// accumulators and the column of each piece they read.
+type fusedInt struct {
+	arg int
+	acc []int64
+}
 
 type fusedFloat struct {
-	vals, acc []float64
-	part      *aggPartial
-	rounded   bool // an add of the last morsel rounded: see dropRounded
+	arg     int
+	acc     []float64
+	part    *aggPartial
+	rounded bool // an add of the last morsel rounded: see dropRounded
 }
 
 // aggWorker is one worker's partials for every spec of a pass (nil for
@@ -496,12 +622,12 @@ type aggWorker struct {
 	floats []fusedFloat
 }
 
-func newAggWorker(al Alloc, specs []AggSpec, numGroups int) *aggWorker {
+func newAggWorker(al Alloc, specs []AggSpec, in aggInputs, numGroups int) *aggWorker {
 	w := &aggWorker{parts: make([]*aggPartial, len(specs))}
 	for s, sp := range specs {
 		switch {
 		case sequentialSpec(sp):
-		case fusedSpec(sp):
+		case in.fused[s]:
 			if !w.fused {
 				w.cnt, w.fused = al.Int64s(numGroups), true
 			}
@@ -510,11 +636,11 @@ func newAggWorker(al Alloc, specs []AggSpec, numGroups int) *aggWorker {
 			if sp.Kind != AggSum {
 				continue
 			}
-			switch c := sp.Col; c.Type {
+			switch sp.Col.Type {
 			case Int64, Timestamp:
-				w.ints = append(w.ints, fusedInt{vals: c.Ints[:c.Len], acc: p.sumI})
+				w.ints = append(w.ints, fusedInt{arg: in.args[s], acc: p.sumI})
 			case Float64:
-				w.floats = append(w.floats, fusedFloat{vals: c.Floats[:c.Len], acc: p.sumF, part: p})
+				w.floats = append(w.floats, fusedFloat{arg: in.args[s], acc: p.sumF, part: p})
 			}
 			// Bool/String/Bytes SUM counts its rows; its sum stays 0.
 		default:
@@ -524,39 +650,54 @@ func newAggWorker(al Alloc, specs []AggSpec, numGroups int) *aggWorker {
 	return w
 }
 
-// fold folds rows [lo, hi) of every spec but the sequential ones: the
-// fused specs in one walk, the rest spec by spec. The caller hands each
-// worker its ranges in ascending row order.
-func (w *aggWorker) fold(specs []AggSpec, kas []keyAccess, ids []int32, numGroups, lo, hi int) {
+// aggInputs is where a pass's specs read: per spec, its column in every
+// piece (-1: COUNT(*)) and whether the fused walk folds it, and per
+// piece and spec the value access (acc[p*len(args)+s]).
+type aggInputs struct {
+	l     *layout
+	args  []int
+	fused []bool
+	acc   []keyAccess
+}
+
+// access returns spec s's input in piece p.
+func (in aggInputs) access(p, s int) keyAccess { return in.acc[p*len(in.args)+s] }
+
+// fold folds morsel positions [lo, hi) of piece p for every spec but
+// the sequential ones: the fused specs in one walk, the rest spec by
+// spec. The caller hands each worker its morsels in ascending order.
+func (w *aggWorker) fold(specs []AggSpec, in aggInputs, ids []int32, numGroups, p, lo, hi int) {
+	b, rows, gids := in.l.in[p].Batch, in.l.rows(p, lo, hi), ids[lo:hi]
 	switch {
 	case !w.fused:
 	case numGroups == 1:
-		w.foldOne(lo, hi)
+		w.foldOne(b, rows)
 	default:
-		w.foldFused(ids, lo, hi)
+		w.foldFused(b, gids, rows)
 	}
-	for s, p := range w.parts {
-		if p != nil && !fusedSpec(specs[s]) {
-			accumRange(p, specs[s], kas[s], ids, lo, hi)
+	for s, part := range w.parts {
+		if part != nil && !in.fused[s] {
+			accumRange(part, specs[s], in.access(p, s), gids, rows, lo)
 		}
 	}
 }
 
 // foldOne is the fused walk of the one group: every sum runs in
 // registers over its input and lands in its accumulator once.
-func (w *aggWorker) foldOne(lo, hi int) {
-	w.cnt[0] += int64(hi - lo)
+func (w *aggWorker) foldOne(b *Batch, rows []int32) {
+	w.cnt[0] += int64(len(rows))
 	for k := range w.ints {
 		f := &w.ints[k]
+		vals := b.Cols[f.arg].Ints
 		var s int64
-		for _, v := range f.vals[lo:hi] {
-			s += v
+		for _, r := range rows {
+			s += vals[r]
 		}
 		f.acc[0] += s
 	}
 	for k := range w.floats {
 		f := &w.floats[k]
-		s, exact := sumRun(f.vals[lo:hi])
+		s, exact := sumRun(b.Cols[f.arg].Floats, rows)
 		t, ok := addExact(f.acc[0], s)
 		f.acc[0] = t
 		f.rounded = !exact || !ok
@@ -568,38 +709,39 @@ func (w *aggWorker) foldOne(lo, hi int) {
 // read once, counted, and its first int and float SUMs folded; any
 // further SUM takes a walk of its own. Each shape has its own loop, so
 // every array it touches stays in a register.
-func (w *aggWorker) foldFused(ids []int32, lo, hi int) {
+func (w *aggWorker) foldFused(b *Batch, ids, rows []int32) {
 	ints, floats := w.ints, w.floats
 	switch {
 	case len(ints) > 0 && len(floats) > 0:
-		if next := walkCountIntFloat(w.cnt, ints[0], floats[0], ids, lo, hi); next < hi {
+		fi, ff := ints[0], floats[0]
+		if next := walkCountIntFloat(w.cnt, fi.acc, b.Cols[fi.arg].Ints, ff.acc, b.Cols[ff.arg].Floats, ids, rows); next < len(rows) {
 			floats[0].rounded = true
-			walkCountInt(w.cnt, ints[0], ids, next, hi)
+			walkCountInt(w.cnt, fi.acc, b.Cols[fi.arg].Ints, ids[next:], rows[next:])
 		}
 		ints, floats = ints[1:], floats[1:]
 	case len(ints) > 0:
-		walkCountInt(w.cnt, ints[0], ids, lo, hi)
+		walkCountInt(w.cnt, ints[0].acc, b.Cols[ints[0].arg].Ints, ids, rows)
 		ints = ints[1:]
 	case len(floats) > 0:
-		next := walkCountFloat(w.cnt, floats[0], ids, lo, hi)
-		floats[0].rounded = next < hi
-		for _, g := range ids[next:hi] {
+		next := walkCountFloat(w.cnt, floats[0].acc, b.Cols[floats[0].arg].Floats, ids, rows)
+		floats[0].rounded = next < len(rows)
+		for _, g := range ids[next:] {
 			w.cnt[g]++
 		}
 		floats = floats[1:]
 	default:
-		for _, g := range ids[lo:hi] {
+		for _, g := range ids {
 			w.cnt[g]++
 		}
 	}
 	for _, f := range ints {
-		acc, vals := f.acc, f.vals[:hi]
-		for i := lo; i < hi; i++ {
-			acc[ids[i]] += vals[i]
+		acc, vals := f.acc, b.Cols[f.arg].Ints
+		for k, r := range rows {
+			acc[ids[k]] += vals[r]
 		}
 	}
 	for k := range floats {
-		floats[k].rounded = walkFloat(floats[k], ids, lo, hi) < hi
+		floats[k].rounded = walkFloat(floats[k].acc, b.Cols[floats[k].arg].Floats, ids, rows) < len(rows)
 	}
 	w.dropRounded()
 }
@@ -619,67 +761,69 @@ func (w *aggWorker) dropRounded() {
 	w.floats = kept
 }
 
-// The float walks stop at the first add that rounds and return the row
-// after it (hi if none did): the rest of the morsel is not added.
+// The walks read position k's group at ids[k] and its value at
+// vals[rows[k]]. The float walks stop at the first add that rounds and
+// return the position after it (len(rows) if none did): the rest of the
+// morsel is not added.
 
-func walkCountIntFloat(cnt []int64, fi fusedInt, ff fusedFloat, ids []int32, lo, hi int) int {
-	iacc, ivals, facc, fvals := fi.acc, fi.vals[:hi], ff.acc, ff.vals[:hi]
-	for i := lo; i < hi; i++ {
-		g := ids[i]
+func walkCountIntFloat(cnt, iacc, ivals []int64, facc, fvals []float64, ids, rows []int32) int {
+	ids = ids[:len(rows)]
+	for k, r := range rows {
+		g := ids[k]
 		cnt[g]++
-		iacc[g] += ivals[i]
-		t, ok := addExact(facc[g], fvals[i])
+		iacc[g] += ivals[r]
+		t, ok := addExact(facc[g], fvals[r])
 		if !ok {
-			return i + 1
+			return k + 1
 		}
 		facc[g] = t
 	}
-	return hi
+	return len(rows)
 }
 
-func walkCountInt(cnt []int64, f fusedInt, ids []int32, lo, hi int) {
-	acc, vals := f.acc, f.vals[:hi]
-	for i := lo; i < hi; i++ {
-		g := ids[i]
+func walkCountInt(cnt, acc, vals []int64, ids, rows []int32) {
+	ids = ids[:len(rows)]
+	for k, r := range rows {
+		g := ids[k]
 		cnt[g]++
-		acc[g] += vals[i]
+		acc[g] += vals[r]
 	}
 }
 
-func walkCountFloat(cnt []int64, f fusedFloat, ids []int32, lo, hi int) int {
-	acc, vals := f.acc, f.vals[:hi]
-	for i := lo; i < hi; i++ {
-		g := ids[i]
+func walkCountFloat(cnt []int64, acc, vals []float64, ids, rows []int32) int {
+	ids = ids[:len(rows)]
+	for k, r := range rows {
+		g := ids[k]
 		cnt[g]++
-		t, ok := addExact(acc[g], vals[i])
+		t, ok := addExact(acc[g], vals[r])
 		if !ok {
-			return i + 1
+			return k + 1
 		}
 		acc[g] = t
 	}
-	return hi
+	return len(rows)
 }
 
-func walkFloat(f fusedFloat, ids []int32, lo, hi int) int {
-	acc, vals := f.acc, f.vals[:hi]
-	for i := lo; i < hi; i++ {
-		t, ok := addExact(acc[ids[i]], vals[i])
+func walkFloat(acc, vals []float64, ids, rows []int32) int {
+	ids = ids[:len(rows)]
+	for k, r := range rows {
+		t, ok := addExact(acc[ids[k]], vals[r])
 		if !ok {
-			return i + 1
+			return k + 1
 		}
-		acc[ids[i]] = t
+		acc[ids[k]] = t
 	}
-	return hi
+	return len(rows)
 }
 
 // merge folds worker o's partials into w's, the shared count once.
-func (w *aggWorker) merge(o *aggWorker, specs []AggSpec, numGroups int) {
+func (w *aggWorker) merge(o *aggWorker, specs []AggSpec, in aggInputs, numGroups int) {
 	for g := range w.cnt {
 		w.cnt[g] += o.cnt[g]
 	}
 	for s, p := range w.parts {
 		if p != nil {
-			mergePartial(p, o.parts[s], specs[s], numGroups, !fusedSpec(specs[s]))
+			mergePartial(p, o.parts[s], specs[s], numGroups, !in.fused[s])
 		}
 	}
 }
@@ -694,43 +838,45 @@ func (a lineAlloc) Bools(n int) []bool       { return a.Alloc.Bools(n + 128)[64 
 func (a lineAlloc) Strings(n int) []string   { return a.Alloc.Strings(n + 8)[4 : 4+n : 4+n] }
 func (a lineAlloc) Int32s(n int) []int32     { return a.Alloc.Int32s(n + 32)[16 : 16+n : 16+n] }
 
-// accumRange folds rows [lo, hi) of one spec into a partial. The
-// caller guarantees each worker's ranges arrive in ascending row
-// order, so the strict-replace min/max fold records the smallest row
-// of the worker's best tie class in accRow.
-func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids []int32, lo, hi int) {
+// accumRange folds one spec's rows into a partial: the morsel whose
+// positions start at at, position at+k holding group ids[k] and the
+// input's row rows[k]. The caller guarantees each worker's morsels
+// arrive in ascending order, so the strict-replace min/max fold records
+// the smallest position of the worker's best tie class in accRow.
+func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids, rows []int32, at int) {
+	ids = ids[:len(rows)]
 	if sp.Col == nil {
-		for i := lo; i < hi; i++ {
-			p.cnt[ids[i]]++
+		for _, g := range ids {
+			p.cnt[g]++
 		}
 		return
 	}
 	switch sp.Kind {
 	case AggCount:
-		for i := lo; i < hi; i++ {
-			if !ka.null(i) {
-				p.cnt[ids[i]]++
+		for k, r := range rows {
+			if !ka.null(int(r)) {
+				p.cnt[ids[k]]++
 			}
 		}
 	case AggSum:
 		switch ka.c.Type {
 		case Int64, Timestamp:
-			for i := lo; i < hi; i++ {
-				if ka.null(i) {
+			for k, r := range rows {
+				if ka.null(int(r)) {
 					continue
 				}
-				g := ids[i]
+				g := ids[k]
 				p.cnt[g]++
-				p.sumI[g] += ka.c.Ints[ka.valIdx(i)]
+				p.sumI[g] += ka.c.Ints[ka.valIdx(int(r))]
 			}
 		case Float64:
-			for i := lo; i < hi; i++ {
-				if ka.null(i) {
+			for k, r := range rows {
+				if ka.null(int(r)) {
 					continue
 				}
-				g := ids[i]
+				g := ids[k]
 				p.cnt[g]++
-				t, ok := addExact(p.sumF[g], ka.c.Floats[ka.valIdx(i)])
+				t, ok := addExact(p.sumF[g], ka.c.Floats[ka.valIdx(int(r))])
 				p.sumF[g] = t
 				if !ok {
 					p.inexact[g] = true
@@ -739,9 +885,9 @@ func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids []int32, lo, hi int
 		default:
 			// Bool/String/Bytes SUM historically summed Value.I, which
 			// is always 0 for these types: count rows, sum stays 0.
-			for i := lo; i < hi; i++ {
-				if !ka.null(i) {
-					p.cnt[ids[i]]++
+			for k, r := range rows {
+				if !ka.null(int(r)) {
+					p.cnt[ids[k]]++
 				}
 			}
 		}
@@ -749,69 +895,33 @@ func accumRange(p *aggPartial, sp AggSpec, ka keyAccess, ids []int32, lo, hi int
 		min := sp.Kind == AggMin
 		switch ka.c.Type {
 		case Int64, Timestamp:
-			for i := lo; i < hi; i++ {
-				if ka.null(i) {
-					continue
-				}
-				g := ids[i]
-				v := ka.c.Ints[ka.valIdx(i)]
-				if !p.set[g] {
-					p.set[g], p.accI[g], p.accRow[g] = true, v, int32(i)
-					continue
-				}
-				c := cmpInt(v, p.accI[g])
-				if (min && c < 0) || (!min && c > 0) {
-					p.accI[g], p.accRow[g] = v, int32(i)
-				}
-			}
+			foldMinMax(p, ka, ids, rows, at, min, p.accI, ka.c.Ints, cmpInt)
 		case Float64:
-			for i := lo; i < hi; i++ {
-				if ka.null(i) {
-					continue
-				}
-				g := ids[i]
-				v := ka.c.Floats[ka.valIdx(i)]
-				if !p.set[g] {
-					p.set[g], p.accF[g], p.accRow[g] = true, v, int32(i)
-					continue
-				}
-				c := cmpFloat(v, p.accF[g])
-				if (min && c < 0) || (!min && c > 0) {
-					p.accF[g], p.accRow[g] = v, int32(i)
-				}
-			}
+			foldMinMax(p, ka, ids, rows, at, min, p.accF, ka.c.Floats, cmpFloat)
 		case Bool:
-			for i := lo; i < hi; i++ {
-				if ka.null(i) {
-					continue
-				}
-				g := ids[i]
-				v := ka.c.Bools[ka.valIdx(i)]
-				if !p.set[g] {
-					p.set[g], p.accB[g], p.accRow[g] = true, v, int32(i)
-					continue
-				}
-				c := cmpBool(v, p.accB[g])
-				if (min && c < 0) || (!min && c > 0) {
-					p.accB[g], p.accRow[g] = v, int32(i)
-				}
-			}
+			foldMinMax(p, ka, ids, rows, at, min, p.accB, ka.c.Bools, cmpBool)
 		default:
-			for i := lo; i < hi; i++ {
-				if ka.null(i) {
-					continue
-				}
-				g := ids[i]
-				v := ka.c.Strs[ka.valIdx(i)]
-				if !p.set[g] {
-					p.set[g], p.accS[g], p.accRow[g] = true, v, int32(i)
-					continue
-				}
-				c := cmpString(v, p.accS[g])
-				if (min && c < 0) || (!min && c > 0) {
-					p.accS[g], p.accRow[g] = v, int32(i)
-				}
-			}
+			foldMinMax(p, ka, ids, rows, at, min, p.accS, ka.c.Strs, cmpString)
+		}
+	}
+}
+
+// foldMinMax is accumRange's MIN/MAX fold into acc, the partial's
+// accumulator of the input's type, reading its values vals through ka.
+func foldMinMax[T any](p *aggPartial, ka keyAccess, ids, rows []int32, at int, min bool, acc, vals []T, cmp func(a, b T) int) {
+	for k, r := range rows {
+		if ka.null(int(r)) {
+			continue
+		}
+		g := ids[k]
+		v := vals[ka.valIdx(int(r))]
+		if !p.set[g] {
+			p.set[g], acc[g], p.accRow[g] = true, v, int32(at+k)
+			continue
+		}
+		c := cmp(v, acc[g])
+		if (min && c < 0) || (!min && c > 0) {
+			acc[g], p.accRow[g] = v, int32(at+k)
 		}
 	}
 }
@@ -890,58 +1000,155 @@ func copyAcc(dst, src *aggPartial, t Type, g int) {
 
 // refold makes a merged float SUM exact: the sum of every group whose
 // plain sum rounded somewhere (every group with a row, after refoldAll)
-// is recomputed from its rows in a superaccumulator and rounded once. One group over a Plain null-free
-// input reads its rows in place, a superaccumulator per worker; else
-// the groups' non-null inputs are first gathered group by group.
-func refold(al Alloc, p *aggPartial, ka keyAccess, ids []int32, numGroups, workers int) {
-	c := ka.c
-	if numGroups == 1 && c.Enc == Plain && c.Nulls == nil {
-		if !p.inexact[0] && !p.refoldAll {
-			return
-		}
-		parts := make([]exactSum, workers)
-		forMorsels(len(ids), workers, func(w, _, lo, hi int) {
-			parts[w].addSlice(c.Floats[lo:hi])
-		})
-		for w := 1; w < workers; w++ {
-			parts[0].merge(&parts[w])
-		}
-		p.sumF[0] = parts[0].round()
+// is recomputed from its rows and rounded once. One pass reads the
+// input in place, through the pieces, and adds each value to its
+// group's window; no value is moved.
+//
+// A group's window is a 192-bit register triple whose lowest bit is 63
+// bits below the lowest bit of the largest exponent (top) its values
+// have had: 2^75 values of under 2^116 each cannot overflow it, so a row
+// costs its adds and nothing else. The window is flushed into the
+// group's superaccumulator only when a larger exponent arrives; a value
+// below the window, ±Inf or NaN goes to the superaccumulator directly.
+// A group whose window fits 128 bits and that never flushed is rounded
+// from its window alone. A sum that comes out zero is −0 only when
+// every one of its values was −0, which a second look at its rows
+// decides.
+func refold(al Alloc, p *aggPartial, in aggInputs, s int, ids []int32, numGroups int) {
+	redo, some := al.Bools(numGroups), false
+	for g := range redo {
+		redo[g] = p.inexact[g] || (p.refoldAll && p.cnt[g] > 0)
+		some = some || redo[g]
+	}
+	if !some {
 		return
 	}
-	// at[g] is group g's first slot in vals, -1 for an exact group.
-	at, total := al.Ints(numGroups), 0
-	for g, x := range p.inexact[:numGroups] {
-		at[g] = -1
-		if x || (p.refoldAll && p.cnt[g] > 0) {
-			at[g], total = total, total+int(p.cnt[g])
+	wins := make([]groupWindow, numGroups)
+	var sums []exactSum
+	acc := func(w *groupWindow) *exactSum {
+		if w.wide == 0 {
+			sums = append(sums, exactSum{})
+			w.wide = int32(len(sums))
 		}
+		return &sums[w.wide-1]
 	}
-	if total == 0 {
-		return
-	}
-	vals := al.Float64s(total)
-	if c.Enc == Plain && c.Nulls == nil {
-		for i, v := range c.Floats[:len(ids)] {
-			if k := at[ids[i]]; k >= 0 {
-				vals[k] = v
-				at[ids[i]] = k + 1
-			}
-		}
-	} else {
-		for i, g := range ids {
-			if k := at[g]; k >= 0 && !ka.null(i) {
-				vals[k] = c.Floats[ka.valIdx(i)]
-				at[g] = k + 1
+	// each calls fn with every value of the groups refolded.
+	each := func(fn func(g int32, v float64)) {
+		for pc := range in.l.in {
+			ka, off := in.access(pc, s), in.l.off[pc]
+			for k, r := range in.l.rows(pc, off, in.l.off[pc+1]) {
+				if g := ids[off+k]; redo[g] && !ka.null(int(r)) {
+					fn(g, ka.c.Floats[ka.valIdx(int(r))])
+				}
 			}
 		}
 	}
-	ParallelEach(numGroups, workers, func(g int) {
-		if at[g] < 0 {
-			return
+	for pc := range in.l.in {
+		ka, off := in.access(pc, s), in.l.off[pc]
+		rows := in.l.rows(pc, off, in.l.off[pc+1])
+		gids, vals := ids[off:off+len(rows)], ka.c.Floats
+		if ka.c.Enc != Plain || ka.c.Nulls != nil {
+			for k, r := range rows {
+				if g := gids[k]; redo[g] && !ka.null(int(r)) {
+					wins[g].add(vals[ka.valIdx(int(r))], acc)
+				}
+			}
+			continue
 		}
-		p.sumF[g] = exactSumOf(vals[at[g]-int(p.cnt[g]) : at[g]])
-	})
+		for k, r := range rows {
+			g := gids[k]
+			if !redo[g] {
+				continue
+			}
+			// The common value, a normal one within the window, inline;
+			// add takes the rest.
+			v, w := vals[r], &wins[g]
+			b := math.Float64bits(v)
+			e := int32(b>>52) & 0x7ff
+			sh := e - w.top + 63
+			if e == 0 || uint32(sh) > 63 {
+				w.add(v, acc)
+				continue
+			}
+			m := b&(1<<52-1) | 1<<52
+			x0, x1 := m<<(uint(sh)&63), (m>>1)>>((63-uint(sh))&63)
+			neg := -(b >> 63) // all ones for a negative v: add ^x + 1
+			var c uint64
+			w.lo, c = bits.Add64(w.lo, x0^neg, neg&1)
+			w.mid, c = bits.Add64(w.mid, x1^neg, c)
+			w.hi += neg + c
+		}
+	}
+	for g := range wins {
+		if !redo[g] {
+			continue
+		}
+		w := &wins[g]
+		var sum float64
+		if w.wide == 0 && w.hi == uint64(int64(w.mid)>>63) {
+			sum = window{hi: w.mid, lo: w.lo, p: int(w.top) - 64}.round(false)
+		} else {
+			w.flush(acc)
+			sum = sums[w.wide-1].round()
+		}
+		if sum == 0 {
+			negZero := true
+			each(func(h int32, v float64) { negZero = negZero && (h != int32(g) || math.Float64bits(v) == signBit) })
+			sum = window{}.round(negZero)
+		}
+		p.sumF[g] = sum
+	}
+}
+
+// groupWindow is one group's state in refold: its window hi:mid:lo and
+// top exponent (0: no value yet), and 1 + its superaccumulator (0:
+// none).
+type groupWindow struct {
+	hi, mid, lo uint64
+	top         int32
+	wide        int32
+}
+
+// add folds v into the window, or into the superaccumulator acc returns.
+func (w *groupWindow) add(v float64, acc func(*groupWindow) *exactSum) {
+	b := math.Float64bits(v)
+	e, m := int32(b>>52)&0x7ff, b&(1<<52-1)
+	switch {
+	case e == 0x7ff:
+		acc(w).add(v)
+		return
+	case e == 0: // subnormal or zero: it scales as exponent 1
+		e = 1
+	default:
+		m |= 1 << 52
+	}
+	if e > w.top {
+		w.flush(acc)
+		w.top = e
+	}
+	sh := e - w.top + 63 // v is m << sh in the window
+	if sh < 0 {
+		acc(w).add(v)
+		return
+	}
+	x0, x1 := m<<(uint(sh)&63), (m>>1)>>((63-uint(sh))&63)
+	neg := -(b >> 63) // all ones for a negative v: add ^x + 1
+	var c uint64
+	w.lo, c = bits.Add64(w.lo, x0^neg, neg&1)
+	w.mid, c = bits.Add64(w.mid, x1^neg, c)
+	w.hi += neg + c
+}
+
+// flush moves the window into the superaccumulator acc returns: its low
+// word unsigned, then its top two words, signed.
+func (w *groupWindow) flush(acc func(*groupWindow) *exactSum) {
+	if w.hi == 0 && w.mid == 0 && w.lo == 0 {
+		return
+	}
+	a, p := acc(w), int(w.top)-64
+	a.addWindow(0, w.lo, p)
+	a.addWindow(w.hi, w.mid, p+64)
+	w.hi, w.mid, w.lo = 0, 0, 0
 }
 
 // finishSpec turns one spec's merged accumulators into its result
@@ -992,48 +1199,63 @@ func finishSpec(m Mem, p *aggPartial, sp AggSpec, numGroups int) *Column {
 	return out
 }
 
-// GroupAggregate is GroupAggregateWith on the heap.
+// GroupAggregate is GroupAggregateWith on the heap, over the one piece
+// the specs' inputs make.
 func GroupAggregate(ids []int32, numGroups int, specs []AggSpec, workers int) []*Column {
-	return GroupAggregateWith(Mem{}, ids, numGroups, specs, workers)
+	var cols []*Column
+	for _, sp := range specs {
+		if sp.Col != nil {
+			cols = append(cols, sp.Col)
+		}
+	}
+	in := []Selection{Whole(&Batch{Cols: cols, N: len(ids)})}
+	return GroupAggregateWith(Mem{}, in, ids, numGroups, specs, workers)
 }
 
-// GroupAggregateWith computes the given aggregates per group: one typed
-// plain column of numGroups rows per spec, accumulator and output
-// arrays (they are the same arrays) from m's allocator. ids and
-// numGroups come from GroupKeys; workers bounds the morsel-parallel
-// fan-out. Every spec but a Float64 MIN/MAX folds morsel-parallel into
-// per-worker partials, one walk per morsel for the fused ones; a float
-// SUM is the correctly rounded exact sum, refolded into
-// superaccumulators only for the groups whose plain sum rounded.
-// Float64 MIN/MAX fold sequentially in row order.
-func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, workers int) []*Column {
+// GroupAggregateWith computes the given aggregates per group over the
+// relation in: one typed plain column of numGroups rows per spec,
+// accumulator and output arrays (they are the same arrays) from m's
+// allocator. A spec's Col is its input's column in in's first piece,
+// read at the same position in every piece (nil: COUNT(*)). ids, by
+// position, and numGroups come from GroupKeysWith; workers bounds the
+// morsel-parallel fan-out. Every spec but a Float64 MIN/MAX folds
+// morsel-parallel into per-worker partials, one walk per morsel for the
+// fused ones, each reading a morsel's rows of its piece in place; a
+// float SUM is the correctly rounded exact sum, refolded only for the
+// groups whose plain sum rounded. Float64 MIN/MAX fold sequentially in
+// position order.
+func GroupAggregateWith(m Mem, in []Selection, ids []int32, numGroups int, specs []AggSpec, workers int) []*Column {
 	if workers < 1 {
 		workers = 1
 	}
 	al := m.Allocator()
-	n := len(ids)
-
-	kas := make([]keyAccess, len(specs))
+	l := newLayout(al, in)
+	inputs := aggInputs{l: &l, args: al.Ints(len(specs)), fused: al.Bools(len(specs)), acc: make([]keyAccess, len(in)*len(specs))}
 	for s, sp := range specs {
-		if sp.Col != nil {
-			kas[s] = valueAccess(sp.Col)
+		inputs.args[s] = argOf(in, sp.Col)
+		inputs.fused[s] = fusedSpec(in, sp, inputs.args[s])
+		if sp.Col == nil {
+			continue
+		}
+		for p := range in {
+			inputs.acc[p*len(specs)+s] = valueAccess(in[p].Batch.Cols[inputs.args[s]])
 		}
 	}
 
-	nWorkers := max(min(workers, morselCount(n)), 1)
+	nWorkers := max(min(workers, l.morsels), 1)
 	wal := al
 	if nWorkers > 1 {
 		wal = lineAlloc{al}
 	}
 	ws := make([]*aggWorker, nWorkers)
 	for w := range ws {
-		ws[w] = newAggWorker(wal, specs, numGroups)
+		ws[w] = newAggWorker(wal, specs, inputs, numGroups)
 	}
-	forMorsels(n, nWorkers, func(w, _, lo, hi int) {
-		ws[w].fold(specs, kas, ids, numGroups, lo, hi)
+	forPieces(&l, nWorkers, func(w, _, p, lo, hi int) {
+		ws[w].fold(specs, inputs, ids, numGroups, p, lo, hi)
 	})
 	for _, o := range ws[1:] {
-		ws[0].merge(o, specs, numGroups)
+		ws[0].merge(o, specs, inputs, numGroups)
 	}
 
 	out := make([]*Column, len(specs))
@@ -1041,10 +1263,13 @@ func GroupAggregateWith(m Mem, ids []int32, numGroups int, specs []AggSpec, work
 		p := ws[0].parts[s]
 		if p == nil {
 			p = newAggPartial(al, sp, numGroups, nil)
-			accumRange(p, sp, kas[s], ids, 0, n)
+			for mor := 0; mor < l.morsels; mor++ {
+				pc, lo, hi := l.bounds(mor)
+				accumRange(p, sp, inputs.access(pc, s), ids[lo:hi], l.rows(pc, lo, hi), lo)
+			}
 		}
 		if p.inexact != nil {
-			refold(al, p, kas[s], ids, numGroups, nWorkers)
+			refold(al, p, inputs, s, ids, numGroups)
 		}
 		out[s] = finishSpec(m, p, sp, numGroups)
 	}
@@ -1118,7 +1343,7 @@ func (f *Fold) Add(cols []*Column) error {
 		}
 		p, ka := f.parts[s], valueAccess(c)
 		if p.sumF == nil {
-			accumRange(p, *sp, ka, f.ids, 0, c.Len)
+			accumRange(p, *sp, ka, f.ids, identity(c.Len), 0)
 			continue
 		}
 		// A float SUM stays a plain sum while every add is exact. Its
@@ -1129,7 +1354,7 @@ func (f *Fold) Add(cols []*Column) error {
 		if p.wide != nil {
 			p.sumF[0], p.inexact[0] = negZero, false
 		}
-		accumRange(p, *sp, ka, f.ids, 0, c.Len)
+		accumRange(p, *sp, ka, f.ids, identity(c.Len), 0)
 		if p.wide == nil {
 			if !p.inexact[0] {
 				continue

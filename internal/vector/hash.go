@@ -157,23 +157,24 @@ func keysEq(a []keyAccess, i int, b []keyAccess, j int) bool {
 	return true
 }
 
-// hashKeyRange fills hashes[lo:hi] and null[lo:hi] for the combined
-// key columns: null[i] is true when any key column is NULL at row i
-// (SQL join/group semantics treat such rows as matching nothing).
-func hashKeyRange(keys []keyAccess, hashes []uint64, null []bool, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		hashes[i] = 0x9e3779b97f4a7c15
+// hashKeyRange fills hashes and null for the combined key columns at
+// rows, one slot per row: null[k] is true when any key column is NULL
+// at rows[k] (SQL join/group semantics treat such rows as matching
+// nothing).
+func hashKeyRange(keys []keyAccess, rows []int32, hashes []uint64, null []bool) {
+	for k := range hashes {
+		hashes[k] = 0x9e3779b97f4a7c15
 	}
-	for _, k := range keys {
-		for i := lo; i < hi; i++ {
-			if null[i] {
+	for _, ka := range keys {
+		for k, r := range rows {
+			if null[k] {
 				continue
 			}
-			if k.null(i) {
-				null[i] = true
+			if ka.null(int(r)) {
+				null[k] = true
 				continue
 			}
-			hashes[i] = combineHash(hashes[i], k.hash(i))
+			hashes[k] = combineHash(hashes[k], ka.hash(int(r)))
 		}
 	}
 }

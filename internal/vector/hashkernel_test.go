@@ -620,7 +620,7 @@ func TestJoinGroupPathParity(t *testing.T) {
 				for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
 					want := refJoin(left, right, []int{0}, []int{0}, kind)
 					for _, w := range []int{1, 2, 3, 8} {
-						got, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, kind, w)
+						got, err := HashJoinWith(Mem{}, []Selection{Whole(left)}, right, []int{0}, []int{0}, kind, w)
 						if err != nil {
 							t.Fatalf("%s workers=%d: %v", what, w, err)
 						}
@@ -656,6 +656,7 @@ func TestJoinGroupPathParity(t *testing.T) {
 				}
 				g := checkGroupAllWorkers(t, []*Column{left.Cols[0]}, left.N)
 				groupPaths[g.Strategy]++
+				checkPiecesMatchBatch(t, what, r, left, right)
 				if kd.sparse(lk) && g.Strategy == GroupDense {
 					t.Fatalf("%s: a key 2^40 apart took the direct-address grouping", what)
 				}
@@ -669,6 +670,81 @@ func TestJoinGroupPathParity(t *testing.T) {
 	for _, s := range []GroupStrategy{GroupHash, GroupDict, GroupInt64, GroupDense} {
 		if groupPaths[s] == 0 {
 			t.Errorf("sweep never took the %v grouping path: %v", s, groupPaths)
+		}
+	}
+}
+
+// pieceShapes splits b's rows into a relation of consecutive pieces
+// over b of every shape a scan hands on — an empty one, a window, a
+// selection whose survivors straddle morsel boundaries, and one that
+// holds every row of its window — and returns it with its rows
+// materialized, the one-piece relation the kernels must answer alike.
+func pieceShapes(r *sim.RNG, b *Batch) ([]Selection, *Batch) {
+	cut := func(f float64) int { return int(f * float64(b.N)) }
+	a, c, d := cut(0.1), cut(0.3), cut(0.8)
+	var sel []int32
+	for i := c; i < d; i++ {
+		if r.Intn(100) < 62 {
+			sel = append(sel, int32(i))
+		}
+	}
+	all := make([]int32, b.N-d)
+	for i := range all {
+		all[i] = int32(d + i)
+	}
+	pieces := []Selection{
+		{Batch: b, Lo: 0, Hi: a, Sel: []int32{}},
+		{Batch: b, Lo: a, Hi: c, N: c - a},
+		{Batch: b, Lo: c, Hi: d, Sel: sel, N: len(sel)},
+		{Batch: b, Lo: d, Hi: b.N, Sel: all, N: len(all)},
+	}
+	flat, err := FilterConcatWith(Mem{}, pieces)
+	if err != nil {
+		panic(err)
+	}
+	return pieces, flat
+}
+
+// checkPiecesMatchBatch: the join, the grouping, the aggregates and
+// the top-K over left cut into pieces of every shape answer, at every
+// worker count, exactly as over the same rows as one batch — pairs,
+// group IDs and first rows are positions of the relation either way.
+func checkPiecesMatchBatch(t *testing.T, what string, r *sim.RNG, left, right *Batch) {
+	t.Helper()
+	pieces, flat := pieceShapes(r, left)
+	whole := []Selection{Whole(flat)}
+	pc, fc := left.Cols[0], flat.Cols[0]
+	for _, w := range []int{1, 2, 3, 8} {
+		for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
+			got, err1 := HashJoinWith(Mem{}, pieces, right, []int{0}, []int{0}, kind, w)
+			want, err2 := HashJoinWith(Mem{}, whole, right, []int{0}, []int{0}, kind, w)
+			if err1 != nil || err2 != nil || got.LeftIdentity != want.LeftIdentity || !joinEq(got, want) {
+				t.Fatalf("%s kind=%d workers=%d: join over pieces %+v, over the batch %+v (%v, %v)", what, kind, w, got, want, err1, err2)
+			}
+		}
+		gp := GroupKeysWith(Mem{}, pieces, []*Column{pc}, w)
+		gb := GroupKeysWith(Mem{}, whole, []*Column{fc}, w)
+		if gp.NumGroups != gb.NumGroups || !reflect.DeepEqual(norm32(gp.IDs), norm32(gb.IDs)) || !reflect.DeepEqual(norm32(gp.Rep), norm32(gb.Rep)) {
+			t.Fatalf("%s workers=%d: grouping over pieces differs from over the batch", what, w)
+		}
+		specs := func(c *Column) []AggSpec {
+			return []AggSpec{{Kind: AggCount}, {Kind: AggCount, Col: c}, {Kind: AggSum, Col: c}, {Kind: AggMin, Col: c}, {Kind: AggMax, Col: c}}
+		}
+		ap := GroupAggregateWith(Mem{}, pieces, gp.IDs, gp.NumGroups, specs(pc), w)
+		ab := GroupAggregateWith(Mem{}, whole, gb.IDs, gb.NumGroups, specs(fc), w)
+		for s := range ap {
+			for g := 0; g < gp.NumGroups; g++ {
+				if x, y := ap[s].Value(g), ab[s].Value(g); x.Type != y.Type || x.String() != y.String() {
+					t.Fatalf("%s workers=%d: aggregate %d group %d over pieces %v, over the batch %v", what, w, s, g, x, y)
+				}
+			}
+		}
+		for _, k := range []int{1, 7, flat.N} {
+			tp := TopK(Mem{}, pieces, []SortKey{ExtractSortKey(Heap, pieces, pc, true)}, k)
+			tb := TopK(Mem{}, whole, []SortKey{ExtractSortKey(Heap, whole, fc, true)}, k)
+			if !reflect.DeepEqual(norm32(tp), norm32(tb)) {
+				t.Fatalf("%s workers=%d: top-%d over pieces %v, over the batch %v", what, w, k, tp, tb)
+			}
 		}
 	}
 }
@@ -732,11 +808,11 @@ func TestN1ProbeConcurrentWriters(t *testing.T) {
 			}
 			left, right := kd.column(Plain, lk), kd.column(Plain, rk)
 			for _, kind := range []JoinKind{InnerJoin, LeftOuterJoin} {
-				want, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, kind, 1)
+				want, err := HashJoinWith(Mem{}, []Selection{Whole(left)}, right, []int{0}, []int{0}, kind, 1)
 				if err != nil || want.Strategy != strategy || want.intKey != (kd.typ == Int64) || want.LeftIdentity != (miss == 0) {
 					t.Fatalf("%v miss=%v: one worker took another path: %+v, %v", kd, miss, want.Strategy, err)
 				}
-				got, err := HashJoinWith(Mem{}, left, right, []int{0}, []int{0}, kind, 8)
+				got, err := HashJoinWith(Mem{}, []Selection{Whole(left)}, right, []int{0}, []int{0}, kind, 8)
 				if err != nil || !joinEq(got, want) || got.LeftIdentity != want.LeftIdentity {
 					t.Fatalf("%v miss=%v kind=%d: eight workers disagree with one (err %v)", kd, miss, kind, err)
 				}

@@ -62,17 +62,17 @@ func (op CmpOp) Eval(cmp int) bool {
 	return false
 }
 
-// CompareConst evaluates `col op val` producing a selection mask.
-// NULL rows compare false (SQL semantics). The kernel operates
-// directly on the physical encoding: for Dict columns the predicate is
-// evaluated once per dictionary entry and then mapped over codes; for
-// RLE it is evaluated once per run.
+// CompareConst evaluates `col op val` into a mask: true where the row
+// satisfies it. NULL rows compare false (SQL semantics). It is
+// SelectConst's selection spread over a mask, for the callers that
+// combine predicates with OR and NOT (the expression evaluator, file
+// pruning).
 func CompareConst(c *Column, op CmpOp, val Value) []bool {
 	return CompareConstWith(nil, c, op, val)
 }
 
-// CompareConstWith is CompareConst allocating the mask (and dictionary
-// verdict scratch) from al; nil falls back to the heap.
+// CompareConstWith is CompareConst allocating the mask (and the
+// selection under it) from al; nil falls back to the heap.
 func CompareConstWith(al Alloc, c *Column, op CmpOp, val Value) []bool {
 	if al == nil {
 		al = Heap
@@ -82,154 +82,243 @@ func CompareConstWith(al Alloc, c *Column, op CmpOp, val Value) []bool {
 		// Preserve the non-nil empty mask of the make() era.
 		mask = []bool{}
 	}
-	switch c.Enc {
-	case Dict:
-		verdicts := dictVerdicts(al, c, op, val)
-		for i, code := range c.Codes {
-			if code != NullIdx {
-				mask[i] = verdicts[code]
-			}
-		}
-	case RLE:
-		pos := 0
-		for _, r := range c.Runs {
-			v := false
-			if r.ValIdx != NullIdx {
-				v = op.Eval(c.valueAtIdx(r.ValIdx).Compare(val))
-			}
-			if v {
-				for k := 0; k < int(r.Count); k++ {
-					mask[pos+k] = true
-				}
-			}
-			pos += int(r.Count)
-		}
-	default:
-		// Plain: typed fast paths avoid Value boxing per row.
-		switch c.Type {
-		case Int64, Timestamp:
-			target := val.AsInt()
-			if val.Type == Float64 {
-				// Mixed numeric comparison falls back to float.
-				ft := val.F
-				for i, v := range c.Ints {
-					if c.Nulls == nil || !c.Nulls[i] {
-						mask[i] = op.Eval(cmpFloat(float64(v), ft))
-					}
-				}
-				return mask
-			}
-			compareIntsConst(mask, c.Ints, c.Nulls, op, target)
-		case Float64:
-			compareFloatsConst(mask, c.Floats, c.Nulls, op, val.AsFloat())
-		case String, Bytes:
-			target := val.S
-			for i, v := range c.Strs {
-				if c.Nulls == nil || !c.Nulls[i] {
-					mask[i] = op.Eval(cmpString(v, target))
-				}
-			}
-		case Bool:
-			for i, v := range c.Bools {
-				if c.Nulls == nil || !c.Nulls[i] {
-					mask[i] = op.Eval(cmpBool(v, val.B))
-				}
-			}
-		}
+	for _, r := range SelectConst(al, c, 0, c.Len, nil, op, val) {
+		mask[r] = true
 	}
 	return mask
 }
 
-func dictVerdicts(al Alloc, c *Column, op CmpOp, val Value) []bool {
-	n := c.dictLen()
-	verdicts := al.Bools(n)
-	for i := 0; i < n; i++ {
-		verdicts[i] = op.Eval(c.valueAtIdx(uint32(i)).Compare(val))
+// SelectConst returns the rows of c in [lo, hi) where `c op val` holds,
+// ascending: of every row of the window when sel is nil (written into
+// a selection from al), else of the rows sel holds — ascending rows of
+// the window, the survivors of the conjuncts before — written over sel
+// itself. NULL rows never survive. The kernel runs on the physical
+// encoding: Plain rows are compared in typed loops that store every
+// row and advance only past a survivor (sel[j] = i; j += cond), with no
+// branch on the outcome; a Dict column's predicate is decided once per
+// dictionary entry and an RLE column's once per run. An integer column
+// compares an integer literal as an integer, exactly, in every
+// encoding.
+func SelectConst(al Alloc, c *Column, lo, hi int, sel []int32, op CmpOp, val Value) []int32 {
+	if al == nil {
+		al = Heap
 	}
-	return verdicts
+	whole := sel == nil
+	if whole {
+		if lo == hi {
+			return []int32{}
+		}
+		sel = int32sForOverwrite(al, hi-lo)
+	}
+	switch c.Enc {
+	case Dict:
+		// verdicts[code+1]: a NULL's NullIdx wraps to slot 0, false.
+		n := c.dictLen()
+		verdicts := al.Bools(n + 1)
+		for i := 0; i < n; i++ {
+			verdicts[i+1] = verdict(c, uint32(i), op, val)
+		}
+		return selectCodes(sel, c.Codes, verdicts, lo, hi, whole)
+	case RLE:
+		return selectRuns(sel, c, lo, hi, whole, op, val)
+	}
+	integer := c.Type == Int64 || c.Type == Timestamp
+	switch {
+	case integer && val.Type == Float64:
+		// Mixed numeric comparison falls back to float.
+		return selectEach(sel, lo, hi, whole, func(r int32) bool {
+			return (c.Nulls == nil || !c.Nulls[r]) && op.Eval(cmpFloat(float64(c.Ints[r]), val.F))
+		})
+	case c.Nulls != nil || c.Type == Bool:
+		return selectEach(sel, lo, hi, whole, func(r int32) bool {
+			if c.Nulls != nil && c.Nulls[r] {
+				return false
+			}
+			switch {
+			case integer:
+				return op.Eval(cmpInt(c.Ints[r], val.AsInt()))
+			case c.Type == Float64:
+				return op.Eval(cmpFloat(c.Floats[r], val.AsFloat()))
+			case c.Type == Bool:
+				return op.Eval(cmpBool(c.Bools[r], val.B))
+			}
+			return op.Eval(cmpString(c.Strs[r], val.S))
+		})
+	case integer:
+		return selectOrdered(sel, c.Ints, lo, hi, whole, op, val.AsInt())
+	case c.Type == Float64:
+		return selectOrdered(sel, c.Floats, lo, hi, whole, op, val.AsFloat())
+	default:
+		return selectOrdered(sel, c.Strs, lo, hi, whole, op, val.S)
+	}
 }
 
-// compareIntsConst writes `xs[i] op target` into mask with dedicated
-// per-operator loops on the null-free path: the operator dispatch runs
-// once per column instead of once per row, which roughly halves the
-// cost of the hottest scan kernel (point lookups spend most of their
-// CPU here).
-func compareIntsConst(mask []bool, xs []int64, nulls []bool, op CmpOp, target int64) {
-	if nulls != nil {
-		for i, v := range xs {
-			if !nulls[i] {
-				mask[i] = op.Eval(cmpInt(v, target))
+// verdict decides `value op val` for entry idx of an encoded column's
+// value array, as Value.Compare orders them — except that an integer
+// column compares an integer literal as an integer, exactly, as the
+// Plain kernel does: through float64 two integers past 2^53 can tie.
+func verdict(c *Column, idx uint32, op CmpOp, val Value) bool {
+	if (c.Type == Int64 || c.Type == Timestamp) && (val.Type == Int64 || val.Type == Timestamp) {
+		return op.Eval(cmpInt(c.Ints[idx], val.I))
+	}
+	return op.Eval(c.valueAtIdx(idx).Compare(val))
+}
+
+// selectOrdered is the Plain null-free kernel, one loop per operator so
+// the dispatch runs once per column. The loops are written in terms of
+// < and > only so NaN keeps cmpFloat's semantics exactly: NaN is
+// neither below nor above anything, so cmpFloat reports 0 and EQ/LE/GE
+// match it while NE/LT/GT do not. For integers and strings the forms
+// are the plain operators.
+func selectOrdered[T int64 | float64 | string](dst []int32, xs []T, lo, hi int, whole bool, op CmpOp, t T) []int32 {
+	j := 0
+	if whole {
+		base := int32(lo)
+		xs = xs[lo:hi]
+		dst = dst[:len(xs)]
+		switch op {
+		case EQ:
+			for i, v := range xs {
+				dst[j] = base + int32(i)
+				j += boolInt(!(v < t) && !(v > t))
+			}
+		case NE:
+			for i, v := range xs {
+				dst[j] = base + int32(i)
+				j += boolInt(v < t || v > t)
+			}
+		case LT:
+			for i, v := range xs {
+				dst[j] = base + int32(i)
+				j += boolInt(v < t)
+			}
+		case LE:
+			for i, v := range xs {
+				dst[j] = base + int32(i)
+				j += boolInt(!(v > t))
+			}
+		case GT:
+			for i, v := range xs {
+				dst[j] = base + int32(i)
+				j += boolInt(v > t)
+			}
+		case GE:
+			for i, v := range xs {
+				dst[j] = base + int32(i)
+				j += boolInt(!(v < t))
 			}
 		}
-		return
+		return dst[:j]
 	}
 	switch op {
 	case EQ:
-		for i, v := range xs {
-			mask[i] = v == target
+		for _, r := range dst {
+			v := xs[r]
+			dst[j] = r
+			j += boolInt(!(v < t) && !(v > t))
 		}
 	case NE:
-		for i, v := range xs {
-			mask[i] = v != target
+		for _, r := range dst {
+			v := xs[r]
+			dst[j] = r
+			j += boolInt(v < t || v > t)
 		}
 	case LT:
-		for i, v := range xs {
-			mask[i] = v < target
+		for _, r := range dst {
+			dst[j] = r
+			j += boolInt(xs[r] < t)
 		}
 	case LE:
-		for i, v := range xs {
-			mask[i] = v <= target
+		for _, r := range dst {
+			dst[j] = r
+			j += boolInt(!(xs[r] > t))
 		}
 	case GT:
-		for i, v := range xs {
-			mask[i] = v > target
+		for _, r := range dst {
+			dst[j] = r
+			j += boolInt(xs[r] > t)
 		}
 	case GE:
-		for i, v := range xs {
-			mask[i] = v >= target
+		for _, r := range dst {
+			dst[j] = r
+			j += boolInt(!(xs[r] < t))
 		}
 	}
+	return dst[:j]
 }
 
-// compareFloatsConst is compareIntsConst for float64 columns. The
-// loops are written in terms of < and > only so NaN keeps cmpFloat's
-// semantics exactly: NaN is neither below nor above anything, so
-// cmpFloat reports 0 and EQ/LE/GE match it while NE/LT/GT do not.
-func compareFloatsConst(mask []bool, xs []float64, nulls []bool, op CmpOp, target float64) {
-	if nulls != nil {
-		for i, v := range xs {
-			if !nulls[i] {
-				mask[i] = op.Eval(cmpFloat(v, target))
+// selectCodes keeps the rows whose code's verdict (at code + 1) is
+// true.
+func selectCodes(dst []int32, codes []uint32, verdicts []bool, lo, hi int, whole bool) []int32 {
+	j := 0
+	if whole {
+		base := int32(lo)
+		codes = codes[lo:hi]
+		dst = dst[:len(codes)]
+		for i, code := range codes {
+			dst[j] = base + int32(i)
+			j += boolInt(verdicts[code+1])
+		}
+		return dst[:j]
+	}
+	for _, r := range dst {
+		dst[j] = r
+		j += boolInt(verdicts[codes[r]+1])
+	}
+	return dst[:j]
+}
+
+// selectRuns keeps the rows of the runs whose value satisfies the
+// predicate: decided once per run, each run a stretch of rows (or of
+// the ascending rows dst holds).
+func selectRuns(dst []int32, c *Column, lo, hi int, whole bool, op CmpOp, val Value) []int32 {
+	j, k, pos := 0, 0, 0
+	for _, run := range c.Runs {
+		from, to := max(pos, lo), min(pos+int(run.Count), hi)
+		pos += int(run.Count)
+		keep := run.ValIdx != NullIdx && from < to && verdict(c, run.ValIdx, op, val)
+		if whole {
+			for r := from; keep && r < to; r++ {
+				dst[j] = int32(r)
+				j++
+			}
+		} else {
+			for ; k < len(dst) && int(dst[k]) < to; k++ {
+				dst[j] = dst[k]
+				j += boolInt(keep)
 			}
 		}
-		return
-	}
-	switch op {
-	case EQ:
-		for i, v := range xs {
-			mask[i] = !(v < target) && !(v > target)
-		}
-	case NE:
-		for i, v := range xs {
-			mask[i] = v < target || v > target
-		}
-	case LT:
-		for i, v := range xs {
-			mask[i] = v < target
-		}
-	case LE:
-		for i, v := range xs {
-			mask[i] = !(v > target)
-		}
-	case GT:
-		for i, v := range xs {
-			mask[i] = v > target
-		}
-	case GE:
-		for i, v := range xs {
-			mask[i] = !(v < target)
+		if pos >= hi {
+			break
 		}
 	}
+	return dst[:j]
+}
+
+// selectEach keeps the rows keep holds true for, one call per row.
+func selectEach(dst []int32, lo, hi int, whole bool, keep func(r int32) bool) []int32 {
+	j := 0
+	if whole {
+		dst = dst[:hi-lo]
+		for r := lo; r < hi; r++ {
+			dst[j] = int32(r)
+			j += boolInt(keep(int32(r)))
+		}
+		return dst[:j]
+	}
+	for _, r := range dst {
+		dst[j] = r
+		j += boolInt(keep(r))
+	}
+	return dst[:j]
+}
+
+// boolInt is 1 for true and 0 for false, without a branch.
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func cmpInt(a, b int64) int {
@@ -366,14 +455,29 @@ func FilterWith(m Mem, b *Batch, mask []bool) (*Batch, error) {
 	if len(mask) != b.N {
 		return nil, fmt.Errorf("vector: mask length %d != batch %d", len(mask), b.N)
 	}
-	return filterCounted(m, Selection{Batch: b, Hi: b.N, Mask: mask, N: CountMask(mask)}), nil
+	n := CountMask(mask)
+	switch n {
+	case b.N:
+		return b, nil
+	case 0:
+		return EmptyBatch(b.Schema), nil
+	}
+	// Knowing the count first sizes the index scratch to the survivors,
+	// not the batch, and stopping at the n-th spares a selective filter
+	// (a point lookup), on average, half of this second pass.
+	idx := m.Allocator().Ints(n)[:0]
+	for i, keep := range mask {
+		if keep {
+			if idx = append(idx, i); len(idx) == n {
+				break
+			}
+		}
+	}
+	return gatherBatch(m, b, idx), nil
 }
 
-// filterCounted gathers the rows a counted selection selects. Knowing
-// the count first sizes the index scratch to the selection, not the
-// batch: selective filters (point lookups) would otherwise pay a
-// full-width zeroing pass for a handful of surviving rows. A window
-// without a mask needs no pass over anything.
+// filterCounted gathers the rows of one piece: the batch itself when
+// every row survives, an empty one when none does.
 func filterCounted(m Mem, s Selection) *Batch {
 	b := s.Batch
 	switch s.N {
@@ -382,29 +486,20 @@ func filterCounted(m Mem, s Selection) *Batch {
 	case 0:
 		return EmptyBatch(b.Schema)
 	}
-	lo := s.Lo
 	idx := m.Allocator().Ints(s.N)
-	if s.Mask == nil {
-		for i := range idx {
-			idx[i] = lo + i
-		}
-	} else {
-		// Stopping at the n-th hit spares a point lookup, on average,
-		// half of this second pass over the mask.
-		idx = idx[:0]
-		for i, mv := range s.Mask {
-			if mv {
-				if idx = append(idx, lo+i); len(idx) == s.N {
-					break
-				}
-			}
-		}
+	for k, r := range s.Rows(0, s.N) {
+		idx[k] = int(r)
 	}
+	return gatherBatch(m, b, idx)
+}
+
+// gatherBatch gathers the rows at idx of every column of b.
+func gatherBatch(m Mem, b *Batch, idx []int) *Batch {
 	cols := make([]*Column, len(b.Cols))
 	for i, c := range b.Cols {
 		cols[i] = GatherWith(m, c, idx)
 	}
-	return &Batch{Schema: b.Schema, Cols: cols, N: s.N}
+	return &Batch{Schema: b.Schema, Cols: cols, N: len(idx)}
 }
 
 // GatherWith gathers the rows at idx. Under a pooled allocator (late

@@ -251,7 +251,8 @@ func TestAggregateKernelDictNotHashed(t *testing.T) {
 	ids := make([]int32, c.Len)
 	for _, kind := range []AggKind{AggCount, AggSum, AggMin, AggMax} {
 		ga := &countAlloc{}
-		GroupAggregateWith(Mem{Al: ga}, ids, 1, []AggSpec{{Kind: kind, Col: c}}, 2)
+		specs := []AggSpec{{Kind: kind, Col: c}}
+		GroupAggregateWith(Mem{Al: ga}, specsIn(len(ids), specs), ids, 1, specs, 2)
 		fa := &countAlloc{}
 		f := NewFold(Mem{Al: fa}, []AggKind{kind})
 		if err := f.Add([]*Column{c}); err != nil {

@@ -74,7 +74,7 @@ func mergeParts(r *sim.RNG, schema Schema) []Selection {
 				mask[i] = density == 3 || r.Intn(100) < 62*(density-1)
 			}
 		}
-		sel, err := SelectWindow(b, lo, hi, mask)
+		sel, err := Window(b, lo, hi, maskRows(mask, lo))
 		if err != nil {
 			panic(err)
 		}
@@ -101,10 +101,10 @@ func dirtyArena(pool *arena.Pool) *arena.Arena {
 	return pool.Get()
 }
 
-// layout renders a batch with its physical shape — each column's
+// physical renders a batch with its physical shape — each column's
 // encoding, whether it carries a null array, and its values — so two
 // merges compare bit for bit, not just by value.
-func layout(b *Batch) string {
+func physical(b *Batch) string {
 	if b == nil {
 		return "<nil>"
 	}
@@ -172,8 +172,8 @@ func TestScanMergeMatchesSerialOnDirtyMemory(t *testing.T) {
 				sameBatches(t, what, want, got)
 				zeroAtNulls(t, what, got)
 				if w == 1 {
-					shape = layout(got)
-				} else if layout(got) != shape {
+					shape = physical(got)
+				} else if physical(got) != shape {
 					t.Fatalf("%s: layout differs from one worker", what)
 				}
 			}
@@ -233,7 +233,7 @@ func BenchmarkScanMerge(b *testing.B) {
 			ks[i], amounts[i], prices[i] = int64(r.Intn(1024)), int64(r.Intn(1000)), r.Float64()*100
 			mask[i] = r.Intn(100) < 62
 		}
-		sel, err := Select(MustBatch(schema, []*Column{NewInt64Column(ks), NewInt64Column(amounts), NewFloat64Column(prices)}), mask)
+		sel, err := Window(MustBatch(schema, []*Column{NewInt64Column(ks), NewInt64Column(amounts), NewFloat64Column(prices)}), 0, rows, maskRows(mask, 0))
 		if err != nil {
 			b.Fatal(err)
 		}

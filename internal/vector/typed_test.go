@@ -140,7 +140,7 @@ func refMinMax(c *Column) (min, max Value, nullCount int64) {
 func TestTypedMinMaxParity(t *testing.T) {
 	forParityColumns(t, func(name string, build func(Type, []Value) *Column, typ Type) {
 		c := build(typ, parityValues(typ))
-		min, max, nulls := MinMax(c)
+		min, max, nulls := MinMax(c, nil)
 		rmin, rmax, rnulls := refMinMax(c)
 		if !bitEqual(min, rmin) || !bitEqual(max, rmax) || nulls != rnulls {
 			t.Fatalf("%s: MinMax = (%v, %v, %d), boxed reference (%v, %v, %d)", name, min, max, nulls, rmin, rmax, rnulls)
@@ -160,7 +160,7 @@ func TestTypedMinMaxExactBeyondFloat(t *testing.T) {
 	if IntValue(big+1).Compare(IntValue(big)) != 0 {
 		t.Fatal("premise: Value.Compare is expected to tie 2^53+1 with 2^53")
 	}
-	min, max, _ := MinMax(c)
+	min, max, _ := MinMax(c, nil)
 	if min.I != big || max.I != big+2 {
 		t.Fatalf("MinMax = (%d, %d), want the exact (%d, %d)", min.I, max.I, big, big+2)
 	}
@@ -188,7 +188,7 @@ func TestTypedMinMaxNaNPositions(t *testing.T) {
 		{[]float64{nan, nan, 2, -1, nan, 3, 0.5}, -1, 3, false},
 	} {
 		for _, c := range []*Column{NewFloat64Column(tc.vals), DictEncode(NewFloat64Column(tc.vals)), RLEncode(NewFloat64Column(tc.vals))} {
-			min, max, nulls := MinMax(c)
+			min, max, nulls := MinMax(c, nil)
 			if nulls != 0 || min.IsNull() != tc.null || max.IsNull() != tc.null {
 				t.Fatalf("%v %v: MinMax = (%v, %v, %d)", c.Enc, tc.vals, min, max, nulls)
 			}
@@ -209,7 +209,7 @@ func TestTypedMinMaxUnreferencedDictEntries(t *testing.T) {
 	if g.Enc != Dict || len(g.Strs) != 3 {
 		t.Fatalf("premise: gathered column should stay Dict over the full dictionary, got %v/%d", g.Enc, len(g.Strs))
 	}
-	min, max, _ := MinMax(g)
+	min, max, _ := MinMax(g, nil)
 	if min.S != "m" || max.S != "m" {
 		t.Fatalf("MinMax = (%q, %q), want (m, m)", min.S, max.S)
 	}
@@ -464,14 +464,14 @@ func TestTypedSortKeyParity(t *testing.T) {
 		c := build(typ, parityValues(typ))
 		for _, desc := range []bool{false, true} {
 			for _, al := range []Alloc{Heap, ar} {
-				key := ExtractSortKey(al, c, desc)
+				key := ExtractSortKey(al, one(c.Len, c), c, desc)
 				for a := 0; a < c.Len; a++ {
 					for b := 0; b < c.Len; b++ {
 						want := refCompareForSort(c.Value(a), c.Value(b))
 						if desc {
 							want = -want
 						}
-						if got := key.Compare(a, b); sign(got) != want {
+						if got := key.compare(0, int32(a), 0, int32(b)); sign(got) != want {
 							t.Fatalf("%s desc=%v: rows %d (%v) and %d (%v): typed %d, boxed reference %d", name, desc, a, c.Value(a), b, c.Value(b), got, want)
 						}
 					}
@@ -488,12 +488,12 @@ func TestTypedSortKeyOrdersIntegersExactly(t *testing.T) {
 	c := NewInt64Column([]int64{big + 1, big, big + 1, big})
 	for _, col := range []*Column{c, DictEncode(c), RLEncode(c)} {
 		for _, desc := range []bool{false, true} {
-			key := ExtractSortKey(Heap, col, desc)
+			key := ExtractSortKey(Heap, one(col.Len, col), col, desc)
 			want := 1
 			if desc {
 				want = -1
 			}
-			if got := key.Compare(0, 1); got != want {
+			if got := key.compare(0, int32(0), 0, int32(1)); got != want {
 				t.Fatalf("%v desc=%v: 2^53+1 against 2^53 compares %d, want %d", col.Enc, desc, got, want)
 			}
 		}
@@ -505,9 +505,9 @@ func TestTypedSortKeyOrdersIntegersExactly(t *testing.T) {
 // equal so the tie falls through to the next key.
 func TestTypedSortKeyDuplicateDictEntries(t *testing.T) {
 	c := &Column{Type: String, Len: 3, Enc: Dict, Strs: []string{"x", "a", "x"}, Codes: []uint32{0, 2, 1}}
-	key := ExtractSortKey(Heap, c, false)
-	if key.Compare(0, 1) != 0 || key.Compare(2, 0) >= 0 {
-		t.Fatalf("ranks: cmp(0,1)=%d cmp(2,0)=%d", key.Compare(0, 1), key.Compare(2, 0))
+	key := ExtractSortKey(Heap, one(c.Len, c), c, false)
+	if key.compare(0, int32(0), 0, int32(1)) != 0 || key.compare(0, int32(2), 0, int32(0)) >= 0 {
+		t.Fatalf("ranks: cmp(0,1)=%d cmp(2,0)=%d", key.compare(0, int32(0), 0, int32(1)), key.compare(0, int32(2), 0, int32(0)))
 	}
 }
 
@@ -561,7 +561,7 @@ func TestFilterConcatMatchesFilterThenAppend(t *testing.T) {
 				}
 			}
 			var err error
-			if parts[i], err = Select(b, mask); err != nil {
+			if parts[i], err = Window(b, 0, b.N, maskRows(mask, 0)); err != nil {
 				t.Fatal(err)
 			}
 			if parts[i].N != filtered.N {
@@ -625,7 +625,7 @@ func TestFilterConcatRejectsMismatch(t *testing.T) {
 	if _, err := FilterConcatWith(Mem{}, []Selection{{Batch: a, N: 1}, {Batch: b, N: 1}}); err == nil {
 		t.Fatal("schema mismatch must be rejected")
 	}
-	if _, err := Select(a, []bool{true, false}); err == nil {
-		t.Fatal("mask length mismatch must be rejected")
+	if _, err := Window(a, 0, 1, []int32{0, 1}); err == nil {
+		t.Fatal("more rows than the window holds must be rejected")
 	}
 }

@@ -378,43 +378,34 @@ func (c *Column) valueAtIdx(idx uint32) Value {
 
 // Value returns the logical value at row i, resolving the encoding.
 func (c *Column) Value(i int) Value {
-	switch c.Enc {
-	case Plain:
-		if c.Nulls != nil && c.Nulls[i] {
-			return NullValue
-		}
-		return c.valueAtIdx(uint32(i))
-	case Dict:
-		return c.valueAtIdx(c.Codes[i])
-	case RLE:
-		pos := 0
-		for _, r := range c.Runs {
-			if i < pos+int(r.Count) {
-				return c.valueAtIdx(r.ValIdx)
-			}
-			pos += int(r.Count)
-		}
-		return NullValue
-	}
-	return NullValue
+	return c.valueAtIdx(c.valIdxOf(i))
 }
 
 // IsNullAt reports whether row i is NULL.
 func (c *Column) IsNullAt(i int) bool {
+	return c.valIdxOf(i) == NullIdx
+}
+
+// valIdxOf returns the value-array index of row i, resolving the
+// encoding: NullIdx for a NULL (and a row past an RLE column's runs).
+func (c *Column) valIdxOf(i int) uint32 {
 	switch c.Enc {
 	case Plain:
-		return c.Nulls != nil && c.Nulls[i]
+		if c.Nulls != nil && c.Nulls[i] {
+			return NullIdx
+		}
+		return uint32(i)
 	case Dict:
-		return c.Codes[i] == NullIdx
+		return c.Codes[i]
 	case RLE:
 		for _, r := range c.Runs {
 			if i < int(r.Count) {
-				return r.ValIdx == NullIdx
+				return r.ValIdx
 			}
 			i -= int(r.Count)
 		}
 	}
-	return true
+	return NullIdx
 }
 
 // Decode returns a PLAIN copy of the column, expanding Dict/RLE. NULL

@@ -413,12 +413,12 @@ func TestAggregateFloatSum(t *testing.T) {
 func TestMinMax(t *testing.T) {
 	c := NewStringColumn([]string{"pear", "apple", "zebra"})
 	c.Nulls = []bool{false, false, false}
-	min, max, nulls := MinMax(c)
+	min, max, nulls := MinMax(c, nil)
 	if min.S != "apple" || max.S != "zebra" || nulls != 0 {
 		t.Fatalf("MinMax = %v %v %d", min, max, nulls)
 	}
 	c.Nulls = []bool{true, false, true}
-	min, max, nulls = MinMax(c)
+	min, max, nulls = MinMax(c, nil)
 	if min.S != "apple" || max.S != "apple" || nulls != 2 {
 		t.Fatalf("MinMax with nulls = %v %v %d", min, max, nulls)
 	}

@@ -92,7 +92,7 @@ func TestSortedOnlyWhereRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	win, err := SelectWindow(b, 1, 5, nil)
+	win, err := Window(b, 1, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

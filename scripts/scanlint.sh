@@ -85,6 +85,15 @@
 # parsed once — a second parse in a front door is how Lakehouse.Query
 # came to parse every statement twice.
 #
+# Rule "concat": one copy point in the engine. Fails if
+# vector.FilterConcatWorkers or FilterConcatWith is called in a non-test
+# file of internal/engine other than rel.go, whose materialize is the
+# engine's one concatenation: a scan hands its surviving rows on as
+# selections, and an operator that needs a contiguous batch asks
+# materialize for it — a second copy point is how every scan came to
+# copy every surviving row of every column before any operator ran.
+# This rule takes no allowlist entries.
+#
 # Allowed files are listed per rule, with reasons, in
 # scripts/scanlint.allow; tests are exempt. An entry that excuses no
 # line fails the sweep too.
@@ -142,6 +151,11 @@ check record '\.RecordJob\(' 'systables serve omni' \
     'system.jobs row recorded outside a door; record it in serve (cursor close, failure, shed) or Omni (SubmitWith), never in the engine'
 check parse 'sqlparse\.(Parse|Lex)\(' 'sqlparse engine' \
     'SQL parsed outside the engine'"'"'s statement cache; parse through Engine.Parse'
+if bad=$(grep -nE 'FilterConcat(Workers|With)\(' internal/engine/*.go | grep -v '_test\.go:' | grep -v '^internal/engine/rel\.go:'); then
+    echo "scanlint(concat): a surviving-row copy in internal/engine outside materialize (rel.go); hand the rows on as a rel and call Engine.materialize where a batch is needed:" >&2
+    printf '%s\n' "$bad" >&2
+    exit 1
+fi
 if bad=$(grep -nE 'bytes\.(New)?Reader|binary\.Read(Uv|V)arint' internal/vector/*.go | grep -v '_test\.go:'); then
     echo "scanlint(codec): byte-reader decode in internal/vector; decode through wire.go's cursor (wireReader):" >&2
     printf '%s\n' "$bad" >&2
