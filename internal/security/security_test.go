@@ -359,3 +359,61 @@ func TestRowFilterFor(t *testing.T) {
 		t.Fatal("non-grantee should be restricted to nothing")
 	}
 }
+
+// TestGovernsMatchesApplyGovernance ties a reader's test for skipping
+// governance to the enforcement step itself: over each policy setup,
+// principal and projection (region always read, as a row policy's
+// column is), ApplyGovernance hands a batch back as it is exactly when
+// Governs says it does not govern those columns.
+func TestGovernsMatchesApplyGovernance(t *testing.T) {
+	emea := []colfmt.Predicate{{Column: "region", Op: vector.EQ, Value: vector.StringValue("emea")}}
+	setups := []struct {
+		name  string
+		setup func(a *Authority)
+	}{
+		{"no policy", func(*Authority) {}},
+		{"row policy", func(a *Authority) {
+			a.AddRowPolicy(admin, "t", RowPolicy{Name: "emea", Grantees: map[Principal]bool{alice: true}, Filter: emea})
+		}},
+		{"deny email", func(a *Authority) {
+			a.SetColumnPolicy(admin, "t", ColumnPolicy{Column: "email", Allowed: map[Principal]bool{admin: true}})
+		}},
+		{"mask email", func(a *Authority) {
+			a.SetColumnPolicy(admin, "t", ColumnPolicy{Column: "email", Mask: vector.MaskHash, Allowed: map[Principal]bool{bob: true}})
+		}},
+	}
+	full := salesBatch()
+	for _, s := range setups {
+		a := newAuth()
+		a.GrantTable(admin, "t", alice, RoleViewer)
+		a.GrantTable(admin, "t", bob, RoleViewer)
+		s.setup(a)
+		governed := 0
+		for _, who := range []Principal{admin, alice, bob} {
+			for set := 1; set < 1<<len(full.Cols); set += 2 {
+				read := func(i int) bool { return set>>i&1 == 1 }
+				b := &vector.Batch{N: full.N}
+				for i, f := range full.Schema.Fields {
+					if read(i) {
+						b.Schema.Fields = append(b.Schema.Fields, f)
+						b.Cols = append(b.Cols, full.Cols[i])
+					}
+				}
+				governs := a.Governs(who, "t", full.Schema.Fields, read)
+				out, err := a.ApplyGovernance(who, "t", b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if changed := out != b; changed != governs {
+					t.Errorf("%s, %s, columns %03b: Governs = %v, ApplyGovernance changed the batch = %v", s.name, who, set, governs, changed)
+				}
+				if governs {
+					governed++
+				}
+			}
+		}
+		if want := s.name != "no policy"; (governed > 0) != want {
+			t.Errorf("%s: %d reads governed", s.name, governed)
+		}
+	}
+}
